@@ -8,6 +8,7 @@
 package hft
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -275,4 +276,95 @@ func BenchmarkProcSleepPair(b *testing.B) {
 		})
 	}
 	k.Run()
+}
+
+// statePathCluster boots the state-path benchmarks' subject: a pair on
+// the shared COW image, advanced mid-run so the replicas hold a few
+// dirty pages each.
+func statePathCluster(tb testing.TB) *Cluster {
+	tb.Helper()
+	c, err := NewCluster(WithWorkload(DiskWrite(6, 8192)), WithProtocol(ProtocolNew), WithSharedImage())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := c.RunFor(6 * Millisecond); err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// BenchmarkClusterSave measures one checkpoint of a booted pair:
+// capture of every node straight from its page frames, encoded in
+// place into a recycled buffer.
+func BenchmarkClusterSave(b *testing.B) {
+	c := statePathCluster(b)
+	defer c.Close()
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := c.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
+}
+
+// BenchmarkClusterRestore measures a verified restore: rebuild, replay
+// to the saved position, and compare a fresh capture section by
+// section.
+func BenchmarkClusterRestore(b *testing.B) {
+	c := statePathCluster(b)
+	defer c.Close()
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := Restore(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
+	}
+}
+
+// BenchmarkAddBackupTransfer measures one reintegration up to the
+// point the image is on the wire: quiesce, encode the acting
+// coordinator's state, splice the joiner in. Booting and advancing the
+// pair is untimed.
+func BenchmarkAddBackupTransfer(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := statePathCluster(b)
+		b.StartTimer()
+		if _, err := c.AddBackup(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		c.Close()
+		b.StartTimer()
+	}
+}
+
+// BenchmarkSharedImageBoot measures standing up one more cluster on an
+// image the process already interned: NewCluster plus the lazy boot.
+func BenchmarkSharedImageBoot(b *testing.B) {
+	statePathCluster(b).Close() // intern the image, warm the pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := NewCluster(WithWorkload(DiskWrite(6, 8192)), WithProtocol(ProtocolNew), WithSharedImage())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.RunFor(0); err != nil {
+			b.Fatal(err)
+		}
+		c.Close()
+	}
 }

@@ -881,6 +881,7 @@ func (s *subscriber) close() {
 // post-close send waits only a short grace period, so an abandoned
 // subscription cannot leak its goroutine past teardown.
 func (s *subscriber) pump() {
+	var grace *time.Timer // one timer for the whole post-close drain
 	for {
 		s.mu.Lock()
 		for s.queue.Len() == 0 && !s.closed {
@@ -902,9 +903,15 @@ func (s *subscriber) pump() {
 				// through to the post-close grace for this event.
 			}
 		}
+		if grace == nil {
+			grace = time.NewTimer(100 * time.Millisecond)
+			defer grace.Stop()
+		} else {
+			grace.Reset(100 * time.Millisecond)
+		}
 		select {
 		case s.ch <- ev:
-		case <-time.After(100 * time.Millisecond):
+		case <-grace.C:
 			close(s.ch)
 			return
 		}

@@ -233,3 +233,35 @@ func (w testWriter) Write(p []byte) (int, error) {
 	w.t.Logf("%s", strings.TrimRight(string(p), "\n"))
 	return len(p), nil
 }
+
+// TestMatchWriter pins the streaming comparison behind invariant 4's
+// re-save: the reported offset is where a stored copy compared with
+// diffOffset would have differed.
+func TestMatchWriter(t *testing.T) {
+	want := []byte("0123456789")
+	for _, tc := range []struct {
+		name   string
+		writes []string
+		at     int
+	}{
+		{"equal", []string{"0123", "456789"}, -1},
+		{"differs in second write", []string{"0123", "45x789"}, 6},
+		{"stops short", []string{"0123", "45"}, 6},
+		{"overruns", []string{"0123456789", "ab"}, 10},
+		{"differs, then overruns", []string{"x123456789ab"}, 0},
+		{"empty", nil, 0},
+	} {
+		m := matchWriter{want: want, diff: -1}
+		var got []byte
+		for _, w := range tc.writes {
+			m.Write([]byte(w))
+			got = append(got, w...)
+		}
+		if at := m.mismatch(); at != tc.at {
+			t.Errorf("%s: mismatch at %d, want %d", tc.name, at, tc.at)
+		}
+		if ref := diffOffset(want, got); tc.at >= 0 && ref != tc.at {
+			t.Errorf("%s: diffOffset over stored copies says %d, want %d", tc.name, ref, tc.at)
+		}
+	}
+}

@@ -309,17 +309,47 @@ func saveRestore(c *hft.Cluster) (*hft.Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("restore: %v", err)
 	}
-	var second bytes.Buffer
+	// The re-save is compared as it is written, never stored.
+	second := matchWriter{want: first.Bytes(), diff: -1}
 	if err := restored.Save(&second); err != nil {
 		restored.Close()
 		return nil, fmt.Errorf("re-save: %v", err)
 	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+	if at := second.mismatch(); at >= 0 {
 		restored.Close()
 		return nil, fmt.Errorf("round trip not byte-identical: saved %d bytes, re-saved %d bytes (first difference at offset %d)",
-			first.Len(), second.Len(), diffOffset(first.Bytes(), second.Bytes()))
+			first.Len(), second.n, at)
 	}
 	return restored, nil
+}
+
+// matchWriter is an io.Writer that compares the stream it is handed
+// against want instead of keeping it.
+type matchWriter struct {
+	want []byte
+	n    int // bytes written so far
+	diff int // offset of the first mismatch or overrun, -1 while none
+}
+
+func (m *matchWriter) Write(p []byte) (int, error) {
+	if m.diff < 0 {
+		rest := m.want[min(m.n, len(m.want)):]
+		if d := diffOffset(p, rest); d < len(p) {
+			m.diff = m.n + d
+		}
+	}
+	m.n += len(p)
+	return len(p), nil
+}
+
+// mismatch returns the first offset at which the stream written so far
+// differs from want (a stream that stopped short differs where it
+// ended), or -1 if they are equal.
+func (m *matchWriter) mismatch() int {
+	if m.diff < 0 && m.n < len(m.want) {
+		return m.n
+	}
+	return m.diff
 }
 
 // diffOffset returns the first index where a and b differ.

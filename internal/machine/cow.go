@@ -31,8 +31,9 @@ package machine
 // below to the pre-COW behaviour byte for byte.
 
 import (
-	"bytes"
 	"encoding/binary"
+	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/isa"
@@ -46,6 +47,10 @@ type ramPage = [isa.PageSize]byte
 // interning; machines that diverge copy the frame private first.
 type sharedFrame struct {
 	data ramPage
+	// zero records, at intern time, that data is all zero — the state
+	// path's zero test for shared frames, paid once per distinct page
+	// instead of once per capture.
+	zero bool
 	once sync.Once
 	dec  *sharedDecode
 }
@@ -121,10 +126,8 @@ var frameIntern struct {
 }
 
 // internFrame returns the canonical shared frame for the given page
-// contents (zero-padded to a full page).
-func internFrame(data []byte) *sharedFrame {
-	var page ramPage
-	copy(page[:], data)
+// contents.
+func internFrame(page *ramPage) *sharedFrame {
 	h := fnv64a(page[:])
 	frameIntern.Lock()
 	defer frameIntern.Unlock()
@@ -132,82 +135,102 @@ func internFrame(data []byte) *sharedFrame {
 		frameIntern.byHash = make(map[uint64][]*sharedFrame)
 	}
 	for _, f := range frameIntern.byHash[h] {
-		if f.data == page {
+		if f.data == *page {
 			return f
 		}
 	}
-	f := &sharedFrame{data: page}
+	f := &sharedFrame{data: *page, zero: *page == ramPage{}}
 	frameIntern.byHash[h] = append(frameIntern.byHash[h], f)
 	return f
 }
 
+// zeroFrame is the interned all-zero page: every page of a base image
+// outside its program, fleet-wide.
+var zeroFrame = internFrame(new(ramPage))
+
 // fnv64a is the 64-bit FNV-1a hash (content key for frame and image
 // interning; only equality after a full compare is ever trusted).
 func fnv64a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset)
 	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+		h = (h ^ uint64(c)) * fnvPrime
 	}
 	return h
 }
 
-// NewBaseImage interns a flat RAM image into shared frames.
-func NewBaseImage(mem []byte) *BaseImage {
-	npages := (len(mem) + isa.PageSize - 1) >> isa.PageShift
-	img := &BaseImage{size: uint32(len(mem)), frames: make([]*sharedFrame, npages)}
-	for i := 0; i < npages; i++ {
-		lo := i << isa.PageShift
-		hi := lo + isa.PageSize
-		if hi > len(mem) {
-			hi = len(mem)
-		}
-		img.frames[i] = internFrame(mem[lo:hi])
-	}
-	return img
-}
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
-// imageIntern caches whole base images by content, so every session
+// imageIntern memoises base images by what determines their content —
+// the program's origin and words plus the RAM size — so every session
 // booting the same kernel at the same RAM size resolves to one
-// BaseImage (and one shared decode) process-wide.
+// BaseImage (and one shared decode) process-wide without ever building
+// a RAM-sized buffer to find it. Images live for the process: the set
+// of distinct kernel images is small and shared by design.
 var imageIntern struct {
 	sync.Mutex
-	byHash map[uint64][]*BaseImage
+	byHash map[uint64][]*programImage
 }
 
-// InternImage returns the canonical BaseImage for a flat RAM image,
-// building and caching it on first sight. Images live for the process:
-// the set of distinct kernel images is small and shared by design.
-func InternImage(mem []byte) *BaseImage {
-	h := fnv64a(mem)
+// programImage is one memo entry: the key (with a private copy of the
+// words, a few KB) and the image built from it.
+type programImage struct {
+	origin, size uint32
+	words        []uint32
+	img          *BaseImage
+}
+
+// ProgramImage returns the canonical BaseImage for a RAM of size bytes
+// that is zero except for words stored little-endian at origin — the
+// image LoadProgram would produce in a fresh machine. A first-seen
+// image is built page by page: pages the program covers are interned
+// by content, every other page maps the one zero frame. The program
+// must fit in size bytes.
+func ProgramImage(origin uint32, words []uint32, size uint32) *BaseImage {
+	end := uint64(origin) + 4*uint64(len(words))
+	if end > uint64(size) {
+		panic(fmt.Sprintf("machine: program [%#x, %#x) exceeds a %d-byte image", origin, end, size))
+	}
+	// The key hashes a word at a time: it only has to spread images,
+	// equality is the full compare below.
+	h := uint64(fnvOffset)
+	for _, v := range [...]uint32{origin, size} {
+		h = (h ^ uint64(v)) * fnvPrime
+	}
+	for _, w := range words {
+		h = (h ^ uint64(w)) * fnvPrime
+	}
 	imageIntern.Lock()
 	defer imageIntern.Unlock()
 	if imageIntern.byHash == nil {
-		imageIntern.byHash = make(map[uint64][]*BaseImage)
+		imageIntern.byHash = make(map[uint64][]*programImage)
 	}
-	for _, img := range imageIntern.byHash[h] {
-		if img.size == uint32(len(mem)) && img.equalsFlat(mem) {
-			return img
+	for _, e := range imageIntern.byHash[h] {
+		if e.origin == origin && e.size == size && slices.Equal(e.words, words) {
+			return e.img
 		}
 	}
-	img := NewBaseImage(mem)
-	imageIntern.byHash[h] = append(imageIntern.byHash[h], img)
+	npages := (int(size) + isa.PageSize - 1) >> isa.PageShift
+	img := &BaseImage{size: size, frames: make([]*sharedFrame, npages)}
+	for i := range img.frames {
+		base := uint64(i) << isa.PageShift
+		lo, hi := max(base, uint64(origin)), min(base+isa.PageSize, end)
+		if lo >= hi {
+			img.frames[i] = zeroFrame
+			continue
+		}
+		var page ramPage
+		for a := lo; a < hi; a++ {
+			off := a - uint64(origin)
+			page[a-base] = byte(words[off>>2] >> (8 * (off & 3)))
+		}
+		img.frames[i] = internFrame(&page)
+	}
+	imageIntern.byHash[h] = append(imageIntern.byHash[h],
+		&programImage{origin: origin, size: size, words: slices.Clone(words), img: img})
 	return img
-}
-
-// equalsFlat reports whether the image's contents equal a flat buffer.
-func (img *BaseImage) equalsFlat(mem []byte) bool {
-	for i, f := range img.frames {
-		lo := i << isa.PageShift
-		hi := lo + isa.PageSize
-		if hi > len(mem) {
-			hi = len(mem)
-		}
-		if !bytes.Equal(f.data[:hi-lo], mem[lo:hi]) {
-			return false
-		}
-	}
-	return true
 }
 
 // ownedPage reports whether physical page idx is private to this

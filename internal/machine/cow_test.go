@@ -62,14 +62,10 @@ func cowWord(t *testing.T, src string) uint32 {
 	return p.Words[0]
 }
 
-// imageFor builds (and interns) a base image holding the program in a
+// imageFor resolves the base image holding the program in a
 // memBytes-sized RAM.
 func imageFor(p *asm.Program, memBytes uint32) *machine.BaseImage {
-	flat := make([]byte, memBytes)
-	for i, w := range p.Words {
-		binary.LittleEndian.PutUint32(flat[p.Origin+uint32(4*i):], w)
-	}
-	return machine.InternImage(flat)
+	return machine.ProgramImage(p.Origin, p.Words, memBytes)
 }
 
 // boot creates a machine for the program — COW-backed when img is
@@ -227,11 +223,15 @@ func TestThousandSharedMachines(t *testing.T) {
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 	perShard := (after.HeapAlloc - before.HeapAlloc) / n
-	// A private copy is 8 MiB of RAM alone; shared shards carry only
-	// page tables and the machine struct. Allow 1/8 of private as a
-	// generous ceiling (observed ~tens of KiB).
-	if perShard > mem/8 {
-		t.Fatalf("per-shard heap %d bytes — not a small fraction of the %d-byte private copy", perShard, mem)
+	// A private copy is 8 MiB of RAM alone. A shared shard carries two
+	// page-indexed tables (frame pointers and decoded-page pointers, 16
+	// bytes per page — 32 KB at this RAM size, 4 KB at the fleet's 1 MiB)
+	// and must fit everything else — the machine struct, the TLB, the
+	// ownership bitmap — in 8 KB: the word-decode memo (64 KB) is not
+	// part of a machine that has not single-stepped.
+	const npages = mem >> 12
+	if ceiling := uint64(16*npages + 8<<10); perShard > ceiling {
+		t.Fatalf("per-shard heap %d bytes, ceiling %d (private copy: %d)", perShard, ceiling, mem)
 	}
 	t.Logf("heap per shard: %d bytes (private copy: %d)", perShard, mem)
 

@@ -177,9 +177,12 @@ type Machine struct {
 
 	// decodeCache memoizes Decode by word value (decoding is a pure
 	// function of the instruction word, so self-modifying code remains
-	// correct). Direct-mapped; collisions just re-decode. Step's path;
-	// the batched Run path uses the per-page translation cache below.
-	decodeCache [decodeCacheSize]decodeEntry
+	// correct). Direct-mapped; collisions just re-decode. Step's path
+	// and cold page fills only — the batched Run path over a shared
+	// image seeds its translation cache from the shared decode and never
+	// touches it — so it is allocated on first use (≈ 64 KB a machine
+	// would otherwise zero at construction) and recycled by Release.
+	decodeCache *[decodeCacheSize]decodeEntry
 
 	// pages is the translation cache: lazily decoded images of physical
 	// pages, indexed by physical page number (see pagecache.go). Entries
@@ -213,6 +216,9 @@ func decodeIndex(w uint32) uint32 {
 
 // decode returns the decoded form of w, via the memo cache.
 func (m *Machine) decode(w uint32) (isa.Inst, bool) {
+	if m.decodeCache == nil {
+		m.decodeCache = grabDecodeCache()
+	}
 	e := &m.decodeCache[decodeIndex(w)]
 	if e.valid && e.word == w {
 		return e.inst, true

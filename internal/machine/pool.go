@@ -21,7 +21,18 @@ var (
 	framesPool sync.Pool // *[]*ramPage: per-machine frame tables
 	ownedPool  sync.Pool // *[]uint64: per-machine ownership bitmaps
 	framePool  sync.Pool // *ramPage: COW-faulted private frames
+	decodePool sync.Pool // *[decodeCacheSize]decodeEntry: word-decode memos
 )
+
+// grabDecodeCache returns a word-decode memo. A recycled one is reused
+// as is: an entry maps an instruction word to its decode, a pure
+// function, so another machine's entries are as valid here as there.
+func grabDecodeCache() *[decodeCacheSize]decodeEntry {
+	if c, _ := decodePool.Get().(*[decodeCacheSize]decodeEntry); c != nil {
+		return c
+	}
+	return new([decodeCacheSize]decodeEntry)
+}
 
 // grabTrace returns an empty trace record, reusing a recycled one's ops
 // capacity when available.
@@ -114,6 +125,10 @@ func grabPage() *decodedPage {
 // teardown) call it so the next session's machines build from recycled
 // buffers instead of cold allocations.
 func (m *Machine) Release() {
+	if m.decodeCache != nil {
+		decodePool.Put(m.decodeCache)
+		m.decodeCache = nil
+	}
 	if m.flat != nil {
 		flat := m.flat
 		m.flat = nil

@@ -54,9 +54,16 @@ type TLBState struct {
 	Stats   TLBStats
 }
 
-// State is a complete, self-contained capture of one machine. All
-// fields are deep copies; mutating the source machine after capture
-// does not alter the State.
+// Page is one captured page of RAM.
+type Page struct {
+	// Index is the physical page number.
+	Index uint32
+	// Data holds the page's bytes: a full page, except for the last
+	// page of a RAM whose size is not page-aligned.
+	Data []byte
+}
+
+// State is a complete, self-contained capture of one machine.
 type State struct {
 	MemBytes uint32
 	Regs     [isa.NumRegs]uint32
@@ -66,14 +73,29 @@ type State struct {
 	Halted   bool
 	Cycles   uint64
 	Stats    Stats
-	// Mem is the full physical RAM image.
-	Mem []byte
-	TLB TLBState
+	// Pages is physical RAM as a canonical sparse page set: strictly
+	// ascending Index, no page all zero, and every page absent from it
+	// all zero. A capture's pages that are still shared with the base
+	// image alias its immutable interned frames; what else they alias
+	// depends on who produced the State (CaptureState, BorrowState, a
+	// snapshot decoder).
+	Pages []Page
+	TLB   TLBState
 }
 
 // CaptureState snapshots the machine. Read-only: capture has no effect
-// on subsequent execution.
-func (m *Machine) CaptureState() State {
+// on subsequent execution, and the State is immune to it — privately
+// owned pages are deep copies (shared frames are immutable), so the
+// capture costs the machine's dirty pages, not its RAM size.
+func (m *Machine) CaptureState() State { return m.capture(true) }
+
+// BorrowState is CaptureState without the copies: owned pages alias
+// the machine's live frames. The view is valid only until the machine
+// next executes, stores or restores; it is for consumers that encode
+// or compare immediately (session capture, state transfer).
+func (m *Machine) BorrowState() State { return m.capture(false) }
+
+func (m *Machine) capture(copyOwned bool) State {
 	s := State{
 		MemBytes: m.cfg.MemBytes,
 		Regs:     m.Regs,
@@ -83,35 +105,49 @@ func (m *Machine) CaptureState() State {
 		Halted:   m.halted,
 		Cycles:   m.cycles,
 		Stats:    m.Stats,
-		Mem:      make([]byte, m.memSize),
+		TLB:      m.TLB.captureState(),
 	}
-	// Materialize RAM page-wise: COW-shared frames copy out the same
-	// bytes a private machine would hold, so a capture is identical
-	// regardless of backing.
+	s.Pages = make([]Page, 0, 16) // a booted guest's nonzero pages, typically
 	for i, fr := range m.frames {
-		base := uint32(i) << isa.PageShift
-		n := m.memSize - base
-		if n > isa.PageSize {
-			n = isa.PageSize
+		idx := uint32(i)
+		owned := m.ownedPage(idx)
+		// The zero test is the intern-time flag for shared frames and
+		// one whole-page compare for owned ones.
+		if owned && *fr == (ramPage{}) || !owned && m.img.frames[i].zero {
+			continue
 		}
-		copy(s.Mem[base:], fr[:n])
+		data := fr[:m.pageLen(idx)]
+		if owned && copyOwned {
+			data = bytes.Clone(data)
+		}
+		s.Pages = append(s.Pages, Page{Index: idx, Data: data})
 	}
-	s.TLB = m.TLB.captureState()
 	return s
+}
+
+// pageLen returns how many bytes of page idx are RAM: a full page,
+// except for the last page of a RAM that is not page-aligned.
+func (m *Machine) pageLen(idx uint32) uint32 {
+	return min(m.memSize-idx<<isa.PageShift, isa.PageSize)
 }
 
 // RestoreState overwrites the machine's state with a capture. The
 // target must be configured compatibly (same RAM size, TLB geometry and
-// replacement policy); the decoded-page cache and decode memo are
-// invalidated, and the machine's own CPUID is preserved — processor
-// identity belongs to the chip, not the transferred virtual-machine
-// state (the hypervisor virtualizes CPUID anyway).
+// replacement policy); the decoded-page cache is invalidated, and the
+// machine's own CPUID is preserved — processor identity belongs to the
+// chip, not the transferred virtual-machine state (the hypervisor
+// virtualizes CPUID anyway). Page data is copied, never retained.
 func (m *Machine) RestoreState(s State) error {
 	if s.MemBytes != m.memSize {
 		return fmt.Errorf("machine: restore: RAM size %d into machine with %d", s.MemBytes, m.memSize)
 	}
-	if len(s.Mem) != int(m.memSize) {
-		return fmt.Errorf("machine: restore: image has %d RAM bytes, want %d", len(s.Mem), m.memSize)
+	for i, pg := range s.Pages {
+		if int(pg.Index) >= len(m.frames) || (i > 0 && pg.Index <= s.Pages[i-1].Index) {
+			return fmt.Errorf("machine: restore: page %d out of range or out of order", pg.Index)
+		}
+		if len(pg.Data) != int(m.pageLen(pg.Index)) {
+			return fmt.Errorf("machine: restore: page %d has %d bytes, want %d", pg.Index, len(pg.Data), m.pageLen(pg.Index))
+		}
 	}
 	if err := m.TLB.checkRestorable(s.TLB); err != nil {
 		return err
@@ -124,31 +160,39 @@ func (m *Machine) RestoreState(s State) error {
 	m.halted = s.Halted
 	m.cycles = s.Cycles
 	m.Stats = s.Stats
-	// Restore RAM page-wise. Over a base image, pages whose restored
-	// contents equal the shared frame stay (or become again) shared —
-	// restoring a capture of a lightly diverged machine re-deduplicates
-	// it — and only differing pages hold (or fault) a private frame.
+	// Restore RAM page-wise; a page absent from the sparse set is zero.
+	// Over a base image, pages whose restored contents equal the shared
+	// frame stay (or become again) shared — restoring a capture of a
+	// lightly diverged machine re-deduplicates it — and only differing
+	// pages hold (or fault) a private frame.
+	next := s.Pages
 	for i := range m.frames {
 		idx := uint32(i)
-		base := idx << isa.PageShift
-		n := m.memSize - base
-		if n > isa.PageSize {
-			n = isa.PageSize
+		var src []byte // nil: the page is zero
+		if len(next) > 0 && next[0].Index == idx {
+			src, next = next[0].Data, next[1:]
 		}
-		src := s.Mem[base : base+n]
 		if m.img != nil {
-			shared := &m.img.frames[i].data
-			if bytes.Equal(src, shared[:n]) {
+			shared := m.img.frames[i]
+			same := shared.zero
+			if src != nil {
+				same = bytes.Equal(src, shared.data[:len(src)])
+			}
+			if same {
 				if m.ownedPage(idx) {
 					framePool.Put(m.frames[i])
-					m.frames[i] = shared
+					m.frames[i] = &shared.data
 					m.owned[idx>>6] &^= 1 << (idx & 63)
 				}
 				continue
 			}
 			m.faultPage(idx)
 		}
-		copy(m.frames[i][:n], src)
+		if src == nil {
+			*m.frames[i] = ramPage{}
+		} else {
+			copy(m.frames[i][:], src)
+		}
 	}
 	// The decoded-page cache is derived from RAM: drop it wholesale so
 	// stale images of the previous contents cannot be dispatched.
@@ -192,6 +236,9 @@ func (t *TLB) checkRestorable(s TLBState) error {
 	}
 	if s.Policy == "random" {
 		return fmt.Errorf("machine: restore: random TLB replacement is chip-private and not restorable")
+	}
+	if s.Pending < -1 || s.Pending >= len(t.slots) || s.Next < 0 {
+		return fmt.Errorf("machine: restore: TLB cursor out of range (pending %d, next %d, %d slots)", s.Pending, s.Next, len(t.slots))
 	}
 	return nil
 }

@@ -25,6 +25,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -67,17 +68,25 @@ type Backend interface {
 	Block(b uint32) []byte
 }
 
-// memBackend is the default backend: lazily allocated zeroed blocks.
+// memBackend is the default backend: lazily allocated zeroed blocks,
+// held sparsely — a disk costs what its touched blocks cost, not a
+// Blocks-sized table up front.
 type memBackend struct {
 	blockSize uint32
-	data      [][]byte
+	blocks    uint32
+	data      map[uint32][]byte
 }
 
 func (m *memBackend) Block(b uint32) []byte {
-	if m.data[b] == nil {
-		m.data[b] = make([]byte, m.blockSize)
+	if b >= m.blocks {
+		panic(fmt.Sprintf("scsi: block %d of a %d-block disk", b, m.blocks))
 	}
-	return m.data[b]
+	blk := m.data[b]
+	if blk == nil {
+		blk = make([]byte, m.blockSize)
+		m.data[b] = blk
+	}
+	return blk
 }
 
 // DiskConfig describes the shared disk.
@@ -158,7 +167,7 @@ func NewDisk(k *sim.Kernel, cfg DiskConfig) *Disk {
 	cfg = cfg.withDefaults()
 	be := cfg.Backend
 	if be == nil {
-		be = &memBackend{blockSize: cfg.BlockSize, data: make([][]byte, cfg.Blocks)}
+		be = &memBackend{blockSize: cfg.BlockSize, blocks: cfg.Blocks, data: make(map[uint32][]byte)}
 	}
 	return &Disk{
 		k:       k,
@@ -449,10 +458,14 @@ func (d *Disk) StateDigest() uint64 {
 		put(r.Seq, uint64(r.Host), uint64(r.Cmd), uint64(r.Block), flags, r.DataHash, uint64(r.At))
 	}
 	if mb, ok := d.backend.(*memBackend); ok {
-		for i, blk := range mb.data {
-			if blk != nil {
-				put(uint64(i), hash64(blk))
-			}
+		// Materialized blocks, in ascending block order.
+		idx := make([]uint32, 0, len(mb.data))
+		for i := range mb.data {
+			idx = append(idx, i)
+		}
+		slices.Sort(idx)
+		for _, i := range idx {
+			put(uint64(i), hash64(mb.data[i]))
 		}
 	}
 	return h.Sum64()

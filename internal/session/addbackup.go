@@ -78,6 +78,27 @@ func (e *Engine) actingDrained() bool {
 	return true
 }
 
+// encodeTransfer serializes node act's complete virtual-machine image
+// as of the last committed boundary, adjusted for the backup role:
+// environment output suppressed (§2.2 case i) and issued-real latches
+// cleared (rule P3 — the joiner's own devices owe it nothing). RAM is
+// encoded straight from the live page frames: the caller holds the
+// session at a quiesced boundary, so nothing runs between the borrow
+// and the encoding.
+func (e *Engine) encodeTransfer(act int) []byte {
+	hs := e.cluster.Nodes[act].HV.CaptureState()
+	hs.IOActive = false
+	for i := range hs.Devices {
+		hs.Devices[i].IssuedReal = false
+	}
+	return snapshot.EncodeTransfer(snapshot.Transfer{
+		Machine:    e.cluster.Nodes[act].M.BorrowState(),
+		Hypervisor: hs,
+		Tme:        e.lastTme,
+		Epoch:      e.lastEpoch,
+	})
+}
+
 // AddBackup reintegrates a new backup at the lowest priority and
 // returns its node index. The session advances to the acting
 // coordinator's next epoch commit (virtual time moves) before the
@@ -114,20 +135,8 @@ func (e *Engine) AddBackup(cfg AddBackupConfig) (int, error) {
 		return 0, errors.New("session: workload completed before an epoch boundary")
 	}
 
-	// Capture the acting coordinator's complete virtual-machine image
-	// as of the boundary, adjusted for the backup role: environment
-	// output suppressed (§2.2 case i) and issued-real latches cleared
-	// (rule P3 — the joiner's own devices owe it nothing).
 	act := e.lastNode
-	ms := e.cluster.Nodes[act].M.CaptureState()
-	hs := e.cluster.Nodes[act].HV.CaptureState()
-	hs.IOActive = false
-	for i := range hs.Devices {
-		hs.Devices[i].IssuedReal = false
-	}
-	blob := snapshot.EncodeTransfer(snapshot.Transfer{
-		Machine: ms, Hypervisor: hs, Tme: e.lastTme, Epoch: e.lastEpoch,
-	})
+	blob := e.encodeTransfer(act)
 
 	// Build the node and its mesh links.
 	n := len(e.cluster.Nodes)

@@ -11,6 +11,7 @@ package session
 // silently resuming a different simulation.
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -20,22 +21,70 @@ import (
 // SectionMagic opens each capture section blob.
 const SectionMagic = "HFTSECT1"
 
-// Section is one labeled piece of a session capture.
+// Section is one labeled piece of a decoded session capture. Data is
+// the section's blob and may alias the snapshot it was read from.
 type Section struct {
 	Name string
 	Data []byte
 }
 
-// CaptureSections snapshots the session (booting it first if needed:
-// boot is deterministic, so capturing an unstarted session is
-// equivalent to capturing it at virtual time zero).
-func (e *Engine) CaptureSections() []Section {
+// section is one piece of a capture still to be encoded.
+type section struct {
+	name string
+	fill func(w *snapshot.Writer)
+}
+
+// EncodeSections appends a capture of the session to w — section
+// count, then each section's name and blob, encoded in place —
+// booting the session first if needed (boot is deterministic, so
+// capturing an unstarted session is equivalent to capturing it at
+// virtual time zero). Machine RAM is encoded straight from the live
+// page frames (machine.BorrowState): nothing runs between a section's
+// capture and its encoding.
+func (e *Engine) EncodeSections(w *snapshot.Writer) {
+	secs := e.sections()
+	w.U32(uint32(len(secs)))
+	for _, s := range secs {
+		w.String(s.name)
+		s.encode(w)
+	}
+}
+
+// encode appends the section's blob, length-prefixed, and returns it.
+func (s section) encode(w *snapshot.Writer) []byte {
+	mark := w.BeginSection(SectionMagic)
+	s.fill(w)
+	return w.EndSection(mark)
+}
+
+// VerifySections compares a fresh capture of the session against a
+// decoded one, section by section as each is encoded, and reports the
+// first difference (nil if identical). Used by snapshot restore
+// verification.
+func (e *Engine) VerifySections(want []Section) error {
+	got := e.sections()
+	w := snapshot.GrabWriter(SectionMagic)
+	defer w.Release()
+	for i := 0; i < len(want) && i < len(got); i++ {
+		if want[i].Name != got[i].name {
+			return fmt.Errorf("section %d is %q, snapshot has %q", i, got[i].name, want[i].Name)
+		}
+		if data := got[i].encode(w); !bytes.Equal(want[i].Data, data) {
+			return fmt.Errorf("section %q differs (%d vs %d bytes)", want[i].Name, len(want[i].Data), len(data))
+		}
+	}
+	if len(want) != len(got) {
+		return fmt.Errorf("capture has %d sections, snapshot has %d", len(got), len(want))
+	}
+	return nil
+}
+
+// sections lists the capture's sections in their fixed order.
+func (e *Engine) sections() []section {
 	e.Boot()
-	var out []Section
+	var out []section
 	add := func(name string, fill func(w *snapshot.Writer)) {
-		w := snapshot.NewWriter(SectionMagic)
-		fill(w)
-		out = append(out, Section{Name: name, Data: w.Finish()})
+		out = append(out, section{name, fill})
 	}
 
 	add("meta", func(w *snapshot.Writer) {
@@ -54,7 +103,7 @@ func (e *Engine) CaptureSections() []Section {
 
 	if e.o.Bare {
 		add("node0.machine", func(w *snapshot.Writer) {
-			snapshot.PutMachineState(w, e.single.Node.M.CaptureState())
+			snapshot.PutMachineState(w, e.single.Node.M.BorrowState())
 		})
 		add("node0.devices", func(w *snapshot.Writer) {
 			for _, a := range e.single.Node.Adapters {
@@ -80,7 +129,7 @@ func (e *Engine) CaptureSections() []Section {
 	for i, node := range e.cluster.Nodes {
 		i, node := i, node
 		add(fmt.Sprintf("node%d.machine", i), func(w *snapshot.Writer) {
-			snapshot.PutMachineState(w, node.M.CaptureState())
+			snapshot.PutMachineState(w, node.M.BorrowState())
 		})
 		add(fmt.Sprintf("node%d.hypervisor", i), func(w *snapshot.Writer) {
 			snapshot.PutHypervisorState(w, node.HV.CaptureState())
@@ -157,21 +206,4 @@ func (e *Engine) addNICSection(add func(name string, fill func(w *snapshot.Write
 			w.U64(e.clients.StateDigest())
 		}
 	})
-}
-
-// CompareSections reports the first difference between two captures
-// (nil if identical). Used by snapshot restore verification.
-func CompareSections(want, got []Section) error {
-	for i := 0; i < len(want) && i < len(got); i++ {
-		if want[i].Name != got[i].Name {
-			return fmt.Errorf("section %d is %q, snapshot has %q", i, got[i].Name, want[i].Name)
-		}
-		if string(want[i].Data) != string(got[i].Data) {
-			return fmt.Errorf("section %q differs (%d vs %d bytes)", want[i].Name, len(want[i].Data), len(got[i].Data))
-		}
-	}
-	if len(want) != len(got) {
-		return fmt.Errorf("capture has %d sections, snapshot has %d", len(got), len(want))
-	}
-	return nil
 }

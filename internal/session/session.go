@@ -17,7 +17,6 @@
 package session
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -84,13 +83,15 @@ var sharedImageDefault atomic.Bool
 // threading an option through every call site.
 func SetSharedImageDefault(on bool) { sharedImageDefault.Store(on) }
 
-// shareImage attaches a content-interned COW base image, built from
-// the program's boot image, to a machine config. Every machine built
-// from the returned config maps the same immutable frames — as does
-// every other session booting the same program at the same RAM size,
-// fleet-wide, through the intern table. Boot-time stores of bytes the
-// image already holds are COW no-ops, so kernel text stays shared; a
-// replica privatizes only the pages it actually dirties.
+// shareImage attaches the COW base image of the program's boot image
+// to a machine config. Every machine built from the returned config
+// maps the same immutable frames — as does every other session booting
+// the same program at the same RAM size, fleet-wide: the machine layer
+// memoises images by (origin, words, RAM size), so resolving one costs
+// a compare of the program words, never a RAM-sized buffer. Boot-time
+// stores of bytes the image already holds are COW no-ops, so kernel
+// text stays shared; a replica privatizes only the pages it actually
+// dirties.
 func (e *Engine) shareImage(mc machine.Config) machine.Config {
 	if !e.o.SharedImage && !sharedImageDefault.Load() {
 		return mc
@@ -99,11 +100,7 @@ func (e *Engine) shareImage(mc machine.Config) machine.Config {
 	if uint64(origin)+4*uint64(len(words)) > uint64(mc.MemBytes) {
 		return mc // image exceeds RAM; boot will report it as ever
 	}
-	flat := make([]byte, mc.MemBytes)
-	for i, w := range words {
-		binary.LittleEndian.PutUint32(flat[int(origin)+4*i:], w)
-	}
-	mc.Image = machine.InternImage(flat)
+	mc.Image = machine.ProgramImage(origin, words, mc.MemBytes)
 	return mc
 }
 

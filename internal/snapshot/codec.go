@@ -22,9 +22,13 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
+	"sync"
 )
 
 // FormatVersion is the current snapshot format. Bump it whenever any
@@ -59,13 +63,71 @@ type Writer struct {
 // NewWriter starts a blob with the given 8-byte magic and the current
 // format version.
 func NewWriter(magic string) *Writer {
+	w := &Writer{}
+	w.header(magic)
+	return w
+}
+
+// writerPool recycles the buffers of writers whose blob does not
+// outlive the call that produced it (Save's output once written, a
+// verification capture once compared), so a steady stream of
+// checkpoints encodes into warm, already-grown buffers.
+var writerPool sync.Pool // *Writer
+
+// GrabWriter is NewWriter over a recycled buffer. Release it once the
+// blob Finish returned is no longer referenced.
+func GrabWriter(magic string) *Writer {
+	w, _ := writerPool.Get().(*Writer)
+	if w == nil {
+		w = &Writer{}
+	}
+	w.buf = w.buf[:0]
+	w.header(magic)
+	return w
+}
+
+// Release recycles the writer's buffer. The writer, and every slice of
+// its buffer handed out before, must not be used afterwards.
+func (w *Writer) Release() { writerPool.Put(w) }
+
+// header appends a blob header: magic and format version.
+func (w *Writer) header(magic string) {
 	if len(magic) != 8 {
 		panic(fmt.Sprintf("snapshot: magic %q must be 8 bytes", magic))
 	}
-	w := &Writer{}
 	w.buf = append(w.buf, magic...)
 	w.U32(FormatVersion)
-	return w
+}
+
+// Grow ensures room for n more bytes without reallocation.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
+
+// checksum is the blob trailer: FNV-64a of everything before it.
+func checksum(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+// BeginSection opens a nested blob encoded in place: it is
+// byte-for-byte what Bytes(blob) would append for a blob built by its
+// own NewWriter(magic) … Finish(), without the intermediate copies.
+// Pass the returned mark to EndSection once the body is written.
+func (w *Writer) BeginSection(magic string) (mark int) {
+	mark = len(w.buf)
+	w.U32(0) // length slot, patched by EndSection
+	w.header(magic)
+	return mark
+}
+
+// EndSection closes the nested blob opened at mark: appends its
+// checksum trailer, patches its length prefix and returns the blob.
+// The result aliases the writer's buffer: valid until the next write.
+func (w *Writer) EndSection(mark int) []byte {
+	w.U64(checksum(w.buf[mark+4:]))
+	blob := w.buf[mark+4:]
+	binary.LittleEndian.PutUint32(w.buf[mark:], uint32(len(blob)))
+	return blob
 }
 
 // U8 appends one byte.
@@ -115,9 +177,7 @@ func (w *Writer) Len() int { return len(w.buf) }
 // Finish appends the checksum trailer and returns the complete blob.
 // The Writer must not be used afterwards.
 func (w *Writer) Finish() []byte {
-	h := fnv.New64a()
-	h.Write(w.buf)
-	w.U64(h.Sum64())
+	w.U64(checksum(w.buf))
 	return w.buf
 }
 
@@ -143,9 +203,7 @@ func NewReader(blob []byte, magic string) (*Reader, error) {
 		return nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, blob[:8], magic)
 	}
 	body, trailer := blob[:len(blob)-8], blob[len(blob)-8:]
-	h := fnv.New64a()
-	h.Write(body)
-	want := h.Sum64()
+	want := checksum(body)
 	got := uint64(0)
 	for i := 7; i >= 0; i-- {
 		got = got<<8 | uint64(trailer[i])
@@ -188,8 +246,15 @@ func (r *Reader) U8() uint8 {
 	return v
 }
 
-// Bool reads a boolean.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
+// Bool reads a boolean. Only the two bytes Writer.Bool emits decode:
+// every accepted blob has exactly one encoding.
+func (r *Reader) Bool() bool {
+	v := r.U8()
+	if v > 1 {
+		r.fail()
+	}
+	return v == 1
+}
 
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {
@@ -217,15 +282,32 @@ func (r *Reader) Int() int { return int(r.I64()) }
 
 // Bytes reads a length-prefixed byte slice (a copy).
 func (r *Reader) Bytes() []byte {
+	return bytes.Clone(r.View())
+}
+
+// View reads a length-prefixed byte slice without copying: the result
+// aliases the blob the reader was opened on.
+func (r *Reader) View() []byte {
 	n := int(r.U32())
 	if r.err != nil || n < 0 || r.off+n > len(r.b) {
 		r.fail()
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:])
+	v := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
-	return out
+	return v
+}
+
+// Count reads an element count and fails unless that many elements of
+// at least elemMin encoded bytes each can still follow — so a decoder
+// can size an allocation from the count without trusting it.
+func (r *Reader) Count(elemMin int) int {
+	n := int(r.U32())
+	if r.err != nil || n < 0 || n > r.Remaining()/elemMin {
+		r.fail()
+		return 0
+	}
+	return n
 }
 
 // String reads a length-prefixed string.

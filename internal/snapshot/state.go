@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/hypervisor"
@@ -20,60 +21,60 @@ const TransferMagic = "HFTXFER1"
 // charges for — an idle-page-free image is what a real state-transfer
 // implementation would ship too (VMware FT and Remus both elide
 // untouched pages).
+//
+// The encoding is canonical — RAM size, page count, then (index,
+// length-prefixed data) per page with strictly ascending indices, full
+// pages except for the tail of an unaligned RAM, and no all-zero page —
+// so a RAM image has exactly one encoding: machine.State.Pages holds
+// that page set and the decoder accepts nothing else, which is what
+// makes "decode, re-encode, compare bytes" a sound verification.
 
-// putRAM writes a sparse page-granular RAM image.
-func putRAM(w *Writer, mem []byte) {
-	w.U32(uint32(len(mem)))
-	n := 0
-	for base := 0; base < len(mem); base += isa.PageSize {
-		if !zeroPage(mem[base:min(base+isa.PageSize, len(mem))]) {
-			n++
-		}
-	}
-	w.U32(uint32(n))
-	for base := 0; base < len(mem); base += isa.PageSize {
-		end := min(base+isa.PageSize, len(mem))
-		if zeroPage(mem[base:end]) {
-			continue
-		}
-		w.U32(uint32(base >> isa.PageShift))
-		w.Bytes(mem[base:end])
+// ramEntryMin is the least a page entry occupies: index + data length.
+const ramEntryMin = 8
+
+// putRAM writes a RAM image from its canonical sparse page set.
+func putRAM(w *Writer, size uint32, pages []machine.Page) {
+	w.U32(size)
+	w.U32(uint32(len(pages)))
+	for _, pg := range pages {
+		w.U32(pg.Index)
+		w.Bytes(pg.Data)
 	}
 }
 
-// ram reads a sparse RAM image back into a full zero-filled buffer.
-func ram(r *Reader) []byte {
-	size := int(r.U32())
-	n := int(r.U32())
-	if r.Err() != nil || size < 0 || size > 1<<31 {
+// ramPages reads a RAM image of the given size as its sparse page set.
+// Page data aliases the reader's blob; nothing RAM-sized is allocated.
+func ramPages(r *Reader, size uint32) []machine.Page {
+	if r.U32() != size {
 		r.fail()
 		return nil
 	}
-	mem := make([]byte, size)
+	npages := (uint64(size) + isa.PageSize - 1) >> isa.PageShift
+	n := r.Count(ramEntryMin)
+	if r.Err() != nil || uint64(n) > npages {
+		r.fail()
+		return nil
+	}
+	pages := make([]machine.Page, 0, n)
 	for i := 0; i < n; i++ {
-		page := int(r.U32())
-		data := r.Bytes()
+		idx := r.U32()
+		data := r.View()
 		if r.Err() != nil {
 			return nil
 		}
-		base := page << isa.PageShift
-		if base < 0 || base+len(data) > size {
+		want := min(uint64(size)-uint64(idx)<<isa.PageShift, isa.PageSize)
+		if uint64(idx) >= npages || (i > 0 && idx <= pages[i-1].Index) ||
+			uint64(len(data)) != want || bytes.Equal(data, zeros[:len(data)]) {
 			r.fail()
 			return nil
 		}
-		copy(mem[base:], data)
+		pages = append(pages, machine.Page{Index: idx, Data: data})
 	}
-	return mem
+	return pages
 }
 
-func zeroPage(p []byte) bool {
-	for _, b := range p {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
+// zeros is the all-zero page the decoder tests explicit pages against.
+var zeros [isa.PageSize]byte
 
 // PutMachineState encodes a machine capture.
 func PutMachineState(w *Writer, s machine.State) {
@@ -89,11 +90,12 @@ func PutMachineState(w *Writer, s machine.State) {
 	w.Bool(s.Halted)
 	w.U64(s.Cycles)
 	putMachineStats(w, s.Stats)
-	putRAM(w, s.Mem)
+	putRAM(w, s.MemBytes, s.Pages)
 	putTLBState(w, s.TLB)
 }
 
-// MachineState decodes a machine capture.
+// MachineState decodes a machine capture. Its RAM pages alias the
+// reader's blob.
 func MachineState(r *Reader) machine.State {
 	var s machine.State
 	s.MemBytes = r.U32()
@@ -108,7 +110,7 @@ func MachineState(r *Reader) machine.State {
 	s.Halted = r.Bool()
 	s.Cycles = r.U64()
 	s.Stats = machineStats(r)
-	s.Mem = ram(r)
+	s.Pages = ramPages(r, s.MemBytes)
 	s.TLB = tlbState(r)
 	return s
 }
@@ -155,6 +157,9 @@ func putTLBState(w *Writer, s machine.TLBState) {
 	}
 }
 
+// tlbSlotBytes is the encoded size of one TLB slot.
+const tlbSlotBytes = 4 + 4 + 4 + 1 + 8
+
 func tlbState(r *Reader) machine.TLBState {
 	var s machine.TLBState
 	s.Policy = r.String()
@@ -166,9 +171,8 @@ func tlbState(r *Reader) machine.TLBState {
 	s.Stats.Inserts = r.U64()
 	s.Stats.Evicts = r.U64()
 	s.Stats.Purges = r.U64()
-	n := int(r.U32())
-	if r.Err() != nil || n < 0 || n > 1<<16 {
-		r.fail()
+	n := r.Count(tlbSlotBytes)
+	if r.Err() != nil {
 		return s
 	}
 	s.Slots = make([]machine.TLBSlotState, n)
@@ -217,12 +221,11 @@ func putInterrupts(w *Writer, ints []hypervisor.Interrupt) {
 	}
 }
 
+// interruptMin is the encoded size of an interrupt without bulk data.
+const interruptMin = 4 + 1 + 4 + 4 + 4 + 4 + 4 + 4
+
 func interrupts(r *Reader) []hypervisor.Interrupt {
-	n := int(r.U32())
-	if r.Err() != nil || n < 0 || n > 1<<24 {
-		r.fail()
-		return nil
-	}
+	n := r.Count(interruptMin)
 	if n == 0 {
 		return nil
 	}
@@ -313,6 +316,9 @@ func PutHypervisorState(w *Writer, s hypervisor.State) {
 	putHVStats(w, s.Stats)
 }
 
+// suppressedBytes is the encoded size of one suppressed output entry.
+const suppressedBytes = 4 + 4 + 4 + 4 + 8 + 1 + 8
+
 // HypervisorState decodes a hypervisor capture.
 func HypervisorState(r *Reader) hypervisor.State {
 	var s hypervisor.State
@@ -345,11 +351,7 @@ func HypervisorState(r *Reader) hypervisor.State {
 		d.Data = r.Bytes()
 		s.Devices = append(s.Devices, d)
 	}
-	n = int(r.U32())
-	if r.Err() != nil || n < 0 || n > 1<<24 {
-		r.fail()
-		return s
-	}
+	n = r.Count(suppressedBytes)
 	for i := 0; i < n; i++ {
 		var so hypervisor.SuppressedOutputState
 		so.Dev = r.U32()
@@ -390,12 +392,11 @@ func putSyncEpochs(w *Writer, es []replication.SyncEpoch) {
 	}
 }
 
+// syncEpochMin is the encoded size of a sync epoch with no interrupts.
+const syncEpochMin = 8 + 4 + 8 + 1 + 4
+
 func syncEpochs(r *Reader) []replication.SyncEpoch {
-	n := int(r.U32())
-	if r.Err() != nil || n < 0 || n > 1<<24 {
-		r.fail()
-		return nil
-	}
+	n := r.Count(syncEpochMin)
 	var out []replication.SyncEpoch
 	for i := 0; i < n; i++ {
 		out = append(out, syncEpoch(r))
@@ -600,6 +601,13 @@ type Transfer struct {
 // length is the wire size charged to the simulated link.
 func EncodeTransfer(t Transfer) []byte {
 	w := NewWriter(TransferMagic)
+	// The blob outlives the call (it rides the link), so it cannot use a
+	// pooled buffer; size it once instead. RAM is all but a few KB of it.
+	n := 4096
+	for _, pg := range t.Machine.Pages {
+		n += ramEntryMin + len(pg.Data)
+	}
+	w.Grow(n)
 	PutMachineState(w, t.Machine)
 	PutHypervisorState(w, t.Hypervisor)
 	w.U32(t.Tme)

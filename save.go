@@ -28,6 +28,7 @@ package hft
 // from a known point — here applied to the entire cluster.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -117,7 +118,11 @@ func (c *Cluster) Save(w io.Writer) error {
 		return errors.New("hft: Save: bare baseline sessions are not checkpointable")
 	}
 
-	sw := snapshot.NewWriter(saveMagic)
+	// The blob is dead once written out, so it encodes into a recycled
+	// buffer: capture sections are written in place, straight from the
+	// machines' page frames.
+	sw := snapshot.GrabWriter(saveMagic)
+	defer sw.Release()
 	c.putConfig(sw)
 	sw.U32(uint32(len(c.journal)))
 	for _, e := range c.journal {
@@ -132,12 +137,7 @@ func (c *Cluster) Save(w io.Writer) error {
 	}
 	putPause(sw, c.pause)
 
-	sections := c.eng.CaptureSections()
-	sw.U32(uint32(len(sections)))
-	for _, s := range sections {
-		sw.String(s.Name)
-		sw.Bytes(s.Data)
-	}
+	c.eng.EncodeSections(sw)
 
 	_, err := w.Write(sw.Finish())
 	return err
@@ -345,7 +345,7 @@ func Restore(r io.Reader, opts ...RestoreOption) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	blob, err := io.ReadAll(r)
+	blob, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("hft: Restore: %w", err)
 	}
@@ -373,7 +373,7 @@ func Restore(r io.Reader, opts ...RestoreOption) (*Cluster, error) {
 	ns := int(sr.U32())
 	var want []session.Section
 	for i := 0; i < ns && sr.Err() == nil; i++ {
-		want = append(want, session.Section{Name: sr.String(), Data: sr.Bytes()})
+		want = append(want, session.Section{Name: sr.String(), Data: sr.View()})
 	}
 	if err := sr.Err(); err != nil {
 		return nil, fmt.Errorf("hft: Restore: %w", err)
@@ -398,13 +398,26 @@ func Restore(r io.Reader, opts ...RestoreOption) (*Cluster, error) {
 	c.pause = final
 
 	if ro.verify {
-		got := c.eng.CaptureSections()
-		if err := session.CompareSections(want, got); err != nil {
+		if err := c.eng.VerifySections(want); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("hft: Restore: replayed state diverges from snapshot: %w", err)
 		}
 	}
 	return c, nil
+}
+
+// readAll is io.ReadAll with the buffer sized up front when the reader
+// can say how much is left (bytes.Reader, bytes.Buffer, strings.Reader):
+// one allocation instead of growth by doubling. Len is only a hint —
+// the read still runs to EOF.
+func readAll(r io.Reader) ([]byte, error) {
+	n := 0
+	if lr, ok := r.(interface{ Len() int }); ok {
+		n = lr.Len()
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // replayTo advances the restored session to a recorded pause position.
