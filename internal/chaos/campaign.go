@@ -31,8 +31,7 @@ type CampaignOptions struct {
 	// shrink results).
 	Log io.Writer
 	// Workers is the fan-out width on the fleet work-stealing scheduler
-	// (internal/sched): < 0 selects all cores, 0 falls back to the
-	// deprecated process-global harness.SetWorkers value.
+	// (internal/sched): < 0 selects all cores, 0 means 1 (serial).
 	Workers int
 }
 

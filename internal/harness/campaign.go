@@ -29,7 +29,7 @@ type CampaignResult struct {
 // Returns one result per injection time. times values at or beyond the
 // workload's natural completion exercise the no-failover path.
 // Each injection is an independent replicated simulation, so the sweep
-// fans across SetWorkers goroutines; results keep the order of times.
+// fans across scale.Workers goroutines; results keep the order of times.
 func FailureCampaign(scale Scale, kind uint32, el uint64, proto replication.Protocol, times []sim.Time) []CampaignResult {
 	w := scale.workload(kind)
 	bare := RunBare(1, w, scale.Disk)

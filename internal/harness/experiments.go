@@ -34,7 +34,7 @@ var workloadKinds = map[string]uint32{
 // Table1 regenerates the paper's Table 1 on the simulator: the three
 // workloads at epoch lengths 1K/2K/4K/8K under the original (§2) and
 // revised (§4.3) protocols. The three bare baselines and the 24 table
-// cells are all independent simulations, fanned across SetWorkers
+// cells are all independent simulations, fanned across scale.Workers
 // goroutines; rows are assembled in fixed order afterwards.
 func Table1(scale Scale) []Table1Row {
 	paper := perfmodel.Table1Paper()
@@ -276,16 +276,11 @@ type AblationResult struct {
 	GuestPanic  uint32
 }
 
-// TLBAblation runs the §3.2 demonstration matrix: the memory-stride
+// TLBAblationWorkers runs the §3.2 demonstration matrix: the memory-stride
 // workload under {random, lru} TLB replacement × {takeover on, off}.
 // The hazard (divergence) must appear exactly in the random+off cell.
 // The four cells are independent replicated runs, fanned concurrently
-// across the process-global worker count; TLBAblationWorkers takes the
-// count explicitly.
-func TLBAblation() []AblationResult { return TLBAblationWorkers(0) }
-
-// TLBAblationWorkers is TLBAblation with a per-call worker count
-// (0: the deprecated process-global SetWorkers value).
+// across workers (0: serial).
 func TLBAblationWorkers(workers int) []AblationResult {
 	type cfg struct {
 		policy   string

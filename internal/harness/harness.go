@@ -40,9 +40,8 @@ type Scale struct {
 	// 24.2 ms reads).
 	Disk scsi.DiskConfig
 	// Workers is the per-call worker count drivers fan this scale's
-	// independent simulations across (see ForEachWorkers). Zero falls
-	// back to the deprecated process-global SetWorkers value, keeping
-	// existing callers unchanged.
+	// independent simulations across (see ForEachWorkers). Zero means
+	// 1 (serial).
 	Workers int
 }
 

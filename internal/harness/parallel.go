@@ -1,11 +1,6 @@
 package harness
 
-import (
-	"runtime"
-	"sync/atomic"
-
-	"repro/internal/sched"
-)
+import "repro/internal/sched"
 
 // Every simulation the harness runs — one bare or replicated boot of the
 // guest — is self-contained: it owns its simulation kernel, machines,
@@ -15,46 +10,16 @@ import (
 // by index, so the assembled output is bit-for-bit identical at any
 // worker count.
 
-var workerCount atomic.Int64
-
-func init() { workerCount.Store(1) }
-
-// SetWorkers sets how many simulations experiment drivers run
-// concurrently. n < 1 selects GOMAXPROCS. The default is 1 (serial).
-//
-// Deprecated: SetWorkers is process-global mutable state; two drivers
-// cannot run at different widths concurrently. Pass the worker count
-// per call instead — Scale.Workers for the experiment drivers, or
-// ForEachWorkers directly. SetWorkers remains as a shim: it sets the
-// fallback used when a per-call count is zero.
-func SetWorkers(n int) {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	workerCount.Store(int64(n))
-}
-
-// Workers returns the configured fallback concurrency (see SetWorkers).
-func Workers() int { return int(workerCount.Load()) }
-
 // ForEachWorkers runs fn(i) for every i in [0, n) on an explicit
 // worker count, fanning through the fleet work-stealing scheduler
 // (internal/sched). fn must communicate results through
 // index-addressed slots, so the assembled output is bit-for-bit
-// identical at any worker count. workers == 0 falls back to the
-// deprecated process-global SetWorkers value; workers < 0 selects
-// GOMAXPROCS. A panic in any worker (the harness's consistency checks
-// panic) is re-raised on the caller.
+// identical at any worker count. workers == 0 means 1 (serial);
+// workers < 0 selects GOMAXPROCS. A panic in any worker (the harness's
+// consistency checks panic) is re-raised on the caller.
 func ForEachWorkers(workers, n int, fn func(i int)) {
 	if workers == 0 {
-		workers = Workers()
+		workers = 1
 	}
 	sched.ForEach(workers, n, fn)
 }
-
-// ForEach runs fn(i) for every i in [0, n), fanning across Workers()
-// goroutines.
-//
-// Deprecated: ForEach reads the process-global worker count; use
-// ForEachWorkers.
-func ForEach(n int, fn func(i int)) { ForEachWorkers(0, n, fn) }

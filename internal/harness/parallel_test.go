@@ -12,11 +12,9 @@ import (
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
-	defer SetWorkers(1)
-	for _, w := range []int{1, 3, 8} {
-		SetWorkers(w)
+	for _, w := range []int{0, 1, 3, 8} {
 		var hits [57]atomic.Int64
-		ForEach(len(hits), func(i int) { hits[i].Add(1) })
+		ForEachWorkers(w, len(hits), func(i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", w, i, got)
@@ -26,14 +24,12 @@ func TestForEachCoversAllIndices(t *testing.T) {
 }
 
 func TestForEachPropagatesPanic(t *testing.T) {
-	defer SetWorkers(1)
-	SetWorkers(4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("worker panic was swallowed")
 		}
 	}()
-	ForEach(8, func(i int) {
+	ForEachWorkers(4, 8, func(i int) {
 		if i == 5 {
 			panic("boom")
 		}
@@ -44,13 +40,11 @@ func TestForEachPropagatesPanic(t *testing.T) {
 // check in miniature: the same experiment fanned across 4 workers must
 // produce results identical to the serial run.
 func TestParallelExperimentsDeterministic(t *testing.T) {
-	defer SetWorkers(1)
-	scale := QuickScale()
-
-	SetWorkers(1)
+	scale := QuickScale() // zero Workers: serial
+	par := scale
+	par.Workers = 4
 	f2serial, endSerial := Figure2(scale)
-	SetWorkers(4)
-	f2par, endPar := Figure2(scale)
+	f2par, endPar := Figure2(par)
 	if len(f2serial) != len(f2par) {
 		t.Fatalf("point counts differ: %d vs %d", len(f2serial), len(f2par))
 	}
@@ -66,11 +60,10 @@ func TestParallelExperimentsDeterministic(t *testing.T) {
 		t.Fatalf("figure2 endpoint differs")
 	}
 
-	SetWorkers(1)
 	campSerial := FailureCampaign(scale, guest.WorkloadCPU, 2048,
 		replication.ProtocolOld, CampaignTimes(0, 100*sim.Millisecond, 3))
-	SetWorkers(3)
-	campPar := FailureCampaign(scale, guest.WorkloadCPU, 2048,
+	par.Workers = 3
+	campPar := FailureCampaign(par, guest.WorkloadCPU, 2048,
 		replication.ProtocolOld, CampaignTimes(0, 100*sim.Millisecond, 3))
 	if !reflect.DeepEqual(campSerial, campPar) {
 		t.Fatalf("campaign differs:\nserial:   %+v\nparallel: %+v", campSerial, campPar)

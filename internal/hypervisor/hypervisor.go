@@ -270,9 +270,10 @@ type shadowDev struct {
 // suppressedOutput is one environment output a replica withheld. Two
 // producers share the buffer:
 //
-//   - a backup suppressing output stores (§2.2 case i): dropped when the
-//     epoch commits, re-emitted at promotion through the devices' ordinal
-//     dedup (generalized rule P7 for output — exactly-once);
+//   - a backup suppressing output stores (§2.2 case i): dropped once the
+//     coordinator's release watermark covers their epoch, re-emitted at
+//     promotion through the devices' ordinal dedup (generalized rule P7
+//     for output — exactly-once);
 //   - an output-commit primary DEFERRING outputs and I/O starts (the
 //     VMware-FT output rule): emitted by ReleaseDeferredThrough when the
 //     epoch's frame is acknowledged.
@@ -513,9 +514,10 @@ func (hv *Hypervisor) ReleaseDeferredThrough(epoch uint64) (int, sim.Time) {
 
 // DropSuppressedThrough discards suppressed entries of epochs <= epoch
 // without emitting them: the backup-side counterpart of
-// ReleaseDeferredThrough, applied when an epoch frame's release
-// watermark proves the coordinator performed those outputs. Entries of
-// later epochs are retained for a possible promotion flush.
+// ReleaseDeferredThrough, applied when an End's release watermark proves
+// the coordinator performed those outputs (a lock-step coordinator's
+// watermark is the epoch it just closed). Entries of later epochs are
+// retained for a possible promotion flush.
 func (hv *Hypervisor) DropSuppressedThrough(epoch uint64) {
 	n := 0
 	for n < len(hv.suppressed) && hv.suppressed[n].epoch <= epoch {
@@ -777,20 +779,13 @@ func (hv *Hypervisor) OutstandingUncertain() (out []Interrupt, uncertain int) {
 	return out, uncertain
 }
 
-// CommitSuppressedOutputs drops the current epoch's suppressed-output
-// buffer: the backup calls it once the coordinator's end-of-epoch
-// message proves the epoch's outputs were performed by the I/O-active
-// side.
-func (hv *Hypervisor) CommitSuppressedOutputs() {
-	hv.suppressed = hv.suppressed[:0]
-}
-
 // FlushSuppressedOutputs re-emits the suppressed environment output a
-// promoting backup retains — the failover epoch's under the classic
-// protocol, every epoch past the coordinator's release watermark under
-// the output-commit window — to the real devices: the output half of
-// the generalized rule P7. Ordinal dedup at the environment devices
-// makes the re-emission exactly-once: whatever prefix the dead
+// promoting backup retains — every epoch past the coordinator's release
+// watermark: just the failover epoch's behind a lock-step coordinator,
+// the unreleased window's behind an output-commit one — to the real
+// devices: the output half of the generalized rule P7. Ordinal dedup at
+// the environment devices makes the re-emission exactly-once: whatever
+// prefix the dead
 // coordinator already performed is dropped, the rest is applied in
 // order. Deferred START entries (present only in a state image
 // transferred from a deferring coordinator) are skipped: the operation

@@ -9,13 +9,15 @@ import (
 	"repro/internal/sim"
 )
 
-// epochRecord collects the protocol messages received for one epoch.
+// epochRecord collects the frame parts received for one epoch, however
+// the coordinator framed them.
 type epochRecord struct {
-	ints map[uint32]hypervisor.Interrupt // by capture index (dedupes)
-	tme  *uint32
-	end  *message
+	ints   map[uint32]hypervisor.Interrupt // by capture index (dedupes)
+	tme    uint32
+	hasTme bool
+	end    epochHead // the header that carried End (end.HasEnd: arrived)
 	// verbatim, when set, replaces everything above: the epoch is
-	// replayed exactly as a (new) primary's msgSync dictates.
+	// replayed exactly as a (new) primary's syncMsg dictates.
 	verbatim *SyncEpoch
 }
 
@@ -53,8 +55,8 @@ type Backup struct {
 	Hooks Hooks
 
 	// OutputCommit mirrors the coordinator's configuration (every
-	// replica must agree). A backup uses it to interpret epoch frames
-	// and hands it to the coordinator it becomes at promotion.
+	// replica must agree): with proto, the policy of the coordinator
+	// this backup becomes at promotion.
 	OutputCommit OutputCommit
 
 	pending map[uint64]*epochRecord
@@ -187,12 +189,13 @@ func (bk *Backup) release(e uint64) {
 	}
 	delete(bk.pending, e)
 	clear(r.ints)
-	r.tme, r.end, r.verbatim = nil, nil, nil
+	r.hasTme, r.end, r.verbatim = false, epochHead{}, nil
 	bk.recFree = append(bk.recFree, r)
 }
 
 // receiver runs as its own simulation process per upstream channel: it
-// acknowledges every message immediately (P4) and files it by epoch.
+// acknowledges every message immediately (P4: "backup sends an
+// acknowledgment to the primary") and files it by epoch.
 func (bk *Backup) receiver(u Peer) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
 		for !bk.promoted && !bk.done && !bk.failed {
@@ -202,48 +205,47 @@ func (bk *Backup) receiver(u Peer) func(p *sim.Proc) {
 			}
 			switch m := raw.Payload.(type) {
 			case *epochFrame:
-				// Output commit: one coalesced frame stands in for the
-				// epoch's Tme, End and interrupt messages. One ack (P4).
-				ack := message{Kind: msgAck, AckSeq: m.Head.Seq}
-				u.TX.Send(ack, ack.wireSize())
-				bk.fileFrame(m)
+				u.TX.Send(ack(m.Head.Seq), 0)
+				bk.file(m)
 			case *epochBatch:
 				// A transmit-side batch: several epochs in one wire
 				// message. One cumulative ack covers them all (the ack
 				// watermark is a high-water mark, so acking the newest
 				// sequence acknowledges the whole FIFO prefix).
 				if n := len(m.Recs); n > 0 {
-					ack := message{Kind: msgAck, AckSeq: m.Recs[n-1].Head.Seq}
-					u.TX.Send(ack, ack.wireSize())
+					u.TX.Send(ack(m.Recs[n-1].Head.Seq), 0)
 				}
 				for _, f := range m.Recs {
-					bk.fileFrame(f)
+					bk.file(f)
 				}
 				m.Release()
-			case message:
-				// P4: "backup sends an acknowledgment to the primary".
-				ack := message{Kind: msgAck, AckSeq: m.Seq}
-				u.TX.Send(ack, ack.wireSize())
-				switch m.Kind {
-				case msgInterrupt:
-					bk.Stats.IntsReceived++
-					r := bk.rec(m.Epoch)
-					if r.verbatim == nil {
-						r.ints[m.IntIndex] = m.Int
-					}
-				case msgTme:
-					v := m.Tme
-					bk.rec(m.Epoch).tme = &v
-				case msgEnd:
-					mm := m
-					bk.rec(m.Epoch).end = &mm
-				case msgSync:
-					bk.applySync(m.Sync)
-				}
+			case syncMsg:
+				u.TX.Send(ack(m.Seq), 0)
+				bk.applySync(m.Epochs)
 			}
 			bk.arrival.Broadcast()
 		}
 	}
+}
+
+// file is the one receive path: merge a frame's parts into its epoch's
+// record. Partial frames, a coalesced frame and a frame inside a batch
+// all land here and leave the same record behind.
+func (bk *Backup) file(f *epochFrame) {
+	h := &f.Head
+	bk.Stats.IntsReceived += uint64(len(f.Recs))
+	if r := bk.rec(h.Epoch); r.verbatim == nil {
+		for i, rec := range f.Recs {
+			r.ints[h.IntIndex+uint32(i)] = rec
+		}
+		if h.HasTme {
+			r.tme, r.hasTme = h.Tme, true
+		}
+		if h.HasEnd {
+			r.end = *h
+		}
+	}
+	f.Release()
 }
 
 // applySync installs verbatim replay records from a newly promoted
@@ -283,9 +285,12 @@ func (bk *Backup) stageOrdered(e uint64) {
 	}
 }
 
-// checkDigest verifies our pre-delivery state digest against the
-// coordinator's and reports whether they matched.
-func (bk *Backup) checkDigest(e uint64, primary, ours uint64) bool {
+// agrees verifies one of our boundary coordinates against the
+// coordinator's — the pre-delivery state digest (the §3.2 hazard
+// tripwire), or the cut, the absolute instruction count the epoch ended
+// at (output-triggered boundaries must be chosen identically) — and
+// reports whether they matched.
+func (bk *Backup) agrees(e uint64, what string, primary, ours uint64) bool {
 	if primary == ours {
 		return true
 	}
@@ -294,8 +299,8 @@ func (bk *Backup) checkDigest(e uint64, primary, ours uint64) bool {
 		bk.OnDivergence(e, primary, ours)
 		return false
 	}
-	panic(fmt.Sprintf("replication: divergence at epoch %d: primary %x backup %x",
-		e, primary, ours))
+	panic(fmt.Sprintf("replication: divergence at epoch %d: primary %s %#x backup %#x",
+		e, what, primary, ours))
 }
 
 // replayVerbatim applies a sync-provided epoch: deliver exactly what the
@@ -308,14 +313,15 @@ func (bk *Backup) replayVerbatim(p *sim.Proc, e uint64, digest uint64, v *SyncEp
 		}
 		hv.BufferInterrupt(i)
 	}
-	match := bk.checkDigest(e, v.Digest, digest)
+	match := bk.agrees(e, "digest", v.Digest, digest)
 	if bk.Hooks.BackupEpoch != nil {
 		bk.Hooks.BackupEpoch(bk.index, e, p.Now(), match)
 	}
 	hv.DeliverBuffered()
 	// The verbatim record proves the (new) coordinator completed this
-	// epoch, so its environment output was performed: drop ours.
-	hv.CommitSuppressedOutputs()
+	// epoch — it emitted everything through it, by promotion flush or
+	// by running it — so the release watermark is e: drop ours.
+	hv.DropSuppressedThrough(e)
 	if len(bk.downs) > 0 {
 		bk.archive.record(*v)
 	}
@@ -344,10 +350,11 @@ func (bk *Backup) failover(p *sim.Proc, e uint64, digest uint64) {
 	// harmless (IO2 permits repetition).
 	_, uncertain := hv.OutstandingUncertain()
 	bk.Stats.UncertainSynth += uint64(uncertain)
-	// The output half of P7: re-emit the failover epoch's suppressed
-	// environment output. The devices dedup by ordinal, so whatever the
-	// dead coordinator already performed is emitted exactly once in
-	// total.
+	// The output half of P7: re-emit the promotion flush set — the
+	// failover epoch's suppressed environment output, and every earlier
+	// epoch's the dead coordinator's release watermark had not covered.
+	// The devices dedup by ordinal, so whatever the dead coordinator
+	// already performed is emitted exactly once in total.
 	hv.FlushSuppressedOutputs()
 	delivered := append([]hypervisor.Interrupt(nil), hv.Buffered()...)
 	hv.DeliverBuffered()
@@ -367,29 +374,22 @@ func (bk *Backup) failover(p *sim.Proc, e uint64, digest uint64) {
 	bk.archive.record(SyncEpoch{Epoch: e, Tme: tmeNext, Ints: delivered, Digest: digest, Halted: hv.Halted()})
 
 	// Continue as primary for the remaining backups.
-	sn := newSender(bk.downs, &bk.Stats)
-	sn.peerTimeout = bk.PeerTimeout
-	bk.coord = &coordinator{
-		hv:      hv,
-		s:       sn,
-		proto:   bk.proto,
-		stats:   &bk.Stats,
-		stopped: func() bool { return bk.failed },
-		archive: bk.archive,
-		hooks:   &bk.Hooks,
-		node:    bk.index,
-		oc:      bk.OutputCommit,
-		// The promotion flush above emitted everything retained through
-		// the failover epoch, so the release watermark starts there.
-		released:     e,
-		haveReleased: bk.OutputCommit.Enabled,
-		joinBarrier:  bk.joinBarrier,
-	}
-	c := bk.coord
+	c := newCoordinator(hv, bk.downs, &bk.Stats,
+		func() bool { return bk.failed }, bk.archive, &bk.Hooks, bk.index)
+	c.pol = derivePolicy(bk.proto, bk.OutputCommit)
+	c.s.peerTimeout = bk.PeerTimeout
+	// The promotion flush above emitted everything retained through the
+	// failover epoch, so the release watermark starts there.
+	c.released, c.haveReleased = e, true
+	c.joinBarrier = bk.joinBarrier
+	bk.coord = c
 	c.install(p)
 	if len(bk.downs) > 0 {
 		// Bring the others onto our stream: replay the retained history.
-		c.s.send(message{Kind: msgSync, Sync: bk.archive.since(0)})
+		m := syncMsg{Epochs: bk.archive.since(0)}
+		c.s.seq++
+		m.Seq = c.s.seq
+		c.s.fanout(p, m, m.wireSize(), c.stopped)
 	}
 	hv.ChargeBoundary(p)
 	c.run(p, tmeNext)
@@ -463,7 +463,7 @@ func (bk *Backup) Run(p *sim.Proc) {
 
 		// --- Rule P5 (or verbatim replay after a coordinator change) ---
 		r := bk.rec(e)
-		ok := bk.await(p, func() bool { return r.verbatim != nil || r.tme != nil })
+		ok := bk.await(p, func() bool { return r.verbatim != nil || r.hasTme })
 		if bk.failed || bk.withdrawn {
 			return
 		}
@@ -473,7 +473,7 @@ func (bk *Backup) Run(p *sim.Proc) {
 			return
 		}
 		if r.verbatim == nil {
-			ok = bk.await(p, func() bool { return r.verbatim != nil || r.end != nil })
+			ok = bk.await(p, func() bool { return r.verbatim != nil || r.end.HasEnd })
 			if bk.failed || bk.withdrawn {
 				return
 			}
@@ -489,11 +489,8 @@ func (bk *Backup) Run(p *sim.Proc) {
 			continue
 		}
 		// Normal path: Tme_b := Tme_p; buffer; deliver; digest check.
-		tme, end := *r.tme, r.end
-		match := bk.checkDigest(e, end.Digest, b.Digest)
-		if match && !bk.checkCut(e, end, b.GuestInstr) {
-			match = false
-		}
+		tme, end := r.tme, r.end
+		match := bk.agrees(e, "digest", end.Digest, b.Digest) && bk.agrees(e, "cut", end.Cut, b.GuestInstr)
 		if bk.Hooks.BackupEpoch != nil {
 			bk.Hooks.BackupEpoch(bk.index, e, p.Now(), match)
 		}
@@ -510,19 +507,15 @@ func (bk *Backup) Run(p *sim.Proc) {
 			bk.archive.record(SyncEpoch{Epoch: e, Tme: tme, Ints: delivered, Digest: b.Digest, Halted: end.Halted})
 		}
 		hv.DeliverBuffered()
-		if end.HasCut {
-			// Output commit: the coordinator has emitted only through its
-			// release watermark. Drop our suppressed copies up to it and
-			// RETAIN the rest — they are the promotion flush set (output
-			// the coordinator may die without ever releasing).
-			if end.HaveReleased {
-				hv.DropSuppressedThrough(end.Released)
-			}
-		} else {
-			// [end, E] proves the coordinator completed epoch E, so the
-			// epoch's environment output was performed: drop the suppressed
-			// copy (a failover epoch — no end message — re-emits it instead).
-			hv.CommitSuppressedOutputs()
+		// The one end-of-epoch rule: the coordinator has emitted output
+		// only through its release watermark. Drop our suppressed copies
+		// up to it and RETAIN the rest — they are the promotion flush set
+		// (output the coordinator may die without ever releasing). At the
+		// lock-step gates the watermark is e itself, so nothing is
+		// retained across a completed epoch; a failover epoch — no End —
+		// re-emits its own output instead.
+		if end.HaveReleased {
+			hv.DropSuppressedThrough(end.Released)
 		}
 		hv.ChargeBoundary(p)
 		hv.SetTODBase(tme)

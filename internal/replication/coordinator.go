@@ -11,7 +11,7 @@ import (
 
 // epochArchive retains, per epoch, exactly what was delivered at its
 // boundary. A promoted backup uses it to bring lower-priority backups
-// onto its stream (msgSync). Bounded: entries older than windowEpochs
+// onto its stream (syncMsg). Bounded: entries older than windowEpochs
 // are pruned — a lagging backup further behind than the window cannot be
 // resynchronized (it detects this and withdraws).
 type epochArchive struct {
@@ -81,15 +81,16 @@ func (a *epochArchive) since(from uint64) []SyncEpoch {
 	return out
 }
 
-// coordinator runs the primary side of the protocol: rules P1 and P2
-// (or the §4.3 revision) against a hypervisor, fanning messages out to a
-// set of backups through a sender. It is shared between the initial
-// Primary engine and a Backup that has been promoted and must continue
-// coordinating lower-priority backups.
+// coordinator runs the primary side of the protocol — rules P1 and P2,
+// the §4.3 revision, or the output-commit window, as its policy says —
+// against a hypervisor, fanning epoch frames out to a set of backups
+// through a sender. It is shared between the initial Primary engine and
+// a Backup that has been promoted and must continue coordinating
+// lower-priority backups.
 type coordinator struct {
 	hv      *hypervisor.Hypervisor
 	s       *sender
-	proto   Protocol
+	pol     policy
 	stats   *Stats
 	stopped func() bool
 	archive *epochArchive
@@ -97,89 +98,95 @@ type coordinator struct {
 	// engine's Hooks so late assignment is seen).
 	hooks *Hooks
 	node  int
+	k     *sim.Kernel
 
 	intIndex uint32 // capture index within the current epoch
 
-	// endSeqs maps recent epochs to the sender sequence number of their
-	// msgEnd, pending acknowledgement; ackedThrough is the newest epoch
-	// every live peer provably holds end to end (FIFO links: acking the
-	// End implies holding everything before it). Drives archive trimming.
-	endSeqs      []endSeqRec
-	ackedThrough uint64
-	haveAcked    bool
-
-	// Output-commit state (outputcommit.go): configuration, the commit
-	// window of sent-but-unacknowledged epochs, the release watermark,
-	// the frame pool, the wait signal and the kernel handle used by the
-	// acknowledgement delivery hook.
-	oc           OutputCommit
-	ocPend       []ocPending
+	// pend is the one list of shipped epochs awaiting acknowledgement:
+	// (epoch, sequence number of the frame carrying its End), oldest
+	// first. FIFO links: acking the End implies holding everything
+	// before it. advance pops its acknowledged prefix.
+	pend []pendingEpoch
+	// released/haveReleased is the output-release watermark stamped
+	// into every End: environment output through that epoch has been
+	// emitted. The lock-step gates emit output as the guest generates
+	// it, so there the watermark is simply the epoch being closed;
+	// under the release gate it trails, moved by acknowledgements.
 	released     uint64
 	haveReleased bool
-	pool         *netsim.FramePool[epochHead, hypervisor.Interrupt]
-	ocSig        *sim.Signal
-	k            *sim.Kernel
-	// txq/txSig/txClose drive the dedicated transmit process (txLoop):
-	// stamped frames awaiting fan-out, its wakeup signal, and the
-	// end-of-run close flag. Not captured by snapshots — restore replays
-	// the run deterministically, which reproduces the queue.
+
+	pool *netsim.FramePool[epochHead, hypervisor.Interrupt]
+	// progress is broadcast whenever a wait's condition may have changed:
+	// on every acknowledgement and after every transmit.
+	progress *sim.Signal
+	// txq/txSig/txClose drive the transmit process (txLoop) of a
+	// coalescing coordinator: stamped frames awaiting fan-out, its
+	// wakeup signal, and the end-of-run close flag. Not captured by
+	// snapshots — restore replays the run deterministically, which
+	// reproduces the queue.
 	txq     []*epochFrame
 	txSig   *sim.Signal
 	txClose bool
 	bpool   *netsim.FramePool[struct{}, *epochFrame]
 
 	// joinBarrier makes the coordinator hold at each epoch boundary until
-	// the replication stream is fully drained (transmit queue flushed,
-	// every pending frame acknowledged by every live peer). A
+	// the replication stream is fully drained (see drained). A
 	// reintegration sets it while quiescing: the state-transfer image must
-	// be captured at a boundary the survivors can reconstruct, and under
-	// output commit an ordinary boundary is NOT one — frames may still sit
-	// in the transmit queue, dying with the processor on a failstop.
+	// be captured at a boundary the survivors can reconstruct, and with a
+	// transmit queue an ordinary boundary is NOT one — frames may still
+	// sit in the queue, dying with the processor on a failstop.
 	joinBarrier bool
 }
 
-// drained reports whether every epoch the coordinator has committed is
-// provably replicated: nothing queued for transmit and nothing awaiting
-// acknowledgement. The classic path transmits inline and (for the old
-// protocol) gates on acknowledgements, so it is vacuously drained at
-// every boundary.
-func (c *coordinator) drained() bool {
-	if !c.oc.Enabled {
-		return true
-	}
-	return len(c.txq) == 0 && len(c.ocPend) == 0
+type pendingEpoch struct {
+	epoch, seq uint64
 }
 
-type endSeqRec struct {
-	epoch, seq uint64
+// newCoordinator builds a coordinator for node; its policy is set by the
+// owning engine before install.
+func newCoordinator(hv *hypervisor.Hypervisor, peers []Peer, stats *Stats,
+	stopped func() bool, archive *epochArchive, hooks *Hooks, node int) *coordinator {
+	return &coordinator{
+		hv: hv, s: newSender(peers, stats), stats: stats,
+		stopped: stopped, archive: archive, hooks: hooks, node: node,
+		pool: &netsim.FramePool[epochHead, hypervisor.Interrupt]{},
+	}
+}
+
+// outputReleased reports whether the release watermark covers every
+// shipped epoch: no environment output is waiting on an acknowledgement.
+// Always true at the lock-step gates.
+func (c *coordinator) outputReleased() bool {
+	n := len(c.pend)
+	return n == 0 || (c.haveReleased && c.released >= c.pend[n-1].epoch)
+}
+
+// drained reports whether every epoch the coordinator has committed is
+// provably replicated: nothing queued for transmit and no output
+// awaiting release. Inline shipping at a lock-step gate is drained at
+// every boundary — the frames are on the wire, and a failstop does not
+// reach out and destroy them.
+func (c *coordinator) drained() bool { return len(c.txq) == 0 && c.outputReleased() }
+
+func (c *coordinator) windowOpen() bool {
+	return c.pol.window == 0 || len(c.pend) < c.pol.window
 }
 
 // install hooks the coordinator into the hypervisor. Call once, with the
 // driving process, before run.
 func (c *coordinator) install(p *sim.Proc) {
-	c.s.proc = p
 	hv := c.hv
-	if c.oc.Enabled {
-		// Output commit: interrupts ride the coalesced epoch frame (no
-		// per-capture forwarding), output is deferred instead of gated
-		// (the protocol variants behave identically), and each peer's
-		// acknowledgement channel feeds the release path directly.
-		hv.OnCapture = nil
-		hv.OnBeforeIO = nil
-		hv.SetOutputDeferral(p.Now)
-		c.k = p.Kernel()
-		c.ocSig = c.k.NewSignal("oc.release")
-		if c.pool == nil {
-			c.pool = &netsim.FramePool[epochHead, hypervisor.Interrupt]{}
-		}
-		if c.txSig == nil {
-			c.txSig = c.k.NewSignal("oc.tx")
-			c.bpool = &netsim.FramePool[struct{}, *epochFrame]{}
-			c.k.Spawn(fmt.Sprintf("oc-tx%d", c.node), c.txLoop)
-		}
-		for _, ps := range c.s.peers {
-			ps.peer.RX.OnDeliver = c.ackHandler(ps)
-		}
+	c.k = p.Kernel()
+	c.progress = c.k.NewSignal("repl.progress")
+	for _, ps := range c.s.peers {
+		c.wire(ps)
+	}
+	hv.OnCapture, hv.OnBeforeIO = nil, nil
+	if c.pol.coalesce {
+		// Interrupts ride the epoch frame; a transmit process ships it.
+		c.txSig = c.k.NewSignal("repl.tx")
+		c.bpool = &netsim.FramePool[struct{}, *epochFrame]{}
+		c.k.Spawn(fmt.Sprintf("oc-tx%d", c.node), c.txLoop)
 	} else {
 		// P1: forward every captured interrupt immediately.
 		hv.OnCapture = func(i hypervisor.Interrupt) {
@@ -187,37 +194,219 @@ func (c *coordinator) install(p *sim.Proc) {
 				return
 			}
 			c.stats.IntsForwarded++
-			c.s.send(message{Kind: msgInterrupt, Epoch: hv.Epoch(), IntIndex: c.intIndex, Int: i})
+			f := c.pool.Get()
+			f.Head = epochHead{Epoch: hv.Epoch(), IntIndex: c.intIndex}
+			addRec(f, i)
+			c.ship(p, f)
 			c.intIndex++
 		}
-		if c.proto == ProtocolNew {
-			hv.OnBeforeIO = func() {
-				if c.stopped() {
-					return
-				}
-				start := p.Now()
-				c.stats.IOGateWaits++
-				c.s.awaitAcks(c.stopped)
-				c.stats.IOGateWaitTime += p.Now() - start
+	}
+	switch c.pol.gate {
+	case gateOutput:
+		hv.OnBeforeIO = func() {
+			if c.stopped() {
+				return
 			}
-		} else {
-			hv.OnBeforeIO = nil
+			start := p.Now()
+			c.stats.IOGateWaits++
+			c.wait(p, c.s.fullyAcked) // the §4.3 gate
+			c.stats.IOGateWaitTime += p.Now() - start
 		}
+	case gateRelease:
+		hv.SetOutputDeferral(p.Now)
 	}
 	hv.Stop = c.stopped
 	hv.SetIOActive(true)
 }
 
+// wire attaches a peer's acknowledgement channel to the coordinator: the
+// one ack intake. It runs in simulation-event context (no blocking):
+// update the watermark, then advance whatever it commits.
+func (c *coordinator) wire(ps *peerState) {
+	ps.peer.RX.OnDeliver = func(raw netsim.Message) {
+		a, ok := raw.Payload.(ack)
+		if !ok {
+			return
+		}
+		c.s.acknowledge(ps, a)
+		// A failstopped coordinator must not emit: an acknowledgement
+		// already in flight when the processor stopped still arrives
+		// (links deliver what was sent), but releasing output for it
+		// would be a zombie interaction with the environment.
+		if !c.stopped() {
+			c.advance()
+		}
+		c.progress.Broadcast()
+	}
+}
+
+// attachPeer splices a late joiner into the fan-out. It joins fully
+// acknowledged: nothing sent before it existed can be outstanding toward
+// it, so no wait may block on history the joiner never received.
+func (c *coordinator) attachPeer(p Peer) {
+	ps := &peerState{peer: p, acked: c.s.seq}
+	c.s.peers = append(c.s.peers, ps)
+	if c.k != nil {
+		c.wire(ps)
+	}
+}
+
+// ship stamps a frame with the next sequence number and sends it: from
+// the coordinator's own process, sleeping the per-peer controller set-up
+// cost, or — coalescing — by handing it to the transmit process and NOT
+// sleeping, the way a DMA-capable controller works a queue while the CPU
+// runs on. Sequence numbers are assigned in ship order and the single
+// transmit process preserves it, so the FIFO acknowledgement watermark
+// means the same either way.
+func (c *coordinator) ship(p *sim.Proc, f *epochFrame) {
+	if len(c.s.peers) == 0 {
+		f.Retain(1)
+		f.Release()
+		return
+	}
+	c.s.seq++
+	f.Head.Seq = c.s.seq
+	if c.pol.coalesce {
+		c.txq = append(c.txq, f)
+		c.txSig.Broadcast()
+		return
+	}
+	c.transmit(p, f)
+}
+
+// transmit fans one stamped frame out: one reference per receiver plus
+// the sender's own.
+func (c *coordinator) transmit(p *sim.Proc, f *epochFrame) {
+	f.Retain(c.s.receivers() + 1)
+	c.s.fanout(p, f, f.Size, c.stopped)
+	f.Release()
+}
+
+// txLoop is a coalescing coordinator's transmit process: it drains the
+// frame queue in FIFO order, paying the per-peer controller set-up cost
+// off the guest's critical path. A backlog — several frames queued while
+// one was on the controller — goes out as ONE batch message. It exits on
+// coordinator failstop (queued frames die with the processor, exactly as
+// writes a failstopped CPU never posted to its controller) or once the
+// queue is drained after run closes it.
+func (c *coordinator) txLoop(p *sim.Proc) {
+	for !c.stopped() {
+		switch len(c.txq) {
+		case 0:
+			if c.txClose {
+				return
+			}
+			p.WaitTimeout(c.txSig, ackTick)
+			continue
+		case 1:
+			f := c.txq[0]
+			c.txq[0] = nil
+			c.txq = c.txq[:0]
+			c.transmit(p, f)
+		default:
+			// The batch carries one reference per receiver plus the
+			// sender's; each inner frame one per receiver (a receiver
+			// files and releases the inner frames individually, then
+			// releases the batch).
+			b := c.bpool.Get()
+			b.Size = 8 // batch header
+			n := c.s.receivers()
+			for i, f := range c.txq {
+				f.Retain(n)
+				b.Recs = append(b.Recs, f)
+				b.Size += f.Size
+				c.txq[i] = nil
+			}
+			c.txq = c.txq[:0]
+			b.Retain(n + 1)
+			c.s.fanout(p, b, b.Size, c.stopped)
+			b.Release()
+		}
+		c.progress.Broadcast() // wake a join barrier watching txq drain
+	}
+}
+
+// advance is the one step that retires acknowledged epochs: pop every
+// pending epoch whose End all live peers acknowledged, release whatever
+// output was deferred for it (nothing, at the lock-step gates), and trim
+// the archive — an epoch every live peer holds end to end can never need
+// replaying, so a healthy coordinator's archive stays a short tail
+// instead of growing with the run (the window cap in record remains the
+// backstop for lagging peers). Called from the acknowledgement intake
+// and from the coordinator's own wait ticks and boundaries; safe in all
+// of them (device output and link sends do not block).
+func (c *coordinator) advance() {
+	ma := c.s.minAcked()
+	n := 0
+	for n < len(c.pend) && c.pend[n].seq <= ma {
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	if c.pol.gate == gateRelease {
+		for i, pe := range c.pend[:n] {
+			c.release(pe.epoch, len(c.pend)-i-1)
+		}
+	}
+	if acked := c.pend[n-1].epoch; acked+1 > archiveResyncKeep {
+		c.archive.trim(acked + 1 - archiveResyncKeep)
+	}
+	c.pend = c.pend[:copy(c.pend, c.pend[n:])]
+}
+
+// release emits the output deferred for an acknowledged epoch and moves
+// the release watermark to it; occupancy is how many epochs remain in
+// flight behind it.
+func (c *coordinator) release(epoch uint64, occupancy int) {
+	cnt, firstAt := c.hv.ReleaseDeferredThrough(epoch)
+	c.released, c.haveReleased = epoch, true
+	c.stats.OutputsReleased += uint64(cnt)
+	if c.hooks == nil || c.hooks.OutputCommitted == nil {
+		return
+	}
+	now := c.k.Now()
+	var lat sim.Time
+	if cnt > 0 && firstAt > 0 {
+		lat = now - firstAt
+	}
+	c.hooks.OutputCommitted(c.node, epoch, now, lat, cnt, occupancy)
+}
+
+// ackTick is how long a wait sleeps between liveness checks.
+const ackTick = 10 * sim.Millisecond
+
+// wait is the one wait-with-liveness primitive: block until cond — a
+// predicate over acknowledgements, the pending list and the transmit
+// queue — holds, waking on progress and ticking the liveness detector
+// through silences (peers may have died, or their links gone down — both
+// advance minAcked by exclusion). Returns false if the coordinator
+// stopped while waiting.
+func (c *coordinator) wait(p *sim.Proc, cond func() bool) bool {
+	if cond() {
+		return true
+	}
+	start := p.Now()
+	c.stats.AckWaits++
+	for !cond() && !c.stopped() {
+		if !p.WaitTimeout(c.progress, ackTick) {
+			c.s.checkLiveness(p.Now())
+			c.advance()
+		}
+	}
+	c.stats.AckWaitTime += p.Now() - start
+	return !c.stopped()
+}
+
 // run executes epochs until the guest halts or the coordinator is
 // stopped. tme0 is the clock base for the first epoch it runs.
 func (c *coordinator) run(p *sim.Proc, tme0 uint32) {
-	if c.oc.Enabled {
-		c.runOC(p, tme0)
-		return
-	}
 	hv := c.hv
 	hv.SetTODBase(tme0)
 	for !hv.Halted() && !c.stopped() {
+		if !c.wait(p, c.windowOpen) {
+			return
+		}
 		b := hv.RunEpoch(p)
 		if c.stopped() {
 			return
@@ -226,29 +415,39 @@ func (c *coordinator) run(p *sim.Proc, tme0 uint32) {
 
 		// --- Rule P2 ---
 		tme := b.TOD
-		c.s.send(message{Kind: msgTme, Epoch: b.Epoch, Tme: tme})
-		if c.proto == ProtocolOld {
-			c.s.awaitAcks(c.stopped)
-			if c.stopped() {
-				return
+		f := c.pool.Get()
+		f.Head = epochHead{Epoch: b.Epoch, HasTme: true, Tme: tme}
+		if c.pol.coalesce {
+			// The interrupt records are snapshotted BEFORE timer
+			// synthesis: backups compute timer interrupts from Tme
+			// themselves.
+			for _, i := range hv.Buffered() {
+				addRec(f, i)
 			}
 		} else {
-			// Non-blocking: harvest any acks already delivered so the
-			// archive trim below sees current coverage. No virtual time
-			// passes, so protocol timing is unchanged.
-			c.s.drainAcks()
+			c.ship(p, f)
+			f = c.pool.Get()
+			f.Head.Epoch = b.Epoch
 		}
-		// send charges per-peer setup time, so virtual time passed and a
-		// failstop may have landed mid-boundary. A failstopped processor
-		// halts where it stands: it must not deliver, archive, or commit
-		// the epoch — a zombie commit would feed observers (the session's
-		// commit coordinates, AddBackup's state capture) an epoch the
-		// replica set never saw, because the End message died with the
-		// severed links.
+		if c.pol.gate == gateBoundary {
+			c.wait(p, c.s.fullyAcked) // rule P2's wait
+		}
+		// Shipping inline charges per-peer setup time, so virtual time
+		// passed and a failstop may have landed mid-boundary. A
+		// failstopped processor halts where it stands: it must not
+		// deliver, archive, or commit the epoch — a zombie commit would
+		// feed observers (the session's commit coordinates, AddBackup's
+		// state capture) an epoch the replica set never saw, because the
+		// End died with the severed links.
 		if c.stopped() {
 			return
 		}
-		c.trimAcked()
+		if c.pol.gate != gateRelease {
+			c.released, c.haveReleased = b.Epoch, true
+		}
+		h := &f.Head
+		h.HasEnd, h.Digest, h.Halted, h.Cut = true, b.Digest, b.Halted, b.GuestInstr
+		h.Released, h.HaveReleased = c.released, c.haveReleased
 		hv.TimerInterruptsDue(tme)
 		var delivered []hypervisor.Interrupt
 		if buf := hv.Buffered(); len(buf) > 0 {
@@ -259,12 +458,23 @@ func (c *coordinator) run(p *sim.Proc, tme0 uint32) {
 			Epoch: b.Epoch, Tme: tme, Ints: delivered,
 			Digest: b.Digest, Halted: b.Halted,
 		})
-		c.s.send(message{Kind: msgEnd, Epoch: b.Epoch, Digest: b.Digest, Halted: b.Halted})
-		c.endSeqs = append(c.endSeqs, endSeqRec{epoch: b.Epoch, seq: c.s.seq})
-		// Same rationale as above: the End send slept, and a failstop
+		c.ship(p, f)
+		c.pend = append(c.pend, pendingEpoch{epoch: b.Epoch, seq: c.s.seq})
+		// Same rationale as above: an inline End slept, and a failstop
 		// landing there means no peer holds this epoch's End — the
 		// commit must not be observed.
 		if c.stopped() {
+			return
+		}
+		c.advance()
+		// A reintegration wants this boundary as its state-transfer
+		// point: hold here until the stream drains, so the captured image
+		// never certifies an epoch that would be lost — and re-executed
+		// differently by a promoted backup — were this processor to
+		// failstop now. Draining BEFORE the commit hook lets the
+		// session's boundary-sampled stop predicate observe the drained
+		// state.
+		if c.joinBarrier && !c.wait(p, c.drained) {
 			return
 		}
 		if c.hooks != nil && c.hooks.EpochCommitted != nil {
@@ -274,28 +484,12 @@ func (c *coordinator) run(p *sim.Proc, tme0 uint32) {
 		hv.SetTODBase(tme)
 		c.intIndex = 0
 	}
-}
-
-// trimAcked advances the acknowledged-epoch watermark from the sender's
-// ack state and prunes archive history more than archiveResyncKeep
-// epochs behind it. An epoch whose End every live peer acked can never
-// need replaying, so a healthy coordinator's archive stays a short tail
-// instead of growing with the run (the window cap in record remains the
-// backstop for lagging peers).
-func (c *coordinator) trimAcked() {
-	ma := c.s.minAcked()
-	done := 0
-	for done < len(c.endSeqs) && c.endSeqs[done].seq <= ma {
-		c.ackedThrough = c.endSeqs[done].epoch
-		c.haveAcked = true
-		done++
-	}
-	if done > 0 {
-		// Compact survivors to the front so the backing array is reused.
-		n := copy(c.endSeqs, c.endSeqs[done:])
-		c.endSeqs = c.endSeqs[:n]
-	}
-	if c.haveAcked && c.ackedThrough+1 > archiveResyncKeep {
-		c.archive.trim(c.ackedThrough + 1 - archiveResyncKeep)
+	// The guest halted (or stopped) with epochs still in flight: wait
+	// their acknowledgements out so the final output is released, then
+	// let the transmit process exit.
+	c.wait(p, c.outputReleased)
+	if c.pol.coalesce {
+		c.txClose = true
+		c.txSig.Broadcast()
 	}
 }

@@ -7,19 +7,9 @@ package replication
 // by state transfer (the session layer's AddBackup); here the existing
 // engines learn about the new channel.
 
-// addPeer splices a new peer into a live fan-out. The peer joins fully
-// acknowledged: nothing sent before it existed can be outstanding
-// toward it, so acknowledgement waits (P2, the §4.3 I/O gate) must not
-// block on history the joiner never received.
-func (s *sender) addPeer(p Peer) *peerState {
-	ps := &peerState{peer: p, acked: s.seq}
-	s.peers = append(s.peers, ps)
-	return ps
-}
-
 // AddPeer adds a late-joining backup to the primary's fan-out: every
-// message sent from now on also goes to p, and boundary/I/O-gate (or
-// output-commit release) acknowledgement tracking includes it.
+// message sent from now on also goes to p, and acknowledgement tracking
+// (gate or release) includes it.
 func (pr *Primary) AddPeer(p Peer) { pr.coord.attachPeer(p) }
 
 // AddDownstream registers a lower-priority late joiner with this

@@ -1,6 +1,22 @@
-// Package replication implements the paper's replica-coordination
-// protocols (§2, rules P1–P7) and the revised protocol of §4.3, on top of
-// the hypervisor and the simulated FIFO channels.
+// Package replication implements the paper's replica coordination (§2,
+// rules P1–P7), the revised protocol of §4.3 and the VMware-FT style
+// output rule as ONE boundary engine on top of the hypervisor and the
+// simulated FIFO channels.
+//
+// The coordinator (the Primary, or a promoted Backup) runs a single
+// epoch loop over a single wire unit, the epoch frame, which carries any
+// subset of an epoch's interrupt records, [Tme_p] and [end, E]. Three
+// values derived once from (Protocol, OutputCommit) — where
+// acknowledgements gate, how many epochs may be in flight, and whether
+// an epoch ships as partial frames inline or as one coalesced frame
+// through a transmit process — place a coordinator at §2's rule P2, at
+// §4.3, or at output commit (policy.go). Beneath the loop there is one
+// fan-out routine, one acknowledgement intake (the link's delivery
+// hook), one wait-with-liveness primitive, one list of epochs awaiting
+// acknowledgement and one step that retires them. The Backup mirrors it
+// with one receive path and one end-of-epoch rule: drop suppressed
+// output through the coordinator's release watermark, retain the rest
+// as the promotion flush set.
 //
 // A 1-fault-tolerant virtual machine is a Primary engine driving one
 // hypervisor and a Backup engine driving another, joined by a
@@ -16,11 +32,13 @@
 //     the environment observes a sequence of I/O operations consistent
 //     with a single processor — outstanding operations are re-driven via
 //     synthesized uncertain interrupts (P7), which device semantics IO2
-//     permits.
+//     permits, and retained output is re-emitted through the devices'
+//     ordinal dedup, each operation exactly once.
 package replication
 
 import (
 	"repro/internal/hypervisor"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -46,30 +64,7 @@ func (p Protocol) String() string {
 	return "new"
 }
 
-// msgKind enumerates protocol messages.
-type msgKind uint8
-
-const (
-	// msgInterrupt is P1's [E, Int]: an interrupt captured during epoch
-	// E, with its environment payload (DMA data for reads).
-	msgInterrupt msgKind = iota
-	// msgTme is P2's [Tme_p]: the primary's clock at the end of an
-	// epoch, used by the backup to resynchronize (P5: Tme_b := Tme_p).
-	msgTme
-	// msgEnd is P2's [end, E]: the primary completed epoch E. It also
-	// carries the primary's state digest (divergence detection) and the
-	// guest-halt flag.
-	msgEnd
-	// msgAck acknowledges receipt of a sequenced message (P4).
-	msgAck
-	// msgSync is sent by a freshly promoted backup to lower-priority
-	// backups (the t-fault-tolerant generalization): a replay of the
-	// delivered-interrupt history so the remaining replicas can follow
-	// the new primary's stream verbatim.
-	msgSync
-)
-
-// SyncEpoch is one epoch's replay record inside a msgSync: exactly what
+// SyncEpoch is one epoch's replay record inside a syncMsg: exactly what
 // the (new) primary delivered at that epoch's boundary, to be applied
 // verbatim by a lagging backup.
 type SyncEpoch struct {
@@ -80,51 +75,82 @@ type SyncEpoch struct {
 	Halted bool
 }
 
-// message is the wire payload carried by netsim.
-type message struct {
-	Kind  msgKind
-	Seq   uint64 // primary-assigned sequence, acked by the backup
+// epochHead is the header of an epoch frame, the one wire unit of the
+// coordinator's stream. A frame carries any subset of an epoch's three
+// parts: interrupt records (P1's [E, Int], in Recs), the clock (P2's
+// [Tme_p]) and the end marker (P2's [end, E]). Shipped inline the parts
+// travel as partial frames — one per captured interrupt, one for Tme,
+// one for End, each the size and at the instant of the paper's message —
+// and through the transmit process as one coalesced frame.
+type epochHead struct {
+	Seq   uint64 // coordinator-assigned sequence, acknowledged by backups (P4)
 	Epoch uint64
-
-	Int      hypervisor.Interrupt // msgInterrupt
-	IntIndex uint32               // msgInterrupt: per-epoch capture index (dedupe)
-	Tme      uint32               // msgTme
-	Digest   uint64               // msgEnd
-	Halted   bool                 // msgEnd
-
-	// Output-commit fields, set on a msgEnd decoded from an epoch frame
-	// (HasCut doubles as the output-commit marker): the epoch's cut
-	// coordinate and the coordinator's release watermark.
-	Cut          uint64
-	HasCut       bool
+	// IntIndex is the per-epoch capture index of Recs[0]; record i files
+	// under IntIndex+i, so a re-sent record dedupes.
+	IntIndex uint32
+	HasTme   bool
+	Tme      uint32
+	// The remaining fields are the end marker's.
+	HasEnd bool
+	Digest uint64 // pre-delivery state digest (divergence detection)
+	Halted bool
+	// Cut is the absolute guest-instruction coordinate the epoch ended
+	// at. Every replica must choose the same cut (output-triggered
+	// boundaries make that a property worth checking); the backup
+	// verifies its own coordinate against this.
+	Cut uint64
+	// Released/HaveReleased is the coordinator's output-release
+	// watermark: environment output through epoch Released has been
+	// emitted. Backups drop their suppressed copies up to it and retain
+	// the rest as the promotion flush set.
 	Released     uint64
 	HaveReleased bool
+}
 
-	AckSeq uint64 // msgAck: highest sequence received
+// epochFrame is the pooled wire representation of (part of) one epoch.
+type epochFrame = netsim.Frame[epochHead, hypervisor.Interrupt]
 
-	Sync []SyncEpoch // msgSync
+// epochBatch is a pooled second-level coalescing unit: when the transmit
+// queue has a backlog (the guest produced epoch boundaries faster than
+// the controller's per-message set-up cost can ship them), every queued
+// epoch frame is folded into ONE wire message, so the set-up cost is
+// paid once per batch instead of once per epoch. Self-clocking: a
+// backlog only forms when frames outpace the link, and batching then
+// collapses it — the replication stream never bufferbloats behind the
+// controller.
+type epochBatch = netsim.Frame[struct{}, *epochFrame]
+
+// addRec appends one interrupt record to a frame, charging its
+// environment payload to the frame's wire size (an 8 KiB disk read
+// becomes the paper's 9-frame transfer; Tme and End ride the link
+// frame's own header and cost nothing).
+func addRec(f *epochFrame, i hypervisor.Interrupt) {
+	f.Recs = append(f.Recs, i)
+	f.Size += i.WireSize()
+}
+
+// ack is P4's acknowledgement: the highest sequence number received.
+type ack uint64
+
+// syncMsg is sent by a freshly promoted backup to lower-priority backups
+// (the t-fault-tolerant generalization): a replay of the
+// delivered-interrupt history so the remaining replicas can follow the
+// new primary's stream verbatim.
+type syncMsg struct {
+	Seq    uint64
+	Epochs []SyncEpoch
 }
 
 // wireSize estimates the payload byte size for the link timing model.
-// Control messages ([Tme], [end,E], acks) fit entirely in one link frame
-// (size 0 payload: the frame header carries them); interrupt messages
-// carry their environment payload (an 8 KiB disk read becomes the
-// paper's 9-frame transfer).
-func (m message) wireSize() int {
-	switch m.Kind {
-	case msgInterrupt:
-		return m.Int.WireSize()
-	case msgSync:
-		n := 0
-		for _, e := range m.Sync {
-			n += 64
-			for _, i := range e.Ints {
-				n += i.WireSize()
-			}
+func (m syncMsg) wireSize() int {
+	n := 0
+	for _, e := range m.Epochs {
+		n += 64
+		for _, i := range e.Ints {
+			n += i.WireSize()
 		}
-		return n
 	}
-	return 0
+	return n
 }
 
 // Stats aggregates protocol activity for an engine.

@@ -14,6 +14,7 @@ type Primary struct {
 	HV *hypervisor.Hypervisor
 
 	coord  *coordinator
+	proto  Protocol
 	failed bool
 
 	// BootTOD is the virtual machines' initial clock value (all
@@ -30,9 +31,9 @@ type Primary struct {
 	// Hooks observes protocol milestones (optional; set before Run).
 	Hooks Hooks
 
-	// OutputCommit configures the output-commit latency engine (zero
-	// value: off, classic protocol). Set before Run; every replica must
-	// agree on it.
+	// OutputCommit moves the coordinator to the output-commit point of
+	// the design (zero value: off, the lock-step point the protocol
+	// names). Set before Run; every replica must agree on it.
 	OutputCommit OutputCommit
 
 	Stats Stats
@@ -47,16 +48,9 @@ func NewPrimary(hv *hypervisor.Hypervisor, tx, rx *netsim.Link, proto Protocol) 
 // NewPrimaryMulti wires a primary engine with t backups (peers in
 // priority order: peers[0] is the first to promote).
 func NewPrimaryMulti(hv *hypervisor.Hypervisor, peers []Peer, proto Protocol) *Primary {
-	pr := &Primary{HV: hv}
-	pr.coord = &coordinator{
-		hv:      hv,
-		s:       newSender(peers, &pr.Stats),
-		proto:   proto,
-		stats:   &pr.Stats,
-		stopped: func() bool { return pr.failed },
-		archive: newEpochArchive(),
-		hooks:   &pr.Hooks,
-	}
+	pr := &Primary{HV: hv, proto: proto}
+	pr.coord = newCoordinator(hv, peers, &pr.Stats,
+		func() bool { return pr.failed }, newEpochArchive(), &pr.Hooks, 0)
 	return pr
 }
 
@@ -88,7 +82,7 @@ func (pr *Primary) ReplicationDrained() bool { return pr.coord.drained() }
 // injected. It must be called as a simulation process.
 func (pr *Primary) Run(p *sim.Proc) {
 	pr.coord.s.peerTimeout = pr.PeerTimeout
-	pr.coord.oc = pr.OutputCommit
+	pr.coord.pol = derivePolicy(pr.proto, pr.OutputCommit)
 	pr.coord.install(p)
 	pr.coord.run(p, pr.BootTOD)
 }

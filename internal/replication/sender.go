@@ -19,7 +19,6 @@ type Peer struct {
 type sender struct {
 	peers []*peerState
 	seq   uint64
-	proc  *sim.Proc
 	stats *Stats
 	// peerTimeout bounds how long an acknowledgement wait may block on
 	// one live-looking peer before that peer is declared failed and
@@ -60,71 +59,61 @@ func newSender(peers []Peer, stats *Stats) *sender {
 	return s
 }
 
-// alive reports whether any peer is still connected (all peers down
-// means coordination is moot — run unreplicated).
-func (s *sender) alive() bool {
-	for _, p := range s.peers {
-		if !p.peer.TX.Down() {
-			return true
+// fanout transmits one sequenced wire message to every peer, paying the
+// I/O controller set-up cost once per peer (§4.3: this cost is
+// link-independent). A failstop landing mid-fanout ends it: the
+// remaining peers never receive the message.
+func (s *sender) fanout(p *sim.Proc, payload any, size int, stopped func() bool) {
+	for _, ps := range s.peers {
+		if stopped() {
+			return
 		}
-	}
-	return false
-}
-
-// send transmits one sequenced message to every peer, paying the I/O
-// controller set-up cost once per peer (§4.3: this cost is
-// link-independent).
-func (s *sender) send(m message) {
-	if len(s.peers) == 0 {
-		return
-	}
-	s.seq++
-	m.Seq = s.seq
-	for _, p := range s.peers {
 		s.stats.MessagesSent++
-		s.stats.BytesSent += uint64(m.wireSize())
-		p.peer.TX.Send(m, m.wireSize())
-		if s.proc != nil {
-			s.proc.Sleep(p.peer.TX.Config().SetupTime)
-		}
+		s.stats.BytesSent += uint64(size)
+		ps.peer.TX.Send(payload, size)
+		p.Sleep(ps.peer.TX.Config().SetupTime)
 	}
 }
 
-// drainAcks consumes already-delivered acknowledgements from all peers.
-func (s *sender) drainAcks() {
-	for _, p := range s.peers {
-		for {
-			raw, ok := p.peer.RX.Inbox.TryRecv()
-			if !ok {
-				break
-			}
-			m := raw.Payload.(message)
-			if m.Kind == msgAck {
-				s.stats.AcksReceived++
-				if m.AckSeq > p.acked {
-					p.acked = m.AckSeq
-				}
-				if p.dead && p.acked >= s.seq {
-					// Full catch-up: the peer holds everything sent, so
-					// excluding it no longer protects anything.
-					p.dead = false
-					p.progressAt = 0
-				}
-			}
+// receivers counts the peers a message sent now would reach: one frame
+// reference each. A link that goes down mid-fanout drops its copy
+// without releasing, the frame leaks to the GC and the pool self-heals
+// (see netsim.FramePool).
+func (s *sender) receivers() int32 {
+	n := int32(0)
+	for _, ps := range s.peers {
+		if !ps.peer.TX.Down() {
+			n++
 		}
+	}
+	return n
+}
+
+// acknowledge records an acknowledgement from ps. A dead peer that has
+// caught up with everything sent holds the full stream, so excluding it
+// no longer protects anything: it is resurrected.
+func (s *sender) acknowledge(ps *peerState, a ack) {
+	s.stats.AcksReceived++
+	if uint64(a) > ps.acked {
+		ps.acked = uint64(a)
+	}
+	if ps.dead && ps.acked >= s.seq {
+		ps.dead = false
+		ps.progressAt = 0
 	}
 }
 
 // minAcked returns the lowest acknowledged sequence number across live
 // peers — the prefix of the stream every live peer provably holds. With
-// no live peers it returns seq (nothing outstanding).
+// no live peers it returns seq (nothing outstanding). Peers whose
+// channel is down — or that were excluded by the liveness timeout — are
+// skipped: a failstopped backup must not wedge the primary forever (the
+// paper's model assumes failed backups are eventually replaced; here
+// they are just excluded).
 func (s *sender) minAcked() uint64 {
 	min := s.seq
 	for _, p := range s.peers {
-		if p.excluded() {
-			continue
-		}
-		if p.acked < min {
+		if !p.excluded() && p.acked < min {
 			min = p.acked
 		}
 	}
@@ -132,81 +121,32 @@ func (s *sender) minAcked() uint64 {
 }
 
 // fullyAcked reports whether every live peer has acknowledged everything
-// sent so far. Peers whose channel is down — or that were excluded by
-// the liveness timeout — are skipped: a failstopped backup must not
-// wedge the primary forever (the paper's model assumes failed backups
-// are eventually replaced; here they are just excluded).
-func (s *sender) fullyAcked() bool {
-	for _, p := range s.peers {
-		if p.excluded() {
-			continue
-		}
-		if p.acked < s.seq {
-			return false
-		}
-	}
-	return true
-}
+// sent so far.
+func (s *sender) fullyAcked() bool { return s.minAcked() == s.seq }
 
-// awaitAcks blocks until every message sent so far is acknowledged by
-// every live peer — rule P2's wait and the §4.3 I/O gate. With a
-// peerTimeout configured, a peer that acknowledges nothing for that
-// long while its channel stays up is declared failed and excluded, so
-// a partition cannot block the coordinator forever.
-func (s *sender) awaitAcks(stop func() bool) {
-	s.drainAcks()
-	if s.fullyAcked() {
+// checkLiveness applies the acknowledgement-liveness timeout from a wait
+// tick: a peer silent for peerTimeout while its channel stays up is
+// declared dead and excluded, so a partitioned peer cannot block the
+// coordinator forever.
+func (s *sender) checkLiveness(now sim.Time) {
+	if s.peerTimeout <= 0 {
 		return
 	}
-	start := s.proc.Now()
-	s.stats.AckWaits++
-	for !s.fullyAcked() && (stop == nil || !stop()) {
-		// Block on the first lagging live peer; FIFO links mean acks
-		// arrive in order, so per-peer blocking is fair.
-		var lag *peerState
-		for _, p := range s.peers {
-			if !p.excluded() && p.acked < s.seq {
-				lag = p
-				break
-			}
-		}
-		if lag == nil {
-			break
-		}
-		raw, ok := lag.peer.RX.Inbox.RecvTimeout(s.proc, 10*sim.Millisecond)
-		if !ok {
-			// Re-check liveness and other peers' queues.
-			s.drainAcks()
-			if s.peerTimeout > 0 {
-				now := s.proc.Now()
-				for _, p := range s.peers {
-					if p.excluded() || p.acked >= s.seq {
-						continue
-					}
-					if p.progressAt == 0 || p.acked > p.seenAcked {
-						// First observation, or the peer advanced since
-						// the last tick: restart its silence clock.
-						p.seenAcked, p.progressAt = p.acked, now
-						continue
-					}
-					if now-p.progressAt >= s.peerTimeout {
-						p.dead = true
-						s.stats.PeerTimeouts++
-					}
-				}
-			}
+	for _, p := range s.peers {
+		if p.excluded() || p.acked >= s.seq {
 			continue
 		}
-		m := raw.Payload.(message)
-		if m.Kind == msgAck {
-			s.stats.AcksReceived++
-			if m.AckSeq > lag.acked {
-				lag.acked = m.AckSeq
-			}
+		if p.progressAt == 0 || p.acked > p.seenAcked {
+			// First observation, or the peer advanced since the last
+			// tick: restart its silence clock.
+			p.seenAcked, p.progressAt = p.acked, now
+			continue
 		}
-		s.drainAcks()
+		if now-p.progressAt >= s.peerTimeout {
+			p.dead = true
+			s.stats.PeerTimeouts++
+		}
 	}
-	s.stats.AckWaitTime += s.proc.Now() - start
 }
 
 // disconnectAll severs every peer channel (failstop).

@@ -5,9 +5,9 @@ package replication
 // checkpoint serializes it so a restored run can be VERIFIED against
 // the original bit for bit: the epoch archive tail a coordinator
 // retains for resynchronization, the sequence/acknowledgement
-// watermarks that drive archive trimming and the P2/§4.3 waits, and the
-// per-epoch pending buffers a backup accumulates between its own epoch
-// boundary and the primary's messages.
+// watermarks and pending-epoch list that drive every wait, release and
+// archive trim, and the per-epoch buffers a backup accumulates between
+// its own epoch boundary and the coordinator's frames.
 //
 // Capture is read-only and allocation-heavy by design (deep copies):
 // it runs at session checkpoints, never on the protocol hot path.
@@ -18,8 +18,9 @@ import (
 	"repro/internal/hypervisor"
 )
 
-// EndSeqState is one epoch's end-message sequence watermark.
-type EndSeqState struct {
+// PendingAckState is one shipped epoch awaiting acknowledgement: the
+// epoch and the sequence number of the frame that carried its End.
+type PendingAckState struct {
 	Epoch uint64
 	Seq   uint64
 }
@@ -33,17 +34,12 @@ type CoordinatorState struct {
 	// order.
 	PeerAcked []uint64
 	// IntIndex is the capture index within the current epoch (P1
-	// message dedupe key).
+	// record dedupe key).
 	IntIndex uint32
-	// EndSeqs are the epochs whose end-message acknowledgement is still
-	// outstanding; AckedThrough/HaveAcked is the resulting watermark.
-	EndSeqs      []EndSeqState
-	AckedThrough uint64
-	HaveAcked    bool
-	// Window is the output-commit window of sent-but-unacknowledged
-	// epochs (epoch, frame seq), oldest first; Released/HaveReleased is
-	// the output-release watermark.
-	Window       []EndSeqState
+	// Pending is the one list of shipped-but-unacknowledged epochs,
+	// oldest first; Released/HaveReleased is the output-release
+	// watermark.
+	Pending      []PendingAckState
 	Released     uint64
 	HaveReleased bool
 	// Archive is the retained epoch-replay tail, oldest first.
@@ -51,28 +47,27 @@ type CoordinatorState struct {
 	Stats   Stats
 }
 
-// PendingInterrupt is one buffered [E, Int] message, keyed by its
+// PendingInterrupt is one buffered [E, Int] record, keyed by its
 // capture index.
 type PendingInterrupt struct {
 	Index uint32
 	Int   Interrupt
 }
 
-// PendingEnd is a received end-of-epoch message's payload.
+// PendingEnd is a received End's payload, read from the header of the
+// frame that carried it: the cut coordinate and the coordinator's
+// release watermark ride every End.
 type PendingEnd struct {
-	Seq    uint64
-	Digest uint64
-	Halted bool
-	// Output-commit fields (HasCut marks a frame-decoded end): the cut
-	// coordinate and the coordinator's release watermark.
-	HasCut       bool
+	Seq          uint64
+	Digest       uint64
+	Halted       bool
 	Cut          uint64
 	Released     uint64
 	HaveReleased bool
 }
 
-// PendingEpochState is one epoch's received-but-unprocessed protocol
-// messages on a backup.
+// PendingEpochState is one epoch's received-but-unprocessed frame
+// parts on a backup.
 type PendingEpochState struct {
 	Epoch  uint64
 	Ints   []PendingInterrupt
@@ -95,7 +90,7 @@ type BackupState struct {
 	Done      bool
 	Halted    bool
 	BootTOD   uint32
-	// Pending holds the per-epoch message buffers, ascending by epoch.
+	// Pending holds the per-epoch frame-part buffers, ascending by epoch.
 	Pending []PendingEpochState
 	// Archive is the delivery history retained for downstream resync.
 	Archive []SyncEpoch
@@ -114,20 +109,16 @@ func (c *coordinator) capture() CoordinatorState {
 	s := CoordinatorState{
 		Seq:          c.s.seq,
 		IntIndex:     c.intIndex,
-		AckedThrough: c.ackedThrough,
-		HaveAcked:    c.haveAcked,
+		Released:     c.released,
+		HaveReleased: c.haveReleased,
 		Stats:        *c.stats,
 	}
 	for _, p := range c.s.peers {
 		s.PeerAcked = append(s.PeerAcked, p.acked)
 	}
-	for _, r := range c.endSeqs {
-		s.EndSeqs = append(s.EndSeqs, EndSeqState{Epoch: r.epoch, Seq: r.seq})
+	for _, r := range c.pend {
+		s.Pending = append(s.Pending, PendingAckState{Epoch: r.epoch, Seq: r.seq})
 	}
-	for _, r := range c.ocPend {
-		s.Window = append(s.Window, EndSeqState{Epoch: r.epoch, Seq: r.seq})
-	}
-	s.Released, s.HaveReleased = c.released, c.haveReleased
 	s.Archive = c.archive.capture()
 	return s
 }
@@ -196,15 +187,14 @@ func (bk *Backup) CaptureState() BackupState {
 			}
 			pe.Ints = append(pe.Ints, PendingInterrupt{Index: uint32(k), Int: iv})
 		}
-		if r.tme != nil {
-			pe.HasTme, pe.Tme = true, *r.tme
+		if r.hasTme {
+			pe.HasTme, pe.Tme = true, r.tme
 		}
-		if r.end != nil {
+		if h := r.end; h.HasEnd {
 			pe.HasEnd = true
 			pe.End = PendingEnd{
-				Seq: r.end.Seq, Digest: r.end.Digest, Halted: r.end.Halted,
-				HasCut: r.end.HasCut, Cut: r.end.Cut,
-				Released: r.end.Released, HaveReleased: r.end.HaveReleased,
+				Seq: h.Seq, Digest: h.Digest, Halted: h.Halted, Cut: h.Cut,
+				Released: h.Released, HaveReleased: h.HaveReleased,
 			}
 		}
 		if r.verbatim != nil {

@@ -35,17 +35,24 @@ import (
 // encoder in this package (or a capture struct it serializes) changes
 // shape; readers reject every other version.
 //
-// Version history: 1 = the original single-adapter layout; 2 = the
-// generic device layer (per-device shadow sections keyed by stable
-// device ID, device-generic completion records with input watermarks,
-// suppressed-output buffers, multi-disk and terminal configuration);
-// 3 = the network service (NIC/client-load session configuration,
-// per-node NIC port digests and the shared nic capture section);
-// 4 = the output-commit engine (epoch/start/time-tagged suppressed
-// output entries, coordinator commit-window and release watermark,
-// frame-decoded end-message fields, output-commit configuration and
-// stats counters).
-const FormatVersion = 4
+// Version 5 = one boundary engine (a coordinator's single pending-epoch
+// list; the cut and release watermark ride every End).
+const FormatVersion = 5
+
+// transferVersion is the live state-transfer blob's own format number.
+// The blob holds machine and hypervisor state only, unchanged since
+// format 4, and its bytes are what the simulated link is charged for and
+// what TestTransferBytesGolden pins — so a change to a checkpoint-only
+// section moves FormatVersion and leaves this alone.
+const transferVersion = 4
+
+// versionOf returns the format number blobs opened by magic carry.
+func versionOf(magic string) uint32 {
+	if magic == TransferMagic {
+		return transferVersion
+	}
+	return FormatVersion
+}
 
 // ErrVersion reports a snapshot written by a different format version.
 // Errors wrapping it are returned by NewReader; test with errors.Is.
@@ -96,7 +103,7 @@ func (w *Writer) header(magic string) {
 		panic(fmt.Sprintf("snapshot: magic %q must be 8 bytes", magic))
 	}
 	w.buf = append(w.buf, magic...)
-	w.U32(FormatVersion)
+	w.U32(versionOf(magic))
 }
 
 // Grow ensures room for n more bytes without reallocation.
@@ -216,8 +223,8 @@ func NewReader(blob []byte, magic string) (*Reader, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if v != FormatVersion {
-		return nil, fmt.Errorf("%w: snapshot is format %d, this build reads %d", ErrVersion, v, FormatVersion)
+	if want := versionOf(magic); v != want {
+		return nil, fmt.Errorf("%w: snapshot is format %d, this build reads %d", ErrVersion, v, want)
 	}
 	return r, nil
 }

@@ -142,8 +142,8 @@ func TestCoordinatorBackupStateCodec(t *testing.T) {
 		Seq:       9,
 		PeerAcked: []uint64{9, 7},
 		IntIndex:  3,
-		EndSeqs:   []replication.EndSeqState{{Epoch: 4, Seq: 8}},
-		HaveAcked: true, AckedThrough: 3,
+		Pending:   []replication.PendingAckState{{Epoch: 4, Seq: 8}},
+		Released:  3, HaveReleased: true,
 		Archive: []replication.SyncEpoch{{
 			Epoch: 4, Tme: 100, Digest: 0xAB, Halted: false,
 			Ints: []replication.Interrupt{{Line: 1, Completion: device.Completion{Data: []byte{1}}}},

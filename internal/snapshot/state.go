@@ -454,15 +454,8 @@ func PutCoordinatorState(w *Writer, s replication.CoordinatorState) {
 		w.U64(a)
 	}
 	w.U32(s.IntIndex)
-	w.U32(uint32(len(s.EndSeqs)))
-	for _, e := range s.EndSeqs {
-		w.U64(e.Epoch)
-		w.U64(e.Seq)
-	}
-	w.U64(s.AckedThrough)
-	w.Bool(s.HaveAcked)
-	w.U32(uint32(len(s.Window)))
-	for _, e := range s.Window {
+	w.U32(uint32(len(s.Pending)))
+	for _, e := range s.Pending {
 		w.U64(e.Epoch)
 		w.U64(e.Seq)
 	}
@@ -483,13 +476,7 @@ func CoordinatorState(r *Reader) replication.CoordinatorState {
 	s.IntIndex = r.U32()
 	n = int(r.U32())
 	for i := 0; i < n && r.Err() == nil; i++ {
-		s.EndSeqs = append(s.EndSeqs, replication.EndSeqState{Epoch: r.U64(), Seq: r.U64()})
-	}
-	s.AckedThrough = r.U64()
-	s.HaveAcked = r.Bool()
-	n = int(r.U32())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		s.Window = append(s.Window, replication.EndSeqState{Epoch: r.U64(), Seq: r.U64()})
+		s.Pending = append(s.Pending, replication.PendingAckState{Epoch: r.U64(), Seq: r.U64()})
 	}
 	s.Released = r.U64()
 	s.HaveReleased = r.Bool()
@@ -522,7 +509,6 @@ func PutBackupState(w *Writer, s replication.BackupState) {
 		w.U64(pe.End.Seq)
 		w.U64(pe.End.Digest)
 		w.Bool(pe.End.Halted)
-		w.Bool(pe.End.HasCut)
 		w.U64(pe.End.Cut)
 		w.U64(pe.End.Released)
 		w.Bool(pe.End.HaveReleased)
@@ -564,7 +550,6 @@ func BackupState(r *Reader) replication.BackupState {
 		pe.End.Seq = r.U64()
 		pe.End.Digest = r.U64()
 		pe.End.Halted = r.Bool()
-		pe.End.HasCut = r.Bool()
 		pe.End.Cut = r.U64()
 		pe.End.Released = r.U64()
 		pe.End.HaveReleased = r.Bool()

@@ -7,9 +7,11 @@ package hft
 // wire format twice over: Save's output is a file format, and the
 // AddBackup transfer blob's length is charged to the simulated link —
 // so a state-path refactor must leave both byte-for-byte unchanged or
-// every virtual metric moves. The expected values below were generated
-// on the commit BEFORE the page-granular state path landed (7d1173e)
-// and are asserted here against the current encoder.
+// every virtual metric moves. The Save values below are format 5's,
+// regenerated by the change that gave the coordinator one pending-epoch
+// list (the replication sections changed shape; machine and hypervisor
+// state did not — internal/session's TestTransferBytesGolden still
+// holds the values generated before the page-granular state path).
 
 import (
 	"bytes"
@@ -34,12 +36,12 @@ type stateGolden struct {
 // they differ in the serialized sharedImage flag only.
 var saveGoldens = map[string][2]stateGolden{
 	"private": {
-		{46639, "6c65ee8dee00cf4d43fc40ed921f97c1b38c720191c908386ce77d8599617e39"},
-		{83101, "5d6f27f47c6cbf032d98ea77e8d4efbdc28b2d71635319d7567f6edb2a9fac0f"},
+		{46585, "38b2fe2bf584ebcdf2fe48a26f45da72585f9ac68e07af7fd419ee6ecebbb475"},
+		{83087, "b4d3a4ee3492417f0525a1586b6fd9e7493ed9148b67e7dc46988f1d3ab41794"},
 	},
 	"shared": {
-		{54847, "f0d60d15088182711ad407edc2436827b86bc96b76219507d20834dc08af2335"},
-		{83101, "2d36ebe45fe3dea48b32cf6bf212b588cf4323674503ab6d9fb8dac2eeba22c1"},
+		{54793, "2c53bba94725184d389b68f79c682e5fbb0482cb398e0e955e63e4777c9efb2f"},
+		{83087, "dbd410d0d334847b14846688c24b845e463aa3cd84ea6c977b5d922f2503f930"},
 	},
 }
 
