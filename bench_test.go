@@ -21,6 +21,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/platform"
 	"repro/internal/replication"
+	"repro/internal/session"
 	"repro/internal/sim"
 )
 
@@ -205,9 +206,9 @@ func BenchmarkReplicatedPair(b *testing.B) {
 	w := guest.CPUIntensive(2000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := harness.RunReplicated(harness.ReplicatedOptions{
+		res := harness.RunReplicated(session.Options{
 			Seed:        1,
-			Workload:    w,
+			Program:     session.WorkloadProgram(w),
 			EpochLength: 1024,
 			Protocol:    replication.ProtocolOld,
 			Link:        netsim.Ethernet10(""),
@@ -283,7 +284,7 @@ func BenchmarkProcSleepPair(b *testing.B) {
 // dirty pages each.
 func statePathCluster(tb testing.TB) *Cluster {
 	tb.Helper()
-	c, err := NewCluster(WithWorkload(DiskWrite(6, 8192)), WithProtocol(ProtocolNew), WithSharedImage())
+	c, err := NewCluster(WithWorkload(DiskWrite(6, 8192)), WithProtocol(ProtocolNew))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func BenchmarkSharedImageBoot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := NewCluster(WithWorkload(DiskWrite(6, 8192)), WithProtocol(ProtocolNew), WithSharedImage())
+		c, err := NewCluster(WithWorkload(DiskWrite(6, 8192)), WithProtocol(ProtocolNew))
 		if err != nil {
 			b.Fatal(err)
 		}

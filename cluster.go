@@ -17,12 +17,12 @@ import (
 
 // Cluster is a long-lived, replicated virtual machine session: a
 // primary and its backups under the paper's coordination protocols,
-// resident in virtual time. Unlike the one-shot Run, a Cluster boots
-// lazily, advances under caller control (RunFor, RunUntil, Wait),
-// accepts live perturbations while it runs (FailPrimary, FailBackup,
-// SetLinkQuality), and exposes observation as first-class values — a
-// Snapshot of epoch/protocol/IO statistics at any virtual time and a
-// subscribable Events stream.
+// resident in virtual time. A Cluster boots lazily, advances under
+// caller control (RunFor, RunUntil, Wait), accepts live perturbations
+// while it runs (FailPrimary, FailBackup, SetLinkQuality), and exposes
+// observation as first-class values — a Snapshot of epoch/protocol/IO
+// statistics at any virtual time and a subscribable Events stream. With
+// the Bare option it is the single unreplicated machine instead.
 //
 // A Cluster must be driven from a single goroutine. The channels
 // returned by Events may be consumed from any goroutine.
@@ -78,7 +78,6 @@ func newCluster(o *clusterOptions) *Cluster {
 		FailBackupAt:  o.failBackupTimes(),
 		Observer:      c.publish,
 		DiskEvents:    true,
-		SharedImage:   o.sharedImage,
 		OutputCommit:  o.outputCommitConfig(),
 	})
 	return c
@@ -295,7 +294,7 @@ type ServiceLatencies struct {
 
 // FailPrimary failstops the primary's processor at the current virtual
 // time: execution ceases and all its communication is severed, exactly
-// as Config.FailPrimaryAt would have done on a schedule. The backup
+// as WithFailPrimaryAt would have done on a schedule. The backup
 // detects the silence, finishes the failover epoch, synthesizes
 // uncertain interrupts for outstanding I/O (rule P7) and takes over.
 //
@@ -578,8 +577,7 @@ func (c *Cluster) Events() <-chan Event {
 
 // publish fans a session event out to the subscribers (installed as
 // the engine's observer; runs on the driving goroutine). With no
-// subscribers — every back-compat one-shot run — it is a single atomic
-// load.
+// subscribers it is a single atomic load.
 func (c *Cluster) publish(ev session.Event) {
 	if c.nsubs.Load() == 0 {
 		return

@@ -16,12 +16,9 @@ import (
 // the bare machine's result.
 func TestClusterLiveFailover(t *testing.T) {
 	w := DiskWrite(3, 4096)
-	cfg := Config{EpochLength: 4096, DiskReadLatency: 500 * Microsecond, DiskWriteLatency: 600 * Microsecond}
-	bare, err := RunBare(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCluster(WithConfig(cfg, w))
+	opts := []Option{WithWorkload(w), WithEpochLength(4096), WithDiskLatency(500*Microsecond, 600*Microsecond)}
+	bare, _ := runScenario(t, append(opts, Bare())...)
+	c, err := NewCluster(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +324,7 @@ func TestClusterDiskBackend(t *testing.T) {
 	if striped.Checksum == plain.Checksum {
 		t.Error("custom backend did not change the read data")
 	}
-	stripedBare := run(WithDiskBackend(&stripeBackend{}), withBare())
+	stripedBare := run(WithDiskBackend(&stripeBackend{}), Bare())
 	if stripedBare.Checksum != striped.Checksum {
 		t.Errorf("replicated result over custom backend %#x != bare %#x",
 			striped.Checksum, stripedBare.Checksum)
@@ -368,10 +365,7 @@ func TestClusterCustomProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(Config{}, CPUIntensive(3000))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := runScenario(t, WithWorkload(CPUIntensive(3000)))
 	if got.Checksum != want.Checksum || got.Time != want.Time {
 		t.Errorf("custom program drifted from built-in workload: %#x/%v vs %#x/%v",
 			got.Checksum, got.Time, want.Checksum, want.Time)
@@ -402,9 +396,6 @@ func TestNewClusterValidation(t *testing.T) {
 		{"nil backend", []Option{work, WithDiskBackend(nil)}, "nil DiskBackend"},
 		{"nil program", []Option{WithProgram(nil)}, "nil Program"},
 		{"nil option", []Option{work, nil}, "nil Option"},
-		{"unknown config link", []Option{WithConfig(Config{Link: "token-ring"}, CPUIntensive(100))}, "unknown link"},
-		{"config negative backups", []Option{WithConfig(Config{Backups: -2}, CPUIntensive(100))}, "negative backup count"},
-		{"config oversubscribed failures", []Option{WithConfig(Config{FailBackupAt: []Duration{1, 2}}, CPUIntensive(100))}, "FailBackupAt schedules 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -416,69 +407,23 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 }
 
-// TestConfigValidationEager covers the legacy Config rejections that
-// used to be silent acceptances, and the documented Seed rewrite.
+// TestConfigValidationEager covers the cross-option rules NewCluster
+// applies once every option has run — whatever order they were given in
+// — and the documented default seed.
 func TestConfigValidationEager(t *testing.T) {
-	w := CPUIntensive(100)
-	if _, err := Run(Config{Backups: -1}, w); err == nil || !strings.Contains(err.Error(), "negative backup count") {
-		t.Errorf("negative Backups accepted: %v", err)
+	work := WithWorkload(CPUIntensive(100))
+	// The schedule precedes the option that would have made room for it.
+	if _, err := NewCluster(work, WithFailBackupAt(3, Millisecond), WithBackups(2)); err == nil || !strings.Contains(err.Error(), "exceeds the replica set") {
+		t.Errorf("oversubscribed failure schedule accepted: %v", err)
 	}
-	if _, err := Run(Config{FailBackupAt: []Duration{1, 2, 3}}, w); err == nil || !strings.Contains(err.Error(), "replica set has 1") {
-		t.Errorf("oversubscribed FailBackupAt accepted: %v", err)
+	if _, err := NewCluster(work, WithFailBackupAt(2, Millisecond), WithBackups(2)); err != nil {
+		t.Errorf("in-range failure schedule rejected: %v", err)
 	}
-	if _, err := RunBare(Config{Link: "token-ring"}, w); err == nil || !strings.Contains(err.Error(), "unknown link") {
-		t.Errorf("unknown link accepted by RunBare: %v", err)
-	}
-	// Seed: 0 is documented to mean the default seed (1).
-	zero, err := Run(Config{EpochLength: 1024}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := Run(Config{EpochLength: 1024, Seed: 1}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zero.Time != one.Time || zero.Checksum != one.Checksum {
-		t.Errorf("Seed 0 is not the documented alias of seed 1: %v/%v", zero.Time, one.Time)
-	}
-}
-
-// TestNormalizedPerformanceBaselineCache verifies repeated calls with
-// the same workload/scale reuse one bare baseline.
-func TestNormalizedPerformanceBaselineCache(t *testing.T) {
-	w := CPUIntensive(2500)
-	cfg := Config{EpochLength: 2048, Seed: 77}
-	key := baselineKey{seed: 77, w: w}
-	baselineMu.Lock()
-	delete(baselineCache, key)
-	baselineMu.Unlock()
-
-	first, err := NormalizedPerformance(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baselineMu.Lock()
-	cached, ok := baselineCache[key]
-	baselineMu.Unlock()
-	if !ok {
-		t.Fatal("baseline not cached after first call")
-	}
-	// A different epoch length shares the same baseline (the bare run
-	// does not depend on it); the cache entry must be reused, not
-	// duplicated under another key.
-	cfg.EpochLength = 4096
-	second, err := NormalizedPerformance(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baselineMu.Lock()
-	after, ok2 := baselineCache[key]
-	baselineMu.Unlock()
-	if !ok2 || after != cached {
-		t.Error("baseline cache entry churned across calls")
-	}
-	if first == second {
-		t.Errorf("different epoch lengths produced identical np %v (suspicious)", first)
+	// No WithSeed means seed 1.
+	unset, _ := runScenario(t, work, WithEpochLength(1024))
+	one, _ := runScenario(t, work, WithEpochLength(1024), WithSeed(1))
+	if unset.Time != one.Time || unset.Checksum != one.Checksum {
+		t.Errorf("the default seed is not 1: %v/%v", unset.Time, one.Time)
 	}
 }
 

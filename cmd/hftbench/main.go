@@ -5,7 +5,7 @@
 //
 //	hftbench [-table1] [-fig2] [-fig3] [-fig4] [-ablation] [-all]
 //	         [-service] [-latency] [-fleet N] [-fleet-seed S]
-//	         [-cow on|off] [-scale quick|paper] [-parallel N] [-json]
+//	         [-scale quick|paper] [-parallel N] [-json]
 //	         [-cpuprofile file] [-memprofile file]
 //
 // Each experiment prints the simulator's measured normalized
@@ -43,10 +43,6 @@
 // BENCH_fleet.json; the wall-clock lines measure the host. See
 // docs/FLEET.md.
 //
-// -cow on backs every experiment's guest RAM with the shared
-// content-interned base image (the fleet default); results are
-// bit-identical either way — CI proves it by comparing -all output.
-//
 // -cpuprofile / -memprofile write pprof profiles of the run (use
 // -parallel 1 for a profile of the serial critical path). Inspect with
 // `go tool pprof <file>`.
@@ -64,8 +60,6 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/harness"
-	"repro/internal/machine"
-	"repro/internal/session"
 )
 
 // jsonPoint is a FigurePoint with NaN ("not measured") encoded as null.
@@ -117,7 +111,7 @@ type jsonFleet struct {
 	InstrPerSec   float64 `json:"instr_per_sec"`
 	CommitsPerSec float64 `json:"commits_per_sec"`
 	// AllocPerShardBytes is heap allocation churn per shard — the
-	// COW-sharing figure of merit (a private guest RAM is 1 MiB+).
+	// COW-sharing figure of merit (a flat guest RAM would be 1 MiB+).
 	AllocPerShardBytes uint64 `json:"alloc_per_shard_bytes"`
 }
 
@@ -179,12 +173,10 @@ func run() int {
 		latency  = flag.Bool("latency", false, "sweep the output-commit latency/overhead frontier (epoch length x window depth)")
 		fleetN   = flag.Int("fleet", 0, "stand up N replicated clusters on shared COW guest images and drive them to completion")
 		fleetSd  = flag.Int64("fleet-seed", 19951203, "fleet schedule seed (shard i runs chaos schedule ScheduleAt(seed, i))")
-		cowMd    = flag.String("cow", "off", "back every experiment's guest RAM with shared COW base images: on or off (results are bit-identical either way)")
 		all      = flag.Bool("all", false, "regenerate everything in the paper's evaluation (does not include -service or -fleet)")
 		scaleN   = flag.String("scale", "quick", "workload scale: quick or paper")
 		parallel = flag.Int("parallel", 1, "concurrent simulations per experiment (0 = all CPUs)")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON instead of text")
-		traceMd  = flag.String("trace", "on", "superblock trace dispatch: on or off (results are bit-identical either way)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -198,22 +190,6 @@ func run() int {
 		scale = harness.PaperScale()
 	default:
 		fmt.Fprintf(os.Stderr, "hftbench: unknown scale %q\n", *scaleN)
-		return 2
-	}
-	switch *traceMd {
-	case "on":
-	case "off":
-		machine.SetTraceDispatch(false)
-	default:
-		fmt.Fprintf(os.Stderr, "hftbench: unknown -trace mode %q (want on or off)\n", *traceMd)
-		return 2
-	}
-	switch *cowMd {
-	case "off":
-	case "on":
-		session.SetSharedImageDefault(true)
-	default:
-		fmt.Fprintf(os.Stderr, "hftbench: unknown -cow mode %q (want on or off)\n", *cowMd)
 		return 2
 	}
 	workers := *parallel

@@ -17,10 +17,9 @@
 //	       [-campaign N] [-campaign-seed N] [-campaign-dir DIR]
 //	       [-parallel N]
 //
-// The copy, echo and serve workloads need the cluster options API (a
-// second disk, scripted terminal input, a simulated client
-// population), so they run under -scenario and -campaign only, with
-// canonical device configurations.
+// The copy, echo and serve workloads run with canonical device
+// configurations (a second disk, a scripted terminal input, a simulated
+// client population).
 //
 // Scenario example (see runScenario for the command set):
 //
@@ -39,6 +38,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -49,7 +49,7 @@ import (
 
 func main() {
 	var (
-		workload = flag.String("workload", "cpu", "cpu, write, read, copy, echo or serve (copy/echo/serve: scenario and campaign modes only)")
+		workload = flag.String("workload", "cpu", "cpu, write, read, copy, echo or serve")
 		iters    = flag.Uint("iters", 20000, "CPU workload iterations")
 		ops      = flag.Uint("ops", 8, "disk workload operations")
 		count    = flag.Uint("count", 8192, "bytes per disk operation")
@@ -122,6 +122,14 @@ func main() {
 		os.Exit(2)
 	}
 
+	opts := shape.ClusterOptions(*seed, *epoch, proto, linkModel, *backups)
+	if *window > 0 {
+		opts = append(opts, hft.WithOutputCommit(hft.OutputCommit{Window: *window, Adaptive: *adaptive}))
+	}
+	if *failAt > 0 {
+		opts = append(opts, hft.WithFailPrimaryAt(hft.Duration(*failAt*float64(hft.Millisecond))))
+	}
+
 	if *scenario != "" {
 		if *bare {
 			fmt.Fprintln(os.Stderr, "hftsim: -bare and -scenario are mutually exclusive (a scenario drives a replicated cluster)")
@@ -134,13 +142,6 @@ func main() {
 		}
 		if !isStdin {
 			defer script.Close()
-		}
-		opts := shape.ClusterOptions(*seed, *epoch, proto, linkModel, *backups)
-		if *window > 0 {
-			opts = append(opts, hft.WithOutputCommit(hft.OutputCommit{Window: *window, Adaptive: *adaptive}))
-		}
-		if *failAt > 0 {
-			opts = append(opts, hft.WithFailPrimaryAt(hft.Duration(*failAt*float64(hft.Millisecond))))
 		}
 		cluster, err := hft.NewCluster(opts...)
 		if err != nil {
@@ -175,29 +176,7 @@ func main() {
 		return
 	}
 
-	if *workload == "copy" || *workload == "echo" || *workload == "serve" {
-		fmt.Fprintf(os.Stderr, "hftsim: workload %q needs -scenario or -campaign (it requires the cluster options API)\n", *workload)
-		os.Exit(2)
-	}
-
-	cfg := hft.Config{
-		EpochLength: *epoch,
-		Seed:        *seed,
-		Protocol:    proto,
-		Backups:     *backups,
-	}
-	switch *link {
-	case "ethernet":
-		cfg.Link = hft.LinkEthernet10
-	case "atm":
-		cfg.Link = hft.LinkATM155
-	}
-	if *failAt > 0 {
-		cfg.FailPrimaryAt = hft.Duration(*failAt * float64(hft.Millisecond))
-	}
-	w := shape.Guest
-
-	bareRes, err := hft.RunBare(cfg, w)
+	bareRes, err := runToEnd(append(opts, hft.Bare()))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hftsim: bare run: %v\n", err)
 		os.Exit(1)
@@ -208,7 +187,7 @@ func main() {
 		return
 	}
 
-	repl, err := hft.Run(cfg, w)
+	repl, err := runToEnd(opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hftsim: replicated run: %v\n", err)
 		os.Exit(1)
@@ -229,6 +208,16 @@ func main() {
 		fmt.Printf("ERROR:           checksum differs from bare run\n")
 		os.Exit(1)
 	}
+}
+
+// runToEnd runs one session built from opts to completion.
+func runToEnd(opts []hft.Option) (hft.Result, error) {
+	c, err := hft.NewCluster(opts...)
+	if err != nil {
+		return hft.Result{}, err
+	}
+	defer c.Close()
+	return c.Wait(context.Background())
 }
 
 // resolveShape builds the workload shape from flags. The cpu/write/

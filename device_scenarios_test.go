@@ -62,7 +62,7 @@ func TestTwoDiskCopyDifferential(t *testing.T) {
 	w := TwoDiskCopy(5, 1024)
 	base := append([]Option{WithWorkload(w)}, fastDiskOpts()...)
 
-	bare, cb := runScenario(t, append(base, withBare())...)
+	bare, cb := runScenario(t, append(base, Bare())...)
 	repl, cr := runScenario(t, base...)
 	if repl.Checksum != bare.Checksum || repl.Console != bare.Console {
 		t.Fatalf("replicated (%#x, %q) != bare (%#x, %q)",
@@ -96,7 +96,7 @@ func TestTwoDiskCopyFailoverDifferential(t *testing.T) {
 	w := TwoDiskCopy(5, 1024)
 	base := append([]Option{WithWorkload(w)}, fastDiskOpts()...)
 
-	bare, cb := runScenario(t, append(base, withBare())...)
+	bare, cb := runScenario(t, append(base, Bare())...)
 	repl, cr := runScenario(t, append(base,
 		WithFailPrimaryAt(2*Millisecond),
 		WithDetectTimeout(3*Millisecond))...)
@@ -130,7 +130,7 @@ func TestTerminalEchoDifferential(t *testing.T) {
 	script := echoScript(12, 2*Millisecond)
 	base := []Option{WithWorkload(TerminalEcho()), WithTerminal(script...)}
 
-	bare, _ := runScenario(t, append(base, withBare())...)
+	bare, _ := runScenario(t, append(base, Bare())...)
 	want := "abcdefghijkl\n"
 	if bare.Console != want {
 		t.Fatalf("bare transcript = %q, want %q", bare.Console, want)
@@ -151,7 +151,7 @@ func TestTerminalEchoFailoverDifferential(t *testing.T) {
 	script := echoScript(16, 2*Millisecond)
 	base := []Option{WithWorkload(TerminalEcho()), WithTerminal(script...)}
 
-	bare, _ := runScenario(t, append(base, withBare())...)
+	bare, _ := runScenario(t, append(base, Bare())...)
 	for _, proto := range []Protocol{ProtocolOld, ProtocolNew} {
 		for _, failAt := range []Duration{5 * Millisecond, 11 * Millisecond, 21 * Millisecond} {
 			repl, _ := runScenario(t, append(base,
@@ -177,7 +177,7 @@ func TestTerminalEchoRepairChainDifferential(t *testing.T) {
 	script := echoScript(20, 5*Millisecond)
 	base := []Option{WithWorkload(TerminalEcho()), WithTerminal(script...)}
 
-	bare, _ := runScenario(t, append(base, withBare())...)
+	bare, _ := runScenario(t, append(base, Bare())...)
 
 	c, err := NewCluster(append(base, WithDetectTimeout(3*Millisecond))...)
 	if err != nil {

@@ -40,19 +40,22 @@ func ExampleNewCluster() {
 // the workload. The result matches what a single never-failing machine
 // produces.
 func ExampleCluster_FailPrimary() {
-	w := hft.DiskWrite(3, 4096)
-	bare, err := hft.RunBare(hft.Config{
-		DiskReadLatency:  500 * hft.Microsecond,
-		DiskWriteLatency: 600 * hft.Microsecond,
-	}, w)
+	opts := []hft.Option{
+		hft.WithWorkload(hft.DiskWrite(3, 4096)),
+		hft.WithDiskLatency(500*hft.Microsecond, 600*hft.Microsecond),
+	}
+	// The same options plus Bare() run the unreplicated baseline.
+	bc, err := hft.NewCluster(append(opts, hft.Bare())...)
+	if err != nil {
+		panic(err)
+	}
+	defer bc.Close()
+	bare, err := bc.Wait(context.Background())
 	if err != nil {
 		panic(err)
 	}
 
-	c, err := hft.NewCluster(
-		hft.WithWorkload(w),
-		hft.WithDiskLatency(500*hft.Microsecond, 600*hft.Microsecond),
-	)
+	c, err := hft.NewCluster(opts...)
 	if err != nil {
 		panic(err)
 	}
@@ -231,21 +234,25 @@ func ExampleCluster_Events() {
 // the failover epoch's suppressed replies exactly once, and the reply
 // stream matches what one never-failing machine produces.
 func ExampleNewCluster_service() {
-	workload := hft.ServeRequests(24, 50)
-	load := hft.ClientLoad{Clients: 8, MeanGap: 500 * hft.Microsecond, Timeout: 50 * hft.Millisecond}
+	failAt := 6 * hft.Millisecond
+	opts := []hft.Option{
+		hft.WithWorkload(hft.ServeRequests(24, 50)),
+		hft.WithClientLoad(hft.ClientLoad{Clients: 8, MeanGap: 500 * hft.Microsecond, Timeout: 50 * hft.Millisecond}),
+		hft.WithFailPrimaryAt(failAt), // a bare session has no primary to fail
+		hft.WithDetectTimeout(3 * hft.Millisecond),
+	}
 
-	bare, err := hft.RunBare(hft.Config{ClientLoad: &load}, workload)
+	bc, err := hft.NewCluster(append(opts, hft.Bare())...)
+	if err != nil {
+		panic(err)
+	}
+	defer bc.Close()
+	bare, err := bc.Wait(context.Background())
 	if err != nil {
 		panic(err)
 	}
 
-	failAt := 6 * hft.Millisecond
-	c, err := hft.NewCluster(
-		hft.WithWorkload(workload),
-		hft.WithClientLoad(load),
-		hft.WithFailPrimaryAt(failAt),
-		hft.WithDetectTimeout(3*hft.Millisecond),
-	)
+	c, err := hft.NewCluster(opts...)
 	if err != nil {
 		panic(err)
 	}

@@ -7,21 +7,31 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	hft "repro"
 )
 
-func run(name string, w hft.Workload, cfg hft.Config) {
-	bare, err := hft.RunBare(cfg, w)
+// wait runs one session built from opts to completion.
+func wait(opts ...hft.Option) hft.Result {
+	c, err := hft.NewCluster(opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	repl, err := hft.Run(cfg, w)
+	defer c.Close()
+	res, err := c.Wait(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
+	return res
+}
+
+func run(name string, w hft.Workload, proto hft.Protocol) {
+	opts := []hft.Option{hft.WithWorkload(w), hft.WithEpochLength(4096), hft.WithProtocol(proto)}
+	bare := wait(append(opts, hft.Bare())...)
+	repl := wait(opts...)
 	if repl.Checksum != bare.Checksum {
 		log.Fatalf("%s: result mismatch", name)
 	}
@@ -30,15 +40,13 @@ func run(name string, w hft.Workload, cfg hft.Config) {
 }
 
 func main() {
-	cfg := hft.Config{EpochLength: 4096, Protocol: hft.ProtocolOld}
 	fmt.Println("Disk benchmarks (paper device times; 8 KiB blocks; 4K epochs)")
 	fmt.Println("paper: write NP 1.67, read NP 2.03 at this epoch length")
 	fmt.Println()
-	run("disk write", hft.DiskWrite(6, 8192), cfg)
-	run("disk read", hft.DiskRead(6, 8192), cfg)
+	run("disk write", hft.DiskWrite(6, 8192), hft.ProtocolOld)
+	run("disk read", hft.DiskRead(6, 8192), hft.ProtocolOld)
 	fmt.Println()
 	fmt.Println("Under the revised protocol (§4.3) the boundary waits disappear:")
-	cfg.Protocol = hft.ProtocolNew
-	run("write (new)", hft.DiskWrite(6, 8192), cfg)
-	run("read (new)", hft.DiskRead(6, 8192), cfg)
+	run("write (new)", hft.DiskWrite(6, 8192), hft.ProtocolNew)
+	run("read (new)", hft.DiskRead(6, 8192), hft.ProtocolNew)
 }

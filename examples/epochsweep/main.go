@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,8 +14,32 @@ import (
 	"repro/internal/perfmodel"
 )
 
+// wait runs one session built from opts to completion.
+func wait(opts ...hft.Option) hft.Result {
+	c, err := hft.NewCluster(opts...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer c.Close()
+	res, err := c.Wait(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
+}
+
 func main() {
-	w := hft.CPUIntensive(12000)
+	w := hft.WithWorkload(hft.CPUIntensive(12000))
+	// One bare baseline serves the whole sweep: a bare run has no epochs
+	// to vary.
+	bare := wait(w, hft.Bare())
+	np := func(el uint64, proto hft.Protocol) float64 {
+		repl := wait(w, hft.WithEpochLength(el), hft.WithProtocol(proto))
+		if repl.Checksum != bare.Checksum || repl.GuestPanic != 0 {
+			log.Fatalf("EL %d: replicated result %#x differs from bare %#x", el, repl.Checksum, bare.Checksum)
+		}
+		return float64(repl.Time) / float64(bare.Time)
+	}
 	model := perfmodel.PaperCPU()
 	modelNew := model.WithHEpoch(perfmodel.HEpochNew)
 
@@ -23,16 +48,9 @@ func main() {
 	fmt.Printf("%-8s  %-22s  %-22s\n", "", "original protocol", "revised protocol (§4.3)")
 	fmt.Printf("%-8s  %-10s %-10s  %-10s %-10s\n", "EL", "measured", "model", "measured", "model")
 	for _, el := range []uint64{1024, 2048, 4096, 8192, 16384, 32768} {
-		oldNP, err := hft.NormalizedPerformance(hft.Config{EpochLength: el, Protocol: hft.ProtocolOld}, w)
-		if err != nil {
-			log.Fatal(err)
-		}
-		newNP, err := hft.NormalizedPerformance(hft.Config{EpochLength: el, Protocol: hft.ProtocolNew}, w)
-		if err != nil {
-			log.Fatal(err)
-		}
 		fmt.Printf("%-8d  %-10.2f %-10.2f  %-10.2f %-10.2f\n",
-			el, oldNP, perfmodel.NPC(model, float64(el)), newNP, perfmodel.NPC(modelNew, float64(el)))
+			el, np(el, hft.ProtocolOld), perfmodel.NPC(model, float64(el)),
+			np(el, hft.ProtocolNew), perfmodel.NPC(modelNew, float64(el)))
 	}
 	fmt.Println()
 	fmt.Printf("HP-UX bound (385,000 instructions): model predicts %.2f — the paper's 1.24.\n",

@@ -19,7 +19,12 @@ func main() {
 	w := hft.DiskWrite(6, 8192)
 
 	// Baseline: what a single never-failing machine produces.
-	bare, err := hft.RunBare(hft.Config{}, w)
+	bc, err := hft.NewCluster(hft.WithWorkload(w), hft.Bare())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer bc.Close()
+	bare, err := bc.Wait(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,7 +15,12 @@ func main() {
 	w := hft.CPUIntensive(20000)
 
 	// Baseline: the same workload on a single bare machine.
-	bare, err := hft.RunBare(hft.Config{}, w)
+	bc, err := hft.NewCluster(hft.WithWorkload(w), hft.Bare())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer bc.Close()
+	bare, err := bc.Wait(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

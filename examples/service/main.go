@@ -32,7 +32,12 @@ func main() {
 	}
 
 	// Baseline: the same service on one never-failing bare machine.
-	bareRes, err := hft.RunBare(hft.Config{ClientLoad: &load}, workload)
+	bc, err := hft.NewCluster(hft.WithWorkload(workload), hft.WithClientLoad(load), hft.Bare())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer bc.Close()
+	bareRes, err := bc.Wait(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,36 +7,43 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	hft "repro"
 )
 
-func main() {
-	w := hft.DiskWrite(5, 8192)
-	cfg := hft.Config{
-		EpochLength:      4096,
-		Backups:          2, // t = 2
-		DiskReadLatency:  2 * hft.Millisecond,
-		DiskWriteLatency: 3 * hft.Millisecond,
-	}
-
-	bare, err := hft.RunBare(cfg, w)
+// wait runs one session built from opts to completion.
+func wait(opts ...hft.Option) hft.Result {
+	c, err := hft.NewCluster(opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer c.Close()
+	res, err := c.Wait(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
+}
+
+func main() {
+	opts := []hft.Option{
+		hft.WithWorkload(hft.DiskWrite(5, 8192)),
+		hft.WithEpochLength(4096),
+		hft.WithBackups(2), // t = 2
+		hft.WithDiskLatency(2*hft.Millisecond, 3*hft.Millisecond),
+	}
+
+	bare := wait(append(opts, hft.Bare())...)
 	fmt.Printf("bare machine result:      %#x in %v\n", bare.Checksum, bare.Time)
 
 	// First failure: the primary, early in the run. Second failure: the
 	// promoted backup, mid-run. Backup 2 must finish alone.
-	cfg.FailPrimaryAt = 2 * hft.Millisecond
-	cfg.FailBackupAt = []hft.Duration{120 * hft.Millisecond}
-
-	repl, err := hft.Run(cfg, w)
-	if err != nil {
-		log.Fatal(err)
-	}
+	repl := wait(append(opts,
+		hft.WithFailPrimaryAt(2*hft.Millisecond),
+		hft.WithFailBackupAt(1, 120*hft.Millisecond))...)
 	fmt.Printf("after TWO failstops:      %#x in %v\n", repl.Checksum, repl.Time)
 	fmt.Printf("promotions occurred:      %v\n", repl.Promoted)
 	fmt.Printf("uncertain interrupts:     %d (rule P7, possibly at both failovers)\n",

@@ -38,27 +38,21 @@
 // repair half of the paper's §5 story. Sessions checkpoint with
 // Cluster.Save and resume bit-identically with Restore.
 //
-// # Legacy one-shot runs
+// # The bare baseline
 //
-// The pre-session batch API remains for compatibility, reimplemented
-// as thin wrappers over Cluster sessions and pinned byte-for-byte to
-// its historical results:
+// The paper's figure of merit is N'/N: the replicated run's completion
+// time over an unreplicated run's. Bare() turns a session into that
+// single-machine baseline — same workload, disks, terminal input and
+// client load, no replica set:
 //
-//	w := hft.CPUIntensive(10000)
-//	np, err := hft.NormalizedPerformance(hft.Config{EpochLength: 4096}, w)
-//	// np ≈ 6.5: the paper's Figure 2 at 4K-instruction epochs.
-//
-// New code should start from NewCluster; capabilities added since the
-// redesign (live perturbation, events, reintegration, checkpointing)
-// exist only on the session surface.
+//	opts := []hft.Option{hft.WithWorkload(hft.CPUIntensive(10000)), hft.WithEpochLength(4096)}
+//	repl, _ := hft.NewCluster(opts...)
+//	bare, _ := hft.NewCluster(append(opts, hft.Bare())...)
+//	// repl.Wait(ctx).Time / bare.Wait(ctx).Time ≈ 6.5: the paper's
+//	// Figure 2 at 4K-instruction epochs.
 package hft
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"sync"
-
 	"repro/internal/guest"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -124,60 +118,10 @@ func ServeRequests(requests, work uint32) Workload { return guest.ServeRequests(
 // for byte, including across failovers.
 func TerminalEcho() Workload { return guest.TerminalEcho() }
 
-// Link identifies a built-in hypervisor-to-hypervisor channel in the
-// legacy Config API. New code plugs a LinkModel into WithLink instead.
-type Link string
-
-// Supported links (Figure 4 compares them).
-const (
-	LinkEthernet10 Link = "ethernet10" // the prototype's 10 Mbps Ethernet
-	LinkATM155     Link = "atm155"     // §4.3's 155 Mbps ATM
-)
-
-// Config parameterizes a one-shot run (the legacy API; Cluster options
-// supersede it). Every field is validated before any simulation runs.
-type Config struct {
-	// EpochLength is instructions per epoch (default 4096, the paper's
-	// reference point; HP-UX bounds it at 385,000).
-	EpochLength uint64
-	// Protocol selects Old (§2) or New (§4.3); default Old.
-	Protocol Protocol
-	// Link selects the channel model; default LinkEthernet10. Unknown
-	// names are rejected up front.
-	Link Link
-	// Seed makes the whole simulation reproducible. Zero means "the
-	// default seed, 1" — a deliberate, documented rewrite kept for
-	// compatibility (the zero value of Config must remain runnable).
-	// The session API's WithSeed rejects zero instead.
-	Seed int64
-	// FailPrimaryAt, when nonzero, failstops the primary's processor at
-	// that virtual time.
-	FailPrimaryAt sim.Time
-	// DetectTimeout is the backup's failure-detection timeout
-	// (default 50 ms simulated).
-	DetectTimeout sim.Time
-	// DiskReadLatency/DiskWriteLatency override the device service
-	// times (defaults: the paper's 24.2 ms / 26 ms).
-	DiskReadLatency  sim.Time
-	DiskWriteLatency sim.Time
-	// Backups is t, the number of backup replicas (default 1): the
-	// virtual machine tolerates t failstops. Negative values are
-	// rejected.
-	Backups int
-	// FailBackupAt failstops backup i+1 at FailBackupAt[i] (for
-	// multi-failure experiments). A schedule longer than the replica
-	// set is rejected.
-	FailBackupAt []sim.Time
-	// ClientLoad, when non-nil, attaches a simulated client population
-	// to the cluster's virtual NIC. The workload must be ServeRequests
-	// (the request count derives from it); see WithClientLoad.
-	ClientLoad *ClientLoad
-}
-
 // Duration re-exports the simulated time unit (nanoseconds).
 type Duration = sim.Time
 
-// Convenient durations for Config fields.
+// Convenient durations.
 const (
 	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond
@@ -208,150 +152,4 @@ type Result struct {
 	// (empty without a NIC). Replicated runs match bare runs byte for
 	// byte, including across failovers and reintegrations.
 	NetReplies string
-}
-
-func (c Config) withDefaults() Config {
-	if c.EpochLength == 0 {
-		c.EpochLength = 4096
-	}
-	if c.Link == "" {
-		c.Link = LinkEthernet10
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// linkModel resolves the legacy link name to a LinkModel.
-func (c Config) linkModel() (LinkModel, error) {
-	switch c.Link {
-	case LinkEthernet10:
-		return Ethernet10(), nil
-	case LinkATM155:
-		return ATM155(), nil
-	}
-	return nil, fmt.Errorf("hft: unknown link %q", c.Link)
-}
-
-// validate rejects nonsensical configurations — eagerly, before any
-// simulation state exists.
-func (c Config) validate() error {
-	if c.EpochLength > 385000 {
-		return errors.New("hft: epoch length exceeds the HP-UX clock-maintenance bound (385,000)")
-	}
-	if _, err := c.linkModel(); err != nil {
-		return err
-	}
-	if c.Backups < 0 {
-		return fmt.Errorf("hft: negative backup count %d", c.Backups)
-	}
-	backups := c.Backups
-	if backups == 0 {
-		backups = 1
-	}
-	if len(c.FailBackupAt) > backups {
-		return fmt.Errorf("hft: FailBackupAt schedules %d backups but the replica set has %d",
-			len(c.FailBackupAt), backups)
-	}
-	for _, at := range c.FailBackupAt {
-		if at < 0 {
-			return fmt.Errorf("hft: negative backup failure time %v", at)
-		}
-	}
-	if c.FailPrimaryAt < 0 {
-		return fmt.Errorf("hft: negative primary failure time %v", c.FailPrimaryAt)
-	}
-	if c.DetectTimeout < 0 || c.DiskReadLatency < 0 || c.DiskWriteLatency < 0 {
-		return errors.New("hft: negative duration in configuration")
-	}
-	return nil
-}
-
-// RunBare executes the workload on a single bare machine — the paper's
-// baseline (N in the normalized performance N'/N) — as a one-shot
-// session over the Cluster engine.
-func RunBare(cfg Config, w Workload) (Result, error) {
-	c, err := NewCluster(WithConfig(cfg, w), withBare())
-	if err != nil {
-		return Result{}, err
-	}
-	defer c.Close()
-	return c.Wait(context.Background())
-}
-
-// Run executes the workload on the replicated pair (N'). It is the
-// one-shot wrapper over a Cluster session: boot, run to completion,
-// report.
-func Run(cfg Config, w Workload) (Result, error) {
-	c, err := NewCluster(WithConfig(cfg, w))
-	if err != nil {
-		return Result{}, err
-	}
-	defer c.Close()
-	return c.Wait(context.Background())
-}
-
-// baselineKey identifies a bare-baseline measurement: everything a
-// bare run's outcome depends on.
-type baselineKey struct {
-	seed        int64
-	w           Workload
-	read, write sim.Time
-}
-
-var (
-	baselineMu    sync.Mutex
-	baselineCache = map[baselineKey]Result{}
-)
-
-// bareBaseline returns the bare result for cfg/w, reusing a cached
-// measurement when the same workload/scale has been run before
-// (repeated NormalizedPerformance calls across epoch lengths, protocols
-// or links share one baseline, as the experiment harness always has).
-func bareBaseline(cfg Config, w Workload) (Result, error) {
-	cfg = cfg.withDefaults()
-	key := baselineKey{seed: cfg.Seed, w: w, read: cfg.DiskReadLatency, write: cfg.DiskWriteLatency}
-	baselineMu.Lock()
-	cached, ok := baselineCache[key]
-	baselineMu.Unlock()
-	if ok {
-		return cached, nil
-	}
-	bare, err := RunBare(cfg, w)
-	if err != nil {
-		return Result{}, err
-	}
-	baselineMu.Lock()
-	baselineCache[key] = bare
-	baselineMu.Unlock()
-	return bare, nil
-}
-
-// NormalizedPerformance runs the workload bare and replicated and
-// returns N'/N — the paper's figure of merit. The bare baseline is
-// cached per (seed, workload, disk latencies): sweeping epoch lengths,
-// protocols or links re-runs only the replicated half.
-func NormalizedPerformance(cfg Config, w Workload) (float64, error) {
-	if err := cfg.withDefaults().validate(); err != nil {
-		return 0, err
-	}
-	bare, err := bareBaseline(cfg, w)
-	if err != nil {
-		return 0, err
-	}
-	repl, err := Run(cfg, w)
-	if err != nil {
-		return 0, err
-	}
-	if bare.GuestPanic != 0 || repl.GuestPanic != 0 {
-		return 0, fmt.Errorf("hft: guest panic (bare %#x, replicated %#x)", bare.GuestPanic, repl.GuestPanic)
-	}
-	if bare.Checksum != repl.Checksum {
-		return 0, fmt.Errorf("hft: replica result %#x differs from bare %#x", repl.Checksum, bare.Checksum)
-	}
-	if bare.Time == 0 {
-		return 0, errors.New("hft: zero baseline time")
-	}
-	return float64(repl.Time) / float64(bare.Time), nil
 }

@@ -1,17 +1,27 @@
 package hft
 
 import (
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-func TestNormalizedPerformanceCPU(t *testing.T) {
-	np, err := NormalizedPerformance(Config{EpochLength: 4096}, CPUIntensive(5000))
-	if err != nil {
-		t.Fatal(err)
+// normalized runs opts bare and replicated and returns N'/N — the
+// paper's figure of merit — after checking the two runs agree.
+func normalized(t *testing.T, opts ...Option) float64 {
+	t.Helper()
+	bare, _ := runScenario(t, append(opts[:len(opts):len(opts)], Bare())...)
+	repl, _ := runScenario(t, opts...)
+	if bare.Checksum != repl.Checksum {
+		t.Fatalf("replica result %#x differs from bare %#x", repl.Checksum, bare.Checksum)
 	}
+	return float64(repl.Time) / float64(bare.Time)
+}
+
+func TestNormalizedPerformanceCPU(t *testing.T) {
+	np := normalized(t, WithWorkload(CPUIntensive(5000)), WithEpochLength(4096))
 	if np <= 1 {
 		t.Errorf("np = %.3f, want > 1", np)
 	}
@@ -22,16 +32,9 @@ func TestNormalizedPerformanceCPU(t *testing.T) {
 }
 
 func TestRunBareAndReplicatedAgree(t *testing.T) {
-	cfg := Config{EpochLength: 2048}
-	w := CPUIntensive(3000)
-	bare, err := RunBare(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repl, err := Run(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := []Option{WithWorkload(CPUIntensive(3000)), WithEpochLength(2048)}
+	bare, _ := runScenario(t, append(opts, Bare())...)
+	repl, _ := runScenario(t, opts...)
 	if bare.Checksum != repl.Checksum {
 		t.Errorf("checksums differ: %#x vs %#x", bare.Checksum, repl.Checksum)
 	}
@@ -44,116 +47,86 @@ func TestRunBareAndReplicatedAgree(t *testing.T) {
 	if repl.MessagesSent == 0 {
 		t.Error("no protocol messages sent")
 	}
+	if bare.MessagesSent != 0 || bare.Promoted {
+		t.Errorf("bare run reports protocol activity: %+v", bare)
+	}
 }
 
 func TestFailoverThroughPublicAPI(t *testing.T) {
-	cfg := Config{
-		EpochLength:      4096,
-		FailPrimaryAt:    5 * Millisecond,
-		DiskReadLatency:  500 * Microsecond,
-		DiskWriteLatency: 600 * Microsecond,
+	opts := []Option{
+		WithWorkload(DiskWrite(3, 4096)),
+		WithEpochLength(4096),
+		WithFailPrimaryAt(5 * Millisecond),
+		WithDiskLatency(500*Microsecond, 600*Microsecond),
 	}
-	w := DiskWrite(3, 4096)
-	bare, err := RunBare(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repl, err := Run(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The bare session ignores the failure schedule: it has no replica set.
+	bare, _ := runScenario(t, append(opts, Bare())...)
+	repl, _ := runScenario(t, opts...)
 	if !repl.Promoted {
 		t.Fatal("backup did not promote")
-	}
-	if repl.GuestPanic != 0 {
-		t.Fatalf("guest panic %#x", repl.GuestPanic)
 	}
 	if repl.Checksum != bare.Checksum {
 		t.Errorf("failover checksum %#x != bare %#x", repl.Checksum, bare.Checksum)
 	}
 }
 
+// TestConfigValidation: a bare session validates its options as eagerly
+// as a replicated one, including the replica-set options it will ignore.
 func TestConfigValidation(t *testing.T) {
-	_, err := Run(Config{EpochLength: 500000}, CPUIntensive(10))
+	work := WithWorkload(CPUIntensive(10))
+	_, err := NewCluster(work, WithEpochLength(500000), Bare())
 	if err == nil || !strings.Contains(err.Error(), "385,000") {
 		t.Errorf("oversized epoch accepted: %v", err)
 	}
-	_, err = Run(Config{Link: "token-ring"}, CPUIntensive(10))
-	if err == nil || !strings.Contains(err.Error(), "unknown link") {
+	_, err = NewCluster(work, Bare(), WithLink(nil))
+	if err == nil || !strings.Contains(err.Error(), "nil LinkModel") {
 		t.Errorf("bad link accepted: %v", err)
 	}
 }
 
 func TestProtocolComparison(t *testing.T) {
-	w := CPUIntensive(5000)
-	oldNP, err := NormalizedPerformance(Config{EpochLength: 2048, Protocol: ProtocolOld}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newNP, err := NormalizedPerformance(Config{EpochLength: 2048, Protocol: ProtocolNew}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	work, el := WithWorkload(CPUIntensive(5000)), WithEpochLength(2048)
+	oldNP := normalized(t, work, el, WithProtocol(ProtocolOld))
+	newNP := normalized(t, work, el, WithProtocol(ProtocolNew))
 	if newNP >= oldNP {
 		t.Errorf("revised protocol (%.2f) not faster than original (%.2f)", newNP, oldNP)
 	}
 }
 
 func TestLinkComparison(t *testing.T) {
-	w := CPUIntensive(5000)
-	eth, err := NormalizedPerformance(Config{EpochLength: 4096, Link: LinkEthernet10}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	atm, err := NormalizedPerformance(Config{EpochLength: 4096, Link: LinkATM155}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	work, el := WithWorkload(CPUIntensive(5000)), WithEpochLength(4096)
+	eth := normalized(t, work, el, WithLink(Ethernet10()))
+	atm := normalized(t, work, el, WithLink(ATM155()))
 	if atm >= eth {
 		t.Errorf("ATM (%.2f) not faster than Ethernet (%.2f)", atm, eth)
 	}
 }
 
 func TestSeedReproducibility(t *testing.T) {
-	w := DiskRead(2, 2048)
-	cfg := Config{EpochLength: 4096, Seed: 99,
-		DiskReadLatency: 300 * Microsecond, DiskWriteLatency: 300 * Microsecond}
-	a, err := Run(cfg, w)
-	if err != nil {
-		t.Fatal(err)
+	opts := []Option{
+		WithWorkload(DiskRead(2, 2048)), WithEpochLength(4096), WithSeed(99),
+		WithDiskLatency(300*Microsecond, 300*Microsecond),
 	}
-	b, err := Run(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := runScenario(t, opts...)
+	b, _ := runScenario(t, opts...)
 	if a.Time != b.Time || a.Checksum != b.Checksum {
 		t.Errorf("same seed, different runs: %v/%#x vs %v/%#x", a.Time, a.Checksum, b.Time, b.Checksum)
 	}
 }
 
 func TestTwoFaultToleranceThroughPublicAPI(t *testing.T) {
-	cfg := Config{
-		EpochLength:      4096,
-		Backups:          2,
-		DiskReadLatency:  400 * Microsecond,
-		DiskWriteLatency: 500 * Microsecond,
-		FailPrimaryAt:    2 * Millisecond,
-		FailBackupAt:     []Duration{120 * Millisecond},
+	opts := []Option{
+		WithWorkload(DiskWrite(3, 2048)),
+		WithEpochLength(4096),
+		WithBackups(2),
+		WithDiskLatency(400*Microsecond, 500*Microsecond),
+		WithFailPrimaryAt(2 * Millisecond),
+		WithFailBackupAt(1, 120*Millisecond),
 	}
-	w := DiskWrite(3, 2048)
-	bare, err := RunBare(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repl, err := Run(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare, _ := runScenario(t, append(opts, Bare())...)
+	repl, _ := runScenario(t, opts...)
 	if !repl.Promoted {
 		t.Fatal("no promotion under double failure")
-	}
-	if repl.GuestPanic != 0 {
-		t.Fatalf("guest panic %#x", repl.GuestPanic)
 	}
 	if repl.Checksum != bare.Checksum {
 		t.Errorf("double-failure checksum %#x != bare %#x", repl.Checksum, bare.Checksum)
@@ -163,5 +136,50 @@ func TestTwoFaultToleranceThroughPublicAPI(t *testing.T) {
 func TestDurationConstants(t *testing.T) {
 	if Second != sim.Second || Millisecond != sim.Millisecond || Microsecond != sim.Microsecond {
 		t.Error("duration constants drifted from sim package")
+	}
+}
+
+// TestBareOption: Bare() composes with the environment options — a
+// second disk, terminal input, client load — and each bare run equals
+// the replicated run in everything the environment can observe.
+func TestBareOption(t *testing.T) {
+	cases := map[string][]Option{
+		"second disk": append(fastDiskOpts(), WithWorkload(TwoDiskCopy(3, 1024))),
+		"terminal": {WithWorkload(TerminalEcho()),
+			WithTerminal(TerminalInput{At: Millisecond, Data: "hi" + string(rune(TerminalEOT))})},
+		"client load": {WithWorkload(ServeRequests(8, 20)), WithClientLoad(ClientLoad{Clients: 4})},
+	}
+	for name, opts := range cases {
+		t.Run(name, func(t *testing.T) {
+			bare, _ := runScenario(t, append(opts, Bare())...)
+			repl, _ := runScenario(t, opts...)
+			if bare.Checksum != repl.Checksum || bare.Console != repl.Console || bare.NetReplies != repl.NetReplies {
+				t.Errorf("bare (%#x, %q, %d reply bytes) != replicated (%#x, %q, %d reply bytes)",
+					bare.Checksum, bare.Console, len(bare.NetReplies),
+					repl.Checksum, repl.Console, len(repl.NetReplies))
+			}
+			if bare.Time >= repl.Time {
+				t.Errorf("bare run (%v) not faster than replicated (%v)", bare.Time, repl.Time)
+			}
+		})
+	}
+
+	// A bare session has no replica set to perturb, repair or checkpoint.
+	c, err := NewCluster(WithWorkload(CPUIntensive(2000)), WithBackups(2), Bare())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if snap, err := c.RunFor(10 * Microsecond); err != nil || snap.Nodes != 1 {
+		t.Fatalf("bare RunFor: %d nodes, %v", snap.Nodes, err)
+	}
+	if err := c.FailBackup(1); err == nil || !strings.Contains(err.Error(), "no backups") {
+		t.Errorf("FailBackup on a bare session: %v", err)
+	}
+	if _, err := c.AddBackup(); err == nil || !strings.Contains(err.Error(), "no replica set") {
+		t.Errorf("AddBackup on a bare session: %v", err)
+	}
+	if err := c.Save(io.Discard); err == nil {
+		t.Error("Save accepted a bare session")
 	}
 }

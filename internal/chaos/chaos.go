@@ -29,15 +29,11 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	hft "repro"
-	"repro/internal/clientsim"
-	"repro/internal/console"
-	"repro/internal/scsi"
-	"repro/internal/session"
-	"repro/internal/sim"
 )
 
 // Workload names the canonical quick-scale workload shapes the
@@ -131,28 +127,13 @@ func (w Workload) ClusterOptions(seed int64, epoch uint64, proto hft.Protocol, l
 	return opts
 }
 
-// clientLoadConfig lowers the public client-load description to the
-// session layer's representation; the request count derives from the
-// guest's op count, mirroring the public option's validation.
-func (w Workload) clientLoadConfig() *clientsim.Config {
-	if w.ClientLoad == nil {
-		return nil
-	}
-	cl := w.ClientLoad
-	return &clientsim.Config{
-		Clients:      cl.Clients,
-		Requests:     int(w.Guest.Ops),
-		PayloadWords: cl.PayloadWords,
-		Start:        sim.Time(cl.Start),
-		MeanGap:      sim.Time(cl.MeanGap),
-		Timeout:      sim.Time(cl.Timeout),
-	}
-}
-
-// bareKey identifies a bare baseline. Bare runs see no network and no
-// failures, so the protocol/link/backups axes are irrelevant.
+// bareKey identifies a bare baseline: the shape's guest benchmark (a
+// name alone does not — hftsim builds "cpu" at any iteration count),
+// seed and epoch length. Bare runs see no network and no failures, so
+// the protocol/link/backups axes are irrelevant.
 type bareKey struct {
 	workload string
+	guest    hft.Workload
 	seed     int64
 	epoch    uint64
 }
@@ -173,12 +154,11 @@ var (
 )
 
 // bareBaseline runs (or recalls) the unreplicated reference execution
-// for a shape. The public hft.RunBare cannot express multi-disk or
-// terminal configurations, so the baseline is computed directly on the
-// session engine with Bare set. Results are cached: a campaign
-// executes thousands of schedules over five shapes.
+// for a shape: the shape's own cluster options plus hft.Bare(). Results
+// are cached: a campaign executes thousands of schedules over six
+// shapes.
 func bareBaseline(w Workload, seed int64, epoch uint64) baseline {
-	key := bareKey{w.Name, seed, epoch}
+	key := bareKey{w.Name, w.Guest, seed, epoch}
 	bareMu.Lock()
 	b, ok := bareCache[key]
 	bareMu.Unlock()
@@ -186,28 +166,29 @@ func bareBaseline(w Workload, seed int64, epoch uint64) baseline {
 		return b
 	}
 
-	eng := session.New(session.Options{
-		Seed:        seed,
-		Bare:        true,
-		Program:     session.WorkloadProgram(w.Guest),
-		ExtraDisks:  make([]scsi.DiskConfig, w.ExtraDisks),
-		Terminal:    terminalInputs(w.Terminal),
-		ClientLoad:  w.clientLoadConfig(),
-		EpochLength: epoch,
-	})
-	defer eng.Close()
-	if err := eng.RunToCompletion(nil); err != nil {
-		b = baseline{err: fmt.Errorf("chaos: bare baseline for %q: %w", w.Name, err)}
-	} else if r, err := eng.Result(); err != nil {
-		b = baseline{err: fmt.Errorf("chaos: bare baseline for %q: %w", w.Name, err)}
-	} else {
-		b = baseline{checksum: r.Guest.Checksum, console: r.Console, replies: r.NetReplies, panic: r.Guest.Panic}
+	b = runBare(w, seed, epoch)
+	if b.err != nil {
+		b.err = fmt.Errorf("chaos: bare baseline for %q: %w", w.Name, b.err)
 	}
 
 	bareMu.Lock()
 	bareCache[key] = b
 	bareMu.Unlock()
 	return b
+}
+
+func runBare(w Workload, seed int64, epoch uint64) baseline {
+	opts := append(w.ClusterOptions(seed, epoch, hft.ProtocolOld, hft.Ethernet10(), 1), hft.Bare())
+	c, err := hft.NewCluster(opts...)
+	if err != nil {
+		return baseline{err: err}
+	}
+	defer c.Close()
+	r, err := c.Wait(context.Background())
+	if err != nil {
+		return baseline{err: err}
+	}
+	return baseline{checksum: r.Checksum, console: r.Console, replies: r.NetReplies, panic: r.GuestPanic}
 }
 
 // Bare exposes the cached bare reference execution for a shape —
@@ -218,14 +199,4 @@ func bareBaseline(w Workload, seed int64, epoch uint64) baseline {
 func Bare(w Workload, seed int64, epoch uint64) (checksum uint32, console, replies string, err error) {
 	b := bareBaseline(w, seed, epoch)
 	return b.checksum, b.console, b.replies, b.err
-}
-
-// terminalInputs lowers the public terminal script to the console
-// layer's representation (what the session engine consumes).
-func terminalInputs(script []hft.TerminalInput) []console.Input {
-	var out []console.Input
-	for _, ev := range script {
-		out = append(out, console.Input{At: sim.Time(ev.At), Data: []byte(ev.Data)})
-	}
-	return out
 }

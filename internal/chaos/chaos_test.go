@@ -265,3 +265,25 @@ func TestMatchWriter(t *testing.T) {
 		}
 	}
 }
+
+// TestBareBaselineKeyedByShape: a shape's name does not identify it —
+// hftsim builds "cpu" at whatever -iters says — so two same-named shapes
+// of different sizes must get their own baselines, not the first one run.
+func TestBareBaselineKeyedByShape(t *testing.T) {
+	small := Workload{Name: "cpu", Guest: hft.CPUIntensive(300)}
+	large := Workload{Name: "cpu", Guest: hft.CPUIntensive(900)}
+	a, _, _, err := Bare(small, 1, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, _, err := Bare(large, 1, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatalf("300- and 900-iteration cpu shapes share one baseline checksum %#x", a)
+	}
+	if again, _, _, _ := Bare(small, 1, 1024); again != a {
+		t.Fatalf("recalled baseline %#x differs from the first run's %#x", again, a)
+	}
+}

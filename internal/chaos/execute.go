@@ -106,11 +106,6 @@ func Execute(s Schedule) Report { return ExecuteOpts(s, ExecOptions{}) }
 // ExecOptions customizes one schedule execution beyond the schedule
 // itself. The zero value reproduces Execute exactly.
 type ExecOptions struct {
-	// SharedImage backs every replica's RAM with the content-interned
-	// copy-on-write base image (hft.WithSharedImage) — fleet runs
-	// share kernel pages across thousands of concurrent clusters.
-	// Results and violations are unaffected.
-	SharedImage bool
 	// Metrics, when non-nil, receives the run's aggregates when
 	// ExecuteOpts returns (for violating runs, whatever was collected
 	// up to the violation).
@@ -152,9 +147,6 @@ func ExecuteOpts(s Schedule, o ExecOptions) (rep Report) {
 	opts := shape.ClusterOptions(s.Seed, s.Epoch, s.Protocol, s.LinkModel(), s.Backups)
 	if s.Window > 0 {
 		opts = append(opts, hft.WithOutputCommit(hft.OutputCommit{Window: s.Window, Adaptive: s.Adaptive}))
-	}
-	if o.SharedImage {
-		opts = append(opts, hft.WithSharedImage())
 	}
 	c, err := hft.NewCluster(opts...)
 	if err != nil {

@@ -36,10 +36,6 @@ type Spec struct {
 	// Workers is the work-stealing scheduler's width; < 1 selects all
 	// cores. The Report is bit-identical at any width.
 	Workers int `json:"-"`
-	// PrivateRAM gives every machine its own private RAM copy instead
-	// of the shared COW base image — the control arm for differential
-	// tests and memory measurements.
-	PrivateRAM bool `json:"private_ram,omitempty"`
 }
 
 // ShardResult is one shard's deterministic outcome.
@@ -86,10 +82,7 @@ func Run(spec Spec) Report {
 	results := make([]ShardResult, spec.Shards)
 	sched.ForEach(spec.Workers, spec.Shards, func(i int) {
 		var m chaos.Metrics
-		rep := chaos.ExecuteOpts(chaos.ScheduleAt(spec.Seed, i), chaos.ExecOptions{
-			SharedImage: !spec.PrivateRAM,
-			Metrics:     &m,
-		})
+		rep := chaos.ExecuteOpts(chaos.ScheduleAt(spec.Seed, i), chaos.ExecOptions{Metrics: &m})
 		r := ShardResult{Shard: i, Metrics: m}
 		if rep.Violation != nil {
 			r.Violation = rep.Violation.String()

@@ -39,21 +39,6 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 }
 
-// COW differential at fleet scale: shards on the shared base image
-// must produce exactly the results of shards with private RAM.
-func TestFleetSharedMatchesPrivate(t *testing.T) {
-	shared := Run(Spec{Shards: 6, Seed: 7, Workers: 3})
-	private := Run(Spec{Shards: 6, Seed: 7, Workers: 3, PrivateRAM: true})
-
-	if !reflect.DeepEqual(shared.Shards, private.Shards) {
-		t.Fatalf("shared-image shard results differ from private-RAM control")
-	}
-	if shared.Aggregate.Digest != private.Aggregate.Digest {
-		t.Fatalf("aggregate digest differs: shared %s private %s",
-			shared.Aggregate.Digest, private.Aggregate.Digest)
-	}
-}
-
 // Violating shards must be reported, not dropped: a schedule set known
 // to be clean reports zero violations (the chaos campaign suite covers
 // the violating side).

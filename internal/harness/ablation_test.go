@@ -7,15 +7,16 @@ import (
 	"repro/internal/machine"
 	"repro/internal/replication"
 	"repro/internal/scsi"
+	"repro/internal/session"
 )
 
 // ablationOptions builds a replicated run with a SMALL, NONDETERMINISTIC
 // TLB (random replacement, per-chip seeds) under the memory-stride
 // workload — the §3.2 hazard scenario.
-func ablationOptions(noTakeover bool, div *int) ReplicatedOptions {
-	return ReplicatedOptions{
+func ablationOptions(noTakeover bool, div *int) session.Options {
+	return session.Options{
 		Seed:        1,
-		Workload:    guest.MemoryStride(20000),
+		Program:     session.WorkloadProgram(guest.MemoryStride(20000)),
 		Disk:        scsi.DiskConfig{},
 		EpochLength: 2048,
 		Protocol:    replication.ProtocolOld,

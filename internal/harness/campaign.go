@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/replication"
+	"repro/internal/session"
 	"repro/internal/sim"
 )
 
@@ -37,8 +38,8 @@ func FailureCampaign(scale Scale, kind uint32, el uint64, proto replication.Prot
 	scale.forEach(len(times), func(i int) {
 		at := times[i]
 		r := CampaignResult{FailAt: at}
-		repl := RunReplicated(ReplicatedOptions{
-			Seed: 1, Workload: w, Disk: scale.Disk,
+		repl := RunReplicated(session.Options{
+			Seed: 1, Program: session.WorkloadProgram(w), Disk: scale.Disk,
 			EpochLength: el, Protocol: proto,
 			FailPrimaryAt: at,
 		})

@@ -10,6 +10,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/perfmodel"
 	"repro/internal/replication"
+	"repro/internal/session"
 )
 
 // Table1Row is one cell group of the paper's Table 1: a workload at an
@@ -42,7 +43,7 @@ func Table1(scale Scale) []Table1Row {
 	els := []uint64{1024, 2048, 4096, 8192}
 	protos := []replication.Protocol{replication.ProtocolOld, replication.ProtocolNew}
 
-	bares := make([]RunResult, len(workloads))
+	bares := make([]session.Result, len(workloads))
 	scale.forEach(len(workloads), func(i int) {
 		bares[i] = RunBare(1, scale.workload(workloadKinds[workloads[i]]), scale.Disk)
 	})
@@ -60,8 +61,8 @@ func Table1(scale Scale) []Table1Row {
 	scale.forEach(len(cells), func(i int) {
 		c := cells[i]
 		w := scale.workload(workloadKinds[workloads[c.wl]])
-		repl := RunReplicated(ReplicatedOptions{
-			Seed: 1, Workload: w, Disk: scale.Disk,
+		repl := RunReplicated(session.Options{
+			Seed: 1, Program: session.WorkloadProgram(w), Disk: scale.Disk,
 			EpochLength: els[c.el], Protocol: protos[c.proto],
 		})
 		check(bares[c.wl], repl)
@@ -85,7 +86,7 @@ func Table1(scale Scale) []Table1Row {
 
 // check panics on guest-visible inconsistency between a bare run and a
 // replicated run of the same workload.
-func check(bare, repl RunResult) {
+func check(bare, repl session.Result) {
 	if bare.Guest.Panic != 0 || repl.Guest.Panic != 0 {
 		panic(fmt.Sprintf("harness: guest panic (bare %#x, repl %#x)", bare.Guest.Panic, repl.Guest.Panic))
 	}
@@ -155,7 +156,7 @@ func Figure3(scale Scale) (write, read []FigurePoint) {
 	w, r := perfmodel.PaperWrite(), perfmodel.PaperRead()
 	grid := perfmodel.MeasuredGrid()
 	kinds := []uint32{guest.WorkloadDiskWrite, guest.WorkloadDiskRead}
-	bares := make([]RunResult, len(kinds))
+	bares := make([]session.Result, len(kinds))
 	scale.forEach(len(kinds), func(i int) {
 		bares[i] = RunBare(1, scale.workload(kinds[i]), scale.Disk)
 	})
@@ -296,9 +297,9 @@ func TLBAblationWorkers(workers int) []AblationResult {
 	ForEachWorkers(workers, len(cfgs), func(i int) {
 		c := cfgs[i]
 		div := 0
-		res := RunReplicated(ReplicatedOptions{
+		res := RunReplicated(session.Options{
 			Seed:          1,
-			Workload:      guest.MemoryStride(20000),
+			Program:       session.WorkloadProgram(guest.MemoryStride(20000)),
 			EpochLength:   2048,
 			Protocol:      replication.ProtocolOld,
 			Machine:       machine.Config{TLBSize: 8, TLBPolicy: c.policy},

@@ -9,8 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/guest"
-	"repro/internal/hypervisor"
-	"repro/internal/machine"
 	"repro/internal/netsim"
 	"repro/internal/replication"
 	"repro/internal/scsi"
@@ -101,98 +99,24 @@ func (s Scale) workload(kind uint32) guest.Workload {
 	panic(fmt.Sprintf("harness: unknown workload kind %d", kind))
 }
 
-// RunResult reports one simulated run.
-type RunResult struct {
-	// Time is the workload completion time (virtual).
-	Time sim.Time
-	// Guest is the kernel's ABI report.
-	Guest guest.Result
-	// Console is the primary-side console transcript.
-	Console string
-	// Promoted reports whether a failover occurred.
-	Promoted bool
-	// PrimaryStats/BackupStats are the protocol engines' counters
-	// (zero for bare runs).
-	PrimaryStats replication.Stats
-	BackupStats  replication.Stats
-	// HVStats is the primary hypervisor's activity (zero for bare).
-	HVStats hypervisor.Stats
-}
-
 // GuestMemBytes re-exports the per-machine RAM default (the session
 // engine owns the platform wiring now).
 const GuestMemBytes = session.GuestMemBytes
 
 // RunBare executes the workload on bare hardware (the paper's baseline).
-func RunBare(seed int64, w guest.Workload, disk scsi.DiskConfig) RunResult {
-	e := session.New(session.Options{
-		Seed:    seed,
-		Program: session.WorkloadProgram(w),
-		Bare:    true,
-		Disk:    disk,
-	})
+func RunBare(seed int64, w guest.Workload, disk scsi.DiskConfig) session.Result {
+	return RunReplicated(session.Options{Seed: seed, Program: session.WorkloadProgram(w), Bare: true, Disk: disk})
+}
+
+// RunReplicated drives one session to completion and returns its report:
+// a replicated group of one primary plus o.Backups backups (a
+// t-fault-tolerant virtual machine), or the single bare machine when
+// o.Bare. It preserves the harness's historical panic-on-wedge tripwire
+// — build a session.Engine directly to drive, observe or perturb the
+// cluster while it runs.
+func RunReplicated(o session.Options) session.Result {
+	e := session.New(o)
 	defer e.Close()
-	return finish(e)
-}
-
-// ReplicatedOptions configures a replicated run.
-type ReplicatedOptions struct {
-	Seed        int64
-	Workload    guest.Workload
-	Disk        scsi.DiskConfig
-	EpochLength uint64
-	Protocol    replication.Protocol
-	// Link configures the hypervisor channel (zero = 10 Mbps Ethernet).
-	Link netsim.LinkConfig
-	// FailPrimaryAt, if nonzero, failstops the primary at that virtual
-	// time.
-	FailPrimaryAt sim.Time
-	// DetectTimeout is the backup's failure-detection timeout
-	// (default 50 ms; backup i waits i x DetectTimeout).
-	DetectTimeout sim.Time
-	// Backups is the number of backup replicas t (default 1). The
-	// resulting virtual machine is t-fault-tolerant.
-	Backups int
-	// FailBackupAt failstops backup i+1 at FailBackupAt[i] (0 = never).
-	FailBackupAt []sim.Time
-	// Machine overrides the processor configuration (TLB size/policy —
-	// used by the §3.2 ablation).
-	Machine machine.Config
-	// NoTLBTakeover disables the hypervisor's §3.2 TLB takeover
-	// (ablation: demonstrates the nondeterminism hazard).
-	NoTLBTakeover bool
-	// OnDivergence, when set, observes backup digest mismatches instead
-	// of panicking.
-	OnDivergence func(epoch uint64, primary, backup uint64)
-}
-
-// RunReplicated executes the workload on a replicated group: one primary
-// plus o.Backups backups (a t-fault-tolerant virtual machine). It is a
-// one-shot convenience over the session engine — build a session.Engine
-// directly to drive, observe or perturb the cluster while it runs.
-func RunReplicated(o ReplicatedOptions) RunResult {
-	e := session.New(session.Options{
-		Seed:          o.Seed,
-		Program:       session.WorkloadProgram(o.Workload),
-		Disk:          o.Disk,
-		EpochLength:   o.EpochLength,
-		Protocol:      o.Protocol,
-		Link:          o.Link,
-		FailPrimaryAt: o.FailPrimaryAt,
-		DetectTimeout: o.DetectTimeout,
-		Backups:       o.Backups,
-		FailBackupAt:  o.FailBackupAt,
-		Machine:       o.Machine,
-		NoTLBTakeover: o.NoTLBTakeover,
-		OnDivergence:  o.OnDivergence,
-	})
-	defer e.Close()
-	return finish(e)
-}
-
-// finish drives a session to completion and converts its report,
-// preserving the harness's historical panic-on-wedge tripwire.
-func finish(e *session.Engine) RunResult {
 	if err := e.RunToCompletion(nil); err != nil {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
@@ -200,20 +124,12 @@ func finish(e *session.Engine) RunResult {
 	if err != nil {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
-	return RunResult{
-		Time:         r.Time,
-		Guest:        r.Guest,
-		Console:      r.Console,
-		Promoted:     r.Promoted,
-		PrimaryStats: r.PrimaryStats,
-		BackupStats:  r.BackupStats,
-		HVStats:      r.HVStats,
-	}
+	return r
 }
 
 // Measure computes normalized performance for one configuration: the
 // replicated completion time over the bare completion time.
-func Measure(scale Scale, kind uint32, el uint64, proto replication.Protocol, link netsim.LinkConfig) (np float64, bare, repl RunResult) {
+func Measure(scale Scale, kind uint32, el uint64, proto replication.Protocol, link netsim.LinkConfig) (np float64, bare, repl session.Result) {
 	w := scale.workload(kind)
 	bare = RunBare(1, w, scale.Disk)
 	np, repl = measureAgainst(bare, scale, w, el, proto, link)
@@ -224,20 +140,15 @@ func Measure(scale Scale, kind uint32, el uint64, proto replication.Protocol, li
 // precomputed bare baseline (RunBare is deterministic, so experiment
 // drivers compute each workload's baseline once and share it across
 // their figure points).
-func measureAgainst(bare RunResult, scale Scale, w guest.Workload, el uint64, proto replication.Protocol, link netsim.LinkConfig) (float64, RunResult) {
-	repl := RunReplicated(ReplicatedOptions{
+func measureAgainst(bare session.Result, scale Scale, w guest.Workload, el uint64, proto replication.Protocol, link netsim.LinkConfig) (float64, session.Result) {
+	repl := RunReplicated(session.Options{
 		Seed:        1,
-		Workload:    w,
+		Program:     session.WorkloadProgram(w),
 		Disk:        scale.Disk,
 		EpochLength: el,
 		Protocol:    proto,
 		Link:        link,
 	})
-	if bare.Guest.Panic != 0 || repl.Guest.Panic != 0 {
-		panic(fmt.Sprintf("harness: guest panic (bare %#x, repl %#x)", bare.Guest.Panic, repl.Guest.Panic))
-	}
-	if bare.Guest.Checksum != repl.Guest.Checksum {
-		panic(fmt.Sprintf("harness: checksum mismatch bare %#x repl %#x", bare.Guest.Checksum, repl.Guest.Checksum))
-	}
+	check(bare, repl)
 	return float64(repl.Time) / float64(bare.Time), repl
 }

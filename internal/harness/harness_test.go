@@ -8,6 +8,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/netsim"
 	"repro/internal/replication"
+	"repro/internal/session"
 	"repro/internal/sim"
 )
 
@@ -109,8 +110,8 @@ func TestFailoverDuringWorkload(t *testing.T) {
 	scale := QuickScale()
 	w := scale.workload(guest.WorkloadDiskWrite)
 	bare := RunBare(1, w, scale.Disk)
-	repl := RunReplicated(ReplicatedOptions{
-		Seed: 1, Workload: w, Disk: scale.Disk,
+	repl := RunReplicated(session.Options{
+		Seed: 1, Program: session.WorkloadProgram(w), Disk: scale.Disk,
 		EpochLength: 4096, Protocol: replication.ProtocolOld,
 		FailPrimaryAt: 3 * sim.Millisecond,
 	})

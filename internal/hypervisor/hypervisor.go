@@ -275,12 +275,12 @@ type shadowDev struct {
 //     promotion through the devices' ordinal dedup (generalized rule P7
 //     for output — exactly-once);
 //   - an output-commit primary DEFERRING outputs and I/O starts (the
-//     VMware-FT output rule): emitted by ReleaseDeferredThrough when the
-//     epoch's frame is acknowledged.
+//     VMware-FT output rule): released when the epoch's frame is
+//     acknowledged.
 //
 // Entries are appended in guest program order and tagged with the epoch
-// that produced them, so both commit and release operate on epoch
-// prefixes.
+// that produced them, so release, drop and promotion flush are one walk
+// over an epoch prefix (SettleOutput).
 type suppressedOutput struct {
 	dev     *shadowDev
 	off     uint32
@@ -469,8 +469,8 @@ func (hv *Hypervisor) SetIOActive(active bool) { hv.ioActive = active }
 // SetOutputDeferral switches the output-commit deferral mode: with a
 // non-nil clock, an I/O-active hypervisor buffers environment outputs
 // and I/O starts (tagged with their epoch and generation time) instead
-// of performing them — the replication layer calls
-// ReleaseDeferredThrough as epochs commit. A nil clock restores
+// of performing them — the replication layer settles them with
+// ReleaseOutput as epochs commit. A nil clock restores
 // immediate emission.
 func (hv *Hypervisor) SetOutputDeferral(clock func() sim.Time) {
 	hv.deferOutput = clock != nil
@@ -485,45 +485,59 @@ func (hv *Hypervisor) clockNow() sim.Time {
 	return hv.now()
 }
 
-// ReleaseDeferredThrough performs every deferred output and I/O start
-// belonging to epochs <= epoch, in guest program order: output stores
-// are emitted to the real devices (with their deterministic ordinals),
-// starts are issued to real hardware. It returns how many entries were
-// released and the generation time of the earliest (zero when none).
-// Safe to call from kernel-event context: device emission never sleeps.
-func (hv *Hypervisor) ReleaseDeferredThrough(epoch uint64) (int, sim.Time) {
+// OutputFate says what SettleOutput does with each withheld entry.
+type OutputFate uint8
+
+const (
+	// ReleaseOutput performs the entry — output stores are emitted to the
+	// real devices (with their deterministic ordinals), deferred I/O
+	// starts are issued to real hardware: a deferring coordinator, once
+	// the epoch's frame is acknowledged.
+	ReleaseOutput OutputFate = iota
+	// FlushOutput emits output stores only: a promoting backup, for every
+	// epoch past the dead coordinator's release watermark — the output
+	// half of the generalized rule P7. Ordinal dedup at the environment
+	// devices makes the re-emission exactly-once: whatever prefix the
+	// dead coordinator already performed is dropped, the rest is applied
+	// in order. Deferred starts (present only in a state image
+	// transferred from a deferring coordinator) are skipped: the
+	// operation is still marked outstanding, so P7's uncertain synthesis
+	// re-drives it through the guest's own retry.
+	FlushOutput
+	// DropOutput discards the entry unperformed: a following backup, once
+	// an End's release watermark proves the coordinator performed it (a
+	// lock-step coordinator's watermark is the epoch it just closed).
+	DropOutput
+)
+
+// SettleOutput is the one walk over the withheld-output buffer: every
+// entry of epochs <= through meets its fate, in guest program order, and
+// leaves the buffer; entries of later epochs are retained (a promotion
+// flush settles them all: through = ^uint64(0)). It returns how many
+// entries were settled and the generation time of the earliest (zero
+// when none). Safe to call from kernel-event context: device emission
+// never sleeps.
+func (hv *Hypervisor) SettleOutput(through uint64, fate OutputFate) (int, sim.Time) {
 	n := 0
 	var firstAt sim.Time
-	for n < len(hv.suppressed) && hv.suppressed[n].epoch <= epoch {
+	for n < len(hv.suppressed) && hv.suppressed[n].epoch <= through {
 		so := hv.suppressed[n]
 		if n == 0 {
 			firstAt = so.at
 		}
-		if so.start {
+		switch {
+		case fate == DropOutput:
+		case !so.start:
+			so.dev.sh.Output(so.dev.bus, so.off, so.val, so.ordinal)
+		case fate == ReleaseOutput:
 			hv.Stats.IOIssued++
 			so.dev.issuedReal = true
 			so.dev.sh.Start(so.dev.bus)
-		} else {
-			so.dev.sh.Output(so.dev.bus, so.off, so.val, so.ordinal)
 		}
 		n++
 	}
 	hv.dropSuppressedPrefix(n)
 	return n, firstAt
-}
-
-// DropSuppressedThrough discards suppressed entries of epochs <= epoch
-// without emitting them: the backup-side counterpart of
-// ReleaseDeferredThrough, applied when an End's release watermark proves
-// the coordinator performed those outputs (a lock-step coordinator's
-// watermark is the epoch it just closed). Entries of later epochs are
-// retained for a possible promotion flush.
-func (hv *Hypervisor) DropSuppressedThrough(epoch uint64) {
-	n := 0
-	for n < len(hv.suppressed) && hv.suppressed[n].epoch <= epoch {
-		n++
-	}
-	hv.dropSuppressedPrefix(n)
 }
 
 // dropSuppressedPrefix removes the first n suppressed entries, compacting
@@ -777,28 +791,6 @@ func (hv *Hypervisor) OutstandingUncertain() (out []Interrupt, uncertain int) {
 		}
 	}
 	return out, uncertain
-}
-
-// FlushSuppressedOutputs re-emits the suppressed environment output a
-// promoting backup retains — every epoch past the coordinator's release
-// watermark: just the failover epoch's behind a lock-step coordinator,
-// the unreleased window's behind an output-commit one — to the real
-// devices: the output half of the generalized rule P7. Ordinal dedup at
-// the environment devices makes the re-emission exactly-once: whatever
-// prefix the dead
-// coordinator already performed is dropped, the rest is applied in
-// order. Deferred START entries (present only in a state image
-// transferred from a deferring coordinator) are skipped: the operation
-// is still marked outstanding, so P7's uncertain synthesis re-drives it
-// through the guest's own retry.
-func (hv *Hypervisor) FlushSuppressedOutputs() {
-	for _, so := range hv.suppressed {
-		if so.start {
-			continue
-		}
-		so.dev.sh.Output(so.dev.bus, so.off, so.val, so.ordinal)
-	}
-	hv.suppressed = hv.suppressed[:0]
 }
 
 // Digest returns a divergence-detection digest of the guest-visible

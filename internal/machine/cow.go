@@ -2,15 +2,16 @@ package machine
 
 // Copy-on-write guest RAM. A fleet of machines booting the same kernel
 // image should pay for that image once, not once per machine: RAM is
-// page-granular, every page frame is a pointer, and a machine built
-// over a BaseImage starts with every frame pointing into the shared,
-// immutable image. The first store that CHANGES a page's contents
-// faults the page — copies the frame private and flips its ownership
-// bit — after which the page behaves exactly like private RAM. A store
-// that writes back the bytes already present is a no-op: page contents
-// are unchanged, so nothing observable (decoded pages, traces, digests)
-// can depend on it. That rule is what lets the boot loader replay the
-// kernel image over a shared base without faulting a single page.
+// page-granular, every page frame is a pointer, and every machine
+// starts with every frame pointing into a shared, immutable BaseImage
+// (the all-zero one unless Config.Image names another). The first store
+// that CHANGES a page's contents faults the page — copies the frame
+// private and flips its ownership bit — after which the page is written
+// in place. A store that writes back the bytes already present is a
+// no-op: page contents are unchanged, so nothing observable (decoded
+// pages, traces, digests) can depend on it. That rule is what lets the
+// boot loader replay the kernel image over a shared base without
+// faulting a single page.
 //
 // Frames are interned by content across all base images (64-bit FNV-1a
 // hash, full compare on collision), so a thousand shards booting the
@@ -25,10 +26,6 @@ package machine
 // extra valid bits only skip fill calls that would have produced the
 // same entries. Superblock traces stay per-machine: they are built in
 // the machine's own decodedPage and never shared.
-//
-// Machines with private RAM allocate one flat buffer and point every
-// frame into it with all ownership bits set, which reduces every path
-// below to the pre-COW behaviour byte for byte.
 
 import (
 	"encoding/binary"
@@ -255,12 +252,8 @@ func (m *Machine) faultPage(idx uint32) *ramPage {
 }
 
 // SharedPages returns the number of RAM pages still backed by the
-// shared base image (zero for machines with private RAM). Tests and
-// fleet metrics use it to verify sharing.
+// shared base image. Tests and fleet metrics use it to verify sharing.
 func (m *Machine) SharedPages() int {
-	if m.img == nil {
-		return 0
-	}
 	n := 0
 	for i := range m.frames {
 		if !m.ownedPage(uint32(i)) {

@@ -68,8 +68,9 @@ func imageFor(p *asm.Program, memBytes uint32) *machine.BaseImage {
 	return machine.ProgramImage(p.Origin, p.Words, memBytes)
 }
 
-// boot creates a machine for the program — COW-backed when img is
-// non-nil, private otherwise — and loads/starts the program.
+// bootCOW creates a machine for the program — over img, or over the
+// all-zero image when img is nil (the control: loading then faults the
+// program's pages private) — and loads/starts the program.
 func bootCOW(p *asm.Program, img *machine.BaseImage, memBytes uint32) *machine.Machine {
 	m := machine.New(machine.Config{Image: img, MemBytes: memBytes})
 	m.LoadProgram(p.Origin, p.Words, p.Origin)

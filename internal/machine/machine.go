@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sync/atomic"
 
 	"repro/internal/isa"
 )
@@ -63,13 +62,13 @@ type Config struct {
 	// NoTraces disables superblock trace dispatch for this machine: Run
 	// falls back to the per-instruction fast loop. Architected state,
 	// statistics and TLB behaviour are identical either way (traces are
-	// a pure execution-speed layer); the switch exists for A/B
-	// measurement and differential testing. See also SetTraceDispatch.
+	// a pure execution-speed layer); the switch exists so the trace
+	// differential suite can drive the fallback loop as a reference arm.
 	NoTraces bool
-	// Image, when set, backs RAM with a shared immutable base image:
-	// pages are copy-on-write faulted on the first differing store (see
-	// cow.go). MemBytes must be zero or equal to Image.Size().
-	// Architected behaviour is identical to a private copy of the image.
+	// Image is the shared immutable base image RAM is copy-on-write over:
+	// pages are faulted private on the first differing store (see
+	// cow.go). Nil means the all-zero image of MemBytes. MemBytes must be
+	// zero or equal to Image.Size().
 	Image *BaseImage
 }
 
@@ -142,18 +141,15 @@ type Machine struct {
 	PSW  uint32
 	CRs  [isa.NumCRs]uint32
 
-	// frames maps each physical page number to its backing frame. With
-	// private RAM every frame points into flat; over a base image
-	// (cfg.Image) frames start out pointing at the shared immutable
-	// image and are copied private on the first differing store
-	// (copy-on-write, see cow.go).
+	// frames maps each physical page number to its backing frame. Frames
+	// start out pointing at the shared immutable base image (img) and are
+	// copied private on the first differing store (copy-on-write, see
+	// cow.go).
 	frames []*ramPage
 	// owned marks, one bit per page, frames private to this machine and
 	// therefore writable in place.
 	owned []uint64
-	// flat is the private contiguous RAM buffer (nil over a base image).
-	flat []byte
-	// img is the shared base image (nil for private RAM).
+	// img is the shared base image.
 	img *BaseImage
 	// memSize is the physical RAM size in bytes.
 	memSize uint32
@@ -189,9 +185,8 @@ type Machine struct {
 	// are invalidated by stores into the page.
 	pages []*decodedPage
 
-	// traceOn enables superblock trace dispatch in Run (see trace.go),
-	// resolved at construction from Config.NoTraces and the package
-	// default (SetTraceDispatch).
+	// traceOn enables superblock trace dispatch in Run (see trace.go):
+	// !Config.NoTraces.
 	traceOn bool
 }
 
@@ -251,28 +246,19 @@ func New(cfg Config) *Machine {
 		TLB:     NewTLB(cfg.TLBSize, pol),
 		pages:   grabPages(npages),
 		memSize: cfg.MemBytes,
-		traceOn: !cfg.NoTraces && !traceDispatchOff.Load(),
+		traceOn: !cfg.NoTraces,
+		img:     cfg.Image,
 	}
+	if m.img == nil {
+		m.img = ProgramImage(0, nil, cfg.MemBytes)
+	} else if m.img.Size() != cfg.MemBytes {
+		panic(fmt.Sprintf("machine: base image is %d bytes, config wants %d", m.img.Size(), cfg.MemBytes))
+	}
+	// All frames shared, no ownership bits set.
 	m.frames = grabFrames(npages)
 	m.owned = grabOwned((npages + 63) / 64)
-	if cfg.Image != nil {
-		if cfg.Image.Size() != cfg.MemBytes {
-			panic(fmt.Sprintf("machine: base image is %d bytes, config wants %d", cfg.Image.Size(), cfg.MemBytes))
-		}
-		// COW RAM: all frames shared, no ownership bits set.
-		m.img = cfg.Image
-		for i := range m.frames {
-			m.frames[i] = &cfg.Image.frames[i].data
-		}
-	} else {
-		// Private RAM: one flat buffer, every page owned up front.
-		m.flat = grabMem(npages << isa.PageShift)
-		for i := range m.frames {
-			m.frames[i] = (*ramPage)(m.flat[i<<isa.PageShift:])
-		}
-		for i := range m.owned {
-			m.owned[i] = ^uint64(0)
-		}
+	for i := range m.frames {
+		m.frames[i] = &m.img.frames[i].data
 	}
 	m.CRs[isa.CRCPUID] = cfg.CPUID
 	return m
@@ -280,15 +266,6 @@ func New(cfg Config) *Machine {
 
 // MemSize returns the physical RAM size in bytes.
 func (m *Machine) MemSize() uint32 { return m.memSize }
-
-// traceDispatchOff is the package-wide default for superblock trace
-// dispatch (zero value: traces on).
-var traceDispatchOff atomic.Bool
-
-// SetTraceDispatch sets the package-wide default for superblock trace
-// dispatch, applied to machines created afterwards (hftbench's
-// -trace=off flag). Per-machine Config.NoTraces overrides independently.
-func SetTraceDispatch(on bool) { traceDispatchOff.Store(!on) }
 
 // Config returns the machine's configuration (defaults applied).
 func (m *Machine) Config() Config { return m.cfg }
@@ -551,10 +528,9 @@ func (m *Machine) ReadBytes(pa uint32, n int) []byte {
 }
 
 // WriteBytes copies data into physical RAM at pa (for DMA and loading),
-// page-wise. Owned pages take the pre-COW path (invalidate the page's
-// decoded image, copy); shared pages whose covered bytes already equal
-// the data stay shared and untouched, and are otherwise COW-faulted
-// first.
+// page-wise. Shared pages whose covered bytes already equal the data
+// stay shared and untouched, and are otherwise COW-faulted first; the
+// page's decoded image is invalidated whole before the copy.
 func (m *Machine) WriteBytes(pa uint32, data []byte) {
 	if int64(pa)+int64(len(data)) > int64(m.memSize) {
 		panic(fmt.Sprintf("machine: WriteBytes(%#x, %d): out of range", pa, len(data)))
@@ -575,8 +551,6 @@ func (m *Machine) WriteBytes(pa uint32, data []byte) {
 			}
 			fr = m.faultPage(idx)
 		}
-		// Whole-page invalidation, as invalidateRange did for every
-		// covered page.
 		if pg := m.pages[idx]; pg != nil {
 			pg.valid = [instsPerPage / 64]uint64{}
 			pg.dropTraces()

@@ -63,13 +63,13 @@ type decodedPage struct {
 // decode — identical kernel pages decode once fleet-wide — instead of
 // filling slot by slot; once the page COW-faults, ordinary store
 // invalidation and lazy fill keep the (now private) decoded image
-// coherent exactly as for private RAM.
+// coherent.
 func (m *Machine) execPage(base uint32) *decodedPage {
 	idx := base >> isa.PageShift
 	pg := m.pages[idx]
 	if pg == nil {
 		pg = grabPage()
-		if m.img != nil && !m.ownedPage(idx) {
+		if !m.ownedPage(idx) {
 			m.img.frames[idx].decoded().copyInto(pg)
 		}
 		m.pages[idx] = pg
@@ -131,21 +131,5 @@ func (m *Machine) invalidateStore(pa uint32, size int) {
 	m.invalidateWord(pa)
 	if pa&3+uint32(size) > 4 {
 		m.invalidateWord(pa + uint32(size) - 1)
-	}
-}
-
-// invalidateRange drops every cached slot overlapping [pa, pa+n) — the
-// DMA/loader path (WriteBytes).
-func (m *Machine) invalidateRange(pa uint32, n int) {
-	if n <= 0 {
-		return
-	}
-	first := pa >> isa.PageShift
-	last := (pa + uint32(n) - 1) >> isa.PageShift
-	for p := first; p <= last && p < uint32(len(m.pages)); p++ {
-		if pg := m.pages[p]; pg != nil {
-			pg.valid = [instsPerPage / 64]uint64{}
-			pg.dropTraces()
-		}
 	}
 }

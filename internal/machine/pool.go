@@ -5,16 +5,16 @@ import "sync"
 // Machine construction dominates short-lived simulation sessions: every
 // hftbench figure point (and every benchmark iteration) builds a fresh
 // cluster, and most of that cost is allocating — and then garbage
-// collecting — the two bulk per-machine buffers: guest RAM and the
+// collecting — the bulk per-machine buffers: faulted RAM frames and the
 // decoded-page cache. The pools below recycle both across machine
-// lifetimes. A recycled buffer is re-zeroed (RAM, page table) or
-// metadata-reset (decoded pages) before reuse, so a machine built from
-// recycled buffers is indistinguishable from one built fresh: recycling
-// changes allocation behaviour only, never execution. The pools are
-// package-global and safe for concurrent sessions (hftbench -parallel).
+// lifetimes. A recycled buffer is re-zeroed (tables), overwritten whole
+// (frames) or metadata-reset (decoded pages) before reuse, so a machine
+// built from recycled buffers is indistinguishable from one built
+// fresh: recycling changes allocation behaviour only, never execution.
+// The pools are package-global and safe for concurrent sessions
+// (hftbench -parallel).
 
 var (
-	memPool    sync.Pool // *[]byte: private guest RAM buffers
 	pagesPool  sync.Pool // *[]*decodedPage: per-machine page tables
 	pagePool   sync.Pool // *decodedPage: decoded-page images
 	tracePool  sync.Pool // *trace: superblock records (see trace.go)
@@ -49,17 +49,6 @@ func putTraces(ts []*trace) {
 	for _, t := range ts {
 		tracePool.Put(t)
 	}
-}
-
-// grabMem returns a zeroed n-byte RAM buffer, recycled when a released
-// one is large enough.
-func grabMem(n int) []byte {
-	if p, _ := memPool.Get().(*[]byte); p != nil && cap(*p) >= n {
-		s := (*p)[:n]
-		clear(s)
-		return s
-	}
-	return make([]byte, n)
 }
 
 // grabFrames returns a nil-filled frame table with n entries.
@@ -129,25 +118,19 @@ func (m *Machine) Release() {
 		decodePool.Put(m.decodeCache)
 		m.decodeCache = nil
 	}
-	if m.flat != nil {
-		flat := m.flat
-		m.flat = nil
-		memPool.Put(&flat)
-	} else if m.img != nil && m.frames != nil {
-		// COW machine: recycle only the frames faulted private; shared
-		// frames belong to the (immutable, interned) base image.
+	if m.frames != nil {
+		// Recycle only the frames faulted private; shared frames belong
+		// to the (immutable, interned) base image.
 		for i, fr := range m.frames {
 			if m.ownedPage(uint32(i)) {
 				framePool.Put(fr)
 			}
 		}
-	}
-	m.img = nil
-	if m.frames != nil {
 		frames := m.frames
 		m.frames = nil
 		framesPool.Put(&frames)
 	}
+	m.img = nil
 	if m.owned != nil {
 		owned := m.owned
 		m.owned = nil

@@ -161,10 +161,10 @@ func (m *Machine) RestoreState(s State) error {
 	m.cycles = s.Cycles
 	m.Stats = s.Stats
 	// Restore RAM page-wise; a page absent from the sparse set is zero.
-	// Over a base image, pages whose restored contents equal the shared
-	// frame stay (or become again) shared — restoring a capture of a
-	// lightly diverged machine re-deduplicates it — and only differing
-	// pages hold (or fault) a private frame.
+	// Pages whose restored contents equal the shared frame stay (or
+	// become again) shared — restoring a capture of a lightly diverged
+	// machine re-deduplicates it — and only differing pages hold (or
+	// fault) a private frame.
 	next := s.Pages
 	for i := range m.frames {
 		idx := uint32(i)
@@ -172,22 +172,20 @@ func (m *Machine) RestoreState(s State) error {
 		if len(next) > 0 && next[0].Index == idx {
 			src, next = next[0].Data, next[1:]
 		}
-		if m.img != nil {
-			shared := m.img.frames[i]
-			same := shared.zero
-			if src != nil {
-				same = bytes.Equal(src, shared.data[:len(src)])
-			}
-			if same {
-				if m.ownedPage(idx) {
-					framePool.Put(m.frames[i])
-					m.frames[i] = &shared.data
-					m.owned[idx>>6] &^= 1 << (idx & 63)
-				}
-				continue
-			}
-			m.faultPage(idx)
+		shared := m.img.frames[i]
+		same := shared.zero
+		if src != nil {
+			same = bytes.Equal(src, shared.data[:len(src)])
 		}
+		if same {
+			if m.ownedPage(idx) {
+				framePool.Put(m.frames[i])
+				m.frames[i] = &shared.data
+				m.owned[idx>>6] &^= 1 << (idx & 63)
+			}
+			continue
+		}
+		m.faultPage(idx)
 		if src == nil {
 			*m.frames[i] = ramPage{}
 		} else {

@@ -321,7 +321,7 @@ func (bk *Backup) replayVerbatim(p *sim.Proc, e uint64, digest uint64, v *SyncEp
 	// The verbatim record proves the (new) coordinator completed this
 	// epoch — it emitted everything through it, by promotion flush or
 	// by running it — so the release watermark is e: drop ours.
-	hv.DropSuppressedThrough(e)
+	hv.SettleOutput(e, hypervisor.DropOutput)
 	if len(bk.downs) > 0 {
 		bk.archive.record(*v)
 	}
@@ -355,7 +355,7 @@ func (bk *Backup) failover(p *sim.Proc, e uint64, digest uint64) {
 	// epoch's the dead coordinator's release watermark had not covered.
 	// The devices dedup by ordinal, so whatever the dead coordinator
 	// already performed is emitted exactly once in total.
-	hv.FlushSuppressedOutputs()
+	hv.SettleOutput(^uint64(0), hypervisor.FlushOutput)
 	delivered := append([]hypervisor.Interrupt(nil), hv.Buffered()...)
 	hv.DeliverBuffered()
 
@@ -515,7 +515,7 @@ func (bk *Backup) Run(p *sim.Proc) {
 		// retained across a completed epoch; a failover epoch — no End —
 		// re-emits its own output instead.
 		if end.HaveReleased {
-			hv.DropSuppressedThrough(end.Released)
+			hv.SettleOutput(end.Released, hypervisor.DropOutput)
 		}
 		hv.ChargeBoundary(p)
 		hv.SetTODBase(tme)

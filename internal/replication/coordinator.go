@@ -359,7 +359,7 @@ func (c *coordinator) advance() {
 // the release watermark to it; occupancy is how many epochs remain in
 // flight behind it.
 func (c *coordinator) release(epoch uint64, occupancy int) {
-	cnt, firstAt := c.hv.ReleaseDeferredThrough(epoch)
+	cnt, firstAt := c.hv.SettleOutput(epoch, hypervisor.ReleaseOutput)
 	c.released, c.haveReleased = epoch, true
 	c.stats.OutputsReleased += uint64(cnt)
 	if c.hooks == nil || c.hooks.OutputCommitted == nil {

@@ -19,7 +19,6 @@ package session
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/clientsim"
 	"repro/internal/console"
@@ -64,43 +63,26 @@ func (e *Engine) peerTimeout() sim.Time {
 	return 10 * e.o.DetectTimeout
 }
 
-// sizeMachine applies the RAM default to a machine config.
-func sizeMachine(mc machine.Config) machine.Config {
+// machineConfig resolves the per-machine configuration: the RAM
+// default, and the COW base image of the program's boot image. Every
+// machine built from the returned config maps the same immutable frames
+// — as does every other session booting the same program at the same
+// RAM size, fleet-wide: the machine layer memoises images by (origin,
+// words, RAM size), so resolving one costs a compare of the program
+// words, never a RAM-sized buffer. Boot-time stores of bytes the image
+// already holds are COW no-ops, so kernel text stays shared; a replica
+// privatizes only the pages it actually dirties.
+func (e *Engine) machineConfig() machine.Config {
+	mc := e.o.Machine
 	if mc.MemBytes == 0 {
 		mc.MemBytes = GuestMemBytes
 	}
-	return mc
-}
-
-// sharedImageDefault is the package-wide default for COW-shared guest
-// images (see SetSharedImageDefault).
-var sharedImageDefault atomic.Bool
-
-// SetSharedImageDefault sets the package-wide default for backing
-// guest RAM with content-interned copy-on-write base images. Sessions
-// built with Options.SharedImage unset follow the default; it exists
-// so batch drivers (hftbench -cow) can flip whole runs without
-// threading an option through every call site.
-func SetSharedImageDefault(on bool) { sharedImageDefault.Store(on) }
-
-// shareImage attaches the COW base image of the program's boot image
-// to a machine config. Every machine built from the returned config
-// maps the same immutable frames — as does every other session booting
-// the same program at the same RAM size, fleet-wide: the machine layer
-// memoises images by (origin, words, RAM size), so resolving one costs
-// a compare of the program words, never a RAM-sized buffer. Boot-time
-// stores of bytes the image already holds are COW no-ops, so kernel
-// text stays shared; a replica privatizes only the pages it actually
-// dirties.
-func (e *Engine) shareImage(mc machine.Config) machine.Config {
-	if !e.o.SharedImage && !sharedImageDefault.Load() {
-		return mc
-	}
+	// A program that exceeds RAM keeps the zero image; boot reports the
+	// overflow as ever.
 	origin, words, _ := e.prog.Image()
-	if uint64(origin)+4*uint64(len(words)) > uint64(mc.MemBytes) {
-		return mc // image exceeds RAM; boot will report it as ever
+	if uint64(origin)+4*uint64(len(words)) <= uint64(mc.MemBytes) {
+		mc.Image = machine.ProgramImage(origin, words, mc.MemBytes)
 	}
-	mc.Image = machine.ProgramImage(origin, words, mc.MemBytes)
 	return mc
 }
 
@@ -238,11 +220,6 @@ type Options struct {
 
 	Machine       machine.Config
 	NoTLBTakeover bool
-	// SharedImage backs every machine's RAM with a content-interned
-	// copy-on-write base image built from the Program's boot image
-	// (identical sharing across sessions; see machine.BaseImage).
-	// When unset, the package default applies (SetSharedImageDefault).
-	SharedImage bool
 
 	// OnDivergence, when set, observes backup digest mismatches instead
 	// of panicking.
@@ -440,7 +417,7 @@ func (e *Engine) Boot() {
 		Terminal:   o.Terminal,
 		NIC:        o.NIC || o.ClientLoad != nil,
 		Link:       o.Link,
-		Machine:    e.shareImage(sizeMachine(o.Machine)),
+		Machine:    e.machineConfig(),
 		Hypervisor: hypervisor.Config{
 			EpochLength:      o.EpochLength,
 			NoTLBTakeover:    o.NoTLBTakeover,
@@ -523,7 +500,7 @@ func (e *Engine) bootBare() {
 		ExtraDisks: e.o.ExtraDisks,
 		Terminal:   e.o.Terminal,
 		NIC:        e.o.NIC || e.o.ClientLoad != nil,
-		Machine:    e.shareImage(sizeMachine(e.o.Machine)),
+		Machine:    e.machineConfig(),
 	})
 	e.single = s
 	e.nic = s.NIC

@@ -15,41 +15,38 @@ import (
 // path change that moves a single byte moves every virtual metric
 // downstream of a reintegration. The expected length and SHA-256 were
 // generated on the commit before the page-granular state path landed
-// (7d1173e, flat 1 MiB captures); private RAM and the shared COW image
-// must both still produce exactly that blob.
+// (7d1173e, flat 1 MiB captures); copy-on-write RAM over the program's
+// base image must still produce exactly that blob.
 func TestTransferBytesGolden(t *testing.T) {
 	const (
 		wantLen = 25807
 		wantSum = "f829a906dbe1b3e8d9731f8770ffa0649e2567992bf852150899ddfe63691f38"
 	)
-	for _, shared := range []bool{false, true} {
-		var charged uint64
-		e := New(Options{
-			Seed:        7,
-			Program:     WorkloadProgram(guest.DiskWrite(6, 8192)),
-			EpochLength: 2048,
-			Protocol:    replication.ProtocolNew,
-			SharedImage: shared,
-			Observer: func(ev Event) {
-				if ev.Kind == EventBackupAdded {
-					charged = ev.Bytes
-				}
-			},
-		})
-		if err := e.RunFor(6 * sim.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.AddBackup(AddBackupConfig{}); err != nil {
-			t.Fatal(err)
-		}
-		// No virtual time has passed since AddBackup captured at its
-		// quiesced boundary, so re-encoding reproduces the shipped blob.
-		blob := e.encodeTransfer(e.lastNode)
-		sum := sha256.Sum256(blob)
-		if got := hex.EncodeToString(sum[:]); len(blob) != wantLen || got != wantSum || charged != wantLen {
-			t.Errorf("shared=%v: transfer is %d bytes (link charged %d) sha256 %s, golden %d bytes sha256 %s",
-				shared, len(blob), charged, got, wantLen, wantSum)
-		}
-		e.Close()
+	var charged uint64
+	e := New(Options{
+		Seed:        7,
+		Program:     WorkloadProgram(guest.DiskWrite(6, 8192)),
+		EpochLength: 2048,
+		Protocol:    replication.ProtocolNew,
+		Observer: func(ev Event) {
+			if ev.Kind == EventBackupAdded {
+				charged = ev.Bytes
+			}
+		},
+	})
+	defer e.Close()
+	if err := e.RunFor(6 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.AddBackup(AddBackupConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	// No virtual time has passed since AddBackup captured at its
+	// quiesced boundary, so re-encoding reproduces the shipped blob.
+	blob := e.encodeTransfer(e.lastNode)
+	sum := sha256.Sum256(blob)
+	if got := hex.EncodeToString(sum[:]); len(blob) != wantLen || got != wantSum || charged != wantLen {
+		t.Errorf("transfer is %d bytes (link charged %d) sha256 %s, golden %d bytes sha256 %s",
+			len(blob), charged, got, wantLen, wantSum)
 	}
 }

@@ -35,9 +35,9 @@ import (
 // encoder in this package (or a capture struct it serializes) changes
 // shape; readers reject every other version.
 //
-// Version 5 = one boundary engine (a coordinator's single pending-epoch
-// list; the cut and release watermark ride every End).
-const FormatVersion = 5
+// Version 6 = one RAM representation (the session configuration lost
+// its shared-image flag byte).
+const FormatVersion = 6
 
 // transferVersion is the live state-transfer blob's own format number.
 // The blob holds machine and hypervisor state only, unchanged since

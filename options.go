@@ -42,7 +42,6 @@ type clusterOptions struct {
 	nic        bool
 	clientLoad *ClientLoad
 
-	sharedImage  bool
 	outputCommit *OutputCommit
 }
 
@@ -183,9 +182,9 @@ func WithLink(m LinkModel) Option {
 	}
 }
 
-// WithSeed sets the simulation seed. Zero is rejected — in the legacy
-// Config API a zero seed silently meant "default (1)", and accepting it
-// here would make two differently-written configurations identical.
+// WithSeed sets the simulation seed (default 1). Zero is rejected: it
+// reads as "unset", and accepting it as an alias for the default would
+// make two differently-written configurations identical.
 func WithSeed(seed int64) Option {
 	return func(o *clusterOptions) error {
 		if seed == 0 {
@@ -417,21 +416,6 @@ func WithOutputCommit(oc OutputCommit) Option {
 	}
 }
 
-// WithSharedImage backs every replica's guest RAM with a
-// content-interned, copy-on-write base image built from the guest boot
-// image. All machines in the cluster — and across every cluster that
-// boots the same program at the same RAM size, fleet-wide — map the
-// same immutable frames; a replica privatizes a page only on its first
-// differing store. Timing, results and memory digests are unchanged:
-// sharing is a memory-footprint optimization for running thousands of
-// clusters in one process (see internal/fleet).
-func WithSharedImage() Option {
-	return func(o *clusterOptions) error {
-		o.sharedImage = true
-		return nil
-	}
-}
-
 // WithClientLoad drives a simulated client population into the
 // cluster's network service — the measurement half of the ServeRequests
 // workload. Requests arrive open-loop on their own simulated access
@@ -454,52 +438,14 @@ func WithClientLoad(cl ClientLoad) Option {
 	}
 }
 
-// WithConfig seeds the options from a legacy one-shot Config plus
-// workload — the bridge the back-compat wrappers use. The Config is
-// validated with the same rules NewCluster applies.
-func WithConfig(cfg Config, w Workload) Option {
-	return func(o *clusterOptions) error {
-		cfg = cfg.withDefaults()
-		if err := cfg.validate(); err != nil {
-			return err
-		}
-		lm, err := cfg.linkModel()
-		if err != nil {
-			return err
-		}
-		o.seed = cfg.Seed
-		o.workload, o.haveWork = w, true
-		o.epochLength = cfg.EpochLength
-		o.protocol = cfg.Protocol
-		o.link = lm
-		o.detectTimeout = cfg.DetectTimeout
-		o.failPrimaryAt = cfg.FailPrimaryAt
-		o.diskRead, o.diskWrite = cfg.DiskReadLatency, cfg.DiskWriteLatency
-		o.backups = cfg.Backups
-		if o.backups == 0 {
-			o.backups = 1
-		}
-		o.failBackupAt = nil
-		for i, at := range cfg.FailBackupAt {
-			if at > 0 {
-				if o.failBackupAt == nil {
-					o.failBackupAt = map[int]Duration{}
-				}
-				o.failBackupAt[i+1] = at
-			}
-		}
-		o.nic, o.clientLoad = false, nil
-		if cfg.ClientLoad != nil {
-			return WithClientLoad(*cfg.ClientLoad)(o)
-		}
-		return nil
-	}
-}
-
-// withBare switches the session to the single-machine baseline (used
-// by RunBare; not part of the public surface — a bare session has no
-// cluster semantics).
-func withBare() Option {
+// Bare switches the session to the unreplicated single-machine
+// baseline — N in the paper's normalized performance N'/N. It composes
+// with the workload and environment options (WithDisk, WithTerminal,
+// WithClientLoad, WithProgram); replica-set options are accepted and
+// ignored, so one option list can be run both ways. A bare session has
+// no cluster semantics: FailBackup and AddBackup report that there is no
+// replica set, and Save refuses.
+func Bare() Option {
 	return func(o *clusterOptions) error {
 		o.bare = true
 		return nil

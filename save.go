@@ -195,7 +195,6 @@ func (c *Cluster) putConfig(w *snapshot.Writer) {
 		w.I64(int64(cl.MeanGap))
 		w.I64(int64(cl.Timeout))
 	}
-	w.Bool(o.sharedImage)
 	w.Bool(o.outputCommit != nil)
 	if o.outputCommit != nil {
 		w.Int(o.outputCommit.Window)
@@ -257,7 +256,6 @@ func configFrom(r *snapshot.Reader) *clusterOptions {
 		cl.Timeout = Duration(r.I64())
 		o.clientLoad = &cl
 	}
-	o.sharedImage = r.Bool()
 	if r.Bool() {
 		var oc OutputCommit
 		oc.Window = r.Int()

@@ -33,7 +33,7 @@ func TestServiceDifferential(t *testing.T) {
 		WithWorkload(ServeRequests(24, 50)),
 		WithClientLoad(ClientLoad{Clients: 8, MeanGap: 100 * Microsecond, Timeout: 50 * Millisecond}),
 	}
-	bare, cb := runScenario(t, append(base, withBare())...)
+	bare, cb := runScenario(t, append(base, Bare())...)
 	if bare.NetReplies == "" {
 		t.Fatal("bare run produced no reply transcript")
 	}
@@ -69,7 +69,7 @@ func TestServiceFailoverDifferential(t *testing.T) {
 	// replies exactly once. The client-visible reply stream equals the
 	// bare run's for both protocols at every failure time.
 	base := serveOptions(24, 500*Microsecond)
-	bare, _ := runScenario(t, append(base, withBare())...)
+	bare, _ := runScenario(t, append(base, Bare())...)
 
 	for _, proto := range []Protocol{ProtocolOld, ProtocolNew} {
 		for _, failAt := range []Duration{3 * Millisecond, 6 * Millisecond, 10 * Millisecond} {
@@ -98,7 +98,7 @@ func TestServiceRepairChainDifferential(t *testing.T) {
 	// AddBackup, so requests pending across the state transfer survive
 	// the second failover too.
 	base := serveOptions(40, 2*Millisecond)
-	bare, _ := runScenario(t, append(base, withBare())...)
+	bare, _ := runScenario(t, append(base, Bare())...)
 
 	c, err := NewCluster(append(base, WithDetectTimeout(3*Millisecond))...)
 	if err != nil {

@@ -270,10 +270,7 @@ func TestRestoreVerifyCatchesTamper(t *testing.T) {
 // tripwire), and the workload result is unchanged.
 func TestAddBackupHealthy(t *testing.T) {
 	w := DiskWrite(4, 8192)
-	bare, err := RunBare(Config{DiskReadLatency: 800 * Microsecond, DiskWriteLatency: 900 * Microsecond}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare, _ := runScenario(t, WithWorkload(w), WithDiskLatency(800*Microsecond, 900*Microsecond), Bare())
 	for _, proto := range []Protocol{ProtocolOld, ProtocolNew} {
 		c, err := NewCluster(
 			WithWorkload(w),
@@ -316,10 +313,7 @@ func TestAddBackupHealthy(t *testing.T) {
 // is the bare machine's.
 func TestAddBackupRepairChain(t *testing.T) {
 	w := DiskWrite(6, 8192)
-	bare, err := RunBare(Config{DiskReadLatency: 800 * Microsecond, DiskWriteLatency: 900 * Microsecond}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare, _ := runScenario(t, WithWorkload(w), WithDiskLatency(800*Microsecond, 900*Microsecond), Bare())
 
 	c, err := NewCluster(
 		WithWorkload(w),
@@ -437,10 +431,7 @@ func TestAddBackupTransferCharged(t *testing.T) {
 // failure-detection path never ran before the partition.
 func TestAddBackupLossyLink(t *testing.T) {
 	w := CPUIntensive(60000)
-	bare, err := RunBare(Config{}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare, _ := runScenario(t, WithWorkload(w), Bare())
 	c, err := NewCluster(WithWorkload(w), WithProtocol(ProtocolNew))
 	if err != nil {
 		t.Fatal(err)

@@ -1,17 +1,18 @@
 package hft
 
-// Tests pinning the state path (Save, Restore, AddBackup, shared-image
-// boot) from outside: what it writes, byte for byte, and what it costs.
+// Tests pinning the state path (Save, Restore, AddBackup, boot over the
+// shared base image) from outside: what it writes, byte for byte, and what it costs.
 //
 // Byte-identity golden: the snapshot encoding is a
 // wire format twice over: Save's output is a file format, and the
 // AddBackup transfer blob's length is charged to the simulated link —
 // so a state-path refactor must leave both byte-for-byte unchanged or
-// every virtual metric moves. The Save values below are format 5's,
-// regenerated by the change that gave the coordinator one pending-epoch
-// list (the replication sections changed shape; machine and hypervisor
-// state did not — internal/session's TestTransferBytesGolden still
-// holds the values generated before the page-granular state path).
+// every virtual metric moves. The Save values below are format 6's,
+// regenerated by the change that made copy-on-write the one RAM
+// representation (the configuration lost its shared-image flag byte;
+// machine, hypervisor and replication state did not change —
+// internal/session's TestTransferBytesGolden still holds the values
+// generated before the page-granular state path).
 
 import (
 	"bytes"
@@ -30,33 +31,20 @@ type stateGolden struct {
 // saveGoldens pins one small fixed scenario — a pair, mid-run, after
 // one AddBackup — saved twice: with the transfer still in flight
 // (the xfer link carries the image) and after the joiner installed it
-// (the joiner's RAM went through RestoreState). While the image flies
-// the two backings legitimately differ: a shared-image joiner already
-// maps the kernel pages, a private one is still blank. Once installed
-// they differ in the serialized sharedImage flag only.
-var saveGoldens = map[string][2]stateGolden{
-	"private": {
-		{46585, "38b2fe2bf584ebcdf2fe48a26f45da72585f9ac68e07af7fd419ee6ecebbb475"},
-		{83087, "b4d3a4ee3492417f0525a1586b6fd9e7493ed9148b67e7dc46988f1d3ab41794"},
-	},
-	"shared": {
-		{54793, "2c53bba94725184d389b68f79c682e5fbb0482cb398e0e955e63e4777c9efb2f"},
-		{83087, "dbd410d0d334847b14846688c24b845e463aa3cd84ea6c977b5d922f2503f930"},
-	},
+// (the joiner's RAM went through RestoreState).
+var saveGoldens = [2]stateGolden{
+	{54792, "b8c71ee4c924fa056448ec4e4d73690dd7b5531ad46e1442934fe9398ca40b6e"},
+	{83086, "007bc25c72c633fa6819b01aa73816a09d213181b8f3ff5a68380ae2abf5817e"},
 }
 
-func saveGoldenScenario(t *testing.T, shared bool) [2][]byte {
+func saveGoldenScenario(t *testing.T) [2][]byte {
 	t.Helper()
-	opts := []Option{
+	c, err := NewCluster(
 		WithSeed(7),
 		WithWorkload(DiskWrite(6, 8192)),
 		WithProtocol(ProtocolNew),
 		WithEpochLength(2048),
-	}
-	if shared {
-		opts = append(opts, WithSharedImage())
-	}
-	c, err := NewCluster(opts...)
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,16 +72,27 @@ func saveGoldenScenario(t *testing.T, shared bool) [2][]byte {
 	return out
 }
 
+// TestSaveBytesGolden pins Save's output and its fixed point: restoring
+// either checkpoint — the second after the transferred image landed, so
+// the joiner's restore re-shares almost every page against the base
+// image — and saving again reproduces it byte for byte.
 func TestSaveBytesGolden(t *testing.T) {
-	for _, name := range []string{"private", "shared"} {
-		blobs := saveGoldenScenario(t, name == "shared")
-		for i, b := range blobs {
-			sum := sha256.Sum256(b)
-			got := stateGolden{len(b), hex.EncodeToString(sum[:])}
-			if want := saveGoldens[name][i]; got != want {
-				t.Errorf("%s save %d: %d bytes sha256 %s, golden %d bytes sha256 %s",
-					name, i, got.n, got.sum, want.n, want.sum)
-			}
+	for i, b := range saveGoldenScenario(t) {
+		sum := sha256.Sum256(b)
+		got := stateGolden{len(b), hex.EncodeToString(sum[:])}
+		if want := saveGoldens[i]; got != want {
+			t.Errorf("save %d: %d bytes sha256 %s, golden %d bytes sha256 %s",
+				i, got.n, got.sum, want.n, want.sum)
+		}
+		restored, err := Restore(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("restore %d: %v", i, err)
+		}
+		var again bytes.Buffer
+		err = restored.Save(&again)
+		restored.Close()
+		if err != nil || !bytes.Equal(b, again.Bytes()) {
+			t.Errorf("save %d: restore + re-save is not byte-identical (err %v)", i, err)
 		}
 	}
 }
@@ -111,15 +110,15 @@ func allocDelta(f func()) uint64 {
 // TestStatePathAllocBudget bounds what the state path allocates, in
 // bytes, so a flat RAM image cannot creep back in: before the
 // page-granular path, Save of this pair allocated 78x its output (one
-// flat MiB per node) and every shared-image boot a flat MiB to look up
-// an image it had already interned.
+// flat MiB per node) and every boot a flat MiB to look up an image it
+// had already interned.
 func TestStatePathAllocBudget(t *testing.T) {
 	statePathCluster(t).Close() // intern the image, warm the pools
 	var c *Cluster
 	boot := allocDelta(func() { c = statePathCluster(t) })
 	defer c.Close()
 	if boot >= 512<<10 {
-		t.Errorf("a second shared-image NewCluster + boot allocated %d KB, budget 512 KB", boot>>10)
+		t.Errorf("a second NewCluster + boot allocated %d KB, budget 512 KB", boot>>10)
 	}
 
 	var buf bytes.Buffer
