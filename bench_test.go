@@ -10,6 +10,7 @@ package hft
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/asm"
@@ -229,7 +230,8 @@ func BenchmarkAssembler(b *testing.B) {
 }
 
 // BenchmarkSimKernel measures the discrete-event kernel's event
-// throughput. Must report 0 allocs/op: events are pooled.
+// throughput. Reports 0 allocs/op: events are pooled
+// (TestSimHotPathAllocs checks it).
 func BenchmarkSimKernel(b *testing.B) {
 	k := sim.NewKernel(1)
 	count := 0
@@ -246,8 +248,9 @@ func BenchmarkSimKernel(b *testing.B) {
 }
 
 // BenchmarkProcSleep measures the process Sleep path — the simulated
-// machines' per-chunk operation. Must report 0 allocs/op: the sole
-// sleeper advances the clock in place without heap or handoff traffic.
+// machines' per-chunk operation. Reports 0 allocs/op: the sole sleeper
+// advances the clock in place without queue or switch traffic
+// (TestSimHotPathAllocs checks it).
 func BenchmarkProcSleep(b *testing.B) {
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
@@ -262,8 +265,8 @@ func BenchmarkProcSleep(b *testing.B) {
 }
 
 // BenchmarkProcSleepPair measures two processes alternating sleeps — the
-// replicated pair's chunk interleaving, where every sleep hands the
-// token to the other machine. Must also be allocation-free.
+// replicated pair's chunk interleaving, where every sleep switches to
+// the other machine. Also allocation-free (TestSimHotPathAllocs).
 func BenchmarkProcSleepPair(b *testing.B) {
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
@@ -368,4 +371,91 @@ func BenchmarkSharedImageBoot(b *testing.B) {
 		}
 		c.Close()
 	}
+}
+
+// TestSimHotPathAllocs holds the sim kernel to what the benchmarks above
+// only say: in steady state a callback chain, a lone sleeper, two
+// alternating sleepers and a WaitTimeout that is broadcast before it
+// expires allocate nothing. Spawn is the one place the kernel allocates
+// per process (the Proc, its coroutine and their closures); that set-up
+// cost is pinned here so that it is a recorded number.
+func TestSimHotPathAllocs(t *testing.T) {
+	forever := func(body func(p *sim.Proc)) func(*sim.Proc) {
+		return func(p *sim.Proc) {
+			for {
+				body(p)
+			}
+		}
+	}
+	cases := []struct {
+		name  string
+		setup func(k *sim.Kernel)
+	}{
+		{"event chain", func(k *sim.Kernel) {
+			var next func()
+			next = func() { k.After(10, next) }
+			k.After(10, next)
+		}},
+		{"lone sleeper", func(k *sim.Kernel) {
+			k.Spawn("sleeper", forever(func(p *sim.Proc) { p.Sleep(10) }))
+		}},
+		{"two alternating sleepers", func(k *sim.Kernel) {
+			k.Spawn("a", forever(func(p *sim.Proc) { p.Sleep(10) }))
+			k.Spawn("b", func(p *sim.Proc) {
+				p.Sleep(5)
+				for {
+					p.Sleep(10)
+				}
+			})
+		}},
+		{"WaitTimeout broadcast before it expires", func(k *sim.Kernel) {
+			s := k.NewSignal("s")
+			k.Spawn("waiter", forever(func(p *sim.Proc) {
+				if !p.WaitTimeout(s, 50) {
+					t.Error("WaitTimeout expired; the broadcaster should have won")
+				}
+			}))
+			k.Spawn("broadcaster", forever(func(p *sim.Proc) {
+				p.Sleep(10)
+				s.Broadcast()
+			}))
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			k := sim.NewKernel(1)
+			defer k.Shutdown()
+			c.setup(k)
+			var until sim.Time
+			slice := func() {
+				until += 10 * sim.Microsecond // a thousand occurrences
+				k.RunUntil(until)
+			}
+			slice() // free list, wake list and coroutines reach steady state
+			if n := testing.AllocsPerRun(20, slice); n != 0 {
+				t.Errorf("%v allocations per 10 µs slice, want 0", n)
+			}
+		})
+	}
+
+	t.Run("Spawn", func(t *testing.T) {
+		const procs = 256
+		k := sim.NewKernel(1)
+		defer k.Shutdown()
+		fn := func(p *sim.Proc) {}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < procs; i++ {
+			k.Spawn("p", fn)
+		}
+		runtime.ReadMemStats(&after)
+		allocs := float64(after.Mallocs-before.Mallocs) / procs
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / procs
+		t.Logf("Spawn: %.1f allocations, %.0f bytes per process", allocs, bytes)
+		// go1.24: 13.1 allocations and 896 bytes (the goroutine-per-process
+		// kernel before it: 5.1 and 915), stacks not included in either.
+		if allocs > 14 || bytes > 1024 {
+			t.Errorf("Spawn costs %.1f allocations and %.0f bytes per process, pinned at <= 14 and <= 1024", allocs, bytes)
+		}
+	})
 }

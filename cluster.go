@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -853,13 +854,24 @@ func newSubscriber() *subscriber {
 	return s
 }
 
+// publish queues ev and never blocks. Once the backlog has reached the
+// channel's capacity it yields the processor: simulated process switches
+// are coroutine switches that bypass the Go scheduler, so on one P this
+// is the pump's and a reading consumer's only chance to run before
+// sysmon preempts, and without it the queue keeps doubling. A consumer
+// that is not reading leaves the pump blocked, and the yield returns at
+// once.
 func (s *subscriber) publish(ev Event) {
 	s.mu.Lock()
 	if !s.closed {
 		s.queue.Push(ev)
 	}
+	backlog := s.queue.Len()
 	s.mu.Unlock()
 	s.cond.Signal()
+	if backlog >= cap(s.ch) {
+		runtime.Gosched()
+	}
 }
 
 func (s *subscriber) close() {

@@ -244,6 +244,81 @@ func TestClusterAbandonedSubscriber(t *testing.T) {
 	}
 }
 
+// TestSubscriberBacklogBounded: simulated process switches are coroutine
+// switches that never enter the Go scheduler, so on one P the driving
+// goroutine alone would run until sysmon preempts it while the Events
+// queue grows by thousands. publish yields once the backlog reaches the
+// channel's capacity, which keeps a consumer that is reading within a
+// small multiple of it (the ring's capacity is at most twice the largest
+// backlog: it doubles only when full); a consumer that never reads is
+// not waited for.
+func TestSubscriberBacklogBounded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	newRun := func(t *testing.T) (*Cluster, *subscriber) {
+		c, err := NewCluster(WithWorkload(CPUIntensive(200000)), WithEpochLength(256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Events()
+		return c, c.subs[0]
+	}
+	// run drives c to completion, sampling s's backlog at every epoch
+	// commit from the driving goroutine.
+	run := func(t *testing.T, c *Cluster, s *subscriber) (epochs uint64, maxBacklog int) {
+		snap, err := c.RunUntil(func(Snapshot) bool {
+			s.mu.Lock()
+			maxBacklog = max(maxBacklog, s.queue.Len())
+			s.mu.Unlock()
+			return false
+		})
+		if err != nil || !snap.Done {
+			t.Fatalf("run did not complete: done=%v err=%v", snap.Done, err)
+		}
+		if snap.Epochs < 2000 {
+			t.Fatalf("only %d epochs: too short to outrun a starved pump", snap.Epochs)
+		}
+		return snap.Epochs, maxBacklog
+	}
+
+	t.Run("reading consumer", func(t *testing.T) {
+		c, s := newRun(t)
+		got := make(chan int)
+		go func() {
+			n := 0
+			for range s.ch {
+				n++
+			}
+			got <- n
+		}()
+		epochs, backlog := run(t, c, s)
+		if limit := 4 * cap(s.ch); backlog > limit {
+			t.Errorf("backlog reached %d events over %d epochs with the consumer reading, want <= %d", backlog, epochs, limit)
+		}
+		c.Close()
+		if n := <-got; uint64(n) < epochs {
+			t.Errorf("consumer saw %d events for %d epochs", n, epochs)
+		}
+	})
+
+	t.Run("consumer that never reads", func(t *testing.T) {
+		c, s := newRun(t)
+		epochs, backlog := run(t, c, s)
+		if uint64(backlog) < epochs {
+			t.Errorf("backlog %d < %d epochs: something drained an unread subscription", backlog, epochs)
+		}
+		start := time.Now()
+		c.Close()
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("Close took %v with an unread subscription, want about the 100 ms grace", d)
+		}
+		select {
+		case <-s.quit:
+		default:
+			t.Error("subscriber not closed by Close")
+		}
+	})
+}
+
 // TestClusterSnapshotMidRun verifies observation mid-run, before and
 // after completion.
 func TestClusterSnapshotMidRun(t *testing.T) {

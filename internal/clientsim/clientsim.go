@@ -83,9 +83,10 @@ func (c Config) withDefaults() Config {
 // client-observed reply arrival.
 type reqState struct {
 	client   int
-	firstAt  sim.Time // first transmission
-	attempts uint32   // transmissions so far
-	replyAt  sim.Time // client-side reply arrival (0 = still waiting)
+	firstAt  sim.Time   // first transmission
+	attempts uint32     // transmissions so far
+	replyAt  sim.Time   // client-side reply arrival (0 = still waiting)
+	timer    sim.Handle // the pending retransmission timer (the newest arm)
 }
 
 // Stats summarizes the population's activity.
@@ -180,7 +181,7 @@ func (s *Sim) send(id uint32) {
 	}
 	words := s.payload(id)
 	s.req.Send(words, 4*len(words))
-	s.k.After(s.cfg.Timeout, func() { s.timeout(id) })
+	s.st[i].timer = s.k.After(s.cfg.Timeout, func() { s.timeout(id) })
 }
 
 // timeout retransmits request id if its reply has not been emitted.
@@ -218,6 +219,10 @@ func (s *Sim) reply(words []uint32) {
 		return
 	}
 	st.replyAt = s.k.Now() + s.rep.TransferTime(4*len(words))
+	// Only the newest arm can be pending (a re-send happens only from the
+	// previous timer firing); answered, it would fire as a no-op, so it
+	// leaves the event heap now instead of in Timeout.
+	st.timer.Cancel()
 	s.stat.Answered++
 }
 

@@ -121,3 +121,50 @@ func TestDeterministicReplay(t *testing.T) {
 		t.Fatal("two identically-seeded runs diverged")
 	}
 }
+
+// An answered request must not leave its retransmission timer parked in
+// the event heap for the rest of Timeout: once every reply is in, the
+// population has nothing pending — on the clean path (timer armed once,
+// canceled by the reply) and after an outage (only the newest re-arm can
+// be pending, and the reply cancels that one).
+func TestAnsweredRequestsLeaveNoTimers(t *testing.T) {
+	t.Run("clean", func(t *testing.T) {
+		k := sim.NewKernel(7)
+		n := nic.New()
+		echoServer(n)
+		net := netsim.NewDuplex(k, "clients", netsim.Ethernet10("clients"))
+		cs := New(k, Config{Requests: 40, Clients: 8, Timeout: 10 * sim.Second}, n, net)
+		cs.Start()
+		k.RunUntil(1 * sim.Second)
+		if m := cs.Measure(); m.Answered != 40 || m.Retransmits != 0 {
+			t.Fatalf("answered %d with %d retransmits, want 40 with 0", m.Answered, m.Retransmits)
+		}
+		if at, ok := k.NextEventTime(); ok {
+			t.Fatalf("all 40 replies are in but an event is still pending at %v", at)
+		}
+	})
+	t.Run("after outage", func(t *testing.T) {
+		k := sim.NewKernel(7)
+		n := nic.New()
+		p := echoServer(n)
+		serve := n.OnIngress
+		n.OnIngress = nil // outage: requests queue at the port unanswered
+		k.At(10*sim.Millisecond, func() {
+			n.OnIngress = serve
+			serve(0, nil)
+		})
+		net := netsim.NewDuplex(k, "clients", netsim.Ethernet10("clients"))
+		cs := New(k, Config{Requests: 10, Clients: 4, Timeout: 1 * sim.Millisecond}, n, net)
+		cs.Start()
+		k.RunUntil(10*sim.Millisecond + 500*sim.Microsecond)
+		if m := cs.Measure(); m.Answered != 10 || m.Retransmits == 0 {
+			t.Fatalf("answered %d with %d retransmits, want 10 with some", m.Answered, m.Retransmits)
+		}
+		if p.Pending() != 0 {
+			t.Fatalf("%d requests still queued at the port", p.Pending())
+		}
+		if at, ok := k.NextEventTime(); ok {
+			t.Fatalf("all 10 replies are in but an event is still pending at %v", at)
+		}
+	})
+}

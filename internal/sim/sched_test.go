@@ -1,0 +1,287 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// schedTrace runs one seeded random scenario and returns its dispatch
+// trace: a (time, process-or-callback, outcome) record wherever a process
+// comes back from a blocking primitive or a callback fires. The scenario
+// is 1–64 processes running random programs over shared signals, queues
+// and cancelable callbacks, spawning children, driven in RunUntil slices
+// with Stop/ClearStop in between; parked far-future callbacks sit in the
+// heap throughout (the clientsim retransmission-timer shape). Every
+// random draw comes from the drawing process's own stream, so the trace
+// depends on the seed and on dispatch order only.
+func schedTrace(seed int64, parked int, noFastPath bool) []string {
+	debugNoFastPath = noFastPath
+	defer func() { debugNoFastPath = false }()
+	k := NewKernel(seed)
+	defer k.Shutdown()
+	var trace []string
+	log := func(who, what string) {
+		trace = append(trace, fmt.Sprintf("%d %s %s", k.Now(), who, what))
+	}
+	sigs := []*Signal{k.NewSignal("s0"), k.NewSignal("s1"), k.NewSignal("s2")}
+	queues := []*Queue[int]{NewQueue[int](k, "q0"), NewQueue[int](k, "q1")}
+	var handles []Handle
+	durations := []Time{-3, 0, 0, 1, 5, 5, 10, 10, 10, 25, 100, 1000}
+
+	drv := rand.New(rand.NewSource(seed))
+	for i := 0; i < parked; i++ {
+		who := fmt.Sprintf("parked%d", i)
+		handles = append(handles, k.At(Time(2000+drv.Intn(60000)), func() { log(who, "fire") }))
+	}
+
+	spawned := 0
+	var spawn func(name string, seed int64)
+	spawn = func(name string, seed int64) {
+		spawned++
+		r := rand.New(rand.NewSource(seed))
+		steps := 10 + r.Intn(40)
+		k.Spawn(name, func(p *Proc) {
+			log(name, "start")
+			for j := 0; j < steps; j++ {
+				d := durations[r.Intn(len(durations))]
+				s := sigs[r.Intn(len(sigs))]
+				q := queues[r.Intn(len(queues))]
+				switch r.Intn(14) {
+				case 0, 1, 2, 3, 4:
+					p.Sleep(d)
+					log(name, "slept")
+				case 5:
+					log(name, fmt.Sprint("waited ", p.WaitTimeout(s, d)))
+				case 6:
+					if r.Intn(3) == 0 {
+						p.Wait(s) // may never return: Shutdown unwinds it
+						log(name, "waited")
+					}
+				case 7, 8:
+					s.Broadcast()
+				case 9:
+					q.Put(j)
+				case 10:
+					v, ok := q.RecvTimeout(p, d)
+					log(name, fmt.Sprint("recv ", v, ok))
+				case 11:
+					// A callback that cancels some other handle, and may
+					// broadcast or stop the run.
+					who := fmt.Sprintf("%s.cb%d", name, j)
+					victim, act := r.Int(), r.Intn(8)
+					fn := func() {
+						log(who, "fire")
+						handles[victim%len(handles)].Cancel()
+						switch act {
+						case 0:
+							s.Broadcast()
+						case 1:
+							k.Stop()
+						}
+					}
+					if r.Intn(2) == 0 {
+						handles = append(handles, k.After(d, fn))
+					} else {
+						handles = append(handles, k.At(k.Now()+d, fn))
+					}
+				case 12:
+					if len(handles) > 0 {
+						handles[r.Intn(len(handles))].Cancel()
+					}
+					if r.Intn(10) == 0 {
+						k.Stop() // keeps running until the next block
+					}
+				case 13:
+					if spawned < 96 {
+						spawn(fmt.Sprintf("%s.%d", name, j), r.Int63())
+					}
+				}
+			}
+			log(name, "end")
+		})
+	}
+	for i, n := 0, 1+drv.Intn(64); i < n; i++ {
+		spawn(fmt.Sprintf("p%d", i), drv.Int63())
+	}
+
+	var t Time
+	for i := 0; i < 200; i++ {
+		t += Time(1 + drv.Intn(300))
+		k.RunUntil(t)
+		if k.Stopped() {
+			log("driver", "stopped")
+			k.ClearStop()
+		}
+	}
+	for k.Run(); k.Stopped(); k.Run() {
+		log("driver", "stopped")
+		k.ClearStop()
+	}
+	log("driver", fmt.Sprint("live ", k.LiveProcs()))
+	return trace
+}
+
+// TestSchedulerDifferential: the Sleep fast path and block's
+// self-dispatch must be indistinguishable from the reference discipline
+// (every sleep enqueues a wake and blocks) — same dispatch trace, record
+// for record, on every seed; every fourth seed parks 500 far-future
+// callbacks in the heap under the process wakes.
+func TestSchedulerDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 240; seed++ {
+		parked := 0
+		if seed%4 == 0 {
+			parked = 500
+		}
+		fast, ref := schedTrace(seed, parked, false), schedTrace(seed, parked, true)
+		if len(fast) < 20 {
+			t.Fatalf("seed %d: trace has only %d records; the scenario did not run", seed, len(fast))
+		}
+		for i := 0; i < len(fast) || i < len(ref); i++ {
+			if i >= len(fast) || i >= len(ref) || fast[i] != ref[i] {
+				at := func(tr []string) string {
+					if i < len(tr) {
+						return tr[i]
+					}
+					return "(end of trace)"
+				}
+				t.Fatalf("seed %d (parked %d): divergence at record %d of %d/%d: fast %q vs reference %q",
+					seed, parked, i, len(fast), len(ref), at(fast), at(ref))
+			}
+		}
+	}
+}
+
+// --- coroutine process lifecycle ---
+
+// TestShutdownLifecycle: wherever its processes are — never started,
+// parked in any blocking primitive, finished — Shutdown leaves no live
+// process and no goroutine behind, and a second Shutdown is a no-op.
+func TestShutdownLifecycle(t *testing.T) {
+	cases := []struct {
+		name string
+		live int // LiveProcs after the run, before Shutdown
+		run  func(k *Kernel)
+	}{
+		{"never started", 3, func(k *Kernel) {
+			for i := 0; i < 3; i++ {
+				k.Spawn("idle", func(p *Proc) { t.Error("a never-dispatched process ran") })
+			}
+		}},
+		{"parked in Sleep", 2, func(k *Kernel) {
+			for i := 0; i < 2; i++ {
+				k.Spawn("sleeper", func(p *Proc) { p.Sleep(Second) })
+			}
+			k.RunUntil(Millisecond)
+		}},
+		{"parked in Wait, WaitTimeout, Recv", 3, func(k *Kernel) {
+			s := k.NewSignal("never")
+			q := NewQueue[int](k, "empty")
+			k.Spawn("wait", func(p *Proc) { p.Wait(s) })
+			k.Spawn("waittimeout", func(p *Proc) { p.WaitTimeout(s, Second) })
+			k.Spawn("recv", func(p *Proc) { q.Recv(p) })
+			k.RunUntil(Millisecond)
+		}},
+		{"finished", 0, func(k *Kernel) {
+			for i := 0; i < 3; i++ {
+				k.Spawn("worker", func(p *Proc) { p.Sleep(10) })
+			}
+			k.Run()
+		}},
+		{"a mix, one spawned by another", 3, func(k *Kernel) {
+			s := k.NewSignal("never")
+			k.Spawn("done", func(p *Proc) { p.Sleep(10) })
+			k.Spawn("parent", func(p *Proc) {
+				k.Spawn("child", func(c *Proc) { c.Wait(s) })
+				p.Sleep(Second)
+			})
+			k.RunUntil(Millisecond)
+			k.Spawn("late", func(p *Proc) {})
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			k := NewKernel(1)
+			c.run(k)
+			if k.LiveProcs() != c.live {
+				t.Fatalf("LiveProcs = %d before Shutdown, want %d", k.LiveProcs(), c.live)
+			}
+			for i := 0; i < 2; i++ {
+				k.Shutdown()
+				if k.LiveProcs() != 0 {
+					t.Fatalf("LiveProcs = %d after Shutdown #%d, want 0", k.LiveProcs(), i+1)
+				}
+				if n := runtime.NumGoroutine(); n != before {
+					t.Fatalf("%d goroutines after Shutdown #%d, %d before the first Spawn", n, i+1, before)
+				}
+			}
+			if at, ok := k.NextEventTime(); ok {
+				t.Errorf("a wake is still pending at %v after Shutdown", at)
+			}
+		})
+	}
+}
+
+// TestShutdownRunsDeferredCalls: a parked process is unwound, not
+// abandoned — its deferred calls run during Shutdown.
+func TestShutdownRunsDeferredCalls(t *testing.T) {
+	k := NewKernel(1)
+	released := false
+	k.Spawn("holder", func(p *Proc) {
+		defer func() { released = true }()
+		p.Sleep(Second)
+	})
+	k.RunUntil(Millisecond)
+	if released {
+		t.Fatal("deferred call ran while the process was merely parked")
+	}
+	k.Shutdown()
+	if !released {
+		t.Fatal("Shutdown did not unwind the parked process's deferred calls")
+	}
+}
+
+// TestStopFromProcessPreservesState: a process that stops the run keeps
+// going until it next blocks; ClearStop + Run resumes it exactly there,
+// locals intact.
+func TestStopFromProcessPreservesState(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Shutdown()
+	var marks []string
+	k.Spawn("stopper", func(p *Proc) {
+		sum := 0
+		for i := 1; i <= 3; i++ {
+			sum += i
+			p.Sleep(10)
+			if i == 2 {
+				k.Stop()
+				marks = append(marks, "after stop") // still running
+			}
+		}
+		marks = append(marks, fmt.Sprintf("sum=%d@%d", sum, p.Now()))
+	})
+	k.Spawn("bystander", func(p *Proc) {
+		p.Sleep(25)
+		marks = append(marks, fmt.Sprintf("bystander@%d", p.Now()))
+	})
+	if end := k.Run(); end != 20 || !k.Stopped() {
+		t.Fatalf("first Run ended at %v, stopped=%v; want 20, true", end, k.Stopped())
+	}
+	if len(marks) != 1 || marks[0] != "after stop" {
+		t.Fatalf("marks after the stopped run = %v, want [after stop]", marks)
+	}
+	if k.Run(); len(marks) != 1 {
+		t.Fatalf("Run on a stopped kernel dispatched: %v", marks)
+	}
+	k.ClearStop()
+	k.Run()
+	want := []string{"after stop", "bystander@25", "sum=6@30"}
+	if fmt.Sprint(marks) != fmt.Sprint(want) {
+		t.Fatalf("marks = %v, want %v", marks, want)
+	}
+	if k.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d, want 0", k.LiveProcs())
+	}
+}

@@ -5,24 +5,28 @@
 // reproducible bit-for-bit from a seed.
 //
 // The kernel is cooperative: at any instant exactly one process (or one
-// event callback) runs. Processes are goroutines that block inside kernel
-// primitives (Sleep, Wait, Recv); the kernel hands control to exactly one
-// of them at a time, so no locking is needed inside simulated components
-// and execution order is a deterministic function of (event time, schedule
+// event callback) runs. Processes are coroutines that block inside kernel
+// primitives (Sleep, Wait, Recv); the kernel switches into exactly one of
+// them at a time, so no locking is needed inside simulated components and
+// execution order is a deterministic function of (event time, schedule
 // order).
 //
-// The hot path is allocation-free: popped events are pooled on a free
-// list, each process embeds a reusable timer event and signal waiter (a
-// blocked process can have at most one of each pending), and a process
-// that sleeps when nothing else can run first simply advances the clock
-// without a heap operation or goroutine handoff at all.
+// Two structures hold what is pending, ordered by one (time, seq) key: a
+// binary heap of callback events, and a short sorted list of process
+// wakes (a blocked process has at most one: its sleep, spawn, broadcast
+// resume or wait timeout). The hot path allocates nothing (popped events
+// are pooled on a free list; a wake is a few fields of its Proc) and
+// never enters the Go scheduler (a process switch is two coroutine
+// switches, process → kernel → process); a process that sleeps when
+// nothing else is due first simply advances the clock in place.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"hash/fnv"
+	"iter"
 	"math/rand"
+	"slices"
 )
 
 // Time is a virtual timestamp or duration in simulated nanoseconds.
@@ -59,77 +63,42 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros converts t to floating-point microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// event is a scheduled occurrence. Events with equal time fire in
+// event is a scheduled callback. Events with equal time fire in
 // scheduling order (seq), which keeps the simulation deterministic.
-// Exactly one of fn, proc, waiter is set: a callback, a direct process
-// resume (Sleep, Spawn, Broadcast wake), or a wait timeout. Events are
-// recycled through the kernel free list (or, for the per-process
-// embedded timer, reused in place); gen distinguishes incarnations so a
-// stale Handle cannot cancel a reused event.
+// Events are recycled through the kernel free list; gen distinguishes
+// incarnations so a stale Handle cannot cancel a reused event.
 type event struct {
-	k      *Kernel
-	at     Time
-	seq    uint64
-	gen    uint64
-	fn     func()
-	proc   *Proc
-	waiter *signalWaiter
-	index  int // heap index, -1 when not queued
-	owned  bool
+	k     *Kernel
+	at    Time
+	seq   uint64
+	gen   uint64
+	fn    func()
+	index int // heap index, -1 when not queued
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+// before reports whether e is ordered before the occurrence (at, seq).
+func (e *event) before(at Time, seq uint64) bool {
+	return e.at < at || (e.at == at && e.seq < seq)
 }
 
 // Kernel is the simulation scheduler. Create one with NewKernel, spawn
-// processes with Spawn, then call Run (or RunUntil). A Kernel must be used
-// from a single OS goroutine; process goroutines synchronize with it
-// through internal channels.
+// processes with Spawn, then call Run (or RunUntil). A Kernel must be
+// driven by one goroutine at a time (the kernel goroutine; not one
+// locked to an OS thread): processes are coroutines that goroutine
+// switches into and that switch back to it when they block.
 type Kernel struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
+	events  []*event // pending callbacks: a binary min-heap on (at, seq)
 	free    []*event // recycled events
+	wakes   []*Proc  // pending process wakes, latest first: the tail is next
 	seed    int64
 	procs   []*Proc
 	stopped bool
-	limit   Time // RunUntil bound, or <0 for none
-	yield   chan struct{}
-	current *Proc
+	limit   Time        // RunUntil bound, or <0 for none
+	succ    *Proc       // successor chosen by the process that just parked
 	nprocs  int         // live (not yet finished) processes
-	idleFn  func() bool // optional hook when event queue empties
-
-	// Direct-wake slot: one sleeping process bypasses the event heap
-	// entirely. Equivalent to an event at (dwAt, dwSeq) resuming dwProc.
-	dwProc *Proc
-	dwAt   Time
-	dwSeq  uint64
+	idleFn  func() bool // optional hook when nothing is pending
 
 	// Bounded-progress watchdog (SetStallLimit): dispatch bookkeeping
 	// that detects a scheduler livelock — virtual time pinned at one
@@ -140,21 +109,11 @@ type Kernel struct {
 	stallAt    Time
 	stallName  string
 	stalled    bool
-
-	// panicked holds a panic value recovered on a process goroutine,
-	// re-raised on the kernel (driver) goroutine when the token returns
-	// to loop. Without this hand-off a panicking process would crash
-	// the whole program on a goroutine no caller can recover from.
-	panicked any
 }
 
 // NewKernel returns a kernel whose random streams derive from seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		seed:  seed,
-		limit: -1,
-		yield: make(chan struct{}),
-	}
+	return &Kernel{seed: seed, limit: -1}
 }
 
 // Now returns the current virtual time.
@@ -183,14 +142,51 @@ func (k *Kernel) alloc() *event {
 }
 
 // recycle retires an event that has fired or been canceled. The
-// generation bump invalidates outstanding Handles; pooled events return
-// to the free list, per-process embedded ones are reused in place.
+// generation bump invalidates outstanding Handles.
 func (k *Kernel) recycle(e *event) {
 	e.gen++
-	e.fn, e.proc, e.waiter = nil, nil, nil
-	if !e.owned {
-		k.free = append(k.free, e)
+	e.fn = nil
+	k.free = append(k.free, e)
+}
+
+// up moves e from heap slot i towards the root until its parent is
+// ordered before it.
+func (k *Kernel) up(e *event, i int) {
+	h := k.events
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent].before(e.at, e.seq) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].index = i
+		i = parent
 	}
+	h[i] = e
+	e.index = i
+}
+
+// down moves e from heap slot i towards the leaves until both children
+// are ordered after it.
+func (k *Kernel) down(e *event, i int) {
+	h := k.events
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c].at, h[c].seq) {
+			c = r
+		}
+		if !h[c].before(e.at, e.seq) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = e
+	e.index = i
 }
 
 // push enqueues e at absolute time at (clamped to now), assigning the
@@ -202,7 +198,27 @@ func (k *Kernel) push(e *event, at Time) {
 	e.at = at
 	e.seq = k.seq
 	k.seq++
-	heap.Push(&k.events, e)
+	k.events = append(k.events, e)
+	k.up(e, len(k.events)-1)
+}
+
+// remove takes the event in heap slot i out of the heap, refilling the
+// slot with the last leaf.
+func (k *Kernel) remove(i int) {
+	h := k.events
+	n := len(h) - 1
+	h[i].index = -1
+	last := h[n]
+	h[n] = nil
+	k.events = h[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(h[(i-1)/2].at, h[(i-1)/2].seq) {
+		k.up(last, i)
+	} else {
+		k.down(last, i)
+	}
 }
 
 // Handle identifies a scheduled event so that it can be canceled.
@@ -218,7 +234,7 @@ func (h Handle) Cancel() {
 	if e == nil || e.gen != h.gen || e.index < 0 {
 		return
 	}
-	heap.Remove(&e.k.events, e.index)
+	e.k.remove(e.index)
 	e.k.recycle(e)
 }
 
@@ -239,27 +255,52 @@ func (k *Kernel) After(d Time, fn func()) Handle {
 	return k.At(k.now+d, fn)
 }
 
+// enqueue records p's pending wake at absolute time at, keyed exactly
+// like an event pushed now. seq is monotonic, so the new wake fires after
+// every entry with wakeAt <= at: scanning from the tail (the next wake),
+// a near-term sleep settles within a step or two however many far-off
+// timeouts are parked, and a memmove is fine at a thousand processes.
+func (k *Kernel) enqueue(p *Proc, at Time) {
+	p.wakeAt, p.wakeSeq = at, k.seq
+	k.seq++
+	i := len(k.wakes)
+	k.wakes = append(k.wakes, p)
+	for ; i > 0 && k.wakes[i-1].wakeAt <= at; i-- {
+		k.wakes[i] = k.wakes[i-1]
+	}
+	k.wakes[i] = p
+}
+
+// without returns list with p unlinked, order kept: a pending wake
+// withdrawn from k.wakes, a timed-out waiter from its signal's wait list.
+func without(list []*Proc, p *Proc) []*Proc {
+	if i := slices.Index(list, p); i >= 0 {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
+}
+
 // NextEventTime reports the time of the earliest pending occurrence
-// (scheduled event or direct-wake sleeper).
+// (scheduled event or process wake).
 func (k *Kernel) NextEventTime() (Time, bool) {
 	var t Time
 	ok := false
 	if len(k.events) > 0 {
 		t, ok = k.events[0].at, true
 	}
-	if k.dwProc != nil && (!ok || k.dwAt < t) {
-		t, ok = k.dwAt, true
+	if n := len(k.wakes); n > 0 && (!ok || k.wakes[n-1].wakeAt < t) {
+		t, ok = k.wakes[n-1].wakeAt, true
 	}
 	return t, ok
 }
 
-// OnIdle registers a hook called when the event queue drains while
+// OnIdle registers a hook called when nothing is pending while
 // processes are still blocked. If the hook returns true the kernel
 // continues (the hook is expected to have scheduled new events); otherwise
 // Run returns. This is used by tests to detect deadlock.
 func (k *Kernel) OnIdle(fn func() bool) { k.idleFn = fn }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until nothing is pending or Stop is called.
 // It returns the final virtual time.
 func (k *Kernel) Run() Time {
 	k.limit = -1
@@ -291,9 +332,9 @@ func (k *Kernel) Stopped() bool { return k.stopped }
 
 // ClearStop re-arms a kernel halted by Stop so Run/RunUntil continue
 // exactly where they left off — the basis of bounded, caller-paced
-// session runs. It must not be called after Shutdown (the process
-// goroutines are gone). A kernel halted by the stall watchdog is not
-// re-armed: the livelock would only trip it again.
+// session runs. It must not be called after Shutdown (the processes
+// are gone). A kernel halted by the stall watchdog is not re-armed: the
+// livelock would only trip it again.
 func (k *Kernel) ClearStop() { k.stopped = k.stalled }
 
 // SetStallLimit arms the bounded-progress watchdog: if more than n
@@ -329,14 +370,14 @@ func (k *Kernel) tick(name string) {
 }
 
 // next advances the simulation without transferring control: it runs due
-// callback events inline and returns the next process to hand the single
-// execution token to (with the clock advanced to its wake time), or nil
-// when an end condition holds — queue drained (after the idle hook
-// declined), Stop called, or the RunUntil bound reached.
+// callback events inline and returns the next process to run (with the
+// clock advanced to its wake time), or nil when an end condition holds —
+// nothing pending (after the idle hook declined), Stop called, or the
+// RunUntil bound reached.
 //
-// next may execute on the kernel goroutine or on a blocking process's
-// goroutine (see block): whoever holds the token schedules. Exactly one
-// goroutine runs at any instant, so kernel state needs no locking.
+// next may execute on the kernel goroutine or inside a blocking process
+// (see block): whoever is running schedules. Exactly one of them runs at
+// any instant, so kernel state needs no locking.
 func (k *Kernel) next() *Proc {
 	for {
 		if k.stopped {
@@ -346,20 +387,26 @@ func (k *Kernel) next() *Proc {
 		if len(k.events) > 0 {
 			e = k.events[0]
 		}
-		// The direct-wake sleeper competes with the heap head under the
-		// same (time, seq) order an equivalent heap event would have.
-		if p := k.dwProc; p != nil && (e == nil || k.dwAt < e.at || (k.dwAt == e.at && k.dwSeq < e.seq)) {
-			if k.limit >= 0 && k.dwAt > k.limit {
-				return nil
+		// The next wake competes with the heap head under the one
+		// (time, seq) order.
+		if n := len(k.wakes); n > 0 {
+			if p := k.wakes[n-1]; e == nil || !e.before(p.wakeAt, p.wakeSeq) {
+				if k.limit >= 0 && p.wakeAt > k.limit {
+					return nil
+				}
+				k.wakes = k.wakes[:n-1]
+				if p.wakeAt > k.now {
+					k.now = p.wakeAt
+				}
+				if s := p.expiring; s != nil {
+					p.expiring, p.timedOut = nil, true
+					s.waiters = without(s.waiters, p)
+				}
+				if k.stallLimit > 0 {
+					k.tick(p.name)
+				}
+				return p
 			}
-			k.dwProc = nil
-			if k.dwAt > k.now {
-				k.now = k.dwAt
-			}
-			if k.stallLimit > 0 {
-				k.tick(p.name)
-			}
-			return p
 		}
 		if e == nil {
 			if k.idleFn != nil && k.idleFn() {
@@ -370,111 +417,71 @@ func (k *Kernel) next() *Proc {
 		if k.limit >= 0 && e.at > k.limit {
 			return nil
 		}
-		heap.Pop(&k.events)
+		k.remove(0)
 		if e.at > k.now {
 			k.now = e.at
 		}
-		switch {
-		case e.proc != nil:
-			p := e.proc
-			k.recycle(e)
-			if p.state == procDone {
-				continue
-			}
-			if k.stallLimit > 0 {
-				k.tick(p.name)
-			}
-			return p
-		case e.waiter != nil:
-			w := e.waiter
-			k.recycle(e)
-			if w.woken {
-				continue
-			}
-			w.timed = true
-			w.woken = true
-			w.s.removeWaiter(w)
-			if k.stallLimit > 0 {
-				k.tick(w.p.name)
-			}
-			return w.p
-		default:
-			fn := e.fn
-			k.recycle(e)
-			if k.stallLimit > 0 {
-				k.tick("(event)")
-			}
-			fn()
+		fn := e.fn
+		k.recycle(e)
+		if k.stallLimit > 0 {
+			k.tick("(event)")
 		}
+		fn()
 	}
 }
 
+// loop drives the simulation from the kernel goroutine: it switches
+// into the next process and, when that process parks, into the
+// successor the process chose (block), until an end condition is
+// reached. A process panic surfaces here, out of resume.
 func (k *Kernel) loop() Time {
-	p := k.next()
-	if p == nil {
-		return k.now
-	}
-	// Hand the token to the first runnable process. It travels from
-	// process to process directly (block passes it on) and returns here
-	// only when an end condition is reached.
-	k.current = p
-	p.wake <- struct{}{}
-	<-k.yield
-	if r := k.panicked; r != nil {
-		k.panicked = nil
-		panic(r)
+	for p := k.next(); p != nil; {
+		k.succ = nil
+		if p.resume(); p.done {
+			p = k.next()
+		} else {
+			p = k.succ
+		}
 	}
 	return k.now
 }
 
 // Shutdown terminates all spawned processes that are still blocked in
-// kernel primitives. It must be called after Run returns when the kernel
-// will no longer be used; it unwinds process goroutines so they do not
-// leak. Safe to call multiple times.
+// kernel primitives or were never started. It must be called after Run
+// returns when the kernel will no longer be used; it unwinds the process
+// coroutines so they do not leak. Safe to call multiple times.
 func (k *Kernel) Shutdown() {
 	k.stopped = true
 	for _, p := range k.procs {
-		if p.state == procBlocked || p.state == procReady {
-			p.kill = true
-			k.resume(p)
-		}
+		p.stop() // a parked process unwinds (block), an unstarted one never runs
+		p.retire()
 	}
-	k.procs = nil
+	k.procs, k.wakes = nil, nil
 }
 
 // LiveProcs returns the number of spawned processes that have not finished.
 func (k *Kernel) LiveProcs() int { return k.nprocs }
 
-// procState tracks where a process is in its lifecycle.
-type procState int
-
-const (
-	procReady procState = iota
-	procRunning
-	procBlocked
-	procDone
-)
-
-// killed is the panic value used to unwind process goroutines on Shutdown.
+// killed is the panic value that unwinds a parked process on Shutdown.
 type killed struct{}
 
-// Proc is a simulated process: a goroutine that may block in virtual time.
-// All methods must be called from the process's own goroutine.
+// Proc is a simulated process: a coroutine that may block in virtual time.
+// All methods must be called from inside the process.
 type Proc struct {
-	k     *Kernel
-	name  string
-	wake  chan struct{}
-	state procState
-	kill  bool
-	// timer is the embedded reusable event backing this process's
-	// pending resume or wait timeout (a blocked process has at most
-	// one). It falls back to the kernel pool in the rare moment it is
-	// still queued (a canceled-timer race resolved by eager removal
-	// makes that window empty in practice).
-	timer event
-	// waiter is the embedded reusable signal-wait record (a blocked
-	// process waits on at most one signal).
-	waiter signalWaiter
+	k      *Kernel
+	name   string
+	done   bool
+	resume func() (struct{}, bool) // kernel side: switch into the process
+	yield  func(struct{}) bool     // process side: park; false means unwind
+	stop   func()                  // kernel side: make a parked yield return false
+	// The pending wake, an entry of k.wakes (a blocked process has at
+	// most one). While expiring is set the wake is the timeout of a wait
+	// on that signal, not a plain resume; timedOut is how the last wait
+	// ended.
+	wakeAt   Time
+	wakeSeq  uint64
+	expiring *Signal
+	timedOut bool
 }
 
 // Name returns the name the process was spawned with.
@@ -490,100 +497,54 @@ func (p *Proc) Now() Time { return p.k.now }
 // the current virtual time (ordered after already-scheduled events at that
 // time). Spawn may be called before Run or from inside processes/events.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, wake: make(chan struct{}), state: procReady}
-	p.timer = event{k: k, index: -1, owned: true}
-	k.procs = append(k.procs, p)
-	k.nprocs++
-	go func() {
-		<-p.wake
+	p := &Proc{k: k, name: name}
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			p.state = procDone
-			k.nprocs--
-			if r := recover(); r != nil {
-				if _, ok := r.(killed); !ok {
-					// Marshal the panic to the driver goroutine: stop
-					// the run, hand the token back, and let loop
-					// re-raise it where callers can recover.
-					if k.panicked == nil {
-						k.panicked = r
-					}
-					k.stopped = true
-				}
-				// Unwound by Shutdown (or stopping after a panic): fall
-				// through and pass the token on (next() returns nil
-				// immediately — stopped is set).
-			}
-			// The dying process holds the token: keep scheduling until
-			// it transfers to another process or an end condition hands
-			// control back to the kernel goroutine.
-			if q := k.next(); q != nil {
-				k.current = q
-				q.wake <- struct{}{}
-			} else {
-				k.yield <- struct{}{}
+			p.retire()
+			// Shutdown's unwinding ends here. Any other panic stops the
+			// run and travels on: iter.Pull re-raises it out of resume,
+			// on the goroutine that called Run, where callers can recover.
+			if r := recover(); r != nil && r != (killed{}) {
+				k.stopped = true
+				panic(r)
 			}
 		}()
-		if p.kill {
-			panic(killed{})
-		}
-		p.state = procRunning
 		fn(p)
-	}()
-	k.schedResume(p, k.now)
+	})
+	k.procs = append(k.procs, p)
+	k.nprocs++
+	k.enqueue(p, k.now)
 	return p
 }
 
-// schedResume enqueues a direct process-resume event, reusing the
-// process's embedded timer event when it is free.
-func (k *Kernel) schedResume(p *Proc, at Time) {
-	e := &p.timer
-	if e.index >= 0 {
-		e = k.alloc()
+// retire marks p finished.
+func (p *Proc) retire() {
+	if !p.done {
+		p.done = true
+		p.k.nprocs--
 	}
-	e.proc = p
-	k.push(e, at)
 }
 
-// resume transfers control to p and waits for the token to come back.
-// Used by Shutdown (kernel context) to unwind blocked processes.
-func (k *Kernel) resume(p *Proc) {
-	if p.state == procDone {
-		return
-	}
-	prev := k.current
-	k.current = p
-	p.wake <- struct{}{}
-	<-k.yield
-	k.current = prev
-}
-
-// block suspends the calling process. Holding the token, it schedules
-// inline: if its own wake is the next occurrence it simply continues —
-// no goroutine switch at all — otherwise it hands the token to the next
-// process (or back to the kernel goroutine on an end condition) and
-// parks until its own wake is dispatched by a later token holder.
+// block suspends the calling process, whose wake is already pending or
+// will come from a Broadcast. It makes the scheduling decision itself:
+// if its own wake is the next occurrence it simply continues — no switch
+// at all — otherwise it leaves the successor (or nil on an end condition)
+// for loop to switch into and parks until loop switches back.
 func (p *Proc) block() {
-	p.state = procBlocked
 	k := p.k
 	if q := k.next(); q != p {
-		if q != nil {
-			k.current = q
-			q.wake <- struct{}{}
-		} else {
-			k.yield <- struct{}{}
+		k.succ = q
+		if !p.yield(struct{}{}) {
+			panic(killed{})
 		}
-		<-p.wake
 	}
-	if p.kill {
-		panic(killed{})
-	}
-	p.state = procRunning
 }
 
-// debugForceHeap, when set (tests only), disables Sleep's fast paths so
-// every sleep travels the general heap-event path — the reference
-// discipline the fast paths must be indistinguishable from.
-var debugForceHeap bool
+// debugNoFastPath, when set (tests only), disables Sleep's in-place
+// fast path so every sleep enqueues a wake and blocks — the reference
+// discipline the fast path must be indistinguishable from.
+var debugNoFastPath bool
 
 // Sleep suspends the process for d virtual nanoseconds.
 func (p *Proc) Sleep(d Time) {
@@ -594,39 +555,27 @@ func (p *Proc) Sleep(d Time) {
 		d = 0
 	}
 	at := k.now + d
-	if debugForceHeap {
-		k.schedResume(p, at)
-		p.block()
-		return
-	}
-	// Fast path 1: nothing else can possibly run before this process
-	// wakes (no event at or before the wake time — an event AT the wake
-	// time was scheduled earlier and must fire first — and no other
-	// direct sleeper, no stop, no RunUntil bound in between). Advance
-	// the clock in place: no heap operation, no goroutine handoff.
-	if !k.stopped && k.dwProc == nil &&
+	// Fast path: nothing is due at or before the wake (an occurrence AT
+	// the wake time was scheduled earlier and must fire first) and no
+	// stop or RunUntil bound intervenes, so this process is what next()
+	// would dispatch. Advance the clock in place: no queue operation, no
+	// switch, and no seq consumed (seq is only ever compared).
+	if n := len(k.wakes); !k.stopped && !debugNoFastPath &&
+		(n == 0 || k.wakes[n-1].wakeAt > at) &&
 		(len(k.events) == 0 || k.events[0].at > at) &&
 		(k.limit < 0 || at <= k.limit) {
 		k.now = at
 		// The watchdog must observe this path too: a lone process
-		// yielding in place (d=0, empty heap) never reaches next(), so
-		// it would otherwise spin forever below the watchdog's radar.
+		// yielding in place (d=0, nothing pending) never reaches next(),
+		// so it would otherwise spin forever below the watchdog's radar.
 		// Once the trip sets stopped, the next Sleep falls through to
-		// the blocking paths and the scheduler loop exits.
+		// block and the scheduler loop exits.
 		if k.stallLimit > 0 {
 			k.tick(p.name)
 		}
 		return
 	}
-	// Fast path 2: park in the kernel's single direct-wake slot,
-	// skipping the heap. Order is identical to an event pushed now.
-	if k.dwProc == nil {
-		k.dwProc, k.dwAt, k.dwSeq = p, at, k.seq
-		k.seq++
-		p.block()
-		return
-	}
-	k.schedResume(p, at)
+	k.enqueue(p, at)
 	p.block()
 }
 
@@ -638,47 +587,28 @@ func (p *Proc) Yield() { p.Sleep(0) }
 type Signal struct {
 	k       *Kernel
 	name    string
-	waiters []*signalWaiter
-	seq     uint64
+	waiters []*Proc
 }
 
-type signalWaiter struct {
-	p     *Proc
-	s     *Signal
-	seq   uint64
-	woken bool
-	timed bool // true if the waiter timed out rather than being signaled
-	timer Handle
-}
-
-// NewSignal creates a Signal owned by kernel k.
+// NewSignal creates a Signal on kernel k.
 func (k *Kernel) NewSignal(name string) *Signal {
 	return &Signal{k: k, name: name}
 }
 
-// removeWaiter unlinks w from the wait list (timeout path).
-func (s *Signal) removeWaiter(w *signalWaiter) {
-	for i, x := range s.waiters {
-		if x == w {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			break
-		}
-	}
-}
-
-// Broadcast wakes every process currently waiting on s. Each waiter
-// resumes via a scheduled occurrence at the current time, in the order
-// they began waiting (the wait list is kept in arrival order).
+// Broadcast wakes every process currently waiting on s. Each waiter's
+// pending timeout, if any, is withdrawn and its resume enqueued at the
+// current time, in the order they began waiting (the wait list is kept
+// in arrival order).
 func (s *Signal) Broadcast() {
+	k := s.k
 	ws := s.waiters
-	if len(ws) == 0 {
-		return
-	}
 	s.waiters = s.waiters[:0]
-	for _, w := range ws {
-		w.woken = true
-		w.timer.Cancel() // frees the embedded timer for the resume below
-		s.k.schedResume(w.p, s.k.now)
+	for _, p := range ws {
+		if p.expiring != nil {
+			p.expiring = nil
+			k.wakes = without(k.wakes, p)
+		}
+		k.enqueue(p, k.now)
 	}
 }
 
@@ -691,24 +621,14 @@ func (p *Proc) Wait(s *Signal) { p.WaitTimeout(s, Forever) }
 // WaitTimeout blocks until Broadcast or until d elapses. It returns true
 // if woken by Broadcast, false on timeout.
 func (p *Proc) WaitTimeout(s *Signal, d Time) bool {
-	w := &p.waiter
-	w.p, w.s, w.seq = p, s, s.seq
-	w.woken, w.timed = false, false
-	w.timer = Handle{}
-	s.seq++
-	s.waiters = append(s.waiters, w)
+	p.timedOut = false
+	s.waiters = append(s.waiters, p)
 	if d != Forever {
-		k := s.k
-		e := &p.timer
-		if e.index >= 0 {
-			e = k.alloc()
-		}
-		e.waiter = w
-		k.push(e, k.now+d)
-		w.timer = Handle{e: e, gen: e.gen}
+		p.expiring = s
+		s.k.enqueue(p, s.k.now+max(d, 0))
 	}
 	p.block()
-	return !w.timed
+	return !p.timedOut
 }
 
 // Ring is an unbounded FIFO ring buffer. A long-lived ring neither
@@ -793,7 +713,7 @@ type Queue[T any] struct {
 	avail *Signal
 }
 
-// NewQueue creates a queue owned by kernel k.
+// NewQueue creates a queue on kernel k.
 func NewQueue[T any](k *Kernel, name string) *Queue[T] {
 	return &Queue[T]{k: k, name: name, avail: k.NewSignal(name + ".avail")}
 }

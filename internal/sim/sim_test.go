@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -613,13 +614,14 @@ func TestQueueDrainReturnsCopy(t *testing.T) {
 	}
 }
 
-// The Sleep fast paths (in-place clock advance, direct-wake slot) must
-// keep process interleaving identical to the general heap-event path:
-// the same workload runs with the fast paths forced off as a reference.
+// The Sleep fast path (in-place clock advance) must keep process
+// interleaving identical to the general enqueue-and-block path: the same
+// workload runs with the fast path forced off as a reference.
+// TestSchedulerDifferential is the randomized version.
 func TestSleepFastPathInterleaving(t *testing.T) {
-	run := func(nproc int, forceHeap bool) []string {
-		debugForceHeap = forceHeap
-		defer func() { debugForceHeap = false }()
+	run := func(nproc int, noFastPath bool) []string {
+		debugNoFastPath = noFastPath
+		defer func() { debugNoFastPath = false }()
 		var log []string
 		k := NewKernel(1)
 		defer k.Shutdown()
@@ -635,16 +637,16 @@ func TestSleepFastPathInterleaving(t *testing.T) {
 		k.Run()
 		return log
 	}
-	// n=1 exercises the in-place advance, n>=2 the direct-wake slot and
-	// heap mixing; each must match the all-heap reference exactly.
+	// n=1 always advances in place, n>=2 mixes that with wake-list
+	// switches; each must match the reference exactly.
 	for _, n := range []int{1, 2, 5} {
 		fast, ref := run(n, false), run(n, true)
 		if len(fast) != len(ref) {
-			t.Fatalf("n=%d: lengths differ: fast %d vs heap %d", n, len(fast), len(ref))
+			t.Fatalf("n=%d: lengths differ: fast %d vs reference %d", n, len(fast), len(ref))
 		}
 		for i := range fast {
 			if fast[i] != ref[i] {
-				t.Fatalf("n=%d: divergence at %d: fast %q vs heap %q", n, i, fast[i], ref[i])
+				t.Fatalf("n=%d: divergence at %d: fast %q vs reference %q", n, i, fast[i], ref[i])
 			}
 		}
 	}
@@ -750,16 +752,19 @@ func TestStallWatchdogDisabled(t *testing.T) {
 	}
 }
 
-// TestProcPanicReachesDriver pins the panic hand-off: a panic on a
-// process goroutine must re-raise on the goroutine that called Run,
-// where callers can recover — not crash the program on a goroutine
-// nobody owns. The kernel must still shut down cleanly afterwards.
+// TestProcPanicReachesDriver pins the panic hand-off: a panic inside a
+// process must re-raise on the goroutine that called Run, where callers
+// can recover — not crash the program on a goroutine nobody owns. The
+// kernel is left stopped, and must still shut down cleanly afterwards.
 func TestProcPanicReachesDriver(t *testing.T) {
+	before := runtime.NumGoroutine()
 	k := NewKernel(1)
 	defer k.Shutdown()
+	wakes := 0
 	k.Spawn("bystander", func(p *Proc) {
 		for i := 0; i < 100; i++ {
 			p.Sleep(Millisecond)
+			wakes++
 		}
 	})
 	k.Spawn("bomb", func(p *Proc) {
@@ -774,6 +779,23 @@ func TestProcPanicReachesDriver(t *testing.T) {
 	if got != "boom" {
 		t.Fatalf("recovered %v on the driver goroutine, want \"boom\"", got)
 	}
-	// The bystander is still blocked in Sleep; Shutdown (deferred) must
-	// unwind it without a second panic.
+	if !k.Stopped() {
+		t.Error("kernel is not stopped after a process panic")
+	}
+	seen := wakes
+	if k.Run(); wakes != seen {
+		t.Errorf("a second Run dispatched %d more wakes on the stopped kernel", wakes-seen)
+	}
+	// The bystander is still blocked in Sleep; Shutdown must unwind it
+	// without a second panic, and the bomb's coroutine is already gone.
+	if k.LiveProcs() != 1 {
+		t.Errorf("LiveProcs = %d after the panic, want 1 (the bystander)", k.LiveProcs())
+	}
+	k.Shutdown()
+	if k.LiveProcs() != 0 {
+		t.Errorf("LiveProcs = %d after Shutdown, want 0", k.LiveProcs())
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("%d goroutines after Shutdown, %d before the first Spawn", n, before)
+	}
 }
