@@ -172,15 +172,15 @@ func BenchmarkMachineRun(b *testing.B) {
 func BenchmarkHypervisorEpoch(b *testing.B) {
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
-	pair := platform.NewPair(k, platform.Config{
+	pair := platform.NewCluster(k, platform.Config{
 		Machine:    machine.Config{MemBytes: harness.GuestMemBytes},
 		Hypervisor: hypervisor.Config{EpochLength: 1024},
-	})
-	hv := pair.Primary.HV
+	}, 2)
+	hv := pair.Nodes[0].HV
 	p := guest.Program()
 	hv.Boot(p.Origin, p.Words, 0)
 	// Effectively endless: the workload outlasts any b.N the runner picks.
-	guest.Configure(pair.Primary.M, guest.CPUIntensive(1<<30))
+	guest.Configure(pair.Nodes[0].M, guest.CPUIntensive(1<<30))
 	b.ResetTimer()
 	k.Spawn("bench", func(pr *sim.Proc) {
 		for i := 0; i < b.N && !hv.Halted(); i++ {

@@ -7,7 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/harness"
+	"repro/internal/sched"
 )
 
 // CampaignOptions configures a campaign.
@@ -79,7 +79,7 @@ func ScheduleAt(seed int64, i int) Schedule {
 }
 
 // RunCampaign generates and executes o.Runs schedules across the
-// harness worker pool, then shrinks and emits artifacts for the first
+// fleet scheduler's workers, then shrinks and emits artifacts for the first
 // MaxShrink violations (in run order — deterministic regardless of
 // worker interleaving).
 func RunCampaign(o CampaignOptions) (CampaignReport, error) {
@@ -98,7 +98,11 @@ func RunCampaign(o CampaignOptions) (CampaignReport, error) {
 	// Execute the whole batch on the fleet scheduler. Reports land in
 	// run-index slots, so everything downstream is deterministic.
 	reports := make([]Report, o.Runs)
-	harness.ForEachWorkers(o.Workers, o.Runs, func(i int) {
+	workers := o.Workers
+	if workers == 0 {
+		workers = 1
+	}
+	sched.ForEach(workers, o.Runs, func(i int) {
 		reports[i] = Execute(ScheduleAt(o.Seed, i))
 	})
 

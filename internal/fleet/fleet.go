@@ -9,10 +9,11 @@
 // fleet costs a few dirty pages per replica instead of a private RAM
 // copy each.
 //
-// Determinism contract: every field of a Report except nothing — the
-// whole Report — is bit-identical at any worker count and on any
-// host. Host-dependent quantities (wall time, throughput, RSS) are
-// the caller's to measure around Run.
+// Determinism contract: the whole Report is bit-identical at any
+// worker count and on any host (TestFleetGolden pins a 64-shard one).
+// Host-dependent quantities (wall time, throughput, allocation) are
+// measured around Run by the benchmark's fleet_chaos workload, never
+// reported here.
 package fleet
 
 import (

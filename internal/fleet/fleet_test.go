@@ -59,3 +59,26 @@ func TestFleetAggregateShape(t *testing.T) {
 		t.Fatal("failovers recorded but no blackout percentile computed")
 	}
 }
+
+// TestFleetGolden pins one mid-sized fleet — 64 shards of the default
+// seed, the spec `hftbench -fleet 64` runs — to the aggregate recorded
+// on the build before this test existed. The digest folds every
+// shard's commits, instructions, completion time, failovers and
+// blackout, so multi-backup failover timing that no single-cluster
+// golden reaches is covered by one value.
+func TestFleetGolden(t *testing.T) {
+	want := Aggregate{
+		Shards:       64,
+		Failovers:    18,
+		Commits:      23442,
+		Instructions: 46629961,
+		VirtualTime:  5999318504,
+		BlackoutP50:  50416600,
+		BlackoutP99:  59370413,
+		BlackoutMax:  88706520,
+		Digest:       "fc9908ae116ef1cf",
+	}
+	if got := Run(Spec{Shards: 64, Seed: 19951203}).Aggregate; got != want {
+		t.Fatalf("fleet aggregate moved:\n got %+v\nwant %+v", got, want)
+	}
+}

@@ -17,28 +17,15 @@ import (
 type Bare struct {
 	// M is the machine (with Bus wired to real devices).
 	M *machine.Machine
-	// InstructionTime is the cost of one instruction (default 20 ns).
-	InstructionTime sim.Time
-	// ChunkSize bounds instructions between simulated-time syncs
-	// (default 256).
-	ChunkSize int
-	// OnDiag receives guest DIAG codes.
-	OnDiag func(code uint32)
-	// MaxInstructions aborts runaway guests (default 1e10).
-	MaxInstructions uint64
 
 	halted bool
 }
 
+// bareMaxInstructions aborts runaway bare guests.
+const bareMaxInstructions uint64 = 1e10
+
 // NewBare wraps a machine for bare-metal execution.
-func NewBare(m *machine.Machine) *Bare {
-	return &Bare{
-		M:               m,
-		InstructionTime: 20 * sim.Nanosecond,
-		ChunkSize:       256,
-		MaxInstructions: 1e10,
-	}
-}
+func NewBare(m *machine.Machine) *Bare { return &Bare{M: m} }
 
 // Boot loads the program and points the machine at its entry.
 func (b *Bare) Boot(origin uint32, words []uint32, entry uint32) {
@@ -55,12 +42,12 @@ func (b *Bare) Run(p *sim.Proc) {
 	m := b.M
 	k := p.Kernel()
 	for !b.halted {
-		if m.Cycles() > b.MaxInstructions {
-			panic(fmt.Sprintf("bare: guest exceeded %d instructions", b.MaxInstructions))
+		if m.Cycles() > bareMaxInstructions {
+			panic(fmt.Sprintf("bare: guest exceeded %d instructions", bareMaxInstructions))
 		}
-		rr := m.Run(uint64(b.ChunkSize))
+		rr := m.Run(chunkSize)
 		if rr.Executed > 0 {
-			p.Sleep(sim.Time(rr.Executed) * b.InstructionTime)
+			p.Sleep(sim.Time(rr.Executed) * instructionTime)
 		}
 		switch {
 		case rr.Trap != isa.TrapNone:
@@ -83,10 +70,6 @@ func (b *Bare) Run(p *sim.Proc) {
 				}
 				p.Sleep(d)
 				p.Yield() // let the event's effects (IRQ raise) land
-			}
-		case rr.Diag != 0:
-			if b.OnDiag != nil {
-				b.OnDiag(rr.Diag - 1)
 			}
 		}
 	}

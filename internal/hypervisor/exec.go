@@ -17,7 +17,7 @@ import (
 // DeliverBuffered, and advances to the next epoch.
 //
 // Under Config.AdaptiveBoundary a guest environment output arms an early
-// cut CutSlack instructions past the triggering store; the epoch then
+// cut cutSlack instructions past the triggering store; the epoch then
 // ends at that coordinate instead of the full EpochLength. The cut point
 // is a pure function of the guest instruction stream and shadow-device
 // state, so every replica running the same epoch chooses the same
@@ -53,11 +53,7 @@ func (hv *Hypervisor) RunEpoch(p *sim.Proc) Boundary {
 		m.CRs[isa.CRRCTR] = uint32(remaining)
 
 		// Execute a chunk, then sync simulated time and poll devices.
-		chunk := uint64(hv.cfg.ChunkSize)
-		if chunk > remaining {
-			chunk = remaining
-		}
-		rr := m.Run(chunk)
+		rr := m.Run(min(chunkSize, remaining))
 		hv.guestInstr += rr.Executed
 		hv.Stats.GuestInstructions += rr.Executed
 		if rr.Executed > 0 {
@@ -77,8 +73,6 @@ func (hv *Hypervisor) RunEpoch(p *sim.Proc) Boundary {
 			hv.handleTrap(p, rr.StepResult)
 		case rr.Halted:
 			hv.halted = true
-		case rr.Diag != 0:
-			hv.handleDiagAtPL0(rr.StepResult)
 		}
 	}
 	if hv.cutAt != 0 && hv.cutAt < target && hv.guestInstr >= hv.cutAt {
@@ -112,24 +106,16 @@ func (hv *Hypervisor) ChargeBoundary(p *sim.Proc) {
 	p.Sleep(hv.cfg.Cost.EpochLocal)
 }
 
-// handleDiagAtPL0 handles a DIAG executed at real PL0 (only possible in
-// the hypervisor's own context; guests trap instead). Kept for symmetry.
-func (hv *Hypervisor) handleDiagAtPL0(res machine.StepResult) {
-	if hv.OnDiag != nil {
-		hv.OnDiag(res.Diag - 1)
-	}
-}
-
 // chargeSim charges the cost of one full hypervisor simulation
 // (entry/exit + work). Under ResidentEmulation, a simulation landing
-// within ResidentWindow guest instructions of the previous one is
+// within residentWindow guest instructions of the previous one is
 // charged only the simulation work: the hypervisor never left, so no
 // fresh world switch is paid. Pure function of the instruction stream —
 // every replica charges identically.
 func (hv *Hypervisor) chargeSim(p *sim.Proc) {
 	c := hv.cfg.Cost.HSim()
 	if hv.cfg.ResidentEmulation && hv.residentArmed &&
-		hv.guestInstr-hv.residentAt <= hv.cfg.ResidentWindow {
+		hv.guestInstr-hv.residentAt <= residentWindow {
 		c = hv.cfg.Cost.ResidentWork
 		hv.Stats.ResidentSims++
 	}
@@ -256,9 +242,6 @@ func (hv *Hypervisor) emulatePrivileged(in isa.Inst) {
 		m.TLB.Purge()
 		advance()
 	case isa.OpDIAG:
-		if hv.OnDiag != nil {
-			hv.OnDiag(uint32(in.Imm))
-		}
 		advance()
 	case isa.OpMFTOD:
 		// THE environment instruction (§2.1): its value is synthesized
@@ -334,7 +317,7 @@ func (hv *Hypervisor) guestPhysical(va uint32) (uint32, bool) {
 // virtualizes) the device access.
 func (hv *Hypervisor) emulateMMIO(in isa.Inst, pa uint32) {
 	m := hv.M
-	off := pa - m.Config().MMIOBase
+	off := pa - machine.MMIOBase
 	switch in.Op {
 	case isa.OpLDW, isa.OpLDH, isa.OpLDB:
 		v := hv.mmioLoad(off)
@@ -408,12 +391,12 @@ func (hv *Hypervisor) mmioStore(off uint32, v uint32) {
 // noteOutputTrigger arms (or pushes back) the adaptive epoch cut after a
 // guest environment output. Called on EVERY replica — active or
 // suppressed — so the cut coordinate is a pure function of the shared
-// instruction stream. The CutSlack countdown coalesces output bursts:
+// instruction stream. The cutSlack countdown coalesces output bursts:
 // each further output re-arms it, and the epoch ends only once the guest
-// has gone CutSlack instructions without producing output.
+// has gone cutSlack instructions without producing output.
 func (hv *Hypervisor) noteOutputTrigger() {
 	if hv.cfg.AdaptiveBoundary {
-		hv.cutAt = hv.guestInstr + hv.cfg.CutSlack
+		hv.cutAt = hv.guestInstr + cutSlack
 	}
 }
 

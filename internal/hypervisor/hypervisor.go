@@ -90,9 +90,6 @@ type Config struct {
 	EpochLength uint64
 	// Cost is the simulated-time cost model (DefaultCosts() if zero).
 	Cost CostModel
-	// ChunkSize bounds how many instructions execute between
-	// simulated-time syncs and interrupt polls (default 256).
-	ChunkSize int
 	// NoTLBTakeover disables the §3.2 fix: TLB misses are reflected to
 	// the guest's own handler instead of being served invisibly by the
 	// hypervisor. With a nondeterministic TLB replacement policy this
@@ -102,22 +99,16 @@ type Config struct {
 	NoTLBTakeover bool
 	// AdaptiveBoundary enables output-triggered epoch boundaries: a
 	// guest environment output (console write, NIC doorbell, SCSI start)
-	// re-arms a countdown of CutSlack instructions, and the epoch ends
+	// re-arms a countdown of cutSlack instructions, and the epoch ends
 	// when it expires — instead of waiting out the full EpochLength. The
 	// cut point is a pure function of the guest instruction stream and
 	// the (replicated) shadow-device state, so every replica cuts at the
 	// same instruction; the epoch frame carries the coordinate for
 	// verification. Must be set identically on every replica.
 	AdaptiveBoundary bool
-	// CutSlack is the adaptive boundary's countdown: how many further
-	// instructions may retire after an environment output before the
-	// epoch is cut (default 64). The slack coalesces output bursts —
-	// a multi-word console write or NIC TX fill re-arms the countdown
-	// on each store, so the burst rides one epoch.
-	CutSlack uint64
 	// ResidentEmulation is the output-commit engine's simulation fast
 	// path: when a simulated (privileged or environment) instruction
-	// retires within ResidentWindow guest instructions of the previous
+	// retires within residentWindow guest instructions of the previous
 	// one, the hypervisor is still resident — only the simulation work
 	// is charged, not another entry/exit world switch. Sound under
 	// output deferral because an environment output is then a buffered
@@ -126,9 +117,6 @@ type Config struct {
 	// in one residency. The charge is a pure function of the guest
 	// instruction stream; must be set identically on every replica.
 	ResidentEmulation bool
-	// ResidentWindow is the residency span in guest instructions
-	// (default 32).
-	ResidentWindow uint64
 	// PTEValid is the guest page-table-entry valid bit (fixed ABI with
 	// the guest kernel; see internal/guest).
 	// The low 12 bits of a PTE are: isa.TLB* permission bits | PTEValid.
@@ -137,6 +125,26 @@ type Config struct {
 // PTEValid is the "present" bit in guest page-table entries (bit 5,
 // outside isa.TLBPermMask).
 const PTEValid uint32 = 1 << 5
+
+const (
+	// instructionTime is the bare machine's cost of one instruction
+	// (50 MIPS; a hypervisor charges CostModel.InstructionTime).
+	instructionTime = 20 * sim.Nanosecond
+	// chunkSize bounds how many instructions execute between
+	// simulated-time syncs and interrupt polls.
+	chunkSize = 256
+	// cutSlack is the adaptive boundary's countdown: how many further
+	// instructions may retire after an environment output before the
+	// epoch is cut. The slack coalesces output bursts — a multi-word
+	// console write or NIC TX fill re-arms the countdown on each store
+	// (consecutive stores are a few instructions apart), so the burst
+	// rides one epoch — and is tight enough not to burn simulated-poll
+	// time between the last output and the boundary that ships it.
+	cutSlack = 16
+	// residentWindow is ResidentEmulation's residency span in guest
+	// instructions.
+	residentWindow = 32
+)
 
 func (c Config) withDefaults() Config {
 	if c.EpochLength == 0 {
@@ -149,15 +157,6 @@ func (c Config) withDefaults() Config {
 		// Custom cost models predating the resident fast path: fall back
 		// to a full simulation charge rather than a free one.
 		c.Cost.ResidentWork = c.Cost.SimulateWork
-	}
-	if c.ChunkSize == 0 {
-		c.ChunkSize = 256
-	}
-	if c.CutSlack == 0 {
-		c.CutSlack = 64
-	}
-	if c.ResidentWindow == 0 {
-		c.ResidentWindow = 32
 	}
 	return c
 }
@@ -339,7 +338,7 @@ type Hypervisor struct {
 	halted     bool
 
 	// cutAt is the adaptive boundary's armed cut point (guest instruction
-	// count; 0 = unarmed). Re-armed to guestInstr+CutSlack by every
+	// count; 0 = unarmed). Re-armed to guestInstr+cutSlack by every
 	// environment output while AdaptiveBoundary is set; reset at each
 	// epoch start.
 	cutAt uint64
@@ -347,7 +346,7 @@ type Hypervisor struct {
 	// residentAt is the guest-instruction coordinate of the most recent
 	// simulated instruction (valid when residentArmed). Drives the
 	// ResidentEmulation fast path: a follow-on simulation within
-	// ResidentWindow instructions skips the entry/exit charge. Not
+	// residentWindow instructions skips the entry/exit charge. Not
 	// captured by snapshots — deterministic replay reproduces it.
 	residentAt    uint64
 	residentArmed bool
@@ -383,9 +382,6 @@ type Hypervisor struct {
 	// completion is captured mid-epoch — the replication layer uses it
 	// to send [E, Int] to the backup (rule P1).
 	OnCapture func(Interrupt)
-
-	// OnDiag, when set, receives guest DIAG codes (test instrumentation).
-	OnDiag func(code uint32)
 
 	// OnReflect, when set, observes every trap reflected into the guest
 	// (debugging and instrumentation; pc is the interrupted address).

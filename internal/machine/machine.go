@@ -38,14 +38,17 @@ type MMIOHandler interface {
 	MMIOStore(addr uint32, size int, v uint32) error
 }
 
+// MMIOBase and MMIOSize delimit the memory-mapped I/O window in
+// physical address space (fixed ABI with the guest kernel).
+const (
+	MMIOBase uint32 = 0xF0000000
+	MMIOSize uint32 = 1 << 20
+)
+
 // Config describes a machine instance.
 type Config struct {
 	// MemBytes is the physical RAM size (default 8 MiB).
 	MemBytes uint32
-	// MMIOBase/MMIOSize delimit the memory-mapped I/O window
-	// (default 0xF0000000 + 1 MiB).
-	MMIOBase uint32
-	MMIOSize uint32
 	// TLBSize is the number of TLB slots (default 16).
 	TLBSize int
 	// TLBPolicy is "lru", "roundrobin" or "random" (default "lru").
@@ -80,12 +83,6 @@ func (c Config) withDefaults() Config {
 		} else {
 			c.MemBytes = 8 << 20
 		}
-	}
-	if c.MMIOBase == 0 {
-		c.MMIOBase = 0xF0000000
-	}
-	if c.MMIOSize == 0 {
-		c.MMIOSize = 1 << 20
 	}
 	if c.TLBSize == 0 {
 		c.TLBSize = 16
@@ -286,7 +283,7 @@ func (m *Machine) SetPL(pl uint32) {
 
 // InMMIO reports whether a physical address falls in the MMIO window.
 func (m *Machine) InMMIO(pa uint32) bool {
-	return pa >= m.cfg.MMIOBase && pa-m.cfg.MMIOBase < m.cfg.MMIOSize
+	return pa-MMIOBase < MMIOSize
 }
 
 // RaiseIRQ asserts external interrupt line n (0..31): sets the EIRR bit.
@@ -381,7 +378,7 @@ func (m *Machine) loadPhys(pa uint32, size int) (uint32, isa.Trap) {
 		if m.Bus == nil {
 			return 0, isa.TrapMachine
 		}
-		v, err := m.Bus.MMIOLoad(pa-m.cfg.MMIOBase, size)
+		v, err := m.Bus.MMIOLoad(pa-MMIOBase, size)
 		if err != nil {
 			return 0, isa.TrapMachine
 		}
@@ -422,7 +419,7 @@ func (m *Machine) storePhys(pa uint32, size int, v uint32) isa.Trap {
 		if m.Bus == nil {
 			return isa.TrapMachine
 		}
-		if err := m.Bus.MMIOStore(pa-m.cfg.MMIOBase, size, v); err != nil {
+		if err := m.Bus.MMIOStore(pa-MMIOBase, size, v); err != nil {
 			return isa.TrapMachine
 		}
 		return isa.TrapNone

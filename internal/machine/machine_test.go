@@ -600,7 +600,7 @@ func TestProbeInstruction(t *testing.T) {
 	// MMIO probe at PL3 in real mode: denied.
 	m2 := New(Config{})
 	m2.SetPL(3)
-	m2.Regs[1] = m2.Config().MMIOBase
+	m2.Regs[1] = MMIOBase
 	m2.StorePhys32(0, isa.MustEncode(isa.Inst{Op: isa.OpPROBE, Rd: 3, R1: 1, Imm: 0}))
 	m2.Step()
 	if m2.Regs[3] != 0 {

@@ -251,5 +251,5 @@ func (m *Machine) plainRAMPage(base uint32) bool {
 	if end < base || end > m.memSize {
 		return false
 	}
-	return base >= m.cfg.MMIOBase+m.cfg.MMIOSize || end <= m.cfg.MMIOBase
+	return base >= MMIOBase+MMIOSize || end <= MMIOBase
 }

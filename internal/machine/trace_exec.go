@@ -45,8 +45,6 @@ func (m *Machine) runTraces(pg *decodedPage, base, pageVA uint32, fetchSlot int,
 		tlb    = m.TLB
 		virt   = m.PSW&isa.PSWV != 0
 		gen0   = pg.gen
-		mmioB  = m.cfg.MMIOBase
-		mmioS  = m.cfg.MMIOSize
 		memTop = m.memSize
 
 		entryVA = pageVA | slot<<2
@@ -205,7 +203,7 @@ body:
 				pa = dPPN<<isa.PageShift | va&isa.PageMask
 			}
 			var v uint32
-			slow := pa-mmioB < mmioS || pa > memTop-4
+			slow := pa-MMIOBase < MMIOSize || pa > memTop-4
 			if !slow {
 				// Aligned: the word cannot cross its frame.
 				v = binary.LittleEndian.Uint32(frames[pa>>isa.PageShift][pa&isa.PageMask:])
@@ -274,7 +272,7 @@ body:
 				pa = dPPN<<isa.PageShift | va&isa.PageMask
 			}
 			var v uint32
-			slow := pa-mmioB < mmioS || pa > memTop-2
+			slow := pa-MMIOBase < MMIOSize || pa > memTop-2
 			if !slow {
 				v = uint32(binary.LittleEndian.Uint16(frames[pa>>isa.PageShift][pa&isa.PageMask:]))
 			} else {
@@ -338,7 +336,7 @@ body:
 				pa = dPPN<<isa.PageShift | va&isa.PageMask
 			}
 			var v uint32
-			slow := pa-mmioB < mmioS || pa > memTop-1
+			slow := pa-MMIOBase < MMIOSize || pa > memTop-1
 			if !slow {
 				v = uint32(frames[pa>>isa.PageShift][pa&isa.PageMask])
 			} else {
@@ -406,7 +404,7 @@ body:
 				}
 				pa = dPPN<<isa.PageShift | va&isa.PageMask
 			}
-			if pa-mmioB >= mmioS && pa <= memTop-4 && owned[pa>>(isa.PageShift+6)]&(1<<((pa>>isa.PageShift)&63)) != 0 {
+			if pa-MMIOBase >= MMIOSize && pa <= memTop-4 && owned[pa>>(isa.PageShift+6)]&(1<<((pa>>isa.PageShift)&63)) != 0 {
 				// Inline invalidateWord: the aligned word store covers
 				// exactly one decoded slot. Unowned (COW-shared) pages
 				// take the storePhys branch below, which either skips an
@@ -487,7 +485,7 @@ body:
 				}
 				pa = dPPN<<isa.PageShift | va&isa.PageMask
 			}
-			if pa-mmioB >= mmioS && pa <= memTop-2 && owned[pa>>(isa.PageShift+6)]&(1<<((pa>>isa.PageShift)&63)) != 0 {
+			if pa-MMIOBase >= MMIOSize && pa <= memTop-2 && owned[pa>>(isa.PageShift+6)]&(1<<((pa>>isa.PageShift)&63)) != 0 {
 				if dp := m.pages[pa>>isa.PageShift]; dp != nil {
 					s := (pa & isa.PageMask) >> 2
 					b := uint64(1) << (s & 63)
@@ -560,7 +558,7 @@ body:
 				}
 				pa = dPPN<<isa.PageShift | va&isa.PageMask
 			}
-			if pa-mmioB >= mmioS && pa <= memTop-1 && owned[pa>>(isa.PageShift+6)]&(1<<((pa>>isa.PageShift)&63)) != 0 {
+			if pa-MMIOBase >= MMIOSize && pa <= memTop-1 && owned[pa>>(isa.PageShift+6)]&(1<<((pa>>isa.PageShift)&63)) != 0 {
 				if dp := m.pages[pa>>isa.PageShift]; dp != nil {
 					s := (pa & isa.PageMask) >> 2
 					b := uint64(1) << (s & 63)

@@ -173,42 +173,10 @@ func finishNode(k *sim.Kernel, cfg Config, n *Node, e *env, host int) {
 	}
 }
 
-// Pair is the two-processor prototype of Figure 1.
-type Pair struct {
-	K *sim.Kernel
-	// Disk is shared disk 0; Disks holds all shared disks.
-	Disk    *scsi.Disk
-	Disks   []*scsi.Disk
-	Console *console.Console
-	// NIC is the shared network adapter (nil unless Config.NIC).
-	NIC     *nic.NIC
-	Primary *Node
-	Backup  *Node
-	// Net carries protocol traffic: AtoB = primary->backup,
-	// BtoA = backup->primary (acknowledgements).
-	Net *netsim.Duplex
-}
-
-// NewPair builds the full two-processor prototype.
-func NewPair(k *sim.Kernel, cfg Config) *Pair {
-	pr := &Pair{K: k}
-	e := newEnv(k, cfg)
-	pr.Disks, pr.Disk, pr.Console, pr.NIC = e.disks, e.disks[0], e.console, e.nic
-	pr.Primary = newNode(k, cfg, 0)
-	pr.Backup = newNode(k, cfg, 1)
-	finishNode(k, cfg, pr.Primary, e, 0)
-	finishNode(k, cfg, pr.Backup, e, 1)
-	link := cfg.Link
-	if link.BitsPerSecond == 0 {
-		link = netsim.Ethernet10("hvlink")
-	}
-	pr.Net = netsim.NewDuplex(k, "hvlink", link)
-	return pr
-}
-
-// Cluster is the t-fault-tolerant generalization: n processors (node 0
-// is the initial primary; nodes 1..n-1 are backups in priority order)
-// sharing the device table, with a full mesh of point-to-point links.
+// Cluster is the replicated prototype of Figure 1, generalized to t
+// faults: n processors (node 0 is the initial primary; nodes 1..n-1 are
+// backups in priority order) sharing the device table, with a full mesh
+// of point-to-point links. n = 2 is the paper's pair.
 type Cluster struct {
 	K *sim.Kernel
 	// Disk is shared disk 0; Disks holds all shared disks.

@@ -11,24 +11,25 @@ import (
 func TestNewPairWiring(t *testing.T) {
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
-	p := NewPair(k, Config{})
-	if p.Primary.M == nil || p.Backup.M == nil || p.Disk == nil || p.Net == nil {
+	c := NewCluster(k, Config{}, 2)
+	pri, bak := c.Nodes[0], c.Nodes[1]
+	if tx, rx := c.Channel(0, 1); pri.M == nil || bak.M == nil || c.Disk == nil || tx == nil || rx == nil {
 		t.Fatal("incomplete pair")
 	}
 	// Distinct CPU identities, distinct TLB seeds (chip nondeterminism).
-	if p.Primary.M.Config().CPUID == p.Backup.M.Config().CPUID {
+	if pri.M.Config().CPUID == bak.M.Config().CPUID {
 		t.Error("nodes share a CPUID")
 	}
-	if p.Primary.M.Config().TLBSeed == p.Backup.M.Config().TLBSeed {
+	if pri.M.Config().TLBSeed == bak.M.Config().TLBSeed {
 		t.Error("nodes share a TLB seed")
 	}
 	// Both adapters reach the same disk (accessibility assumption).
-	p.Primary.M.Bus.MMIOStore(AdapterBase+scsi.RegCmd, 4, scsi.CmdWrite)
-	if v, _ := p.Primary.M.Bus.MMIOLoad(AdapterBase+scsi.RegCmd, 4); v != scsi.CmdWrite {
+	pri.M.Bus.MMIOStore(AdapterBase+scsi.RegCmd, 4, scsi.CmdWrite)
+	if v, _ := pri.M.Bus.MMIOLoad(AdapterBase+scsi.RegCmd, 4); v != scsi.CmdWrite {
 		t.Error("primary adapter not wired")
 	}
 	// Console responds.
-	if v, _ := p.Backup.M.Bus.MMIOLoad(ConsoleBase+0x4, 4); v != 1 {
+	if v, _ := bak.M.Bus.MMIOLoad(ConsoleBase+0x4, 4); v != 1 {
 		t.Error("backup console not wired")
 	}
 }

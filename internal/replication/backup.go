@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/hypervisor"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -92,18 +91,12 @@ type Backup struct {
 	Stats Stats
 }
 
-// NewBackup wires a single-backup engine (the paper's configuration):
-// rx carries the primary's stream, tx returns acknowledgements.
-func NewBackup(hv *hypervisor.Hypervisor, rx, tx *netsim.Link, timeout sim.Time) *Backup {
-	return NewBackupAt(hv, 1, []Peer{{TX: tx, RX: rx}}, nil, timeout, ProtocolOld)
-}
-
-// NewBackupAt wires backup number index (1-based priority). ups are the
+// NewBackup wires backup number index (1-based priority). ups are the
 // channels toward every higher-priority node, in priority order
 // (ups[0] = the original primary); downs are the channels toward every
 // lower-priority backup, used only after promotion. proto selects the
 // protocol this backup will run if promoted.
-func NewBackupAt(hv *hypervisor.Hypervisor, index int, ups, downs []Peer, timeout sim.Time, proto Protocol) *Backup {
+func NewBackup(hv *hypervisor.Hypervisor, index int, ups, downs []Peer, timeout sim.Time, proto Protocol) *Backup {
 	return &Backup{
 		HV:      hv,
 		index:   index,

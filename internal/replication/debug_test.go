@@ -22,11 +22,11 @@ func TestNoUnexpectedGuestTraps(t *testing.T) {
 	guest := guestIO(100, 3, 10, 512)
 	c := newCluster(t, 1, cfg, ProtocolOld, guest)
 	counts := map[isa.Trap]int{}
-	c.pair.Primary.HV.OnReflect = func(tr isa.Trap, isr, ior, pc uint32) {
+	c.pair.Nodes[0].HV.OnReflect = func(tr isa.Trap, isr, ior, pc uint32) {
 		counts[tr]++
 	}
 	c.run(t, 100*sim.Second)
-	if !c.pair.Primary.HV.Halted() {
+	if !c.pair.Nodes[0].HV.Halted() {
 		t.Fatal("guest did not halt")
 	}
 	for tr, n := range counts {

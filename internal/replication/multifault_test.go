@@ -36,7 +36,7 @@ func newMultiCluster(t *testing.T, seed int64, cfg platform.Config, proto Protoc
 		tx, rx := mc.c.Channel(0, j)
 		peers = append(peers, Peer{TX: tx, RX: rx})
 	}
-	mc.pri = NewPrimaryMulti(mc.c.Nodes[0].HV, peers, proto)
+	mc.pri = NewPrimary(mc.c.Nodes[0].HV, peers, proto)
 	// Backup i (node i): ups = channels to nodes 0..i-1, downs = to
 	// nodes i+1..n-1.
 	for i := 1; i < n; i++ {
@@ -49,7 +49,7 @@ func newMultiCluster(t *testing.T, seed int64, cfg platform.Config, proto Protoc
 			tx, rx := mc.c.Channel(i, j)
 			downs = append(downs, Peer{TX: tx, RX: rx})
 		}
-		bak := NewBackupAt(mc.c.Nodes[i].HV, i, ups, downs, 40*sim.Millisecond, proto)
+		bak := NewBackup(mc.c.Nodes[i].HV, i, ups, downs, 40*sim.Millisecond, proto)
 		mc.baks = append(mc.baks, bak)
 	}
 	return mc

@@ -2,7 +2,6 @@ package replication
 
 import (
 	"repro/internal/hypervisor"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -39,15 +38,9 @@ type Primary struct {
 	Stats Stats
 }
 
-// NewPrimary wires a primary engine with a single backup: tx carries
-// protocol messages to the backup; rx returns acknowledgements.
-func NewPrimary(hv *hypervisor.Hypervisor, tx, rx *netsim.Link, proto Protocol) *Primary {
-	return NewPrimaryMulti(hv, []Peer{{TX: tx, RX: rx}}, proto)
-}
-
-// NewPrimaryMulti wires a primary engine with t backups (peers in
-// priority order: peers[0] is the first to promote).
-func NewPrimaryMulti(hv *hypervisor.Hypervisor, peers []Peer, proto Protocol) *Primary {
+// NewPrimary wires a primary engine with t backups (peers in priority
+// order: peers[0] is the first to promote).
+func NewPrimary(hv *hypervisor.Hypervisor, peers []Peer, proto Protocol) *Primary {
 	pr := &Primary{HV: hv, proto: proto}
 	pr.coord = newCoordinator(hv, peers, &pr.Stats,
 		func() bool { return pr.failed }, newEpochArchive(), &pr.Hooks, 0)

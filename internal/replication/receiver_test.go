@@ -37,23 +37,24 @@ func TestReceiverEquivalence(t *testing.T) {
 		t.Cleanup(k.Shutdown)
 		cfg := platform.Config{}
 		cfg.Hypervisor.EpochLength = 256
-		pair := platform.NewPair(k, cfg)
+		pair := platform.NewCluster(k, cfg, 2)
+		tx, rx := pair.Channel(0, 1)
 		prog := asm.MustAssemble("guest.s", guestCPU(10_000))
-		pair.Primary.HV.Boot(prog.Origin, prog.Words, prog.Origin)
-		pair.Backup.HV.Boot(prog.Origin, prog.Words, prog.Origin)
+		pair.Nodes[0].HV.Boot(prog.Origin, prog.Words, prog.Origin)
+		pair.Nodes[1].HV.Boot(prog.Origin, prog.Words, prog.Origin)
 		// A downstream peer switches the backup's delivery archive on:
 		// that is where the boundary's delivery is observable.
 		down := netsim.NewDuplex(k, "down", netsim.Ethernet10("down"))
-		bk := NewBackupAt(pair.Backup.HV, 1,
-			[]Peer{{TX: pair.Net.BtoA, RX: pair.Net.AtoB}},
+		bk := NewBackup(pair.Nodes[1].HV, 1,
+			[]Peer{{TX: rx, RX: tx}},
 			[]Peer{{TX: down.AtoB, RX: down.BtoA}}, 10*sim.Second, ProtocolOld)
 
 		var out outcome
-		pair.Net.BtoA.OnDeliver = func(m netsim.Message) { out.acked = m.Payload.(ack) }
+		rx.OnDeliver = func(m netsim.Message) { out.acked = m.Payload.(ack) }
 		bk.StartReceivers(k)
 		k.Spawn("coordinator", func(p *sim.Proc) {
 			// The reference boundary: epoch 0 as the coordinator ran it.
-			frame(pair.Primary.HV.RunEpoch(p), pair.Net.AtoB.Send)
+			frame(pair.Nodes[0].HV.RunEpoch(p), tx.Send)
 		})
 		k.RunUntil(50 * sim.Millisecond)
 		out.pending = bk.CaptureState().Pending
@@ -65,7 +66,7 @@ func TestReceiverEquivalence(t *testing.T) {
 				bk.completed, bk.Stats.Divergences, bk.Promoted())
 		}
 		out.delivered = bk.archive.capture()
-		out.digest = pair.Backup.HV.Digest()
+		out.digest = pair.Nodes[1].HV.Digest()
 		out.intsRecvd = bk.Stats.IntsReceived
 		return out
 	}

@@ -165,7 +165,7 @@ func guestCPU(nIter int) string {
 // cluster bundles a wired replicated pair.
 type cluster struct {
 	k       *sim.Kernel
-	pair    *platform.Pair
+	pair    *platform.Cluster // node 0 the primary, node 1 the backup
 	pri     *Primary
 	bak     *Backup
 	prog    *asm.Program
@@ -180,12 +180,13 @@ func newCluster(t *testing.T, seed int64, cfg platform.Config, proto Protocol, g
 	if cfg.Hypervisor.EpochLength == 0 {
 		cfg.Hypervisor.EpochLength = 4096
 	}
-	c.pair = platform.NewPair(c.k, cfg)
+	c.pair = platform.NewCluster(c.k, cfg, 2)
 	c.prog = asm.MustAssemble("guest.s", guest)
-	c.pair.Primary.HV.Boot(c.prog.Origin, c.prog.Words, c.prog.Origin)
-	c.pair.Backup.HV.Boot(c.prog.Origin, c.prog.Words, c.prog.Origin)
-	c.pri = NewPrimary(c.pair.Primary.HV, c.pair.Net.AtoB, c.pair.Net.BtoA, proto)
-	c.bak = NewBackup(c.pair.Backup.HV, c.pair.Net.AtoB, c.pair.Net.BtoA, 50*sim.Millisecond)
+	c.pair.Nodes[0].HV.Boot(c.prog.Origin, c.prog.Words, c.prog.Origin)
+	c.pair.Nodes[1].HV.Boot(c.prog.Origin, c.prog.Words, c.prog.Origin)
+	tx, rx := c.pair.Channel(0, 1)
+	c.pri = NewPrimary(c.pair.Nodes[0].HV, []Peer{{TX: tx, RX: rx}}, proto)
+	c.bak = NewBackup(c.pair.Nodes[1].HV, 1, []Peer{{TX: rx, RX: tx}}, nil, 50*sim.Millisecond, proto)
 	return c
 }
 
@@ -195,9 +196,9 @@ func (c *cluster) run(t *testing.T, bound sim.Time) {
 	c.k.Spawn("primary", func(p *sim.Proc) { c.pri.Run(p); c.priDone = p.Now() })
 	c.k.Spawn("backup", func(p *sim.Proc) { c.bak.Run(p); c.bakDone = p.Now() })
 	c.k.RunUntil(bound)
-	if !c.pair.Backup.HV.Halted() && !c.pair.Primary.HV.Halted() {
+	if !c.pair.Nodes[1].HV.Halted() && !c.pair.Nodes[0].HV.Halted() {
 		t.Fatalf("neither guest halted within %v (pri pc=%#x bak pc=%#x)",
-			bound, c.pair.Primary.M.PC, c.pair.Backup.M.PC)
+			bound, c.pair.Nodes[0].M.PC, c.pair.Nodes[1].M.PC)
 	}
 }
 
@@ -227,14 +228,14 @@ func TestReplicatedCPUWorkloadNoFailure(t *testing.T) {
 	c := newCluster(t, 1, platform.Config{}, ProtocolOld, guest)
 	c.run(t, 100*sim.Second)
 
-	if !c.pair.Primary.HV.Halted() || !c.pair.Backup.HV.Halted() {
+	if !c.pair.Nodes[0].HV.Halted() || !c.pair.Nodes[1].HV.Halted() {
 		t.Fatal("both guests should halt")
 	}
 	if c.bak.Stats.Divergences != 0 {
 		t.Errorf("divergences = %d", c.bak.Stats.Divergences)
 	}
 	// Same architectural result on both.
-	if c.pair.Primary.M.Regs[6] != c.pair.Backup.M.Regs[6] {
+	if c.pair.Nodes[0].M.Regs[6] != c.pair.Nodes[1].M.Regs[6] {
 		t.Error("sum registers differ")
 	}
 	// Claim (1): backup generated no environment interactions — the
@@ -293,8 +294,8 @@ func TestReplicatedDiskIO(t *testing.T) {
 	}
 	// Read data was forwarded to the backup: its memory holds the same
 	// read-back buffer.
-	priBuf := c.pair.Primary.M.ReadBytes(0x6000, 512)
-	bakBuf := c.pair.Backup.M.ReadBytes(0x6000, 512)
+	priBuf := c.pair.Nodes[0].M.ReadBytes(0x6000, 512)
+	bakBuf := c.pair.Nodes[1].M.ReadBytes(0x6000, 512)
 	if !bytes.Equal(priBuf, bakBuf) {
 		t.Error("read DMA data differs between replicas")
 	}
@@ -325,7 +326,7 @@ func TestFailoverMidCompute(t *testing.T) {
 	if !c.bak.Promoted() {
 		t.Fatal("backup did not promote")
 	}
-	if !c.pair.Backup.HV.Halted() {
+	if !c.pair.Nodes[1].HV.Halted() {
 		t.Fatal("promoted backup did not finish the workload")
 	}
 	// The workload completed correctly: disk holds both blocks and the
@@ -373,7 +374,7 @@ func TestFailoverTwoGeneralsWindow(t *testing.T) {
 	if c.bak.Stats.UncertainSynth == 0 {
 		t.Error("P7 synthesized no uncertain interrupts")
 	}
-	if !c.pair.Backup.HV.Halted() {
+	if !c.pair.Nodes[1].HV.Halted() {
 		t.Fatal("workload did not complete after failover")
 	}
 	out := c.pair.Console.Output()
@@ -408,7 +409,7 @@ func TestFailoverBeforeIO(t *testing.T) {
 	c := newCluster(t, 1, cfg, ProtocolOld, guest)
 	c.k.At(500*sim.Microsecond, c.pri.Failstop) // mid-compute, pre-I/O
 	c.run(t, 200*sim.Second)
-	if !c.bak.Promoted() || !c.pair.Backup.HV.Halted() {
+	if !c.bak.Promoted() || !c.pair.Nodes[1].HV.Halted() {
 		t.Fatal("failover or completion failed")
 	}
 	// Only the backup's host ever touched the disk.
@@ -436,7 +437,7 @@ func TestNewProtocolCorrectAndFaster(t *testing.T) {
 	if nw.bak.Stats.Divergences != 0 {
 		t.Errorf("new protocol divergences = %d", nw.bak.Stats.Divergences)
 	}
-	if nw.pair.Primary.M.Regs[6] != old.pair.Primary.M.Regs[6] {
+	if nw.pair.Nodes[0].M.Regs[6] != old.pair.Nodes[0].M.Regs[6] {
 		t.Error("results differ between protocols")
 	}
 	// §4.3/Table 1: dropping the boundary ack wait speeds things up.
@@ -477,10 +478,10 @@ func TestNewProtocolFailoverWithLostMessages(t *testing.T) {
 	guest := guestIO(20000, 1, 60, 512)
 	c := newCluster(t, 1, cfg, ProtocolNew, guest)
 	// Drop everything the primary sends from 0.2 ms on, then fail it.
-	c.k.At(200*sim.Microsecond, func() { c.pair.Net.AtoB.DropNext(1 << 30) })
+	c.k.At(200*sim.Microsecond, func() { c.pair.Links[0][1].AtoB.DropNext(1 << 30) })
 	c.k.At(2*sim.Millisecond, c.pri.Failstop)
 	c.run(t, 200*sim.Second)
-	if !c.bak.Promoted() || !c.pair.Backup.HV.Halted() {
+	if !c.bak.Promoted() || !c.pair.Nodes[1].HV.Halted() {
 		t.Fatal("failover or completion failed")
 	}
 	blk := c.pair.Disk.ReadBlockDirect(60)
@@ -530,7 +531,7 @@ func TestDeterministicReplication(t *testing.T) {
 		}
 		c := newCluster(t, 42, cfg, ProtocolOld, guest)
 		c.run(t, 100*sim.Second)
-		return c.priDone, c.pair.Console.Output(), c.pair.Primary.HV.Digest()
+		return c.priDone, c.pair.Console.Output(), c.pair.Nodes[0].HV.Digest()
 	}
 	t1, o1, d1 := run()
 	t2, o2, d2 := run()

@@ -6,12 +6,13 @@
 // slotted by index, so output is byte-identical at any worker count —
 // scheduling decides only WHEN fn(i) runs, never what it computes.
 //
-// Compared to the shared-counter fan-out in internal/harness, range
-// splitting keeps each worker on a contiguous run of indices (shard i
-// and i+1 usually share a base image and pooled buffers) and contends
-// on a per-worker word instead of one global counter; stealing in half
-// ranges rebalances when per-index cost is wildly uneven, as it is for
-// fleet shards with randomized fault schedules.
+// Range splitting keeps each worker on a contiguous run of indices
+// (shard i and i+1 usually share a base image and pooled buffers) and
+// contends on a per-worker word instead of one global counter; stealing
+// in half ranges rebalances when per-index cost is wildly uneven, as it
+// is for fleet shards with randomized fault schedules. Every fan-out in
+// the repo — hftbench's figure points, chaos campaigns, fleets — goes
+// through ForEach.
 package sched
 
 import (

@@ -158,7 +158,7 @@ func (e *Engine) AddBackup(cfg AddBackupConfig) (int, error) {
 	}
 	// Boot normalized the DetectTimeout default before the quiesce ran.
 	timeout := e.o.DetectTimeout
-	bak := replication.NewBackupAt(node.HV, n, ups, nil, timeout, e.o.Protocol)
+	bak := replication.NewBackup(node.HV, n, ups, nil, timeout, e.o.Protocol)
 	bak.PeerTimeout = e.peerTimeout()
 	bak.OutputCommit = e.o.OutputCommit
 	bak.BootTOD = e.lastTme

@@ -426,11 +426,6 @@ func (e *Engine) Boot() {
 			// deferred, an environment access is a buffered shadow write,
 			// so consecutive simulations share one hypervisor residency.
 			ResidentEmulation: o.OutputCommit.Enabled,
-			// A tight cut slack still coalesces multi-word output bursts
-			// (consecutive stores are a few instructions apart) but stops
-			// burning simulated-poll time between the last output and the
-			// boundary that ships it.
-			CutSlack: 16,
 		},
 	}, n)
 	e.cluster = cluster
@@ -446,7 +441,7 @@ func (e *Engine) Boot() {
 		tx, rx := cluster.Channel(0, j)
 		peers = append(peers, replication.Peer{TX: tx, RX: rx})
 	}
-	pri := replication.NewPrimaryMulti(cluster.Nodes[0].HV, peers, o.Protocol)
+	pri := replication.NewPrimary(cluster.Nodes[0].HV, peers, o.Protocol)
 	pri.PeerTimeout = e.peerTimeout()
 	pri.OutputCommit = o.OutputCommit
 	e.pri = pri
@@ -460,7 +455,7 @@ func (e *Engine) Boot() {
 			tx, rx := cluster.Channel(i, j)
 			downs = append(downs, replication.Peer{TX: tx, RX: rx})
 		}
-		bak := replication.NewBackupAt(
+		bak := replication.NewBackup(
 			cluster.Nodes[i].HV, i, ups, downs, o.DetectTimeout, o.Protocol)
 		bak.PeerTimeout = e.peerTimeout()
 		bak.OutputCommit = o.OutputCommit

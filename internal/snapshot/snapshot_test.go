@@ -2,14 +2,16 @@ package snapshot
 
 import (
 	"errors"
-	"repro/internal/console"
-	"repro/internal/device"
-	"repro/internal/scsi"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/console"
+	"repro/internal/device"
 	"repro/internal/hypervisor"
 	"repro/internal/machine"
 	"repro/internal/replication"
+	"repro/internal/scsi"
 )
 
 // TestCodecRoundTrip pins primitive encode/decode symmetry.
@@ -135,56 +137,109 @@ func TestTransferRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCoordinatorBackupStateCodec round-trips the replication capture
-// encoders through re-encoding equality.
-func TestCoordinatorBackupStateCodec(t *testing.T) {
-	cs := replication.CoordinatorState{
-		Seq:       9,
-		PeerAcked: []uint64{9, 7},
-		IntIndex:  3,
-		Pending:   []replication.PendingAckState{{Epoch: 4, Seq: 8}},
-		Released:  3, HaveReleased: true,
-		Archive: []replication.SyncEpoch{{
-			Epoch: 4, Tme: 100, Digest: 0xAB, Halted: false,
-			Ints: []replication.Interrupt{{Line: 1, Completion: device.Completion{Data: []byte{1}}}},
-		}},
+// eachFlip visits every leaf of the addressable value v — fields of
+// nested structs, slice elements, one element past each slice's end,
+// the target of each pointer (a nil pointer becomes a zero target) —
+// and for each one changes it, calls check, and puts it back.
+func eachFlip(v reflect.Value, path string, check func(path string)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			eachFlip(v.Field(i), path+"."+v.Type().Field(i).Name, check)
+		}
+		return
+	case reflect.Pointer:
+		if !v.IsNil() {
+			eachFlip(v.Elem(), path, check)
+			return
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			eachFlip(v.Index(i), fmt.Sprintf("%s[%d]", path, i), check)
+		}
 	}
-	w := NewWriter("TESTMAG1")
-	PutCoordinatorState(w, cs)
-	blob := w.Finish()
-	r, err := NewReader(blob, "TESTMAG1")
-	if err != nil {
-		t.Fatal(err)
+	saved := reflect.New(v.Type()).Elem()
+	saved.Set(v)
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Slice:
+		v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+	default:
+		panic("eachFlip: unhandled kind " + v.Kind().String() + " at " + path)
 	}
-	got := CoordinatorState(r)
-	w2 := NewWriter("TESTMAG1")
-	PutCoordinatorState(w2, got)
-	if string(w2.Finish()) != string(blob) {
-		t.Fatal("coordinator state re-encoding differs")
-	}
+	check(path)
+	v.Set(saved)
+}
 
-	bs := replication.BackupState{
-		Index: 2, Completed: 5, BootTOD: 50,
-		Pending: []replication.PendingEpochState{{
-			Epoch:  5,
-			Ints:   []replication.PendingInterrupt{{Index: 0, Int: replication.Interrupt{Line: 1}}},
-			HasTme: true, Tme: 123,
-			HasEnd: true, End: replication.PendingEnd{Seq: 7, Digest: 0xCD},
-		}},
-		Coordinator: &cs,
+// TestCoordinatorBackupStateCodec pins what Restore's verification
+// relies on. Nothing decodes the replication sections: a restored
+// session is checked by comparing its freshly encoded sections to the
+// saved bytes, which is sound exactly when equal states encode equal
+// and states that differ anywhere encode differently.
+func TestCoordinatorBackupStateCodec(t *testing.T) {
+	coordinator := func() *replication.CoordinatorState {
+		return &replication.CoordinatorState{
+			Seq:       9,
+			PeerAcked: []uint64{9, 7},
+			IntIndex:  3,
+			Pending:   []replication.PendingAckState{{Epoch: 4, Seq: 8}},
+			Released:  3, HaveReleased: true,
+			Archive: []replication.SyncEpoch{{
+				Epoch: 4, Tme: 100, Digest: 0xAB, Halted: false,
+				Ints: []replication.Interrupt{{Line: 1, Completion: device.Completion{Data: []byte{1}}}},
+			}},
+		}
 	}
-	w3 := NewWriter("TESTMAG1")
-	PutBackupState(w3, bs)
-	blob3 := w3.Finish()
-	r3, err := NewReader(blob3, "TESTMAG1")
-	if err != nil {
-		t.Fatal(err)
+	backup := func() *replication.BackupState {
+		return &replication.BackupState{
+			Index: 2, Completed: 5, BootTOD: 50,
+			Pending: []replication.PendingEpochState{{
+				Epoch:  5,
+				Ints:   []replication.PendingInterrupt{{Index: 0, Int: replication.Interrupt{Line: 1}}},
+				HasTme: true, Tme: 123,
+				HasEnd: true, End: replication.PendingEnd{Seq: 7, Digest: 0xCD},
+			}},
+			Coordinator: coordinator(),
+		}
 	}
-	got3 := BackupState(r3)
-	w4 := NewWriter("TESTMAG1")
-	PutBackupState(w4, got3)
-	if string(w4.Finish()) != string(blob3) {
-		t.Fatal("backup state re-encoding differs")
+	for _, c := range []struct {
+		name  string
+		fresh func() any
+		put   func(w *Writer, state any)
+	}{
+		{"CoordinatorState", func() any { return coordinator() },
+			func(w *Writer, s any) { PutCoordinatorState(w, *s.(*replication.CoordinatorState)) }},
+		{"BackupState", func() any { return backup() },
+			func(w *Writer, s any) { PutBackupState(w, *s.(*replication.BackupState)) }},
+	} {
+		encode := func(state any) string {
+			w := NewWriter("TESTMAG1")
+			c.put(w, state)
+			return string(w.Finish())
+		}
+		state := c.fresh()
+		base := encode(state)
+		if encode(c.fresh()) != base {
+			t.Errorf("%s: equal states encode differently", c.name)
+		}
+		flips := 0
+		eachFlip(reflect.ValueOf(state).Elem(), c.name, func(path string) {
+			flips++
+			if encode(state) == base {
+				t.Errorf("changing %s leaves the encoding unchanged", path)
+			}
+		})
+		if encode(state) != base {
+			t.Errorf("%s: eachFlip did not restore the state", c.name)
+		}
+		t.Logf("%s: %d single-field changes, each visible in the bytes", c.name, flips)
 	}
 }
 

@@ -375,33 +375,11 @@ func putSyncEpoch(w *Writer, e replication.SyncEpoch) {
 	putInterrupts(w, e.Ints)
 }
 
-func syncEpoch(r *Reader) replication.SyncEpoch {
-	var e replication.SyncEpoch
-	e.Epoch = r.U64()
-	e.Tme = r.U32()
-	e.Digest = r.U64()
-	e.Halted = r.Bool()
-	e.Ints = interrupts(r)
-	return e
-}
-
 func putSyncEpochs(w *Writer, es []replication.SyncEpoch) {
 	w.U32(uint32(len(es)))
 	for _, e := range es {
 		putSyncEpoch(w, e)
 	}
-}
-
-// syncEpochMin is the encoded size of a sync epoch with no interrupts.
-const syncEpochMin = 8 + 4 + 8 + 1 + 4
-
-func syncEpochs(r *Reader) []replication.SyncEpoch {
-	n := r.Count(syncEpochMin)
-	var out []replication.SyncEpoch
-	for i := 0; i < n; i++ {
-		out = append(out, syncEpoch(r))
-	}
-	return out
 }
 
 func putReplStats(w *Writer, s replication.Stats) {
@@ -424,28 +402,6 @@ func putReplStats(w *Writer, s replication.Stats) {
 	w.U64(s.OutputsReleased)
 }
 
-func replStats(r *Reader) replication.Stats {
-	var s replication.Stats
-	s.Epochs = r.U64()
-	s.MessagesSent = r.U64()
-	s.BytesSent = r.U64()
-	s.AcksReceived = r.U64()
-	s.AckWaits = r.U64()
-	s.AckWaitTime = sim.Time(r.I64())
-	s.IOGateWaits = r.U64()
-	s.IOGateWaitTime = sim.Time(r.I64())
-	s.IntsForwarded = r.U64()
-	s.IntsReceived = r.U64()
-	s.Divergences = r.U64()
-	s.PeerTimeouts = r.U64()
-	s.PromotedAtEpoch = r.U64()
-	s.PromotedAtTime = sim.Time(r.I64())
-	s.Promoted = r.Bool()
-	s.UncertainSynth = r.U64()
-	s.OutputsReleased = r.U64()
-	return s
-}
-
 // PutCoordinatorState encodes a coordinator capture.
 func PutCoordinatorState(w *Writer, s replication.CoordinatorState) {
 	w.U64(s.Seq)
@@ -463,26 +419,6 @@ func PutCoordinatorState(w *Writer, s replication.CoordinatorState) {
 	w.Bool(s.HaveReleased)
 	putSyncEpochs(w, s.Archive)
 	putReplStats(w, s.Stats)
-}
-
-// CoordinatorState decodes a coordinator capture.
-func CoordinatorState(r *Reader) replication.CoordinatorState {
-	var s replication.CoordinatorState
-	s.Seq = r.U64()
-	n := int(r.U32())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		s.PeerAcked = append(s.PeerAcked, r.U64())
-	}
-	s.IntIndex = r.U32()
-	n = int(r.U32())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		s.Pending = append(s.Pending, replication.PendingAckState{Epoch: r.U64(), Seq: r.U64()})
-	}
-	s.Released = r.U64()
-	s.HaveReleased = r.Bool()
-	s.Archive = syncEpochs(r)
-	s.Stats = replStats(r)
-	return s
 }
 
 // PutBackupState encodes a backup capture.
@@ -523,49 +459,6 @@ func PutBackupState(w *Writer, s replication.BackupState) {
 	if s.Coordinator != nil {
 		PutCoordinatorState(w, *s.Coordinator)
 	}
-}
-
-// BackupState decodes a backup capture.
-func BackupState(r *Reader) replication.BackupState {
-	var s replication.BackupState
-	s.Index = r.Int()
-	s.Completed = r.U64()
-	s.Promoted = r.Bool()
-	s.Failed = r.Bool()
-	s.Withdrawn = r.Bool()
-	s.Done = r.Bool()
-	s.Halted = r.Bool()
-	s.BootTOD = r.U32()
-	n := int(r.U32())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		var pe replication.PendingEpochState
-		pe.Epoch = r.U64()
-		m := int(r.U32())
-		for j := 0; j < m && r.Err() == nil; j++ {
-			pe.Ints = append(pe.Ints, replication.PendingInterrupt{Index: r.U32(), Int: Interrupt(r)})
-		}
-		pe.HasTme = r.Bool()
-		pe.Tme = r.U32()
-		pe.HasEnd = r.Bool()
-		pe.End.Seq = r.U64()
-		pe.End.Digest = r.U64()
-		pe.End.Halted = r.Bool()
-		pe.End.Cut = r.U64()
-		pe.End.Released = r.U64()
-		pe.End.HaveReleased = r.Bool()
-		if r.Bool() {
-			v := syncEpoch(r)
-			pe.Verbatim = &v
-		}
-		s.Pending = append(s.Pending, pe)
-	}
-	s.Archive = syncEpochs(r)
-	s.Stats = replStats(r)
-	if r.Bool() {
-		cs := CoordinatorState(r)
-		s.Coordinator = &cs
-	}
-	return s
 }
 
 // Transfer is the payload of a live backup-reintegration state

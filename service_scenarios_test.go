@@ -11,6 +11,10 @@ package hft
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -231,5 +235,137 @@ func TestServiceEventsAndValidation(t *testing.T) {
 	}
 	if _, err := NewCluster(WithWorkload(CPUIntensive(1000)), WithClientLoad(ClientLoad{})); err == nil {
 		t.Error("WithClientLoad without ServeRequests was accepted")
+	}
+}
+
+// gridRow is one row of testdata/service.golden.json or
+// testdata/latency.golden.json: a configuration (the config name, plus
+// epoch/window/adaptive in the latency grid) and the client-observed
+// numbers pinned for it, in virtual microseconds. The two files are
+// frozen — every number in them was produced by a build that predates
+// this test — so a row that stops reproducing is a behaviour change.
+type gridRow struct {
+	Config   string `json:"config"` // "bare" or "<protocol>/<link>[+oc]"
+	Epoch    uint64 `json:"epoch"`
+	Window   int    `json:"window"`
+	Adaptive bool   `json:"adaptive"`
+
+	Requests    int     `json:"requests"`
+	Answered    int     `json:"answered"`
+	Retransmits uint64  `json:"retransmits"`
+	P50         float64 `json:"p50_us"`
+	P99         float64 `json:"p99_us"`
+	P999        float64 `json:"p999_us"`
+	Max         float64 `json:"max_us"`
+	Blackout    float64 `json:"blackout_us"`
+	CommitP50   float64 `json:"commit_p50_us"`
+	Overhead    float64 `json:"overhead_p50"` // P50 over the bare row's
+}
+
+func readGrid(t *testing.T, path, key string, rows int) []gridRow {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var grid []gridRow
+	if err := json.Unmarshal(doc[key], &grid); err != nil {
+		t.Fatal(err)
+	}
+	if len(grid) != rows || grid[0].Config != "bare" {
+		t.Fatalf("%s: %d rows starting at %q, want %d starting at bare", path, len(grid), grid[0].Config, rows)
+	}
+	return grid
+}
+
+func TestServiceGridGolden(t *testing.T) {
+	// One load for both grids: 32 requests from 8 open-loop clients,
+	// with the client timeout far above the healthy replicated tail so
+	// retransmissions isolate the failover blackout.
+	base := []Option{
+		WithWorkload(ServeRequests(32, 50)),
+		WithClientLoad(ClientLoad{Clients: 8, MeanGap: 500 * Microsecond, Timeout: 50 * Millisecond}),
+	}
+	bare, cb := runScenario(t, append(base, Bare())...)
+	bareLat, _ := cb.ServiceLatencies()
+	us := func(d Duration) float64 { return float64(d) / float64(Microsecond) }
+
+	// run executes config — "bare" (which takes no replica options:
+	// extra is dropped) or "<protocol>/<link>" — and requires the bare
+	// run's reply transcript of it.
+	run := func(t *testing.T, config string, extra ...Option) (Result, *Cluster, ServiceLatencies) {
+		opts := append(base, Bare())
+		if config != "bare" {
+			opts = append(base, extra...)
+			if strings.HasPrefix(config, "new/") {
+				opts = append(opts, WithProtocol(ProtocolNew))
+			}
+			if strings.HasSuffix(config, "/atm") {
+				opts = append(opts, WithLink(ATM155()))
+			}
+		}
+		res, c := runScenario(t, opts...)
+		if res.NetReplies != bare.NetReplies || res.Checksum != bare.Checksum {
+			t.Fatalf("reply stream diverged from bare (%d vs %d bytes, checksum %#x vs %#x)",
+				len(res.NetReplies), len(bare.NetReplies), res.Checksum, bare.Checksum)
+		}
+		m, _ := c.ServiceLatencies()
+		return res, c, m
+	}
+
+	// The service grid: bare, then {old, new} x {ethernet, atm} on the
+	// lock-step path at EL 1024 and at the output-commit operating point
+	// ("+oc": a short base epoch, a window deep enough to cover the ack
+	// round trip), the primary failstopped mid-load in every replicated
+	// row.
+	const failAt = 6 * Millisecond
+	for _, want := range readGrid(t, "testdata/service.golden.json", "service", 9) {
+		t.Run("service/"+want.Config, func(t *testing.T) {
+			config, oc := strings.CutSuffix(want.Config, "+oc")
+			extra := []Option{WithEpochLength(1024), WithFailPrimaryAt(failAt), WithDetectTimeout(3 * Millisecond)}
+			if oc {
+				extra = append(extra, WithEpochLength(256), WithOutputCommit(OutputCommit{Window: 16, Adaptive: true}))
+			}
+			res, c, m := run(t, config, extra...)
+			got := gridRow{
+				Config: want.Config, Requests: m.Requests, Answered: m.Answered, Retransmits: m.Retransmits,
+				P50: us(m.P50), P99: us(m.P99), P999: us(m.P999), Max: us(m.Max),
+			}
+			if config != "bare" {
+				if !res.Promoted {
+					t.Fatal("primary failstop produced no promotion")
+				}
+				if got.Blackout = us(c.ServiceBlackout(failAt)); got.Blackout <= 0 {
+					t.Fatal("no finite blackout window around the failover")
+				}
+			}
+			if got != want {
+				t.Errorf("pinned row moved:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+
+	// The latency grid: bare, then the healthy service (old protocol,
+	// Ethernet) at epoch {256, 1024, 4096} x window {lock-step, 1, 1+a,
+	// 4+a, 16+a}.
+	for _, want := range readGrid(t, "testdata/latency.golden.json", "latency", 16) {
+		t.Run(fmt.Sprintf("latency/%s/el%d/w%d/a=%t", want.Config, want.Epoch, want.Window, want.Adaptive), func(t *testing.T) {
+			extra := []Option{WithEpochLength(want.Epoch)}
+			if want.Window > 0 {
+				extra = append(extra, WithOutputCommit(OutputCommit{Window: want.Window, Adaptive: want.Adaptive}))
+			}
+			_, _, m := run(t, want.Config, extra...)
+			got := gridRow{
+				Config: want.Config, Epoch: want.Epoch, Window: want.Window, Adaptive: want.Adaptive,
+				P50: us(m.P50), P99: us(m.P99), CommitP50: us(m.CommitP50), Overhead: us(m.P50) / us(bareLat.P50),
+			}
+			if got != want {
+				t.Errorf("pinned row moved:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
