@@ -78,7 +78,6 @@ func newCluster(o *clusterOptions) *Cluster {
 		Backups:       o.backups,
 		FailBackupAt:  o.failBackupTimes(),
 		Observer:      c.publish,
-		DiskEvents:    true,
 		OutputCommit:  o.outputCommitConfig(),
 	})
 	return c

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/hypervisor"
 	"repro/internal/platform"
 	"repro/internal/scsi"
 	"repro/internal/sim"
@@ -17,12 +18,25 @@ func fastDisk() scsi.DiskConfig {
 	}
 }
 
+// single is a cluster of one: the platform bare and unreplicated runs
+// use, with a bare runner over its only node's machine.
+type single struct {
+	*platform.Cluster
+	Node *platform.Node
+	Bare *hypervisor.Bare
+}
+
+func newSingle(k *sim.Kernel, cfg platform.Config) *single {
+	c := platform.NewCluster(k, cfg, 1)
+	return &single{Cluster: c, Node: c.Nodes[0], Bare: hypervisor.NewBare(c.Nodes[0].M)}
+}
+
 // runBare boots the kernel bare with a workload and runs to halt.
-func runBare(t *testing.T, w Workload, cfg platform.Config) (*platform.Single, Result, sim.Time) {
+func runBare(t *testing.T, w Workload, cfg platform.Config) (*single, Result, sim.Time) {
 	t.Helper()
 	k := sim.NewKernel(1)
 	t.Cleanup(k.Shutdown)
-	s := platform.NewSingle(k, cfg)
+	s := newSingle(k, cfg)
 	p := Program()
 	s.Bare.Boot(p.Origin, p.Words, 0)
 	Configure(s.Node.M, w)
@@ -40,11 +54,11 @@ func runBare(t *testing.T, w Workload, cfg platform.Config) (*platform.Single, R
 
 // runVirt boots the kernel under a single hypervisor (no replication)
 // and runs to halt.
-func runVirt(t *testing.T, w Workload, cfg platform.Config) (*platform.Single, Result, sim.Time) {
+func runVirt(t *testing.T, w Workload, cfg platform.Config) (*single, Result, sim.Time) {
 	t.Helper()
 	k := sim.NewKernel(1)
 	t.Cleanup(k.Shutdown)
-	s := platform.NewSingle(k, cfg)
+	s := newSingle(k, cfg)
 	hv := s.Node.HV
 	hv.SetIOActive(true)
 	p := Program()
@@ -178,7 +192,7 @@ func TestTLBTakeoverInvisible(t *testing.T) {
 	cfg := platform.Config{Disk: fastDisk()}
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
-	s := platform.NewSingle(k, cfg)
+	s := newSingle(k, cfg)
 	hv := s.Node.HV
 	hv.SetIOActive(true)
 	p := Program()
@@ -209,7 +223,7 @@ func TestDeviceTransientRetriedByDriver(t *testing.T) {
 	cfg.Disk.Seed = 3
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
-	s := platform.NewSingle(k, cfg)
+	s := newSingle(k, cfg)
 	s.Disk.InjectUncertainNext(2)
 	p := Program()
 	s.Bare.Boot(p.Origin, p.Words, 0)
@@ -252,7 +266,7 @@ func TestReadWorkloadChecksumsData(t *testing.T) {
 	cfg := platform.Config{Disk: fastDisk()}
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
-	s := platform.NewSingle(k, cfg)
+	s := newSingle(k, cfg)
 	for b := uint32(16); b < 16+1024; b++ {
 		s.Disk.WriteBlockDirect(b, []byte{byte(b), byte(b >> 8), 1, 2})
 	}

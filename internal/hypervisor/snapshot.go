@@ -12,12 +12,19 @@ package hypervisor
 // shadow), the protocol latches (outstanding/issued-real — the set rule
 // P7 synthesizes uncertain interrupts for at failover), the output
 // ordinal counters, and any suppressed-output buffer.
+//
+// The hypervisor's byte format lives here and nowhere else
+// (State.Encode / DecodeState and the Interrupt pair the replication
+// layer's encoders reuse). State is the validate-then-commit staging
+// value between the bytes and the live hypervisor: a decoded State has
+// touched nothing until RestoreState accepts it.
 
 import (
 	"fmt"
 
 	"repro/internal/isa"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // DeviceState is one captured shadow-device binding: the window
@@ -57,7 +64,6 @@ type SuppressedOutputState struct {
 }
 
 // State is a complete capture of one hypervisor's virtualization state.
-// All reference fields are deep copies.
 type State struct {
 	VCR           [isa.NumCRs]uint32
 	VPSW          uint32
@@ -87,7 +93,10 @@ type State struct {
 	Stats Stats
 }
 
-// CaptureState snapshots the hypervisor. Read-only.
+// CaptureState snapshots the hypervisor. Read-only, and a borrow like
+// machine.BorrowState: Buffered aliases the live delivery buffer, so the
+// State is valid only until the hypervisor next runs — every caller
+// encodes at once.
 func (hv *Hypervisor) CaptureState() State {
 	s := State{
 		VCR:             hv.vCR,
@@ -100,13 +109,8 @@ func (hv *Hypervisor) CaptureState() State {
 		Epoch:           hv.epoch,
 		Halted:          hv.halted,
 		IOActive:        hv.ioActive,
-	}
-	for _, i := range hv.buffered {
-		ci := i
-		if len(i.Data) > 0 {
-			ci.Data = append([]byte(nil), i.Data...)
-		}
-		s.Buffered = append(s.Buffered, ci)
+		Buffered:        hv.buffered,
+		Stats:           hv.Stats,
 	}
 	for _, d := range hv.devs {
 		s.Devices = append(s.Devices, DeviceState{
@@ -122,7 +126,6 @@ func (hv *Hypervisor) CaptureState() State {
 			Epoch: so.epoch, Start: so.start, At: uint64(so.at),
 		})
 	}
-	s.Stats = hv.Stats
 	return s
 }
 
@@ -183,4 +186,178 @@ func (hv *Hypervisor) RestoreState(s State) error {
 	hv.Stats = s.Stats
 	hv.applyVPSW()
 	return nil
+}
+
+// Encode appends one buffered virtual interrupt to w.
+func (i Interrupt) Encode(w *snapshot.Writer) {
+	w.U32(uint32(i.Line))
+	w.Bool(i.Timer)
+	w.U32(i.Dev)
+	w.U32(i.Status)
+	w.U32(i.Addr)
+	w.Bytes(i.Data)
+	w.U32(i.Seq)
+	w.U32(i.CapturedTOD)
+}
+
+// DecodeInterrupt reads one interrupt written by Interrupt.Encode;
+// failures latch on r.
+func DecodeInterrupt(r *snapshot.Reader) Interrupt {
+	var i Interrupt
+	i.Line = uint(r.U32())
+	i.Timer = r.Bool()
+	i.Dev = r.U32()
+	i.Status = r.U32()
+	i.Addr = r.U32()
+	if b := r.Bytes(); len(b) > 0 {
+		i.Data = b
+	}
+	i.Seq = r.U32()
+	i.CapturedTOD = r.U32()
+	return i
+}
+
+// Encoded sizes the decoder bounds its allocations by: an interrupt
+// without bulk data, one suppressed-output entry.
+const (
+	interruptMin    = 4 + 1 + 4 + 4 + 4 + 4 + 4 + 4
+	suppressedBytes = 4 + 4 + 4 + 4 + 8 + 1 + 8
+)
+
+// Encode appends the capture to w.
+func (s State) Encode(w *snapshot.Writer) {
+	for _, v := range s.VCR {
+		w.U32(v)
+	}
+	w.U32(s.VPSW)
+	w.Bool(s.VITMRArmed)
+	w.U32(s.VITMRDeadline)
+	w.U32(s.TODBase)
+	w.U64(s.EpochStartInstr)
+	w.U64(s.GuestInstr)
+	w.U64(s.Epoch)
+	w.Bool(s.Halted)
+	w.Bool(s.IOActive)
+	w.U32(uint32(len(s.Buffered)))
+	for _, i := range s.Buffered {
+		i.Encode(w)
+	}
+	w.U32(uint32(len(s.Devices)))
+	for _, d := range s.Devices {
+		w.String(d.ID)
+		w.U32(d.Base)
+		w.U32(uint32(d.Line))
+		w.Bool(d.Outstanding)
+		w.Bool(d.IssuedReal)
+		w.U32(d.OutCount)
+		w.Bytes(d.Data)
+	}
+	w.U32(uint32(len(s.Suppressed)))
+	for _, so := range s.Suppressed {
+		w.U32(so.Dev)
+		w.U32(so.Off)
+		w.U32(so.Val)
+		w.U32(so.Ordinal)
+		w.U64(so.Epoch)
+		w.Bool(so.Start)
+		w.U64(so.At)
+	}
+	s.Stats.encode(w)
+}
+
+// DecodeState reads a capture written by Encode; failures latch on r.
+// Every allocation is bounded by the bytes that remain, never by a
+// count the blob claims.
+func DecodeState(r *snapshot.Reader) State {
+	var s State
+	for i := range s.VCR {
+		s.VCR[i] = r.U32()
+	}
+	s.VPSW = r.U32()
+	s.VITMRArmed = r.Bool()
+	s.VITMRDeadline = r.U32()
+	s.TODBase = r.U32()
+	s.EpochStartInstr = r.U64()
+	s.GuestInstr = r.U64()
+	s.Epoch = r.U64()
+	s.Halted = r.Bool()
+	s.IOActive = r.Bool()
+	if n := r.Count(interruptMin); n > 0 {
+		s.Buffered = make([]Interrupt, n)
+		for i := range s.Buffered {
+			s.Buffered[i] = DecodeInterrupt(r)
+		}
+	}
+	n := int(r.U32())
+	if r.Err() != nil || n < 0 || n > 1<<8 {
+		r.Fail()
+		return s
+	}
+	for i := 0; i < n; i++ {
+		var d DeviceState
+		d.ID = r.String()
+		d.Base = r.U32()
+		d.Line = uint(r.U32())
+		d.Outstanding = r.Bool()
+		d.IssuedReal = r.Bool()
+		d.OutCount = r.U32()
+		d.Data = r.Bytes()
+		s.Devices = append(s.Devices, d)
+	}
+	n = r.Count(suppressedBytes)
+	for i := 0; i < n; i++ {
+		var so SuppressedOutputState
+		so.Dev = r.U32()
+		so.Off = r.U32()
+		so.Val = r.U32()
+		so.Ordinal = r.U32()
+		so.Epoch = r.U64()
+		so.Start = r.Bool()
+		so.At = r.U64()
+		s.Suppressed = append(s.Suppressed, so)
+	}
+	s.Stats = decodeStats(r)
+	return s
+}
+
+func (s Stats) encode(w *snapshot.Writer) {
+	w.U64(s.GuestInstructions)
+	w.U64(s.Epochs)
+	w.U64(s.PrivSimulated)
+	w.U64(s.EnvSimulated)
+	w.U64(s.TLBFills)
+	w.U64(s.ReflectedTraps)
+	w.U64(s.VIRQDelivered)
+	w.U64(s.IOIssued)
+	w.U64(s.IOSuppressed)
+	w.U64(s.ConsoleSuppressed)
+	w.U64(s.Captured)
+	w.U64(s.OutputsDeferred)
+	w.U64(s.StartsDeferred)
+	w.U64(s.AdaptiveCuts)
+	w.I64(int64(s.HypervisorTime))
+	w.I64(int64(s.DeliveryDelayTotal))
+	w.U64(s.DeliveryDelayCount)
+}
+
+func decodeStats(r *snapshot.Reader) Stats {
+	var s Stats
+	s.GuestInstructions = r.U64()
+	s.Epochs = r.U64()
+	s.PrivSimulated = r.U64()
+	s.EnvSimulated = r.U64()
+	s.TLBFills = r.U64()
+	s.ReflectedTraps = r.U64()
+	s.VIRQDelivered = r.U64()
+	s.IOIssued = r.U64()
+	s.IOSuppressed = r.U64()
+	s.ConsoleSuppressed = r.U64()
+	s.Captured = r.U64()
+	s.OutputsDeferred = r.U64()
+	s.StartsDeferred = r.U64()
+	s.AdaptiveCuts = r.U64()
+	s.HypervisorTime = sim.Time(r.I64())
+	s.DeliveryDelayTotal = sim.Time(r.I64())
+	s.DeliveryDelayCount = r.U64()
+	return s
 }

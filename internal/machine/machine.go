@@ -590,17 +590,15 @@ func (m *Machine) Digest() uint64 {
 	return h.Sum64()
 }
 
-// DigestMemory extends Digest with a hash of all physical RAM. Expensive;
-// used by integration tests at epoch boundaries.
+// DigestMemory extends Digest with a hash of physical RAM as its
+// canonical sparse page set (sparsePages: ascending, all-zero pages
+// skipped, each page's index mixed in) — what a capture holds and the
+// encoder writes. Used by tests comparing machines.
 func (m *Machine) DigestMemory() uint64 {
 	h := fnv.New64a()
-	for i, fr := range m.frames {
-		base := uint32(i) << isa.PageShift
-		n := m.memSize - base
-		if n > isa.PageSize {
-			n = isa.PageSize
-		}
-		h.Write(fr[:n])
+	for _, pg := range m.sparsePages(false) {
+		h.Write([]byte{byte(pg.Index), byte(pg.Index >> 8), byte(pg.Index >> 16), byte(pg.Index >> 24)})
+		h.Write(pg.Data)
 	}
 	return h.Sum64() ^ m.Digest()
 }

@@ -1,9 +1,10 @@
-package snapshot
+package machine
 
-// Tests for the page-granular RAM path: captures of private-RAM and
-// COW machines must encode to the same canonical bytes an independent
-// flat-image encoder produces, and the decoder must accept nothing but
-// that canonical form.
+// Tests for the machine's byte format (snapshot.go): captures of
+// private-RAM and COW machines must encode to the same canonical bytes
+// an independent flat-image encoder produces, the decoder must accept
+// nothing but that canonical form, and — FuzzMachineState — whatever
+// decodes re-encodes to exactly the input.
 
 import (
 	"bytes"
@@ -11,7 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/machine"
+	"repro/internal/snapshot"
 )
 
 const testMagic = "TESTMAG1"
@@ -19,7 +20,7 @@ const testMagic = "TESTMAG1"
 // refPutRAM is the reference sparse encoder, written against a flat
 // RAM image the way the format was first defined: count the pages
 // holding a nonzero byte, then emit (index, data) for each in order.
-func refPutRAM(w *Writer, mem []byte) {
+func refPutRAM(w *snapshot.Writer, mem []byte) {
 	nonzero := func(p []byte) bool {
 		for _, b := range p {
 			if b != 0 {
@@ -44,15 +45,15 @@ func refPutRAM(w *Writer, mem []byte) {
 	}
 }
 
-func encodeRAM(s machine.State) []byte {
-	w := NewWriter(testMagic)
+func encodeRAM(s State) []byte {
+	w := snapshot.NewWriter(testMagic)
 	putRAM(w, s.MemBytes, s.Pages)
 	return w.Finish()
 }
 
-func encodeMachine(s machine.State) []byte {
-	w := NewWriter(testMagic)
-	PutMachineState(w, s)
+func encodeMachine(s State) []byte {
+	w := snapshot.NewWriter(testMagic)
+	s.Encode(w)
 	return w.Finish()
 }
 
@@ -69,13 +70,13 @@ func ramScenarioWords() []uint32 {
 	return words
 }
 
-func ramScenario(shared bool) *machine.Machine {
+func ramScenario(shared bool) *Machine {
 	words := ramScenarioWords()
-	cfg := machine.Config{MemBytes: ramScenarioSize, TLBSize: 8}
+	cfg := Config{MemBytes: ramScenarioSize, TLBSize: 8}
 	if shared {
-		cfg.Image = machine.ProgramImage(0, words, ramScenarioSize)
+		cfg.Image = ProgramImage(0, words, ramScenarioSize)
 	}
-	m := machine.New(cfg)
+	m := New(cfg)
 	m.LoadProgram(0, words, 0)
 	m.StorePhys32(0x0010, 0xFFFF_FFFF)       // page 0: diverges from the image
 	m.StorePhys32(0x1010, 0xFFFF_FFFF)       // page 1: owned, then written
@@ -88,7 +89,7 @@ func ramScenario(shared bool) *machine.Machine {
 	return m
 }
 
-func flatRAM(m *machine.Machine) []byte { return m.ReadBytes(0, int(m.MemSize())) }
+func flatRAM(m *Machine) []byte { return m.ReadBytes(0, int(m.MemSize())) }
 
 // TestRAMEncodeDifferential: private and COW machines in the same
 // state, captured deep and borrowed, all encode to the reference bytes
@@ -99,10 +100,10 @@ func TestRAMEncodeDifferential(t *testing.T) {
 	if cow.SharedPages() == 0 || cow.SharedPages() == 17 {
 		t.Fatalf("scenario has %d/17 shared pages; want a mix of shared and owned", cow.SharedPages())
 	}
-	ref := NewWriter(testMagic)
+	ref := snapshot.NewWriter(testMagic)
 	refPutRAM(ref, flatRAM(priv))
 	want := ref.Finish()
-	for name, s := range map[string]machine.State{
+	for name, s := range map[string]State{
 		"private/capture": priv.CaptureState(), "private/borrow": priv.BorrowState(),
 		"cow/capture": cow.CaptureState(), "cow/borrow": cow.BorrowState(),
 	} {
@@ -147,11 +148,11 @@ func TestRAMRestoreReshares(t *testing.T) {
 		dst.StorePhys32(0x9000, 0xD1D1) // dirty where the capture is zero
 		dst.StorePhys32(0x1FF0, 0xD2D2) // dirty where the capture equals the image
 		dst.StorePhys32(ramScenarioSize-8, 0xD3D3)
-		r, err := NewReader(blob, testMagic)
+		r, err := snapshot.NewReader(blob, testMagic)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := MachineState(r)
+		st := DecodeState(r)
 		if r.Err() != nil || r.Remaining() != 0 {
 			t.Fatalf("decode: err %v, %d bytes left", r.Err(), r.Remaining())
 		}
@@ -172,7 +173,7 @@ func TestRAMRestoreReshares(t *testing.T) {
 }
 
 // TestRAMDecodeRejectsNonCanonical: every deviation from the one
-// canonical encoding is ErrCorrupt, and a hostile size or count is
+// canonical encoding is snapshot.ErrCorrupt, and a hostile size or count is
 // rejected before anything is allocated for it.
 func TestRAMDecodeRejectsNonCanonical(t *testing.T) {
 	const size = 4<<isa.PageShift + 100 // pages 0-3 full, page 4 is 100 bytes
@@ -182,14 +183,14 @@ func TestRAMDecodeRejectsNonCanonical(t *testing.T) {
 		data []byte
 	}
 	decode := func(claimSize, claimCount uint32, pages ...page) error {
-		w := NewWriter(testMagic)
+		w := snapshot.NewWriter(testMagic)
 		w.U32(claimSize)
 		w.U32(claimCount)
 		for _, pg := range pages {
 			w.U32(pg.idx)
 			w.Bytes(pg.data)
 		}
-		r, err := NewReader(w.Finish(), testMagic)
+		r, err := snapshot.NewReader(w.Finish(), testMagic)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,55 +222,9 @@ func TestRAMDecodeRejectsNonCanonical(t *testing.T) {
 		"explicit zero page":    decode(size, 1, page{1, make([]byte, isa.PageSize)}),
 		"explicit zero tail":    decode(size, 1, page{4, make([]byte, 100)}),
 	} {
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: decoded with %v, want ErrCorrupt", name, err)
+		if !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: decoded with %v, want snapshot.ErrCorrupt", name, err)
 		}
-	}
-}
-
-// TestReaderStrictness pins the two codec gates the canonical-form
-// property rests on.
-func TestReaderStrictness(t *testing.T) {
-	w := NewWriter(testMagic)
-	w.U8(2)        // not a boolean
-	w.U32(1 << 20) // a count nothing backs
-	blob := w.Finish()
-	r, _ := NewReader(blob, testMagic)
-	if r.Bool(); !errors.Is(r.Err(), ErrCorrupt) {
-		t.Errorf("Bool accepted byte 2: %v", r.Err())
-	}
-	r, _ = NewReader(blob, testMagic)
-	r.U8()
-	if n := r.Count(8); n != 0 || !errors.Is(r.Err(), ErrCorrupt) {
-		t.Errorf("Count accepted %d elements with %d bytes left: %v", n, r.Remaining(), r.Err())
-	}
-}
-
-// TestSectionInPlace: a section encoded in place is byte-for-byte the
-// blob-in-a-blob it replaces, and pooled writers start clean.
-func TestSectionInPlace(t *testing.T) {
-	inner := NewWriter("INNERMAG")
-	inner.String("payload")
-	inner.U64(42)
-	old := NewWriter(testMagic)
-	old.String("name")
-	old.Bytes(inner.Finish())
-	want := old.Finish()
-
-	for round := 0; round < 2; round++ { // second round reuses the buffer
-		w := GrabWriter(testMagic)
-		w.String("name")
-		mark := w.BeginSection("INNERMAG")
-		w.String("payload")
-		w.U64(42)
-		sect := w.EndSection(mark)
-		if _, err := NewReader(sect, "INNERMAG"); err != nil {
-			t.Fatalf("section blob does not stand alone: %v", err)
-		}
-		if got := w.Finish(); !bytes.Equal(got, want) {
-			t.Fatalf("round %d: in-place section encodes differently", round)
-		}
-		w.Release()
 	}
 }
 
@@ -281,4 +236,64 @@ func firstDiff(a, b []byte) int {
 		}
 	}
 	return n
+}
+
+// body strips a blob's header and checksum trailer; seal restores them.
+func body(blob []byte) []byte { return blob[8+4 : len(blob)-8] }
+
+func seal(body []byte) []byte {
+	w := snapshot.NewWriter(testMagic)
+	for _, b := range body {
+		w.U8(b)
+	}
+	return w.Finish()
+}
+
+// sampleState captures a machine with every optional structure
+// populated: sparse RAM with a short tail page, a TLB entry.
+func sampleState(memBytes uint32) State {
+	m := New(Config{MemBytes: memBytes, TLBSize: 8})
+	m.StorePhys32(0x1000, 0x12345678)
+	m.StorePhys32(memBytes-4, 0xCAFEBABE)
+	m.Regs[5] = 99
+	m.PC = 0x1000
+	m.TLB.Insert(TLBEntry{VPN: 3, PPN: 7, Flags: 0xF})
+	return m.CaptureState()
+}
+
+// FuzzMachineState: one property covers both robustness and canonical
+// form — a body that decodes at all re-encodes to exactly the input, so
+// a decoder that over-allocates, panics or accepts a second spelling of
+// some state fails the target. The fuzzed input is the blob's BODY: the
+// target adds the header and a valid checksum itself, so mutations
+// reach the decoder instead of dying at the checksum gate.
+func FuzzMachineState(f *testing.F) {
+	f.Add(body(encodeMachine(sampleState(3 << 12))))
+	f.Add(body(encodeMachine(sampleState(2<<12 + 100))))
+	f.Add(body(encodeMachine(State{})))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		blob := seal(in)
+		r, err := snapshot.NewReader(blob, testMagic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := DecodeState(r)
+		if r.Err() != nil || r.Remaining() != 0 {
+			return
+		}
+		if again := encodeMachine(s); !bytes.Equal(again, blob) {
+			t.Fatalf("decoded machine state re-encodes to %d bytes, input was %d (first difference at %d)",
+				len(again), len(blob), firstDiff(again, blob))
+		}
+		// Whatever decodes must also be safe to hand to a machine of the
+		// size it claims: restore accepts or refuses, never panics.
+		if s.MemBytes == 0 || s.MemBytes > 1<<20 || len(s.TLB.Slots) == 0 || len(s.TLB.Slots) > 64 {
+			return
+		}
+		m := New(Config{MemBytes: s.MemBytes, TLBSize: len(s.TLB.Slots)})
+		if err := m.RestoreState(s); err == nil && !bytes.Equal(encodeRAM(m.BorrowState()), encodeRAM(s)) {
+			t.Fatal("restored machine's RAM encodes differently from the state it restored")
+		}
+		m.Release()
+	})
 }

@@ -18,12 +18,18 @@ package machine
 // are pure functions of RAM contents and instruction words, so
 // RestoreState drops them and they rebuild on demand — restoring into a
 // machine that previously executed different code is safe.
+//
+// The machine's byte format lives here and nowhere else: State.Encode
+// and DecodeState, over the leaf codec in internal/snapshot. State is
+// the validate-then-commit staging value between them and the machine —
+// a decoded State has touched nothing until RestoreState accepts it.
 
 import (
 	"bytes"
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/snapshot"
 )
 
 // TLBSlotState is one captured TLB slot with its recency stamp.
@@ -96,7 +102,7 @@ func (m *Machine) CaptureState() State { return m.capture(true) }
 func (m *Machine) BorrowState() State { return m.capture(false) }
 
 func (m *Machine) capture(copyOwned bool) State {
-	s := State{
+	return State{
 		MemBytes: m.cfg.MemBytes,
 		Regs:     m.Regs,
 		PC:       m.PC,
@@ -105,9 +111,17 @@ func (m *Machine) capture(copyOwned bool) State {
 		Halted:   m.halted,
 		Cycles:   m.cycles,
 		Stats:    m.Stats,
+		Pages:    m.sparsePages(copyOwned),
 		TLB:      m.TLB.captureState(),
 	}
-	s.Pages = make([]Page, 0, 16) // a booted guest's nonzero pages, typically
+}
+
+// sparsePages walks physical RAM into its canonical sparse page set —
+// the one definition of "RAM contents" that capture, the encoder and
+// DigestMemory share. Owned pages alias the live frames unless
+// copyOwned.
+func (m *Machine) sparsePages(copyOwned bool) []Page {
+	pages := make([]Page, 0, 16) // a booted guest's nonzero pages, typically
 	for i, fr := range m.frames {
 		idx := uint32(i)
 		owned := m.ownedPage(idx)
@@ -120,9 +134,9 @@ func (m *Machine) capture(copyOwned bool) State {
 		if owned && copyOwned {
 			data = bytes.Clone(data)
 		}
-		s.Pages = append(s.Pages, Page{Index: idx, Data: data})
+		pages = append(pages, Page{Index: idx, Data: data})
 	}
-	return s
+	return pages
 }
 
 // pageLen returns how many bytes of page idx are RAM: a full page,
@@ -257,4 +271,162 @@ func (t *TLB) restoreState(s TLBState) {
 	case *RoundRobinPolicy:
 		p.next = s.Next
 	}
+}
+
+// Encode appends the capture to w. The RAM encoding is sparse — only
+// pages containing a nonzero byte are written: the guest kernel's
+// footprint is a small fraction of physical RAM, and the blob's length
+// is what the simulated link charges for (an idle-page-free image is
+// what a real state-transfer implementation ships too; VMware FT and
+// Remus both elide untouched pages). It is also canonical — RAM size,
+// page count, then (index, length-prefixed data) per page of s.Pages —
+// so a RAM image has exactly one encoding and DecodeState accepts
+// nothing else, which is what makes "decode, re-encode, compare bytes" a
+// sound verification.
+func (s State) Encode(w *snapshot.Writer) {
+	w.U32(s.MemBytes)
+	for _, v := range s.Regs {
+		w.U32(v)
+	}
+	w.U32(s.PC)
+	w.U32(s.PSW)
+	for _, v := range s.CRs {
+		w.U32(v)
+	}
+	w.Bool(s.Halted)
+	w.U64(s.Cycles)
+	w.U64(s.Stats.Instructions)
+	w.U64(s.Stats.Privileged)
+	w.U64(s.Stats.Environment)
+	w.U64(s.Stats.Loads)
+	w.U64(s.Stats.Stores)
+	w.U64(s.Stats.Branches)
+	w.U64(s.Stats.Traps)
+	putRAM(w, s.MemBytes, s.Pages)
+	s.TLB.encode(w)
+}
+
+// DecodeState reads a capture written by Encode; failures latch on r.
+// Its RAM pages alias the reader's blob, and every allocation is
+// bounded by the bytes that remain, never by a count the blob claims.
+func DecodeState(r *snapshot.Reader) State {
+	var s State
+	s.MemBytes = r.U32()
+	for i := range s.Regs {
+		s.Regs[i] = r.U32()
+	}
+	s.PC = r.U32()
+	s.PSW = r.U32()
+	for i := range s.CRs {
+		s.CRs[i] = r.U32()
+	}
+	s.Halted = r.Bool()
+	s.Cycles = r.U64()
+	s.Stats = Stats{
+		Instructions: r.U64(),
+		Privileged:   r.U64(),
+		Environment:  r.U64(),
+		Loads:        r.U64(),
+		Stores:       r.U64(),
+		Branches:     r.U64(),
+		Traps:        r.U64(),
+	}
+	s.Pages = ramPages(r, s.MemBytes)
+	s.TLB = decodeTLB(r)
+	return s
+}
+
+// ramEntryMin is the least a page entry occupies: index + data length.
+const ramEntryMin = 8
+
+// putRAM writes a RAM image from its canonical sparse page set.
+func putRAM(w *snapshot.Writer, size uint32, pages []Page) {
+	w.U32(size)
+	w.U32(uint32(len(pages)))
+	for _, pg := range pages {
+		w.U32(pg.Index)
+		w.Bytes(pg.Data)
+	}
+}
+
+// ramPages reads a RAM image of the given size as its sparse page set:
+// strictly ascending in-range indices, full pages except for the tail
+// of an unaligned RAM, and no all-zero page. Page data aliases the
+// reader's blob; nothing RAM-sized is allocated.
+func ramPages(r *snapshot.Reader, size uint32) []Page {
+	if r.U32() != size {
+		r.Fail()
+		return nil
+	}
+	npages := (uint64(size) + isa.PageSize - 1) >> isa.PageShift
+	n := r.Count(ramEntryMin)
+	if r.Err() != nil || uint64(n) > npages {
+		r.Fail()
+		return nil
+	}
+	pages := make([]Page, 0, n)
+	for i := 0; i < n; i++ {
+		idx := r.U32()
+		data := r.View()
+		if r.Err() != nil {
+			return nil
+		}
+		want := min(uint64(size)-uint64(idx)<<isa.PageShift, isa.PageSize)
+		if uint64(idx) >= npages || (i > 0 && idx <= pages[i-1].Index) ||
+			uint64(len(data)) != want || bytes.Equal(data, zeroFrame.data[:len(data)]) {
+			r.Fail()
+			return nil
+		}
+		pages = append(pages, Page{Index: idx, Data: data})
+	}
+	return pages
+}
+
+func (s TLBState) encode(w *snapshot.Writer) {
+	w.String(s.Policy)
+	w.U64(s.Stamp)
+	w.Int(s.Next)
+	w.Int(s.Pending)
+	w.U64(s.Stats.Hits)
+	w.U64(s.Stats.Misses)
+	w.U64(s.Stats.Inserts)
+	w.U64(s.Stats.Evicts)
+	w.U64(s.Stats.Purges)
+	w.U32(uint32(len(s.Slots)))
+	for _, sl := range s.Slots {
+		w.U32(sl.Entry.VPN)
+		w.U32(sl.Entry.PPN)
+		w.U32(sl.Entry.Flags)
+		w.Bool(sl.Entry.Valid)
+		w.U64(sl.LastUse)
+	}
+}
+
+// tlbSlotBytes is the encoded size of one TLB slot.
+const tlbSlotBytes = 4 + 4 + 4 + 1 + 8
+
+func decodeTLB(r *snapshot.Reader) TLBState {
+	var s TLBState
+	s.Policy = r.String()
+	s.Stamp = r.U64()
+	s.Next = r.Int()
+	s.Pending = r.Int()
+	s.Stats.Hits = r.U64()
+	s.Stats.Misses = r.U64()
+	s.Stats.Inserts = r.U64()
+	s.Stats.Evicts = r.U64()
+	s.Stats.Purges = r.U64()
+	n := r.Count(tlbSlotBytes)
+	if r.Err() != nil {
+		return s
+	}
+	s.Slots = make([]TLBSlotState, n)
+	for i := range s.Slots {
+		s.Slots[i].Entry.VPN = r.U32()
+		s.Slots[i].Entry.PPN = r.U32()
+		s.Slots[i].Entry.Flags = r.U32()
+		s.Slots[i].Entry.Valid = r.Bool()
+		s.Slots[i].LastUse = r.U64()
+	}
+	return s
 }

@@ -170,6 +170,27 @@ func TestShadowMarshalRoundTrip(t *testing.T) {
 	if got, want := back.Load(RegRxLen), sh.Load(RegRxLen); got != want {
 		t.Fatalf("restored head len = %d, want %d", got, want)
 	}
+
+	// Counts come from outside the process (a state-transfer blob, a
+	// forwarded record): one the bytes after it cannot hold is an error,
+	// not an allocation. The first blob used to kill the process with
+	// "fatal error: runtime: out of memory".
+	for name, blob := range map[string][]byte{
+		"frame count": {0xff, 0xff, 0xff, 0x7f},
+		"word count":  {1, 0, 0, 0 /* seq */, 7, 0, 0, 0 /* words */, 0xff, 0xff, 0xff, 0x7f},
+	} {
+		if err := back.UnmarshalState(blob); err == nil {
+			t.Errorf("hostile %s: UnmarshalState accepted it", name)
+		}
+	}
+	if back.Load(RegRxLen) != sh.Load(RegRxLen) {
+		t.Error("a refused blob changed the shadow")
+	}
+	var fresh Shadow
+	fresh.Apply(device.Completion{Data: []byte{7, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}}, memStub{}, portBus{p})
+	if fresh.Load(RegStatus)&StatusRxAvail != 0 {
+		t.Error("Apply delivered a frame whose word count the record cannot hold")
+	}
 }
 
 func TestPortCloneFrom(t *testing.T) {

@@ -123,14 +123,17 @@ func (s *Shadow) Apply(c device.Completion, mem device.Memory, bus device.Bus) {
 	bus.Store(RegRxConsume, c.Seq)
 }
 
-// readFrame decodes one [seq, nwords, words...] frame.
+// readFrame decodes one [seq, nwords, words...] frame. The word count
+// comes from outside (a forwarded record, a state-transfer blob): one
+// the remaining bytes cannot hold is malformed, refused before anything
+// is allocated for it.
 func readFrame(data []byte) (frame, []byte, bool) {
 	seq, rest, ok := device.ReadU32(data)
 	if !ok {
 		return frame{}, nil, false
 	}
 	n, rest, ok := device.ReadU32(rest)
-	if !ok {
+	if !ok || uint64(n) > uint64(len(rest)/4) {
 		return frame{}, nil, false
 	}
 	f := frame{seq: seq, words: make([]uint32, 0, n)}
@@ -202,7 +205,9 @@ func (s *Shadow) MarshalState() []byte {
 // UnmarshalState implements device.Shadow.
 func (s *Shadow) UnmarshalState(data []byte) error {
 	n, rest, ok := device.ReadU32(data)
-	if !ok {
+	// A frame is at least its seq and word count: a frame count the
+	// remaining bytes cannot hold is refused before it sizes anything.
+	if !ok || uint64(n) > uint64(len(rest)/8) {
 		return fmt.Errorf("nic: shadow state malformed (%d bytes)", len(data))
 	}
 	rx := make([]frame, 0, n)

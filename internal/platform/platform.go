@@ -1,11 +1,12 @@
 // Package platform assembles complete simulated machines in the paper's
 // prototype configuration (Figure 1), generalized over an ordered
-// device table: one or two (or n) HP-9000/720-class processors, N
-// dual-ported SCSI disks shared between them, a shared console/terminal,
-// and — for a replica group — point-to-point links between the
-// hypervisors. Every node is wired from the SAME device table, which is
-// what lets the hypervisors' shadow-device layer treat the replicas as
-// one state machine.
+// device table: n >= 1 HP-9000/720-class processors, N dual-ported SCSI
+// disks shared between them, a shared console/terminal, and
+// point-to-point links between every pair of hypervisors. There is one
+// topology, Cluster: the replica group is n >= 2, the bare baseline a
+// cluster of one. Every node is wired from the SAME device table, which
+// is what lets the hypervisors' shadow-device layer treat the replicas
+// as one state machine.
 package platform
 
 import (
@@ -176,7 +177,9 @@ func finishNode(k *sim.Kernel, cfg Config, n *Node, e *env, host int) {
 // Cluster is the replicated prototype of Figure 1, generalized to t
 // faults: n processors (node 0 is the initial primary; nodes 1..n-1 are
 // backups in priority order) sharing the device table, with a full mesh
-// of point-to-point links. n = 2 is the paper's pair.
+// of point-to-point links. n = 2 is the paper's pair; n = 1 is one
+// processor with the same devices and no links — the platform the bare
+// baseline (hypervisor.NewBare on node 0's machine) runs on.
 type Cluster struct {
 	K *sim.Kernel
 	// Disk is shared disk 0; Disks holds all shared disks.
@@ -194,10 +197,10 @@ type Cluster struct {
 	env *env
 }
 
-// NewCluster builds an n-node prototype (n >= 2).
+// NewCluster builds an n-node prototype (n >= 1).
 func NewCluster(k *sim.Kernel, cfg Config, n int) *Cluster {
-	if n < 2 {
-		panic("platform: cluster needs at least 2 nodes")
+	if n < 1 {
+		panic("platform: cluster needs at least 1 node")
 	}
 	c := &Cluster{K: k, cfg: cfg}
 	c.env = newEnv(k, cfg)
@@ -274,33 +277,3 @@ func (c *Cluster) Release() {
 		n.M.Release()
 	}
 }
-
-// Single is a one-processor platform for bare-hardware baseline runs.
-type Single struct {
-	K *sim.Kernel
-	// Disk is shared disk 0; Disks holds all disks.
-	Disk    *scsi.Disk
-	Disks   []*scsi.Disk
-	Console *console.Console
-	// NIC is the shared network adapter (nil unless Config.NIC).
-	NIC  *nic.NIC
-	Node *Node
-	Bare *hypervisor.Bare
-}
-
-// NewSingle builds a single machine with the same devices, to be run
-// bare (no hypervisor) for the paper's RT baseline.
-func NewSingle(k *sim.Kernel, cfg Config) *Single {
-	s := &Single{K: k}
-	e := newEnv(k, cfg)
-	s.Disks, s.Disk, s.Console, s.NIC = e.disks, e.disks[0], e.console, e.nic
-	s.Node = newNode(k, cfg, 0)
-	finishNode(k, cfg, s.Node, e, 0)
-	s.Bare = hypervisor.NewBare(s.Node.M)
-	return s
-}
-
-// Release returns the node's machine buffers to the machine package's
-// recycling pools. Call only on teardown, after the simulation kernel
-// has shut down: the machine must never run again.
-func (s *Single) Release() { s.Node.M.Release() }

@@ -37,13 +37,13 @@ func TestNewPairWiring(t *testing.T) {
 func TestTODFollowsSimClock(t *testing.T) {
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
-	s := NewSingle(k, Config{})
-	if got := s.Node.M.TOD(); got != 0 {
+	m := NewCluster(k, Config{}, 1).Nodes[0].M
+	if got := m.TOD(); got != 0 {
 		t.Errorf("TOD at t=0 is %d", got)
 	}
 	k.At(1*sim.Millisecond, func() {
 		want := uint32(1 * sim.Millisecond / CycleTime)
-		if got := s.Node.M.TOD(); got != want {
+		if got := m.TOD(); got != want {
 			t.Errorf("TOD at 1ms = %d, want %d", got, want)
 		}
 	})
@@ -53,8 +53,11 @@ func TestTODFollowsSimClock(t *testing.T) {
 func TestDiskIRQLineRaised(t *testing.T) {
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
-	s := NewSingle(k, Config{Disk: scsi.DiskConfig{WriteLatency: 10 * sim.Microsecond}})
-	m := s.Node.M
+	c := NewCluster(k, Config{Disk: scsi.DiskConfig{WriteLatency: 10 * sim.Microsecond}}, 1)
+	if len(c.Nodes) != 1 || len(c.Links) != 1 || c.Links[0][0] != nil {
+		t.Fatalf("cluster of one has %d nodes and links %v; want one node, no links", len(c.Nodes), c.Links)
+	}
+	m := c.Nodes[0].M
 	m.Bus.MMIOStore(AdapterBase+scsi.RegCmd, 4, scsi.CmdWrite)
 	m.Bus.MMIOStore(AdapterBase+scsi.RegBlock, 4, 1)
 	m.Bus.MMIOStore(AdapterBase+scsi.RegAddr, 4, 0x1000)
@@ -95,12 +98,12 @@ func TestClusterChannels(t *testing.T) {
 func TestClusterPanicsOnTooFewNodes(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewCluster(1) did not panic")
+			t.Error("NewCluster(0) did not panic")
 		}
 	}()
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
-	NewCluster(k, Config{}, 1)
+	NewCluster(k, Config{}, 0)
 }
 
 func TestChannelSelfPanics(t *testing.T) {

@@ -182,7 +182,7 @@ func (bk *Backup) release(e uint64) {
 	}
 	delete(bk.pending, e)
 	clear(r.ints)
-	r.hasTme, r.end, r.verbatim = false, epochHead{}, nil
+	*r = epochRecord{ints: r.ints}
 	bk.recFree = append(bk.recFree, r)
 }
 

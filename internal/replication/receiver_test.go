@@ -9,15 +9,17 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // TestReceiverEquivalence delivers the same epoch to a backup framed
 // three ways — as partial frames (one per interrupt, one [Tme_p], one
 // [end, E]: the inline framing), as one coalesced frame, and as two
 // frames inside a transmit batch — over a real link, through the real
-// receiver process. Every framing must leave the same pending record
-// behind, acknowledge the same watermark, and produce the same delivery
-// at the backup's boundary: there is one receive path.
+// receiver process. Every framing must leave the same complete pending
+// record behind (the backup's encoded state is byte-identical),
+// acknowledge the same watermark, and produce the same delivery at the
+// backup's boundary: there is one receive path.
 func TestReceiverEquivalence(t *testing.T) {
 	ints := []hypervisor.Interrupt{
 		{Line: 3, Dev: hypervisor.NoDevice, CapturedTOD: 111},
@@ -26,7 +28,7 @@ func TestReceiverEquivalence(t *testing.T) {
 	const endSeq = 4 // the sequence number every framing's End travels under
 
 	type outcome struct {
-		pending   []PendingEpochState
+		state     []byte // the backup's EncodeState once the frames are filed
 		acked     ack
 		delivered []SyncEpoch
 		digest    uint64
@@ -57,7 +59,13 @@ func TestReceiverEquivalence(t *testing.T) {
 			frame(pair.Nodes[0].HV.RunEpoch(p), tx.Send)
 		})
 		k.RunUntil(50 * sim.Millisecond)
-		out.pending = bk.CaptureState().Pending
+		if r := bk.pending[0]; len(bk.pending) != 1 || r == nil || len(r.ints) != len(ints) ||
+			!r.hasTme || !r.end.HasEnd || r.end.Seq != endSeq {
+			t.Fatalf("the frames left an incomplete record: %d pending, epoch 0 = %+v", len(bk.pending), r)
+		}
+		w := snapshot.NewWriter("RECVTEST")
+		bk.EncodeState(w)
+		out.state = w.Finish()
 
 		k.Spawn("backup", bk.Run)
 		k.RunUntil(sim.Second) // epoch 0 completes; epoch 1 waits for frames that never come
@@ -65,7 +73,7 @@ func TestReceiverEquivalence(t *testing.T) {
 			t.Fatalf("backup completed %d epochs, %d divergences, promoted=%v",
 				bk.completed, bk.Stats.Divergences, bk.Promoted())
 		}
-		out.delivered = bk.archive.capture()
+		out.delivered = bk.archive.since(0)
 		out.digest = pair.Nodes[1].HV.Digest()
 		out.intsRecvd = bk.Stats.IntsReceived
 		return out
@@ -116,10 +124,6 @@ func TestReceiverEquivalence(t *testing.T) {
 	}
 
 	want := deliver(t, framings["partial"])
-	if len(want.pending) != 1 || len(want.pending[0].Ints) != len(ints) ||
-		!want.pending[0].HasTme || !want.pending[0].HasEnd || want.pending[0].End.Seq != endSeq {
-		t.Fatalf("partial frames left an incomplete record: %+v", want.pending)
-	}
 	if len(want.delivered) != 1 || len(want.delivered[0].Ints) < len(ints) {
 		t.Fatalf("boundary delivered %+v, want epoch 0 with at least the %d forwarded interrupts",
 			want.delivered, len(ints))

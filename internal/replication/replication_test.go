@@ -202,25 +202,26 @@ func (c *cluster) run(t *testing.T, bound sim.Time) {
 	}
 }
 
-// bareRun executes the same guest on bare hardware, returning console
-// output and completion time.
-func bareRun(t *testing.T, seed int64, cfg platform.Config, guest string) (string, sim.Time, *platform.Single) {
+// bareRun executes the same guest on bare hardware — a cluster of one —
+// returning console output, completion time and the platform.
+func bareRun(t *testing.T, seed int64, cfg platform.Config, guest string) (string, sim.Time, *platform.Cluster) {
 	t.Helper()
 	k := sim.NewKernel(seed)
 	t.Cleanup(k.Shutdown)
-	s := platform.NewSingle(k, cfg)
+	c := platform.NewCluster(k, cfg, 1)
+	bare := hypervisor.NewBare(c.Nodes[0].M)
 	prog := asm.MustAssemble("guest.s", guest)
-	s.Bare.Boot(prog.Origin, prog.Words, prog.Origin)
+	bare.Boot(prog.Origin, prog.Words, prog.Origin)
 	var done sim.Time
 	k.Spawn("bare", func(p *sim.Proc) {
-		s.Bare.Run(p)
+		bare.Run(p)
 		done = p.Now()
 	})
 	k.RunUntil(100 * sim.Second)
-	if !s.Bare.Halted() {
-		t.Fatalf("bare guest did not halt (pc=%#x)", s.Node.M.PC)
+	if !bare.Halted() {
+		t.Fatalf("bare guest did not halt (pc=%#x)", c.Nodes[0].M.PC)
 	}
-	return s.Console.Output(), done, s
+	return c.Console.Output(), done, c
 }
 
 func TestReplicatedCPUWorkloadNoFailure(t *testing.T) {

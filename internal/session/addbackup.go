@@ -11,9 +11,9 @@ package session
 //     is complete, the interrupt buffer is empty, and the boundary's
 //     Tme value is in hand;
 //  2. capture — serialize the coordinator's complete machine and
-//     hypervisor state (internal/snapshot), with the backup-side
-//     adjustments applied (I/O suppressed per §2.2 case i, issued-real
-//     latches cleared per P3);
+//     hypervisor state (the transfer blob below, each half in its own
+//     layer's format), with the backup-side adjustments applied (I/O
+//     suppressed per §2.2 case i, issued-real latches cleared per P3);
 //  3. ship — send the blob through a dedicated simulated link with the
 //     same cost model, so transfer time is charged to virtual time
 //     without head-of-line-blocking the protocol stream;
@@ -42,6 +42,8 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/hypervisor"
+	"repro/internal/machine"
 	"repro/internal/netsim"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -78,6 +80,58 @@ func (e *Engine) actingDrained() bool {
 	return true
 }
 
+// transfer is the payload of a live backup-reintegration state
+// transfer: the acting coordinator's complete virtual-machine image as
+// of an epoch boundary, plus the boundary's clock value (the Tme the
+// joiner resynchronizes from, exactly as rule P5 prescribes for the
+// steady state).
+type transfer struct {
+	Machine    machine.State
+	Hypervisor hypervisor.State
+	Tme        uint32
+	// Epoch is the boundary's committed epoch; the joiner's first own
+	// epoch is Epoch+1.
+	Epoch uint64
+}
+
+// encode serializes a state transfer. The returned blob's length is the
+// wire size charged to the simulated link.
+func (t transfer) encode() []byte {
+	w := snapshot.NewWriter(snapshot.TransferMagic)
+	// The blob outlives the call (it rides the link), so it cannot use a
+	// pooled buffer; size it once instead. RAM is all but a few KB of it.
+	n := 4096
+	for _, pg := range t.Machine.Pages {
+		n += 8 + len(pg.Data) // index, length prefix, data
+	}
+	w.Grow(n)
+	t.Machine.Encode(w)
+	t.Hypervisor.Encode(w)
+	w.U32(t.Tme)
+	w.U64(t.Epoch)
+	return w.Finish()
+}
+
+// decodeTransfer parses a state transfer blob.
+func decodeTransfer(blob []byte) (transfer, error) {
+	r, err := snapshot.NewReader(blob, snapshot.TransferMagic)
+	if err != nil {
+		return transfer{}, err
+	}
+	var t transfer
+	t.Machine = machine.DecodeState(r)
+	t.Hypervisor = hypervisor.DecodeState(r)
+	t.Tme = r.U32()
+	t.Epoch = r.U64()
+	if err := r.Err(); err != nil {
+		return transfer{}, err
+	}
+	if r.Remaining() != 0 {
+		return transfer{}, fmt.Errorf("%w: %d trailing bytes", snapshot.ErrCorrupt, r.Remaining())
+	}
+	return t, nil
+}
+
 // encodeTransfer serializes node act's complete virtual-machine image
 // as of the last committed boundary, adjusted for the backup role:
 // environment output suppressed (§2.2 case i) and issued-real latches
@@ -91,12 +145,12 @@ func (e *Engine) encodeTransfer(act int) []byte {
 	for i := range hs.Devices {
 		hs.Devices[i].IssuedReal = false
 	}
-	return snapshot.EncodeTransfer(snapshot.Transfer{
+	return transfer{
 		Machine:    e.cluster.Nodes[act].M.BorrowState(),
 		Hypervisor: hs,
 		Tme:        e.lastTme,
 		Epoch:      e.lastEpoch,
-	})
+	}.encode()
 }
 
 // AddBackup reintegrates a new backup at the lowest priority and
@@ -223,7 +277,7 @@ func (e *Engine) AddBackup(cfg AddBackupConfig) (int, error) {
 				return
 			}
 		}
-		t, err := snapshot.DecodeTransfer(msg.Payload.([]byte))
+		t, err := decodeTransfer(msg.Payload.([]byte))
 		if err != nil {
 			panic(fmt.Sprintf("session: state transfer decode: %v", err))
 		}

@@ -9,6 +9,11 @@ package session
 // divergence (a format change that slipped past the version bump, a
 // nondeterminism bug, a tampered file) is caught and named instead of
 // silently resuming a different simulation.
+//
+// The section list is one of the two composite formats session owns (the
+// AddBackup transfer in addbackup.go is the other). What goes INSIDE a
+// machine, hypervisor or replication section is that layer's own format
+// (its snapshot.go): this file only orders and labels them.
 
 import (
 	"bytes"
@@ -79,7 +84,9 @@ func (e *Engine) VerifySections(want []Section) error {
 	return nil
 }
 
-// sections lists the capture's sections in their fixed order.
+// sections lists the capture's sections in their fixed order. The
+// session is replicated: Save refuses a bare one, so the meta section's
+// bare flag is a constant zero byte of the format.
 func (e *Engine) sections() []section {
 	e.Boot()
 	var out []section
@@ -92,47 +99,17 @@ func (e *Engine) sections() []section {
 		w.U64(e.commits)
 		w.Bool(e.finished)
 		w.Bool(e.o.Bare)
-		if e.o.Bare {
-			w.Int(1)
-		} else {
-			w.Int(len(e.cluster.Nodes))
-		}
+		w.Int(len(e.cluster.Nodes))
 		w.U64(e.diskOps)
 		w.U64(e.diskUncertain)
 	})
 
-	if e.o.Bare {
-		add("node0.machine", func(w *snapshot.Writer) {
-			snapshot.PutMachineState(w, e.single.Node.M.BorrowState())
-		})
-		add("node0.devices", func(w *snapshot.Writer) {
-			for _, a := range e.single.Node.Adapters {
-				w.U64(a.StateDigest())
-			}
-			w.U64(e.single.Node.Port.StateDigest())
-			if e.single.Node.NICPort != nil {
-				w.U64(e.single.Node.NICPort.StateDigest())
-			}
-		})
-		add("console", func(w *snapshot.Writer) {
-			w.String(e.single.Console.Output())
-			w.U64(e.single.Console.StateDigest())
-		})
-		e.addNICSection(add)
-		for i, d := range e.single.Disks {
-			i, d := i, d
-			add(fmt.Sprintf("disk%d", i), func(w *snapshot.Writer) { w.U64(d.StateDigest()) })
-		}
-		return out
-	}
-
 	for i, node := range e.cluster.Nodes {
-		i, node := i, node
 		add(fmt.Sprintf("node%d.machine", i), func(w *snapshot.Writer) {
-			snapshot.PutMachineState(w, node.M.BorrowState())
+			node.M.BorrowState().Encode(w)
 		})
 		add(fmt.Sprintf("node%d.hypervisor", i), func(w *snapshot.Writer) {
-			snapshot.PutHypervisorState(w, node.HV.CaptureState())
+			node.HV.CaptureState().Encode(w)
 		})
 		add(fmt.Sprintf("node%d.devices", i), func(w *snapshot.Writer) {
 			for _, a := range node.Adapters {
@@ -148,18 +125,23 @@ func (e *Engine) sections() []section {
 		w.String(e.cluster.Console.Output())
 		w.U64(e.cluster.Console.StateDigest())
 	})
-	e.addNICSection(add)
-	add("replication.primary", func(w *snapshot.Writer) {
-		snapshot.PutCoordinatorState(w, e.pri.CaptureState())
-	})
-	for i, bak := range e.baks {
-		i, bak := i, bak
-		add(fmt.Sprintf("replication.backup%d", i+1), func(w *snapshot.Writer) {
-			snapshot.PutBackupState(w, bak.CaptureState())
+	// The shared network service: the NIC's full dynamic state (reply
+	// transcript, dedup watermarks, in-progress TX assembly) plus the
+	// client population's per-connection watermarks. Absent entirely on
+	// sessions without a NIC, so their section lists are unchanged.
+	if e.nic != nil {
+		add("nic", func(w *snapshot.Writer) {
+			w.U64(e.nic.StateDigest())
+			if e.clients != nil {
+				w.U64(e.clients.StateDigest())
+			}
 		})
 	}
+	add("replication.primary", e.pri.EncodeState)
+	for i, bak := range e.baks {
+		add(fmt.Sprintf("replication.backup%d", i+1), bak.EncodeState)
+	}
 	for i, d := range e.cluster.Disks {
-		i, d := i, d
 		add(fmt.Sprintf("disk%d", i), func(w *snapshot.Writer) { w.U64(d.StateDigest()) })
 	}
 	add("links", func(w *snapshot.Writer) {
@@ -189,21 +171,4 @@ func (e *Engine) sections() []section {
 		}
 	})
 	return out
-}
-
-// addNICSection appends the shared network-service section: the NIC's
-// full dynamic state (reply transcript, dedup watermarks, in-progress
-// TX assembly) plus the client population's per-connection watermarks.
-// Absent entirely on sessions without a NIC, so their section lists —
-// and any snapshots pinned before the NIC existed — are unchanged.
-func (e *Engine) addNICSection(add func(name string, fill func(w *snapshot.Writer))) {
-	if e.nic == nil {
-		return
-	}
-	add("nic", func(w *snapshot.Writer) {
-		w.U64(e.nic.StateDigest())
-		if e.clients != nil {
-			w.U64(e.clients.StateDigest())
-		}
-	})
 }

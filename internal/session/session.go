@@ -14,6 +14,15 @@
 // scheduled failures, process spawns) is therefore fixed and mirrors
 // the historical wiring exactly; observation hooks never spend virtual
 // time.
+//
+// There is one topology and one Boot: a platform.Cluster. Options.Bare
+// selects only what runs on it — the unvirtualized guest on a cluster of
+// one (the paper's baseline) or the replication engines over every
+// node's hypervisor. The session also owns the two composite state
+// formats and nothing else does: the checkpoint's section list
+// (capture.go) and the AddBackup transfer blob (addbackup.go); what is
+// inside a machine, hypervisor or replication section is that layer's
+// own snapshot.go.
 package session
 
 import (
@@ -228,8 +237,6 @@ type Options struct {
 	// Observer, when set, receives the live event stream. It runs in
 	// simulation context and must not block.
 	Observer func(Event)
-	// DiskEvents additionally emits EventDiskOp per disk operation.
-	DiskEvents bool
 }
 
 // Result reports a completed run.
@@ -301,7 +308,7 @@ type Snapshot struct {
 	NetRetransmits uint64
 }
 
-// Engine is a resident simulation of one cluster (or one bare machine).
+// Engine is a resident simulation of one cluster (of one, when bare).
 // It is not safe for concurrent use; drive it from one goroutine.
 type Engine struct {
 	o      Options
@@ -310,13 +317,14 @@ type Engine struct {
 	booted bool
 	closed bool
 
-	// Replicated topology.
+	// The one topology. What runs on it is Options.Bare's choice: the
+	// unvirtualized guest on node 0 of a cluster of one (bare; pri and
+	// baks stay nil), or the replication engines over every node's
+	// hypervisor.
 	cluster *platform.Cluster
+	bare    *hypervisor.Bare
 	pri     *replication.Primary
 	baks    []*replication.Backup
-
-	// Bare topology.
-	single *platform.Single
 
 	// Network service (nil without Options.NIC/ClientLoad).
 	nic       *nic.NIC
@@ -390,16 +398,13 @@ func (e *Engine) emit(ev Event) {
 // primary, backups (each with its upstream/downstream channels), the
 // scheduled failstops, then the process spawns — in exactly this
 // sequence, so random-stream derivation and event scheduling order are
-// unchanged.
+// unchanged. A bare session is the same sequence over a cluster of one
+// with the bare runner in place of the engines.
 func (e *Engine) Boot() {
 	if e.booted || e.closed {
 		return
 	}
 	e.booted = true
-	if e.o.Bare {
-		e.bootBare()
-		return
-	}
 	o := &e.o
 	if o.DetectTimeout == 0 {
 		o.DetectTimeout = 50 * sim.Millisecond
@@ -408,6 +413,9 @@ func (e *Engine) Boot() {
 		o.Backups = 1
 	}
 	n := o.Backups + 1
+	if o.Bare {
+		n = 1
+	}
 	k := sim.NewKernel(o.Seed)
 	k.SetStallLimit(stallLimit)
 	e.k = k
@@ -431,6 +439,17 @@ func (e *Engine) Boot() {
 	e.cluster = cluster
 	e.nic = cluster.NIC
 	origin, words, entry := e.prog.Image()
+	e.done = make([]sim.Time, n)
+	if o.Bare {
+		m := cluster.Nodes[0].M
+		e.bare = hypervisor.NewBare(m)
+		e.bare.Boot(origin, words, entry)
+		e.prog.Setup(m)
+		e.installHooks()
+		e.startClientLoad()
+		k.Spawn("bare", func(pr *sim.Proc) { e.bare.Run(pr); e.done[0] = pr.Now() })
+		return
+	}
 	for _, node := range cluster.Nodes {
 		node.HV.Boot(origin, words, entry)
 		e.prog.Setup(node.M)
@@ -477,36 +496,11 @@ func (e *Engine) Boot() {
 		}
 	}
 
-	e.done = make([]sim.Time, n)
 	k.Spawn("primary", func(pr *sim.Proc) { pri.Run(pr); e.done[0] = pr.Now() })
 	for i, bak := range e.baks {
 		i, bak := i, bak
 		k.Spawn(fmt.Sprintf("backup%d", i+1), func(pr *sim.Proc) { bak.Run(pr); e.done[i+1] = pr.Now() })
 	}
-}
-
-// bootBare constructs the single-machine baseline topology.
-func (e *Engine) bootBare() {
-	k := sim.NewKernel(e.o.Seed)
-	k.SetStallLimit(stallLimit)
-	e.k = k
-	s := platform.NewSingle(k, platform.Config{
-		Disk:       e.o.Disk,
-		ExtraDisks: e.o.ExtraDisks,
-		Terminal:   e.o.Terminal,
-		NIC:        e.o.NIC || e.o.ClientLoad != nil,
-		Machine:    e.machineConfig(),
-	})
-	e.single = s
-	e.nic = s.NIC
-	origin, words, entry := e.prog.Image()
-	s.Bare.Boot(origin, words, entry)
-	e.prog.Setup(s.Node.M)
-	e.installDiskHooks(s.Disks, s.Console)
-	e.installNICHooks()
-	e.startClientLoad()
-	e.done = make([]sim.Time, 1)
-	k.Spawn("bare", func(pr *sim.Proc) { s.Bare.Run(pr); e.done[0] = pr.Now() })
 }
 
 // divergenceHandler wraps the configured divergence policy with event
@@ -529,30 +523,37 @@ func (e *Engine) divergenceHandler(node int) func(epoch uint64, primary, backup 
 	}
 }
 
-// installHooks wires the protocol and environment observation hooks.
+// installHooks wires the protocol and environment observation hooks:
+// the engines' milestones (none on a bare session), one OnOp per shared
+// disk (tagged with the disk index), and — with an observer — terminal
+// input and NIC request arrival.
 func (e *Engine) installHooks() {
-	e.pri.Hooks = replication.Hooks{
-		EpochCommitted:  e.epochCommitted,
-		OutputCommitted: e.outputCommitted,
+	if e.pri != nil {
+		e.pri.Hooks = replication.Hooks{
+			EpochCommitted:  e.epochCommitted,
+			OutputCommitted: e.outputCommitted,
+		}
 	}
 	for _, bak := range e.baks {
 		bak.Hooks = e.backupHooks()
 	}
-	e.installDiskHooks(e.cluster.Disks, e.cluster.Console)
-	e.installNICHooks()
-}
-
-// installNICHooks wires request-arrival observation on the shared NIC.
-func (e *Engine) installNICHooks() {
-	if e.nic == nil || e.o.Observer == nil {
+	for i, d := range e.cluster.Disks {
+		d.OnOp = func(r scsi.OpRecord) { e.diskOp(i, r) }
+	}
+	if e.o.Observer == nil {
 		return
 	}
-	e.nic.OnIngress = func(seq uint32, words []uint32) {
-		var req uint32
-		if len(words) > 0 {
-			req = words[0]
+	e.cluster.Console.OnInput = func(seq uint32, data []byte) {
+		e.emit(Event{Kind: EventTerminalInput, Node: e.actingNode(), Data: data})
+	}
+	if e.nic != nil {
+		e.nic.OnIngress = func(seq uint32, words []uint32) {
+			var req uint32
+			if len(words) > 0 {
+				req = words[0]
+			}
+			e.emit(Event{Kind: EventNetRequest, Node: e.actingNode(), Req: req, Count: len(words)})
 		}
-		e.emit(Event{Kind: EventNetRequest, Node: e.actingNode(), Req: req, Count: len(words)})
 	}
 }
 
@@ -573,21 +574,6 @@ func (e *Engine) startClientLoad() {
 	e.clients.Start()
 }
 
-// installDiskHooks wires per-device environment observation: one OnOp
-// per shared disk (tagged with the disk index) and the terminal-input
-// observer.
-func (e *Engine) installDiskHooks(disks []*scsi.Disk, cons *console.Console) {
-	for i, d := range disks {
-		i := i
-		d.OnOp = func(r scsi.OpRecord) { e.diskOp(i, r) }
-	}
-	if e.o.Observer != nil {
-		cons.OnInput = func(seq uint32, data []byte) {
-			e.emit(Event{Kind: EventTerminalInput, Node: e.actingNode(), Data: data})
-		}
-	}
-}
-
 // backupHooks builds the observation hooks a backup engine carries
 // (shared between boot-time backups and late joiners).
 func (e *Engine) backupHooks() replication.Hooks {
@@ -603,16 +589,14 @@ func (e *Engine) backupHooks() replication.Hooks {
 	}
 }
 
-// diskOp tallies a completed disk operation and (optionally) emits it,
-// tagged with the disk it happened on.
+// diskOp tallies a completed disk operation and emits it, tagged with
+// the disk it happened on.
 func (e *Engine) diskOp(disk int, r scsi.OpRecord) {
 	e.diskOps++
 	if r.Uncertain {
 		e.diskUncertain++
 	}
-	if e.o.DiskEvents && e.o.Observer != nil {
-		e.emit(Event{Kind: EventDiskOp, Node: r.Host, IO: r, Disk: disk})
-	}
+	e.emit(Event{Kind: EventDiskOp, Node: r.Host, IO: r, Disk: disk})
 }
 
 // outputCommitted observes an output-commit release: the acting
@@ -959,18 +943,13 @@ func (e *Engine) Snapshot() Snapshot {
 		cs := e.clients.Stats()
 		s.NetRequests, s.NetAnswered, s.NetRetransmits = cs.Issued, cs.Answered, cs.Retransmits
 	}
-	if e.o.Bare {
-		s.Nodes = 1
-		s.Halted = e.single.Bare.Halted()
-		s.Console = e.single.Console.Output()
-		return s
-	}
 	s.Nodes = len(e.cluster.Nodes)
 	s.Acting = e.actingNode()
+	// A bare session's hypervisor never runs: its counters stay zero.
 	hv := e.cluster.Nodes[s.Acting].HV
 	s.Epochs = hv.Epoch()
 	s.GuestInstructions = hv.GuestInstructions()
-	s.Halted = hv.Halted()
+	s.Halted = e.halted(s.Acting)
 	add := func(st replication.Stats) {
 		s.MessagesSent += st.MessagesSent
 		s.BytesSent += st.BytesSent
@@ -984,7 +963,9 @@ func (e *Engine) Snapshot() Snapshot {
 		s.UncertainSynthesized += st.UncertainSynth
 		s.PeersExcluded += st.PeerTimeouts
 	}
-	add(e.pri.Stats)
+	if e.pri != nil {
+		add(e.pri.Stats)
+	}
 	for _, b := range e.baks {
 		add(b.Stats)
 		if b.Promoted() {
@@ -1004,27 +985,26 @@ func (e *Engine) Result() (Result, error) {
 	return e.result, e.runErr
 }
 
-// computeResult assembles the terminal report from the authoritative
-// survivor: the primary if it never failed, else the last promoted
-// surviving node, else any node whose guest HALTED before its processor
-// was killed (a replica that completed the workload and was failstopped
-// afterwards still produced the deterministic result).
-func (e *Engine) computeResult() (Result, error) {
-	if e.o.Bare {
-		if !e.single.Bare.Halted() {
-			return Result{}, fmt.Errorf("session: bare run did not halt (pc=%#x)", e.single.Node.M.PC)
-		}
-		r := Result{
-			Time:    e.done[0],
-			Guest:   e.prog.Result(e.single.Node.M),
-			Console: e.single.Console.Output(),
-		}
-		if e.nic != nil {
-			r.NetReplies = e.nic.Replies()
-		}
-		return r, nil
+// halted reports whether node i's guest has halted.
+func (e *Engine) halted(i int) bool {
+	if e.bare != nil {
+		return e.bare.Halted()
 	}
-	res := Result{PrimaryStats: e.pri.Stats}
+	return e.cluster.Nodes[i].HV.Halted()
+}
+
+// computeResult assembles the terminal report from the authoritative
+// survivor: node 0 if it never failed (a bare session's only node), else
+// the last promoted surviving node, else any node whose guest HALTED
+// before its processor was killed (a replica that completed the workload
+// and was failstopped afterwards still produced the deterministic
+// result). A bare session reports zero protocol and hypervisor counters:
+// none of that machinery ran.
+func (e *Engine) computeResult() (Result, error) {
+	var res Result
+	if e.pri != nil {
+		res.PrimaryStats = e.pri.Stats
+	}
 	if len(e.baks) > 0 {
 		res.BackupStats = e.baks[0].Stats
 	}
@@ -1035,7 +1015,7 @@ func (e *Engine) computeResult() (Result, error) {
 	}
 	authority := -1
 	switch {
-	case e.cluster.Nodes[0].HV.Halted() && !e.pri.Failed():
+	case e.halted(0) && (e.pri == nil || !e.pri.Failed()):
 		authority = 0
 	default:
 		for i := len(e.baks) - 1; i >= 0; i-- {
@@ -1052,12 +1032,12 @@ func (e *Engine) computeResult() (Result, error) {
 				}
 			}
 		}
-		if authority < 0 && e.cluster.Nodes[0].HV.Halted() {
+		if authority < 0 && e.halted(0) {
 			authority = 0
 		}
 	}
 	if authority < 0 {
-		return res, fmt.Errorf("session: replicated run did not complete (pri pc=%#x promoted=%v)",
+		return res, fmt.Errorf("session: run did not complete (node 0 pc=%#x promoted=%v)",
 			e.cluster.Nodes[0].M.PC, res.Promoted)
 	}
 	res.Time = e.done[authority]
@@ -1071,26 +1051,20 @@ func (e *Engine) computeResult() (Result, error) {
 }
 
 // Disk returns shared disk 0 (environment-consistency checks in
-// tests; nil before boot on bare=false sessions).
+// tests; nil before boot).
 func (e *Engine) Disk() *scsi.Disk {
-	if e.cluster != nil {
-		return e.cluster.Disk
+	if e.cluster == nil {
+		return nil
 	}
-	if e.single != nil {
-		return e.single.Disk
-	}
-	return nil
+	return e.cluster.Disk
 }
 
 // Disks returns every shared disk in index order (nil before boot).
 func (e *Engine) Disks() []*scsi.Disk {
-	if e.cluster != nil {
-		return e.cluster.Disks
+	if e.cluster == nil {
+		return nil
 	}
-	if e.single != nil {
-		return e.single.Disks
-	}
-	return nil
+	return e.cluster.Disks
 }
 
 // NIC returns the shared network adapter (nil before boot or when the
@@ -1103,13 +1077,10 @@ func (e *Engine) Clients() *clientsim.Sim { return e.clients }
 
 // Console returns the shared environment console (nil before boot).
 func (e *Engine) Console() *console.Console {
-	if e.cluster != nil {
-		return e.cluster.Console
+	if e.cluster == nil {
+		return nil
 	}
-	if e.single != nil {
-		return e.single.Console
-	}
-	return nil
+	return e.cluster.Console
 }
 
 // Close releases the simulation (terminating its process goroutines).
@@ -1127,8 +1098,5 @@ func (e *Engine) Close() {
 	// Snapshot remain valid — they read counters, not guest memory.
 	if e.cluster != nil {
 		e.cluster.Release()
-	}
-	if e.single != nil {
-		e.single.Release()
 	}
 }

@@ -1,17 +1,17 @@
-// Package snapshot implements the deterministic, versioned binary
-// serialization behind the session checkpoint and backup-reintegration
-// subsystems: complete machine state (RAM, registers, TLB with
-// replacement recency, recovery counter — all control registers travel),
-// hypervisor virtualization state, and replication-layer protocol state
-// (epoch archive tail, sequence/acknowledgement watermarks, pending
-// interrupt and environment buffers).
+// Package snapshot is the leaf codec under the session checkpoint and
+// backup-reintegration subsystems: a deterministic, versioned binary
+// Writer/Reader pair and nothing else. It imports no other package of
+// this module, so every layer can use it, and it knows no layer's
+// layout: a layer's byte format lives in that layer's snapshot.go
+// (machine, hypervisor, replication) and the two composite blobs — the
+// checkpoint's section list and the AddBackup transfer — in session.
 //
 // Determinism is a hard requirement, not a nicety: a state-transfer
 // blob's byte length is charged to the simulated link (so its size must
 // be a pure function of the state), and snapshot verification compares
-// independently produced encodings byte for byte. Every encoder here
-// therefore emits fields in a fixed order, sorts anything map-shaped,
-// and uses fixed-width little-endian integers.
+// independently produced encodings byte for byte. Every encoder built on
+// this package therefore emits fields in a fixed order, sorts anything
+// map-shaped, and uses the fixed-width little-endian integers below.
 //
 // Format discipline: every top-level blob opens with an 8-byte magic
 // and a format version word, and closes with an FNV-64a checksum of
@@ -31,9 +31,10 @@ import (
 	"sync"
 )
 
-// FormatVersion is the current snapshot format. Bump it whenever any
-// encoder in this package (or a capture struct it serializes) changes
-// shape; readers reject every other version.
+// FormatVersion is the current snapshot format; readers reject every
+// other version. A layer's snapshot.go that moves a byte bumps
+// FormatVersion or transferVersion — the two byte goldens
+// (TestSaveBytesGolden, TestTransferBytesGolden) will tell you.
 //
 // Version 6 = one RAM representation (the session configuration lost
 // its shared-image flag byte).
@@ -45,6 +46,10 @@ const FormatVersion = 6
 // what TestTransferBytesGolden pins — so a change to a checkpoint-only
 // section moves FormatVersion and leaves this alone.
 const transferVersion = 4
+
+// TransferMagic opens a live state-transfer blob (AddBackup's payload
+// on the simulated link).
+const TransferMagic = "HFTXFER1"
 
 // versionOf returns the format number blobs opened by magic carry.
 func versionOf(magic string) uint32 {
@@ -229,8 +234,10 @@ func NewReader(blob []byte, magic string) (*Reader, error) {
 	return r, nil
 }
 
-// fail latches the first error.
-func (r *Reader) fail() {
+// Fail latches the first error: the bytes at the current offset cannot
+// be what the decoder expects. A layer's decoder calls it for a value
+// that read cleanly but is structurally invalid.
+func (r *Reader) Fail() {
 	if r.err == nil {
 		r.err = fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, r.off)
 	}
@@ -245,7 +252,7 @@ func (r *Reader) Remaining() int { return len(r.b) - r.off }
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
 	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
+		r.Fail()
 		return 0
 	}
 	v := r.b[r.off]
@@ -258,7 +265,7 @@ func (r *Reader) U8() uint8 {
 func (r *Reader) Bool() bool {
 	v := r.U8()
 	if v > 1 {
-		r.fail()
+		r.Fail()
 	}
 	return v == 1
 }
@@ -266,7 +273,7 @@ func (r *Reader) Bool() bool {
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {
 	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
+		r.Fail()
 		return 0
 	}
 	b := r.b[r.off:]
@@ -297,7 +304,7 @@ func (r *Reader) Bytes() []byte {
 func (r *Reader) View() []byte {
 	n := int(r.U32())
 	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
+		r.Fail()
 		return nil
 	}
 	v := r.b[r.off : r.off+n : r.off+n]
@@ -311,7 +318,7 @@ func (r *Reader) View() []byte {
 func (r *Reader) Count(elemMin int) int {
 	n := int(r.U32())
 	if r.err != nil || n < 0 || n > r.Remaining()/elemMin {
-		r.fail()
+		r.Fail()
 		return 0
 	}
 	return n
@@ -321,7 +328,7 @@ func (r *Reader) Count(elemMin int) int {
 func (r *Reader) String() string {
 	n := int(r.U32())
 	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
+		r.Fail()
 		return ""
 	}
 	s := string(r.b[r.off : r.off+n])

@@ -301,48 +301,20 @@ func pause(r *snapshot.Reader) pausePoint {
 	}
 }
 
-// RestoreOption configures Restore.
-type RestoreOption func(*restoreOptions) error
-
-type restoreOptions struct {
-	verify bool
-}
-
-// RestoreWithoutVerify skips the post-replay state verification. The
-// replayed session is still deterministic; skipping only removes the
-// byte-for-byte comparison against the snapshot's embedded capture
-// (useful when restoring snapshots at scale and the capture has been
-// verified once).
-func RestoreWithoutVerify() RestoreOption {
-	return func(o *restoreOptions) error {
-		o.verify = false
-		return nil
-	}
-}
-
 // Restore reads a checkpoint written by Save and reconstructs the
 // session: the configuration is rebuilt, the perturbation journal is
 // replayed with each action re-applied at its recorded pause position,
 // and the session is advanced to the saved position. By the
 // determinism contract the result is bit-identical to the original —
-// and unless RestoreWithoutVerify is given, Restore proves it by
-// comparing a fresh state capture against the snapshot's embedded one,
-// section by section, failing loudly on any divergence.
+// and Restore proves it by comparing a fresh state capture against the
+// snapshot's embedded one, section by section, failing loudly on any
+// divergence.
 //
 // Snapshots from a different format version are rejected with an error
 // wrapping ErrSnapshotVersion; structurally invalid data with one
 // wrapping ErrSnapshotCorrupt. The returned cluster is live: it can be
 // advanced, perturbed, observed and saved again.
-func Restore(r io.Reader, opts ...RestoreOption) (*Cluster, error) {
-	ro := restoreOptions{verify: true}
-	for _, opt := range opts {
-		if opt == nil {
-			return nil, errors.New("hft: nil RestoreOption")
-		}
-		if err := opt(&ro); err != nil {
-			return nil, err
-		}
-	}
+func Restore(r io.Reader) (*Cluster, error) {
 	blob, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("hft: Restore: %w", err)
@@ -395,11 +367,9 @@ func Restore(r io.Reader, opts ...RestoreOption) (*Cluster, error) {
 	}
 	c.pause = final
 
-	if ro.verify {
-		if err := c.eng.VerifySections(want); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("hft: Restore: replayed state diverges from snapshot: %w", err)
-		}
+	if err := c.eng.VerifySections(want); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("hft: Restore: replayed state diverges from snapshot: %w", err)
 	}
 	return c, nil
 }
