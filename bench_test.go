@@ -199,6 +199,61 @@ func BenchmarkHypervisorEpoch(b *testing.B) {
 	b.ReportMetric(float64(hv.GuestInstructions())/float64(b.N), "instr/epoch")
 }
 
+// BenchmarkPolledEpochPair measures the epoch in which host time is
+// hypervisor entry and exit rather than guest execution: a primary and a
+// backup under output commit (the svc_failover configuration) run the
+// serve guest with no client traffic, so every 256-instruction epoch is
+// the guest polling NIC status through MMIO — a trap every five
+// instructions, each charged its own simulated time on both nodes, whose
+// sleeps interleave. b.N is committed epochs; ns/trap is host time per
+// simulated instruction across the pair.
+func BenchmarkPolledEpochPair(b *testing.B) {
+	k := sim.NewKernel(1)
+	defer k.Shutdown()
+	oc := replication.OutputCommit{Enabled: true, Window: 16, Adaptive: true}
+	pair := platform.NewCluster(k, platform.Config{
+		Machine: machine.Config{MemBytes: harness.GuestMemBytes},
+		Hypervisor: hypervisor.Config{
+			EpochLength: 256, AdaptiveBoundary: true, ResidentEmulation: true,
+		},
+		NIC:  true,
+		Link: netsim.ATM155(""),
+	}, 2)
+	prog := guest.Program()
+	for _, n := range pair.Nodes {
+		n.HV.Boot(prog.Origin, prog.Words, 0)
+		guest.Configure(n.M, guest.ServeRequests(1, 50)) // the request never comes
+	}
+	tx, rx := pair.Channel(0, 1)
+	pri := replication.NewPrimary(pair.Nodes[0].HV, []replication.Peer{{TX: tx, RX: rx}}, replication.ProtocolNew)
+	pri.OutputCommit = oc
+	btx, brx := pair.Channel(1, 0)
+	bak := replication.NewBackup(pair.Nodes[1].HV, 1, []replication.Peer{{TX: btx, RX: brx}}, nil,
+		50*sim.Millisecond, replication.ProtocolNew)
+	bak.OutputCommit = oc
+	epochs := 0
+	pri.Hooks.EpochCommitted = func(int, uint64, uint32, sim.Time, bool) {
+		if epochs++; epochs == b.N {
+			k.Stop()
+		}
+	}
+	bak.StartReceivers(k)
+	k.Spawn("primary", pri.Run)
+	k.Spawn("backup", bak.Run)
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	if epochs != b.N {
+		b.Fatalf("the pair committed %d epochs of %d", epochs, b.N)
+	}
+	var traps uint64
+	for _, n := range pair.Nodes {
+		traps += n.HV.Stats.PrivSimulated + n.HV.Stats.EnvSimulated
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(traps), "ns/trap")
+	b.ReportMetric(float64(traps)/float64(2*b.N), "traps/epoch")
+}
+
 // BenchmarkReplicatedPair measures the full §4 critical path the paper's
 // figures are built from: one primary + one backup over the Ethernet
 // model, running the CPU workload end to end under the original
@@ -375,8 +430,8 @@ func BenchmarkSharedImageBoot(b *testing.B) {
 
 // TestSimHotPathAllocs holds the sim kernel to what the benchmarks above
 // only say: in steady state a callback chain, a lone sleeper, two
-// alternating sleepers and a WaitTimeout that is broadcast before it
-// expires allocate nothing. Spawn is the one place the kernel allocates
+// alternating sleepers, two bodies stepped inline and a WaitTimeout that
+// is broadcast before it expires allocate nothing. Spawn is the one place the kernel allocates
 // per process (the Proc, its coroutine and their closures); that set-up
 // cost is pinned here so that it is a recorded number.
 func TestSimHotPathAllocs(t *testing.T) {
@@ -406,6 +461,15 @@ func TestSimHotPathAllocs(t *testing.T) {
 				for {
 					p.Sleep(10)
 				}
+			})
+		}},
+		// Every step but each body's first is dispatched inline.
+		{"two interleaved steppers", func(k *sim.Kernel) {
+			step := func(*sim.Proc) (sim.Time, sim.StepStatus) { return 10, sim.StepMore }
+			k.Spawn("a", func(p *sim.Proc) { p.RunSteps(step) })
+			k.Spawn("b", func(p *sim.Proc) {
+				p.Sleep(5)
+				p.RunSteps(step)
 			})
 		}},
 		{"WaitTimeout broadcast before it expires", func(k *sim.Kernel) {

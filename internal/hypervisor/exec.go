@@ -24,58 +24,17 @@ import (
 // boundary; Boundary.GuestInstr carries the coordinate for cross-replica
 // verification.
 //
-// p must be the simulation process driving this machine.
+// p must be the simulation process driving this machine. The epoch is a
+// sim.RunSteps body (epochStep): every charge of simulated time is one
+// step's return value, so while p sleeps out a charge the kernel runs the
+// epoch's next piece inline from the scheduler, and p's own stack is
+// needed only where the epoch can really block — in a hook (see the
+// blocking rule at epochStep) — and at its end.
 func (hv *Hypervisor) RunEpoch(p *sim.Proc) Boundary {
-	target := hv.guestInstr + hv.cfg.EpochLength
-	m := hv.M
-	cost := hv.cfg.Cost
+	hv.run = epochRun{target: hv.guestInstr + hv.cfg.EpochLength}
 	hv.cutAt = 0 // disarm: cuts never cross an epoch boundary
-
-	for !hv.halted {
-		// An armed output cut shortens the epoch; re-evaluated every
-		// iteration because mmioStore arms (or re-arms) it mid-epoch.
-		eff := target
-		if hv.cutAt != 0 && hv.cutAt < target {
-			eff = hv.cutAt
-		}
-		if hv.guestInstr >= eff {
-			break
-		}
-		if hv.Stop != nil && hv.Stop() {
-			// Failstop: the processor halts abruptly and detectably.
-			break
-		}
-		// Arm the recovery counter for the remainder of the epoch: the
-		// Instruction-Stream Interrupt Assumption in action. The batched
-		// executor turns it into an instruction budget instead of a
-		// per-step control-register check.
-		remaining := eff - hv.guestInstr
-		m.CRs[isa.CRRCTR] = uint32(remaining)
-
-		// Execute a chunk, then sync simulated time and poll devices.
-		rr := m.Run(min(chunkSize, remaining))
-		hv.guestInstr += rr.Executed
-		hv.Stats.GuestInstructions += rr.Executed
-		if rr.Executed > 0 {
-			p.Sleep(sim.Time(rr.Executed) * cost.InstructionTime)
-		}
-		// Poll real device lines raised while the chunk ran (P1 capture).
-		hv.pollDevices()
-
-		switch {
-		case rr.Trap == isa.TrapRecovery:
-			// Epoch boundary reached exactly.
-			if hv.guestInstr != eff {
-				panic(fmt.Sprintf("hypervisor: recovery trap at %d, target %d",
-					hv.guestInstr, eff))
-			}
-		case rr.Trap != isa.TrapNone:
-			hv.handleTrap(p, rr.StepResult)
-		case rr.Halted:
-			hv.halted = true
-		}
-	}
-	if hv.cutAt != 0 && hv.cutAt < target && hv.guestInstr >= hv.cutAt {
+	p.RunSteps(hv.step)
+	if hv.cutAt != 0 && hv.cutAt < hv.run.target && hv.guestInstr >= hv.cutAt {
 		hv.Stats.AdaptiveCuts++
 	}
 
@@ -86,9 +45,144 @@ func (hv *Hypervisor) RunEpoch(p *sim.Proc) Boundary {
 		GuestInstr: hv.guestInstr,
 		Digest:     hv.Digest(),
 		Halted:     hv.halted,
-		TOD:        m.TOD(),
+		TOD:        hv.M.TOD(),
 	}
 	return b
+}
+
+// epochRun is the cursor of the epoch in progress: where epochStep
+// resumes after the charge it last returned. Not captured by snapshots:
+// a restored hypervisor starts at an epoch boundary.
+type epochRun struct {
+	// target is the guest-instruction coordinate of the full-length
+	// boundary (an armed output cut may end the epoch sooner).
+	target uint64
+	phase  epochPhase
+	// res is how the last chunk ended: the trap in phaseWalk and
+	// phaseEmulate, any exit in phasePoll.
+	res machine.StepResult
+	// mmio marks a TrapAccess that resolved into the MMIO window, at
+	// physical address pa — resolved when the trap was charged, before
+	// time passed.
+	mmio bool
+	pa   uint32
+}
+
+// epochPhase names the piece of the epoch loop epochStep runs next.
+type epochPhase uint8
+
+const (
+	// phaseRun: test the end conditions, then execute a chunk and charge
+	// its instruction time.
+	phaseRun epochPhase = iota
+	// phasePoll: the chunk's time has passed; poll the devices (P1
+	// capture), then dispatch on how the chunk ended and charge a trap's
+	// entry.
+	phasePoll
+	// phaseWalk: a TLB miss has paid its entry/exit; charge the
+	// hypervisor's page-table walk.
+	phaseWalk
+	// phaseEmulate: the trap's charges are paid; emulate it.
+	phaseEmulate
+)
+
+// epochStep is the epoch loop as a resumable step (sim.StepFunc): run a
+// chunk → return its instruction-time charge → poll devices and dispatch
+// → return the trap's charge(s) → emulate → loop, until the epoch ends.
+// A chunk that retired nothing charges nothing and does not return.
+//
+// Blocking rule. Hooks capture their process: OnCapture ships the
+// interrupt record on the lock-step path, OnBeforeIO waits at the §4.3
+// gate. Called inline (p == nil) the step must not reach them, so it
+// stops short and answers sim.StepBlock when (a) a real interrupt line is
+// raised at the poll and OnCapture is set, or (b) the trap to emulate is
+// an MMIO store (an output or a start) and OnBeforeIO is set. Both tests
+// stand at the head of a phase, before that phase touches anything, so
+// the repeated call — with p, on p's stack — resumes from the cursor as
+// if this one had not been made. MMIO loads read shadow state and never
+// block. Everything else the step calls — the machine, shadows, real
+// devices, Stop — only reads and writes state and schedules events.
+func (hv *Hypervisor) epochStep(p *sim.Proc) (sim.Time, sim.StepStatus) {
+	r := &hv.run
+	m := hv.M
+	for {
+		switch r.phase {
+		case phaseRun:
+			if hv.halted {
+				return 0, sim.StepDone
+			}
+			// An armed output cut shortens the epoch; re-evaluated every
+			// iteration because mmioStore arms (or re-arms) it mid-epoch.
+			eff := hv.epochEnd()
+			// Stop is failstop injection: the processor halts abruptly
+			// and detectably.
+			if hv.guestInstr >= eff || (hv.Stop != nil && hv.Stop()) {
+				return 0, sim.StepDone
+			}
+			// Arm the recovery counter for the remainder of the epoch: the
+			// Instruction-Stream Interrupt Assumption in action. The batched
+			// executor turns it into an instruction budget instead of a
+			// per-step control-register check.
+			remaining := eff - hv.guestInstr
+			m.CRs[isa.CRRCTR] = uint32(remaining)
+
+			// Execute a chunk, then sync simulated time and poll devices.
+			rr := m.Run(min(chunkSize, remaining))
+			hv.guestInstr += rr.Executed
+			hv.Stats.GuestInstructions += rr.Executed
+			r.res, r.phase = rr.StepResult, phasePoll
+			if rr.Executed > 0 {
+				return sim.Time(rr.Executed) * hv.cfg.Cost.InstructionTime, sim.StepMore
+			}
+
+		case phasePoll:
+			if p == nil && m.CRs[isa.CREIRR] != 0 && hv.OnCapture != nil {
+				return 0, sim.StepBlock
+			}
+			// Poll real device lines raised while the chunk ran (P1 capture).
+			hv.pollDevices()
+			r.phase = phaseRun
+			switch {
+			case r.res.Trap == isa.TrapRecovery:
+				// Epoch boundary reached exactly.
+				if eff := hv.epochEnd(); hv.guestInstr != eff {
+					panic(fmt.Sprintf("hypervisor: recovery trap at %d, target %d",
+						hv.guestInstr, eff))
+				}
+			case r.res.Trap != isa.TrapNone:
+				return hv.trapCharges(), sim.StepMore
+			case r.res.Halted:
+				hv.halted = true
+			}
+
+		case phaseWalk:
+			r.phase = phaseEmulate
+			hv.Stats.HypervisorTime += hv.cfg.Cost.TLBWalk
+			return hv.cfg.Cost.TLBWalk, sim.StepMore
+
+		case phaseEmulate:
+			if p == nil && r.mmio && hv.OnBeforeIO != nil && isStore(r.res.Inst.Op) {
+				return 0, sim.StepBlock
+			}
+			r.phase = phaseRun
+			hv.emulateTrap()
+		}
+	}
+}
+
+// epochEnd returns the coordinate the running epoch ends at: its full
+// length, or an armed output cut before that.
+func (hv *Hypervisor) epochEnd() uint64 {
+	if hv.cutAt != 0 && hv.cutAt < hv.run.target {
+		return hv.cutAt
+	}
+	return hv.run.target
+}
+
+// isStore reports whether op is a store: on the MMIO window, the one kind
+// of emulation that can reach OnBeforeIO.
+func isStore(op isa.Op) bool {
+	return op == isa.OpSTW || op == isa.OpSTH || op == isa.OpSTB
 }
 
 // StartEpochClock begins a new epoch's virtual-TOD base: the primary uses
@@ -106,13 +200,13 @@ func (hv *Hypervisor) ChargeBoundary(p *sim.Proc) {
 	p.Sleep(hv.cfg.Cost.EpochLocal)
 }
 
-// chargeSim charges the cost of one full hypervisor simulation
-// (entry/exit + work). Under ResidentEmulation, a simulation landing
-// within residentWindow guest instructions of the previous one is
-// charged only the simulation work: the hypervisor never left, so no
-// fresh world switch is paid. Pure function of the instruction stream —
-// every replica charges identically.
-func (hv *Hypervisor) chargeSim(p *sim.Proc) {
+// chargeSim accounts one full hypervisor simulation (entry/exit + work)
+// and returns its cost for epochStep to charge. Under ResidentEmulation,
+// a simulation landing within residentWindow guest instructions of the
+// previous one costs only the simulation work: the hypervisor never left,
+// so no fresh world switch is paid. Pure function of the instruction
+// stream — every replica charges identically.
+func (hv *Hypervisor) chargeSim() sim.Time {
 	c := hv.cfg.Cost.HSim()
 	if hv.cfg.ResidentEmulation && hv.residentArmed &&
 		hv.guestInstr-hv.residentAt <= residentWindow {
@@ -121,23 +215,67 @@ func (hv *Hypervisor) chargeSim(p *sim.Proc) {
 	}
 	hv.residentAt, hv.residentArmed = hv.guestInstr, true
 	hv.Stats.HypervisorTime += c
-	p.Sleep(c)
+	return c
 }
 
-// chargeEntryExit charges a hypervisor entry/exit without simulation work
-// (trap reflection, TLB fill base cost).
-func (hv *Hypervisor) chargeEntryExit(p *sim.Proc) {
+// chargeEntryExit accounts a hypervisor entry/exit without simulation
+// work (trap reflection, TLB fill base cost) and returns its cost.
+func (hv *Hypervisor) chargeEntryExit() sim.Time {
 	c := hv.cfg.Cost.TrapEntryExit
 	hv.Stats.HypervisorTime += c
-	p.Sleep(c)
+	return c
 }
 
-// handleTrap dispatches a guest trap to the appropriate emulation.
-func (hv *Hypervisor) handleTrap(p *sim.Proc, res machine.StepResult) {
-	m := hv.M
+// trapCharges classifies the trap the chunk ended on, reads everything
+// its charge and emulation depend on before time passes (a TrapAccess is
+// resolved against the guest's translation context here), accounts the
+// first charge and returns it, leaving the cursor at what follows the
+// charge: emulateTrap, or for a TLB miss under the §3.2 takeover a second
+// charge first — the page-table walk, accounted when it starts, so that
+// the two stay two sleeps with their own wake keys and a capture between
+// them sees only the first in Stats.
+func (hv *Hypervisor) trapCharges() sim.Time {
+	r := &hv.run
+	r.phase, r.mmio = phaseEmulate, false
+	switch r.res.Trap {
+	case isa.TrapPriv:
+		return hv.chargeSim()
+
+	case isa.TrapITLBMiss, isa.TrapDTLBMiss:
+		if !hv.cfg.NoTLBTakeover {
+			r.phase = phaseWalk
+		}
+		return hv.chargeEntryExit()
+
+	case isa.TrapAccess:
+		// Either a memory-mapped I/O access (environment instruction,
+		// §3.2) or a genuine guest protection fault.
+		if pa, ok := hv.guestPhysical(r.res.IOR); ok && hv.M.InMMIO(pa) {
+			r.mmio, r.pa = true, pa
+			return hv.chargeSim()
+		}
+		return hv.chargeEntryExit()
+
+	case isa.TrapGate, isa.TrapBreak, isa.TrapIllegal, isa.TrapAlign,
+		isa.TrapArith, isa.TrapMachine:
+		// Guest-internal events: reflect.
+		return hv.chargeEntryExit()
+
+	case isa.TrapExtIntr:
+		// Cannot happen: the guest runs with real interrupts disabled.
+		panic("hypervisor: real external interrupt trap while guest running")
+
+	default:
+		panic(fmt.Sprintf("hypervisor: unhandled trap %v", r.res.Trap))
+	}
+}
+
+// emulateTrap performs the emulation trapCharges classified, once its
+// charges are paid.
+func (hv *Hypervisor) emulateTrap() {
+	res := &hv.run.res
 	switch res.Trap {
 	case isa.TrapPriv:
-		hv.chargeSim(p)
 		hv.Stats.PrivSimulated++
 		hv.emulatePrivileged(res.Inst)
 		// The simulated instruction retires from the guest's point of
@@ -152,7 +290,6 @@ func (hv *Hypervisor) handleTrap(p *sim.Proc, res machine.StepResult) {
 			// TLB management — the guest's software miss handler runs,
 			// at instruction-stream positions determined by the REAL
 			// TLB's (possibly nondeterministic) contents.
-			hv.chargeEntryExit(p)
 			hv.deliverVirtualTrap(res.Trap, 0, res.IOR)
 			return
 		}
@@ -160,9 +297,6 @@ func (hv *Hypervisor) handleTrap(p *sim.Proc, res machine.StepResult) {
 		// guest's page table; if the page is resident, insert the
 		// translation invisibly. Only a non-resident page reflects a
 		// miss into the guest.
-		hv.chargeEntryExit(p)
-		hv.Stats.HypervisorTime += hv.cfg.Cost.TLBWalk
-		p.Sleep(hv.cfg.Cost.TLBWalk)
 		va := res.IOR
 		pte, ok := hv.walkGuestPT(va)
 		if ok && pte&PTEValid != 0 {
@@ -173,32 +307,18 @@ func (hv *Hypervisor) handleTrap(p *sim.Proc, res machine.StepResult) {
 		hv.deliverVirtualTrap(res.Trap, 0, va)
 
 	case isa.TrapAccess:
-		// Either a memory-mapped I/O access (environment instruction,
-		// §3.2) or a genuine guest protection fault.
-		pa, ok := hv.guestPhysical(res.IOR)
-		if ok && m.InMMIO(pa) {
-			hv.chargeSim(p)
+		if hv.run.mmio {
 			hv.Stats.EnvSimulated++
-			hv.emulateMMIO(res.Inst, pa)
+			hv.emulateMMIO(res.Inst, hv.run.pa)
 			hv.guestInstr++ // simulated instruction retires
 			hv.Stats.GuestInstructions++
 			return
 		}
-		hv.chargeEntryExit(p)
 		hv.deliverVirtualTrap(isa.TrapAccess, res.ISR, res.IOR)
 
-	case isa.TrapGate, isa.TrapBreak, isa.TrapIllegal, isa.TrapAlign,
-		isa.TrapArith, isa.TrapMachine:
-		// Guest-internal events: reflect.
-		hv.chargeEntryExit(p)
-		hv.deliverVirtualTrap(res.Trap, res.ISR, res.IOR)
-
-	case isa.TrapExtIntr:
-		// Cannot happen: the guest runs with real interrupts disabled.
-		panic("hypervisor: real external interrupt trap while guest running")
-
 	default:
-		panic(fmt.Sprintf("hypervisor: unhandled trap %v", res.Trap))
+		// Guest-internal events: reflect.
+		hv.deliverVirtualTrap(res.Trap, res.ISR, res.IOR)
 	}
 }
 

@@ -337,6 +337,12 @@ type Hypervisor struct {
 	epoch      uint64
 	halted     bool
 
+	// run is the cursor of the epoch in progress and step the epoch loop
+	// it steers, as the value RunEpoch hands sim.RunSteps: built once (a
+	// bound-method value per epoch would allocate).
+	run  epochRun
+	step sim.StepFunc
+
 	// cutAt is the adaptive boundary's armed cut point (guest instruction
 	// count; 0 = unarmed). Re-armed to guestInstr+cutSlack by every
 	// environment output while AdaptiveBoundary is set; reset at each
@@ -410,6 +416,7 @@ func New(m *machine.Machine, cfg Config) *Hypervisor {
 		M:   m,
 		cfg: cfg.withDefaults(),
 	}
+	hv.step = hv.epochStep
 	return hv
 }
 

@@ -17,7 +17,8 @@ package hypervisor
 // (State.Encode / DecodeState and the Interrupt pair the replication
 // layer's encoders reuse). State is the validate-then-commit staging
 // value between the bytes and the live hypervisor: a decoded State has
-// touched nothing until RestoreState accepts it.
+// touched nothing until RestoreState accepts it, and a State RestoreState
+// refuses has touched nothing either.
 
 import (
 	"fmt"
@@ -134,6 +135,10 @@ func (hv *Hypervisor) CaptureState() State {
 // (same IDs, bases and lines — the platform wires replicas
 // identically). The real machine's PSW is re-projected from the
 // restored virtual PSW; restore the machine state first.
+//
+// Validate-then-commit, like machine.RestoreState: everything the
+// capture names is resolved against this hypervisor before anything is
+// written, so a refused capture leaves the hypervisor as it was.
 func (hv *Hypervisor) RestoreState(s State) error {
 	if len(hv.devs) != len(s.Devices) {
 		return fmt.Errorf("hypervisor: restore: %d devices attached, capture has %d", len(hv.devs), len(s.Devices))
@@ -145,11 +150,33 @@ func (hv *Hypervisor) RestoreState(s State) error {
 				i, d.win.ID, d.win.Base, d.win.Line, ds.ID, ds.Base, ds.Line)
 		}
 	}
+	var suppressed []suppressedOutput
+	for _, so := range s.Suppressed {
+		d := hv.devByBase(so.Dev)
+		if d == nil {
+			return fmt.Errorf("hypervisor: restore: suppressed output for unknown device %#x", so.Dev)
+		}
+		suppressed = append(suppressed, suppressedOutput{
+			dev: d, off: so.Off, val: so.Val, ordinal: so.Ordinal,
+			epoch: so.Epoch, start: so.Start, at: sim.Time(so.At),
+		})
+	}
+	// The shadows decode their own bytes, each all-or-nothing. They are
+	// the one check that writes; if one refuses, those already written
+	// are put back.
+	undo := make([][]byte, 0, len(hv.devs))
 	for i, d := range hv.devs {
+		prev := d.sh.MarshalState()
 		if err := d.sh.UnmarshalState(s.Devices[i].Data); err != nil {
+			for j, b := range undo {
+				// A shadow's own encoding of a moment ago: cannot be refused.
+				_ = hv.devs[j].sh.UnmarshalState(b)
+			}
 			return fmt.Errorf("hypervisor: restore: device %q: %v", d.win.ID, err)
 		}
+		undo = append(undo, prev)
 	}
+
 	hv.vCR = s.VCR
 	hv.vPSW = s.VPSW
 	hv.vITMRArmed = s.VITMRArmed
@@ -160,6 +187,7 @@ func (hv *Hypervisor) RestoreState(s State) error {
 	hv.epoch = s.Epoch
 	hv.halted = s.Halted
 	hv.ioActive = s.IOActive
+	hv.run = epochRun{} // not part of a capture: the restored hypervisor is between epochs
 	hv.buffered = nil
 	for _, i := range s.Buffered {
 		ci := i
@@ -172,17 +200,7 @@ func (hv *Hypervisor) RestoreState(s State) error {
 		ds := s.Devices[i]
 		d.outstanding, d.issuedReal, d.outCount = ds.Outstanding, ds.IssuedReal, ds.OutCount
 	}
-	hv.suppressed = hv.suppressed[:0]
-	for _, so := range s.Suppressed {
-		d := hv.devByBase(so.Dev)
-		if d == nil {
-			return fmt.Errorf("hypervisor: restore: suppressed output for unknown device %#x", so.Dev)
-		}
-		hv.suppressed = append(hv.suppressed, suppressedOutput{
-			dev: d, off: so.Off, val: so.Val, ordinal: so.Ordinal,
-			epoch: so.Epoch, start: so.Start, at: sim.Time(so.At),
-		})
-	}
+	hv.suppressed = suppressed
 	hv.Stats = s.Stats
 	hv.applyVPSW()
 	return nil

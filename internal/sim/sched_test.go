@@ -7,18 +7,30 @@ import (
 	"testing"
 )
 
+// schedMode selects the discipline schedTrace runs under: the kernel as
+// shipped, or one of the references it must be indistinguishable from.
+type schedMode int
+
+const (
+	schedFast       schedMode = iota // in-place sleeps, inline steps
+	schedNoFastPath                  // every sleep enqueues a wake and blocks
+	schedNoInline                    // every wake of a process in RunSteps switches into it
+	schedLiteral                     // RunSteps replaced by the loop it is defined as
+)
+
 // schedTrace runs one seeded random scenario and returns its dispatch
 // trace: a (time, process-or-callback, outcome) record wherever a process
-// comes back from a blocking primitive or a callback fires. The scenario
-// is 1–64 processes running random programs over shared signals, queues
-// and cancelable callbacks, spawning children, driven in RunUntil slices
-// with Stop/ClearStop in between; parked far-future callbacks sit in the
-// heap throughout (the clientsim retransmission-timer shape). Every
-// random draw comes from the drawing process's own stream, so the trace
-// depends on the seed and on dispatch order only.
-func schedTrace(seed int64, parked int, noFastPath bool) []string {
-	debugNoFastPath = noFastPath
-	defer func() { debugNoFastPath = false }()
+// comes back from a blocking primitive, a step of a RunSteps body runs or
+// a callback fires. The scenario is 1–64 processes running random
+// programs over shared signals, queues and cancelable callbacks, spawning
+// children, driven in RunUntil slices with Stop/ClearStop in between;
+// parked far-future callbacks sit in the heap throughout (the clientsim
+// retransmission-timer shape). Every random draw comes from the drawing
+// process's own stream, so the trace depends on the seed and on dispatch
+// order only.
+func schedTrace(seed int64, parked int, mode schedMode) []string {
+	debugNoFastPath, debugNoInline = mode == schedNoFastPath, mode == schedNoInline
+	defer func() { debugNoFastPath, debugNoInline = false, false }()
 	k := NewKernel(seed)
 	defer k.Shutdown()
 	var trace []string
@@ -36,6 +48,59 @@ func schedTrace(seed int64, parked int, noFastPath bool) []string {
 		handles = append(handles, k.At(Time(2000+drv.Intn(60000)), func() { log(who, "fire") }))
 	}
 
+	// stepBody draws a RunSteps body: a sequence of pieces, each doing
+	// something a scheduler-context callback may do (or nothing) and then
+	// charging a random duration, zero and negative included. Some pieces
+	// charge nothing and run on into the next; some block, on a signal or
+	// a queue, and so answer StepBlock when offered no process.
+	type piece struct {
+		kind int
+		d    Time
+		s    *Signal
+		q    *Queue[int]
+	}
+	stepBody := func(name string, r *rand.Rand) StepFunc {
+		pieces := make([]piece, 1+r.Intn(6))
+		for i := range pieces {
+			pieces[i] = piece{r.Intn(10), durations[r.Intn(len(durations))],
+				sigs[r.Intn(len(sigs))], queues[r.Intn(len(queues))]}
+		}
+		i := 0
+		return func(p *Proc) (Time, StepStatus) {
+			for i < len(pieces) {
+				pc := pieces[i]
+				if p == nil && pc.kind >= 8 {
+					return 0, StepBlock
+				}
+				who := fmt.Sprintf("%s.step%d", name, i)
+				i++
+				switch pc.kind {
+				case 0, 1, 2, 3:
+					log(who, "ran")
+				case 4:
+					log(who, "broadcast")
+					pc.s.Broadcast()
+				case 5:
+					log(who, "put")
+					pc.q.Put(i)
+				case 6:
+					log(who, "timer")
+					handles = append(handles, k.After(pc.d, func() { log(who, "fire") }))
+				case 7:
+					log(who, "no charge")
+					continue
+				case 8:
+					log(who, fmt.Sprint("waited ", p.WaitTimeout(pc.s, pc.d)))
+				case 9:
+					v, ok := pc.q.RecvTimeout(p, pc.d)
+					log(who, fmt.Sprint("recv ", v, ok))
+				}
+				return pc.d, StepMore
+			}
+			return 0, StepDone
+		}
+	}
+
 	spawned := 0
 	var spawn func(name string, seed int64)
 	spawn = func(name string, seed int64) {
@@ -48,7 +113,7 @@ func schedTrace(seed int64, parked int, noFastPath bool) []string {
 				d := durations[r.Intn(len(durations))]
 				s := sigs[r.Intn(len(sigs))]
 				q := queues[r.Intn(len(queues))]
-				switch r.Intn(14) {
+				switch r.Intn(16) {
 				case 0, 1, 2, 3, 4:
 					p.Sleep(d)
 					log(name, "slept")
@@ -97,6 +162,20 @@ func schedTrace(seed int64, parked int, noFastPath bool) []string {
 					if spawned < 96 {
 						spawn(fmt.Sprintf("%s.%d", name, j), r.Int63())
 					}
+				case 14, 15:
+					step := stepBody(fmt.Sprintf("%s.%d", name, j), r)
+					if mode != schedLiteral {
+						p.RunSteps(step)
+					} else {
+						for {
+							d, st := step(p)
+							if st == StepDone {
+								break
+							}
+							p.Sleep(d)
+						}
+					}
+					log(name, "stepped")
 				}
 			}
 			log(name, "end")
@@ -123,31 +202,45 @@ func schedTrace(seed int64, parked int, noFastPath bool) []string {
 	return trace
 }
 
-// TestSchedulerDifferential: the Sleep fast path and block's
-// self-dispatch must be indistinguishable from the reference discipline
-// (every sleep enqueues a wake and blocks) — same dispatch trace, record
-// for record, on every seed; every fourth seed parks 500 far-future
-// callbacks in the heap under the process wakes.
+// TestSchedulerDifferential: the kernel's shortcuts must be
+// indistinguishable from the disciplines they abbreviate — same dispatch
+// trace, record for record, on every seed. The sleep fast path and
+// block's self-dispatch against every sleep enqueueing a wake and
+// blocking; inline steps against every wake of a process in RunSteps
+// switching into it; and RunSteps itself against the literal
+// step-then-Sleep loop it is defined as. Every fourth seed parks 500
+// far-future callbacks in the heap under the process wakes.
 func TestSchedulerDifferential(t *testing.T) {
+	refs := []struct {
+		name string
+		mode schedMode
+	}{
+		{"no fast path", schedNoFastPath},
+		{"no inline steps", schedNoInline},
+		{"literal step loop", schedLiteral},
+	}
 	for seed := int64(1); seed <= 240; seed++ {
 		parked := 0
 		if seed%4 == 0 {
 			parked = 500
 		}
-		fast, ref := schedTrace(seed, parked, false), schedTrace(seed, parked, true)
+		fast := schedTrace(seed, parked, schedFast)
 		if len(fast) < 20 {
 			t.Fatalf("seed %d: trace has only %d records; the scenario did not run", seed, len(fast))
 		}
-		for i := 0; i < len(fast) || i < len(ref); i++ {
-			if i >= len(fast) || i >= len(ref) || fast[i] != ref[i] {
-				at := func(tr []string) string {
-					if i < len(tr) {
-						return tr[i]
+		for _, r := range refs {
+			ref := schedTrace(seed, parked, r.mode)
+			for i := 0; i < len(fast) || i < len(ref); i++ {
+				if i >= len(fast) || i >= len(ref) || fast[i] != ref[i] {
+					at := func(tr []string) string {
+						if i < len(tr) {
+							return tr[i]
+						}
+						return "(end of trace)"
 					}
-					return "(end of trace)"
+					t.Fatalf("seed %d (parked %d): divergence at record %d of %d/%d: fast %q vs %s %q",
+						seed, parked, i, len(fast), len(ref), at(fast), r.name, at(ref))
 				}
-				t.Fatalf("seed %d (parked %d): divergence at record %d of %d/%d: fast %q vs reference %q",
-					seed, parked, i, len(fast), len(ref), at(fast), at(ref))
 			}
 		}
 	}
@@ -181,6 +274,15 @@ func TestShutdownLifecycle(t *testing.T) {
 			k.Spawn("wait", func(p *Proc) { p.Wait(s) })
 			k.Spawn("waittimeout", func(p *Proc) { p.WaitTimeout(s, Second) })
 			k.Spawn("recv", func(p *Proc) { q.Recv(p) })
+			k.RunUntil(Millisecond)
+		}},
+		{"parked in RunSteps, one on the wake list and one being stepped inline", 2, func(k *Kernel) {
+			for i := 0; i < 2; i++ {
+				k.Spawn("stepper", func(p *Proc) {
+					p.Sleep(Time(i))
+					p.RunSteps(func(*Proc) (Time, StepStatus) { return 2, StepMore })
+				})
+			}
 			k.RunUntil(Millisecond)
 		}},
 		{"finished", 0, func(k *Kernel) {

@@ -19,6 +19,14 @@
 // never enters the Go scheduler (a process switch is two coroutine
 // switches, process → kernel → process); a process that sleeps when
 // nothing else is due first simply advances the clock in place.
+//
+// A process whose work is a run of short non-blocking pieces separated by
+// sleeps hands the kernel that run as a step function (Proc.RunSteps).
+// While the process is parked in one of those sleeps the kernel
+// dispatches its wake like a callback event — it calls the next step
+// inline, on whatever stack is scheduling — and switches into the process
+// only when the run is over or a step says it might block. Dispatch order
+// and every (time, seq) key are those of the plain step-then-Sleep loop.
 package sim
 
 import (
@@ -85,7 +93,10 @@ func (e *event) before(at Time, seq uint64) bool {
 // processes with Spawn, then call Run (or RunUntil). A Kernel must be
 // driven by one goroutine at a time (the kernel goroutine; not one
 // locked to an OS thread): processes are coroutines that goroutine
-// switches into and that switch back to it when they block.
+// switches into and that switch back to it when they block. Callback
+// events, and the steps of a process parked in RunSteps, run on
+// whichever of those stacks is scheduling at the time and must not
+// block.
 type Kernel struct {
 	now     Time
 	seq     uint64
@@ -97,6 +108,7 @@ type Kernel struct {
 	stopped bool
 	limit   Time        // RunUntil bound, or <0 for none
 	succ    *Proc       // successor chosen by the process that just parked
+	inline  bool        // a step is running inline (stepInline): blocking is a bug
 	nprocs  int         // live (not yet finished) processes
 	idleFn  func() bool // optional hook when nothing is pending
 
@@ -370,10 +382,11 @@ func (k *Kernel) tick(name string) {
 }
 
 // next advances the simulation without transferring control: it runs due
-// callback events inline and returns the next process to run (with the
-// clock advanced to its wake time), or nil when an end condition holds —
-// nothing pending (after the idle hook declined), Stop called, or the
-// RunUntil bound reached.
+// callback events — and the due steps of processes parked in RunSteps —
+// inline and returns the next process to run (with the clock advanced to
+// its wake time), or nil when an end condition holds — nothing pending
+// (after the idle hook declined), Stop called, or the RunUntil bound
+// reached.
 //
 // next may execute on the kernel goroutine or inside a blocking process
 // (see block): whoever is running schedules. Exactly one of them runs at
@@ -405,6 +418,9 @@ func (k *Kernel) next() *Proc {
 				if k.stallLimit > 0 {
 					k.tick(p.name)
 				}
+				if p.steps != nil && !debugNoInline && k.stepInline(p) {
+					continue
+				}
 				return p
 			}
 		}
@@ -433,8 +449,16 @@ func (k *Kernel) next() *Proc {
 // loop drives the simulation from the kernel goroutine: it switches
 // into the next process and, when that process parks, into the
 // successor the process chose (block), until an end condition is
-// reached. A process panic surfaces here, out of resume.
+// reached. A process panic surfaces here, out of resume; so does a panic
+// raised by an inline step, out of resume or straight out of next,
+// depending on whose stack was scheduling. Either way it leaves the
+// kernel stopped.
 func (k *Kernel) loop() Time {
+	defer func() {
+		if k.inline {
+			k.inline, k.stopped = false, true
+		}
+	}()
 	for p := k.next(); p != nil; {
 		k.succ = nil
 		if p.resume(); p.done {
@@ -466,7 +490,9 @@ func (k *Kernel) LiveProcs() int { return k.nprocs }
 type killed struct{}
 
 // Proc is a simulated process: a coroutine that may block in virtual time.
-// All methods must be called from inside the process.
+// All methods must be called from inside the process — on its own stack,
+// never from a step the kernel is running inline (RunSteps), where the
+// blocking ones panic.
 type Proc struct {
 	k      *Kernel
 	name   string
@@ -482,6 +508,10 @@ type Proc struct {
 	wakeSeq  uint64
 	expiring *Signal
 	timedOut bool
+	// steps is the body of the RunSteps call the process is parked in, set
+	// while its pending wake is one of that call's sleeps: next runs such a
+	// wake's steps inline. Cleared by the kernel when the body finishes.
+	steps StepFunc
 }
 
 // Name returns the name the process was spawned with.
@@ -533,6 +563,11 @@ func (p *Proc) retire() {
 // for loop to switch into and parks until loop switches back.
 func (p *Proc) block() {
 	k := p.k
+	if k.inline {
+		// A step running inline borrowed some other stack: parking here
+		// would park that stack's owner, not p.
+		panic("sim: blocking call from an inline step")
+	}
 	if q := k.next(); q != p {
 		k.succ = q
 		if !p.yield(struct{}{}) {
@@ -541,26 +576,32 @@ func (p *Proc) block() {
 	}
 }
 
-// debugNoFastPath, when set (tests only), disables Sleep's in-place
-// fast path so every sleep enqueues a wake and blocks — the reference
+// debugNoFastPath, when set (tests only), disables sleep's in-place fast
+// path so every sleep enqueues a wake and blocks — the reference
 // discipline the fast path must be indistinguishable from.
-var debugNoFastPath bool
+// debugNoInline, likewise, makes every wake of a process parked in
+// RunSteps a real switch into it: the reference for inline steps.
+var debugNoFastPath, debugNoInline bool
 
-// Sleep suspends the process for d virtual nanoseconds.
-func (p *Proc) Sleep(d Time) {
-	k := p.k
-	if d < 0 {
-		// Yield: reschedule at the same instant, after pending same-time
-		// events, preserving determinism.
-		d = 0
-	}
-	at := k.now + d
-	// Fast path: nothing is due at or before the wake (an occurrence AT
-	// the wake time was scheduled earlier and must fire first) and no
-	// stop or RunUntil bound intervenes, so this process is what next()
-	// would dispatch. Advance the clock in place: no queue operation, no
-	// switch, and no seq consumed (seq is only ever compared).
-	if n := len(k.wakes); !k.stopped && !debugNoFastPath &&
+// sleep is the one implementation of "p sleeps d", shared by Sleep
+// (RunSteps sleeps through it) and the inline step loop. A negative d is
+// a yield, like zero.
+//
+// Fast path: nothing is due at or before the wake (an occurrence AT the
+// wake time was scheduled earlier and must fire first) and no stop or
+// RunUntil bound intervenes, so p is what next() would dispatch. Advance
+// the clock in place — no queue operation, no switch, and no seq consumed
+// (seq is only ever compared) — and report true. A sleep called from a
+// step that is running inline never qualifies: it must reach block's
+// guard.
+//
+// Otherwise the wake is enqueued and sleep reports false: at once when
+// the kernel is running p's steps inline (park unset), for next to
+// dispatch the wake in its turn; with park set the caller is p itself,
+// which first blocks until that wake is dispatched.
+func (k *Kernel) sleep(p *Proc, d Time, park bool) bool {
+	at := k.now + max(d, 0)
+	if n := len(k.wakes); !k.stopped && !k.inline && !debugNoFastPath &&
 		(n == 0 || k.wakes[n-1].wakeAt > at) &&
 		(len(k.events) == 0 || k.events[0].at > at) &&
 		(k.limit < 0 || at <= k.limit) {
@@ -568,19 +609,114 @@ func (p *Proc) Sleep(d Time) {
 		// The watchdog must observe this path too: a lone process
 		// yielding in place (d=0, nothing pending) never reaches next(),
 		// so it would otherwise spin forever below the watchdog's radar.
-		// Once the trip sets stopped, the next Sleep falls through to
-		// block and the scheduler loop exits.
+		// Once the trip sets stopped, the next sleep enqueues and the
+		// scheduler loop exits.
 		if k.stallLimit > 0 {
 			k.tick(p.name)
 		}
-		return
+		return true
 	}
 	k.enqueue(p, at)
-	p.block()
+	if park {
+		p.block()
+	}
+	return false
 }
+
+// Sleep suspends the process for d virtual nanoseconds.
+func (p *Proc) Sleep(d Time) { p.k.sleep(p, d, true) }
 
 // Yield gives other same-time events and processes a chance to run.
 func (p *Proc) Yield() { p.Sleep(0) }
+
+// StepStatus is a step's answer to "what next" (see StepFunc).
+type StepStatus uint8
+
+const (
+	// StepMore: sleep the returned duration, then call the step again.
+	StepMore StepStatus = iota
+	// StepDone: the body is finished; RunSteps returns (no sleep).
+	StepDone
+	// StepBlock: the step was called without its process and stopped
+	// short of something that might block; call it again, with the
+	// process, on the process's own stack.
+	StepBlock
+)
+
+// StepFunc is one resumable piece of a RunSteps body. Each call does the
+// work up to the body's next sleep and returns that sleep's duration with
+// StepMore (zero is a yield and is still slept), or StepDone when the body
+// is over. A piece that charges nothing runs on into the next instead of
+// returning.
+//
+// The step is called with its process when it runs on the process's own
+// stack, where it may block like any process code, and with nil when the
+// kernel runs it inline from the scheduler on some other stack. There it
+// must not block: not through p (it has none) and not through a process
+// captured in a closure it calls. A step given nil therefore decides,
+// before it starts anything that could block, whether it could, and if so
+// returns StepBlock having done none of it; the kernel then switches into
+// the process and repeats the call there, which picks up where this one
+// stopped. The kernel enforces the rule: a blocking primitive reached
+// from an inline step panics.
+type StepFunc func(p *Proc) (d Time, st StepStatus)
+
+// RunSteps runs a body given as a step function. It is exactly
+//
+//	for {
+//		d, st := step(p)
+//		if st == StepDone {
+//			return
+//		}
+//		p.Sleep(d)
+//	}
+//
+// — same dispatch order, same (time, seq) wake keys, same in-place fast
+// path — except that while the process is parked in one of those sleeps
+// its wake is dispatched like a callback event: next calls the following
+// steps inline, as step(nil), and switches into the process only once
+// the body is done or a step answers StepBlock. Two processes whose
+// sleeps interleave thus cost no switch per sleep.
+func (p *Proc) RunSteps(step StepFunc) {
+	for {
+		d, st := step(p)
+		if st != StepMore {
+			if st == StepBlock {
+				panic("sim: StepBlock from a step that was given its process")
+			}
+			return
+		}
+		p.steps = step // this sleep's wake may be dispatched inline
+		p.Sleep(d)
+		if p.steps == nil {
+			return // the body finished inline
+		}
+		p.steps = nil
+	}
+}
+
+// stepInline dispatches the wake of p, parked in RunSteps, without
+// switching into it: it runs p's steps in place for as long as each
+// sleep takes the fast path. It reports true when p is parked again
+// behind a new wake, false when the caller must switch into p — the body
+// is done, or the next step might block.
+func (k *Kernel) stepInline(p *Proc) bool {
+	for {
+		k.inline = true
+		d, st := p.steps(nil)
+		k.inline = false
+		switch st {
+		case StepDone:
+			p.steps = nil
+			return false
+		case StepBlock:
+			return false
+		}
+		if !k.sleep(p, d, false) {
+			return true
+		}
+	}
+}
 
 // Signal is a broadcast condition in virtual time. Waiters are woken by
 // Broadcast in deterministic (wait-arrival) order.

@@ -652,37 +652,105 @@ func TestSleepFastPathInterleaving(t *testing.T) {
 	}
 }
 
+// TestRunStepsInterleavedRunInline: two processes whose sleeps interleave
+// — each one's wake is always due before the other's sleep ends, so no
+// sleep takes the in-place path — run their bodies as steps. Each body's
+// first step runs on its own stack, where RunSteps was called; every
+// later one is dispatched from the scheduler without a switch (p == nil),
+// and the processes get their stacks back when their bodies are done.
+func TestRunStepsInterleavedRunInline(t *testing.T) {
+	const steps = 1000
+	k := NewKernel(1)
+	defer k.Shutdown()
+	var ended [2]Time
+	for i, offset := range []Time{0, 5} {
+		k.Spawn(fmt.Sprintf("stepper%d", i), func(p *Proc) {
+			p.Sleep(offset)
+			n := 0
+			p.RunSteps(func(sp *Proc) (Time, StepStatus) {
+				if n == steps {
+					return 0, StepDone
+				}
+				var want *Proc // inline
+				if n == 0 {
+					want = p // where RunSteps was called
+				}
+				if sp != want {
+					t.Errorf("stepper%d: step %d was given process %v, want %v", i, n, sp, want)
+				}
+				n++
+				return 10, StepMore
+			})
+			ended[i] = p.Now() // back on its own stack
+		})
+	}
+	k.Run()
+	if want := [2]Time{10 * steps, 5 + 10*steps}; ended != want {
+		t.Errorf("bodies ended at %v, want %v", ended, want)
+	}
+	if k.LiveProcs() != 0 {
+		t.Errorf("LiveProcs = %d, want 0", k.LiveProcs())
+	}
+}
+
 // --- bounded-progress watchdog ---
 
-// TestStallWatchdogYieldLoop: a lone process yielding in place never
-// advances virtual time; the watchdog must stop the kernel and name it.
+// TestStallWatchdogYieldLoop: a process yielding forever never advances
+// virtual time; the watchdog must stop the kernel and name it — whether
+// it yields in place on its own stack, or is a zero-charge RunSteps body
+// the scheduler keeps stepping inline from another process's stack.
 func TestStallWatchdogYieldLoop(t *testing.T) {
-	k := NewKernel(1)
-	k.SetStallLimit(100)
-	k.Spawn("spinner", func(p *Proc) {
-		p.Sleep(5 * Microsecond) // make real progress first
-		for {
-			p.Yield()
-		}
-	})
-	k.RunUntil(Second)
-	name, at, ok := k.Stalled()
-	if !ok {
-		t.Fatal("watchdog did not trip on a yield livelock")
+	cases := []struct {
+		name  string
+		setup func(k *Kernel)
+	}{
+		{"in place", func(k *Kernel) {
+			k.Spawn("spinner", func(p *Proc) {
+				p.Sleep(5 * Microsecond) // make real progress first
+				for {
+					p.Yield()
+				}
+			})
+		}},
+		{"inline steps", func(k *Kernel) {
+			k.Spawn("spinner", func(p *Proc) {
+				p.Sleep(5 * Microsecond)
+				p.RunSteps(func(sp *Proc) (Time, StepStatus) { return 0, StepMore })
+			})
+			// Due at the spinner's first yield, so that one parks; from then
+			// on the bystander's blocked stack does the spinning.
+			k.Spawn("bystander", func(p *Proc) {
+				p.Sleep(5 * Microsecond)
+				p.Sleep(Second)
+			})
+		}},
 	}
-	if name != "spinner" {
-		t.Errorf("stalled proc = %q, want %q", name, "spinner")
-	}
-	if at != 5*Microsecond {
-		t.Errorf("stall pinned at %v, want 5us", at)
-	}
-	if !k.Stopped() {
-		t.Error("stalled kernel is not stopped")
-	}
-	// A stall is sticky: ClearStop must not re-arm the scheduler.
-	k.ClearStop()
-	if !k.Stopped() {
-		t.Error("ClearStop re-armed a stalled kernel")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			k := NewKernel(1)
+			defer k.Shutdown()
+			k.SetStallLimit(100)
+			c.setup(k)
+			k.RunUntil(Second)
+			name, at, ok := k.Stalled()
+			if !ok {
+				t.Fatal("watchdog did not trip on a yield livelock")
+			}
+			if name != "spinner" {
+				t.Errorf("stalled proc = %q, want %q", name, "spinner")
+			}
+			if at != 5*Microsecond {
+				t.Errorf("stall pinned at %v, want 5us", at)
+			}
+			if !k.Stopped() {
+				t.Error("stalled kernel is not stopped")
+			}
+			// A stall is sticky: ClearStop must not re-arm the scheduler.
+			k.ClearStop()
+			if !k.Stopped() {
+				t.Error("ClearStop re-armed a stalled kernel")
+			}
+		})
 	}
 }
 
@@ -756,46 +824,84 @@ func TestStallWatchdogDisabled(t *testing.T) {
 // process must re-raise on the goroutine that called Run, where callers
 // can recover — not crash the program on a goroutine nobody owns. The
 // kernel is left stopped, and must still shut down cleanly afterwards.
+// The same holds for a panic raised by a step the kernel was running
+// inline, whichever stack that was on: here the kernel's own guard, when
+// the step blocks through the process it captured.
 func TestProcPanicReachesDriver(t *testing.T) {
-	before := runtime.NumGoroutine()
-	k := NewKernel(1)
-	defer k.Shutdown()
-	wakes := 0
-	k.Spawn("bystander", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(Millisecond)
-			wakes++
-		}
-	})
-	k.Spawn("bomb", func(p *Proc) {
-		p.Sleep(5 * Millisecond)
-		panic("boom")
-	})
-	var got any
-	func() {
-		defer func() { got = recover() }()
-		k.Run()
-	}()
-	if got != "boom" {
-		t.Fatalf("recovered %v on the driver goroutine, want \"boom\"", got)
+	const guard = "sim: blocking call from an inline step"
+	// blocker's second step sleeps through its captured process; the
+	// first parks it, so the second is dispatched from the scheduler.
+	blocker := func(p *Proc) {
+		n := 0
+		p.RunSteps(func(*Proc) (Time, StepStatus) {
+			if n++; n == 2 {
+				p.Sleep(Microsecond)
+			}
+			return 5 * Millisecond, StepMore
+		})
 	}
-	if !k.Stopped() {
-		t.Error("kernel is not stopped after a process panic")
+	cases := []struct {
+		name  string
+		bomb  func(p *Proc)
+		slice Time // a RunUntil before the Run that panics, if nonzero
+		want  any
+		live  int // processes left blocked after the panic
+	}{
+		// The bystander survives, blocked in Sleep.
+		{"process panic", func(p *Proc) {
+			p.Sleep(5 * Millisecond)
+			panic("boom")
+		}, 0, "boom", 1},
+		// The step ran on the bystander's stack, from its Sleep: the panic
+		// unwinds the bystander and leaves the blocker parked.
+		{"inline step blocks, on a process's stack", blocker, 0, guard, 1},
+		// The first dispatch of a run is made by the driver itself: the
+		// panic unwinds no process at all.
+		{"inline step blocks, on the driver's stack", blocker, 4500 * Microsecond, guard, 2},
 	}
-	seen := wakes
-	if k.Run(); wakes != seen {
-		t.Errorf("a second Run dispatched %d more wakes on the stopped kernel", wakes-seen)
-	}
-	// The bystander is still blocked in Sleep; Shutdown must unwind it
-	// without a second panic, and the bomb's coroutine is already gone.
-	if k.LiveProcs() != 1 {
-		t.Errorf("LiveProcs = %d after the panic, want 1 (the bystander)", k.LiveProcs())
-	}
-	k.Shutdown()
-	if k.LiveProcs() != 0 {
-		t.Errorf("LiveProcs = %d after Shutdown, want 0", k.LiveProcs())
-	}
-	if n := runtime.NumGoroutine(); n != before {
-		t.Errorf("%d goroutines after Shutdown, %d before the first Spawn", n, before)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			k := NewKernel(1)
+			defer k.Shutdown()
+			wakes := 0
+			k.Spawn("bystander", func(p *Proc) {
+				for i := 0; i < 100; i++ {
+					p.Sleep(Millisecond)
+					wakes++
+				}
+			})
+			k.Spawn("bomb", c.bomb)
+			if c.slice != 0 {
+				k.RunUntil(c.slice)
+			}
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				k.Run()
+			}()
+			if got != c.want {
+				t.Fatalf("recovered %v on the driver goroutine, want %q", got, c.want)
+			}
+			if !k.Stopped() {
+				t.Error("kernel is not stopped after the panic")
+			}
+			seen := wakes
+			if k.Run(); wakes != seen {
+				t.Errorf("a second Run dispatched %d more wakes on the stopped kernel", wakes-seen)
+			}
+			// Shutdown must unwind whoever is still blocked without a
+			// second panic; a coroutine the panic unwound is already gone.
+			if k.LiveProcs() != c.live {
+				t.Errorf("LiveProcs = %d after the panic, want %d", k.LiveProcs(), c.live)
+			}
+			k.Shutdown()
+			if k.LiveProcs() != 0 {
+				t.Errorf("LiveProcs = %d after Shutdown, want 0", k.LiveProcs())
+			}
+			if n := runtime.NumGoroutine(); n != before {
+				t.Errorf("%d goroutines after Shutdown, %d before the first Spawn", n, before)
+			}
+		})
 	}
 }
