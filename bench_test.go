@@ -210,7 +210,11 @@ func BenchmarkHypervisorEpoch(b *testing.B) {
 func BenchmarkPolledEpochPair(b *testing.B) {
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
-	oc := replication.OutputCommit{Enabled: true, Window: 16, Adaptive: true}
+	rc := replication.Config{
+		Protocol:      replication.ProtocolNew,
+		OutputCommit:  replication.OutputCommit{Enabled: true, Window: 16, Adaptive: true},
+		DetectTimeout: 50 * sim.Millisecond,
+	}
 	pair := platform.NewCluster(k, platform.Config{
 		Machine: machine.Config{MemBytes: harness.GuestMemBytes},
 		Hypervisor: hypervisor.Config{
@@ -225,12 +229,9 @@ func BenchmarkPolledEpochPair(b *testing.B) {
 		guest.Configure(n.M, guest.ServeRequests(1, 50)) // the request never comes
 	}
 	tx, rx := pair.Channel(0, 1)
-	pri := replication.NewPrimary(pair.Nodes[0].HV, []replication.Peer{{TX: tx, RX: rx}}, replication.ProtocolNew)
-	pri.OutputCommit = oc
+	pri := replication.NewReplica(pair.Nodes[0].HV, nil, []replication.Peer{{TX: tx, RX: rx}}, rc)
 	btx, brx := pair.Channel(1, 0)
-	bak := replication.NewBackup(pair.Nodes[1].HV, 1, []replication.Peer{{TX: btx, RX: brx}}, nil,
-		50*sim.Millisecond, replication.ProtocolNew)
-	bak.OutputCommit = oc
+	bak := replication.NewReplica(pair.Nodes[1].HV, []replication.Peer{{TX: btx, RX: brx}}, nil, rc)
 	epochs := 0
 	pri.Hooks.EpochCommitted = func(int, uint64, uint32, sim.Time, bool) {
 		if epochs++; epochs == b.N {

@@ -72,7 +72,7 @@ func newCluster(o *clusterOptions) *Cluster {
 		ClientLoad:    o.clientLoadConfig(),
 		EpochLength:   o.epochLength,
 		Protocol:      o.protocol,
-		Link:          o.link.LinkParams().linkConfig(),
+		Link:          netsim.LinkConfig(o.link.LinkParams()),
 		FailPrimaryAt: sim.Time(o.failPrimaryAt),
 		DetectTimeout: sim.Time(o.detectTimeout),
 		Backups:       o.backups,
@@ -106,16 +106,23 @@ func (c *Cluster) Done() bool { return c.eng.Done() }
 
 // RunFor boots the cluster if needed and advances it by d of virtual
 // time, then reports the resulting state. Advancing a completed
-// session is a no-op. If the bounded-progress watchdog trips (virtual
-// time pinned while the scheduler spins), RunFor returns the snapshot
-// taken at the stall alongside an error matching ErrStalled.
+// session, or by d <= 0, is a no-op. If the bounded-progress watchdog
+// trips (virtual time pinned while the scheduler spins), RunFor returns
+// the snapshot taken at the stall alongside an error matching
+// ErrStalled.
 func (c *Cluster) RunFor(d Duration) (Snapshot, error) {
 	if c.closed {
 		return Snapshot{}, ErrClosed
 	}
 	target := Duration(c.eng.Now()) + d
 	err := c.eng.RunFor(sim.Time(d))
-	c.pause = pausePoint{kind: pauseAtTime, time: target}
+	// A call that cannot advance keeps the pause coordinate, as a no-op
+	// RunUntil does (see pauseAtBoundary): "time now+d" names an earlier
+	// kernel state than the one the session is paused in — for d = 0,
+	// the instant's events up to the boundary instead of all of them.
+	if d > 0 {
+		c.pause = pausePoint{kind: pauseAtTime, time: target}
+	}
 	return c.Snapshot(), err
 }
 
@@ -305,7 +312,7 @@ func (c *Cluster) FailPrimary() {
 	if c.closed {
 		return
 	}
-	if c.eng.FailPrimary() {
+	if applied, _ := c.eng.FailNode(0); applied {
 		c.record(journalEntry{action: actFailPrimary})
 	}
 }
@@ -321,14 +328,20 @@ func (c *Cluster) FailBackup(i int) error {
 	if c.eng.Done() {
 		return ErrCompleted
 	}
-	already := c.eng.BackupFailed(i)
-	if err := c.eng.FailBackup(i); err != nil {
-		return err
-	}
-	if !already {
+	applied, err := c.failBackup(i)
+	if applied {
 		c.record(journalEntry{action: actFailBackup, backup: i})
 	}
-	return nil
+	return err
+}
+
+// failBackup failstops backup i without journaling it (FailBackup and
+// journal replay share it), reporting whether a live processor stopped.
+func (c *Cluster) failBackup(i int) (applied bool, err error) {
+	if i < 1 {
+		return false, fmt.Errorf("hft: no backup %d (backups are numbered from 1)", i)
+	}
+	return c.eng.FailNode(i)
 }
 
 // SetLinkQuality degrades (or restores) every inter-hypervisor link
@@ -345,7 +358,7 @@ func (c *Cluster) SetLinkQuality(q LinkQuality) error {
 	if c.eng.Done() {
 		return ErrCompleted
 	}
-	if err := c.eng.SetLinkQuality(q.quality()); err != nil {
+	if err := c.eng.SetLinkQuality(netsim.Quality(q)); err != nil {
 		return err
 	}
 	c.record(journalEntry{action: actSetLink, quality: q})
@@ -390,7 +403,7 @@ func (c *Cluster) AddBackup(opts ...AddBackupOption) (int, error) {
 	}
 	prePause := c.pause
 	prePos := c.position()
-	n, err := c.eng.AddBackup(session.AddBackupConfig{Link: ao.link.linkConfig()})
+	n, err := c.eng.AddBackup(session.AddBackupConfig{Link: netsim.LinkConfig(ao.link)})
 	if err != nil {
 		c.pauseAtBoundary(prePos)
 		if errors.Is(err, session.ErrCompleted) {
@@ -520,16 +533,6 @@ type Snapshot struct {
 	NetRequests    int
 	NetAnswered    int
 	NetRetransmits uint64
-}
-
-// quality converts to the simulator's representation.
-func (q LinkQuality) quality() netsim.Quality {
-	return netsim.Quality{
-		BitsPerSecond: q.BitsPerSecond,
-		Latency:       sim.Time(q.Latency),
-		MTU:           q.MTU,
-		DropNext:      q.DropNext,
-	}
 }
 
 // Close tears the session down, terminating its simulation and closing

@@ -619,9 +619,6 @@ func (hv *Hypervisor) applyVPSW() {
 	hv.M.PSW = real
 }
 
-// VirtualPSW returns the guest's virtual PSW (tests, digests).
-func (hv *Hypervisor) VirtualPSW() uint32 { return hv.vPSW }
-
 // VirtualCR reads a virtual control register as the guest would.
 func (hv *Hypervisor) VirtualCR(cr isa.CR) uint32 {
 	switch cr {

@@ -163,9 +163,6 @@ func (t *TLB) flushPending() {
 // Size returns the number of slots.
 func (t *TLB) Size() int { return len(t.slots) }
 
-// PolicyName returns the replacement policy's name.
-func (t *TLB) PolicyName() string { return t.policy.Name() }
-
 // Lookup finds the entry mapping vpn. It records hit/miss statistics and
 // updates recency state on hit.
 func (t *TLB) Lookup(vpn uint32) (TLBEntry, bool) {

@@ -71,6 +71,3 @@ func (f *Frame[H, R]) Release() {
 
 // Refs returns the live reference count (tests).
 func (f *Frame[H, R]) Refs() int32 { return f.refs }
-
-// FreeLen reports how many frames sit on the free list (tests).
-func (p *FramePool[H, R]) FreeLen() int { return len(p.free) }

@@ -84,9 +84,8 @@ func (a *epochArchive) since(from uint64) []SyncEpoch {
 // coordinator runs the primary side of the protocol — rules P1 and P2,
 // the §4.3 revision, or the output-commit window, as its policy says —
 // against a hypervisor, fanning epoch frames out to a set of backups
-// through a sender. It is shared between the initial Primary engine and
-// a Backup that has been promoted and must continue coordinating
-// lower-priority backups.
+// through a sender. It is the second half of Replica.Run: what a replica
+// does once nobody is upstream of it.
 type coordinator struct {
 	hv      *hypervisor.Hypervisor
 	s       *sender
@@ -95,7 +94,7 @@ type coordinator struct {
 	stopped func() bool
 	archive *epochArchive
 	// hooks/node observe epoch commits (hooks points at the owning
-	// engine's Hooks so late assignment is seen).
+	// replica's Hooks so late assignment is seen).
 	hooks *Hooks
 	node  int
 	k     *sim.Kernel
@@ -129,28 +128,33 @@ type coordinator struct {
 	txClose bool
 	bpool   *netsim.FramePool[struct{}, *epochFrame]
 
-	// joinBarrier makes the coordinator hold at each epoch boundary until
+	// joinBarrier (the owning replica's, so it is armed across a promotion
+	// too) makes the coordinator hold at each epoch boundary until
 	// the replication stream is fully drained (see drained). A
 	// reintegration sets it while quiescing: the state-transfer image must
 	// be captured at a boundary the survivors can reconstruct, and with a
 	// transmit queue an ordinary boundary is NOT one — frames may still
 	// sit in the queue, dying with the processor on a failstop.
-	joinBarrier bool
+	joinBarrier *bool
 }
 
 type pendingEpoch struct {
 	epoch, seq uint64
 }
 
-// newCoordinator builds a coordinator for node; its policy is set by the
-// owning engine before install.
-func newCoordinator(hv *hypervisor.Hypervisor, peers []Peer, stats *Stats,
-	stopped func() bool, archive *epochArchive, hooks *Hooks, node int) *coordinator {
-	return &coordinator{
-		hv: hv, s: newSender(peers, stats), stats: stats,
-		stopped: stopped, archive: archive, hooks: hooks, node: node,
-		pool: &netsim.FramePool[epochHead, hypervisor.Interrupt]{},
+// newCoordinator builds the coordinator r runs once nobody is upstream of
+// it — at construction on node 0, at promotion elsewhere — over r's
+// downstream channels, counters, archive and hooks.
+func (r *Replica) newCoordinator() *coordinator {
+	c := &coordinator{
+		hv: r.HV, s: newSender(r.downs, &r.Stats), stats: &r.Stats,
+		pol:     derivePolicy(r.cfg.Protocol, r.cfg.OutputCommit),
+		stopped: r.Failed, archive: r.archive, hooks: &r.Hooks, node: r.index,
+		pool:        &netsim.FramePool[epochHead, hypervisor.Interrupt]{},
+		joinBarrier: &r.joinBarrier,
 	}
+	c.s.peerTimeout = r.cfg.PeerTimeout
+	return c
 }
 
 // outputReleased reports whether the release watermark covers every
@@ -474,7 +478,7 @@ func (c *coordinator) run(p *sim.Proc, tme0 uint32) {
 		// failstop now. Draining BEFORE the commit hook lets the
 		// session's boundary-sampled stop predicate observe the drained
 		// state.
-		if c.joinBarrier && !c.wait(p, c.drained) {
+		if *c.joinBarrier && !c.wait(p, c.drained) {
 			return
 		}
 		if c.hooks != nil && c.hooks.EpochCommitted != nil {

@@ -48,16 +48,13 @@ func TestAckLivenessTimeout(t *testing.T) {
 			blocked: func(s Stats) sim.Time { return s.AckWaitTime }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mc := newMultiCluster(t, 1, cfg, tc.proto, guest, 2)
-			mc.pri.PeerTimeout = peerTimeout
-			mc.pri.OutputCommit = tc.oc
-			mc.pri.SetJoinBarrier(tc.barrier)
-			for _, bak := range mc.baks {
+			mc := newMultiCluster(t, 1, cfg, Config{
+				Protocol: tc.proto, OutputCommit: tc.oc, PeerTimeout: peerTimeout,
 				// The coordinator stalls for PeerTimeout; the backups must
 				// sit that out rather than declare it dead.
-				bak.Timeout = 10 * sim.Second
-				bak.OutputCommit = tc.oc
-			}
+				DetectTimeout: 10 * sim.Second,
+			}, guest, 2)
+			mc.pri.SetJoinBarrier(tc.barrier)
 			silent := mc.pri.coord.s.peers[1]
 			var excludedAt sim.Time
 			mc.k.At(silentFrom, func() { silent.peer.RX.DropNext(dropped) })

@@ -3,9 +3,16 @@
 // output rule as ONE boundary engine on top of the hypervisor and the
 // simulated FIFO channels.
 //
-// The coordinator (the Primary, or a promoted Backup) runs a single
-// epoch loop over a single wire unit, the epoch frame, which carries any
-// subset of an epoch's interrupt records, [Tme_p] and [end, E]. Three
+// There is one engine, the Replica, and a replica's role is only its
+// position: it follows whoever is upstream of it (rules P3–P5) until
+// nobody is (P6/P7), then coordinates whoever is downstream (P1/P2).
+// Node 0 — the boot primary — has nobody upstream and starts at the
+// second half; a promoted backup arrives there through the first. The
+// four values all replicas must agree on travel as one Config.
+//
+// The coordinating half runs a single epoch loop over a single wire
+// unit, the epoch frame, which carries any subset of an epoch's
+// interrupt records, [Tme_p] and [end, E]. Three
 // values derived once from (Protocol, OutputCommit) — where
 // acknowledgements gate, how many epochs may be in flight, and whether
 // an epoch ships as partial frames inline or as one coalesced frame
@@ -13,14 +20,13 @@
 // §4.3, or at output commit (policy.go). Beneath the loop there is one
 // fan-out routine, one acknowledgement intake (the link's delivery
 // hook), one wait-with-liveness primitive, one list of epochs awaiting
-// acknowledgement and one step that retires them. The Backup mirrors it
-// with one receive path and one end-of-epoch rule: drop suppressed
-// output through the coordinator's release watermark, retain the rest
-// as the promotion flush set.
+// acknowledgement and one step that retires them. The following half
+// mirrors it with one receive path and one end-of-epoch rule: drop
+// suppressed output through the coordinator's release watermark, retain
+// the rest as the promotion flush set.
 //
-// A 1-fault-tolerant virtual machine is a Primary engine driving one
-// hypervisor and a Backup engine driving another, joined by a
-// netsim.Duplex. The engines guarantee:
+// A 1-fault-tolerant virtual machine is two Replicas, each driving one
+// hypervisor, joined by a netsim.Duplex. The engines guarantee:
 //
 //   - both virtual machines execute the same instruction sequence, with
 //     each instruction having the same effect (identical per-epoch state

@@ -9,20 +9,25 @@ import (
 	"repro/internal/sim"
 )
 
-// multiCluster wires one primary and t backups over a platform.Cluster.
+// multiCluster wires t+1 replicas over a platform.Cluster: reps by node,
+// with pri = reps[0] and baks = reps[1:] as the tests' names for them.
 type multiCluster struct {
 	k    *sim.Kernel
 	c    *platform.Cluster
-	pri  *Primary
-	baks []*Backup
+	reps []*Replica
+	pri  *Replica
+	baks []*Replica
 }
 
-func newMultiCluster(t *testing.T, seed int64, cfg platform.Config, proto Protocol, guest string, nBackups int) *multiCluster {
+func newMultiCluster(t *testing.T, seed int64, cfg platform.Config, rc Config, guest string, nBackups int) *multiCluster {
 	t.Helper()
 	mc := &multiCluster{k: sim.NewKernel(seed)}
 	t.Cleanup(func() { mc.k.Shutdown() })
 	if cfg.Hypervisor.EpochLength == 0 {
 		cfg.Hypervisor.EpochLength = 4096
+	}
+	if rc.DetectTimeout == 0 {
+		rc.DetectTimeout = 40 * sim.Millisecond
 	}
 	n := nBackups + 1
 	mc.c = platform.NewCluster(mc.k, cfg, n)
@@ -30,16 +35,8 @@ func newMultiCluster(t *testing.T, seed int64, cfg platform.Config, proto Protoc
 	for _, node := range mc.c.Nodes {
 		node.HV.Boot(prog.Origin, prog.Words, prog.Origin)
 	}
-	// Primary (node 0) talks to every backup, in priority order.
-	var peers []Peer
-	for j := 1; j < n; j++ {
-		tx, rx := mc.c.Channel(0, j)
-		peers = append(peers, Peer{TX: tx, RX: rx})
-	}
-	mc.pri = NewPrimary(mc.c.Nodes[0].HV, peers, proto)
-	// Backup i (node i): ups = channels to nodes 0..i-1, downs = to
-	// nodes i+1..n-1.
-	for i := 1; i < n; i++ {
+	// Node i: ups = channels to nodes 0..i-1, downs = to nodes i+1..n-1.
+	for i := 0; i < n; i++ {
 		var ups, downs []Peer
 		for j := 0; j < i; j++ {
 			tx, rx := mc.c.Channel(i, j) // tx: acks to j; rx: stream from j
@@ -49,9 +46,9 @@ func newMultiCluster(t *testing.T, seed int64, cfg platform.Config, proto Protoc
 			tx, rx := mc.c.Channel(i, j)
 			downs = append(downs, Peer{TX: tx, RX: rx})
 		}
-		bak := NewBackup(mc.c.Nodes[i].HV, i, ups, downs, 40*sim.Millisecond, proto)
-		mc.baks = append(mc.baks, bak)
+		mc.reps = append(mc.reps, NewReplica(mc.c.Nodes[i].HV, ups, downs, rc))
 	}
+	mc.pri, mc.baks = mc.reps[0], mc.reps[1:]
 	return mc
 }
 
@@ -70,18 +67,14 @@ func (mc *multiCluster) run(t *testing.T, bound sim.Time) {
 // its disk adapter (a dead host receives no interrupts).
 func (mc *multiCluster) failNode(idx int, at sim.Time) {
 	mc.k.At(at, func() {
-		if idx == 0 {
-			mc.pri.Failstop()
-		} else {
-			mc.baks[idx-1].Failstop()
-		}
+		mc.reps[idx].Failstop()
 		mc.c.Nodes[idx].Adapter.Detached = true
 	})
 }
 
 func TestTwoBackupsNoFailure(t *testing.T) {
 	guest := guestCPU(15000)
-	mc := newMultiCluster(t, 1, platform.Config{}, ProtocolOld, guest, 2)
+	mc := newMultiCluster(t, 1, platform.Config{}, Config{Protocol: ProtocolOld}, guest, 2)
 	mc.run(t, 200*sim.Second)
 	if !mc.c.Nodes[0].HV.Halted() {
 		t.Fatal("primary guest did not halt")
@@ -115,7 +108,7 @@ func TestTwoBackupsPrimaryFailure(t *testing.T) {
 		Disk: scsi.DiskConfig{ReadLatency: 300 * sim.Microsecond, WriteLatency: 400 * sim.Microsecond},
 	}
 	guest := guestIO(40000, 2, 100, 512)
-	mc := newMultiCluster(t, 1, cfg, ProtocolOld, guest, 2)
+	mc := newMultiCluster(t, 1, cfg, Config{Protocol: ProtocolOld}, guest, 2)
 	mc.failNode(0, 1*sim.Millisecond)
 	mc.run(t, 400*sim.Second)
 
@@ -158,7 +151,7 @@ func TestTwoBackupsDoubleFailure(t *testing.T) {
 		Disk: scsi.DiskConfig{ReadLatency: 300 * sim.Microsecond, WriteLatency: 400 * sim.Microsecond},
 	}
 	guest := guestIO(200000, 2, 110, 512)
-	mc := newMultiCluster(t, 1, cfg, ProtocolOld, guest, 2)
+	mc := newMultiCluster(t, 1, cfg, Config{Protocol: ProtocolOld}, guest, 2)
 	mc.failNode(0, 1*sim.Millisecond)  // primary dies mid-compute
 	mc.failNode(1, 90*sim.Millisecond) // new primary dies after promoting
 	mc.run(t, 600*sim.Second)
@@ -194,7 +187,7 @@ func TestTwoBackupsDoubleFailure(t *testing.T) {
 func TestThreeBackupsCascade(t *testing.T) {
 	// 3-fault-tolerant: kill primary, b1 and b2 in sequence; b3 finishes.
 	guest := guestCPU(2000000)
-	mc := newMultiCluster(t, 1, platform.Config{}, ProtocolNew, guest, 3)
+	mc := newMultiCluster(t, 1, platform.Config{}, Config{Protocol: ProtocolNew}, guest, 3)
 	mc.failNode(0, 2*sim.Millisecond)
 	mc.failNode(1, 150*sim.Millisecond)
 	mc.failNode(2, 400*sim.Millisecond)

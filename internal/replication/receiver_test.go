@@ -47,9 +47,9 @@ func TestReceiverEquivalence(t *testing.T) {
 		// A downstream peer switches the backup's delivery archive on:
 		// that is where the boundary's delivery is observable.
 		down := netsim.NewDuplex(k, "down", netsim.Ethernet10("down"))
-		bk := NewBackup(pair.Nodes[1].HV, 1,
+		bk := NewReplica(pair.Nodes[1].HV,
 			[]Peer{{TX: rx, RX: tx}},
-			[]Peer{{TX: down.AtoB, RX: down.BtoA}}, 10*sim.Second, ProtocolOld)
+			[]Peer{{TX: down.AtoB, RX: down.BtoA}}, Config{DetectTimeout: 10 * sim.Second})
 
 		var out outcome
 		rx.OnDeliver = func(m netsim.Message) { out.acked = m.Payload.(ack) }

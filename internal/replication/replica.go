@@ -1,0 +1,547 @@
+package replication
+
+import (
+	"fmt"
+	"sort"
+
+	"repro/internal/hypervisor"
+	"repro/internal/sim"
+)
+
+// epochRecord collects the frame parts received for one epoch, however
+// the coordinator framed them.
+type epochRecord struct {
+	ints   map[uint32]hypervisor.Interrupt // by capture index (dedupes)
+	tme    uint32
+	hasTme bool
+	end    epochHead // the header that carried End (end.HasEnd: arrived)
+	// verbatim, when set, replaces everything above: the epoch is
+	// replayed exactly as a (new) primary's syncMsg dictates.
+	verbatim *SyncEpoch
+}
+
+// Config holds the four values every replica of a set must agree on. It
+// is given at construction, to boot-time replicas and late joiners
+// alike.
+type Config struct {
+	// Protocol and OutputCommit place the coordinator a replica is (node
+	// 0) or becomes (at promotion) in the design space; see policy.go.
+	Protocol     Protocol
+	OutputCommit OutputCommit
+	// DetectTimeout is the base failure-detection timeout: replica i
+	// waits i × DetectTimeout for its coordinator, so promotions cascade
+	// in priority order.
+	DetectTimeout sim.Time
+	// PeerTimeout, when nonzero, bounds how long a coordinator's
+	// acknowledgement wait (P2, the §4.3 I/O gate) may block on a peer
+	// that has stopped acknowledging while its channel stays up; such a
+	// peer is then declared failed and excluded. Zero waits forever (the
+	// paper's reliable-channel assumption).
+	PeerTimeout sim.Time
+}
+
+// Replica drives one virtual machine's hypervisor through the paper's
+// rules read literally: follow whoever is upstream (P3–P5) until nobody
+// is (P6/P7), then coordinate whoever is downstream (P1/P2, or the §4.3
+// revision). A replica's role is only its position. Its index is the
+// number of nodes upstream of it: node 0, the boot primary, has none and
+// starts at the second half; node i receives from every higher-priority
+// node and — after promotion — brings every lower-priority one onto its
+// stream with a replay of its delivered-interrupt archive. With t
+// backups the system is t-fault-tolerant: the paper builds t = 1 and
+// notes the generalization is straightforward; here it is implemented.
+type Replica struct {
+	HV *hypervisor.Hypervisor
+
+	cfg   Config
+	index int
+	ups   []Peer // to higher-priority nodes: RX = their stream, TX = our acks
+	downs []Peer // to lower-priority nodes: the fan-out once nobody is upstream
+
+	// BootTOD is the virtual machines' initial clock value (all
+	// replicas must agree; default 0).
+	BootTOD uint32
+
+	// OnDivergence, when set, is called on a state-digest mismatch with
+	// the coordinator being followed; when nil, divergence panics
+	// (tripwire).
+	OnDivergence func(epoch uint64, primary, backup uint64)
+
+	// Hooks observes protocol milestones (optional; set before Run).
+	Hooks Hooks
+
+	pending map[uint64]*epochRecord
+	// recFree recycles epoch records: a record freed at one epoch's
+	// boundary serves a later epoch without reallocating its map.
+	recFree []*epochRecord
+	archive *epochArchive
+	arrival *sim.Signal
+	// completed counts epochs whose boundary processing has finished;
+	// the epoch currently executing (or awaiting its boundary) is
+	// `completed`, which is also the oldest epoch a sync may replay.
+	completed uint64
+	promoted  bool
+	failed    bool
+	done      bool
+	// withdrawn marks a replica that fell outside a new coordinator's
+	// resync window (or diverged from it) and can no longer participate.
+	withdrawn bool
+	halted    bool
+	// rxStarted marks that the receiver processes are already running
+	// (a late joiner starts them before its state transfer completes,
+	// so acknowledgements flow while the image is in flight).
+	rxStarted bool
+	// coord is the coordinator loop this replica runs once nobody is
+	// upstream: built at construction on node 0, at promotion elsewhere
+	// (nil until then).
+	coord *coordinator
+	// joinBarrier is the reintegration drain the coordinator reads (see
+	// coordinator.joinBarrier); it lives here so that it carries across a
+	// promotion that happens while the quiesce is in progress.
+	joinBarrier bool
+
+	Stats Stats
+}
+
+// NewReplica wires the replica with len(ups) nodes upstream of it. ups
+// are the channels toward every higher-priority node, in priority order
+// (ups[0] = node 0); downs are the channels toward every lower-priority
+// node, in the order they would promote.
+func NewReplica(hv *hypervisor.Hypervisor, ups, downs []Peer, cfg Config) *Replica {
+	r := &Replica{
+		HV:      hv,
+		cfg:     cfg,
+		index:   len(ups),
+		ups:     ups,
+		downs:   downs,
+		pending: map[uint64]*epochRecord{},
+		archive: newEpochArchive(),
+	}
+	if len(ups) == 0 {
+		// Built now, not in Run, so that a late joiner can be spliced in
+		// and the state encoded before the first instruction.
+		r.coord = r.newCoordinator()
+	}
+	return r
+}
+
+// Promoted reports whether this replica took over from a failed
+// coordinator (never true of node 0, which had nobody to take over from).
+func (r *Replica) Promoted() bool { return r.promoted }
+
+// SetJoinBarrier arms (or disarms) the reintegration drain: while set,
+// the coordinator this replica runs — now, or from a promotion that
+// happens while the barrier is armed — holds at each epoch boundary until
+// every committed epoch is replicated (see coordinator.joinBarrier).
+// Call from a paused simulation, as with AddDownstream.
+func (r *Replica) SetJoinBarrier(on bool) { r.joinBarrier = on }
+
+// ReplicationDrained reports whether every epoch this replica has
+// committed as coordinator is provably held by the live replicas
+// downstream — the safe capture condition for a state transfer. True of
+// a replica that does not coordinate.
+func (r *Replica) ReplicationDrained() bool {
+	return r.coord == nil || r.coord.drained()
+}
+
+// Withdrawn reports whether this replica dropped out of the replica set
+// (it fell outside a new coordinator's resynchronization window).
+func (r *Replica) Withdrawn() bool { return r.withdrawn }
+
+// Failstop makes the replica's processor stop abruptly: execution ceases
+// at the next instruction-chunk boundary and every channel, upstream and
+// downstream, is severed. Call from a scheduled simulation event to
+// inject a failure at an arbitrary virtual time (including mid-epoch,
+// mid-I/O — the two generals window of §2.2).
+func (r *Replica) Failstop() {
+	r.failed = true
+	for _, peers := range [][]Peer{r.ups, r.downs} {
+		for _, p := range peers {
+			p.TX.Disconnect()
+			p.RX.Disconnect()
+		}
+	}
+}
+
+// Failed reports whether a failstop was injected.
+func (r *Replica) Failed() bool { return r.failed }
+
+// effTimeout is this replica's failure-detection timeout: cascaded by
+// priority so that at most one replica promotes per failure.
+func (r *Replica) effTimeout() sim.Time { return r.cfg.DetectTimeout * sim.Time(r.index) }
+
+// rec returns (allocating or recycling) the record for an epoch.
+func (r *Replica) rec(e uint64) *epochRecord {
+	er := r.pending[e]
+	if er == nil {
+		if n := len(r.recFree); n > 0 {
+			er = r.recFree[n-1]
+			r.recFree = r.recFree[:n-1]
+		} else {
+			er = &epochRecord{ints: map[uint32]hypervisor.Interrupt{}}
+		}
+		r.pending[e] = er
+	}
+	return er
+}
+
+// release retires epoch e's record to the free list once its boundary
+// processing is complete.
+func (r *Replica) release(e uint64) {
+	er := r.pending[e]
+	if er == nil {
+		return
+	}
+	delete(r.pending, e)
+	clear(er.ints)
+	*er = epochRecord{ints: er.ints}
+	r.recFree = append(r.recFree, er)
+}
+
+// receiver runs as its own simulation process per upstream channel: it
+// acknowledges every message immediately (P4: "backup sends an
+// acknowledgment to the primary") and files it by epoch.
+func (r *Replica) receiver(u Peer) func(p *sim.Proc) {
+	return func(p *sim.Proc) {
+		for !r.promoted && !r.done && !r.failed {
+			raw, ok := u.RX.Inbox.RecvTimeout(p, r.cfg.DetectTimeout)
+			if !ok {
+				continue
+			}
+			switch m := raw.Payload.(type) {
+			case *epochFrame:
+				u.TX.Send(ack(m.Head.Seq), 0)
+				r.file(m)
+			case *epochBatch:
+				// A transmit-side batch: several epochs in one wire
+				// message. One cumulative ack covers them all (the ack
+				// watermark is a high-water mark, so acking the newest
+				// sequence acknowledges the whole FIFO prefix).
+				if n := len(m.Recs); n > 0 {
+					u.TX.Send(ack(m.Recs[n-1].Head.Seq), 0)
+				}
+				for _, f := range m.Recs {
+					r.file(f)
+				}
+				m.Release()
+			case syncMsg:
+				u.TX.Send(ack(m.Seq), 0)
+				r.applySync(m.Epochs)
+			}
+			r.arrival.Broadcast()
+		}
+	}
+}
+
+// file is the one receive path: merge a frame's parts into its epoch's
+// record. Partial frames, a coalesced frame and a frame inside a batch
+// all land here and leave the same record behind.
+func (r *Replica) file(f *epochFrame) {
+	h := &f.Head
+	r.Stats.IntsReceived += uint64(len(f.Recs))
+	if er := r.rec(h.Epoch); er.verbatim == nil {
+		for i, rec := range f.Recs {
+			er.ints[h.IntIndex+uint32(i)] = rec
+		}
+		if h.HasTme {
+			er.tme, er.hasTme = h.Tme, true
+		}
+		if h.HasEnd {
+			er.end = *h
+		}
+	}
+	f.Release()
+}
+
+// applySync installs verbatim replay records from a newly promoted
+// coordinator for every epoch this replica has not yet completed. If the
+// sync's history starts after our next epoch, we cannot catch up:
+// withdraw from the replica set.
+func (r *Replica) applySync(entries []SyncEpoch) {
+	next := r.completed // oldest epoch still needing boundary processing
+	covered := false
+	for i := range entries {
+		e := entries[i]
+		if e.Epoch < next {
+			continue
+		}
+		if e.Epoch == next {
+			covered = true
+		}
+		er := r.rec(e.Epoch)
+		ee := e
+		er.verbatim = &ee
+	}
+	if !covered && len(entries) > 0 && entries[0].Epoch > next {
+		r.withdrawn = true
+	}
+}
+
+// stageOrdered buffers epoch e's received interrupts in capture order.
+func (r *Replica) stageOrdered(e uint64) {
+	er := r.rec(e)
+	idxs := make([]int, 0, len(er.ints))
+	for k := range er.ints {
+		idxs = append(idxs, int(k))
+	}
+	sort.Ints(idxs)
+	for _, k := range idxs {
+		r.HV.BufferInterrupt(er.ints[uint32(k)])
+	}
+}
+
+// agrees verifies one of our boundary coordinates against the
+// coordinator's — the pre-delivery state digest (the §3.2 hazard
+// tripwire), or the cut, the absolute instruction count the epoch ended
+// at (output-triggered boundaries must be chosen identically) — and
+// reports whether they matched.
+func (r *Replica) agrees(e uint64, what string, primary, ours uint64) bool {
+	if primary == ours {
+		return true
+	}
+	r.Stats.Divergences++
+	if r.OnDivergence != nil {
+		r.OnDivergence(e, primary, ours)
+		return false
+	}
+	panic(fmt.Sprintf("replication: divergence at epoch %d: primary %s %#x backup %#x",
+		e, what, primary, ours))
+}
+
+// replayVerbatim applies a sync-provided epoch: deliver exactly what the
+// new coordinator delivered.
+func (r *Replica) replayVerbatim(p *sim.Proc, e uint64, digest uint64, v *SyncEpoch) {
+	hv := r.HV
+	for _, i := range v.Ints {
+		if i.Timer {
+			hv.NoteTimerDelivered()
+		}
+		hv.BufferInterrupt(i)
+	}
+	match := r.agrees(e, "digest", v.Digest, digest)
+	if r.Hooks.BackupEpoch != nil {
+		r.Hooks.BackupEpoch(r.index, e, p.Now(), match)
+	}
+	hv.DeliverBuffered()
+	// The verbatim record proves the (new) coordinator completed this
+	// epoch — it emitted everything through it, by promotion flush or
+	// by running it — so the release watermark is e: drop ours.
+	hv.SettleOutput(e, hypervisor.DropOutput)
+	if len(r.downs) > 0 {
+		r.archive.record(*v)
+	}
+	hv.SetTODBase(v.Tme)
+	if v.Halted {
+		r.halted = true
+	}
+	r.release(e)
+}
+
+// await blocks until cond() or the cascaded timeout elapses; it returns
+// false on timeout (coordinator declared failed).
+func (r *Replica) await(p *sim.Proc, cond func() bool) bool {
+	for !cond() {
+		if r.failed || r.withdrawn {
+			return true // caller re-checks flags
+		}
+		if !p.WaitTimeout(r.arrival, r.effTimeout()) {
+			return false
+		}
+	}
+	return true
+}
+
+// StartReceivers spawns the receiver processes (one per upstream
+// channel) if they are not running yet. Run calls it implicitly; a
+// late joiner calls it at splice time, BEFORE its state transfer
+// completes, so that protocol messages are acknowledged (P4) and filed
+// while the virtual-machine image is still in flight — the joining
+// hypervisor is alive from the first instant, only its guest state is
+// in transit. Without this, a coordinator awaiting acknowledgements
+// (P2, the §4.3 I/O gate) would stall for the whole transfer and trip
+// the other replicas' failure detectors.
+func (r *Replica) StartReceivers(k *sim.Kernel) {
+	if r.rxStarted {
+		return
+	}
+	r.rxStarted = true
+	r.arrival = k.NewSignal(fmt.Sprintf("backup%d.arrival", r.index))
+	for i, u := range r.ups {
+		k.Spawn(fmt.Sprintf("backup%d-rx%d", r.index, i), r.receiver(u))
+	}
+}
+
+// Abandon takes this replica out of the replica set before it ever ran
+// (a reintegration whose state transfer failed: the source processor
+// died with the image in flight). Its receivers wind down on their
+// next timeout tick.
+func (r *Replica) Abandon() {
+	r.withdrawn = true
+	r.done = true
+}
+
+// Run executes the replica, as a simulation process, until the guest
+// halts, a failstop is injected or the replica withdraws: it follows its
+// upstream nodes while there are any, and once there are none — from the
+// start on node 0, after a promotion elsewhere — it coordinates the
+// nodes downstream.
+func (r *Replica) Run(p *sim.Proc) {
+	defer func() { r.done = true }()
+	tme := r.BootTOD
+	if len(r.ups) > 0 {
+		b, orphaned := r.follow(p)
+		if !orphaned {
+			return
+		}
+		tme = r.promote(p, b)
+	}
+	c := r.coord
+	c.install(p)
+	if r.promoted {
+		r.resync(p)
+	}
+	c.run(p, tme)
+}
+
+// follow runs rules P3–P5 against the upstream coordinator, spawning one
+// receiver process per upstream channel (unless StartReceivers already
+// did). It returns with orphaned set, and the boundary it was waiting at,
+// when the cascaded detection timeout declares every upstream node
+// failed; otherwise the replica is finished (its guest halted, it was
+// failstopped or it withdrew).
+func (r *Replica) follow(p *sim.Proc) (b hypervisor.Boundary, orphaned bool) {
+	hv := r.HV
+	hv.SetIOActive(false) // §2.2 case (i): suppress environment output
+	hv.Stop = r.Failed
+	r.StartReceivers(p.Kernel())
+
+	// P3 is structural: real device interrupts on a following replica's
+	// processor are ignored by the hypervisor (it issued nothing).
+
+	hv.SetTODBase(r.BootTOD)
+	for !hv.Halted() && !r.failed && !r.withdrawn {
+		b = hv.RunEpoch(p)
+		if r.failed {
+			return b, false
+		}
+		r.Stats.Epochs++
+		e := b.Epoch
+
+		// --- Rule P5 (or verbatim replay after a coordinator change) ---
+		er := r.rec(e)
+		ok := r.await(p, func() bool { return er.verbatim != nil || er.hasTme })
+		if ok && er.verbatim == nil {
+			ok = r.await(p, func() bool { return er.verbatim != nil || er.end.HasEnd })
+		}
+		if r.failed || r.withdrawn {
+			return b, false
+		}
+		if !ok {
+			return b, true // --- Rules P6 + P7, and promotion ---
+		}
+		if v := er.verbatim; v != nil {
+			r.replayVerbatim(p, e, b.Digest, v)
+			hv.ChargeBoundary(p)
+			r.completed = e + 1
+			continue
+		}
+		// Normal path: Tme_b := Tme_p; buffer; deliver; digest check.
+		tme, end := er.tme, er.end
+		match := r.agrees(e, "digest", end.Digest, b.Digest) && r.agrees(e, "cut", end.Cut, b.GuestInstr)
+		if r.Hooks.BackupEpoch != nil {
+			r.Hooks.BackupEpoch(r.index, e, p.Now(), match)
+		}
+		r.stageOrdered(e)
+		hv.TimerInterruptsDue(tme)
+		// Only a replica that may later coordinate others (it has
+		// downstream peers) needs the delivery archive; the common
+		// single-backup configuration skips the per-epoch copy.
+		if len(r.downs) > 0 {
+			var delivered []hypervisor.Interrupt
+			if buf := hv.Buffered(); len(buf) > 0 {
+				delivered = append([]hypervisor.Interrupt(nil), buf...)
+			}
+			r.archive.record(SyncEpoch{Epoch: e, Tme: tme, Ints: delivered, Digest: b.Digest, Halted: end.Halted})
+		}
+		hv.DeliverBuffered()
+		// The one end-of-epoch rule: the coordinator has emitted output
+		// only through its release watermark. Drop our suppressed copies
+		// up to it and RETAIN the rest — they are the promotion flush set
+		// (output the coordinator may die without ever releasing). At the
+		// lock-step gates the watermark is e itself, so nothing is
+		// retained across a completed epoch; a failover epoch — no End —
+		// re-emits its own output instead.
+		if end.HaveReleased {
+			hv.SettleOutput(end.Released, hypervisor.DropOutput)
+		}
+		hv.ChargeBoundary(p)
+		hv.SetTODBase(tme)
+		r.release(e)
+		r.completed = e + 1
+		if end.Halted {
+			r.halted = true
+		}
+	}
+	return b, false
+}
+
+// promote implements P6 and P7 at the failover boundary b and makes this
+// replica the coordinator. It returns the clock base for the first epoch
+// the new coordinator runs.
+func (r *Replica) promote(p *sim.Proc, b hypervisor.Boundary) uint32 {
+	hv, e := r.HV, b.Epoch
+	// P6: deliver what we did receive for this epoch...
+	r.stageOrdered(e)
+	// ...plus "interrupts based on Tme_b" — our own clock; no Tme_p came.
+	hv.TimerInterruptsDue(hv.VirtualTOD())
+	// P7, device-generic: "generate an uncertain interrupt for every I/O
+	// operation that is outstanding when the backup virtual machine
+	// finishes a failover epoch" — plus, for input devices, the pending
+	// environment input no replica consumed. An operation whose
+	// completion was relayed but not yet delivered receives both the
+	// completion and the uncertain status; the guest driver's retry is
+	// harmless (IO2 permits repetition).
+	_, uncertain := hv.OutstandingUncertain()
+	r.Stats.UncertainSynth += uint64(uncertain)
+	// The output half of P7: re-emit the promotion flush set — the
+	// failover epoch's suppressed environment output, and every earlier
+	// epoch's the dead coordinator's release watermark had not covered.
+	// The devices dedup by ordinal, so whatever the dead coordinator
+	// already performed is emitted exactly once in total.
+	hv.SettleOutput(^uint64(0), hypervisor.FlushOutput)
+	delivered := append([]hypervisor.Interrupt(nil), hv.Buffered()...)
+	hv.DeliverBuffered()
+
+	r.promoted = true
+	r.Stats.Promoted = true
+	r.Stats.PromotedAtEpoch = e
+	r.Stats.PromotedAtTime = p.Now()
+	if r.Hooks.Promoted != nil {
+		r.Hooks.Promoted(r.index, e, p.Now(), uncertain)
+	}
+	r.release(e)
+
+	// The next epoch starts from our real clock (we are the authority
+	// for time now).
+	tmeNext := hv.M.TOD()
+	r.archive.record(SyncEpoch{Epoch: e, Tme: tmeNext, Ints: delivered, Digest: b.Digest, Halted: hv.Halted()})
+
+	r.coord = r.newCoordinator()
+	// The promotion flush above emitted everything retained through the
+	// failover epoch, so the release watermark starts there.
+	r.coord.released, r.coord.haveReleased = e, true
+	return tmeNext
+}
+
+// resync is the promotion handshake, run once the new coordinator is
+// installed: bring the replicas downstream onto our stream with a replay
+// of the retained history, then charge the failover epoch's boundary.
+func (r *Replica) resync(p *sim.Proc) {
+	if c := r.coord; len(r.downs) > 0 {
+		m := syncMsg{Epochs: r.archive.since(0)}
+		c.s.seq++
+		m.Seq = c.s.seq
+		c.s.fanout(p, m, m.wireSize(), c.stopped)
+	}
+	r.HV.ChargeBoundary(p)
+}

@@ -166,8 +166,8 @@ func guestCPU(nIter int) string {
 type cluster struct {
 	k       *sim.Kernel
 	pair    *platform.Cluster // node 0 the primary, node 1 the backup
-	pri     *Primary
-	bak     *Backup
+	pri     *Replica
+	bak     *Replica
 	prog    *asm.Program
 	priDone sim.Time // virtual time the primary engine finished
 	bakDone sim.Time // virtual time the backup engine finished
@@ -185,8 +185,9 @@ func newCluster(t *testing.T, seed int64, cfg platform.Config, proto Protocol, g
 	c.pair.Nodes[0].HV.Boot(c.prog.Origin, c.prog.Words, c.prog.Origin)
 	c.pair.Nodes[1].HV.Boot(c.prog.Origin, c.prog.Words, c.prog.Origin)
 	tx, rx := c.pair.Channel(0, 1)
-	c.pri = NewPrimary(c.pair.Nodes[0].HV, []Peer{{TX: tx, RX: rx}}, proto)
-	c.bak = NewBackup(c.pair.Nodes[1].HV, 1, []Peer{{TX: rx, RX: tx}}, nil, 50*sim.Millisecond, proto)
+	rc := Config{Protocol: proto, DetectTimeout: 50 * sim.Millisecond}
+	c.pri = NewReplica(c.pair.Nodes[0].HV, nil, []Peer{{TX: tx, RX: rx}}, rc)
+	c.bak = NewReplica(c.pair.Nodes[1].HV, []Peer{{TX: rx, RX: tx}}, nil, rc)
 	return c
 }
 

@@ -13,9 +13,9 @@ type Peer struct {
 }
 
 // sender fans protocol messages out to a set of backups and tracks
-// acknowledgements per peer. It is used by the Primary engine and by a
-// promoted Backup that continues coordinating further backups (the
-// t-fault-tolerant generalization the paper calls straightforward).
+// acknowledgements per peer, for node 0 and for a promoted replica that
+// continues coordinating further backups (the t-fault-tolerant
+// generalization the paper calls straightforward).
 type sender struct {
 	peers []*peerState
 	seq   uint64
@@ -146,13 +146,5 @@ func (s *sender) checkLiveness(now sim.Time) {
 			p.dead = true
 			s.stats.PeerTimeouts++
 		}
-	}
-}
-
-// disconnectAll severs every peer channel (failstop).
-func (s *sender) disconnectAll() {
-	for _, p := range s.peers {
-		p.peer.TX.Disconnect()
-		p.peer.RX.Disconnect()
 	}
 }

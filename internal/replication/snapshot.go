@@ -24,57 +24,59 @@ import (
 	"repro/internal/snapshot"
 )
 
-// EncodeState appends the primary engine's protocol state to w.
-func (pr *Primary) EncodeState(w *snapshot.Writer) { pr.coord.encode(w) }
-
-// EncodeState appends a backup engine's protocol state to w, including
-// the coordinator it runs once promoted.
-func (bk *Backup) EncodeState(w *snapshot.Writer) {
-	w.Int(bk.index)
-	w.U64(bk.completed)
-	w.Bool(bk.promoted)
-	w.Bool(bk.failed)
-	w.Bool(bk.withdrawn)
-	w.Bool(bk.done)
-	w.Bool(bk.halted)
-	w.U32(bk.BootTOD)
-	w.U32(uint32(len(bk.pending)))
-	for _, e := range slices.Sorted(maps.Keys(bk.pending)) {
-		r := bk.pending[e]
+// EncodeState appends the replica's protocol state to w. A replica that
+// never followed (node 0) encodes only its coordinator; any other encodes
+// its following state and then the coordinator it runs once promoted.
+func (r *Replica) EncodeState(w *snapshot.Writer) {
+	if len(r.ups) == 0 {
+		r.coord.encode(w)
+		return
+	}
+	w.Int(r.index)
+	w.U64(r.completed)
+	w.Bool(r.promoted)
+	w.Bool(r.failed)
+	w.Bool(r.withdrawn)
+	w.Bool(r.done)
+	w.Bool(r.halted)
+	w.U32(r.BootTOD)
+	w.U32(uint32(len(r.pending)))
+	for _, e := range slices.Sorted(maps.Keys(r.pending)) {
+		er := r.pending[e]
 		w.U64(e)
-		w.U32(uint32(len(r.ints)))
-		for _, k := range slices.Sorted(maps.Keys(r.ints)) {
+		w.U32(uint32(len(er.ints)))
+		for _, k := range slices.Sorted(maps.Keys(er.ints)) {
 			w.U32(k)
-			r.ints[k].Encode(w)
+			er.ints[k].Encode(w)
 		}
-		w.Bool(r.hasTme)
-		w.U32(r.tme)
+		w.Bool(er.hasTme)
+		w.U32(er.tme)
 		// The End's payload, read from the header that carried it (all
 		// zero until one arrives).
-		w.Bool(r.end.HasEnd)
-		w.U64(r.end.Seq)
-		w.U64(r.end.Digest)
-		w.Bool(r.end.Halted)
-		w.U64(r.end.Cut)
-		w.U64(r.end.Released)
-		w.Bool(r.end.HaveReleased)
-		w.Bool(r.verbatim != nil)
-		if r.verbatim != nil {
-			r.verbatim.encode(w)
+		w.Bool(er.end.HasEnd)
+		w.U64(er.end.Seq)
+		w.U64(er.end.Digest)
+		w.Bool(er.end.Halted)
+		w.U64(er.end.Cut)
+		w.U64(er.end.Released)
+		w.Bool(er.end.HaveReleased)
+		w.Bool(er.verbatim != nil)
+		if er.verbatim != nil {
+			er.verbatim.encode(w)
 		}
 	}
-	bk.archive.encode(w)
-	bk.Stats.encode(w)
-	w.Bool(bk.coord != nil)
-	if bk.coord != nil {
-		bk.coord.encode(w)
+	r.archive.encode(w)
+	r.Stats.encode(w)
+	w.Bool(r.coord != nil)
+	if r.coord != nil {
+		r.coord.encode(w)
 	}
 }
 
-// encode appends a live coordinator (the primary's, or a promoted
-// backup's): the sender's sequence number and per-peer acknowledgement
+// encode appends a live coordinator (node 0's, or a promoted
+// replica's): the sender's sequence number and per-peer acknowledgement
 // watermarks in fan-out order, the capture index, the pending list, the
-// release watermark, the archive and the owning engine's counters.
+// release watermark, the archive and the owning replica's counters.
 func (c *coordinator) encode(w *snapshot.Writer) {
 	w.U64(c.s.seq)
 	w.U32(uint32(len(c.s.peers)))

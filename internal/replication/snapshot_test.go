@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/hypervisor"
-	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
 
@@ -33,20 +32,20 @@ func TestCoordinatorBackupStateCodec(t *testing.T) {
 		c.released, c.haveReleased = 3, true
 		c.archive.record(SyncEpoch{Epoch: 4, Tme: 100, Digest: 0xAB, Ints: []hypervisor.Interrupt{interrupt}})
 	}
-	primary := func() *Primary {
-		pr := NewPrimary(nil, []Peer{{}, {}}, ProtocolOld)
+	primary := func() *Replica {
+		pr := NewReplica(nil, nil, []Peer{{}, {}}, Config{})
 		drive(pr.coord)
 		return pr
 	}
 	// A promoted backup with one epoch's frame parts still pending.
-	backup := func() *Backup {
-		bk := NewBackup(nil, 2, nil, []Peer{{}, {}}, sim.Second, ProtocolOld)
+	backup := func() *Replica {
+		bk := NewReplica(nil, []Peer{{}, {}}, []Peer{{}, {}}, Config{})
 		bk.completed, bk.BootTOD = 5, 50
 		r := bk.rec(5)
 		r.ints[0] = interrupt
 		r.tme, r.hasTme = 123, true
 		r.end = epochHead{HasEnd: true, Seq: 7, Digest: 0xCD}
-		bk.coord = newCoordinator(nil, bk.downs, &bk.Stats, bk.Failed, bk.archive, &bk.Hooks, bk.index)
+		bk.coord = bk.newCoordinator()
 		drive(bk.coord)
 		return bk
 	}
@@ -92,30 +91,30 @@ func TestCoordinatorBackupStateCodec(t *testing.T) {
 			},
 		})
 	}
-	backupFields := []mutator[*Backup]{
-		{"index", func(bk *Backup) { bk.index++ }},
-		{"completed", func(bk *Backup) { bk.completed++ }},
-		{"promoted", func(bk *Backup) { bk.promoted = true }},
-		{"failed", func(bk *Backup) { bk.failed = true }},
-		{"withdrawn", func(bk *Backup) { bk.withdrawn = true }},
-		{"done", func(bk *Backup) { bk.done = true }},
-		{"halted", func(bk *Backup) { bk.halted = true }},
-		{"BootTOD", func(bk *Backup) { bk.BootTOD++ }},
-		{"pending epoch", func(bk *Backup) { bk.pending[6] = bk.pending[5]; delete(bk.pending, 5) }},
-		{"a pending record more", func(bk *Backup) { bk.rec(6) }},
-		{"pending interrupt index", func(bk *Backup) { r := bk.pending[5]; r.ints[1] = r.ints[0]; delete(r.ints, 0) }},
-		{"a pending interrupt more", func(bk *Backup) { bk.pending[5].ints[1] = interrupt }},
-		{"pending hasTme", func(bk *Backup) { bk.pending[5].hasTme = false }},
-		{"pending tme", func(bk *Backup) { bk.pending[5].tme++ }},
-		{"pending End", func(bk *Backup) { bk.pending[5].end.HasEnd = false }},
-		{"pending End.Seq", func(bk *Backup) { bk.pending[5].end.Seq++ }},
-		{"pending End.Digest", func(bk *Backup) { bk.pending[5].end.Digest++ }},
-		{"pending End.Halted", func(bk *Backup) { bk.pending[5].end.Halted = true }},
-		{"pending End.Cut", func(bk *Backup) { bk.pending[5].end.Cut++ }},
-		{"pending End.Released", func(bk *Backup) { bk.pending[5].end.Released++ }},
-		{"pending End.HaveReleased", func(bk *Backup) { bk.pending[5].end.HaveReleased = true }},
-		{"verbatim", func(bk *Backup) { bk.pending[5].verbatim = &SyncEpoch{} }},
-		{"the promoted coordinator", func(bk *Backup) { bk.coord = nil }},
+	backupFields := []mutator[*Replica]{
+		{"index", func(bk *Replica) { bk.index++ }},
+		{"completed", func(bk *Replica) { bk.completed++ }},
+		{"promoted", func(bk *Replica) { bk.promoted = true }},
+		{"failed", func(bk *Replica) { bk.failed = true }},
+		{"withdrawn", func(bk *Replica) { bk.withdrawn = true }},
+		{"done", func(bk *Replica) { bk.done = true }},
+		{"halted", func(bk *Replica) { bk.halted = true }},
+		{"BootTOD", func(bk *Replica) { bk.BootTOD++ }},
+		{"pending epoch", func(bk *Replica) { bk.pending[6] = bk.pending[5]; delete(bk.pending, 5) }},
+		{"a pending record more", func(bk *Replica) { bk.rec(6) }},
+		{"pending interrupt index", func(bk *Replica) { r := bk.pending[5]; r.ints[1] = r.ints[0]; delete(r.ints, 0) }},
+		{"a pending interrupt more", func(bk *Replica) { bk.pending[5].ints[1] = interrupt }},
+		{"pending hasTme", func(bk *Replica) { bk.pending[5].hasTme = false }},
+		{"pending tme", func(bk *Replica) { bk.pending[5].tme++ }},
+		{"pending End", func(bk *Replica) { bk.pending[5].end.HasEnd = false }},
+		{"pending End.Seq", func(bk *Replica) { bk.pending[5].end.Seq++ }},
+		{"pending End.Digest", func(bk *Replica) { bk.pending[5].end.Digest++ }},
+		{"pending End.Halted", func(bk *Replica) { bk.pending[5].end.Halted = true }},
+		{"pending End.Cut", func(bk *Replica) { bk.pending[5].end.Cut++ }},
+		{"pending End.Released", func(bk *Replica) { bk.pending[5].end.Released++ }},
+		{"pending End.HaveReleased", func(bk *Replica) { bk.pending[5].end.HaveReleased = true }},
+		{"verbatim", func(bk *Replica) { bk.pending[5].verbatim = &SyncEpoch{} }},
+		{"the promoted coordinator", func(bk *Replica) { bk.coord = nil }},
 	}
 	for field, change := range map[string]func(*hypervisor.Interrupt){
 		"Line":        func(i *hypervisor.Interrupt) { i.Line++ },
@@ -127,15 +126,15 @@ func TestCoordinatorBackupStateCodec(t *testing.T) {
 		"Seq":         func(i *hypervisor.Interrupt) { i.Seq++ },
 		"CapturedTOD": func(i *hypervisor.Interrupt) { i.CapturedTOD++ },
 	} {
-		backupFields = append(backupFields, mutator[*Backup]{"pending interrupt " + field, func(bk *Backup) {
+		backupFields = append(backupFields, mutator[*Replica]{"pending interrupt " + field, func(bk *Replica) {
 			i := bk.pending[5].ints[0]
 			change(&i)
 			bk.pending[5].ints[0] = i
 		}})
 	}
 	for _, m := range coordinatorFields {
-		backupFields = append(backupFields, mutator[*Backup]{
-			"coordinator " + m.field, func(bk *Backup) { m.mutate(bk.coord) }})
+		backupFields = append(backupFields, mutator[*Replica]{
+			"coordinator " + m.field, func(bk *Replica) { m.mutate(bk.coord) }})
 	}
 
 	encode := func(state func(*snapshot.Writer)) string {

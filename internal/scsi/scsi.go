@@ -303,9 +303,6 @@ func (a *Adapter) MMIOStore(off uint32, size int, v uint32) error {
 // Status returns the adapter's status register (for hypervisor snooping).
 func (a *Adapter) Status() uint32 { return a.status }
 
-// Busy reports whether a command is in flight on this adapter.
-func (a *Adapter) Busy() bool { return a.status&StatusBusy != 0 }
-
 // issue starts the programmed command on the shared disk.
 func (a *Adapter) issue() {
 	if a.status&StatusBusy != 0 {

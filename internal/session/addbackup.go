@@ -22,7 +22,7 @@ package session
 //     alive; only the guest image is in transit), acknowledging and
 //     filing the live protocol stream so no coordinator wait stalls on
 //     the migration. When the image lands, the joiner installs it and
-//     runs the ordinary Backup engine from epoch E+1 with Tme as its
+//     runs the ordinary Replica from epoch E+1 with Tme as its
 //     clock base (rule P5's steady-state resynchronization, applied
 //     once at joining). Its digest checks then hold by construction:
 //     identical state plus identical inputs is the paper's whole
@@ -58,12 +58,11 @@ type AddBackupConfig struct {
 }
 
 // setJoinBarrier arms (or disarms) the reintegration drain on every
-// engine that coordinates — or may promote into coordinating — while
-// the quiesce runs.
+// replica: the one that coordinates, and any that may promote into
+// coordinating while the quiesce runs.
 func (e *Engine) setJoinBarrier(on bool) {
-	e.pri.SetJoinBarrier(on)
-	for _, b := range e.baks {
-		b.SetJoinBarrier(on)
+	for _, r := range e.reps {
+		r.SetJoinBarrier(on)
 	}
 }
 
@@ -71,13 +70,7 @@ func (e *Engine) setJoinBarrier(on bool) {
 // stream is fully drained (vacuously true for the classic protocol path,
 // which transmits inline at the boundary).
 func (e *Engine) actingDrained() bool {
-	if e.lastNode == 0 {
-		return e.pri.ReplicationDrained()
-	}
-	if n := e.lastNode - 1; n >= 0 && n < len(e.baks) {
-		return e.baks[n].ReplicationDrained()
-	}
-	return true
+	return e.reps[e.lastNode].ReplicationDrained()
 }
 
 // transfer is the payload of a live backup-reintegration state
@@ -205,34 +198,19 @@ func (e *Engine) AddBackup(cfg AddBackupConfig) (int, error) {
 		// arrivals, identical consume watermarks from applied records.
 		node.NICPort.CloneFrom(e.cluster.Nodes[act].NICPort)
 	}
-	var ups []replication.Peer
-	for j := 0; j < n; j++ {
-		tx, rx := e.cluster.Channel(n, j)
-		ups = append(ups, replication.Peer{TX: tx, RX: rx})
-	}
-	// Boot normalized the DetectTimeout default before the quiesce ran.
-	timeout := e.o.DetectTimeout
-	bak := replication.NewBackup(node.HV, n, ups, nil, timeout, e.o.Protocol)
-	bak.PeerTimeout = e.peerTimeout()
-	bak.OutputCommit = e.o.OutputCommit
+	bak := e.newReplica(n)
 	bak.BootTOD = e.lastTme
 	bak.SetResumePoint(e.lastEpoch + 1)
-	bak.OnDivergence = e.divergenceHandler(n)
-	bak.Hooks = e.backupHooks()
-	e.baks = append(e.baks, bak)
+	e.reps = append(e.reps, bak)
 	e.done = append(e.done, 0)
 
-	// Splice the joiner into every engine that coordinates — or may
-	// later coordinate — the fan-out. Failed engines are skipped: they
-	// will never send again.
-	if !e.pri.Failed() {
-		tx, rx := e.cluster.Channel(0, n)
-		e.pri.AddPeer(replication.Peer{TX: tx, RX: rx})
-	}
-	for j := 1; j < n; j++ {
-		if b := e.baks[j-1]; !b.Failed() && !b.Withdrawn() {
+	// Splice the joiner into every replica that coordinates — or may
+	// later coordinate — the fan-out. Failed and withdrawn ones are
+	// skipped: they will never send again.
+	for j, r := range e.reps[:n] {
+		if !r.Failed() && !r.Withdrawn() {
 			tx, rx := e.cluster.Channel(j, n)
-			b.AddDownstream(replication.Peer{TX: tx, RX: rx})
+			r.AddDownstream(replication.Peer{TX: tx, RX: rx})
 		}
 	}
 
@@ -260,20 +238,21 @@ func (e *Engine) AddBackup(cfg AddBackupConfig) (int, error) {
 	xfer.Send(blob, len(blob))
 
 	// The joiner: receive the image, install it, run the ordinary
-	// backup engine from the transferred boundary. If the source
-	// processor failstops with the image in flight, the transfer — and
-	// the reintegration — is lost: the joiner withdraws.
-	e.k.Spawn(fmt.Sprintf("backup%d", n), func(pr *sim.Proc) {
+	// replica from the transferred boundary. If the source processor
+	// failstops with the image in flight, the transfer — and the
+	// reintegration — is lost: the joiner withdraws.
+	e.spawn(n, nodeName(n), func(pr *sim.Proc) {
 		var msg netsim.Message
 		for {
-			m, ok := xfer.Inbox.RecvTimeout(pr, timeout)
+			// Boot normalized the DetectTimeout default before the
+			// quiesce ran.
+			m, ok := xfer.Inbox.RecvTimeout(pr, e.o.DetectTimeout)
 			if ok {
 				msg = m
 				break
 			}
 			if xfer.Down() {
 				bak.Abandon()
-				e.done[n] = pr.Now()
 				return
 			}
 		}
@@ -293,7 +272,6 @@ func (e *Engine) AddBackup(cfg AddBackupConfig) (int, error) {
 		bak.BootTOD = t.Tme
 		bak.SetResumePoint(t.Epoch + 1)
 		bak.Run(pr)
-		e.done[n] = pr.Now()
 	})
 
 	e.emit(Event{Kind: EventBackupAdded, Node: n, Epoch: e.lastEpoch, Bytes: uint64(len(blob))})

@@ -137,9 +137,8 @@ func (e *Engine) sections() []section {
 			}
 		})
 	}
-	add("replication.primary", e.pri.EncodeState)
-	for i, bak := range e.baks {
-		add(fmt.Sprintf("replication.backup%d", i+1), bak.EncodeState)
+	for i, r := range e.reps {
+		add("replication."+nodeName(i), r.EncodeState)
 	}
 	for i, d := range e.cluster.Disks {
 		add(fmt.Sprintf("disk%d", i), func(w *snapshot.Writer) { w.U64(d.StateDigest()) })

@@ -8,6 +8,7 @@ package session
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -15,9 +16,8 @@ import (
 )
 
 // TestPerturbAfterCompletion pins satellite contract #1: every
-// perturbation entry point reports ErrCompleted (or, for FailPrimary's
-// legacy no-error signature, false) once the workload is done, instead
-// of silently no-opping.
+// perturbation entry point reports ErrCompleted once the workload is
+// done, instead of silently no-opping.
 func TestPerturbAfterCompletion(t *testing.T) {
 	e := New(cpuOpts(2000))
 	defer e.Close()
@@ -28,11 +28,10 @@ func TestPerturbAfterCompletion(t *testing.T) {
 		t.Fatal("workload did not complete")
 	}
 
-	if e.FailPrimary() {
-		t.Error("FailPrimary reported an effect after completion")
-	}
-	if err := e.FailBackup(1); !errors.Is(err, ErrCompleted) {
-		t.Errorf("FailBackup after completion: %v, want ErrCompleted", err)
+	for i := 0; i < 2; i++ {
+		if applied, err := e.FailNode(i); applied || !errors.Is(err, ErrCompleted) {
+			t.Errorf("FailNode(%d) after completion: applied=%v err=%v, want false, ErrCompleted", i, applied, err)
+		}
 	}
 	if err := e.SetLinkQuality(netsim.Quality{BitsPerSecond: 1_000_000}); !errors.Is(err, ErrCompleted) {
 		t.Errorf("SetLinkQuality after completion: %v, want ErrCompleted", err)
@@ -50,11 +49,11 @@ func TestFailPrimaryReportsEffect(t *testing.T) {
 	if err := e.RunFor(2 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if !e.FailPrimary() {
-		t.Error("first FailPrimary reported no effect")
+	if applied, err := e.FailNode(0); !applied || err != nil {
+		t.Errorf("first FailNode(0): applied=%v err=%v, want an effect", applied, err)
 	}
-	if e.FailPrimary() {
-		t.Error("second FailPrimary reported an effect on a dead primary")
+	if applied, err := e.FailNode(0); applied || err != nil {
+		t.Errorf("second FailNode(0): applied=%v err=%v, want no effect on a dead primary", applied, err)
 	}
 	if err := e.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
@@ -115,19 +114,16 @@ func TestFailBackupFreedIndex(t *testing.T) {
 	if err := e.RunFor(2 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.FailBackup(1); err != nil {
-		t.Fatal(err)
-	}
-	if !e.BackupFailed(1) {
-		t.Fatal("backup 1 not marked failed")
+	if applied, err := e.FailNode(1); !applied || err != nil {
+		t.Fatalf("FailNode(1): applied=%v err=%v, want an effect", applied, err)
 	}
 	// Same index again: dead already, no effect, no error.
-	if err := e.FailBackup(1); err != nil {
-		t.Errorf("re-failing dead backup: %v", err)
+	if applied, err := e.FailNode(1); applied || err != nil {
+		t.Errorf("re-failing dead backup: applied=%v err=%v", applied, err)
 	}
 	// Out of range stays an error.
-	if err := e.FailBackup(7); err == nil {
-		t.Error("FailBackup(7) on a 2-backup set succeeded")
+	if _, err := e.FailNode(7); err == nil {
+		t.Error("FailNode(7) on a 2-backup set succeeded")
 	}
 	if err := e.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
@@ -143,7 +139,7 @@ func TestFailBackupFreedIndex(t *testing.T) {
 	if err := ref.RunFor(2 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.FailBackup(1); err != nil {
+	if _, err := ref.FailNode(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := ref.RunToCompletion(nil); err != nil {
@@ -177,7 +173,7 @@ func TestSameCommitOrdinalPerturbations(t *testing.T) {
 		if err := e.SetLinkQuality(netsim.Quality{BitsPerSecond: 2_000_000}); err != nil {
 			return Result{}, err
 		}
-		if err := e.FailBackup(2); err != nil {
+		if _, err := e.FailNode(2); err != nil {
 			return Result{}, err
 		}
 		if err := e.RunToCompletion(nil); err != nil {
@@ -222,5 +218,77 @@ func TestAddBackupSnapshotCommits(t *testing.T) {
 	}
 	if err := e.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailNodeSeversEveryChannel pins the one failstop rule every
+// replica shares, whatever its position: the node stops once (a second
+// failstop finds it dead), every channel from it goes down — upstream,
+// downstream and the one to a late joiner spliced in after boot — and the
+// survivors finish with the bare run's transcripts. On a bare session
+// there is no replica set: node 0 reports no effect, any other index the
+// bare error.
+func TestFailNodeSeversEveryChannel(t *testing.T) {
+	bo := serveOpts(16)
+	bo.Bare = true
+	bare := New(bo)
+	defer bare.Close()
+	if applied, err := bare.FailNode(0); applied || err != nil {
+		t.Errorf("bare FailNode(0): applied=%v err=%v, want false, nil", applied, err)
+	}
+	if _, err := bare.FailNode(1); err == nil || !strings.Contains(err.Error(), "bare run has no backups") {
+		t.Errorf("bare FailNode(1): %v, want the bare error", err)
+	}
+	if err := bare.RunToCompletion(nil); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := bare.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for dead := 0; dead <= 2; dead++ {
+		o := serveOpts(16)
+		o.Backups = 2
+		o.DetectTimeout = 2 * sim.Millisecond
+		e := New(o)
+		defer e.Close()
+		if err := e.RunUntilCommits(4); err != nil {
+			t.Fatal(err)
+		}
+		joiner, err := e.AddBackup(AddBackupConfig{})
+		if err != nil || joiner != 3 {
+			t.Fatalf("AddBackup: node %d, err %v, want node 3", joiner, err)
+		}
+		if applied, err := e.FailNode(dead); !applied || err != nil {
+			t.Fatalf("FailNode(%d): applied=%v err=%v, want an effect", dead, applied, err)
+		}
+		if applied, err := e.FailNode(dead); applied || err != nil {
+			t.Errorf("second FailNode(%d): applied=%v err=%v, want no effect", dead, applied, err)
+		}
+		for peer := 0; peer <= joiner; peer++ {
+			if peer == dead {
+				continue
+			}
+			if tx, rx := e.cluster.Channel(dead, peer); !tx.Down() || !rx.Down() {
+				t.Errorf("node %d failstopped, its channel to node %d is still up (tx down=%v, rx down=%v)",
+					dead, peer, tx.Down(), rx.Down())
+			}
+		}
+		if err := e.RunToCompletion(nil); err != nil {
+			t.Fatalf("node %d failstopped: %v", dead, err)
+		}
+		res, err := e.Result()
+		if err != nil {
+			t.Fatalf("node %d failstopped: %v", dead, err)
+		}
+		if res.Console != ref.Console || res.NetReplies != ref.NetReplies || res.Guest.Checksum != ref.Guest.Checksum {
+			t.Errorf("node %d failstopped: console %q, %d reply bytes, checksum %#x; bare %q, %d, %#x",
+				dead, res.Console, len(res.NetReplies), res.Guest.Checksum,
+				ref.Console, len(ref.NetReplies), ref.Guest.Checksum)
+		}
+		if res.Promoted != (dead == 0) {
+			t.Errorf("node %d failstopped: promoted=%v", dead, res.Promoted)
+		}
 	}
 }

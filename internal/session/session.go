@@ -1,28 +1,30 @@
 // Package session implements the long-lived replicated-cluster engine
 // behind the public hft.Cluster API and the harness's experiment
-// drivers. Where the original harness wired a cluster, ran it to
-// completion and reported a terminal result, a session Engine keeps the
-// simulation resident: it boots lazily, advances under caller control
-// in bounded slices, accepts live perturbations (failstops, link
-// degradation) between — or, via scheduled events, during — slices, and
-// exposes observation as first-class values (snapshots and an event
-// stream) at any virtual time.
-//
-// Determinism contract: an Engine driven to completion produces results
-// bit-identical to the pre-session one-shot harness, regardless of how
-// the run is sliced. Construction order (kernel, platform, engines,
-// scheduled failures, process spawns) is therefore fixed and mirrors
-// the historical wiring exactly; observation hooks never spend virtual
+// drivers. A session Engine keeps the simulation resident: it boots
+// lazily, advances under caller control in bounded slices, accepts live
+// perturbations (failstops, link degradation) between — or, via
+// scheduled events, during — slices, and exposes observation as
+// first-class values (snapshots and an event stream) at any virtual
 // time.
 //
-// There is one topology and one Boot: a platform.Cluster. Options.Bare
-// selects only what runs on it — the unvirtualized guest on a cluster of
-// one (the paper's baseline) or the replication engines over every
-// node's hypervisor. The session also owns the two composite state
-// formats and nothing else does: the checkpoint's section list
-// (capture.go) and the AddBackup transfer blob (addbackup.go); what is
-// inside a machine, hypervisor or replication section is that layer's
-// own snapshot.go.
+// Determinism contract: an Engine driven to completion produces the
+// same results bit for bit regardless of how the run is sliced.
+// Construction order (kernel, platform, guest boot per node, replicas in
+// node order, scheduled failures, process spawns) is therefore fixed —
+// random-stream derivation and event scheduling order follow from it —
+// and observation hooks never spend virtual time.
+//
+// There is one topology and one Boot: a platform.Cluster, with one
+// replication.Replica per node in Engine.reps, indexed by node — a
+// replica's role is only its position, so nothing here asks "primary or
+// backup?". Options.Bare selects only what runs on node 0: the
+// unvirtualized guest on a cluster of one (the paper's baseline, a
+// different execution model rather than a role; reps stays empty) or the
+// replicas over every node's hypervisor. The session also owns the two
+// composite state formats and nothing else does: the checkpoint's
+// section list (capture.go) and the AddBackup transfer blob
+// (addbackup.go); what is inside a machine, hypervisor or replication
+// section is that layer's own snapshot.go.
 package session
 
 import (
@@ -62,14 +64,20 @@ const maxRunTime = 20000 * sim.Second
 // node per message; 100k is orders of magnitude past any of them.
 const stallLimit = 100000
 
-// peerTimeout is the coordinator-side acknowledgement-liveness bound:
-// generously past every backup's cascaded failure-detection timeout,
-// so a genuinely partitioned peer is detected by its own timeout first
-// and the coordinator's exclusion is strictly a liveness backstop.
-func (e *Engine) peerTimeout() sim.Time {
+// replicaConfig is what every replica of the set — a late joiner
+// included — is built with. The coordinator-side acknowledgement-liveness
+// bound sits generously past every backup's cascaded failure-detection
+// timeout, so a genuinely partitioned peer is detected by its own timeout
+// first and the coordinator's exclusion is strictly a liveness backstop.
+func (e *Engine) replicaConfig() replication.Config {
 	// Boot has already normalized the zero default onto o.DetectTimeout
-	// before any engine (or a late joiner) is wired.
-	return 10 * e.o.DetectTimeout
+	// before any replica (or a late joiner) is wired.
+	return replication.Config{
+		Protocol:      e.o.Protocol,
+		OutputCommit:  e.o.OutputCommit,
+		DetectTimeout: e.o.DetectTimeout,
+		PeerTimeout:   10 * e.o.DetectTimeout,
+	}
 }
 
 // machineConfig resolves the per-machine configuration: the RAM
@@ -267,7 +275,6 @@ type Snapshot struct {
 	Now    sim.Time
 	Booted bool
 	Done   bool
-	Bare   bool
 	Nodes  int
 
 	// Acting is the node currently interacting with the environment
@@ -284,10 +291,6 @@ type Snapshot struct {
 	MessagesSent         uint64
 	BytesSent            uint64
 	AcksReceived         uint64
-	AckWaits             uint64
-	AckWaitTime          sim.Time
-	IOGateWaits          uint64
-	IOGateWaitTime       sim.Time
 	IntsForwarded        uint64
 	Divergences          uint64
 	UncertainSynthesized uint64
@@ -318,13 +321,11 @@ type Engine struct {
 	closed bool
 
 	// The one topology. What runs on it is Options.Bare's choice: the
-	// unvirtualized guest on node 0 of a cluster of one (bare; pri and
-	// baks stay nil), or the replication engines over every node's
-	// hypervisor.
+	// unvirtualized guest on node 0 of a cluster of one (bare; reps stays
+	// empty), or one replica per node, indexed by node.
 	cluster *platform.Cluster
 	bare    *hypervisor.Bare
-	pri     *replication.Primary
-	baks    []*replication.Backup
+	reps    []*replication.Replica
 
 	// Network service (nil without Options.NIC/ClientLoad).
 	nic       *nic.NIC
@@ -389,17 +390,17 @@ func (e *Engine) emit(ev Event) {
 	e.o.Observer(ev)
 }
 
-// Boot constructs the kernel, platform, protocol engines and scheduled
-// failures, and spawns the simulation processes. Idempotent; called
-// implicitly by every advancement method.
+// Boot constructs the kernel, platform, replicas and scheduled failures,
+// and spawns the simulation processes. Idempotent; called implicitly by
+// every advancement method.
 //
-// The construction order below is the determinism contract with the
-// historical one-shot harness: kernel, platform, guest boot per node,
-// primary, backups (each with its upstream/downstream channels), the
-// scheduled failstops, then the process spawns — in exactly this
-// sequence, so random-stream derivation and event scheduling order are
-// unchanged. A bare session is the same sequence over a cluster of one
-// with the bare runner in place of the engines.
+// The construction order below is the determinism contract: kernel,
+// platform, guest boot per node, the replicas in node order (each with
+// its upstream/downstream channels), the scheduled failstops, then the
+// process spawns — in exactly this sequence, because random-stream
+// derivation and event scheduling order follow from it. A bare session
+// is the same sequence over a cluster of one with the bare runner on
+// node 0 in place of a replica.
 func (e *Engine) Boot() {
 	if e.booted || e.closed {
 		return
@@ -441,66 +442,75 @@ func (e *Engine) Boot() {
 	origin, words, entry := e.prog.Image()
 	e.done = make([]sim.Time, n)
 	if o.Bare {
+		// Not a role but a different execution model: hardware trap
+		// delivery, no hypervisor.
 		m := cluster.Nodes[0].M
 		e.bare = hypervisor.NewBare(m)
 		e.bare.Boot(origin, words, entry)
 		e.prog.Setup(m)
-		e.installHooks()
-		e.startClientLoad()
-		k.Spawn("bare", func(pr *sim.Proc) { e.bare.Run(pr); e.done[0] = pr.Now() })
-		return
-	}
-	for _, node := range cluster.Nodes {
-		node.HV.Boot(origin, words, entry)
-		e.prog.Setup(node.M)
+	} else {
+		for _, node := range cluster.Nodes {
+			node.HV.Boot(origin, words, entry)
+			e.prog.Setup(node.M)
+		}
+		for i := range cluster.Nodes {
+			e.reps = append(e.reps, e.newReplica(i))
+		}
 	}
 
-	var peers []replication.Peer
-	for j := 1; j < n; j++ {
-		tx, rx := cluster.Channel(0, j)
-		peers = append(peers, replication.Peer{TX: tx, RX: rx})
-	}
-	pri := replication.NewPrimary(cluster.Nodes[0].HV, peers, o.Protocol)
-	pri.PeerTimeout = e.peerTimeout()
-	pri.OutputCommit = o.OutputCommit
-	e.pri = pri
-	for i := 1; i < n; i++ {
-		var ups, downs []replication.Peer
-		for j := 0; j < i; j++ {
-			tx, rx := cluster.Channel(i, j)
-			ups = append(ups, replication.Peer{TX: tx, RX: rx})
-		}
-		for j := i + 1; j < n; j++ {
-			tx, rx := cluster.Channel(i, j)
-			downs = append(downs, replication.Peer{TX: tx, RX: rx})
-		}
-		bak := replication.NewBackup(
-			cluster.Nodes[i].HV, i, ups, downs, o.DetectTimeout, o.Protocol)
-		bak.PeerTimeout = e.peerTimeout()
-		bak.OutputCommit = o.OutputCommit
-		bak.OnDivergence = e.divergenceHandler(i)
-		e.baks = append(e.baks, bak)
-	}
-
-	// Observation hooks (no virtual-time cost; order-neutral).
+	// Environment observation hooks (no virtual-time cost; order-neutral).
 	e.installHooks()
 	e.startClientLoad()
 
-	if o.FailPrimaryAt > 0 {
-		k.At(o.FailPrimaryAt, func() { e.failPrimaryNow() })
-	}
-	for i, at := range o.FailBackupAt {
-		if at > 0 && i < len(e.baks) {
-			i := i
-			k.At(at, func() { e.failBackupNow(i + 1) })
+	for i, at := range append([]sim.Time{o.FailPrimaryAt}, o.FailBackupAt...) {
+		if at > 0 && i < len(e.reps) {
+			k.At(at, func() { e.failNow(i) })
 		}
 	}
 
-	k.Spawn("primary", func(pr *sim.Proc) { pri.Run(pr); e.done[0] = pr.Now() })
-	for i, bak := range e.baks {
-		i, bak := i, bak
-		k.Spawn(fmt.Sprintf("backup%d", i+1), func(pr *sim.Proc) { bak.Run(pr); e.done[i+1] = pr.Now() })
+	if o.Bare {
+		e.spawn(0, "bare", e.bare.Run)
 	}
+	for i, r := range e.reps {
+		e.spawn(i, nodeName(i), r.Run)
+	}
+}
+
+// nodeName is what process and checkpoint-section names call node i: its
+// position at boot, whatever it goes on to do.
+func nodeName(i int) string {
+	if i == 0 {
+		return "primary"
+	}
+	return fmt.Sprintf("backup%d", i)
+}
+
+// newReplica wires node i's engine over the cluster as it stands: the
+// channels toward every higher-priority node upstream, those toward every
+// lower-priority node downstream, the divergence policy and the
+// observation hooks (shared between boot-time replicas and late joiners).
+func (e *Engine) newReplica(i int) *replication.Replica {
+	var ups, downs []replication.Peer
+	for j := range e.cluster.Nodes {
+		if j == i {
+			continue
+		}
+		tx, rx := e.cluster.Channel(i, j)
+		if j < i {
+			ups = append(ups, replication.Peer{TX: tx, RX: rx})
+		} else {
+			downs = append(downs, replication.Peer{TX: tx, RX: rx})
+		}
+	}
+	r := replication.NewReplica(e.cluster.Nodes[i].HV, ups, downs, e.replicaConfig())
+	r.OnDivergence = e.divergenceHandler(i)
+	r.Hooks = e.replicaHooks()
+	return r
+}
+
+// spawn starts node i's process, recording when it exits.
+func (e *Engine) spawn(i int, name string, run func(*sim.Proc)) {
+	e.k.Spawn(name, func(pr *sim.Proc) { run(pr); e.done[i] = pr.Now() })
 }
 
 // divergenceHandler wraps the configured divergence policy with event
@@ -523,20 +533,11 @@ func (e *Engine) divergenceHandler(node int) func(epoch uint64, primary, backup 
 	}
 }
 
-// installHooks wires the protocol and environment observation hooks:
-// the engines' milestones (none on a bare session), one OnOp per shared
-// disk (tagged with the disk index), and — with an observer — terminal
-// input and NIC request arrival.
+// installHooks wires the environment observation hooks (a replica's
+// protocol milestones are wired where it is built, in newReplica): one
+// OnOp per shared disk (tagged with the disk index), and — with an
+// observer — terminal input and NIC request arrival.
 func (e *Engine) installHooks() {
-	if e.pri != nil {
-		e.pri.Hooks = replication.Hooks{
-			EpochCommitted:  e.epochCommitted,
-			OutputCommitted: e.outputCommitted,
-		}
-	}
-	for _, bak := range e.baks {
-		bak.Hooks = e.backupHooks()
-	}
 	for i, d := range e.cluster.Disks {
 		d.OnOp = func(r scsi.OpRecord) { e.diskOp(i, r) }
 	}
@@ -574,9 +575,8 @@ func (e *Engine) startClientLoad() {
 	e.clients.Start()
 }
 
-// backupHooks builds the observation hooks a backup engine carries
-// (shared between boot-time backups and late joiners).
-func (e *Engine) backupHooks() replication.Hooks {
+// replicaHooks builds the observation hooks a replica carries.
+func (e *Engine) replicaHooks() replication.Hooks {
 	return replication.Hooks{
 		EpochCommitted:  e.epochCommitted,
 		OutputCommitted: e.outputCommitted,
@@ -640,17 +640,9 @@ func (e *Engine) RunUntilCommits(n uint64) error {
 	return e.RunUntil(func() bool { return e.commits >= n })
 }
 
-// failPrimaryNow injects the primary failstop (kernel context).
-func (e *Engine) failPrimaryNow() {
-	e.pri.Failstop()
-	e.detachNode(0)
-	e.severTransfers(0)
-	e.emit(Event{Kind: EventFailstop, Node: 0})
-}
-
-// failBackupNow injects a failstop of backup i (1-based, kernel context).
-func (e *Engine) failBackupNow(i int) {
-	e.baks[i-1].Failstop()
+// failNow injects a failstop of node i (kernel context).
+func (e *Engine) failNow(i int) {
+	e.reps[i].Failstop()
 	e.detachNode(i)
 	e.severTransfers(i)
 	e.emit(Event{Kind: EventFailstop, Node: i})
@@ -692,9 +684,6 @@ func (e *Engine) Now() sim.Time {
 
 // Done reports whether the run has completed.
 func (e *Engine) Done() bool { return e.finished }
-
-// Bare reports whether this is a baseline (unreplicated) session.
-func (e *Engine) Bare() bool { return e.o.Bare }
 
 // checkFinished detects completion (every simulation process exited)
 // and computes the terminal result once.
@@ -834,50 +823,31 @@ func (e *Engine) RunToCompletion(cancelled func() bool) error {
 // mistake a dead session for an accepted injection.
 var ErrCompleted = errors.New("session: workload already complete")
 
-// FailPrimary failstops the primary's processor immediately (between
-// advancement slices) — the live counterpart of Options.FailPrimaryAt.
-// It reports whether the failstop was applied: false when the session
-// is bare, closed, already complete, or the primary already failed.
-func (e *Engine) FailPrimary() bool {
+// FailNode failstops node i's processor immediately (between advancement
+// slices) — the live counterpart of Options.FailPrimaryAt and
+// FailBackupAt. applied reports whether a live processor was stopped:
+// failstopping one that already failed is an error-free no-op (the
+// paper's failstop model: a dead processor cannot die again), and so is
+// failstopping the one node of a bare session, which has no replica set
+// to survive it. After completion it returns ErrCompleted.
+func (e *Engine) FailNode(i int) (applied bool, err error) {
 	e.Boot()
-	if e.closed || e.o.Bare || e.finished || e.pri.Failed() {
-		return false
+	switch {
+	case e.closed:
+		return false, errors.New("session: engine is closed")
+	case e.o.Bare && i == 0:
+		return false, nil
+	case e.o.Bare:
+		return false, errors.New("session: bare run has no backups")
+	case e.finished:
+		return false, ErrCompleted
+	case i < 0 || i >= len(e.reps):
+		return false, fmt.Errorf("session: no node %d (have %d)", i, len(e.reps))
+	case e.reps[i].Failed():
+		return false, nil
 	}
-	e.failPrimaryNow()
-	return true
-}
-
-// FailBackup failstops backup i (1-based priority index) immediately.
-// After completion it returns ErrCompleted. Failstopping an
-// already-failed backup is a no-op (the paper's failstop model: a dead
-// processor cannot die again).
-func (e *Engine) FailBackup(i int) error {
-	e.Boot()
-	if e.closed {
-		return errors.New("session: engine is closed")
-	}
-	if e.o.Bare {
-		return errors.New("session: bare run has no backups")
-	}
-	if e.finished {
-		return ErrCompleted
-	}
-	if i < 1 || i > len(e.baks) {
-		return fmt.Errorf("session: no backup %d (have %d)", i, len(e.baks))
-	}
-	if !e.baks[i-1].Failed() {
-		e.failBackupNow(i)
-	}
-	return nil
-}
-
-// BackupFailed reports whether backup i (1-based) has failstopped
-// (false for out-of-range indexes and unbooted sessions).
-func (e *Engine) BackupFailed(i int) bool {
-	if i < 1 || i > len(e.baks) {
-		return false
-	}
-	return e.baks[i-1].Failed()
+	e.failNow(i)
+	return true, nil
 }
 
 // SetLinkQuality adjusts every inter-hypervisor link (both directions
@@ -915,11 +885,11 @@ func (e *Engine) SetLinkQuality(q netsim.Quality) error {
 }
 
 // actingNode returns the node currently interacting with the
-// environment: the highest-priority promoted backup, else the primary.
+// environment: the highest-priority live promoted replica, else node 0.
 func (e *Engine) actingNode() int {
-	for i, b := range e.baks {
-		if b.Promoted() && !b.Failed() {
-			return i + 1
+	for i, r := range e.reps {
+		if r.Promoted() && !r.Failed() {
+			return i
 		}
 	}
 	return 0
@@ -927,7 +897,7 @@ func (e *Engine) actingNode() int {
 
 // Snapshot captures the observable state at the current virtual time.
 func (e *Engine) Snapshot() Snapshot {
-	s := Snapshot{Booted: e.booted, Done: e.finished, Bare: e.o.Bare}
+	s := Snapshot{Booted: e.booted, Done: e.finished}
 	if !e.booted {
 		return s
 	}
@@ -950,27 +920,16 @@ func (e *Engine) Snapshot() Snapshot {
 	s.Epochs = hv.Epoch()
 	s.GuestInstructions = hv.GuestInstructions()
 	s.Halted = e.halted(s.Acting)
-	add := func(st replication.Stats) {
+	for _, r := range e.reps {
+		st := &r.Stats
 		s.MessagesSent += st.MessagesSent
 		s.BytesSent += st.BytesSent
 		s.AcksReceived += st.AcksReceived
-		s.AckWaits += st.AckWaits
-		s.AckWaitTime += st.AckWaitTime
-		s.IOGateWaits += st.IOGateWaits
-		s.IOGateWaitTime += st.IOGateWaitTime
 		s.IntsForwarded += st.IntsForwarded
 		s.Divergences += st.Divergences
 		s.UncertainSynthesized += st.UncertainSynth
 		s.PeersExcluded += st.PeerTimeouts
-	}
-	if e.pri != nil {
-		add(e.pri.Stats)
-	}
-	for _, b := range e.baks {
-		add(b.Stats)
-		if b.Promoted() {
-			s.Promoted = true
-		}
+		s.Promoted = s.Promoted || r.Promoted()
 	}
 	s.Console = e.cluster.Console.Output()
 	return s
@@ -994,46 +953,35 @@ func (e *Engine) halted(i int) bool {
 }
 
 // computeResult assembles the terminal report from the authoritative
-// survivor: node 0 if it never failed (a bare session's only node), else
-// the last promoted surviving node, else any node whose guest HALTED
-// before its processor was killed (a replica that completed the workload
-// and was failstopped afterwards still produced the deterministic
-// result). A bare session reports zero protocol and hypervisor counters:
-// none of that machinery ran.
+// survivor: node 0 if it never failed, else the last promoted surviving
+// node, else any node whose guest HALTED before its processor was killed
+// (a replica that completed the workload and was failstopped afterwards
+// still produced the deterministic result; a bare session's only node is
+// found here too). A bare session reports zero protocol and hypervisor
+// counters: none of that machinery ran.
 func (e *Engine) computeResult() (Result, error) {
 	var res Result
-	if e.pri != nil {
-		res.PrimaryStats = e.pri.Stats
-	}
-	if len(e.baks) > 0 {
-		res.BackupStats = e.baks[0].Stats
-	}
-	for _, b := range e.baks {
-		if b.Promoted() {
-			res.Promoted = true
+	for i, r := range e.reps {
+		switch i {
+		case 0:
+			res.PrimaryStats = r.Stats
+		case 1:
+			res.BackupStats = r.Stats
 		}
+		res.Promoted = res.Promoted || r.Promoted()
 	}
 	authority := -1
-	switch {
-	case e.halted(0) && (e.pri == nil || !e.pri.Failed()):
+	if len(e.reps) > 0 && e.halted(0) && !e.reps[0].Failed() {
 		authority = 0
-	default:
-		for i := len(e.baks) - 1; i >= 0; i-- {
-			if e.baks[i].Promoted() && e.baks[i].HV.Halted() && !e.baks[i].Failed() {
-				authority = i + 1
-				break
-			}
+	}
+	for i := len(e.reps) - 1; i >= 0 && authority < 0; i-- {
+		if r := e.reps[i]; r.Promoted() && e.halted(i) && !r.Failed() {
+			authority = i
 		}
-		if authority < 0 {
-			for i := len(e.baks) - 1; i >= 0; i-- {
-				if e.baks[i].HV.Halted() {
-					authority = i + 1
-					break
-				}
-			}
-		}
-		if authority < 0 && e.halted(0) {
-			authority = 0
+	}
+	for i := len(e.cluster.Nodes) - 1; i >= 0 && authority < 0; i-- {
+		if e.halted(i) {
+			authority = i
 		}
 	}
 	if authority < 0 {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/scsi"
 	"repro/internal/session"
-	"repro/internal/sim"
 )
 
 // This file holds the Cluster API's extension points: the interfaces a
@@ -28,6 +27,10 @@ type LinkModel interface {
 // itself, so a custom link can be a plain literal. Zero fields take the
 // simulator's messaging-layer defaults (1 KiB MTU, one control frame
 // per message, 100 µs controller set-up).
+//
+// It mirrors netsim.LinkConfig field for field and crosses the API
+// boundary by struct conversion, so a field added on one side only is a
+// compile error, not a silently dropped value.
 type LinkParams struct {
 	// Name identifies the link in diagnostics.
 	Name string
@@ -52,42 +55,16 @@ type LinkParams struct {
 // LinkParams implements LinkModel.
 func (p LinkParams) LinkParams() LinkParams { return p }
 
-// linkConfig converts to the simulator's channel configuration.
-func (p LinkParams) linkConfig() netsim.LinkConfig {
-	return netsim.LinkConfig{
-		Name:             p.Name,
-		BitsPerSecond:    p.BitsPerSecond,
-		Latency:          sim.Time(p.Latency),
-		MTU:              p.MTU,
-		FrameOverhead:    p.FrameOverhead,
-		PerMessageFrames: p.PerMessageFrames,
-		SetupTime:        sim.Time(p.SetupTime),
-	}
-}
-
-// paramsFromConfig converts a simulator link configuration to public
-// parameters.
-func paramsFromConfig(c netsim.LinkConfig) LinkParams {
-	return LinkParams{
-		Name:             c.Name,
-		BitsPerSecond:    c.BitsPerSecond,
-		Latency:          Duration(c.Latency),
-		MTU:              c.MTU,
-		FrameOverhead:    c.FrameOverhead,
-		PerMessageFrames: c.PerMessageFrames,
-		SetupTime:        Duration(c.SetupTime),
-	}
-}
-
 // Ethernet10 returns the prototype's 10 Mbps Ethernet link model.
-func Ethernet10() LinkModel { return paramsFromConfig(netsim.Ethernet10("ethernet10")) }
+func Ethernet10() LinkModel { return LinkParams(netsim.Ethernet10("ethernet10")) }
 
 // ATM155 returns §4.3's 155 Mbps ATM link model.
-func ATM155() LinkModel { return paramsFromConfig(netsim.ATM155("atm155")) }
+func ATM155() LinkModel { return LinkParams(netsim.ATM155("atm155")) }
 
 // LinkQuality is a live adjustment to the cluster's links — mid-run
 // degradation (or repair). Zero fields leave the corresponding
-// parameter unchanged.
+// parameter unchanged. It mirrors netsim.Quality as LinkParams mirrors
+// netsim.LinkConfig.
 type LinkQuality struct {
 	// BitsPerSecond replaces the serialization bandwidth.
 	BitsPerSecond int64

@@ -34,6 +34,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/netsim"
 	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -406,14 +407,15 @@ func (c *Cluster) replayTo(p pausePoint) error {
 func (c *Cluster) replayAction(e journalEntry) error {
 	switch e.action {
 	case actFailPrimary:
-		c.eng.FailPrimary()
-		return nil
+		_, err := c.eng.FailNode(0)
+		return err
 	case actFailBackup:
-		return c.eng.FailBackup(e.backup)
+		_, err := c.failBackup(e.backup)
+		return err
 	case actSetLink:
-		return c.eng.SetLinkQuality(e.quality.quality())
+		return c.eng.SetLinkQuality(netsim.Quality(e.quality))
 	case actAddBackup:
-		_, err := c.eng.AddBackup(session.AddBackupConfig{Link: e.link.linkConfig()})
+		_, err := c.eng.AddBackup(session.AddBackupConfig{Link: netsim.LinkConfig(e.link)})
 		return err
 	}
 	return fmt.Errorf("%w: unknown journal action %d", ErrSnapshotCorrupt, e.action)

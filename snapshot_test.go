@@ -102,6 +102,56 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveRestoreNoOpRunFor: a RunFor that cannot advance (d <= 0) must
+// leave the replay coordinate alone. The session is paused on a commit
+// boundary — mid-instant, with the transmit process and that instant's
+// other events still queued behind it — or at completion, so a time
+// pause recorded there names a different kernel state (the whole instant
+// for d = 0, an earlier one for d < 0) and the checkpoint fails Restore's
+// verification.
+func TestSaveRestoreNoOpRunFor(t *testing.T) {
+	for _, tc := range []struct {
+		d       Duration
+		commits uint64
+	}{
+		{0, 5},
+		{0, 15},
+		{-5 * Millisecond, 5},
+		{0, 1 << 30}, // never reached: paused at completion
+	} {
+		orig, err := NewCluster(
+			WithWorkload(ServeRequests(24, 50)),
+			WithClientLoad(ClientLoad{Clients: 8, MeanGap: 100 * Microsecond, Timeout: 50 * Millisecond}),
+			WithEpochLength(1024),
+			WithBackups(2),
+			WithOutputCommit(OutputCommit{Window: 4, Adaptive: true}),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer orig.Close()
+		paused, err := orig.RunUntil(func(s Snapshot) bool { return s.Commits >= tc.commits })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, err := orig.RunFor(tc.d); err != nil || s != paused {
+			t.Fatalf("RunFor(%v) at commit %d moved the session (err %v):\n  before: %+v\n  after:  %+v",
+				tc.d, paused.Commits, err, paused, s)
+		}
+		var buf bytes.Buffer
+		if err := orig.Save(&buf); err != nil {
+			t.Fatalf("save: %v", err)
+		}
+		restored, err := Restore(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Errorf("restore after RunFor(%v) at commit %d (done=%v): %v", tc.d, paused.Commits, paused.Done, err)
+			continue
+		}
+		defer restored.Close()
+		finishAndCompare(t, "restored-vs-original", orig, restored)
+	}
+}
+
 // TestSaveRestoreAddBackupJournal checkpoints AFTER a full
 // fail -> promote -> reintegrate chain; the restored session must
 // replay the reintegration (including the state transfer) and continue
