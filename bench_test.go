@@ -247,12 +247,24 @@ func BenchmarkPolledEpochPair(b *testing.B) {
 	if epochs != b.N {
 		b.Fatalf("the pair committed %d epochs of %d", epochs, b.N)
 	}
-	var traps uint64
+	var traps, polls uint64
+	var memo machine.MemoStats
 	for _, n := range pair.Nodes {
 		traps += n.HV.Stats.PrivSimulated + n.HV.Stats.EnvSimulated
+		polls += n.HV.Stats.EnvSimulated
+		ms := n.M.MemoStats()
+		memo.Calls += ms.Calls
+		memo.Hits += ms.Hits
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(traps), "ns/trap")
 	b.ReportMetric(float64(traps)/float64(2*b.N), "traps/epoch")
+	// The poll is the run memo's case (machine/memo.go): a run that got
+	// past boot into the poll and answered no Run call from the memo did
+	// not run the path this benchmark is the in-tree view of.
+	b.ReportMetric(100*float64(memo.Hits)/float64(memo.Calls), "memo-hit-%")
+	if memo.Hits == 0 && polls > 1000 {
+		b.Fatalf("no run-memo hit in %d Run calls, %d of them status polls", memo.Calls, polls)
+	}
 }
 
 // BenchmarkReplicatedPair measures the full §4 critical path the paper's

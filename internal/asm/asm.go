@@ -37,6 +37,13 @@ import (
 	"repro/internal/isa"
 )
 
+// MaxImageBytes bounds an assembled image, origin to end: 64 MiB, 64
+// times the RAM a session gives a machine. A source line can ask for
+// padding up to a 32-bit operand (.space, .org, .align); the bound is
+// what keeps one such line from costing gigabytes, and it is checked
+// before the padding is emitted.
+const MaxImageBytes = 64 << 20
+
 // Program is the result of assembling a source file.
 type Program struct {
 	// Origin is the load address of Words[0].
@@ -276,6 +283,36 @@ func isIdent(s string) bool {
 	return true
 }
 
+// room reports an error when n more bytes would take the image past
+// MaxImageBytes.
+func (a *assembler) room(line int, n uint64) error {
+	if size := uint64(a.loc-a.origin) + uint64(len(a.pending)) + n; size > MaxImageBytes {
+		return a.errf(line, "image of %d bytes exceeds the %d-byte limit", size, MaxImageBytes)
+	}
+	return nil
+}
+
+// padWords emits k zero words (the padding of .org, .space and .align)
+// without visiting them one by one, once it has checked there is room
+// for them.
+func (a *assembler) padWords(ln sourceLine, k uint32) error {
+	if err := a.flushBytes(ln.num); err != nil || k == 0 {
+		return err
+	}
+	if a.loc%4 != 0 {
+		return a.errf(ln.num, "location counter 0x%x not word-aligned", a.loc)
+	}
+	if err := a.room(ln.num, 4*uint64(k)); err != nil {
+		return err
+	}
+	if a.pass == 2 {
+		end := int((a.loc-a.origin)/4 + k)
+		a.out = append(a.out, make([]uint32, end-len(a.out))...)
+	}
+	a.loc += 4 * k
+	return nil
+}
+
 // emitWord appends one word at the current location counter.
 func (a *assembler) emitWord(ln sourceLine, w uint32) error {
 	if err := a.flushBytes(ln.num); err != nil {
@@ -283,6 +320,9 @@ func (a *assembler) emitWord(ln sourceLine, w uint32) error {
 	}
 	if a.loc%4 != 0 {
 		return a.errf(ln.num, "location counter 0x%x not word-aligned", a.loc)
+	}
+	if err := a.room(ln.num, 4); err != nil {
+		return err
 	}
 	if a.pass == 2 {
 		idx := (a.loc - a.origin) / 4
@@ -304,6 +344,9 @@ func (a *assembler) emitBytes(bs ...byte) {
 func (a *assembler) flushBytes(line int) error {
 	if len(a.pending) == 0 {
 		return nil
+	}
+	if err := a.room(line, 0); err != nil {
+		return err
 	}
 	bs := a.pending
 	a.pending = nil
@@ -350,12 +393,7 @@ func (a *assembler) directive(ln sourceLine, dir, rest string) error {
 			return a.errf(ln.num, ".org 0x%x not word-aligned", v)
 		}
 		// Pad the gap with zero words.
-		for a.loc < v {
-			if err := a.emitWord(ln, 0); err != nil {
-				return err
-			}
-		}
-		return nil
+		return a.padWords(ln, (v-a.loc+3)/4)
 	case ".word":
 		for _, part := range splitOperands(rest) {
 			v, err := a.eval(ln, part)
@@ -384,9 +422,14 @@ func (a *assembler) directive(ln sourceLine, dir, rest string) error {
 		if err != nil {
 			return err
 		}
-		for i := uint32(0); i < v; i++ {
+		// Zero bytes up to the next word, whole words, then the tail.
+		for ; v > 0 && len(a.pending)%4 != 0; v-- {
 			a.emitBytes(0)
 		}
+		if err := a.padWords(ln, v/4); err != nil {
+			return err
+		}
+		a.emitBytes(make([]byte, v%4)...)
 		return a.flushBytes(ln.num)
 	case ".align":
 		v, err := a.evalLayout(ln, rest)
@@ -399,12 +442,7 @@ func (a *assembler) directive(ln sourceLine, dir, rest string) error {
 		if err := a.flushBytes(ln.num); err != nil {
 			return err
 		}
-		for a.loc%v != 0 {
-			if err := a.emitWord(ln, 0); err != nil {
-				return err
-			}
-		}
-		return nil
+		return a.padWords(ln, ((v-a.loc%v)%v+3)/4)
 	case ".equ":
 		parts := splitOperands(rest)
 		if len(parts) != 2 {

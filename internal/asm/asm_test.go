@@ -3,6 +3,7 @@ package asm
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/isa"
 )
@@ -485,4 +486,81 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
+}
+
+// TestPaddingBound: .space, .org and .align take a 32-bit operand and
+// used to pad to it a byte or a word at a time — seconds and gigabytes
+// from one line. An image past MaxImageBytes is refused with the usual
+// line-numbered error before anything is padded; one inside it pads as
+// it always did.
+func TestPaddingBound(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		line string
+	}{
+		{"\t.space 0x10000000\n", "t.s:1:"},
+		{"\tnop\n\t.org 0x20000000\n", "t.s:2:"},
+		{"\tnop\n\t.align 0x10000000\n", "t.s:2:"},
+		{"\t.space 0xFFFFFFFF\n", "t.s:1:"},
+		{"\tnop\n\t.org 0xFFFFFFFC\n", "t.s:2:"},
+		{"\tnop\n\t.align 0x80000000\n", "t.s:2:"},
+		{"\t.org 0xFFFFF000\n\tnop\n\t.align 0x4000000\n\t.space 0x4000000\n", "t.s:4:"},
+		{"\t.byte 1\n\t.space 0x4000000\n", "t.s:2:"},
+		{"\t.space 0x4000000\n\tnop\n", "t.s:2:"},
+	} {
+		// The best of three: the refusal takes microseconds, a shared
+		// host's hiccup longer.
+		var p *Program
+		var err error
+		took := time.Hour
+		for try := 0; try < 3 && took > 10*time.Millisecond; try++ {
+			start := time.Now()
+			p, err = Assemble("t.s", c.src)
+			took = min(took, time.Since(start))
+		}
+		if took > 10*time.Millisecond {
+			t.Errorf("Assemble(%q) took %v", c.src, took)
+		}
+		if err == nil {
+			t.Errorf("Assemble(%q) succeeded with %d words", c.src, len(p.Words))
+		} else if !strings.Contains(err.Error(), "limit") || !strings.HasPrefix(err.Error(), c.line) {
+			t.Errorf("Assemble(%q) error = %q, want the size limit at %s", c.src, err, c.line)
+		}
+	}
+
+	// Inside the bound, byte for byte what padding one at a time gave.
+	p := mustAsm(t, `
+		.org 0x100
+		.byte 0xAA
+		.space 2           ; short of the word: .space pads it out
+		.byte 0xBB
+		.byte 0xCC
+		.space 9           ; 2 to the word, one whole word, 3 over
+		.word 0x11111111
+		.align 32
+	a:	.word 0x22222222
+		.org 0x180
+	b:	.word 0x33333333
+		.space 0
+		.space 1
+	c:	nop
+	`)
+	want := map[uint32]uint32{
+		0x100: 0x000000AA, 0x104: 0x0000CCBB, 0x108: 0, 0x10C: 0, 0x110: 0x11111111,
+		0x120: 0x22222222, 0x180: 0x33333333, 0x184: 0,
+	}
+	for addr := uint32(0x100); addr < p.MustSymbol("c"); addr += 4 {
+		if got := p.Words[(addr-p.Origin)/4]; got != want[addr] {
+			t.Errorf("word at %#x = %#08x, want %#08x", addr, got, want[addr])
+		}
+	}
+	if a, b, c := p.MustSymbol("a"), p.MustSymbol("b"), p.MustSymbol("c"); a != 0x120 || b != 0x180 || c != 0x188 {
+		t.Errorf("a, b, c = %#x, %#x, %#x; want 0x120, 0x180, 0x188", a, b, c)
+	}
+
+	// The largest image there is.
+	p = mustAsm(t, "\t.org 0x1000\n\t.space 0x3FFFFFC\nlast:\tnop\n")
+	if len(p.Words)*4 != MaxImageBytes || p.MustSymbol("last") != 0x1000+MaxImageBytes-4 {
+		t.Errorf("largest image: %d bytes, last at %#x", len(p.Words)*4, p.MustSymbol("last"))
+	}
 }

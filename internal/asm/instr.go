@@ -43,6 +43,9 @@ func (a *assembler) instruction(ln sourceLine, mnemonic, rest string) error {
 		}
 	}
 	if a.pass == 1 {
+		if err := a.room(ln.num, 4*uint64(size)); err != nil {
+			return err
+		}
 		a.loc += 4 * size
 		return nil
 	}

@@ -69,6 +69,55 @@ func TestDeviceTableSortedAtAttach(t *testing.T) {
 	hv.AttachDevice(device.Window{ID: "x", Base: 0x2010, Size: 0x20}, scsi.NewShadow())
 }
 
+// TestDevAtMatchesScan: devAt tries the device it matched last before
+// the table. Whatever the access pattern — one device polled, two
+// alternating, an offset in the gap after a window or past every window
+// right after a hit, a device attached after a hit — it answers what
+// the plain scan over the table answers.
+func TestDevAtMatchesScan(t *testing.T) {
+	hv, _ := newDevTableRig(t, 3) // disks at 0, 0x2000, 0x4000; console at 0x6000
+	scan := func(off uint32) *shadowDev {
+		for _, d := range hv.devs {
+			if d.win.Contains(off) {
+				return d
+			}
+		}
+		return nil
+	}
+	check := func(off uint32) {
+		t.Helper()
+		if got, want := hv.devAt(off), scan(off); got != want {
+			t.Fatalf("devAt(%#x) = %v, the scan finds %v (last hit %v)", off, got, want, hv.lastDev)
+		}
+	}
+	last := hv.devs[len(hv.devs)-1].win
+	offs := []uint32{
+		0x10, 0x10, 0x14, // one device, polled
+		0x2008, 0x10, 0x2008, 0x10, 0x6000, 0x4004, 0x6000, // alternating devices
+		scsi.AdapterWindow, 0x10, 0x1fff, // the gap behind a window, after a hit on it
+		0x2000 - 1, 0x2000, 0x2000 + scsi.AdapterWindow - 1, 0x2000 + scsi.AdapterWindow, // a window's edges
+		last.Base + last.Size - 1, last.Base + last.Size, 0x10, 0xFFFFF, 0xFFFFFFFF, // past every window
+	}
+	for _, off := range offs {
+		check(off)
+	}
+	for _, a := range offs {
+		for _, b := range offs {
+			check(a)
+			check(b)
+		}
+	}
+	// A device attached after a hit on its neighbour.
+	check(0x10)
+	hv.AttachDevice(device.Window{ID: "late", Base: 0x1000, Size: 0x20, Line: 9}, scsi.NewShadow())
+	if hv.lastDev != nil {
+		t.Error("AttachDevice kept the last-hit device across a table change")
+	}
+	for _, off := range append(offs, 0x1000, 0x101f, 0x1020) {
+		check(off)
+	}
+}
+
 // TestEpochDeliveryAllocFree pins the benchmark-guarded property: with
 // the device order cached at attach time, a boundary's delivery plus
 // the P7 scan allocate nothing, at any device count.

@@ -379,6 +379,10 @@ type Hypervisor struct {
 	// delivery, polling and P7 scans iterate it directly — no per-epoch
 	// rebuild or sort.
 	devs []*shadowDev
+	// lastDev is the device devAt matched last (nil: none yet), tried
+	// before the table: a guest polls one device at a time. Cleared
+	// wherever devs changes.
+	lastDev *shadowDev
 
 	// suppressed buffers the current epoch's suppressed environment
 	// output (backup side); see suppressedOutput.
@@ -442,13 +446,19 @@ func (hv *Hypervisor) AttachDevice(win device.Window, sh device.Shadow) {
 	hv.devs = append(hv.devs, nil)
 	copy(hv.devs[i+1:], hv.devs[i:])
 	hv.devs[i] = nd
+	hv.lastDev = nil
 }
 
 // devAt locates the shadow device covering MMIO offset off (nil when
-// the offset is outside every window).
+// the offset is outside every window). Windows do not overlap, so the
+// device that matched last time, when it matches, is the answer.
 func (hv *Hypervisor) devAt(off uint32) *shadowDev {
+	if d := hv.lastDev; d != nil && d.win.Contains(off) {
+		return d
+	}
 	for _, d := range hv.devs {
 		if d.win.Contains(off) {
+			hv.lastDev = d
 			return d
 		}
 	}

@@ -185,6 +185,17 @@ type Machine struct {
 	// traceOn enables superblock trace dispatch in Run (see trace.go):
 	// !Config.NoTraces.
 	traceOn bool
+	// maxTrace is the length in instructions of the longest trace this
+	// machine has built (0: none yet).
+	maxTrace uint32
+
+	// memo is the run memo (see memo.go) and runGen the generation of what
+	// a remembered call depends on besides the state it compares: it
+	// advances whenever RAM is written by anyone but a guest store
+	// (StorePhys32, WriteBytes, RestoreState) and whenever a trace entry is
+	// marked or built, which is what picks Run's path through the code.
+	memo   runMemo
+	runGen uint64
 }
 
 const (
@@ -503,6 +514,7 @@ func (m *Machine) LoadPhys32(pa uint32) uint32 {
 
 // StorePhys32 writes a word to physical RAM, for loaders, DMA and tests.
 func (m *Machine) StorePhys32(pa uint32, v uint32) {
+	m.runGen++
 	if tr := m.storePhys(pa, 4, v); tr != isa.TrapNone {
 		panic(fmt.Sprintf("machine: StorePhys32(%#x): %v", pa, tr))
 	}
@@ -532,6 +544,7 @@ func (m *Machine) WriteBytes(pa uint32, data []byte) {
 	if int64(pa)+int64(len(data)) > int64(m.memSize) {
 		panic(fmt.Sprintf("machine: WriteBytes(%#x, %d): out of range", pa, len(data)))
 	}
+	m.runGen++
 	for len(data) > 0 {
 		idx := pa >> isa.PageShift
 		off := pa & isa.PageMask

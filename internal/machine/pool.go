@@ -114,6 +114,7 @@ func grabPage() *decodedPage {
 // teardown) call it so the next session's machines build from recycled
 // buffers instead of cold allocations.
 func (m *Machine) Release() {
+	m.memo.drop()
 	if m.decodeCache != nil {
 		decodePool.Put(m.decodeCache)
 		m.decodeCache = nil

@@ -33,15 +33,42 @@ type RunResult struct {
 //     once per executed page: the page's physical base is cached and
 //     straight-line fetches read the RAM slice directly.
 //
-// The cached execution-page state is local to one Run call, so callers
-// may freely mutate PC, PSW, CRs, the TLB, or memory between calls (as
-// the hypervisor does when emulating instructions and delivering traps).
-// Within a call, instructions that can invalidate hoisted state — MTCTL,
-// RFI, ITLBI, PTLB — exit the fast loop and resync.
+// What persists between calls is derived state only, and none of it can
+// be seen by a caller that mutates PC, PSW, Regs, CRs, the TLB or memory
+// between calls (as the hypervisor does when emulating instructions and
+// delivering traps). The hoisted checks and the execution page are
+// re-established at the top of every call. The decoded pages and their
+// traces are functions of RAM and every write to RAM invalidates what it
+// covers. The run memo (memo.go) — the last short, register-only,
+// trap-ended call, replayed when the next call enters from an equal
+// state — compares everything such a call can read before it answers:
+// PC, PSW, every register, EIRR and EIEM by value, the TLB by a
+// generation its Insert, Purge and restore advance, RAM by the guest
+// store count plus a generation StorePhys32, WriteBytes and RestoreState
+// advance; and it replays RCTR and ITMR as the decrements they are, so
+// whatever the caller wrote there is what gets decremented. Within a
+// call, instructions that can invalidate hoisted state — MTCTL, RFI,
+// ITLBI, PTLB — exit the fast loop and resync.
 func (m *Machine) Run(max uint64) (rr RunResult) {
+	mm := &m.memo
+	mm.stats.Calls++
+	again := m.PC == mm.entryPC
+	mm.entryPC = m.PC
+	if mm.armed {
+		m.runArmed(max, again, &rr)
+	} else {
+		m.run(max, &rr)
+		m.arm(&rr)
+	}
+	return rr
+}
+
+// run is Run proper: it executes, where Run may remember. The result is
+// written through rr, which the caller hands in zeroed.
+func (m *Machine) run(max uint64, rr *RunResult) {
 	if m.halted {
 		rr.Halted = true
-		return rr
+		return
 	}
 	start := m.cycles
 	// fetchHits batches the per-fetch TLB hit statistic: the fast loop
@@ -63,14 +90,14 @@ outer:
 		if m.PSW&isa.PSWR != 0 && int32(m.CRs[isa.CRRCTR]) <= 0 {
 			m.Stats.Traps++
 			rr.Trap = isa.TrapRecovery
-			return rr
+			return
 		}
 		checkIRQ := m.PSW&isa.PSWI != 0
 		if checkIRQ && m.IRQPending() {
 			m.Stats.Traps++
 			rr.Trap = isa.TrapExtIntr
 			rr.ISR = m.CRs[isa.CREIRR] & m.CRs[isa.CREIEM]
-			return rr
+			return
 		}
 
 		// Budget: how many instructions may retire before an async
@@ -88,7 +115,7 @@ outer:
 		if m.PC%4 != 0 {
 			m.Stats.Traps++
 			rr.Trap, rr.IOR = isa.TrapAlign, m.PC
-			return rr
+			return
 		}
 		pageVA := m.PC &^ uint32(isa.PageMask)
 		var base uint32
@@ -99,13 +126,13 @@ outer:
 				m.TLB.Stats.Misses++ // the lookup Step would have made
 				m.Stats.Traps++
 				rr.Trap, rr.IOR = isa.TrapITLBMiss, m.PC
-				return rr
+				return
 			}
 			if !permitted(e, accessExec, m.PL()) {
 				m.TLB.touchFetch(idx) // Step's lookup hit before faulting
 				m.Stats.Traps++
 				rr.Trap, rr.IOR = isa.TrapAccess, m.PC
-				return rr
+				return
 			}
 			base = e.PPN << isa.PageShift
 			fetchSlot = idx
@@ -116,10 +143,11 @@ outer:
 			// The page straddles the MMIO window or the end of RAM:
 			// rare, so take the exact per-instruction path for one
 			// instruction and resync.
+			m.memo.stepped = true
 			res := m.Step()
 			if res.Trap != isa.TrapNone || res.Halted || res.Idle || res.Diag != 0 {
 				rr.StepResult = res
-				return rr
+				return
 			}
 			continue
 		}
@@ -157,7 +185,7 @@ outer:
 			switch ex {
 			case texTrap:
 				rr.StepResult = m.tres
-				return rr
+				return
 			case texResync:
 				continue outer
 			}
@@ -196,26 +224,26 @@ outer:
 				if in, w, ok = m.fill(pg, base, slot); !ok {
 					m.Stats.Traps++
 					rr.Trap, rr.ISR, rr.IOR = isa.TrapIllegal, w, m.PC
-					return rr
+					return
 				}
 			}
 			if pl != 0 && pg.priv[slot>>6]&bit != 0 {
 				m.Stats.Traps++
 				rr.Trap, rr.ISR, rr.IOR = isa.TrapPriv, uint32(in.Op), m.PC
 				rr.Inst, rr.Raw = in, w
-				return rr
+				return
 			}
 			if !m.execute(in, w) {
 				res := m.tres
 				if res.Trap != isa.TrapNone {
 					res.Inst, res.Raw = in, w
 					rr.StepResult = res
-					return rr
+					return
 				}
 				budget--
 				if res.Halted || res.Idle || res.Diag != 0 {
 					rr.StepResult = res
-					return rr
+					return
 				}
 				// A WFI that completed immediately: fall through to the
 				// post-retirement checks like any other instruction.
@@ -240,7 +268,6 @@ outer:
 			}
 		}
 	}
-	return rr
 }
 
 // plainRAMPage reports whether the page starting at physical address base

@@ -15,9 +15,10 @@ package machine
 // replacement-policy recency state (LRU stamps, round-robin cursor) and
 // the deferred fetch-touch slot. It deliberately EXCLUDES derived
 // caches: the decoded-page translation cache and the word-decode memo
-// are pure functions of RAM contents and instruction words, so
-// RestoreState drops them and they rebuild on demand — restoring into a
-// machine that previously executed different code is safe.
+// are pure functions of RAM contents and instruction words, and the run
+// memo (memo.go) of the state a call entered from, so RestoreState drops
+// them and they rebuild on demand — restoring into a machine that
+// previously executed different code is safe.
 //
 // The machine's byte format lives here and nowhere else: State.Encode
 // and DecodeState, over the leaf codec in internal/snapshot. State is
@@ -211,6 +212,9 @@ func (m *Machine) RestoreState(s State) error {
 	for i := range m.pages {
 		m.pages[i] = nil
 	}
+	// So is the run memo.
+	m.memo.drop()
+	m.runGen++
 	m.TLB.restoreState(s.TLB)
 	return nil
 }
@@ -252,6 +256,16 @@ func (t *TLB) checkRestorable(s TLBState) error {
 	if s.Pending < -1 || s.Pending >= len(t.slots) || s.Next < 0 {
 		return fmt.Errorf("machine: restore: TLB cursor out of range (pending %d, next %d, %d slots)", s.Pending, s.Next, len(t.slots))
 	}
+	if t.lru != nil {
+		// A touch advances the clock and then stamps, so no slot is ever
+		// stamped past it; the run memo finds the slots a call touched by
+		// that invariant.
+		for i, sl := range s.Slots {
+			if sl.LastUse > s.Stamp {
+				return fmt.Errorf("machine: restore: TLB slot %d stamped %d, past the LRU clock %d", i, sl.LastUse, s.Stamp)
+			}
+		}
+	}
 	return nil
 }
 
@@ -262,6 +276,7 @@ func (t *TLB) restoreState(s TLBState) {
 	}
 	t.pending = s.Pending
 	t.Stats = s.Stats
+	t.gen++
 	switch p := t.policy.(type) {
 	case *LRUPolicy:
 		p.stamp = s.Stamp

@@ -123,6 +123,20 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		t.Fatal("restore accepted a TLB-policy mismatch")
 	}
 
+	// An LRU slot stamped past the policy clock: no machine captures
+	// that (a touch advances the clock, then stamps), and the run memo
+	// finds the slots a call touched by exactly that invariant.
+	src.TLB.Insert(machine.TLBEntry{VPN: 3, PPN: 7})
+	ahead := src.CaptureState()
+	ahead.TLB.Slots[0].LastUse = ahead.TLB.Stamp + 1
+	dst := machine.New(machine.Config{MemBytes: 1 << 20, TLBSize: 8})
+	if err := dst.RestoreState(ahead); err == nil {
+		t.Fatal("restore accepted an LRU stamp ahead of the clock")
+	}
+	if err := dst.RestoreState(src.CaptureState()); err != nil {
+		t.Fatalf("restore refused a genuine capture: %v", err)
+	}
+
 	rnd := machine.New(machine.Config{MemBytes: 1 << 20, TLBSize: 8, TLBPolicy: "random"})
 	if err := rnd.RestoreState(rnd.CaptureState()); err == nil {
 		t.Fatal("restore accepted the chip-private random TLB policy")

@@ -117,6 +117,13 @@ type TLB struct {
 	// last-touch events across slots, which coalescing preserves;
 	// Stats.Hits is still counted per fetch.
 	pending int
+	// gen is the content generation: it advances whenever a slot's entry
+	// may have changed (Insert, Purge, restore). The run memo keys on it.
+	gen uint64
+	// replayable: the policy is one of this package's three, whose touch
+	// is either the LRU stamp write or nothing at all, so the run memo can
+	// replay a call's recency without calling Touch.
+	replayable bool
 
 	// Stats counts TLB behaviour for experiments.
 	Stats TLBStats
@@ -137,7 +144,12 @@ func NewTLB(n int, policy ReplacePolicy) *TLB {
 		panic(fmt.Sprintf("machine: TLB size %d", n))
 	}
 	lru, _ := policy.(*LRUPolicy)
-	return &TLB{slots: make([]TLBEntry, n), policy: policy, lru: lru, pending: -1}
+	replayable := false
+	switch policy.(type) {
+	case *LRUPolicy, *RoundRobinPolicy, *RandomPolicy:
+		replayable = true
+	}
+	return &TLB{slots: make([]TLBEntry, n), policy: policy, lru: lru, pending: -1, replayable: replayable}
 }
 
 // touch applies one recency update, devirtualized for the default LRU.
@@ -217,6 +229,7 @@ func (t *TLB) touchFetch(i int) {
 // VPN, else filling an invalid slot, else evicting per the policy.
 func (t *TLB) Insert(e TLBEntry) {
 	t.flushPending()
+	t.gen++
 	t.Stats.Inserts++
 	e.Valid = true
 	for i := range t.slots {
@@ -242,6 +255,7 @@ func (t *TLB) Insert(e TLBEntry) {
 // Purge invalidates every entry.
 func (t *TLB) Purge() {
 	t.flushPending()
+	t.gen++
 	t.Stats.Purges++
 	for i := range t.slots {
 		t.slots[i].Valid = false

@@ -165,6 +165,7 @@ func (m *Machine) traceFor(pg *decodedPage, base, slot uint32) *trace {
 	switch ti := pg.traceAt[slot]; ti {
 	case 0:
 		pg.traceAt[slot] = traceVisited
+		m.runGen++
 		return nil
 	case traceVisited:
 		return m.buildTrace(pg, base, slot)
@@ -268,6 +269,7 @@ func fusedKind(alu, br isa.Op) uint8 {
 // it on the page, and returns it — or marks the entry ineligible and
 // returns nil when the first instruction cannot be lowered.
 func (m *Machine) buildTrace(pg *decodedPage, base, entry uint32) *trace {
+	m.runGen++
 	tr := grabTrace()
 	ops := tr.ops
 	var ld, st, br uint8
@@ -394,6 +396,7 @@ func (m *Machine) buildTrace(pg *decodedPage, base, entry uint32) *trace {
 		return nil
 	}
 	tr.ops, tr.ilen = ops, uint32(pos)
+	m.maxTrace = max(m.maxTrace, tr.ilen)
 	tr.loads, tr.stores, tr.branches = uint32(ld), uint32(st), uint32(br)
 	pg.traces = append(pg.traces, tr)
 	pg.traceAt[entry] = uint16(len(pg.traces))

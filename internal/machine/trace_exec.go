@@ -754,6 +754,7 @@ link:
 	} else {
 		if ti == 0 {
 			pg.traceAt[slot] = traceVisited
+			m.runGen++
 		}
 		tr = nil
 	}

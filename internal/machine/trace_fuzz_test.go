@@ -1,8 +1,8 @@
 // Seeded differential fuzzing of the superblock trace layer: randomly
 // generated instruction pages — ALU-dense, branch-dense, memory-dense,
-// privileged/resync-heavy, and virtual-mode permission-trap mixes —
-// are driven through the Step and Run dispatch paths on identical
-// machines. Architected digests are compared at every chunk boundary
+// privileged/resync-heavy, virtual-mode permission-trap and emulated
+// trap-storm mixes — are driven through the Step and Run dispatch paths
+// on identical machines. Architected digests are compared at every chunk boundary
 // and full statistics (including TLB replacement state, the strictest
 // observable) at the end. Seeds are fixed, so any failure reproduces.
 //
@@ -292,9 +292,82 @@ func genVirt(r *rand.Rand) string {
 	return g.b.String()
 }
 
-// fuzzDiff assembles vectors+program, boots two identical machines, and
-// drives one with Step and one with Run, comparing at every chunk.
-func fuzzDiff(t *testing.T, cfg machine.Config, src string, chunk, limit uint64) {
+// genPoll: the trap-storm mix, the run memo's case (memo.go). Boot drops
+// to PL 1, where a load from the MMIO window and a clock read both trap;
+// the driver (emuChunk) emulates them the way a hypervisor does instead
+// of delivering them. The body strings status spins — load, mask,
+// branch back until a bit comes up — between arithmetic runs, so the
+// same short register-only call recurs from the same state, and the odd
+// division by zero still goes through the skip handler at PL 0.
+func genPoll(r *rand.Rand) string {
+	g := &fuzzGen{r: r}
+	g.label("boot")
+	g.f("li r1, %#x", fuzzIVA)
+	g.f("mtctl cr14, r1")
+	g.f("li r19, %#x", machine.MMIOBase)
+	g.f("li r20, 4000")
+	g.f("li r1, 1")
+	g.f("mtctl cr22, r1") // IPSW: PL 1, untranslated
+	g.f("li r1, loop")
+	g.f("mtctl cr23, r1") // IIA
+	g.f("rfi")
+	g.label("loop")
+	for i := 0; i < 12+r.Intn(12); i++ {
+		for n := r.Intn(6); n > 0; n-- {
+			g.alu()
+		}
+		switch r.Intn(4) {
+		case 0:
+			g.f("mftod r%d", g.reg())
+		default:
+			ra := g.reg()
+			g.label(fmt.Sprintf("s%d", i))
+			g.f("ldw r%d, %d(r19)", ra, 4*r.Intn(8))
+			for n := r.Intn(3); n > 0; n-- {
+				g.f("xor r%d, r%d, r0", g.reg(), g.reg()) // a register move inside the spin
+			}
+			g.f("andi r%d, r%d, %d", ra, ra, 1<<r.Intn(8))
+			g.f("beq r%d, r0, s%d", ra, i)
+		}
+	}
+	return g.close()
+}
+
+// emuChunk is stepChunk/runChunk for genPoll: a trapped load or clock
+// read is emulated — Rd takes the next value of a sequence that is
+// mostly zero, PC steps over it — and every other trap is delivered.
+// emulated counts per machine, so every arm sees the same sequence.
+func emuChunk(m *machine.Machine, n uint64, step bool, emulated *int) {
+	target := m.Cycles() + n
+	for m.Cycles() < target && !m.Halted() {
+		var res machine.StepResult
+		if step {
+			res = m.Step()
+		} else {
+			res = m.Run(target - m.Cycles()).StepResult
+		}
+		switch {
+		case res.Trap == isa.TrapNone:
+		case res.Inst.Op == isa.OpLDW && res.Trap == isa.TrapAccess, res.Inst.Op == isa.OpMFTOD && res.Trap == isa.TrapPriv:
+			v := uint32(0)
+			if *emulated++; *emulated%6 == 0 {
+				v = ^uint32(0)
+			}
+			if res.Inst.Rd != 0 {
+				m.Regs[res.Inst.Rd] = v
+			}
+			m.PC += 4
+		default:
+			m.DeliverTrap(res.Trap, res.ISR, res.IOR)
+		}
+	}
+}
+
+// fuzzDiff assembles vectors+program, boots identical machines, and
+// drives one with Step and the others with Run, comparing at every
+// chunk. With emulate the driver is emuChunk and the traced arm must
+// have answered calls from the run memo.
+func fuzzDiff(t *testing.T, cfg machine.Config, src string, chunk, limit uint64, emulate bool) {
 	t.Helper()
 	p, err := asm.Assemble("fuzz", src)
 	if err != nil {
@@ -309,10 +382,17 @@ func fuzzDiff(t *testing.T, cfg machine.Config, src string, chunk, limit uint64)
 	b.LoadProgram(p.Origin, p.Words, entry)
 	c.LoadProgram(p.Origin, p.Words, entry)
 
+	var emulated [3]int
 	for epoch := 0; a.Cycles() < limit && !a.Halted(); epoch++ {
-		stepChunk(a, chunk)
-		runChunk(b, chunk)
-		runChunk(c, chunk)
+		if emulate {
+			emuChunk(a, chunk, true, &emulated[0])
+			emuChunk(b, chunk, false, &emulated[1])
+			emuChunk(c, chunk, false, &emulated[2])
+		} else {
+			stepChunk(a, chunk)
+			runChunk(b, chunk)
+			runChunk(c, chunk)
+		}
 		if a.Cycles() != b.Cycles() || a.Cycles() != c.Cycles() {
 			t.Fatalf("epoch %d: cycles diverge: step=%d run=%d run-notrace=%d",
 				epoch, a.Cycles(), b.Cycles(), c.Cycles())
@@ -324,6 +404,9 @@ func fuzzDiff(t *testing.T, cfg machine.Config, src string, chunk, limit uint64)
 		if epoch%8 == 0 && (a.DigestMemory() != b.DigestMemory() || a.DigestMemory() != c.DigestMemory()) {
 			t.Fatalf("epoch %d (cycle %d): memory digests diverge", epoch, a.Cycles())
 		}
+	}
+	if ms := b.MemoStats(); emulate && ms.Hits == 0 {
+		t.Fatalf("%d emulated traps and no run-memo hit: %+v", emulated[1], ms)
 	}
 	for _, m := range []*machine.Machine{b, c} {
 		if a.Halted() != m.Halted() {
@@ -355,6 +438,7 @@ func TestTraceFuzzDifferential(t *testing.T) {
 		{"virt", machine.Config{TLBSize: 4}, fuzzVectors(true, true), genVirt},
 		{"virt-random-tlb", machine.Config{TLBSize: 4, TLBPolicy: "random", TLBSeed: 99},
 			fuzzVectors(true, true), genVirt},
+		{"poll", machine.Config{}, fuzzVectors(false, false), genPoll},
 	}
 	chunks := []uint64{97, 769, 1021}
 	for _, mix := range mixes {
@@ -362,7 +446,7 @@ func TestTraceFuzzDifferential(t *testing.T) {
 			name := fmt.Sprintf("%s/seed%d", mix.name, seed)
 			t.Run(name, func(t *testing.T) {
 				src := mix.vec + mix.gen(rand.New(rand.NewSource(seed*7919+int64(len(mix.name)))))
-				fuzzDiff(t, mix.cfg, src, chunks[seed%int64(len(chunks))], 120_000)
+				fuzzDiff(t, mix.cfg, src, chunks[seed%int64(len(chunks))], 120_000, mix.name == "poll")
 			})
 		}
 	}
