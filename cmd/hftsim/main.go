@@ -88,10 +88,10 @@ func main() {
 			os.Exit(1)
 		}
 		if rep.Failed() {
-			fmt.Printf("campaign FAILED: %d of %d runs violated invariants\n", len(rep.Violations), rep.Runs)
+			fmt.Printf("campaign FAILED: %d of %d runs violated invariants, digest %s\n", len(rep.Violations), rep.Runs, rep.Digest)
 			os.Exit(1)
 		}
-		fmt.Printf("campaign passed: %d runs, all invariants held\n", rep.Runs)
+		fmt.Printf("campaign passed: %d runs, all invariants held, digest %s\n", rep.Runs, rep.Digest)
 		return
 	}
 

@@ -1,7 +1,9 @@
 package chaos
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"os"
@@ -57,6 +59,11 @@ type ViolationReport struct {
 type CampaignReport struct {
 	Runs       int
 	Violations []ViolationReport
+	// Digest fingerprints what the runs did, not only that they held the
+	// invariants: every run's completion time and Metrics (commits,
+	// instructions, failovers, blackout), folded in run order. Two builds
+	// that print the same digest for one seed ran the same campaign.
+	Digest string
 }
 
 // Failed reports whether any run violated an invariant.
@@ -76,6 +83,23 @@ func runSeed(seed int64, i int) int64 {
 // the replay handle a violation report names.
 func ScheduleAt(seed int64, i int) Schedule {
 	return Generate(rand.New(rand.NewSource(runSeed(seed, i))))
+}
+
+// campaignDigest folds every run's outcome, in run order, into one value.
+func campaignDigest(reports []Report, metrics []Metrics) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	for i := range reports {
+		m := &metrics[i]
+		for _, v := range [...]uint64{
+			uint64(reports[i].Time), m.Commits, m.Instructions,
+			uint64(m.Failovers), uint64(m.Blackout),
+		} {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			h.Write(buf[:])
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // RunCampaign generates and executes o.Runs schedules across the
@@ -98,15 +122,16 @@ func RunCampaign(o CampaignOptions) (CampaignReport, error) {
 	// Execute the whole batch on the fleet scheduler. Reports land in
 	// run-index slots, so everything downstream is deterministic.
 	reports := make([]Report, o.Runs)
+	metrics := make([]Metrics, o.Runs)
 	workers := o.Workers
 	if workers == 0 {
 		workers = 1
 	}
 	sched.ForEach(workers, o.Runs, func(i int) {
-		reports[i] = Execute(ScheduleAt(o.Seed, i))
+		reports[i] = ExecuteOpts(ScheduleAt(o.Seed, i), ExecOptions{Metrics: &metrics[i]})
 	})
 
-	rep := CampaignReport{Runs: o.Runs}
+	rep := CampaignReport{Runs: o.Runs, Digest: campaignDigest(reports, metrics)}
 	for i := range reports {
 		if !reports[i].Failed() {
 			continue

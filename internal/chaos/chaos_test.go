@@ -95,6 +95,17 @@ func TestCampaignSmoke(t *testing.T) {
 		t.Errorf("run %d violated %v\nschedule: %v\nscenario:\n%s",
 			v.Run, v.Report.Violation, v.Schedule, v.Scenario)
 	}
+	// The digest pins what the runs did (completion time, commits,
+	// instructions, failovers, blackout, in run order): "clean" alone
+	// says only that the invariants held. It moves with any change to
+	// virtual time, and with nothing else.
+	want := "0f2c3e3b345931aa"
+	if testing.Short() {
+		want = "e3825c3b81b28064"
+	}
+	if rep.Digest != want {
+		t.Errorf("campaign digest %s over %d runs, pinned %s", rep.Digest, runs, want)
+	}
 }
 
 // TestCampaignFull is the acceptance-scale campaign: a seeded
