@@ -206,7 +206,9 @@ func BenchmarkHypervisorEpoch(b *testing.B) {
 // the guest polling NIC status through MMIO — a trap every five
 // instructions, each charged its own simulated time on both nodes, whose
 // sleeps interleave. b.N is committed epochs; ns/trap is host time per
-// simulated instruction across the pair.
+// simulated instruction across the pair; memo-hit-% is the share of
+// machine.Run calls recalled rather than executed, storm-poll-% the share
+// of status polls the hypervisors retired ahead, many to a sleep.
 func BenchmarkPolledEpochPair(b *testing.B) {
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
@@ -247,7 +249,7 @@ func BenchmarkPolledEpochPair(b *testing.B) {
 	if epochs != b.N {
 		b.Fatalf("the pair committed %d epochs of %d", epochs, b.N)
 	}
-	var traps, polls uint64
+	var traps, polls, ahead uint64
 	var memo machine.MemoStats
 	for _, n := range pair.Nodes {
 		traps += n.HV.Stats.PrivSimulated + n.HV.Stats.EnvSimulated
@@ -255,6 +257,7 @@ func BenchmarkPolledEpochPair(b *testing.B) {
 		ms := n.M.MemoStats()
 		memo.Calls += ms.Calls
 		memo.Hits += ms.Hits
+		ahead += n.HV.StormStats().Polls
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(traps), "ns/trap")
 	b.ReportMetric(float64(traps)/float64(2*b.N), "traps/epoch")
@@ -264,6 +267,13 @@ func BenchmarkPolledEpochPair(b *testing.B) {
 	b.ReportMetric(100*float64(memo.Hits)/float64(memo.Calls), "memo-hit-%")
 	if memo.Hits == 0 && polls > 1000 {
 		b.Fatalf("no run-memo hit in %d Run calls, %d of them status polls", memo.Calls, polls)
+	}
+	// Likewise the poll storm (hypervisor/storm.go): most of those hits
+	// should never have been separate Run calls at all. A pair that polled
+	// and retired nothing ahead has stopped running the storm path.
+	b.ReportMetric(100*float64(ahead)/float64(polls), "storm-poll-%")
+	if ahead == 0 && polls > 1000 {
+		b.Fatalf("no poll retired ahead of %d status polls (%d memo hits)", polls, memo.Hits)
 	}
 }
 

@@ -337,6 +337,10 @@ func (s *Shadow) Load(off uint32) uint32 {
 	return 0
 }
 
+// PureLoad implements device.Shadow: every register but RegIn, whose read
+// pops the input FIFO, reads without side effect.
+func (s *Shadow) PureLoad(off uint32) bool { return off != RegIn }
+
 // Store implements device.Shadow: a data write is environment output.
 func (s *Shadow) Store(off uint32, v uint32) device.Effect {
 	if off == RegData {

@@ -127,12 +127,23 @@ type Memory interface {
 // of the virtual machine the hypervisor interposes between the guest
 // and the real hardware. Implementations must be deterministic: Load
 // and Store may depend only on shadow state and their arguments, and
-// environment values may enter shadow state only through Apply.
+// environment values may enter shadow state only through Apply. Shadow
+// state therefore stands still between an epoch's boundaries unless the
+// guest itself stores to the device or loads a register that is not
+// pure — which is what lets a hypervisor know, while its guest spins on
+// a status register, what every further read of it will return.
 type Shadow interface {
 	// Load serves a guest MMIO load from shadow state. It may mutate
 	// shadow state deterministically (e.g. popping a delivered input
 	// FIFO).
 	Load(off uint32) uint32
+
+	// PureLoad reports whether Load(off) leaves shadow state untouched: a
+	// status or configuration register, whose next Load returns the same
+	// value until a Store or an Apply intervenes, as against a
+	// read-to-pop data register. The hypervisor retires an idle guest's
+	// polls ahead only on a register declared pure; when in doubt, false.
+	PureLoad(off uint32) bool
 
 	// Store applies a guest MMIO store to shadow state and classifies
 	// its effect for the hypervisor.

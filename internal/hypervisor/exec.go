@@ -31,7 +31,7 @@ import (
 // needed only where the epoch can really block — in a hook (see the
 // blocking rule at epochStep) — and at its end.
 func (hv *Hypervisor) RunEpoch(p *sim.Proc) Boundary {
-	hv.run = epochRun{target: hv.guestInstr + hv.cfg.EpochLength}
+	hv.run = epochRun{target: hv.guestInstr + hv.cfg.EpochLength, proc: p}
 	hv.cutAt = 0 // disarm: cuts never cross an epoch boundary
 	p.RunSteps(hv.step)
 	if hv.cutAt != 0 && hv.cutAt < hv.run.target && hv.guestInstr >= hv.cutAt {
@@ -66,6 +66,26 @@ type epochRun struct {
 	// time passed.
 	mmio bool
 	pa   uint32
+	// proc is the process driving the epoch: what the storm (storm.go)
+	// makes its promise through, inline steps being handed none.
+	proc *sim.Proc
+	// storm: the trap just emulated was a recalled poll's load of a pure
+	// device register — the next poll may be known in advance. Set at the
+	// end of phaseEmulate, consumed at the head of the phaseRun it runs
+	// into.
+	storm bool
+	// quiet: the poll in flight is one the standing promise covers, so
+	// its charges are returned with sim.StepQuiet.
+	quiet bool
+}
+
+// more is the status a charge is returned with: loud, unless the poll in
+// flight keeps the storm's promise.
+func (r *epochRun) more() sim.StepStatus {
+	if r.quiet {
+		return sim.StepQuiet
+	}
+	return sim.StepMore
 }
 
 // epochPhase names the piece of the epoch loop epochStep runs next.
@@ -126,13 +146,23 @@ func (hv *Hypervisor) epochStep(p *sim.Proc) (sim.Time, sim.StepStatus) {
 			remaining := eff - hv.guestInstr
 			m.CRs[isa.CRRCTR] = uint32(remaining)
 
+			// An idle guest's poll, known in advance: retire what can be
+			// retired ahead, or at least say the next one will be quiet.
+			r.quiet = false
+			if r.storm {
+				r.storm = false
+				if d := hv.stormAhead(remaining); d > 0 {
+					return d, sim.StepQuiet
+				}
+			}
+
 			// Execute a chunk, then sync simulated time and poll devices.
 			rr := m.Run(min(chunkSize, remaining))
 			hv.guestInstr += rr.Executed
 			hv.Stats.GuestInstructions += rr.Executed
 			r.res, r.phase = rr.StepResult, phasePoll
 			if rr.Executed > 0 {
-				return sim.Time(rr.Executed) * hv.cfg.Cost.InstructionTime, sim.StepMore
+				return sim.Time(rr.Executed) * hv.cfg.Cost.InstructionTime, r.more()
 			}
 
 		case phasePoll:
@@ -140,6 +170,11 @@ func (hv *Hypervisor) epochStep(p *sim.Proc) (sim.Time, sim.StepStatus) {
 				return 0, sim.StepBlock
 			}
 			// Poll real device lines raised while the chunk ran (P1 capture).
+			// A raised line is news from outside: whatever was promised
+			// about this poll, it is not quiet.
+			if m.CRs[isa.CREIRR] != 0 {
+				r.quiet = false
+			}
 			hv.pollDevices()
 			r.phase = phaseRun
 			switch {
@@ -150,7 +185,7 @@ func (hv *Hypervisor) epochStep(p *sim.Proc) (sim.Time, sim.StepStatus) {
 						hv.guestInstr, eff))
 				}
 			case r.res.Trap != isa.TrapNone:
-				return hv.trapCharges(), sim.StepMore
+				return hv.trapCharges(), r.more()
 			case r.res.Halted:
 				hv.halted = true
 			}
@@ -443,6 +478,10 @@ func (hv *Hypervisor) emulateMMIO(in isa.Inst, pa uint32) {
 		v := hv.mmioLoad(off)
 		hv.setGuestReg(in.Rd, v)
 		m.PC += 4
+		// A recalled call that ended on a load which changed nothing: the
+		// makings of a poll storm (storm.go). Asked only behind a memo hit,
+		// so a trap that was executed pays one flag test.
+		hv.run.storm = m.Recalled() && hv.pureLoad(off)
 	case isa.OpSTW, isa.OpSTH, isa.OpSTB:
 		hv.mmioStore(off, hv.guestReg(in.Rd))
 		m.PC += 4
@@ -462,6 +501,16 @@ func (hv *Hypervisor) mmioLoad(off uint32) uint32 {
 		return d.sh.Load(off - d.win.Base)
 	}
 	return 0
+}
+
+// pureLoad reports whether the load mmioLoad serves at off leaves shadow
+// state as it found it (device.Shadow.PureLoad; an offset outside every
+// window reads zero and is pure).
+func (hv *Hypervisor) pureLoad(off uint32) bool {
+	if d := hv.devAt(off); d != nil {
+		return d.sh.PureLoad(off - d.win.Base)
+	}
+	return true
 }
 
 // mmioStore serves a guest MMIO store: updates virtual device state

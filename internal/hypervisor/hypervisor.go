@@ -411,6 +411,9 @@ type Hypervisor struct {
 	Stop func() bool
 
 	Stats Stats
+	// stormStats counts polls retired ahead (storm.go); beside Stats, not
+	// in it: nothing encoded may depend on it.
+	stormStats StormStats
 }
 
 // New wraps a machine. The machine's Bus must already be wired (real

@@ -31,8 +31,15 @@ type rig struct {
 
 func newRig(t *testing.T, cfg Config, diskCfg scsi.DiskConfig) *rig {
 	t.Helper()
-	r := &rig{k: sim.NewKernel(1)}
-	t.Cleanup(func() { r.k.Shutdown() })
+	k := sim.NewKernel(1)
+	t.Cleanup(k.Shutdown)
+	return newRigOn(k, cfg, diskCfg)
+}
+
+// newRigOn builds a rig on a kernel the caller owns (several may share
+// one).
+func newRigOn(k *sim.Kernel, cfg Config, diskCfg scsi.DiskConfig) *rig {
+	r := &rig{k: k}
 	cycle := 20 * sim.Nanosecond
 	r.m = machine.New(machine.Config{
 		TODSource: func() uint32 { return uint32(r.k.Now() / cycle) },

@@ -12,13 +12,10 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/guest"
 	"repro/internal/hypervisor"
 	"repro/internal/machine"
-	"repro/internal/netsim"
 	"repro/internal/platform"
 	"repro/internal/replication"
-	"repro/internal/session"
 	"repro/internal/sim"
 )
 
@@ -45,24 +42,10 @@ func runPolledPair(t *testing.T, mc machine.Config, epochs uint64, at func(epoch
 		OutputCommit:  replication.OutputCommit{Enabled: true, Window: 16, Adaptive: true},
 		DetectTimeout: 50 * sim.Millisecond,
 	}
-	mc.MemBytes = session.GuestMemBytes
-	pair := platform.NewCluster(k, platform.Config{
-		Machine: mc,
-		Hypervisor: hypervisor.Config{
-			EpochLength: 256, AdaptiveBoundary: true, ResidentEmulation: true,
-		},
-		NIC:  true,
-		Link: netsim.ATM155(""),
-	}, 2)
-	prog := guest.Program()
-	for _, n := range pair.Nodes {
-		n.HV.Boot(prog.Origin, prog.Words, 0)
-		guest.Configure(n.M, guest.ServeRequests(1, 50)) // the request never comes
-	}
-	tx, rx := pair.Channel(0, 1)
-	pri := replication.NewReplica(pair.Nodes[0].HV, nil, []replication.Peer{{TX: tx, RX: rx}}, rc)
-	btx, brx := pair.Channel(1, 0)
-	bak := replication.NewReplica(pair.Nodes[1].HV, []replication.Peer{{TX: btx, RX: brx}}, nil, rc)
+	pair, reps := wireReplicas(k, 2, mc, hypervisor.Config{
+		EpochLength: 256, AdaptiveBoundary: true, ResidentEmulation: true,
+	}, rc, 1) // the request never comes
+	pri, bak := reps[0], reps[1]
 
 	var run polledRun
 	note := func(who string, node int, epoch uint64, at sim.Time, extra any) {

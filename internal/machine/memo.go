@@ -122,6 +122,8 @@ type runMemo struct {
 	valid bool
 	// stepped: the call in flight took the Step fallback.
 	stepped bool
+	// hit: the last call was answered from the entry (see Recalled).
+	hit bool
 
 	// The key.
 	regs       [isa.NumRegs]uint32
@@ -148,10 +150,12 @@ type runMemo struct {
 }
 
 // drop forgets the recorded call and disarms (RestoreState, Release).
-func (mm *runMemo) drop() { mm.armed, mm.valid = false, false }
+func (mm *runMemo) drop() { mm.armed, mm.valid, mm.hit = false, false, false }
 
-// arm applies the arm rule to the call that just returned.
+// arm applies the arm rule to the call that just returned: every call
+// that executed passes through here, and none that was recalled.
 func (m *Machine) arm(rr *RunResult) {
+	m.memo.hit = false
 	m.memo.armed = rr.Trap != isa.TrapNone && rr.Trap != isa.TrapRecovery && rr.Trap != isa.TrapExtIntr &&
 		rr.Executed <= memoMaxInstrs && m.traceOn && !debugNoMemo
 }
@@ -173,15 +177,90 @@ func (m *Machine) memoBudget(limit uint64) uint64 {
 	return b
 }
 
+// atKey reports whether the machine stands in the entry's key state.
+func (m *Machine) atKey() bool {
+	mm := &m.memo
+	tlb := m.TLB
+	return mm.pc == m.PC && mm.psw == m.PSW &&
+		mm.eirr == m.CRs[isa.CREIRR] && mm.eiem == m.CRs[isa.CREIEM] &&
+		mm.tlbGen == tlb.gen && mm.pending == tlb.pending &&
+		mm.stores == m.Stats.Stores && mm.runGen == m.runGen && mm.regs == m.Regs
+}
+
+// replay applies the recorded call j times over: a hit is a replay of
+// one. What a call accumulates — cycles, statistics, TLB hits, the LRU
+// clock, the RCTR and ITMR countdowns — accumulates j-fold; what it
+// overwrites — registers, PC, the deferred touch, each touched slot's
+// stamp — is left as the last of the j calls leaves it. A touch stamps
+// its slot off past the clock its call found, and that call found the
+// clock j-1 advances on.
+func (m *Machine) replay(j uint64) {
+	mm := &m.memo
+	tlb := m.TLB
+	m.Regs, m.PC = mm.outRegs, mm.outPC
+	m.cycles += j * mm.n
+	m.Stats.Instructions += j * mm.n
+	m.Stats.Branches += j * mm.branches
+	m.Stats.Traps += j * mm.traps
+	if m.PSW&isa.PSWR != 0 {
+		m.CRs[isa.CRRCTR] -= uint32(j * mm.n)
+	}
+	if m.CRs[isa.CRITMR] != 0 {
+		m.CRs[isa.CRITMR] -= uint32(j * mm.n) // stays armed: need > n
+	}
+	tlb.Stats.Hits += j * mm.tlbHits
+	if lru := tlb.lru; lru != nil {
+		last := lru.stamp + (j-1)*mm.stamp
+		for _, t := range mm.touched[:mm.ntouched] {
+			lru.last[t.slot] = last + t.off
+		}
+		lru.stamp += j * mm.stamp
+	}
+	tlb.pending = mm.outPending
+	mm.stats.Hits += j
+	mm.hit = true
+}
+
+// Recalled reports whether the last Run call was answered from the memo
+// rather than executed. No architected or encoded state depends on it; a
+// caller that emulates the trapped instruction asks it to learn that the
+// poll it is in is one the machine remembers (see Poll).
+func (m *Machine) Recalled() bool { return m.memo.hit }
+
+// Poll reports the call the memo would answer Run(limit) with, were it
+// made now: it would retire n instructions and end as the recalled call
+// before it did, provided — ok — the machine stands in the entry's key
+// state and the budget (limit, and RCTR and ITMR as they stand) reaches
+// need. A caller whose emulation of the trapped instruction returns the
+// machine to that key every time (an idle guest's poll of a register
+// that reads the same) can then count how many further calls would be
+// answered the same way — the i-th needs its own budget to reach need —
+// and have them all applied at once with ReplayHits.
+func (m *Machine) Poll(limit uint64) (n, need uint64, ok bool) {
+	mm := &m.memo
+	if !mm.armed || !mm.valid || m.halted || !m.atKey() || m.memoBudget(limit) < mm.need {
+		return 0, 0, false
+	}
+	return mm.n, mm.need, true
+}
+
+// ReplayHits leaves the machine as j consecutive Run calls leave it, each
+// answered from the memo, between which the caller restored the key state
+// (re-emulated the trapped instruction) and touched nothing else: RCTR
+// and ITMR count down j calls' worth from where they stand. The caller
+// has just had ok from Poll, and answers for the budget of every call
+// after the first.
+func (m *Machine) ReplayHits(j uint64) {
+	m.memo.stats.Calls += j
+	m.replay(j)
+}
+
 // runArmed is Run inside a trap storm: answer from the memo, or execute
 // and — if this entry state has now come twice running — record.
 func (m *Machine) runArmed(limit uint64, again bool, rr *RunResult) {
 	mm := &m.memo
 	tlb := m.TLB
-	same := mm.pc == m.PC && mm.psw == m.PSW &&
-		mm.eirr == m.CRs[isa.CREIRR] && mm.eiem == m.CRs[isa.CREIEM] &&
-		mm.tlbGen == tlb.gen && mm.pending == tlb.pending &&
-		mm.stores == m.Stats.Stores && mm.runGen == m.runGen && mm.regs == m.Regs
+	same := m.atKey()
 	switch {
 	case same && mm.valid && !m.halted:
 		if m.memoBudget(limit) < mm.need {
@@ -189,26 +268,7 @@ func (m *Machine) runArmed(limit uint64, again bool, rr *RunResult) {
 			// keep the entry for the next epoch.
 			break
 		}
-		m.Regs, m.PC = mm.outRegs, mm.outPC
-		m.cycles += mm.n
-		m.Stats.Instructions += mm.n
-		m.Stats.Branches += mm.branches
-		m.Stats.Traps += mm.traps
-		if m.PSW&isa.PSWR != 0 {
-			m.CRs[isa.CRRCTR] -= uint32(mm.n)
-		}
-		if m.CRs[isa.CRITMR] != 0 {
-			m.CRs[isa.CRITMR] -= uint32(mm.n) // stays armed: need > n
-		}
-		tlb.Stats.Hits += mm.tlbHits
-		if lru := tlb.lru; lru != nil {
-			for _, t := range mm.touched[:mm.ntouched] {
-				lru.last[t.slot] = lru.stamp + t.off
-			}
-			lru.stamp += mm.stamp
-		}
-		tlb.pending = mm.outPending
-		mm.stats.Hits++
+		m.replay(1)
 		rr.StepResult, rr.Executed = mm.res, mm.n
 		return
 	case same && again:

@@ -605,3 +605,104 @@ func TestRunMemoHitAllocs(t *testing.T) {
 		t.Fatalf("%v allocations per memo hit", allocs)
 	}
 }
+
+// TestReplayHits: ReplayHits(j) against j Run calls that each hit, the
+// driver re-emulating the trapped load between them, for every j up to
+// 100 under each replacement policy, in virtual and in real mode — every
+// byte of the encoded state (LRU stamps: the j-th call stamps its slots
+// off a clock j-1 advances on), the countdown in RCTR and ITMR, the
+// counters. Two rigs are warmed alike; one memo arm takes the calls one
+// by one, the other all at once.
+func TestReplayHits(t *testing.T) {
+	for _, cfg := range pollTLBs {
+		for _, virt := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/virt=%v", cfg.withDefaults().TLBPolicy, virt), func(t *testing.T) {
+				ra, rb := newPollRig(t, cfg, pollSpin, virt), newPollRig(t, cfg, pollSpin, virt)
+				ra.spin(40, 0)
+				rb.spin(40, 0)
+				one, all := ra.arms[3].m, rb.arms[3].m
+				emulate := func(m *Machine, rd isa.Reg) {
+					m.Regs[rd] = 0
+					m.PC += 4
+				}
+				const budget = 1 << 24
+				for _, m := range []*Machine{one, all} {
+					m.CRs[isa.CRRCTR] = budget
+					m.CRs[isa.CRITMR] = budget / 2 // armed, and far off: it counts down too
+				}
+				for j := uint64(1); j <= 100; j++ {
+					n, need, ok := all.Poll(256)
+					if !ok || n != 2 || need < n+1 {
+						t.Fatalf("j=%d: Poll = (%d, %d, %v) in the middle of a spin", j, n, need, ok)
+					}
+					var last RunResult
+					for i := uint64(0); i < j; i++ {
+						last = one.Run(256)
+						if !one.Recalled() || last.Trap != isa.TrapAccess || last.Executed != n {
+							t.Fatalf("j=%d call %d: %+v, recalled %v", j, i, last, one.Recalled())
+						}
+						emulate(one, last.Inst.Rd)
+					}
+					all.ReplayHits(j)
+					if !all.Recalled() {
+						t.Fatalf("j=%d: not Recalled after ReplayHits", j)
+					}
+					emulate(all, last.Inst.Rd)
+					if a, b := encodeMachine(one.CaptureState()), encodeMachine(all.CaptureState()); !bytes.Equal(a, b) {
+						t.Fatalf("j=%d: ReplayHits left other bytes than %d hits:\nTLB one %+v\nTLB all %+v\nCRs one %v\nCRs all %v",
+							j, j, one.TLB.captureState(), all.TLB.captureState(), one.CRs, all.CRs)
+					}
+					if one.MemoStats() != all.MemoStats() || one.Stats != all.Stats || one.TLB.Stats != all.TLB.Stats || one.Cycles() != all.Cycles() {
+						t.Fatalf("j=%d: counters differ:\n one %+v %+v %+v\n all %+v %+v %+v", j,
+							one.MemoStats(), one.Stats, one.TLB.Stats, all.MemoStats(), all.Stats, all.TLB.Stats)
+					}
+				}
+				if hits := one.MemoStats().Hits; hits < 5050 {
+					t.Fatalf("%d hits over the sweep, want 5050 and the warm-up's", hits)
+				}
+
+				// What Poll refuses: a budget short of need by either counter
+				// or the limit, a state off the key, a call that executed.
+				_, need, _ := all.Poll(256)
+				if _, _, ok := all.Poll(need - 1); ok {
+					t.Error("Poll accepted a limit under need")
+				}
+				all.CRs[isa.CRRCTR] = uint32(need - 1)
+				if _, _, ok := all.Poll(256); ok {
+					t.Error("Poll accepted a recovery counter under need")
+				}
+				all.CRs[isa.CRRCTR] = budget
+				all.Regs[9]++
+				if _, _, ok := all.Poll(256); ok {
+					t.Error("Poll accepted a scribbled register")
+				}
+				all.Regs[9]--
+				if _, _, ok := all.Poll(256); !ok {
+					t.Error("Poll refused the key state")
+				}
+				all.Regs[9]++
+				if rr := all.Run(256); all.Recalled() || rr.Trap != isa.TrapAccess {
+					t.Errorf("a call off the key: %+v, recalled %v", rr, all.Recalled())
+				}
+			})
+		}
+	}
+}
+
+// TestReplayHitsAllocs: a batch allocates nothing.
+func TestReplayHitsAllocs(t *testing.T) {
+	r := newPollRig(t, pollTLBs[0], pollSpin, true)
+	r.spin(40, 0)
+	m := r.arms[3].m
+	m.CRs[isa.CRRCTR] = 1 << 24
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, ok := m.Poll(256); !ok {
+			t.Fatal("Poll refused mid-spin")
+		}
+		m.ReplayHits(12)
+		m.Regs[3] = 0
+		m.PC += 4
+	}); n != 0 {
+		t.Errorf("%v allocations per Poll + ReplayHits", n)
+	}
+}

@@ -211,3 +211,116 @@ func TestPortCloneFrom(t *testing.T) {
 		t.Fatal("clone must not alias the source fifo")
 	}
 }
+
+// oldShadow is the receive side of Shadow as it stood while popping a
+// frame moved the whole backlog down a slot: the rule TestShadowDrainBacklog
+// holds the ring to.
+type oldShadow struct{ rx []frame }
+
+func (s *oldShadow) apply(data []byte) {
+	for len(data) > 0 {
+		var f frame
+		f, data, _ = readFrame(data)
+		s.rx = append(s.rx, f)
+	}
+}
+
+func (s *oldShadow) loadRxData() uint32 {
+	f := &s.rx[0]
+	v := f.words[0]
+	f.words = f.words[1:]
+	if len(f.words) == 0 {
+		rest := copy(s.rx, s.rx[1:])
+		s.rx[rest] = frame{}
+		s.rx = s.rx[:rest]
+	}
+	return v
+}
+
+func (s *oldShadow) marshalState() []byte {
+	b := device.AppendU32(nil, uint32(len(s.rx)))
+	for _, f := range s.rx {
+		b = device.AppendU32(b, f.seq)
+		b = device.AppendU32(b, uint32(len(f.words)))
+		for _, w := range f.words {
+			b = device.AppendU32(b, w)
+		}
+	}
+	return b
+}
+
+// TestShadowDrainBacklog drains a 1 000-frame backlog word by word, new
+// frames arriving on the way so that the ring wraps and grows while it is
+// read, and compares the encoded state after every pop and every arrival
+// with the old rule's — which paid a typedslicecopy of the whole backlog
+// per frame near a rate ladder's knee. MarshalState must not be able to
+// tell a ring from a slice; a drained shadow keeps its array; and a
+// decoded state carries on.
+func TestShadowDrainBacklog(t *testing.T) {
+	const frames = 1000
+	record := func(from, to uint32) []byte {
+		var data []byte
+		for i := from; i < to; i++ {
+			n := 1 + i%3
+			data = device.AppendU32(data, i)
+			data = device.AppendU32(data, n)
+			for j := uint32(0); j < n; j++ {
+				data = device.AppendU32(data, i<<8|j)
+			}
+		}
+		return data
+	}
+	p := New().NewPort(nil)
+	sh, old := NewShadow(), &oldShadow{}
+	next := uint32(1)
+	deliver := func(n uint32) {
+		data := record(next, next+n)
+		next += n
+		sh.Apply(device.Completion{Data: data}, memStub{}, portBus{p})
+		old.apply(data)
+	}
+	same := func(what string, i int) {
+		t.Helper()
+		if a, b := sh.MarshalState(), old.marshalState(); string(a) != string(b) {
+			t.Fatalf("%s %d: encoded state differs from the old rule's (%d against %d bytes)", what, i, len(a), len(b))
+		}
+	}
+	deliver(frames)
+	same("delivery", 0)
+	pops := 0
+	for sh.Load(RegStatus)&StatusRxAvail != 0 {
+		if got, want := sh.Load(RegRxData), old.loadRxData(); got != want {
+			t.Fatalf("pop %d: read %#x, the old rule read %#x", pops, got, want)
+		}
+		pops++
+		same("pop", pops)
+		if pops%97 == 0 && next < 3*frames {
+			deliver(uint32(pops % 61)) // while draining: the ring wraps, and now and then grows
+			same("delivery at pop", pops)
+		}
+		if pops == 1500 {
+			// A decoded state is a full ring with its head at zero.
+			back := NewShadow()
+			if err := back.UnmarshalState(sh.MarshalState()); err != nil {
+				t.Fatal(err)
+			}
+			sh = back
+		}
+	}
+	if pops < 2*frames || len(old.rx) != 0 {
+		t.Fatalf("drained %d words, the old rule left %d frames", pops, len(old.rx))
+	}
+	if got := sh.Load(RegRxData); got != 0 {
+		t.Fatalf("empty shadow read %#x", got)
+	}
+	// The drained shadow still takes frames, into the array it had.
+	if before := cap(sh.ring); sh.n != 0 || before == 0 {
+		t.Fatalf("drained shadow: %d pending, ring of %d", sh.n, before)
+	} else if deliver(2); cap(sh.ring) != before {
+		t.Fatalf("a drained shadow reallocated its ring: %d slots, then %d", before, cap(sh.ring))
+	}
+	same("delivery after the drain", 0)
+	if sh.Load(RegRxSeq) != next-2 || sh.Load(RegRxLen) != 1+(next-2)%3 {
+		t.Fatal("a drained shadow lost a delivered frame")
+	}
+}

@@ -14,7 +14,13 @@ import (
 // frame, like a disk completion or terminal input, arrives on every
 // replica at the same instruction-stream position.
 type Shadow struct {
-	rx []frame // delivered frames awaiting guest reads
+	// The delivered frames awaiting guest reads: a ring of n frames from
+	// ring[head], wrapping. Popping the head is one index step and pushing
+	// reallocates only when the backlog outgrows the array — the guest
+	// drains a long backlog (a rate ladder near its knee) without moving
+	// the frames behind the head, and an idle adapter keeps its array.
+	ring    []frame
+	head, n int
 }
 
 // NewShadow returns an empty virtual adapter.
@@ -29,36 +35,62 @@ func (s *Shadow) Load(off uint32) uint32 {
 	switch off {
 	case RegStatus:
 		v := StatusTxReady
-		if len(s.rx) > 0 {
+		if s.n > 0 {
 			v |= StatusRxAvail
 		}
 		return v
 	case RegRxData:
-		if len(s.rx) == 0 {
+		if s.n == 0 {
 			return 0
 		}
-		f := &s.rx[0]
+		f := &s.ring[s.head]
 		v := f.words[0]
 		f.words = f.words[1:]
 		if len(f.words) == 0 {
-			rest := copy(s.rx, s.rx[1:])
-			s.rx[rest] = frame{}
-			s.rx = s.rx[:rest]
+			*f = frame{} // the drained frame's words are not pinned
+			if s.head++; s.head == len(s.ring) {
+				s.head = 0
+			}
+			s.n--
 		}
 		return v
 	case RegRxLen:
-		if len(s.rx) == 0 {
+		if s.n == 0 {
 			return 0
 		}
-		return uint32(len(s.rx[0].words))
+		return uint32(len(s.ring[s.head].words))
 	case RegRxSeq:
-		if len(s.rx) == 0 {
+		if s.n == 0 {
 			return 0
 		}
-		return s.rx[0].seq
+		return s.ring[s.head].seq
 	}
 	return 0
 }
+
+// push appends a delivered frame, doubling the ring when it is full.
+func (s *Shadow) push(f frame) {
+	if s.n == len(s.ring) {
+		grown := make([]frame, max(4, 2*len(s.ring)))
+		k := copy(grown, s.ring[s.head:])
+		copy(grown[k:], s.ring[:s.head])
+		s.ring, s.head = grown, 0
+	}
+	s.ring[s.slot(s.n)] = f
+	s.n++
+}
+
+// slot is the ring index of the i-th pending frame.
+func (s *Shadow) slot(i int) int {
+	if i += s.head; i >= len(s.ring) {
+		i -= len(s.ring)
+	}
+	return i
+}
+
+// PureLoad implements device.Shadow: every register but RegRxData, whose
+// read pops the head frame, reads without side effect.
+func (s *Shadow) PureLoad(off uint32) bool { return off != RegRxData }
 
 // Store implements device.Shadow: TX stores are environment output.
 func (s *Shadow) Store(off uint32, v uint32) device.Effect {
@@ -118,7 +150,7 @@ func (s *Shadow) Apply(c device.Completion, mem device.Memory, bus device.Bus) {
 		if !ok {
 			break
 		}
-		s.rx = append(s.rx, f)
+		s.push(f)
 	}
 	bus.Store(RegRxConsume, c.Seq)
 }
@@ -191,8 +223,9 @@ func (s *Shadow) Recover(bus device.Bus, mem device.Memory, outstanding bool, bu
 
 // MarshalState implements device.Shadow.
 func (s *Shadow) MarshalState() []byte {
-	b := device.AppendU32(nil, uint32(len(s.rx)))
-	for _, f := range s.rx {
+	b := device.AppendU32(nil, uint32(s.n))
+	for i := 0; i < s.n; i++ {
+		f := &s.ring[s.slot(i)]
 		b = device.AppendU32(b, f.seq)
 		b = device.AppendU32(b, uint32(len(f.words)))
 		for _, w := range f.words {
@@ -222,6 +255,6 @@ func (s *Shadow) UnmarshalState(data []byte) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("nic: shadow state has %d trailing bytes", len(rest))
 	}
-	s.rx = rx
+	s.ring, s.head, s.n = rx, 0, len(rx) // filled to its capacity
 	return nil
 }

@@ -16,6 +16,7 @@ const (
 	schedNoFastPath                  // every sleep enqueues a wake and blocks
 	schedNoInline                    // every wake of a process in RunSteps switches into it
 	schedLiteral                     // RunSteps replaced by the loop it is defined as
+	schedNoAhead                     // quiet polls taken one sleep at a time, loudly, never promised
 )
 
 // schedTrace runs one seeded random scenario and returns its dispatch
@@ -25,17 +26,29 @@ const (
 // programs over shared signals, queues and cancelable callbacks, spawning
 // children, driven in RunUntil slices with Stop/ClearStop in between;
 // parked far-future callbacks sit in the heap throughout (the clientsim
-// retransmission-timer shape). Every random draw comes from the drawing
-// process's own stream, so the trace depends on the seed and on dispatch
-// order only.
+// retransmission-timer shape). Some step bodies hold a poll storm: a run
+// of quiet polls — sleep a, sleep b, touch nothing but the counts of polls
+// begun and done, which every record reports — which the process promises (PromiseQuiet) and retires ahead, one sleep
+// for as many polls as end before NextLoud, and which leaves one record
+// when it is over. Every random draw comes from the drawing process's own
+// stream, so the trace depends on the seed and on dispatch order only.
+// schedAhead counts the polls schedTrace's storms retired ahead.
+var schedAhead int
+
 func schedTrace(seed int64, parked int, mode schedMode) []string {
 	debugNoFastPath, debugNoInline = mode == schedNoFastPath, mode == schedNoInline
 	defer func() { debugNoFastPath, debugNoInline = false, false }()
 	k := NewKernel(seed)
 	defer k.Shutdown()
 	var trace []string
+	// begun and done count the polls every storm has begun and finished. A
+	// storm that retires polls ahead counts them ahead, so every record
+	// carries the counts: were anything loud dispatched inside a window
+	// slept over in one sleep, or at its last instant, its record would
+	// show a state the step-by-step run never had.
+	begun, done := 0, 0
 	log := func(who, what string) {
-		trace = append(trace, fmt.Sprintf("%d %s %s", k.Now(), who, what))
+		trace = append(trace, fmt.Sprintf("%d %s %s [%d/%d]", k.Now(), who, what, begun, done))
 	}
 	sigs := []*Signal{k.NewSignal("s0"), k.NewSignal("s1"), k.NewSignal("s2")}
 	queues := []*Queue[int]{NewQueue[int](k, "q0"), NewQueue[int](k, "q1")}
@@ -58,21 +71,67 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 		d    Time
 		s    *Signal
 		q    *Queue[int]
+		// A poll storm (kind 10): polls of sleep a, sleep b.
+		polls int
+		a, b  Time
 	}
-	stepBody := func(name string, r *rand.Rand) StepFunc {
+	quiet := StepQuiet
+	if mode == schedNoAhead {
+		quiet = StepMore
+	}
+	stepBody := func(name string, r *rand.Rand, self *Proc) StepFunc {
 		pieces := make([]piece, 1+r.Intn(6))
 		for i := range pieces {
-			pieces[i] = piece{r.Intn(10), durations[r.Intn(len(durations))],
-				sigs[r.Intn(len(sigs))], queues[r.Intn(len(queues))]}
+			pieces[i] = piece{kind: r.Intn(11), d: durations[r.Intn(len(durations))],
+				s: sigs[r.Intn(len(sigs))], q: queues[r.Intn(len(queues))],
+				polls: 1 + r.Intn(40), a: Time(1 + r.Intn(3)), b: Time(2 + r.Intn(12))}
 		}
 		i := 0
+		// The storm in progress: polls to go, between a poll's two sleeps,
+		// a poll begun and not yet counted done.
+		left, half, open := -1, false, false
 		return func(p *Proc) (Time, StepStatus) {
 			for i < len(pieces) {
 				pc := pieces[i]
-				if p == nil && pc.kind >= 8 {
+				if p == nil && pc.kind >= 8 && pc.kind < 10 {
 					return 0, StepBlock
 				}
 				who := fmt.Sprintf("%s.step%d", name, i)
+				if pc.kind == 10 {
+					if half {
+						half = false
+						return pc.b, quiet
+					}
+					if open {
+						open = false
+						done++
+					}
+					switch {
+					case left < 0:
+						left = pc.polls
+					case left == 0:
+						// The promise ended at this instant: loud again.
+						left = -1
+						i++
+						log(who, "polled")
+						continue
+					}
+					if mode != schedNoAhead {
+						now, per := k.Now(), pc.a+pc.b
+						loud, clear := self.PromiseQuiet(now+Time(left)*per, pc.a, pc.b)
+						if j := min(left, int((loud-now-1)/per)); clear && j > 0 {
+							left -= j
+							begun += j
+							done += j
+							schedAhead += j
+							return Time(j) * per, StepQuiet
+						}
+					}
+					left--
+					begun++
+					half, open = true, true
+					return pc.a, quiet
+				}
 				i++
 				switch pc.kind {
 				case 0, 1, 2, 3:
@@ -163,7 +222,7 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 						spawn(fmt.Sprintf("%s.%d", name, j), r.Int63())
 					}
 				case 14, 15:
-					step := stepBody(fmt.Sprintf("%s.%d", name, j), r)
+					step := stepBody(fmt.Sprintf("%s.%d", name, j), r, p)
 					if mode != schedLiteral {
 						p.RunSteps(step)
 					} else {
@@ -189,6 +248,7 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 	for i := 0; i < 200; i++ {
 		t += Time(1 + drv.Intn(300))
 		k.RunUntil(t)
+		log("driver", "pause") // the clock's holder sees the state too
 		if k.Stopped() {
 			log("driver", "stopped")
 			k.ClearStop()
@@ -207,9 +267,13 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 // trace, record for record, on every seed. The sleep fast path and
 // block's self-dispatch against every sleep enqueueing a wake and
 // blocking; inline steps against every wake of a process in RunSteps
-// switching into it; and RunSteps itself against the literal
-// step-then-Sleep loop it is defined as. Every fourth seed parks 500
-// far-future callbacks in the heap under the process wakes.
+// switching into it; RunSteps itself against the literal step-then-Sleep
+// loop it is defined as; and polls retired ahead under a promise against
+// every poll taken sleep by sleep — the promise contract's soundness:
+// whatever NextLoud admits, among random processes, signals, queues,
+// callbacks, Stop and RunUntil slices, nothing else's record moves. Every
+// fourth seed parks 500 far-future callbacks in the heap under the
+// process wakes.
 func TestSchedulerDifferential(t *testing.T) {
 	refs := []struct {
 		name string
@@ -218,13 +282,17 @@ func TestSchedulerDifferential(t *testing.T) {
 		{"no fast path", schedNoFastPath},
 		{"no inline steps", schedNoInline},
 		{"literal step loop", schedLiteral},
+		{"no polls ahead", schedNoAhead},
 	}
+	ahead := 0
 	for seed := int64(1); seed <= 240; seed++ {
 		parked := 0
 		if seed%4 == 0 {
 			parked = 500
 		}
+		schedAhead = 0
 		fast := schedTrace(seed, parked, schedFast)
+		ahead += schedAhead
 		if len(fast) < 20 {
 			t.Fatalf("seed %d: trace has only %d records; the scenario did not run", seed, len(fast))
 		}
@@ -244,6 +312,10 @@ func TestSchedulerDifferential(t *testing.T) {
 			}
 		}
 	}
+	if ahead < 10000 {
+		t.Errorf("the storms retired %d polls ahead over all seeds; the promise path is not being exercised", ahead)
+	}
+	t.Logf("%d polls retired ahead", ahead)
 }
 
 // --- coroutine process lifecycle ---

@@ -27,6 +27,20 @@
 // inline, on whatever stack is scheduling — and switches into the process
 // only when the run is over or a step says it might block. Dispatch order
 // and every (time, seq) key are those of the plain step-then-Sleep loop.
+//
+// Such a process may also know its own future: a replica whose guest
+// spins on a device register repeats one pair of sleeps, touching nothing
+// but its own state, until something reaches it from outside. It says so
+// with a promise (Proc.PromiseQuiet: until U my dispatches touch only my
+// own state and fall on the instants now + i(a+b) + {0, a}), and in return
+// the kernel answers the one question that makes the future safe to take
+// early — when can something loud next be dispatched (NextLoud). A
+// process that sleeps to a point strictly before that instant has slept
+// past nothing that could have seen, or changed, what it did on the way.
+// Loud is the default: every event callback, every dispatch into a
+// process and every entry to the scheduling loop voids all promises (one
+// generation counter), and so does a step that does not say, with
+// StepQuiet, that it kept its own.
 package sim
 
 import (
@@ -111,6 +125,10 @@ type Kernel struct {
 	inline  bool        // a step is running inline (stepInline): blocking is a bug
 	nprocs  int         // live (not yet finished) processes
 	idleFn  func() bool // optional hook when nothing is pending
+	// loud is the promise generation: a promise stands while its process's
+	// quietGen equals it, and every loud occurrence advances it. It starts
+	// at 1, so a process that never promised never matches.
+	loud uint64
 
 	// Bounded-progress watchdog (SetStallLimit): dispatch bookkeeping
 	// that detects a scheduler livelock — virtual time pinned at one
@@ -125,7 +143,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel whose random streams derive from seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{seed: seed, limit: -1}
+	return &Kernel{seed: seed, limit: -1, loud: 1}
 }
 
 // Now returns the current virtual time.
@@ -306,6 +324,41 @@ func (k *Kernel) NextEventTime() (Time, bool) {
 	return t, ok
 }
 
+// NextLoud reports the earliest instant at which something loud can be
+// dispatched: an occurrence that may read or write state other than its
+// own process's. A process whose own dispatches are quiet (PromiseQuiet)
+// may retire any of them that fall strictly before that instant ahead of
+// time and sleep to the last of them in one sleep: nothing dispatched on
+// the way could have told the difference. It is the minimum over the
+// event heap's head (every callback is loud), the wake of every parked
+// process that stands under no promise, the end of the promise of every
+// one that does, the instant after a RunUntil bound (the caller gets the
+// clock back at the bound) and, once Stop has been called, now. The
+// caller's own wake does not count: a process asks while it is being
+// dispatched, when it has none.
+func (k *Kernel) NextLoud() Time {
+	if k.stopped {
+		return k.now
+	}
+	t := Forever
+	if k.limit >= 0 {
+		t = k.limit + 1
+	}
+	if len(k.events) > 0 && k.events[0].at < t {
+		t = k.events[0].at
+	}
+	// Wakes are sorted and a promise never makes its process loud before
+	// its wake, so the scan ends at the first wake at or past the bound.
+	for i := len(k.wakes) - 1; i >= 0 && k.wakes[i].wakeAt < t; i-- {
+		p := k.wakes[i]
+		if p.quietGen != k.loud {
+			return p.wakeAt
+		}
+		t = min(t, max(p.quietUntil, p.wakeAt))
+	}
+	return t
+}
+
 // OnIdle registers a hook called when nothing is pending while
 // processes are still blocked. If the hook returns true the kernel
 // continues (the hook is expected to have scheduled new events); otherwise
@@ -421,6 +474,7 @@ func (k *Kernel) next() *Proc {
 				if p.steps != nil && !debugNoInline && k.stepInline(p) {
 					continue
 				}
+				k.loud++ // into a process: it may do anything
 				return p
 			}
 		}
@@ -442,6 +496,7 @@ func (k *Kernel) next() *Proc {
 		if k.stallLimit > 0 {
 			k.tick("(event)")
 		}
+		k.loud++ // a callback may do anything
 		fn()
 	}
 }
@@ -459,6 +514,7 @@ func (k *Kernel) loop() Time {
 			k.inline, k.stopped = false, true
 		}
 	}()
+	k.loud++ // whoever called Run may have done anything since the last one
 	for p := k.next(); p != nil; {
 		k.succ = nil
 		if p.resume(); p.done {
@@ -512,6 +568,11 @@ type Proc struct {
 	// while its pending wake is one of that call's sleeps: next runs such a
 	// wake's steps inline. Cleared by the kernel when the body finishes.
 	steps StepFunc
+	// The promise (PromiseQuiet), standing while quietGen == k.loud: until
+	// quietUntil the process's dispatches are quiet and fall on the
+	// instants quietAt + i(quietA+quietB) + {0, quietA}.
+	quietGen                            uint64
+	quietUntil, quietAt, quietA, quietB Time
 }
 
 // Name returns the name the process was spawned with.
@@ -641,6 +702,11 @@ const (
 	// short of something that might block; call it again, with the
 	// process, on the process's own stack.
 	StepBlock
+	// StepQuiet: StepMore from a step that kept its process's promise
+	// (PromiseQuiet): it touched nothing but the process's own state and
+	// ran at an instant the promise names. The only answer that leaves
+	// standing promises standing.
+	StepQuiet
 )
 
 // StepFunc is one resumable piece of a RunSteps body. Each call does the
@@ -659,6 +725,14 @@ const (
 // the process and repeats the call there, which picks up where this one
 // stopped. The kernel enforces the rule: a blocking primitive reached
 // from an inline step panics.
+//
+// A step is loud unless it says otherwise: whatever it answers but
+// StepQuiet voids every standing promise, its own process's included
+// (StepDone and StepBlock by the switch into the process that follows).
+// StepQuiet is StepMore plus the claim that the step kept the promise its
+// process made — see PromiseQuiet for what that binds it to. The kernel
+// cannot check the claim; a step that makes it falsely makes other
+// processes' runs ahead, and so the simulation, wrong.
 type StepFunc func(p *Proc) (d Time, st StepStatus)
 
 // RunSteps runs a body given as a step function. It is exactly
@@ -680,11 +754,13 @@ type StepFunc func(p *Proc) (d Time, st StepStatus)
 func (p *Proc) RunSteps(step StepFunc) {
 	for {
 		d, st := step(p)
-		if st != StepMore {
-			if st == StepBlock {
-				panic("sim: StepBlock from a step that was given its process")
-			}
+		switch st {
+		case StepDone:
 			return
+		case StepBlock:
+			panic("sim: StepBlock from a step that was given its process")
+		case StepMore:
+			p.k.loud++
 		}
 		p.steps = step // this sleep's wake may be dispatched inline
 		p.Sleep(d)
@@ -711,11 +787,60 @@ func (k *Kernel) stepInline(p *Proc) bool {
 			return false
 		case StepBlock:
 			return false
+		case StepMore:
+			k.loud++
 		}
 		if !k.sleep(p, d, false) {
 			return true
 		}
 	}
+}
+
+// PromiseQuiet is called by a step of p's RunSteps body, while it runs. It
+// promises that, for as long as nothing loud is dispatched, every
+// dispatch of p before the instant until touches only p's own state —
+// no other process's, no event, no signal, nothing a callback or another
+// process reads — and falls on p's lattice: the instants
+// now + i(a+b) + {0, a}, i.e. p alternates sleeps of a and b starting
+// now (or sleeps any whole number of those pairs at once). The step
+// making the promise, and every later one that keeps it, answers
+// StepQuiet; the promise ends at until, at the first loud occurrence
+// anywhere, or when p replaces it. Replacing it with one on a different
+// lattice is itself loud.
+//
+// It returns NextLoud and whether p's lattice is clear of every other
+// standing promise's: with equal (a, b) two lattices share an instant
+// when their anchors differ by 0, a or b modulo a+b; with different
+// (a, b) they are taken to. p may retire its dispatches ahead, and sleep
+// over them in one sleep, up to a lattice instant strictly before loud,
+// and only if clear: then no (time, seq) comparison involving the one
+// wake is ever decided by seq — everything loud lies after it, and no
+// quiet dispatch shares its instant — so dispatch order is that of the
+// run in which p slept every sleep. A promise with a+b <= 0 is not
+// recorded and reports not clear.
+func (p *Proc) PromiseQuiet(until, a, b Time) (loud Time, clear bool) {
+	k := p.k
+	period := a + b
+	if a < 0 || b < 0 || period <= 0 {
+		return k.NextLoud(), false
+	}
+	if p.quietGen == k.loud && (p.quietA != a || p.quietB != b || (k.now-p.quietAt)%period != 0) {
+		k.loud++ // others may have run ahead against the old lattice
+	}
+	p.quietGen, p.quietUntil, p.quietAt, p.quietA, p.quietB = k.loud, until, k.now, a, b
+	loud = k.NextLoud()
+	// Only a process dispatched before loud can meet p on the way there,
+	// and NextLoud has just shown that each of those stands promised.
+	for i := len(k.wakes) - 1; i >= 0 && k.wakes[i].wakeAt < loud; i-- {
+		q := k.wakes[i]
+		if q.quietA != a || q.quietB != b {
+			return loud, false
+		}
+		if d := (k.now - q.quietAt) % period; d == 0 || d == a || d == b {
+			return loud, false
+		}
+	}
+	return loud, true
 }
 
 // Signal is a broadcast condition in virtual time. Waiters are woken by
