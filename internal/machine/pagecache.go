@@ -122,6 +122,15 @@ func (m *Machine) invalidateWord(pa uint32) {
 	}
 }
 
+// decodedAt reports whether invalidateWord would find anything to drop
+// for a store to the word holding va (the page offset is all it reads):
+// a decoded slot, a trace covering it, or an entry mark. The trace
+// executor asks before it stores through its data window.
+func (pg *decodedPage) decodedAt(va uint32) bool {
+	slot, word := va>>2&(instsPerPage-1), va>>8&(instsPerPage/64-1)
+	return (pg.valid[word]|pg.cover[word])>>(slot&63)&1 != 0 || pg.traceAt[slot] != 0
+}
+
 // invalidateStore drops the cached slot(s) covered by a store of size
 // 1, 2 or 4 bytes at pa. Guest stores are alignment-checked and touch
 // one word, but the physical-store path (StorePhys32, loaders, tests)

@@ -34,14 +34,14 @@ func grabDecodeCache() *[decodeCacheSize]decodeEntry {
 	return new([decodeCacheSize]decodeEntry)
 }
 
-// grabTrace returns an empty trace record, reusing a recycled one's ops
-// capacity when available.
+// grabTrace returns an empty trace record, reusing a recycled one's code
+// and ops capacity when available.
 func grabTrace() *trace {
 	if tr, _ := tracePool.Get().(*trace); tr != nil {
-		tr.ops = tr.ops[:0]
+		tr.code, tr.ops = tr.code[:0], tr.ops[:0]
 		return tr
 	}
-	return &trace{ops: make([]traceOp, 0, 16)}
+	return &trace{code: make([]uint64, 0, 16), ops: make([]traceOp, 0, 16)}
 }
 
 // putTraces recycles dropped trace records.

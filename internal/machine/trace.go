@@ -31,9 +31,12 @@ import (
 //   - data accesses replicate translate/loadPhys/storePhys including
 //     TLB recency (flushPending + touch + hit/miss counts) and the
 //     deferred fetch-touch re-arm;
-//   - stores check the page generation counter after every write, so
-//     self-modifying code exits the trace the moment it overwrites any
-//     covered slot (the store itself retires, like Step);
+//   - a store onto a word with anything decoded on it goes through
+//     storePhys, and the page generation counter is checked behind it,
+//     so self-modifying code exits the trace the moment it overwrites
+//     any covered slot (the store itself retires, like Step); every
+//     other store has nothing to invalidate (see the data window in
+//     trace_exec.go);
 //   - traps reconstruct the faulting PC and StepResult (Inst/Raw
 //     included) from the op's position, leaving architected state
 //     exactly as Step would.
@@ -119,13 +122,16 @@ const (
 	tFSLTIBNE
 )
 
-// traceOp is one lowered operation (16 bytes). pos is the instruction
+// traceOp is one lowered operation as lowering sees it, and the cold
+// half of what the executor keeps (16 bytes). pos is the instruction
 // index of the op within its trace (fused ops span pos and pos+1);
 // ld/st/br are the load/store/branch counts retired BEFORE the op, so
 // exits need no per-op counters. imm is the precomputed immediate —
 // for plain branches and BL, the taken-target byte offset from the
 // trace entry address. aux is the fused-branch taken offset, or BL's
-// link offset.
+// link offset. The executor dispatches on word() and comes back to this
+// record only where it leaves the trace: a taken branch, a resync, a
+// trap.
 type traceOp struct {
 	kind       uint8
 	rd, r1, r2 uint8
@@ -135,9 +141,24 @@ type traceOp struct {
 	aux        uint32
 }
 
-// trace is one superblock: the lowered ops plus whole-trace totals for
-// the common run-to-the-end exit.
+// word packs what executing the op needs into the one uint64 the hot
+// loop loads: kind | rd<<8 | r1<<16 | r2<<24 | imm<<32. Decode keeps the
+// register fields to five bits, which is what lets the loop index the
+// register file with &31 and no bounds check (see opRd and friends).
+func (op traceOp) word() uint64 {
+	return uint64(op.kind) | uint64(op.rd)<<8 | uint64(op.r1)<<16 | uint64(op.r2)<<24 | uint64(op.imm)<<32
+}
+
+func opRd(w uint64) uint64  { return w >> 8 & 31 }
+func opR1(w uint64) uint64  { return w >> 16 & 31 }
+func opR2(w uint64) uint64  { return w >> 24 & 31 }
+func opImm(w uint64) uint32 { return uint32(w >> 32) }
+
+// trace is one superblock: the packed words the executor runs (code),
+// the side table it reads at exits (ops, index for index), and
+// whole-trace totals for the common run-to-the-end exit.
 type trace struct {
+	code                    []uint64
 	ops                     []traceOp
 	ilen                    uint32 // instructions retired when no side exit is taken
 	loads, stores, branches uint32
@@ -271,7 +292,7 @@ func fusedKind(alu, br isa.Op) uint8 {
 func (m *Machine) buildTrace(pg *decodedPage, base, entry uint32) *trace {
 	m.runGen++
 	tr := grabTrace()
-	ops := tr.ops
+	code, ops := tr.code, tr.ops
 	var ld, st, br uint8
 	pos := uint8(0)
 	slot := entry
@@ -386,7 +407,7 @@ func (m *Machine) buildTrace(pg *decodedPage, base, entry uint32) *trace {
 			stop = true
 			continue
 		}
-		ops = append(ops, op)
+		code, ops = append(code, op.word()), append(ops, op)
 		pos += width
 		slot += uint32(width)
 	}
@@ -395,7 +416,7 @@ func (m *Machine) buildTrace(pg *decodedPage, base, entry uint32) *trace {
 		tracePool.Put(tr)
 		return nil
 	}
-	tr.ops, tr.ilen = ops, uint32(pos)
+	tr.code, tr.ops, tr.ilen = code, ops, uint32(pos)
 	m.maxTrace = max(m.maxTrace, tr.ilen)
 	tr.loads, tr.stores, tr.branches = uint32(ld), uint32(st), uint32(br)
 	pg.traces = append(pg.traces, tr)
