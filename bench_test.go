@@ -9,6 +9,7 @@ package hft
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -309,6 +310,80 @@ func BenchmarkPolledEpochPair(b *testing.B) {
 	if ahead == 0 && polls > 1000 {
 		b.Fatalf("no poll retired ahead of %d status polls (%d memo hits)", polls, memo.Hits)
 	}
+}
+
+// BenchmarkBareSpin measures the baseline every figure divides by (§4's
+// N in N'/N) on the two guests that wait: ServeRequests polls the NIC's
+// status register until a request arrives, DiskRead spins on its
+// completion flag until the interrupt handler sets it. Neither poll
+// traps — a bare guest owns its devices — so neither is the run memo's
+// case; both are the trace executor's spin, retired in closed form
+// (machine/trace_exec.go, Spins). b.N is bare runs; spin-instr-% is the
+// share of the guest's instructions that never executed one by one.
+func BenchmarkBareSpin(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		opts []Option
+	}{
+		{"serve", []Option{WithWorkload(ServeRequests(20, 50)), WithClientLoad(ClientLoad{})}},
+		{"disk", []Option{WithWorkload(DiskRead(1, 8192))}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var spun, instr uint64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cl, m := bareProbe(b, append(c.opts, Bare())...)
+				if _, err := cl.Wait(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				spun += m.MemoStats().Spun
+				instr += m.Stats.Instructions
+				cl.Close()
+			}
+			b.ReportMetric(100*float64(spun)/float64(instr), "spin-instr-%")
+			// A guest that waited and retired none of its wait in closed
+			// form has stopped running the path this benchmark is the
+			// in-tree view of.
+			if spun == 0 {
+				b.Fatalf("no instruction of %d retired in closed form", instr)
+			}
+		})
+	}
+}
+
+// bareProbe builds the Cluster opts describe around a probe: the Cluster
+// API hands out no machine, so the built-in workload is plugged back in
+// as a Program whose Setup keeps the machine it configures.
+func bareProbe(tb testing.TB, opts ...Option) (*Cluster, *machine.Machine) {
+	tb.Helper()
+	o, err := buildOptions(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := &probeProgram{Program: session.WorkloadProgram(o.workload)}
+	o.program = p
+	cl := newCluster(o)
+	if _, err := cl.RunFor(0); err != nil || p.m == nil {
+		tb.Fatalf("boot: %v", err)
+	}
+	return cl, p.m
+}
+
+// probeProgram is a session program seen through the public Program
+// interface, remembering the machine it set up.
+type probeProgram struct {
+	session.Program
+	m *machine.Machine
+}
+
+func (p *probeProgram) Setup(mem GuestMemory) {
+	p.m = mem.(machineMemory).m
+	p.Program.Setup(p.m)
+}
+
+func (p *probeProgram) Result(mem GuestMemory) ProgramResult {
+	r := p.Program.Result(mem.(machineMemory).m)
+	return ProgramResult{Checksum: r.Checksum, Panic: r.Panic}
 }
 
 // BenchmarkReplicatedPair measures the full §4 critical path the paper's

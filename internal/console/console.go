@@ -54,6 +54,12 @@ const (
 	StatusRxAvail uint32 = 1 << 1 // input pending
 )
 
+// popsOnRead is the console's one purity rule: a load of RegIn pops the
+// input FIFO; every other register reads without side effect.
+// Port.MMIOPure (a bare machine's loads) and Shadow.PureLoad (a
+// hypervisor's) both answer from it.
+func popsOnRead(off uint32) bool { return off == RegIn }
+
 // Input is one scripted environment input event: Data arrives at
 // virtual time At.
 type Input struct {
@@ -253,6 +259,9 @@ func (p *Port) MMIOLoad(off uint32, size int) (uint32, error) {
 	return 0, errBadReg(off)
 }
 
+// MMIOPure implements machine.MMIOHandler (see popsOnRead).
+func (p *Port) MMIOPure(off uint32) bool { return !popsOnRead(off) }
+
 // MMIOStore implements machine.MMIOHandler.
 func (p *Port) MMIOStore(off uint32, size int, v uint32) error {
 	switch off {
@@ -337,9 +346,8 @@ func (s *Shadow) Load(off uint32) uint32 {
 	return 0
 }
 
-// PureLoad implements device.Shadow: every register but RegIn, whose read
-// pops the input FIFO, reads without side effect.
-func (s *Shadow) PureLoad(off uint32) bool { return off != RegIn }
+// PureLoad implements device.Shadow (see popsOnRead).
+func (s *Shadow) PureLoad(off uint32) bool { return !popsOnRead(off) }
 
 // Store implements device.Shadow: a data write is environment output.
 func (s *Shadow) Store(off uint32, v uint32) device.Effect {

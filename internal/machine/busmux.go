@@ -61,3 +61,9 @@ func (b *BusMux) MMIOStore(off uint32, size int, v uint32) error {
 	}
 	return r.h.MMIOStore(off-r.base, size, v)
 }
+
+// MMIOPure implements MMIOHandler: the device at off answers for itself.
+func (b *BusMux) MMIOPure(off uint32) bool {
+	r, ok := b.find(off)
+	return ok && r.h.MMIOPure(off-r.base)
+}

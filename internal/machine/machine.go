@@ -33,9 +33,16 @@ const (
 // stores that hit the MMIO window (at privilege level 0) are routed here.
 // Addresses are physical and offsets within the window. Size is 1, 2 or 4
 // bytes. Errors become machine checks.
+//
+// MMIOPure reports whether a load at addr leaves the device as it found
+// it — a status latch, not a read-to-pop FIFO — so that, with nothing
+// else moving, the same load returns the same value again. The trace
+// executor relies on it to retire a guest's status poll in closed form
+// (trace_exec.go, Spins); answering false is always safe.
 type MMIOHandler interface {
 	MMIOLoad(addr uint32, size int) (uint32, error)
 	MMIOStore(addr uint32, size int, v uint32) error
+	MMIOPure(addr uint32) bool
 }
 
 // MMIOBase and MMIOSize delimit the memory-mapped I/O window in

@@ -626,6 +626,8 @@ func (d *mmioRecorder) MMIOStore(addr uint32, size int, v uint32) error {
 	return nil
 }
 
+func (d *mmioRecorder) MMIOPure(uint32) bool { return false } // it records every load
+
 func TestMMIOAccess(t *testing.T) {
 	dev := &mmioRecorder{val: 0x55}
 	m := load(t, `

@@ -94,15 +94,18 @@ const (
 // the reference arm of the polling differential.
 var debugNoMemo bool
 
-// MemoStats counts run-memo activity: Run calls, how many of them were
-// answered from the memo, and how many were recorded into it. It is
+// MemoStats counts what Run retired without executing it: Run calls, how
+// many of them were answered from the memo, and how many were recorded
+// into it; and Spun, the instructions of spinning self-loops the trace
+// executor retired in closed form (trace_exec.go, Spins). It is
 // deliberately not part of Stats or State — no encoded byte may depend
-// on whether a call hit.
+// on whether a call hit or a spin was fast-forwarded.
 type MemoStats struct {
 	Calls, Hits, Records uint64
+	Spun                 uint64
 }
 
-// MemoStats returns the machine's run-memo counters.
+// MemoStats returns the machine's run-memo and spin counters.
 func (m *Machine) MemoStats() MemoStats { return m.memo.stats }
 
 // memoTouch is one replayed LRU touch: the slot's stamp as an offset

@@ -446,6 +446,7 @@ type countBus struct{ loads, stores uint32 }
 
 func (b *countBus) MMIOLoad(uint32, int) (uint32, error) { b.loads++; return b.loads, nil }
 func (b *countBus) MMIOStore(uint32, int, uint32) error  { b.stores++; return nil }
+func (b *countBus) MMIOPure(uint32) bool                 { return false }
 
 // TestRunMemoNeverRecords: short trap-ended calls from a recurring state
 // that are none the less not functions of that state — each retires an

@@ -162,6 +162,9 @@ type trace struct {
 	ops                     []traceOp
 	ilen                    uint32 // instructions retired when no side exit is taken
 	loads, stores, branches uint32
+	// spin is how many ops, from the first, a self-loop iteration may
+	// span and still carry nothing into the next (see spinPrefix).
+	spin int
 }
 
 // dropTraces discards every trace on the page and bumps the generation
@@ -416,7 +419,7 @@ func (m *Machine) buildTrace(pg *decodedPage, base, entry uint32) *trace {
 		tracePool.Put(tr)
 		return nil
 	}
-	tr.code, tr.ops, tr.ilen = code, ops, uint32(pos)
+	tr.code, tr.ops, tr.ilen, tr.spin = code, ops, uint32(pos), spinPrefix(ops)
 	m.maxTrace = max(m.maxTrace, tr.ilen)
 	tr.loads, tr.stores, tr.branches = uint32(ld), uint32(st), uint32(br)
 	pg.traces = append(pg.traces, tr)
@@ -425,4 +428,37 @@ func (m *Machine) buildTrace(pg *decodedPage, base, entry uint32) *trace {
 		pg.cover[s>>6] |= 1 << (s & 63)
 	}
 	return tr
+}
+
+// spinPrefix is the length of the longest prefix of ops that contains no
+// store and writes no register it read before writing it (r0 reads as
+// zero and is never written): an iteration of a self-loop inside it
+// carries no state into the next, except through memory and devices,
+// which the executor watches at run time (see texState.spin).
+func spinPrefix(ops []traceOp) int {
+	var readFirst, written uint32 // register masks
+	for n, op := range ops {
+		var r, w uint32 // what the op reads, then writes
+		switch k := op.kind; {
+		case k == tNOP:
+		case k >= tADD && k <= tREM:
+			r, w = 1<<op.r1|1<<op.r2, 1<<op.rd
+		case k == tLI, k == tBL:
+			w = 1 << op.rd
+		case k >= tADDI && k <= tLDB, k >= tFADDIBEQ:
+			r, w = 1<<op.r1, 1<<op.rd
+		case k >= tBEQ && k <= tBGEU:
+			r = 1<<op.r1 | 1<<op.r2
+		case k == tBV:
+			r = 1 << op.r1
+		default: // a store
+			return n
+		}
+		readFirst |= r &^ written &^ 1
+		if w&readFirst != 0 {
+			return n
+		}
+		written |= w &^ 1
+	}
+	return len(ops)
 }

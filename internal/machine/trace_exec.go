@@ -31,7 +31,32 @@ import (
 // store with side effects, and the window's own upkeep are s.access —
 // one body, so one translation path, for loads and stores of every
 // width in both addressing modes; DIV and REM are s.div; both stage
-// their traps through s.trap.
+// their traps through s.trap. The third out-of-line op is s.spin, on a
+// self-loop's back-edge only (below).
+//
+// Spins. A guest that waits — io_spin on a flag the completion handler
+// sets, a bare guest on a device status register — runs a self-loop
+// whose iterations are all the same iteration. When one iteration can
+// have changed nothing, the executor retires the rest of the budget in
+// one step (s.spin): k = (allowed-ilen)/L + 1 more iterations of L
+// instructions, each with its loads and branches, which is what the loop
+// would retire before a whole trace no longer fits. The argument: the
+// iteration lies inside the trace's spin prefix (spinPrefix: no store,
+// no register written that was read before it was written), so every
+// register it reads first is one it does not write; it stores nothing;
+// and if no out-of-line access ran in it that could change what the next
+// one sees, memory, devices, the window and TLB recency are as it found
+// them — so the next iteration reads the same inputs and does the same
+// thing, and so does every one after it. What counts as such an access
+// is s.access's to say, and it says it in one flag, s.changed: a TLB
+// refill or touch, any store, a device load that is not pure
+// (MMIOHandler.MMIOPure). The flag lives in s and is written only out of
+// line, so it costs the loop no register; s.spin clears it and declines
+// when it is set, so a spin fast-forwards at its second back-edge at the
+// latest, and a declined check goes on through rewindow like any other
+// out-of-line op. Registers, memory, recency and device state are left
+// exactly as the loop would leave them: window hits and pure loads touch
+// nothing, and the retired counts land with the totals at exit.
 //
 // The data window. The executor caches one data translation per call
 // (dVPN: the TLB cannot change inside a trace — ITLBI and PTLB end
@@ -102,6 +127,10 @@ type texState struct {
 	rdTag, wrTag uint32
 	frame        *ramPage
 	dec          *decodedPage
+
+	// changed: an out-of-line access since the last spin check may have
+	// changed what a self-loop's next iteration sees (see Spins).
+	changed bool
 
 	// Retired work, flushed to m.Stats/cycles at exit.
 	totR, totLd, totSt, totBr uint64
@@ -359,6 +388,13 @@ chain:
 		s.count(s.tr.ops[i], n, 0, 0)
 		s.totBr++
 		if nextVA == s.entryVA && uint64(s.tr.ilen) <= s.allowed {
+			if i < s.tr.spin {
+				if s.spin(i, n) {
+					goto done // the budget is spent, PC is set
+				}
+				i = 0
+				goto rewindow // the window was not live across the call
+			}
 			i = 0
 			continue // self-loop: restart without re-linking
 		}
@@ -487,6 +523,7 @@ func (s *texState) access(i int, w uint64, va, size uint32, write bool) int {
 			return s.trap(i, isa.TrapDTLBMiss, 0, va)
 		}
 		tlb.touch(idx)
+		s.changed = true
 		s.dVPN, s.dSlot, s.dPPN = vpn, idx, e.PPN
 		s.dRdOK = permittedFlags(e.Flags, accessRead, s.pl)
 		s.dWrOK = permittedFlags(e.Flags, accessWrite, s.pl)
@@ -503,10 +540,14 @@ func (s *texState) access(i int, w uint64, va, size uint32, write bool) int {
 		// this page's traces, the store retires and the trace ends behind
 		// it (below), exactly where Step would notice.
 		t = m.storePhys(pa, int(size), s.regs[opRd(w)])
+		s.changed = true
 	case !write && s.dRdOK:
 		var v uint32
 		if v, t = m.loadPhys(pa, int(size)); t == isa.TrapNone && opRd(w) != 0 {
 			s.regs[opRd(w)] = v
+		}
+		if t == isa.TrapNone && m.InMMIO(pa) && !m.Bus.MMIOPure(pa-MMIOBase) {
+			s.changed = true
 		}
 	}
 	if t != isa.TrapNone {
@@ -577,6 +618,35 @@ func (s *texState) div(i int, w uint64) int {
 		s.regs[rd] = q
 	}
 	return i + 1
+}
+
+// debugNoSpin, when set (tests only), keeps spin from ever fast-forwarding:
+// the reference arm of the closed-form differential.
+var debugNoSpin bool
+
+// spin is a taken self-loop back-edge at op i, inside the trace's spin
+// prefix, with the iteration's n own instructions already counted and a
+// whole trace still in the budget. If nothing the iteration did out of
+// line can have changed the next one (see Spins), it retires every
+// iteration the budget still holds, leaves PC at the loop head and
+// reports true; otherwise it clears the flag for the next iteration.
+//
+//go:noinline
+func (s *texState) spin(i int, n uint64) bool {
+	if s.changed || debugNoSpin {
+		s.changed = false
+		return false
+	}
+	c := s.tr.ops[i]
+	per := uint64(c.pos) + n // instructions an iteration retires
+	k := (s.allowed-uint64(s.tr.ilen))/per + 1
+	s.totR += k * per
+	s.allowed -= k * per
+	s.totLd += k * uint64(c.ld)
+	s.totBr += k * (uint64(c.br) + 1)
+	s.m.memo.stats.Spun += k * per
+	s.m.PC = s.entryVA
+	return true
 }
 
 // trap stages a synchronous trap on op i, which did not retire: the

@@ -9,8 +9,8 @@
 // Every generated program installs real interruption handlers at the
 // vector table, so trap-dense mixes keep making forward progress: the
 // default handler skips the faulting instruction and returns, the
-// virtual-mode mix remaps TLB misses and retries, and the interval
-// timer re-arms itself. Trap delivery, RFI, ITLBI and PTLB are all
+// virtual-mode mix remaps TLB misses and retries, the interval timer
+// re-arms itself, and the spin mix's timer interrupt wakes its spins. Trap delivery, RFI, ITLBI and PTLB are all
 // resync-class instructions, so these mixes constantly enter and leave
 // traces mid-page — exactly the seams where the trace executor's
 // recency bookkeeping has to replay Step's TLB touch order.
@@ -29,7 +29,8 @@ import (
 
 const (
 	fuzzIVA      = 0x1000 // vector table base (physical)
-	fuzzTimerVal = 1777   // interval-timer reload used by the virt mix
+	fuzzTimerVal = 1777   // interval-timer reload used by the virt and spin mixes
+	fuzzFlag     = 0x800  // the RAM word the spin mix's spins wait on
 )
 
 // fuzzVectors emits the interruption vector table at fuzzIVA. Every
@@ -37,13 +38,26 @@ const (
 // saved instruction address past the trapping instruction and returns;
 // with remapMiss, the two TLB-miss slots instead identity-map the
 // faulting page read/write/execute and retry; with timerReload, the
-// interval-timer slot re-arms the timer. Handlers run untranslated at
-// PL 0 (DeliverTrap semantics) and own r21/r22.
-func fuzzVectors(remapMiss, timerReload bool) string {
+// interval-timer slot re-arms the timer; with wake, the external
+// interrupt slot takes line 0 (the timer's) down, re-arms the timer and
+// sets what genSpin's spins wait on — the flag word and the device latch
+// (r19). Handlers run untranslated at PL 0 (DeliverTrap semantics) and
+// own r21/r22.
+func fuzzVectors(remapMiss, timerReload, wake bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, ".org %#x\n", fuzzIVA)
 	for t := 0; t < isa.NumTrapCodes; t++ {
 		switch {
+		case wake && isa.Trap(t) == isa.TrapExtIntr:
+			fmt.Fprintf(&b, `	addi r21, r0, 1
+	mtctl eirr, r21   ; write-1-to-clear line 0
+	addi r21, r0, %d
+	mtctl itmr, r21
+	stw r21, %#x(r0)  ; the flag word
+	stw r21, 0(r19)   ; the device latch
+	rfi
+	.space 4
+`, fuzzTimerVal, fuzzFlag)
 		case remapMiss && (isa.Trap(t) == isa.TrapITLBMiss || isa.Trap(t) == isa.TrapDTLBMiss):
 			b.WriteString(`	mfctl r21, cr21   ; faulting address (IOR)
 	srli r21, r21, 12
@@ -333,6 +347,92 @@ func genPoll(r *rand.Rand) string {
 	return g.close()
 }
 
+// genSpin: the closed-form mix (trace_exec.go, Spins). Boot arms the
+// interval timer and enables its line; its handler (fuzzVectors' wake)
+// sets what a spin waits on. The body strings self-loops between
+// arithmetic runs, each waiting on the flag word, a bit of the device's
+// status latch (a pure load) or a bit of its counting register (not
+// pure), with or without a RAM load, a loop-carried register and a
+// counter carried through memory by a store — so some retire in closed
+// form and some must not.
+func genSpin(r *rand.Rand) string {
+	g := &fuzzGen{r: r}
+	g.label("boot")
+	g.f("li r1, %#x", fuzzIVA)
+	g.f("mtctl iva, r1")
+	g.f("li r16, 0x10000")
+	g.f("li r19, %#x", machine.MMIOBase)
+	g.f("li r20, 4000")
+	g.f("li r1, 1")
+	g.f("mtctl eiem, r1")
+	g.f("li r1, %d", fuzzTimerVal)
+	g.f("mtctl itmr, r1")
+	g.f("li r1, %d", isa.PSWI)
+	g.f("mtctl ipsw, r1") // PL 0, untranslated, interrupts on
+	g.f("li r1, loop")
+	g.f("mtctl iia, r1")
+	g.f("rfi")
+	g.label("loop")
+	for i := 0; i < 8+r.Intn(8); i++ {
+		for n := r.Intn(6); n > 0; n-- {
+			g.alu()
+		}
+		ra := g.reg()
+		other := func() int { // a register other than ra
+			return 1 + (ra+r.Intn(14))%15
+		}
+		g.label(fmt.Sprintf("s%d", i))
+		if r.Intn(2) == 0 {
+			g.f("ldw r%d, %d(r16)", other(), 4*r.Intn(1024)) // a RAM load
+		}
+		wait := r.Intn(3)
+		mask := 1 << []int{0, 4, 5, 6, 7, 9, 10}[r.Intn(7)] // a bit the handler sets
+		switch wait {
+		case 0:
+			g.f("ldw r%d, %#x(r0)", ra, fuzzFlag)
+		case 1:
+			g.f("ldw r%d, 0(r19)", ra) // the latch
+		default:
+			g.f("ldw r%d, 4(r19)", ra) // the counter
+			mask = 1 << r.Intn(6)
+		}
+		if r.Intn(4) == 0 {
+			c := other()
+			g.f("addi r%d, r%d, 1", c, c) // loop-carried
+		}
+		if r.Intn(4) == 0 {
+			c, off := other(), 4*r.Intn(1024)
+			g.f("ldw r%d, %d(r16)", c, off) // carried through memory
+			g.f("addi r%d, r%d, 1", c, c)
+			g.f("stw r%d, %d(r16)", c, off)
+		}
+		g.f("andi r%d, r%d, %d", ra, ra, mask)
+		g.f("beq r%d, r0, s%d", ra, i)
+		switch wait {
+		case 0:
+			g.f("stw r0, %#x(r0)", fuzzFlag)
+		case 1:
+			g.f("stw r0, 0(r19)")
+		}
+	}
+	return g.close()
+}
+
+// fuzzDev is genSpin's device: a status latch at offset 0 that stores
+// set (a pure load) and a register at 4 that counts its loads (a load
+// with a side effect).
+type fuzzDev struct{ status, count uint32 }
+
+func (d *fuzzDev) MMIOLoad(off uint32, _ int) (uint32, error) {
+	if off == 4 {
+		d.count++
+		return d.count, nil
+	}
+	return d.status, nil
+}
+func (d *fuzzDev) MMIOStore(_ uint32, _ int, v uint32) error { d.status = v; return nil }
+func (d *fuzzDev) MMIOPure(off uint32) bool                  { return off != 4 }
+
 // emuChunk is stepChunk/runChunk for genPoll: a trapped load or clock
 // read is emulated — Rd takes the next value of a sequence that is
 // mostly zero, PC steps over it — and every other trap is delivered.
@@ -366,8 +466,10 @@ func emuChunk(m *machine.Machine, n uint64, step bool, emulated *int) {
 // fuzzDiff assembles vectors+program, boots identical machines, and
 // drives one with Step and the others with Run, comparing at every
 // chunk. With emulate the driver is emuChunk and the traced arm must
-// have answered calls from the run memo.
-func fuzzDiff(t *testing.T, cfg machine.Config, src string, chunk, limit uint64, emulate bool) {
+// have answered calls from the run memo; with spin each machine gets a
+// fuzzDev, whose state is compared too, and the traced arm must have
+// retired spins in closed form.
+func fuzzDiff(t *testing.T, cfg machine.Config, src string, chunk, limit uint64, emulate, spin bool) {
 	t.Helper()
 	p, err := asm.Assemble("fuzz", src)
 	if err != nil {
@@ -381,6 +483,10 @@ func fuzzDiff(t *testing.T, cfg machine.Config, src string, chunk, limit uint64,
 	a.LoadProgram(p.Origin, p.Words, entry)
 	b.LoadProgram(p.Origin, p.Words, entry)
 	c.LoadProgram(p.Origin, p.Words, entry)
+	var devs [3]fuzzDev
+	if spin {
+		a.Bus, b.Bus, c.Bus = &devs[0], &devs[1], &devs[2]
+	}
 
 	var emulated [3]int
 	for epoch := 0; a.Cycles() < limit && !a.Halted(); epoch++ {
@@ -404,9 +510,16 @@ func fuzzDiff(t *testing.T, cfg machine.Config, src string, chunk, limit uint64,
 		if epoch%8 == 0 && (a.DigestMemory() != b.DigestMemory() || a.DigestMemory() != c.DigestMemory()) {
 			t.Fatalf("epoch %d (cycle %d): memory digests diverge", epoch, a.Cycles())
 		}
+		if devs[1] != devs[0] || devs[2] != devs[0] {
+			t.Fatalf("epoch %d (cycle %d): device states diverge: step %+v run %+v run-notrace %+v",
+				epoch, a.Cycles(), devs[0], devs[1], devs[2])
+		}
 	}
 	if ms := b.MemoStats(); emulate && ms.Hits == 0 {
 		t.Fatalf("%d emulated traps and no run-memo hit: %+v", emulated[1], ms)
+	}
+	if ms := b.MemoStats(); spin && ms.Spun == 0 {
+		t.Fatalf("no spin retired in closed form: %+v", ms)
 	}
 	for _, m := range []*machine.Machine{b, c} {
 		if a.Halted() != m.Halted() {
@@ -431,14 +544,15 @@ func TestTraceFuzzDifferential(t *testing.T) {
 		vec  string
 		gen  func(*rand.Rand) string
 	}{
-		{"alu", machine.Config{}, fuzzVectors(false, false), genALU},
-		{"branch", machine.Config{}, fuzzVectors(false, false), genBranch},
-		{"mem", machine.Config{}, fuzzVectors(false, false), genMem},
-		{"priv", machine.Config{}, fuzzVectors(false, false), genPriv},
-		{"virt", machine.Config{TLBSize: 4}, fuzzVectors(true, true), genVirt},
+		{"alu", machine.Config{}, fuzzVectors(false, false, false), genALU},
+		{"branch", machine.Config{}, fuzzVectors(false, false, false), genBranch},
+		{"mem", machine.Config{}, fuzzVectors(false, false, false), genMem},
+		{"priv", machine.Config{}, fuzzVectors(false, false, false), genPriv},
+		{"virt", machine.Config{TLBSize: 4}, fuzzVectors(true, true, false), genVirt},
 		{"virt-random-tlb", machine.Config{TLBSize: 4, TLBPolicy: "random", TLBSeed: 99},
-			fuzzVectors(true, true), genVirt},
-		{"poll", machine.Config{}, fuzzVectors(false, false), genPoll},
+			fuzzVectors(true, true, false), genVirt},
+		{"poll", machine.Config{}, fuzzVectors(false, false, false), genPoll},
+		{"spin", machine.Config{}, fuzzVectors(false, false, true), genSpin},
 	}
 	chunks := []uint64{97, 769, 1021}
 	for _, mix := range mixes {
@@ -446,7 +560,7 @@ func TestTraceFuzzDifferential(t *testing.T) {
 			name := fmt.Sprintf("%s/seed%d", mix.name, seed)
 			t.Run(name, func(t *testing.T) {
 				src := mix.vec + mix.gen(rand.New(rand.NewSource(seed*7919+int64(len(mix.name)))))
-				fuzzDiff(t, mix.cfg, src, chunks[seed%int64(len(chunks))], 120_000, mix.name == "poll")
+				fuzzDiff(t, mix.cfg, src, chunks[seed%int64(len(chunks))], 120_000, mix.name == "poll", mix.name == "spin")
 			})
 		}
 	}

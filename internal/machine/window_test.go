@@ -61,22 +61,7 @@ func newSeamRig(t *testing.T, cfg Config, src string, real, cow bool) (*seamRig,
 	off := cfg
 	off.NoTraces = true
 	r := &seamRig{t: t, name: [3]string{"step", "run", "run-notraces"},
-		m: [3]*Machine{New(cfg), New(cfg), New(off)}, pt: map[uint32]TLBEntry{}}
-	rw := uint32(isa.TLBRead | isa.TLBWrite)
-	for _, e := range []TLBEntry{
-		{VPN: seamCode >> isa.PageShift, PPN: seamCode >> isa.PageShift, Flags: rw | isa.TLBExec},
-		{VPN: seamAlias >> isa.PageShift, PPN: seamCode >> isa.PageShift, Flags: rw},
-		{VPN: seamData >> isa.PageShift, PPN: seamData >> isa.PageShift, Flags: rw},
-		{VPN: seamData2 >> isa.PageShift, PPN: seamData2 >> isa.PageShift, Flags: rw},
-		{VPN: seamRO >> isa.PageShift, PPN: seamRO >> isa.PageShift, Flags: isa.TLBRead},
-		{VPN: seamSpare >> isa.PageShift, PPN: seamSpare >> isa.PageShift, Flags: rw},
-		{VPN: seamSpare>>isa.PageShift + 1, PPN: seamSpare>>isa.PageShift + 1, Flags: rw},
-		{VPN: seamDevVA >> isa.PageShift, PPN: MMIOBase >> isa.PageShift, Flags: rw},
-		// The last page of RAM when RAM ends inside it (see lastPage).
-		{VPN: 0xB0, PPN: cfg.MemBytes >> isa.PageShift, Flags: rw},
-	} {
-		r.pt[e.VPN] = e
-	}
+		m: [3]*Machine{New(cfg), New(cfg), New(off)}, pt: seamPageTable(cfg.MemBytes)}
 	for _, m := range r.m {
 		if !cow {
 			m.LoadProgram(p.Origin, p.Words, seamCode)
@@ -88,6 +73,30 @@ func newSeamRig(t *testing.T, cfg Config, src string, real, cow bool) (*seamRig,
 		}
 	}
 	return r, New(cfg)
+}
+
+// seamPageTable is what a driver's miss handler maps, by virtual page:
+// the program's page and a second mapping of it, RW data pages, a
+// read-only one, two spares, the device window, and the last page of a
+// RAM of memBytes when RAM ends inside it.
+func seamPageTable(memBytes uint32) map[uint32]TLBEntry {
+	pt := map[uint32]TLBEntry{}
+	rw := uint32(isa.TLBRead | isa.TLBWrite)
+	for _, e := range []TLBEntry{
+		{VPN: seamCode >> isa.PageShift, PPN: seamCode >> isa.PageShift, Flags: rw | isa.TLBExec},
+		{VPN: seamAlias >> isa.PageShift, PPN: seamCode >> isa.PageShift, Flags: rw},
+		{VPN: seamData >> isa.PageShift, PPN: seamData >> isa.PageShift, Flags: rw},
+		{VPN: seamData2 >> isa.PageShift, PPN: seamData2 >> isa.PageShift, Flags: rw},
+		{VPN: seamRO >> isa.PageShift, PPN: seamRO >> isa.PageShift, Flags: isa.TLBRead},
+		{VPN: seamSpare >> isa.PageShift, PPN: seamSpare >> isa.PageShift, Flags: rw},
+		{VPN: seamSpare>>isa.PageShift + 1, PPN: seamSpare>>isa.PageShift + 1, Flags: rw},
+		{VPN: seamDevVA >> isa.PageShift, PPN: MMIOBase >> isa.PageShift, Flags: rw},
+		// The last page of RAM when RAM ends inside it (see lastPage).
+		{VPN: 0xB0, PPN: memBytes >> isa.PageShift, Flags: rw},
+	} {
+		pt[e.VPN] = e
+	}
+	return pt
 }
 
 func (r *seamRig) each(f func(m *Machine)) {
@@ -136,20 +145,32 @@ func (r *seamRig) run(chunk uint64) {
 
 func (r *seamRig) compare(when string) {
 	r.t.Helper()
-	ref := r.m[0].CaptureState()
-	for i, m := range r.m[1:] {
+	if err := orderEqual(r.m[0], r.m[1], r.m[2]); err != nil {
+		r.t.Fatalf("%s: %v", when, err)
+	}
+}
+
+// orderEqual compares Run and Run-NoTraces with Step as traces promise:
+// every byte of the encoded state once recency is reduced to its order,
+// and the orders themselves (sameRecency against Step, equal between the
+// two runs).
+func orderEqual(step, run, noTraces *Machine) error {
+	ref := step.CaptureState()
+	for i, m := range []*Machine{run, noTraces} {
+		name := [2]string{"run", "run-notraces"}[i]
 		st := m.CaptureState()
 		if a, b := encodeMachine(orderOnly(ref)), encodeMachine(orderOnly(st)); !bytes.Equal(a, b) {
-			r.t.Fatalf("%s: %s differs from step: pc %#x vs %#x, cycles %d vs %d\nstats %+v vs %+v\nTLB %+v\nvs  %+v",
-				when, r.name[i+1], st.PC, ref.PC, st.Cycles, ref.Cycles, st.Stats, ref.Stats, st.TLB, ref.TLB)
+			return fmt.Errorf("%s differs from step: pc %#x vs %#x, cycles %d vs %d\nregs %v\nvs   %v\nstats %+v vs %+v\nTLB %+v\nvs  %+v",
+				name, st.PC, ref.PC, st.Cycles, ref.Cycles, st.Regs, ref.Regs, st.Stats, ref.Stats, st.TLB, ref.TLB)
 		}
 		if err := sameRecency(ref.TLB, st.TLB); err != nil {
-			r.t.Fatalf("%s: %s vs step: %v\nTLB %+v\nvs  %+v", when, r.name[i+1], err, st.TLB, ref.TLB)
+			return fmt.Errorf("%s vs step: %v\nTLB %+v\nvs  %+v", name, err, st.TLB, ref.TLB)
 		}
 	}
-	if a, b := recency(r.m[1].CaptureState().TLB), recency(r.m[2].CaptureState().TLB); !slices.Equal(a, b) {
-		r.t.Fatalf("%s: recency order with traces %v, without %v", when, a, b)
+	if a, b := recency(run.CaptureState().TLB), recency(noTraces.CaptureState().TLB); !slices.Equal(a, b) {
+		return fmt.Errorf("recency order with traces %v, without %v", a, b)
 	}
+	return nil
 }
 
 // orderOnly strips the state of what only the order of touches is

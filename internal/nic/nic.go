@@ -64,6 +64,12 @@ const (
 	StatusRxAvail uint32 = 1 << 1 // a complete RX frame is pending
 )
 
+// popsOnRead is the adapter's one purity rule: a load of RegRxData pops
+// the head frame's next word; every other register reads without side
+// effect. Port.MMIOPure (a bare machine's loads) and Shadow.PureLoad (a
+// hypervisor's) both answer from it.
+func popsOnRead(off uint32) bool { return off == RegRxData }
+
 // frame is one framed message with its global RX sequence number (TX
 // frames carry seq 0; they are logged, not queued).
 type frame struct {
@@ -382,6 +388,9 @@ func (p *Port) MMIOLoad(off uint32, size int) (uint32, error) {
 	}
 	return 0, errBadReg(off)
 }
+
+// MMIOPure implements machine.MMIOHandler (see popsOnRead).
+func (p *Port) MMIOPure(off uint32) bool { return !popsOnRead(off) }
 
 // MMIOStore implements machine.MMIOHandler.
 func (p *Port) MMIOStore(off uint32, size int, v uint32) error {

@@ -324,3 +324,38 @@ func TestShadowDrainBacklog(t *testing.T) {
 		t.Fatal("a drained shadow lost a delivered frame")
 	}
 }
+
+// TestOnePurityRule: the port (a bare machine's loads) and the shadow (a
+// hypervisor's) declare the same registers pure, because both answer
+// from popsOnRead — and every register declared pure is: loaded twice it
+// reads the same and leaves the port's and the shadow's state as it
+// found them. The one register that is not pops.
+func TestOnePurityRule(t *testing.T) {
+	n := New()
+	p := n.NewPort(nil)
+	n.Ingress([]uint32{7, 1, 2, 3})
+	n.Ingress([]uint32{8, 4})
+	p.MMIOStore(RegOutSeq, 4, 5)
+	s := NewShadow()
+	s.push(frame{seq: 1, words: []uint32{7, 1, 2, 3}})
+	s.push(frame{seq: 2, words: []uint32{8, 4}})
+	for off := uint32(0); off < Window; off += 4 {
+		if p.MMIOPure(off) != s.PureLoad(off) {
+			t.Fatalf("register %#x: port pure %v, shadow pure %v", off, p.MMIOPure(off), s.PureLoad(off))
+		}
+		port, shadow := p.StateDigest(), string(s.MarshalState())
+		v1, err1 := p.MMIOLoad(off, 4)
+		v2, err2 := p.MMIOLoad(off, 4)
+		w1, w2 := s.Load(off), s.Load(off)
+		moved := p.StateDigest() != port || string(s.MarshalState()) != shadow
+		switch {
+		case !p.MMIOPure(off) && !moved:
+			t.Fatalf("register %#x is declared impure and popped nothing", off)
+		case !p.MMIOPure(off):
+		case v1 != v2 || err1 != err2 || w1 != w2:
+			t.Fatalf("pure register %#x read %#x then %#x (port), %#x then %#x (shadow)", off, v1, v2, w1, w2)
+		case moved:
+			t.Fatalf("pure register %#x moved the port's or the shadow's state", off)
+		}
+	}
+}

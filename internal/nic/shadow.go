@@ -88,9 +88,8 @@ func (s *Shadow) slot(i int) int {
 	return i
 }
 
-// PureLoad implements device.Shadow: every register but RegRxData, whose
-// read pops the head frame, reads without side effect.
-func (s *Shadow) PureLoad(off uint32) bool { return off != RegRxData }
+// PureLoad implements device.Shadow (see popsOnRead).
+func (s *Shadow) PureLoad(off uint32) bool { return !popsOnRead(off) }
 
 // Store implements device.Shadow: TX stores are environment output.
 func (s *Shadow) Store(off uint32, v uint32) device.Effect {

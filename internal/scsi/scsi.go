@@ -59,6 +59,11 @@ const (
 	AdapterWindow uint32 = 0x20
 )
 
+// popsOnRead is the adapter's one purity rule: its registers are plain
+// latches and none pops on a read. Adapter.MMIOPure (a bare machine's
+// loads) and Shadow.PureLoad (a hypervisor's) both answer from it.
+func popsOnRead(off uint32) bool { return false }
+
 // Backend supplies the storage behind the disk's blocks. Block returns
 // the backing bytes for block b (length >= the configured BlockSize),
 // faulting it in as needed; the device reads and writes the returned
@@ -272,6 +277,9 @@ func (a *Adapter) MMIOLoad(off uint32, size int) (uint32, error) {
 	}
 	return 0, fmt.Errorf("scsi: bad register offset %#x", off)
 }
+
+// MMIOPure implements machine.MMIOHandler (see popsOnRead).
+func (a *Adapter) MMIOPure(off uint32) bool { return !popsOnRead(off) }
 
 // MMIOStore implements register writes; writing the doorbell issues the
 // programmed command.

@@ -345,3 +345,40 @@ func TestPartialCount(t *testing.T) {
 		t.Error("clamped read failed")
 	}
 }
+
+// TestOnePurityRule: the adapter (a bare machine's loads) and the shadow
+// (a hypervisor's) declare the same registers pure, because both answer
+// from popsOnRead — and every register declared pure is: loaded twice it
+// reads the same and leaves the adapter's and the shadow's registers as
+// it found them. (None pops: the adapter's registers are latches.)
+func TestOnePurityRule(t *testing.T) {
+	r := newRig(t, DiskConfig{})
+	r.command(CmdRead, 3, 0x1000, 512)
+	s := NewShadow()
+	for off, v := range []uint32{CmdRead, 3, 0x1000, 512} {
+		s.Store(uint32(4*off), v)
+	}
+	s.Store(RegDoorbell, 1)
+	regs := func() [6]uint32 {
+		a := r.ad
+		return [6]uint32{a.cmd, a.blockNo, a.addr, a.count, a.status, a.info}
+	}
+	for off := uint32(0); off < AdapterWindow; off += 4 {
+		if r.ad.MMIOPure(off) != s.PureLoad(off) {
+			t.Fatalf("register %#x: adapter pure %v, shadow pure %v", off, r.ad.MMIOPure(off), s.PureLoad(off))
+		}
+		if !r.ad.MMIOPure(off) {
+			t.Fatalf("register %#x is declared impure: the adapter has no read-to-pop register", off)
+		}
+		adapter, shadow := regs(), string(s.MarshalState())
+		v1, err1 := r.ad.MMIOLoad(off, 4)
+		v2, err2 := r.ad.MMIOLoad(off, 4)
+		w1, w2 := s.Load(off), s.Load(off)
+		if v1 != v2 || (err1 == nil) != (err2 == nil) || w1 != w2 {
+			t.Fatalf("pure register %#x read %#x then %#x (adapter), %#x then %#x (shadow)", off, v1, v2, w1, w2)
+		}
+		if regs() != adapter || string(s.MarshalState()) != shadow {
+			t.Fatalf("pure register %#x moved the adapter's or the shadow's registers", off)
+		}
+	}
+}

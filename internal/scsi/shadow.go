@@ -41,9 +41,8 @@ func (s *Shadow) Load(off uint32) uint32 {
 	return 0
 }
 
-// PureLoad implements device.Shadow: the adapter's registers are plain
-// latches, none reads with a side effect.
-func (s *Shadow) PureLoad(off uint32) bool { return true }
+// PureLoad implements device.Shadow (see popsOnRead).
+func (s *Shadow) PureLoad(off uint32) bool { return !popsOnRead(off) }
 
 // Store implements device.Shadow: apply a guest register write. A
 // doorbell store marks the virtual adapter busy on every replica and
