@@ -318,8 +318,11 @@ func BenchmarkPolledEpochPair(b *testing.B) {
 // completion flag until the interrupt handler sets it. Neither poll
 // traps — a bare guest owns its devices — so neither is the run memo's
 // case; both are the trace executor's spin, retired in closed form
-// (machine/trace_exec.go, Spins). b.N is bare runs; spin-instr-% is the
-// share of the guest's instructions that never executed one by one.
+// (machine/trace_exec.go, Spins). And once a chunk has ended inside such a
+// spin, hypervisor.Bare runs every chunk before the kernel's next loud
+// instant as one Run (hypervisor/bare.go, Bare waits). b.N is bare runs;
+// spin-instr-% is the share of the guest's instructions that never
+// executed one by one, instr-per-run the instructions per Run call.
 func BenchmarkBareSpin(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -329,7 +332,7 @@ func BenchmarkBareSpin(b *testing.B) {
 		{"disk", []Option{WithWorkload(DiskRead(1, 8192))}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			var spun, instr uint64
+			var spun, instr, calls uint64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cl, m := bareProbe(b, append(c.opts, Bare())...)
@@ -337,15 +340,21 @@ func BenchmarkBareSpin(b *testing.B) {
 					b.Fatal(err)
 				}
 				spun += m.MemoStats().Spun
+				calls += m.MemoStats().Calls
 				instr += m.Stats.Instructions
 				cl.Close()
 			}
 			b.ReportMetric(100*float64(spun)/float64(instr), "spin-instr-%")
+			b.ReportMetric(float64(instr)/float64(calls), "instr-per-run")
 			// A guest that waited and retired none of its wait in closed
-			// form has stopped running the path this benchmark is the
-			// in-tree view of.
+			// form, or ran it chunk by chunk (a chunk is 256 instructions,
+			// and traps end some early), has stopped running the paths this
+			// benchmark is the in-tree view of.
 			if spun == 0 {
 				b.Fatalf("no instruction of %d retired in closed form", instr)
+			}
+			if instr <= 256*calls {
+				b.Fatalf("%d instructions in %d Run calls: no wait was retired ahead", instr, calls)
 			}
 		})
 	}

@@ -14,6 +14,34 @@ import (
 // (machine.DeliverTrap), devices are accessed directly, and no hypervisor
 // costs are charged. Normalized performance N'/N compares a replicated
 // run against this.
+//
+// Bare waits. The guest runs in chunks of chunkSize instructions, each
+// followed by a sleep of its instructions' time. A bare guest that waits
+// spins on a flag or a device status register: its loads never trap, so
+// the trace executor retires the spin in closed form (machine Spins), but
+// every chunk of it is still a Run and a Sleep. When a chunk retires its
+// whole budget inside a spin it fast-forwarded (MemoStats().Spun moved;
+// no trap, halt, WFI or DIAG), every later chunk that starts strictly
+// before the kernel's next loud instant L is that same chunk again, so
+// Run runs them as one m.Run and sleeps once. Why that is exact, in three
+// lines. (1) Nothing loud is dispatched before L, so no chunk that starts
+// before it can see a device, an interrupt or the pause change, and Run(a)
+// then Run(b) leaves the machine as Run(a+b) does (both are Step
+// repeated): an interval-timer trap, a halt or a WFI still ends the call
+// on the same instruction. (2) The one wake lands at the instant of the
+// chunked loop's last; its seq orders it after everything pending now and
+// before anything scheduled later, as that wake's would. (3) The bound is
+// NextLoud, not NextEventTime: NextLoud includes the RunUntil bound
+// (limit+1), so at a RunFor pause the machine is never further ahead than
+// the chunked loop would leave it. The spin condition is what keeps the
+// clock out of it: MFTOD reads the kernel's Now, which stands still
+// inside one Run, and a spin that fast-forwarded executes nothing but its
+// own pure iteration until a trap ends the call. "Leaves the machine as"
+// is what Run promises, TLB recency as order: the first data access of
+// each call re-touches its slot, so the LRU clock also counts calls. The
+// count is capped so that cycles cross bareMaxInstructions on the chunk
+// they always did. debugNoStorm keeps the loop chunk by chunk: the
+// reference arm.
 type Bare struct {
 	// M is the machine (with Bus wired to real devices).
 	M *machine.Machine
@@ -45,9 +73,17 @@ func (b *Bare) Run(p *sim.Proc) {
 		if m.Cycles() > bareMaxInstructions {
 			panic(fmt.Sprintf("bare: guest exceeded %d instructions", bareMaxInstructions))
 		}
+		spun := m.MemoStats().Spun
 		rr := m.Run(chunkSize)
-		if rr.Executed > 0 {
-			p.Sleep(sim.Time(rr.Executed) * instructionTime)
+		executed := rr.Executed
+		if m.MemoStats().Spun != spun && rr.Trap == isa.TrapNone && !rr.Halted && !rr.Idle && rr.Diag == 0 && !debugNoStorm {
+			if extra := b.waitAhead(k.NextLoud(), p.Now()); extra > 0 {
+				rr = m.Run(extra * chunkSize)
+				executed += rr.Executed
+			}
+		}
+		if executed > 0 {
+			p.Sleep(sim.Time(executed) * instructionTime)
 		}
 		switch {
 		case rr.Trap != isa.TrapNone:
@@ -73,4 +109,17 @@ func (b *Bare) Run(p *sim.Proc) {
 			}
 		}
 	}
+}
+
+// waitAhead is how many more chunks the chunked loop would run, after the
+// one that started at now, before the loud instant or the instruction cap
+// (see Bare waits): the chunks starting at now + i·c < loud, i >= 1, each
+// with cycles still within bareMaxInstructions at its start.
+func (b *Bare) waitAhead(loud, now sim.Time) uint64 {
+	cycles := b.M.Cycles()
+	if loud <= now || cycles > bareMaxInstructions {
+		return 0
+	}
+	c := sim.Time(chunkSize) * instructionTime
+	return min(uint64((loud-now-1)/c), (bareMaxInstructions-cycles)/chunkSize+1)
 }

@@ -50,12 +50,13 @@ import (
 // promised); a lattice collision (two replicas in phase — a batch that
 // cannot be collapsed exactly is not made, there is no train of no-op
 // wakes instead); the budget (K = 0: the poll is too near the epoch's end
-// for the memo, and is executed). There is no switch but the tests'
-// debugNoStorm.
+// for the memo, and is executed). There is no switch but the reference
+// arm's debugNoStorm.
 
-// debugNoStorm, when set (tests only), keeps the storm from ever
-// promising or retiring ahead: the reference arm every storm test
-// compares against, byte for byte.
+// debugNoStorm, when set (tests; spec.go), keeps the hypervisor side from
+// retiring any wait ahead: no storm is promised or batched, and a bare
+// guest's wait runs chunk by chunk (bare.go). It is the reference arm
+// every storm and bare-wait test compares against, byte for byte.
 var debugNoStorm bool
 
 // StormStats counts poll-storm activity: how often a recalled pure poll

@@ -90,7 +90,7 @@ const (
 	memoMaxTouch = 4
 )
 
-// debugNoMemo, when set (tests only), keeps the memo from ever arming:
+// debugNoMemo, when set (tests; spec.go), keeps the memo from ever arming:
 // the reference arm of the polling differential.
 var debugNoMemo bool
 

@@ -620,7 +620,7 @@ func (s *texState) div(i int, w uint64) int {
 	return i + 1
 }
 
-// debugNoSpin, when set (tests only), keeps spin from ever fast-forwarding:
+// debugNoSpin, when set (tests; spec.go), keeps spin from ever fast-forwarding:
 // the reference arm of the closed-form differential.
 var debugNoSpin bool
 

@@ -637,7 +637,7 @@ func (p *Proc) block() {
 	}
 }
 
-// debugNoFastPath, when set (tests only), disables sleep's in-place fast
+// debugNoFastPath, when set (tests; spec.go), disables sleep's in-place fast
 // path so every sleep enqueues a wake and blocks — the reference
 // discipline the fast path must be indistinguishable from.
 // debugNoInline, likewise, makes every wake of a process parked in
