@@ -14,7 +14,7 @@ import (
 	"testing"
 )
 
-// The public surface of this package is contract: the harness, the
+// The public surface of this package is contract: hftbench, hftsim, the
 // examples and downstream users all program against it. This test
 // renders every exported declaration (functions, methods, types with
 // their exported fields, constants and variables) into a canonical

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/guest"
-	"repro/internal/harness"
 	"repro/internal/hypervisor"
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -28,14 +27,56 @@ import (
 	"repro/internal/sim"
 )
 
-// benchNP runs one configuration per iteration and reports the measured
-// and paper normalized performance.
-func benchNP(b *testing.B, kind uint32, el uint64, proto replication.Protocol, link netsim.LinkConfig, paper float64) {
+// quickWorkload is hftbench's quick scale of one of the paper's three
+// benchmarks ("cpu", "write" or "read"): device times, per-op
+// computation, privileged density and block size all scaled down 4x
+// together, so normalized performance lands where the paper's does.
+func quickWorkload(name string) []Option {
+	var w Workload
+	switch name {
+	case "cpu":
+		w = CPUIntensive(6000)
+	case "write":
+		w = DiskWrite(4, 2048)
+	case "read":
+		w = DiskRead(4, 2048)
+	}
+	if name != "cpu" {
+		w.PreOp, w.PrivOps = 1300, 258
+	}
+	return []Option{WithWorkload(w), WithDiskLatency(Duration(24.2*float64(Millisecond)/4), 26*Millisecond/4)}
+}
+
+// benchWait drives one cluster to completion.
+func benchWait(b *testing.B, opts ...Option) Result {
 	b.Helper()
-	scale := harness.QuickScale()
+	c, err := NewCluster(opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	res, err := c.Wait(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.GuestPanic != 0 {
+		b.Fatalf("guest panic %#x", res.GuestPanic)
+	}
+	return res
+}
+
+// benchNP runs one configuration, bare and replicated, per iteration and
+// reports the measured and paper normalized performance.
+func benchNP(b *testing.B, workload string, paper float64, opts ...Option) {
+	b.Helper()
 	var np float64
 	for i := 0; i < b.N; i++ {
-		np, _, _ = harness.Measure(scale, kind, el, proto, link)
+		bare := benchWait(b, append(quickWorkload(workload), Bare())...)
+		repl := benchWait(b, append(quickWorkload(workload), opts...)...)
+		if repl.Checksum != bare.Checksum {
+			b.Fatalf("checksum %#x != bare %#x", repl.Checksum, bare.Checksum)
+		}
+		np = float64(repl.Time) / float64(bare.Time)
 	}
 	b.ReportMetric(np, "np")
 	if paper > 0 {
@@ -50,7 +91,7 @@ func BenchmarkFigure2(b *testing.B) {
 	paper := map[uint64]float64{1024: 22.24, 2048: 11.83, 4096: 6.50, 8192: 3.83}
 	for _, el := range []uint64{1024, 2048, 4096, 8192} {
 		b.Run(fmt.Sprintf("EL=%d", el), func(b *testing.B) {
-			benchNP(b, guest.WorkloadCPU, el, replication.ProtocolOld, netsim.LinkConfig{}, paper[el])
+			benchNP(b, "cpu", paper[el], WithEpochLength(el))
 		})
 	}
 }
@@ -60,14 +101,10 @@ func BenchmarkFigure2(b *testing.B) {
 // 2.32/2.10/2.03/1.98).
 func BenchmarkFigure3(b *testing.B) {
 	paper := perfmodel.Table1Paper()
-	for _, wl := range []struct {
-		name string
-		kind uint32
-	}{{"write", guest.WorkloadDiskWrite}, {"read", guest.WorkloadDiskRead}} {
+	for _, wl := range []string{"write", "read"} {
 		for _, el := range []uint64{1024, 2048, 4096, 8192} {
-			b.Run(fmt.Sprintf("%s/EL=%d", wl.name, el), func(b *testing.B) {
-				benchNP(b, wl.kind, el, replication.ProtocolOld, netsim.LinkConfig{},
-					paper[wl.name][int(el)][0])
+			b.Run(fmt.Sprintf("%s/EL=%d", wl, el), func(b *testing.B) {
+				benchNP(b, wl, paper[wl][int(el)][0], WithEpochLength(el))
 			})
 		}
 	}
@@ -78,12 +115,12 @@ func BenchmarkFigure3(b *testing.B) {
 // measured points taken at 4K and 8K where the contrast is visible).
 func BenchmarkFigure4(b *testing.B) {
 	for _, link := range []struct {
-		name string
-		cfg  netsim.LinkConfig
-	}{{"ethernet", netsim.Ethernet10("")}, {"atm", netsim.ATM155("")}} {
+		name  string
+		model LinkModel
+	}{{"ethernet", Ethernet10()}, {"atm", ATM155()}} {
 		for _, el := range []uint64{4096, 8192} {
 			b.Run(fmt.Sprintf("%s/EL=%d", link.name, el), func(b *testing.B) {
-				benchNP(b, guest.WorkloadCPU, el, replication.ProtocolOld, link.cfg, 0)
+				benchNP(b, "cpu", 0, WithEpochLength(el), WithLink(link.model))
 			})
 		}
 	}
@@ -93,16 +130,11 @@ func BenchmarkFigure4(b *testing.B) {
 // measured epoch lengths under BOTH protocols.
 func BenchmarkTable1(b *testing.B) {
 	paper := perfmodel.Table1Paper()
-	kinds := map[string]uint32{
-		"cpu":   guest.WorkloadCPU,
-		"write": guest.WorkloadDiskWrite,
-		"read":  guest.WorkloadDiskRead,
-	}
 	for _, wl := range []string{"cpu", "write", "read"} {
 		for _, el := range []uint64{1024, 2048, 4096, 8192} {
-			for pi, proto := range []replication.Protocol{replication.ProtocolOld, replication.ProtocolNew} {
+			for pi, proto := range []Protocol{ProtocolOld, ProtocolNew} {
 				b.Run(fmt.Sprintf("%s/%s/EL=%d", wl, proto, el), func(b *testing.B) {
-					benchNP(b, kinds[wl], el, proto, netsim.LinkConfig{}, paper[wl][int(el)][pi])
+					benchNP(b, wl, paper[wl][int(el)][pi], WithEpochLength(el), WithProtocol(proto))
 				})
 			}
 		}
@@ -176,7 +208,7 @@ func BenchmarkMachineRun(b *testing.B) {
 // benchmark rows costs.
 func BenchmarkMachineRunMix(b *testing.B) {
 	p := guest.Program()
-	m := machine.New(machine.Config{MemBytes: harness.GuestMemBytes})
+	m := machine.New(machine.Config{MemBytes: session.GuestMemBytes})
 	m.LoadProgram(p.Origin, p.Words, 0)
 	// Effectively endless: the workload outlasts any b.N the runner picks.
 	guest.Configure(m, guest.CPUIntensive(1<<30))
@@ -208,7 +240,7 @@ func BenchmarkHypervisorEpoch(b *testing.B) {
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
 	pair := platform.NewCluster(k, platform.Config{
-		Machine:    machine.Config{MemBytes: harness.GuestMemBytes},
+		Machine:    machine.Config{MemBytes: session.GuestMemBytes},
 		Hypervisor: hypervisor.Config{EpochLength: 1024},
 	}, 2)
 	hv := pair.Nodes[0].HV
@@ -253,7 +285,7 @@ func BenchmarkPolledEpochPair(b *testing.B) {
 		DetectTimeout: 50 * sim.Millisecond,
 	}
 	pair := platform.NewCluster(k, platform.Config{
-		Machine: machine.Config{MemBytes: harness.GuestMemBytes},
+		Machine: machine.Config{MemBytes: session.GuestMemBytes},
 		Hypervisor: hypervisor.Config{
 			EpochLength: 256, AdaptiveBoundary: true, ResidentEmulation: true,
 		},
@@ -400,19 +432,9 @@ func (p *probeProgram) Result(mem GuestMemory) ProgramResult {
 // model, running the CPU workload end to end under the original
 // protocol.
 func BenchmarkReplicatedPair(b *testing.B) {
-	w := guest.CPUIntensive(2000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := harness.RunReplicated(session.Options{
-			Seed:        1,
-			Program:     session.WorkloadProgram(w),
-			EpochLength: 1024,
-			Protocol:    replication.ProtocolOld,
-			Link:        netsim.Ethernet10(""),
-		})
-		if res.Guest.Panic != 0 {
-			b.Fatal("guest panic")
-		}
+		benchWait(b, WithWorkload(CPUIntensive(2000)), WithEpochLength(1024), WithProtocol(ProtocolOld), WithLink(Ethernet10()))
 	}
 }
 

@@ -19,7 +19,9 @@
 // self-contained and deterministic, so the output is identical at any
 // parallelism. -json emits the results as machine-readable JSON
 // (normalized performance per figure point) for trajectory tracking;
-// TestAllGolden pins `-all -json` to testdata/hftbench_quick.golden.json.
+// TestAllGolden pins `-all -json` to testdata/hftbench_quick.golden.json
+// and the `-all` text to testdata/hftbench_quick.golden.txt. The
+// experiments themselves are paper.go.
 //
 // -fleet N is the one experiment beyond the paper: it stands up N
 // replicated clusters at once — each with its own seed, workload, link
@@ -37,6 +39,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,7 +49,7 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/fleet"
-	"repro/internal/harness"
+	"repro/internal/sched"
 )
 
 // jsonPoint is a FigurePoint with NaN ("not measured") encoded as null.
@@ -56,7 +59,7 @@ type jsonPoint struct {
 	Measured  *float64 `json:"measured"`
 }
 
-func toJSONPoints(pts []harness.FigurePoint) []jsonPoint {
+func toJSONPoints(pts []FigurePoint) []jsonPoint {
 	out := make([]jsonPoint, len(pts))
 	for i, p := range pts {
 		out[i] = jsonPoint{EL: p.EL, Predicted: p.Predicted}
@@ -70,14 +73,14 @@ func toJSONPoints(pts []harness.FigurePoint) []jsonPoint {
 
 // jsonOutput is the -json document: one object per requested experiment.
 type jsonOutput struct {
-	Scale    string                   `json:"scale"`
-	Parallel int                      `json:"parallel"`
-	Figure2  *jsonFigure2             `json:"figure2,omitempty"`
-	Figure3  map[string][]jsonPoint   `json:"figure3,omitempty"`
-	Figure4  map[string][]jsonPoint   `json:"figure4,omitempty"`
-	Table1   []harness.Table1Row      `json:"table1,omitempty"`
-	Ablation []harness.AblationResult `json:"ablation,omitempty"`
-	Fleet    *fleet.Report            `json:"fleet,omitempty"`
+	Scale    string                 `json:"scale"`
+	Parallel int                    `json:"parallel"`
+	Figure2  *jsonFigure2           `json:"figure2,omitempty"`
+	Figure3  map[string][]jsonPoint `json:"figure3,omitempty"`
+	Figure4  map[string][]jsonPoint `json:"figure4,omitempty"`
+	Table1   []Table1Row            `json:"table1,omitempty"`
+	Ablation []AblationResult       `json:"ablation,omitempty"`
+	Fleet    *fleet.Report          `json:"fleet,omitempty"`
 }
 
 type jsonFigure2 struct {
@@ -90,9 +93,10 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 // run is main's body with a return code instead of os.Exit calls, so
 // the profiling defers always flush (an os.Exit would leave a
 // truncated -cpuprofile and skip -memprofile entirely). Results go to
-// w; diagnostics to stderr.
+// w; diagnostics to stderr. A bad flag, an unknown -scale or no
+// experiment selected is exit code 2; -h is 0.
 func run(args []string, w io.Writer) int {
-	fs := flag.NewFlagSet("hftbench", flag.ExitOnError)
+	fs := flag.NewFlagSet("hftbench", flag.ContinueOnError)
 	var (
 		table1   = fs.Bool("table1", false, "regenerate Table 1 (old vs new protocol)")
 		fig2     = fs.Bool("fig2", false, "regenerate Figure 2 (CPU-intensive workload)")
@@ -108,23 +112,19 @@ func run(args []string, w io.Writer) int {
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
-	var scale harness.Scale
-	switch *scaleN {
-	case "quick":
-		scale = harness.QuickScale()
-	case "paper":
-		scale = harness.PaperScale()
-	default:
+	sc, ok := map[string]scale{"quick": quickScale, "paper": paperScale}[*scaleN]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "hftbench: unknown scale %q\n", *scaleN)
 		return 2
 	}
-	workers := *parallel
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	scale.Workers = workers
+	workers := sched.Workers(*parallel)
 	if *all {
 		*table1, *fig2, *fig3, *fig4, *ablate = true, true, true, true, true
 	}
@@ -163,59 +163,59 @@ func run(args []string, w io.Writer) int {
 		}()
 	}
 
-	out := jsonOutput{Scale: scale.Name, Parallel: workers}
+	out := jsonOutput{Scale: sc.name, Parallel: workers}
 
 	if *fig2 {
-		points, end := harness.Figure2(scale)
+		points, end := Figure2(sc, workers)
 		if *jsonOut {
-			ep := toJSONPoints([]harness.FigurePoint{end})[0]
+			ep := toJSONPoints([]FigurePoint{end})[0]
 			out.Figure2 = &jsonFigure2{Points: toJSONPoints(points), Endpoint: ep}
 		} else {
-			fmt.Fprintln(w, harness.FormatFigure(
+			fmt.Fprintln(w, FormatFigure(
 				"Figure 2. CPU-Intensive Workload (predicted NPC(EL) at paper parameters; measured on simulator)",
-				map[string][]harness.FigurePoint{"CPU": points}, []string{"CPU"}))
+				map[string][]FigurePoint{"CPU": points}, []string{"CPU"}))
 			fmt.Fprintf(w, "Endpoint: EL=%d (HP-UX max) predicted NP=%.2f (paper: 1.24)\n\n",
 				int(end.EL), end.Predicted)
 		}
 	}
 	if *fig3 {
-		write, read := harness.Figure3(scale)
+		write, read := Figure3(sc, workers)
 		if *jsonOut {
 			out.Figure3 = map[string][]jsonPoint{
 				"write": toJSONPoints(write), "read": toJSONPoints(read)}
 		} else {
-			fmt.Fprintln(w, harness.FormatFigure(
+			fmt.Fprintln(w, FormatFigure(
 				"Figure 3. Input/Output Workloads (NPW/NPR(EL))",
-				map[string][]harness.FigurePoint{"Disk Write": write, "Disk Read": read},
+				map[string][]FigurePoint{"Disk Write": write, "Disk Read": read},
 				[]string{"Disk Write", "Disk Read"}))
 		}
 	}
 	if *fig4 {
-		eth, atm := harness.Figure4(scale)
+		eth, atm := Figure4(sc, workers)
 		if *jsonOut {
 			out.Figure4 = map[string][]jsonPoint{
 				"ethernet": toJSONPoints(eth), "atm": toJSONPoints(atm)}
 		} else {
-			fmt.Fprintln(w, harness.FormatFigure(
+			fmt.Fprintln(w, FormatFigure(
 				"Figure 4. Faster Communication (10 Mbps Ethernet vs 155 Mbps ATM)",
-				map[string][]harness.FigurePoint{"Ethernet": eth, "ATM": atm},
+				map[string][]FigurePoint{"Ethernet": eth, "ATM": atm},
 				[]string{"Ethernet", "ATM"}))
 		}
 	}
 	if *table1 {
-		rows := harness.Table1(scale)
+		rows := Table1(sc, workers)
 		if *jsonOut {
 			out.Table1 = rows
 		} else {
-			fmt.Fprintln(w, harness.FormatTable1(rows))
+			fmt.Fprintln(w, FormatTable1(rows))
 		}
 	}
 	if *ablate {
-		rows := harness.TLBAblationWorkers(workers)
+		rows := TLBAblation(workers)
 		if *jsonOut {
 			out.Ablation = rows
 		} else {
-			fmt.Fprintln(w, harness.FormatAblation(rows))
+			fmt.Fprintln(w, FormatAblation(rows))
 		}
 	}
 	if *fleetN > 0 {

@@ -133,6 +133,75 @@ func TestTwoFaultToleranceThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestFailPrimaryAtAnyInstant is the paper's core claim under fire: no
+// matter when the primary failstops — mid-epoch, mid-I/O, inside the
+// two-generals window, during boundary coordination — the workload
+// completes with the single-machine result, later than bare.
+func TestFailPrimaryAtAnyInstant(t *testing.T) {
+	// spread returns n instants over [lo, hi) by the golden-ratio
+	// sequence, so a sweep covers boundaries, mid-epochs and I/O windows
+	// without a fixed stride's aliasing.
+	spread := func(lo, hi Duration, n int) []Duration {
+		var out []Duration
+		x := 0.0
+		for i := 0; i < n; i++ {
+			x += 0.6180339887498949
+			x -= float64(int(x))
+			out = append(out, lo+Duration(x*float64(hi-lo)))
+		}
+		return out
+	}
+	// hftbench's quick-scale I/O benchmarks; the sweeps shorten the disk.
+	quick := func(w Workload) Option {
+		w.PreOp, w.PrivOps = 1300, 258
+		return WithWorkload(w)
+	}
+	sweepDisk := WithDiskLatency(400*Microsecond, 500*Microsecond)
+	for _, c := range []struct {
+		name     string
+		opts     []Option
+		at       []Duration
+		failover bool // at least one instant must promote the backup
+	}{
+		{"during-workload", []Option{quick(DiskWrite(4, 2048)), WithEpochLength(4096),
+			WithDiskLatency(Duration(24.2*float64(Millisecond)/4), 26*Millisecond/4)},
+			[]Duration{3 * Millisecond}, true},
+		// The replicated write workload runs ~15-30 ms here; sweep the
+		// first 20 ms densely.
+		{"disk-write", []Option{quick(DiskWrite(3, 2048)), sweepDisk, WithEpochLength(4096)},
+			spread(100*Microsecond, 20*Millisecond, 12), true},
+		{"disk-read", []Option{quick(DiskRead(3, 2048)), sweepDisk, WithEpochLength(2048)},
+			spread(200*Microsecond, 15*Millisecond, 8), false},
+		// The revised protocol's window (§4.3): unacknowledged messages +
+		// failstop. The I/O gate must keep the environment consistent.
+		{"new-protocol", []Option{quick(DiskWrite(3, 2048)), sweepDisk, WithEpochLength(4096), WithProtocol(ProtocolNew)},
+			spread(100*Microsecond, 12*Millisecond, 8), false},
+		{"cpu", []Option{WithWorkload(CPUIntensive(3000)), sweepDisk, WithEpochLength(1024)},
+			spread(50*Microsecond, 5*Millisecond, 6), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bare, _ := runScenario(t, append(c.opts, Bare())...)
+			promotions := 0
+			for _, at := range c.at {
+				repl, _ := runScenario(t, append(c.opts, WithFailPrimaryAt(at))...)
+				if repl.Checksum != bare.Checksum {
+					t.Errorf("fail at %v: checksum %#x != bare %#x", at, repl.Checksum, bare.Checksum)
+				}
+				if repl.Time <= bare.Time {
+					t.Errorf("fail at %v: replicated run (%v) not slower than bare (%v)", at, repl.Time, bare.Time)
+				}
+				if repl.Promoted {
+					promotions++
+				}
+			}
+			t.Logf("%d of %d instants failed over", promotions, len(c.at))
+			if c.failover && promotions == 0 {
+				t.Error("the sweep never exercised failover")
+			}
+		})
+	}
+}
+
 func TestDurationConstants(t *testing.T) {
 	if Second != sim.Second || Millisecond != sim.Millisecond || Microsecond != sim.Microsecond {
 		t.Error("duration constants drifted from sim package")

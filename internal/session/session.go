@@ -1,6 +1,6 @@
 // Package session implements the long-lived replicated-cluster engine
-// behind the public hft.Cluster API and the harness's experiment
-// drivers. A session Engine keeps the simulation resident: it boots
+// behind the public hft.Cluster API (and hftbench's §3.2 TLB ablation,
+// the one caller that needs its machine knobs). A session Engine keeps the simulation resident: it boots
 // lazily, advances under caller control in bounded slices, accepts live
 // perturbations (failstops, link degradation) between — or, via
 // scheduled events, during — slices, and exposes observation as

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/guest"
+	"repro/internal/scsi"
 	"repro/internal/sim"
 )
 
@@ -177,5 +178,42 @@ func TestResultBeforeCompletion(t *testing.T) {
 	s := e.Snapshot()
 	if !s.Booted || s.Done || s.Now != 2*sim.Millisecond {
 		t.Errorf("bad mid-run snapshot: %+v", s)
+	}
+}
+
+// TestDeliveryDelayGrowsWithEpochLength: §4.2, "Increases to epoch length
+// EL causes delayW(EL) and delayR(EL) to increase, because interrupts
+// from the disk are buffered by the hypervisor for a longer period." This
+// is the mechanism behind Figure 3's upward drift at large EL.
+func TestDeliveryDelayGrowsWithEpochLength(t *testing.T) {
+	// hftbench's quick-scale disk-write benchmark.
+	w := guest.DiskWrite(4, 2048)
+	w.PreOp, w.PrivOps = 1300, 258
+	delayAt := func(el uint64) sim.Time {
+		e := New(Options{
+			Seed: 1, Program: WorkloadProgram(w), EpochLength: el,
+			Disk: scsi.DiskConfig{ReadLatency: sim.Time(24.2 * float64(sim.Millisecond) / 4), WriteLatency: 26 * sim.Millisecond / 4},
+		})
+		defer e.Close()
+		if err := e.RunToCompletion(nil); err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.HVStats.DeliveryDelayCount == 0 {
+			t.Fatalf("EL=%d: no delivery delays recorded", el)
+		}
+		return r.HVStats.MeanDeliveryDelay()
+	}
+	small := delayAt(1024)
+	large := delayAt(32768)
+	if large <= small {
+		t.Errorf("mean delivery delay: EL=32K %v <= EL=1K %v", large, small)
+	}
+	// The delay is bounded by roughly one epoch's wall time.
+	if large > 32768*20*sim.Nanosecond+5*sim.Millisecond {
+		t.Errorf("delay %v implausibly large", large)
 	}
 }
