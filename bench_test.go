@@ -275,7 +275,8 @@ func BenchmarkHypervisorEpoch(b *testing.B) {
 // sleeps interleave. b.N is committed epochs; ns/trap is host time per
 // simulated instruction across the pair; memo-hit-% is the share of
 // machine.Run calls recalled rather than executed, storm-poll-% the share
-// of status polls the hypervisors retired ahead, many to a sleep.
+// of status polls the hypervisors retired ahead, many to a sleep, and
+// storm-refused-% the share of storm tries that retired none.
 func BenchmarkPolledEpochPair(b *testing.B) {
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
@@ -318,22 +319,29 @@ func BenchmarkPolledEpochPair(b *testing.B) {
 	}
 	var traps, polls, ahead uint64
 	var memo machine.MemoStats
+	var storm hypervisor.StormStats
 	for _, n := range pair.Nodes {
 		traps += n.HV.Stats.PrivSimulated + n.HV.Stats.EnvSimulated
 		polls += n.HV.Stats.EnvSimulated
 		ms := n.M.MemoStats()
 		memo.Calls += ms.Calls
 		memo.Hits += ms.Hits
-		ahead += n.HV.StormStats().Polls
+		ss := n.HV.StormStats()
+		ahead += ss.Polls
+		storm.Tries += ss.Tries
+		storm.Batches += ss.Batches
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(traps), "ns/trap")
 	b.ReportMetric(float64(traps)/float64(2*b.N), "traps/epoch")
-	// The poll is the run memo's case (machine/memo.go): a run that got
-	// past boot into the poll and answered no Run call from the memo did
-	// not run the path this benchmark is the in-tree view of.
-	b.ReportMetric(100*float64(memo.Hits)/float64(memo.Calls), "memo-hit-%")
-	if memo.Hits == 0 && polls > 1000 {
-		b.Fatalf("no run-memo hit in %d Run calls, %d of them status polls", memo.Calls, polls)
+	// The poll is the run memo's case (machine/memo.go), and since Run's
+	// path stopped depending on its budget it is recalled up to the last
+	// poll of an epoch that has room for its trap: a run that got past boot
+	// into the poll and recalled fewer than 95 % of its Run calls did not
+	// run the path this benchmark is the in-tree view of.
+	hit := 100 * float64(memo.Hits) / float64(memo.Calls)
+	b.ReportMetric(hit, "memo-hit-%")
+	if hit < 95 && polls > 1000 {
+		b.Fatalf("%.1f %% run-memo hits in %d Run calls, %d of them status polls", hit, memo.Calls, polls)
 	}
 	// Likewise the poll storm (hypervisor/storm.go): most of those hits
 	// should never have been separate Run calls at all. A pair that polled
@@ -342,6 +350,7 @@ func BenchmarkPolledEpochPair(b *testing.B) {
 	if ahead == 0 && polls > 1000 {
 		b.Fatalf("no poll retired ahead of %d status polls (%d memo hits)", polls, memo.Hits)
 	}
+	b.ReportMetric(100*float64(storm.Tries-storm.Batches)/float64(storm.Tries), "storm-refused-%")
 }
 
 // BenchmarkBareSpin measures the baseline every figure divides by (§4's

@@ -24,7 +24,7 @@ import (
 // n instructions costing a = n × InstructionTime, then one simulation
 // costing b under the resident-window rule — and how many polls K the
 // epoch's budget admits (the memo's rule, for every call: what remains
-// must reach need). It promises the kernel exactly that (sim.PromiseQuiet:
+// must exceed n). It promises the kernel exactly that (sim.PromiseQuiet:
 // until K polls from now my dispatches touch only my own state, at
 // now + i(a+b) + {0, a}), and is told in return when something loud can
 // next be dispatched. The j polls that end strictly before that instant
@@ -49,9 +49,9 @@ import (
 // loud is due within one poll, typically the other replica before it has
 // promised); a lattice collision (two replicas in phase — a batch that
 // cannot be collapsed exactly is not made, there is no train of no-op
-// wakes instead); the budget (K = 0: the poll is too near the epoch's end
-// for the memo, and is executed). There is no switch but the reference
-// arm's debugNoStorm.
+// wakes instead); the budget (Poll refuses: the epoch ends before the
+// poll's trap, and the poll is executed up to the boundary). There is no
+// switch but the reference arm's debugNoStorm.
 
 // debugNoStorm, when set (tests; spec.go), keeps the hypervisor side from
 // retiring any wait ahead: no storm is promised or batched, and a bare
@@ -81,7 +81,7 @@ func (hv *Hypervisor) stormAhead(remaining uint64) sim.Time {
 	if debugNoStorm || m.CRs[isa.CRITMR] != 0 || m.CRs[isa.CREIRR] != 0 {
 		return 0
 	}
-	n, need, ok := m.Poll(min(chunkSize, remaining))
+	n, ok := m.Poll(min(chunkSize, remaining))
 	if !ok {
 		return 0
 	}
@@ -98,9 +98,10 @@ func (hv *Hypervisor) stormAhead(remaining uint64) sim.Time {
 	if resident {
 		b = hv.cfg.Cost.ResidentWork
 	}
-	// The i-th call ahead is recalled iff remaining − (i−1)·per >= need
-	// (Poll has just said so for the first; chunkSize >= need with it).
-	polls := (remaining-need)/per + 1
+	// The i-th call ahead is recalled iff remaining − (i−1)·per > n, that
+	// is iff i <= remaining/per (Poll has just said so for the first;
+	// chunkSize > n with it).
+	polls := remaining / per
 	if a+b <= 0 {
 		return 0 // a free poll has no lattice to promise
 	}

@@ -134,9 +134,9 @@ func TestStormInPhase(t *testing.T) {
 
 // TestStormBudgets: the memo's TestRunMemoBudgets one level up. Eighty-one
 // epoch lengths put every remainder from 1 to 80 and beyond under a storm
-// try — the last polls of an epoch fall short of the memo's need and are
-// executed, the ones before them are counted into a batch by the budget
-// rule — in slices that cut the batches short, with and without the
+// try — a poll with no room left in its epoch for the trap is executed,
+// the ones before it are counted into a batch by the budget rule — in
+// slices that cut the batches short, with and without the
 // resident window and an adaptive cut. The lone hypervisor's loud bound is
 // the slice's end alone, so the budget is what bounds its batches.
 func TestStormBudgets(t *testing.T) {

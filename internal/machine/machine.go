@@ -100,6 +100,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// debugNoTraces, when set (spec.go), is Config.NoTraces for every machine
+// New builds: the reference arm of the trace differentials, machine-wide.
+var debugNoTraces bool
+
 // Stats counts retired instructions by class for the performance study.
 type Stats struct {
 	Instructions uint64 // total retired
@@ -190,11 +194,8 @@ type Machine struct {
 	pages []*decodedPage
 
 	// traceOn enables superblock trace dispatch in Run (see trace.go):
-	// !Config.NoTraces.
+	// !Config.NoTraces and !debugNoTraces.
 	traceOn bool
-	// maxTrace is the length in instructions of the longest trace this
-	// machine has built (0: none yet).
-	maxTrace uint32
 
 	// memo is the run memo (see memo.go) and runGen the generation of what
 	// a remembered call depends on besides the state it compares: it
@@ -261,7 +262,7 @@ func New(cfg Config) *Machine {
 		TLB:     NewTLB(cfg.TLBSize, pol),
 		pages:   grabPages(npages),
 		memSize: cfg.MemBytes,
-		traceOn: !cfg.NoTraces,
+		traceOn: !cfg.NoTraces && !debugNoTraces,
 		img:     cfg.Image,
 	}
 	if m.img == nil {

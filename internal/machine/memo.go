@@ -19,9 +19,10 @@ import (
 // It is derived state exactly like the decoded-page cache and the
 // traces: not captured, dropped by RestoreState and Release, absent
 // under Config.NoTraces. And it is stamp-exact, where traces are only
-// order-equivalent: a hit leaves CaptureState().Encode() byte for byte
-// what executing the call would have left — LRU stamps included — so
-// no golden, digest or transferred image can tell whether a run hit.
+// order-equivalent: a hit leaves the machine as executing the call would
+// have left it — the LRU clock and every stamp included, which is more
+// than CaptureState().Encode() shows (the order of the stamps) — so no
+// golden, digest or transferred image can tell whether a run hit.
 //
 // What is recorded. Only a call that
 //
@@ -38,8 +39,7 @@ import (
 //     (no miss, insert, evict or purge);
 //   - never left the decoded-page loop for the Step fallback;
 //   - marked and built no trace (runGen stood still; a dropped trace is
-//     a store), and ran with so much budget that no trace was ever
-//     refused for lack of it (see need).
+//     a store), and ran with budget for more than its n instructions.
 //
 // What a hit requires — the key, everything such a call can read: PC,
 // PSW, all 32 general registers, EIRR and EIEM (the interrupt test at
@@ -54,18 +54,21 @@ import (
 // writes stamps relative to the clock, so the replay is relative too;
 // cycles, statistics, RCTR and ITMR — written, never read, except as
 // budget. Beyond the key, the budget: min(max, RCTR under PSW.R, ITMR if
-// armed) must be at least need.
+// armed) must be at least n + 1, room for the n instructions and the one
+// that traps.
 //
-// Why need is more than n + 1. The registers, PC, trap and statistics of
-// such a call are the same whichever way Run dispatches it, but with an
-// LRU TLB in virtual mode the stamps are not: a load that traps inside a
-// trace replays Step's recency as four touches, the same load on the
+// Why n + 1 suffices. The registers, PC, trap and statistics of such a
+// call are the same whichever way Run dispatches it, but with an LRU TLB
+// in virtual mode the stamps are not: a load that traps inside a trace
+// replays Step's recency as four touches, the same load on the
 // per-instruction loop makes two (same order, different clock). Which of
 // the two runs it depends on the trace entry state — pinned by runGen —
-// and on whether each trace Run would enter still fits the budget. So a
-// call is recorded, and replayed, only where the budget decides nothing:
-// need = n + the longest trace this machine has built, which leaves
-// every trace room at every point of the call.
+// and on nothing else: Run's path does not depend on the budget. A trace
+// that does not fit runs the ops that do (trace.fit), so up to where a
+// call's budget ends it takes the path any larger budget takes; and with
+// n + 1 the budget ends past the trapping instruction, which no fused
+// compare+branch can be. So the call replays stamp for stamp under every
+// budget that lets it reach its trap.
 //
 // The arm rule. Comparing and recording cost copies of the entry state,
 // so Run pays for them only where it has seen they can pay back — three
@@ -138,7 +141,7 @@ type runMemo struct {
 	runGen     uint64
 
 	// The result.
-	n, need         uint64
+	n               uint64
 	outRegs         [isa.NumRegs]uint32
 	outPC           uint32
 	res             StepResult
@@ -209,7 +212,7 @@ func (m *Machine) replay(j uint64) {
 		m.CRs[isa.CRRCTR] -= uint32(j * mm.n)
 	}
 	if m.CRs[isa.CRITMR] != 0 {
-		m.CRs[isa.CRITMR] -= uint32(j * mm.n) // stays armed: need > n
+		m.CRs[isa.CRITMR] -= uint32(j * mm.n) // stays armed: it held more than n
 	}
 	tlb.Stats.Hits += j * mm.tlbHits
 	if lru := tlb.lru; lru != nil {
@@ -233,18 +236,18 @@ func (m *Machine) Recalled() bool { return m.memo.hit }
 // Poll reports the call the memo would answer Run(limit) with, were it
 // made now: it would retire n instructions and end as the recalled call
 // before it did, provided — ok — the machine stands in the entry's key
-// state and the budget (limit, and RCTR and ITMR as they stand) reaches
-// need. A caller whose emulation of the trapped instruction returns the
+// state and the budget (limit, and RCTR and ITMR as they stand) exceeds
+// n. A caller whose emulation of the trapped instruction returns the
 // machine to that key every time (an idle guest's poll of a register
 // that reads the same) can then count how many further calls would be
-// answered the same way — the i-th needs its own budget to reach need —
+// answered the same way — the i-th needs its own budget to exceed n —
 // and have them all applied at once with ReplayHits.
-func (m *Machine) Poll(limit uint64) (n, need uint64, ok bool) {
+func (m *Machine) Poll(limit uint64) (n uint64, ok bool) {
 	mm := &m.memo
-	if !mm.armed || !mm.valid || m.halted || !m.atKey() || m.memoBudget(limit) < mm.need {
-		return 0, 0, false
+	if !mm.armed || !mm.valid || m.halted || !m.atKey() || m.memoBudget(limit) <= mm.n {
+		return 0, false
 	}
-	return mm.n, mm.need, true
+	return mm.n, true
 }
 
 // ReplayHits leaves the machine as j consecutive Run calls leave it, each
@@ -266,9 +269,9 @@ func (m *Machine) runArmed(limit uint64, again bool, rr *RunResult) {
 	same := m.atKey()
 	switch {
 	case same && mm.valid && !m.halted:
-		if m.memoBudget(limit) < mm.need {
-			// The same poll too close to the epoch's end: execute it, and
-			// keep the entry for the next epoch.
+		if m.memoBudget(limit) <= mm.n {
+			// The same poll with no room for its trap: execute it, and keep
+			// the entry for the next epoch.
 			break
 		}
 		m.replay(1)
@@ -308,7 +311,6 @@ func (m *Machine) record(limit uint64, rr *RunResult) {
 	m.arm(rr)
 
 	mm.n = rr.Executed
-	mm.need = mm.n + max(1, uint64(m.maxTrace))
 	switch {
 	case !mm.armed, mm.stepped, !tlb.replayable:
 	case rr.Trap == isa.TrapMachine:
@@ -316,7 +318,7 @@ func (m *Machine) record(limit uint64, rr *RunResult) {
 		st.Privileged != m.Stats.Privileged, st.Environment != m.Stats.Environment:
 	case mm.psw != m.PSW, mm.eirr != m.CRs[isa.CREIRR]:
 	case mm.tlbGen != tlb.gen, ts.Misses != tlb.Stats.Misses, mm.runGen != m.runGen:
-	case budget < mm.need:
+	case budget <= mm.n:
 	default:
 		mm.ntouched = 0
 		if lru := tlb.lru; lru != nil {

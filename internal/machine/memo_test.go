@@ -8,12 +8,15 @@ package machine
 // spec), Run under NoTraces, Run with the memo disabled, Run with it on.
 // All four must agree on the result, Digest, Stats, TLB.Stats and cycle
 // count after every call; the last two on every byte of
-// CaptureState().Encode(), which is what "stamp-exact" means: the LRU
-// clock itself cannot tell a replayed call from an executed one.
+// CaptureState().Encode() and on the LRU clock and stamps behind it
+// (sameStamps), which is what "stamp-exact" means: not even the clock,
+// which the encoding reduces to an order, can tell a replayed call from
+// an executed one.
 
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -199,12 +202,19 @@ func (r *pollRig) callRCTR(rctr uint32, limit uint64, value uint32) RunResult {
 		}
 	}
 	off, on := r.arms[2].m, r.arms[3].m
-	if !bytes.Equal(encodeMachine(off.CaptureState()), encodeMachine(on.CaptureState())) {
-		r.t.Fatalf("call %d (%+v): encoded state with the memo differs from without:\nTLB off %+v\nTLB on  %+v",
-			r.calls, rrs[3], off.TLB.captureState(), on.TLB.captureState())
+	if !bytes.Equal(encodeMachine(off.CaptureState()), encodeMachine(on.CaptureState())) || !sameStamps(off, on) {
+		r.t.Fatalf("call %d (%+v): state with the memo differs from without:\nTLB off %+v %v\nTLB on  %+v %v",
+			r.calls, rrs[3], off.TLB.captureState(), off.TLB.lru, on.TLB.captureState(), on.TLB.lru)
 	}
 	r.calls++
 	return rrs[0]
+}
+
+// sameStamps reports whether two machines' LRU clocks and stamps are
+// equal, raw: what the capture's ranks do not show.
+func sameStamps(a, b *Machine) bool {
+	pa, pb := a.TLB.lru, b.TLB.lru
+	return pa == nil && pb == nil || pa != nil && pb != nil && pa.stamp == pb.stamp && slices.Equal(pa.last, pb.last)
 }
 
 // spin makes n calls of the status poll; bit 1 comes up on every
@@ -261,16 +271,16 @@ func TestRunMemoStatusSpin(t *testing.T) {
 }
 
 // TestRunMemoBudgets: the recovery counter, the caller's limit and the
-// interval timer at and around both thresholds — n, below which the call
-// ends differently, and n + the longest trace, below which Run may
-// dispatch it differently and an LRU TLB would show it.
+// interval timer at every budget up to 80 — past n + 1, below which the
+// call ends differently, and past n + the longest trace, below which Run
+// once dispatched it differently and an LRU TLB's clock would show it.
 func TestRunMemoBudgets(t *testing.T) {
 	for _, cfg := range pollTLBs[:2] {
 		t.Run(cfg.withDefaults().TLBPolicy, func(t *testing.T) {
 			r := newPollRig(t, cfg, pollSpin, true)
 			r.spin(20, 0)
-			if r.arms[3].m.maxTrace == 0 {
-				t.Fatal("no trace built: the sweep would not cross the dispatch threshold")
+			if longestTrace(r.arms[3].m) == 0 {
+				t.Fatal("no trace built: the sweep would not cut one")
 			}
 			for k := uint32(1); k <= 80; k++ {
 				r.spin(3, 0)
@@ -289,6 +299,44 @@ func TestRunMemoBudgets(t *testing.T) {
 				}
 			}
 			r.wantHits(500)
+		})
+	}
+}
+
+// TestRunMemoEpochEnd: the poll at an epoch's end. A recorded poll of n
+// instructions is recalled with exactly n + 1 of budget — from the
+// recovery counter, the caller's limit or the interval timer — and
+// executed with n, which ends the call before its trap.
+func TestRunMemoEpochEnd(t *testing.T) {
+	for _, cfg := range pollTLBs[:2] {
+		t.Run(cfg.withDefaults().TLBPolicy, func(t *testing.T) {
+			r := newPollRig(t, cfg, pollSpin, true)
+			r.spin(20, 0)
+			m := r.arms[3].m
+			n, ok := m.Poll(256)
+			if !ok {
+				t.Fatal("Poll refused mid-spin")
+			}
+			for _, src := range []string{"rctr", "limit", "itmr"} {
+				for _, k := range []uint64{n + 1, n} {
+					r.spin(3, 0)
+					var rr RunResult
+					switch src {
+					case "rctr":
+						rr = r.callRCTR(uint32(k), 256, 0)
+					case "limit":
+						rr = r.callRCTR(1000, k, 0)
+					case "itmr":
+						r.each(func(m *Machine) { m.CRs[isa.CRITMR] = uint32(k) })
+						rr = r.callRCTR(1000, 256, 0)
+						r.each(func(m *Machine) { m.CRs[isa.CRITMR] = 0; m.WriteCR(isa.CREIRR, 1) })
+					}
+					if recalled := m.Recalled(); recalled != (k > n) || rr.Executed != n {
+						t.Fatalf("%s = %d: recalled %v, %+v (n = %d)", src, k, recalled, rr, n)
+					}
+				}
+			}
+			r.wantHits(30)
 		})
 	}
 }
@@ -610,8 +658,8 @@ func TestRunMemoHitAllocs(t *testing.T) {
 // TestReplayHits: ReplayHits(j) against j Run calls that each hit, the
 // driver re-emulating the trapped load between them, for every j up to
 // 100 under each replacement policy, in virtual and in real mode — every
-// byte of the encoded state (LRU stamps: the j-th call stamps its slots
-// off a clock j-1 advances on), the countdown in RCTR and ITMR, the
+// byte of the encoded state and the raw LRU stamps (the j-th call stamps
+// its slots off a clock j-1 advances on), the countdown in RCTR and ITMR, the
 // counters. Two rigs are warmed alike; one memo arm takes the calls one
 // by one, the other all at once.
 func TestReplayHits(t *testing.T) {
@@ -632,9 +680,9 @@ func TestReplayHits(t *testing.T) {
 					m.CRs[isa.CRITMR] = budget / 2 // armed, and far off: it counts down too
 				}
 				for j := uint64(1); j <= 100; j++ {
-					n, need, ok := all.Poll(256)
-					if !ok || n != 2 || need < n+1 {
-						t.Fatalf("j=%d: Poll = (%d, %d, %v) in the middle of a spin", j, n, need, ok)
+					n, ok := all.Poll(256)
+					if !ok || n != 2 {
+						t.Fatalf("j=%d: Poll = (%d, %v) in the middle of a spin", j, n, ok)
 					}
 					var last RunResult
 					for i := uint64(0); i < j; i++ {
@@ -649,7 +697,7 @@ func TestReplayHits(t *testing.T) {
 						t.Fatalf("j=%d: not Recalled after ReplayHits", j)
 					}
 					emulate(all, last.Inst.Rd)
-					if a, b := encodeMachine(one.CaptureState()), encodeMachine(all.CaptureState()); !bytes.Equal(a, b) {
+					if a, b := encodeMachine(one.CaptureState()), encodeMachine(all.CaptureState()); !bytes.Equal(a, b) || !sameStamps(one, all) {
 						t.Fatalf("j=%d: ReplayHits left other bytes than %d hits:\nTLB one %+v\nTLB all %+v\nCRs one %v\nCRs all %v",
 							j, j, one.TLB.captureState(), all.TLB.captureState(), one.CRs, all.CRs)
 					}
@@ -662,23 +710,26 @@ func TestReplayHits(t *testing.T) {
 					t.Fatalf("%d hits over the sweep, want 5050 and the warm-up's", hits)
 				}
 
-				// What Poll refuses: a budget short of need by either counter
-				// or the limit, a state off the key, a call that executed.
-				_, need, _ := all.Poll(256)
-				if _, _, ok := all.Poll(need - 1); ok {
-					t.Error("Poll accepted a limit under need")
+				// What Poll refuses: a budget of n by either counter or the
+				// limit, a state off the key, a call that executed.
+				n, _ := all.Poll(256)
+				if _, ok := all.Poll(n); ok {
+					t.Error("Poll accepted a limit of n")
 				}
-				all.CRs[isa.CRRCTR] = uint32(need - 1)
-				if _, _, ok := all.Poll(256); ok {
-					t.Error("Poll accepted a recovery counter under need")
+				if _, ok := all.Poll(n + 1); !ok {
+					t.Error("Poll refused a limit of n + 1")
+				}
+				all.CRs[isa.CRRCTR] = uint32(n)
+				if _, ok := all.Poll(256); ok {
+					t.Error("Poll accepted a recovery counter of n")
 				}
 				all.CRs[isa.CRRCTR] = budget
 				all.Regs[9]++
-				if _, _, ok := all.Poll(256); ok {
+				if _, ok := all.Poll(256); ok {
 					t.Error("Poll accepted a scribbled register")
 				}
 				all.Regs[9]--
-				if _, _, ok := all.Poll(256); !ok {
+				if _, ok := all.Poll(256); !ok {
 					t.Error("Poll refused the key state")
 				}
 				all.Regs[9]++
@@ -697,7 +748,7 @@ func TestReplayHitsAllocs(t *testing.T) {
 	m := r.arms[3].m
 	m.CRs[isa.CRRCTR] = 1 << 24
 	if n := testing.AllocsPerRun(100, func() {
-		if _, _, ok := m.Poll(256); !ok {
+		if _, ok := m.Poll(256); !ok {
 			t.Fatal("Poll refused mid-spin")
 		}
 		m.ReplayHits(12)

@@ -291,9 +291,91 @@ func FuzzMachineState(f *testing.F) {
 			return
 		}
 		m := New(Config{MemBytes: s.MemBytes, TLBSize: len(s.TLB.Slots)})
-		if err := m.RestoreState(s); err == nil && !bytes.Equal(encodeRAM(m.BorrowState()), encodeRAM(s)) {
-			t.Fatal("restored machine's RAM encodes differently from the state it restored")
+		if err := m.RestoreState(s); err == nil {
+			if !bytes.Equal(encodeRAM(m.BorrowState()), encodeRAM(s)) {
+				t.Fatal("restored machine's RAM encodes differently from the state it restored")
+			}
+			if !bytes.Equal(encodeTLB(m.BorrowState().TLB), encodeTLB(s.TLB)) {
+				t.Fatal("restored machine's TLB encodes differently from the state it restored")
+			}
 		}
 		m.Release()
 	})
+}
+
+func encodeTLB(s TLBState) []byte {
+	w := snapshot.NewWriter(testMagic)
+	s.encode(w)
+	return w.Finish()
+}
+
+// TestDecodeRecencyCanonical: the decoder accepts TLB recency only as a
+// capture writes it — under LRU the ranks 1..k, each once, and the clock
+// k; under the other policies no stamp and no clock, and a cursor only
+// under round-robin — and refuses anything else as corrupt, as restore
+// does, so that every state accepted restores to a TLB that captures as
+// that state again.
+func TestDecodeRecencyCanonical(t *testing.T) {
+	const slots = 8
+	for _, c := range []struct {
+		name   string
+		policy string
+		last   []uint64 // the first slots' stamps; the rest are zero
+		clock  uint64
+		next   int
+		ok     bool
+	}{
+		{"lru/untouched", "lru", nil, 0, 0, true},
+		{"lru/ranks", "lru", []uint64{2, 0, 1, 3}, 3, 0, true},
+		{"lru/all", "lru", []uint64{4, 2, 8, 1, 3, 7, 6, 5}, 8, 0, true},
+		{"lru/repeated", "lru", []uint64{1, 1, 2}, 2, 0, false},
+		{"lru/repeated-top", "lru", []uint64{2, 1, 2}, 2, 0, false},
+		{"lru/gap", "lru", []uint64{1, 3}, 3, 0, false},
+		{"lru/no-one", "lru", []uint64{2, 3}, 3, 0, false},
+		{"lru/beyond-the-slots", "lru", []uint64{9}, 9, 0, false},
+		{"lru/raw-clock", "lru", []uint64{17, 5, 0, 9}, 17, 0, false},
+		{"lru/huge", "lru", []uint64{1 << 63}, 1 << 63, 0, false},
+		{"lru/clock-high", "lru", []uint64{1, 2}, 3, 0, false},
+		{"lru/clock-low", "lru", []uint64{1, 2}, 1, 0, false},
+		{"lru/clock-alone", "lru", nil, 1, 0, false},
+		{"lru/cursor", "lru", []uint64{1}, 1, 2, false},
+		{"roundrobin/cursor", "roundrobin", nil, 0, 13, true},
+		{"roundrobin/stamp", "roundrobin", []uint64{0, 1}, 0, 0, false},
+		{"roundrobin/clock", "roundrobin", nil, 1, 0, false},
+		{"random/cursor", "random", nil, 0, 1, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := New(Config{MemBytes: 3 << 12, TLBSize: slots, TLBPolicy: c.policy}).CaptureState()
+			for i, at := range c.last {
+				s.TLB.Slots[i].LastUse = at
+			}
+			s.TLB.Stamp, s.TLB.Next = c.clock, c.next
+			blob := encodeMachine(s)
+			r, err := snapshot.NewReader(blob, testMagic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			DecodeState(r)
+			if !c.ok {
+				if !errors.Is(r.Err(), snapshot.ErrCorrupt) {
+					t.Errorf("decoded with %v, want snapshot.ErrCorrupt", r.Err())
+				}
+				target := New(Config{MemBytes: 3 << 12, TLBSize: slots, TLBPolicy: c.policy})
+				if err := target.RestoreState(s); c.policy != "random" && !errors.Is(err, snapshot.ErrCorrupt) {
+					t.Errorf("restored with %v, want snapshot.ErrCorrupt", err)
+				}
+				return
+			}
+			if r.Err() != nil {
+				t.Fatalf("canonical recency refused: %v", r.Err())
+			}
+			target := New(Config{MemBytes: 3 << 12, TLBSize: slots, TLBPolicy: c.policy})
+			if err := target.RestoreState(s); err != nil {
+				t.Fatal(err)
+			}
+			if again := encodeMachine(target.CaptureState()); !bytes.Equal(again, blob) {
+				t.Fatalf("restore + capture is not a fixed point:\n%+v\n%+v", target.CaptureState().TLB, s.TLB)
+			}
+		})
+	}
 }

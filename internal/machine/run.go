@@ -197,14 +197,16 @@ outer:
 			}
 			slot := (m.PC & isa.PageMask) >> 2
 			if m.traceOn && !skipTrace {
-				// Back on a trace entry (e.g. after a terminator or a
-				// too-small tail budget): bounce out to trace dispatch
-				// if a usable trace fits what remains.
+				// Back on a trace entry (e.g. after a terminator): bounce
+				// out to trace dispatch if the trace's first op fits what
+				// remains, as runTraces will find.
 				if ti := pg.traceAt[slot]; ti != 0 && ti < traceVisited {
-					if need := uint64(pg.traces[ti-1].ilen); need <= budget {
-						if t := uint64(m.CRs[isa.CRITMR]); t == 0 || need <= t {
-							continue outer
-						}
+					allowed := budget
+					if t := uint64(m.CRs[isa.CRITMR]); t != 0 {
+						allowed = min(allowed, t)
+					}
+					if pg.traces[ti-1].fit(allowed) != 0 {
+						continue outer
 					}
 				} else if ti == traceVisited {
 					// Second encounter of a marked entry inside one Run

@@ -12,8 +12,8 @@ package machine
 // state that can influence future execution or timing: registers, PC,
 // PSW, control registers, all of physical RAM, the halt latch, the
 // retired-instruction counter, statistics, and the full TLB including
-// replacement-policy recency state (LRU stamps, round-robin cursor) and
-// the deferred fetch-touch slot. It deliberately EXCLUDES derived
+// replacement-policy recency state (the LRU order, round-robin cursor)
+// and the deferred fetch-touch slot. It deliberately EXCLUDES derived
 // caches: the decoded-page translation cache and the word-decode memo
 // are pure functions of RAM contents and instruction words, and the run
 // memo (memo.go) of the state a call entered from, so RestoreState drops
@@ -33,11 +33,17 @@ import (
 	"repro/internal/snapshot"
 )
 
-// TLBSlotState is one captured TLB slot with its recency stamp.
+// TLBSlotState is one captured TLB slot with its recency.
 type TLBSlotState struct {
 	Entry TLBEntry
-	// LastUse is the LRU policy's recency stamp for the slot (zero for
-	// non-LRU policies).
+	// LastUse is the slot's place in the LRU policy's recency order: its
+	// rank, from 1 for the least recently used, among the slots ever
+	// touched, and zero for a slot never touched (and under every other
+	// policy). The rank is all replacement reads — which slot it evicts
+	// next — and all that replicas agree on: the LRU clock behind it also
+	// counts how Run happened to dispatch (a trace touches a page once
+	// where the per-instruction loop touches it per access), so it is not
+	// captured.
 	LastUse uint64
 }
 
@@ -51,7 +57,8 @@ type TLBState struct {
 	// to transfer).
 	Policy string
 	Slots  []TLBSlotState
-	// Stamp is the LRU policy's clock.
+	// Stamp is the LRU policy's clock as restore sets it: the highest
+	// rank (zero under every other policy).
 	Stamp uint64
 	// Next is the round-robin policy's cursor.
 	Next int
@@ -232,14 +239,69 @@ func (t *TLB) captureState() TLBState {
 	}
 	switch p := t.policy.(type) {
 	case *LRUPolicy:
-		s.Stamp = p.stamp
-		for i := range s.Slots {
-			s.Slots[i].LastUse = p.last[i]
+		// Recency as order: each stamped slot's rank among the stamped
+		// slots (no two share a stamp: a touch advances the clock first).
+		for i, at := range p.last {
+			if at == 0 {
+				continue
+			}
+			rank := uint64(1)
+			for _, o := range p.last {
+				if o != 0 && o < at {
+					rank++
+				}
+			}
+			s.Slots[i].LastUse = rank
+			s.Stamp = max(s.Stamp, rank)
 		}
 	case *RoundRobinPolicy:
 		s.Next = p.next
 	}
 	return s
+}
+
+// checkRecency rejects recency no capture writes — so that every state it
+// accepts restores to a TLB whose capture is that state again. Under LRU
+// the nonzero stamps are the ranks 1..k, each once, and the clock is k;
+// under every other policy there are no stamps and no clock, and only
+// round-robin has a cursor.
+func (s TLBState) checkRecency() error {
+	if s.Policy != "lru" {
+		for i, sl := range s.Slots {
+			if sl.LastUse != 0 {
+				return fmt.Errorf("%w: machine: TLB slot %d stamped %d under policy %q", snapshot.ErrCorrupt, i, sl.LastUse, s.Policy)
+			}
+		}
+		if s.Stamp != 0 || s.Next != 0 && s.Policy != "roundrobin" {
+			return fmt.Errorf("%w: machine: TLB clock %d, cursor %d under policy %q", snapshot.ErrCorrupt, s.Stamp, s.Next, s.Policy)
+		}
+		return nil
+	}
+	if s.Next != 0 {
+		return fmt.Errorf("%w: machine: LRU TLB with a round-robin cursor %d", snapshot.ErrCorrupt, s.Next)
+	}
+	// k distinct ranks are 1..k exactly when the highest is k.
+	seen := make([]bool, len(s.Slots)+1) // by rank
+	k, top := uint64(0), uint64(0)
+	for i, sl := range s.Slots {
+		switch r := sl.LastUse; {
+		case r == 0:
+		case r >= uint64(len(seen)):
+			return fmt.Errorf("%w: machine: TLB slot %d ranked %d of %d slots", snapshot.ErrCorrupt, i, r, len(s.Slots))
+		case seen[r]:
+			return fmt.Errorf("%w: machine: TLB slot %d repeats rank %d", snapshot.ErrCorrupt, i, r)
+		default:
+			seen[r] = true
+			k, top = k+1, max(top, r)
+		}
+	}
+	if top != k {
+		return fmt.Errorf("%w: machine: TLB ranks %d stamped slots up to %d", snapshot.ErrCorrupt, k, top)
+	}
+	if s.Stamp != k {
+		return fmt.Errorf("%w: machine: TLB clock %d, highest rank %d", snapshot.ErrCorrupt, s.Stamp, k)
+	}
+	return nil
 }
 
 // checkRestorable verifies geometry and policy compatibility.
@@ -256,17 +318,9 @@ func (t *TLB) checkRestorable(s TLBState) error {
 	if s.Pending < -1 || s.Pending >= len(t.slots) || s.Next < 0 {
 		return fmt.Errorf("machine: restore: TLB cursor out of range (pending %d, next %d, %d slots)", s.Pending, s.Next, len(t.slots))
 	}
-	if t.lru != nil {
-		// A touch advances the clock and then stamps, so no slot is ever
-		// stamped past it; the run memo finds the slots a call touched by
-		// that invariant.
-		for i, sl := range s.Slots {
-			if sl.LastUse > s.Stamp {
-				return fmt.Errorf("machine: restore: TLB slot %d stamped %d, past the LRU clock %d", i, sl.LastUse, s.Stamp)
-			}
-		}
-	}
-	return nil
+	// Canonical ranks also keep every slot at or below the clock, which is
+	// how the run memo finds the slots a call touched.
+	return s.checkRecency()
 }
 
 // restoreState overwrites the TLB from a capture (pre-validated).
@@ -442,6 +496,9 @@ func decodeTLB(r *snapshot.Reader) TLBState {
 		s.Slots[i].Entry.Flags = r.U32()
 		s.Slots[i].Entry.Valid = r.Bool()
 		s.Slots[i].LastUse = r.U64()
+	}
+	if s.checkRecency() != nil {
+		r.Fail()
 	}
 	return s
 }

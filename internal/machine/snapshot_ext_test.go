@@ -123,9 +123,9 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		t.Fatal("restore accepted a TLB-policy mismatch")
 	}
 
-	// An LRU slot stamped past the policy clock: no machine captures
-	// that (a touch advances the clock, then stamps), and the run memo
-	// finds the slots a call touched by exactly that invariant.
+	// An LRU slot ranked past the policy clock: no machine captures that
+	// (the clock is the highest rank), and the run memo finds the slots a
+	// call touched by no slot standing past the clock.
 	src.TLB.Insert(machine.TLBEntry{VPN: 3, PPN: 7})
 	ahead := src.CaptureState()
 	ahead.TLB.Slots[0].LastUse = ahead.TLB.Stamp + 1

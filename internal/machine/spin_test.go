@@ -8,9 +8,9 @@ package machine
 // debugNoSpin set. After every call the first three must agree as the
 // window seams do (orderEqual: recency as order, stamps zeroed), and Run
 // must agree with the no-spin arm on every byte of
-// CaptureState().Encode(), LRU stamps included — a fast-forward leaves
-// what the loop would have — and every device must stand where Step left
-// its own.
+// CaptureState().Encode() and on the raw LRU clock and stamps behind it
+// (sameStamps) — a fast-forward leaves what the loop would have — and
+// every device must stand where Step left its own.
 
 import (
 	"bytes"
@@ -34,9 +34,9 @@ type spinRig struct {
 	// devs holds each arm's devices, as the case's bus built them.
 	devs [4][]any
 	n    int
-	// h is a rolling FNV of the traced arm's raw encoding after every
-	// call: equal to the parent build's (no closed form there), it is the
-	// cross-build check that a fast-forward moves no stamp.
+	// h is a rolling FNV of the traced arm's encoding after every call:
+	// equal to another build's that encodes alike, it is the cross-build
+	// check that a change to the executor moves nothing a capture shows.
 	h hash.Hash64
 }
 
@@ -137,7 +137,7 @@ func (r *spinRig) call(limit uint64, rctr, itmr uint32) {
 		r.t.Fatalf("%s: %v", when, err)
 	}
 	enc := encodeMachine(r.m[1].CaptureState())
-	if ref := encodeMachine(r.m[3].CaptureState()); !bytes.Equal(enc, ref) {
+	if ref := encodeMachine(r.m[3].CaptureState()); !bytes.Equal(enc, ref) || !sameStamps(r.m[1], r.m[3]) {
 		r.t.Fatalf("%s: encoded state differs from the no-spin arm's:\nTLB %+v\nvs  %+v",
 			when, r.m[1].TLB.captureState(), r.m[3].TLB.captureState())
 	}
@@ -179,9 +179,9 @@ func (r *spinRig) drive() {
 	for range 40 {
 		r.call(29, 0, 0)
 	}
-	top := 3*r.m[1].maxTrace + 1
+	top := 3*longestTrace(r.m[1]) + 1
 	if top < 4 {
-		r.t.Fatalf("longest trace %d: no traces built", r.m[1].maxTrace)
+		r.t.Fatalf("longest trace %d: no traces built", longestTrace(r.m[1]))
 	}
 	for k := uint32(1); k <= top; k++ {
 		r.call(uint64(k), 0, 0)

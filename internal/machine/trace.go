@@ -24,10 +24,12 @@ import (
 //
 // Equivalence with Step is maintained by construction:
 //
-//   - the executor only enters a trace when the whole trace fits in the
-//     current budget (recovery counter and interval timer included), so
-//     epoch boundaries and timer fire points land between traces exactly
-//     where Step would put them;
+//   - the executor runs the ops of a trace that retire whole within the
+//     current budget (recovery counter and interval timer included) and
+//     stops at the first that does not — the whole trace when it fits, a
+//     prefix of it when it does not — so epoch boundaries and timer fire
+//     points land exactly where Step would put them, and which traces run
+//     does not depend on where the budget ends;
 //   - data accesses replicate translate/loadPhys/storePhys including
 //     TLB recency (flushPending + touch + hit/miss counts) and the
 //     deferred fetch-touch re-arm;
@@ -47,9 +49,11 @@ import (
 
 // Exit kinds from runTraces.
 const (
-	// texStep: no instruction retired; the caller must take the exact
-	// per-instruction path (and retire at least one instruction before
-	// retrying trace dispatch, or the two paths would ping-pong).
+	// texStep: no instruction retired — no trace starts here, or its
+	// first op is a fused compare+branch and one instruction is left; the
+	// caller must take the exact per-instruction path (and retire at least
+	// one instruction before retrying trace dispatch, or the two paths
+	// would ping-pong).
 	texStep = iota
 	// texResync: one or more instructions retired and PC is set; the
 	// caller re-evaluates async conditions and hoisted state.
@@ -165,6 +169,21 @@ type trace struct {
 	// spin is how many ops, from the first, a self-loop iteration may
 	// span and still carry nothing into the next (see spinPrefix).
 	spin int
+}
+
+// fit is how many ops of the trace, from the first, retire whole within
+// allowed instructions: all of them when the trace fits, otherwise those
+// that end before the cut — op k ends where op k+1 begins. Only a fused
+// compare+branch, two instructions, can leave one instruction unused.
+func (tr *trace) fit(allowed uint64) int {
+	if allowed >= uint64(tr.ilen) {
+		return len(tr.ops)
+	}
+	n := 0
+	for n+1 < len(tr.ops) && uint64(tr.ops[n+1].pos) <= allowed {
+		n++
+	}
+	return n
 }
 
 // dropTraces discards every trace on the page and bumps the generation
@@ -420,7 +439,6 @@ func (m *Machine) buildTrace(pg *decodedPage, base, entry uint32) *trace {
 		return nil
 	}
 	tr.code, tr.ops, tr.ilen, tr.spin = code, ops, uint32(pos), spinPrefix(ops)
-	m.maxTrace = max(m.maxTrace, tr.ilen)
 	tr.loads, tr.stores, tr.branches = uint32(ld), uint32(st), uint32(br)
 	pg.traces = append(pg.traces, tr)
 	pg.traceAt[entry] = uint16(len(pg.traces))

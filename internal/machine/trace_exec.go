@@ -38,9 +38,10 @@ import (
 // sets, a bare guest on a device status register — runs a self-loop
 // whose iterations are all the same iteration. When one iteration can
 // have changed nothing, the executor retires the rest of the budget in
-// one step (s.spin): k = (allowed-ilen)/L + 1 more iterations of L
-// instructions, each with its loads and branches, which is what the loop
-// would retire before a whole trace no longer fits. The argument: the
+// one step (s.spin): k = allowed/L more iterations of L instructions,
+// each with its loads and branches — every iteration the budget holds
+// whole — and the one cut short runs as the prefix that fits, as it
+// would have without the fast-forward. The argument: the
 // iteration lies inside the trace's spin prefix (spinPrefix: no store,
 // no register written that was read before it was written), so every
 // register it reads first is one it does not write; it stores nothing;
@@ -114,7 +115,8 @@ type texState struct {
 	r0   uint32
 
 	// The trace being executed, the address of its first instruction, and
-	// how many instructions may still retire (a trace is entered whole).
+	// how many instructions may still retire (a trace runs the ops that
+	// fit them, see trace.fit).
 	tr      *trace
 	entryVA uint32
 	allowed uint64
@@ -143,11 +145,14 @@ type texState struct {
 // fetch touch primed. Returns the TLB hit count to add to the batch
 // (zero in real mode) and an exit kind (see texStep/texResync/texTrap).
 //
-// The executor only enters a trace whose full instruction count fits in
-// the remaining budget (recovery counter included, via budget) and the
-// interval timer, so no async condition can fire mid-trace; everything
-// that could change the outcome of the hoisted checks — privileged and
-// resync instructions, MMIO side effects, self-modifying stores — either
+// Of each trace the executor runs the ops that retire whole within the
+// remaining budget (recovery counter included, via budget) and the
+// interval timer — the whole trace when it fits, a prefix cut before the
+// first op that does not when it does not — so no async condition can
+// fire mid-trace, and the traces a call runs are the ones any larger
+// budget would run, up to where this one ends. Everything that could
+// change the outcome of the hoisted checks — privileged and resync
+// instructions, MMIO side effects, self-modifying stores — either
 // terminates the trace at build time or exits it at run time.
 func (m *Machine) runTraces(pg *decodedPage, base, pageVA uint32, fetchSlot int, pl uint32, budget uint64, checkIRQ bool) (uint64, int) {
 	slot := (m.PC & isa.PageMask) >> 2
@@ -161,8 +166,8 @@ func (m *Machine) runTraces(pg *decodedPage, base, pageVA uint32, fetchSlot int,
 		// hits zero; capping the batch there reproduces Step's timing.
 		allowed = t
 	}
-	if uint64(tr.ilen) > allowed {
-		return 0, texStep
+	if tr.fit(allowed) == 0 {
+		return 0, texStep // a fused first op, one instruction left
 	}
 
 	// Field by field: a composite literal is built aside and copied in.
@@ -187,6 +192,9 @@ func (m *Machine) runTraces(pg *decodedPage, base, pageVA uint32, fetchSlot int,
 
 chain:
 	code = s.tr.code
+	if uint64(s.tr.ilen) > s.allowed {
+		code = code[:s.tr.fit(s.allowed)] // the prefix that fits
+	}
 	i = 0
 	// The markers are read by tools/bcecheck (CI): the loop may keep the
 	// three bounds checks of its side-table reads where a trace is left
@@ -390,7 +398,7 @@ chain:
 		if nextVA == s.entryVA && uint64(s.tr.ilen) <= s.allowed {
 			if i < s.tr.spin {
 				if s.spin(i, n) {
-					goto done // the budget is spent, PC is set
+					goto cut // every whole iteration is retired
 				}
 				i = 0
 				goto rewindow // the window was not live across the call
@@ -401,8 +409,16 @@ chain:
 		goto link
 	}
 	// hot-loop:end
-	// Ran off the end of the trace: the next instruction follows it.
 	tr = s.tr
+	if len(code) < len(tr.code) {
+		// Ran off a prefix: the op at the cut did not run, and its side
+		// table holds what retired before it.
+		c := tr.ops[len(code)]
+		s.count(c, 0, 0, 0)
+		s.m.PC = s.entryVA + uint32(c.pos)*4
+		goto done
+	}
+	// Ran off the end of the trace: the next instruction follows it.
 	s.totR += uint64(tr.ilen)
 	s.totLd += uint64(tr.loads)
 	s.totSt += uint64(tr.stores)
@@ -411,7 +427,8 @@ chain:
 	nextVA = s.entryVA + tr.ilen*4
 
 link:
-	// Chain to the trace at nextVA if it is on this page, built, and fits.
+	// Chain to the trace at nextVA if it is on this page and built; chain
+	// cuts it to what the budget holds (nothing, once it is spent).
 	if nextVA&^uint32(isa.PageMask) != s.pageVA {
 		s.m.PC = nextVA
 		goto done
@@ -422,11 +439,17 @@ link:
 	} else {
 		tr = s.m.traceFor(s.pg, s.base, slot)
 	}
-	if tr == nil || uint64(tr.ilen) > s.allowed {
+	if tr == nil {
 		s.m.PC = nextVA
 		goto done
 	}
 	s.tr, s.entryVA = tr, nextVA
+	goto chain
+
+cut:
+	// A spin left less than one iteration: run the prefix of it that fits,
+	// on a window re-read, so none was live across the call.
+	rdTag, wrTag, frame, dec = s.rdTag, s.wrTag, s.frame, s.dec
 	goto chain
 
 done:
@@ -627,9 +650,10 @@ var debugNoSpin bool
 // spin is a taken self-loop back-edge at op i, inside the trace's spin
 // prefix, with the iteration's n own instructions already counted and a
 // whole trace still in the budget. If nothing the iteration did out of
-// line can have changed the next one (see Spins), it retires every
-// iteration the budget still holds, leaves PC at the loop head and
-// reports true; otherwise it clears the flag for the next iteration.
+// line can have changed the next one (see Spins), it retires every whole
+// iteration the budget still holds and reports true, for the caller to
+// run the prefix of the next that fits; otherwise it clears the flag for
+// the next iteration.
 //
 //go:noinline
 func (s *texState) spin(i int, n uint64) bool {
@@ -639,13 +663,12 @@ func (s *texState) spin(i int, n uint64) bool {
 	}
 	c := s.tr.ops[i]
 	per := uint64(c.pos) + n // instructions an iteration retires
-	k := (s.allowed-uint64(s.tr.ilen))/per + 1
+	k := s.allowed / per
 	s.totR += k * per
 	s.allowed -= k * per
 	s.totLd += k * uint64(c.ld)
 	s.totBr += k * (uint64(c.br) + 1)
 	s.m.memo.stats.Spun += k * per
-	s.m.PC = s.entryVA
 	return true
 }
 

@@ -2,8 +2,9 @@
 // generated instruction pages — ALU-dense, branch-dense, memory-dense,
 // privileged/resync-heavy, virtual-mode permission-trap and emulated
 // trap-storm mixes — are driven through the Step and Run dispatch paths
-// on identical machines. Architected digests are compared at every chunk boundary
-// and full statistics (including TLB replacement state, the strictest
+// on identical machines, every Run call on a budget drawn at random.
+// Digests are compared at every chunk boundary, the encoded states at
+// every eighth, and full statistics (including TLB replacement state, the strictest
 // observable) at the end. Seeds are fixed, so any failure reproduces.
 //
 // Every generated program installs real interruption handlers at the
@@ -17,6 +18,7 @@
 package machine_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -433,18 +435,40 @@ func (d *fuzzDev) MMIOLoad(off uint32, _ int) (uint32, error) {
 func (d *fuzzDev) MMIOStore(_ uint32, _ int, v uint32) error { d.status = v; return nil }
 func (d *fuzzDev) MMIOPure(off uint32) bool                  { return off != 4 }
 
-// emuChunk is stepChunk/runChunk for genPoll: a trapped load or clock
+// drawBudget is the limit of one Run call that has left instructions to
+// go: all of them, or — one call in two — a share drawn from r, so that
+// calls end at every point of a trace and a poll meets every budget.
+func drawBudget(r *rand.Rand, left uint64) uint64 {
+	if r.Intn(2) == 0 {
+		return left
+	}
+	return 1 + uint64(r.Int63n(int64(min(left, 160))))
+}
+
+// drawChunk is runChunk with every call's budget drawn (drawBudget).
+func drawChunk(m *machine.Machine, n uint64, r *rand.Rand) {
+	target := m.Cycles() + n
+	for m.Cycles() < target && !m.Halted() {
+		rr := m.Run(drawBudget(r, target-m.Cycles()))
+		if rr.Trap != isa.TrapNone {
+			m.DeliverTrap(rr.Trap, rr.ISR, rr.IOR)
+		}
+	}
+}
+
+// emuChunk is stepChunk/drawChunk for genPoll: a trapped load or clock
 // read is emulated — Rd takes the next value of a sequence that is
 // mostly zero, PC steps over it — and every other trap is delivered.
-// emulated counts per machine, so every arm sees the same sequence.
-func emuChunk(m *machine.Machine, n uint64, step bool, emulated *int) {
+// emulated counts per machine, so every arm sees the same sequence. A nil
+// r steps.
+func emuChunk(m *machine.Machine, n uint64, r *rand.Rand, emulated *int) {
 	target := m.Cycles() + n
 	for m.Cycles() < target && !m.Halted() {
 		var res machine.StepResult
-		if step {
+		if r == nil {
 			res = m.Step()
 		} else {
-			res = m.Run(target - m.Cycles()).StepResult
+			res = m.Run(drawBudget(r, target-m.Cycles())).StepResult
 		}
 		switch {
 		case res.Trap == isa.TrapNone:
@@ -465,11 +489,14 @@ func emuChunk(m *machine.Machine, n uint64, step bool, emulated *int) {
 
 // fuzzDiff assembles vectors+program, boots identical machines, and
 // drives one with Step and the others with Run, comparing at every
-// chunk. With emulate the driver is emuChunk and the traced arm must
-// have answered calls from the run memo; with spin each machine gets a
-// fuzzDev, whose state is compared too, and the traced arm must have
-// retired spins in closed form.
-func fuzzDiff(t *testing.T, cfg machine.Config, src string, chunk, limit uint64, emulate, spin bool) {
+// chunk, and every eighth chunk and the last on the encoded state too
+// (encodedEqual). Each Run arm draws the budget of every call from a
+// stream of its own (drawBudget). With
+// emulate the driver is emuChunk and the traced arm must have answered
+// calls from the run memo; with spin each machine gets a fuzzDev, whose
+// state is compared too, and the traced arm must have retired spins in
+// closed form.
+func fuzzDiff(t *testing.T, cfg machine.Config, src string, chunk, limit uint64, seed int64, emulate, spin bool) {
 	t.Helper()
 	p, err := asm.Assemble("fuzz", src)
 	if err != nil {
@@ -489,15 +516,16 @@ func fuzzDiff(t *testing.T, cfg machine.Config, src string, chunk, limit uint64,
 	}
 
 	var emulated [3]int
+	rb, rc := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(^seed))
 	for epoch := 0; a.Cycles() < limit && !a.Halted(); epoch++ {
 		if emulate {
-			emuChunk(a, chunk, true, &emulated[0])
-			emuChunk(b, chunk, false, &emulated[1])
-			emuChunk(c, chunk, false, &emulated[2])
+			emuChunk(a, chunk, nil, &emulated[0])
+			emuChunk(b, chunk, rb, &emulated[1])
+			emuChunk(c, chunk, rc, &emulated[2])
 		} else {
 			stepChunk(a, chunk)
-			runChunk(b, chunk)
-			runChunk(c, chunk)
+			drawChunk(b, chunk, rb)
+			drawChunk(c, chunk, rc)
 		}
 		if a.Cycles() != b.Cycles() || a.Cycles() != c.Cycles() {
 			t.Fatalf("epoch %d: cycles diverge: step=%d run=%d run-notrace=%d",
@@ -514,7 +542,11 @@ func fuzzDiff(t *testing.T, cfg machine.Config, src string, chunk, limit uint64,
 			t.Fatalf("epoch %d (cycle %d): device states diverge: step %+v run %+v run-notrace %+v",
 				epoch, a.Cycles(), devs[0], devs[1], devs[2])
 		}
+		if epoch%8 == 0 {
+			encodedEqual(t, fmt.Sprintf("epoch %d (cycle %d)", epoch, a.Cycles()), a, b, c)
+		}
 	}
+	encodedEqual(t, "at the end", a, b, c)
 	if ms := b.MemoStats(); emulate && ms.Hits == 0 {
 		t.Fatalf("%d emulated traps and no run-memo hit: %+v", emulated[1], ms)
 	}
@@ -534,6 +566,19 @@ func fuzzDiff(t *testing.T, cfg machine.Config, src string, chunk, limit uint64,
 		if a.TLB.Stats != m.TLB.Stats {
 			t.Fatalf("TLB statistics diverge:\nstep: %+v\nrun:  %+v", a.TLB.Stats, m.TLB.Stats)
 		}
+	}
+}
+
+// encodedEqual compares the Run arms byte for byte on their encoded
+// state, and Step with them as traces promise.
+func encodedEqual(t *testing.T, when string, step, run, noTraces *machine.Machine) {
+	t.Helper()
+	if !bytes.Equal(encodeState(run), encodeState(noTraces)) {
+		t.Fatalf("%s: encoded states diverge:\nrun %+v\nrun-notrace %+v",
+			when, run.CaptureState().TLB, noTraces.CaptureState().TLB)
+	}
+	if err := machine.OrderEqual(step, run, noTraces); err != nil {
+		t.Fatalf("%s: %v", when, err)
 	}
 }
 
@@ -560,7 +605,7 @@ func TestTraceFuzzDifferential(t *testing.T) {
 			name := fmt.Sprintf("%s/seed%d", mix.name, seed)
 			t.Run(name, func(t *testing.T) {
 				src := mix.vec + mix.gen(rand.New(rand.NewSource(seed*7919+int64(len(mix.name)))))
-				fuzzDiff(t, mix.cfg, src, chunks[seed%int64(len(chunks))], 120_000, mix.name == "poll", mix.name == "spin")
+				fuzzDiff(t, mix.cfg, src, chunks[seed%int64(len(chunks))], 120_000, seed, mix.name == "poll", mix.name == "spin")
 			})
 		}
 	}

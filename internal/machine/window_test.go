@@ -99,6 +99,21 @@ func seamPageTable(memBytes uint32) map[uint32]TLBEntry {
 	return pt
 }
 
+// longestTrace is the length in instructions of the longest trace m
+// holds (0: none).
+func longestTrace(m *Machine) uint32 {
+	n := uint32(0)
+	for _, pg := range m.pages {
+		if pg == nil {
+			continue
+		}
+		for _, tr := range pg.traces {
+			n = max(n, tr.ilen)
+		}
+	}
+	return n
+}
+
 func (r *seamRig) each(f func(m *Machine)) {
 	for _, m := range r.m {
 		f(m)
@@ -241,7 +256,7 @@ func seams(t *testing.T, cfg Config, src string, real, cow bool, prepare func(m 
 				r, sibling := newSeamRig(t, c, src, real, cow)
 				r.each(prepare)
 				r.run(chunk)
-				if r.m[1].maxTrace == 0 {
+				if longestTrace(r.m[1]) == 0 {
 					t.Fatal("the traced arm built no trace")
 				}
 				if check != nil {

@@ -13,14 +13,16 @@ import (
 // TestTransferBytesGolden pins the AddBackup state-transfer blob byte
 // for byte. Its length is charged to the simulated link, so a state
 // path change that moves a single byte moves every virtual metric
-// downstream of a reintegration. The expected length and SHA-256 were
-// generated on the commit before the page-granular state path landed
-// (7d1173e, flat 1 MiB captures); copy-on-write RAM over the program's
-// base image must still produce exactly that blob.
+// downstream of a reintegration. The expected length was generated on
+// the commit before the page-granular state path landed (7d1173e, flat
+// 1 MiB captures) and has not moved since; the SHA-256 is transfer
+// version 5's, where TLB recency is encoded as order (each LRU stamp as
+// its rank) in the same widths, and a build with -tags spec, which runs
+// no trace, produces the same blob.
 func TestTransferBytesGolden(t *testing.T) {
 	const (
 		wantLen = 25807
-		wantSum = "f829a906dbe1b3e8d9731f8770ffa0649e2567992bf852150899ddfe63691f38"
+		wantSum = "011b5d029e8668896c843f3b16758fa6ecccba9af31eddf7fa1eb0e371e86ba9"
 	)
 	var charged uint64
 	e := New(Options{

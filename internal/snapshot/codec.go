@@ -36,16 +36,17 @@ import (
 // FormatVersion or transferVersion — the two byte goldens
 // (TestSaveBytesGolden, TestTransferBytesGolden) will tell you.
 //
-// Version 6 = one RAM representation (the session configuration lost
-// its shared-image flag byte).
-const FormatVersion = 6
+// Version 7 = TLB recency as order: each LRU stamp is written as the
+// slot's rank and the clock as the highest rank, in the same widths.
+const FormatVersion = 7
 
 // transferVersion is the live state-transfer blob's own format number.
-// The blob holds machine and hypervisor state only, unchanged since
-// format 4, and its bytes are what the simulated link is charged for and
-// what TestTransferBytesGolden pins — so a change to a checkpoint-only
-// section moves FormatVersion and leaves this alone.
-const transferVersion = 4
+// The blob holds machine and hypervisor state only, and its bytes are
+// what the simulated link is charged for and what TestTransferBytesGolden
+// pins — so a change to a checkpoint-only section moves FormatVersion and
+// leaves this alone. Version 5 = TLB recency as order (FormatVersion 7);
+// no field changed width, so no blob changed length.
+const transferVersion = 5
 
 // TransferMagic opens a live state-transfer blob (AddBackup's payload
 // on the simulated link).

@@ -7,12 +7,11 @@ package hft
 // wire format twice over: Save's output is a file format, and the
 // AddBackup transfer blob's length is charged to the simulated link —
 // so a state-path refactor must leave both byte-for-byte unchanged or
-// every virtual metric moves. The Save values below are format 6's,
-// regenerated by the change that made copy-on-write the one RAM
-// representation (the configuration lost its shared-image flag byte;
-// machine, hypervisor and replication state did not change —
-// internal/session's TestTransferBytesGolden still holds the values
-// generated before the page-granular state path).
+// every virtual metric moves. The Save values below are format 7's,
+// regenerated by the change that encodes TLB recency as order (each LRU
+// stamp as its rank, the clock as the highest rank, in the same widths):
+// the lengths are format 6's, and the same values come out of a build
+// with -tags spec, which runs no trace.
 
 import (
 	"bytes"
@@ -33,8 +32,8 @@ type stateGolden struct {
 // (the xfer link carries the image) and after the joiner installed it
 // (the joiner's RAM went through RestoreState).
 var saveGoldens = [2]stateGolden{
-	{54792, "b8c71ee4c924fa056448ec4e4d73690dd7b5531ad46e1442934fe9398ca40b6e"},
-	{83086, "007bc25c72c633fa6819b01aa73816a09d213181b8f3ff5a68380ae2abf5817e"},
+	{54792, "0c861bfe2696c6928b5ae1ae2dd1e2c31f0b2f3770043fac5b8eafb874c09b96"},
+	{83086, "80df5cfff6cbcb30238d5fee6f21c1da26b8eb67241a54be3b08db2c8c10930e"},
 }
 
 func saveGoldenScenario(t *testing.T) [2][]byte {
