@@ -19,8 +19,10 @@ import (
 // renders every exported declaration (functions, methods, types with
 // their exported fields, constants and variables) into a canonical
 // dump and compares it against testdata/api.golden, so a PR cannot
-// silently grow, shrink or reshape the API. After an intentional
-// change, regenerate with:
+// silently grow, shrink or reshape the API. The observation types hft
+// aliases (Event, Snapshot, ServiceLatencies, ...) are declared in
+// internal/obs, so that package's declarations are rendered too, each
+// line prefixed "obs: ". After an intentional change, regenerate with:
 //
 //	go test -run TestAPISurfaceGolden -update-api .
 
@@ -60,20 +62,29 @@ func exposedType(expr ast.Expr) ast.Expr {
 	return out
 }
 
-// apiSurface renders the package's exported declarations, one per line,
-// sorted.
+// apiSurface renders the exported declarations of hft and internal/obs,
+// one per line, sorted.
 func apiSurface(t *testing.T) string {
 	t.Helper()
+	lines := append(declarations(t, ".", "hft", ""), declarations(t, "internal/obs", "obs", "obs: ")...)
+	sort.Strings(lines)
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// declarations renders package name's exported declarations in dir,
+// each line prefixed with prefix.
+func declarations(t *testing.T, dir, name, prefix string) []string {
+	t.Helper()
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, ok := pkgs["hft"]
+	pkg, ok := pkgs[name]
 	if !ok {
-		t.Fatalf("package hft not found (got %v)", pkgs)
+		t.Fatalf("package %s not found in %s (got %v)", name, dir, pkgs)
 	}
 	var lines []string
 	for _, file := range pkg.Files {
@@ -90,12 +101,12 @@ func apiSurface(t *testing.T) string {
 					if !ast.IsExported(base) {
 						continue
 					}
-					lines = append(lines, fmt.Sprintf("func (%s) %s%s",
-						recv, d.Name.Name, strings.TrimPrefix(renderNode(fset, d.Type), "func")))
+					lines = append(lines, fmt.Sprintf("%sfunc (%s) %s%s",
+						prefix, recv, d.Name.Name, strings.TrimPrefix(renderNode(fset, d.Type), "func")))
 					continue
 				}
-				lines = append(lines, fmt.Sprintf("func %s%s",
-					d.Name.Name, strings.TrimPrefix(renderNode(fset, d.Type), "func")))
+				lines = append(lines, fmt.Sprintf("%sfunc %s%s",
+					prefix, d.Name.Name, strings.TrimPrefix(renderNode(fset, d.Type), "func")))
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
@@ -107,8 +118,8 @@ func apiSurface(t *testing.T) string {
 						if s.Assign != token.NoPos {
 							assign = "= "
 						}
-						lines = append(lines, fmt.Sprintf("type %s %s%s",
-							s.Name.Name, assign, renderNode(fset, exposedType(s.Type))))
+						lines = append(lines, fmt.Sprintf("%stype %s %s%s",
+							prefix, s.Name.Name, assign, renderNode(fset, exposedType(s.Type))))
 					case *ast.ValueSpec:
 						kw := "var"
 						if d.Tok == token.CONST {
@@ -118,7 +129,7 @@ func apiSurface(t *testing.T) string {
 							if !n.IsExported() {
 								continue
 							}
-							line := fmt.Sprintf("%s %s", kw, n.Name)
+							line := fmt.Sprintf("%s%s %s", prefix, kw, n.Name)
 							if s.Type != nil {
 								line += " " + renderNode(fset, s.Type)
 							}
@@ -132,8 +143,7 @@ func apiSurface(t *testing.T) string {
 			}
 		}
 	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n") + "\n"
+	return lines
 }
 
 func TestAPISurfaceGolden(t *testing.T) {

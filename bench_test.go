@@ -20,6 +20,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/platform"
 	"repro/internal/replication"
@@ -303,7 +304,10 @@ func BenchmarkPolledEpochPair(b *testing.B) {
 	btx, brx := pair.Channel(1, 0)
 	bak := replication.NewReplica(pair.Nodes[1].HV, []replication.Peer{{TX: btx, RX: brx}}, nil, rc)
 	epochs := 0
-	pri.Hooks.EpochCommitted = func(int, uint64, uint32, sim.Time, bool) {
+	pri.Observer = func(ev obs.Event) {
+		if ev.Kind != obs.EventEpochCommitted {
+			return
+		}
 		if epochs++; epochs == b.N {
 			k.Stop()
 		}

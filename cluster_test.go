@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/guest"
+	"repro/internal/sim"
 )
 
 // TestClusterLiveFailover drives a session through a live (unscheduled)
@@ -352,6 +353,34 @@ func TestClusterSnapshotMidRun(t *testing.T) {
 	}
 	if !strings.Contains(end.Console, "C") {
 		t.Errorf("console transcript missing: %q", end.Console)
+	}
+}
+
+// TestBareSnapshotGuestInstructions: a bare session's Snapshot reports
+// the bare machine's retired instructions. The unvirtualized guest
+// retires one instruction per 20 ns cycle, so a CPU-bound run that never
+// idles retires exactly its completion time's worth.
+func TestBareSnapshotGuestInstructions(t *testing.T) {
+	c, err := NewCluster(WithWorkload(CPUIntensive(2000)), Bare())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mid, err := c.RunFor(200 * Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := c.Snapshot()
+	if mid.GuestInstructions == 0 || mid.GuestInstructions >= end.GuestInstructions {
+		t.Errorf("bare guest instructions: %d mid-run, %d at the end", mid.GuestInstructions, end.GuestInstructions)
+	}
+	if want := uint64(res.Time / (20 * sim.Nanosecond)); !end.Halted || end.GuestInstructions != want {
+		t.Errorf("bare terminal snapshot: %d instructions (halted=%v), want %d for %v at 50 MIPS",
+			end.GuestInstructions, end.Halted, want, res.Time)
 	}
 }
 

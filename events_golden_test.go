@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/guest"
+	"repro/internal/scsi"
 )
 
 // The event stream is contract too: dashboards, hftsim's scenario
@@ -166,5 +167,29 @@ func TestEventStreamGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("event stream is a prefix of the golden (%d of %d lines)", len(lines), len(wl)-1)
+	}
+}
+
+// TestEventsNoSubscriberAllocs guards the path an event takes when nobody
+// subscribes: a disk operation, observed through the shared disk's
+// completion hook, and an epoch commit are built, stamped, published and
+// dropped without allocating (Device is derived when read, never
+// formatted at emit).
+func TestEventsNoSubscriberAllocs(t *testing.T) {
+	c, err := NewCluster(WithWorkload(CPUIntensive(2000)), fastDiskOpts()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.RunFor(100 * Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	onOp := c.eng.Disks()[1].OnOp
+	if a := testing.AllocsPerRun(100, func() { onOp(scsi.OpRecord{Cmd: scsi.CmdWrite, Block: 7}) }); a != 0 {
+		t.Errorf("a disk-op event allocates %v times with no subscriber", a)
+	}
+	commit := Event{Kind: EventEpochCommitted, Time: c.Now(), Epoch: 3, Tme: 99}
+	if a := testing.AllocsPerRun(100, func() { c.publish(commit) }); a != 0 {
+		t.Errorf("an epoch-commit event allocates %v times with no subscriber", a)
 	}
 }

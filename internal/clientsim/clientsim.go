@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/nic"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -226,20 +227,10 @@ func (s *Sim) reply(words []uint32) {
 	s.stat.Answered++
 }
 
-// Latencies describes the client-observed request latency distribution
-// and the population's counters (virtual time).
-type Latencies struct {
-	Requests    int
-	Answered    int
-	Retransmits uint64
-	P50         sim.Time
-	P99         sim.Time
-	P999        sim.Time
-	Max         sim.Time
-}
-
-// Measure computes the latency distribution over answered requests.
-func (s *Sim) Measure() Latencies {
+// Measure computes the latency distribution over answered requests and
+// the population's counters (virtual time; no commit quantiles, which
+// are the replication layer's).
+func (s *Sim) Measure() obs.ServiceLatencies {
 	var lat []sim.Time
 	for i := range s.st {
 		if s.st[i].replyAt != 0 {
@@ -247,7 +238,7 @@ func (s *Sim) Measure() Latencies {
 		}
 	}
 	sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
-	m := Latencies{
+	m := obs.ServiceLatencies{
 		Requests:    s.stat.Issued,
 		Answered:    s.stat.Answered,
 		Retransmits: s.stat.Retransmits,

@@ -130,10 +130,10 @@ func TestBareDiskWriteWorkload(t *testing.T) {
 	if out := s.Console.Output(); out != "W\n" {
 		t.Errorf("console = %q", out)
 	}
-	if got := len(s.Disk.Log); got != 5 {
+	if got := len(s.Disks[0].Log); got != 5 {
 		t.Errorf("disk ops = %d, want 5", got)
 	}
-	for _, rec := range s.Disk.Log {
+	for _, rec := range s.Disks[0].Log {
 		if rec.Cmd != scsi.CmdWrite {
 			t.Errorf("unexpected op %d", rec.Cmd)
 		}
@@ -151,7 +151,7 @@ func TestBareDiskReadWorkload(t *testing.T) {
 	if out := s.Console.Output(); out != "R\n" {
 		t.Errorf("console = %q", out)
 	}
-	if got := len(s.Disk.Log); got != 6 {
+	if got := len(s.Disks[0].Log); got != 6 {
 		t.Errorf("disk ops = %d, want 6", got)
 	}
 }
@@ -176,7 +176,7 @@ func TestVirtualizedMatchesBare(t *testing.T) {
 		if a, b := sBare.Console.Output(), sVirt.Console.Output(); a != b {
 			t.Errorf("kind %d: console %q vs %q", w.Kind, a, b)
 		}
-		if a, b := len(sBare.Disk.Log), len(sVirt.Disk.Log); a != b {
+		if a, b := len(sBare.Disks[0].Log), len(sVirt.Disks[0].Log); a != b {
 			t.Errorf("kind %d: disk ops %d vs %d", w.Kind, a, b)
 		}
 		// Virtualization costs time (NP > 1).
@@ -224,7 +224,7 @@ func TestDeviceTransientRetriedByDriver(t *testing.T) {
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
 	s := newSingle(k, cfg)
-	s.Disk.InjectUncertainNext(2)
+	s.Disks[0].InjectUncertainNext(2)
 	p := Program()
 	s.Bare.Boot(p.Origin, p.Words, 0)
 	Configure(s.Node.M, DiskWrite(3, 512))
@@ -238,11 +238,11 @@ func TestDeviceTransientRetriedByDriver(t *testing.T) {
 		t.Fatalf("guest panic %#x", res.Panic)
 	}
 	// 3 logical writes + 2 retries = 5 device ops.
-	if got := len(s.Disk.Log); got != 5 {
+	if got := len(s.Disks[0].Log); got != 5 {
 		t.Errorf("disk ops = %d, want 5 (retries included)", got)
 	}
-	if s.Node.Adapter.OpsUncertain != 2 {
-		t.Errorf("uncertain completions = %d, want 2", s.Node.Adapter.OpsUncertain)
+	if s.Node.Adapters[0].OpsUncertain != 2 {
+		t.Errorf("uncertain completions = %d, want 2", s.Node.Adapters[0].OpsUncertain)
 	}
 }
 
@@ -268,7 +268,7 @@ func TestReadWorkloadChecksumsData(t *testing.T) {
 	defer k.Shutdown()
 	s := newSingle(k, cfg)
 	for b := uint32(16); b < 16+1024; b++ {
-		s.Disk.WriteBlockDirect(b, []byte{byte(b), byte(b >> 8), 1, 2})
+		s.Disks[0].WriteBlockDirect(b, []byte{byte(b), byte(b >> 8), 1, 2})
 	}
 	p := Program()
 	s.Bare.Boot(p.Origin, p.Words, 0)

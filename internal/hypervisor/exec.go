@@ -162,7 +162,7 @@ func (hv *Hypervisor) epochStep(p *sim.Proc) (sim.Time, sim.StepStatus) {
 			hv.Stats.GuestInstructions += rr.Executed
 			r.res, r.phase = rr.StepResult, phasePoll
 			if rr.Executed > 0 {
-				return sim.Time(rr.Executed) * hv.cfg.Cost.InstructionTime, r.more()
+				return sim.Time(rr.Executed) * instructionTime, r.more()
 			}
 
 		case phasePoll:
@@ -192,8 +192,8 @@ func (hv *Hypervisor) epochStep(p *sim.Proc) (sim.Time, sim.StepStatus) {
 
 		case phaseWalk:
 			r.phase = phaseEmulate
-			hv.Stats.HypervisorTime += hv.cfg.Cost.TLBWalk
-			return hv.cfg.Cost.TLBWalk, sim.StepMore
+			hv.Stats.HypervisorTime += tlbWalk
+			return tlbWalk, sim.StepMore
 
 		case phaseEmulate:
 			if p == nil && r.mmio && hv.OnBeforeIO != nil && isStore(r.res.Inst.Op) {
@@ -231,8 +231,8 @@ func (hv *Hypervisor) StartEpochClock() uint32 {
 
 // ChargeBoundary charges the local epoch-boundary processing cost.
 func (hv *Hypervisor) ChargeBoundary(p *sim.Proc) {
-	hv.Stats.HypervisorTime += hv.cfg.Cost.EpochLocal
-	p.Sleep(hv.cfg.Cost.EpochLocal)
+	hv.Stats.HypervisorTime += epochLocal
+	p.Sleep(epochLocal)
 }
 
 // chargeSim accounts one full hypervisor simulation (entry/exit + work)
@@ -242,10 +242,10 @@ func (hv *Hypervisor) ChargeBoundary(p *sim.Proc) {
 // so no fresh world switch is paid. Pure function of the instruction
 // stream — every replica charges identically.
 func (hv *Hypervisor) chargeSim() sim.Time {
-	c := hv.cfg.Cost.HSim()
+	c := HSim
 	if hv.cfg.ResidentEmulation && hv.residentArmed &&
 		hv.guestInstr-hv.residentAt <= residentWindow {
-		c = hv.cfg.Cost.ResidentWork
+		c = residentWork
 		hv.Stats.ResidentSims++
 	}
 	hv.residentAt, hv.residentArmed = hv.guestInstr, true
@@ -256,7 +256,7 @@ func (hv *Hypervisor) chargeSim() sim.Time {
 // chargeEntryExit accounts a hypervisor entry/exit without simulation
 // work (trap reflection, TLB fill base cost) and returns its cost.
 func (hv *Hypervisor) chargeEntryExit() sim.Time {
-	c := hv.cfg.Cost.TrapEntryExit
+	c := trapEntryExit
 	hv.Stats.HypervisorTime += c
 	return c
 }

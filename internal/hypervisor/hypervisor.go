@@ -22,7 +22,7 @@
 //     boundaries.
 //
 // Costs are charged in simulated time using constants calibrated from the
-// paper's measurements (hsim = 15.12 µs per simulated instruction, split
+// paper's measurements (HSim = 15.12 µs per simulated instruction, split
 // ~8 µs entry/exit + ~7 µs work; 50 MIPS base processor).
 package hypervisor
 
@@ -35,61 +35,46 @@ import (
 	"repro/internal/sim"
 )
 
-// CostModel holds the simulated-time costs of hypervisor activity,
-// calibrated to §4.1 of the paper.
-type CostModel struct {
-	// InstructionTime is the base cost of one guest instruction
-	// (the HP 9000/720 is "a 50 MIPS processor": 20 ns).
-	InstructionTime sim.Time
-	// TrapEntryExit is the cost of entering and leaving the hypervisor
+// The simulated-time costs of hypervisor activity, calibrated to §4.1 of
+// the paper.
+const (
+	// instructionTime is the cost of one guest instruction, bare or
+	// virtualized (the HP 9000/720 is "a 50 MIPS processor": 20 ns).
+	instructionTime = 20 * sim.Nanosecond
+	// trapEntryExit is the cost of entering and leaving the hypervisor
 	// ("approximately 8 µsec for hypervisor entry/exit").
-	TrapEntryExit sim.Time
-	// SimulateWork is the cost of simulating one privileged or
+	trapEntryExit = 8120 * sim.Nanosecond
+	// simulateWork is the cost of simulating one privileged or
 	// environment instruction once inside ("7 µsec for the actual work").
-	SimulateWork sim.Time
-	// EpochLocal is the local (non-communication) part of
-	// epoch-boundary processing: buffer management, timer checks,
-	// interrupt delivery. The paper's hepoch of 443.59 µs additionally
-	// includes waiting for acknowledgements, which in this reproduction
-	// emerges from the simulated link round-trip.
-	EpochLocal sim.Time
-	// TLBWalk is the cost of a hypervisor page-table fill (the §3.2
-	// TLB takeover); it replaces what hardware or the guest's handler
-	// would have spent, so it is far below a full simulation.
-	TLBWalk sim.Time
-	// ResidentWork is the cost of re-simulating an instruction while the
+	simulateWork = 7 * sim.Microsecond
+	// HSim is the full cost of one hypervisor-simulated instruction
+	// (entry/exit + work): the paper's 15.12 µs.
+	HSim = trapEntryExit + simulateWork
+	// epochLocal is the local (non-communication) part of epoch-boundary
+	// processing: buffer management, timer checks, interrupt delivery.
+	// The paper's hepoch of 443.59 µs additionally includes waiting for
+	// acknowledgements, which in this reproduction emerges from the
+	// simulated link round-trip.
+	epochLocal = 20 * sim.Microsecond
+	// tlbWalk is the cost of a hypervisor page-table fill (the §3.2 TLB
+	// takeover); it replaces what hardware or the guest's handler would
+	// have spent, so it is far below a full simulation.
+	tlbWalk = 2 * sim.Microsecond
+	// residentWork is the cost of re-simulating an instruction while the
 	// hypervisor is already resident (Config.ResidentEmulation): no
 	// entry/exit, and the decoded device window and shadow state of the
 	// previous simulation are still hot, so only the access itself is
-	// performed. The paper's 7 µs SimulateWork is dominated by locating
+	// performed. The paper's 7 µs simulateWork is dominated by locating
 	// and validating the simulated state from scratch on every trap; a
 	// resident interpreter loop pays that once per burst.
-	ResidentWork sim.Time
-}
-
-// DefaultCosts returns the paper-calibrated cost model.
-func DefaultCosts() CostModel {
-	return CostModel{
-		InstructionTime: 20 * sim.Nanosecond,
-		TrapEntryExit:   8120 * sim.Nanosecond,
-		SimulateWork:    7 * sim.Microsecond,
-		EpochLocal:      20 * sim.Microsecond,
-		TLBWalk:         2 * sim.Microsecond,
-		ResidentWork:    1 * sim.Microsecond,
-	}
-}
-
-// HSim returns the full cost of one hypervisor-simulated instruction
-// (entry/exit + work); DefaultCosts yields the paper's 15.12 µs.
-func (c CostModel) HSim() sim.Time { return c.TrapEntryExit + c.SimulateWork }
+	residentWork = 1 * sim.Microsecond
+)
 
 // Config describes a hypervisor instance.
 type Config struct {
 	// EpochLength is the number of guest instructions per epoch (the
 	// paper evaluates 1K..32K; HP-UX tolerates at most 385,000).
 	EpochLength uint64
-	// Cost is the simulated-time cost model (DefaultCosts() if zero).
-	Cost CostModel
 	// NoTLBTakeover disables the §3.2 fix: TLB misses are reflected to
 	// the guest's own handler instead of being served invisibly by the
 	// hypervisor. With a nondeterministic TLB replacement policy this
@@ -127,9 +112,6 @@ type Config struct {
 const PTEValid uint32 = 1 << 5
 
 const (
-	// instructionTime is the bare machine's cost of one instruction
-	// (50 MIPS; a hypervisor charges CostModel.InstructionTime).
-	instructionTime = 20 * sim.Nanosecond
 	// chunkSize bounds how many instructions execute between
 	// simulated-time syncs and interrupt polls.
 	chunkSize = 256
@@ -149,14 +131,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.EpochLength == 0 {
 		c.EpochLength = 4096
-	}
-	if c.Cost == (CostModel{}) {
-		c.Cost = DefaultCosts()
-	}
-	if c.Cost.ResidentWork == 0 {
-		// Custom cost models predating the resident fast path: fall back
-		// to a full simulation charge rather than a free one.
-		c.Cost.ResidentWork = c.Cost.SimulateWork
 	}
 	return c
 }
@@ -426,9 +400,6 @@ func New(m *machine.Machine, cfg Config) *Hypervisor {
 	hv.step = hv.epochStep
 	return hv
 }
-
-// Config returns the hypervisor's configuration (defaults applied).
-func (hv *Hypervisor) Config() Config { return hv.cfg }
 
 // AttachDevice registers a shadow device. Devices must be attached
 // before the guest boots (the table is wired identically on every

@@ -124,12 +124,12 @@ func TestSimulationCostCharged(t *testing.T) {
 	r.runEpochs(t, 2)
 	// Two privileged simulations (mfctl + halt) at 15.12 us each, plus
 	// instruction time and boundary cost.
-	min := 2 * DefaultCosts().HSim()
+	min := 2 * HSim
 	if r.k.Now() < min {
 		t.Errorf("simulated time %v, want >= %v (2 x hsim)", r.k.Now(), min)
 	}
-	if DefaultCosts().HSim() != 15120*sim.Nanosecond {
-		t.Errorf("hsim = %v, want 15.12us (paper)", DefaultCosts().HSim())
+	if HSim != 15120*sim.Nanosecond {
+		t.Errorf("hsim = %v, want 15.12us (paper)", HSim)
 	}
 }
 

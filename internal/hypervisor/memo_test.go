@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/hypervisor"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -53,17 +54,22 @@ func runPolledPair(t *testing.T, mc machine.Config, epochs uint64, at func(epoch
 		run.boundaries = append(run.boundaries, fmt.Sprintf("%s epoch %d at %d: instr %d digest %016x %v",
 			who, epoch, at, hv.GuestInstructions(), hv.Digest(), extra))
 	}
-	pri.Hooks.EpochCommitted = func(node int, epoch uint64, tme uint32, now sim.Time, halted bool) {
-		note("commit", node, epoch, now, tme)
-		if at != nil {
-			at(epoch, pair.Nodes[0])
+	pri.Observer = func(ev obs.Event) {
+		if ev.Kind != obs.EventEpochCommitted {
+			return
 		}
-		if epoch+1 == epochs {
+		note("commit", ev.Node, ev.Epoch, ev.Time, ev.Tme)
+		if at != nil {
+			at(ev.Epoch, pair.Nodes[0])
+		}
+		if ev.Epoch+1 == epochs {
 			k.Stop()
 		}
 	}
-	bak.Hooks.BackupEpoch = func(node int, epoch uint64, now sim.Time, match bool) {
-		note("follow", node, epoch, now, match)
+	bak.Observer = func(ev obs.Event) {
+		if ev.Kind == obs.EventBackupEpoch {
+			note("follow", ev.Node, ev.Epoch, ev.Time, ev.DigestMatch)
+		}
 	}
 	bak.StartReceivers(k)
 	k.Spawn("primary", pri.Run)

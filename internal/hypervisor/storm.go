@@ -93,10 +93,10 @@ func (hv *Hypervisor) stormAhead(remaining uint64) sim.Time {
 		return 0
 	}
 	per := n + 1 // the recalled instructions and the emulated load
-	a, b := sim.Time(n)*hv.cfg.Cost.InstructionTime, hv.cfg.Cost.HSim()
+	a, b := sim.Time(n)*instructionTime, HSim
 	resident := hv.cfg.ResidentEmulation && per <= residentWindow
 	if resident {
-		b = hv.cfg.Cost.ResidentWork
+		b = residentWork
 	}
 	// The i-th call ahead is recalled iff remaining − (i−1)·per > n, that
 	// is iff i <= remaining/per (Poll has just said so for the first;

@@ -18,6 +18,7 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/machine"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/replication"
 	"repro/internal/session"
@@ -53,7 +54,11 @@ func newStormSet(t *testing.T, n int, lockstep bool) *stormSet {
 	}
 	s.cluster, s.reps = wireReplicas(s.k, n, machine.Config{}, hc, rc, 1000) // more requests than will ever come
 	for i, r := range s.reps {
-		r.Hooks.EpochCommitted = func(int, uint64, uint32, sim.Time, bool) { s.commits++ }
+		r.Observer = func(ev obs.Event) {
+			if ev.Kind == obs.EventEpochCommitted {
+				s.commits++
+			}
+		}
 		if i > 0 {
 			r.StartReceivers(s.k)
 		}

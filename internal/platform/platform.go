@@ -65,7 +65,8 @@ type Config struct {
 	// Machine configures the processors (identical configs; the TLB
 	// seed is perturbed per node to model per-chip nondeterminism).
 	Machine machine.Config
-	// Hypervisor configures both hypervisors (epoch length, costs).
+	// Hypervisor configures every hypervisor (epoch length, boundary
+	// and emulation options).
 	Hypervisor hypervisor.Config
 	// Disk configures shared disk 0.
 	Disk scsi.DiskConfig
@@ -88,8 +89,6 @@ type Config struct {
 type Node struct {
 	M  *machine.Machine
 	HV *hypervisor.Hypervisor
-	// Adapter is disk 0's adapter (convenience alias of Adapters[0]).
-	Adapter *scsi.Adapter
 	// Adapters holds one adapter per shared disk, in disk order.
 	Adapters []*scsi.Adapter
 	// Port is this node's endpoint on the shared console.
@@ -147,7 +146,6 @@ func finishNode(k *sim.Kernel, cfg Config, n *Node, e *env, host int) {
 		n.Adapters = append(n.Adapters, a)
 		mux.Map(fmt.Sprintf("scsi%d", i), base, scsi.AdapterWindow, a)
 	}
-	n.Adapter = n.Adapters[0]
 	n.Port = e.console.NewPort(func() { m.RaiseIRQ(ConsoleIRQLine) })
 	mux.Map("console", ConsoleBase, console.Window, n.Port)
 	if e.nic != nil {
@@ -182,8 +180,7 @@ func finishNode(k *sim.Kernel, cfg Config, n *Node, e *env, host int) {
 // baseline (hypervisor.NewBare on node 0's machine) runs on.
 type Cluster struct {
 	K *sim.Kernel
-	// Disk is shared disk 0; Disks holds all shared disks.
-	Disk    *scsi.Disk
+	// Disks holds the shared disks in index order.
 	Disks   []*scsi.Disk
 	Console *console.Console
 	// NIC is the shared network adapter (nil unless Config.NIC).
@@ -204,7 +201,7 @@ func NewCluster(k *sim.Kernel, cfg Config, n int) *Cluster {
 	}
 	c := &Cluster{K: k, cfg: cfg}
 	c.env = newEnv(k, cfg)
-	c.Disks, c.Disk, c.Console, c.NIC = c.env.disks, c.env.disks[0], c.env.console, c.env.nic
+	c.Disks, c.Console, c.NIC = c.env.disks, c.env.console, c.env.nic
 	for i := 0; i < n; i++ {
 		node := newNode(k, cfg, i)
 		finishNode(k, cfg, node, c.env, i)

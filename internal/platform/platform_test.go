@@ -13,7 +13,7 @@ func TestNewPairWiring(t *testing.T) {
 	defer k.Shutdown()
 	c := NewCluster(k, Config{}, 2)
 	pri, bak := c.Nodes[0], c.Nodes[1]
-	if tx, rx := c.Channel(0, 1); pri.M == nil || bak.M == nil || c.Disk == nil || tx == nil || rx == nil {
+	if tx, rx := c.Channel(0, 1); pri.M == nil || bak.M == nil || c.Disks[0] == nil || tx == nil || rx == nil {
 		t.Fatal("incomplete pair")
 	}
 	// Distinct CPU identities, distinct TLB seeds (chip nondeterminism).

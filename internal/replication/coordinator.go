@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/hypervisor"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -93,11 +94,11 @@ type coordinator struct {
 	stats   *Stats
 	stopped func() bool
 	archive *epochArchive
-	// hooks/node observe epoch commits (hooks points at the owning
-	// replica's Hooks so late assignment is seen).
-	hooks *Hooks
-	node  int
-	k     *sim.Kernel
+	// rep is the owning replica: its index names the commits and releases
+	// this coordinator reports to its Observer, and its joinBarrier holds
+	// the coordinator at each epoch boundary.
+	rep *Replica
+	k   *sim.Kernel
 
 	intIndex uint32 // capture index within the current epoch
 
@@ -127,15 +128,6 @@ type coordinator struct {
 	txSig   *sim.Signal
 	txClose bool
 	bpool   *netsim.FramePool[struct{}, *epochFrame]
-
-	// joinBarrier (the owning replica's, so it is armed across a promotion
-	// too) makes the coordinator hold at each epoch boundary until
-	// the replication stream is fully drained (see drained). A
-	// reintegration sets it while quiescing: the state-transfer image must
-	// be captured at a boundary the survivors can reconstruct, and with a
-	// transmit queue an ordinary boundary is NOT one — frames may still
-	// sit in the queue, dying with the processor on a failstop.
-	joinBarrier *bool
 }
 
 type pendingEpoch struct {
@@ -144,14 +136,13 @@ type pendingEpoch struct {
 
 // newCoordinator builds the coordinator r runs once nobody is upstream of
 // it — at construction on node 0, at promotion elsewhere — over r's
-// downstream channels, counters, archive and hooks.
+// downstream channels, counters, archive and observer.
 func (r *Replica) newCoordinator() *coordinator {
 	c := &coordinator{
 		hv: r.HV, s: newSender(r.downs, &r.Stats), stats: &r.Stats,
 		pol:     derivePolicy(r.cfg.Protocol, r.cfg.OutputCommit),
-		stopped: r.Failed, archive: r.archive, hooks: &r.Hooks, node: r.index,
-		pool:        &netsim.FramePool[epochHead, hypervisor.Interrupt]{},
-		joinBarrier: &r.joinBarrier,
+		stopped: r.Failed, archive: r.archive, rep: r,
+		pool: &netsim.FramePool[epochHead, hypervisor.Interrupt]{},
 	}
 	c.s.peerTimeout = r.cfg.PeerTimeout
 	return c
@@ -190,7 +181,7 @@ func (c *coordinator) install(p *sim.Proc) {
 		// Interrupts ride the epoch frame; a transmit process ships it.
 		c.txSig = c.k.NewSignal("repl.tx")
 		c.bpool = &netsim.FramePool[struct{}, *epochFrame]{}
-		c.k.Spawn(fmt.Sprintf("oc-tx%d", c.node), c.txLoop)
+		c.k.Spawn(fmt.Sprintf("oc-tx%d", c.rep.index), c.txLoop)
 	} else {
 		// P1: forward every captured interrupt immediately.
 		hv.OnCapture = func(i hypervisor.Interrupt) {
@@ -366,15 +357,13 @@ func (c *coordinator) release(epoch uint64, occupancy int) {
 	cnt, firstAt := c.hv.SettleOutput(epoch, hypervisor.ReleaseOutput)
 	c.released, c.haveReleased = epoch, true
 	c.stats.OutputsReleased += uint64(cnt)
-	if c.hooks == nil || c.hooks.OutputCommitted == nil {
-		return
-	}
 	now := c.k.Now()
 	var lat sim.Time
 	if cnt > 0 && firstAt > 0 {
 		lat = now - firstAt
 	}
-	c.hooks.OutputCommitted(c.node, epoch, now, lat, cnt, occupancy)
+	c.rep.observe(obs.Event{Kind: obs.EventOutputCommitted, Time: now, Node: c.rep.index, Epoch: epoch,
+		Outputs: cnt, CommitLatency: lat, Occupancy: occupancy})
 }
 
 // ackTick is how long a wait sleeps between liveness checks.
@@ -475,15 +464,13 @@ func (c *coordinator) run(p *sim.Proc, tme0 uint32) {
 		// point: hold here until the stream drains, so the captured image
 		// never certifies an epoch that would be lost — and re-executed
 		// differently by a promoted backup — were this processor to
-		// failstop now. Draining BEFORE the commit hook lets the
+		// failstop now. Draining BEFORE the commit event lets the
 		// session's boundary-sampled stop predicate observe the drained
 		// state.
-		if *c.joinBarrier && !c.wait(p, c.drained) {
+		if c.rep.joinBarrier && !c.wait(p, c.drained) {
 			return
 		}
-		if c.hooks != nil && c.hooks.EpochCommitted != nil {
-			c.hooks.EpochCommitted(c.node, b.Epoch, tme, p.Now(), b.Halted)
-		}
+		c.rep.observe(obs.Event{Kind: obs.EventEpochCommitted, Time: p.Now(), Node: c.rep.index, Epoch: b.Epoch, Tme: tme, Halted: b.Halted})
 		hv.ChargeBoundary(p)
 		hv.SetTODBase(tme)
 		c.intIndex = 0

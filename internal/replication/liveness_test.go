@@ -106,7 +106,7 @@ func TestAckLivenessTimeout(t *testing.T) {
 				t.Errorf("console = %q, bare %q", got, wantConsole)
 			}
 			for blk := uint32(10); blk < 10+nOps; blk++ {
-				if !bytes.Equal(mc.c.Disk.ReadBlockDirect(blk), bare.Disk.ReadBlockDirect(blk)) {
+				if !bytes.Equal(mc.c.Disks[0].ReadBlockDirect(blk), bare.Disks[0].ReadBlockDirect(blk)) {
 					t.Errorf("disk block %d differs from the bare run's", blk)
 				}
 			}

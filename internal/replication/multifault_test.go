@@ -68,7 +68,7 @@ func (mc *multiCluster) run(t *testing.T, bound sim.Time) {
 func (mc *multiCluster) failNode(idx int, at sim.Time) {
 	mc.k.At(at, func() {
 		mc.reps[idx].Failstop()
-		mc.c.Nodes[idx].Adapter.Detached = true
+		mc.c.Nodes[idx].Adapters[0].Detached = true
 	})
 }
 
@@ -137,7 +137,7 @@ func TestTwoBackupsPrimaryFailure(t *testing.T) {
 		t.Errorf("console = %q, want ...OK", out)
 	}
 	// Workload result on disk is intact.
-	blk := mc.c.Disk.ReadBlockDirect(100)
+	blk := mc.c.Disks[0].ReadBlockDirect(100)
 	if got := le32(blk[0:4]); got != 0xA0000000 {
 		t.Errorf("block 100 word 0 = %#x", got)
 	}
@@ -168,11 +168,11 @@ func TestTwoBackupsDoubleFailure(t *testing.T) {
 		t.Fatal("backup 2 did not finish the workload")
 	}
 	// The workload completed correctly despite two failures.
-	blk := mc.c.Disk.ReadBlockDirect(110)
+	blk := mc.c.Disks[0].ReadBlockDirect(110)
 	if got := le32(blk[0:4]); got != 0xA0000000 {
 		t.Errorf("block 110 word 0 = %#x", got)
 	}
-	hist := mc.c.Disk.WriteHistory(110)
+	hist := mc.c.Disks[0].WriteHistory(110)
 	for i := 1; i < len(hist); i++ {
 		if hist[i] != hist[0] {
 			t.Errorf("environment saw divergent writes: %v", hist)

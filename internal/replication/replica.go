@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/hypervisor"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -67,8 +68,12 @@ type Replica struct {
 	// (tripwire).
 	OnDivergence func(epoch uint64, primary, backup uint64)
 
-	// Hooks observes protocol milestones (optional; set before Run).
-	Hooks Hooks
+	// Observer, when set, sees the protocol milestones as they happen:
+	// EventEpochCommitted and EventOutputCommitted from the coordinator,
+	// EventBackupEpoch after each digest check, EventPromoted at P6/P7.
+	// It runs in simulation context and must not block in virtual time (an
+	// observer that slept would perturb the protocol timing it watches).
+	Observer func(obs.Event)
 
 	pending map[uint64]*epochRecord
 	// recFree recycles epoch records: a record freed at one epoch's
@@ -95,9 +100,14 @@ type Replica struct {
 	// upstream: built at construction on node 0, at promotion elsewhere
 	// (nil until then).
 	coord *coordinator
-	// joinBarrier is the reintegration drain the coordinator reads (see
-	// coordinator.joinBarrier); it lives here so that it carries across a
-	// promotion that happens while the quiesce is in progress.
+	// joinBarrier makes the coordinator this replica runs hold at each
+	// epoch boundary until the replication stream is fully drained (see
+	// coordinator.drained); it lives here so that it carries across a
+	// promotion that happens while the quiesce is in progress. A
+	// reintegration sets it while quiescing: the state-transfer image must
+	// be captured at a boundary the survivors can reconstruct, and with a
+	// transmit queue an ordinary boundary is NOT one — frames may still sit
+	// in the queue, dying with the processor on a failstop.
 	joinBarrier bool
 
 	Stats Stats
@@ -132,7 +142,7 @@ func (r *Replica) Promoted() bool { return r.promoted }
 // SetJoinBarrier arms (or disarms) the reintegration drain: while set,
 // the coordinator this replica runs — now, or from a promotion that
 // happens while the barrier is armed — holds at each epoch boundary until
-// every committed epoch is replicated (see coordinator.joinBarrier).
+// every committed epoch is replicated (see Replica.joinBarrier).
 // Call from a paused simulation, as with AddDownstream.
 func (r *Replica) SetJoinBarrier(on bool) { r.joinBarrier = on }
 
@@ -160,6 +170,13 @@ func (r *Replica) Failstop() {
 			p.TX.Disconnect()
 			p.RX.Disconnect()
 		}
+	}
+}
+
+// observe hands ev to the Observer, if any.
+func (r *Replica) observe(ev obs.Event) {
+	if r.Observer != nil {
+		r.Observer(ev)
 	}
 }
 
@@ -319,9 +336,7 @@ func (r *Replica) replayVerbatim(p *sim.Proc, e uint64, digest uint64, v *SyncEp
 		hv.BufferInterrupt(i)
 	}
 	match := r.agrees(e, "digest", v.Digest, digest)
-	if r.Hooks.BackupEpoch != nil {
-		r.Hooks.BackupEpoch(r.index, e, p.Now(), match)
-	}
+	r.observe(obs.Event{Kind: obs.EventBackupEpoch, Time: p.Now(), Node: r.index, Epoch: e, DigestMatch: match})
 	hv.DeliverBuffered()
 	// The verbatim record proves the (new) coordinator completed this
 	// epoch — it emitted everything through it, by promotion flush or
@@ -448,9 +463,7 @@ func (r *Replica) follow(p *sim.Proc) (b hypervisor.Boundary, orphaned bool) {
 		// Normal path: Tme_b := Tme_p; buffer; deliver; digest check.
 		tme, end := er.tme, er.end
 		match := r.agrees(e, "digest", end.Digest, b.Digest) && r.agrees(e, "cut", end.Cut, b.GuestInstr)
-		if r.Hooks.BackupEpoch != nil {
-			r.Hooks.BackupEpoch(r.index, e, p.Now(), match)
-		}
+		r.observe(obs.Event{Kind: obs.EventBackupEpoch, Time: p.Now(), Node: r.index, Epoch: e, DigestMatch: match})
 		r.stageOrdered(e)
 		hv.TimerInterruptsDue(tme)
 		// Only a replica that may later coordinate others (it has
@@ -516,9 +529,7 @@ func (r *Replica) promote(p *sim.Proc, b hypervisor.Boundary) uint32 {
 	r.Stats.Promoted = true
 	r.Stats.PromotedAtEpoch = e
 	r.Stats.PromotedAtTime = p.Now()
-	if r.Hooks.Promoted != nil {
-		r.Hooks.Promoted(r.index, e, p.Now(), uncertain)
-	}
+	r.observe(obs.Event{Kind: obs.EventPromoted, Time: p.Now(), Node: r.index, Epoch: e, Uncertain: uncertain})
 	r.release(e)
 
 	// The next epoch starts from our real clock (we are the authority

@@ -284,13 +284,13 @@ func TestReplicatedDiskIO(t *testing.T) {
 		t.Errorf("console = %q, want wwwOK (exactly one copy)", out)
 	}
 	// Only the primary's host touched the disk.
-	for _, rec := range c.pair.Disk.Log {
+	for _, rec := range c.pair.Disks[0].Log {
 		if rec.Host != 0 {
 			t.Errorf("disk op from host %d while primary alive", rec.Host)
 		}
 	}
 	// Disk contents correct.
-	blk := c.pair.Disk.ReadBlockDirect(10)
+	blk := c.pair.Disks[0].ReadBlockDirect(10)
 	if got := le32(blk[0:4]); got != 0xA0000000 {
 		t.Errorf("block 10 word 0 = %#x", got)
 	}
@@ -337,13 +337,13 @@ func TestFailoverMidCompute(t *testing.T) {
 	if len(out) < 2 || out[len(out)-2:] != "OK" {
 		t.Errorf("console = %q, want ...OK", out)
 	}
-	blk := c.pair.Disk.ReadBlockDirect(20)
+	blk := c.pair.Disks[0].ReadBlockDirect(20)
 	if got := le32(blk[0:4]); got != 0xA0000000 {
 		t.Errorf("block 20 word 0 = %#x", got)
 	}
 	// After promotion the environment sees host 1.
 	sawHost1 := false
-	for _, rec := range c.pair.Disk.Log {
+	for _, rec := range c.pair.Disks[0].Log {
 		if rec.Host == 1 {
 			sawHost1 = true
 		}
@@ -385,7 +385,7 @@ func TestFailoverTwoGeneralsWindow(t *testing.T) {
 	}
 	// Environment consistency: every committed write of block 30 has
 	// identical content (repetition of identical data only).
-	hist := c.pair.Disk.WriteHistory(30)
+	hist := c.pair.Disks[0].WriteHistory(30)
 	if len(hist) == 0 {
 		t.Fatal("no committed writes")
 	}
@@ -394,7 +394,7 @@ func TestFailoverTwoGeneralsWindow(t *testing.T) {
 			t.Errorf("write history has differing contents: %v", hist)
 		}
 	}
-	blk := c.pair.Disk.ReadBlockDirect(30)
+	blk := c.pair.Disks[0].ReadBlockDirect(30)
 	if got := le32(blk[0:4]); got != 0xA0000000 {
 		t.Errorf("block 30 word 0 = %#x", got)
 	}
@@ -415,12 +415,12 @@ func TestFailoverBeforeIO(t *testing.T) {
 		t.Fatal("failover or completion failed")
 	}
 	// Only the backup's host ever touched the disk.
-	for _, rec := range c.pair.Disk.Log {
+	for _, rec := range c.pair.Disks[0].Log {
 		if rec.Host != 1 {
 			t.Errorf("unexpected disk op from host %d", rec.Host)
 		}
 	}
-	blk := c.pair.Disk.ReadBlockDirect(40)
+	blk := c.pair.Disks[0].ReadBlockDirect(40)
 	if got := le32(blk[0:4]); got != 0xA0000000 {
 		t.Errorf("block 40 word 0 = %#x", got)
 	}
@@ -486,11 +486,11 @@ func TestNewProtocolFailoverWithLostMessages(t *testing.T) {
 	if !c.bak.Promoted() || !c.pair.Nodes[1].HV.Halted() {
 		t.Fatal("failover or completion failed")
 	}
-	blk := c.pair.Disk.ReadBlockDirect(60)
+	blk := c.pair.Disks[0].ReadBlockDirect(60)
 	if got := le32(blk[0:4]); got != 0xA0000000 {
 		t.Errorf("block 60 word 0 = %#x", got)
 	}
-	hist := c.pair.Disk.WriteHistory(60)
+	hist := c.pair.Disks[0].WriteHistory(60)
 	for i := 1; i < len(hist); i++ {
 		if hist[i] != hist[0] {
 			t.Errorf("environment saw divergent writes: %v", hist)
@@ -508,7 +508,7 @@ func TestDeviceTransientsUnderReplication(t *testing.T) {
 	}
 	guest := guestIO(100, 2, 70, 512)
 	c := newCluster(t, 1, cfg, ProtocolOld, guest)
-	c.pair.Disk.InjectUncertainNext(1) // first op reports CHECK_CONDITION
+	c.pair.Disks[0].InjectUncertainNext(1) // first op reports CHECK_CONDITION
 	c.run(t, 100*sim.Second)
 	if c.bak.Stats.Divergences != 0 {
 		t.Fatalf("divergences = %d under device transient", c.bak.Stats.Divergences)
@@ -518,8 +518,8 @@ func TestDeviceTransientsUnderReplication(t *testing.T) {
 	}
 	// The retry means the disk log has one more op than the workload's
 	// nominal count (2 writes + 1 read + 1 retried op).
-	if len(c.pair.Disk.Log) != 4 {
-		t.Errorf("disk log has %d ops, want 4 (retry included)", len(c.pair.Disk.Log))
+	if len(c.pair.Disks[0].Log) != 4 {
+		t.Errorf("disk log has %d ops, want 4 (retry included)", len(c.pair.Disks[0].Log))
 	}
 }
 
@@ -543,7 +543,7 @@ func TestDeterministicReplication(t *testing.T) {
 }
 
 func TestHsimConstantMatchesPaper(t *testing.T) {
-	if hypervisor.DefaultCosts().HSim() != 15120*sim.Nanosecond {
-		t.Errorf("hsim = %v, want 15.12us", hypervisor.DefaultCosts().HSim())
+	if hypervisor.HSim != 15120*sim.Nanosecond {
+		t.Errorf("hsim = %v, want 15.12us", hypervisor.HSim)
 	}
 }

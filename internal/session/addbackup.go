@@ -45,6 +45,7 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/machine"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -274,6 +275,6 @@ func (e *Engine) AddBackup(cfg AddBackupConfig) (int, error) {
 		bak.Run(pr)
 	})
 
-	e.emit(Event{Kind: EventBackupAdded, Node: n, Epoch: e.lastEpoch, Bytes: uint64(len(blob))})
+	e.emit(obs.Event{Kind: obs.EventBackupAdded, Node: n, Epoch: e.lastEpoch, TransferBytes: uint64(len(blob))})
 	return n, nil
 }

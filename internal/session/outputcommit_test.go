@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/replication"
 	"repro/internal/sim"
 )
@@ -50,8 +51,8 @@ func TestOutputCommitServiceMatchesBare(t *testing.T) {
 			o.FailPrimaryAt = failAt
 			o.DetectTimeout = 2 * sim.Millisecond
 			var commits int
-			o.Observer = func(ev Event) {
-				if ev.Kind == EventOutputCommitted {
+			o.Observer = func(ev obs.Event) {
+				if ev.Kind == obs.EventOutputCommitted {
 					commits++
 				}
 			}
@@ -79,7 +80,7 @@ func TestOutputCommitServiceMatchesBare(t *testing.T) {
 				t.Errorf("%s failAt=%v: %d divergences", tc.name, failAt, res.BackupStats.Divergences)
 			}
 			if commits == 0 {
-				t.Errorf("%s failAt=%v: no EventOutputCommitted observed", tc.name, failAt)
+				t.Errorf("%s failAt=%v: no obs.EventOutputCommitted observed", tc.name, failAt)
 			}
 			e.Close()
 		}
@@ -160,8 +161,8 @@ func TestOutputCommitWindowFailstop(t *testing.T) {
 	o.FailPrimaryAt = 2 * sim.Millisecond
 	o.DetectTimeout = 2 * sim.Millisecond
 	maxOcc := 0
-	o.Observer = func(ev Event) {
-		if ev.Kind == EventOutputCommitted && ev.Occupancy > maxOcc {
+	o.Observer = func(ev obs.Event) {
+		if ev.Kind == obs.EventOutputCommitted && ev.Occupancy > maxOcc {
 			maxOcc = ev.Occupancy
 		}
 	}
@@ -208,7 +209,7 @@ func TestOutputCommitLatencyImproves(t *testing.T) {
 	if ocp50 >= basep50 {
 		t.Fatalf("output commit did not improve p50: %v (lock-step %v)", ocp50, basep50)
 	}
-	if lats := e.CommitLatencies(); len(lats) == 0 {
+	if sl, _ := e.ServiceLatencies(); sl.CommitP50 == 0 {
 		t.Fatal("no commit-latency samples collected")
 	}
 }

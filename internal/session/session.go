@@ -30,6 +30,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/clientsim"
 	"repro/internal/console"
@@ -38,6 +39,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/netsim"
 	"repro/internal/nic"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/replication"
 	"repro/internal/scsi"
@@ -133,73 +135,6 @@ func (wp workloadProgram) Result(m *machine.Machine) guest.Result {
 // kernel configured with workload w.
 func WorkloadProgram(w guest.Workload) Program { return workloadProgram{w: w} }
 
-// EventKind enumerates session events.
-type EventKind uint8
-
-// Session event kinds.
-const (
-	// EventEpochCommitted: the acting coordinator (primary or promoted
-	// backup) finished an epoch boundary.
-	EventEpochCommitted EventKind = iota
-	// EventBackupEpoch: a following backup completed an epoch's
-	// boundary processing, including its divergence check.
-	EventBackupEpoch
-	// EventPromoted: a backup detected coordinator failure and took
-	// over (rules P6/P7).
-	EventPromoted
-	// EventDivergence: a backup's state digest disagreed with the
-	// coordinator's.
-	EventDivergence
-	// EventFailstop: a processor failstop was injected.
-	EventFailstop
-	// EventLinkQuality: the inter-hypervisor link model was changed.
-	EventLinkQuality
-	// EventDiskOp: the shared disk completed an operation.
-	EventDiskOp
-	// EventCompleted: the session finished (guest halted everywhere).
-	EventCompleted
-	// EventBackupAdded: a new backup joined the replica set by live
-	// state transfer.
-	EventBackupAdded
-	// EventTerminalInput: the environment delivered scripted terminal
-	// input to the shared console.
-	EventTerminalInput
-	// EventNetRequest: the shared NIC accepted a distinct client request
-	// frame (retransmissions of queued or answered requests are deduped
-	// before this point and never emit).
-	EventNetRequest
-	// EventOutputCommitted: the output-commit engine released an epoch's
-	// deferred environment output (its frame was acknowledged by every
-	// live peer). Count carries the number of operations released,
-	// Latency the generation→release delay of the epoch's first output
-	// (zero when the epoch produced none), Occupancy the epochs still in
-	// flight in the commit window.
-	EventOutputCommitted
-)
-
-// Event is one observation from a running session.
-type Event struct {
-	Kind  EventKind
-	At    sim.Time
-	Node  int // primary = 0, backup i (1-based priority) = i
-	Epoch uint64
-
-	// Kind-specific payloads.
-	Tme     uint32        // EventEpochCommitted: the shipped clock value
-	Halted  bool          // EventEpochCommitted: guest halted this epoch
-	Match   bool          // EventBackupEpoch: digest check passed
-	Count   int           // EventPromoted: uncertain interrupts synthesized
-	Digests [2]uint64     // EventDivergence: coordinator, local
-	IO      scsi.OpRecord // EventDiskOp
-	Disk    int           // EventDiskOp: which shared disk (0-based)
-	Bytes   uint64        // EventBackupAdded: state-transfer size on the wire
-	Data    []byte        // EventTerminalInput: the arrived bytes
-	Req     uint32        // EventNetRequest: the request id (Count = frame words)
-
-	Latency   sim.Time // EventOutputCommitted: output-generation → release
-	Occupancy int      // EventOutputCommitted: epochs still in flight
-}
-
 // Options configures an Engine.
 type Options struct {
 	Seed    int64
@@ -244,7 +179,7 @@ type Options struct {
 
 	// Observer, when set, receives the live event stream. It runs in
 	// simulation context and must not block.
-	Observer func(Event)
+	Observer func(obs.Event)
 }
 
 // Result reports a completed run.
@@ -267,48 +202,6 @@ type Result struct {
 	BackupStats  replication.Stats
 	// HVStats is the authoritative hypervisor's activity (zero for bare).
 	HVStats hypervisor.Stats
-}
-
-// Snapshot is a point-in-time view of a session, valid at any virtual
-// time (not just completion).
-type Snapshot struct {
-	Now    sim.Time
-	Booted bool
-	Done   bool
-	Nodes  int
-
-	// Acting is the node currently interacting with the environment
-	// (0 until a failover, then the promoted backup's index).
-	Acting int
-
-	Epochs            uint64 // epochs committed by the acting coordinator
-	Commits           uint64 // cumulative acting-coordinator epoch commits since boot
-	GuestInstructions uint64 // retired by the acting node's guest
-	Promoted          bool
-	Halted            bool
-
-	// Protocol counters, summed over every engine that has acted.
-	MessagesSent         uint64
-	BytesSent            uint64
-	AcksReceived         uint64
-	IntsForwarded        uint64
-	Divergences          uint64
-	UncertainSynthesized uint64
-	// PeersExcluded counts replicas a coordinator excluded from its
-	// acknowledgement gates after the ack-liveness timeout (a silent
-	// peer; see replication.Stats.PeerTimeouts). Nonzero means the
-	// replica set is effectively smaller than configured.
-	PeersExcluded uint64
-
-	// Environment counters.
-	DiskOps       uint64
-	DiskUncertain uint64
-	Console       string
-
-	// Network-service counters (zero without a client population).
-	NetRequests    int
-	NetAnswered    int
-	NetRetransmits uint64
 }
 
 // Engine is a resident simulation of one cluster (of one, when bare).
@@ -380,12 +273,12 @@ func New(o Options) *Engine {
 }
 
 // emit forwards an event to the observer, stamping the current time.
-func (e *Engine) emit(ev Event) {
+func (e *Engine) emit(ev obs.Event) {
 	if e.o.Observer == nil {
 		return
 	}
-	if ev.At == 0 {
-		ev.At = e.k.Now()
+	if ev.Time == 0 {
+		ev.Time = e.k.Now()
 	}
 	e.o.Observer(ev)
 }
@@ -487,8 +380,8 @@ func nodeName(i int) string {
 
 // newReplica wires node i's engine over the cluster as it stands: the
 // channels toward every higher-priority node upstream, those toward every
-// lower-priority node downstream, the divergence policy and the
-// observation hooks (shared between boot-time replicas and late joiners).
+// lower-priority node downstream, the divergence policy and the observer
+// (shared between boot-time replicas and late joiners).
 func (e *Engine) newReplica(i int) *replication.Replica {
 	var ups, downs []replication.Peer
 	for j := range e.cluster.Nodes {
@@ -504,7 +397,7 @@ func (e *Engine) newReplica(i int) *replication.Replica {
 	}
 	r := replication.NewReplica(e.cluster.Nodes[i].HV, ups, downs, e.replicaConfig())
 	r.OnDivergence = e.divergenceHandler(i)
-	r.Hooks = e.replicaHooks()
+	r.Observer = e.observe
 	return r
 }
 
@@ -524,7 +417,7 @@ func (e *Engine) divergenceHandler(node int) func(epoch uint64, primary, backup 
 		return nil
 	}
 	return func(epoch uint64, primary, backup uint64) {
-		e.emit(Event{Kind: EventDivergence, Node: node, Epoch: epoch, Digests: [2]uint64{primary, backup}})
+		e.emit(obs.Event{Kind: obs.EventDivergence, Node: node, Epoch: epoch, Digests: [2]uint64{primary, backup}})
 		if e.o.OnDivergence == nil {
 			panic(fmt.Sprintf("replication: divergence at epoch %d: primary %x backup %x",
 				epoch, primary, backup))
@@ -545,7 +438,7 @@ func (e *Engine) installHooks() {
 		return
 	}
 	e.cluster.Console.OnInput = func(seq uint32, data []byte) {
-		e.emit(Event{Kind: EventTerminalInput, Node: e.actingNode(), Data: data})
+		e.emit(obs.TerminalInputEvent(e.actingNode(), string(data)))
 	}
 	if e.nic != nil {
 		e.nic.OnIngress = func(seq uint32, words []uint32) {
@@ -553,7 +446,7 @@ func (e *Engine) installHooks() {
 			if len(words) > 0 {
 				req = words[0]
 			}
-			e.emit(Event{Kind: EventNetRequest, Node: e.actingNode(), Req: req, Count: len(words)})
+			e.emit(obs.Event{Kind: obs.EventNetRequest, Node: e.actingNode(), Request: req})
 		}
 	}
 }
@@ -575,20 +468,6 @@ func (e *Engine) startClientLoad() {
 	e.clients.Start()
 }
 
-// replicaHooks builds the observation hooks a replica carries.
-func (e *Engine) replicaHooks() replication.Hooks {
-	return replication.Hooks{
-		EpochCommitted:  e.epochCommitted,
-		OutputCommitted: e.outputCommitted,
-		BackupEpoch: func(node int, epoch uint64, at sim.Time, match bool) {
-			e.emit(Event{Kind: EventBackupEpoch, At: at, Node: node, Epoch: epoch, Match: match})
-		},
-		Promoted: func(node int, epoch uint64, at sim.Time, uncertain int) {
-			e.emit(Event{Kind: EventPromoted, At: at, Node: node, Epoch: epoch, Count: uncertain})
-		},
-	}
-}
-
 // diskOp tallies a completed disk operation and emits it, tagged with
 // the disk it happened on.
 func (e *Engine) diskOp(disk int, r scsi.OpRecord) {
@@ -596,36 +475,36 @@ func (e *Engine) diskOp(disk int, r scsi.OpRecord) {
 	if r.Uncertain {
 		e.diskUncertain++
 	}
-	e.emit(Event{Kind: EventDiskOp, Node: r.Host, IO: r, Disk: disk})
+	e.emit(obs.DiskOpEvent(disk, obs.DiskOp{
+		Host:      r.Host,
+		Write:     r.Cmd == scsi.CmdWrite,
+		Block:     r.Block,
+		Uncertain: r.Uncertain,
+		Committed: r.Committed,
+	}))
 }
 
-// outputCommitted observes an output-commit release: the acting
-// coordinator's ack window advanced past an epoch and its deferred
-// environment output (if any) just reached the devices.
-func (e *Engine) outputCommitted(node int, epoch uint64, at sim.Time, latency sim.Time, outputs, occupancy int) {
-	if outputs > 0 {
-		e.commitLats = append(e.commitLats, latency)
+// observe is every replica's observer: the acting coordinator's epoch
+// commits advance the session's commit ordinal and apply the
+// predicate-stop discipline (bounded and cancelable runs yield here, at
+// epoch boundaries, never mid-epoch), released output feeds the
+// commit-latency samples, and every protocol event reaches the observer.
+func (e *Engine) observe(ev obs.Event) {
+	switch ev.Kind {
+	case obs.EventEpochCommitted:
+		e.commits++
+		e.lastNode, e.lastEpoch, e.lastTme = ev.Node, ev.Epoch, ev.Tme
+		e.emit(ev)
+		if e.stopCheck != nil && e.stopCheck() {
+			e.k.Stop()
+		}
+		return
+	case obs.EventOutputCommitted:
+		if ev.Outputs > 0 {
+			e.commitLats = append(e.commitLats, ev.CommitLatency)
+		}
 	}
-	e.emit(Event{Kind: EventOutputCommitted, At: at, Node: node, Epoch: epoch,
-		Count: outputs, Latency: latency, Occupancy: occupancy})
-}
-
-// CommitLatencies returns the per-epoch output-commit latency samples
-// collected since boot (epochs that released no output contribute
-// nothing). The slice is live; callers must not retain it across
-// further advancement.
-func (e *Engine) CommitLatencies() []sim.Time { return e.commitLats }
-
-// epochCommitted observes the acting coordinator's boundary and applies
-// the predicate-stop discipline: bounded and cancelable runs yield here,
-// at epoch boundaries, never mid-epoch.
-func (e *Engine) epochCommitted(node int, epoch uint64, tme uint32, at sim.Time, halted bool) {
-	e.commits++
-	e.lastNode, e.lastEpoch, e.lastTme = node, epoch, tme
-	e.emit(Event{Kind: EventEpochCommitted, At: at, Node: node, Epoch: epoch, Tme: tme, Halted: halted})
-	if e.stopCheck != nil && e.stopCheck() {
-		e.k.Stop()
-	}
+	e.emit(ev)
 }
 
 // Commits returns the cumulative count of acting-coordinator epoch
@@ -645,7 +524,7 @@ func (e *Engine) failNow(i int) {
 	e.reps[i].Failstop()
 	e.detachNode(i)
 	e.severTransfers(i)
-	e.emit(Event{Kind: EventFailstop, Node: i})
+	e.emit(obs.Event{Kind: obs.EventFailstop, Node: i})
 }
 
 // detachNode disconnects a failstopped node from every environment
@@ -698,7 +577,7 @@ func (e *Engine) checkFinished() {
 		}
 	}
 	e.result, e.runErr = e.computeResult()
-	e.emit(Event{Kind: EventCompleted, At: e.endTime, Node: e.actingNode()})
+	e.emit(obs.Event{Kind: obs.EventCompleted, Time: e.endTime, Node: e.actingNode()})
 }
 
 // RunFor advances the session by d of virtual time (booting first if
@@ -880,7 +759,7 @@ func (e *Engine) SetLinkQuality(q netsim.Quality) error {
 			l.SetQuality(q)
 		}
 	}
-	e.emit(Event{Kind: EventLinkQuality})
+	e.emit(obs.Event{Kind: obs.EventLinkQualityChanged})
 	return nil
 }
 
@@ -896,8 +775,8 @@ func (e *Engine) actingNode() int {
 }
 
 // Snapshot captures the observable state at the current virtual time.
-func (e *Engine) Snapshot() Snapshot {
-	s := Snapshot{Booted: e.booted, Done: e.finished}
+func (e *Engine) Snapshot() obs.Snapshot {
+	s := obs.Snapshot{Booted: e.booted, Done: e.finished}
 	if !e.booted {
 		return s
 	}
@@ -915,10 +794,14 @@ func (e *Engine) Snapshot() Snapshot {
 	}
 	s.Nodes = len(e.cluster.Nodes)
 	s.Acting = e.actingNode()
-	// A bare session's hypervisor never runs: its counters stay zero.
-	hv := e.cluster.Nodes[s.Acting].HV
-	s.Epochs = hv.Epoch()
-	s.GuestInstructions = hv.GuestInstructions()
+	// A bare session runs no epochs; its guest retires on the machine.
+	if e.bare != nil {
+		s.GuestInstructions = e.bare.M.Cycles()
+	} else {
+		hv := e.cluster.Nodes[s.Acting].HV
+		s.Epochs = hv.Epoch()
+		s.GuestInstructions = hv.GuestInstructions()
+	}
 	s.Halted = e.halted(s.Acting)
 	for _, r := range e.reps {
 		st := &r.Stats
@@ -998,15 +881,6 @@ func (e *Engine) computeResult() (Result, error) {
 	return res, nil
 }
 
-// Disk returns shared disk 0 (environment-consistency checks in
-// tests; nil before boot).
-func (e *Engine) Disk() *scsi.Disk {
-	if e.cluster == nil {
-		return nil
-	}
-	return e.cluster.Disk
-}
-
 // Disks returns every shared disk in index order (nil before boot).
 func (e *Engine) Disks() []*scsi.Disk {
 	if e.cluster == nil {
@@ -1023,12 +897,20 @@ func (e *Engine) NIC() *nic.NIC { return e.nic }
 // load was configured and the session has booted).
 func (e *Engine) Clients() *clientsim.Sim { return e.clients }
 
-// Console returns the shared environment console (nil before boot).
-func (e *Engine) Console() *console.Console {
-	if e.cluster == nil {
-		return nil
+// ServiceLatencies is the client population's latency distribution with
+// the output-commit quantiles over every epoch that released output; ok
+// is false without a client population.
+func (e *Engine) ServiceLatencies() (sl obs.ServiceLatencies, ok bool) {
+	if e.clients == nil {
+		return sl, false
 	}
-	return e.cluster.Console
+	sl = e.clients.Measure()
+	if n := len(e.commitLats); n > 0 {
+		sorted := slices.Clone(e.commitLats)
+		slices.Sort(sorted)
+		sl.CommitP50, sl.CommitP99 = sorted[int(0.50*float64(n-1))], sorted[int(0.99*float64(n-1))]
+	}
+	return sl, true
 }
 
 // Close releases the simulation (terminating its process goroutines).

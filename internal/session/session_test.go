@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/guest"
+	"repro/internal/obs"
 	"repro/internal/scsi"
 	"repro/internal/sim"
 )
@@ -83,8 +84,8 @@ func TestBareSlicedRun(t *testing.T) {
 func TestRunUntilEpochPredicate(t *testing.T) {
 	var commits int
 	o := cpuOpts(5000)
-	o.Observer = func(ev Event) {
-		if ev.Kind == EventEpochCommitted {
+	o.Observer = func(ev obs.Event) {
+		if ev.Kind == obs.EventEpochCommitted {
 			commits++
 		}
 	}
@@ -119,13 +120,13 @@ func TestRunUntilEpochPredicate(t *testing.T) {
 // TestEventStreamOrdering checks events arrive in nondecreasing virtual
 // time with the expected lifecycle shape.
 func TestEventStreamOrdering(t *testing.T) {
-	var evs []Event
+	var evs []obs.Event
 	o := Options{
 		Seed:          1,
 		Program:       WorkloadProgram(guest.CPUIntensive(4000)),
 		EpochLength:   1024,
 		FailPrimaryAt: 4 * sim.Millisecond,
-		Observer:      func(ev Event) { evs = append(evs, ev) },
+		Observer:      func(ev obs.Event) { evs = append(evs, ev) },
 	}
 	e := New(o)
 	defer e.Close()
@@ -135,22 +136,22 @@ func TestEventStreamOrdering(t *testing.T) {
 	var last sim.Time
 	var sawFail, sawPromote, sawComplete bool
 	for _, ev := range evs {
-		if ev.At < last {
-			t.Fatalf("event time went backwards: %v after %v (kind %d)", ev.At, last, ev.Kind)
+		if ev.Time < last {
+			t.Fatalf("event time went backwards: %v after %v (kind %d)", ev.Time, last, ev.Kind)
 		}
-		last = ev.At
+		last = ev.Time
 		switch ev.Kind {
-		case EventFailstop:
+		case obs.EventFailstop:
 			sawFail = true
 			if sawPromote {
 				t.Error("failstop after promotion")
 			}
-		case EventPromoted:
+		case obs.EventPromoted:
 			sawPromote = true
 			if !sawFail {
 				t.Error("promotion before failstop")
 			}
-		case EventCompleted:
+		case obs.EventCompleted:
 			sawComplete = true
 		}
 	}
@@ -215,5 +216,25 @@ func TestDeliveryDelayGrowsWithEpochLength(t *testing.T) {
 	// The delay is bounded by roughly one epoch's wall time.
 	if large > 32768*20*sim.Nanosecond+5*sim.Millisecond {
 		t.Errorf("delay %v implausibly large", large)
+	}
+}
+
+// TestObserveNoAllocs: the replicas' observer handles the per-epoch
+// protocol events — a commit, a digest check, a release without output —
+// without allocating.
+func TestObserveNoAllocs(t *testing.T) {
+	o := cpuOpts(5000)
+	o.Observer = func(obs.Event) {}
+	e := New(o)
+	defer e.Close()
+	e.Boot()
+	for _, ev := range []obs.Event{
+		{Kind: obs.EventEpochCommitted, Time: 1, Epoch: 3, Tme: 99},
+		{Kind: obs.EventBackupEpoch, Time: 1, Node: 1, Epoch: 3, DigestMatch: true},
+		{Kind: obs.EventOutputCommitted, Time: 1, Epoch: 3},
+	} {
+		if a := testing.AllocsPerRun(100, func() { e.observe(ev) }); a != 0 {
+			t.Errorf("%v: %v allocations", ev.Kind, a)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/guest"
+	"repro/internal/obs"
 	"repro/internal/replication"
 	"repro/internal/sim"
 )
@@ -30,9 +31,9 @@ func TestTransferBytesGolden(t *testing.T) {
 		Program:     WorkloadProgram(guest.DiskWrite(6, 8192)),
 		EpochLength: 2048,
 		Protocol:    replication.ProtocolNew,
-		Observer: func(ev Event) {
-			if ev.Kind == EventBackupAdded {
-				charged = ev.Bytes
+		Observer: func(ev obs.Event) {
+			if ev.Kind == obs.EventBackupAdded {
+				charged = ev.TransferBytes
 			}
 		},
 	})
