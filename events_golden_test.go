@@ -176,7 +176,7 @@ func TestEventStreamGolden(t *testing.T) {
 // dropped without allocating (Device is derived when read, never
 // formatted at emit).
 func TestEventsNoSubscriberAllocs(t *testing.T) {
-	c, err := NewCluster(WithWorkload(CPUIntensive(2000)), fastDiskOpts()[1])
+	c, err := NewCluster(WithWorkload(CPUIntensive(2000)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestEventsNoSubscriberAllocs(t *testing.T) {
 	if _, err := c.RunFor(100 * Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	onOp := c.eng.Disks()[1].OnOp
+	onOp := c.eng.Disks()[0].OnOp
 	if a := testing.AllocsPerRun(100, func() { onOp(scsi.OpRecord{Cmd: scsi.CmdWrite, Block: 7}) }); a != 0 {
 		t.Errorf("a disk-op event allocates %v times with no subscriber", a)
 	}

@@ -494,17 +494,15 @@ func (e *Engine) observe(ev obs.Event) {
 	case obs.EventEpochCommitted:
 		e.commits++
 		e.lastNode, e.lastEpoch, e.lastTme = ev.Node, ev.Epoch, ev.Tme
-		e.emit(ev)
-		if e.stopCheck != nil && e.stopCheck() {
-			e.k.Stop()
-		}
-		return
 	case obs.EventOutputCommitted:
 		if ev.Outputs > 0 {
 			e.commitLats = append(e.commitLats, ev.CommitLatency)
 		}
 	}
 	e.emit(ev)
+	if ev.Kind == obs.EventEpochCommitted && e.stopCheck != nil && e.stopCheck() {
+		e.k.Stop()
+	}
 }
 
 // Commits returns the cumulative count of acting-coordinator epoch
