@@ -443,11 +443,35 @@ func (p *probeProgram) Result(mem GuestMemory) ProgramResult {
 // BenchmarkReplicatedPair measures the full §4 critical path the paper's
 // figures are built from: one primary + one backup over the Ethernet
 // model, running the CPU workload end to end under the original
-// protocol.
+// protocol. switches/epoch is the sim kernel's switches into processes
+// per committed epoch: deterministic, and the host cost an epoch boundary
+// pays beyond the work itself. Each replica's epoch runs inline between
+// its blocking steps, and so does the backup's receiver between frames —
+// it is switched into when spawned and when it exits, never per frame.
 func BenchmarkReplicatedPair(b *testing.B) {
+	const maxSwitches = 5.74 + 0.5 // as measured when the receiver went inline, plus slack
 	b.ReportAllocs()
+	var switches, epochs uint64
 	for i := 0; i < b.N; i++ {
-		benchWait(b, WithWorkload(CPUIntensive(2000)), WithEpochLength(1024), WithProtocol(ProtocolOld), WithLink(Ethernet10()))
+		c, err := NewCluster(WithWorkload(CPUIntensive(2000)), WithEpochLength(1024), WithProtocol(ProtocolOld), WithLink(Ethernet10()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Wait(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		total, rx := c.eng.Kernel().Switches("backup1-rx0")
+		if rx > 2 {
+			b.Fatalf("the receiver was switched into %d times; spawn and exit are 2", rx)
+		}
+		switches += total
+		epochs += c.Snapshot().Epochs
+		c.Close()
+	}
+	per := float64(switches) / float64(epochs)
+	b.ReportMetric(per, "switches/epoch")
+	if per > maxSwitches {
+		b.Fatalf("%.2f switches into processes per epoch, bound %.2f", per, maxSwitches)
 	}
 }
 

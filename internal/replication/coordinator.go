@@ -283,42 +283,59 @@ func (c *coordinator) transmit(p *sim.Proc, f *epochFrame) {
 // one was on the controller — goes out as ONE batch message. It exits on
 // coordinator failstop (queued frames die with the processor, exactly as
 // writes a failstopped CPU never posted to its controller) or once the
-// queue is drained after run closes it.
+// queue is drained after run closes it. It is a RunSteps body: a step
+// ends at each set-up sleep and at each wait for a frame, so the kernel
+// runs it inline and shipping a frame costs no switch.
 func (c *coordinator) txLoop(p *sim.Proc) {
-	for !c.stopped() {
-		switch len(c.txq) {
-		case 0:
-			if c.txClose {
-				return
+	var (
+		fan  fanCursor
+		held interface{ Release() } // the frame or batch being fanned out
+	)
+	p.RunSteps(func(*sim.Proc) (sim.Time, sim.StepStatus) {
+		for {
+			if held != nil {
+				if d, ok := fan.next(c.stopped); ok {
+					return d, sim.StepMore
+				}
+				held.Release()
+				held = nil
+				c.progress.Broadcast() // wake a join barrier watching txq drain
 			}
-			p.WaitTimeout(c.txSig, ackTick)
-			continue
-		case 1:
-			f := c.txq[0]
-			c.txq[0] = nil
-			c.txq = c.txq[:0]
-			c.transmit(p, f)
-		default:
-			// The batch carries one reference per receiver plus the
-			// sender's; each inner frame one per receiver (a receiver
-			// files and releases the inner frames individually, then
-			// releases the batch).
-			b := c.bpool.Get()
-			b.Size = 8 // batch header
-			n := c.s.receivers()
-			for i, f := range c.txq {
-				f.Retain(n)
-				b.Recs = append(b.Recs, f)
-				b.Size += f.Size
-				c.txq[i] = nil
+			if c.stopped() {
+				return 0, sim.StepDone
 			}
-			c.txq = c.txq[:0]
-			b.Retain(n + 1)
-			c.s.fanout(p, b, b.Size, c.stopped)
-			b.Release()
+			switch len(c.txq) {
+			case 0:
+				if c.txClose {
+					return 0, sim.StepDone
+				}
+				return c.txSig.Await(ackTick)
+			case 1:
+				f := c.txq[0]
+				c.txq[0] = nil
+				c.txq = c.txq[:0]
+				f.Retain(c.s.receivers() + 1)
+				held, fan = f, c.s.cursor(f, f.Size)
+			default:
+				// The batch carries one reference per receiver plus the
+				// sender's; each inner frame one per receiver (a receiver
+				// files and releases the inner frames individually, then
+				// releases the batch).
+				b := c.bpool.Get()
+				b.Size = 8 // batch header
+				n := c.s.receivers()
+				for i, f := range c.txq {
+					f.Retain(n)
+					b.Recs = append(b.Recs, f)
+					b.Size += f.Size
+					c.txq[i] = nil
+				}
+				c.txq = c.txq[:0]
+				b.Retain(n + 1)
+				held, fan = b, c.s.cursor(b, b.Size)
+			}
 		}
-		c.progress.Broadcast() // wake a join barrier watching txq drain
-	}
+	})
 }
 
 // advance is the one step that retires acknowledged epochs: pop every

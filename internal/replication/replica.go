@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/hypervisor"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -217,37 +218,79 @@ func (r *Replica) release(e uint64) {
 
 // receiver runs as its own simulation process per upstream channel: it
 // acknowledges every message immediately (P4: "backup sends an
-// acknowledgment to the primary") and files it by epoch.
+// acknowledgment to the primary") and files it by epoch. It is the loop
+//
+//	for !r.promoted && !r.done && !r.failed {
+//		if raw, ok := inbox.RecvTimeout(p, r.cfg.DetectTimeout); ok {
+//			r.take(u, raw)
+//		}
+//	}
+//
+// as a RunSteps body — RecvTimeout's wait for the inbox is the step's
+// StepWait — so the kernel runs it inline: acknowledging and filing a
+// frame costs no switch.
 func (r *Replica) receiver(u Peer) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
-		for !r.promoted && !r.done && !r.failed {
-			raw, ok := u.RX.Inbox.RecvTimeout(p, r.cfg.DetectTimeout)
-			if !ok {
-				continue
+		inbox := u.RX.Inbox
+		var (
+			deadline sim.Time // of the RecvTimeout in progress
+			inRecv   bool     // a RecvTimeout is in progress
+			parked   bool     // and the last step ended with its wait
+		)
+		p.RunSteps(func(*sim.Proc) (sim.Time, sim.StepStatus) {
+			if parked && p.TimedOut() {
+				inRecv = false // RecvTimeout reports the timeout
 			}
-			switch m := raw.Payload.(type) {
-			case *epochFrame:
-				u.TX.Send(ack(m.Head.Seq), 0)
-				r.file(m)
-			case *epochBatch:
-				// A transmit-side batch: several epochs in one wire
-				// message. One cumulative ack covers them all (the ack
-				// watermark is a high-water mark, so acking the newest
-				// sequence acknowledges the whole FIFO prefix).
-				if n := len(m.Recs); n > 0 {
-					u.TX.Send(ack(m.Recs[n-1].Head.Seq), 0)
+			parked = false
+			for {
+				if !inRecv {
+					if r.promoted || r.done || r.failed {
+						return 0, sim.StepDone
+					}
+					inRecv, deadline = true, p.Now()+r.cfg.DetectTimeout
 				}
-				for _, f := range m.Recs {
-					r.file(f)
+				if raw, ok := inbox.TryRecv(); ok {
+					inRecv = false
+					r.take(u, raw)
+					continue
 				}
-				m.Release()
-			case syncMsg:
-				u.TX.Send(ack(m.Seq), 0)
-				r.applySync(m.Epochs)
+				remain := sim.Forever
+				if r.cfg.DetectTimeout != sim.Forever {
+					if remain = deadline - p.Now(); remain <= 0 {
+						inRecv = false
+						continue
+					}
+				}
+				parked = true
+				return inbox.Await(remain)
 			}
-			r.arrival.Broadcast()
-		}
+		})
 	}
+}
+
+// take acknowledges one message from upstream u and files it.
+func (r *Replica) take(u Peer, raw netsim.Message) {
+	switch m := raw.Payload.(type) {
+	case *epochFrame:
+		u.TX.Send(ack(m.Head.Seq), 0)
+		r.file(m)
+	case *epochBatch:
+		// A transmit-side batch: several epochs in one wire message. One
+		// cumulative ack covers them all (the ack watermark is a
+		// high-water mark, so acking the newest sequence acknowledges the
+		// whole FIFO prefix).
+		if n := len(m.Recs); n > 0 {
+			u.TX.Send(ack(m.Recs[n-1].Head.Seq), 0)
+		}
+		for _, f := range m.Recs {
+			r.file(f)
+		}
+		m.Release()
+	case syncMsg:
+		u.TX.Send(ack(m.Seq), 0)
+		r.applySync(m.Epochs)
+	}
+	r.arrival.Broadcast()
 }
 
 // file is the one receive path: merge a frame's parts into its epoch's

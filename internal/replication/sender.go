@@ -64,15 +64,46 @@ func newSender(peers []Peer, stats *Stats) *sender {
 // link-independent). A failstop landing mid-fanout ends it: the
 // remaining peers never receive the message.
 func (s *sender) fanout(p *sim.Proc, payload any, size int, stopped func() bool) {
-	for _, ps := range s.peers {
-		if stopped() {
+	f := s.cursor(payload, size)
+	for {
+		d, ok := f.next(stopped)
+		if !ok {
 			return
 		}
-		s.stats.MessagesSent++
-		s.stats.BytesSent += uint64(size)
-		ps.peer.TX.Send(payload, size)
-		p.Sleep(ps.peer.TX.Config().SetupTime)
+		p.Sleep(d)
 	}
+}
+
+// fanCursor is one fanout in progress, a peer at a time, for a caller
+// that sleeps the set-up costs itself (a RunSteps body). The peer list is
+// the sender's when the fanout began: a peer attached meanwhile first
+// hears the next message.
+type fanCursor struct {
+	s       *sender
+	peers   []*peerState
+	i       int
+	payload any
+	size    int
+}
+
+// cursor begins a fanout of payload.
+func (s *sender) cursor(payload any, size int) fanCursor {
+	return fanCursor{s: s, peers: s.peers, payload: payload, size: size}
+}
+
+// next sends the message to the next peer and returns the set-up cost to
+// sleep before the one after; false once every peer has it or the
+// coordinator stopped.
+func (f *fanCursor) next(stopped func() bool) (sim.Time, bool) {
+	if f.i == len(f.peers) || stopped() {
+		return 0, false
+	}
+	ps := f.peers[f.i]
+	f.i++
+	f.s.stats.MessagesSent++
+	f.s.stats.BytesSent += uint64(f.size)
+	ps.peer.TX.Send(f.payload, f.size)
+	return ps.peer.TX.Config().SetupTime, true
 }
 
 // receivers counts the peers a message sent now would reach: one frame

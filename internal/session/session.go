@@ -559,6 +559,10 @@ func (e *Engine) Now() sim.Time {
 	return e.k.Now()
 }
 
+// Kernel returns the engine's simulation kernel (nil before Boot): for
+// probes that count what the kernel did, such as its process switches.
+func (e *Engine) Kernel() *sim.Kernel { return e.k }
+
 // Done reports whether the run has completed.
 func (e *Engine) Done() bool { return e.finished }
 

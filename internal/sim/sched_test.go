@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -65,7 +66,10 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 	// something a scheduler-context callback may do (or nothing) and then
 	// charging a random duration, zero and negative included. Some pieces
 	// charge nothing and run on into the next; some block, on a signal or
-	// a queue, and so answer StepBlock when offered no process.
+	// a queue, and so answer StepBlock when offered no process; some end
+	// the step with a wait on a signal or a queue's arrival (StepWait),
+	// with a timeout or none, and log how it ended, and what the queue
+	// then held, when the step is called again.
 	type piece struct {
 		kind int
 		d    Time
@@ -74,6 +78,9 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 		// A poll storm (kind 10): polls of sleep a, sleep b.
 		polls int
 		a, b  Time
+		// A wait the step ends with (kinds 11 and 12, on s or q's
+		// arrival): timeout d, or none.
+		forever bool
 	}
 	quiet := StepQuiet
 	if mode == schedNoAhead {
@@ -82,15 +89,30 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 	stepBody := func(name string, r *rand.Rand, self *Proc) StepFunc {
 		pieces := make([]piece, 1+r.Intn(6))
 		for i := range pieces {
-			pieces[i] = piece{kind: r.Intn(11), d: durations[r.Intn(len(durations))],
+			pieces[i] = piece{kind: r.Intn(13), d: durations[r.Intn(len(durations))],
 				s: sigs[r.Intn(len(sigs))], q: queues[r.Intn(len(queues))],
-				polls: 1 + r.Intn(40), a: Time(1 + r.Intn(3)), b: Time(2 + r.Intn(12))}
+				polls: 1 + r.Intn(40), a: Time(1 + r.Intn(3)), b: Time(2 + r.Intn(12)),
+				forever: r.Intn(4) == 0}
 		}
 		i := 0
 		// The storm in progress: polls to go, between a poll's two sleeps,
 		// a poll begun and not yet counted done.
 		left, half, open := -1, false, false
+		// awaiting: the step ended with piece i's wait, which has now ended.
+		awaiting := false
 		return func(p *Proc) (Time, StepStatus) {
+			if awaiting {
+				awaiting = false
+				pc := pieces[i]
+				who := fmt.Sprintf("%s.step%d", name, i)
+				i++
+				if pc.kind == 11 {
+					log(who, fmt.Sprint("awaited ", !self.TimedOut()))
+				} else {
+					v, ok := pc.q.TryRecv()
+					log(who, fmt.Sprint("awaited ", !self.TimedOut(), " recv ", v, ok))
+				}
+			}
 			for i < len(pieces) {
 				pc := pieces[i]
 				if p == nil && pc.kind >= 8 && pc.kind < 10 {
@@ -153,6 +175,18 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 				case 9:
 					v, ok := pc.q.RecvTimeout(p, pc.d)
 					log(who, fmt.Sprint("recv ", v, ok))
+				case 11, 12:
+					i-- // the wait's end finishes the piece
+					awaiting = true
+					d := pc.d
+					if pc.forever {
+						d = Forever
+					}
+					log(who, "await")
+					if pc.kind == 11 {
+						return pc.s.Await(d)
+					}
+					return pc.q.Await(d)
 				}
 				return pc.d, StepMore
 			}
@@ -231,7 +265,13 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 							if st == StepDone {
 								break
 							}
-							p.Sleep(d)
+							if st == StepWait {
+								s := k.await
+								k.await = nil
+								p.WaitTimeout(s, d)
+							} else {
+								p.Sleep(d)
+							}
 						}
 					}
 					log(name, "stepped")
@@ -267,8 +307,8 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 // trace, record for record, on every seed. The sleep fast path and
 // block's self-dispatch against every sleep enqueueing a wake and
 // blocking; inline steps against every wake of a process in RunSteps
-// switching into it; RunSteps itself against the literal step-then-Sleep
-// loop it is defined as; and polls retired ahead under a promise against
+// switching into it; RunSteps itself against the literal loop it is
+// defined as, which sleeps or waits between steps; and polls retired ahead under a promise against
 // every poll taken sleep by sleep — the promise contract's soundness:
 // whatever NextLoud admits, among random processes, signals, queues,
 // callbacks, Stop and RunUntil slices, nothing else's record moves. Every
@@ -285,6 +325,7 @@ func TestSchedulerDifferential(t *testing.T) {
 		{"no polls ahead", schedNoAhead},
 	}
 	ahead := 0
+	awaited := map[bool]int{} // StepWaits that ended, by "woken by Broadcast"
 	for seed := int64(1); seed <= 240; seed++ {
 		parked := 0
 		if seed%4 == 0 {
@@ -293,6 +334,14 @@ func TestSchedulerDifferential(t *testing.T) {
 		schedAhead = 0
 		fast := schedTrace(seed, parked, schedFast)
 		ahead += schedAhead
+		for _, rec := range fast {
+			switch {
+			case strings.Contains(rec, " awaited true"):
+				awaited[true]++
+			case strings.Contains(rec, " awaited false"):
+				awaited[false]++
+			}
+		}
 		if len(fast) < 20 {
 			t.Fatalf("seed %d: trace has only %d records; the scenario did not run", seed, len(fast))
 		}
@@ -315,7 +364,12 @@ func TestSchedulerDifferential(t *testing.T) {
 	if ahead < 10000 {
 		t.Errorf("the storms retired %d polls ahead over all seeds; the promise path is not being exercised", ahead)
 	}
-	t.Logf("%d polls retired ahead", ahead)
+	if awaited[true] < 1000 || awaited[false] < 1000 {
+		t.Errorf("step waits ended %d times by Broadcast and %d by timeout; the wait path is not being exercised",
+			awaited[true], awaited[false])
+	}
+	t.Logf("%d polls retired ahead; step waits ended %d times by Broadcast, %d by timeout",
+		ahead, awaited[true], awaited[false])
 }
 
 // --- coroutine process lifecycle ---

@@ -21,12 +21,14 @@
 // nothing else is due first simply advances the clock in place.
 //
 // A process whose work is a run of short non-blocking pieces separated by
-// sleeps hands the kernel that run as a step function (Proc.RunSteps).
-// While the process is parked in one of those sleeps the kernel
-// dispatches its wake like a callback event — it calls the next step
-// inline, on whatever stack is scheduling — and switches into the process
-// only when the run is over or a step says it might block. Dispatch order
-// and every (time, seq) key are those of the plain step-then-Sleep loop.
+// sleeps and waits hands the kernel that run as a step function
+// (Proc.RunSteps). While the process is parked in one of those sleeps, or
+// on a signal a step named (Signal.Await), the kernel dispatches its wake
+// like a callback event — it calls the next step inline, on whatever
+// stack is scheduling — and switches into the process only when the run
+// is over or a step says it might block. Dispatch order and every (time,
+// seq) key are those of the plain loop that sleeps or waits between
+// steps. The kernel counts the switches it does make (Switches).
 //
 // Such a process may also know its own future: a replica whose guest
 // spins on a device register repeats one pair of sleeps, touching nothing
@@ -125,6 +127,11 @@ type Kernel struct {
 	inline  bool        // a step is running inline (stepInline): blocking is a bug
 	nprocs  int         // live (not yet finished) processes
 	idleFn  func() bool // optional hook when nothing is pending
+	// await is the signal a step named with Signal.Await, until the kernel
+	// parks the step's process on it (StepWait).
+	await *Signal
+	// switches counts switches into processes (Switches).
+	switches uint64
 	// loud is the promise generation: a promise stands while its process's
 	// quietGen equals it, and every loud occurrence advances it. It starts
 	// at 1, so a process that never promised never matches.
@@ -517,6 +524,8 @@ func (k *Kernel) loop() Time {
 	k.loud++ // whoever called Run may have done anything since the last one
 	for p := k.next(); p != nil; {
 		k.succ = nil
+		k.switches++
+		p.switches++
 		if p.resume(); p.done {
 			p = k.next()
 		} else {
@@ -542,6 +551,20 @@ func (k *Kernel) Shutdown() {
 // LiveProcs returns the number of spawned processes that have not finished.
 func (k *Kernel) LiveProcs() int { return k.nprocs }
 
+// Switches reports how many times the kernel has switched into a process
+// — a first run, or a resume from a blocking primitive or from RunSteps —
+// in total and, when name is not empty, into the processes spawned under
+// that name (until Shutdown). A wake dispatched inline, a sleep taken in
+// place and a block whose process is next anyway cost no switch.
+func (k *Kernel) Switches(name string) (total, named uint64) {
+	for _, p := range k.procs {
+		if name != "" && p.name == name {
+			named += p.switches
+		}
+	}
+	return k.switches, named
+}
+
 // killed is the panic value that unwinds a parked process on Shutdown.
 type killed struct{}
 
@@ -565,9 +588,12 @@ type Proc struct {
 	expiring *Signal
 	timedOut bool
 	// steps is the body of the RunSteps call the process is parked in, set
-	// while its pending wake is one of that call's sleeps: next runs such a
-	// wake's steps inline. Cleared by the kernel when the body finishes.
+	// while its pending wake is one of that call's sleeps or waits: next
+	// runs such a wake's steps inline. Cleared by the kernel when the body
+	// finishes.
 	steps StepFunc
+	// switches counts the kernel's switches into the process (Switches).
+	switches uint64
 	// The promise (PromiseQuiet), standing while quietGen == k.loud: until
 	// quietUntil the process's dispatches are quiet and fall on the
 	// instants quietAt + i(quietA+quietB) + {0, quietA}.
@@ -583,6 +609,12 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
+
+// TimedOut reports whether the process's last wait — a WaitTimeout, or a
+// StepWait of its RunSteps body — ended by its timeout rather than by a
+// Broadcast. Like Name, Kernel and Now it never blocks, so a step may
+// call it on a process it holds even while the kernel runs it inline.
+func (p *Proc) TimedOut() bool { return p.timedOut }
 
 // Spawn starts fn as a simulated process. The process begins running at
 // the current virtual time (ordered after already-scheduled events at that
@@ -707,13 +739,19 @@ const (
 	// ran at an instant the promise names. The only answer that leaves
 	// standing promises standing.
 	StepQuiet
+	// StepWait: wait on the signal the step named with Signal.Await (or
+	// Queue.Await) — the returned duration is the timeout, Forever for
+	// none — then call the step again, which reads how the wait ended
+	// from its process's TimedOut.
+	StepWait
 )
 
 // StepFunc is one resumable piece of a RunSteps body. Each call does the
-// work up to the body's next sleep and returns that sleep's duration with
-// StepMore (zero is a yield and is still slept), or StepDone when the body
-// is over. A piece that charges nothing runs on into the next instead of
-// returning.
+// work up to the body's next sleep or wait and returns that sleep's
+// duration with StepMore (zero is a yield and is still slept), or the
+// wait's timeout with StepWait (return s.Await(d)), or StepDone when the
+// body is over. A piece that charges nothing runs on into the next
+// instead of returning.
 //
 // The step is called with its process when it runs on the process's own
 // stack, where it may block like any process code, and with nil when the
@@ -742,16 +780,23 @@ type StepFunc func(p *Proc) (d Time, st StepStatus)
 //		if st == StepDone {
 //			return
 //		}
-//		p.Sleep(d)
+//		if st == StepWait {
+//			p.WaitTimeout(s, d) // s: the signal the step named
+//		} else {
+//			p.Sleep(d)
+//		}
 //	}
 //
-// — same dispatch order, same (time, seq) wake keys, same in-place fast
-// path — except that while the process is parked in one of those sleeps
-// its wake is dispatched like a callback event: next calls the following
-// steps inline, as step(nil), and switches into the process only once
-// the body is done or a step answers StepBlock. Two processes whose
-// sleeps interleave thus cost no switch per sleep.
+// — same dispatch order, same (time, seq) wake keys, same waiter order,
+// same in-place fast path — except that while the process is parked in
+// one of those sleeps or waits its wake is dispatched like a callback
+// event: next calls the following steps inline, as step(nil), and
+// switches into the process only once the body is done or a step
+// answers StepBlock. Two processes whose sleeps interleave, or a process
+// that answers each message of a queue it waits on, thus cost no switch
+// per sleep or message.
 func (p *Proc) RunSteps(step StepFunc) {
+	k := p.k
 	for {
 		d, st := step(p)
 		switch st {
@@ -759,11 +804,16 @@ func (p *Proc) RunSteps(step StepFunc) {
 			return
 		case StepBlock:
 			panic("sim: StepBlock from a step that was given its process")
-		case StepMore:
-			p.k.loud++
+		case StepMore, StepWait:
+			k.loud++
 		}
-		p.steps = step // this sleep's wake may be dispatched inline
-		p.Sleep(d)
+		p.steps = step // this sleep's or wait's wake may be dispatched inline
+		if st == StepWait {
+			k.park(p, d)
+			p.block()
+		} else {
+			p.Sleep(d)
+		}
 		if p.steps == nil {
 			return // the body finished inline
 		}
@@ -774,8 +824,8 @@ func (p *Proc) RunSteps(step StepFunc) {
 // stepInline dispatches the wake of p, parked in RunSteps, without
 // switching into it: it runs p's steps in place for as long as each
 // sleep takes the fast path. It reports true when p is parked again
-// behind a new wake, false when the caller must switch into p — the body
-// is done, or the next step might block.
+// behind a new wake or on a signal, false when the caller must switch
+// into p — the body is done, or the next step might block.
 func (k *Kernel) stepInline(p *Proc) bool {
 	for {
 		k.inline = true
@@ -787,6 +837,10 @@ func (k *Kernel) stepInline(p *Proc) bool {
 			return false
 		case StepBlock:
 			return false
+		case StepWait:
+			k.loud++
+			k.park(p, d)
+			return true
 		case StepMore:
 			k.loud++
 		}
@@ -794,6 +848,18 @@ func (k *Kernel) stepInline(p *Proc) bool {
 			return true
 		}
 	}
+}
+
+// park registers p, whose step answered StepWait, as a waiter on the
+// signal the step named, with timeout d: WaitTimeout's registration,
+// without its block.
+func (k *Kernel) park(p *Proc, d Time) {
+	s := k.await
+	if s == nil {
+		panic("sim: StepWait from a step that named no signal (Signal.Await)")
+	}
+	k.await = nil
+	s.enlist(p, d)
 }
 
 // PromiseQuiet is called by a step of p's RunSteps body, while it runs. It
@@ -882,14 +948,29 @@ func (p *Proc) Wait(s *Signal) { p.WaitTimeout(s, Forever) }
 // WaitTimeout blocks until Broadcast or until d elapses. It returns true
 // if woken by Broadcast, false on timeout.
 func (p *Proc) WaitTimeout(s *Signal, d Time) bool {
+	s.enlist(p, d)
+	p.block()
+	return !p.timedOut
+}
+
+// enlist appends p to s's waiters and, unless d is Forever, enqueues its
+// timeout d from now: the one registration of a wait, blocking or not.
+func (s *Signal) enlist(p *Proc, d Time) {
 	p.timedOut = false
 	s.waiters = append(s.waiters, p)
 	if d != Forever {
 		p.expiring = s
 		s.k.enqueue(p, s.k.now+max(d, 0))
 	}
-	p.block()
-	return !p.timedOut
+}
+
+// Await ends a step of a RunSteps body with a wait on s: a step returns
+// s.Await(d) where a plain loop would call WaitTimeout(s, d). The kernel
+// registers the wait as WaitTimeout would; the step is called again once
+// it ends, and its process's TimedOut tells how.
+func (s *Signal) Await(d Time) (Time, StepStatus) {
+	s.k.await = s
+	return d, StepWait
 }
 
 // Ring is an unbounded FIFO ring buffer. A long-lived ring neither
@@ -987,6 +1068,11 @@ func (q *Queue[T]) Put(v T) {
 	q.ring.Push(v)
 	q.avail.Broadcast()
 }
+
+// Await ends a step of a RunSteps body with a wait for the queue's next
+// Put (Signal.Await on its arrival signal): what RecvTimeout blocks on
+// when the queue is empty.
+func (q *Queue[T]) Await(d Time) (Time, StepStatus) { return q.avail.Await(d) }
 
 // TryRecv removes and returns the head item without blocking.
 func (q *Queue[T]) TryRecv() (T, bool) {
