@@ -20,6 +20,10 @@ import (
 // change, regenerate with:
 //
 //	go test -run TestEventStreamGolden -update-events .
+//
+// The one DIVERGED line prints the two replicas' state digests, so it
+// moves with the digest's definition: its values are the word hash's
+// (snapshot.Mix), which replaced byte-serial FNV-64a in snapshot format 8.
 
 var updateEvents = flag.Bool("update-events", false, "rewrite testdata/events.golden.txt from the current event stream")
 

@@ -33,6 +33,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // The simulated-time costs of hypervisor activity, calibrated to §4.1 of
@@ -778,15 +779,14 @@ func (hv *Hypervisor) OutstandingUncertain() (out []Interrupt, uncertain int) {
 }
 
 // Digest returns a divergence-detection digest of the guest-visible
-// state: machine registers/PC plus virtual PSW and key virtual CRs.
+// state: machine registers/PC plus virtual PSW and key virtual CRs, as
+// further lanes of the machine digest's word hash — so, like a machine
+// field, any one of them that differs always changes it.
 func (hv *Hypervisor) Digest() uint64 {
-	d := hv.M.Digest()
-	d ^= uint64(hv.vPSW) * 0x9E3779B97F4A7C15
-	d ^= uint64(hv.vCR[isa.CRIVA]) << 1
-	d ^= uint64(hv.vCR[isa.CREIEM]) << 2
-	d ^= uint64(hv.vCR[isa.CREIRR]) << 3
-	d ^= uint64(hv.vCR[isa.CRIIA]) << 4
-	return d
+	v := &hv.vCR
+	h := snapshot.Mix(hv.M.Digest(), uint64(hv.vPSW)|uint64(v[isa.CRIVA])<<32)
+	h = snapshot.Mix(h, uint64(v[isa.CREIEM])|uint64(v[isa.CREIRR])<<32)
+	return snapshot.Mix(h, uint64(v[isa.CRIIA]))
 }
 
 func (hv *Hypervisor) String() string {

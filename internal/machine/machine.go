@@ -15,9 +15,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/isa"
+	"repro/internal/snapshot"
 )
 
 // accessKind distinguishes memory access types for permission checks.
@@ -591,35 +591,32 @@ func (m *Machine) LoadProgram(origin uint32, words []uint32, entry uint32) {
 // Digest returns a deterministic hash of the architected register state
 // (registers, PC, PSW, non-environment control registers). Replica
 // coordination uses it to detect divergence between primary and backup.
+// It is the word hash (snapshot.Mix) over the 40 fields, two to a 64-bit
+// lane, so any difference confined to one lane — one field, or two fields
+// sharing a lane — always changes it. Environment CRs are left out: TOD
+// is environment, EIRR reflects device lines, and ITMR/RCTR are managed
+// by the hypervisor under replication (EIEM goes with EIRR).
 func (m *Machine) Digest() uint64 {
-	h := fnv.New64a()
-	var buf [4]byte
-	put := func(v uint32) {
-		buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		h.Write(buf[:])
+	h := uint64(snapshot.HashBasis)
+	for i := 0; i < len(m.Regs); i += 2 {
+		h = snapshot.Mix(h, uint64(m.Regs[i])|uint64(m.Regs[i+1])<<32)
 	}
-	for _, r := range m.Regs {
-		put(r)
-	}
-	put(m.PC)
-	put(m.PSW)
-	// Exclude environment CRs (TOD is environment; EIRR reflects device
-	// lines; ITMR/RCTR are managed by the hypervisor under replication).
-	for _, cr := range []isa.CR{isa.CRIVA, isa.CRISR, isa.CRIOR, isa.CRIPSW, isa.CRIIA, isa.CRPTBR} {
-		put(m.CRs[cr])
-	}
-	return h.Sum64()
+	c := &m.CRs
+	h = snapshot.Mix(h, uint64(m.PC)|uint64(m.PSW)<<32)
+	h = snapshot.Mix(h, uint64(c[isa.CRIVA])|uint64(c[isa.CRISR])<<32)
+	h = snapshot.Mix(h, uint64(c[isa.CRIOR])|uint64(c[isa.CRIPSW])<<32)
+	return snapshot.Mix(h, uint64(c[isa.CRIIA])|uint64(c[isa.CRPTBR])<<32)
 }
 
 // DigestMemory extends Digest with a hash of physical RAM as its
 // canonical sparse page set (sparsePages: ascending, all-zero pages
 // skipped, each page's index mixed in) — what a capture holds and the
-// encoder writes. Used by tests comparing machines.
+// encoder writes: the word hash, continued from Digest's state. Used by
+// tests comparing machines.
 func (m *Machine) DigestMemory() uint64 {
-	h := fnv.New64a()
+	h := m.Digest()
 	for _, pg := range m.sparsePages(false) {
-		h.Write([]byte{byte(pg.Index), byte(pg.Index >> 8), byte(pg.Index >> 16), byte(pg.Index >> 24)})
-		h.Write(pg.Data)
+		h = snapshot.MixBytes(snapshot.Mix(h, uint64(pg.Index)), pg.Data)
 	}
-	return h.Sum64() ^ m.Digest()
+	return h
 }

@@ -17,13 +17,14 @@ import (
 // downstream of a reintegration. The expected length was generated on
 // the commit before the page-granular state path landed (7d1173e, flat
 // 1 MiB captures) and has not moved since; the SHA-256 is transfer
-// version 5's, where TLB recency is encoded as order (each LRU stamp as
-// its rank) in the same widths, and a build with -tags spec, which runs
-// no trace, produces the same blob.
+// version 6's, whose checksum trailers are the word hash (snapshot.Mix)
+// instead of byte-serial FNV-64a (version 5 encoded TLB recency as
+// order, each LRU stamp as its rank, in the same widths), and a build
+// with -tags spec, which runs no trace, produces the same blob.
 func TestTransferBytesGolden(t *testing.T) {
 	const (
 		wantLen = 25807
-		wantSum = "011b5d029e8668896c843f3b16758fa6ecccba9af31eddf7fa1eb0e371e86ba9"
+		wantSum = "36e3408fc0838377e13de27fcdee2dacae882a0bea0e6341bad26eab81d43c0c"
 	)
 	var charged uint64
 	e := New(Options{

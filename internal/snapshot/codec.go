@@ -14,11 +14,13 @@
 // map-shaped, and uses the fixed-width little-endian integers below.
 //
 // Format discipline: every top-level blob opens with an 8-byte magic
-// and a format version word, and closes with an FNV-64a checksum of
-// everything before it. Readers reject unknown magics, foreign
-// versions (ErrVersion) and checksum mismatches up front — a snapshot
-// from a different build of this code fails loudly, never by silently
-// reconstructing a diverged simulation.
+// and a format version word, and closes with a checksum of everything
+// before it (the word hash below, over the blob's bytes). Readers reject
+// unknown magics, foreign versions (ErrVersion) and checksum mismatches
+// up front, in that order — a snapshot from a different build of this
+// code fails loudly, never by silently reconstructing a diverged
+// simulation, and one from a different format says so rather than
+// failing a checksum it was never sealed with.
 package snapshot
 
 import (
@@ -26,7 +28,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sync"
 )
@@ -36,17 +37,59 @@ import (
 // FormatVersion or transferVersion — the two byte goldens
 // (TestSaveBytesGolden, TestTransferBytesGolden) will tell you.
 //
-// Version 7 = TLB recency as order: each LRU stamp is written as the
-// slot's rank and the clock as the highest rank, in the same widths.
-const FormatVersion = 7
+// Version 8 = the checksum trailer, and every state digest a section
+// holds, is the word hash (Mix) instead of byte-serial FNV-64a; no field
+// changed width. Version 7 = TLB recency as order: each LRU stamp is
+// written as the slot's rank and the clock as the highest rank, in the
+// same widths.
+const FormatVersion = 8
 
 // transferVersion is the live state-transfer blob's own format number.
 // The blob holds machine and hypervisor state only, and its bytes are
 // what the simulated link is charged for and what TestTransferBytesGolden
 // pins — so a change to a checkpoint-only section moves FormatVersion and
-// leaves this alone. Version 5 = TLB recency as order (FormatVersion 7);
-// no field changed width, so no blob changed length.
-const transferVersion = 5
+// leaves this alone. Version 6 = the word-hash checksum (FormatVersion
+// 8); version 5 = TLB recency as order (FormatVersion 7). Neither
+// changed a field's width, so no blob changed length.
+const transferVersion = 6
+
+// HashBasis is the word hash's initial state: the FNV-64 offset basis.
+const HashBasis = 14695981039346656037
+
+// hashPrime is the FNV-64 prime, the word hash's multiplier.
+const hashPrime = 1099511628211
+
+// Mix folds one 64-bit word w into the running word hash h:
+//
+//	h = (h ^ w) * 1099511628211
+//	h ^= h >> 32
+//
+// The one hash behind the checksum trailer and the state digests
+// (machine.Machine.Digest and DigestMemory, hypervisor.Hypervisor.Digest).
+// For a fixed w both steps are bijections of h (an odd multiplier, a
+// right xorshift by half the width), and for a fixed h the first is a
+// bijection of w, so two word sequences of one length that differ in
+// exactly one word always hash differently — FNV-1a's guarantee for a
+// byte, at one step per eight bytes.
+func Mix(h, w uint64) uint64 {
+	h = (h ^ w) * hashPrime
+	return h ^ h>>32
+}
+
+// MixBytes folds b into h a little-endian word at a time, the last word
+// zero-padded, and then len(b), so a blob and its zero-extension differ.
+func MixBytes(h uint64, b []byte) uint64 {
+	n := len(b)
+	for ; len(b) >= 8; b = b[8:] {
+		h = Mix(h, binary.LittleEndian.Uint64(b))
+	}
+	if len(b) > 0 {
+		var tail [8]byte
+		copy(tail[:], b)
+		h = Mix(h, binary.LittleEndian.Uint64(tail[:]))
+	}
+	return Mix(h, uint64(n))
+}
 
 // TransferMagic opens a live state-transfer blob (AddBackup's payload
 // on the simulated link).
@@ -115,11 +158,15 @@ func (w *Writer) header(magic string) {
 // Grow ensures room for n more bytes without reallocation.
 func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 
-// checksum is the blob trailer: FNV-64a of everything before it.
-func checksum(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+// checksum is the blob trailer: the word hash of everything before it.
+func checksum(b []byte) uint64 { return MixBytes(HashBasis, b) }
+
+// Reseal returns a copy of blob with its checksum trailer recomputed over
+// the body as it now stands: how a test that edits a blob on purpose
+// reaches the gate, or the decoder, behind the checksum.
+func Reseal(blob []byte) []byte {
+	body := blob[:len(blob)-8]
+	return binary.LittleEndian.AppendUint64(bytes.Clone(body), checksum(body))
 }
 
 // BeginSection opens a nested blob encoded in place: it is
@@ -203,8 +250,11 @@ type Reader struct {
 	err error
 }
 
-// NewReader validates the blob's magic, version and checksum and
-// positions a reader after the header.
+// NewReader validates the blob's magic, version and checksum, in that
+// order, and positions a reader after the header. The version comes
+// before the checksum because the checksum is the format's own: a blob
+// of another format was sealed with another, and is ErrVersion, not
+// ErrCorrupt.
 func NewReader(blob []byte, magic string) (*Reader, error) {
 	if len(magic) != 8 {
 		panic(fmt.Sprintf("snapshot: magic %q must be 8 bytes", magic))
@@ -215,24 +265,14 @@ func NewReader(blob []byte, magic string) (*Reader, error) {
 	if string(blob[:8]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, blob[:8], magic)
 	}
-	body, trailer := blob[:len(blob)-8], blob[len(blob)-8:]
-	want := checksum(body)
-	got := uint64(0)
-	for i := 7; i >= 0; i-- {
-		got = got<<8 | uint64(trailer[i])
-	}
-	if got != want {
-		return nil, fmt.Errorf("%w: checksum %#x, computed %#x", ErrCorrupt, got, want)
-	}
-	r := &Reader{b: body, off: 8}
-	v := r.U32()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if want := versionOf(magic); v != want {
+	if v, want := binary.LittleEndian.Uint32(blob[8:]), versionOf(magic); v != want {
 		return nil, fmt.Errorf("%w: snapshot is format %d, this build reads %d", ErrVersion, v, want)
 	}
-	return r, nil
+	body := blob[:len(blob)-8]
+	if got, want := binary.LittleEndian.Uint64(blob[len(body):]), checksum(body); got != want {
+		return nil, fmt.Errorf("%w: checksum %#x, computed %#x", ErrCorrupt, got, want)
+	}
+	return &Reader{b: body, off: 8 + 4}, nil
 }
 
 // Fail latches the first error: the bytes at the current offset cannot

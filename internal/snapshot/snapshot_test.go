@@ -2,7 +2,10 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 )
 
@@ -70,13 +73,52 @@ func TestReaderRejects(t *testing.T) {
 	}
 	ver := append([]byte(nil), blob...)
 	ver[8]++ // version word
-	// Reseal so the checksum gate passes and the version gate is hit.
-	h := fnvSum(ver[:len(ver)-8])
-	for i := 0; i < 8; i++ {
-		ver[len(ver)-8+i] = byte(h >> (8 * i))
-	}
-	if _, err := NewReader(ver, testMagic); !errors.Is(err, ErrVersion) {
+	// Resealed, the checksum gate would pass; the version gate comes first.
+	if _, err := NewReader(Reseal(ver), testMagic); !errors.Is(err, ErrVersion) {
 		t.Fatalf("future version: %v", err)
+	}
+}
+
+// TestReaderPreviousFormat: a blob of the previous formats — checkpoint
+// format 7, transfer format 5, sealed with byte-serial FNV-64a — is
+// ErrVersion, not ErrCorrupt: the version word is checked before a
+// checksum it was never sealed with.
+func TestReaderPreviousFormat(t *testing.T) {
+	for magic, version := range map[string]uint32{testMagic: 7, TransferMagic: 5} {
+		blob := []byte(magic)
+		blob = binary.LittleEndian.AppendUint32(blob, version)
+		blob = append(blob, "a section body"...)
+		h := fnv.New64a()
+		h.Write(blob)
+		blob = binary.LittleEndian.AppendUint64(blob, h.Sum64())
+		if _, err := NewReader(blob, magic); !errors.Is(err, ErrVersion) {
+			t.Errorf("%s format %d: got %v, want ErrVersion", magic, version, err)
+		}
+	}
+}
+
+// TestChecksumAnyByte: the word hash sees every byte of a blob, tail
+// included — changing any one byte of a body, to any other value,
+// changes its checksum — and a body's length, so zero-extending it does
+// too.
+func TestChecksumAnyByte(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 40; n++ {
+		body := make([]byte, n)
+		rng.Read(body)
+		sum := checksum(body)
+		for i := range body {
+			for x := 1; x < 256; x++ {
+				body[i] ^= byte(x)
+				if checksum(body) == sum {
+					t.Fatalf("%d-byte body: byte %d ^ %#x kept the checksum", n, i, x)
+				}
+				body[i] ^= byte(x)
+			}
+		}
+		if checksum(append(body, 0)) == sum {
+			t.Fatalf("%d-byte body: a trailing zero kept the checksum", n)
+		}
 	}
 }
 
@@ -124,14 +166,4 @@ func TestSectionInPlace(t *testing.T) {
 		}
 		w.Release()
 	}
-}
-
-// fnvSum is a local FNV-64a for the version-reseal helper.
-func fnvSum(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }

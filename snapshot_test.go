@@ -9,9 +9,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"hash/fnv"
 	"strings"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 // finishAndCompare drives both clusters to completion and asserts
@@ -248,27 +249,13 @@ func saveBlob(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// reseal recomputes the checksum trailer after a deliberate tamper, so
-// the test reaches the layer under study instead of the checksum gate.
-func reseal(blob []byte) []byte {
-	body := blob[:len(blob)-8]
-	h := fnv.New64a()
-	h.Write(body)
-	sum := h.Sum64()
-	out := append([]byte(nil), body...)
-	for i := 0; i < 8; i++ {
-		out = append(out, byte(sum>>(8*i)))
-	}
-	return out
-}
-
 // TestRestoreVersionMismatch pins the version gate: a snapshot from a
 // different format version is rejected with ErrSnapshotVersion.
 func TestRestoreVersionMismatch(t *testing.T) {
 	blob := saveBlob(t)
 	// The version word sits right after the 8-byte magic.
 	blob[8]++
-	_, err := Restore(bytes.NewReader(reseal(blob)))
+	_, err := Restore(bytes.NewReader(snapshot.Reseal(blob)))
 	if !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("restore of future-version snapshot: got %v, want ErrSnapshotVersion", err)
 	}
@@ -288,6 +275,29 @@ func TestRestoreCorrupt(t *testing.T) {
 	}
 }
 
+// TestRestoreAnyByteCorrupt: the checksum covers every byte of a real
+// checkpoint. Changing any single byte of it (to a value that varies
+// from byte to byte) is ErrSnapshotCorrupt — or, in the version word,
+// ErrSnapshotVersion, the gate before the checksum. The word hash
+// guarantees it (snapshot.Mix): a blob that differs from a sealed one in
+// one word never matches its trailer.
+func TestRestoreAnyByteCorrupt(t *testing.T) {
+	blob := saveBlob(t)
+	for i := range blob {
+		x := byte(1 + i*131%255)
+		blob[i] ^= x
+		_, err := Restore(bytes.NewReader(blob))
+		blob[i] ^= x
+		want := ErrSnapshotCorrupt
+		if i >= 8 && i < 12 {
+			want = ErrSnapshotVersion
+		}
+		if !errors.Is(err, want) {
+			t.Fatalf("byte %d of %d changed: got %v, want %v", i, len(blob), err, want)
+		}
+	}
+}
+
 // TestRestoreVerifyCatchesTamper pins the post-replay verification: a
 // snapshot whose embedded state capture disagrees with the replayed
 // run (here: a resealed tamper deep in the capture section) is
@@ -297,7 +307,7 @@ func TestRestoreVerifyCatchesTamper(t *testing.T) {
 	// Flip a byte near the end of the blob — inside the last capture
 	// section's payload — and reseal so the checksum gate passes.
 	blob[len(blob)-24] ^= 0x01
-	tampered := reseal(blob)
+	tampered := snapshot.Reseal(blob)
 	_, err := Restore(bytes.NewReader(tampered))
 	if err == nil {
 		t.Fatal("restore of tampered snapshot succeeded")

@@ -30,10 +30,13 @@ type stateGolden struct {
 // saveGoldens pins one small fixed scenario — a pair, mid-run, after
 // one AddBackup — saved twice: with the transfer still in flight
 // (the xfer link carries the image) and after the joiner installed it
-// (the joiner's RAM went through RestoreState).
+// (the joiner's RAM went through RestoreState). The hashes are format
+// 8's, whose checksum trailers and state digests are the word hash
+// (snapshot.Mix) instead of byte-serial FNV-64a; the lengths have not
+// moved since format 7.
 var saveGoldens = [2]stateGolden{
-	{54792, "0c861bfe2696c6928b5ae1ae2dd1e2c31f0b2f3770043fac5b8eafb874c09b96"},
-	{83086, "80df5cfff6cbcb30238d5fee6f21c1da26b8eb67241a54be3b08db2c8c10930e"},
+	{54792, "42784444a0b3dd712ba28f136212405d183022e8871fd566842aacdccef5caf0"},
+	{83086, "eaa6146fa61d4eef55464888ba0204cec1920877999c39028c7bb8cdd1da4cbe"},
 }
 
 func saveGoldenScenario(t *testing.T) [2][]byte {
