@@ -233,15 +233,15 @@ func (r *Replica) receiver(u Peer) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
 		inbox := u.RX.Inbox
 		var (
-			deadline sim.Time // of the RecvTimeout in progress
 			inRecv   bool     // a RecvTimeout is in progress
-			parked   bool     // and the last step ended with its wait
+			deadline sim.Time // and times out then
 		)
+		// Every step but the first follows a wait: the body ends a step
+		// only there.
 		p.RunSteps(func(*sim.Proc) (sim.Time, sim.StepStatus) {
-			if parked && p.TimedOut() {
+			if p.TimedOut() {
 				inRecv = false // RecvTimeout reports the timeout
 			}
-			parked = false
 			for {
 				if !inRecv {
 					if r.promoted || r.done || r.failed {
@@ -254,14 +254,11 @@ func (r *Replica) receiver(u Peer) func(p *sim.Proc) {
 					r.take(u, raw)
 					continue
 				}
-				remain := sim.Forever
-				if r.cfg.DetectTimeout != sim.Forever {
-					if remain = deadline - p.Now(); remain <= 0 {
-						inRecv = false
-						continue
-					}
+				remain := deadline - p.Now()
+				if remain <= 0 {
+					inRecv = false
+					continue
 				}
-				parked = true
 				return inbox.Await(remain)
 			}
 		})
