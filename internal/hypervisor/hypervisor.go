@@ -784,9 +784,15 @@ func (hv *Hypervisor) OutstandingUncertain() (out []Interrupt, uncertain int) {
 // field, any one of them that differs always changes it.
 func (hv *Hypervisor) Digest() uint64 {
 	v := &hv.vCR
-	h := snapshot.Mix(hv.M.Digest(), uint64(hv.vPSW)|uint64(v[isa.CRIVA])<<32)
-	h = snapshot.Mix(h, uint64(v[isa.CREIEM])|uint64(v[isa.CREIRR])<<32)
-	return snapshot.Mix(h, uint64(v[isa.CRIIA]))
+	h := hv.M.Digest()
+	for _, w := range [...]uint64{
+		uint64(hv.vPSW) | uint64(v[isa.CRIVA])<<32,
+		uint64(v[isa.CREIEM]) | uint64(v[isa.CREIRR])<<32,
+		uint64(v[isa.CRIIA]),
+	} {
+		h = snapshot.Mix(h, w)
+	}
+	return h
 }
 
 func (hv *Hypervisor) String() string {

@@ -79,7 +79,7 @@ func (s *sender) fanout(p *sim.Proc, payload any, size int, stopped func() bool)
 // the sender's when the fanout began: a peer attached meanwhile first
 // hears the next message.
 type fanCursor struct {
-	s       *sender
+	stats   *Stats
 	peers   []*peerState
 	i       int
 	payload any
@@ -88,7 +88,7 @@ type fanCursor struct {
 
 // cursor begins a fanout of payload.
 func (s *sender) cursor(payload any, size int) fanCursor {
-	return fanCursor{s: s, peers: s.peers, payload: payload, size: size}
+	return fanCursor{stats: s.stats, peers: s.peers, payload: payload, size: size}
 }
 
 // next sends the message to the next peer and returns the set-up cost to
@@ -100,8 +100,8 @@ func (f *fanCursor) next(stopped func() bool) (sim.Time, bool) {
 	}
 	ps := f.peers[f.i]
 	f.i++
-	f.s.stats.MessagesSent++
-	f.s.stats.BytesSent += uint64(f.size)
+	f.stats.MessagesSent++
+	f.stats.BytesSent += uint64(f.size)
 	ps.peer.TX.Send(f.payload, f.size)
 	return ps.peer.TX.Config().SetupTime, true
 }

@@ -571,7 +571,8 @@ type killed struct{}
 // Proc is a simulated process: a coroutine that may block in virtual time.
 // All methods must be called from inside the process — on its own stack,
 // never from a step the kernel is running inline (RunSteps), where the
-// blocking ones panic.
+// blocking ones panic; the accessors that never block (Name, Kernel,
+// Now, TimedOut) are the exception.
 type Proc struct {
 	k      *Kernel
 	name   string
