@@ -48,8 +48,9 @@ func quickWorkload(name string) []Option {
 	return []Option{WithWorkload(w), WithDiskLatency(Duration(24.2*float64(Millisecond)/4), 26*Millisecond/4)}
 }
 
-// benchWait drives one cluster to completion.
-func benchWait(b *testing.B, opts ...Option) Result {
+// benchWait drives one cluster to completion and, if inspect is not nil,
+// hands it the finished cluster before closing it.
+func benchWait(b *testing.B, inspect func(*Cluster), opts ...Option) Result {
 	b.Helper()
 	c, err := NewCluster(opts...)
 	if err != nil {
@@ -63,6 +64,9 @@ func benchWait(b *testing.B, opts ...Option) Result {
 	if res.GuestPanic != 0 {
 		b.Fatalf("guest panic %#x", res.GuestPanic)
 	}
+	if inspect != nil {
+		inspect(c)
+	}
 	return res
 }
 
@@ -72,8 +76,8 @@ func benchNP(b *testing.B, workload string, paper float64, opts ...Option) {
 	b.Helper()
 	var np float64
 	for i := 0; i < b.N; i++ {
-		bare := benchWait(b, append(quickWorkload(workload), Bare())...)
-		repl := benchWait(b, append(quickWorkload(workload), opts...)...)
+		bare := benchWait(b, nil, append(quickWorkload(workload), Bare())...)
+		repl := benchWait(b, nil, append(quickWorkload(workload), opts...)...)
 		if repl.Checksum != bare.Checksum {
 			b.Fatalf("checksum %#x != bare %#x", repl.Checksum, bare.Checksum)
 		}
@@ -453,20 +457,14 @@ func BenchmarkReplicatedPair(b *testing.B) {
 	b.ReportAllocs()
 	var switches, epochs uint64
 	for i := 0; i < b.N; i++ {
-		c, err := NewCluster(WithWorkload(CPUIntensive(2000)), WithEpochLength(1024), WithProtocol(ProtocolOld), WithLink(Ethernet10()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Wait(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		total, rx := c.eng.Kernel().Switches("backup1-rx0")
-		if rx > 2 {
-			b.Fatalf("the receiver was switched into %d times; spawn and exit are 2", rx)
-		}
-		switches += total
-		epochs += c.Snapshot().Epochs
-		c.Close()
+		benchWait(b, func(c *Cluster) {
+			total, rx := c.eng.Kernel().Switches("backup1-rx0")
+			if rx > 2 {
+				b.Fatalf("the receiver was switched into %d times; spawn and exit are 2", rx)
+			}
+			switches += total
+			epochs += c.Snapshot().Epochs
+		}, WithWorkload(CPUIntensive(2000)), WithEpochLength(1024), WithProtocol(ProtocolOld), WithLink(Ethernet10()))
 	}
 	per := float64(switches) / float64(epochs)
 	b.ReportMetric(per, "switches/epoch")

@@ -231,36 +231,26 @@ func (r *Replica) release(e uint64) {
 // frame costs no switch.
 func (r *Replica) receiver(u Peer) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
-		inbox := u.RX.Inbox
-		var (
-			inRecv   bool     // a RecvTimeout is in progress
-			deadline sim.Time // and times out then
-		)
-		// Every step but the first follows a wait: the body ends a step
-		// only there.
+		if r.promoted || r.done || r.failed {
+			return
+		}
 		p.RunSteps(func(*sim.Proc) (sim.Time, sim.StepStatus) {
-			if p.TimedOut() {
-				inRecv = false // RecvTimeout reports the timeout
-			}
-			for {
-				if !inRecv {
-					if r.promoted || r.done || r.failed {
-						return 0, sim.StepDone
-					}
-					inRecv, deadline = true, p.Now()+r.cfg.DetectTimeout
-				}
+			inbox := u.RX.Inbox
+			// Every step but the first follows a wait. A Put that ended it
+			// left an item: the receiver is its inbox's one consumer.
+			if !p.TimedOut() {
 				if raw, ok := inbox.TryRecv(); ok {
-					inRecv = false
 					r.take(u, raw)
-					continue
 				}
-				remain := deadline - p.Now()
-				if remain <= 0 {
-					inRecv = false
-					continue
-				}
-				return inbox.Await(remain)
 			}
+			for !r.promoted && !r.done && !r.failed {
+				raw, ok := inbox.TryRecv()
+				if !ok {
+					return inbox.Await(r.cfg.DetectTimeout)
+				}
+				r.take(u, raw)
+			}
+			return 0, sim.StepDone
 		})
 	}
 }

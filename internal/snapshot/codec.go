@@ -161,14 +161,6 @@ func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 // checksum is the blob trailer: the word hash of everything before it.
 func checksum(b []byte) uint64 { return MixBytes(HashBasis, b) }
 
-// Reseal returns a copy of blob with its checksum trailer recomputed over
-// the body as it now stands: how a test that edits a blob on purpose
-// reaches the gate, or the decoder, behind the checksum.
-func Reseal(blob []byte) []byte {
-	body := blob[:len(blob)-8]
-	return binary.LittleEndian.AppendUint64(bytes.Clone(body), checksum(body))
-}
-
 // BeginSection opens a nested blob encoded in place: it is
 // byte-for-byte what Bytes(blob) would append for a blob built by its
 // own NewWriter(magic) … Finish(), without the intermediate copies.

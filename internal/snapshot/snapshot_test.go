@@ -71,10 +71,11 @@ func TestReaderRejects(t *testing.T) {
 	if _, err := NewReader(bad, testMagic); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad checksum: %v", err)
 	}
-	ver := append([]byte(nil), blob...)
+	ver := append([]byte(nil), blob[:len(blob)-8]...)
 	ver[8]++ // version word
 	// Resealed, the checksum gate would pass; the version gate comes first.
-	if _, err := NewReader(Reseal(ver), testMagic); !errors.Is(err, ErrVersion) {
+	ver = binary.LittleEndian.AppendUint64(ver, checksum(ver))
+	if _, err := NewReader(ver, testMagic); !errors.Is(err, ErrVersion) {
 		t.Fatalf("future version: %v", err)
 	}
 }

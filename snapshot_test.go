@@ -8,6 +8,7 @@ package hft
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -249,13 +250,22 @@ func saveBlob(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// reseal recomputes blob's checksum trailer over its body as it now
+// stands, so that an edit made on purpose reaches the gate, or the
+// decoder, behind the checksum.
+func reseal(blob []byte) []byte {
+	body := blob[:len(blob)-8]
+	binary.LittleEndian.PutUint64(blob[len(body):], snapshot.MixBytes(snapshot.HashBasis, body))
+	return blob
+}
+
 // TestRestoreVersionMismatch pins the version gate: a snapshot from a
 // different format version is rejected with ErrSnapshotVersion.
 func TestRestoreVersionMismatch(t *testing.T) {
 	blob := saveBlob(t)
 	// The version word sits right after the 8-byte magic.
 	blob[8]++
-	_, err := Restore(bytes.NewReader(snapshot.Reseal(blob)))
+	_, err := Restore(bytes.NewReader(reseal(blob)))
 	if !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("restore of future-version snapshot: got %v, want ErrSnapshotVersion", err)
 	}
@@ -307,7 +317,7 @@ func TestRestoreVerifyCatchesTamper(t *testing.T) {
 	// Flip a byte near the end of the blob — inside the last capture
 	// section's payload — and reseal so the checksum gate passes.
 	blob[len(blob)-24] ^= 0x01
-	tampered := snapshot.Reseal(blob)
+	tampered := reseal(blob)
 	_, err := Restore(bytes.NewReader(tampered))
 	if err == nil {
 		t.Fatal("restore of tampered snapshot succeeded")
