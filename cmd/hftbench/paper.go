@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	hft "repro"
+	"repro/internal/chaos"
 	"repro/internal/guest"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
@@ -82,20 +83,20 @@ func must(err error) {
 }
 
 // simulate drives one cluster to completion. It panics on a session
-// error, a guest panic, or — when bare is the run's baseline — a
-// checksum or console transcript that differs from it.
+// error or on any difference the chaos oracle finds from bare, the
+// run's baseline; a bare run is its own baseline, which leaves only a
+// guest panic to find.
 func simulate(bare *hft.Result, opts ...hft.Option) hft.Result {
 	c, err := hft.NewCluster(opts...)
 	must(err)
 	defer c.Close()
 	r, err := c.Wait(context.Background())
 	must(err)
-	if r.GuestPanic != 0 {
-		panic(fmt.Sprintf("hftbench: guest panic %#x", r.GuestPanic))
+	if bare == nil {
+		bare = &r
 	}
-	if bare != nil && (r.Checksum != bare.Checksum || r.Console != bare.Console) {
-		panic(fmt.Sprintf("hftbench: checksum %#x (console %q) differs from bare %#x (%q)",
-			r.Checksum, r.Console, bare.Checksum, bare.Console))
+	if v := chaos.Compare(*bare, r); v != nil {
+		panic(fmt.Sprintf("hftbench: %v", v))
 	}
 	return r
 }

@@ -29,7 +29,7 @@
 //	run 20ms
 //	fail primary                  # failstop; the backup takes over
 //	wait
-//	check                         # exit 1 unless output+digest match bare
+//	check                         # exit 1 unless the run matches bare
 //	EOF
 //
 // Campaign example (nightly CI runs exactly this):
@@ -95,7 +95,9 @@ func main() {
 		return
 	}
 
-	shape, err := resolveShape(*workload, uint32(*iters), uint32(*ops), uint32(*count))
+	// The sizes apply where the shape has them; echo's terminal script,
+	// serve's per-request compute and client population are canonical.
+	shape, err := chaos.Shape(*workload, uint32(*iters), uint32(*ops), uint32(*count))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hftsim: %v\n", err)
 		os.Exit(2)
@@ -149,23 +151,17 @@ func main() {
 			os.Exit(1)
 		}
 		defer cluster.Close()
-		// `check` verifies the replay against the bare reference for
+		// `check` applies the campaign's oracle against the bare run of
 		// the same shape — an emitted chaos reproduction exits 1 while
 		// its bug is alive and 0 once fixed.
-		verify := func(res hft.Result) error {
-			checksum, console, replies, err := chaos.Bare(shape, *seed, *epoch)
+		verify := func(c *hft.Cluster, res hft.Result) error {
+			bare, err := chaos.Bare(shape, *seed, *epoch)
 			if err != nil {
 				return err
 			}
-			if res.Checksum != checksum {
-				return fmt.Errorf("digest violation: checksum %#x, bare run computed %#x", res.Checksum, checksum)
-			}
-			if res.Console != console {
-				return fmt.Errorf("output violation: console %q, bare run produced %q", res.Console, console)
-			}
-			if res.NetReplies != replies {
-				return fmt.Errorf("service violation: reply transcript %d bytes, bare run produced %d bytes",
-					len(res.NetReplies), len(replies))
+			lat, _ := c.ServiceLatencies()
+			if v := chaos.Check(shape, bare, res, lat); v != nil {
+				return fmt.Errorf("%v violation: %s", v.Kind, v.Detail)
 			}
 			return nil
 		}
@@ -176,9 +172,9 @@ func main() {
 		return
 	}
 
-	bareRes, err := runToEnd(append(opts, hft.Bare()))
+	bareRes, err := chaos.Bare(shape, *seed, *epoch)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hftsim: bare run: %v\n", err)
+		fmt.Fprintf(os.Stderr, "hftsim: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("bare hardware:   %-12v console=%q checksum=%#x\n",
@@ -187,7 +183,13 @@ func main() {
 		return
 	}
 
-	repl, err := runToEnd(opts)
+	c, err := hft.NewCluster(opts...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hftsim: %v\n", err)
+		os.Exit(1)
+	}
+	defer c.Close()
+	repl, err := c.Wait(context.Background())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hftsim: replicated run: %v\n", err)
 		os.Exit(1)
@@ -201,45 +203,9 @@ func main() {
 		fmt.Printf("FAILOVER:        backup promoted; %d uncertain interrupt(s) synthesized (P7)\n",
 			repl.UncertainSynthesized)
 	}
-	if repl.Divergences != 0 {
-		fmt.Printf("WARNING:         %d divergences detected\n", repl.Divergences)
-	}
-	if repl.Checksum != bareRes.Checksum {
-		fmt.Printf("ERROR:           checksum differs from bare run\n")
+	lat, _ := c.ServiceLatencies()
+	if v := chaos.Check(shape, bareRes, repl, lat); v != nil {
+		fmt.Printf("ERROR:           %v\n", v)
 		os.Exit(1)
 	}
-}
-
-// runToEnd runs one session built from opts to completion.
-func runToEnd(opts []hft.Option) (hft.Result, error) {
-	c, err := hft.NewCluster(opts...)
-	if err != nil {
-		return hft.Result{}, err
-	}
-	defer c.Close()
-	return c.Wait(context.Background())
-}
-
-// resolveShape builds the workload shape from flags. The cpu/write/
-// read/copy sizes come from -iters/-ops/-count; echo always uses the
-// canonical terminal script (terminal input is not flag-expressible).
-func resolveShape(name string, iters, ops, count uint32) (chaos.Workload, error) {
-	switch name {
-	case "cpu":
-		return chaos.Workload{Name: name, Guest: hft.CPUIntensive(iters)}, nil
-	case "write":
-		return chaos.Workload{Name: name, Guest: hft.DiskWrite(ops, count)}, nil
-	case "read":
-		return chaos.Workload{Name: name, Guest: hft.DiskRead(ops, count)}, nil
-	case "copy":
-		return chaos.Workload{Name: name, Guest: hft.TwoDiskCopy(ops, count), ExtraDisks: 1}, nil
-	case "echo":
-		return chaos.Workload{Name: name, Guest: hft.TerminalEcho(), Terminal: chaos.EchoScript()}, nil
-	case "serve":
-		// -ops sizes the request stream; the per-request compute and the
-		// client population are canonical (chaos.ServeLoad), so emitted
-		// scenarios replay against the identical cluster.
-		return chaos.Workload{Name: name, Guest: hft.ServeRequests(ops, 50), ClientLoad: chaos.ServeLoad()}, nil
-	}
-	return chaos.Workload{}, fmt.Errorf("unknown workload %q", name)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	hft "repro"
+	"repro/internal/chaos"
 )
 
 // runScenario drives a live cluster from a command script — the
@@ -27,18 +28,21 @@ import (
 //	fail backup <i>       failstop backup i (1-based) now
 //	addbackup             reintegrate a new backup by live state transfer
 //	save <path>           checkpoint the session to a file
-//	restore <path>        replace the session with a restored checkpoint
+//	restore <path>        replace the session with a restored checkpoint;
+//	                      fails unless re-saving it reproduces the file
+//	                      byte for byte (chaos.RoundTrip, invariant 4)
 //	link bw=<bps> lat=<duration> drop=<n>
 //	                      degrade the hypervisor links mid-run
 //	snapshot              print the current session state
 //	wait                  run to completion and print the result
 //	check                 verify the completed run against the bare
-//	                      baseline (digest + output invariants); a
-//	                      mismatch fails the scenario with exit 1
+//	                      baseline with the campaign's oracle
+//	                      (chaos.Check); a violation fails the
+//	                      scenario with exit 1
 //
 // Events (epoch commits are summarized; everything else prints as it
 // happens) stream to stdout while the scenario runs.
-func runScenario(cluster *hft.Cluster, script io.Reader, echo bool, verify func(hft.Result) error) error {
+func runScenario(cluster *hft.Cluster, script io.Reader, echo bool, verify func(*hft.Cluster, hft.Result) error) error {
 	st := &scenarioState{epochs: new(int), verify: verify}
 	st.attach(cluster)
 
@@ -75,7 +79,7 @@ type scenarioState struct {
 	cluster *hft.Cluster
 	epochs  *int
 	pumped  chan struct{}
-	verify  func(hft.Result) error // `check`'s oracle (nil: unavailable)
+	verify  func(*hft.Cluster, hft.Result) error // `check`'s oracle
 }
 
 // attach subscribes the event pump to a (new) cluster.
@@ -235,18 +239,17 @@ func (st *scenarioState) command(line string) error {
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: restore <path>")
 		}
-		f, err := os.Open(fields[1])
+		blob, err := os.ReadFile(fields[1])
 		if err != nil {
 			return err
 		}
-		restored, err := hft.Restore(f)
-		f.Close()
+		restored, err := chaos.RoundTrip(blob)
 		if err != nil {
 			return err
 		}
 		st.detach()
 		st.attach(restored)
-		fmt.Printf("  restored session at %v from %s (state verified)\n", restored.Now(), fields[1])
+		fmt.Printf("  restored session at %v from %s (state verified, re-save byte-identical)\n", restored.Now(), fields[1])
 	case "snapshot":
 		s := cluster.Snapshot()
 		fmt.Printf("  t=%v epoch=%d instr=%d acting=node%d promoted=%v done=%v\n",
@@ -261,17 +264,14 @@ func (st *scenarioState) command(line string) error {
 		fmt.Printf("  completed at %v: checksum=%#x promoted=%v console=%q\n",
 			res.Time, res.Checksum, res.Promoted, res.Console)
 	case "check":
-		if st.verify == nil {
-			return fmt.Errorf("check: no baseline available for this configuration")
-		}
 		res, err := cluster.Wait(context.Background())
 		if err != nil {
 			return fmt.Errorf("check: %w", err)
 		}
-		if err := st.verify(res); err != nil {
+		if err := st.verify(cluster, res); err != nil {
 			return fmt.Errorf("check: %w", err)
 		}
-		fmt.Printf("  check passed: digest and output match the bare run\n")
+		fmt.Printf("  check passed: the run matches the bare run\n")
 	default:
 		return fmt.Errorf("unknown scenario command %q", fields[0])
 	}

@@ -274,6 +274,106 @@ func ExampleNewCluster_service() {
 	// reply stream matches bare machine: true
 }
 
+// SetLinkQuality perturbs a running cluster's link: here 10 Mbps
+// Ethernet degrades tenfold mid-run (a failing transceiver, say),
+// epochs stretch as the boundary acks crawl, and then the primary
+// failstops on top of it. The backup promotes over the degraded link
+// and finishes with the bare machine's result: a degraded link slows
+// the virtual machine, it never corrupts it.
+func ExampleCluster_SetLinkQuality() {
+	opts := []hft.Option{hft.WithWorkload(hft.DiskWrite(6, 8192)), hft.WithEpochLength(4096)}
+	bc, err := hft.NewCluster(append(opts, hft.Bare())...)
+	if err != nil {
+		panic(err)
+	}
+	defer bc.Close()
+	bare, err := bc.Wait(context.Background())
+	if err != nil {
+		panic(err)
+	}
+
+	c, err := hft.NewCluster(opts...)
+	if err != nil {
+		panic(err)
+	}
+	defer c.Close()
+
+	healthy, err := c.RunFor(30 * hft.Millisecond)
+	if err != nil {
+		panic(err)
+	}
+	if err := c.SetLinkQuality(hft.LinkQuality{BitsPerSecond: 1_000_000, Latency: 500 * hft.Microsecond}); err != nil {
+		panic(err)
+	}
+	degraded, err := c.RunFor(30 * hft.Millisecond)
+	if err != nil {
+		panic(err)
+	}
+	c.FailPrimary()
+	res, err := c.Wait(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("epochs in 30 ms, healthy:", healthy.Epochs)
+	fmt.Println("epochs in 30 ms, degraded:", degraded.Epochs-healthy.Epochs)
+	fmt.Println("backup promoted:", res.Promoted)
+	fmt.Println("uncertain interrupts synthesized:", res.UncertainSynthesized)
+	fmt.Println("result matches bare machine:", res.Checksum == bare.Checksum && res.GuestPanic == 0)
+	// Output:
+	// epochs in 30 ms, healthy: 24
+	// epochs in 30 ms, degraded: 14
+	// backup promoted: true
+	// uncertain interrupts synthesized: 0
+	// result matches bare machine: true
+}
+
+// WithBackups generalizes the pair to t-fault tolerance (§2: "n
+// processors implement a system that can tolerate n−1 faults"). A
+// 2-fault-tolerant virtual machine survives the loss of both the
+// primary and the first promoted backup: promotions cascade by
+// priority, and each new primary replays its delivered-interrupt
+// archive so the remaining replicas follow its stream.
+func ExampleWithBackups() {
+	opts := []hft.Option{
+		hft.WithWorkload(hft.DiskWrite(5, 8192)),
+		hft.WithEpochLength(4096),
+		hft.WithBackups(2),
+		hft.WithDiskLatency(2*hft.Millisecond, 3*hft.Millisecond),
+		// The primary fails early; backup 1, promoted in its place,
+		// fails mid-run. Backup 2 must finish alone.
+		hft.WithFailPrimaryAt(2 * hft.Millisecond),
+		hft.WithFailBackupAt(1, 120*hft.Millisecond),
+	}
+	bc, err := hft.NewCluster(append(opts, hft.Bare())...)
+	if err != nil {
+		panic(err)
+	}
+	defer bc.Close()
+	bare, err := bc.Wait(context.Background())
+	if err != nil {
+		panic(err)
+	}
+
+	c, err := hft.NewCluster(opts...)
+	if err != nil {
+		panic(err)
+	}
+	defer c.Close()
+	res, err := c.Wait(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("acting node:", c.Snapshot().Acting)
+	fmt.Println("uncertain interrupts synthesized:", res.UncertainSynthesized)
+	fmt.Printf("console: %q\n", res.Console)
+	fmt.Println("result matches bare machine:", res.Checksum == bare.Checksum && res.GuestPanic == 0)
+	// Output:
+	// acting node: 2
+	// uncertain interrupts synthesized: 0
+	// console: "W\n"
+	// result matches bare machine: true
+}
+
 // Any LinkParams literal is a complete LinkModel: here a 1 Gbps
 // low-latency interconnect replaces the paper's two built-ins. The
 // same mechanism models degraded serial links, jumbo frames, or

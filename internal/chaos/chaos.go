@@ -22,6 +22,11 @@
 //     client population cannot distinguish the replicated service
 //     from a single machine, whatever the schedule did to it.
 //
+// Compare and Check are the one oracle for invariants 1, 2 and 5: every
+// comparison of a run against its bare baseline — the campaign's,
+// hftsim's, hftbench's — goes through them. Bare is the cached bare run
+// the campaign and hftsim compare against.
+//
 // A violating schedule is automatically shrunk (delta debugging over
 // the perturbation list, then coordinate reduction from exact virtual
 // times to epoch-commit ordinals) until 1-minimal, and emitted as a
@@ -78,30 +83,68 @@ func ServeLoad() *hft.ClientLoad {
 	return &hft.ClientLoad{Clients: 8, MeanGap: 500 * hft.Microsecond}
 }
 
-// Workloads returns the canonical shapes, in the generator's draw
-// order. Sizes are quick-scale: every shape completes in well under a
-// second of wall time so campaigns can run thousands of schedules.
-func Workloads() []Workload {
-	return []Workload{
-		{Name: "cpu", Guest: hft.CPUIntensive(4000)},
-		{Name: "write", Guest: hft.DiskWrite(3, 2048)},
-		{Name: "read", Guest: hft.DiskRead(3, 2048)},
-		{Name: "copy", Guest: hft.TwoDiskCopy(2, 2048), ExtraDisks: 1},
-		{Name: "echo", Guest: hft.TerminalEcho(), Terminal: EchoScript()},
-		{Name: "serve", Guest: hft.ServeRequests(24, 50), ClientLoad: ServeLoad()},
-	}
+// canonical holds each shape's quick-scale sizes, in the generator's
+// draw order: every shape completes in well under a second of wall
+// time so campaigns can run thousands of schedules.
+var canonical = []struct {
+	name              string
+	iters, ops, count uint32
+}{
+	{name: "cpu", iters: 4000},
+	{name: "write", ops: 3, count: 2048},
+	{name: "read", ops: 3, count: 2048},
+	{name: "copy", ops: 2, count: 2048},
+	{name: "echo"},
+	{name: "serve", ops: 24},
 }
 
-// ParseWorkload resolves a shape by name — shared by the generator,
-// the executor, and hftsim's -workload flag, so a scenario emitted
-// here reconstructs the identical cluster there.
+// Workloads returns the canonical shapes, in the generator's draw
+// order.
+func Workloads() []Workload {
+	out := make([]Workload, len(canonical))
+	for i, c := range canonical {
+		out[i], _ = Shape(c.name, c.iters, c.ops, c.count)
+	}
+	return out
+}
+
+// Shape builds the named shape at the given sizes: iters sizes cpu,
+// ops and count the disk shapes, ops serve's request stream; echo has
+// none. Workloads is Shape at the canonical sizes, and hftsim's
+// -workload builds through it too, so a scenario emitted here
+// reconstructs the identical cluster there.
+func Shape(name string, iters, ops, count uint32) (Workload, error) {
+	w := Workload{Name: name}
+	switch name {
+	case "cpu":
+		w.Guest = hft.CPUIntensive(iters)
+	case "write":
+		w.Guest = hft.DiskWrite(ops, count)
+	case "read":
+		w.Guest = hft.DiskRead(ops, count)
+	case "copy":
+		w.Guest, w.ExtraDisks = hft.TwoDiskCopy(ops, count), 1
+	case "echo":
+		w.Guest, w.Terminal = hft.TerminalEcho(), EchoScript()
+	case "serve":
+		// The per-request compute and the client population are
+		// canonical at every size.
+		w.Guest, w.ClientLoad = hft.ServeRequests(ops, 50), ServeLoad()
+	default:
+		return Workload{}, fmt.Errorf("chaos: unknown workload %q (have cpu, write, read, copy, echo, serve)", name)
+	}
+	return w, nil
+}
+
+// ParseWorkload resolves a canonical shape by name — shared by the
+// generator and the executor.
 func ParseWorkload(name string) (Workload, error) {
-	for _, w := range Workloads() {
-		if w.Name == name {
-			return w, nil
+	for _, c := range canonical {
+		if c.name == name {
+			return Shape(c.name, c.iters, c.ops, c.count)
 		}
 	}
-	return Workload{}, fmt.Errorf("chaos: unknown workload %q (have cpu, write, read, copy, echo, serve)", name)
+	return Shape(name, 0, 0, 0) // not a shape: Shape names the error
 }
 
 // ClusterOptions materializes the public options for a replicated run
@@ -138,35 +181,31 @@ type bareKey struct {
 	epoch    uint64
 }
 
-// baseline is what the invariants compare a perturbed replicated run
-// against.
-type baseline struct {
-	checksum uint32
-	console  string
-	replies  string
-	panic    uint32
-	err      error
+// bareRun is one cached baseline.
+type bareRun struct {
+	res hft.Result
+	err error
 }
 
 var (
 	bareMu    sync.Mutex
-	bareCache = map[bareKey]baseline{}
+	bareCache = map[bareKey]bareRun{}
 )
 
-// bareBaseline runs (or recalls) the unreplicated reference execution
-// for a shape: the shape's own cluster options plus hft.Bare(). Results
-// are cached: a campaign executes thousands of schedules over six
-// shapes.
-func bareBaseline(w Workload, seed int64, epoch uint64) baseline {
+// Bare runs (or recalls) the unreplicated reference execution for a
+// shape: the shape's own cluster options plus hft.Bare(). Results are
+// cached: a campaign executes thousands of schedules over six shapes,
+// and hftsim takes every bare run it prints or checks from here.
+func Bare(w Workload, seed int64, epoch uint64) (hft.Result, error) {
 	key := bareKey{w.Name, w.Guest, seed, epoch}
 	bareMu.Lock()
 	b, ok := bareCache[key]
 	bareMu.Unlock()
 	if ok {
-		return b
+		return b.res, b.err
 	}
 
-	b = runBare(w, seed, epoch)
+	b.res, b.err = runBare(w, seed, epoch)
 	if b.err != nil {
 		b.err = fmt.Errorf("chaos: bare baseline for %q: %w", w.Name, b.err)
 	}
@@ -174,29 +213,14 @@ func bareBaseline(w Workload, seed int64, epoch uint64) baseline {
 	bareMu.Lock()
 	bareCache[key] = b
 	bareMu.Unlock()
-	return b
+	return b.res, b.err
 }
 
-func runBare(w Workload, seed int64, epoch uint64) baseline {
-	opts := append(w.ClusterOptions(seed, epoch, hft.ProtocolOld, hft.Ethernet10(), 1), hft.Bare())
-	c, err := hft.NewCluster(opts...)
+func runBare(w Workload, seed int64, epoch uint64) (hft.Result, error) {
+	c, err := hft.NewCluster(append(w.ClusterOptions(seed, epoch, hft.ProtocolOld, hft.Ethernet10(), 1), hft.Bare())...)
 	if err != nil {
-		return baseline{err: err}
+		return hft.Result{}, err
 	}
 	defer c.Close()
-	r, err := c.Wait(context.Background())
-	if err != nil {
-		return baseline{err: err}
-	}
-	return baseline{checksum: r.Checksum, console: r.Console, replies: r.NetReplies, panic: r.GuestPanic}
-}
-
-// Bare exposes the cached bare reference execution for a shape —
-// hftsim's `check` scenario command compares a replayed run against
-// it, turning an emitted reproduction into a self-verifying script.
-// replies is the NIC reply transcript (empty for shapes without a
-// client population).
-func Bare(w Workload, seed int64, epoch uint64) (checksum uint32, console, replies string, err error) {
-	b := bareBaseline(w, seed, epoch)
-	return b.checksum, b.console, b.replies, b.err
+	return c.Wait(context.Background())
 }

@@ -3,6 +3,7 @@ package chaos
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -283,18 +284,112 @@ func TestMatchWriter(t *testing.T) {
 func TestBareBaselineKeyedByShape(t *testing.T) {
 	small := Workload{Name: "cpu", Guest: hft.CPUIntensive(300)}
 	large := Workload{Name: "cpu", Guest: hft.CPUIntensive(900)}
-	a, _, _, err := Bare(small, 1, 1024)
+	a, err := Bare(small, 1, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, _, err := Bare(large, 1, 1024)
+	b, err := Bare(large, 1, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a == b {
-		t.Fatalf("300- and 900-iteration cpu shapes share one baseline checksum %#x", a)
+	if a.Checksum == b.Checksum {
+		t.Fatalf("300- and 900-iteration cpu shapes share one baseline checksum %#x", a.Checksum)
 	}
-	if again, _, _, _ := Bare(small, 1, 1024); again != a {
-		t.Fatalf("recalled baseline %#x differs from the first run's %#x", again, a)
+	if again, _ := Bare(small, 1, 1024); again.Checksum != a.Checksum {
+		t.Fatalf("recalled baseline %#x differs from the first run's %#x", again.Checksum, a.Checksum)
+	}
+}
+
+// TestCompare pins the oracle field by field: each way a run can differ
+// from bare yields its kind, and a run equal to bare yields none.
+func TestCompare(t *testing.T) {
+	bare := hft.Result{Time: 5 * hft.Millisecond, Checksum: 0xc0ffee, Console: "C\n", NetReplies: "abcd"}
+	for _, tc := range []struct {
+		name string
+		edit func(*hft.Result)
+		want ViolationKind // 0: no violation
+	}{
+		{"equal", func(*hft.Result) {}, 0},
+		{"timing, messages and promotion are not observable", func(r *hft.Result) {
+			r.Time, r.MessagesSent, r.UncertainSynthesized, r.Promoted = 9*hft.Millisecond, 40, 1, true
+		}, 0},
+		{"checksum", func(r *hft.Result) { r.Checksum++ }, VDigest},
+		{"guest panic with an equal checksum", func(r *hft.Result) { r.GuestPanic = 0x3 }, VDigest},
+		{"console", func(r *hft.Result) { r.Console = "C\nC\n" }, VOutput},
+		{"reply transcript", func(r *hft.Result) { r.NetReplies = "abce" }, VService},
+		{"divergences only", func(r *hft.Result) { r.Divergences = 1 }, VDigest},
+	} {
+		got := bare
+		tc.edit(&got)
+		v := Compare(bare, got)
+		switch {
+		case tc.want == 0 && v != nil:
+			t.Errorf("%s: unexpected violation %v", tc.name, v)
+		case tc.want != 0 && (v == nil || v.Kind != tc.want):
+			t.Errorf("%s: got %v, want a %v violation", tc.name, v, tc.want)
+		}
+	}
+}
+
+// TestCheckUnansweredClient: a run whose transcript matches bare still
+// violates invariant 5 if a client's request went unanswered, and the
+// client side is only asked of shapes with a client load.
+func TestCheckUnansweredClient(t *testing.T) {
+	serve, err := ParseWorkload("serve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, err := ParseWorkload("cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := hft.Result{Checksum: 1, NetReplies: "r"}
+	n := int(serve.Guest.Ops)
+	for _, tc := range []struct {
+		name string
+		w    Workload
+		lat  hft.ServiceLatencies
+		want ViolationKind
+	}{
+		{"all answered", serve, hft.ServiceLatencies{Requests: n, Answered: n}, 0},
+		{"one unanswered", serve, hft.ServiceLatencies{Requests: n, Answered: n - 1}, VService},
+		{"one never issued", serve, hft.ServiceLatencies{Requests: n - 1, Answered: n - 1}, VService},
+		{"no client population measured", serve, hft.ServiceLatencies{}, VService},
+		{"no client load", cpu, hft.ServiceLatencies{}, 0},
+	} {
+		v := Check(tc.w, res, res, tc.lat)
+		switch {
+		case tc.want == 0 && v != nil:
+			t.Errorf("%s: unexpected violation %v", tc.name, v)
+		case tc.want != 0 && (v == nil || v.Kind != tc.want):
+			t.Errorf("%s: got %v, want a %v violation", tc.name, v, tc.want)
+		}
+	}
+}
+
+// TestShapeFromFlags: a replay builds its cluster from the flags an
+// emitted scenario carries, through Shape, with hftsim's defaults for
+// any size flag the scenario leaves out. For every canonical shape that
+// must rebuild the shape exactly.
+func TestShapeFromFlags(t *testing.T) {
+	for _, w := range Workloads() {
+		flags := Schedule{Workload: w.Name, Link: "ethernet"}.Flags()
+		sizes := map[string]uint32{"-iters": 20000, "-ops": 8, "-count": 8192} // hftsim's defaults
+		for i := 0; i+1 < len(flags); i++ {
+			if _, ok := sizes[flags[i]]; ok {
+				v, err := strconv.ParseUint(flags[i+1], 10, 32)
+				if err != nil {
+					t.Fatalf("%s: %s %q: %v", w.Name, flags[i], flags[i+1], err)
+				}
+				sizes[flags[i]] = uint32(v)
+			}
+		}
+		got, err := Shape(w.Name, sizes["-iters"], sizes["-ops"], sizes["-count"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("%s: flags %v rebuild %+v, want %+v", w.Name, flags, got, w)
+		}
 	}
 }

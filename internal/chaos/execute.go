@@ -128,9 +128,9 @@ func ExecuteOpts(s Schedule, o ExecOptions) (rep Report) {
 		rep.Violation = &Violation{Kind: VPanic, Detail: err.Error()}
 		return rep
 	}
-	bare := bareBaseline(shape, s.Seed, s.Epoch)
-	if bare.err != nil {
-		rep.Violation = &Violation{Kind: VPanic, Detail: bare.err.Error()}
+	bare, err := Bare(shape, s.Seed, s.Epoch)
+	if err != nil {
+		rep.Violation = &Violation{Kind: VPanic, Detail: err.Error()}
 		return rep
 	}
 
@@ -226,36 +226,53 @@ func ExecuteOpts(s Schedule, o ExecOptions) (rep Report) {
 		o.Metrics.Time = res.Time
 	}
 
-	switch {
-	case res.GuestPanic != 0:
-		rep.Violation = &Violation{Kind: VDigest,
-			Detail: fmt.Sprintf("guest panicked with code %#x (bare run: %#x)", res.GuestPanic, bare.panic)}
-	case res.Checksum != bare.checksum:
-		rep.Violation = &Violation{Kind: VDigest,
-			Detail: fmt.Sprintf("checksum %#x, bare run computed %#x", res.Checksum, bare.checksum)}
-	case res.Console != bare.console:
-		rep.Violation = &Violation{Kind: VOutput,
-			Detail: fmt.Sprintf("console transcript %q, bare run produced %q", res.Console, bare.console)}
-	case res.NetReplies != bare.replies:
-		rep.Violation = &Violation{Kind: VService,
-			Detail: fmt.Sprintf("reply transcript %d bytes, bare run produced %d bytes (first difference at offset %d)",
-				len(res.NetReplies), len(bare.replies),
-				diffOffset([]byte(res.NetReplies), []byte(bare.replies)))}
-	case res.Divergences != 0:
-		rep.Violation = &Violation{Kind: VDigest,
-			Detail: fmt.Sprintf("backup reported %d state-digest divergences", res.Divergences)}
-	}
-	if rep.Violation == nil && shape.ClientLoad != nil {
-		// Exactly-once from the clients' side too: the transcript proves
-		// what the service emitted; this proves every request's reply
-		// actually reached its client.
-		if m, ok := c.ServiceLatencies(); !ok || m.Answered != m.Requests || m.Requests != int(shape.Guest.Ops) {
-			rep.Violation = &Violation{Kind: VService,
-				Detail: fmt.Sprintf("clients saw %d replies for %d issued requests (%d configured)",
-					m.Answered, m.Requests, shape.Guest.Ops)}
-		}
-	}
+	lat, _ := c.ServiceLatencies()
+	rep.Violation = Check(shape, bare, res, lat)
 	return rep
+}
+
+// Compare is the oracle for invariants 1, 2 and 5's transcript: it
+// reports the first way got, a replicated run's result, differs from
+// bare, the same workload's unreplicated run, or nil if the two cannot
+// be told apart. A guest panic or a backup that saw a state-digest
+// divergence fails the run even where the transcripts agree.
+func Compare(bare, got hft.Result) *Violation {
+	switch {
+	case got.GuestPanic != 0:
+		return &Violation{Kind: VDigest,
+			Detail: fmt.Sprintf("guest panicked with code %#x (bare run: %#x)", got.GuestPanic, bare.GuestPanic)}
+	case got.Checksum != bare.Checksum:
+		return &Violation{Kind: VDigest,
+			Detail: fmt.Sprintf("checksum %#x, bare run computed %#x", got.Checksum, bare.Checksum)}
+	case got.Console != bare.Console:
+		return &Violation{Kind: VOutput,
+			Detail: fmt.Sprintf("console transcript %q, bare run produced %q", got.Console, bare.Console)}
+	case got.NetReplies != bare.NetReplies:
+		return &Violation{Kind: VService,
+			Detail: fmt.Sprintf("reply transcript %d bytes, bare run produced %d bytes (first difference at offset %d)",
+				len(got.NetReplies), len(bare.NetReplies),
+				diffOffset(got.NetReplies, bare.NetReplies))}
+	case got.Divergences != 0:
+		return &Violation{Kind: VDigest,
+			Detail: fmt.Sprintf("backup reported %d state-digest divergences", got.Divergences)}
+	}
+	return nil
+}
+
+// Check is Compare for a run of shape w, plus exactly-once from the
+// clients' side when w has a client load: the transcript proves what
+// the service emitted, lat (the run's ServiceLatencies) that every
+// configured request was issued and its reply reached its client.
+func Check(w Workload, bare, got hft.Result, lat hft.ServiceLatencies) *Violation {
+	if v := Compare(bare, got); v != nil || w.ClientLoad == nil {
+		return v
+	}
+	if lat.Answered != lat.Requests || lat.Requests != int(w.Guest.Ops) {
+		return &Violation{Kind: VService,
+			Detail: fmt.Sprintf("clients saw %d replies for %d issued requests (%d configured)",
+				lat.Answered, lat.Requests, w.Guest.Ops)}
+	}
+	return nil
 }
 
 // advanceTo moves the session to a step coordinate. Commit coordinates
@@ -288,29 +305,36 @@ func progressViolation(err error) *Violation {
 	return &Violation{Kind: VProgress, Detail: fmt.Sprintf("run did not complete: %v", err)}
 }
 
-// saveRestore performs invariant 4's round trip: Save, Restore (with
-// the library's own replay verification), re-Save, compare. On success
-// the caller continues on the restored session — the rest of the run
-// then also proves the restored state behaves identically.
+// saveRestore performs invariant 4's round trip: Save, then RoundTrip.
+// On success the caller continues on the restored session — the rest
+// of the run then also proves the restored state behaves identically.
 func saveRestore(c *hft.Cluster) (*hft.Cluster, error) {
-	var first bytes.Buffer
-	if err := c.Save(&first); err != nil {
+	var blob bytes.Buffer
+	if err := c.Save(&blob); err != nil {
 		return nil, fmt.Errorf("save: %v", err)
 	}
-	restored, err := hft.Restore(bytes.NewReader(first.Bytes()))
+	return RoundTrip(blob.Bytes())
+}
+
+// RoundTrip restores a checkpoint (with the library's own replay
+// verification) and re-saves the restored session, failing unless the
+// re-save reproduces blob byte for byte. hftsim's `restore` command
+// goes through it too, so a replayed reproduction checks itself.
+func RoundTrip(blob []byte) (*hft.Cluster, error) {
+	restored, err := hft.Restore(bytes.NewReader(blob))
 	if err != nil {
 		return nil, fmt.Errorf("restore: %v", err)
 	}
 	// The re-save is compared as it is written, never stored.
-	second := matchWriter{want: first.Bytes(), diff: -1}
-	if err := restored.Save(&second); err != nil {
+	again := matchWriter{want: blob, diff: -1}
+	if err := restored.Save(&again); err != nil {
 		restored.Close()
 		return nil, fmt.Errorf("re-save: %v", err)
 	}
-	if at := second.mismatch(); at >= 0 {
+	if at := again.mismatch(); at >= 0 {
 		restored.Close()
 		return nil, fmt.Errorf("round trip not byte-identical: saved %d bytes, re-saved %d bytes (first difference at offset %d)",
-			first.Len(), second.n, at)
+			len(blob), again.n, at)
 	}
 	return restored, nil
 }
@@ -345,7 +369,7 @@ func (m *matchWriter) mismatch() int {
 }
 
 // diffOffset returns the first index where a and b differ.
-func diffOffset(a, b []byte) int {
+func diffOffset[T string | []byte](a, b T) int {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)

@@ -13,9 +13,9 @@ import (
 // deliberately have no configuration syntax; the cluster comes from
 // flags) and the violation being reproduced. The body is one command
 // per step, and the footer (`wait`, `check`) runs to completion and
-// re-checks the digest/output invariants against a fresh bare
-// baseline, so the replay itself fails loudly — exit status 1 — while
-// the bug is alive, and passes once it is fixed.
+// applies the campaign's own oracle (Check) against the bare baseline,
+// so the replay itself fails loudly — exit status 1 — while the bug is
+// alive, and passes once it is fixed.
 func Scenario(s Schedule, v *Violation, note string) string {
 	var b strings.Builder
 	b.WriteString("# chaos reproduction")
@@ -36,9 +36,9 @@ func Scenario(s Schedule, v *Violation, note string) string {
 }
 
 // Flags renders the hftsim flags that reconstruct the schedule's base
-// configuration — including the canonical workload sizes, so a replay
-// builds the byte-identical cluster even though hftsim's sizing flags
-// default differently.
+// configuration — including every size the canonical shape's guest
+// reads, so a replay builds the byte-identical cluster even though
+// hftsim's sizing flags default differently.
 func (s Schedule) Flags() []string {
 	proto := "old"
 	if s.Protocol == hft.ProtocolNew {
@@ -58,15 +58,11 @@ func (s Schedule) Flags() []string {
 			flags = append(flags, "-adaptive")
 		}
 	}
-	switch s.Workload {
-	case "cpu":
-		flags = append(flags, "-iters", "4000")
-	case "write", "read":
-		flags = append(flags, "-ops", "3", "-count", "2048")
-	case "copy":
-		flags = append(flags, "-ops", "2", "-count", "2048")
-	case "serve":
-		flags = append(flags, "-ops", "24")
+	w, _ := ParseWorkload(s.Workload)
+	for i, v := range []uint32{w.Guest.Iters, w.Guest.Ops, w.Guest.Count} {
+		if v > 0 {
+			flags = append(flags, []string{"-iters", "-ops", "-count"}[i], fmt.Sprint(v))
+		}
 	}
 	return flags
 }
