@@ -410,16 +410,16 @@ func BenchmarkBareSpin(b *testing.B) {
 }
 
 // bareProbe builds the Cluster opts describe around a probe: the Cluster
-// API hands out no machine, so the built-in workload is plugged back in
-// as a Program whose Setup keeps the machine it configures.
+// API hands out no machine, so the resolved program is wrapped in one
+// whose Setup keeps the machine it configures.
 func bareProbe(tb testing.TB, opts ...Option) (*Cluster, *machine.Machine) {
 	tb.Helper()
 	o, err := buildOptions(opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p := &probeProgram{Program: session.WorkloadProgram(o.workload)}
-	o.program = p
+	p := &probeProgram{Program: o.Program}
+	o.Program = p
 	cl := newCluster(o)
 	if _, err := cl.RunFor(0); err != nil || p.m == nil {
 		tb.Fatalf("boot: %v", err)
@@ -427,21 +427,16 @@ func bareProbe(tb testing.TB, opts ...Option) (*Cluster, *machine.Machine) {
 	return cl, p.m
 }
 
-// probeProgram is a session program seen through the public Program
-// interface, remembering the machine it set up.
+// probeProgram is a session program that remembers the machine it set
+// up.
 type probeProgram struct {
 	session.Program
 	m *machine.Machine
 }
 
-func (p *probeProgram) Setup(mem GuestMemory) {
-	p.m = mem.(machineMemory).m
-	p.Program.Setup(p.m)
-}
-
-func (p *probeProgram) Result(mem GuestMemory) ProgramResult {
-	r := p.Program.Result(mem.(machineMemory).m)
-	return ProgramResult{Checksum: r.Checksum, Panic: r.Panic}
+func (p *probeProgram) Setup(m *machine.Machine) {
+	p.m = m
+	p.Program.Setup(m)
 }
 
 // BenchmarkReplicatedPair measures the full §4 critical path the paper's

@@ -60,25 +60,9 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 // NewCluster and Restore).
 func newCluster(o *clusterOptions) *Cluster {
 	c := &Cluster{opts: o}
-	c.eng = session.New(session.Options{
-		Seed:          o.seed,
-		Program:       o.sessionProgram(),
-		Bare:          o.bare,
-		Disk:          o.diskConfig(),
-		ExtraDisks:    o.extraDiskConfigs(),
-		Terminal:      o.terminalScript(),
-		NIC:           o.nic,
-		ClientLoad:    o.clientLoadConfig(),
-		EpochLength:   o.epochLength,
-		Protocol:      o.protocol,
-		Link:          netsim.LinkConfig(o.link.LinkParams()),
-		FailPrimaryAt: sim.Time(o.failPrimaryAt),
-		DetectTimeout: sim.Time(o.detectTimeout),
-		Backups:       o.backups,
-		FailBackupAt:  o.failBackupTimes(),
-		Observer:      c.publish,
-		OutputCommit:  o.outputCommitConfig(),
-	})
+	so := o.Options
+	so.Observer = c.publish
+	c.eng = session.New(so)
 	return c
 }
 
@@ -89,8 +73,9 @@ var ErrClosed = errors.New("hft: cluster is closed")
 // completed (Done reports true): there is no live cluster left to
 // perturb. FailBackup, SetLinkQuality and AddBackup return it;
 // FailPrimary, which predates error returns, documents the same
-// condition as a non-journaling no-op. Test with errors.Is.
-var ErrCompleted = errors.New("hft: workload already complete")
+// condition as a non-journaling no-op. It is the session engine's own
+// sentinel. Test with errors.Is.
+var ErrCompleted = session.ErrCompleted
 
 // ErrStalled reports a wedged coordinator: the session's scheduler
 // kept dispatching but virtual time stopped advancing. The underlying
@@ -217,14 +202,15 @@ func (c *Cluster) Result() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	sums := c.eng.Snapshot()
 	return Result{
 		Time:                 r.Time,
 		Checksum:             r.Guest.Checksum,
 		Console:              r.Console,
 		Promoted:             r.Promoted,
-		Divergences:          r.BackupStats.Divergences,
+		Divergences:          sums.Divergences,
 		MessagesSent:         r.PrimaryStats.MessagesSent,
-		UncertainSynthesized: r.BackupStats.UncertainSynth,
+		UncertainSynthesized: sums.UncertainSynthesized,
 		GuestPanic:           r.Guest.Panic,
 		NetReplies:           r.NetReplies,
 	}, nil
@@ -280,9 +266,6 @@ func (c *Cluster) FailBackup(i int) error {
 	if c.closed {
 		return ErrClosed
 	}
-	if c.eng.Done() {
-		return ErrCompleted
-	}
 	applied, err := c.failBackup(i)
 	if applied {
 		c.record(journalEntry{action: actFailBackup, backup: i})
@@ -309,9 +292,6 @@ func (c *Cluster) failBackup(i int) (applied bool, err error) {
 func (c *Cluster) SetLinkQuality(q LinkQuality) error {
 	if c.closed {
 		return ErrClosed
-	}
-	if c.eng.Done() {
-		return ErrCompleted
 	}
 	if err := c.eng.SetLinkQuality(netsim.Quality(q)); err != nil {
 		return err
@@ -344,7 +324,7 @@ func (c *Cluster) AddBackup(opts ...AddBackupOption) (int, error) {
 	if c.closed {
 		return 0, ErrClosed
 	}
-	ao := addBackupOptions{link: c.opts.link.LinkParams()}
+	ao := addBackupOptions{link: LinkParams(c.opts.Link)}
 	for _, opt := range opts {
 		if opt == nil {
 			return 0, errors.New("hft: nil AddBackupOption")
@@ -353,17 +333,11 @@ func (c *Cluster) AddBackup(opts ...AddBackupOption) (int, error) {
 			return 0, err
 		}
 	}
-	if c.eng.Done() {
-		return 0, ErrCompleted
-	}
 	prePause := c.pause
 	prePos := c.position()
 	n, err := c.eng.AddBackup(session.AddBackupConfig{Link: netsim.LinkConfig(ao.link)})
 	if err != nil {
 		c.pauseAtBoundary(prePos)
-		if errors.Is(err, session.ErrCompleted) {
-			err = ErrCompleted
-		}
 		return 0, err
 	}
 	c.journal = append(c.journal, journalEntry{pause: prePause, action: actAddBackup, link: ao.link})
@@ -384,18 +358,9 @@ type addBackupOptions struct {
 // cluster's configured link model.
 func AddBackupLink(m LinkModel) AddBackupOption {
 	return func(o *addBackupOptions) error {
-		if m == nil {
-			return errors.New("hft: nil LinkModel")
-		}
-		p := m.LinkParams()
-		if p.BitsPerSecond <= 0 {
-			return fmt.Errorf("hft: link %q has non-positive bandwidth %d", p.Name, p.BitsPerSecond)
-		}
-		if p.Latency < 0 || p.SetupTime < 0 || p.MTU < 0 {
-			return fmt.Errorf("hft: link %q has negative parameters", p.Name)
-		}
+		p, err := checkLink(m)
 		o.link = p
-		return nil
+		return err
 	}
 }
 

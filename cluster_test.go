@@ -491,6 +491,8 @@ func TestNewClusterValidation(t *testing.T) {
 		{"oversized epoch", []Option{work, WithEpochLength(500000)}, "385,000"},
 		{"negative backups", []Option{work, WithBackups(-1)}, "backups must be >= 1"},
 		{"zero backups", []Option{work, WithBackups(0)}, "backups must be >= 1"},
+		{"too many backups", []Option{work, WithBackups(maxBackups + 1)}, "backups must be >= 1 and <= 64"},
+		{"backup index beyond any replica set", []Option{work, WithFailBackupAt(1<<40, Millisecond)}, "at most 64"},
 		{"failure beyond replica set", []Option{work, WithBackups(1), WithFailBackupAt(2, Millisecond)}, "exceeds the replica set"},
 		{"bad backup index", []Option{work, WithFailBackupAt(0, Millisecond)}, "numbered from 1"},
 		{"nil link", []Option{work, WithLink(nil)}, "nil LinkModel"},

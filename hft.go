@@ -139,11 +139,16 @@ type Result struct {
 	Console string
 	// Promoted reports whether the backup took over.
 	Promoted bool
-	// Divergences counts state-digest mismatches detected by the backup
-	// (always 0 unless the deterministic-replay machinery is broken).
+	// Divergences counts state-digest mismatches detected by every
+	// backup (always 0 unless the deterministic-replay machinery is
+	// broken).
 	Divergences uint64
-	// MessagesSent / UncertainSynthesized summarize protocol activity.
-	MessagesSent         uint64
+	// MessagesSent counts the protocol messages node 0 sent, the
+	// original primary's share only (Snapshot.MessagesSent sums every
+	// replica).
+	MessagesSent uint64
+	// UncertainSynthesized counts the uncertain interrupts every
+	// promoted backup synthesized for outstanding I/O (rule P7).
 	UncertainSynthesized uint64
 	// GuestPanic is the guest kernel's panic code (0 = clean run).
 	GuestPanic uint32

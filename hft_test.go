@@ -133,6 +133,29 @@ func TestTwoFaultToleranceThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestResultCountsEveryReplica: Result's protocol counters sum every
+// replica, as Snapshot's do — here node 2 takes over after both the
+// primary and backup 1 fail, and the uncertain interrupt it synthesizes
+// is in the Result too.
+func TestResultCountsEveryReplica(t *testing.T) {
+	res, c := runScenario(t,
+		WithWorkload(DiskWrite(6, 2048)),
+		WithBackups(2),
+		WithDiskLatency(400*Microsecond, 500*Microsecond),
+		WithFailPrimaryAt(2*Millisecond),
+		WithFailBackupAt(1, 80*Millisecond),
+	)
+	s := c.Snapshot()
+	if s.Acting != 2 || s.UncertainSynthesized == 0 {
+		t.Fatalf("scenario drifted: acting node %d, %d uncertain interrupts synthesized; want node 2 and some",
+			s.Acting, s.UncertainSynthesized)
+	}
+	if res.UncertainSynthesized != s.UncertainSynthesized || res.Divergences != s.Divergences {
+		t.Errorf("Result reports %d synthesized, %d divergences; Snapshot %d, %d",
+			res.UncertainSynthesized, res.Divergences, s.UncertainSynthesized, s.Divergences)
+	}
+}
+
 // TestFailPrimaryAtAnyInstant is the paper's core claim under fire: no
 // matter when the primary failstops — mid-epoch, mid-I/O, inside the
 // two-generals window, during boundary coordination — the workload

@@ -23,12 +23,6 @@ type CampaignOptions struct {
 	// Dir, when non-empty, receives one scenario artifact per shrunk
 	// violation (chaos_run<i>.hfts). Created if missing.
 	Dir string
-	// MaxShrink bounds how many violations are shrunk (shrinking costs
-	// ~ShrinkBudget executions each; the rest are reported raw).
-	// Default 3.
-	MaxShrink int
-	// ShrinkBudget bounds executions per shrink. Default 64.
-	ShrinkBudget int
 	// Log, when set, receives one-line progress (violations as found,
 	// shrink results).
 	Log io.Writer
@@ -46,7 +40,7 @@ type ViolationReport struct {
 	Schedule Schedule
 	Report   Report
 	// Shrunk is the minimized reproduction (zero-valued if this
-	// violation was beyond MaxShrink).
+	// violation was beyond maxShrink).
 	Shrunk ShrinkResult
 	// Scenario is the emitted hftsim script for the smallest known
 	// reproduction.
@@ -102,16 +96,17 @@ func campaignDigest(reports []Report, metrics []Metrics) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// maxShrink bounds how many violations a campaign shrinks (shrinking
+// costs up to shrinkBudget executions each; the rest are reported raw).
+const maxShrink = 3
+
 // RunCampaign generates and executes o.Runs schedules across the
 // fleet scheduler's workers, then shrinks and emits artifacts for the first
-// MaxShrink violations (in run order — deterministic regardless of
+// maxShrink violations (in run order — deterministic regardless of
 // worker interleaving).
 func RunCampaign(o CampaignOptions) (CampaignReport, error) {
 	if o.Runs <= 0 {
 		return CampaignReport{}, fmt.Errorf("chaos: campaign needs a positive run count (got %d)", o.Runs)
-	}
-	if o.MaxShrink == 0 {
-		o.MaxShrink = 3
 	}
 	logf := func(format string, args ...any) {
 		if o.Log != nil {
@@ -128,7 +123,7 @@ func RunCampaign(o CampaignOptions) (CampaignReport, error) {
 		workers = 1
 	}
 	sched.ForEach(workers, o.Runs, func(i int) {
-		reports[i] = ExecuteOpts(ScheduleAt(o.Seed, i), ExecOptions{Metrics: &metrics[i]})
+		reports[i] = Execute(ScheduleAt(o.Seed, i), &metrics[i])
 	})
 
 	rep := CampaignReport{Runs: o.Runs, Digest: campaignDigest(reports, metrics)}
@@ -155,8 +150,8 @@ func RunCampaign(o CampaignOptions) (CampaignReport, error) {
 		v := &rep.Violations[vi]
 		minimal := v.Schedule
 		report := v.Report
-		if vi < o.MaxShrink {
-			v.Shrunk = Shrink(v.Schedule, v.Report, o.ShrinkBudget)
+		if vi < maxShrink {
+			v.Shrunk = Shrink(v.Schedule, v.Report)
 			minimal, report = v.Shrunk.Schedule, v.Shrunk.Report
 			logf("run %d shrunk: %d -> %d steps in %d executions (1-minimal: %v)",
 				v.Run, len(v.Schedule.Steps), len(minimal.Steps), v.Shrunk.Executions, v.Shrunk.Minimal)

@@ -73,7 +73,7 @@ func TestExecuteClean(t *testing.T) {
 		rep := Execute(Schedule{
 			Seed: 1, Workload: w.Name, Epoch: 4096,
 			Protocol: hft.ProtocolOld, Link: "ethernet", Backups: 1,
-		})
+		}, nil)
 		if rep.Failed() {
 			t.Errorf("%s: clean run violated: %v", w.Name, rep.Violation)
 		}
@@ -167,7 +167,7 @@ func TestInjectedBugCaughtAndShrunk(t *testing.T) {
 					{At: Coord{Time: 10 * hft.Millisecond}, Op: OpLinkRestore},
 				},
 			}
-			rep := Execute(s)
+			rep := Execute(s, nil)
 			if rep.Failed() && rep.Violation.Kind == VOutput {
 				failing = &rep
 				break
@@ -179,7 +179,7 @@ func TestInjectedBugCaughtAndShrunk(t *testing.T) {
 	}
 	t.Logf("caught: %v on %v", failing.Violation, failing.Schedule)
 
-	sh := Shrink(failing.Schedule, *failing, 64)
+	sh := Shrink(failing.Schedule, *failing)
 	if n := CommandCount(sh.Schedule); n > 5 {
 		t.Fatalf("shrunk reproduction has %d scenario commands (want <=5):\n%s",
 			n, Scenario(sh.Schedule, sh.Report.Violation, "test"))
@@ -190,7 +190,7 @@ func TestInjectedBugCaughtAndShrunk(t *testing.T) {
 
 	// The minimal schedule must reproduce deterministically.
 	for i := 0; i < 2; i++ {
-		rep := Execute(sh.Schedule)
+		rep := Execute(sh.Schedule, nil)
 		if !rep.Failed() || rep.Violation.Kind != VOutput {
 			t.Fatalf("shrunk schedule did not reproduce on replay %d: %+v", i, rep.Violation)
 		}

@@ -100,20 +100,10 @@ const maxVirtual = 30 * hft.Second
 // Execute runs one schedule to completion and checks all five
 // invariants. It never panics: simulation panics (divergence
 // tripwires) are converted to VPanic violations, which is exactly what
-// a campaign wants from a run that found a bug.
-func Execute(s Schedule) Report { return ExecuteOpts(s, ExecOptions{}) }
-
-// ExecOptions customizes one schedule execution beyond the schedule
-// itself. The zero value reproduces Execute exactly.
-type ExecOptions struct {
-	// Metrics, when non-nil, receives the run's aggregates when
-	// ExecuteOpts returns (for violating runs, whatever was collected
-	// up to the violation).
-	Metrics *Metrics
-}
-
-// ExecuteOpts is Execute with execution options (see ExecOptions).
-func ExecuteOpts(s Schedule, o ExecOptions) (rep Report) {
+// a campaign wants from a run that found a bug. m, when non-nil,
+// receives the run's aggregates when Execute returns (for violating
+// runs, whatever was collected up to the violation).
+func Execute(s Schedule, m *Metrics) (rep Report) {
 	rep.Schedule = s
 	rep.AppliedAt = make([]Applied, len(s.Steps))
 
@@ -139,9 +129,9 @@ func ExecuteOpts(s Schedule, o ExecOptions) (rep Report) {
 	// drain goroutine has seen the complete stream, and finish() only
 	// waits for it.
 	var col *evCollector
-	if o.Metrics != nil {
+	if m != nil {
 		col = &evCollector{}
-		defer func() { col.finish(o.Metrics) }()
+		defer func() { col.finish(m) }()
 	}
 
 	opts := shape.ClusterOptions(s.Seed, s.Epoch, s.Protocol, s.LinkModel(), s.Backups)
@@ -220,10 +210,10 @@ func ExecuteOpts(s Schedule, o ExecOptions) (rep Report) {
 		return rep
 	}
 	rep.Time = res.Time
-	if o.Metrics != nil {
-		o.Metrics.Commits = snap.Commits
-		o.Metrics.Instructions = snap.GuestInstructions
-		o.Metrics.Time = res.Time
+	if m != nil {
+		m.Commits = snap.Commits
+		m.Instructions = snap.GuestInstructions
+		m.Time = res.Time
 	}
 
 	lat, _ := c.ServiceLatencies()

@@ -97,7 +97,7 @@ func TestRegressionCampaignFinds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if rep := Execute(tc.s); rep.Failed() {
+			if rep := Execute(tc.s, nil); rep.Failed() {
 				t.Errorf("schedule %v violated %v", tc.s, rep.Violation)
 			}
 		})

@@ -29,16 +29,13 @@ type ShrinkResult struct {
 // Matching on the violation KIND (not the exact detail string) is the
 // classic delta-debugging compromise: strict equality makes shrinking
 // brittle (details embed times and counters that shift as steps drop);
-// no matching lets the shrinker wander onto a different bug. budget
-// bounds total executions (<=0: a generous default).
-func Shrink(s Schedule, rep Report, budget int) ShrinkResult {
+// no matching lets the shrinker wander onto a different bug. It spends
+// at most shrinkBudget executions.
+func Shrink(s Schedule, rep Report) ShrinkResult {
 	if !rep.Failed() {
 		return ShrinkResult{Schedule: s, Report: rep}
 	}
-	if budget <= 0 {
-		budget = 64
-	}
-	sh := &shrinker{kind: rep.Violation.Kind, budget: budget, best: s, bestRep: rep}
+	sh := &shrinker{kind: rep.Violation.Kind, best: s, bestRep: rep}
 
 	sh.ddmin()
 	sh.reduceCoords()
@@ -47,9 +44,11 @@ func Shrink(s Schedule, rep Report, budget int) ShrinkResult {
 	return ShrinkResult{Schedule: sh.best, Report: sh.bestRep, Executions: sh.execs, Minimal: minimal}
 }
 
+// shrinkBudget bounds the executions one Shrink spends.
+const shrinkBudget = 64
+
 type shrinker struct {
 	kind    ViolationKind
-	budget  int
 	execs   int
 	best    Schedule
 	bestRep Report
@@ -59,11 +58,11 @@ type shrinker struct {
 // becomes the new best. Returns whether it reproduced (false also when
 // the budget is exhausted).
 func (sh *shrinker) try(cand Schedule) bool {
-	if sh.execs >= sh.budget {
+	if sh.execs >= shrinkBudget {
 		return false
 	}
 	sh.execs++
-	rep := Execute(cand)
+	rep := Execute(cand, nil)
 	if rep.Failed() && rep.Violation.Kind == sh.kind {
 		sh.best, sh.bestRep = cand, rep
 		return true
@@ -82,7 +81,7 @@ func (sh *shrinker) without(i, n int) Schedule {
 func (sh *shrinker) ddmin() {
 	for size := (len(sh.best.Steps) + 1) / 2; size >= 1; size /= 2 {
 		for i := 0; i+size <= len(sh.best.Steps); {
-			if sh.execs >= sh.budget {
+			if sh.execs >= shrinkBudget {
 				return
 			}
 			if sh.try(sh.without(i, size)) {
@@ -119,7 +118,7 @@ func (sh *shrinker) singles() bool {
 	for {
 		removed := false
 		for i := 0; i < len(sh.best.Steps); i++ {
-			if sh.execs >= sh.budget {
+			if sh.execs >= shrinkBudget {
 				return false
 			}
 			if sh.try(sh.without(i, 1)) {

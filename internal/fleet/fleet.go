@@ -83,7 +83,7 @@ func Run(spec Spec) Report {
 	results := make([]ShardResult, spec.Shards)
 	sched.ForEach(spec.Workers, spec.Shards, func(i int) {
 		var m chaos.Metrics
-		rep := chaos.ExecuteOpts(chaos.ScheduleAt(spec.Seed, i), chaos.ExecOptions{Metrics: &m})
+		rep := chaos.Execute(chaos.ScheduleAt(spec.Seed, i), &m)
 		r := ShardResult{Shard: i, Metrics: m}
 		if rep.Violation != nil {
 			r.Violation = rep.Violation.String()

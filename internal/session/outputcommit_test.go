@@ -76,8 +76,8 @@ func TestOutputCommitServiceMatchesBare(t *testing.T) {
 			if failAt > 0 && !res.Promoted {
 				t.Errorf("%s failAt=%v: no promotion", tc.name, failAt)
 			}
-			if res.BackupStats.Divergences != 0 {
-				t.Errorf("%s failAt=%v: %d divergences", tc.name, failAt, res.BackupStats.Divergences)
+			if d := e.Snapshot().Divergences; d != 0 {
+				t.Errorf("%s failAt=%v: %d divergences", tc.name, failAt, d)
 			}
 			if commits == 0 {
 				t.Errorf("%s failAt=%v: no obs.EventOutputCommitted observed", tc.name, failAt)
@@ -116,8 +116,8 @@ func TestOutputCommitAdaptiveCutsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BackupStats.Divergences != 0 {
-		t.Fatalf("adaptive cuts diverged across replicas: %d divergences", res.BackupStats.Divergences)
+	if d := e.Snapshot().Divergences; d != 0 {
+		t.Fatalf("adaptive cuts diverged across replicas: %d divergences", d)
 	}
 	if res.Guest.Checksum != ref.Guest.Checksum {
 		t.Fatalf("adaptive-boundary checksum %#x differs from fixed-boundary %#x", res.Guest.Checksum, ref.Guest.Checksum)

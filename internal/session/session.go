@@ -98,7 +98,7 @@ func (e *Engine) machineConfig() machine.Config {
 	}
 	// A program that exceeds RAM keeps the zero image; boot reports the
 	// overflow as ever.
-	origin, words, _ := e.prog.Image()
+	origin, words, _ := e.o.Program.Image()
 	if uint64(origin)+4*uint64(len(words)) <= uint64(mc.MemBytes) {
 		mc.Image = machine.ProgramImage(origin, words, mc.MemBytes)
 	}
@@ -137,7 +137,8 @@ func WorkloadProgram(w guest.Workload) Program { return workloadProgram{w: w} }
 
 // Options configures an Engine.
 type Options struct {
-	Seed    int64
+	Seed int64
+	// Program is the guest every node boots (required).
 	Program Program
 	// Bare runs a single unvirtualized machine (the paper's baseline)
 	// instead of a replicated group.
@@ -150,12 +151,10 @@ type Options struct {
 	// Terminal is the console's scripted input (empty: the console is
 	// the historical write-only device).
 	Terminal []console.Input
-	// NIC attaches the shared network adapter to every node even
-	// without client load (implied by ClientLoad).
-	NIC bool
-	// ClientLoad, when set, drives a simulated client population into
-	// the shared NIC over its own access link (implies NIC). The
-	// population's Requests must match the guest server workload's Ops.
+	// ClientLoad, when set, attaches the shared NIC to every node and
+	// drives a simulated client population into it over its own access
+	// link. The population's Requests must match the guest server
+	// workload's Ops.
 	ClientLoad  *clientsim.Config
 	EpochLength uint64
 	Protocol    replication.Protocol
@@ -196,10 +195,9 @@ type Result struct {
 	NetReplies string
 	// Promoted reports whether a failover occurred.
 	Promoted bool
-	// PrimaryStats/BackupStats are the protocol engines' counters
-	// (zero for bare runs).
+	// PrimaryStats is node 0's protocol engine counters (zero for bare
+	// runs); Snapshot sums every replica's.
 	PrimaryStats replication.Stats
-	BackupStats  replication.Stats
 	// HVStats is the authoritative hypervisor's activity (zero for bare).
 	HVStats hypervisor.Stats
 }
@@ -208,7 +206,6 @@ type Result struct {
 // It is not safe for concurrent use; drive it from one goroutine.
 type Engine struct {
 	o      Options
-	prog   Program
 	k      *sim.Kernel
 	booted bool
 	closed bool
@@ -220,7 +217,7 @@ type Engine struct {
 	bare    *hypervisor.Bare
 	reps    []*replication.Replica
 
-	// Network service (nil without Options.NIC/ClientLoad).
+	// Network service (nil without Options.ClientLoad).
 	nic       *nic.NIC
 	clients   *clientsim.Sim
 	clientNet *netsim.Duplex
@@ -261,16 +258,10 @@ type Engine struct {
 	xferLinks map[int][]*netsim.Link
 }
 
-// New prepares an engine. No simulation state is constructed until the
-// first advancement (or an explicit Boot) — a Cluster is cheap to
-// create and configure.
-func New(o Options) *Engine {
-	prog := o.Program
-	if prog == nil {
-		prog = WorkloadProgram(guest.CPUIntensive(10000))
-	}
-	return &Engine{o: o, prog: prog}
-}
+// New prepares an engine for o, whose Program is required. No
+// simulation state is constructed until the first advancement (or an
+// explicit Boot) — a Cluster is cheap to create and configure.
+func New(o Options) *Engine { return &Engine{o: o} }
 
 // emit forwards an event to the observer, stamping the current time.
 func (e *Engine) emit(ev obs.Event) {
@@ -317,7 +308,7 @@ func (e *Engine) Boot() {
 		Disk:       o.Disk,
 		ExtraDisks: o.ExtraDisks,
 		Terminal:   o.Terminal,
-		NIC:        o.NIC || o.ClientLoad != nil,
+		NIC:        o.ClientLoad != nil,
 		Link:       o.Link,
 		Machine:    e.machineConfig(),
 		Hypervisor: hypervisor.Config{
@@ -332,7 +323,7 @@ func (e *Engine) Boot() {
 	}, n)
 	e.cluster = cluster
 	e.nic = cluster.NIC
-	origin, words, entry := e.prog.Image()
+	origin, words, entry := e.o.Program.Image()
 	e.done = make([]sim.Time, n)
 	if o.Bare {
 		// Not a role but a different execution model: hardware trap
@@ -340,11 +331,11 @@ func (e *Engine) Boot() {
 		m := cluster.Nodes[0].M
 		e.bare = hypervisor.NewBare(m)
 		e.bare.Boot(origin, words, entry)
-		e.prog.Setup(m)
+		e.o.Program.Setup(m)
 	} else {
 		for _, node := range cluster.Nodes {
 			node.HV.Boot(origin, words, entry)
-			e.prog.Setup(node.M)
+			e.o.Program.Setup(node.M)
 		}
 		for i := range cluster.Nodes {
 			e.reps = append(e.reps, e.newReplica(i))
@@ -847,11 +838,8 @@ func (e *Engine) halted(i int) bool {
 func (e *Engine) computeResult() (Result, error) {
 	var res Result
 	for i, r := range e.reps {
-		switch i {
-		case 0:
+		if i == 0 {
 			res.PrimaryStats = r.Stats
-		case 1:
-			res.BackupStats = r.Stats
 		}
 		res.Promoted = res.Promoted || r.Promoted()
 	}
@@ -874,7 +862,7 @@ func (e *Engine) computeResult() (Result, error) {
 			e.cluster.Nodes[0].M.PC, res.Promoted)
 	}
 	res.Time = e.done[authority]
-	res.Guest = e.prog.Result(e.cluster.Nodes[authority].M)
+	res.Guest = e.o.Program.Result(e.cluster.Nodes[authority].M)
 	res.HVStats = e.cluster.Nodes[authority].HV.Stats
 	res.Console = e.cluster.Console.Output()
 	if e.nic != nil {

@@ -3,13 +3,14 @@ package hft
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/clientsim"
 	"repro/internal/console"
 	"repro/internal/guest"
+	"repro/internal/netsim"
 	"repro/internal/replication"
 	"repro/internal/scsi"
+	"repro/internal/session"
 	"repro/internal/sim"
 )
 
@@ -17,42 +18,28 @@ import (
 // is reported by NewCluster, before any simulation exists.
 type Option func(*clusterOptions) error
 
-// clusterOptions is the resolved configuration.
+// clusterOptions is the resolved configuration: the engine's own
+// options, which each Option writes directly, plus the two choices
+// Save and the cross-checks need in their public form.
 type clusterOptions struct {
-	seed        int64
-	workload    Workload
-	haveWork    bool
-	program     Program
-	bare        bool
-	epochLength uint64
-	protocol    Protocol
-	link        LinkModel
-
-	detectTimeout Duration
-	backups       int
-	haveBackups   bool
-	failPrimaryAt Duration
-	failBackupAt  map[int]Duration // 1-based backup index -> time
-
-	diskRead, diskWrite Duration
-	diskBackend         DiskBackend
-	extraDisks          []DiskSpec
-	terminal            []TerminalInput
-
-	nic        bool
-	clientLoad *ClientLoad
-
-	outputCommit *OutputCommit
+	session.Options
+	workload Workload // zero Kind: none (WithProgram instead)
+	program  Program  // nil unless WithProgram
 }
+
+// maxBackups bounds t. The failure schedule is indexed by backup, so
+// the bound keeps an absurd index (from a caller or a checkpoint) an
+// error rather than an allocation.
+const maxBackups = 64
 
 // buildOptions applies opts over the defaults and cross-validates.
 func buildOptions(opts []Option) (*clusterOptions, error) {
-	o := &clusterOptions{
-		seed:        1,
-		epochLength: 4096,
-		link:        Ethernet10(),
-		backups:     1,
-	}
+	o := &clusterOptions{Options: session.Options{
+		Seed:        1,
+		EpochLength: 4096,
+		Link:        netsim.Ethernet10("ethernet10"),
+		Backups:     1,
+	}}
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, errors.New("hft: nil Option")
@@ -61,52 +48,50 @@ func buildOptions(opts []Option) (*clusterOptions, error) {
 			return nil, err
 		}
 	}
-	if !o.haveWork && o.program == nil {
+	haveWork := o.workload.Kind != 0
+	if !haveWork && o.program == nil {
 		return nil, errors.New("hft: no guest workload (use WithWorkload or WithProgram)")
 	}
-	if o.haveWork && o.program != nil {
+	if haveWork && o.program != nil {
 		return nil, errors.New("hft: WithWorkload and WithProgram are mutually exclusive")
 	}
-	for i := range o.failBackupAt {
-		if i > o.backups {
-			return nil, fmt.Errorf("hft: WithFailBackupAt(%d, ...) exceeds the replica set (%d backups)", i, o.backups)
-		}
+	if i := len(o.FailBackupAt); i > o.Backups {
+		return nil, fmt.Errorf("hft: WithFailBackupAt(%d, ...) exceeds the replica set (%d backups)", i, o.Backups)
 	}
-	if o.clientLoad != nil && (!o.haveWork || o.workload.Kind != guest.WorkloadServe) {
-		return nil, errors.New("hft: WithClientLoad requires the ServeRequests workload (the request count is derived from it)")
+	if o.ClientLoad != nil {
+		if o.workload.Kind != guest.WorkloadServe {
+			return nil, errors.New("hft: WithClientLoad requires the ServeRequests workload (the request count is derived from it)")
+		}
+		o.ClientLoad.Requests = int(o.workload.Ops)
 	}
 	// Workload/device cross-validation, eagerly: a workload that drives
 	// a device the platform does not carry would wedge mid-run instead.
-	if o.haveWork {
-		switch o.workload.Kind {
-		case guest.WorkloadCopy:
-			if len(o.extraDisks) == 0 {
-				return nil, errors.New("hft: TwoDiskCopy needs a second disk (add WithDisk)")
-			}
-		case guest.WorkloadTermEcho:
-			if len(o.terminal) == 0 {
-				return nil, errors.New("hft: TerminalEcho needs scripted terminal input (add WithTerminal)")
-			}
-		case guest.WorkloadServe:
-			if o.clientLoad == nil {
-				return nil, errors.New("hft: ServeRequests needs a client population (add WithClientLoad) or the guest never halts")
-			}
-			if o.workload.Ops == 0 {
-				return nil, errors.New("hft: ServeRequests with zero requests")
+	switch o.workload.Kind {
+	case guest.WorkloadCopy:
+		if len(o.ExtraDisks) == 0 {
+			return nil, errors.New("hft: TwoDiskCopy needs a second disk (add WithDisk)")
+		}
+	case guest.WorkloadTermEcho:
+		if len(o.Terminal) == 0 {
+			return nil, errors.New("hft: TerminalEcho needs scripted terminal input (add WithTerminal)")
+		}
+		// The TEMPORALLY last input must end with EOT (events are
+		// delivered by At, not by option order).
+		last := o.Terminal[0]
+		for _, ev := range o.Terminal[1:] {
+			if ev.At >= last.At {
+				last = ev
 			}
 		}
-		if o.workload.Kind == guest.WorkloadTermEcho {
-			// The TEMPORALLY last input must end with EOT (events are
-			// delivered by At, not by option order).
-			last := o.terminal[0]
-			for _, ev := range o.terminal[1:] {
-				if ev.At >= last.At {
-					last = ev
-				}
-			}
-			if len(last.Data) == 0 || last.Data[len(last.Data)-1] != TerminalEOT {
-				return nil, errors.New("hft: TerminalEcho input script must end with TerminalEOT or the guest never halts")
-			}
+		if len(last.Data) == 0 || last.Data[len(last.Data)-1] != TerminalEOT {
+			return nil, errors.New("hft: TerminalEcho input script must end with TerminalEOT or the guest never halts")
+		}
+	case guest.WorkloadServe:
+		if o.ClientLoad == nil {
+			return nil, errors.New("hft: ServeRequests needs a client population (add WithClientLoad) or the guest never halts")
+		}
+		if o.workload.Ops == 0 {
+			return nil, errors.New("hft: ServeRequests with zero requests")
 		}
 	}
 	return o, nil
@@ -120,7 +105,7 @@ func WithWorkload(w Workload) Option {
 		if w.Kind == 0 {
 			return errors.New("hft: zero workload")
 		}
-		o.workload, o.haveWork = w, true
+		o.workload, o.Program = w, session.WorkloadProgram(w)
 		return nil
 	}
 }
@@ -132,7 +117,7 @@ func WithProgram(p Program) Option {
 		if p == nil {
 			return errors.New("hft: nil Program")
 		}
-		o.program = p
+		o.program, o.Program = p, programAdapter{p}
 		return nil
 	}
 }
@@ -147,7 +132,7 @@ func WithEpochLength(n uint64) Option {
 		if n > 385000 {
 			return errors.New("hft: epoch length exceeds the HP-UX clock-maintenance bound (385,000)")
 		}
-		o.epochLength = n
+		o.EpochLength = n
 		return nil
 	}
 }
@@ -158,7 +143,7 @@ func WithProtocol(p Protocol) Option {
 		if p != ProtocolOld && p != ProtocolNew {
 			return fmt.Errorf("hft: unknown protocol %d", p)
 		}
-		o.protocol = p
+		o.Protocol = p
 		return nil
 	}
 }
@@ -167,19 +152,26 @@ func WithProtocol(p Protocol) Option {
 // (default Ethernet10).
 func WithLink(m LinkModel) Option {
 	return func(o *clusterOptions) error {
-		if m == nil {
-			return errors.New("hft: nil LinkModel")
-		}
-		p := m.LinkParams()
-		if p.BitsPerSecond <= 0 {
-			return fmt.Errorf("hft: link %q has non-positive bandwidth %d", p.Name, p.BitsPerSecond)
-		}
-		if p.Latency < 0 || p.SetupTime < 0 || p.MTU < 0 {
-			return fmt.Errorf("hft: link %q has negative parameters", p.Name)
-		}
-		o.link = m
-		return nil
+		p, err := checkLink(m)
+		o.Link = netsim.LinkConfig(p)
+		return err
 	}
+}
+
+// checkLink resolves a channel model, rejecting one no link can run
+// (WithLink and AddBackupLink share it).
+func checkLink(m LinkModel) (LinkParams, error) {
+	if m == nil {
+		return LinkParams{}, errors.New("hft: nil LinkModel")
+	}
+	p := m.LinkParams()
+	if p.BitsPerSecond <= 0 {
+		return p, fmt.Errorf("hft: link %q has non-positive bandwidth %d", p.Name, p.BitsPerSecond)
+	}
+	if p.Latency < 0 || p.SetupTime < 0 || p.MTU < 0 {
+		return p, fmt.Errorf("hft: link %q has negative parameters", p.Name)
+	}
+	return p, nil
 }
 
 // WithSeed sets the simulation seed (default 1). Zero is rejected: it
@@ -190,7 +182,7 @@ func WithSeed(seed int64) Option {
 		if seed == 0 {
 			return errors.New("hft: zero seed (the default seed is 1; pass it explicitly)")
 		}
-		o.seed = seed
+		o.Seed = seed
 		return nil
 	}
 }
@@ -199,10 +191,10 @@ func WithSeed(seed int64) Option {
 // virtual machine tolerates t failstops.
 func WithBackups(t int) Option {
 	return func(o *clusterOptions) error {
-		if t < 1 {
-			return fmt.Errorf("hft: backups must be >= 1 (got %d)", t)
+		if t < 1 || t > maxBackups {
+			return fmt.Errorf("hft: backups must be >= 1 and <= %d (got %d)", maxBackups, t)
 		}
-		o.backups, o.haveBackups = t, true
+		o.Backups = t
 		return nil
 	}
 }
@@ -215,7 +207,7 @@ func WithDetectTimeout(d Duration) Option {
 		if d <= 0 {
 			return fmt.Errorf("hft: non-positive detect timeout %v", sim.Time(d))
 		}
-		o.detectTimeout = d
+		o.DetectTimeout = d
 		return nil
 	}
 }
@@ -227,7 +219,7 @@ func WithFailPrimaryAt(t Duration) Option {
 		if t <= 0 {
 			return fmt.Errorf("hft: non-positive failure time %v", sim.Time(t))
 		}
-		o.failPrimaryAt = t
+		o.FailPrimaryAt = t
 		return nil
 	}
 }
@@ -237,16 +229,16 @@ func WithFailPrimaryAt(t Duration) Option {
 // set when NewCluster assembles the configuration.
 func WithFailBackupAt(i int, t Duration) Option {
 	return func(o *clusterOptions) error {
-		if i < 1 {
-			return fmt.Errorf("hft: backup index %d (backups are numbered from 1)", i)
+		if i < 1 || i > maxBackups {
+			return fmt.Errorf("hft: backup index %d (backups are numbered from 1 to at most %d)", i, maxBackups)
 		}
 		if t <= 0 {
 			return fmt.Errorf("hft: non-positive failure time %v", sim.Time(t))
 		}
-		if o.failBackupAt == nil {
-			o.failBackupAt = map[int]Duration{}
+		for len(o.FailBackupAt) < i {
+			o.FailBackupAt = append(o.FailBackupAt, 0)
 		}
-		o.failBackupAt[i] = t
+		o.FailBackupAt[i-1] = t
 		return nil
 	}
 }
@@ -258,7 +250,7 @@ func WithDiskLatency(read, write Duration) Option {
 		if read < 0 || write < 0 {
 			return errors.New("hft: negative disk latency")
 		}
-		o.diskRead, o.diskWrite = read, write
+		o.Disk.ReadLatency, o.Disk.WriteLatency = read, write
 		return nil
 	}
 }
@@ -270,7 +262,7 @@ func WithDiskBackend(b DiskBackend) Option {
 		if b == nil {
 			return errors.New("hft: nil DiskBackend")
 		}
-		o.diskBackend = b
+		o.Disk.Backend = b
 		return nil
 	}
 }
@@ -299,7 +291,11 @@ func WithDisk(spec DiskSpec) Option {
 		if spec.ReadLatency < 0 || spec.WriteLatency < 0 {
 			return errors.New("hft: negative disk latency")
 		}
-		o.extraDisks = append(o.extraDisks, spec)
+		o.ExtraDisks = append(o.ExtraDisks, scsi.DiskConfig{
+			ReadLatency:  spec.ReadLatency,
+			WriteLatency: spec.WriteLatency,
+			Backend:      spec.Backend,
+		})
 		return nil
 	}
 }
@@ -334,8 +330,8 @@ func WithTerminal(script ...TerminalInput) Option {
 			if len(ev.Data) == 0 {
 				return errors.New("hft: empty terminal input data")
 			}
+			o.Terminal = append(o.Terminal, console.Input{At: ev.At, Data: []byte(ev.Data)})
 		}
-		o.terminal = append(o.terminal, script...)
 		return nil
 	}
 }
@@ -364,16 +360,6 @@ type ClientLoad struct {
 	// client that misses its reply retransmits the same request; the
 	// NIC's receiver-side dedup keeps duplicates out of the guest.
 	Timeout Duration
-}
-
-// WithNIC attaches the shared network adapter to every node without
-// client load — for custom Programs that drive the NIC themselves.
-// Implied by WithClientLoad.
-func WithNIC() Option {
-	return func(o *clusterOptions) error {
-		o.nic = true
-		return nil
-	}
 }
 
 // OutputCommit parameterizes WithOutputCommit. The zero value asks for
@@ -411,7 +397,7 @@ func WithOutputCommit(oc OutputCommit) Option {
 		if oc.Window == 0 {
 			oc.Window = 1
 		}
-		o.outputCommit = &oc
+		o.OutputCommit = replication.OutputCommit{Enabled: true, Window: oc.Window, Adaptive: oc.Adaptive}
 		return nil
 	}
 }
@@ -432,8 +418,13 @@ func WithClientLoad(cl ClientLoad) Option {
 		if cl.Start < 0 || cl.MeanGap < 0 || cl.Timeout < 0 {
 			return errors.New("hft: negative client-load durations")
 		}
-		o.clientLoad = &cl
-		o.nic = true
+		o.ClientLoad = &clientsim.Config{
+			Clients:      cl.Clients,
+			PayloadWords: cl.PayloadWords,
+			Start:        cl.Start,
+			MeanGap:      cl.MeanGap,
+			Timeout:      cl.Timeout,
+		}
 		return nil
 	}
 }
@@ -447,92 +438,7 @@ func WithClientLoad(cl ClientLoad) Option {
 // replica set, and Save refuses.
 func Bare() Option {
 	return func(o *clusterOptions) error {
-		o.bare = true
+		o.Bare = true
 		return nil
 	}
-}
-
-// diskConfig materializes disk 0's device configuration.
-func (o *clusterOptions) diskConfig() scsi.DiskConfig {
-	cfg := scsi.DiskConfig{
-		ReadLatency:  sim.Time(o.diskRead),
-		WriteLatency: sim.Time(o.diskWrite),
-	}
-	if o.diskBackend != nil {
-		cfg.Backend = scsiBackend(o.diskBackend)
-	}
-	return cfg
-}
-
-// extraDiskConfigs materializes the WithDisk disks.
-func (o *clusterOptions) extraDiskConfigs() []scsi.DiskConfig {
-	var out []scsi.DiskConfig
-	for _, spec := range o.extraDisks {
-		cfg := scsi.DiskConfig{
-			ReadLatency:  sim.Time(spec.ReadLatency),
-			WriteLatency: sim.Time(spec.WriteLatency),
-		}
-		if spec.Backend != nil {
-			cfg.Backend = scsiBackend(spec.Backend)
-		}
-		out = append(out, cfg)
-	}
-	return out
-}
-
-// terminalScript materializes the scripted console input.
-func (o *clusterOptions) terminalScript() []console.Input {
-	var out []console.Input
-	for _, ev := range o.terminal {
-		out = append(out, console.Input{At: sim.Time(ev.At), Data: []byte(ev.Data)})
-	}
-	return out
-}
-
-// clientLoadConfig materializes the client population configuration
-// (request count derived from the serve workload).
-func (o *clusterOptions) clientLoadConfig() *clientsim.Config {
-	if o.clientLoad == nil {
-		return nil
-	}
-	cl := o.clientLoad
-	return &clientsim.Config{
-		Clients:      cl.Clients,
-		Requests:     int(o.workload.Ops),
-		PayloadWords: cl.PayloadWords,
-		Start:        sim.Time(cl.Start),
-		MeanGap:      sim.Time(cl.MeanGap),
-		Timeout:      sim.Time(cl.Timeout),
-	}
-}
-
-// outputCommitConfig materializes the output-commit engine
-// configuration (zero value: off).
-func (o *clusterOptions) outputCommitConfig() replication.OutputCommit {
-	if o.outputCommit == nil {
-		return replication.OutputCommit{}
-	}
-	return replication.OutputCommit{
-		Enabled:  true,
-		Window:   o.outputCommit.Window,
-		Adaptive: o.outputCommit.Adaptive,
-	}
-}
-
-// failBackupTimes flattens the failure schedule to the engine's
-// index-ordered slice representation.
-func (o *clusterOptions) failBackupTimes() []sim.Time {
-	if len(o.failBackupAt) == 0 {
-		return nil
-	}
-	idxs := make([]int, 0, len(o.failBackupAt))
-	for i := range o.failBackupAt {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	out := make([]sim.Time, idxs[len(idxs)-1])
-	for _, i := range idxs {
-		out[i-1] = sim.Time(o.failBackupAt[i])
-	}
-	return out
 }

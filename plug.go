@@ -4,8 +4,6 @@ import (
 	"repro/internal/guest"
 	"repro/internal/machine"
 	"repro/internal/netsim"
-	"repro/internal/scsi"
-	"repro/internal/session"
 )
 
 // This file holds the Cluster API's extension points: the interfaces a
@@ -133,16 +131,3 @@ func (a programAdapter) Result(m *machine.Machine) guest.Result {
 	r := a.p.Result(machineMemory{m})
 	return guest.Result{Checksum: r.Checksum, Panic: r.Panic}
 }
-
-// sessionProgram resolves the configured program: a custom Program if
-// one was plugged in, else the built-in guest kernel + workload.
-func (o *clusterOptions) sessionProgram() session.Program {
-	if o.program != nil {
-		return programAdapter{p: o.program}
-	}
-	return session.WorkloadProgram(o.workload)
-}
-
-// scsiBackend adapts a public DiskBackend to the device layer (the
-// method sets are identical; the named types differ).
-func scsiBackend(b DiskBackend) scsi.Backend { return scsi.Backend(b) }

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/netsim"
 	"repro/internal/session"
@@ -107,15 +106,15 @@ func (c *Cluster) Save(w io.Writer) error {
 	if c.opts.program != nil {
 		return errors.New("hft: Save: sessions with a custom Program are not serializable")
 	}
-	if c.opts.diskBackend != nil {
+	if c.opts.Disk.Backend != nil {
 		return errors.New("hft: Save: sessions with a custom DiskBackend are not serializable")
 	}
-	for i, spec := range c.opts.extraDisks {
-		if spec.Backend != nil {
+	for i, d := range c.opts.ExtraDisks {
+		if d.Backend != nil {
 			return fmt.Errorf("hft: Save: disk %d has a custom DiskBackend; not serializable", i+1)
 		}
 	}
-	if c.opts.bare {
+	if c.opts.Bare {
 		return errors.New("hft: Save: bare baseline sessions are not checkpointable")
 	}
 
@@ -147,7 +146,7 @@ func (c *Cluster) Save(w io.Writer) error {
 // putConfig serializes the resolved cluster options.
 func (c *Cluster) putConfig(w *snapshot.Writer) {
 	o := c.opts
-	w.I64(o.seed)
+	w.I64(o.Seed)
 	wl := o.workload
 	w.U32(wl.Kind)
 	w.U32(wl.Iters)
@@ -158,96 +157,100 @@ func (c *Cluster) putConfig(w *snapshot.Writer) {
 	w.U32(wl.Count)
 	w.U32(wl.PreOp)
 	w.U32(wl.PrivOps)
-	w.U64(o.epochLength)
-	w.U8(uint8(o.protocol))
-	putLinkParams(w, o.link.LinkParams())
-	w.I64(int64(o.detectTimeout))
-	w.Int(o.backups)
-	w.I64(int64(o.failPrimaryAt))
-	idxs := make([]int, 0, len(o.failBackupAt))
-	for i := range o.failBackupAt {
-		idxs = append(idxs, i)
+	w.U64(o.EpochLength)
+	w.U8(uint8(o.Protocol))
+	putLinkParams(w, LinkParams(o.Link))
+	w.I64(int64(o.DetectTimeout))
+	w.Int(o.Backups)
+	w.I64(int64(o.FailPrimaryAt))
+	n := 0
+	for _, at := range o.FailBackupAt {
+		if at > 0 {
+			n++
+		}
 	}
-	sort.Ints(idxs)
-	w.U32(uint32(len(idxs)))
-	for _, i := range idxs {
-		w.Int(i)
-		w.I64(int64(o.failBackupAt[i]))
+	w.U32(uint32(n))
+	for i, at := range o.FailBackupAt {
+		if at > 0 {
+			w.Int(i + 1)
+			w.I64(int64(at))
+		}
 	}
-	w.I64(int64(o.diskRead))
-	w.I64(int64(o.diskWrite))
-	w.U32(uint32(len(o.extraDisks)))
-	for _, spec := range o.extraDisks {
-		w.I64(int64(spec.ReadLatency))
-		w.I64(int64(spec.WriteLatency))
+	w.I64(int64(o.Disk.ReadLatency))
+	w.I64(int64(o.Disk.WriteLatency))
+	w.U32(uint32(len(o.ExtraDisks)))
+	for _, d := range o.ExtraDisks {
+		w.I64(int64(d.ReadLatency))
+		w.I64(int64(d.WriteLatency))
 	}
-	w.U32(uint32(len(o.terminal)))
-	for _, ev := range o.terminal {
+	w.U32(uint32(len(o.Terminal)))
+	for _, ev := range o.Terminal {
 		w.I64(int64(ev.At))
-		w.String(ev.Data)
+		w.String(string(ev.Data))
 	}
-	w.Bool(o.nic)
-	w.Bool(o.clientLoad != nil)
-	if o.clientLoad != nil {
-		cl := o.clientLoad
+	// The NIC flag: the adapter is attached exactly when client load is.
+	w.Bool(o.ClientLoad != nil)
+	w.Bool(o.ClientLoad != nil)
+	if cl := o.ClientLoad; cl != nil {
 		w.Int(cl.Clients)
 		w.Int(cl.PayloadWords)
 		w.I64(int64(cl.Start))
 		w.I64(int64(cl.MeanGap))
 		w.I64(int64(cl.Timeout))
 	}
-	w.Bool(o.outputCommit != nil)
-	if o.outputCommit != nil {
-		w.Int(o.outputCommit.Window)
-		w.Bool(o.outputCommit.Adaptive)
+	w.Bool(o.OutputCommit.Enabled)
+	if o.OutputCommit.Enabled {
+		w.Int(o.OutputCommit.Window)
+		w.Bool(o.OutputCommit.Adaptive)
 	}
 }
 
-// configFrom rebuilds resolved cluster options from a snapshot.
-func configFrom(r *snapshot.Reader) *clusterOptions {
-	o := &clusterOptions{}
-	o.seed = r.I64()
-	o.workload.Kind = r.U32()
-	o.workload.Iters = r.U32()
-	o.workload.Ops = r.U32()
-	o.workload.Seed = r.U32()
-	o.workload.BlockMask = r.U32()
-	o.workload.BlockBase = r.U32()
-	o.workload.Count = r.U32()
-	o.workload.PreOp = r.U32()
-	o.workload.PrivOps = r.U32()
-	o.haveWork = true
-	o.epochLength = r.U64()
-	o.protocol = Protocol(r.U8())
-	o.link = linkParams(r)
-	o.detectTimeout = Duration(r.I64())
-	o.backups = r.Int()
-	o.failPrimaryAt = Duration(r.I64())
+// configFrom decodes a snapshot's configuration into the options that
+// built the cluster, for buildOptions to validate and resolve exactly as
+// NewCluster does.
+func configFrom(r *snapshot.Reader) []Option {
+	opts := []Option{WithSeed(r.I64())}
+	var wl Workload
+	wl.Kind = r.U32()
+	wl.Iters = r.U32()
+	wl.Ops = r.U32()
+	wl.Seed = r.U32()
+	wl.BlockMask = r.U32()
+	wl.BlockBase = r.U32()
+	wl.Count = r.U32()
+	wl.PreOp = r.U32()
+	wl.PrivOps = r.U32()
+	opts = append(opts, WithWorkload(wl), WithEpochLength(r.U64()), WithProtocol(Protocol(r.U8())), WithLink(linkParams(r)))
+	// Zero durations are the unset defaults, which the options reject.
+	if d := Duration(r.I64()); d != 0 {
+		opts = append(opts, WithDetectTimeout(d))
+	}
+	opts = append(opts, WithBackups(r.Int()))
+	if t := Duration(r.I64()); t != 0 {
+		opts = append(opts, WithFailPrimaryAt(t))
+	}
 	n := int(r.U32())
 	for i := 0; i < n && r.Err() == nil; i++ {
-		if o.failBackupAt == nil {
-			o.failBackupAt = map[int]Duration{}
-		}
 		idx := r.Int()
-		o.failBackupAt[idx] = Duration(r.I64())
+		opts = append(opts, WithFailBackupAt(idx, Duration(r.I64())))
 	}
-	o.diskRead = Duration(r.I64())
-	o.diskWrite = Duration(r.I64())
+	read := Duration(r.I64())
+	opts = append(opts, WithDiskLatency(read, Duration(r.I64())))
 	n = int(r.U32())
 	for i := 0; i < n && r.Err() == nil; i++ {
-		var spec DiskSpec
-		spec.ReadLatency = Duration(r.I64())
-		spec.WriteLatency = Duration(r.I64())
-		o.extraDisks = append(o.extraDisks, spec)
+		read := Duration(r.I64())
+		opts = append(opts, WithDisk(DiskSpec{ReadLatency: read, WriteLatency: Duration(r.I64())}))
 	}
+	var script []TerminalInput
 	n = int(r.U32())
 	for i := 0; i < n && r.Err() == nil; i++ {
-		var ev TerminalInput
-		ev.At = Duration(r.I64())
-		ev.Data = r.String()
-		o.terminal = append(o.terminal, ev)
+		at := Duration(r.I64())
+		script = append(script, TerminalInput{At: at, Data: r.String()})
 	}
-	o.nic = r.Bool()
+	if len(script) > 0 {
+		opts = append(opts, WithTerminal(script...))
+	}
+	r.Bool() // the NIC flag, implied by client load
 	if r.Bool() {
 		var cl ClientLoad
 		cl.Clients = r.Int()
@@ -255,15 +258,15 @@ func configFrom(r *snapshot.Reader) *clusterOptions {
 		cl.Start = Duration(r.I64())
 		cl.MeanGap = Duration(r.I64())
 		cl.Timeout = Duration(r.I64())
-		o.clientLoad = &cl
+		opts = append(opts, WithClientLoad(cl))
 	}
 	if r.Bool() {
 		var oc OutputCommit
 		oc.Window = r.Int()
 		oc.Adaptive = r.Bool()
-		o.outputCommit = &oc
+		opts = append(opts, WithOutputCommit(oc))
 	}
-	return o
+	return opts
 }
 
 func putLinkParams(w *snapshot.Writer, p LinkParams) {
@@ -303,9 +306,10 @@ func pause(r *snapshot.Reader) pausePoint {
 }
 
 // Restore reads a checkpoint written by Save and reconstructs the
-// session: the configuration is rebuilt, the perturbation journal is
-// replayed with each action re-applied at its recorded pause position,
-// and the session is advanced to the saved position. By the
+// session: the configuration is rebuilt through NewCluster's validation
+// (one NewCluster would reject is ErrSnapshotCorrupt), the perturbation
+// journal is replayed with each action re-applied at its recorded pause
+// position, and the session is advanced to the saved position. By the
 // determinism contract the result is bit-identical to the original —
 // and Restore proves it by comparing a fresh state capture against the
 // snapshot's embedded one, section by section, failing loudly on any
@@ -325,7 +329,7 @@ func Restore(r io.Reader) (*Cluster, error) {
 		return nil, fmt.Errorf("hft: Restore: %w", err)
 	}
 
-	o := configFrom(sr)
+	opts := configFrom(sr)
 	nj := int(sr.U32())
 	var journal []journalEntry
 	for i := 0; i < nj && sr.Err() == nil; i++ {
@@ -348,6 +352,10 @@ func Restore(r io.Reader) (*Cluster, error) {
 	}
 	if err := sr.Err(); err != nil {
 		return nil, fmt.Errorf("hft: Restore: %w", err)
+	}
+	o, err := buildOptions(opts)
+	if err != nil {
+		return nil, fmt.Errorf("hft: Restore: %w: %w", ErrSnapshotCorrupt, err)
 	}
 
 	c := newCluster(o)
@@ -415,6 +423,9 @@ func (c *Cluster) replayAction(e journalEntry) error {
 	case actSetLink:
 		return c.eng.SetLinkQuality(netsim.Quality(e.quality))
 	case actAddBackup:
+		if _, err := checkLink(e.link); err != nil {
+			return fmt.Errorf("%w: %w", ErrSnapshotCorrupt, err)
+		}
 		_, err := c.eng.AddBackup(session.AddBackupConfig{Link: netsim.LinkConfig(e.link)})
 		return err
 	}

@@ -232,10 +232,14 @@ func TestSaveRestoreCompleted(t *testing.T) {
 	}
 }
 
-// saveBlob produces a checkpoint of a small mid-run session.
-func saveBlob(t *testing.T) []byte {
+// saveBlob produces a checkpoint of a small mid-run session: the CPU
+// workload, or the session opts configure.
+func saveBlob(t *testing.T, opts ...Option) []byte {
 	t.Helper()
-	c, err := NewCluster(WithWorkload(CPUIntensive(20000)))
+	if len(opts) == 0 {
+		opts = []Option{WithWorkload(CPUIntensive(20000))}
+	}
+	c, err := NewCluster(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +286,97 @@ func TestRestoreCorrupt(t *testing.T) {
 	}
 	if _, err := Restore(bytes.NewReader(blob[:16])); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("restore of truncated snapshot: got %v, want ErrSnapshotCorrupt", err)
+	}
+}
+
+// TestRestoreRejectsInvalidConfig: Restore validates a checkpoint's
+// configuration as NewCluster validates its options, so a sealed blob
+// whose configuration NewCluster would reject is ErrSnapshotCorrupt,
+// never a cluster that panics on its first run. Each case finds its
+// field where two checkpoints that differ only in it first differ (in
+// the field's low byte) and writes a bad value there.
+func TestRestoreRejectsInvalidConfig(t *testing.T) {
+	base := []Option{WithWorkload(DiskWrite(4, 2048)), WithBackups(2), WithOutputCommit(OutputCommit{Window: 2})}
+	eth := Ethernet10().LinkParams()
+	faster := eth
+	faster.BitsPerSecond++
+	cases := []struct {
+		name     string
+		from, to Option // the saved setting, and one that differs from it in the field's low byte
+		width    int    // the field's encoded width in bytes
+		bad      uint64
+	}{
+		{"epoch length 0", WithEpochLength(4096), WithEpochLength(4097), 8, 0},
+		{"epoch length 2^40", WithEpochLength(4096), WithEpochLength(4097), 8, 1 << 40},
+		{"backups 0", WithBackups(2), WithBackups(3), 8, 0},
+		{"protocol 9", WithProtocol(ProtocolOld), WithProtocol(ProtocolNew), 1, 9},
+		{"link bandwidth 0", WithLink(eth), WithLink(faster), 8, 0},
+		{"fail-backup index beyond backups", WithFailBackupAt(1, 10*Second), WithFailBackupAt(2, 10*Second), 8, 3},
+		{"output-commit window 65", WithOutputCommit(OutputCommit{Window: 2}), WithOutputCommit(OutputCommit{Window: 3}), 8, 65},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			blob := saveBlob(t, append(base, tc.from)...)
+			restoreRejects(t, patchFirstDiff(blob, saveBlob(t, append(base, tc.to)...), tc.width, tc.bad))
+		})
+	}
+}
+
+// TestRestoreRejectsInvalidJournalLink: a journalled AddBackup's link
+// passes AddBackupLink's check on restore, as the configured link
+// passes WithLink's.
+func TestRestoreRejectsInvalidJournalLink(t *testing.T) {
+	eth := Ethernet10().LinkParams()
+	save := func(bps int64) []byte {
+		link := eth
+		link.BitsPerSecond = bps
+		c, err := NewCluster(WithWorkload(CPUIntensive(20000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.AddBackup(AddBackupLink(link)); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	restoreRejects(t, patchFirstDiff(save(eth.BitsPerSecond), save(eth.BitsPerSecond+1), 8, 1<<63))
+}
+
+// patchFirstDiff writes bad, width bytes of it little-endian, where blob
+// and other first differ, and re-seals blob.
+func patchFirstDiff(blob, other []byte, width int, bad uint64) []byte {
+	off := 0
+	for blob[off] == other[off] {
+		off++
+	}
+	var field [8]byte
+	binary.LittleEndian.PutUint64(field[:], bad)
+	copy(blob[off:off+width], field[:width])
+	return reseal(blob)
+}
+
+// restoreRejects asserts that Restore refuses blob as ErrSnapshotCorrupt,
+// without panicking; a cluster it returns anyway is run briefly, since
+// that is where a bad configuration used to panic.
+func restoreRejects(t *testing.T, blob []byte) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("Restore panicked: %v", r)
+		}
+	}()
+	c, err := Restore(bytes.NewReader(blob))
+	if err == nil {
+		c.RunFor(Millisecond)
+		c.Close()
+	}
+	if !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("Restore = %v, want ErrSnapshotCorrupt", err)
 	}
 }
 
