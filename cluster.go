@@ -260,7 +260,8 @@ func (c *Cluster) FailPrimary() {
 
 // FailBackup failstops backup i (1-based priority index) at the
 // current virtual time. After the workload completes it returns
-// ErrCompleted. Failstopping an already-failed backup is a no-op (a
+// ErrCompleted; an index below 1 is an error whether or not it has.
+// Failstopping an already-failed backup is a no-op (a
 // dead processor cannot die again) and is not re-journaled.
 func (c *Cluster) FailBackup(i int) error {
 	if c.closed {

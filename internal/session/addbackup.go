@@ -155,13 +155,13 @@ func (e *Engine) AddBackup(cfg AddBackupConfig) (int, error) {
 	if e.closed {
 		return 0, errors.New("session: engine is closed")
 	}
+	if e.finished {
+		return 0, ErrCompleted
+	}
 	if e.o.Bare {
 		return 0, errors.New("session: bare run has no replica set")
 	}
 	e.Boot()
-	if e.finished {
-		return 0, ErrCompleted
-	}
 
 	// Quiesce at the next *replicated* epoch commit. An epoch boundary
 	// alone is not a safe capture point under output commit: the

@@ -17,27 +17,32 @@ import (
 
 // TestPerturbAfterCompletion pins satellite contract #1: every
 // perturbation entry point reports ErrCompleted once the workload is
-// done, instead of silently no-opping.
+// done, instead of silently no-opping. Completion is checked before the
+// topology, so a completed bare session reports it too.
 func TestPerturbAfterCompletion(t *testing.T) {
-	e := New(cpuOpts(2000))
-	defer e.Close()
-	if err := e.RunToCompletion(nil); err != nil {
-		t.Fatal(err)
-	}
-	if !e.Done() {
-		t.Fatal("workload did not complete")
-	}
-
-	for i := 0; i < 2; i++ {
-		if applied, err := e.FailNode(i); applied || !errors.Is(err, ErrCompleted) {
-			t.Errorf("FailNode(%d) after completion: applied=%v err=%v, want false, ErrCompleted", i, applied, err)
+	for _, bare := range []bool{false, true} {
+		o := cpuOpts(2000)
+		o.Bare = bare
+		e := New(o)
+		defer e.Close()
+		if err := e.RunToCompletion(nil); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := e.SetLinkQuality(netsim.Quality{BitsPerSecond: 1_000_000}); !errors.Is(err, ErrCompleted) {
-		t.Errorf("SetLinkQuality after completion: %v, want ErrCompleted", err)
-	}
-	if _, err := e.AddBackup(AddBackupConfig{}); !errors.Is(err, ErrCompleted) {
-		t.Errorf("AddBackup after completion: %v, want ErrCompleted", err)
+		if !e.Done() {
+			t.Fatalf("bare=%v: workload did not complete", bare)
+		}
+
+		for i := 0; i < 2; i++ {
+			if applied, err := e.FailNode(i); applied || !errors.Is(err, ErrCompleted) {
+				t.Errorf("bare=%v: FailNode(%d) after completion: applied=%v err=%v, want false, ErrCompleted", bare, i, applied, err)
+			}
+		}
+		if err := e.SetLinkQuality(netsim.Quality{BitsPerSecond: 1_000_000}); !errors.Is(err, ErrCompleted) {
+			t.Errorf("bare=%v: SetLinkQuality after completion: %v, want ErrCompleted", bare, err)
+		}
+		if _, err := e.AddBackup(AddBackupConfig{}); !errors.Is(err, ErrCompleted) {
+			t.Errorf("bare=%v: AddBackup after completion: %v, want ErrCompleted", bare, err)
+		}
 	}
 }
 

@@ -707,12 +707,12 @@ func (e *Engine) FailNode(i int) (applied bool, err error) {
 	switch {
 	case e.closed:
 		return false, errors.New("session: engine is closed")
+	case e.finished:
+		return false, ErrCompleted
 	case e.o.Bare && i == 0:
 		return false, nil
 	case e.o.Bare:
 		return false, errors.New("session: bare run has no backups")
-	case e.finished:
-		return false, ErrCompleted
 	case i < 0 || i >= len(e.reps):
 		return false, fmt.Errorf("session: no node %d (have %d)", i, len(e.reps))
 	case e.reps[i].Failed():
@@ -729,11 +729,11 @@ func (e *Engine) SetLinkQuality(q netsim.Quality) error {
 	if e.closed {
 		return errors.New("session: engine is closed")
 	}
-	if e.o.Bare {
-		return errors.New("session: bare run has no links")
-	}
 	if e.finished {
 		return ErrCompleted
+	}
+	if e.o.Bare {
+		return errors.New("session: bare run has no links")
 	}
 	for i := range e.cluster.Links {
 		for j := range e.cluster.Links[i] {

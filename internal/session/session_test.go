@@ -40,13 +40,13 @@ func TestSlicedRunMatchesOneShot(t *testing.T) {
 			}
 		}
 		got, err := sliced.Result()
-		sums := sliced.Snapshot()
+		sums, backup := sliced.Snapshot(), sliced.reps[1].Stats
 		sliced.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Time != ref.Time || got.Guest != ref.Guest || got.Console != ref.Console ||
-			got.PrimaryStats != ref.PrimaryStats || sums != one.Snapshot() {
+			got.PrimaryStats != ref.PrimaryStats || backup != one.reps[1].Stats || sums != one.Snapshot() {
 			t.Errorf("slice %v drifted: time %v vs %v, checksum %#x vs %#x",
 				slice, got.Time, ref.Time, got.Guest.Checksum, ref.Guest.Checksum)
 		}
