@@ -295,8 +295,8 @@ func BenchmarkPolledEpochPair(b *testing.B) {
 		Hypervisor: hypervisor.Config{
 			EpochLength: 256, AdaptiveBoundary: true, ResidentEmulation: true,
 		},
-		NIC:  true,
-		Link: netsim.ATM155(""),
+		NICRequests: 1,
+		Link:        netsim.ATM155(""),
 	}, 2)
 	prog := guest.Program()
 	for _, n := range pair.Nodes {
@@ -468,6 +468,31 @@ func BenchmarkReplicatedPair(b *testing.B) {
 	}
 }
 
+// BenchmarkServicePath measures the service path's steady state: each
+// iteration runs one rung of the service ladder, warmed up to 1000
+// answers, through answers 1000 → 4000 (serviceWindow). allocs/request
+// and B/request are the heap per answered request, RunUntil's own cost
+// excluded: 1.98 and 112 as pinned (12.9 and 588 while requests were
+// closures, payload slices, map entries and frame copies). It fails
+// above maxObjectsPerRequest objects or maxBytesPerRequest bytes.
+func BenchmarkServicePath(b *testing.B) {
+	const maxBytesPerRequest = 112 + 48 // as pinned, plus slack
+	var objects, bytes float64
+	for i := 0; i < b.N; i++ {
+		o, by := serviceWindow(b)
+		objects += o
+		bytes += by
+	}
+	objects /= float64(b.N)
+	bytes /= float64(b.N)
+	b.ReportMetric(objects, "allocs/request")
+	b.ReportMetric(bytes, "B/request")
+	if objects > maxObjectsPerRequest || bytes > maxBytesPerRequest {
+		b.Fatalf("%.3f heap objects and %.0f bytes per answered request, bounds %d and %d",
+			objects, bytes, maxObjectsPerRequest, maxBytesPerRequest)
+	}
+}
+
 // BenchmarkAssembler measures kernel assembly speed.
 func BenchmarkAssembler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -622,7 +647,7 @@ func BenchmarkSharedImageBoot(b *testing.B) {
 }
 
 // TestSimHotPathAllocs holds the sim kernel to what the benchmarks above
-// only say: in steady state a callback chain, a lone sleeper, two
+// only say: in steady state a callback chain (closure or AfterArg), a lone sleeper, two
 // alternating sleepers, two bodies stepped inline and a WaitTimeout that
 // is broadcast before it expires allocate nothing. Spawn is the one place the kernel allocates
 // per process (the Proc, its coroutine and their closures); that set-up
@@ -643,6 +668,11 @@ func TestSimHotPathAllocs(t *testing.T) {
 			var next func()
 			next = func() { k.After(10, next) }
 			k.After(10, next)
+		}},
+		{"bound event chain", func(k *sim.Kernel) {
+			var next func(uint64)
+			next = func(n uint64) { k.AfterArg(10, next, n+1) }
+			k.AfterArg(10, next, 0)
 		}},
 		{"lone sleeper", func(k *sim.Kernel) {
 			k.Spawn("sleeper", forever(func(p *sim.Proc) { p.Sleep(10) }))

@@ -20,11 +20,11 @@
 //     retransmissions still cost the client real waiting time — the
 //     blackout is observed in the latency tail, not hidden.
 //   - EVENT-DRIVEN: the population lives entirely in kernel timer
-//     callbacks (sim.Kernel.At) and link delivery hooks. It spawns no
-//     processes, so session completion semantics (every spawned
-//     process has exited) are untouched, and a session snapshot taken
-//     mid-load replays deterministically: all client state is a
-//     function of the seed and the virtual clock.
+//     callbacks (sim.Kernel.AfterArg, bound once to the request ID) and
+//     link delivery hooks. It spawns no processes, so session completion
+//     semantics (every spawned process has exited) are untouched, and a
+//     session snapshot taken mid-load replays deterministically: all
+//     client state is a function of the seed and the virtual clock.
 //   - DETERMINISTIC CONTENT: request payloads are a pure function of
 //     (seed, request id), never of arrival timing, so the bare and
 //     replicated guests compute identical replies even though their
@@ -108,7 +108,18 @@ type Sim struct {
 	rng  func() uint64
 	st   []reqState
 	stat Stats
+
+	// arriveFn and timeoutFn are arrive and timeout bound once, so that
+	// scheduling one with its request ID allocates nothing.
+	arriveFn, timeoutFn func(uint64)
+	// free holds request frames back from the NIC: a frame is taken when
+	// a request is sent and returned once Ingress has copied it.
+	free []*request
 }
+
+// request is one request frame on the access link, [id, payload...].
+// The population owns it from send until Ingress has copied it.
+type request struct{ words []uint32 }
 
 // New wires a client population to the shared NIC over a duplex client
 // access link. net.AtoB carries requests (its OnDeliver hook is taken
@@ -122,6 +133,8 @@ func New(k *sim.Kernel, cfg Config, n *nic.NIC, net *netsim.Duplex) *Sim {
 	}
 	r := k.NewRand("clientsim")
 	s.rng = func() uint64 { return uint64(r.Int63()) }
+	s.arriveFn = func(id uint64) { s.arrive(uint32(id)) }
+	s.timeoutFn = func(id uint64) { s.timeout(uint32(id)) }
 	s.req.OnDeliver = s.ingress
 	n.OnTx = s.reply
 	return s
@@ -141,10 +154,17 @@ func (s *Sim) Config() Config { return s.cfg }
 // Stats returns the population's counters.
 func (s *Sim) Stats() Stats { return s.stat }
 
-// payload builds request id's frame: [id, payload words...], each word
-// a pure mix of (kernel seed, id, index).
-func (s *Sim) payload(id uint32) []uint32 {
-	words := make([]uint32, 1+s.cfg.PayloadWords)
+// frame builds request id's frame, [id, payload words...], in a pooled
+// request: each payload word is a pure mix of (kernel seed, id, index).
+func (s *Sim) frame(id uint32) *request {
+	var r *request
+	if n := len(s.free); n > 0 {
+		r = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		r = &request{words: make([]uint32, 1+s.cfg.PayloadWords)}
+	}
+	words := r.words
 	words[0] = id
 	x := uint64(s.k.Seed())*0x9E3779B97F4A7C15 + uint64(id)
 	for i := 1; i < len(words); i++ {
@@ -153,7 +173,7 @@ func (s *Sim) payload(id uint32) []uint32 {
 		x ^= x >> 29
 		words[i] = uint32(x)
 	}
-	return words
+	return r
 }
 
 // arrive issues request id (open loop: the NEXT arrival is scheduled
@@ -168,7 +188,7 @@ func (s *Sim) arrive(id uint32) {
 		// Uniform in [MeanGap/2, 3*MeanGap/2): open-loop jitter drawn
 		// from the population's own derived stream.
 		gap := s.cfg.MeanGap/2 + sim.Time(s.rng()%uint64(s.cfg.MeanGap))
-		s.k.After(gap, func() { s.arrive(id + 1) })
+		s.k.AfterArg(gap, s.arriveFn, uint64(id+1))
 	}
 }
 
@@ -180,9 +200,9 @@ func (s *Sim) send(id uint32) {
 	if s.st[i].attempts > 1 {
 		s.stat.Retransmits++
 	}
-	words := s.payload(id)
-	s.req.Send(words, 4*len(words))
-	s.st[i].timer = s.k.After(s.cfg.Timeout, func() { s.timeout(id) })
+	r := s.frame(id)
+	s.req.Send(r, 4*len(r.words))
+	s.st[i].timer = s.k.AfterArg(s.cfg.Timeout, s.timeoutFn, uint64(id))
 }
 
 // timeout retransmits request id if its reply has not been emitted.
@@ -193,20 +213,23 @@ func (s *Sim) timeout(id uint32) {
 	s.send(id)
 }
 
-// ingress delivers one request frame into the shared NIC. A duplicate
-// of an already-answered request is answered from the NIC's reply log
-// — the environment retransmitting a reply the guest already produced.
+// ingress delivers one request frame into the shared NIC and takes the
+// frame back: Ingress has copied what it keeps. A duplicate of an
+// already-answered request is answered from the NIC's reply log — the
+// environment retransmitting a reply the guest already produced.
 func (s *Sim) ingress(m netsim.Message) {
-	words := m.Payload.([]uint32)
-	if reply, _ := s.n.Ingress(words); reply != nil {
+	r := m.Payload.(*request)
+	if reply, _ := s.n.Ingress(r.words); reply != nil {
 		s.reply(reply)
 	}
+	s.free = append(s.free, r)
 }
 
 // reply observes one emitted (or replayed) reply frame and records the
 // client-side arrival: emission time plus the reply direction's
 // idle-link transfer cost. First arrival wins; later redeliveries of
-// the same reply are ignored.
+// the same reply are ignored. words belongs to the NIC and is read only
+// during the call.
 func (s *Sim) reply(words []uint32) {
 	if len(words) == 0 {
 		return

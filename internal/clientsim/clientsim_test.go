@@ -34,7 +34,7 @@ func echoServer(n *nic.NIC) *nic.Port {
 
 func TestOpenLoopLoadIsServedAndMeasured(t *testing.T) {
 	k := sim.NewKernel(7)
-	n := nic.New()
+	n := nic.New(40)
 	echoServer(n)
 	net := netsim.NewDuplex(k, "clients", netsim.Ethernet10("clients"))
 	cs := New(k, Config{Requests: 40, Clients: 8}, n, net)
@@ -58,7 +58,7 @@ func TestOpenLoopLoadIsServedAndMeasured(t *testing.T) {
 
 func TestRetransmitDuringOutage(t *testing.T) {
 	k := sim.NewKernel(7)
-	n := nic.New()
+	n := nic.New(10)
 	p := n.NewPort(nil)
 	// The server ignores requests until t=10ms (an outage), then serves
 	// everything pending.
@@ -107,7 +107,7 @@ func TestRetransmitDuringOutage(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	run := func() (uint64, string) {
 		k := sim.NewKernel(99)
-		n := nic.New()
+		n := nic.New(25)
 		echoServer(n)
 		net := netsim.NewDuplex(k, "clients", netsim.ATM155("clients"))
 		cs := New(k, Config{Requests: 25}, n, net)
@@ -130,7 +130,7 @@ func TestDeterministicReplay(t *testing.T) {
 func TestAnsweredRequestsLeaveNoTimers(t *testing.T) {
 	t.Run("clean", func(t *testing.T) {
 		k := sim.NewKernel(7)
-		n := nic.New()
+		n := nic.New(40)
 		echoServer(n)
 		net := netsim.NewDuplex(k, "clients", netsim.Ethernet10("clients"))
 		cs := New(k, Config{Requests: 40, Clients: 8, Timeout: 10 * sim.Second}, n, net)
@@ -145,7 +145,7 @@ func TestAnsweredRequestsLeaveNoTimers(t *testing.T) {
 	})
 	t.Run("after outage", func(t *testing.T) {
 		k := sim.NewKernel(7)
-		n := nic.New()
+		n := nic.New(10)
 		p := echoServer(n)
 		serve := n.OnIngress
 		n.OnIngress = nil // outage: requests queue at the port unanswered

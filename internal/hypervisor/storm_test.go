@@ -74,10 +74,10 @@ func newStormSet(t *testing.T, n int, lockstep bool) *stormSet {
 func wireReplicas(k *sim.Kernel, n int, mc machine.Config, hc hypervisor.Config, rc replication.Config, requests uint32) (*platform.Cluster, []*replication.Replica) {
 	mc.MemBytes = session.GuestMemBytes
 	c := platform.NewCluster(k, platform.Config{
-		Machine:    mc,
-		Hypervisor: hc,
-		NIC:        true,
-		Link:       netsim.ATM155(""),
+		Machine:     mc,
+		Hypervisor:  hc,
+		NICRequests: int(requests),
+		Link:        netsim.ATM155(""),
 	}, n)
 	prog := guest.Program()
 	for _, nd := range c.Nodes {

@@ -245,7 +245,7 @@ loop:
 	// Popping RX words while they are nonzero; frames arrive every fifth
 	// call, forty nonzero words and a zero each.
 	nicPrep := func(m *Machine) []any {
-		n := nic.New()
+		n := nic.New(1 << 16)
 		p := n.NewPort(nil)
 		mux := NewBusMux()
 		mux.Map("nic", 0, nic.Window, p)

@@ -87,6 +87,9 @@ type Stats struct {
 	// Replayed counts retransmissions answered from the reply log
 	// (request already served; the guest is not involved again).
 	Replayed uint64
+	// Refused counts frames whose request ID lies outside the client
+	// population (0, or above it): they reach no port and no table.
+	Refused uint64
 	// TxFrames is the number of frames the guest emitted.
 	TxFrames uint64
 	// TxWords counts payload words across all emitted frames.
@@ -117,11 +120,15 @@ type NIC struct {
 	// little-endian. Byte-compared between bare and replicated runs.
 	tx []byte
 
-	// replyFor logs the reply frame emitted for each request ID, so a
-	// retransmission of an answered request is served from the log.
-	replyFor map[uint32][]uint32
-	// seenReq marks request IDs accepted (queued or answered).
-	seenReq map[uint32]bool
+	// reqs is the request-ID table, one word per ID of the client
+	// population (request id at reqs[id-1]). Bit 0 (reqSeen) marks an
+	// accepted request, queued or answered. The rest, when nonzero, is
+	// one more than the word offset in tx of the last reply frame the
+	// guest emitted for the ID, so a retransmission of an answered
+	// request is served from the transcript.
+	reqs []uint32
+	// replay is the buffer a replayed reply is decoded into.
+	replay []uint32
 
 	nextSeq uint32 // RX frame sequence numbers assigned so far
 	ports   []*Port
@@ -130,13 +137,18 @@ type NIC struct {
 	// is delivered to the ports (session event streams).
 	OnIngress func(seq uint32, words []uint32)
 	// OnTx, when set, observes every emitted frame (the client
-	// simulator's reply path).
+	// simulator's reply path). words is the adapter's own buffer, valid
+	// only during the call.
 	OnTx func(words []uint32)
 }
 
-// New returns an idle network adapter.
-func New() *NIC {
-	return &NIC{replyFor: map[uint32][]uint32{}, seenReq: map[uint32]bool{}}
+// reqSeen is the accepted bit of a request-ID table entry.
+const reqSeen = 1
+
+// New returns an idle network adapter serving a client population that
+// numbers its requests 1..requests.
+func New(requests int) *NIC {
+	return &NIC{reqs: make([]uint32, max(requests, 0))}
 }
 
 // NewPort attaches one processor's endpoint. irq (optional) raises the
@@ -148,26 +160,37 @@ func (n *NIC) NewPort(irq func()) *Port {
 }
 
 // Ingress delivers one request frame from the client network. words[0]
-// is the request ID; the rest is payload. Duplicates (client
-// retransmissions) never reach a port: a duplicate of an answered
-// request returns the logged reply for environment-side redelivery, a
-// duplicate of a still-queued request returns nil (the original will be
-// answered). Accepted frames get the next global sequence number and
-// land in every port's pending queue.
+// is the request ID; the rest is payload. An ID outside the population
+// is refused and counted. Duplicates (client retransmissions) never
+// reach a port: a duplicate of an answered request returns the logged
+// reply for environment-side redelivery, a duplicate of a still-queued
+// request returns nil (the original will be answered). Accepted frames
+// get the next global sequence number and land in every port's pending
+// queue. The caller keeps words; a returned reply is the adapter's
+// buffer, valid until the next Ingress.
 func (n *NIC) Ingress(words []uint32) (reply []uint32, accepted bool) {
 	if len(words) == 0 {
 		return nil, false
 	}
 	id := words[0]
-	if n.seenReq[id] {
+	if id == 0 || uint64(id) > uint64(len(n.reqs)) {
+		n.Stats.Refused++
+		return nil, false
+	}
+	e := &n.reqs[id-1]
+	if *e&reqSeen != 0 {
 		n.Stats.Retransmits++
-		if r := n.replyFor[id]; r != nil {
+		if at := *e >> 1; at != 0 {
 			n.Stats.Replayed++
-			return r, false
+			n.replay = n.replay[:0]
+			for b := n.reply(at - 1); len(b) > 0; b = b[4:] {
+				n.replay = append(n.replay, readU32(b))
+			}
+			return n.replay, false
 		}
 		return nil, false
 	}
-	n.seenReq[id] = true
+	*e |= reqSeen
 	n.Stats.Requests++
 	n.nextSeq++
 	f := frame{seq: n.nextSeq, words: append([]uint32(nil), words...)}
@@ -199,17 +222,32 @@ func (n *NIC) txDoorbell(ordinal, v uint32) {
 	if int(v) < len(words) {
 		words = words[len(words)-int(v):]
 	}
-	f := append([]uint32(nil), words...)
 	n.txBuf = n.txBuf[:0]
 	n.Stats.TxFrames++
-	n.Stats.TxWords += uint64(len(f))
-	n.tx = appendFrame(n.tx, f)
-	if len(f) > 0 {
-		n.replyFor[f[0]] = f
+	n.Stats.TxWords += uint64(len(words))
+	at := len(n.tx) / 4
+	n.tx = appendFrame(n.tx, words)
+	if len(words) > 0 && words[0] != 0 && uint64(words[0]) <= uint64(len(n.reqs)) {
+		if at >= 1<<31-1 {
+			panic("nic: reply transcript past 8 GiB")
+		}
+		e := &n.reqs[words[0]-1]
+		*e = *e&reqSeen | uint32(at+1)<<1
 	}
 	if n.OnTx != nil {
-		n.OnTx(f)
+		n.OnTx(words)
 	}
+}
+
+// reply returns the words of the transcript frame at word offset at,
+// little-endian.
+func (n *NIC) reply(at uint32) []byte {
+	b := n.tx[4*int(at):]
+	return b[4 : 4+4*int(readU32(b))]
+}
+
+func readU32(b []byte) uint32 {
+	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 // passOrdinal applies the output-ordinal high-water dedup (the console's
@@ -260,22 +298,21 @@ func (n *NIC) StateDigest() uint64 {
 	put(n.txBuf...)
 	put(uint32(n.Stats.Requests), uint32(n.Stats.Retransmits), uint32(n.Stats.Replayed),
 		uint32(n.Stats.TxFrames), uint32(n.Stats.TxWords))
-	// seenReq/replyFor are keyed by request ID; fold them order-free so
-	// no map iteration order leaks into the digest (commutative XOR of
-	// per-entry hashes).
+	// The request-ID table folds order-free, a commutative XOR of one
+	// FNV-1a hash per accepted ID over the ID and its reply's words: the
+	// value the dedup and reply maps it replaced folded to, which
+	// checkpoints embed.
 	var fold uint64
-	for id := range n.seenReq {
-		e := fnv.New64a()
-		var eb [4]byte
-		eb[0], eb[1], eb[2], eb[3] = byte(id), byte(id>>8), byte(id>>16), byte(id>>24)
-		e.Write(eb[:])
-		if r := n.replyFor[id]; r != nil {
-			for _, w := range r {
-				eb[0], eb[1], eb[2], eb[3] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
-				e.Write(eb[:])
-			}
+	for i, e := range n.reqs {
+		if e&reqSeen == 0 {
+			continue
 		}
-		fold ^= e.Sum64()
+		id := uint32(i + 1)
+		h := fnv64a(fnvOffset, []byte{byte(id), byte(id >> 8), byte(id >> 16), byte(id >> 24)})
+		if at := e >> 1; at != 0 {
+			h = fnv64a(h, n.reply(at-1))
+		}
+		fold ^= h
 	}
 	put(uint32(fold), uint32(fold>>32), uint32(len(n.ports)))
 	for _, p := range n.ports {
@@ -293,6 +330,16 @@ func (n *NIC) StateDigest() uint64 {
 	}
 	return h.Sum64()
 }
+
+// fnv64a continues a 64-bit FNV-1a hash h over b (fnvOffset starts one).
+func fnv64a(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
+}
+
+const fnvOffset = 14695981039346656037
 
 // Port is one processor's view of the network adapter: a register bank
 // on the host's MMIO bus (machine.MMIOHandler semantics for its

@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/device"
@@ -29,7 +30,7 @@ func (b portBus) Store(off uint32, v uint32) {
 }
 
 func TestIngressDedupAndReplyLog(t *testing.T) {
-	n := New()
+	n := New(16)
 	p := n.NewPort(nil)
 
 	if _, accepted := n.Ingress([]uint32{1, 10, 20}); !accepted {
@@ -61,7 +62,7 @@ func TestIngressDedupAndReplyLog(t *testing.T) {
 }
 
 func TestOutputOrdinalDedup(t *testing.T) {
-	n := New()
+	n := New(16)
 	p := n.NewPort(nil)
 	bus := portBus{p}
 	sh := NewShadow()
@@ -86,7 +87,7 @@ func TestOutputOrdinalDedup(t *testing.T) {
 }
 
 func TestCaptureApplyRoundTrip(t *testing.T) {
-	n := New()
+	n := New(16)
 	pa := n.NewPort(nil) // acting node's port
 	pb := n.NewPort(nil) // backup node's port
 	n.Ingress([]uint32{7, 1, 2, 3})
@@ -131,7 +132,7 @@ func TestCaptureApplyRoundTrip(t *testing.T) {
 }
 
 func TestRecoverSkipsBufferedCoverage(t *testing.T) {
-	n := New()
+	n := New(16)
 	p := n.NewPort(nil)
 	n.Ingress([]uint32{1, 11})
 	n.Ingress([]uint32{2, 22})
@@ -155,7 +156,7 @@ func TestRecoverSkipsBufferedCoverage(t *testing.T) {
 }
 
 func TestShadowMarshalRoundTrip(t *testing.T) {
-	n := New()
+	n := New(16)
 	p := n.NewPort(nil)
 	n.Ingress([]uint32{9, 1, 2})
 	sh := NewShadow()
@@ -194,7 +195,7 @@ func TestShadowMarshalRoundTrip(t *testing.T) {
 }
 
 func TestPortCloneFrom(t *testing.T) {
-	n := New()
+	n := New(16)
 	p0 := n.NewPort(nil)
 	n.Ingress([]uint32{1, 5})
 	n.Ingress([]uint32{2, 6})
@@ -220,7 +221,7 @@ type oldShadow struct{ rx []frame }
 func (s *oldShadow) apply(data []byte) {
 	for len(data) > 0 {
 		var f frame
-		f, data, _ = readFrame(data)
+		data, _ = readFrame(data, &f)
 		s.rx = append(s.rx, f)
 	}
 }
@@ -270,7 +271,7 @@ func TestShadowDrainBacklog(t *testing.T) {
 		}
 		return data
 	}
-	p := New().NewPort(nil)
+	p := New(16).NewPort(nil)
 	sh, old := NewShadow(), &oldShadow{}
 	next := uint32(1)
 	deliver := func(n uint32) {
@@ -331,14 +332,16 @@ func TestShadowDrainBacklog(t *testing.T) {
 // reads the same and leaves the port's and the shadow's state as it
 // found them. The one register that is not pops.
 func TestOnePurityRule(t *testing.T) {
-	n := New()
+	n := New(16)
 	p := n.NewPort(nil)
 	n.Ingress([]uint32{7, 1, 2, 3})
 	n.Ingress([]uint32{8, 4})
 	p.MMIOStore(RegOutSeq, 4, 5)
 	s := NewShadow()
-	s.push(frame{seq: 1, words: []uint32{7, 1, 2, 3}})
-	s.push(frame{seq: 2, words: []uint32{8, 4}})
+	for _, f := range []frame{{seq: 1, words: []uint32{7, 1, 2, 3}}, {seq: 2, words: []uint32{8, 4}}} {
+		*s.tail() = f
+		s.n++
+	}
 	for off := uint32(0); off < Window; off += 4 {
 		if p.MMIOPure(off) != s.PureLoad(off) {
 			t.Fatalf("register %#x: port pure %v, shadow pure %v", off, p.MMIOPure(off), s.PureLoad(off))
@@ -357,5 +360,122 @@ func TestOnePurityRule(t *testing.T) {
 		case moved:
 			t.Fatalf("pure register %#x moved the port's or the shadow's state", off)
 		}
+	}
+}
+
+// TestIngressRefusesIDsOutsidePopulation: the request-ID table is sized
+// from the client population, so an ID it cannot index — 0, or above the
+// population — is refused and counted, and reaches no port and no table.
+func TestIngressRefusesIDsOutsidePopulation(t *testing.T) {
+	n := New(4)
+	p := n.NewPort(nil)
+	before := n.StateDigest()
+	for _, id := range []uint32{0, 5, 1<<32 - 1} {
+		if reply, accepted := n.Ingress([]uint32{id, 1, 2}); accepted || reply != nil {
+			t.Fatalf("request %d: accepted=%v reply=%v", id, accepted, reply)
+		}
+	}
+	if n.Stats.Refused != 3 || n.Stats.Requests != 0 || n.Stats.Retransmits != 0 || p.Pending() != 0 {
+		t.Fatalf("after three refusals: stats %+v, %d pending", n.Stats, p.Pending())
+	}
+	if len(n.reqs) != 4 || cap(n.reqs) != 4 || n.StateDigest() != before {
+		t.Fatalf("a refusal grew the table to %d (cap %d) or moved the digest", len(n.reqs), cap(n.reqs))
+	}
+	if _, accepted := n.Ingress([]uint32{4, 1}); !accepted {
+		t.Fatal("the population's last ID was refused")
+	}
+}
+
+// mapDigest is StateDigest as it stood while the dedup and reply logs
+// were maps keyed by request ID — seen and replyFor, which the caller
+// rebuilds from the traffic it generated.
+func mapDigest(n *NIC, seen map[uint32]bool, replyFor map[uint32][]uint32) uint64 {
+	h := fnv.New64a()
+	h.Write(n.tx)
+	var b [4]byte
+	put := func(vs ...uint32) {
+		for _, v := range vs {
+			b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+			h.Write(b[:])
+		}
+	}
+	put(n.highWater, n.nextSeq, uint32(len(n.txBuf)))
+	put(n.txBuf...)
+	put(uint32(n.Stats.Requests), uint32(n.Stats.Retransmits), uint32(n.Stats.Replayed),
+		uint32(n.Stats.TxFrames), uint32(n.Stats.TxWords))
+	var fold uint64
+	for id := range seen {
+		e := fnv.New64a()
+		var eb [4]byte
+		eb[0], eb[1], eb[2], eb[3] = byte(id), byte(id>>8), byte(id>>16), byte(id>>24)
+		e.Write(eb[:])
+		if r := replyFor[id]; r != nil {
+			for _, w := range r {
+				eb[0], eb[1], eb[2], eb[3] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
+				e.Write(eb[:])
+			}
+		}
+		fold ^= e.Sum64()
+	}
+	put(uint32(fold), uint32(fold>>32), uint32(len(n.ports)))
+	for _, p := range n.ports {
+		put(uint32(len(p.fifo)))
+		for _, f := range p.fifo {
+			put(f.seq, uint32(len(f.words)))
+			put(f.words...)
+		}
+		if p.Detached {
+			put(1)
+		} else {
+			put(0)
+		}
+		put(p.outSeq)
+	}
+	return h.Sum64()
+}
+
+// TestStateDigestMatchesMapTables: checkpoints embed the NIC's digest, so
+// the ID-indexed tables must fold to exactly what the maps did, at every
+// step of in-range traffic — arrivals, retransmissions of queued and of
+// answered requests, replies (one answered twice), a half-assembled
+// frame.
+func TestStateDigestMatchesMapTables(t *testing.T) {
+	const population = 40
+	n := New(population)
+	p := n.NewPort(nil)
+	n.NewPort(nil)
+	seen, replyFor := map[uint32]bool{}, map[uint32][]uint32{}
+	n.OnTx = func(words []uint32) { replyFor[words[0]] = append([]uint32(nil), words...) }
+	check := func(step int) {
+		t.Helper()
+		if got, want := n.StateDigest(), mapDigest(n, seen, replyFor); got != want {
+			t.Fatalf("step %d: digest %#x, the maps' %#x", step, got, want)
+		}
+	}
+	answer := func(id uint32, words ...uint32) {
+		p.MMIOStore(RegTxData, 4, id)
+		for _, w := range words {
+			p.MMIOStore(RegTxData, 4, w)
+		}
+		p.MMIOStore(RegTxDoorbell, 4, uint32(1+len(words)))
+	}
+	check(0)
+	var arrived []uint32
+	for step := 1; step <= 200; step++ {
+		id := uint32(step*7%population + 1)
+		switch step % 5 {
+		case 0, 1, 2:
+			n.Ingress([]uint32{id, uint32(step), uint32(step * step)})
+			seen[id] = true
+			arrived = append(arrived, id)
+		case 3:
+			answer(arrived[step*13%len(arrived)], uint32(step), 0xABCD)
+		case 4:
+			p.MMIOStore(RegTxData, 4, uint32(step)) // left half-assembled until the next answer
+		}
+		check(step)
+	}
+	if n.Stats.Replayed == 0 || n.Stats.Retransmits == n.Stats.Replayed || len(replyFor) < 10 {
+		t.Fatalf("the traffic missed a case: %+v, %d replies", n.Stats, len(replyFor))
 	}
 }

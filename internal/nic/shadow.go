@@ -2,6 +2,7 @@ package nic
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/device"
 )
@@ -15,12 +16,17 @@ import (
 // replica at the same instruction-stream position.
 type Shadow struct {
 	// The delivered frames awaiting guest reads: a ring of n frames from
-	// ring[head], wrapping. Popping the head is one index step and pushing
-	// reallocates only when the backlog outgrows the array — the guest
-	// drains a long backlog (a rate ladder near its knee) without moving
-	// the frames behind the head, and an idle adapter keeps its array.
-	ring    []frame
-	head, n int
+	// ring[head], wrapping, the guest reading ring[head].words[pos].
+	// Popping the head is one index step and pushing reallocates only
+	// when the backlog outgrows the array — the guest drains a long
+	// backlog (a rate ladder near its knee) without moving the frames
+	// behind the head, and an idle adapter keeps its array. A slot keeps
+	// its word buffer when its frame is drained, and the next frame
+	// delivered into it is decoded there.
+	ring         []frame
+	head, n, pos int
+	// rec is the buffer Capture and Recover build a record in.
+	rec []byte
 }
 
 // NewShadow returns an empty virtual adapter.
@@ -44,10 +50,9 @@ func (s *Shadow) Load(off uint32) uint32 {
 			return 0
 		}
 		f := &s.ring[s.head]
-		v := f.words[0]
-		f.words = f.words[1:]
-		if len(f.words) == 0 {
-			*f = frame{} // the drained frame's words are not pinned
+		v := f.words[s.pos]
+		if s.pos++; s.pos == len(f.words) {
+			s.pos = 0
 			if s.head++; s.head == len(s.ring) {
 				s.head = 0
 			}
@@ -58,7 +63,7 @@ func (s *Shadow) Load(off uint32) uint32 {
 		if s.n == 0 {
 			return 0
 		}
-		return uint32(len(s.ring[s.head].words))
+		return uint32(len(s.ring[s.head].words) - s.pos)
 	case RegRxSeq:
 		if s.n == 0 {
 			return 0
@@ -68,16 +73,16 @@ func (s *Shadow) Load(off uint32) uint32 {
 	return 0
 }
 
-// push appends a delivered frame, doubling the ring when it is full.
-func (s *Shadow) push(f frame) {
+// tail returns the free slot behind the last pending frame, doubling the
+// ring when it is full.
+func (s *Shadow) tail() *frame {
 	if s.n == len(s.ring) {
 		grown := make([]frame, max(4, 2*len(s.ring)))
 		k := copy(grown, s.ring[s.head:])
 		copy(grown[k:], s.ring[:s.head])
 		s.ring, s.head = grown, 0
 	}
-	s.ring[s.slot(s.n)] = f
-	s.n++
+	return &s.ring[s.slot(s.n)]
 }
 
 // slot is the ring index of the i-th pending frame.
@@ -116,25 +121,43 @@ func (s *Shadow) Start(bus device.Bus) {}
 // [seq, nwords, words...] little-endian; Seq is the highest frame
 // sequence drained (the consume-on-apply watermark).
 func (s *Shadow) Capture(bus device.Bus, mem device.Memory) (device.Completion, bool) {
+	c := s.drain(bus, 0)
+	return c, c.Data != nil
+}
+
+// drain pops the port's pending frames, packing those with a sequence
+// above covered into a record. The record is built in s.rec and its Data
+// copied out once, at its exact size: it travels in the epoch stream and
+// outlives the next capture. A record with no frame has nil Data.
+func (s *Shadow) drain(bus device.Bus, covered uint32) device.Completion {
 	var c device.Completion
+	b := s.rec[:0]
 	for bus.Load(RegStatus)&StatusRxAvail != 0 {
 		seq := bus.Load(RegRxSeq)
 		n := bus.Load(RegRxLen)
 		if n == 0 {
 			break // defensive: a frame always holds >= 1 word
 		}
-		c.Data = device.AppendU32(c.Data, seq)
-		c.Data = device.AppendU32(c.Data, n)
+		if seq <= covered {
+			for j := uint32(0); j < n; j++ {
+				bus.Load(RegRxData) // will be applied with its forwarded record
+			}
+			continue
+		}
+		b = device.AppendU32(b, seq)
+		b = device.AppendU32(b, n)
 		for j := uint32(0); j < n; j++ {
-			c.Data = device.AppendU32(c.Data, bus.Load(RegRxData))
+			b = device.AppendU32(b, bus.Load(RegRxData))
 		}
 		c.Seq = seq
 	}
-	if len(c.Data) == 0 {
-		return device.Completion{}, false
+	s.rec = b
+	if len(b) > 0 {
+		c.Data = make([]byte, len(b))
+		copy(c.Data, b)
+		c.Status = StatusRxAvail
 	}
-	c.Status = StatusRxAvail
-	return c, true
+	return c
 }
 
 // Apply implements device.Shadow: make the delivered frames visible to
@@ -143,40 +166,35 @@ func (s *Shadow) Capture(bus device.Bus, mem device.Memory) (device.Completion, 
 func (s *Shadow) Apply(c device.Completion, mem device.Memory, bus device.Bus) {
 	data := c.Data
 	for len(data) > 0 {
-		var f frame
 		var ok bool
-		f, data, ok = readFrame(data)
-		if !ok {
+		if data, ok = readFrame(data, s.tail()); !ok {
 			break
 		}
-		s.push(f)
+		s.n++
 	}
 	bus.Store(RegRxConsume, c.Seq)
 }
 
-// readFrame decodes one [seq, nwords, words...] frame. The word count
-// comes from outside (a forwarded record, a state-transfer blob): one
-// the remaining bytes cannot hold is malformed, refused before anything
-// is allocated for it.
-func readFrame(data []byte) (frame, []byte, bool) {
+// readFrame decodes one [seq, nwords, words...] frame into f, reusing
+// f's word buffer, and returns the bytes after it. The word count comes
+// from outside (a forwarded record, a state-transfer blob): zero, or
+// more than the remaining bytes hold, is malformed and refused before
+// the buffer grows for it.
+func readFrame(data []byte, f *frame) ([]byte, bool) {
 	seq, rest, ok := device.ReadU32(data)
 	if !ok {
-		return frame{}, nil, false
+		return nil, false
 	}
 	n, rest, ok := device.ReadU32(rest)
-	if !ok || uint64(n) > uint64(len(rest)/4) {
-		return frame{}, nil, false
+	if !ok || n == 0 || uint64(n) > uint64(len(rest)/4) {
+		return nil, false
 	}
-	f := frame{seq: seq, words: make([]uint32, 0, n)}
-	for j := uint32(0); j < n; j++ {
-		var w uint32
-		w, rest, ok = device.ReadU32(rest)
-		if !ok {
-			return frame{}, nil, false
-		}
-		f.words = append(f.words, w)
+	f.seq = seq
+	f.words = slices.Grow(f.words[:0], int(n))[:n]
+	for j := range f.words {
+		f.words[j], rest, _ = device.ReadU32(rest)
 	}
-	return f, rest, true
+	return rest, true
 }
 
 // Recover implements device.Shadow: at failover, request frames the
@@ -193,30 +211,10 @@ func (s *Shadow) Recover(bus device.Bus, mem device.Memory, outstanding bool, bu
 			covered = b.Seq
 		}
 	}
-	var c device.Completion
-	for bus.Load(RegStatus)&StatusRxAvail != 0 {
-		seq := bus.Load(RegRxSeq)
-		n := bus.Load(RegRxLen)
-		if n == 0 {
-			break // defensive: a frame always holds >= 1 word
-		}
-		if seq <= covered {
-			for j := uint32(0); j < n; j++ {
-				bus.Load(RegRxData) // will be applied with its forwarded record
-			}
-			continue
-		}
-		c.Data = device.AppendU32(c.Data, seq)
-		c.Data = device.AppendU32(c.Data, n)
-		for j := uint32(0); j < n; j++ {
-			c.Data = device.AppendU32(c.Data, bus.Load(RegRxData))
-		}
-		c.Seq = seq
-	}
-	if len(c.Data) == 0 {
+	c := s.drain(bus, covered)
+	if c.Data == nil {
 		return nil, 0
 	}
-	c.Status = StatusRxAvail
 	return []device.Completion{c}, 0
 }
 
@@ -225,9 +223,13 @@ func (s *Shadow) MarshalState() []byte {
 	b := device.AppendU32(nil, uint32(s.n))
 	for i := 0; i < s.n; i++ {
 		f := &s.ring[s.slot(i)]
+		words := f.words
+		if i == 0 {
+			words = words[s.pos:]
+		}
 		b = device.AppendU32(b, f.seq)
-		b = device.AppendU32(b, uint32(len(f.words)))
-		for _, w := range f.words {
+		b = device.AppendU32(b, uint32(len(words)))
+		for _, w := range words {
 			b = device.AppendU32(b, w)
 		}
 	}
@@ -242,18 +244,15 @@ func (s *Shadow) UnmarshalState(data []byte) error {
 	if !ok || uint64(n) > uint64(len(rest)/8) {
 		return fmt.Errorf("nic: shadow state malformed (%d bytes)", len(data))
 	}
-	rx := make([]frame, 0, n)
-	for j := uint32(0); j < n; j++ {
-		var f frame
-		f, rest, ok = readFrame(rest)
-		if !ok {
+	rx := make([]frame, n)
+	for j := range rx {
+		if rest, ok = readFrame(rest, &rx[j]); !ok {
 			return fmt.Errorf("nic: shadow state truncated (frame %d of %d)", j, n)
 		}
-		rx = append(rx, f)
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("nic: shadow state has %d trailing bytes", len(rest))
 	}
-	s.ring, s.head, s.n = rx, 0, len(rx) // filled to its capacity
+	s.ring, s.head, s.n, s.pos = rx, 0, len(rx), 0 // filled to its capacity
 	return nil
 }

@@ -76,10 +76,12 @@ type Config struct {
 	// virtual times). Empty: the console is the historical write-only
 	// device.
 	Terminal []console.Input
-	// NIC attaches the shared network adapter to every node (the
-	// network-service configurations; absent by default so historical
-	// device tables — and their pinned transcripts — are untouched).
-	NIC bool
+	// NICRequests, when positive, attaches the shared network adapter to
+	// every node, serving a client population that numbers its requests
+	// 1..NICRequests (the network-service configurations; absent by
+	// default so historical device tables — and their pinned transcripts
+	// — are untouched).
+	NICRequests int
 	// Link configures the hypervisor-to-hypervisor channel (both
 	// directions); zero value = 10 Mbps Ethernet.
 	Link netsim.LinkConfig
@@ -94,7 +96,7 @@ type Node struct {
 	// Port is this node's endpoint on the shared console.
 	Port *console.Port
 	// NICPort is this node's endpoint on the shared network adapter
-	// (nil unless Config.NIC).
+	// (nil unless Config.NICRequests > 0).
 	NICPort *nic.Port
 }
 
@@ -116,8 +118,8 @@ func newEnv(k *sim.Kernel, cfg Config) *env {
 		e.disks = append(e.disks, scsi.NewDisk(k, dc))
 	}
 	e.console.Schedule(k, cfg.Terminal)
-	if cfg.NIC {
-		e.nic = nic.New()
+	if cfg.NICRequests > 0 {
+		e.nic = nic.New(cfg.NICRequests)
 	}
 	return e
 }
@@ -183,7 +185,7 @@ type Cluster struct {
 	// Disks holds the shared disks in index order.
 	Disks   []*scsi.Disk
 	Console *console.Console
-	// NIC is the shared network adapter (nil unless Config.NIC).
+	// NIC is the shared network adapter (nil unless Config.NICRequests > 0).
 	NIC   *nic.NIC
 	Nodes []*Node
 	// Links[i][j] (i < j) is the duplex between nodes i and j:

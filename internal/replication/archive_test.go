@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/hypervisor"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -45,6 +46,42 @@ func TestEpochArchiveTrim(t *testing.T) {
 	a.record(SyncEpoch{Epoch: 200})
 	if a.len() != 1 {
 		t.Fatalf("record after trim: %d entries, want 1", a.len())
+	}
+}
+
+// TestEpochArchiveRecyclesLists: the archive copies each delivery into a
+// list it owns and recycles the lists it trims, so a coordinator's
+// record-and-trim cycle allocates nothing once warm — while what since
+// handed out, which a resync message carries past later trims, keeps
+// its values.
+func TestEpochArchiveRecyclesLists(t *testing.T) {
+	a := newEpochArchive()
+	buf := make([]hypervisor.Interrupt, 3)
+	next := uint64(0)
+	cycle := func() {
+		for i := range buf {
+			buf[i] = hypervisor.Interrupt{Line: uint(next), CapturedTOD: uint32(i)}
+		}
+		a.record(SyncEpoch{Epoch: next, Ints: buf})
+		if next+1 > archiveResyncKeep {
+			a.trim(next + 1 - archiveResyncKeep)
+		}
+		next++
+	}
+	for range 100 {
+		cycle()
+	}
+	held := a.since(0)
+	if len(held) != archiveResyncKeep || held[0].Epoch != 100-archiveResyncKeep {
+		t.Fatalf("since(0) = %d epochs from %d, want %d from %d", len(held), held[0].Epoch, archiveResyncKeep, 100-archiveResyncKeep)
+	}
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Errorf("%v allocations per recorded and trimmed epoch, want 0", n)
+	}
+	for _, e := range held {
+		if len(e.Ints) != len(buf) || e.Ints[0].Line != uint(e.Epoch) || e.Ints[2].CapturedTOD != 2 {
+			t.Fatalf("epoch %d handed out by since changed under later records: %+v", e.Epoch, e.Ints)
+		}
 	}
 }
 

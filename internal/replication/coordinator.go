@@ -2,7 +2,7 @@ package replication
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/hypervisor"
 	"repro/internal/netsim"
@@ -15,11 +15,27 @@ import (
 // onto its stream (syncMsg). Bounded: entries older than windowEpochs
 // are pruned — a lagging backup further behind than the window cannot be
 // resynchronized (it detects this and withdraws).
+//
+// The entries live in a ring indexed by epoch, and the archive owns their
+// interrupt lists: record copies a delivery into a list recycled from a
+// pruned entry, so a coordinator's steady state archives without
+// allocating, and since hands out copies of its own.
 type epochArchive struct {
-	entries map[uint64]SyncEpoch
-	oldest  uint64
-	newest  uint64
-	window  uint64
+	// ring holds epoch e at ring[e % len(ring)] for every recorded e in
+	// [oldest, newest]; the span never exceeds len(ring), which doubles
+	// when it would.
+	ring   []archived
+	n      int // entries held
+	oldest uint64
+	newest uint64
+	window uint64
+	free   [][]hypervisor.Interrupt // lists of pruned entries, cleared
+}
+
+// archived is one ring slot.
+type archived struct {
+	SyncEpoch
+	held bool
 }
 
 const defaultArchiveWindow = 4096
@@ -32,53 +48,124 @@ const defaultArchiveWindow = 4096
 const archiveResyncKeep = 8
 
 func newEpochArchive() *epochArchive {
-	return &epochArchive{entries: map[uint64]SyncEpoch{}, window: defaultArchiveWindow}
+	return &epochArchive{window: defaultArchiveWindow}
 }
 
-// record stores one epoch's delivery history.
+// slot is epoch e's place in the ring.
+func (a *epochArchive) slot(e uint64) *archived { return &a.ring[e%uint64(len(a.ring))] }
+
+// record stores one epoch's delivery history, copying e.Ints. An epoch
+// the window has already passed is not kept.
 func (a *epochArchive) record(e SyncEpoch) {
 	if a == nil {
 		return
 	}
-	if len(a.entries) == 0 || e.Epoch < a.oldest {
-		a.oldest = e.Epoch
+	if a.n == 0 {
+		a.oldest, a.newest = e.Epoch, e.Epoch
+	} else {
+		if e.Epoch+a.window <= a.newest {
+			return
+		}
+		a.newest = max(a.newest, e.Epoch)
+		for a.oldest+a.window <= a.newest {
+			a.drop(a.oldest)
+			a.oldest++
+		}
+		a.oldest = min(a.oldest, e.Epoch)
 	}
-	if e.Epoch > a.newest {
-		a.newest = e.Epoch
+	a.fit()
+	s := a.slot(e.Epoch)
+	if s.held {
+		a.recycle(s.Ints)
+	} else {
+		a.n++
 	}
-	a.entries[e.Epoch] = e
-	for a.newest-a.oldest >= a.window {
-		delete(a.entries, a.oldest)
-		a.oldest++
+	if len(e.Ints) > 0 {
+		var l []hypervisor.Interrupt
+		if n := len(a.free); n > 0 {
+			l, a.free = a.free[n-1], a.free[:n-1]
+		}
+		e.Ints = append(l, e.Ints...)
+	} else {
+		e.Ints = nil
+	}
+	*s = archived{SyncEpoch: e, held: true}
+}
+
+// fit doubles the ring until it holds the span [oldest, newest].
+func (a *epochArchive) fit() {
+	span := a.newest - a.oldest + 1
+	if span <= uint64(len(a.ring)) {
+		return
+	}
+	size := max(uint64(len(a.ring)), 8)
+	for size < span {
+		size *= 2
+	}
+	old := a.ring
+	a.ring = make([]archived, size)
+	for _, s := range old {
+		if s.held {
+			*a.slot(s.Epoch) = s
+		}
+	}
+}
+
+// drop removes epoch e's entry, keeping its list for a later record.
+func (a *epochArchive) drop(e uint64) {
+	if s := a.slot(e); s.held {
+		a.recycle(s.Ints)
+		*s = archived{}
+		a.n--
+	}
+}
+
+// recycle clears a list the archive owned (its records must not pin
+// completion payloads) and keeps it for reuse.
+func (a *epochArchive) recycle(l []hypervisor.Interrupt) {
+	if cap(l) > 0 {
+		clear(l)
+		a.free = append(a.free, l[:0])
 	}
 }
 
 // trim drops every entry older than keepFrom (acknowledged history).
 func (a *epochArchive) trim(keepFrom uint64) {
-	if a == nil || len(a.entries) == 0 {
+	if a == nil || a.n == 0 {
 		return
 	}
 	if keepFrom > a.newest+1 {
 		keepFrom = a.newest + 1
 	}
 	for a.oldest < keepFrom {
-		delete(a.entries, a.oldest)
+		a.drop(a.oldest)
 		a.oldest++
 	}
 }
 
 // len reports how many epochs are retained (tests).
-func (a *epochArchive) len() int { return len(a.entries) }
+func (a *epochArchive) len() int { return a.n }
 
-// since returns archived epochs >= from, in order.
-func (a *epochArchive) since(from uint64) []SyncEpoch {
-	var out []SyncEpoch
-	for e := range a.entries {
-		if e >= from {
-			out = append(out, a.entries[e])
+// each calls fn on every archived epoch >= from, in order.
+func (a *epochArchive) each(from uint64, fn func(SyncEpoch)) {
+	if a.n == 0 {
+		return
+	}
+	for e := max(from, a.oldest); e <= a.newest; e++ {
+		if s := a.slot(e); s.held {
+			fn(s.SyncEpoch)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Epoch < out[j].Epoch })
+}
+
+// since returns copies of the archived epochs >= from, in order: the
+// resync message carrying them outlives the archive's own lists.
+func (a *epochArchive) since(from uint64) []SyncEpoch {
+	var out []SyncEpoch
+	a.each(from, func(se SyncEpoch) {
+		se.Ints = slices.Clone(se.Ints)
+		out = append(out, se)
+	})
 	return out
 }
 
@@ -219,11 +306,13 @@ func (c *coordinator) install(p *sim.Proc) {
 // update the watermark, then advance whatever it commits.
 func (c *coordinator) wire(ps *peerState) {
 	ps.peer.RX.OnDeliver = func(raw netsim.Message) {
-		a, ok := raw.Payload.(ack)
+		a, ok := raw.Payload.(*ack)
 		if !ok {
 			return
 		}
-		c.s.acknowledge(ps, a)
+		seq := a.Head
+		a.Release()
+		c.s.acknowledge(ps, seq)
 		// A failstopped coordinator must not emit: an acknowledgement
 		// already in flight when the processor stopped still arrives
 		// (links deliver what was sent), but releasing output for it
@@ -459,15 +548,11 @@ func (c *coordinator) run(p *sim.Proc, tme0 uint32) {
 		h.HasEnd, h.Digest, h.Halted, h.Cut = true, b.Digest, b.Halted, b.GuestInstr
 		h.Released, h.HaveReleased = c.released, c.haveReleased
 		hv.TimerInterruptsDue(tme)
-		var delivered []hypervisor.Interrupt
-		if buf := hv.Buffered(); len(buf) > 0 {
-			delivered = append([]hypervisor.Interrupt(nil), buf...)
-		}
-		hv.DeliverBuffered()
 		c.archive.record(SyncEpoch{
-			Epoch: b.Epoch, Tme: tme, Ints: delivered,
+			Epoch: b.Epoch, Tme: tme, Ints: hv.Buffered(),
 			Digest: b.Digest, Halted: b.Halted,
 		})
+		hv.DeliverBuffered()
 		c.ship(p, f)
 		c.pend = append(c.pend, pendingEpoch{epoch: b.Epoch, seq: c.s.seq})
 		// Same rationale as above: an inline End slept, and a failstop

@@ -135,8 +135,11 @@ func addRec(f *epochFrame, i hypervisor.Interrupt) {
 	f.Size += i.WireSize()
 }
 
-// ack is P4's acknowledgement: the highest sequence number received.
-type ack uint64
+// ack is P4's acknowledgement: Head is the highest sequence number
+// received. A backup sends it in a pooled message (Replica.sendAck) and
+// the coordinator's intake releases it, so acknowledging allocates
+// nothing.
+type ack = netsim.Frame[uint64, struct{}]
 
 // syncMsg is sent by a freshly promoted backup to lower-priority backups
 // (the t-fault-tolerant generalization): a replay of the

@@ -29,7 +29,7 @@ func TestReceiverEquivalence(t *testing.T) {
 
 	type outcome struct {
 		state     []byte // the backup's EncodeState once the frames are filed
-		acked     ack
+		acked     uint64 // the acknowledgement's sequence number
 		delivered []SyncEpoch
 		digest    uint64
 		intsRecvd uint64
@@ -52,7 +52,7 @@ func TestReceiverEquivalence(t *testing.T) {
 			[]Peer{{TX: down.AtoB, RX: down.BtoA}}, Config{DetectTimeout: 10 * sim.Second})
 
 		var out outcome
-		rx.OnDeliver = func(m netsim.Message) { out.acked = m.Payload.(ack) }
+		rx.OnDeliver = func(m netsim.Message) { out.acked = m.Payload.(*ack).Head }
 		bk.StartReceivers(k)
 		k.Spawn("coordinator", func(p *sim.Proc) {
 			// The reference boundary: epoch 0 as the coordinator ran it.

@@ -2,7 +2,7 @@ package replication
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/hypervisor"
 	"repro/internal/netsim"
@@ -80,6 +80,10 @@ type Replica struct {
 	// recFree recycles epoch records: a record freed at one epoch's
 	// boundary serves a later epoch without reallocating its map.
 	recFree []*epochRecord
+	// order is stageOrdered's scratch list of capture indexes.
+	order []uint32
+	// acks recycles the acknowledgements sent upstream.
+	acks    netsim.FramePool[uint64, struct{}]
 	archive *epochArchive
 	arrival *sim.Signal
 	// completed counts epochs whose boundary processing has finished;
@@ -259,7 +263,7 @@ func (r *Replica) receiver(u Peer) func(p *sim.Proc) {
 func (r *Replica) take(u Peer, raw netsim.Message) {
 	switch m := raw.Payload.(type) {
 	case *epochFrame:
-		u.TX.Send(ack(m.Head.Seq), 0)
+		r.sendAck(u, m.Head.Seq)
 		r.file(m)
 	case *epochBatch:
 		// A transmit-side batch: several epochs in one wire message. One
@@ -267,17 +271,26 @@ func (r *Replica) take(u Peer, raw netsim.Message) {
 		// high-water mark, so acking the newest sequence acknowledges the
 		// whole FIFO prefix).
 		if n := len(m.Recs); n > 0 {
-			u.TX.Send(ack(m.Recs[n-1].Head.Seq), 0)
+			r.sendAck(u, m.Recs[n-1].Head.Seq)
 		}
 		for _, f := range m.Recs {
 			r.file(f)
 		}
 		m.Release()
 	case syncMsg:
-		u.TX.Send(ack(m.Seq), 0)
+		r.sendAck(u, m.Seq)
 		r.applySync(m.Epochs)
 	}
 	r.arrival.Broadcast()
+}
+
+// sendAck acknowledges seq to upstream u (P4) in a message from the
+// replica's pool; the coordinator's intake returns it.
+func (r *Replica) sendAck(u Peer, seq uint64) {
+	a := r.acks.Get()
+	a.Head = seq
+	a.Retain(1)
+	u.TX.Send(a, 0)
 }
 
 // file is the one receive path: merge a frame's parts into its epoch's
@@ -327,13 +340,13 @@ func (r *Replica) applySync(entries []SyncEpoch) {
 // stageOrdered buffers epoch e's received interrupts in capture order.
 func (r *Replica) stageOrdered(e uint64) {
 	er := r.rec(e)
-	idxs := make([]int, 0, len(er.ints))
+	r.order = r.order[:0]
 	for k := range er.ints {
-		idxs = append(idxs, int(k))
+		r.order = append(r.order, k)
 	}
-	sort.Ints(idxs)
-	for _, k := range idxs {
-		r.HV.BufferInterrupt(er.ints[uint32(k)])
+	slices.Sort(r.order)
+	for _, k := range r.order {
+		r.HV.BufferInterrupt(er.ints[k])
 	}
 }
 
@@ -500,11 +513,7 @@ func (r *Replica) follow(p *sim.Proc) (b hypervisor.Boundary, orphaned bool) {
 		// downstream peers) needs the delivery archive; the common
 		// single-backup configuration skips the per-epoch copy.
 		if len(r.downs) > 0 {
-			var delivered []hypervisor.Interrupt
-			if buf := hv.Buffered(); len(buf) > 0 {
-				delivered = append([]hypervisor.Interrupt(nil), buf...)
-			}
-			r.archive.record(SyncEpoch{Epoch: e, Tme: tme, Ints: delivered, Digest: b.Digest, Halted: end.Halted})
+			r.archive.record(SyncEpoch{Epoch: e, Tme: tme, Ints: hv.Buffered(), Digest: b.Digest, Halted: end.Halted})
 		}
 		hv.DeliverBuffered()
 		// The one end-of-epoch rule: the coordinator has emitted output

@@ -123,10 +123,10 @@ func (s *sender) receivers() int32 {
 // acknowledge records an acknowledgement from ps. A dead peer that has
 // caught up with everything sent holds the full stream, so excluding it
 // no longer protects anything: it is resurrected.
-func (s *sender) acknowledge(ps *peerState, a ack) {
+func (s *sender) acknowledge(ps *peerState, seq uint64) {
 	s.stats.AcksReceived++
-	if uint64(a) > ps.acked {
-		ps.acked = uint64(a)
+	if seq > ps.acked {
+		ps.acked = seq
 	}
 	if ps.dead && ps.acked >= s.seq {
 		ps.dead = false

@@ -95,16 +95,14 @@ func (c *coordinator) encode(w *snapshot.Writer) {
 	c.stats.encode(w)
 }
 
-// encode appends the retained epochs, oldest first.
+// encode appends the retained epochs, oldest first, read in place.
 func (a *epochArchive) encode(w *snapshot.Writer) {
-	var entries []SyncEpoch
-	if a != nil {
-		entries = a.since(0)
+	if a == nil {
+		w.U32(0)
+		return
 	}
-	w.U32(uint32(len(entries)))
-	for i := range entries {
-		entries[i].encode(w)
-	}
+	w.U32(uint32(a.n))
+	a.each(0, func(se SyncEpoch) { se.encode(w) })
 }
 
 func (e *SyncEpoch) encode(w *snapshot.Writer) {

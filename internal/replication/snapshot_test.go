@@ -51,9 +51,7 @@ func TestCoordinatorBackupStateCodec(t *testing.T) {
 	}
 
 	archived := func(c *coordinator, change func(*SyncEpoch)) {
-		e := c.archive.entries[4]
-		change(&e)
-		c.archive.entries[4] = e
+		change(&c.archive.slot(4).SyncEpoch)
 	}
 	coordinatorFields := []mutator[*coordinator]{
 		{"sender seq", func(c *coordinator) { c.s.seq++ }},

@@ -305,12 +305,12 @@ func (e *Engine) Boot() {
 	k.SetStallLimit(stallLimit)
 	e.k = k
 	cluster := platform.NewCluster(k, platform.Config{
-		Disk:       o.Disk,
-		ExtraDisks: o.ExtraDisks,
-		Terminal:   o.Terminal,
-		NIC:        o.ClientLoad != nil,
-		Link:       o.Link,
-		Machine:    e.machineConfig(),
+		Disk:        o.Disk,
+		ExtraDisks:  o.ExtraDisks,
+		Terminal:    o.Terminal,
+		NICRequests: nicRequests(o.ClientLoad),
+		Link:        o.Link,
+		Machine:     e.machineConfig(),
 		Hypervisor: hypervisor.Config{
 			EpochLength:      o.EpochLength,
 			NoTLBTakeover:    o.NoTLBTakeover,
@@ -415,6 +415,15 @@ func (e *Engine) divergenceHandler(node int) func(epoch uint64, primary, backup 
 		}
 		e.o.OnDivergence(epoch, primary, backup)
 	}
+}
+
+// nicRequests is the request-ID population the shared NIC serves: the
+// client load's requests. A load of none still attaches the adapter.
+func nicRequests(cl *clientsim.Config) int {
+	if cl == nil {
+		return 0
+	}
+	return max(cl.Requests, 1)
 }
 
 // installHooks wires the environment observation hooks (a replica's

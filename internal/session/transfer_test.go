@@ -22,8 +22,8 @@ func transferNode(t testing.TB, memBytes uint32, tlbSlots int) *platform.Node {
 	k := sim.NewKernel(1)
 	t.Cleanup(k.Shutdown)
 	c := platform.NewCluster(k, platform.Config{
-		NIC:     true,
-		Machine: machine.Config{MemBytes: memBytes, TLBSize: tlbSlots},
+		NICRequests: 1,
+		Machine:     machine.Config{MemBytes: memBytes, TLBSize: tlbSlots},
 	}, 1)
 	t.Cleanup(c.Release)
 	return c.Nodes[0]

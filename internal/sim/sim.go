@@ -97,6 +97,8 @@ type event struct {
 	seq   uint64
 	gen   uint64
 	fn    func()
+	fnArg func(uint64) // set instead of fn by AfterArg, called with arg
+	arg   uint64
 	index int // heap index, -1 when not queued
 }
 
@@ -182,7 +184,7 @@ func (k *Kernel) alloc() *event {
 // generation bump invalidates outstanding Handles.
 func (k *Kernel) recycle(e *event) {
 	e.gen++
-	e.fn = nil
+	e.fn, e.fnArg = nil, nil
 	k.free = append(k.free, e)
 }
 
@@ -290,6 +292,20 @@ func (k *Kernel) After(d Time, fn func()) Handle {
 		d = 0
 	}
 	return k.At(k.now+d, fn)
+}
+
+// AfterArg schedules fn(arg) to run d nanoseconds from now. It is After
+// for a callback that needs one value: the event takes the same (time,
+// seq) place After's would, and a bound fn made once — a method value
+// kept in a field — schedules without allocating a closure per call.
+func (k *Kernel) AfterArg(d Time, fn func(uint64), arg uint64) Handle {
+	if d < 0 {
+		d = 0
+	}
+	e := k.alloc()
+	e.fnArg, e.arg = fn, arg
+	k.push(e, k.now+d)
+	return Handle{e: e, gen: e.gen}
 }
 
 // enqueue records p's pending wake at absolute time at, keyed exactly
@@ -498,13 +514,17 @@ func (k *Kernel) next() *Proc {
 		if e.at > k.now {
 			k.now = e.at
 		}
-		fn := e.fn
+		fn, fnArg, arg := e.fn, e.fnArg, e.arg
 		k.recycle(e)
 		if k.stallLimit > 0 {
 			k.tick("(event)")
 		}
 		k.loud++ // a callback may do anything
-		fn()
+		if fnArg != nil {
+			fnArg(arg)
+		} else {
+			fn()
+		}
 	}
 }
 

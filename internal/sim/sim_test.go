@@ -76,6 +76,29 @@ func TestAfterNegativeClamped(t *testing.T) {
 	}
 }
 
+// TestAfterArg: an AfterArg event takes the place an After closure
+// scheduled at the same call would — the same (time, seq) — and calls its
+// function with its argument; a negative delay clamps to now, a canceled
+// one never fires, and a recycled event forgets its function.
+func TestAfterArg(t *testing.T) {
+	k := NewKernel(1)
+	var got []string
+	note := func(v uint64) { got = append(got, fmt.Sprint(v)) }
+	k.After(10, func() { got = append(got, "a") })
+	k.AfterArg(10, note, 1)
+	k.After(5, func() { got = append(got, "b") })
+	k.AfterArg(5, note, 2)
+	h := k.AfterArg(5, note, 3)
+	k.AfterArg(-1, note, 4)
+	h.Cancel()
+	k.Run()
+	k.After(1, func() { got = append(got, "c") }) // reuses a recycled AfterArg event
+	k.Run()
+	if s := fmt.Sprint(got); s != "[4 b 2 a 1 c]" {
+		t.Errorf("fired %s, want [4 b 2 a 1 c]", s)
+	}
+}
+
 func TestAtPastClamped(t *testing.T) {
 	k := NewKernel(1)
 	var at Time = -1
