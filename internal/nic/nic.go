@@ -40,6 +40,7 @@
 package nic
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 )
 
@@ -184,7 +185,7 @@ func (n *NIC) Ingress(words []uint32) (reply []uint32, accepted bool) {
 			n.Stats.Replayed++
 			n.replay = n.replay[:0]
 			for b := n.reply(at - 1); len(b) > 0; b = b[4:] {
-				n.replay = append(n.replay, readU32(b))
+				n.replay = append(n.replay, binary.LittleEndian.Uint32(b))
 			}
 			return n.replay, false
 		}
@@ -243,11 +244,7 @@ func (n *NIC) txDoorbell(ordinal, v uint32) {
 // little-endian.
 func (n *NIC) reply(at uint32) []byte {
 	b := n.tx[4*int(at):]
-	return b[4 : 4+4*int(readU32(b))]
-}
-
-func readU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	return b[4 : 4+4*int(binary.LittleEndian.Uint32(b))]
 }
 
 // passOrdinal applies the output-ordinal high-water dedup (the console's
@@ -303,16 +300,19 @@ func (n *NIC) StateDigest() uint64 {
 	// value the dedup and reply maps it replaced folded to, which
 	// checkpoints embed.
 	var fold uint64
+	entry := fnv.New64a()
+	var id [4]byte
 	for i, e := range n.reqs {
 		if e&reqSeen == 0 {
 			continue
 		}
-		id := uint32(i + 1)
-		h := fnv64a(fnvOffset, []byte{byte(id), byte(id >> 8), byte(id >> 16), byte(id >> 24)})
+		entry.Reset()
+		binary.LittleEndian.PutUint32(id[:], uint32(i+1))
+		entry.Write(id[:])
 		if at := e >> 1; at != 0 {
-			h = fnv64a(h, n.reply(at-1))
+			entry.Write(n.reply(at - 1))
 		}
-		fold ^= h
+		fold ^= entry.Sum64()
 	}
 	put(uint32(fold), uint32(fold>>32), uint32(len(n.ports)))
 	for _, p := range n.ports {
@@ -330,16 +330,6 @@ func (n *NIC) StateDigest() uint64 {
 	}
 	return h.Sum64()
 }
-
-// fnv64a continues a 64-bit FNV-1a hash h over b (fnvOffset starts one).
-func fnv64a(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
-}
-
-const fnvOffset = 14695981039346656037
 
 // Port is one processor's view of the network adapter: a register bank
 // on the host's MMIO bus (machine.MMIOHandler semantics for its

@@ -304,11 +304,15 @@ func (e *Engine) Boot() {
 	k := sim.NewKernel(o.Seed)
 	k.SetStallLimit(stallLimit)
 	e.k = k
+	var nicRequests int // the shared NIC serves the client load's request IDs
+	if o.ClientLoad != nil {
+		nicRequests = o.ClientLoad.Requests
+	}
 	cluster := platform.NewCluster(k, platform.Config{
 		Disk:        o.Disk,
 		ExtraDisks:  o.ExtraDisks,
 		Terminal:    o.Terminal,
-		NICRequests: nicRequests(o.ClientLoad),
+		NICRequests: nicRequests,
 		Link:        o.Link,
 		Machine:     e.machineConfig(),
 		Hypervisor: hypervisor.Config{
@@ -415,15 +419,6 @@ func (e *Engine) divergenceHandler(node int) func(epoch uint64, primary, backup 
 		}
 		e.o.OnDivergence(epoch, primary, backup)
 	}
-}
-
-// nicRequests is the request-ID population the shared NIC serves: the
-// client load's requests. A load of none still attaches the adapter.
-func nicRequests(cl *clientsim.Config) int {
-	if cl == nil {
-		return 0
-	}
-	return max(cl.Requests, 1)
 }
 
 // installHooks wires the environment observation hooks (a replica's

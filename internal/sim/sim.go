@@ -296,8 +296,8 @@ func (k *Kernel) After(d Time, fn func()) Handle {
 
 // AfterArg schedules fn(arg) to run d nanoseconds from now. It is After
 // for a callback that needs one value: the event takes the same (time,
-// seq) place After's would, and a bound fn made once — a method value
-// kept in a field — schedules without allocating a closure per call.
+// seq) place After's would, and a function value made once and kept
+// schedules without allocating a closure per call.
 func (k *Kernel) AfterArg(d Time, fn func(uint64), arg uint64) Handle {
 	if d < 0 {
 		d = 0
