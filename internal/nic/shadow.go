@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -192,9 +193,9 @@ func readFrame(data []byte, f *frame) ([]byte, bool) {
 	f.seq = seq
 	f.words = slices.Grow(f.words[:0], int(n))[:n]
 	for j := range f.words {
-		f.words[j], rest, _ = device.ReadU32(rest)
+		f.words[j] = binary.LittleEndian.Uint32(rest[4*j:])
 	}
-	return rest, true
+	return rest[4*n:], true
 }
 
 // Recover implements device.Shadow: at failover, request frames the

@@ -299,13 +299,9 @@ func (k *Kernel) After(d Time, fn func()) Handle {
 // seq) place After's would, and a function value made once and kept
 // schedules without allocating a closure per call.
 func (k *Kernel) AfterArg(d Time, fn func(uint64), arg uint64) Handle {
-	if d < 0 {
-		d = 0
-	}
-	e := k.alloc()
-	e.fnArg, e.arg = fn, arg
-	k.push(e, k.now+d)
-	return Handle{e: e, gen: e.gen}
+	h := k.At(k.now+d, nil)
+	h.e.fnArg, h.e.arg = fn, arg
+	return h
 }
 
 // enqueue records p's pending wake at absolute time at, keyed exactly
