@@ -24,45 +24,63 @@ func runToCompletion(t *testing.T, c *Cluster) Result {
 
 // TestPerturbationsAfterDone pins the public contract: once Done
 // reports true, FailBackup, SetLinkQuality and AddBackup return
-// ErrCompleted, and FailPrimary is a no-op that is NOT journaled (a
-// subsequent Save must replay without any phantom perturbation).
+// ErrCompleted, and FailPrimary and RunFor are no-ops that are NOT
+// journaled (a subsequent Save must replay without any phantom
+// perturbation or pause), whether Wait or RunUntil completed the run.
 func TestPerturbationsAfterDone(t *testing.T) {
-	c, err := NewCluster(WithWorkload(CPUIntensive(2000)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	want := runToCompletion(t, c)
-	if !c.Done() {
-		t.Fatal("workload did not complete")
-	}
+	for _, complete := range []struct {
+		name string
+		run  func(*Cluster) error
+	}{
+		{"Wait", func(c *Cluster) error { _, err := c.Wait(context.Background()); return err }},
+		{"RunUntil", func(c *Cluster) error {
+			_, err := c.RunUntil(func(Snapshot) bool { return false })
+			return err
+		}},
+	} {
+		c, err := NewCluster(WithWorkload(CPUIntensive(2000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := complete.run(c); err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.Result()
+		if err != nil {
+			t.Fatalf("%s: workload did not complete: %v", complete.name, err)
+		}
 
-	if err := c.FailBackup(1); !errors.Is(err, ErrCompleted) {
-		t.Errorf("FailBackup after Done: %v, want ErrCompleted", err)
-	}
-	if err := c.SetLinkQuality(LinkQuality{BitsPerSecond: 1_000_000}); !errors.Is(err, ErrCompleted) {
-		t.Errorf("SetLinkQuality after Done: %v, want ErrCompleted", err)
-	}
-	if _, err := c.AddBackup(); !errors.Is(err, ErrCompleted) {
-		t.Errorf("AddBackup after Done: %v, want ErrCompleted", err)
-	}
-	c.FailPrimary() // documented no-op; must not journal
+		if err := c.FailBackup(1); !errors.Is(err, ErrCompleted) {
+			t.Errorf("FailBackup after Done: %v, want ErrCompleted", err)
+		}
+		if err := c.SetLinkQuality(LinkQuality{BitsPerSecond: 1_000_000}); !errors.Is(err, ErrCompleted) {
+			t.Errorf("SetLinkQuality after Done: %v, want ErrCompleted", err)
+		}
+		if _, err := c.AddBackup(); !errors.Is(err, ErrCompleted) {
+			t.Errorf("AddBackup after Done: %v, want ErrCompleted", err)
+		}
+		c.FailPrimary() // documented no-op; must not journal
+		if _, err := c.RunFor(Millisecond); err != nil {
+			t.Fatal(err)
+		}
 
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("restore after post-Done perturbation attempts: %v", err)
-	}
-	defer restored.Close()
-	got, err := restored.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("restored result drifted after post-Done no-ops: %+v vs %+v", got, want)
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Restore(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: restore after post-Done perturbation attempts: %v", complete.name, err)
+		}
+		defer restored.Close()
+		got, err := restored.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: restored result drifted after post-Done no-ops: %+v vs %+v", complete.name, got, want)
+		}
 	}
 }
 

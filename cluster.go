@@ -99,12 +99,15 @@ func (c *Cluster) RunFor(d Duration) (Snapshot, error) {
 		return Snapshot{}, ErrClosed
 	}
 	target := Duration(c.eng.Now()) + d
+	done := c.eng.Done()
 	err := c.eng.RunFor(sim.Time(d))
 	// A call that cannot advance keeps the pause coordinate, as a no-op
 	// RunUntil does (see pauseAtBoundary): "time now+d" names an earlier
 	// kernel state than the one the session is paused in — for d = 0,
-	// the instant's events up to the boundary instead of all of them.
-	if d > 0 {
+	// the instant's events up to the boundary instead of all of them —
+	// and a completed session is paused at its completion, not at a time
+	// it never reached.
+	if d > 0 && !done {
 		c.pause = pausePoint{kind: pauseAtTime, time: target}
 	}
 	return c.Snapshot(), err

@@ -12,12 +12,12 @@ import (
 	"repro/internal/scsi"
 )
 
-// The event stream is contract too: dashboards, hftsim's scenario mode
-// and the benchmark's span derivation read String, Device and
-// TerminalData off every Events() item. TestEventStreamGolden drives
-// three scenarios that between them fire every EventKind and pins each
-// item's rendering to testdata/events.golden.txt. After an intentional
-// change, regenerate with:
+// The event stream is contract too: dashboards and the benchmark's
+// span derivation read String, Device and TerminalData off every
+// Events() item. TestEventStreamGolden drives three scenarios that
+// between them fire every EventKind and pins each item's rendering to
+// testdata/events.golden.txt. After an intentional change, regenerate
+// with:
 //
 //	go test -run TestEventStreamGolden -update-events .
 //

@@ -86,7 +86,7 @@ func campaignDigest(reports []Report, metrics []Metrics) string {
 	for i := range reports {
 		m := &metrics[i]
 		for _, v := range [...]uint64{
-			uint64(reports[i].Time), m.Commits, m.Instructions,
+			uint64(reports[i].Result.Time), m.Commits, m.Instructions,
 			uint64(m.Failovers), uint64(m.Blackout),
 		} {
 			binary.LittleEndian.PutUint64(buf[:], v)

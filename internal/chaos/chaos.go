@@ -30,7 +30,10 @@
 // A violating schedule is automatically shrunk (delta debugging over
 // the perturbation list, then coordinate reduction from exact virtual
 // times to epoch-commit ordinals) until 1-minimal, and emitted as a
-// replayable `hftsim -scenario` script plus the failing seed.
+// replayable `hftsim -scenario` script plus the failing seed. A script
+// is a schedule's text form: Scenario emits it, ParseScenario parses
+// it back, and hftsim runs what it parsed through Execute, so a replay
+// is the recorded run.
 package chaos
 
 import (
@@ -147,16 +150,17 @@ func ParseWorkload(name string) (Workload, error) {
 	return Shape(name, 0, 0, 0) // not a shape: Shape names the error
 }
 
-// ClusterOptions materializes the public options for a replicated run
-// of this shape.
-func (w Workload) ClusterOptions(seed int64, epoch uint64, proto hft.Protocol, link hft.LinkModel, backups int) []hft.Option {
+// ClusterOptions materializes the public options for the schedule's
+// replicated run of shape w (s.Shape()) — the cluster Execute builds,
+// and hftsim's one-shot mode.
+func (s Schedule) ClusterOptions(w Workload) []hft.Option {
 	opts := []hft.Option{
 		hft.WithWorkload(w.Guest),
-		hft.WithSeed(seed),
-		hft.WithEpochLength(epoch),
-		hft.WithProtocol(proto),
-		hft.WithLink(link),
-		hft.WithBackups(backups),
+		hft.WithSeed(s.Seed),
+		hft.WithEpochLength(s.Epoch),
+		hft.WithProtocol(s.Protocol),
+		hft.WithLink(s.LinkModel()),
+		hft.WithBackups(s.Backups),
 	}
 	for i := 0; i < w.ExtraDisks; i++ {
 		opts = append(opts, hft.WithDisk(hft.DiskSpec{}))
@@ -166,6 +170,9 @@ func (w Workload) ClusterOptions(seed int64, epoch uint64, proto hft.Protocol, l
 	}
 	if w.ClientLoad != nil {
 		opts = append(opts, hft.WithClientLoad(*w.ClientLoad))
+	}
+	if s.Window > 0 {
+		opts = append(opts, hft.WithOutputCommit(hft.OutputCommit{Window: s.Window, Adaptive: s.Adaptive}))
 	}
 	return opts
 }
@@ -217,7 +224,8 @@ func Bare(w Workload, seed int64, epoch uint64) (hft.Result, error) {
 }
 
 func runBare(w Workload, seed int64, epoch uint64) (hft.Result, error) {
-	c, err := hft.NewCluster(append(w.ClusterOptions(seed, epoch, hft.ProtocolOld, hft.Ethernet10(), 1), hft.Bare())...)
+	s := Schedule{Seed: seed, Epoch: epoch, Protocol: hft.ProtocolOld, Link: "ethernet", Backups: 1}
+	c, err := hft.NewCluster(append(s.ClusterOptions(w), hft.Bare())...)
 	if err != nil {
 		return hft.Result{}, err
 	}

@@ -1,9 +1,9 @@
 package chaos
 
 import (
+	"flag"
 	"math/rand"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -45,7 +45,7 @@ func TestGenerateBounds(t *testing.T) {
 				adds++
 			case OpSaveRestore:
 				saves++
-			case OpLinkDegrade:
+			case OpLink:
 				if st.Bandwidth < 1_000_000 {
 					t.Fatalf("schedule %d degrades below 1 Mbps: %v", i, st)
 				}
@@ -163,8 +163,8 @@ func TestInjectedBugCaughtAndShrunk(t *testing.T) {
 				Protocol: hft.ProtocolOld, Link: "ethernet", Backups: 1,
 				Steps: []Step{
 					{At: Coord{Time: hft.Duration(us) * hft.Microsecond}, Op: OpFailPrimary},
-					{At: Coord{Time: 9 * hft.Millisecond}, Op: OpLinkDegrade, Bandwidth: 5_000_000, Latency: 500 * hft.Microsecond},
-					{At: Coord{Time: 10 * hft.Millisecond}, Op: OpLinkRestore},
+					{At: Coord{Time: 9 * hft.Millisecond}, Op: OpLink, Bandwidth: 5_000_000, Latency: 500 * hft.Microsecond},
+					{At: Coord{Time: 10 * hft.Millisecond}, Op: OpLink, Bandwidth: 10_000_000, Latency: 50 * hft.Microsecond},
 				},
 			}
 			rep := Execute(s, nil)
@@ -216,7 +216,7 @@ func TestShrinkScenarioEmission(t *testing.T) {
 		Protocol: hft.ProtocolNew, Link: "atm", Backups: 2,
 		Steps: []Step{
 			{At: Coord{Commit: 3}, Op: OpFailBackup, Backup: 2},
-			{At: Coord{Time: 5 * hft.Millisecond}, Op: OpLinkDegrade, Bandwidth: 1_000_000, Latency: 1 * hft.Millisecond},
+			{At: Coord{Time: 5 * hft.Millisecond}, Op: OpLink, Bandwidth: 1_000_000, Latency: 1 * hft.Millisecond},
 			{At: Coord{Commit: 9}, Op: OpSaveRestore},
 			{At: Coord{Commit: 12}, Op: OpAddBackup},
 		},
@@ -225,7 +225,7 @@ func TestShrinkScenarioEmission(t *testing.T) {
 	for _, want := range []string{
 		"until-commit 3\nfail backup 2\n",
 		"run-to 5000000ns\nlink bw=1000000 lat=1000000ns\n",
-		"until-commit 9\nsave chaos.ckpt\nrestore chaos.ckpt\n",
+		"until-commit 9\nsave-restore\n",
 		"until-commit 12\naddbackup\n",
 		"wait\ncheck\n",
 		"-workload cpu -seed 9 -epoch 4096 -protocol new -link atm -backups 2",
@@ -234,7 +234,7 @@ func TestShrinkScenarioEmission(t *testing.T) {
 			t.Errorf("scenario missing %q:\n%s", want, sc)
 		}
 	}
-	if got, want := CommandCount(s), 9; got != want {
+	if got, want := CommandCount(s), 8; got != want {
 		t.Errorf("CommandCount = %d, want %d", got, want)
 	}
 }
@@ -368,28 +368,41 @@ func TestCheckUnansweredClient(t *testing.T) {
 }
 
 // TestShapeFromFlags: a replay builds its cluster from the flags an
-// emitted scenario carries, through Shape, with hftsim's defaults for
-// any size flag the scenario leaves out. For every canonical shape that
-// must rebuild the shape exactly.
+// emitted scenario carries, read back through ScheduleFlags with
+// hftsim's defaults for every flag left out. For every canonical shape
+// that must rebuild the shape exactly; a size off the canonical shape
+// (-ops 6) must survive the round trip too.
 func TestShapeFromFlags(t *testing.T) {
 	for _, w := range Workloads() {
-		flags := Schedule{Workload: w.Name, Link: "ethernet"}.Flags()
-		sizes := map[string]uint32{"-iters": 20000, "-ops": 8, "-count": 8192} // hftsim's defaults
-		for i := 0; i+1 < len(flags); i++ {
-			if _, ok := sizes[flags[i]]; ok {
-				v, err := strconv.ParseUint(flags[i+1], 10, 32)
-				if err != nil {
-					t.Fatalf("%s: %s %q: %v", w.Name, flags[i], flags[i+1], err)
-				}
-				sizes[flags[i]] = uint32(v)
-			}
-		}
-		got, err := Shape(w.Name, sizes["-iters"], sizes["-ops"], sizes["-count"])
+		s := readFlags(t, Schedule{Workload: w.Name, Link: "ethernet"}.Flags()...)
+		got, err := s.Shape()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, w) {
-			t.Errorf("%s: flags %v rebuild %+v, want %+v", w.Name, flags, got, w)
+			t.Errorf("%s: flags %v rebuild %+v, want %+v", w.Name, s.Flags(), got, w)
 		}
 	}
+	s := readFlags(t, "-workload", "write", "-ops", "6")
+	if s.Iters != 0 || s.Ops != 6 || s.Count != 8192 {
+		t.Errorf("-workload write -ops 6 reads as iters=%d ops=%d count=%d, want 0/6/8192", s.Iters, s.Ops, s.Count)
+	}
+	if again := readFlags(t, s.Flags()...); !reflect.DeepEqual(again, s) {
+		t.Errorf("flags %v read back as %+v, want %+v", s.Flags(), again, s)
+	}
+}
+
+// readFlags reads hftsim's configuration flags as ScheduleFlags does.
+func readFlags(t *testing.T, args ...string) Schedule {
+	t.Helper()
+	fs := flag.NewFlagSet("hftsim", flag.ContinueOnError)
+	read := ScheduleFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	s, err := read()
+	if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	return s
 }

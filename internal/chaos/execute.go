@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 
 	hft "repro"
 )
@@ -82,20 +83,26 @@ type Report struct {
 	Violation *Violation
 	// AppliedAt has one entry per schedule step.
 	AppliedAt []Applied
-	// Time is the completion time (zero if the run never completed).
-	Time hft.Duration
+	// Result is the completed run's result (zero if the run never
+	// completed).
+	Result hft.Result
 }
 
 // Failed reports whether the run violated an invariant.
 func (r Report) Failed() bool { return r.Violation != nil }
 
-// maxVirtual bounds how far Execute lets a run advance. Every workload
-// the generator emits completes within a few hundred virtual
-// milliseconds, even over a degraded link; a run still going after this
-// much virtual time has wedged, and letting it grind toward the session
-// engine's own bound (20000 virtual seconds) would stall the whole
-// campaign. Hitting the cap is invariant 3: no wedged coordinator.
-const maxVirtual = 30 * hft.Second
+// maxVirtual and wedgeFactor bound how far Execute lets a run advance:
+// to whichever is later, maxVirtual or wedgeFactor times the bare run's
+// completion time. Every schedule the generator emits completes within
+// a few hundred virtual milliseconds, even over a degraded link (at
+// most about 200 times its bare run); a run still going past the bound
+// has wedged, and letting it grind toward the session engine's own
+// bound (20000 virtual seconds) would stall the whole campaign. Hitting
+// the bound is invariant 3: no wedged coordinator.
+const (
+	maxVirtual  = 30 * hft.Second
+	wedgeFactor = 1000
+)
 
 // Execute runs one schedule to completion and checks all five
 // invariants. It never panics: simulation panics (divergence
@@ -113,7 +120,7 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 		}
 	}()
 
-	shape, err := ParseWorkload(s.Workload)
+	shape, err := s.Shape()
 	if err != nil {
 		rep.Violation = &Violation{Kind: VPanic, Detail: err.Error()}
 		return rep
@@ -123,6 +130,7 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 		rep.Violation = &Violation{Kind: VPanic, Detail: err.Error()}
 		return rep
 	}
+	limit := max(maxVirtual, wedgeFactor*bare.Time)
 
 	// The metrics finalizer registers BEFORE the Close defer below, so
 	// it runs after Close: the event channel is closed, the collector's
@@ -134,11 +142,7 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 		defer func() { col.finish(m) }()
 	}
 
-	opts := shape.ClusterOptions(s.Seed, s.Epoch, s.Protocol, s.LinkModel(), s.Backups)
-	if s.Window > 0 {
-		opts = append(opts, hft.WithOutputCommit(hft.OutputCommit{Window: s.Window, Adaptive: s.Adaptive}))
-	}
-	c, err := hft.NewCluster(opts...)
+	c, err := hft.NewCluster(s.ClusterOptions(shape)...)
 	if err != nil {
 		rep.Violation = &Violation{Kind: VPanic, Detail: fmt.Sprintf("cluster construction: %v", err)}
 		return rep
@@ -149,7 +153,7 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 	}
 
 	for i, st := range s.Steps {
-		snap, err := advanceTo(c, st.At)
+		snap, err := advanceTo(c, st.At, limit)
 		if err != nil {
 			rep.Violation = progressViolation(err)
 			return rep
@@ -160,21 +164,33 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 			continue // completed before the coordinate: nothing to perturb
 		}
 
+		var blob []byte // the checkpoint OpSaveRestore and OpRestore restore
 		switch st.Op {
 		case OpFailPrimary:
 			c.FailPrimary()
 		case OpFailBackup:
 			err = c.FailBackup(st.Backup)
-		case OpLinkDegrade:
-			err = c.SetLinkQuality(hft.LinkQuality{BitsPerSecond: st.Bandwidth, Latency: st.Latency})
-		case OpLinkRestore:
-			p := s.LinkModel().LinkParams()
-			err = c.SetLinkQuality(hft.LinkQuality{BitsPerSecond: p.BitsPerSecond, Latency: p.Latency})
+		case OpLink:
+			err = c.SetLinkQuality(hft.LinkQuality{BitsPerSecond: st.Bandwidth, Latency: st.Latency, DropNext: st.Drop})
 		case OpAddBackup:
 			_, err = c.AddBackup()
+		case OpSave:
+			var buf bytes.Buffer
+			if err = c.Save(&buf); err == nil {
+				err = os.WriteFile(st.Path, buf.Bytes(), 0o644)
+			}
 		case OpSaveRestore:
-			var restored *hft.Cluster
-			restored, err = saveRestore(c)
+			var buf bytes.Buffer
+			if err := c.Save(&buf); err != nil {
+				rep.Violation = &Violation{Kind: VSnapshot, Detail: fmt.Sprintf("save: %v", err)}
+				return rep
+			}
+			blob = buf.Bytes()
+		case OpRestore:
+			blob, err = os.ReadFile(st.Path)
+		}
+		if err == nil && blob != nil {
+			restored, err := RoundTrip(blob)
 			if err != nil {
 				rep.Violation = &Violation{Kind: VSnapshot, Detail: err.Error()}
 				return rep
@@ -194,7 +210,7 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 		}
 	}
 
-	snap, err := c.RunUntil(func(s hft.Snapshot) bool { return s.Done || s.Now >= maxVirtual })
+	snap, err := c.RunUntil(func(s hft.Snapshot) bool { return s.Done || s.Now >= limit })
 	if err != nil {
 		rep.Violation = progressViolation(err)
 		return rep
@@ -209,7 +225,7 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 		rep.Violation = progressViolation(err)
 		return rep
 	}
-	rep.Time = res.Time
+	rep.Result = res
 	if m != nil {
 		m.Commits = snap.Commits
 		m.Instructions = snap.GuestInstructions
@@ -266,25 +282,26 @@ func Check(w Workload, bare, got hft.Result, lat hft.ServiceLatencies) *Violatio
 }
 
 // advanceTo moves the session to a step coordinate. Commit coordinates
-// use boundary-sampled RunUntil (the replayable pause); time
-// coordinates use RunFor. A coordinate already in the past applies
-// immediately — the step runs at the current position.
-func advanceTo(c *hft.Cluster, at Coord) (hft.Snapshot, error) {
-	if at.Commit > 0 {
+// use boundary-sampled RunUntil (the replayable pause), bounded by
+// limit; time coordinates use RunFor. A coordinate already in the past
+// applies immediately — the step runs at the current position.
+func advanceTo(c *hft.Cluster, at Coord, limit hft.Duration) (hft.Snapshot, error) {
+	switch {
+	case at.Commit > 0:
 		snap, err := c.RunUntil(func(s hft.Snapshot) bool {
-			return s.Commits >= at.Commit || s.Now >= maxVirtual
+			return s.Commits >= at.Commit || s.Now >= limit
 		})
 		if err == nil && !snap.Done && snap.Commits < at.Commit {
 			err = fmt.Errorf("session wedged: commit %d not reached by t=%v (stuck at commit %d)",
 				at.Commit, snap.Now, snap.Commits)
 		}
 		return snap, err
+	case at.For > 0:
+		return c.RunFor(at.For)
+	case at.Time > c.Now():
+		return c.RunFor(at.Time - c.Now())
 	}
-	now := c.Now()
-	if at.Time <= now {
-		return c.Snapshot(), nil
-	}
-	return c.RunFor(at.Time - now)
+	return c.Snapshot(), nil
 }
 
 // progressViolation classifies an advancement error as invariant 3.
@@ -295,21 +312,10 @@ func progressViolation(err error) *Violation {
 	return &Violation{Kind: VProgress, Detail: fmt.Sprintf("run did not complete: %v", err)}
 }
 
-// saveRestore performs invariant 4's round trip: Save, then RoundTrip.
-// On success the caller continues on the restored session — the rest
-// of the run then also proves the restored state behaves identically.
-func saveRestore(c *hft.Cluster) (*hft.Cluster, error) {
-	var blob bytes.Buffer
-	if err := c.Save(&blob); err != nil {
-		return nil, fmt.Errorf("save: %v", err)
-	}
-	return RoundTrip(blob.Bytes())
-}
-
 // RoundTrip restores a checkpoint (with the library's own replay
 // verification) and re-saves the restored session, failing unless the
-// re-save reproduces blob byte for byte. hftsim's `restore` command
-// goes through it too, so a replayed reproduction checks itself.
+// re-save reproduces blob byte for byte: invariant 4, for OpSaveRestore
+// and OpRestore alike.
 func RoundTrip(blob []byte) (*hft.Cluster, error) {
 	restored, err := hft.Restore(bytes.NewReader(blob))
 	if err != nil {

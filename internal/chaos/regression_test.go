@@ -45,7 +45,7 @@ func TestRegressionCampaignFinds(t *testing.T) {
 			Seed: 468989957, Workload: "cpu", Epoch: 4096,
 			Protocol: hft.ProtocolNew, Link: "atm", Backups: 2,
 			Steps: []Step{
-				{At: Coord{Commit: 4}, Op: OpLinkDegrade, Bandwidth: 2000000, Latency: 500 * hft.Microsecond},
+				{At: Coord{Commit: 4}, Op: OpLink, Bandwidth: 2000000, Latency: 500 * hft.Microsecond},
 				{At: Coord{Commit: 7}, Op: OpAddBackup},
 				{At: Coord{Time: ms(20)}, Op: OpFailPrimary},
 			},
@@ -73,7 +73,7 @@ func TestRegressionCampaignFinds(t *testing.T) {
 			Protocol: hft.ProtocolOld, Link: "ethernet", Backups: 1,
 			Window: 8, Adaptive: true,
 			Steps: []Step{
-				{At: Coord{Commit: 2}, Op: OpLinkDegrade, Bandwidth: 10000000, Latency: 500 * hft.Microsecond},
+				{At: Coord{Commit: 2}, Op: OpLink, Bandwidth: 10000000, Latency: 500 * hft.Microsecond},
 				{At: Coord{Commit: 24}, Op: OpFailPrimary},
 			},
 		}},

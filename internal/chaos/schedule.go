@@ -8,8 +8,9 @@ import (
 	hft "repro"
 )
 
-// OpKind enumerates the perturbations a schedule can apply — the
-// public Cluster API's live mutation surface.
+// OpKind enumerates what a step does — the public Cluster API's live
+// mutation surface, plus the checkpoint and observation commands of a
+// scenario script.
 type OpKind uint8
 
 const (
@@ -17,73 +18,76 @@ const (
 	OpFailPrimary OpKind = iota
 	// OpFailBackup failstops backup Step.Backup (1-based).
 	OpFailBackup
-	// OpLinkDegrade degrades every inter-hypervisor link to
-	// Step.Bandwidth / Step.Latency.
-	OpLinkDegrade
-	// OpLinkRestore restores the configured link model's parameters.
-	OpLinkRestore
+	// OpLink sets every inter-hypervisor link to Step.Bandwidth /
+	// Step.Latency and drops each direction's next Step.Drop sends; a
+	// zero parameter leaves that one unchanged (hft.LinkQuality).
+	OpLink
 	// OpAddBackup reintegrates a new backup by live state transfer.
 	OpAddBackup
 	// OpSaveRestore checkpoints the session, restores it, re-saves the
 	// restored session and compares the two blobs byte for byte
 	// (invariant 4); execution continues on the restored session.
 	OpSaveRestore
+	// OpSave checkpoints the session to the file Step.Path.
+	OpSave
+	// OpRestore replaces the session with the checkpoint in the file
+	// Step.Path, re-saved and compared byte for byte as OpSaveRestore
+	// does.
+	OpRestore
+	// OpSnapshot perturbs nothing: the step only records where it
+	// landed.
+	OpSnapshot
 )
 
+// opCommands names each OpKind by its scenario command.
+var opCommands = [...]string{
+	OpFailPrimary: "fail primary",
+	OpFailBackup:  "fail backup",
+	OpLink:        "link",
+	OpAddBackup:   "addbackup",
+	OpSaveRestore: "save-restore",
+	OpSave:        "save",
+	OpRestore:     "restore",
+	OpSnapshot:    "snapshot",
+}
+
+// String returns the op's scenario command.
 func (k OpKind) String() string {
-	switch k {
-	case OpFailPrimary:
-		return "fail-primary"
-	case OpFailBackup:
-		return "fail-backup"
-	case OpLinkDegrade:
-		return "link-degrade"
-	case OpLinkRestore:
-		return "link-restore"
-	case OpAddBackup:
-		return "add-backup"
-	case OpSaveRestore:
-		return "save-restore"
+	if int(k) < len(opCommands) {
+		return opCommands[k]
 	}
 	return fmt.Sprintf("op(%d)", uint8(k))
 }
 
 // Coord is a replayable position in a run. Commit, when nonzero, names
 // a cumulative epoch-commit ordinal — the protocol's natural, exactly
-// reproducible pause coordinate. Otherwise Time names an exact virtual
-// time. The shrinker prefers commits: "commit #12" survives schedule
-// edits that shift the timeline, where "t=3.7ms" may land mid-epoch.
+// reproducible pause coordinate. Otherwise For, when nonzero, advances
+// that much virtual time past wherever the previous step left the
+// session, and otherwise Time names an exact virtual time. The zero
+// Coord is wherever the previous step left the session. The shrinker
+// prefers commits: "commit #12" survives schedule edits that shift the
+// timeline, where "t=3.7ms" may land mid-epoch.
 type Coord struct {
 	Commit uint64
+	For    hft.Duration
 	Time   hft.Duration
 }
 
-func (c Coord) String() string {
-	if c.Commit > 0 {
-		return fmt.Sprintf("commit %d", c.Commit)
-	}
-	return fmt.Sprintf("t=%v", c.Time)
-}
-
-// Step is one perturbation at one coordinate.
+// Step is one operation at one coordinate.
 type Step struct {
 	At     Coord
 	Op     OpKind
 	Backup int // OpFailBackup target (1-based)
-	// Bandwidth/Latency are OpLinkDegrade's parameters.
+	// Bandwidth, Latency and Drop are OpLink's parameters.
 	Bandwidth int64
 	Latency   hft.Duration
+	Drop      int
+	// Path is OpSave's and OpRestore's checkpoint file.
+	Path string
 }
 
-func (s Step) String() string {
-	switch s.Op {
-	case OpFailBackup:
-		return fmt.Sprintf("%v @ %v (backup %d)", s.Op, s.At, s.Backup)
-	case OpLinkDegrade:
-		return fmt.Sprintf("%v @ %v (bw=%d lat=%v)", s.Op, s.At, s.Bandwidth, s.Latency)
-	}
-	return fmt.Sprintf("%v @ %v", s.Op, s.At)
-}
+// String renders the step as its scenario commands.
+func (s Step) String() string { return strings.Join(stepLines(s), " / ") }
 
 // Schedule is a complete, self-contained run description: base
 // configuration plus an ordered perturbation list. Everything needed
@@ -92,8 +96,11 @@ func (s Step) String() string {
 type Schedule struct {
 	// Seed is the cluster's simulation seed.
 	Seed int64
-	// Workload names a canonical shape (ParseWorkload).
-	Workload string
+	// Workload names a shape (Shape). Iters, Ops and Count are its
+	// sizes, all zero for the canonical shape (ParseWorkload); otherwise
+	// they are the sizes the shape's guest reads, the rest zero.
+	Workload          string
+	Iters, Ops, Count uint32
 	// Epoch is the epoch length in instructions.
 	Epoch uint64
 	// Protocol selects §2 (Old) or §4.3 (New).
@@ -114,6 +121,14 @@ type Schedule struct {
 	Steps []Step
 }
 
+// Shape resolves the schedule's workload shape.
+func (s Schedule) Shape() (Workload, error) {
+	if s.Iters|s.Ops|s.Count == 0 {
+		return ParseWorkload(s.Workload)
+	}
+	return Shape(s.Workload, s.Iters, s.Ops, s.Count)
+}
+
 // LinkModel resolves the schedule's link name.
 func (s Schedule) LinkModel() hft.LinkModel {
 	if s.Link == "atm" {
@@ -122,25 +137,14 @@ func (s Schedule) LinkModel() hft.LinkModel {
 	return hft.Ethernet10()
 }
 
-// String renders a compact one-line summary for logs.
+// String renders a one-line summary for logs: the replay flags, then
+// each step's scenario commands.
 func (s Schedule) String() string {
-	proto := "old"
-	if s.Protocol == hft.ProtocolNew {
-		proto = "new"
-	}
 	var steps []string
 	for _, st := range s.Steps {
 		steps = append(steps, st.String())
 	}
-	oc := ""
-	if s.Window > 0 {
-		oc = fmt.Sprintf(" oc=w%d", s.Window)
-		if s.Adaptive {
-			oc += "+adaptive"
-		}
-	}
-	return fmt.Sprintf("{%s seed=%d epoch=%d proto=%s link=%s t=%d%s: [%s]}",
-		s.Workload, s.Seed, s.Epoch, proto, s.Link, s.Backups, oc, strings.Join(steps, "; "))
+	return fmt.Sprintf("{%s: [%s]}", strings.Join(s.Flags(), " "), strings.Join(steps, "; "))
 }
 
 // Generator draw tables. Bounds are deliberate, not arbitrary:
@@ -205,6 +209,7 @@ func Generate(rng *rand.Rand) Schedule {
 		s.Adaptive = rng.Intn(2) == 1
 	}
 
+	restore := s.LinkModel().LinkParams()
 	failBudget := s.Backups // total failstops (primary + backups)
 	adds, saves := 0, 0
 	n := rng.Intn(genMaxSteps + 1)
@@ -225,11 +230,11 @@ func Generate(rng *rand.Rand) Schedule {
 			st.Op = OpFailBackup
 			st.Backup = 1 + rng.Intn(s.Backups+adds)
 		case 2:
-			st.Op = OpLinkDegrade
+			st.Op = OpLink
 			st.Bandwidth = genBandwidths[rng.Intn(len(genBandwidths))]
 			st.Latency = genLatencies[rng.Intn(len(genLatencies))]
-		case 3:
-			st.Op = OpLinkRestore
+		case 3: // restore the configured link model
+			st.Op, st.Bandwidth, st.Latency = OpLink, restore.BitsPerSecond, restore.Latency
 		case 4:
 			if adds >= genMaxAdds {
 				continue
