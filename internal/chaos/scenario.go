@@ -317,7 +317,7 @@ func ScheduleFlags(fs *flag.FlagSet) func() (Schedule, error) {
 		if err != nil {
 			return Schedule{}, err
 		}
-		if canon, _ := ParseWorkload(*workload); w.Guest != canon.Guest {
+		if canon, _ := ParseWorkload(*workload); w.Guest != canon.Guest { // Shape accepted the name
 			s.Iters, s.Ops, s.Count = w.Guest.Iters, w.Guest.Ops, w.Guest.Count
 			if s.Iters|s.Ops|s.Count == 0 {
 				return Schedule{}, fmt.Errorf("workload %q needs a positive size", *workload)
