@@ -254,15 +254,30 @@ func BenchmarkHypervisorEpoch(b *testing.B) {
 	// Effectively endless: the workload outlasts any b.N the runner picks.
 	guest.Configure(pair.Nodes[0].M, guest.CPUIntensive(1<<30))
 	b.ResetTimer()
-	k.Spawn("bench", func(pr *sim.Proc) {
-		for i := 0; i < b.N && !hv.Halted(); i++ {
-			hv.RunEpoch(pr)
-			hv.TimerInterruptsDue(hv.M.TOD())
-			hv.DeliverBuffered()
-			hv.ChargeBoundary(pr)
-			hv.SetTODBase(hv.M.TOD())
+	epochs, running := 0, false
+	k.Start("bench", func(pr *sim.Proc) (sim.Time, sim.StepStatus) {
+		for {
+			if running {
+				if d, st := hv.EpochStep(pr); st != sim.StepDone {
+					return d, st
+				}
+				hv.EndEpoch()
+				hv.TimerInterruptsDue(hv.M.TOD())
+				hv.DeliverBuffered()
+				running = false
+				return hv.ChargeBoundary(), sim.StepMore
+			}
+			if epochs > 0 {
+				hv.SetTODBase(hv.M.TOD())
+			}
+			if epochs == b.N || hv.Halted() {
+				pr.Kernel().Stop()
+				return 0, sim.StepDone
+			}
+			epochs++
+			hv.BeginEpoch()
+			running = true
 		}
-		pr.Kernel().Stop()
 	})
 	k.Run()
 	if hv.Halted() {
@@ -317,8 +332,8 @@ func BenchmarkPolledEpochPair(b *testing.B) {
 		}
 	}
 	bak.StartReceivers(k)
-	k.Spawn("primary", pri.Run)
-	k.Spawn("backup", bak.Run)
+	k.Start("primary", pri.Run)
+	k.Start("backup", bak.Run)
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run()
@@ -442,29 +457,23 @@ func (p *probeProgram) Setup(m *machine.Machine) {
 // BenchmarkReplicatedPair measures the full §4 critical path the paper's
 // figures are built from: one primary + one backup over the Ethernet
 // model, running the CPU workload end to end under the original
-// protocol. switches/epoch is the sim kernel's switches into processes
-// per committed epoch: deterministic, and the host cost an epoch boundary
-// pays beyond the work itself. Each replica's epoch runs inline between
-// its blocking steps, and so does the backup's receiver between frames —
-// it is switched into when spawned and when it exits, never per frame.
+// protocol. switches/epoch is the sim kernel's switches into coroutines
+// per committed epoch: deterministic, and zero — every process of a
+// cluster is a step machine the kernel dispatches on its own stack
+// (5.74 before, when replicas ran as coroutines). It fails above zero.
 func BenchmarkReplicatedPair(b *testing.B) {
-	const maxSwitches = 5.74 + 0.5 // as measured when the receiver went inline, plus slack
 	b.ReportAllocs()
 	var switches, epochs uint64
 	for i := 0; i < b.N; i++ {
 		benchWait(b, func(c *Cluster) {
-			total, rx := c.eng.Kernel().Switches("backup1-rx0")
-			if rx > 2 {
-				b.Fatalf("the receiver was switched into %d times; spawn and exit are 2", rx)
-			}
-			switches += total
+			switches += c.eng.Kernel().Switches()
 			epochs += c.Snapshot().Epochs
 		}, WithWorkload(CPUIntensive(2000)), WithEpochLength(1024), WithProtocol(ProtocolOld), WithLink(Ethernet10()))
 	}
 	per := float64(switches) / float64(epochs)
 	b.ReportMetric(per, "switches/epoch")
-	if per > maxSwitches {
-		b.Fatalf("%.2f switches into processes per epoch, bound %.2f", per, maxSwitches)
+	if switches != 0 {
+		b.Fatalf("%.2f switches into coroutines per epoch, want none", per)
 	}
 }
 
@@ -648,7 +657,7 @@ func BenchmarkSharedImageBoot(b *testing.B) {
 
 // TestSimHotPathAllocs holds the sim kernel to what the benchmarks above
 // only say: in steady state a callback chain (closure or AfterArg), a lone sleeper, two
-// alternating sleepers, two bodies stepped inline and a WaitTimeout that
+// alternating sleepers, two interleaved step processes and a WaitTimeout that
 // is broadcast before it expires allocate nothing. Spawn is the one place the kernel allocates
 // per process (the Proc, its coroutine and their closures); that set-up
 // cost is pinned here so that it is a recorded number.
@@ -686,13 +695,15 @@ func TestSimHotPathAllocs(t *testing.T) {
 				}
 			})
 		}},
-		// Every step but each body's first is dispatched inline.
 		{"two interleaved steppers", func(k *sim.Kernel) {
-			step := func(*sim.Proc) (sim.Time, sim.StepStatus) { return 10, sim.StepMore }
-			k.Spawn("a", func(p *sim.Proc) { p.RunSteps(step) })
-			k.Spawn("b", func(p *sim.Proc) {
-				p.Sleep(5)
-				p.RunSteps(step)
+			k.Start("a", func(*sim.Proc) (sim.Time, sim.StepStatus) { return 10, sim.StepMore })
+			started := false
+			k.Start("b", func(*sim.Proc) (sim.Time, sim.StepStatus) {
+				if !started {
+					started = true
+					return 5, sim.StepMore
+				}
+				return 10, sim.StepMore
 			})
 		}},
 		{"WaitTimeout broadcast before it expires", func(k *sim.Kernel) {
@@ -739,8 +750,10 @@ func TestSimHotPathAllocs(t *testing.T) {
 		allocs := float64(after.Mallocs-before.Mallocs) / procs
 		bytes := float64(after.TotalAlloc-before.TotalAlloc) / procs
 		t.Logf("Spawn: %.1f allocations, %.0f bytes per process", allocs, bytes)
-		// go1.24: 13.1 allocations and 896 bytes (the goroutine-per-process
-		// kernel before it: 5.1 and 915), stacks not included in either.
+		// go1.24: 13.1 allocations and 952 bytes (896 while the coroutine
+		// was the process itself rather than a step's; the
+		// goroutine-per-process kernel before it: 5.1 and 915), stacks not
+		// included in any.
 		if allocs > 14 || bytes > 1024 {
 			t.Errorf("Spawn costs %.1f allocations and %.0f bytes per process, pinned at <= 14 and <= 1024", allocs, bytes)
 		}

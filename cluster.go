@@ -484,9 +484,10 @@ func newSubscriber() *subscriber {
 }
 
 // publish queues ev and never blocks. Once the backlog has reached the
-// channel's capacity it yields the processor: simulated process switches
-// are coroutine switches that bypass the Go scheduler, so on one P this
-// is the pump's and a reading consumer's only chance to run before
+// channel's capacity it yields the processor: the simulation never
+// enters the Go scheduler (its processes are steps called on the running
+// goroutine), so on one P this is the pump's and a reading consumer's
+// only chance to run before
 // sysmon preempts, and without it the queue keeps doubling. A consumer
 // that is not reading leaves the pump blocked, and the yield returns at
 // once.

@@ -41,9 +41,12 @@ func runBare(t *testing.T, w Workload, cfg platform.Config) (*single, Result, si
 	s.Bare.Boot(p.Origin, p.Words, 0)
 	Configure(s.Node.M, w)
 	var done sim.Time
-	k.Spawn("bare", func(pr *sim.Proc) {
-		s.Bare.Run(pr)
-		done = pr.Now()
+	k.Start("bare", func(pr *sim.Proc) (sim.Time, sim.StepStatus) {
+		d, st := s.Bare.Run(pr)
+		if st == sim.StepDone {
+			done = pr.Now()
+		}
+		return d, st
 	})
 	k.RunUntil(200 * sim.Second)
 	if !s.Bare.Halted() {
@@ -65,22 +68,46 @@ func runVirt(t *testing.T, w Workload, cfg platform.Config) (*single, Result, si
 	hv.Boot(p.Origin, p.Words, 0)
 	Configure(s.Node.M, w)
 	var done sim.Time
-	k.Spawn("virt", func(pr *sim.Proc) {
-		for !hv.Halted() {
-			hv.StartEpochClock()
-			b := hv.RunEpoch(pr)
-			hv.TimerInterruptsDue(b.TOD)
-			hv.DeliverBuffered()
-			hv.ChargeBoundary(pr)
-		}
-		done = pr.Now()
-	})
+	startVirt(k, hv, true, &done)
 	k.RunUntil(200 * sim.Second)
 	if !hv.Halted() {
 		t.Fatalf("virtualized kernel did not halt (pc=%#x, instr=%d)",
 			s.Node.M.PC, hv.GuestInstructions())
 	}
 	return s, ReadResult(s.Node.M), done
+}
+
+// startVirt starts hv's epochs as a step process with the trivial
+// boundary protocol around them (start the epoch's clock, buffer timer
+// interrupts, deliver), each boundary's local cost charged if charge is
+// set, until the guest halts; done, if not nil, records when.
+func startVirt(k *sim.Kernel, hv *hypervisor.Hypervisor, charge bool, done *sim.Time) {
+	running := false
+	k.Start("virt", func(pr *sim.Proc) (sim.Time, sim.StepStatus) {
+		for {
+			if running {
+				if d, st := hv.EpochStep(pr); st != sim.StepDone {
+					return d, st
+				}
+				running = false
+				b := hv.EndEpoch()
+				hv.TimerInterruptsDue(b.TOD)
+				hv.DeliverBuffered()
+				if charge {
+					return hv.ChargeBoundary(), sim.StepMore
+				}
+			}
+			if hv.Halted() {
+				if done != nil {
+					*done = pr.Now()
+				}
+				return 0, sim.StepDone
+			}
+			hv.StartEpochClock()
+			hv.BeginEpoch()
+			running = true
+		}
+	})
 }
 
 func TestKernelAssembles(t *testing.T) {
@@ -198,14 +225,7 @@ func TestTLBTakeoverInvisible(t *testing.T) {
 	p := Program()
 	hv.Boot(p.Origin, p.Words, 0)
 	Configure(s.Node.M, CPUIntensive(500))
-	k.Spawn("virt", func(pr *sim.Proc) {
-		for !hv.Halted() {
-			hv.StartEpochClock()
-			b := hv.RunEpoch(pr)
-			hv.TimerInterruptsDue(b.TOD)
-			hv.DeliverBuffered()
-		}
-	})
+	startVirt(k, hv, false, nil)
 	k.RunUntil(100 * sim.Second)
 	if !hv.Halted() {
 		t.Fatal("did not halt")
@@ -228,7 +248,7 @@ func TestDeviceTransientRetriedByDriver(t *testing.T) {
 	p := Program()
 	s.Bare.Boot(p.Origin, p.Words, 0)
 	Configure(s.Node.M, DiskWrite(3, 512))
-	k.Spawn("bare", func(pr *sim.Proc) { s.Bare.Run(pr) })
+	k.Start("bare", s.Bare.Run)
 	k.RunUntil(100 * sim.Second)
 	if !s.Bare.Halted() {
 		t.Fatal("did not halt")
@@ -273,7 +293,7 @@ func TestReadWorkloadChecksumsData(t *testing.T) {
 	p := Program()
 	s.Bare.Boot(p.Origin, p.Words, 0)
 	Configure(s.Node.M, DiskRead(4, 1024))
-	k.Spawn("bare", func(pr *sim.Proc) { s.Bare.Run(pr) })
+	k.Start("bare", s.Bare.Run)
 	k.RunUntil(100 * sim.Second)
 	res := ReadResult(s.Node.M)
 	if res.Panic != 0 {

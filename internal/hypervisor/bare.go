@@ -47,7 +47,26 @@ type Bare struct {
 	M *machine.Machine
 
 	halted bool
+	// phase is where Run resumes; res is how the last chunk ended.
+	phase barePhase
+	res   machine.RunResult
 }
+
+// barePhase names the piece of the bare loop Run runs next.
+type barePhase uint8
+
+const (
+	// bareRun: execute a chunk (or a wait's worth of them) and charge its
+	// instruction time.
+	bareRun barePhase = iota
+	// bareTrap: the chunk's time has passed; act on how it ended.
+	bareTrap
+	// bareIdle: in WFI; sleep to the next event unless a line is raised.
+	bareIdle
+	// bareYield: the sleep to the event is over; yield so that the
+	// event's effects (an IRQ raise) land, then look again.
+	bareYield
+)
 
 // bareMaxInstructions aborts runaway bare guests.
 const bareMaxInstructions uint64 = 1e10
@@ -64,48 +83,59 @@ func (b *Bare) Boot(origin uint32, words []uint32, entry uint32) {
 func (b *Bare) Halted() bool { return b.halted }
 
 // Run executes the guest until HALT, driving hardware trap delivery and
-// idling through WFI. It must be called from the machine's simulation
-// process.
-func (b *Bare) Run(p *sim.Proc) {
-	m := b.M
-	k := p.Kernel()
-	for !b.halted {
-		if m.Cycles() > bareMaxInstructions {
-			panic(fmt.Sprintf("bare: guest exceeded %d instructions", bareMaxInstructions))
-		}
-		spun := m.MemoStats().Spun
-		rr := m.Run(chunkSize)
-		executed := rr.Executed
-		if m.MemoStats().Spun != spun && rr.Trap == isa.TrapNone && !rr.Halted && !rr.Idle && rr.Diag == 0 && !debugNoStorm {
-			if extra := b.waitAhead(k.NextLoud(), p.Now()); extra > 0 {
-				rr = m.Run(extra * chunkSize)
-				executed += rr.Executed
+// idling through WFI. It is the step (sim.StepFunc) of the machine's
+// simulation process.
+func (b *Bare) Run(p *sim.Proc) (sim.Time, sim.StepStatus) {
+	m, k := b.M, p.Kernel()
+	for {
+		switch rr := &b.res; b.phase {
+		case bareTrap:
+			b.phase = bareRun
+			switch {
+			case rr.Trap != isa.TrapNone:
+				// Hardware interruption sequence: this is what a bare
+				// PA-lite machine does for every trap.
+				m.DeliverTrap(rr.Trap, rr.ISR, rr.IOR)
+			case rr.Halted:
+				b.halted = true
+			case rr.Idle:
+				b.phase = bareIdle
 			}
-		}
-		if executed > 0 {
-			p.Sleep(sim.Time(executed) * instructionTime)
-		}
-		switch {
-		case rr.Trap != isa.TrapNone:
-			// Hardware interruption sequence: this is what a bare
-			// PA-lite machine does for every trap.
-			m.DeliverTrap(rr.Trap, rr.ISR, rr.IOR)
-		case rr.Halted:
-			b.halted = true
-		case rr.Idle:
-			// WFI: idle until some interrupt line rises. Device events
-			// are scheduled in the kernel; sleep event-to-event.
-			for !m.IRQRaised() {
-				next, ok := k.NextEventTime()
-				if !ok {
-					panic("bare: WFI with no pending events (guest would hang)")
+		case bareIdle:
+			// WFI: idle until some interrupt line rises. Device events are
+			// scheduled in the kernel; sleep event-to-event, then yield to
+			// let the event's effects (an IRQ raise) land.
+			if m.IRQRaised() {
+				b.phase = bareRun
+				continue
+			}
+			next, ok := k.NextEventTime()
+			if !ok {
+				panic("bare: WFI with no pending events (guest would hang)")
+			}
+			b.phase = bareYield
+			return max(next-k.Now(), 0), sim.StepMore
+		case bareYield:
+			b.phase = bareIdle
+			return 0, sim.StepMore
+		default:
+			if b.halted {
+				return 0, sim.StepDone
+			}
+			if m.Cycles() > bareMaxInstructions {
+				panic(fmt.Sprintf("bare: guest exceeded %d instructions", bareMaxInstructions))
+			}
+			spun := m.MemoStats().Spun
+			*rr = m.Run(chunkSize)
+			executed := rr.Executed
+			if m.MemoStats().Spun != spun && rr.Trap == isa.TrapNone && !rr.Halted && !rr.Idle && rr.Diag == 0 && !debugNoStorm {
+				if extra := b.waitAhead(k.NextLoud(), p.Now()); extra > 0 {
+					*rr = m.Run(extra * chunkSize)
+					executed += rr.Executed
 				}
-				d := next - k.Now()
-				if d < 0 {
-					d = 0
-				}
-				p.Sleep(d)
-				p.Yield() // let the event's effects (IRQ raise) land
+			}
+			if b.phase = bareTrap; executed > 0 {
+				return sim.Time(executed) * instructionTime, sim.StepMore
 			}
 		}
 	}

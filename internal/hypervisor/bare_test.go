@@ -113,7 +113,7 @@ func newBareRig(t *testing.T, src, input string) *bareRig {
 	p := asm.MustAssemble("bare.s", src)
 	r.b = NewBare(r.m)
 	r.b.Boot(p.Origin, p.Words, p.Origin)
-	r.k.Spawn("bare", r.b.Run)
+	r.k.Start("bare", r.b.Run)
 	return r
 }
 

@@ -9,10 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
-// RunEpoch executes exactly cfg.EpochLength guest instructions (or fewer
+// An epoch executes exactly cfg.EpochLength guest instructions (or fewer
 // if the guest halts), charging simulated time for instruction execution
-// and hypervisor activity, and capturing device interrupts mid-epoch.
-// It returns the epoch-boundary report. The caller (replication layer)
+// and hypervisor activity, and capturing device interrupts mid-epoch. It
+// is a step API for the process driving the machine: BeginEpoch, then
+// EpochStep as that process's step until it answers sim.StepDone, then
+// EndEpoch for the epoch-boundary report. The caller (replication layer)
 // then performs the boundary protocol: Tme exchange, TimerInterruptsDue,
 // DeliverBuffered, and advances to the next epoch.
 //
@@ -23,34 +25,31 @@ import (
 // state, so every replica running the same epoch chooses the same
 // boundary; Boundary.GuestInstr carries the coordinate for cross-replica
 // verification.
-//
-// p must be the simulation process driving this machine. The epoch is a
-// sim.RunSteps body (epochStep): every charge of simulated time is one
-// step's return value, so while p sleeps out a charge the kernel runs the
-// epoch's next piece inline from the scheduler, and p's own stack is
-// needed only where the epoch can really block — in a hook (see the
-// blocking rule at epochStep) — and at its end.
-func (hv *Hypervisor) RunEpoch(p *sim.Proc) Boundary {
-	hv.run = epochRun{target: hv.guestInstr + hv.cfg.EpochLength, proc: p}
+
+// BeginEpoch starts the next epoch: EpochStep runs it.
+func (hv *Hypervisor) BeginEpoch() {
+	hv.run = epochRun{target: hv.guestInstr + hv.cfg.EpochLength}
 	hv.cutAt = 0 // disarm: cuts never cross an epoch boundary
-	p.RunSteps(hv.step)
+}
+
+// EndEpoch closes the epoch EpochStep has finished and returns its
+// boundary report.
+func (hv *Hypervisor) EndEpoch() Boundary {
 	if hv.cutAt != 0 && hv.cutAt < hv.run.target && hv.guestInstr >= hv.cutAt {
 		hv.Stats.AdaptiveCuts++
 	}
-
 	hv.epoch++
 	hv.Stats.Epochs++
-	b := Boundary{
+	return Boundary{
 		Epoch:      hv.epoch - 1,
 		GuestInstr: hv.guestInstr,
 		Digest:     hv.Digest(),
 		Halted:     hv.halted,
 		TOD:        hv.M.TOD(),
 	}
-	return b
 }
 
-// epochRun is the cursor of the epoch in progress: where epochStep
+// epochRun is the cursor of the epoch in progress: where EpochStep
 // resumes after the charge it last returned. Not captured by snapshots:
 // a restored hypervisor starts at an epoch boundary.
 type epochRun struct {
@@ -66,9 +65,14 @@ type epochRun struct {
 	// time passed.
 	mmio bool
 	pa   uint32
-	// proc is the process driving the epoch: what the storm (storm.go)
-	// makes its promise through, inline steps being handed none.
-	proc *sim.Proc
+	// sub is a hook's work in virtual time (OnCapture, OnBeforeIO), run to
+	// sim.StepDone before the phase resumes.
+	sub sim.StepFunc
+	// dev is the device pollDevices looks at next.
+	dev int
+	// io is the operation an MMIO store raised, which phaseIO forwards
+	// (after the §4.3 gate, if there is one).
+	io heldIO
 	// storm: the trap just emulated was a recalled poll's load of a pure
 	// device register — the next poll may be known in advance. Set at the
 	// end of phaseEmulate, consumed at the head of the phaseRun it runs
@@ -77,6 +81,14 @@ type epochRun struct {
 	// quiet: the poll in flight is one the standing promise covers, so
 	// its charges are returned with sim.StepQuiet.
 	quiet bool
+}
+
+// heldIO is an environment operation an MMIO store raised for real
+// hardware: an output store, or a device start.
+type heldIO struct {
+	d        *shadowDev
+	rel, val uint32
+	start    bool
 }
 
 // more is the status a charge is returned with: loud, unless the poll in
@@ -88,7 +100,7 @@ func (r *epochRun) more() sim.StepStatus {
 	return sim.StepMore
 }
 
-// epochPhase names the piece of the epoch loop epochStep runs next.
+// epochPhase names the piece of the epoch loop EpochStep runs next.
 type epochPhase uint8
 
 const (
@@ -104,28 +116,32 @@ const (
 	phaseWalk
 	// phaseEmulate: the trap's charges are paid; emulate it.
 	phaseEmulate
+	// phaseIO: forward the held operation — past the §4.3 gate, if
+	// OnBeforeIO handed one back — and retire the store that raised it.
+	phaseIO
 )
 
-// epochStep is the epoch loop as a resumable step (sim.StepFunc): run a
+// EpochStep is the epoch loop as a resumable step (sim.StepFunc): run a
 // chunk → return its instruction-time charge → poll devices and dispatch
-// → return the trap's charge(s) → emulate → loop, until the epoch ends.
-// A chunk that retired nothing charges nothing and does not return.
+// → return the trap's charge(s) → emulate → loop, until the epoch ends
+// (sim.StepDone). A chunk that retired nothing charges nothing and does
+// not return. p is the process driving the machine.
 //
-// Blocking rule. Hooks capture their process: OnCapture ships the
-// interrupt record on the lock-step path, OnBeforeIO waits at the §4.3
-// gate. Called inline (p == nil) the step must not reach them, so it
-// stops short and answers sim.StepBlock when (a) a real interrupt line is
-// raised at the poll and OnCapture is set, or (b) the trap to emulate is
-// an MMIO store (an output or a start) and OnBeforeIO is set. Both tests
-// stand at the head of a phase, before that phase touches anything, so
-// the repeated call — with p, on p's stack — resumes from the cursor as
-// if this one had not been made. MMIO loads read shadow state and never
-// block. Everything else the step calls — the machine, shadows, real
-// devices, Stop — only reads and writes state and schedules events.
-func (hv *Hypervisor) epochStep(p *sim.Proc) (sim.Time, sim.StepStatus) {
+// Hooks hand their time back. OnCapture ships the interrupt record on the
+// lock-step path and OnBeforeIO waits at the §4.3 gate: each returns a
+// sub-step, which EpochStep runs to sim.StepDone — returning its sleeps
+// and waits as its own — before it resumes its phase: the next device's
+// poll after a capture, the held operation after the gate.
+func (hv *Hypervisor) EpochStep(p *sim.Proc) (sim.Time, sim.StepStatus) {
 	r := &hv.run
 	m := hv.M
 	for {
+		if r.sub != nil {
+			if d, st := r.sub(p); st != sim.StepDone {
+				return d, st
+			}
+			r.sub = nil
+		}
 		switch r.phase {
 		case phaseRun:
 			if hv.halted {
@@ -151,7 +167,7 @@ func (hv *Hypervisor) epochStep(p *sim.Proc) (sim.Time, sim.StepStatus) {
 			r.quiet = false
 			if r.storm {
 				r.storm = false
-				if d := hv.stormAhead(remaining); d > 0 {
+				if d := hv.stormAhead(p, remaining); d > 0 {
 					return d, sim.StepQuiet
 				}
 			}
@@ -166,16 +182,15 @@ func (hv *Hypervisor) epochStep(p *sim.Proc) (sim.Time, sim.StepStatus) {
 			}
 
 		case phasePoll:
-			if p == nil && m.CRs[isa.CREIRR] != 0 && hv.OnCapture != nil {
-				return 0, sim.StepBlock
-			}
 			// Poll real device lines raised while the chunk ran (P1 capture).
 			// A raised line is news from outside: whatever was promised
 			// about this poll, it is not quiet.
 			if m.CRs[isa.CREIRR] != 0 {
 				r.quiet = false
 			}
-			hv.pollDevices()
+			if !hv.pollDevices() {
+				continue // a capture's sub-step first
+			}
 			r.phase = phaseRun
 			switch {
 			case r.res.Trap == isa.TrapRecovery:
@@ -196,11 +211,13 @@ func (hv *Hypervisor) epochStep(p *sim.Proc) (sim.Time, sim.StepStatus) {
 			return tlbWalk, sim.StepMore
 
 		case phaseEmulate:
-			if p == nil && r.mmio && hv.OnBeforeIO != nil && isStore(r.res.Inst.Op) {
-				return 0, sim.StepBlock
-			}
 			r.phase = phaseRun
 			hv.emulateTrap()
+
+		case phaseIO:
+			r.phase = phaseRun
+			hv.forward(r.io)
+			r.io = heldIO{}
 		}
 	}
 }
@@ -214,12 +231,6 @@ func (hv *Hypervisor) epochEnd() uint64 {
 	return hv.run.target
 }
 
-// isStore reports whether op is a store: on the MMIO window, the one kind
-// of emulation that can reach OnBeforeIO.
-func isStore(op isa.Op) bool {
-	return op == isa.OpSTW || op == isa.OpSTH || op == isa.OpSTB
-}
-
 // StartEpochClock begins a new epoch's virtual-TOD base: the primary uses
 // its real clock; the backup uses the Tme value from the primary (call
 // SetTODBase instead). Charged as part of boundary processing.
@@ -229,14 +240,15 @@ func (hv *Hypervisor) StartEpochClock() uint32 {
 	return tod
 }
 
-// ChargeBoundary charges the local epoch-boundary processing cost.
-func (hv *Hypervisor) ChargeBoundary(p *sim.Proc) {
+// ChargeBoundary accounts the local epoch-boundary processing cost and
+// returns it, for the caller's step to sleep.
+func (hv *Hypervisor) ChargeBoundary() sim.Time {
 	hv.Stats.HypervisorTime += epochLocal
-	p.Sleep(epochLocal)
+	return epochLocal
 }
 
 // chargeSim accounts one full hypervisor simulation (entry/exit + work)
-// and returns its cost for epochStep to charge. Under ResidentEmulation,
+// and returns its cost for EpochStep to charge. Under ResidentEmulation,
 // a simulation landing within residentWindow guest instructions of the
 // previous one costs only the simulation work: the hypervisor never left,
 // so no fresh world switch is paid. Pure function of the instruction
@@ -344,9 +356,10 @@ func (hv *Hypervisor) emulateTrap() {
 	case isa.TrapAccess:
 		if hv.run.mmio {
 			hv.Stats.EnvSimulated++
-			hv.emulateMMIO(res.Inst, hv.run.pa)
-			hv.guestInstr++ // simulated instruction retires
-			hv.Stats.GuestInstructions++
+			if hv.emulateMMIO(res.Inst, hv.run.pa); hv.run.phase != phaseIO {
+				hv.guestInstr++ // simulated instruction retires
+				hv.Stats.GuestInstructions++
+			}
 			return
 		}
 		hv.deliverVirtualTrap(isa.TrapAccess, res.ISR, res.IOR)
@@ -469,7 +482,8 @@ func (hv *Hypervisor) guestPhysical(va uint32) (uint32, bool) {
 // emulateMMIO simulates a guest load or store to the MMIO window — the
 // Environment Instruction mechanism of §3.2: access rights on the I/O
 // pages force a trap, and the hypervisor performs (or suppresses, or
-// virtualizes) the device access.
+// virtualizes) the device access. A store whose operation goes out to
+// real hardware is held (phaseIO retires it).
 func (hv *Hypervisor) emulateMMIO(in isa.Inst, pa uint32) {
 	m := hv.M
 	off := pa - machine.MMIOBase
@@ -483,8 +497,9 @@ func (hv *Hypervisor) emulateMMIO(in isa.Inst, pa uint32) {
 		// so a trap that was executed pays one flag test.
 		hv.run.storm = m.Recalled() && hv.pureLoad(off)
 	case isa.OpSTW, isa.OpSTH, isa.OpSTB:
-		hv.mmioStore(off, hv.guestReg(in.Rd))
-		m.PC += 4
+		if hv.mmioStore(off, hv.guestReg(in.Rd)); hv.run.phase != phaseIO {
+			m.PC += 4
+		}
 	default:
 		// A non-load/store faulting on an MMIO page (e.g. instruction
 		// fetch): reflect as an access fault.
@@ -540,10 +555,7 @@ func (hv *Hypervisor) mmioStore(off uint32, v uint32) {
 			} else {
 				// Output reveals virtual-machine state to the environment:
 				// the §4.3 I/O gate applies.
-				if hv.OnBeforeIO != nil {
-					hv.OnBeforeIO()
-				}
-				d.sh.Output(d.bus, rel, v, d.outCount)
+				hv.hold(heldIO{d: d, rel: rel, val: v})
 			}
 		} else {
 			hv.Stats.ConsoleSuppressed++
@@ -555,6 +567,32 @@ func (hv *Hypervisor) mmioStore(off uint32, v uint32) {
 	case device.EffectStart:
 		hv.startIO(d)
 	}
+}
+
+// hold holds io for phaseIO to forward, behind OnBeforeIO's sub-step —
+// the §4.3 gate — if there is one.
+func (hv *Hypervisor) hold(io heldIO) {
+	r := &hv.run
+	r.io, r.phase = io, phaseIO
+	if hv.OnBeforeIO != nil {
+		r.sub = hv.OnBeforeIO()
+	}
+}
+
+// forward sends a held operation to real hardware — the output store, or
+// the start of the device's operation — and retires the store that
+// raised it.
+func (hv *Hypervisor) forward(io heldIO) {
+	if d := io.d; io.start {
+		hv.Stats.IOIssued++
+		d.issuedReal = true
+		d.sh.Start(d.bus)
+	} else {
+		d.sh.Output(d.bus, io.rel, io.val, d.outCount)
+	}
+	hv.M.PC += 4
+	hv.guestInstr++
+	hv.Stats.GuestInstructions++
 }
 
 // noteOutputTrigger arms (or pushes back) the adaptive epoch cut after a
@@ -592,30 +630,29 @@ func (hv *Hypervisor) startIO(d *shadowDev) {
 		})
 		return
 	}
-	if hv.OnBeforeIO != nil {
-		hv.OnBeforeIO()
-	}
-	hv.Stats.IOIssued++
-	d.issuedReal = true
-	d.sh.Start(d.bus)
+	hv.hold(heldIO{d: d, start: true})
 }
 
 // pollDevices captures completions the real hardware has raised since the
 // last poll: rule P1's "hypervisor receives an interrupt Int". Captured
 // interrupts are buffered for delivery at this epoch's end and reported
-// through OnCapture so the replication layer can forward them.
-func (hv *Hypervisor) pollDevices() {
+// through OnCapture so the replication layer can forward them. When that
+// hands back a sub-step, pollDevices stops after the capture and reports
+// false; called again once the sub-step is done, it resumes at the next
+// device.
+func (hv *Hypervisor) pollDevices() bool {
 	m := hv.M
-	if m.CRs[isa.CREIRR] == 0 {
-		return
+	r := &hv.run
+	if r.dev == 0 && m.CRs[isa.CREIRR] == 0 {
+		return true
 	}
-	var known uint32
-	for _, d := range hv.devs {
+	for r.dev < len(hv.devs) {
+		d := hv.devs[r.dev]
+		r.dev++
 		if d.win.Line == device.NoLine {
 			continue
 		}
 		bit := uint32(1) << (d.win.Line & 31)
-		known |= bit
 		if m.CRs[isa.CREIRR]&bit == 0 {
 			continue
 		}
@@ -642,16 +679,26 @@ func (hv *Hypervisor) pollDevices() {
 		hv.Stats.Captured++
 		hv.buffered = append(hv.buffered, i)
 		if hv.OnCapture != nil {
-			hv.OnCapture(i)
+			if r.sub = hv.OnCapture(i); r.sub != nil {
+				return false
+			}
 		}
 	}
+	r.dev = 0
 	// Ignore raised lines that belong to no known device: clear them.
-	// Lines owned by a device must NOT be cleared here — capturing a
-	// completion can yield to the simulator (forwarding the interrupt
-	// record to backups sleeps on the link), and a device interrupt that
-	// lands during that window has not been looked at by the loop above.
-	// Leaving its bit set lets the next poll capture it.
+	// Lines owned by a device must NOT be cleared here — forwarding a
+	// capture takes virtual time (the interrupt record's set-up on the
+	// link), and a device interrupt that lands meanwhile has not been
+	// looked at by the loop above. Leaving its bit set lets the next poll
+	// capture it.
+	var known uint32
+	for _, d := range hv.devs {
+		if d.win.Line != device.NoLine {
+			known |= uint32(1) << (d.win.Line & 31)
+		}
+	}
 	if rest := m.CRs[isa.CREIRR] &^ known; rest != 0 {
 		m.WriteCR(isa.CREIRR, rest)
 	}
+	return true
 }

@@ -312,11 +312,8 @@ type Hypervisor struct {
 	epoch      uint64
 	halted     bool
 
-	// run is the cursor of the epoch in progress and step the epoch loop
-	// it steers, as the value RunEpoch hands sim.RunSteps: built once (a
-	// bound-method value per epoch would allocate).
-	run  epochRun
-	step sim.StepFunc
+	// run is the cursor of the epoch in progress (EpochStep).
+	run epochRun
 
 	// cutAt is the adaptive boundary's armed cut point (guest instruction
 	// count; 0 = unarmed). Re-armed to guestInstr+cutSlack by every
@@ -365,8 +362,10 @@ type Hypervisor struct {
 
 	// OnCapture, when set (primary), is invoked as soon as a device
 	// completion is captured mid-epoch — the replication layer uses it
-	// to send [E, Int] to the backup (rule P1).
-	OnCapture func(Interrupt)
+	// to send [E, Int] to the backup (rule P1). It returns the rest of
+	// that work in virtual time as a sub-step (nil: none), which EpochStep
+	// runs to sim.StepDone before it polls the next device.
+	OnCapture func(Interrupt) sim.StepFunc
 
 	// OnReflect, when set, observes every trap reflected into the guest
 	// (debugging and instrumentation; pc is the interrupted address).
@@ -377,8 +376,10 @@ type Hypervisor struct {
 	// awaiting acknowledgements at every epoch boundary, the primary
 	// awaits them here — "in order to initiate an I/O operation, the
 	// primary's hypervisor is required to have received acknowledgements
-	// for all messages it has sent". May block in virtual time.
-	OnBeforeIO func()
+	// for all messages it has sent". It returns the wait as a sub-step
+	// (nil: none), which EpochStep runs to sim.StepDone before the
+	// operation goes out.
+	OnBeforeIO func() sim.StepFunc
 
 	// Stop, when set, is polled during epoch execution; returning true
 	// aborts the run immediately — failstop injection (the processor
@@ -394,12 +395,10 @@ type Hypervisor struct {
 // New wraps a machine. The machine's Bus must already be wired (real
 // devices); the hypervisor intercepts the guest's access to it.
 func New(m *machine.Machine, cfg Config) *Hypervisor {
-	hv := &Hypervisor{
+	return &Hypervisor{
 		M:   m,
 		cfg: cfg.withDefaults(),
 	}
-	hv.step = hv.epochStep
-	return hv
 }
 
 // AttachDevice registers a shadow device. Devices must be attached

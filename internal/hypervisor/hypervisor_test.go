@@ -68,22 +68,93 @@ func (r *rig) boot(t *testing.T, src string) *asm.Program {
 	return p
 }
 
-// runEpochs drives the hypervisor for up to n epochs with a trivial
-// boundary protocol (no replication): buffer timer interrupts, deliver,
-// continue. Returns the boundaries.
+// epochLoop is a test's process around one hypervisor: it sleeps delay
+// (if nonzero), then runs epochs back to back while more holds (nil:
+// until the guest halts), calling begin before each; after each it
+// sleeps the boundary's local charge, if charge is set, and then calls
+// end with the boundary report. observe, if set, sees every answer of
+// EpochStep.
+type epochLoop struct {
+	delay   sim.Time
+	more    func() bool
+	begin   func()
+	charge  bool
+	end     func(Boundary)
+	observe func(sim.Time, sim.StepStatus)
+}
+
+// start starts the loop as a step process on k.
+func (l epochLoop) start(k *sim.Kernel, name string, hv *Hypervisor) *sim.Proc {
+	const (
+		delaying = iota
+		next
+		running
+		charged
+	)
+	phase := delaying
+	var b Boundary
+	return k.Start(name, func(p *sim.Proc) (sim.Time, sim.StepStatus) {
+		for {
+			switch phase {
+			case delaying:
+				phase = next
+				if l.delay != 0 {
+					return l.delay, sim.StepMore
+				}
+			case next:
+				if (l.more == nil && hv.Halted()) || (l.more != nil && !l.more()) {
+					return 0, sim.StepDone
+				}
+				if l.begin != nil {
+					l.begin()
+				}
+				hv.BeginEpoch()
+				phase = running
+			case running:
+				d, st := hv.EpochStep(p)
+				if l.observe != nil {
+					l.observe(d, st)
+				}
+				if st != sim.StepDone {
+					return d, st
+				}
+				b, phase = hv.EndEpoch(), charged
+				if l.charge {
+					return hv.ChargeBoundary(), sim.StepMore
+				}
+			case charged:
+				if l.end != nil {
+					l.end(b)
+				}
+				phase = next
+			}
+		}
+	})
+}
+
+// trivialBoundary is the boundary protocol without replication, around
+// hv's epochs: start each epoch's clock, charge the boundary, buffer
+// timer interrupts and deliver; bs collects the boundaries.
+func trivialBoundary(hv *Hypervisor, bs *[]Boundary) epochLoop {
+	return epochLoop{
+		begin:  func() { hv.StartEpochClock() },
+		charge: true,
+		end: func(b Boundary) {
+			hv.TimerInterruptsDue(b.TOD)
+			hv.DeliverBuffered()
+			*bs = append(*bs, b)
+		},
+	}
+}
+
+// runEpochs drives the hypervisor for up to n epochs with the trivial
+// boundary protocol. Returns the boundaries.
 func (r *rig) runEpochs(t *testing.T, n int) []Boundary {
 	t.Helper()
 	var bs []Boundary
-	r.k.Spawn("cpu", func(p *sim.Proc) {
-		for i := 0; i < n && !r.hv.Halted(); i++ {
-			r.hv.StartEpochClock()
-			b := r.hv.RunEpoch(p)
-			r.hv.ChargeBoundary(p)
-			r.hv.TimerInterruptsDue(b.TOD)
-			r.hv.DeliverBuffered()
-			bs = append(bs, b)
-		}
-	})
+	l := trivialBoundary(r.hv, &bs)
+	l.more = func() bool { return len(bs) < n && !r.hv.Halted() }
+	l.start(r.k, "cpu", r.hv)
 	r.k.Run()
 	return bs
 }
@@ -616,16 +687,15 @@ func TestLockstepTwoHypervisors(t *testing.T) {
 
 	var priB, bakB []Boundary
 	var tmes []uint32
-	k.Spawn("primary", func(p *sim.Proc) {
-		for !pri.Halted() {
-			pri.StartEpochClock()
-			b := pri.RunEpoch(p)
+	epochLoop{
+		begin: func() { pri.StartEpochClock() },
+		end: func(b Boundary) {
 			tmes = append(tmes, b.TOD)
 			pri.TimerInterruptsDue(b.TOD)
 			pri.DeliverBuffered()
 			priB = append(priB, b)
-		}
-	})
+		},
+	}.start(k, "primary", pri)
 	k.Run()
 	// Run the backup afterwards (sequential in sim time is fine: virtual
 	// state does not depend on real time except through Tme, which we
@@ -639,9 +709,10 @@ func TestLockstepTwoHypervisors(t *testing.T) {
 	bak = New(m2, Config{EpochLength: 512})
 	pg := asm.MustAssemble("guest.s", src)
 	bak.Boot(pg.Origin, pg.Words, pg.Origin)
-	k2.Spawn("backup", func(p *sim.Proc) {
-		i := 0
-		for !bak.Halted() && i < len(tmes) {
+	i := 0
+	epochLoop{
+		more: func() bool { return !bak.Halted() && i < len(tmes) },
+		begin: func() {
 			// Epoch 0 starts from the boot clock (both replicas start in
 			// the same state); epoch E>0 starts from the primary's Tme
 			// sent at the end of ITS epoch E-1 (P5: Tme_b := Tme_p).
@@ -650,13 +721,14 @@ func TestLockstepTwoHypervisors(t *testing.T) {
 			} else {
 				bak.SetTODBase(tmes[i-1])
 			}
-			b := bak.RunEpoch(p)
+		},
+		end: func(b Boundary) {
 			bak.TimerInterruptsDue(tmes[i])
 			bak.DeliverBuffered()
 			bakB = append(bakB, b)
 			i++
-		}
-	})
+		},
+	}.start(k2, "backup", bak)
 	k2.Run()
 
 	if len(priB) != len(bakB) {
@@ -733,7 +805,7 @@ func TestBareRunnerBaseline(t *testing.T) {
 		rfi
 	`)
 	b.Boot(prog.Origin, prog.Words, prog.Origin)
-	k.Spawn("bare", func(p *sim.Proc) { b.Run(p) })
+	k.Start("bare", b.Run)
 	end := k.Run()
 	if !b.Halted() {
 		t.Fatalf("bare guest did not halt (pc=%#x)", m.PC)
@@ -773,17 +845,21 @@ func TestOutstandingAfterCaptureNotDelivered(t *testing.T) {
 	`)
 	// Run one epoch manually without delivering.
 	var outstandingBefore, outstandingAfter int
-	r.k.Spawn("cpu", func(p *sim.Proc) {
-		r.hv.StartEpochClock()
-		r.hv.RunEpoch(p)
-		ob, _ := r.hv.OutstandingUncertain()
-		outstandingBefore = len(ob)
-		// (OutstandingUncertain buffered one; clear buffer + deliver the
-		// REAL captured completion plus the synthetic one.)
-		r.hv.DeliverBuffered()
-		oa, _ := r.hv.OutstandingUncertain()
-		outstandingAfter = len(oa)
-	})
+	epochs := 0
+	epochLoop{
+		more:  func() bool { return epochs == 0 },
+		begin: func() { r.hv.StartEpochClock() },
+		end: func(Boundary) {
+			epochs++
+			ob, _ := r.hv.OutstandingUncertain()
+			outstandingBefore = len(ob)
+			// (OutstandingUncertain buffered one; clear buffer + deliver the
+			// REAL captured completion plus the synthetic one.)
+			r.hv.DeliverBuffered()
+			oa, _ := r.hv.OutstandingUncertain()
+			outstandingAfter = len(oa)
+		},
+	}.start(r.k, "cpu", r.hv)
 	r.k.RunUntil(10 * sim.Second)
 	if outstandingBefore != 1 {
 		t.Errorf("outstanding before delivery = %d, want 1", outstandingBefore)

@@ -72,8 +72,8 @@ func runPolledPair(t *testing.T, mc machine.Config, epochs uint64, at func(epoch
 		}
 	}
 	bak.StartReceivers(k)
-	k.Spawn("primary", pri.Run)
-	k.Spawn("backup", bak.Run)
+	k.Start("primary", pri.Run)
+	k.Start("backup", bak.Run)
 	run.end = k.Run()
 	for i, n := range pair.Nodes {
 		run.hv[i], run.m[i], run.tlb[i], run.memo[i] = n.HV.Stats, n.M.Stats, n.M.TLB.Stats, n.M.MemoStats()

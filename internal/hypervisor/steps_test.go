@@ -8,17 +8,15 @@ import (
 	"repro/internal/sim"
 )
 
-// TestEpochStepsBesideSleeper runs epochs whose every piece the kernel
-// may dispatch inline — chunks, MMIO loads, traps — and whose hooks
-// block through their captured process: OnBeforeIO on the adapter's
-// doorbell and on a console byte, OnCapture on the disk completion. A
-// second process sleeps beside it at a period that keeps the hypervisor's
-// charges off the in-place fast path, so its wakes are dispatched from
-// the scheduler. The boundaries, the statistics and the end time are the
-// values the blocking RunEpoch loop produced before epochs ran as steps —
-// except the digests, which are the word hash's (snapshot.Mix) since it
-// replaced byte-serial FNV-64a; the kernel's guard ("blocking call from
-// an inline step") would panic the run if a hook were reached inline.
+// TestEpochStepsBesideSleeper runs epochs as a step process — chunks,
+// MMIO loads, traps — whose hooks hand virtual time back as sub-steps:
+// OnBeforeIO on the adapter's doorbell and on a console byte, OnCapture
+// on the disk completion. A second process sleeps beside it at a period
+// that keeps the hypervisor's charges off the in-place fast path, so its
+// wakes are dispatched from the wake list. The boundaries, the statistics
+// and the end time are the values the blocking RunEpoch loop produced
+// before epochs ran as steps — except the digests, which are the word
+// hash's (snapshot.Mix) since it replaced byte-serial FNV-64a.
 func TestEpochStepsBesideSleeper(t *testing.T) {
 	r := newRig(t, Config{EpochLength: 1 << 10}, scsi.DiskConfig{
 		ReadLatency: 40 * sim.Microsecond, // lands among the status polls
@@ -51,43 +49,39 @@ func TestEpochStepsBesideSleeper(t *testing.T) {
 		halt
 	`)
 
-	var gates, captures, inline int
-	step := r.hv.step
-	r.hv.step = func(p *sim.Proc) (sim.Time, sim.StepStatus) {
-		if p == nil {
-			inline++
-		}
-		return step(p)
-	}
+	var gates, captures int
 	var bs []Boundary
-	cpu := r.k.Spawn("cpu", func(p *sim.Proc) {
-		for !r.hv.Halted() {
-			r.hv.StartEpochClock()
-			b := r.hv.RunEpoch(p)
-			r.hv.ChargeBoundary(p)
-			r.hv.TimerInterruptsDue(b.TOD)
-			r.hv.DeliverBuffered()
-			bs = append(bs, b)
+	trivialBoundary(r.hv, &bs).start(r.k, "cpu", r.hv)
+	// sleepFor is a sub-step that sleeps d once.
+	sleepFor := func(d sim.Time) sim.StepFunc {
+		slept := false
+		return func(*sim.Proc) (sim.Time, sim.StepStatus) {
+			if slept = !slept; slept {
+				return d, sim.StepMore
+			}
+			return 0, sim.StepDone
 		}
-	})
-	r.hv.OnBeforeIO = func() {
+	}
+	gate, capture := sleepFor(2*sim.Microsecond), sleepFor(3*sim.Microsecond)
+	r.hv.OnBeforeIO = func() sim.StepFunc {
 		gates++
-		cpu.Sleep(2 * sim.Microsecond)
+		return gate
 	}
-	r.hv.OnCapture = func(Interrupt) {
+	r.hv.OnCapture = func(Interrupt) sim.StepFunc {
 		captures++
-		cpu.Sleep(3 * sim.Microsecond)
+		return capture
 	}
-	r.k.Spawn("sleeper", func(p *sim.Proc) {
-		for !r.hv.Halted() {
-			p.Sleep(7 * sim.Microsecond)
+	r.k.Start("sleeper", func(*sim.Proc) (sim.Time, sim.StepStatus) {
+		if r.hv.Halted() {
+			return 0, sim.StepDone
 		}
+		return 7 * sim.Microsecond, sim.StepMore
 	})
 	end := r.k.Run()
 
-	if gates != 2 || captures != 1 || inline < 100 {
-		t.Errorf("OnBeforeIO ran %d times, OnCapture %d, and %d steps ran inline; want 2, 1 and most of them (the test no longer exercises the blocking rule)",
-			gates, captures, inline)
+	if gates != 2 || captures != 1 || r.k.Switches() != 0 {
+		t.Errorf("OnBeforeIO ran %d times, OnCapture %d, and the kernel switched %d times; want 2, 1 and none",
+			gates, captures, r.k.Switches())
 	}
 	var got string
 	for _, b := range bs {

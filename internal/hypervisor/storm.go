@@ -71,11 +71,12 @@ type StormStats struct {
 // StormStats returns the hypervisor's poll-storm counters.
 func (hv *Hypervisor) StormStats() StormStats { return hv.stormStats }
 
-// stormAhead is the storm's one step (see the file comment). remaining is
-// the epoch's budget, already in RCTR. It returns the sleep that retires
+// stormAhead is the storm's one step (see the file comment). p is the
+// process driving the epoch, which makes the promise; remaining is the
+// epoch's budget, already in RCTR. It returns the sleep that retires
 // the polls it applied, or zero having applied none — then the caller
 // runs the next poll step by step, quietly if r.quiet was set.
-func (hv *Hypervisor) stormAhead(remaining uint64) sim.Time {
+func (hv *Hypervisor) stormAhead(p *sim.Proc, remaining uint64) sim.Time {
 	r := &hv.run
 	m := hv.M
 	if debugNoStorm || m.CRs[isa.CRITMR] != 0 || m.CRs[isa.CREIRR] != 0 {
@@ -105,8 +106,8 @@ func (hv *Hypervisor) stormAhead(remaining uint64) sim.Time {
 	if a+b <= 0 {
 		return 0 // a free poll has no lattice to promise
 	}
-	now := r.proc.Now()
-	loud, clear := r.proc.PromiseQuiet(now+sim.Time(polls)*(a+b), a, b)
+	now := p.Now()
+	loud, clear := p.PromiseQuiet(now+sim.Time(polls)*(a+b), a, b)
 	hv.stormStats.Tries++
 	r.quiet = true
 	if !clear || loud <= now {

@@ -26,27 +26,20 @@ poll:
 `
 
 // stormNode is one hypervisor with the trivial boundary protocol around
-// it, started after delay.
+// it (loop, which sleeps delay first; stormArms.start starts it).
 type stormNode struct {
 	*rig
 	bounds []Boundary
+	loop   epochLoop
 }
 
 func newStormNode(t *testing.T, k *sim.Kernel, cfg Config, delay sim.Time) *stormNode {
 	t.Helper()
 	n := &stormNode{rig: newRigOn(k, cfg, scsi.DiskConfig{})}
 	n.boot(t, stormPoll)
-	k.Spawn("cpu", func(p *sim.Proc) {
-		p.Sleep(delay)
-		for !n.hv.Halted() {
-			n.hv.StartEpochClock()
-			b := n.hv.RunEpoch(p)
-			n.hv.ChargeBoundary(p)
-			n.hv.TimerInterruptsDue(b.TOD)
-			n.hv.DeliverBuffered()
-			n.bounds = append(n.bounds, b)
-		}
-	})
+	l := trivialBoundary(n.hv, &n.bounds)
+	l.delay = delay
+	n.loop = l
 	return n
 }
 
@@ -74,6 +67,17 @@ func newStormArms(t *testing.T, cfg Config, delays ...sim.Time) *stormArms {
 		t.Cleanup(k.Shutdown)
 		for _, d := range delays {
 			*arm = append(*arm, newStormNode(t, k, cfg, d))
+		}
+	}
+	return a
+}
+
+// start starts every node's process: a test may first set their loops'
+// observers.
+func (a *stormArms) start() *stormArms {
+	for _, arm := range [][]*stormNode{a.ref, a.on} {
+		for _, n := range arm {
+			n.loop.start(n.k, "cpu", n.hv)
 		}
 	}
 	return a
@@ -114,7 +118,7 @@ func TestStormInPhase(t *testing.T) {
 		{520, true},
 	} {
 		t.Run(fmt.Sprint("offset ", c.offset), func(t *testing.T) {
-			a := newStormArms(t, Config{EpochLength: 256, ResidentEmulation: true}, 0, c.offset)
+			a := newStormArms(t, Config{EpochLength: 256, ResidentEmulation: true}, 0, c.offset).start()
 			for len(a.ref[0].bounds) < 40 {
 				a.advance(211 * sim.Microsecond)
 			}
@@ -149,7 +153,7 @@ func TestStormBudgets(t *testing.T) {
 			var batches, polls uint64
 			for l := uint64(100); l <= 180; l++ {
 				cfg.EpochLength = l
-				a := newStormArms(t, cfg, 0)
+				a := newStormArms(t, cfg, 0).start()
 				slice := 29 * sim.Microsecond
 				if !cfg.ResidentEmulation {
 					slice = 311 * sim.Microsecond // a poll is 15.16 µs
@@ -175,7 +179,8 @@ func TestStormAllocs(t *testing.T) {
 	defer k.Shutdown()
 	r := newRigOn(k, Config{EpochLength: 1 << 20, ResidentEmulation: true}, scsi.DiskConfig{})
 	r.boot(t, stormPoll)
-	k.Spawn("cpu", func(p *sim.Proc) { r.hv.RunEpoch(p) })
+	epochs := 0
+	epochLoop{more: func() bool { epochs++; return epochs == 1 }}.start(k, "cpu", r.hv)
 	k.RunUntil(sim.Millisecond)
 	before := r.hv.StormStats()
 	if n := testing.AllocsPerRun(200, func() { k.RunUntil(k.Now() + 17*sim.Microsecond) }); n != 0 {
@@ -193,7 +198,7 @@ func TestStormAllocs(t *testing.T) {
 // instant after the RunUntil bound would leave its polls retired at a
 // pause the reference reaches with the last of them in flight.
 func TestStormSliceEdges(t *testing.T) {
-	a := newStormArms(t, Config{EpochLength: 256, ResidentEmulation: true}, 0)
+	a := newStormArms(t, Config{EpochLength: 256, ResidentEmulation: true}, 0).start()
 	for len(a.ref[0].bounds) < 60 {
 		a.advance(3*1040 + 1)
 	}
@@ -220,18 +225,17 @@ func TestStormLeavesRCTR(t *testing.T) {
 		out *[]at
 		ref bool
 	}{{a.ref[0], &ref, true}, {a.on[0], &batches, false}} {
-		n, step := arm.n, arm.n.hv.step
-		n.hv.step = func(p *sim.Proc) (sim.Time, sim.StepStatus) {
-			d, st := step(p)
+		n := arm.n
+		n.loop.observe = func(d sim.Time, st sim.StepStatus) {
 			switch {
 			case arm.ref:
 				*arm.out = append(*arm.out, at{n.k.Now(), n.m.CRs[isa.CRRCTR]})
 			case st == sim.StepQuiet && d > 1040:
 				*arm.out = append(*arm.out, at{n.k.Now() + d, n.m.CRs[isa.CRRCTR]})
 			}
-			return d, st
 		}
 	}
+	a.start()
 	for len(a.ref[0].bounds) < 50 {
 		a.advance(47 * sim.Microsecond)
 	}
@@ -271,11 +275,7 @@ func TestStormImpureLoad(t *testing.T) {
 		`)
 		cons := n.hv.devAt(consoleBase)
 		cons.sh.Apply(device.Completion{Data: append(bytes.Repeat([]byte{'a'}, 200), 'b')}, n.m, cons.bus)
-		k.Spawn("cpu", func(p *sim.Proc) {
-			for !n.hv.Halted() {
-				n.bounds = append(n.bounds, n.hv.RunEpoch(p))
-			}
-		})
+		epochLoop{end: func(b Boundary) { n.bounds = append(n.bounds, b) }}.start(k, "cpu", n.hv)
 		*arm = append(*arm, n)
 	}
 	for !a.ref[0].hv.Halted() {

@@ -62,7 +62,7 @@ func newStormSet(t *testing.T, n int, lockstep bool) *stormSet {
 		if i > 0 {
 			r.StartReceivers(s.k)
 		}
-		s.k.Spawn(fmt.Sprintf("node%d", i), r.Run)
+		s.k.Start(fmt.Sprintf("node%d", i), r.Run)
 	}
 	return s
 }

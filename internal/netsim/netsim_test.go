@@ -7,19 +7,31 @@ import (
 	"repro/internal/sim"
 )
 
+// receive starts a step process that takes n messages from l's inbox, in
+// order, handing each to got.
+func receive(k *sim.Kernel, l *Link, n int, got func(Message)) {
+	k.Start("rx", func(*sim.Proc) (sim.Time, sim.StepStatus) {
+		for ; n > 0; n-- {
+			m, ok := l.Inbox.TryRecv()
+			if !ok {
+				return l.Inbox.Await(sim.Forever)
+			}
+			got(m)
+		}
+		return 0, sim.StepDone
+	})
+}
+
 func TestFIFODelivery(t *testing.T) {
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
 	l := NewLink(k, Ethernet10("test"))
 	var got []int
-	k.Spawn("rx", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			m := l.Inbox.Recv(p)
-			got = append(got, m.Payload.(int))
-			if m.Seq != uint64(i) {
-				t.Errorf("seq = %d, want %d", m.Seq, i)
-			}
+	receive(k, l, 5, func(m Message) {
+		if m.Seq != uint64(len(got)) {
+			t.Errorf("seq = %d, want %d", m.Seq, len(got))
 		}
+		got = append(got, m.Payload.(int))
 	})
 	k.Spawn("tx", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
@@ -74,12 +86,7 @@ func TestSerializationQueuing(t *testing.T) {
 	defer k.Shutdown()
 	l := NewLink(k, Ethernet10("test"))
 	var arrivals []sim.Time
-	k.Spawn("rx", func(p *sim.Proc) {
-		for i := 0; i < 2; i++ {
-			m := l.Inbox.Recv(p)
-			arrivals = append(arrivals, m.DeliveredAt)
-		}
-	})
+	receive(k, l, 2, func(m Message) { arrivals = append(arrivals, m.DeliveredAt) })
 	k.Spawn("tx", func(p *sim.Proc) {
 		l.Send("a", 1024)
 		l.Send("b", 1024) // must queue behind "a"
@@ -156,11 +163,7 @@ func TestLatencyOrderingAcrossSizes(t *testing.T) {
 	defer k.Shutdown()
 	l := NewLink(k, Ethernet10("test"))
 	var order []string
-	k.Spawn("rx", func(p *sim.Proc) {
-		for i := 0; i < 2; i++ {
-			order = append(order, l.Inbox.Recv(p).Payload.(string))
-		}
-	})
+	receive(k, l, 2, func(m Message) { order = append(order, m.Payload.(string)) })
 	l.Send("big", 64*1024)
 	l.Send("small", 1)
 	k.Run()
@@ -184,12 +187,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 		for i, sz := range sizes {
 			l.Send(i, int(sz))
 		}
-		k.Spawn("rx", func(p *sim.Proc) {
-			for range sizes {
-				m := l.Inbox.Recv(p)
-				got = append(got, rec{m.Seq, m.DeliveredAt})
-			}
-		})
+		receive(k, l, len(sizes), func(m Message) { got = append(got, rec{m.Seq, m.DeliveredAt}) })
 		k.Run()
 		if len(got) != len(sizes) {
 			return false

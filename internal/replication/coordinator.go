@@ -169,11 +169,12 @@ func (a *epochArchive) since(from uint64) []SyncEpoch {
 	return out
 }
 
-// coordinator runs the primary side of the protocol — rules P1 and P2,
+// coordinator holds the primary side of the protocol — rules P1 and P2,
 // the §4.3 revision, or the output-commit window, as its policy says —
 // against a hypervisor, fanning epoch frames out to a set of backups
-// through a sender. It is the second half of Replica.Run: what a replica
-// does once nobody is upstream of it.
+// through a sender. Its loop is the second half of the replica's step
+// machine (Replica.coordinate): what a replica does once nobody is
+// upstream of it.
 type coordinator struct {
 	hv      *hypervisor.Hypervisor
 	s       *sender
@@ -206,14 +207,24 @@ type coordinator struct {
 	// progress is broadcast whenever a wait's condition may have changed:
 	// on every acknowledgement and after every transmit.
 	progress *sim.Signal
-	// txq/txSig/txClose drive the transmit process (txLoop) of a
+	// frame is the epoch frame being built at the boundary in progress;
+	// out is the fan-out the coordinator's own process is sleeping
+	// through (a frame shipped inline, or the resync message).
+	frame *epochFrame
+	out   fanCursor
+	// waiting/waitStart are the wait in progress (wait), gateStart the
+	// §4.3 gate's (gateStep).
+	waiting              bool
+	waitStart, gateStart sim.Time
+	// txq/txSig/txClose drive the transmit process (transmit) of a
 	// coalescing coordinator: stamped frames awaiting fan-out, its
-	// wakeup signal, and the end-of-run close flag. Not captured by
-	// snapshots — restore replays the run deterministically, which
-	// reproduces the queue.
+	// wakeup signal, and the end-of-run close flag; tx is its fan-out in
+	// progress. Not captured by snapshots — restore replays the run
+	// deterministically, which reproduces the queue.
 	txq     []*epochFrame
 	txSig   *sim.Signal
 	txClose bool
+	tx      fanCursor
 	bpool   *netsim.FramePool[struct{}, *epochFrame]
 }
 
@@ -250,55 +261,89 @@ func (c *coordinator) outputReleased() bool {
 // reach out and destroy them.
 func (c *coordinator) drained() bool { return len(c.txq) == 0 && c.outputReleased() }
 
-func (c *coordinator) windowOpen() bool {
-	return c.pol.window == 0 || len(c.pend) < c.pol.window
+// until reports whether what the coordinator waits for in phase ph
+// holds: room in the output-commit window, the stream drained for the
+// join barrier, the final output released, or else — P2's boundary gate,
+// and phaseEpoch's §4.3 gate — every message acknowledged.
+func (c *coordinator) until(ph phase) bool {
+	switch ph {
+	case phaseWindow:
+		return c.pol.window == 0 || len(c.pend) < c.pol.window
+	case phaseJoin:
+		return c.drained()
+	case phaseRelease:
+		return c.outputReleased()
+	}
+	return c.s.fullyAcked()
 }
 
-// install hooks the coordinator into the hypervisor. Call once, with the
-// driving process, before run.
-func (c *coordinator) install(p *sim.Proc) {
+// install hooks the coordinator into the hypervisor. Call once, from the
+// replica's step, before its first epoch as coordinator.
+func (c *coordinator) install(k *sim.Kernel) {
 	hv := c.hv
-	c.k = p.Kernel()
-	c.progress = c.k.NewSignal("repl.progress")
+	c.k = k
+	c.progress = k.NewSignal("repl.progress")
 	for _, ps := range c.s.peers {
 		c.wire(ps)
 	}
 	hv.OnCapture, hv.OnBeforeIO = nil, nil
 	if c.pol.coalesce {
 		// Interrupts ride the epoch frame; a transmit process ships it.
-		c.txSig = c.k.NewSignal("repl.tx")
+		c.txSig = k.NewSignal("repl.tx")
 		c.bpool = &netsim.FramePool[struct{}, *epochFrame]{}
-		c.k.Spawn(fmt.Sprintf("oc-tx%d", c.rep.index), c.txLoop)
+		k.Start(fmt.Sprintf("oc-tx%d", c.rep.index), c.transmit)
 	} else {
-		// P1: forward every captured interrupt immediately.
-		hv.OnCapture = func(i hypervisor.Interrupt) {
+		// P1: forward every captured interrupt immediately. The hooks'
+		// sub-steps are bound once, here.
+		forward := c.forwardStep
+		hv.OnCapture = func(i hypervisor.Interrupt) sim.StepFunc {
 			if c.stopped() {
-				return
+				return nil
 			}
 			c.stats.IntsForwarded++
 			f := c.pool.Get()
 			f.Head = epochHead{Epoch: hv.Epoch(), IntIndex: c.intIndex}
 			addRec(f, i)
-			c.ship(p, f)
-			c.intIndex++
+			c.ship(f)
+			return forward
 		}
 	}
 	switch c.pol.gate {
 	case gateOutput:
-		hv.OnBeforeIO = func() {
+		gate := c.gateStep
+		hv.OnBeforeIO = func() sim.StepFunc {
 			if c.stopped() {
-				return
+				return nil
 			}
-			start := p.Now()
+			c.gateStart = c.k.Now()
 			c.stats.IOGateWaits++
-			c.wait(p, c.s.fullyAcked) // the §4.3 gate
-			c.stats.IOGateWaitTime += p.Now() - start
+			return gate
 		}
 	case gateRelease:
-		hv.SetOutputDeferral(p.Now)
+		hv.SetOutputDeferral(k.Now)
 	}
 	hv.Stop = c.stopped
 	hv.SetIOActive(true)
+}
+
+// forwardStep is OnCapture's sub-step (P1): the interrupt record fans out
+// to every backup, then the next capture takes the next index.
+func (c *coordinator) forwardStep(*sim.Proc) (sim.Time, sim.StepStatus) {
+	if d, ok := c.out.next(c.stopped); ok {
+		return d, sim.StepMore
+	}
+	c.intIndex++
+	return 0, sim.StepDone
+}
+
+// gateStep is OnBeforeIO's sub-step, the §4.3 gate: an I/O operation
+// waits until every message sent so far is acknowledged.
+func (c *coordinator) gateStep(p *sim.Proc) (sim.Time, sim.StepStatus) {
+	if d, st, done := c.wait(p, phaseEpoch); !done {
+		return d, st
+	}
+	c.stats.IOGateWaitTime += p.Now() - c.gateStart
+	return 0, sim.StepDone
 }
 
 // wire attaches a peer's acknowledgement channel to the coordinator: the
@@ -336,13 +381,13 @@ func (c *coordinator) attachPeer(p Peer) {
 }
 
 // ship stamps a frame with the next sequence number and sends it: from
-// the coordinator's own process, sleeping the per-peer controller set-up
-// cost, or — coalescing — by handing it to the transmit process and NOT
-// sleeping, the way a DMA-capable controller works a queue while the CPU
-// runs on. Sequence numbers are assigned in ship order and the single
-// transmit process preserves it, so the FIFO acknowledgement watermark
-// means the same either way.
-func (c *coordinator) ship(p *sim.Proc, f *epochFrame) {
+// the coordinator's own process, which sleeps the per-peer controller
+// set-up cost through out, or — coalescing — by handing it to the
+// transmit process and NOT sleeping, the way a DMA-capable controller
+// works a queue while the CPU runs on. Sequence numbers are assigned in
+// ship order and the single transmit process preserves it, so the FIFO
+// acknowledgement watermark means the same either way.
+func (c *coordinator) ship(f *epochFrame) {
 	if len(c.s.peers) == 0 {
 		f.Retain(1)
 		f.Release()
@@ -355,76 +400,62 @@ func (c *coordinator) ship(p *sim.Proc, f *epochFrame) {
 		c.txSig.Broadcast()
 		return
 	}
-	c.transmit(p, f)
-}
-
-// transmit fans one stamped frame out: one reference per receiver plus
-// the sender's own.
-func (c *coordinator) transmit(p *sim.Proc, f *epochFrame) {
+	// One reference per receiver plus the sender's own, dropped when the
+	// fan-out ends.
 	f.Retain(c.s.receivers() + 1)
-	c.s.fanout(p, f, f.Size, c.stopped)
-	f.Release()
+	c.out = c.s.cursor(f, f.Size, f)
 }
 
-// txLoop is a coalescing coordinator's transmit process: it drains the
-// frame queue in FIFO order, paying the per-peer controller set-up cost
-// off the guest's critical path. A backlog — several frames queued while
-// one was on the controller — goes out as ONE batch message. It exits on
-// coordinator failstop (queued frames die with the processor, exactly as
-// writes a failstopped CPU never posted to its controller) or once the
-// queue is drained after run closes it. It is a RunSteps body: a step
-// ends at each set-up sleep and at each wait for a frame, so the kernel
-// runs it inline and shipping a frame costs no switch.
-func (c *coordinator) txLoop(p *sim.Proc) {
-	var (
-		fan  fanCursor
-		held interface{ Release() } // the frame or batch being fanned out
-	)
-	p.RunSteps(func(*sim.Proc) (sim.Time, sim.StepStatus) {
-		for {
-			if held != nil {
-				if d, ok := fan.next(c.stopped); ok {
-					return d, sim.StepMore
-				}
-				held.Release()
-				held = nil
-				c.progress.Broadcast() // wake a join barrier watching txq drain
+// transmit is a coalescing coordinator's transmit process (a step): it
+// drains the frame queue in FIFO order, paying the per-peer controller
+// set-up cost off the guest's critical path. A backlog — several frames
+// queued while one was on the controller — goes out as ONE batch
+// message. It exits on coordinator failstop (queued frames die with the
+// processor, exactly as writes a failstopped CPU never posted to its
+// controller) or once the queue is drained after the coordinator closes
+// it. A step ends at each set-up sleep and at each wait for a frame.
+func (c *coordinator) transmit(*sim.Proc) (sim.Time, sim.StepStatus) {
+	for {
+		if c.tx.held != nil {
+			if d, ok := c.tx.next(c.stopped); ok {
+				return d, sim.StepMore
 			}
-			if c.stopped() {
+			c.progress.Broadcast() // wake a join barrier watching txq drain
+		}
+		if c.stopped() {
+			return 0, sim.StepDone
+		}
+		switch len(c.txq) {
+		case 0:
+			if c.txClose {
 				return 0, sim.StepDone
 			}
-			switch len(c.txq) {
-			case 0:
-				if c.txClose {
-					return 0, sim.StepDone
-				}
-				return c.txSig.Await(ackTick)
-			case 1:
-				f := c.txq[0]
-				c.txq[0] = nil
-				c.txq = c.txq[:0]
-				f.Retain(c.s.receivers() + 1)
-				held, fan = f, c.s.cursor(f, f.Size)
-			default:
-				// The batch carries one reference per receiver plus the
-				// sender's; each inner frame one per receiver (a receiver
-				// files and releases the inner frames individually, then
-				// releases the batch).
-				b := c.bpool.Get()
-				b.Size = 8 // batch header
-				n := c.s.receivers()
-				for i, f := range c.txq {
-					f.Retain(n)
-					b.Recs = append(b.Recs, f)
-					b.Size += f.Size
-					c.txq[i] = nil
-				}
-				c.txq = c.txq[:0]
-				b.Retain(n + 1)
-				held, fan = b, c.s.cursor(b, b.Size)
+			return c.txSig.Await(ackTick)
+		case 1:
+			f := c.txq[0]
+			c.txq[0] = nil
+			c.txq = c.txq[:0]
+			f.Retain(c.s.receivers() + 1)
+			c.tx = c.s.cursor(f, f.Size, f)
+		default:
+			// The batch carries one reference per receiver plus the
+			// sender's; each inner frame one per receiver (a receiver
+			// files and releases the inner frames individually, then
+			// releases the batch).
+			b := c.bpool.Get()
+			b.Size = 8 // batch header
+			n := c.s.receivers()
+			for i, f := range c.txq {
+				f.Retain(n)
+				b.Recs = append(b.Recs, f)
+				b.Size += f.Size
+				c.txq[i] = nil
 			}
+			c.txq = c.txq[:0]
+			b.Retain(n + 1)
+			c.tx = c.s.cursor(b, b.Size, b)
 		}
-	})
+	}
 }
 
 // advance is the one step that retires acknowledged epochs: pop every
@@ -475,114 +506,169 @@ func (c *coordinator) release(epoch uint64, occupancy int) {
 // ackTick is how long a wait sleeps between liveness checks.
 const ackTick = 10 * sim.Millisecond
 
-// wait is the one wait-with-liveness primitive: block until cond — a
-// predicate over acknowledgements, the pending list and the transmit
-// queue — holds, waking on progress and ticking the liveness detector
-// through silences (peers may have died, or their links gone down — both
-// advance minAcked by exclusion). Returns false if the coordinator
-// stopped while waiting.
-func (c *coordinator) wait(p *sim.Proc, cond func() bool) bool {
-	if cond() {
-		return true
-	}
-	start := p.Now()
-	c.stats.AckWaits++
-	for !cond() && !c.stopped() {
-		if !p.WaitTimeout(c.progress, ackTick) {
-			c.s.checkLiveness(p.Now())
-			c.advance()
+// wait is the one wait-with-liveness primitive, one call per wake of the
+// step it stands in: wait until what phase ph waits for holds (until),
+// waking on progress and ticking the liveness detector through silences
+// (peers may have died, or their links gone down — both advance minAcked
+// by exclusion). It answers the wait to end the step with, or done once
+// the condition holds or the coordinator stopped; the caller tells the
+// two apart with stopped.
+func (c *coordinator) wait(p *sim.Proc, ph phase) (d sim.Time, st sim.StepStatus, done bool) {
+	if !c.waiting {
+		if c.until(ph) {
+			return 0, 0, true
 		}
+		c.waiting, c.waitStart = true, p.Now()
+		c.stats.AckWaits++
+	} else if p.TimedOut() {
+		c.s.checkLiveness(p.Now())
+		c.advance()
 	}
-	c.stats.AckWaitTime += p.Now() - start
-	return !c.stopped()
+	if !c.until(ph) && !c.stopped() {
+		d, st = c.progress.Await(ackTick)
+		return d, st, false
+	}
+	c.waiting = false
+	c.stats.AckWaitTime += p.Now() - c.waitStart
+	return 0, 0, true
 }
 
-// run executes epochs until the guest halts or the coordinator is
-// stopped. tme0 is the clock base for the first epoch it runs.
-func (c *coordinator) run(p *sim.Proc, tme0 uint32) {
-	hv := c.hv
-	hv.SetTODBase(tme0)
-	for !hv.Halted() && !c.stopped() {
-		if !c.wait(p, c.windowOpen) {
-			return
-		}
-		b := hv.RunEpoch(p)
-		if c.stopped() {
-			return
-		}
-		c.stats.Epochs++
-
-		// --- Rule P2 ---
-		tme := b.TOD
-		f := c.pool.Get()
-		f.Head = epochHead{Epoch: b.Epoch, HasTme: true, Tme: tme}
-		if c.pol.coalesce {
-			// The interrupt records are snapshotted BEFORE timer
-			// synthesis: backups compute timer interrupts from Tme
-			// themselves.
-			for _, i := range hv.Buffered() {
-				addRec(f, i)
+// coordinate is the replica's step once nobody is upstream of it: after a
+// promotion, the handshake; then epochs until the guest halts or the
+// coordinator is stopped, each closed by the boundary its policy
+// prescribes. r.tme is the clock base for the next epoch. A phase that
+// follows a frame shipped inline first sleeps out its fan-out.
+func (r *Replica) coordinate(p *sim.Proc) (sim.Time, sim.StepStatus) {
+	c, hv := r.coord, r.HV
+	for {
+		switch r.phase {
+		case phaseResync:
+			if d, ok := c.out.next(c.stopped); ok {
+				return d, sim.StepMore
 			}
-		} else {
-			c.ship(p, f)
-			f = c.pool.Get()
-			f.Head.Epoch = b.Epoch
+			r.phase = phaseCharge
+			return hv.ChargeBoundary(), sim.StepMore
+		case phaseWindow:
+			if !c.waiting && (hv.Halted() || c.stopped()) {
+				r.phase = phaseRelease
+				continue
+			}
+			if d, st, done := c.wait(p, r.phase); !done {
+				return d, st
+			}
+			if c.stopped() {
+				return r.finish()
+			}
+			hv.BeginEpoch()
+			r.phase = phaseEpoch
+		case phaseEpoch:
+			if d, st := hv.EpochStep(p); st != sim.StepDone {
+				return d, st
+			}
+			if r.b = hv.EndEpoch(); c.stopped() {
+				return r.finish()
+			}
+			c.stats.Epochs++
+			// --- Rule P2 ---
+			r.tme, r.phase = r.b.TOD, phaseP2Gate
+			c.frame = c.pool.Get()
+			c.frame.Head = epochHead{Epoch: r.b.Epoch, HasTme: true, Tme: r.tme}
+			if !c.pol.coalesce {
+				c.ship(c.frame)
+				c.frame = nil
+				continue
+			}
+			// The interrupt records are snapshotted BEFORE timer synthesis:
+			// backups compute timer interrupts from Tme themselves.
+			for _, i := range hv.Buffered() {
+				addRec(c.frame, i)
+			}
+		case phaseP2Gate:
+			if d, ok := c.out.next(c.stopped); ok {
+				return d, sim.StepMore
+			}
+			if c.frame == nil {
+				c.frame = c.pool.Get()
+				c.frame.Head.Epoch = r.b.Epoch
+			}
+			if c.pol.gate == gateBoundary {
+				if d, st, done := c.wait(p, r.phase); !done {
+					return d, st // rule P2's wait
+				}
+			}
+			// Shipping inline charges per-peer setup time, so virtual time
+			// passed and a failstop may have landed mid-boundary. A
+			// failstopped processor halts where it stands: it must not
+			// deliver, archive, or commit the epoch — a zombie commit would
+			// feed observers (the session's commit coordinates, AddBackup's
+			// state capture) an epoch the replica set never saw, because the
+			// End died with the severed links.
+			if c.stopped() {
+				return r.finish()
+			}
+			b := &r.b
+			if c.pol.gate != gateRelease {
+				c.released, c.haveReleased = b.Epoch, true
+			}
+			h := &c.frame.Head
+			h.HasEnd, h.Digest, h.Halted, h.Cut = true, b.Digest, b.Halted, b.GuestInstr
+			h.Released, h.HaveReleased = c.released, c.haveReleased
+			hv.TimerInterruptsDue(r.tme)
+			c.archive.record(SyncEpoch{
+				Epoch: b.Epoch, Tme: r.tme, Ints: hv.Buffered(),
+				Digest: b.Digest, Halted: b.Halted,
+			})
+			hv.DeliverBuffered()
+			c.ship(c.frame)
+			c.frame, r.phase = nil, phaseP2End
+		case phaseP2End:
+			if d, ok := c.out.next(c.stopped); ok {
+				return d, sim.StepMore
+			}
+			c.pend = append(c.pend, pendingEpoch{epoch: r.b.Epoch, seq: c.s.seq})
+			// Same rationale as above: an inline End slept, and a failstop
+			// landing there means no peer holds this epoch's End — the
+			// commit must not be observed.
+			if c.stopped() {
+				return r.finish()
+			}
+			c.advance()
+			// A reintegration wants this boundary as its state-transfer
+			// point: hold here until the stream drains, so the captured image
+			// never certifies an epoch that would be lost — and re-executed
+			// differently by a promoted backup — were this processor to
+			// failstop now. Draining BEFORE the commit event lets the
+			// session's boundary-sampled stop predicate observe the drained
+			// state.
+			r.phase = phaseJoin
+		case phaseJoin:
+			if r.joinBarrier || c.waiting {
+				if d, st, done := c.wait(p, r.phase); !done {
+					return d, st
+				}
+				if c.stopped() {
+					return r.finish()
+				}
+			}
+			r.observe(obs.Event{Kind: obs.EventEpochCommitted, Time: p.Now(), Node: r.index, Epoch: r.b.Epoch, Tme: r.tme, Halted: r.b.Halted})
+			r.phase = phaseCharge
+			return hv.ChargeBoundary(), sim.StepMore
+		case phaseCharge:
+			hv.SetTODBase(r.tme)
+			c.intIndex = 0
+			r.phase = phaseWindow
+		case phaseRelease:
+			// The guest halted (or stopped) with epochs still in flight:
+			// wait their acknowledgements out so the final output is
+			// released, then let the transmit process exit.
+			if d, st, done := c.wait(p, r.phase); !done {
+				return d, st
+			}
+			if c.pol.coalesce {
+				c.txClose = true
+				c.txSig.Broadcast()
+			}
+			return r.finish()
 		}
-		if c.pol.gate == gateBoundary {
-			c.wait(p, c.s.fullyAcked) // rule P2's wait
-		}
-		// Shipping inline charges per-peer setup time, so virtual time
-		// passed and a failstop may have landed mid-boundary. A
-		// failstopped processor halts where it stands: it must not
-		// deliver, archive, or commit the epoch — a zombie commit would
-		// feed observers (the session's commit coordinates, AddBackup's
-		// state capture) an epoch the replica set never saw, because the
-		// End died with the severed links.
-		if c.stopped() {
-			return
-		}
-		if c.pol.gate != gateRelease {
-			c.released, c.haveReleased = b.Epoch, true
-		}
-		h := &f.Head
-		h.HasEnd, h.Digest, h.Halted, h.Cut = true, b.Digest, b.Halted, b.GuestInstr
-		h.Released, h.HaveReleased = c.released, c.haveReleased
-		hv.TimerInterruptsDue(tme)
-		c.archive.record(SyncEpoch{
-			Epoch: b.Epoch, Tme: tme, Ints: hv.Buffered(),
-			Digest: b.Digest, Halted: b.Halted,
-		})
-		hv.DeliverBuffered()
-		c.ship(p, f)
-		c.pend = append(c.pend, pendingEpoch{epoch: b.Epoch, seq: c.s.seq})
-		// Same rationale as above: an inline End slept, and a failstop
-		// landing there means no peer holds this epoch's End — the
-		// commit must not be observed.
-		if c.stopped() {
-			return
-		}
-		c.advance()
-		// A reintegration wants this boundary as its state-transfer
-		// point: hold here until the stream drains, so the captured image
-		// never certifies an epoch that would be lost — and re-executed
-		// differently by a promoted backup — were this processor to
-		// failstop now. Draining BEFORE the commit event lets the
-		// session's boundary-sampled stop predicate observe the drained
-		// state.
-		if c.rep.joinBarrier && !c.wait(p, c.drained) {
-			return
-		}
-		c.rep.observe(obs.Event{Kind: obs.EventEpochCommitted, Time: p.Now(), Node: c.rep.index, Epoch: b.Epoch, Tme: tme, Halted: b.Halted})
-		hv.ChargeBoundary(p)
-		hv.SetTODBase(tme)
-		c.intIndex = 0
-	}
-	// The guest halted (or stopped) with epochs still in flight: wait
-	// their acknowledgements out so the final output is released, then
-	// let the transmit process exit.
-	c.wait(p, c.outputReleased)
-	if c.pol.coalesce {
-		c.txClose = true
-		c.txSig.Broadcast()
 	}
 }

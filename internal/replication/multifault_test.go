@@ -54,11 +54,9 @@ func newMultiCluster(t *testing.T, seed int64, cfg platform.Config, rc Config, g
 
 func (mc *multiCluster) run(t *testing.T, bound sim.Time) {
 	t.Helper()
-	mc.k.Spawn("primary", func(p *sim.Proc) { mc.pri.Run(p) })
-	for i, bak := range mc.baks {
-		bak := bak
-		mc.k.Spawn("backup", func(p *sim.Proc) { bak.Run(p) })
-		_ = i
+	mc.k.Start("primary", mc.pri.Run)
+	for _, bak := range mc.baks {
+		mc.k.Start("backup", bak.Run)
 	}
 	mc.k.RunUntil(bound)
 }

@@ -54,9 +54,15 @@ func TestReceiverEquivalence(t *testing.T) {
 		var out outcome
 		rx.OnDeliver = func(m netsim.Message) { out.acked = m.Payload.(*ack).Head }
 		bk.StartReceivers(k)
-		k.Spawn("coordinator", func(p *sim.Proc) {
-			// The reference boundary: epoch 0 as the coordinator ran it.
-			frame(pair.Nodes[0].HV.RunEpoch(p), tx.Send)
+		// The reference boundary: epoch 0 as the coordinator ran it.
+		hv := pair.Nodes[0].HV
+		hv.BeginEpoch()
+		k.Start("coordinator", func(p *sim.Proc) (sim.Time, sim.StepStatus) {
+			if d, st := hv.EpochStep(p); st != sim.StepDone {
+				return d, st
+			}
+			frame(hv.EndEpoch(), tx.Send)
+			return 0, sim.StepDone
 		})
 		k.RunUntil(50 * sim.Millisecond)
 		if r := bk.pending[0]; len(bk.pending) != 1 || r == nil || len(r.ints) != len(ints) ||
@@ -67,7 +73,7 @@ func TestReceiverEquivalence(t *testing.T) {
 		bk.EncodeState(w)
 		out.state = w.Finish()
 
-		k.Spawn("backup", bk.Run)
+		k.Start("backup", bk.Run)
 		k.RunUntil(sim.Second) // epoch 0 completes; epoch 1 waits for frames that never come
 		if bk.completed != 1 || bk.Stats.Divergences != 0 || bk.Promoted() {
 			t.Fatalf("backup completed %d epochs, %d divergences, promoted=%v",

@@ -105,6 +105,17 @@ type Replica struct {
 	// upstream: built at construction on node 0, at promotion elsewhere
 	// (nil until then).
 	coord *coordinator
+	// phase is where the replica's step (Run) resumes at its next wake:
+	// the rule it is carrying out. b is the boundary of the epoch it last
+	// ran, er that epoch's record while following, tme the clock base of
+	// the next epoch, halting the followed End's Halted flag; waited marks
+	// a P5 wait in progress.
+	phase   phase
+	b       hypervisor.Boundary
+	er      *epochRecord
+	tme     uint32
+	halting bool
+	waited  bool
 	// joinBarrier makes the coordinator this replica runs hold at each
 	// epoch boundary until the replication stream is fully drained (see
 	// coordinator.drained); it lives here so that it carries across a
@@ -220,42 +231,31 @@ func (r *Replica) release(e uint64) {
 	r.recFree = append(r.recFree, er)
 }
 
-// receiver runs as its own simulation process per upstream channel: it
-// acknowledges every message immediately (P4: "backup sends an
-// acknowledgment to the primary") and files it by epoch. It is the loop
-//
-//	for !r.promoted && !r.done && !r.failed {
-//		if raw, ok := inbox.RecvTimeout(p, r.cfg.DetectTimeout); ok {
-//			r.take(u, raw)
-//		}
-//	}
-//
-// as a RunSteps body — RecvTimeout's wait for the inbox is the step's
-// StepWait — so the kernel runs it inline: acknowledging and filing a
-// frame costs no switch.
-func (r *Replica) receiver(u Peer) func(p *sim.Proc) {
-	return func(p *sim.Proc) {
-		if r.promoted || r.done || r.failed {
-			return
-		}
-		p.RunSteps(func(*sim.Proc) (sim.Time, sim.StepStatus) {
-			inbox := u.RX.Inbox
-			// Every step but the first follows a wait. A Put that ended it
-			// left an item: the receiver is its inbox's one consumer.
-			if !p.TimedOut() {
-				if raw, ok := inbox.TryRecv(); ok {
-					r.take(u, raw)
-				}
-			}
-			for !r.promoted && !r.done && !r.failed {
-				raw, ok := inbox.TryRecv()
-				if !ok {
-					return inbox.Await(r.cfg.DetectTimeout)
-				}
+// receiver is the step of the simulation process that serves one
+// upstream channel: it acknowledges every message immediately (P4:
+// "backup sends an acknowledgment to the primary") and files it by epoch,
+// until the replica is promoted, finished or failed. It waits for the
+// inbox with the detection timeout as its liveness tick.
+func (r *Replica) receiver(u Peer) sim.StepFunc {
+	inbox := u.RX.Inbox
+	woke := false // the call follows a wait of the receiver's
+	return func(p *sim.Proc) (sim.Time, sim.StepStatus) {
+		// A Put that ended the wait left an item: the receiver is its
+		// inbox's one consumer.
+		if woke && !p.TimedOut() {
+			if raw, ok := inbox.TryRecv(); ok {
 				r.take(u, raw)
 			}
-			return 0, sim.StepDone
-		})
+		}
+		for !r.promoted && !r.done && !r.failed {
+			raw, ok := inbox.TryRecv()
+			if !ok {
+				woke = true
+				return inbox.Await(r.cfg.DetectTimeout)
+			}
+			r.take(u, raw)
+		}
+		return 0, sim.StepDone
 	}
 }
 
@@ -395,21 +395,7 @@ func (r *Replica) replayVerbatim(p *sim.Proc, e uint64, digest uint64, v *SyncEp
 	r.release(e)
 }
 
-// await blocks until cond() or the cascaded timeout elapses; it returns
-// false on timeout (coordinator declared failed).
-func (r *Replica) await(p *sim.Proc, cond func() bool) bool {
-	for !cond() {
-		if r.failed || r.withdrawn {
-			return true // caller re-checks flags
-		}
-		if !p.WaitTimeout(r.arrival, r.effTimeout()) {
-			return false
-		}
-	}
-	return true
-}
-
-// StartReceivers spawns the receiver processes (one per upstream
+// StartReceivers starts the receiver processes (one per upstream
 // channel) if they are not running yet. Run calls it implicitly; a
 // late joiner calls it at splice time, BEFORE its state transfer
 // completes, so that protocol messages are acknowledged (P4) and filed
@@ -425,7 +411,7 @@ func (r *Replica) StartReceivers(k *sim.Kernel) {
 	r.rxStarted = true
 	r.arrival = k.NewSignal(fmt.Sprintf("backup%d.arrival", r.index))
 	for i, u := range r.ups {
-		k.Spawn(fmt.Sprintf("backup%d-rx%d", r.index, i), r.receiver(u))
+		k.Start(fmt.Sprintf("backup%d-rx%d", r.index, i), r.receiver(u))
 	}
 }
 
@@ -438,110 +424,196 @@ func (r *Replica) Abandon() {
 	r.done = true
 }
 
-// Run executes the replica, as a simulation process, until the guest
-// halts, a failstop is injected or the replica withdraws: it follows its
-// upstream nodes while there are any, and once there are none — from the
-// start on node 0, after a promotion elsewhere — it coordinates the
-// nodes downstream.
-func (r *Replica) Run(p *sim.Proc) {
-	defer func() { r.done = true }()
-	tme := r.BootTOD
-	if len(r.ups) > 0 {
-		b, orphaned := r.follow(p)
-		if !orphaned {
-			return
-		}
-		tme = r.promote(p, b)
-	}
-	c := r.coord
-	c.install(p)
-	if r.promoted {
-		r.resync(p)
-	}
-	c.run(p, tme)
-}
+// phase names the rule a replica's step is carrying out.
+type phase uint8
 
-// follow runs rules P3–P5 against the upstream coordinator, spawning one
-// receiver process per upstream channel (unless StartReceivers already
-// did). It returns with orphaned set, and the boundary it was waiting at,
-// when the cascaded detection timeout declares every upstream node
-// failed; otherwise the replica is finished (its guest halted, it was
-// failstopped or it withdrew).
-func (r *Replica) follow(p *sim.Proc) (b hypervisor.Boundary, orphaned bool) {
+const (
+	// phaseBoot: the first call — follow if anyone is upstream, else
+	// coordinate.
+	phaseBoot phase = iota
+
+	// Following (P3–P5).
+
+	// phaseFollow: run the next epoch, unless the guest halted or the
+	// replica failed or withdrew.
+	phaseFollow
+	// phaseFollowEpoch: the epoch runs (hypervisor EpochStep).
+	phaseFollowEpoch
+	// phaseP5Tme: P5's wait for [Tme_p] (or a verbatim record).
+	phaseP5Tme
+	// phaseP5End: P5's wait for [end, E].
+	phaseP5End
+	// phaseFollowCharge: the followed epoch's boundary charge is slept.
+	phaseFollowCharge
+	// phaseReplayCharge: a verbatim epoch's boundary charge is slept.
+	phaseReplayCharge
+
+	// Coordinating (coordinate: P6/P7's handshake, then P1/P2, the §4.3
+	// revision or output commit).
+
+	// phaseResync: after P6/P7, the sync message fans out downstream; then
+	// the failover epoch's boundary charge.
+	phaseResync
+
+	// phaseWindow: run the next epoch, unless the guest halted or the
+	// coordinator stopped — once the output-commit window has room for one
+	// more epoch in flight.
+	phaseWindow
+	// phaseEpoch: the epoch runs; P1's forwarding of each capture and the
+	// §4.3 gate before each I/O operation are its sub-steps.
+	phaseEpoch
+	// phaseP2Gate: [Tme_p] has been shipped (and fanned out, on the
+	// lock-step framing); P2's wait for every acknowledgement (the
+	// boundary gate), then the epoch is delivered and [end, E] shipped.
+	phaseP2Gate
+	// phaseP2End: [end, E] fans out; the epoch joins the pending list.
+	phaseP2End
+	// phaseJoin: if the join barrier is armed, its wait for the stream to
+	// drain; then the epoch commits, and its boundary charge follows.
+	phaseJoin
+	// phaseCharge: the boundary charge is slept.
+	phaseCharge
+	// phaseRelease: the guest halted or the coordinator stopped: the wait
+	// for the release of the final output.
+	phaseRelease
+)
+
+// Run is the replica's step (sim.StepFunc), run as its simulation process
+// until the guest halts, a failstop is injected or the replica withdraws:
+// it follows its upstream nodes while there are any (P3–P5, starting one
+// receiver process per upstream channel unless StartReceivers already
+// did), and once there are none — from the start on node 0, after the
+// cascaded detection timeout declares every upstream node failed and the
+// replica promotes (P6/P7) elsewhere — it coordinates the nodes
+// downstream.
+func (r *Replica) Run(p *sim.Proc) (sim.Time, sim.StepStatus) {
 	hv := r.HV
-	hv.SetIOActive(false) // §2.2 case (i): suppress environment output
-	hv.Stop = r.Failed
-	r.StartReceivers(p.Kernel())
+	for {
+		switch r.phase {
+		case phaseBoot:
+			if len(r.ups) == 0 {
+				r.coord.install(p.Kernel())
+				r.tme, r.phase = r.BootTOD, phaseCharge // no charge: the clock base only
+				continue
+			}
+			hv.SetIOActive(false) // §2.2 case (i): suppress environment output
+			hv.Stop = r.Failed
+			r.StartReceivers(p.Kernel())
+			// P3 is structural: real device interrupts on a following
+			// replica's processor are ignored by the hypervisor (it issued
+			// nothing).
+			hv.SetTODBase(r.BootTOD)
+			r.phase = phaseFollow
 
-	// P3 is structural: real device interrupts on a following replica's
-	// processor are ignored by the hypervisor (it issued nothing).
+		case phaseFollow:
+			if hv.Halted() || r.failed || r.withdrawn {
+				return r.finish()
+			}
+			hv.BeginEpoch()
+			r.phase = phaseFollowEpoch
 
-	hv.SetTODBase(r.BootTOD)
-	for !hv.Halted() && !r.failed && !r.withdrawn {
-		b = hv.RunEpoch(p)
-		if r.failed {
-			return b, false
-		}
-		r.Stats.Epochs++
-		e := b.Epoch
+		case phaseFollowEpoch:
+			if d, st := hv.EpochStep(p); st != sim.StepDone {
+				return d, st
+			}
+			if r.b = hv.EndEpoch(); r.failed {
+				return r.finish()
+			}
+			r.Stats.Epochs++
+			// --- Rule P5 (or verbatim replay after a coordinator change) ---
+			r.er, r.phase = r.rec(r.b.Epoch), phaseP5Tme
 
-		// --- Rule P5 (or verbatim replay after a coordinator change) ---
-		er := r.rec(e)
-		ok := r.await(p, func() bool { return er.verbatim != nil || er.hasTme })
-		if ok && er.verbatim == nil {
-			ok = r.await(p, func() bool { return er.verbatim != nil || er.end.HasEnd })
-		}
-		if r.failed || r.withdrawn {
-			return b, false
-		}
-		if !ok {
-			return b, true // --- Rules P6 + P7, and promotion ---
-		}
-		if v := er.verbatim; v != nil {
-			r.replayVerbatim(p, e, b.Digest, v)
-			hv.ChargeBoundary(p)
-			r.completed = e + 1
-			continue
-		}
-		// Normal path: Tme_b := Tme_p; buffer; deliver; digest check.
-		tme, end := er.tme, er.end
-		match := r.agrees(e, "digest", end.Digest, b.Digest) && r.agrees(e, "cut", end.Cut, b.GuestInstr)
-		r.observe(obs.Event{Kind: obs.EventBackupEpoch, Time: p.Now(), Node: r.index, Epoch: e, DigestMatch: match})
-		r.stageOrdered(e)
-		hv.TimerInterruptsDue(tme)
-		// Only a replica that may later coordinate others (it has
-		// downstream peers) needs the delivery archive; the common
-		// single-backup configuration skips the per-epoch copy.
-		if len(r.downs) > 0 {
-			r.archive.record(SyncEpoch{Epoch: e, Tme: tme, Ints: hv.Buffered(), Digest: b.Digest, Halted: end.Halted})
-		}
-		hv.DeliverBuffered()
-		// The one end-of-epoch rule: the coordinator has emitted output
-		// only through its release watermark. Drop our suppressed copies
-		// up to it and RETAIN the rest — they are the promotion flush set
-		// (output the coordinator may die without ever releasing). At the
-		// lock-step gates the watermark is e itself, so nothing is
-		// retained across a completed epoch; a failover epoch — no End —
-		// re-emits its own output instead.
-		if end.HaveReleased {
-			hv.SettleOutput(end.Released, hypervisor.DropOutput)
-		}
-		hv.ChargeBoundary(p)
-		hv.SetTODBase(tme)
-		r.release(e)
-		r.completed = e + 1
-		if end.Halted {
-			r.halted = true
+		case phaseP5Tme, phaseP5End:
+			// ok turns false when the cascaded timeout declares the
+			// coordinator failed; a failed or withdrawn replica stops
+			// waiting, and the flags are checked below.
+			er, ok := r.er, !(r.waited && p.TimedOut())
+			have := er.verbatim != nil || (r.phase == phaseP5Tme && er.hasTme) || (r.phase == phaseP5End && er.end.HasEnd)
+			if r.waited = ok && !have && !r.failed && !r.withdrawn; r.waited {
+				return r.arrival.Await(r.effTimeout())
+			}
+			if ok && er.verbatim == nil && r.phase == phaseP5Tme {
+				r.phase = phaseP5End
+				continue
+			}
+			if r.failed || r.withdrawn {
+				return r.finish()
+			}
+			if !ok {
+				r.promote(p) // --- Rules P6 + P7, and promotion ---
+				continue
+			}
+			if v := er.verbatim; v != nil {
+				r.replayVerbatim(p, r.b.Epoch, r.b.Digest, v)
+				r.phase = phaseReplayCharge
+			} else {
+				r.deliver(p)
+				r.phase = phaseFollowCharge
+			}
+			return hv.ChargeBoundary(), sim.StepMore
+
+		case phaseReplayCharge:
+			r.completed = r.b.Epoch + 1
+			r.phase = phaseFollow
+
+		case phaseFollowCharge:
+			hv.SetTODBase(r.tme)
+			r.release(r.b.Epoch)
+			r.completed = r.b.Epoch + 1
+			if r.halting {
+				r.halted = true
+			}
+			r.phase = phaseFollow
+
+		default:
+			return r.coordinate(p)
 		}
 	}
-	return b, false
 }
 
-// promote implements P6 and P7 at the failover boundary b and makes this
-// replica the coordinator. It returns the clock base for the first epoch
-// the new coordinator runs.
-func (r *Replica) promote(p *sim.Proc, b hypervisor.Boundary) uint32 {
-	hv, e := r.HV, b.Epoch
+// deliver is a followed epoch's boundary, once its frame has arrived:
+// Tme_b := Tme_p; buffer; deliver; digest check. The End's fields are
+// kept for after the boundary charge (a sync may replace the record
+// meanwhile).
+func (r *Replica) deliver(p *sim.Proc) {
+	hv, b, e := r.HV, r.b, r.b.Epoch
+	r.tme, r.halting = r.er.tme, r.er.end.Halted
+	end := r.er.end
+	match := r.agrees(e, "digest", end.Digest, b.Digest) && r.agrees(e, "cut", end.Cut, b.GuestInstr)
+	r.observe(obs.Event{Kind: obs.EventBackupEpoch, Time: p.Now(), Node: r.index, Epoch: e, DigestMatch: match})
+	r.stageOrdered(e)
+	hv.TimerInterruptsDue(r.tme)
+	// Only a replica that may later coordinate others (it has downstream
+	// peers) needs the delivery archive; the common single-backup
+	// configuration skips the per-epoch copy.
+	if len(r.downs) > 0 {
+		r.archive.record(SyncEpoch{Epoch: e, Tme: r.tme, Ints: hv.Buffered(), Digest: b.Digest, Halted: end.Halted})
+	}
+	hv.DeliverBuffered()
+	// The one end-of-epoch rule: the coordinator has emitted output only
+	// through its release watermark. Drop our suppressed copies up to it
+	// and RETAIN the rest — they are the promotion flush set (output the
+	// coordinator may die without ever releasing). At the lock-step gates
+	// the watermark is e itself, so nothing is retained across a completed
+	// epoch; a failover epoch — no End — re-emits its own output instead.
+	if end.HaveReleased {
+		hv.SettleOutput(end.Released, hypervisor.DropOutput)
+	}
+}
+
+// finish ends the replica's process.
+func (r *Replica) finish() (sim.Time, sim.StepStatus) {
+	r.done = true
+	return 0, sim.StepDone
+}
+
+// promote implements P6 and P7 at the failover boundary r.b and makes
+// this replica the coordinator, starting from the clock base it sets in
+// r.tme. With replicas downstream, the promotion handshake comes first:
+// bring them onto our stream with a replay of the retained history; then
+// the failover epoch's boundary is charged.
+func (r *Replica) promote(p *sim.Proc) {
+	hv, b, e := r.HV, r.b, r.b.Epoch
 	// P6: deliver what we did receive for this epoch...
 	r.stageOrdered(e)
 	// ...plus "interrupts based on Tme_b" — our own clock; no Tme_p came.
@@ -573,25 +645,19 @@ func (r *Replica) promote(p *sim.Proc, b hypervisor.Boundary) uint32 {
 
 	// The next epoch starts from our real clock (we are the authority
 	// for time now).
-	tmeNext := hv.M.TOD()
-	r.archive.record(SyncEpoch{Epoch: e, Tme: tmeNext, Ints: delivered, Digest: b.Digest, Halted: hv.Halted()})
+	r.tme = hv.M.TOD()
+	r.archive.record(SyncEpoch{Epoch: e, Tme: r.tme, Ints: delivered, Digest: b.Digest, Halted: hv.Halted()})
 
 	r.coord = r.newCoordinator()
 	// The promotion flush above emitted everything retained through the
 	// failover epoch, so the release watermark starts there.
 	r.coord.released, r.coord.haveReleased = e, true
-	return tmeNext
-}
-
-// resync is the promotion handshake, run once the new coordinator is
-// installed: bring the replicas downstream onto our stream with a replay
-// of the retained history, then charge the failover epoch's boundary.
-func (r *Replica) resync(p *sim.Proc) {
+	r.coord.install(p.Kernel())
+	r.phase = phaseResync
 	if c := r.coord; len(r.downs) > 0 {
 		m := syncMsg{Epochs: r.archive.since(0)}
 		c.s.seq++
 		m.Seq = c.s.seq
-		c.s.fanout(p, m, m.wireSize(), c.stopped)
+		c.out = c.s.cursor(m, m.wireSize(), nil)
 	}
-	r.HV.ChargeBoundary(p)
 }

@@ -191,11 +191,22 @@ func newCluster(t *testing.T, seed int64, cfg platform.Config, proto Protocol, g
 	return c
 }
 
-// run spawns both engines and runs the simulation to completion.
+// timed wraps a process's step so that it records when it finishes.
+func timed(step sim.StepFunc, at *sim.Time) sim.StepFunc {
+	return func(p *sim.Proc) (sim.Time, sim.StepStatus) {
+		d, st := step(p)
+		if st == sim.StepDone {
+			*at = p.Now()
+		}
+		return d, st
+	}
+}
+
+// run starts both engines and runs the simulation to completion.
 func (c *cluster) run(t *testing.T, bound sim.Time) {
 	t.Helper()
-	c.k.Spawn("primary", func(p *sim.Proc) { c.pri.Run(p); c.priDone = p.Now() })
-	c.k.Spawn("backup", func(p *sim.Proc) { c.bak.Run(p); c.bakDone = p.Now() })
+	c.k.Start("primary", timed(c.pri.Run, &c.priDone))
+	c.k.Start("backup", timed(c.bak.Run, &c.bakDone))
 	c.k.RunUntil(bound)
 	if !c.pair.Nodes[1].HV.Halted() && !c.pair.Nodes[0].HV.Halted() {
 		t.Fatalf("neither guest halted within %v (pri pc=%#x bak pc=%#x)",
@@ -214,10 +225,7 @@ func bareRun(t *testing.T, seed int64, cfg platform.Config, guest string) (strin
 	prog := asm.MustAssemble("guest.s", guest)
 	bare.Boot(prog.Origin, prog.Words, prog.Origin)
 	var done sim.Time
-	k.Spawn("bare", func(p *sim.Proc) {
-		bare.Run(p)
-		done = p.Now()
-	})
+	k.Start("bare", timed(bare.Run, &done))
 	k.RunUntil(100 * sim.Second)
 	if !bare.Halted() {
 		t.Fatalf("bare guest did not halt (pc=%#x)", c.Nodes[0].M.PC)

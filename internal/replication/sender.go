@@ -59,43 +59,40 @@ func newSender(peers []Peer, stats *Stats) *sender {
 	return s
 }
 
-// fanout transmits one sequenced wire message to every peer, paying the
-// I/O controller set-up cost once per peer (§4.3: this cost is
-// link-independent). A failstop landing mid-fanout ends it: the
-// remaining peers never receive the message.
-func (s *sender) fanout(p *sim.Proc, payload any, size int, stopped func() bool) {
-	f := s.cursor(payload, size)
-	for {
-		d, ok := f.next(stopped)
-		if !ok {
-			return
-		}
-		p.Sleep(d)
-	}
-}
-
-// fanCursor is one fanout in progress, a peer at a time, for a caller
-// that sleeps the set-up costs itself (a RunSteps body). The peer list is
-// the sender's when the fanout began: a peer attached meanwhile first
-// hears the next message.
+// fanCursor is one fan-out in progress, a peer at a time: it transmits a
+// sequenced wire message to every peer, and its caller's step sleeps the
+// I/O controller set-up cost it returns per peer (§4.3: this cost is
+// link-independent). The peer list is the sender's when the fan-out
+// began: a peer attached meanwhile first hears the next message. The zero
+// value is idle.
 type fanCursor struct {
 	stats   *Stats
 	peers   []*peerState
 	i       int
 	payload any
 	size    int
+	// held is the sender's own reference to payload, released when the
+	// fan-out ends (nil: none to release).
+	held interface{ Release() }
 }
 
-// cursor begins a fanout of payload.
-func (s *sender) cursor(payload any, size int) fanCursor {
-	return fanCursor{stats: s.stats, peers: s.peers, payload: payload, size: size}
+// cursor begins a fan-out of payload; held, if not nil, is released when
+// it ends.
+func (s *sender) cursor(payload any, size int, held interface{ Release() }) fanCursor {
+	return fanCursor{stats: s.stats, peers: s.peers, payload: payload, size: size, held: held}
 }
 
 // next sends the message to the next peer and returns the set-up cost to
 // sleep before the one after; false once every peer has it or the
-// coordinator stopped.
+// coordinator stopped (a failstop landing mid-fan-out ends it: the
+// remaining peers never receive the message), and the cursor is idle
+// again.
 func (f *fanCursor) next(stopped func() bool) (sim.Time, bool) {
 	if f.i == len(f.peers) || stopped() {
+		if f.held != nil {
+			f.held.Release()
+		}
+		*f = fanCursor{}
 		return 0, false
 	}
 	ps := f.peers[f.i]

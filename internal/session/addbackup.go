@@ -46,6 +46,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/platform"
 	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -242,39 +243,62 @@ func (e *Engine) AddBackup(cfg AddBackupConfig) (int, error) {
 	// replica from the transferred boundary. If the source processor
 	// failstops with the image in flight, the transfer — and the
 	// reintegration — is lost: the joiner withdraws.
-	e.spawn(n, nodeName(n), func(pr *sim.Proc) {
-		var msg netsim.Message
-		for {
-			// Boot normalized the DetectTimeout default before the
-			// quiesce ran.
-			m, ok := xfer.Inbox.RecvTimeout(pr, e.o.DetectTimeout)
-			if ok {
-				msg = m
-				break
-			}
-			if xfer.Down() {
-				bak.Abandon()
-				return
-			}
-		}
-		t, err := decodeTransfer(msg.Payload.([]byte))
-		if err != nil {
-			panic(fmt.Sprintf("session: state transfer decode: %v", err))
-		}
-		if err := node.M.RestoreState(t.Machine); err != nil {
-			panic(fmt.Sprintf("session: state transfer restore: %v", err))
-		}
-		if err := node.HV.RestoreState(t.Hypervisor); err != nil {
-			panic(fmt.Sprintf("session: state transfer restore: %v", err))
-		}
-		// The transferred boundary is authoritative: the joiner's clock
-		// base and resume point come from the image it actually
-		// received, not from whatever the splice-time engine remembered.
-		bak.BootTOD = t.Tme
-		bak.SetResumePoint(t.Epoch + 1)
-		bak.Run(pr)
-	})
+	e.spawn(n, nodeName(n), e.joiner(bak, node, xfer))
 
 	e.emit(obs.Event{Kind: obs.EventBackupAdded, Node: n, Epoch: e.lastEpoch, TransferBytes: uint64(len(blob))})
 	return n, nil
+}
+
+// joiner is the step of a late joiner's process: it waits for the state
+// transfer on xfer, installs the image and continues as the replica's
+// step. It waits in waits of DetectTimeout, each with one deadline: a
+// wake that finds the inbox empty waits out the rest, and at the deadline
+// a severed transfer abandons the joiner while a live one begins the
+// next wait.
+func (e *Engine) joiner(bak *replication.Replica, node *platform.Node, xfer *netsim.Link) sim.StepFunc {
+	var deadline sim.Time
+	waiting, installed := false, false
+	return func(pr *sim.Proc) (sim.Time, sim.StepStatus) {
+		for !installed {
+			m, ok := xfer.Inbox.TryRecv()
+			if ok {
+				e.install(bak, node, m.Payload.([]byte))
+				installed = true
+				break
+			}
+			if waiting && (pr.TimedOut() || deadline <= pr.Now()) {
+				if xfer.Down() {
+					bak.Abandon()
+					return 0, sim.StepDone
+				}
+				waiting = false
+			}
+			if !waiting {
+				// Boot normalized the DetectTimeout default before the
+				// quiesce ran.
+				waiting, deadline = true, pr.Now()+e.o.DetectTimeout
+			}
+			return xfer.Inbox.Await(deadline - pr.Now())
+		}
+		return bak.Run(pr)
+	}
+}
+
+// install puts a transferred image on the joiner's node. The transferred
+// boundary is authoritative: the joiner's clock base and resume point
+// come from the image it actually received, not from whatever the
+// splice-time engine remembered.
+func (e *Engine) install(bak *replication.Replica, node *platform.Node, blob []byte) {
+	t, err := decodeTransfer(blob)
+	if err == nil {
+		err = node.M.RestoreState(t.Machine)
+	}
+	if err == nil {
+		err = node.HV.RestoreState(t.Hypervisor)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("session: state transfer: %v", err))
+	}
+	bak.BootTOD = t.Tme
+	bak.SetResumePoint(t.Epoch + 1)
 }

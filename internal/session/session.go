@@ -396,9 +396,16 @@ func (e *Engine) newReplica(i int) *replication.Replica {
 	return r
 }
 
-// spawn starts node i's process, recording when it exits.
-func (e *Engine) spawn(i int, name string, run func(*sim.Proc)) {
-	e.k.Spawn(name, func(pr *sim.Proc) { run(pr); e.done[i] = pr.Now() })
+// spawn starts node i's process, recording when its step answers
+// sim.StepDone.
+func (e *Engine) spawn(i int, name string, step sim.StepFunc) {
+	e.k.Start(name, func(pr *sim.Proc) (sim.Time, sim.StepStatus) {
+		d, st := step(pr)
+		if st == sim.StepDone {
+			e.done[i] = pr.Now()
+		}
+		return d, st
+	})
 }
 
 // divergenceHandler wraps the configured divergence policy with event

@@ -7,14 +7,14 @@ import (
 
 // The promise contract (PromiseQuiet, NextLoud, StepQuiet), one rule per
 // subtest. The rig: a promiser that sleeps 3, sleeps 7 and answers
-// StepQuiet throughout, and at time 10 — once every process has been
-// switched into for its start — promises to go on like that until 1000
+// StepQuiet throughout, and at time 10 — once every process has made
+// its start — promises to go on like that until 1000
 // (the lattice i·10 + {0, 3}); and an observer a nanosecond out of phase
 // that asks NextLoud at every one of its own (quiet, never promised)
 // dispatches. A promise that stands reads as its end; one that is void
 // reads as the promiser's next wake.
 
-// quietRig spawns the two and returns what the observer saw, by time.
+// quietRig starts the two and returns what the observer saw, by time.
 type quietRig struct {
 	k    *Kernel
 	seen map[Time]Time
@@ -23,24 +23,22 @@ type quietRig struct {
 func newQuietRig() *quietRig {
 	r := &quietRig{k: NewKernel(1), seen: map[Time]Time{}}
 	k := r.k
-	k.Spawn("promiser", func(p *Proc) {
-		half := false
-		p.RunSteps(func(*Proc) (Time, StepStatus) {
-			if k.Now() == 10 {
-				p.PromiseQuiet(1000, 3, 7)
-			}
-			if half = !half; half {
-				return 3, StepQuiet
-			}
-			return 7, StepQuiet
-		})
+	half := false
+	k.Start("promiser", func(p *Proc) (Time, StepStatus) {
+		if k.Now() == 10 {
+			p.PromiseQuiet(1000, 3, 7)
+		}
+		if half = !half; half {
+			return 3, StepQuiet
+		}
+		return 7, StepQuiet
 	})
-	k.Spawn("observer", func(p *Proc) {
-		p.Sleep(1)
-		p.RunSteps(func(*Proc) (Time, StepStatus) {
-			r.seen[k.Now()] = k.NextLoud()
-			return 10, StepQuiet
-		})
+	k.Start("observer", func(p *Proc) (Time, StepStatus) {
+		if k.Now() == 0 {
+			return 1, StepMore
+		}
+		r.seen[k.Now()] = k.NextLoud()
+		return 10, StepQuiet
 	})
 	return r
 }
@@ -68,7 +66,7 @@ func TestPromiseQuiet(t *testing.T) {
 		r := newQuietRig()
 		defer r.k.Shutdown()
 		r.k.RunUntil(2000)
-		// Forty dispatches of the two, every one inline and quiet, leave
+		// Forty dispatches of the two, every one quiet, leave
 		// it standing; past 1000 the wake is loud again.
 		r.want(t, 1, 3) // not yet promised
 		for _, at := range []Time{11, 21, 201, 991} {
@@ -129,22 +127,19 @@ func TestPromiseQuiet(t *testing.T) {
 }
 
 // TestPromiseQuietLoudStep: a step that answers StepMore voids standing
-// promises though it runs inline, with no switch and no event.
+// promises, with no coroutine and no event.
 func TestPromiseQuietLoudStep(t *testing.T) {
 	r := newQuietRig()
 	defer r.k.Shutdown()
-	r.k.Spawn("stepper", func(p *Proc) {
-		p.Sleep(2)
-		p.RunSteps(func(sp *Proc) (Time, StepStatus) {
-			if r.k.Now() == 2 {
-				p.PromiseQuiet(1000, 60, 40) // so that its wake does not bound NextLoud
-				return 60, StepQuiet
-			}
-			if sp != nil {
-				t.Error("the loud step was not dispatched inline")
-			}
-			return 1000, StepMore // at 62: it breaks its word, and says so
-		})
+	r.k.Start("stepper", func(p *Proc) (Time, StepStatus) {
+		switch r.k.Now() {
+		case 0:
+			return 2, StepMore
+		case 2:
+			p.PromiseQuiet(1000, 60, 40) // so that its wake does not bound NextLoud
+			return 60, StepQuiet
+		}
+		return 1000, StepMore // at 62: it breaks its word, and says so
 	})
 	r.k.RunUntil(2000)
 	r.want(t, 51, 1000)
@@ -177,32 +172,28 @@ func TestPromiseQuietLattices(t *testing.T) {
 		t.Run(fmt.Sprintf("offset %d a %d b %d", c.offset, c.a, c.b), func(t *testing.T) {
 			k := NewKernel(1)
 			defer k.Shutdown()
-			k.Spawn("first", func(p *Proc) {
-				half := false
-				p.RunSteps(func(*Proc) (Time, StepStatus) {
-					if k.Now() == 10 {
-						if _, clear := p.PromiseQuiet(1000, 3, 7); !clear {
-							t.Error("alone, and not clear")
-						}
+			half := false
+			k.Start("first", func(p *Proc) (Time, StepStatus) {
+				if k.Now() == 10 {
+					if _, clear := p.PromiseQuiet(1000, 3, 7); !clear {
+						t.Error("alone, and not clear")
 					}
-					if half = !half; half {
-						return 3, StepQuiet
-					}
-					return 7, StepQuiet
-				})
+				}
+				if half = !half; half {
+					return 3, StepQuiet
+				}
+				return 7, StepQuiet
 			})
 			asked := false
-			k.Spawn("second", func(p *Proc) {
-				p.RunSteps(func(*Proc) (Time, StepStatus) {
-					if k.Now() < 20+c.offset {
-						return 20 + c.offset - k.Now(), StepQuiet // a quiet wait for its instant
-					}
-					loud, clear := p.PromiseQuiet(1000, c.a, c.b)
-					if asked = true; loud != 1000 || clear != c.clear {
-						t.Errorf("PromiseQuiet = (%d, %v), want (1000, %v)", loud, clear, c.clear)
-					}
-					return 1 << 40, StepQuiet
-				})
+			k.Start("second", func(p *Proc) (Time, StepStatus) {
+				if k.Now() < 20+c.offset {
+					return 20 + c.offset - k.Now(), StepQuiet // a quiet wait for its instant
+				}
+				loud, clear := p.PromiseQuiet(1000, c.a, c.b)
+				if asked = true; loud != 1000 || clear != c.clear {
+					t.Errorf("PromiseQuiet = (%d, %v), want (1000, %v)", loud, clear, c.clear)
+				}
+				return 1 << 40, StepQuiet
 			})
 			k.RunUntil(2000)
 			if !asked {
@@ -214,18 +205,16 @@ func TestPromiseQuietLattices(t *testing.T) {
 	t.Run("a promise on a new lattice is loud", func(t *testing.T) {
 		r := newQuietRig()
 		defer r.k.Shutdown()
-		r.k.Spawn("fickle", func(p *Proc) {
-			p.RunSteps(func(*Proc) (Time, StepStatus) {
-				switch r.k.Now() {
-				case 25:
-					p.PromiseQuiet(1000, 2, 3)
-				case 50:
-					p.PromiseQuiet(1000, 2, 3) // the same lattice, five periods on
-				case 75:
-					p.PromiseQuiet(1000, 2, 4)
-				}
-				return 25, StepQuiet
-			})
+		r.k.Start("fickle", func(p *Proc) (Time, StepStatus) {
+			switch r.k.Now() {
+			case 25:
+				p.PromiseQuiet(1000, 2, 3)
+			case 50:
+				p.PromiseQuiet(1000, 2, 3) // the same lattice, five periods on
+			case 75:
+				p.PromiseQuiet(1000, 2, 4)
+			}
+			return 25, StepQuiet
 		})
 		r.k.RunUntil(2000)
 		r.want(t, 41, 1000)
@@ -236,10 +225,11 @@ func TestPromiseQuietLattices(t *testing.T) {
 	t.Run("a free lattice is no promise", func(t *testing.T) {
 		k := NewKernel(1)
 		defer k.Shutdown()
-		k.Spawn("free", func(p *Proc) {
+		k.Start("free", func(p *Proc) (Time, StepStatus) {
 			if loud, clear := p.PromiseQuiet(1000, 0, 0); clear || loud != Forever {
 				t.Errorf("PromiseQuiet(a+b = 0) = (%d, %v), want (Forever, false)", loud, clear)
 			}
+			return 0, StepDone
 		})
 		k.Run()
 	})

@@ -13,19 +13,36 @@ import (
 type schedMode int
 
 const (
-	schedFast       schedMode = iota // in-place sleeps, inline steps
-	schedNoFastPath                  // every sleep enqueues a wake and blocks
-	schedNoInline                    // every wake of a process in RunSteps switches into it
-	schedLiteral                     // RunSteps replaced by the loop it is defined as
+	schedFast       schedMode = iota // in-place sleeps
+	schedNoFastPath                  // every sleep enqueues a wake
+	schedLiteral                     // step processes replaced by Spawn bodies looping over the same steps
 	schedNoAhead                     // quiet polls taken one sleep at a time, loudly, never promised
 )
 
+// recvTimeout receives from q within d, for a Spawn body: the queue's
+// head if it has one, else a wait for its next Put, and after a wake that
+// finds it empty a wait for the rest of d.
+func recvTimeout[T any](p *Proc, q *Queue[T], d Time) (T, bool) {
+	deadline := p.Now() + d
+	for {
+		if v, ok := q.TryRecv(); ok {
+			return v, true
+		}
+		remain := deadline - p.Now()
+		if remain <= 0 || !p.WaitTimeout(q.avail, remain) {
+			var zero T
+			return zero, false
+		}
+	}
+}
+
 // schedTrace runs one seeded random scenario and returns its dispatch
 // trace: a (time, process-or-callback, outcome) record wherever a process
-// comes back from a blocking primitive, a step of a RunSteps body runs or
-// a callback fires. The scenario is 1–64 processes running random
-// programs over shared signals, queues and cancelable callbacks, spawning
-// children, driven in RunUntil slices with Stop/ClearStop in between;
+// comes back from a blocking primitive, a step runs or a callback fires.
+// The scenario is 1–64 Spawn bodies running random programs over shared
+// signals, queues and cancelable callbacks, spawning children and
+// starting step processes, driven in RunUntil slices with Stop/ClearStop
+// in between;
 // parked far-future callbacks sit in the heap throughout (the clientsim
 // retransmission-timer shape). Some step bodies hold a poll storm: a run
 // of quiet polls — sleep a, sleep b, touch nothing but the counts of polls
@@ -37,8 +54,8 @@ const (
 var schedAhead int
 
 func schedTrace(seed int64, parked int, mode schedMode) []string {
-	debugNoFastPath, debugNoInline = mode == schedNoFastPath, mode == schedNoInline
-	defer func() { debugNoFastPath, debugNoInline = false, false }()
+	debugNoFastPath = mode == schedNoFastPath
+	defer func() { debugNoFastPath = false }()
 	k := NewKernel(seed)
 	defer k.Shutdown()
 	var trace []string
@@ -62,14 +79,13 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 		handles = append(handles, k.At(Time(2000+drv.Intn(60000)), func() { log(who, "fire") }))
 	}
 
-	// stepBody draws a RunSteps body: a sequence of pieces, each doing
+	// stepBody draws a step process: a sequence of pieces, each doing
 	// something a scheduler-context callback may do (or nothing) and then
 	// charging a random duration, zero and negative included. Some pieces
-	// charge nothing and run on into the next; some block, on a signal or
-	// a queue, and so answer StepBlock when offered no process; some end
-	// the step with a wait on a signal or a queue's arrival (StepWait),
-	// with a timeout or none, and log how it ended, and what the queue
-	// then held, when the step is called again.
+	// charge nothing and run on into the next; some end the step with a
+	// wait on a signal or a queue's arrival (StepWait), with a timeout or
+	// none, and log how it ended, and what the queue then held, when the
+	// step is called again. The last logs that the process is over.
 	type piece struct {
 		kind int
 		d    Time
@@ -78,15 +94,15 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 		// A poll storm (kind 10): polls of sleep a, sleep b.
 		polls int
 		a, b  Time
-		// A wait the step ends with (kinds 11 and 12, on s or q's
-		// arrival): timeout d, or none.
+		// A wait the step ends with (kinds 8 and 11 on s, 9 and 12 on q's
+		// arrival): timeout d, or none for kinds 11 and 12.
 		forever bool
 	}
 	quiet := StepQuiet
 	if mode == schedNoAhead {
 		quiet = StepMore
 	}
-	stepBody := func(name string, r *rand.Rand, self *Proc) StepFunc {
+	stepBody := func(name string, r *rand.Rand) StepFunc {
 		pieces := make([]piece, 1+r.Intn(6))
 		for i := range pieces {
 			pieces[i] = piece{kind: r.Intn(13), d: durations[r.Intn(len(durations))],
@@ -106,18 +122,21 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 				pc := pieces[i]
 				who := fmt.Sprintf("%s.step%d", name, i)
 				i++
-				if pc.kind == 11 {
-					log(who, fmt.Sprint("awaited ", !self.TimedOut()))
-				} else {
+				switch pc.kind {
+				case 8:
+					log(who, fmt.Sprint("waited ", !p.TimedOut()))
+				case 9:
 					v, ok := pc.q.TryRecv()
-					log(who, fmt.Sprint("awaited ", !self.TimedOut(), " recv ", v, ok))
+					log(who, fmt.Sprint("recv ", v, ok))
+				case 11:
+					log(who, fmt.Sprint("awaited ", !p.TimedOut()))
+				default:
+					v, ok := pc.q.TryRecv()
+					log(who, fmt.Sprint("awaited ", !p.TimedOut(), " recv ", v, ok))
 				}
 			}
 			for i < len(pieces) {
 				pc := pieces[i]
-				if p == nil && pc.kind >= 8 && pc.kind < 10 {
-					return 0, StepBlock
-				}
 				who := fmt.Sprintf("%s.step%d", name, i)
 				if pc.kind == 10 {
 					if half {
@@ -140,7 +159,7 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 					}
 					if mode != schedNoAhead {
 						now, per := k.Now(), pc.a+pc.b
-						loud, clear := self.PromiseQuiet(now+Time(left)*per, pc.a, pc.b)
+						loud, clear := p.PromiseQuiet(now+Time(left)*per, pc.a, pc.b)
 						if j := min(left, int((loud-now-1)/per)); clear && j > 0 {
 							left -= j
 							begun += j
@@ -171,10 +190,13 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 					log(who, "no charge")
 					continue
 				case 8:
-					log(who, fmt.Sprint("waited ", p.WaitTimeout(pc.s, pc.d)))
+					i-- // the wait's end finishes the piece
+					awaiting = true
+					return pc.s.Await(pc.d)
 				case 9:
-					v, ok := pc.q.RecvTimeout(p, pc.d)
-					log(who, fmt.Sprint("recv ", v, ok))
+					i--
+					awaiting = true
+					return pc.q.Await(pc.d)
 				case 11, 12:
 					i-- // the wait's end finishes the piece
 					awaiting = true
@@ -190,6 +212,7 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 				}
 				return pc.d, StepMore
 			}
+			log(name, "stepped")
 			return 0, StepDone
 		}
 	}
@@ -214,7 +237,7 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 					log(name, fmt.Sprint("waited ", p.WaitTimeout(s, d)))
 				case 6:
 					if r.Intn(3) == 0 {
-						p.Wait(s) // may never return: Shutdown unwinds it
+						p.WaitTimeout(s, Forever) // may never return: Shutdown unwinds it
 						log(name, "waited")
 					}
 				case 7, 8:
@@ -222,7 +245,7 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 				case 9:
 					q.Put(j)
 				case 10:
-					v, ok := q.RecvTimeout(p, d)
+					v, ok := recvTimeout(p, q, d)
 					log(name, fmt.Sprint("recv ", v, ok))
 				case 11:
 					// A callback that cancels some other handle, and may
@@ -256,14 +279,17 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 						spawn(fmt.Sprintf("%s.%d", name, j), r.Int63())
 					}
 				case 14, 15:
-					step := stepBody(fmt.Sprintf("%s.%d", name, j), r, p)
+					child := fmt.Sprintf("%s.%d", name, j)
+					step := stepBody(child, r)
 					if mode != schedLiteral {
-						p.RunSteps(step)
-					} else {
+						k.Start(child, step)
+						break
+					}
+					k.Spawn(child, func(p *Proc) {
 						for {
 							d, st := step(p)
 							if st == StepDone {
-								break
+								return
 							}
 							if st == StepWait {
 								s := k.await
@@ -273,8 +299,7 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 								p.Sleep(d)
 							}
 						}
-					}
-					log(name, "stepped")
+					})
 				}
 			}
 			log(name, "end")
@@ -304,11 +329,10 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 
 // TestSchedulerDifferential: the kernel's shortcuts must be
 // indistinguishable from the disciplines they abbreviate — same dispatch
-// trace, record for record, on every seed. The sleep fast path and
-// block's self-dispatch against every sleep enqueueing a wake and
-// blocking; inline steps against every wake of a process in RunSteps
-// switching into it; RunSteps itself against the literal loop it is
-// defined as, which sleeps or waits between steps; and polls retired ahead under a promise against
+// trace, record for record, on every seed. The sleep fast path against
+// every sleep enqueueing a wake; a step process against a Spawn body that
+// loops over the same step, sleeping or waiting between calls (the
+// adapter against the model it adapts to); and polls retired ahead under a promise against
 // every poll taken sleep by sleep — the promise contract's soundness:
 // whatever NextLoud admits, among random processes, signals, queues,
 // callbacks, Stop and RunUntil slices, nothing else's record moves. Every
@@ -320,7 +344,6 @@ func TestSchedulerDifferential(t *testing.T) {
 		mode schedMode
 	}{
 		{"no fast path", schedNoFastPath},
-		{"no inline steps", schedNoInline},
 		{"literal step loop", schedLiteral},
 		{"no polls ahead", schedNoAhead},
 	}
@@ -372,11 +395,11 @@ func TestSchedulerDifferential(t *testing.T) {
 		ahead, awaited[true], awaited[false])
 }
 
-// --- coroutine process lifecycle ---
+// --- process lifecycle ---
 
 // TestShutdownLifecycle: wherever its processes are — never started,
-// parked in any blocking primitive, finished — Shutdown leaves no live
-// process and no goroutine behind, and a second Shutdown is a no-op.
+// sleeping or waiting, finished — Shutdown leaves no live process and no
+// goroutine behind, and a second Shutdown is a no-op.
 func TestShutdownLifecycle(t *testing.T) {
 	cases := []struct {
 		name string
@@ -397,18 +420,15 @@ func TestShutdownLifecycle(t *testing.T) {
 		{"parked in Wait, WaitTimeout, Recv", 3, func(k *Kernel) {
 			s := k.NewSignal("never")
 			q := NewQueue[int](k, "empty")
-			k.Spawn("wait", func(p *Proc) { p.Wait(s) })
+			k.Spawn("wait", func(p *Proc) { p.WaitTimeout(s, Forever) })
 			k.Spawn("waittimeout", func(p *Proc) { p.WaitTimeout(s, Second) })
-			k.Spawn("recv", func(p *Proc) { q.Recv(p) })
+			k.Start("recv", func(*Proc) (Time, StepStatus) { return q.Await(Forever) })
 			k.RunUntil(Millisecond)
 		}},
-		{"parked in RunSteps, one on the wake list and one being stepped inline", 2, func(k *Kernel) {
-			for i := 0; i < 2; i++ {
-				k.Spawn("stepper", func(p *Proc) {
-					p.Sleep(Time(i))
-					p.RunSteps(func(*Proc) (Time, StepStatus) { return 2, StepMore })
-				})
-			}
+		{"step processes, one sleeping and one waiting", 2, func(k *Kernel) {
+			s := k.NewSignal("never")
+			k.Start("sleeper", func(*Proc) (Time, StepStatus) { return 2, StepMore })
+			k.Start("waiter", func(*Proc) (Time, StepStatus) { return s.Await(Second) })
 			k.RunUntil(Millisecond)
 		}},
 		{"finished", 0, func(k *Kernel) {
@@ -421,7 +441,7 @@ func TestShutdownLifecycle(t *testing.T) {
 			s := k.NewSignal("never")
 			k.Spawn("done", func(p *Proc) { p.Sleep(10) })
 			k.Spawn("parent", func(p *Proc) {
-				k.Spawn("child", func(c *Proc) { c.Wait(s) })
+				k.Spawn("child", func(c *Proc) { c.WaitTimeout(s, Forever) })
 				p.Sleep(Second)
 			})
 			k.RunUntil(Millisecond)

@@ -4,45 +4,41 @@
 // clock through this kernel, so entire multi-machine experiments are
 // reproducible bit-for-bit from a seed.
 //
-// The kernel is cooperative: at any instant exactly one process (or one
-// event callback) runs. Processes are coroutines that block inside kernel
-// primitives (Sleep, Wait, Recv); the kernel switches into exactly one of
-// them at a time, so no locking is needed inside simulated components and
-// execution order is a deterministic function of (event time, schedule
-// order).
+// The kernel is cooperative: at any instant exactly one process step (or
+// one event callback) runs, so no locking is needed inside simulated
+// components and execution order is a deterministic function of (event
+// time, schedule order).
+//
+// A process is a step machine (StepFunc, started with Kernel.Start): each
+// call of its step does the work up to the process's next sleep or wait
+// and returns it — a duration to sleep, a signal to wait on (Signal.Await)
+// or the end of the process. The kernel dispatches every wake by calling
+// the step again, always with its process, on the scheduler's own stack:
+// there is one process model and one dispatch path, and no stack to
+// switch to. Spawn adapts a body written as straight-line blocking code
+// (Proc.Sleep, Proc.WaitTimeout) to that model by running it as a
+// coroutine inside a step; Switches counts the adapter's resumes.
 //
 // Two structures hold what is pending, ordered by one (time, seq) key: a
 // binary heap of callback events, and a short sorted list of process
-// wakes (a blocked process has at most one: its sleep, spawn, broadcast
-// resume or wait timeout). The hot path allocates nothing (popped events
-// are pooled on a free list; a wake is a few fields of its Proc) and
-// never enters the Go scheduler (a process switch is two coroutine
-// switches, process → kernel → process); a process that sleeps when
-// nothing else is due first simply advances the clock in place.
+// wakes (a sleeping or waiting process has at most one: its sleep, start,
+// broadcast resume or wait timeout). The hot path allocates nothing
+// (popped events are pooled on a free list; a wake is a few fields of its
+// Proc); a process that sleeps when nothing else is due first simply
+// advances the clock in place and its step is called again at once.
 //
-// A process whose work is a run of short non-blocking pieces separated by
-// sleeps and waits hands the kernel that run as a step function
-// (Proc.RunSteps). While the process is parked in one of those sleeps, or
-// on a signal a step named (Signal.Await), the kernel dispatches its wake
-// like a callback event — it calls the next step inline, on whatever
-// stack is scheduling — and switches into the process only when the run
-// is over or a step says it might block. Dispatch order and every (time,
-// seq) key are those of the plain loop that sleeps or waits between
-// steps. The kernel counts the switches it does make (Switches).
-//
-// Such a process may also know its own future: a replica whose guest
-// spins on a device register repeats one pair of sleeps, touching nothing
-// but its own state, until something reaches it from outside. It says so
-// with a promise (Proc.PromiseQuiet: until U my dispatches touch only my
-// own state and fall on the instants now + i(a+b) + {0, a}), and in return
-// the kernel answers the one question that makes the future safe to take
+// A process may also know its own future: a replica whose guest spins on
+// a device register repeats one pair of sleeps, touching nothing but its
+// own state, until something reaches it from outside. It says so with a
+// promise (Proc.PromiseQuiet: until U my dispatches touch only my own
+// state and fall on the instants now + i(a+b) + {0, a}), and in return the
+// kernel answers the one question that makes the future safe to take
 // early — when can something loud next be dispatched (NextLoud). A
 // process that sleeps to a point strictly before that instant has slept
 // past nothing that could have seen, or changed, what it did on the way.
-// Loud is the default: every event callback, every dispatch into a
-// process and every entry to the scheduling loop voids all promises (one
-// generation counter), and so does a step that does not say, with
-// StepQuiet, that it kept its own.
+// Loud is the default: every event callback and every entry to the
+// scheduling loop voids all promises (one generation counter), and so
+// does a step that does not say, with StepQuiet, that it kept its own.
 package sim
 
 import (
@@ -107,14 +103,11 @@ func (e *event) before(at Time, seq uint64) bool {
 	return e.at < at || (e.at == at && e.seq < seq)
 }
 
-// Kernel is the simulation scheduler. Create one with NewKernel, spawn
-// processes with Spawn, then call Run (or RunUntil). A Kernel must be
-// driven by one goroutine at a time (the kernel goroutine; not one
-// locked to an OS thread): processes are coroutines that goroutine
-// switches into and that switch back to it when they block. Callback
-// events, and the steps of a process parked in RunSteps, run on
-// whichever of those stacks is scheduling at the time and must not
-// block.
+// Kernel is the simulation scheduler. Create one with NewKernel, start
+// processes with Start (or Spawn), then call Run (or RunUntil). A Kernel
+// must be driven by one goroutine at a time: every step and every
+// callback runs on the stack of the goroutine that called Run, and none
+// may block.
 type Kernel struct {
 	now     Time
 	seq     uint64
@@ -125,14 +118,12 @@ type Kernel struct {
 	procs   []*Proc
 	stopped bool
 	limit   Time        // RunUntil bound, or <0 for none
-	succ    *Proc       // successor chosen by the process that just parked
-	inline  bool        // a step is running inline (stepInline): blocking is a bug
 	nprocs  int         // live (not yet finished) processes
 	idleFn  func() bool // optional hook when nothing is pending
 	// await is the signal a step named with Signal.Await, until the kernel
 	// parks the step's process on it (StepWait).
 	await *Signal
-	// switches counts switches into processes (Switches).
+	// switches counts the Spawn adapter's resumes of its coroutines.
 	switches uint64
 	// loud is the promise generation: a promise stands while its process's
 	// quietGen equals it, and every loud occurrence advances it. It starts
@@ -278,7 +269,8 @@ func (h Handle) Cancel() {
 }
 
 // At schedules fn to run at absolute virtual time at. Event callbacks run
-// in kernel context and must not block; use Spawn for blocking behaviour.
+// in kernel context and must not block; use a process to wait in virtual
+// time.
 func (k *Kernel) At(at Time, fn func()) Handle {
 	e := k.alloc()
 	e.fn = fn
@@ -406,7 +398,7 @@ func (k *Kernel) RunUntil(t Time) Time {
 
 // Stop makes Run return after the current event completes. A process
 // may call it from inside the simulation (e.g. an epoch-boundary
-// predicate): the caller keeps running until it next blocks, at which
+// predicate): the caller's step keeps running until it returns, at which
 // point the run returns with every process's state preserved. The run
 // can be continued with ClearStop + Run/RunUntil.
 func (k *Kernel) Stop() { k.stopped = true }
@@ -453,21 +445,21 @@ func (k *Kernel) tick(name string) {
 	}
 }
 
-// next advances the simulation without transferring control: it runs due
-// callback events — and the due steps of processes parked in RunSteps —
-// inline and returns the next process to run (with the clock advanced to
-// its wake time), or nil when an end condition holds — nothing pending
-// (after the idle hook declined), Stop called, or the RunUntil bound
-// reached.
-//
-// next may execute on the kernel goroutine or inside a blocking process
-// (see block): whoever is running schedules. Exactly one of them runs at
-// any instant, so kernel state needs no locking.
-func (k *Kernel) next() *Proc {
-	for {
-		if k.stopped {
-			return nil
+// loop drives the simulation: it dispatches due callback events and
+// process wakes in (time, seq) order until an end condition holds —
+// nothing pending (after the idle hook declined), Stop called, or the
+// RunUntil bound reached. A panic raised by a step or a callback
+// surfaces here, on the goroutine that called Run, and leaves the kernel
+// stopped.
+func (k *Kernel) loop() Time {
+	ok := false
+	defer func() {
+		if !ok {
+			k.stopped = true
 		}
+	}()
+	k.loud++ // whoever called Run may have done anything since the last one
+	for !k.stopped {
 		var e *event
 		if len(k.events) > 0 {
 			e = k.events[0]
@@ -477,7 +469,7 @@ func (k *Kernel) next() *Proc {
 		if n := len(k.wakes); n > 0 {
 			if p := k.wakes[n-1]; e == nil || !e.before(p.wakeAt, p.wakeSeq) {
 				if k.limit >= 0 && p.wakeAt > k.limit {
-					return nil
+					break
 				}
 				k.wakes = k.wakes[:n-1]
 				if p.wakeAt > k.now {
@@ -490,21 +482,18 @@ func (k *Kernel) next() *Proc {
 				if k.stallLimit > 0 {
 					k.tick(p.name)
 				}
-				if p.steps != nil && !debugNoInline && k.stepInline(p) {
-					continue
-				}
-				k.loud++ // into a process: it may do anything
-				return p
+				k.dispatch(p)
+				continue
 			}
 		}
 		if e == nil {
 			if k.idleFn != nil && k.idleFn() {
 				continue
 			}
-			return nil
+			break
 		}
 		if k.limit >= 0 && e.at > k.limit {
-			return nil
+			break
 		}
 		k.remove(0)
 		if e.at > k.now {
@@ -522,95 +511,90 @@ func (k *Kernel) next() *Proc {
 			fn()
 		}
 	}
-}
-
-// loop drives the simulation from the kernel goroutine: it switches
-// into the next process and, when that process parks, into the
-// successor the process chose (block), until an end condition is
-// reached. A process panic surfaces here, out of resume; so does a panic
-// raised by an inline step, out of resume or straight out of next,
-// depending on whose stack was scheduling. Either way it leaves the
-// kernel stopped.
-func (k *Kernel) loop() Time {
-	defer func() {
-		if k.inline {
-			k.inline, k.stopped = false, true
-		}
-	}()
-	k.loud++ // whoever called Run may have done anything since the last one
-	for p := k.next(); p != nil; {
-		k.succ = nil
-		k.switches++
-		p.switches++
-		if p.resume(); p.done {
-			p = k.next()
-		} else {
-			p = k.succ
-		}
-	}
+	ok = true
 	return k.now
 }
 
-// Shutdown terminates all spawned processes that are still blocked in
-// kernel primitives or were never started. It must be called after Run
-// returns when the kernel will no longer be used; it unwinds the process
-// coroutines so they do not leak. Safe to call multiple times.
+// dispatch is the one way a process runs: call its step for the wake just
+// popped, and again for as long as each sleep it answers is taken in
+// place. It returns with p behind a new wake, parked on a signal, or
+// finished.
+func (k *Kernel) dispatch(p *Proc) {
+	for {
+		d, st := p.step(p)
+		if st != StepQuiet {
+			k.loud++ // the step may have done anything
+		}
+		switch st {
+		case StepDone:
+			p.retire()
+			return
+		case StepWait:
+			s := k.await
+			if s == nil {
+				panic("sim: StepWait from a step that named no signal (Signal.Await)")
+			}
+			k.await = nil
+			s.enlist(p, d)
+			return
+		}
+		if !k.inPlace(p, d) {
+			k.enqueue(p, k.now+max(d, 0))
+			return
+		}
+	}
+}
+
+// Shutdown finishes every process that has not finished yet. It must be
+// called after Run returns when the kernel will no longer be used; it
+// unwinds the coroutines of Spawn's processes so they do not leak. Safe
+// to call multiple times.
 func (k *Kernel) Shutdown() {
 	k.stopped = true
 	for _, p := range k.procs {
-		p.stop() // a parked process unwinds (block), an unstarted one never runs
+		if p.stop != nil {
+			p.stop() // a parked coroutine unwinds (block), an unstarted one never runs
+		}
 		p.retire()
 	}
 	k.procs, k.wakes = nil, nil
 }
 
-// LiveProcs returns the number of spawned processes that have not finished.
+// LiveProcs returns the number of started processes that have not finished.
 func (k *Kernel) LiveProcs() int { return k.nprocs }
 
-// Switches reports how many times the kernel has switched into a process
-// — a first run, or a resume from a blocking primitive or from RunSteps —
-// in total and, when name is not empty, into the processes spawned under
-// that name (until Shutdown). A wake dispatched inline, a sleep taken in
-// place and a block whose process is next anyway cost no switch.
-func (k *Kernel) Switches(name string) (total, named uint64) {
-	for _, p := range k.procs {
-		if name != "" && p.name == name {
-			named += p.switches
-		}
-	}
-	return k.switches, named
-}
+// Switches reports how many times the Spawn adapter has switched into a
+// coroutine: a first run, or a resume from Sleep or WaitTimeout that the
+// kernel did not take in place. A process started with Start costs none.
+func (k *Kernel) Switches() uint64 { return k.switches }
 
-// killed is the panic value that unwinds a parked process on Shutdown.
+// killed is the panic value that unwinds a parked coroutine on Shutdown.
 type killed struct{}
 
-// Proc is a simulated process: a coroutine that may block in virtual time.
-// All methods must be called from inside the process — on its own stack,
-// never from a step the kernel is running inline (RunSteps), where the
-// blocking ones panic; the accessors that never block (Name, Kernel,
-// Now, TimedOut) are the exception.
+// Proc is a simulated process: a step machine (StepFunc) the kernel calls
+// at each of its wakes.
 type Proc struct {
-	k      *Kernel
-	name   string
-	done   bool
-	resume func() (struct{}, bool) // kernel side: switch into the process
-	yield  func(struct{}) bool     // process side: park; false means unwind
-	stop   func()                  // kernel side: make a parked yield return false
-	// The pending wake, an entry of k.wakes (a blocked process has at
-	// most one). While expiring is set the wake is the timeout of a wait
-	// on that signal, not a plain resume; timedOut is how the last wait
-	// ended.
+	k    *Kernel
+	name string
+	step StepFunc
+	done bool
+	// The pending wake, an entry of k.wakes (a sleeping or waiting process
+	// has at most one). While expiring is set the wake is the timeout of a
+	// wait on that signal, not a plain resume; timedOut is how the last
+	// wait ended.
 	wakeAt   Time
 	wakeSeq  uint64
 	expiring *Signal
 	timedOut bool
-	// steps is the body of the RunSteps call the process is parked in, set
-	// while its pending wake is one of that call's sleeps or waits: next
-	// runs such a wake's steps inline. Cleared by the kernel when the body
-	// finishes.
-	steps StepFunc
-	// switches counts the kernel's switches into the process (Switches).
-	switches uint64
+	// The coroutine of a process Spawn started (nil for one started with
+	// Start): yield parks it, resume runs it to its next blocking call,
+	// which leaves the answer its step gives in parkD and parkSt, and stop
+	// unwinds it.
+	yield  func(struct{}) bool
+	resume func() (struct{}, bool)
+	stop   func()
+	parkD  Time
+	parkSt StepStatus
 	// The promise (PromiseQuiet), standing while quietGen == k.loud: until
 	// quietUntil the process's dispatches are quiet and fall on the
 	// instants quietAt + i(quietA+quietB) + {0, quietA}.
@@ -618,7 +602,7 @@ type Proc struct {
 	quietUntil, quietAt, quietA, quietB Time
 }
 
-// Name returns the name the process was spawned with.
+// Name returns the name the process was started with.
 func (p *Proc) Name() string { return p.name }
 
 // Kernel returns the kernel the process belongs to.
@@ -627,117 +611,10 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// TimedOut reports whether the process's last wait — a WaitTimeout, or a
-// StepWait of its RunSteps body — ended by its timeout rather than by a
-// Broadcast. Like Name, Kernel and Now it never blocks, so a step may
-// call it on a process it holds even while the kernel runs it inline.
+// TimedOut reports whether the process's last wait — a StepWait, or a
+// WaitTimeout of a Spawn body — ended by its timeout rather than by a
+// Broadcast.
 func (p *Proc) TimedOut() bool { return p.timedOut }
-
-// Spawn starts fn as a simulated process. The process begins running at
-// the current virtual time (ordered after already-scheduled events at that
-// time). Spawn may be called before Run or from inside processes/events.
-func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name}
-	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		defer func() {
-			p.retire()
-			// Shutdown's unwinding ends here. Any other panic stops the
-			// run and travels on: iter.Pull re-raises it out of resume,
-			// on the goroutine that called Run, where callers can recover.
-			if r := recover(); r != nil && r != (killed{}) {
-				k.stopped = true
-				panic(r)
-			}
-		}()
-		fn(p)
-	})
-	k.procs = append(k.procs, p)
-	k.nprocs++
-	k.enqueue(p, k.now)
-	return p
-}
-
-// retire marks p finished.
-func (p *Proc) retire() {
-	if !p.done {
-		p.done = true
-		p.k.nprocs--
-	}
-}
-
-// block suspends the calling process, whose wake is already pending or
-// will come from a Broadcast. It makes the scheduling decision itself:
-// if its own wake is the next occurrence it simply continues — no switch
-// at all — otherwise it leaves the successor (or nil on an end condition)
-// for loop to switch into and parks until loop switches back.
-func (p *Proc) block() {
-	k := p.k
-	if k.inline {
-		// A step running inline borrowed some other stack: parking here
-		// would park that stack's owner, not p.
-		panic("sim: blocking call from an inline step")
-	}
-	if q := k.next(); q != p {
-		k.succ = q
-		if !p.yield(struct{}{}) {
-			panic(killed{})
-		}
-	}
-}
-
-// debugNoFastPath, when set (tests; spec.go), disables sleep's in-place fast
-// path so every sleep enqueues a wake and blocks — the reference
-// discipline the fast path must be indistinguishable from.
-// debugNoInline, likewise, makes every wake of a process parked in
-// RunSteps a real switch into it: the reference for inline steps.
-var debugNoFastPath, debugNoInline bool
-
-// sleep is the one implementation of "p sleeps d", shared by Sleep
-// (RunSteps sleeps through it) and the inline step loop. A negative d is
-// a yield, like zero.
-//
-// Fast path: nothing is due at or before the wake (an occurrence AT the
-// wake time was scheduled earlier and must fire first) and no stop or
-// RunUntil bound intervenes, so p is what next() would dispatch. Advance
-// the clock in place — no queue operation, no switch, and no seq consumed
-// (seq is only ever compared) — and report true. A sleep called from a
-// step that is running inline never qualifies: it must reach block's
-// guard.
-//
-// Otherwise the wake is enqueued and sleep reports false: at once when
-// the kernel is running p's steps inline (park unset), for next to
-// dispatch the wake in its turn; with park set the caller is p itself,
-// which first blocks until that wake is dispatched.
-func (k *Kernel) sleep(p *Proc, d Time, park bool) bool {
-	at := k.now + max(d, 0)
-	if n := len(k.wakes); !k.stopped && !k.inline && !debugNoFastPath &&
-		(n == 0 || k.wakes[n-1].wakeAt > at) &&
-		(len(k.events) == 0 || k.events[0].at > at) &&
-		(k.limit < 0 || at <= k.limit) {
-		k.now = at
-		// The watchdog must observe this path too: a lone process
-		// yielding in place (d=0, nothing pending) never reaches next(),
-		// so it would otherwise spin forever below the watchdog's radar.
-		// Once the trip sets stopped, the next sleep enqueues and the
-		// scheduler loop exits.
-		if k.stallLimit > 0 {
-			k.tick(p.name)
-		}
-		return true
-	}
-	k.enqueue(p, at)
-	if park {
-		p.block()
-	}
-	return false
-}
-
-// Sleep suspends the process for d virtual nanoseconds.
-func (p *Proc) Sleep(d Time) { p.k.sleep(p, d, true) }
-
-// Yield gives other same-time events and processes a chance to run.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // StepStatus is a step's answer to "what next" (see StepFunc).
 type StepStatus uint8
@@ -745,12 +622,8 @@ type StepStatus uint8
 const (
 	// StepMore: sleep the returned duration, then call the step again.
 	StepMore StepStatus = iota
-	// StepDone: the body is finished; RunSteps returns (no sleep).
+	// StepDone: the process is finished (no sleep).
 	StepDone
-	// StepBlock: the step was called without its process and stopped
-	// short of something that might block; call it again, with the
-	// process, on the process's own stack.
-	StepBlock
 	// StepQuiet: StepMore from a step that kept its process's promise
 	// (PromiseQuiet): it touched nothing but the process's own state and
 	// ran at an instant the promise names. The only answer that leaves
@@ -763,133 +636,143 @@ const (
 	StepWait
 )
 
-// StepFunc is one resumable piece of a RunSteps body. Each call does the
-// work up to the body's next sleep or wait and returns that sleep's
-// duration with StepMore (zero is a yield and is still slept), or the
-// wait's timeout with StepWait (return s.Await(d)), or StepDone when the
-// body is over. A piece that charges nothing runs on into the next
-// instead of returning.
-//
-// The step is called with its process when it runs on the process's own
-// stack, where it may block like any process code, and with nil when the
-// kernel runs it inline from the scheduler on some other stack. There it
-// must not block: not through p (it has none) and not through a process
-// captured in a closure it calls. A step given nil therefore decides,
-// before it starts anything that could block, whether it could, and if so
-// returns StepBlock having done none of it; the kernel then switches into
-// the process and repeats the call there, which picks up where this one
-// stopped. The kernel enforces the rule: a blocking primitive reached
-// from an inline step panics.
+// StepFunc is a process. Each call does the work up to the process's next
+// sleep or wait and returns that sleep's duration with StepMore (zero is a
+// yield and is still slept), or the wait's timeout with StepWait (return
+// s.Await(d)), or StepDone when the process is over. A piece that charges
+// nothing runs on into the next instead of returning. The kernel calls
+// the step with its own process, on the scheduler's stack, for the start
+// and for every wake; the step keeps whatever it needs to resume from one
+// call to the next (its phase) itself, and must not block.
 //
 // A step is loud unless it says otherwise: whatever it answers but
-// StepQuiet voids every standing promise, its own process's included
-// (StepDone and StepBlock by the switch into the process that follows).
+// StepQuiet voids every standing promise, its own process's included.
 // StepQuiet is StepMore plus the claim that the step kept the promise its
 // process made — see PromiseQuiet for what that binds it to. The kernel
 // cannot check the claim; a step that makes it falsely makes other
 // processes' runs ahead, and so the simulation, wrong.
 type StepFunc func(p *Proc) (d Time, st StepStatus)
 
-// RunSteps runs a body given as a step function. It is exactly
-//
-//	for {
-//		d, st := step(p)
-//		if st == StepDone {
-//			return
-//		}
-//		if st == StepWait {
-//			p.WaitTimeout(s, d) // s: the signal the step named
-//		} else {
-//			p.Sleep(d)
-//		}
-//	}
-//
-// — same dispatch order, same (time, seq) wake keys, same waiter order,
-// same in-place fast path — except that while the process is parked in
-// one of those sleeps or waits its wake is dispatched like a callback
-// event: next calls the following steps inline, as step(nil), and
-// switches into the process only once the body is done or a step
-// answers StepBlock. Two processes whose sleeps interleave, or a process
-// that answers each message of a queue it waits on, thus cost no switch
-// per sleep or message.
-func (p *Proc) RunSteps(step StepFunc) {
-	k := p.k
-	for {
-		d, st := step(p)
-		switch st {
-		case StepDone:
-			return
-		case StepBlock:
-			panic("sim: StepBlock from a step that was given its process")
-		case StepMore, StepWait:
-			k.loud++
-		}
-		p.steps = step // this sleep's or wait's wake may be dispatched inline
-		if st == StepWait {
-			k.park(p, d)
-			p.block()
-		} else {
-			p.Sleep(d)
-		}
-		if p.steps == nil {
-			return // the body finished inline
-		}
-		p.steps = nil
+// Start starts step as a simulated process. Its first call comes at the
+// current virtual time (ordered after already-scheduled events at that
+// time). Start may be called before Run or from inside steps and events.
+func (k *Kernel) Start(name string, step StepFunc) *Proc {
+	p := &Proc{k: k, name: name, step: step}
+	k.procs = append(k.procs, p)
+	k.nprocs++
+	k.enqueue(p, k.now)
+	return p
+}
+
+// Spawn starts body as a simulated process written as blocking code: an
+// adapter that runs body as a coroutine inside a step. Proc.Sleep and
+// Proc.WaitTimeout park the coroutine with the answer a step would have
+// given at that point, and the kernel's next call of the step resumes
+// it, so a Spawn body and the step machine it spells out dispatch alike,
+// key for key.
+func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
+	p := k.Start(name, (*Proc).resumeStep)
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			p.retire()
+			// Shutdown's unwinding ends here. Any other panic travels on:
+			// iter.Pull re-raises it out of resume, in the step.
+			if r := recover(); r != nil && r != (killed{}) {
+				panic(r)
+			}
+		}()
+		body(p)
+	})
+	return p
+}
+
+// resumeStep is the step of a process Spawn started: run the coroutine
+// to its next blocking call, and answer what it parked with.
+func (p *Proc) resumeStep() (Time, StepStatus) {
+	p.k.switches++
+	if _, ok := p.resume(); ok {
+		return p.parkD, p.parkSt
+	}
+	return 0, StepDone
+}
+
+// retire marks p finished.
+func (p *Proc) retire() {
+	if !p.done {
+		p.done = true
+		p.k.nprocs--
 	}
 }
 
-// stepInline dispatches the wake of p, parked in RunSteps, without
-// switching into it: it runs p's steps in place for as long as each
-// sleep takes the fast path. It reports true when p is parked again
-// behind a new wake or on a signal, false when the caller must switch
-// into p — the body is done, or the next step might block.
-func (k *Kernel) stepInline(p *Proc) bool {
-	for {
-		k.inline = true
-		d, st := p.steps(nil)
-		k.inline = false
-		switch st {
-		case StepDone:
-			p.steps = nil
-			return false
-		case StepBlock:
-			return false
-		case StepWait:
-			k.loud++
-			k.park(p, d)
-			return true
-		case StepMore:
-			k.loud++
-		}
-		if !k.sleep(p, d, false) {
-			return true
-		}
+// debugNoFastPath, when set (tests; spec.go), disables the in-place sleep
+// so every sleep enqueues a wake — the reference discipline the fast path
+// must be indistinguishable from.
+var debugNoFastPath bool
+
+// inPlace is the sleep fast path: p sleeps d (a negative d is a yield,
+// like zero) and nothing is due at or before the wake (an occurrence AT
+// the wake time was scheduled earlier and must fire first), and no stop
+// or RunUntil bound intervenes, so p is what the loop would dispatch
+// next. It
+// advances the clock in place — no queue operation and no seq consumed
+// (seq is only ever compared) — and reports true; otherwise it changes
+// nothing and the caller enqueues the wake.
+func (k *Kernel) inPlace(p *Proc, d Time) bool {
+	at := k.now + max(d, 0)
+	if n := len(k.wakes); k.stopped || debugNoFastPath ||
+		(n > 0 && k.wakes[n-1].wakeAt <= at) ||
+		(len(k.events) > 0 && k.events[0].at <= at) ||
+		(k.limit >= 0 && at > k.limit) {
+		return false
+	}
+	k.now = at
+	// The watchdog must observe this path too: a lone process yielding in
+	// place (d=0, nothing pending) never reaches the loop, so it would
+	// otherwise spin forever below the watchdog's radar. Once the trip sets
+	// stopped, the next sleep enqueues and the scheduler loop exits.
+	if k.stallLimit > 0 {
+		k.tick(p.name)
+	}
+	return true
+}
+
+// block is the Spawn adapter's one blocking primitive: it parks the
+// calling coroutine with the answer (d, st) its step gives the kernel,
+// until the kernel calls the step again. A sleep the kernel would take in
+// place is taken in place, without leaving the coroutine.
+func (p *Proc) block(d Time, st StepStatus) {
+	if k := p.k; st == StepMore && k.inPlace(p, d) {
+		k.loud++
+		return
+	}
+	p.parkD, p.parkSt = d, st
+	if !p.yield(struct{}{}) {
+		panic(killed{})
 	}
 }
 
-// park registers p, whose step answered StepWait, as a waiter on the
-// signal the step named, with timeout d: WaitTimeout's registration,
-// without its block.
-func (k *Kernel) park(p *Proc, d Time) {
-	s := k.await
-	if s == nil {
-		panic("sim: StepWait from a step that named no signal (Signal.Await)")
-	}
-	k.await = nil
-	s.enlist(p, d)
+// Sleep suspends a Spawn body for d virtual nanoseconds: a step's StepMore.
+func (p *Proc) Sleep(d Time) { p.block(d, StepMore) }
+
+// WaitTimeout suspends a Spawn body until Broadcast on s or until d
+// elapses (Forever: no timeout), a step's StepWait. It returns true if
+// woken by Broadcast, false on timeout.
+func (p *Proc) WaitTimeout(s *Signal, d Time) bool {
+	p.block(s.Await(d))
+	return !p.timedOut
 }
 
-// PromiseQuiet is called by a step of p's RunSteps body, while it runs. It
-// promises that, for as long as nothing loud is dispatched, every
-// dispatch of p before the instant until touches only p's own state —
-// no other process's, no event, no signal, nothing a callback or another
-// process reads — and falls on p's lattice: the instants
-// now + i(a+b) + {0, a}, i.e. p alternates sleeps of a and b starting
-// now (or sleeps any whole number of those pairs at once). The step
-// making the promise, and every later one that keeps it, answers
-// StepQuiet; the promise ends at until, at the first loud occurrence
-// anywhere, or when p replaces it. Replacing it with one on a different
-// lattice is itself loud.
+// PromiseQuiet is called by p's step, while it runs. It promises that,
+// for as long as nothing loud is dispatched, every dispatch of p before
+// the instant until touches only p's own state — no other process's, no
+// event, no signal, nothing a callback or another process reads — and
+// falls on p's lattice: the instants now + i(a+b) + {0, a}, i.e. p
+// alternates sleeps of a and b starting now (or sleeps any whole number
+// of those pairs at once). The step making the promise, and every later
+// one that keeps it, answers StepQuiet; the promise ends at until, at the
+// first loud occurrence anywhere, or when p replaces it. Replacing it
+// with one on a different lattice is itself loud.
 //
 // It returns NextLoud and whether p's lattice is clear of every other
 // standing promise's: with equal (a, b) two lattices share an instant
@@ -956,22 +839,11 @@ func (s *Signal) Broadcast() {
 	}
 }
 
-// Waiters reports how many processes are blocked on s.
+// Waiters reports how many processes are waiting on s.
 func (s *Signal) Waiters() int { return len(s.waiters) }
 
-// Wait blocks the process until the next Broadcast on s.
-func (p *Proc) Wait(s *Signal) { p.WaitTimeout(s, Forever) }
-
-// WaitTimeout blocks until Broadcast or until d elapses. It returns true
-// if woken by Broadcast, false on timeout.
-func (p *Proc) WaitTimeout(s *Signal, d Time) bool {
-	s.enlist(p, d)
-	p.block()
-	return !p.timedOut
-}
-
-// enlist appends p to s's waiters and, unless d is Forever, enqueues its
-// timeout d from now: the one registration of a wait, blocking or not.
+// enlist appends p, whose step answered StepWait, to s's waiters and,
+// unless d is Forever, enqueues its timeout d from now.
 func (s *Signal) enlist(p *Proc, d Time) {
 	p.timedOut = false
 	s.waiters = append(s.waiters, p)
@@ -981,10 +853,9 @@ func (s *Signal) enlist(p *Proc, d Time) {
 	}
 }
 
-// Await ends a step of a RunSteps body with a wait on s: a step returns
-// s.Await(d) where a plain loop would call WaitTimeout(s, d). The kernel
-// registers the wait as WaitTimeout would; the step is called again once
-// it ends, and its process's TimedOut tells how.
+// Await ends a step with a wait on s, timeout d (Forever: none): a step
+// returns s.Await(d). The kernel registers the wait; the step is called
+// again once it ends, and its process's TimedOut tells how.
 func (s *Signal) Await(d Time) (Time, StepStatus) {
 	s.k.await = s
 	return d, StepWait
@@ -1061,20 +932,18 @@ func (r *Ring[T]) Pop() (T, bool) {
 }
 
 // Queue is an unbounded FIFO of values delivered in virtual time. Any
-// goroutine in kernel context may Put; processes Recv (blocking in virtual
-// time). It is the basic mailbox for simulated message passing. Storage
-// is a Ring, so a long-lived queue neither re-allocates per message nor
-// pins consumed items.
+// step or callback may Put; a consumer takes items with TryRecv and ends
+// a step with Await to wait for the next. It is the basic mailbox for
+// simulated message passing. Storage is a Ring, so a long-lived queue
+// neither re-allocates per message nor pins consumed items.
 type Queue[T any] struct {
-	k     *Kernel
-	name  string
 	ring  Ring[T]
 	avail *Signal
 }
 
 // NewQueue creates a queue on kernel k.
 func NewQueue[T any](k *Kernel, name string) *Queue[T] {
-	return &Queue[T]{k: k, name: name, avail: k.NewSignal(name + ".avail")}
+	return &Queue[T]{avail: k.NewSignal(name + ".avail")}
 }
 
 // Len reports the number of queued items.
@@ -1086,45 +955,13 @@ func (q *Queue[T]) Put(v T) {
 	q.avail.Broadcast()
 }
 
-// Await ends a step of a RunSteps body with a wait for the queue's next
-// Put (Signal.Await on its arrival signal): what RecvTimeout blocks on
-// when the queue is empty.
+// Await ends a step with a wait for the queue's next Put (Signal.Await on
+// its arrival signal), timeout d.
 func (q *Queue[T]) Await(d Time) (Time, StepStatus) { return q.avail.Await(d) }
 
 // TryRecv removes and returns the head item without blocking.
 func (q *Queue[T]) TryRecv() (T, bool) {
 	return q.ring.Pop()
-}
-
-// Recv blocks the process until an item is available, then returns it.
-func (q *Queue[T]) Recv(p *Proc) T {
-	v, _ := q.RecvTimeout(p, Forever)
-	return v
-}
-
-// RecvTimeout is Recv with a timeout; ok=false means the timeout elapsed.
-func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (T, bool) {
-	var zero T
-	deadline := Time(0)
-	if d != Forever {
-		deadline = q.k.now + d
-	}
-	for {
-		if v, ok := q.TryRecv(); ok {
-			return v, true
-		}
-		if d == Forever {
-			p.Wait(q.avail)
-			continue
-		}
-		remain := deadline - q.k.now
-		if remain <= 0 {
-			return zero, false
-		}
-		if !p.WaitTimeout(q.avail, remain) {
-			return zero, false
-		}
-	}
 }
 
 // Drain removes and returns all queued items (a fresh slice; the queue's

@@ -206,7 +206,7 @@ func TestSignalBroadcast(t *testing.T) {
 	for _, name := range []string{"p1", "p2", "p3"} {
 		name := name
 		k.Spawn(name, func(p *Proc) {
-			p.Wait(s)
+			p.WaitTimeout(s, Forever)
 			woken = append(woken, name)
 		})
 	}
@@ -268,7 +268,7 @@ func TestBroadcastAfterTimeoutDoesNotWakeTimedOutWaiter(t *testing.T) {
 	k.Spawn("waiter", func(p *Proc) {
 		p.WaitTimeout(s, 10)
 		wakeups++
-		p.Wait(s) // waits again; should only wake on the 2nd broadcast
+		p.WaitTimeout(s, Forever) // waits again; should only wake on the 2nd broadcast
 		wakeups++
 	})
 	k.Spawn("signaler", func(p *Proc) {
@@ -286,9 +286,15 @@ func TestQueueFIFO(t *testing.T) {
 	k := NewKernel(1)
 	q := NewQueue[int](k, "q")
 	var got []int
-	k.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			got = append(got, q.Recv(p))
+	k.Start("consumer", func(*Proc) (Time, StepStatus) {
+		for {
+			v, ok := q.TryRecv()
+			if !ok {
+				return q.Await(Forever)
+			}
+			if got = append(got, v); len(got) == 5 {
+				return 0, StepDone
+			}
 		}
 	})
 	k.Spawn("producer", func(p *Proc) {
@@ -306,19 +312,32 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
+// awaitOne starts a step process that waits up to d for q's next item
+// and records what it got (ok false: the wait timed out) and when.
+func awaitOne(k *Kernel, q *Queue[string], d Time, v *string, ok *bool, at *Time) {
+	waited := false
+	k.Start("consumer", func(p *Proc) (Time, StepStatus) {
+		if !waited {
+			waited = true
+			return q.Await(d)
+		}
+		*v, *ok = q.TryRecv()
+		*at = p.Now()
+		return 0, StepDone
+	})
+}
+
 func TestQueueRecvTimeout(t *testing.T) {
 	k := NewKernel(1)
 	q := NewQueue[string](k, "q")
+	var v string
 	var ok bool
 	var at Time
-	k.Spawn("consumer", func(p *Proc) {
-		_, ok = q.RecvTimeout(p, 30)
-		at = p.Now()
-	})
+	awaitOne(k, q, 30, &v, &ok, &at)
 	k.Run()
 	defer k.Shutdown()
 	if ok {
-		t.Error("RecvTimeout ok = true, want false")
+		t.Error("the wait received, want a timeout")
 	}
 	if at != 30 {
 		t.Errorf("timed out at %v, want 30", at)
@@ -330,17 +349,16 @@ func TestQueueRecvTimeoutDelivered(t *testing.T) {
 	q := NewQueue[string](k, "q")
 	var ok bool
 	var v string
-	k.Spawn("consumer", func(p *Proc) {
-		v, ok = q.RecvTimeout(p, 1000)
-	})
+	var at Time
+	awaitOne(k, q, 1000, &v, &ok, &at)
 	k.Spawn("producer", func(p *Proc) {
 		p.Sleep(5)
 		q.Put("hello")
 	})
 	k.Run()
 	defer k.Shutdown()
-	if !ok || v != "hello" {
-		t.Errorf("got (%q, %v), want (hello, true)", v, ok)
+	if !ok || v != "hello" || at != 5 {
+		t.Errorf("got (%q, %v) at %v, want (hello, true) at 5", v, ok, at)
 	}
 }
 
@@ -371,11 +389,9 @@ func TestQueueTryRecvAndDrain(t *testing.T) {
 func TestShutdownUnblocksProcs(t *testing.T) {
 	k := NewKernel(1)
 	s := k.NewSignal("never")
-	k.Spawn("stuck1", func(p *Proc) { p.Wait(s) })
-	k.Spawn("stuck2", func(p *Proc) {
-		q := NewQueue[int](k, "empty")
-		q.Recv(p)
-	})
+	q := NewQueue[int](k, "empty")
+	k.Spawn("stuck1", func(p *Proc) { p.WaitTimeout(s, Forever) })
+	k.Start("stuck2", func(*Proc) (Time, StepStatus) { return q.Await(Forever) })
 	k.Run()
 	if k.LiveProcs() != 2 {
 		t.Fatalf("LiveProcs = %d, want 2 (both blocked)", k.LiveProcs())
@@ -390,7 +406,7 @@ func TestOnIdleHook(t *testing.T) {
 	k := NewKernel(1)
 	calls := 0
 	s := k.NewSignal("s")
-	k.Spawn("waiter", func(p *Proc) { p.Wait(s) })
+	k.Spawn("waiter", func(p *Proc) { p.WaitTimeout(s, Forever) })
 	k.OnIdle(func() bool {
 		calls++
 		if calls == 1 {
@@ -443,16 +459,21 @@ func TestDeterminism(t *testing.T) {
 					q.Put(i*10 + j)
 					log = append(log, fmt.Sprintf("put %d@%d", i*10+j, p.Now()))
 				}
-				p.Wait(s)
+				p.WaitTimeout(s, Forever)
 				log = append(log, fmt.Sprintf("woke %d@%d", i, p.Now()))
 			})
 		}
-		k.Spawn("collector", func(p *Proc) {
-			for j := 0; j < 12; j++ {
-				v := q.Recv(p)
+		got := 0
+		k.Start("collector", func(p *Proc) (Time, StepStatus) {
+			for ; got < 12; got++ {
+				v, ok := q.TryRecv()
+				if !ok {
+					return q.Await(Forever)
+				}
 				log = append(log, fmt.Sprintf("got %d@%d", v, p.Now()))
 			}
 			s.Broadcast()
+			return 0, StepDone
 		})
 		k.Run()
 		return log
@@ -544,12 +565,13 @@ func TestSpawnFromProc(t *testing.T) {
 	}
 }
 
+// TestYield: a sleep of zero yields to whatever else is due now.
 func TestYield(t *testing.T) {
 	k := NewKernel(1)
 	var order []string
 	k.Spawn("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	k.Spawn("b", func(p *Proc) {
@@ -675,44 +697,39 @@ func TestSleepFastPathInterleaving(t *testing.T) {
 	}
 }
 
-// TestRunStepsInterleavedRunInline: two processes whose sleeps interleave
-// — each one's wake is always due before the other's sleep ends, so no
-// sleep takes the in-place path — run their bodies as steps. Each body's
-// first step runs on its own stack, where RunSteps was called; every
-// later one is dispatched from the scheduler without a switch (p == nil),
-// and the processes get their stacks back when their bodies are done.
-func TestRunStepsInterleavedRunInline(t *testing.T) {
+// TestStepsInterleaved: two step processes whose sleeps interleave — each
+// one's wake is always due before the other's sleep ends, so no sleep
+// takes the in-place path. Every call of each step is given its own
+// process, the processes finish when their steps answer StepDone, and
+// nothing switches.
+func TestStepsInterleaved(t *testing.T) {
 	const steps = 1000
 	k := NewKernel(1)
 	defer k.Shutdown()
 	var ended [2]Time
 	for i, offset := range []Time{0, 5} {
-		k.Spawn(fmt.Sprintf("stepper%d", i), func(p *Proc) {
-			p.Sleep(offset)
-			n := 0
-			p.RunSteps(func(sp *Proc) (Time, StepStatus) {
-				if n == steps {
-					return 0, StepDone
-				}
-				var want *Proc // inline
-				if n == 0 {
-					want = p // where RunSteps was called
-				}
-				if sp != want {
-					t.Errorf("stepper%d: step %d was given process %v, want %v", i, n, sp, want)
-				}
-				n++
-				return 10, StepMore
-			})
-			ended[i] = p.Now() // back on its own stack
+		n := -1
+		var self *Proc
+		self = k.Start(fmt.Sprintf("stepper%d", i), func(p *Proc) (Time, StepStatus) {
+			if p != self {
+				t.Errorf("stepper%d: step %d was given process %v, want %v", i, n, p, self)
+			}
+			switch n++; n {
+			case 0:
+				return offset, StepMore
+			case steps + 1:
+				ended[i] = p.Now()
+				return 0, StepDone
+			}
+			return 10, StepMore
 		})
 	}
 	k.Run()
 	if want := [2]Time{10 * steps, 5 + 10*steps}; ended != want {
-		t.Errorf("bodies ended at %v, want %v", ended, want)
+		t.Errorf("steps ended at %v, want %v", ended, want)
 	}
-	if k.LiveProcs() != 0 {
-		t.Errorf("LiveProcs = %d, want 0", k.LiveProcs())
+	if k.LiveProcs() != 0 || k.Switches() != 0 {
+		t.Errorf("LiveProcs = %d and %d switches, want 0 and 0", k.LiveProcs(), k.Switches())
 	}
 }
 
@@ -720,8 +737,8 @@ func TestRunStepsInterleavedRunInline(t *testing.T) {
 
 // TestStallWatchdogYieldLoop: a process yielding forever never advances
 // virtual time; the watchdog must stop the kernel and name it — whether
-// it yields in place on its own stack, or is a zero-charge RunSteps body
-// the scheduler keeps stepping inline from another process's stack.
+// it is a Spawn body yielding in place, or a zero-charge step process the
+// scheduler keeps stepping.
 func TestStallWatchdogYieldLoop(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -731,17 +748,19 @@ func TestStallWatchdogYieldLoop(t *testing.T) {
 			k.Spawn("spinner", func(p *Proc) {
 				p.Sleep(5 * Microsecond) // make real progress first
 				for {
-					p.Yield()
+					p.Sleep(0)
 				}
 			})
 		}},
 		{"inline steps", func(k *Kernel) {
-			k.Spawn("spinner", func(p *Proc) {
-				p.Sleep(5 * Microsecond)
-				p.RunSteps(func(sp *Proc) (Time, StepStatus) { return 0, StepMore })
+			k.Start("spinner", func(p *Proc) (Time, StepStatus) {
+				if p.Now() == 0 {
+					return 5 * Microsecond, StepMore
+				}
+				return 0, StepMore
 			})
-			// Due at the spinner's first yield, so that one parks; from then
-			// on the bystander's blocked stack does the spinning.
+			// Due at the spinner's first yield, so that one enqueues; from
+			// then on the spinner yields in place.
 			k.Spawn("bystander", func(p *Proc) {
 				p.Sleep(5 * Microsecond)
 				p.Sleep(Second)
@@ -808,7 +827,7 @@ func TestStallWatchdogDisabled(t *testing.T) {
 	done := false
 	k.Spawn("worker", func(p *Proc) {
 		for i := 0; i < 1000; i++ {
-			p.Yield()
+			p.Sleep(0)
 		}
 		done = true
 	})
@@ -829,7 +848,7 @@ func TestStallWatchdogDisabled(t *testing.T) {
 			if i%50 == 0 {
 				p.Sleep(Microsecond)
 			} else {
-				p.Yield()
+				p.Sleep(0)
 			}
 		}
 		done = true
@@ -844,43 +863,39 @@ func TestStallWatchdogDisabled(t *testing.T) {
 }
 
 // TestProcPanicReachesDriver pins the panic hand-off: a panic inside a
-// process must re-raise on the goroutine that called Run, where callers
-// can recover — not crash the program on a goroutine nobody owns. The
-// kernel is left stopped, and must still shut down cleanly afterwards.
-// The same holds for a panic raised by a step the kernel was running
-// inline, whichever stack that was on: here the kernel's own guard, when
-// the step blocks through the process it captured.
+// process — a step, or a Spawn body's coroutine — must re-raise on the
+// goroutine that called Run, where callers can recover, not crash the
+// program on a goroutine nobody owns. The kernel is left stopped, and
+// must still shut down cleanly afterwards.
 func TestProcPanicReachesDriver(t *testing.T) {
-	const guard = "sim: blocking call from an inline step"
-	// blocker's second step sleeps through its captured process; the
-	// first parks it, so the second is dispatched from the scheduler.
-	blocker := func(p *Proc) {
+	// stepBomb's second call panics: 5 ms in.
+	stepBomb := func(k *Kernel) {
 		n := 0
-		p.RunSteps(func(*Proc) (Time, StepStatus) {
+		k.Start("bomb", func(*Proc) (Time, StepStatus) {
 			if n++; n == 2 {
-				p.Sleep(Microsecond)
+				panic("boom")
 			}
 			return 5 * Millisecond, StepMore
 		})
 	}
 	cases := []struct {
 		name  string
-		bomb  func(p *Proc)
+		bomb  func(k *Kernel)
 		slice Time // a RunUntil before the Run that panics, if nonzero
-		want  any
-		live  int // processes left blocked after the panic
+		live  int  // processes not finished after the panic
 	}{
-		// The bystander survives, blocked in Sleep.
-		{"process panic", func(p *Proc) {
-			p.Sleep(5 * Millisecond)
-			panic("boom")
-		}, 0, "boom", 1},
-		// The step ran on the bystander's stack, from its Sleep: the panic
-		// unwinds the bystander and leaves the blocker parked.
-		{"inline step blocks, on a process's stack", blocker, 0, guard, 1},
-		// The first dispatch of a run is made by the driver itself: the
-		// panic unwinds no process at all.
-		{"inline step blocks, on the driver's stack", blocker, 4500 * Microsecond, guard, 2},
+		// The bystander survives, sleeping; the coroutine that panicked
+		// finished on its way out.
+		{"process panic", func(k *Kernel) {
+			k.Spawn("bomb", func(p *Proc) {
+				p.Sleep(5 * Millisecond)
+				panic("boom")
+			})
+		}, 0, 1},
+		// A step that panicked is not finished: Shutdown retires it.
+		{"step panic", stepBomb, 0, 2},
+		// The panic is the first dispatch of the Run.
+		{"step panic, first dispatch of a run", stepBomb, 4500 * Microsecond, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -894,7 +909,7 @@ func TestProcPanicReachesDriver(t *testing.T) {
 					wakes++
 				}
 			})
-			k.Spawn("bomb", c.bomb)
+			c.bomb(k)
 			if c.slice != 0 {
 				k.RunUntil(c.slice)
 			}
@@ -903,8 +918,8 @@ func TestProcPanicReachesDriver(t *testing.T) {
 				defer func() { got = recover() }()
 				k.Run()
 			}()
-			if got != c.want {
-				t.Fatalf("recovered %v on the driver goroutine, want %q", got, c.want)
+			if got != "boom" {
+				t.Fatalf("recovered %v on the driver goroutine, want boom", got)
 			}
 			if !k.Stopped() {
 				t.Error("kernel is not stopped after the panic")
@@ -913,7 +928,7 @@ func TestProcPanicReachesDriver(t *testing.T) {
 			if k.Run(); wakes != seen {
 				t.Errorf("a second Run dispatched %d more wakes on the stopped kernel", wakes-seen)
 			}
-			// Shutdown must unwind whoever is still blocked without a
+			// Shutdown must unwind whoever is still parked without a
 			// second panic; a coroutine the panic unwound is already gone.
 			if k.LiveProcs() != c.live {
 				t.Errorf("LiveProcs = %d after the panic, want %d", k.LiveProcs(), c.live)
