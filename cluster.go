@@ -406,11 +406,12 @@ func (c *Cluster) Close() error {
 // epoch commits, backup digest checks, promotions, uncertain-interrupt
 // synthesis, divergences, injected failures, link-quality changes, disk
 // operations and completion. Each call returns an independent channel
-// carrying every event from the subscription on; the channel is
-// unbounded (a slow consumer cannot stall the simulation) and closes
-// when the cluster is closed. A consumer that stops reading forfeits
-// whatever backlog remains at Close. Safe to consume from any
-// goroutine.
+// carrying every event from the subscription on, in order. While the
+// consumer keeps up each event goes straight into the channel; behind it
+// is an unbounded queue for the overflow (a slow consumer cannot stall
+// the simulation). The channel closes when the cluster is closed; a
+// consumer that stops reading forfeits whatever backlog remains at
+// Close. Safe to consume from any goroutine.
 func (c *Cluster) Events() <-chan Event {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
@@ -466,11 +467,14 @@ const (
 
 // subscriber is one Events channel: an unbounded queue bridged to the
 // channel by a pump goroutine, so the simulation never blocks on a
-// slow consumer.
+// slow consumer. While the consumer keeps up the queue stays empty and
+// publish hands each event straight to the channel; the queue and the
+// pump carry only the overflow of a full channel.
 type subscriber struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  sim.Ring[Event] // ring: consumed slots are released, not pinned
+	held   bool            // the pump has popped an event it has not yet sent
 	closed bool
 	quit   chan struct{} // closed by close(); unblocks an in-flight send
 	ch     chan Event
@@ -483,22 +487,41 @@ func newSubscriber() *subscriber {
 	return s
 }
 
-// publish queues ev and never blocks. Once the backlog has reached the
-// channel's capacity it yields the processor: the simulation never
-// enters the Go scheduler (its processes are steps called on the running
-// goroutine), so on one P this is the pump's and a reading consumer's
-// only chance to run before
-// sysmon preempts, and without it the queue keeps doubling. A consumer
-// that is not reading leaves the pump blocked, and the yield returns at
-// once.
+// publish delivers ev and never blocks. When nothing is queued ahead of
+// it — the queue is empty and the pump holds no popped event — it sends
+// straight into the channel if there is room; otherwise it queues ev for
+// the pump. Either way the stream stays in order: every earlier event is
+// already in the channel, or ahead of ev in the queue.
+//
+// Once the backlog (queue plus channel) has reached the channel's
+// capacity publish yields the processor: the simulation never enters the
+// Go scheduler (its processes are steps called on the running
+// goroutine), so on one P this is a reading consumer's and the pump's
+// only chance to run before sysmon preempts, and without it the queue
+// keeps doubling. A consumer that is not reading leaves the pump
+// blocked, and the yield returns at once.
 func (s *subscriber) publish(ev Event) {
 	s.mu.Lock()
-	if !s.closed {
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	sent := false
+	if s.queue.Len() == 0 && !s.held {
+		select {
+		case s.ch <- ev:
+			sent = true
+		default:
+		}
+	}
+	if !sent {
 		s.queue.Push(ev)
 	}
-	backlog := s.queue.Len()
+	backlog := s.queue.Len() + len(s.ch)
 	s.mu.Unlock()
-	s.cond.Signal()
+	if !sent {
+		s.cond.Signal()
+	}
 	if backlog >= cap(s.ch) {
 		runtime.Gosched()
 	}
@@ -524,10 +547,12 @@ func (s *subscriber) pump() {
 	var grace *time.Timer // one timer for the whole post-close drain
 	for {
 		s.mu.Lock()
+		s.held = false // the last popped event is in the channel, or forfeited
 		for s.queue.Len() == 0 && !s.closed {
 			s.cond.Wait()
 		}
 		ev, ok := s.queue.Pop()
+		s.held = ok
 		closed := s.closed
 		s.mu.Unlock()
 		if !ok {

@@ -245,14 +245,15 @@ func TestClusterAbandonedSubscriber(t *testing.T) {
 	}
 }
 
-// TestSubscriberBacklogBounded: simulated process switches are coroutine
-// switches that never enter the Go scheduler, so on one P the driving
-// goroutine alone would run until sysmon preempts it while the Events
-// queue grows by thousands. publish yields once the backlog reaches the
-// channel's capacity, which keeps a consumer that is reading within a
-// small multiple of it (the ring's capacity is at most twice the largest
-// backlog: it doubles only when full); a consumer that never reads is
-// not waited for.
+// TestSubscriberBacklogBounded: every simulated process is a step called
+// on the driving goroutine, which never enters the Go scheduler, so on
+// one P it alone would run until sysmon preempts it while the Events
+// queue grows by thousands. publish hands events straight to the channel
+// while the queue is empty and yields once the backlog (queue plus
+// channel) reaches the channel's capacity, which keeps the queue of a
+// consumer that is reading within a small multiple of it (the ring's
+// capacity is at most twice the largest backlog: it doubles only when
+// full); a consumer that never reads is not waited for.
 func TestSubscriberBacklogBounded(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	newRun := func(t *testing.T) (*Cluster, *subscriber) {

@@ -5,8 +5,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/guest"
 	"repro/internal/scsi"
@@ -65,6 +68,48 @@ func (p divergentProgram) Result(mem GuestMemory) ProgramResult {
 	return ProgramResult{Checksum: mem.Load32(guest.ABIResult)}
 }
 
+// renderEvent is one line of the golden: everything a consumer reads
+// off an event.
+func renderEvent(ev Event) string {
+	return fmt.Sprintf("%s | dev=%q term=%q", ev, ev.Device(), ev.TerminalData())
+}
+
+// serviceScenario is the golden's first scenario, a replicated network
+// service under output commit: client load on the NIC, terminal input
+// on the console, a link degradation, a primary failstop, and a
+// reintegrated backup finishing the run. It returns the cluster and the
+// drive that runs it to completion.
+func serviceScenario(t *testing.T) (*Cluster, func()) {
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc, err := NewCluster(
+		WithWorkload(ServeRequests(12, 50)),
+		WithClientLoad(ClientLoad{Clients: 4, MeanGap: 300 * Microsecond}),
+		WithOutputCommit(OutputCommit{Window: 4, Adaptive: true}),
+		WithTerminal(TerminalInput{At: 500 * Microsecond, Data: "hi"}, TerminalInput{At: 2 * Millisecond, Data: "x\x04"}),
+		WithDetectTimeout(2*Millisecond),
+	)
+	must(err)
+	return svc, func() {
+		_, err := svc.RunFor(1 * Millisecond)
+		must(err)
+		must(svc.SetLinkQuality(LinkQuality{BitsPerSecond: 4_000_000}))
+		_, err = svc.RunFor(1 * Millisecond)
+		must(err)
+		svc.FailPrimary()
+		_, err = svc.RunUntil(func(s Snapshot) bool { return s.Promoted })
+		must(err)
+		_, err = svc.AddBackup()
+		must(err)
+		_, err = svc.Wait(context.Background())
+		must(err)
+	}
+}
+
 // eventScenarios renders the pinned stream, one section per scenario,
 // and reports which kinds it carried.
 func eventScenarios(t *testing.T) (lines []string, kinds map[EventKind]bool) {
@@ -85,34 +130,12 @@ func eventScenarios(t *testing.T) (lines []string, kinds map[EventKind]bool) {
 		lines = append(lines, "== "+name)
 		for _, ev := range evs {
 			kinds[ev.Kind] = true
-			lines = append(lines, fmt.Sprintf("%s | dev=%q term=%q", ev, ev.Device(), ev.TerminalData()))
+			lines = append(lines, renderEvent(ev))
 		}
 	}
 
-	// A replicated network service under output commit: client load on
-	// the NIC, terminal input on the console, a link degradation, a
-	// primary failstop, and a reintegrated backup finishing the run.
-	svc := newCluster(
-		WithWorkload(ServeRequests(12, 50)),
-		WithClientLoad(ClientLoad{Clients: 4, MeanGap: 300 * Microsecond}),
-		WithOutputCommit(OutputCommit{Window: 4, Adaptive: true}),
-		WithTerminal(TerminalInput{At: 500 * Microsecond, Data: "hi"}, TerminalInput{At: 2 * Millisecond, Data: "x\x04"}),
-		WithDetectTimeout(2*Millisecond),
-	)
-	section("service", collectEvents(svc, func() {
-		_, err := svc.RunFor(1 * Millisecond)
-		must(err)
-		must(svc.SetLinkQuality(LinkQuality{BitsPerSecond: 4_000_000}))
-		_, err = svc.RunFor(1 * Millisecond)
-		must(err)
-		svc.FailPrimary()
-		_, err = svc.RunUntil(func(s Snapshot) bool { return s.Promoted })
-		must(err)
-		_, err = svc.AddBackup()
-		must(err)
-		_, err = svc.Wait(context.Background())
-		must(err)
-	}))
+	svc, drive := serviceScenario(t)
+	section("service", collectEvents(svc, drive))
 
 	// Two shared disks: disk operations tagged disk0 and disk1.
 	disks := newCluster(append([]Option{WithWorkload(TwoDiskCopy(2, 512)), WithEpochLength(16384)}, fastDiskOpts()...)...)
@@ -195,5 +218,91 @@ func TestEventsNoSubscriberAllocs(t *testing.T) {
 	commit := Event{Kind: EventEpochCommitted, Time: c.Now(), Epoch: 3, Tme: 99}
 	if a := testing.AllocsPerRun(100, func() { c.publish(commit) }); a != 0 {
 		t.Errorf("an epoch-commit event allocates %v times with no subscriber", a)
+	}
+}
+
+// TestSubscriberHandoffOrder: publish hands an event straight to the
+// channel only while nothing is queued ahead of it, so every
+// subscription carries the stream exactly once and in order however its
+// consumer keeps up. Two consumers read the golden's service scenario at
+// one and two Ps, after two channels' worth of marker events published
+// straight to the subscriptions (the scenario alone publishes fewer
+// events than a channel holds). One reads as fast as it can. The other
+// reads one channel's worth in bursts with sleeps between them while
+// the run publishes behind its backlog, then stops until the run is
+// over: its channel is full and the rest of the stream waits in the
+// ring when Close comes, and it reads on in bursts while Close's pump
+// drains that backlog.
+func TestSubscriberHandoffOrder(t *testing.T) {
+	golden, err := os.ReadFile("testdata/events.golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _, _ := strings.Cut(string(golden), "\n== disks\n")
+	want := strings.Split(strings.TrimPrefix(body, "== service\n"), "\n")
+
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			c, drive := serviceScenario(t)
+			fastCh, burstyCh := c.Events(), c.Events()
+			buffer := cap(fastCh)
+			var fast, bursty []Event
+			closing := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for ev := range fastCh {
+					fast = append(fast, ev)
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for ev := range burstyCh {
+					bursty = append(bursty, ev)
+					if len(bursty) == buffer {
+						<-closing
+					}
+					if len(bursty)%7 == 0 {
+						time.Sleep(time.Millisecond)
+					}
+				}
+			}()
+
+			var markers []Event
+			for i := range 2 * buffer {
+				ev := Event{Kind: EventEpochCommitted, Node: -1, Epoch: uint64(i)}
+				markers = append(markers, ev)
+				c.publish(ev)
+			}
+			drive()
+			s := c.subs[1]
+			s.mu.Lock()
+			backlog := s.queue.Len()
+			s.mu.Unlock()
+			if backlog == 0 {
+				t.Fatal("the paused subscription has no backlog in its ring at Close")
+			}
+			close(closing)
+			c.Close()
+			wg.Wait()
+
+			for name, got := range map[string][]Event{"fast": fast, "bursty": bursty} {
+				if len(got) != len(markers)+len(want) {
+					t.Fatalf("%s consumer saw %d events, want %d markers and %d golden events", name, len(got), len(markers), len(want))
+				}
+				for i, ev := range got[:len(markers)] {
+					if ev != markers[i] {
+						t.Fatalf("%s consumer: event %d is %v, want marker %d", name, i, ev, i)
+					}
+				}
+				for i, ev := range got[len(markers):] {
+					if line := renderEvent(ev); line != want[i] {
+						t.Fatalf("%s consumer: event %d of the scenario is\n %s\nwant\n %s", name, i, line, want[i])
+					}
+				}
+			}
+		})
 	}
 }

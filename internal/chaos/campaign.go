@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/sched"
 )
@@ -76,8 +77,20 @@ func runSeed(seed int64, i int) int64 {
 // ScheduleAt reproduces campaign run i without running the campaign —
 // the replay handle a violation report names.
 func ScheduleAt(seed int64, i int) Schedule {
-	return Generate(rand.New(rand.NewSource(runSeed(seed, i))))
+	rng, _ := rngPool.Get().(*rand.Rand)
+	if rng == nil {
+		rng = rand.New(rand.NewSource(0))
+	}
+	rng.Seed(runSeed(seed, i))
+	s := Generate(rng)
+	rngPool.Put(rng)
+	return s
 }
+
+// rngPool recycles ScheduleAt's generators. Seed restores exactly the
+// state NewSource gives for the same seed, so a recycled generator draws
+// what a fresh one would.
+var rngPool sync.Pool // *rand.Rand
 
 // campaignDigest folds every run's outcome, in run order, into one value.
 func campaignDigest(reports []Report, metrics []Metrics) string {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 
 	hft "repro"
 )
@@ -164,7 +165,8 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 			continue // completed before the coordinate: nothing to perturb
 		}
 
-		var blob []byte // the checkpoint OpSaveRestore and OpRestore restore
+		var blob []byte        // the checkpoint OpSaveRestore and OpRestore restore
+		var held *bytes.Buffer // OpSaveRestore's recycled buffer, which blob views
 		switch st.Op {
 		case OpFailPrimary:
 			c.FailPrimary()
@@ -175,22 +177,27 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 		case OpAddBackup:
 			_, err = c.AddBackup()
 		case OpSave:
-			var buf bytes.Buffer
-			if err = c.Save(&buf); err == nil {
+			buf := grabBlob()
+			if err = c.Save(buf); err == nil {
 				err = os.WriteFile(st.Path, buf.Bytes(), 0o644)
 			}
+			blobPool.Put(buf)
 		case OpSaveRestore:
-			var buf bytes.Buffer
-			if err := c.Save(&buf); err != nil {
+			held = grabBlob()
+			if err := c.Save(held); err != nil {
+				blobPool.Put(held)
 				rep.Violation = &Violation{Kind: VSnapshot, Detail: fmt.Sprintf("save: %v", err)}
 				return rep
 			}
-			blob = buf.Bytes()
+			blob = held.Bytes()
 		case OpRestore:
 			blob, err = os.ReadFile(st.Path)
 		}
 		if err == nil && blob != nil {
 			restored, err := RoundTrip(blob)
+			if held != nil {
+				blobPool.Put(held)
+			}
 			if err != nil {
 				rep.Violation = &Violation{Kind: VSnapshot, Detail: err.Error()}
 				return rep
@@ -235,6 +242,19 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 	lat, _ := c.ServiceLatencies()
 	rep.Violation = Check(shape, bare, res, lat)
 	return rep
+}
+
+// blobPool recycles the buffers Execute saves checkpoints into: a blob is
+// dead once written to its file or round-tripped.
+var blobPool sync.Pool // *bytes.Buffer
+
+// grabBlob returns an empty checkpoint buffer.
+func grabBlob() *bytes.Buffer {
+	if b, _ := blobPool.Get().(*bytes.Buffer); b != nil {
+		b.Reset()
+		return b
+	}
+	return new(bytes.Buffer)
 }
 
 // Compare is the oracle for invariants 1, 2 and 5's transcript: it

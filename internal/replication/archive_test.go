@@ -85,6 +85,34 @@ func TestEpochArchiveRecyclesLists(t *testing.T) {
 	}
 }
 
+// TestEpochArchiveRelease: a released archive goes back to the pool
+// empty, its interrupt lists cleared, so the next replica's archive —
+// recycled or new — starts from nothing.
+func TestEpochArchiveRelease(t *testing.T) {
+	a := newEpochArchive()
+	for e := uint64(0); e < 40; e++ {
+		a.record(SyncEpoch{Epoch: e, Ints: []hypervisor.Interrupt{{Line: uint(e) + 1}}})
+	}
+	lists := a.since(0)
+	a.release()
+	for _, l := range a.free {
+		if l := l[:cap(l)]; len(l) > 0 && l[0].Line != 0 {
+			t.Fatalf("a released list still holds %+v", l[0])
+		}
+	}
+	b := newEpochArchive()
+	if b.len() != 0 || len(b.since(0)) != 0 {
+		t.Fatalf("a new archive holds %d epochs", b.len())
+	}
+	b.record(SyncEpoch{Epoch: 500, Ints: []hypervisor.Interrupt{{Line: 9}}})
+	if got := b.since(0); len(got) != 1 || got[0].Epoch != 500 || got[0].Ints[0].Line != 9 {
+		t.Fatalf("since(0) after one record = %+v", got)
+	}
+	if lists[39].Ints[0].Line != 40 {
+		t.Fatal("what since handed out changed on release")
+	}
+}
+
 // TestArchiveBoundedOverManyEpochs runs a healthy replicated pair for
 // thousands of epochs and checks that the coordinator's archive stays
 // at the acknowledged-tail depth — memory no longer grows linearly in

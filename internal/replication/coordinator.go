@@ -3,6 +3,7 @@ package replication
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/hypervisor"
 	"repro/internal/netsim"
@@ -47,8 +48,34 @@ const defaultArchiveWindow = 4096
 // this depth in steady state instead of growing to the window.
 const archiveResyncKeep = 8
 
+// archivePool recycles the archives of replicas whose session has closed
+// (Replica.Release), with their ring and free lists: a backup with
+// downstream peers never trims, so its ring grows toward the window in
+// every cluster.
+var archivePool sync.Pool // *epochArchive
+
 func newEpochArchive() *epochArchive {
+	if a, _ := archivePool.Get().(*epochArchive); a != nil {
+		return a
+	}
 	return &epochArchive{window: defaultArchiveWindow}
+}
+
+// release empties the archive — every held list goes to the free lists,
+// cleared, and the ring is zeroed — and recycles it. The archive must
+// not be used afterwards.
+func (a *epochArchive) release() {
+	if a == nil {
+		return
+	}
+	for i := range a.ring {
+		if s := &a.ring[i]; s.held {
+			a.recycle(s.Ints)
+		}
+	}
+	clear(a.ring)
+	a.n, a.oldest, a.newest = 0, 0, 0
+	archivePool.Put(a)
 }
 
 // slot is epoch e's place in the ring.

@@ -189,6 +189,17 @@ func (r *Replica) Failstop() {
 	}
 }
 
+// Release recycles the replica's delivery archive. The session engine
+// calls it on teardown, once no process will run again; the replica
+// must not run or encode its state afterwards.
+func (r *Replica) Release() {
+	r.archive.release()
+	r.archive = nil
+	if r.coord != nil {
+		r.coord.archive = nil
+	}
+}
+
 // observe hands ev to the Observer, if any.
 func (r *Replica) observe(ev obs.Event) {
 	if r.Observer != nil {

@@ -75,20 +75,46 @@ type Backend interface {
 
 // memBackend is the default backend: lazily allocated zeroed blocks,
 // held sparsely — a disk costs what its touched blocks cost, not a
-// Blocks-sized table up front.
+// Blocks-sized table up front. A block that has only been read maps to
+// the shared zeroBlock; the first write gives it storage of its own.
 type memBackend struct {
 	blockSize uint32
 	blocks    uint32
 	data      map[uint32][]byte
 }
 
+// zeroBlock is what every never-written block of every in-memory disk
+// reads as, shared process-wide and never written: the write path
+// (Block) replaces it before handing a block out.
+var zeroBlock [8192]byte
+
+// shared reports whether blk is zeroBlock.
+func shared(blk []byte) bool { return len(blk) > 0 && &blk[0] == &zeroBlock[0] }
+
+// Block is the write path: b's own storage, faulted in zeroed.
 func (m *memBackend) Block(b uint32) []byte {
+	blk := m.view(b)
+	if shared(blk) {
+		blk = make([]byte, m.blockSize)
+		m.data[b] = blk
+	}
+	return blk
+}
+
+// view is the read path: b's bytes, which must not be written. A block
+// never written is the shared zero block, entered in data all the same
+// — StateDigest hashes the set of blocks a disk has touched.
+func (m *memBackend) view(b uint32) []byte {
 	if b >= m.blocks {
 		panic(fmt.Sprintf("scsi: block %d of a %d-block disk", b, m.blocks))
 	}
 	blk := m.data[b]
 	if blk == nil {
-		blk = make([]byte, m.blockSize)
+		if m.blockSize <= uint32(len(zeroBlock)) {
+			blk = zeroBlock[:m.blockSize:m.blockSize]
+		} else {
+			blk = make([]byte, m.blockSize)
+		}
 		m.data[b] = blk
 	}
 	return blk
@@ -152,7 +178,7 @@ type Disk struct {
 	k       *sim.Kernel
 	cfg     DiskConfig
 	backend Backend
-	rng     *rand.Rand
+	rng     *rand.Rand // the fault-injection stream, built at its first draw (random)
 
 	// Log records every operation the device performed or reported
 	// uncertain, in service order.
@@ -174,12 +200,18 @@ func NewDisk(k *sim.Kernel, cfg DiskConfig) *Disk {
 	if be == nil {
 		be = &memBackend{blockSize: cfg.BlockSize, blocks: cfg.Blocks, data: make(map[uint32][]byte)}
 	}
-	return &Disk{
-		k:       k,
-		cfg:     cfg,
-		backend: be,
-		rng:     rand.New(rand.NewSource(cfg.Seed ^ 0x5C51)),
+	return &Disk{k: k, cfg: cfg, backend: be}
+}
+
+// random is the fault-injection stream. Most disks never draw from it
+// (no UncertainRate, no uncertain completion), so its source is built
+// at the first draw — from the same seed, so it draws what one built
+// with the disk would.
+func (d *Disk) random() *rand.Rand {
+	if d.rng == nil {
+		d.rng = rand.New(rand.NewSource(d.cfg.Seed ^ 0x5C51))
 	}
+	return d.rng
 }
 
 // Config returns the disk configuration (defaults applied).
@@ -189,16 +221,26 @@ func (d *Disk) Config() DiskConfig { return d.cfg }
 // CHECK_CONDITION (each op independently decides whether it committed).
 func (d *Disk) InjectUncertainNext(n int) { d.uncertainNext += n }
 
-// block returns the backing store for a block via the backend.
+// block returns the backing store for a block via the backend: the
+// write path.
 func (d *Disk) block(b uint32) []byte {
 	return d.backend.Block(b)[:d.cfg.BlockSize]
+}
+
+// view returns a block's bytes for reading only: the in-memory
+// backend's never-written blocks are its shared zero block.
+func (d *Disk) view(b uint32) []byte {
+	if mb, ok := d.backend.(*memBackend); ok {
+		return mb.view(b)[:d.cfg.BlockSize]
+	}
+	return d.block(b)
 }
 
 // ReadBlockDirect copies a block's contents (test/verification backdoor,
 // not part of the simulated environment).
 func (d *Disk) ReadBlockDirect(b uint32) []byte {
 	out := make([]byte, d.cfg.BlockSize)
-	copy(out, d.block(b))
+	copy(out, d.view(b))
 	return out
 }
 
@@ -372,13 +414,13 @@ func (a *Adapter) issue() {
 		if d.uncertainNext > 0 {
 			d.uncertainNext--
 			uncertain = true
-		} else if d.cfg.UncertainRate > 0 && d.rng.Float64() < d.cfg.UncertainRate {
+		} else if d.cfg.UncertainRate > 0 && d.random().Float64() < d.cfg.UncertainRate {
 			uncertain = true
 		}
 		committed := true
 		if uncertain {
 			// IO2: the operation may or may not have been performed.
-			committed = d.rng.Intn(2) == 0
+			committed = d.random().Intn(2) == 0
 		}
 		if cmd == CmdRead {
 			// Reads transfer data only on certain completion.
@@ -393,7 +435,7 @@ func (a *Adapter) issue() {
 		switch cmd {
 		case CmdRead:
 			if !uncertain {
-				data := d.block(blockNo)[:count]
+				data := d.view(blockNo)[:count]
 				if !a.Detached {
 					a.mem.WriteBytes(addr, data)
 				}

@@ -2,6 +2,8 @@ package scsi
 
 import (
 	"bytes"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -381,4 +383,84 @@ func TestOnePurityRule(t *testing.T) {
 			t.Fatalf("pure register %#x moved the adapter's or the shadow's registers", off)
 		}
 	}
+}
+
+// unwrittenSequence runs a fixed mix of DMA reads and writes, touching
+// blocks that were never written, and returns the disk's StateDigest.
+func unwrittenSequence(t *testing.T) uint64 {
+	r := newRig(t, DiskConfig{})
+	r.mem.WriteBytes(0x4000, bytes.Repeat([]byte{0x5A, 0xC3}, 4096))
+	for _, op := range []struct{ cmd, block, addr, count uint32 }{
+		{CmdRead, 3, 0x0000, 8192},
+		{CmdWrite, 5, 0x4000, 8192},
+		{CmdRead, 5, 0x2000, 8192},
+		{CmdRead, 9, 0x6000, 512},
+		{CmdWrite, 9, 0x4000, 1024},
+		{CmdRead, 3, 0x8000, 8192},
+	} {
+		r.ad.MMIOStore(RegStatus, 4, 0xFFFFFFFF)
+		r.command(op.cmd, op.block, op.addr, op.count)
+		r.k.Run()
+	}
+	r.disk.ReadBlockDirect(11)
+	r.disk.WriteBlockDirect(12, []byte{1, 2, 3})
+	return r.disk.StateDigest()
+}
+
+// TestUnwrittenBlockReads: every never-written block of the in-memory
+// backend reads as one shared zero block, entered in the block set all
+// the same, and the write path gives a block storage of its own before
+// writing it.
+func TestUnwrittenBlockReads(t *testing.T) {
+	r := newRig(t, DiskConfig{})
+	d := r.disk
+	const n = 256
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b := uint32(0); b < n; b++ {
+		if v := d.view(b); !shared(v) || len(v) != int(d.cfg.BlockSize) {
+			t.Fatalf("unwritten block %d reads as its own %d bytes, not the shared zero block", b, len(v))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// What remains is the block set's own growth, far below one block a read.
+	if got := after.TotalAlloc - before.TotalAlloc; got > n*8192/16 {
+		t.Errorf("reading %d unwritten blocks allocated %d bytes", n, got)
+	}
+	if a := testing.AllocsPerRun(10, func() { d.view(n / 2) }); a != 0 {
+		t.Errorf("re-reading an unwritten block allocates %v times", a)
+	}
+
+	payload := bytes.Repeat([]byte{0xAB}, 8192)
+	r.mem.WriteBytes(0x1000, payload)
+	r.command(CmdWrite, 7, 0x1000, 8192)
+	r.k.Run()
+	if !bytes.Equal(d.ReadBlockDirect(7), payload) {
+		t.Fatal("written block does not read back")
+	}
+	zero := make([]byte, 8192)
+	for _, b := range []uint32{0, 6, 8, n - 1, n + 100} {
+		if !bytes.Equal(d.ReadBlockDirect(b), zero) {
+			t.Errorf("block %d is not zero after a write to block 7", b)
+		}
+	}
+	if !bytes.Equal(zeroBlock[:], zero) || !shared(d.view(6)) {
+		t.Error("the write reached the shared zero block")
+	}
+
+	// The digest hashes the touched block set, as when each unwritten
+	// block read got zeroed storage of its own (value from that build).
+	// Disks on concurrent goroutines share the zero block, as a fleet's
+	// workers do.
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, want := unwrittenSequence(t), uint64(0x1d60ff3fd19fabd1); got != want {
+				t.Errorf("StateDigest = %#x, want %#x", got, want)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -925,9 +925,13 @@ func (e *Engine) Close() {
 		e.k.Shutdown()
 	}
 	// The kernel is down and no process will run again: recycle the
-	// machines' bulk buffers for the next session. Cached results and
-	// Snapshot remain valid — they read counters, not guest memory.
+	// machines' bulk buffers and the replicas' archives for the next
+	// session. Cached results and Snapshot remain valid — they read
+	// counters, not guest memory.
 	if e.cluster != nil {
 		e.cluster.Release()
+	}
+	for _, r := range e.reps {
+		r.Release()
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 )
@@ -240,6 +241,7 @@ type Reader struct {
 	b   []byte
 	off int
 	err error
+	own []byte // ReadBlob's recycled buffer, which b views
 }
 
 // NewReader validates the blob's magic, version and checksum, in that
@@ -248,23 +250,81 @@ type Reader struct {
 // of another format was sealed with another, and is ErrVersion, not
 // ErrCorrupt.
 func NewReader(blob []byte, magic string) (*Reader, error) {
+	r := &Reader{}
+	if err := r.open(blob, magic); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// open is NewReader on r.
+func (r *Reader) open(blob []byte, magic string) error {
 	if len(magic) != 8 {
 		panic(fmt.Sprintf("snapshot: magic %q must be 8 bytes", magic))
 	}
 	if len(blob) < 8+4+8 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrCorrupt, len(blob))
+		return fmt.Errorf("%w: %d bytes", ErrCorrupt, len(blob))
 	}
 	if string(blob[:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, blob[:8], magic)
+		return fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, blob[:8], magic)
 	}
 	if v, want := binary.LittleEndian.Uint32(blob[8:]), versionOf(magic); v != want {
-		return nil, fmt.Errorf("%w: snapshot is format %d, this build reads %d", ErrVersion, v, want)
+		return fmt.Errorf("%w: snapshot is format %d, this build reads %d", ErrVersion, v, want)
 	}
 	body := blob[:len(blob)-8]
 	if got, want := binary.LittleEndian.Uint64(blob[len(body):]), checksum(body); got != want {
-		return nil, fmt.Errorf("%w: checksum %#x, computed %#x", ErrCorrupt, got, want)
+		return fmt.Errorf("%w: checksum %#x, computed %#x", ErrCorrupt, got, want)
 	}
-	return &Reader{b: body, off: 8 + 4}, nil
+	r.b, r.off, r.err = body, 8+4, nil
+	return nil
+}
+
+// readerPool recycles the readers ReadBlob opens, each with the buffer
+// its last blob was read into.
+var readerPool sync.Pool // *Reader
+
+// ReadBlob reads src to EOF into a recycled buffer and opens it as
+// NewReader does. The buffer is sized up front when src can say how much
+// is left (bytes.Reader, bytes.Buffer, strings.Reader; only a hint, the
+// read still runs to EOF) and grows otherwise. The blob is dead at
+// Release: the reader, and every View it handed out, must not be used
+// afterwards. On error there is nothing to release.
+func ReadBlob(src io.Reader, magic string) (*Reader, error) {
+	r, _ := readerPool.Get().(*Reader)
+	if r == nil {
+		r = &Reader{}
+	}
+	buf := r.own[:0]
+	if lr, ok := src.(interface{ Len() int }); ok {
+		buf = slices.Grow(buf, lr.Len()+bytes.MinRead)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, bytes.MinRead)
+		}
+		n, err := src.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			r.own = buf
+			r.Release()
+			return nil, err
+		}
+	}
+	r.own = buf
+	if err := r.open(buf, magic); err != nil {
+		r.Release()
+		return nil, err
+	}
+	return r, nil
+}
+
+// Release recycles a reader ReadBlob opened, with its buffer.
+func (r *Reader) Release() {
+	*r = Reader{own: r.own[:0]}
+	readerPool.Put(r)
 }
 
 // Fail latches the first error: the bytes at the current offset cannot

@@ -28,7 +28,6 @@ package hft
 // from a known point — here applied to the entire cluster.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -320,14 +319,14 @@ func pause(r *snapshot.Reader) pausePoint {
 // wrapping ErrSnapshotCorrupt. The returned cluster is live: it can be
 // advanced, perturbed, observed and saved again.
 func Restore(r io.Reader) (*Cluster, error) {
-	blob, err := readAll(r)
+	// The blob is dead once Restore returns: want's sections are only
+	// compared and every decoded string is a copy, so it is read into a
+	// recycled buffer.
+	sr, err := snapshot.ReadBlob(r, saveMagic)
 	if err != nil {
 		return nil, fmt.Errorf("hft: Restore: %w", err)
 	}
-	sr, err := snapshot.NewReader(blob, saveMagic)
-	if err != nil {
-		return nil, fmt.Errorf("hft: Restore: %w", err)
-	}
+	defer sr.Release()
 
 	opts := configFrom(sr)
 	nj := int(sr.U32())
@@ -381,20 +380,6 @@ func Restore(r io.Reader) (*Cluster, error) {
 		return nil, fmt.Errorf("hft: Restore: replayed state diverges from snapshot: %w", err)
 	}
 	return c, nil
-}
-
-// readAll is io.ReadAll with the buffer sized up front when the reader
-// can say how much is left (bytes.Reader, bytes.Buffer, strings.Reader):
-// one allocation instead of growth by doubling. Len is only a hint —
-// the read still runs to EOF.
-func readAll(r io.Reader) ([]byte, error) {
-	n := 0
-	if lr, ok := r.(interface{ Len() int }); ok {
-		n = lr.Len()
-	}
-	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
 }
 
 // replayTo advances the restored session to a recorded pause position.

@@ -10,8 +10,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/snapshot"
 )
@@ -287,6 +289,52 @@ func TestRestoreCorrupt(t *testing.T) {
 	if _, err := Restore(bytes.NewReader(blob[:16])); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("restore of truncated snapshot: got %v, want ErrSnapshotCorrupt", err)
 	}
+}
+
+// TestRestoreRecyclesBlob: Restore reads a checkpoint into a recycled
+// buffer and gives it back on every return path, so nothing a restored
+// cluster keeps may alias it. Restoring B over the buffer A was read
+// into must leave A's cluster saving A byte for byte; a reader that
+// cannot say how much is left still restores; a corrupt blob still fails
+// as corrupt, and the restore after it still succeeds.
+func TestRestoreRecyclesBlob(t *testing.T) {
+	a := saveBlob(t)
+	b := saveBlob(t, WithWorkload(DiskWrite(4, 2048)), WithBackups(2), WithTerminal(TerminalInput{At: Millisecond, Data: "hi"}))
+	if len(a) == len(b) {
+		t.Fatalf("blobs of one size (%d bytes): pick configurations that differ", len(a))
+	}
+	restore := func(r io.Reader) *Cluster {
+		t.Helper()
+		c, err := Restore(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	resaves := func(name string, c *Cluster, want []byte) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s re-saves %d bytes, want its %d-byte checkpoint", name, buf.Len(), len(want))
+		}
+	}
+
+	ca := restore(bytes.NewReader(a))
+	cb := restore(bytes.NewReader(b))
+	resaves("A", ca, a)
+	resaves("B", cb, b)
+	resaves("A from one-byte reads", restore(iotest.OneByteReader(bytes.NewReader(a))), a)
+
+	bad := bytes.Clone(b)
+	bad[len(bad)/2] ^= 0xFF
+	if _, err := Restore(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("restore of a corrupt blob: got %v, want ErrSnapshotCorrupt", err)
+	}
+	resaves("B after a corrupt blob", restore(bytes.NewReader(b)), b)
 }
 
 // TestRestoreRejectsInvalidConfig: Restore validates a checkpoint's
