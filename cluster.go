@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/netsim"
@@ -21,8 +20,9 @@ import (
 // caller control (RunFor, RunUntil, Wait), accepts live perturbations
 // while it runs (FailPrimary, FailBackup, SetLinkQuality), and exposes
 // observation as first-class values — a Snapshot of epoch/protocol/IO
-// statistics at any virtual time and a subscribable Events stream. With
-// the Bare option it is the single unreplicated machine instead.
+// statistics at any virtual time and an ordered stream of Events, to
+// Observe on the driving goroutine or to receive on a channel. With the
+// Bare option it is the single unreplicated machine instead.
 //
 // A Cluster must be driven from a single goroutine. The channels
 // returned by Events may be consumed from any goroutine.
@@ -37,10 +37,12 @@ type Cluster struct {
 	pause   pausePoint
 	journal []journalEntry
 
-	subMu  sync.Mutex
-	subs   []*subscriber
-	nsubs  atomic.Int32 // publish's lock-free fast path when nobody listens
-	closed bool
+	// observers is publish's one fan-out list: every function Observe
+	// registered, each Events subscription's included, in registration
+	// order. subs are those subscriptions, for Close to close.
+	observers []func(Event)
+	subs      []*subscriber
+	closed    bool
 }
 
 // NewCluster assembles a session from functional options. The
@@ -381,62 +383,59 @@ func (c *Cluster) Snapshot() Snapshot { return c.eng.Snapshot() }
 // Snapshot is a point-in-time view of a running (or completed) cluster.
 type Snapshot = obs.Snapshot
 
-// Close tears the session down, terminating its simulation and closing
-// every Events channel. The terminal Result, if the workload completed,
-// remains readable. Idempotent.
+// Close tears the session down, terminating its simulation, detaching
+// every observer and closing every Events channel. The terminal Result,
+// if the workload completed, remains readable. Idempotent.
 func (c *Cluster) Close() error {
-	c.subMu.Lock()
-	already := c.closed
-	c.closed = true
-	subs := c.subs
-	c.subs = nil
-	c.nsubs.Store(0)
-	c.subMu.Unlock()
-	if already {
+	if c.closed {
 		return nil
 	}
+	c.closed = true
+	c.observers = nil
 	c.eng.Close()
-	for _, s := range subs {
+	for _, s := range c.subs {
 		s.close()
 	}
+	c.subs = nil
 	return nil
 }
 
-// Events returns a subscription to the cluster's live event stream:
-// epoch commits, backup digest checks, promotions, uncertain-interrupt
-// synthesis, divergences, injected failures, link-quality changes, disk
-// operations and completion. Each call returns an independent channel
-// carrying every event from the subscription on, in order. While the
-// consumer keeps up each event goes straight into the channel; behind it
-// is an unbounded queue for the overflow (a slow consumer cannot stall
-// the simulation). The channel closes when the cluster is closed; a
+// Observe registers f to receive every later event — epoch commits,
+// backup digest checks, promotions, uncertain-interrupt synthesis,
+// divergences, injected failures, link-quality changes, disk operations
+// and completion — synchronously and in order, on the goroutine driving
+// the cluster, as each is published. Like a RunUntil predicate, f must
+// not call the cluster and must not block. Observe on a closed cluster
+// is a no-op; Close detaches every observer.
+func (c *Cluster) Observe(f func(Event)) {
+	if !c.closed {
+		c.observers = append(c.observers, f)
+	}
+}
+
+// Events returns a subscription to the cluster's event stream: the
+// events Observe would deliver, as a channel. Each call returns an
+// independent channel carrying every event from the subscription on, in
+// order, through an unbounded queue (a slow consumer cannot stall the
+// simulation). The channel closes when the cluster is closed; a
 // consumer that stops reading forfeits whatever backlog remains at
 // Close. Safe to consume from any goroutine.
 func (c *Cluster) Events() <-chan Event {
-	c.subMu.Lock()
-	defer c.subMu.Unlock()
 	s := newSubscriber()
 	if c.closed {
 		s.close()
 		return s.ch
 	}
 	c.subs = append(c.subs, s)
-	c.nsubs.Store(int32(len(c.subs)))
+	c.Observe(s.publish)
 	return s.ch
 }
 
-// publish fans an event out to the subscribers (installed as the
-// engine's observer; runs on the driving goroutine). With no subscribers
-// it is a single atomic load.
+// publish fans an event out to the observers (installed as the engine's
+// observer; runs on the driving goroutine).
 func (c *Cluster) publish(ev Event) {
-	if c.nsubs.Load() == 0 {
-		return
-	}
-	c.subMu.Lock()
-	subs := c.subs
-	c.subMu.Unlock()
-	for _, s := range subs {
-		s.publish(ev)
+	for _, f := range c.observers {
+		f(ev)
 	}
 }
 
@@ -465,33 +464,39 @@ const (
 	EventOutputCommitted    = obs.EventOutputCommitted
 )
 
-// subscriber is one Events channel: an unbounded queue bridged to the
-// channel by a pump goroutine, so the simulation never blocks on a
-// slow consumer. While the consumer keeps up the queue stays empty and
-// publish hands each event straight to the channel; the queue and the
-// pump carry only the overflow of a full channel.
+// subscriber is one Events channel: an observer that queues every event
+// for a pump goroutine, which moves it into the channel, so the
+// simulation never blocks on a slow consumer and the queue keeps the
+// stream in order.
 type subscriber struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  sim.Ring[Event] // ring: consumed slots are released, not pinned
-	held   bool            // the pump has popped an event it has not yet sent
 	closed bool
 	quit   chan struct{} // closed by close(); unblocks an in-flight send
 	ch     chan Event
 }
 
+// subscriberBuffer is the capacity of an Events channel and the backlog
+// (queue plus channel) at which publish yields the processor. They are
+// one number: below it the pump can move the whole backlog into the
+// channel, at it the channel is full and only a reading consumer makes
+// room, which on one P it can do only once the publisher yields. 64
+// events (≈ 9.7 KB of channel per subscription) let the consumer and the
+// pump work in batches, so on one P the publisher yields about once per
+// 64 events rather than once per event, and the queue behind a reading
+// consumer stays within a few channels' worth
+// (TestSubscriberBacklogBounded).
+const subscriberBuffer = 64
+
 func newSubscriber() *subscriber {
-	s := &subscriber{ch: make(chan Event, 64), quit: make(chan struct{})}
+	s := &subscriber{ch: make(chan Event, subscriberBuffer), quit: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
 	go s.pump()
 	return s
 }
 
-// publish delivers ev and never blocks. When nothing is queued ahead of
-// it — the queue is empty and the pump holds no popped event — it sends
-// straight into the channel if there is room; otherwise it queues ev for
-// the pump. Either way the stream stays in order: every earlier event is
-// already in the channel, or ahead of ev in the queue.
+// publish queues ev for the pump and never blocks.
 //
 // Once the backlog (queue plus channel) has reached the channel's
 // capacity publish yields the processor: the simulation never enters the
@@ -506,22 +511,10 @@ func (s *subscriber) publish(ev Event) {
 		s.mu.Unlock()
 		return
 	}
-	sent := false
-	if s.queue.Len() == 0 && !s.held {
-		select {
-		case s.ch <- ev:
-			sent = true
-		default:
-		}
-	}
-	if !sent {
-		s.queue.Push(ev)
-	}
+	s.queue.Push(ev)
 	backlog := s.queue.Len() + len(s.ch)
 	s.mu.Unlock()
-	if !sent {
-		s.cond.Signal()
-	}
+	s.cond.Signal()
 	if backlog >= cap(s.ch) {
 		runtime.Gosched()
 	}
@@ -547,12 +540,10 @@ func (s *subscriber) pump() {
 	var grace *time.Timer // one timer for the whole post-close drain
 	for {
 		s.mu.Lock()
-		s.held = false // the last popped event is in the channel, or forfeited
 		for s.queue.Len() == 0 && !s.closed {
 			s.cond.Wait()
 		}
 		ev, ok := s.queue.Pop()
-		s.held = ok
 		closed := s.closed
 		s.mu.Unlock()
 		if !ok {

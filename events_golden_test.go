@@ -1,11 +1,13 @@
 package hft
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -110,9 +112,25 @@ func serviceScenario(t *testing.T) (*Cluster, func()) {
 	}
 }
 
+// observeEvents is collectEvents through Observe: every event c
+// publishes while drive runs, gathered on the driving goroutine.
+func observeEvents(c *Cluster, drive func()) []Event {
+	var evs []Event
+	c.Observe(func(ev Event) { evs = append(evs, ev) })
+	drive()
+	c.Close()
+	return evs
+}
+
 // eventScenarios renders the pinned stream, one section per scenario,
 // and reports which kinds it carried.
 func eventScenarios(t *testing.T) (lines []string, kinds map[EventKind]bool) {
+	return eventScenariosVia(t, collectEvents)
+}
+
+// eventScenariosVia is eventScenarios with each scenario's events
+// gathered by collect.
+func eventScenariosVia(t *testing.T, collect func(*Cluster, func()) []Event) (lines []string, kinds map[EventKind]bool) {
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -135,11 +153,11 @@ func eventScenarios(t *testing.T) (lines []string, kinds map[EventKind]bool) {
 	}
 
 	svc, drive := serviceScenario(t)
-	section("service", collectEvents(svc, drive))
+	section("service", collect(svc, drive))
 
 	// Two shared disks: disk operations tagged disk0 and disk1.
 	disks := newCluster(append([]Option{WithWorkload(TwoDiskCopy(2, 512)), WithEpochLength(16384)}, fastDiskOpts()...)...)
-	section("disks", collectEvents(disks, func() {
+	section("disks", collect(disks, func() {
 		_, err := disks.Wait(context.Background())
 		must(err)
 	}))
@@ -149,7 +167,7 @@ func eventScenarios(t *testing.T) (lines []string, kinds map[EventKind]bool) {
 	// panics (the replication tripwire).
 	calls := 0
 	div := newCluster(WithProgram(divergentProgram{calls: &calls}))
-	section("divergence", collectEvents(div, func() {
+	section("divergence", collect(div, func() {
 		defer func() {
 			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "divergence") {
 				t.Fatalf("divergent program: recovered %v, want a divergence panic", r)
@@ -197,27 +215,109 @@ func TestEventStreamGolden(t *testing.T) {
 	}
 }
 
-// TestEventsNoSubscriberAllocs guards the path an event takes when nobody
-// subscribes: a disk operation, observed through the shared disk's
-// completion hook, and an epoch commit are built, stamped, published and
-// dropped without allocating (Device is derived when read, never
-// formatted at emit).
-func TestEventsNoSubscriberAllocs(t *testing.T) {
-	c, err := NewCluster(WithWorkload(CPUIntensive(2000)))
+// TestObserveGolden: an observer sees the stream an Events()
+// subscription carries, byte for byte as pinned by the golden.
+func TestObserveGolden(t *testing.T) {
+	lines, _ := eventScenariosVia(t, observeEvents)
+	want, err := os.ReadFile("testdata/events.golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(lines, "\n") + "\n"; got != string(want) {
+		t.Fatalf("the observed stream differs from the golden:\n%s", got)
+	}
+}
+
+// TestObserveAfterRestore: an observer attached to a restored cluster
+// sees exactly what an Events() subscription opened at the same point
+// carries — the events after the checkpoint's pause, none of the replay.
+func TestObserveAfterRestore(t *testing.T) {
+	c, err := NewCluster(WithWorkload(CPUIntensive(20000)), WithFailPrimaryAt(5*Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.RunFor(100 * Microsecond); err != nil {
+	if _, err := c.RunFor(2 * Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	onOp := c.eng.Disks()[0].OnOp
-	if a := testing.AllocsPerRun(100, func() { onOp(scsi.OpRecord{Cmd: scsi.CmdWrite, Block: 7}) }); a != 0 {
-		t.Errorf("a disk-op event allocates %v times with no subscriber", a)
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
 	}
-	commit := Event{Kind: EventEpochCommitted, Time: c.Now(), Epoch: 3, Tme: 99}
-	if a := testing.AllocsPerRun(100, func() { c.publish(commit) }); a != 0 {
-		t.Errorf("an epoch-commit event allocates %v times with no subscriber", a)
+	r, err := Restore(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var observed []Event
+	r.Observe(func(ev Event) { observed = append(observed, ev) })
+	subscribed := collectEvents(r, func() {
+		if _, err := r.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(observed) == 0 || observed[0].Time < 2*Millisecond || observed[len(observed)-1].Kind != EventCompleted {
+		t.Fatalf("observed %d events, want the run from 2 ms to completion", len(observed))
+	}
+	if !slices.Equal(observed, subscribed) {
+		t.Fatalf("observer saw %d events, subscription %d, or they differ", len(observed), len(subscribed))
+	}
+}
+
+// TestObserveAfterClose: Close detaches every observer, and Observe on a
+// closed cluster registers nothing.
+func TestObserveAfterClose(t *testing.T) {
+	c, err := NewCluster(WithWorkload(CPUIntensive(2000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var early, late int
+	c.Observe(func(Event) { early++ })
+	if _, err := c.RunFor(Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	atClose := early
+	if atClose == 0 {
+		t.Fatal("the observer saw nothing before Close")
+	}
+	c.Observe(func(Event) { late++ })
+	c.publish(Event{Kind: EventEpochCommitted, Time: c.Now()})
+	if _, err := c.RunFor(Millisecond); err != ErrClosed {
+		t.Fatalf("RunFor after Close = %v, want ErrClosed", err)
+	}
+	if early != atClose || late != 0 {
+		t.Errorf("after Close: %d more events to the early observer, %d to the late one", early-atClose, late)
+	}
+}
+
+// TestEventsNoSubscriberAllocs guards the path an event takes when nobody
+// subscribes, and through an observer that keeps nothing: a disk
+// operation, observed through the shared disk's completion hook, and an
+// epoch commit are built, stamped, published and dropped without
+// allocating (Device is derived when read, never formatted at emit).
+func TestEventsNoSubscriberAllocs(t *testing.T) {
+	for _, observe := range []bool{false, true} {
+		c, err := NewCluster(WithWorkload(CPUIntensive(2000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		who := "with no subscriber"
+		if observe {
+			who = "through a no-op observer"
+			c.Observe(func(Event) {})
+		}
+		if _, err := c.RunFor(100 * Microsecond); err != nil {
+			t.Fatal(err)
+		}
+		onOp := c.eng.Disks()[0].OnOp
+		if a := testing.AllocsPerRun(100, func() { onOp(scsi.OpRecord{Cmd: scsi.CmdWrite, Block: 7}) }); a != 0 {
+			t.Errorf("a disk-op event allocates %v times %s", a, who)
+		}
+		commit := Event{Kind: EventEpochCommitted, Time: c.Now(), Epoch: 3, Tme: 99}
+		if a := testing.AllocsPerRun(100, func() { c.publish(commit) }); a != 0 {
+			t.Errorf("an epoch-commit event allocates %v times %s", a, who)
+		}
 	}
 }
 

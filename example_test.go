@@ -227,6 +227,42 @@ func ExampleCluster_Events() {
 	// failstop -> promoted -> completed
 }
 
+// An observer receives every event synchronously, in order, on the
+// goroutine driving the cluster: no channel and no goroutine, so its
+// state is complete the moment the run returns. Here it measures the
+// commit gap a scheduled failstop causes: from the primary's last epoch
+// commit to the promoted backup's first, failure detection included.
+func ExampleCluster_Observe() {
+	c, err := hft.NewCluster(
+		hft.WithWorkload(hft.CPUIntensive(20000)),
+		hft.WithFailPrimaryAt(5*hft.Millisecond),
+	)
+	if err != nil {
+		panic(err)
+	}
+	defer c.Close()
+
+	var lastCommit, outage hft.Duration
+	failed := false
+	c.Observe(func(ev hft.Event) {
+		switch ev.Kind {
+		case hft.EventFailstop:
+			failed = true
+		case hft.EventEpochCommitted:
+			if failed && outage == 0 {
+				outage = ev.Time - lastCommit
+			}
+			lastCommit = ev.Time
+		}
+	})
+	if _, err := c.Wait(context.Background()); err != nil {
+		panic(err)
+	}
+	fmt.Println("commit gap across the failover:", outage)
+	// Output:
+	// commit gap across the failover: 50.435ms
+}
+
 // A replicated network service: the ServeRequests workload answers
 // requests arriving through the cluster's virtual NIC from a simulated
 // client population (WithClientLoad). The primary is failstopped

@@ -133,14 +133,10 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 	}
 	limit := max(maxVirtual, wedgeFactor*bare.Time)
 
-	// The metrics finalizer registers BEFORE the Close defer below, so
-	// it runs after Close: the event channel is closed, the collector's
-	// drain goroutine has seen the complete stream, and finish() only
-	// waits for it.
 	var col *evCollector
 	if m != nil {
 		col = &evCollector{}
-		defer func() { col.finish(m) }()
+		defer col.finish(m)
 	}
 
 	c, err := hft.NewCluster(s.ClusterOptions(shape)...)
@@ -150,7 +146,7 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 	}
 	defer func() { c.Close() }()
 	if col != nil {
-		col.attach(c)
+		c.Observe(col.observe)
 	}
 
 	for i, st := range s.Steps {
@@ -205,7 +201,7 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 			c.Close()
 			c = restored
 			if col != nil {
-				col.rotate(c)
+				c.Observe(col.observe)
 			}
 		}
 		if err != nil {

@@ -1,10 +1,6 @@
 package chaos
 
-import (
-	"sync"
-
-	hft "repro"
-)
+import hft "repro"
 
 // Metrics are per-run aggregates a fleet collects from one executed
 // schedule. Every field is a virtual-time or guest-visible quantity,
@@ -32,42 +28,17 @@ type Metrics struct {
 }
 
 // evCollector folds a cluster's event stream into the order-sensitive
-// Metrics fields (failovers, blackout). One goroutine drains each
-// subscription; the collector's state has a single writer at any
-// moment because rotate waits for the previous drain to finish before
-// attaching to a restored cluster.
+// Metrics fields (failovers, blackout). It observes every cluster a run
+// drives (Cluster.Observe), restored ones included: the state it carries
+// over (acting node, last commit time) is exactly what a restore
+// preserves, so gap accounting continues seamlessly.
 type evCollector struct {
-	wg sync.WaitGroup
-
 	acting     int
 	lastCommit hft.Duration
 	gapOpen    bool
 	gapStart   hft.Duration
 	failovers  int
 	blackout   hft.Duration
-}
-
-// attach subscribes to a cluster's event stream and drains it until
-// the cluster is closed.
-func (col *evCollector) attach(c *hft.Cluster) {
-	ch := c.Events()
-	col.wg.Add(1)
-	go func() {
-		defer col.wg.Done()
-		for ev := range ch {
-			col.observe(ev)
-		}
-	}()
-}
-
-// rotate moves the collector to a restored cluster. The previous
-// cluster must already be closed: its drain goroutine finishes on the
-// closed channel, then the new subscription becomes the sole writer.
-// Carried-over state (acting node, last commit time) is exactly what a
-// restore preserves, so gap accounting continues seamlessly.
-func (col *evCollector) rotate(c *hft.Cluster) {
-	col.wg.Wait()
-	col.attach(c)
 }
 
 func (col *evCollector) observe(ev hft.Event) {
@@ -91,10 +62,8 @@ func (col *evCollector) observe(ev hft.Event) {
 	}
 }
 
-// finish waits for the last drain goroutine (the caller closes the
-// cluster first) and writes the event-derived fields into m.
+// finish writes the event-derived fields into m.
 func (col *evCollector) finish(m *Metrics) {
-	col.wg.Wait()
 	m.Failovers = col.failovers
 	m.Blackout = col.blackout
 }
