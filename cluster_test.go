@@ -248,12 +248,13 @@ func TestClusterAbandonedSubscriber(t *testing.T) {
 // TestSubscriberBacklogBounded: every simulated process is a step called
 // on the driving goroutine, which never enters the Go scheduler, so on
 // one P it alone would run until sysmon preempts it while the Events
-// queue grows by thousands. publish hands events straight to the channel
-// while the queue is empty and yields once the backlog (queue plus
-// channel) reaches the channel's capacity, which keeps the queue of a
-// consumer that is reading within a small multiple of it (the ring's
-// capacity is at most twice the largest backlog: it doubles only when
-// full); a consumer that never reads is not waited for.
+// queue grows by thousands. publish queues every event for the pump,
+// which alone moves events into the channel, and yields once the
+// backlog (queue plus channel) reaches the channel's capacity, which
+// keeps the queue of a consumer that is reading within a small multiple
+// of it (the ring's capacity is at most twice the largest backlog: it
+// doubles only when full); a consumer that never reads is not waited
+// for.
 func TestSubscriberBacklogBounded(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	newRun := func(t *testing.T) (*Cluster, *subscriber) {

@@ -321,12 +321,12 @@ func TestEventsNoSubscriberAllocs(t *testing.T) {
 	}
 }
 
-// TestSubscriberHandoffOrder: publish hands an event straight to the
-// channel only while nothing is queued ahead of it, so every
+// TestSubscriberHandoffOrder: publish queues every event and the pump
+// alone moves the queue into the channel, in order, so every
 // subscription carries the stream exactly once and in order however its
 // consumer keeps up. Two consumers read the golden's service scenario at
 // one and two Ps, after two channels' worth of marker events published
-// straight to the subscriptions (the scenario alone publishes fewer
+// to the subscriptions directly (the scenario alone publishes fewer
 // events than a channel holds). One reads as fast as it can. The other
 // reads one channel's worth in bursts with sleeps between them while
 // the run publishes behind its backlog, then stops until the run is

@@ -8,8 +8,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 
+	"repro/internal/free"
 	"repro/internal/sched"
 )
 
@@ -77,20 +77,21 @@ func runSeed(seed int64, i int) int64 {
 // ScheduleAt reproduces campaign run i without running the campaign —
 // the replay handle a violation report names.
 func ScheduleAt(seed int64, i int) Schedule {
-	rng, _ := rngPool.Get().(*rand.Rand)
-	if rng == nil {
+	rng, ok := rngs.Get()
+	if !ok {
 		rng = rand.New(rand.NewSource(0))
 	}
 	rng.Seed(runSeed(seed, i))
 	s := Generate(rng)
-	rngPool.Put(rng)
+	rngs.Put(rng)
 	return s
 }
 
-// rngPool recycles ScheduleAt's generators. Seed restores exactly the
-// state NewSource gives for the same seed, so a recycled generator draws
-// what a fresh one would.
-var rngPool sync.Pool // *rand.Rand
+// rngs holds ScheduleAt's idle generators: one lives per call, so it is
+// borrowed for the call. Seed restores exactly the state NewSource gives
+// for the same seed, so a recycled generator draws what a fresh one
+// would.
+var rngs free.Shelf[*rand.Rand]
 
 // campaignDigest folds every run's outcome, in run order, into one value.
 func campaignDigest(reports []Report, metrics []Metrics) string {

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 
 	hft "repro"
+	"repro/internal/free"
 )
 
 // ViolationKind classifies an invariant failure.
@@ -173,15 +173,15 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 		case OpAddBackup:
 			_, err = c.AddBackup()
 		case OpSave:
-			buf := grabBlob()
+			buf := borrowBlob()
 			if err = c.Save(buf); err == nil {
 				err = os.WriteFile(st.Path, buf.Bytes(), 0o644)
 			}
-			blobPool.Put(buf)
+			blobs.Put(buf)
 		case OpSaveRestore:
-			held = grabBlob()
+			held = borrowBlob()
 			if err := c.Save(held); err != nil {
-				blobPool.Put(held)
+				blobs.Put(held)
 				rep.Violation = &Violation{Kind: VSnapshot, Detail: fmt.Sprintf("save: %v", err)}
 				return rep
 			}
@@ -192,7 +192,7 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 		if err == nil && blob != nil {
 			restored, err := RoundTrip(blob)
 			if held != nil {
-				blobPool.Put(held)
+				blobs.Put(held)
 			}
 			if err != nil {
 				rep.Violation = &Violation{Kind: VSnapshot, Detail: err.Error()}
@@ -240,13 +240,14 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 	return rep
 }
 
-// blobPool recycles the buffers Execute saves checkpoints into: a blob is
-// dead once written to its file or round-tripped.
-var blobPool sync.Pool // *bytes.Buffer
+// blobs holds the idle buffers Execute saves checkpoints into. A blob
+// is dead once written to its file or round-tripped, within one Execute
+// call, so its buffer is borrowed for the call.
+var blobs free.Shelf[*bytes.Buffer]
 
-// grabBlob returns an empty checkpoint buffer.
-func grabBlob() *bytes.Buffer {
-	if b, _ := blobPool.Get().(*bytes.Buffer); b != nil {
+// borrowBlob returns an empty checkpoint buffer.
+func borrowBlob() *bytes.Buffer {
+	if b, ok := blobs.Get(); ok {
 		b.Reset()
 		return b
 	}

@@ -95,7 +95,7 @@ func (f *sharedFrame) decoded() *sharedDecode {
 
 // copyInto seeds a fresh per-machine decodedPage from the shared
 // decode. Trace state (traceAt/cover/traces/gen) is per-machine and
-// already reset by grabPage.
+// already reset by Arena.page.
 func (d *sharedDecode) copyInto(pg *decodedPage) {
 	pg.insts = d.insts
 	pg.words = d.words
@@ -244,7 +244,7 @@ func (m *Machine) faultPage(idx uint32) *ramPage {
 	if m.ownedPage(idx) {
 		return fr
 	}
-	priv := grabFrame()
+	priv := m.arena.frame()
 	*priv = *fr
 	m.frames[idx] = priv
 	m.owned[idx>>6] |= 1 << (idx & 63)

@@ -159,6 +159,8 @@ type Machine struct {
 	owned []uint64
 	// img is the shared base image.
 	img *BaseImage
+	// arena owns the bulk buffers (see pool.go).
+	arena *Arena
 	// memSize is the physical RAM size in bytes.
 	memSize uint32
 
@@ -228,7 +230,7 @@ func decodeIndex(w uint32) uint32 {
 // decode returns the decoded form of w, via the memo cache.
 func (m *Machine) decode(w uint32) (isa.Inst, bool) {
 	if m.decodeCache == nil {
-		m.decodeCache = grabDecodeCache()
+		m.decodeCache = m.arena.decodeCache()
 	}
 	e := &m.decodeCache[decodeIndex(w)]
 	if e.valid && e.word == w {
@@ -242,8 +244,13 @@ func (m *Machine) decode(w uint32) (isa.Inst, bool) {
 	return in, true
 }
 
-// New creates a machine per cfg, with all state zero and PC = 0.
-func New(cfg Config) *Machine {
+// New creates a machine per cfg, with all state zero and PC = 0, over a
+// private arena: its bulk buffers are allocated plainly.
+func New(cfg Config) *Machine { return NewIn(new(Arena), cfg) }
+
+// NewIn is New over an arena: the machine's bulk buffers come from a and
+// go back to it at Release.
+func NewIn(a *Arena, cfg Config) *Machine {
 	cfg = cfg.withDefaults()
 	var pol ReplacePolicy
 	switch cfg.TLBPolicy {
@@ -260,10 +267,11 @@ func New(cfg Config) *Machine {
 	m := &Machine{
 		cfg:     cfg,
 		TLB:     NewTLB(cfg.TLBSize, pol),
-		pages:   grabPages(npages),
+		pages:   a.pageTable(npages),
 		memSize: cfg.MemBytes,
 		traceOn: !cfg.NoTraces && !debugNoTraces,
 		img:     cfg.Image,
+		arena:   a,
 	}
 	if m.img == nil {
 		m.img = ProgramImage(0, nil, cfg.MemBytes)
@@ -271,8 +279,8 @@ func New(cfg Config) *Machine {
 		panic(fmt.Sprintf("machine: base image is %d bytes, config wants %d", m.img.Size(), cfg.MemBytes))
 	}
 	// All frames shared, no ownership bits set.
-	m.frames = grabFrames(npages)
-	m.owned = grabOwned((npages + 63) / 64)
+	m.frames = a.frameTable(npages)
+	m.owned = a.ownedBits((npages + 63) / 64)
 	for i := range m.frames {
 		m.frames[i] = &m.img.frames[i].data
 	}

@@ -68,7 +68,7 @@ func (m *Machine) execPage(base uint32) *decodedPage {
 	idx := base >> isa.PageShift
 	pg := m.pages[idx]
 	if pg == nil {
-		pg = grabPage()
+		pg = m.arena.page()
 		if !m.ownedPage(idx) {
 			m.img.frames[idx].decoded().copyInto(pg)
 		}

@@ -201,7 +201,7 @@ func (m *Machine) RestoreState(s State) error {
 		}
 		if same {
 			if m.ownedPage(idx) {
-				framePool.Put(m.frames[i])
+				m.arena.frames.Put(m.frames[i])
 				m.frames[i] = &shared.data
 				m.owned[idx>>6] &^= 1 << (idx & 63)
 			}

@@ -194,10 +194,9 @@ func (pg *decodedPage) dropTraces() {
 	pg.gen++
 	clear(pg.traceAt[:])
 	// The dropped records are NOT recycled here: a drop can happen under
-	// a running trace (a store from inside it), and in a concurrent
-	// process another machine could grab and mutate a pooled record the
-	// executor is still reading. Recycling happens only at machine death
-	// (Release), when no reader can remain.
+	// a running trace (a store from inside it), whose executor goes on
+	// reading the record until it sees gen move. Recycling happens only
+	// at machine death (Release), when no reader can remain.
 	pg.traces = nil
 	pg.cover = [instsPerPage / 64]uint64{}
 }
@@ -313,7 +312,7 @@ func fusedKind(alu, br isa.Op) uint8 {
 // returns nil when the first instruction cannot be lowered.
 func (m *Machine) buildTrace(pg *decodedPage, base, entry uint32) *trace {
 	m.runGen++
-	tr := grabTrace()
+	tr := m.arena.trace()
 	code, ops := tr.code, tr.ops
 	var ld, st, br uint8
 	pos := uint8(0)
@@ -435,7 +434,7 @@ func (m *Machine) buildTrace(pg *decodedPage, base, entry uint32) *trace {
 	}
 	if len(ops) == 0 {
 		pg.traceAt[entry] = traceIneligible
-		tracePool.Put(tr)
+		m.arena.traces.Put(tr)
 		return nil
 	}
 	tr.code, tr.ops, tr.ilen, tr.spin = code, ops, uint32(pos), spinPrefix(ops)

@@ -109,13 +109,21 @@ type env struct {
 	nic     *nic.NIC
 }
 
+// Arena owns the bulk buffers of a cluster's machines and disks: what
+// Release hands back, the next cluster built over the arena reuses. It
+// has one owner at a time and no lock.
+type Arena struct {
+	Machines machine.Arena
+	Disks    scsi.Arena
+}
+
 // newEnv builds the shared environment and schedules the terminal
 // script.
-func newEnv(k *sim.Kernel, cfg Config) *env {
+func newEnv(a *Arena, k *sim.Kernel, cfg Config) *env {
 	e := &env{console: console.New()}
-	e.disks = append(e.disks, scsi.NewDisk(k, cfg.Disk))
+	e.disks = append(e.disks, scsi.NewDiskIn(&a.Disks, k, cfg.Disk))
 	for _, dc := range cfg.ExtraDisks {
-		e.disks = append(e.disks, scsi.NewDisk(k, dc))
+		e.disks = append(e.disks, scsi.NewDiskIn(&a.Disks, k, dc))
 	}
 	e.console.Schedule(k, cfg.Terminal)
 	if cfg.NICRequests > 0 {
@@ -127,14 +135,14 @@ func newEnv(k *sim.Kernel, cfg Config) *env {
 // newNode builds one processor. Each node gets its own TLB seed
 // (chip-internal nondeterminism differs per processor) and a
 // time-of-day clock driven by the simulation clock.
-func newNode(k *sim.Kernel, cfg Config, host int) *Node {
+func newNode(a *Arena, k *sim.Kernel, cfg Config, host int) *Node {
 	mc := cfg.Machine
 	mc.CPUID = uint32(host + 1)
 	mc.TLBSeed = cfg.Machine.TLBSeed + int64(host)*7919
 	if mc.TODSource == nil {
 		mc.TODSource = func() uint32 { return uint32(k.Now() / CycleTime) }
 	}
-	return &Node{M: machine.New(mc)}
+	return &Node{M: machine.NewIn(&a.Machines, mc)}
 }
 
 // finishNode wires the node's bus and hypervisor from the shared
@@ -192,20 +200,29 @@ type Cluster struct {
 	// AtoB carries i->j, BtoA carries j->i.
 	Links [][]*netsim.Duplex
 
-	cfg Config // retained so nodes can be added after construction
-	env *env
+	cfg   Config // retained so nodes can be added after construction
+	env   *env
+	arena *Arena
 }
 
-// NewCluster builds an n-node prototype (n >= 1).
+// NewCluster builds an n-node prototype (n >= 1) over a private arena:
+// its buffers are allocated plainly.
 func NewCluster(k *sim.Kernel, cfg Config, n int) *Cluster {
+	return NewClusterIn(new(Arena), k, cfg, n)
+}
+
+// NewClusterIn is NewCluster over an arena: every machine and disk of
+// the cluster, late joiners included, takes its bulk buffers from a and
+// hands them back at Release.
+func NewClusterIn(a *Arena, k *sim.Kernel, cfg Config, n int) *Cluster {
 	if n < 1 {
 		panic("platform: cluster needs at least 1 node")
 	}
-	c := &Cluster{K: k, cfg: cfg}
-	c.env = newEnv(k, cfg)
+	c := &Cluster{K: k, cfg: cfg, arena: a}
+	c.env = newEnv(a, k, cfg)
 	c.Disks, c.Console, c.NIC = c.env.disks, c.env.console, c.env.nic
 	for i := 0; i < n; i++ {
-		node := newNode(k, cfg, i)
+		node := newNode(a, k, cfg, i)
 		finishNode(k, cfg, node, c.env, i)
 		c.Nodes = append(c.Nodes, node)
 	}
@@ -235,7 +252,7 @@ func NewCluster(k *sim.Kernel, cfg Config, n int) *Cluster {
 // events that fire after this instant.
 func (c *Cluster) AddNode(link netsim.LinkConfig) *Node {
 	n := len(c.Nodes)
-	node := newNode(c.K, c.cfg, n)
+	node := newNode(c.arena, c.K, c.cfg, n)
 	finishNode(c.K, c.cfg, node, c.env, n)
 	c.Nodes = append(c.Nodes, node)
 	if link.BitsPerSecond == 0 {
@@ -268,11 +285,14 @@ func (c *Cluster) Channel(from, to int) (tx, rx *netsim.Link) {
 	return d.BtoA, d.AtoB
 }
 
-// Release returns every node's machine buffers to the machine package's
-// recycling pools. Call only on teardown, after the simulation kernel
-// has shut down: the machines must never run again.
+// Release hands every machine's and disk's bulk buffers back to the
+// cluster's arena. Call only on teardown, after the simulation kernel
+// has shut down: the machines must never run again, nor the disks serve.
 func (c *Cluster) Release() {
 	for _, n := range c.Nodes {
 		n.M.Release()
+	}
+	for _, d := range c.Disks {
+		d.Release()
 	}
 }

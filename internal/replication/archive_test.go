@@ -12,7 +12,7 @@ import (
 // TestEpochArchiveWindowCap: the archive never holds more than its
 // window regardless of how many epochs are recorded.
 func TestEpochArchiveWindowCap(t *testing.T) {
-	a := newEpochArchive()
+	a := new(Arena).archive()
 	for e := uint64(0); e < 10_000; e++ {
 		a.record(SyncEpoch{Epoch: e})
 	}
@@ -26,7 +26,7 @@ func TestEpochArchiveWindowCap(t *testing.T) {
 
 // TestEpochArchiveTrim: trim drops exactly the acknowledged prefix.
 func TestEpochArchiveTrim(t *testing.T) {
-	a := newEpochArchive()
+	a := new(Arena).archive()
 	for e := uint64(0); e < 100; e++ {
 		a.record(SyncEpoch{Epoch: e})
 	}
@@ -55,7 +55,7 @@ func TestEpochArchiveTrim(t *testing.T) {
 // handed out, which a resync message carries past later trims, keeps
 // its values.
 func TestEpochArchiveRecyclesLists(t *testing.T) {
-	a := newEpochArchive()
+	a := new(Arena).archive()
 	buf := make([]hypervisor.Interrupt, 3)
 	next := uint64(0)
 	cycle := func() {
@@ -85,22 +85,26 @@ func TestEpochArchiveRecyclesLists(t *testing.T) {
 	}
 }
 
-// TestEpochArchiveRelease: a released archive goes back to the pool
+// TestEpochArchiveRelease: a released archive goes back to its arena
 // empty, its interrupt lists cleared, so the next replica's archive —
-// recycled or new — starts from nothing.
+// the same one, recycled — starts from nothing.
 func TestEpochArchiveRelease(t *testing.T) {
-	a := newEpochArchive()
+	var arena Arena
+	a := arena.archive()
 	for e := uint64(0); e < 40; e++ {
 		a.record(SyncEpoch{Epoch: e, Ints: []hypervisor.Interrupt{{Line: uint(e) + 1}}})
 	}
 	lists := a.since(0)
-	a.release()
+	a.release(&arena)
 	for _, l := range a.free {
 		if l := l[:cap(l)]; len(l) > 0 && l[0].Line != 0 {
 			t.Fatalf("a released list still holds %+v", l[0])
 		}
 	}
-	b := newEpochArchive()
+	b := arena.archive()
+	if b != a {
+		t.Fatal("the arena built a new archive beside the released one")
+	}
 	if b.len() != 0 || len(b.since(0)) != 0 {
 		t.Fatalf("a new archive holds %d epochs", b.len())
 	}

@@ -3,8 +3,8 @@ package replication
 import (
 	"fmt"
 	"slices"
-	"sync"
 
+	"repro/internal/free"
 	"repro/internal/hypervisor"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -48,23 +48,27 @@ const defaultArchiveWindow = 4096
 // this depth in steady state instead of growing to the window.
 const archiveResyncKeep = 8
 
-// archivePool recycles the archives of replicas whose session has closed
-// (Replica.Release), with their ring and free lists: a backup with
-// downstream peers never trims, so its ring grows toward the window in
-// every cluster.
-var archivePool sync.Pool // *epochArchive
+// Arena owns the delivery archives of the replicas built over it
+// (NewReplicaIn): Release hands a replica's archive back, emptied but
+// with its ring and free lists, for the next replica the arena serves —
+// a backup with downstream peers never trims, so its ring grows toward
+// the window in every cluster. It has one owner at a time and no lock.
+type Arena struct {
+	archives free.List[*epochArchive]
+}
 
-func newEpochArchive() *epochArchive {
-	if a, _ := archivePool.Get().(*epochArchive); a != nil {
-		return a
+// archive returns an empty archive, recycled when a has one.
+func (a *Arena) archive() *epochArchive {
+	if ar, ok := a.archives.Get(); ok {
+		return ar
 	}
 	return &epochArchive{window: defaultArchiveWindow}
 }
 
 // release empties the archive — every held list goes to the free lists,
-// cleared, and the ring is zeroed — and recycles it. The archive must
-// not be used afterwards.
-func (a *epochArchive) release() {
+// cleared, and the ring is zeroed — and hands it to arena. The archive
+// must not be used afterwards.
+func (a *epochArchive) release(arena *Arena) {
 	if a == nil {
 		return
 	}
@@ -75,7 +79,7 @@ func (a *epochArchive) release() {
 	}
 	clear(a.ring)
 	a.n, a.oldest, a.newest = 0, 0, 0
-	archivePool.Put(a)
+	arena.archives.Put(a)
 }
 
 // slot is epoch e's place in the ring.

@@ -85,6 +85,7 @@ type Replica struct {
 	// acks recycles the acknowledgements sent upstream.
 	acks    netsim.FramePool[uint64, struct{}]
 	archive *epochArchive
+	arena   *Arena // owns archive
 	arrival *sim.Signal
 	// completed counts epochs whose boundary processing has finished;
 	// the epoch currently executing (or awaiting its boundary) is
@@ -134,6 +135,12 @@ type Replica struct {
 // (ups[0] = node 0); downs are the channels toward every lower-priority
 // node, in the order they would promote.
 func NewReplica(hv *hypervisor.Hypervisor, ups, downs []Peer, cfg Config) *Replica {
+	return NewReplicaIn(new(Arena), hv, ups, downs, cfg)
+}
+
+// NewReplicaIn is NewReplica over an arena: the replica's delivery
+// archive comes from a and goes back to it at Release.
+func NewReplicaIn(a *Arena, hv *hypervisor.Hypervisor, ups, downs []Peer, cfg Config) *Replica {
 	r := &Replica{
 		HV:      hv,
 		cfg:     cfg,
@@ -141,7 +148,8 @@ func NewReplica(hv *hypervisor.Hypervisor, ups, downs []Peer, cfg Config) *Repli
 		ups:     ups,
 		downs:   downs,
 		pending: map[uint64]*epochRecord{},
-		archive: newEpochArchive(),
+		archive: a.archive(),
+		arena:   a,
 	}
 	if len(ups) == 0 {
 		// Built now, not in Run, so that a late joiner can be spliced in
@@ -189,12 +197,12 @@ func (r *Replica) Failstop() {
 	}
 }
 
-// Release recycles the replica's delivery archive. The session engine
-// calls it on teardown, once no process will run again; the replica
-// must not run or encode its state afterwards.
+// Release hands the replica's delivery archive back to its arena. The
+// session engine calls it on teardown, once no process will run again;
+// the replica must not run or encode its state afterwards.
 func (r *Replica) Release() {
-	r.archive.release()
-	r.archive = nil
+	r.archive.release(r.arena)
+	r.archive, r.arena = nil, nil
 	if r.coord != nil {
 		r.coord.archive = nil
 	}

@@ -27,6 +27,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"repro/internal/free"
 	"repro/internal/sim"
 )
 
@@ -76,11 +77,31 @@ type Backend interface {
 // memBackend is the default backend: lazily allocated zeroed blocks,
 // held sparsely — a disk costs what its touched blocks cost, not a
 // Blocks-sized table up front. A block that has only been read maps to
-// the shared zeroBlock; the first write gives it storage of its own.
+// the shared zeroBlock; the first write gives it storage of its own,
+// from the disk's arena.
 type memBackend struct {
 	blockSize uint32
 	blocks    uint32
 	data      map[uint32][]byte
+	arena     *Arena
+}
+
+// Arena owns the written blocks of the in-memory disks built over it
+// (NewDiskIn): Release hands a disk's blocks back for the next disk the
+// arena serves, and a recycled block is cleared before use. It has one
+// owner at a time and no lock.
+type Arena struct {
+	blocks free.List[[]byte]
+}
+
+// block returns a zeroed block of n bytes, recycled when a has one.
+func (a *Arena) block(n uint32) []byte {
+	if blk, ok := a.blocks.Get(); ok && uint32(cap(blk)) >= n {
+		blk = blk[:n]
+		clear(blk)
+		return blk
+	}
+	return make([]byte, n)
 }
 
 // zeroBlock is what every never-written block of every in-memory disk
@@ -95,7 +116,7 @@ func shared(blk []byte) bool { return len(blk) > 0 && &blk[0] == &zeroBlock[0] }
 func (m *memBackend) Block(b uint32) []byte {
 	blk := m.view(b)
 	if shared(blk) {
-		blk = make([]byte, m.blockSize)
+		blk = m.arena.block(m.blockSize)
 		m.data[b] = blk
 	}
 	return blk
@@ -193,14 +214,35 @@ type Disk struct {
 	uncertainNext int // scripted injection: next N ops report uncertain
 }
 
-// NewDisk creates the disk owned by kernel k.
-func NewDisk(k *sim.Kernel, cfg DiskConfig) *Disk {
+// NewDisk creates the disk owned by kernel k, over a private arena: its
+// written blocks are allocated plainly.
+func NewDisk(k *sim.Kernel, cfg DiskConfig) *Disk { return NewDiskIn(new(Arena), k, cfg) }
+
+// NewDiskIn is NewDisk over an arena: the in-memory backend's written
+// blocks come from a and go back to it at Release.
+func NewDiskIn(a *Arena, k *sim.Kernel, cfg DiskConfig) *Disk {
 	cfg = cfg.withDefaults()
 	be := cfg.Backend
 	if be == nil {
-		be = &memBackend{blockSize: cfg.BlockSize, blocks: cfg.Blocks, data: make(map[uint32][]byte)}
+		be = &memBackend{blockSize: cfg.BlockSize, blocks: cfg.Blocks, data: make(map[uint32][]byte), arena: a}
 	}
 	return &Disk{k: k, cfg: cfg, backend: be}
+}
+
+// Release hands the in-memory backend's written blocks back to its
+// arena. Call only on teardown, once the simulation kernel is down: the
+// disk must not be used afterwards.
+func (d *Disk) Release() {
+	mb, ok := d.backend.(*memBackend)
+	if !ok {
+		return
+	}
+	for _, blk := range mb.data {
+		if !shared(blk) {
+			mb.arena.blocks.Put(blk)
+		}
+	}
+	mb.data = nil
 }
 
 // random is the fault-injection stream. Most disks never draw from it

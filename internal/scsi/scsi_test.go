@@ -33,10 +33,13 @@ type rig struct {
 	irqs int
 }
 
-func newRig(t *testing.T, cfg DiskConfig) *rig {
+func newRig(t *testing.T, cfg DiskConfig) *rig { return newRigIn(t, new(Arena), cfg) }
+
+// newRigIn is newRig with the disk over arena a.
+func newRigIn(t *testing.T, a *Arena, cfg DiskConfig) *rig {
 	t.Helper()
 	r := &rig{k: sim.NewKernel(1)}
-	r.disk = NewDisk(r.k, cfg)
+	r.disk = NewDiskIn(a, r.k, cfg)
 	r.mem = newFakeMem(1 << 20)
 	r.ad = r.disk.NewAdapter(0, r.mem, func() { r.irqs++ })
 	t.Cleanup(r.k.Shutdown)
@@ -463,4 +466,40 @@ func TestUnwrittenBlockReads(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRecycledBlock: a written block goes back to the disk's arena at
+// Release, and the next disk over the arena takes it for its first
+// write, cleared: a partial write to it reads back as the written bytes
+// and zeros, and the disk's StateDigest is that of a disk that
+// allocated the block fresh.
+func TestRecycledBlock(t *testing.T) {
+	var a Arena
+	first := newRigIn(t, &a, DiskConfig{})
+	first.mem.WriteBytes(0x1000, bytes.Repeat([]byte{0xAB}, 8192))
+	first.command(CmdWrite, 7, 0x1000, 8192)
+	first.k.Run()
+	old := &first.disk.view(7)[0]
+	first.disk.Release()
+
+	write := func(r *rig) {
+		r.mem.WriteBytes(0x2000, bytes.Repeat([]byte{0x5A}, 16))
+		r.command(CmdWrite, 3, 0x2000, 16)
+		r.k.Run()
+	}
+	recycled, fresh := newRigIn(t, &a, DiskConfig{}), newRig(t, DiskConfig{})
+	write(recycled)
+	write(fresh)
+	if &recycled.disk.view(3)[0] != old {
+		t.Fatal("the second disk did not take the block the first released")
+	}
+	want := append(bytes.Repeat([]byte{0x5A}, 16), make([]byte, 8192-16)...)
+	for name, r := range map[string]*rig{"recycled": recycled, "fresh": fresh} {
+		if got := r.disk.ReadBlockDirect(3); !bytes.Equal(got, want) {
+			t.Errorf("%s block reads %x… after a 16-byte write", name, got[:32])
+		}
+	}
+	if got, want := recycled.disk.StateDigest(), fresh.disk.StateDigest(); got != want {
+		t.Errorf("StateDigest over a recycled block = %#x, fresh %#x", got, want)
+	}
 }

@@ -89,12 +89,12 @@ type transfer struct {
 	Epoch uint64
 }
 
-// encode serializes a state transfer. The returned blob's length is the
-// wire size charged to the simulated link.
-func (t transfer) encode() []byte {
-	w := snapshot.NewWriter(snapshot.TransferMagic)
-	// The blob outlives the call (it rides the link), so it cannot use a
-	// pooled buffer; size it once instead. RAM is all but a few KB of it.
+// encode serializes a state transfer into w, a writer started with
+// snapshot.TransferMagic. The returned blob's length is the wire size
+// charged to the simulated link.
+func (t transfer) encode(w *snapshot.Writer) []byte {
+	// Size the buffer once (a recycled one has usually grown already).
+	// RAM is all but a few KB of it.
 	n := 4096
 	for _, pg := range t.Machine.Pages {
 		n += 8 + len(pg.Data) // index, length prefix, data
@@ -127,14 +127,29 @@ func decodeTransfer(blob []byte) (transfer, error) {
 	return t, nil
 }
 
-// encodeTransfer serializes node act's complete virtual-machine image
-// as of the last committed boundary, adjusted for the backup role:
-// environment output suppressed (§2.2 case i) and issued-real latches
-// cleared (rule P3 — the joiner's own devices owe it nothing). RAM is
-// encoded straight from the live page frames: the caller holds the
-// session at a quiesced boundary, so nothing runs between the borrow
-// and the encoding.
+// encodeTransfer serializes node act's transfer (captureTransfer). The
+// blob rides the link and the joiner's restored state may alias it, so
+// it lives as long as the cluster: its writer comes from the arena and
+// goes back to it at Close.
 func (e *Engine) encodeTransfer(act int) []byte {
+	return e.captureTransfer(act).encode(e.transferWriter())
+}
+
+// transferWriter takes a writer for a transfer blob from the arena (the
+// engine is booted) and holds it until Close.
+func (e *Engine) transferWriter() *snapshot.Writer {
+	w := writerFrom(&e.arena.transfers, snapshot.TransferMagic)
+	e.transfers = append(e.transfers, w)
+	return w
+}
+
+// captureTransfer is node act's complete virtual-machine image as of the
+// last committed boundary, adjusted for the backup role: environment
+// output suppressed (§2.2 case i) and issued-real latches cleared (rule
+// P3 — the joiner's own devices owe it nothing). Its RAM borrows the
+// live page frames: the caller holds the session at a quiesced boundary
+// and encodes it before anything runs.
+func (e *Engine) captureTransfer(act int) transfer {
 	hs := e.cluster.Nodes[act].HV.CaptureState()
 	hs.IOActive = false
 	for i := range hs.Devices {
@@ -145,7 +160,7 @@ func (e *Engine) encodeTransfer(act int) []byte {
 		Hypervisor: hs,
 		Tme:        e.lastTme,
 		Epoch:      e.lastEpoch,
-	}.encode()
+	}
 }
 
 // AddBackup reintegrates a new backup at the lowest priority and

@@ -1,0 +1,69 @@
+package session
+
+import (
+	"repro/internal/free"
+	"repro/internal/platform"
+	"repro/internal/replication"
+	"repro/internal/snapshot"
+)
+
+// arena owns every buffer whose lifetime is one cluster: the machines'
+// page tables, decoded pages, traces, frame tables, ownership bitmaps,
+// COW frames and decode caches and the disks' written blocks
+// (platform), the replicas' delivery archives (replication), and the
+// writers of the cluster's blobs: Save's and a restore verification's,
+// recycled when the call returns, and AddBackup's transfer blobs, held
+// until Close because the joiner's restored state may alias them. The
+// two kinds wait on separate lists, so a checkpoint does not regrow a
+// writer sized for a transfer, nor a transfer one sized for a
+// checkpoint. An engine borrows an arena from the shelf when Boot builds
+// its cluster and returns it at Close, after every buffer came back;
+// between the two only the engine's goroutine touches it, so a buffer's
+// Get or Put is a plain slice pop or push.
+type arena struct {
+	platform    platform.Arena
+	replication replication.Arena
+	writers     free.List[*snapshot.Writer] // Save's and VerifySections'
+	transfers   free.List[*snapshot.Writer] // AddBackup's
+}
+
+// arenas is where idle arenas wait between clusters. Its lock is taken
+// only at borrow and return, and a garbage collection never empties it.
+var arenas free.Shelf[*arena]
+
+// borrowArena takes an idle arena off the shelf, or makes one.
+func borrowArena() *arena {
+	if a, ok := arenas.Get(); ok {
+		return a
+	}
+	return new(arena)
+}
+
+// Writer starts a blob as snapshot.NewWriter does, over a buffer the
+// cluster's arena owns. Hand it back with Recycle once the blob it
+// finished is dead (Save's output once written). A closed or unbooted
+// engine has no arena: the writer is allocated plainly.
+func (e *Engine) Writer(magic string) *snapshot.Writer {
+	if e.arena == nil {
+		return snapshot.NewWriter(magic)
+	}
+	return writerFrom(&e.arena.writers, magic)
+}
+
+// writerFrom starts a blob in a writer off l, or in a new one.
+func writerFrom(l *free.List[*snapshot.Writer], magic string) *snapshot.Writer {
+	if w, ok := l.Get(); ok {
+		w.Reset(magic)
+		return w
+	}
+	return snapshot.NewWriter(magic)
+}
+
+// Recycle hands a writer from Writer back to the cluster's arena. The
+// writer, and every slice of its buffer handed out before, must not be
+// used afterwards.
+func (e *Engine) Recycle(w *snapshot.Writer) {
+	if e.arena != nil {
+		e.arena.writers.Put(w)
+	}
+}

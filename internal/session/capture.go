@@ -68,8 +68,8 @@ func (s section) encode(w *snapshot.Writer) []byte {
 // verification.
 func (e *Engine) VerifySections(want []Section) error {
 	got := e.sections()
-	w := snapshot.GrabWriter(SectionMagic)
-	defer w.Release()
+	w := e.Writer(SectionMagic)
+	defer e.Recycle(w)
 	for i := 0; i < len(want) && i < len(got); i++ {
 		if want[i].Name != got[i].name {
 			return fmt.Errorf("section %d is %q, snapshot has %q", i, got[i].name, want[i].Name)

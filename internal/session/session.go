@@ -44,6 +44,7 @@ import (
 	"repro/internal/replication"
 	"repro/internal/scsi"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // GuestMemBytes is the physical RAM given to each simulated machine.
@@ -217,6 +218,12 @@ type Engine struct {
 	bare    *hypervisor.Bare
 	reps    []*replication.Replica
 
+	// arena owns the cluster's buffers from Boot to Close (see arena.go);
+	// transfers holds the writers of AddBackup's transfer blobs, which
+	// live as long as the cluster.
+	arena     *arena
+	transfers []*snapshot.Writer
+
 	// Network service (nil without Options.ClientLoad).
 	nic       *nic.NIC
 	clients   *clientsim.Sim
@@ -308,7 +315,8 @@ func (e *Engine) Boot() {
 	if o.ClientLoad != nil {
 		nicRequests = o.ClientLoad.Requests
 	}
-	cluster := platform.NewCluster(k, platform.Config{
+	e.arena = borrowArena()
+	cluster := platform.NewClusterIn(&e.arena.platform, k, platform.Config{
 		Disk:        o.Disk,
 		ExtraDisks:  o.ExtraDisks,
 		Terminal:    o.Terminal,
@@ -390,7 +398,7 @@ func (e *Engine) newReplica(i int) *replication.Replica {
 			downs = append(downs, replication.Peer{TX: tx, RX: rx})
 		}
 	}
-	r := replication.NewReplica(e.cluster.Nodes[i].HV, ups, downs, e.replicaConfig())
+	r := replication.NewReplicaIn(&e.arena.replication, e.cluster.Nodes[i].HV, ups, downs, e.replicaConfig())
 	r.OnDivergence = e.divergenceHandler(i)
 	r.Observer = e.observe
 	return r
@@ -924,14 +932,25 @@ func (e *Engine) Close() {
 	if e.k != nil {
 		e.k.Shutdown()
 	}
-	// The kernel is down and no process will run again: recycle the
-	// machines' bulk buffers and the replicas' archives for the next
-	// session. Cached results and Snapshot remain valid — they read
-	// counters, not guest memory.
+	// The kernel is down and no process will run again: hand the
+	// machines' and disks' bulk buffers, the replicas' archives and the
+	// transfer blobs back to the arena, and the arena to the shelf, for
+	// the next cluster. Cached results and Snapshot remain valid — they
+	// read counters, not guest memory.
 	if e.cluster != nil {
 		e.cluster.Release()
 	}
-	for _, r := range e.reps {
-		r.Release()
+	// Last node first: the arena's lists pop last in, first out, so the
+	// next cluster's node i takes the archive node i had here.
+	for i := len(e.reps) - 1; i >= 0; i-- {
+		e.reps[i].Release()
+	}
+	if e.arena != nil {
+		for _, w := range e.transfers {
+			e.arena.transfers.Put(w)
+		}
+		e.transfers = nil
+		arenas.Put(e.arena)
+		e.arena = nil
 	}
 }

@@ -66,7 +66,7 @@ func transferOf(n *platform.Node) transfer {
 func TestTransferRoundTrip(t *testing.T) {
 	const memBytes = 1 << 20
 	src := sampleNode(t, memBytes)
-	blob := transferOf(src).encode()
+	blob := transferOf(src).encode(snapshot.NewWriter(snapshot.TransferMagic))
 	out, err := decodeTransfer(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestTransferRoundTrip(t *testing.T) {
 	// Re-encoding the decoded transfer must reproduce the blob exactly
 	// (deterministic encoding is what the wire-size charge and the
 	// restore verification rely on).
-	if !bytes.Equal(out.encode(), blob) {
+	if !bytes.Equal(out.encode(snapshot.NewWriter(snapshot.TransferMagic)), blob) {
 		t.Fatal("transfer re-encoding differs")
 	}
 	if out.Tme != 777 || out.Epoch != 42 {
@@ -104,9 +104,9 @@ func TestTransferRoundTrip(t *testing.T) {
 // so mutations reach the decoders instead of dying at the checksum gate.
 func FuzzDecodeTransfer(f *testing.F) {
 	body := func(blob []byte) []byte { return blob[8+4 : len(blob)-8] }
-	f.Add(body(transferOf(sampleNode(f, 3<<12)).encode()))
-	f.Add(body(transferOf(sampleNode(f, 2<<12+100)).encode()))
-	f.Add(body(transfer{}.encode()))
+	f.Add(body(transferOf(sampleNode(f, 3<<12)).encode(snapshot.NewWriter(snapshot.TransferMagic))))
+	f.Add(body(transferOf(sampleNode(f, 2<<12+100)).encode(snapshot.NewWriter(snapshot.TransferMagic))))
+	f.Add(body(transfer{}.encode(snapshot.NewWriter(snapshot.TransferMagic))))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		w := snapshot.NewWriter(snapshot.TransferMagic)
 		for _, b := range in {
@@ -117,7 +117,7 @@ func FuzzDecodeTransfer(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if again := tr.encode(); !bytes.Equal(again, blob) {
+		if again := tr.encode(snapshot.NewWriter(snapshot.TransferMagic)); !bytes.Equal(again, blob) {
 			t.Fatalf("decoded transfer re-encodes to %d bytes, input was %d", len(again), len(blob))
 		}
 		ms := tr.Machine

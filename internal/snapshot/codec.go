@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 )
 
 // FormatVersion is the current snapshot format; readers reject every
@@ -125,27 +124,13 @@ func NewWriter(magic string) *Writer {
 	return w
 }
 
-// writerPool recycles the buffers of writers whose blob does not
-// outlive the call that produced it (Save's output once written, a
-// verification capture once compared), so a steady stream of
-// checkpoints encodes into warm, already-grown buffers.
-var writerPool sync.Pool // *Writer
-
-// GrabWriter is NewWriter over a recycled buffer. Release it once the
-// blob Finish returned is no longer referenced.
-func GrabWriter(magic string) *Writer {
-	w, _ := writerPool.Get().(*Writer)
-	if w == nil {
-		w = &Writer{}
-	}
+// Reset starts a new blob as NewWriter does, over the buffer the writer
+// already has: a steady stream of blobs encodes into a warm, already
+// grown buffer. Every slice of the buffer handed out before is dead.
+func (w *Writer) Reset(magic string) {
 	w.buf = w.buf[:0]
 	w.header(magic)
-	return w
 }
-
-// Release recycles the writer's buffer. The writer, and every slice of
-// its buffer handed out before, must not be used afterwards.
-func (w *Writer) Release() { writerPool.Put(w) }
 
 // header appends a blob header: magic and format version.
 func (w *Writer) header(magic string) {
@@ -241,7 +226,7 @@ type Reader struct {
 	b   []byte
 	off int
 	err error
-	own []byte // ReadBlob's recycled buffer, which b views
+	own []byte // ReadBlob's buffer, which b views, kept for the next blob
 }
 
 // NewReader validates the blob's magic, version and checksum, in that
@@ -279,22 +264,15 @@ func (r *Reader) open(blob []byte, magic string) error {
 	return nil
 }
 
-// readerPool recycles the readers ReadBlob opens, each with the buffer
-// its last blob was read into.
-var readerPool sync.Pool // *Reader
-
-// ReadBlob reads src to EOF into a recycled buffer and opens it as
-// NewReader does. The buffer is sized up front when src can say how much
-// is left (bytes.Reader, bytes.Buffer, strings.Reader; only a hint, the
-// read still runs to EOF) and grows otherwise. The blob is dead at
-// Release: the reader, and every View it handed out, must not be used
-// afterwards. On error there is nothing to release.
-func ReadBlob(src io.Reader, magic string) (*Reader, error) {
-	r, _ := readerPool.Get().(*Reader)
-	if r == nil {
-		r = &Reader{}
-	}
+// ReadBlob reads src to EOF into r's buffer — the one r's previous blob
+// was read into, grown as needed; the zero Reader has none yet — and
+// opens it as NewReader does. The buffer is sized up front when src can
+// say how much is left (bytes.Reader, bytes.Buffer, strings.Reader; only
+// a hint, the read still runs to EOF). The blob, and every View handed
+// out of it, is dead at r's next ReadBlob.
+func (r *Reader) ReadBlob(src io.Reader, magic string) error {
 	buf := r.own[:0]
+	*r = Reader{}
 	if lr, ok := src.(interface{ Len() int }); ok {
 		buf = slices.Grow(buf, lr.Len()+bytes.MinRead)
 	}
@@ -309,22 +287,11 @@ func ReadBlob(src io.Reader, magic string) (*Reader, error) {
 		}
 		if err != nil {
 			r.own = buf
-			r.Release()
-			return nil, err
+			return err
 		}
 	}
 	r.own = buf
-	if err := r.open(buf, magic); err != nil {
-		r.Release()
-		return nil, err
-	}
-	return r, nil
-}
-
-// Release recycles a reader ReadBlob opened, with its buffer.
-func (r *Reader) Release() {
-	*r = Reader{own: r.own[:0]}
-	readerPool.Put(r)
+	return r.open(buf, magic)
 }
 
 // Fail latches the first error: the bytes at the current offset cannot

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/free"
 	"repro/internal/netsim"
 	"repro/internal/session"
 	"repro/internal/sim"
@@ -117,11 +118,11 @@ func (c *Cluster) Save(w io.Writer) error {
 		return errors.New("hft: Save: bare baseline sessions are not checkpointable")
 	}
 
-	// The blob is dead once written out, so it encodes into a recycled
-	// buffer: capture sections are written in place, straight from the
-	// machines' page frames.
-	sw := snapshot.GrabWriter(saveMagic)
-	defer sw.Release()
+	// The blob is dead once written out, so it encodes into a buffer the
+	// cluster's arena owns: capture sections are written in place,
+	// straight from the machines' page frames.
+	sw := c.eng.Writer(saveMagic)
+	defer c.eng.Recycle(sw)
 	c.putConfig(sw)
 	sw.U32(uint32(len(c.journal)))
 	for _, e := range c.journal {
@@ -304,6 +305,10 @@ func pause(r *snapshot.Reader) pausePoint {
 	}
 }
 
+// restoreReaders holds the readers idle Restore calls read their blobs
+// into, each with the buffer its last blob grew.
+var restoreReaders free.Shelf[*snapshot.Reader]
+
 // Restore reads a checkpoint written by Save and reconstructs the
 // session: the configuration is rebuilt through NewCluster's validation
 // (one NewCluster would reject is ErrSnapshotCorrupt), the perturbation
@@ -321,12 +326,16 @@ func pause(r *snapshot.Reader) pausePoint {
 func Restore(r io.Reader) (*Cluster, error) {
 	// The blob is dead once Restore returns: want's sections are only
 	// compared and every decoded string is a copy, so it is read into a
-	// recycled buffer.
-	sr, err := snapshot.ReadBlob(r, saveMagic)
-	if err != nil {
+	// reader borrowed for the call. It is read before the cluster exists,
+	// so no cluster's arena can own it.
+	sr, ok := restoreReaders.Get()
+	if !ok {
+		sr = new(snapshot.Reader)
+	}
+	defer restoreReaders.Put(sr)
+	if err := sr.ReadBlob(r, saveMagic); err != nil {
 		return nil, fmt.Errorf("hft: Restore: %w", err)
 	}
-	defer sr.Release()
 
 	opts := configFrom(sr)
 	nj := int(sr.U32())
