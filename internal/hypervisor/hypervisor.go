@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"repro/internal/device"
+	"repro/internal/free"
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -360,6 +361,9 @@ type Hypervisor struct {
 	// output (backup side); see suppressedOutput.
 	suppressed []suppressedOutput
 
+	// arena lends buffered's and suppressed's storage until Release.
+	arena *Arena
+
 	// OnCapture, when set (primary), is invoked as soon as a device
 	// completion is captured mid-epoch — the replication layer uses it
 	// to send [E, Int] to the backup (rule P1). It returns the rest of
@@ -393,12 +397,44 @@ type Hypervisor struct {
 }
 
 // New wraps a machine. The machine's Bus must already be wired (real
-// devices); the hypervisor intercepts the guest's access to it.
-func New(m *machine.Machine, cfg Config) *Hypervisor {
-	return &Hypervisor{
-		M:   m,
-		cfg: cfg.withDefaults(),
+// devices); the hypervisor intercepts the guest's access to it. Its
+// buffers come from a private arena: they are allocated plainly.
+func New(m *machine.Machine, cfg Config) *Hypervisor { return NewIn(new(Arena), m, cfg) }
+
+// Arena owns the buffers of the hypervisors built over it (NewIn) that
+// grow to a working size in every cluster: the interrupt delivery
+// buffer and the withheld-output buffer. Release hands them back,
+// emptied, for the next hypervisor the arena serves. It has one owner at
+// a time and no lock.
+type Arena struct {
+	interrupts free.List[[]Interrupt]
+	outputs    free.List[[]suppressedOutput]
+}
+
+// NewIn is New over an arena.
+func NewIn(a *Arena, m *machine.Machine, cfg Config) *Hypervisor {
+	hv := &Hypervisor{M: m, cfg: cfg.withDefaults(), arena: a}
+	hv.buffered, _ = a.interrupts.Get()
+	hv.suppressed, _ = a.outputs.Get()
+	return hv
+}
+
+// Release hands the delivery and withheld-output buffers back to the
+// hypervisor's arena, cleared. Call only on teardown, once the
+// simulation kernel is down: the hypervisor must not run afterwards.
+func (hv *Hypervisor) Release() {
+	if hv.arena == nil {
+		return // released already
 	}
+	if cap(hv.buffered) > 0 {
+		clear(hv.buffered)
+		hv.arena.interrupts.Put(hv.buffered[:0])
+	}
+	if cap(hv.suppressed) > 0 {
+		clear(hv.suppressed)
+		hv.arena.outputs.Put(hv.suppressed[:0])
+	}
+	hv.buffered, hv.suppressed, hv.arena = nil, nil, nil
 }
 
 // AttachDevice registers a shadow device. Devices must be attached
@@ -691,22 +727,20 @@ func (hv *Hypervisor) BufferInterrupt(i Interrupt) {
 func (hv *Hypervisor) NoteTimerDelivered() { hv.vITMRArmed = false }
 
 // TimerInterruptsDue implements "adds to buffer any interrupts based on
-// Tme" (P2/P5/P6): given the epoch's closing TOD value, it returns — and
-// buffers — a virtual interval-timer interrupt if the armed deadline has
-// passed. Both sides call it with the SAME tod value, so both buffer the
-// same set.
-func (hv *Hypervisor) TimerInterruptsDue(tod uint32) []Interrupt {
+// Tme" (P2/P5/P6): given the epoch's closing TOD value, it buffers a
+// virtual interval-timer interrupt if the armed deadline has passed.
+// Both sides call it with the SAME tod value, so both buffer the same
+// set.
+func (hv *Hypervisor) TimerInterruptsDue(tod uint32) {
 	if !hv.vITMRArmed {
-		return nil
+		return
 	}
 	// Wraparound-safe comparison.
 	if int32(tod-hv.vITMRDeadline) < 0 {
-		return nil
+		return
 	}
 	hv.vITMRArmed = false
-	i := Interrupt{Line: 0, Timer: true, Dev: NoDevice}
-	hv.buffered = append(hv.buffered, i)
-	return []Interrupt{i}
+	hv.buffered = append(hv.buffered, Interrupt{Line: 0, Timer: true, Dev: NoDevice})
 }
 
 // DeliverBuffered delivers every buffered interrupt to the virtual

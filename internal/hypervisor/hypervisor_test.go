@@ -868,3 +868,34 @@ func TestOutstandingAfterCaptureNotDelivered(t *testing.T) {
 		t.Errorf("outstanding after delivery = %d, want 0", outstandingAfter)
 	}
 }
+
+// TestHypervisorArena: Release hands a hypervisor's delivery and
+// withheld-output buffers back to its arena cleared — no payload of the
+// old cluster stays pinned — and the next hypervisor over the arena
+// starts with them empty.
+func TestHypervisorArena(t *testing.T) {
+	var a Arena
+	first := NewIn(&a, machine.New(machine.Config{}), Config{})
+	for i := range 5 {
+		first.BufferInterrupt(Interrupt{Line: uint(i), Completion: device.Completion{Data: []byte{1}}})
+		first.suppressed = append(first.suppressed, suppressedOutput{epoch: uint64(i), val: 7})
+	}
+	ints, outs := first.buffered, first.suppressed
+	first.Release()
+	first.Release() // a second Release hands nothing back twice
+	for i := range ints {
+		if ints[i].Data != nil || outs[i] != (suppressedOutput{}) {
+			t.Fatalf("slot %d still holds %+v / %+v after Release", i, ints[i], outs[i])
+		}
+	}
+	second := NewIn(&a, machine.New(machine.Config{}), Config{})
+	if len(second.buffered) != 0 || cap(second.buffered) != cap(ints) || &second.buffered[:1][0] != &ints[0] {
+		t.Fatal("the second hypervisor did not take the delivery buffer the first released, empty")
+	}
+	if len(second.suppressed) != 0 || &second.suppressed[:1][0] != &outs[0] {
+		t.Fatal("the second hypervisor did not take the withheld-output buffer the first released, empty")
+	}
+	if _, ok := a.interrupts.Get(); ok {
+		t.Fatal("the arena kept a second delivery buffer")
+	}
+}

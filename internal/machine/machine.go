@@ -536,20 +536,25 @@ func (m *Machine) StorePhys32(pa uint32, v uint32) {
 	}
 }
 
-// ReadBytes copies n bytes of physical RAM starting at pa (for DMA).
-// Panics on out-of-range addresses.
+// ReadBytes copies n bytes of physical RAM starting at pa (for DMA) into
+// a new slice. Panics on out-of-range addresses.
 func (m *Machine) ReadBytes(pa uint32, n int) []byte {
-	if int64(pa)+int64(n) > int64(m.memSize) {
-		panic(fmt.Sprintf("machine: ReadBytes(%#x, %d): out of range", pa, n))
-	}
 	out := make([]byte, n)
-	dst := out
+	m.ReadInto(pa, out)
+	return out
+}
+
+// ReadInto copies len(dst) bytes of physical RAM starting at pa into dst
+// (DMA into a buffer the device owns). Panics on out-of-range addresses.
+func (m *Machine) ReadInto(pa uint32, dst []byte) {
+	if int64(pa)+int64(len(dst)) > int64(m.memSize) {
+		panic(fmt.Sprintf("machine: ReadInto(%#x, %d): out of range", pa, len(dst)))
+	}
 	for len(dst) > 0 {
 		c := copy(dst, m.frames[pa>>isa.PageShift][pa&isa.PageMask:])
 		dst = dst[c:]
 		pa += uint32(c)
 	}
-	return out
 }
 
 // WriteBytes copies data into physical RAM at pa (for DMA and loading),

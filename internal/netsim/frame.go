@@ -6,16 +6,20 @@ package netsim
 // takes one ref per receiver, each receiver releases after consuming,
 // and the last release clears the frame and returns it to the free list.
 //
-// The pool is owned by one simulation kernel and is not safe for
-// concurrent use (the sim is single-threaded by construction). A frame
-// sent on a link that drops it (loss injection, disconnection) is never
-// released by a receiver; its memory is simply reclaimed by the GC and
-// the pool self-heals by allocating on the next Get — leak-free at the
-// cost of one allocation per dropped frame.
+// The pool owns every frame it has made; a reference is only lent. It
+// is owned by one simulation kernel at a time and is not safe for
+// concurrent use (the sim is single-threaded by construction). A copy
+// that never reaches a receiver that releases it — dropped by a link
+// that went down after the sender counted its receivers, or left unread
+// in the inbox of a replica that stopped — keeps its frame out of the
+// free list until the pool's owner reclaims every frame at teardown
+// (Reclaim), once no reference can be used again.
 
-// FramePool recycles frames with header type H and record type R.
+// FramePool recycles frames with header type H and record type R. The
+// zero value is empty.
 type FramePool[H any, R any] struct {
 	free []*Frame[H, R]
+	made []*Frame[H, R] // every frame the pool has handed out, for Reclaim
 }
 
 // Frame is one pooled multi-record message: an inline header and a batch
@@ -42,7 +46,23 @@ func (p *FramePool[H, R]) Get() *Frame[H, R] {
 		p.free = p.free[:n-1]
 		return f
 	}
-	return &Frame[H, R]{pool: p}
+	f := &Frame[H, R]{pool: p}
+	p.made = append(p.made, f)
+	return f
+}
+
+// Outstanding returns how many of the pool's frames are out of its free
+// list: held by a reference, or lost with one.
+func (p *FramePool[H, R]) Outstanding() int { return len(p.made) - len(p.free) }
+
+// Reclaim returns every frame the pool has made to its free list,
+// cleared, whatever references were still counted on it. Call only on
+// teardown, once nothing that holds a reference can run again.
+func (p *FramePool[H, R]) Reclaim() {
+	for _, f := range p.made {
+		f.clear()
+	}
+	p.free = append(p.free[:0], p.made...)
 }
 
 // Retain adds n references: one per party that will call Release.
@@ -56,17 +76,18 @@ func (f *Frame[H, R]) Release() {
 	if f.refs > 0 {
 		return
 	}
+	f.clear()
+	f.pool.free = append(f.pool.free, f)
+}
+
+// clear empties the frame for its next Get.
+func (f *Frame[H, R]) clear() {
 	var zh H
 	f.Head = zh
-	var zr R
-	for i := range f.Recs {
-		f.Recs[i] = zr
-	}
+	clear(f.Recs)
 	f.Recs = f.Recs[:0]
 	f.Size = 0
-	if f.pool != nil {
-		f.pool.free = append(f.pool.free, f)
-	}
+	f.refs = 0
 }
 
 // Refs returns the live reference count (tests).

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"repro/internal/free"
 	"repro/internal/sim"
 )
 
@@ -145,18 +146,54 @@ type Link struct {
 	// so Send allocates neither a closure nor an event.
 	inflight sim.Ring[Message]
 	deliver  func()
+	arena    *Arena // lent the two rings' storage
 }
 
-// NewLink creates one direction of a channel owned by kernel k.
-func NewLink(k *sim.Kernel, cfg LinkConfig) *Link {
+// Arena owns the storage of the in-flight rings and inboxes of the links
+// built over it (NewLinkIn): Release hands a link's two ring buffers
+// back, cleared, and the next link the arena serves starts with them at
+// the size the last one grew them to. It has one owner at a time and no
+// lock.
+type Arena struct {
+	rings free.List[[]Message]
+}
+
+// ring returns a ring buffer, recycled when a has one (else nil: the
+// ring grows its own).
+func (a *Arena) ring() []Message {
+	buf, _ := a.rings.Get()
+	return buf
+}
+
+// NewLink creates one direction of a channel owned by kernel k, over a
+// private arena: its rings grow plainly.
+func NewLink(k *sim.Kernel, cfg LinkConfig) *Link { return NewLinkIn(new(Arena), k, cfg) }
+
+// NewLinkIn is NewLink over an arena: the link's in-flight ring and
+// inbox take their storage from a and hand it back at Release.
+func NewLinkIn(a *Arena, k *sim.Kernel, cfg LinkConfig) *Link {
 	cfg = cfg.withDefaults()
 	l := &Link{
 		k:     k,
 		cfg:   cfg,
 		Inbox: sim.NewQueue[Message](k, cfg.Name+".inbox"),
+		arena: a,
 	}
+	l.inflight.Reuse(a.ring())
+	l.Inbox.Reuse(a.ring())
 	l.deliver = l.deliverHead
 	return l
+}
+
+// Release hands the link's ring storage back to its arena, dropping
+// whatever is still in flight or unread. Call only on teardown, once the
+// simulation kernel is down: the link must not be used afterwards.
+func (l *Link) Release() {
+	for _, buf := range [2][]Message{l.inflight.Release(), l.Inbox.Release()} {
+		if cap(buf) > 0 {
+			l.arena.rings.Put(buf)
+		}
+	}
 }
 
 // deliverHead completes delivery of the oldest in-flight message.
@@ -338,12 +375,23 @@ type Duplex struct {
 }
 
 // NewDuplex builds both directions with the same configuration (named
-// name.ab / name.ba).
+// name.ab / name.ba), over a private arena.
 func NewDuplex(k *sim.Kernel, name string, cfg LinkConfig) *Duplex {
+	return NewDuplexIn(new(Arena), k, name, cfg)
+}
+
+// NewDuplexIn is NewDuplex over an arena (see NewLinkIn).
+func NewDuplexIn(a *Arena, k *sim.Kernel, name string, cfg LinkConfig) *Duplex {
 	ab, ba := cfg, cfg
 	ab.Name = fmt.Sprintf("%s.ab", name)
 	ba.Name = fmt.Sprintf("%s.ba", name)
-	return &Duplex{AtoB: NewLink(k, ab), BtoA: NewLink(k, ba)}
+	return &Duplex{AtoB: NewLinkIn(a, k, ab), BtoA: NewLinkIn(a, k, ba)}
+}
+
+// Release hands both directions' ring storage back (see Link.Release).
+func (d *Duplex) Release() {
+	d.AtoB.Release()
+	d.BtoA.Release()
 }
 
 // DisconnectAll severs both directions.

@@ -218,3 +218,50 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Errorf("defaults = %+v", c)
 	}
 }
+
+// TestLinkArena: a released link hands both ring buffers back cleared,
+// what it still held in flight or unread dropped, and the next link over
+// the arena takes them and delivers in order as a fresh link does.
+func TestLinkArena(t *testing.T) {
+	var a Arena
+	k := sim.NewKernel(1)
+	first := NewLinkIn(&a, k, Ethernet10("first"))
+	for i := range 20 {
+		first.Send(&i, 100)
+	}
+	k.RunUntil(first.TransferTime(100) * 4) // some delivered, some still in flight
+	if first.Inbox.Len() == 0 || first.inflight.Len() == 0 {
+		t.Fatalf("inbox %d, in flight %d: the test needs both rings holding messages",
+			first.Inbox.Len(), first.inflight.Len())
+	}
+	k.Shutdown()
+	first.Release()
+	for range 2 {
+		buf, ok := a.rings.Get()
+		if !ok || len(buf) == 0 {
+			t.Fatal("the arena did not get both ring buffers back")
+		}
+		for i, m := range buf {
+			if m != (Message{}) {
+				t.Fatalf("a released ring's slot %d still holds %+v", i, m)
+			}
+		}
+		a.rings.Put(buf)
+	}
+
+	k = sim.NewKernel(2)
+	defer k.Shutdown()
+	second := NewLinkIn(&a, k, Ethernet10("second"))
+	if _, ok := a.rings.Get(); ok {
+		t.Fatal("the second link left a ring buffer in the arena")
+	}
+	var got []int
+	receive(k, second, 5, func(m Message) { got = append(got, m.Payload.(int)) })
+	for i := range 5 {
+		second.Send(i, 100)
+	}
+	k.Run()
+	if len(got) != 5 || got[0] != 0 || got[4] != 4 || second.Stats.MessagesDelivered != 5 {
+		t.Fatalf("the link over recycled rings delivered %v (%+v)", got, second.Stats)
+	}
+}

@@ -479,3 +479,46 @@ func TestStateDigestMatchesMapTables(t *testing.T) {
 		t.Fatalf("the traffic missed a case: %+v, %d replies", n.Stats, len(replyFor))
 	}
 }
+
+// TestShadowArenaReuse: a released shadow hands its frame ring back to
+// its arena, and the next shadow over the arena starts empty in that
+// ring — nothing of the frames still pending at release is visible —
+// and reads and encodes what it is delivered as a fresh shadow does.
+func TestShadowArenaReuse(t *testing.T) {
+	record := func(from, to uint32) []byte {
+		var data []byte
+		for i := from; i < to; i++ {
+			data = device.AppendU32(data, i)
+			data = device.AppendU32(data, 2)
+			data = device.AppendU32(data, i<<8)
+			data = device.AppendU32(data, i<<8|1)
+		}
+		return data
+	}
+	var a Arena
+	p := New(64).NewPort(nil)
+	first := NewShadowIn(&a)
+	first.Apply(device.Completion{Data: record(1, 20)}, memStub{}, portBus{p})
+	first.Load(RegRxData)
+	ring := first.ring
+	first.Release()
+
+	second, fresh := NewShadowIn(&a), NewShadow()
+	if &second.ring[0] != &ring[0] {
+		t.Fatal("the second shadow did not take the ring the first released")
+	}
+	if second.Load(RegStatus)&StatusRxAvail != 0 || second.Load(RegRxData) != 0 {
+		t.Fatal("a shadow over a recycled ring shows a frame it was never delivered")
+	}
+	for _, sh := range []*Shadow{second, fresh} {
+		sh.Apply(device.Completion{Data: record(30, 33)}, memStub{}, portBus{New(64).NewPort(nil)})
+	}
+	if got, want := second.MarshalState(), fresh.MarshalState(); string(got) != string(want) {
+		t.Fatalf("a shadow over a recycled ring encodes %d bytes, a fresh one %d", len(got), len(want))
+	}
+	for second.Load(RegStatus)&StatusRxAvail != 0 {
+		if got, want := second.Load(RegRxData), fresh.Load(RegRxData); got != want {
+			t.Fatalf("recycled ring read %#x, fresh %#x", got, want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/device"
+	"repro/internal/free"
 )
 
 // Shadow is the hypervisor-side virtual network adapter: the
@@ -28,10 +29,38 @@ type Shadow struct {
 	head, n, pos int
 	// rec is the buffer Capture and Recover build a record in.
 	rec []byte
+	// arena lends ring's storage until Release.
+	arena *Arena
 }
 
-// NewShadow returns an empty virtual adapter.
-func NewShadow() *Shadow { return &Shadow{} }
+// Arena owns the frame rings of the shadows built over it
+// (NewShadowIn): Release hands a shadow's ring back, every slot with
+// its word buffer, for the next shadow the arena serves. It has one
+// owner at a time and no lock.
+type Arena struct {
+	rings free.List[[]frame]
+}
+
+// NewShadow returns an empty virtual adapter over a private arena.
+func NewShadow() *Shadow { return NewShadowIn(new(Arena)) }
+
+// NewShadowIn returns an empty virtual adapter whose frame ring comes
+// from a and goes back to it at Release.
+func NewShadowIn(a *Arena) *Shadow {
+	s := &Shadow{arena: a}
+	s.ring, _ = a.rings.Get()
+	return s
+}
+
+// Release hands the shadow's frame ring back to its arena, dropping the
+// frames still pending. Call only on teardown: the shadow must not be
+// used afterwards.
+func (s *Shadow) Release() {
+	if s.arena != nil && len(s.ring) > 0 {
+		s.arena.rings.Put(s.ring)
+	}
+	*s = Shadow{}
+}
 
 var _ device.Shadow = (*Shadow)(nil)
 

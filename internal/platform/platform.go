@@ -98,6 +98,8 @@ type Node struct {
 	// NICPort is this node's endpoint on the shared network adapter
 	// (nil unless Config.NICRequests > 0).
 	NICPort *nic.Port
+
+	nicShadow *nic.Shadow // the hypervisor's NIC shadow, released with the node
 }
 
 // env is the shared environment every node attaches to: the disks and
@@ -109,12 +111,16 @@ type env struct {
 	nic     *nic.NIC
 }
 
-// Arena owns the bulk buffers of a cluster's machines and disks: what
-// Release hands back, the next cluster built over the arena reuses. It
-// has one owner at a time and no lock.
+// Arena owns the bulk buffers of a cluster's machines, hypervisors,
+// disks, NIC shadows and mesh links: what Release hands back, the next
+// cluster built over the arena reuses. It has one owner at a time and no
+// lock.
 type Arena struct {
-	Machines machine.Arena
-	Disks    scsi.Arena
+	Machines    machine.Arena
+	Hypervisors hypervisor.Arena
+	Disks       scsi.Arena
+	NICs        nic.Arena
+	Links       netsim.Arena
 }
 
 // newEnv builds the shared environment and schedules the terminal
@@ -147,7 +153,7 @@ func newNode(a *Arena, k *sim.Kernel, cfg Config, host int) *Node {
 
 // finishNode wires the node's bus and hypervisor from the shared
 // environment's device table: every node is wired identically.
-func finishNode(k *sim.Kernel, cfg Config, n *Node, e *env, host int) {
+func finishNode(ar *Arena, cfg Config, n *Node, e *env, host int) {
 	m := n.M
 	mux := machine.NewBusMux()
 	for i, disk := range e.disks {
@@ -163,7 +169,7 @@ func finishNode(k *sim.Kernel, cfg Config, n *Node, e *env, host int) {
 		mux.Map("nic", NICBase, nic.Window, n.NICPort)
 	}
 	m.Bus = mux
-	n.HV = hypervisor.New(m, cfg.Hypervisor)
+	n.HV = hypervisor.NewIn(&ar.Hypervisors, m, cfg.Hypervisor)
 	for i := range e.disks {
 		base, line := DiskWindow(i)
 		n.HV.AttachDevice(device.Window{
@@ -175,10 +181,11 @@ func finishNode(k *sim.Kernel, cfg Config, n *Node, e *env, host int) {
 		Line: ConsoleIRQLine, Unsolicited: true,
 	}, console.NewShadow())
 	if e.nic != nil {
+		n.nicShadow = nic.NewShadowIn(&ar.NICs)
 		n.HV.AttachDevice(device.Window{
 			ID: "nic", Base: NICBase, Size: nic.Window,
 			Line: NICIRQLine, Unsolicited: true,
-		}, nic.NewShadow())
+		}, n.nicShadow)
 	}
 }
 
@@ -211,9 +218,9 @@ func NewCluster(k *sim.Kernel, cfg Config, n int) *Cluster {
 	return NewClusterIn(new(Arena), k, cfg, n)
 }
 
-// NewClusterIn is NewCluster over an arena: every machine and disk of
-// the cluster, late joiners included, takes its bulk buffers from a and
-// hands them back at Release.
+// NewClusterIn is NewCluster over an arena: every machine, hypervisor,
+// disk, NIC shadow and mesh link of the cluster, late joiners' included,
+// takes its bulk buffers from a and hands them back at Release.
 func NewClusterIn(a *Arena, k *sim.Kernel, cfg Config, n int) *Cluster {
 	if n < 1 {
 		panic("platform: cluster needs at least 1 node")
@@ -223,7 +230,7 @@ func NewClusterIn(a *Arena, k *sim.Kernel, cfg Config, n int) *Cluster {
 	c.Disks, c.Console, c.NIC = c.env.disks, c.env.console, c.env.nic
 	for i := 0; i < n; i++ {
 		node := newNode(a, k, cfg, i)
-		finishNode(k, cfg, node, c.env, i)
+		finishNode(a, cfg, node, c.env, i)
 		c.Nodes = append(c.Nodes, node)
 	}
 	link := cfg.Link
@@ -236,7 +243,7 @@ func NewClusterIn(a *Arena, k *sim.Kernel, cfg Config, n int) *Cluster {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			c.Links[i][j] = netsim.NewDuplex(k, fmt.Sprintf("link%d-%d", i, j), link)
+			c.Links[i][j] = netsim.NewDuplexIn(&a.Links, k, fmt.Sprintf("link%d-%d", i, j), link)
 		}
 	}
 	return c
@@ -253,7 +260,7 @@ func NewClusterIn(a *Arena, k *sim.Kernel, cfg Config, n int) *Cluster {
 func (c *Cluster) AddNode(link netsim.LinkConfig) *Node {
 	n := len(c.Nodes)
 	node := newNode(c.arena, c.K, c.cfg, n)
-	finishNode(c.K, c.cfg, node, c.env, n)
+	finishNode(c.arena, c.cfg, node, c.env, n)
 	c.Nodes = append(c.Nodes, node)
 	if link.BitsPerSecond == 0 {
 		link = c.cfg.Link
@@ -266,7 +273,7 @@ func (c *Cluster) AddNode(link netsim.LinkConfig) *Node {
 	}
 	c.Links = append(c.Links, make([]*netsim.Duplex, n+1))
 	for i := 0; i < n; i++ {
-		c.Links[i][n] = netsim.NewDuplex(c.K, fmt.Sprintf("link%d-%d", i, n), link)
+		c.Links[i][n] = netsim.NewDuplexIn(&c.arena.Links, c.K, fmt.Sprintf("link%d-%d", i, n), link)
 	}
 	return node
 }
@@ -285,14 +292,26 @@ func (c *Cluster) Channel(from, to int) (tx, rx *netsim.Link) {
 	return d.BtoA, d.AtoB
 }
 
-// Release hands every machine's and disk's bulk buffers back to the
-// cluster's arena. Call only on teardown, after the simulation kernel
-// has shut down: the machines must never run again, nor the disks serve.
+// Release hands every machine's, hypervisor's, disk's, NIC shadow's
+// and mesh link's bulk buffers back to the cluster's arena. Call only on
+// teardown, after the simulation kernel has shut down: the machines must
+// never run again, nor the disks serve, nor the links carry.
 func (c *Cluster) Release() {
 	for _, n := range c.Nodes {
 		n.M.Release()
+		n.HV.Release()
+		if n.nicShadow != nil {
+			n.nicShadow.Release()
+		}
 	}
 	for _, d := range c.Disks {
 		d.Release()
+	}
+	for _, row := range c.Links {
+		for _, d := range row {
+			if d != nil {
+				d.Release()
+			}
+		}
 	}
 }

@@ -86,8 +86,8 @@ func TestEpochArchiveRecyclesLists(t *testing.T) {
 }
 
 // TestEpochArchiveRelease: a released archive goes back to its arena
-// empty, its interrupt lists cleared, so the next replica's archive —
-// the same one, recycled — starts from nothing.
+// empty, its interrupt lists cleared into the arena's, so the next
+// replica's archive — the same one, recycled — starts from nothing.
 func TestEpochArchiveRelease(t *testing.T) {
 	var arena Arena
 	a := arena.archive()
@@ -95,8 +95,8 @@ func TestEpochArchiveRelease(t *testing.T) {
 		a.record(SyncEpoch{Epoch: e, Ints: []hypervisor.Interrupt{{Line: uint(e) + 1}}})
 	}
 	lists := a.since(0)
-	a.release(&arena)
-	for _, l := range a.free {
+	a.release()
+	for l, ok := arena.lists.Get(); ok; l, ok = arena.lists.Get() {
 		if l := l[:cap(l)]; len(l) > 0 && l[0].Line != 0 {
 			t.Fatalf("a released list still holds %+v", l[0])
 		}
@@ -114,6 +114,35 @@ func TestEpochArchiveRelease(t *testing.T) {
 	}
 	if lists[39].Ints[0].Line != 40 {
 		t.Fatal("what since handed out changed on release")
+	}
+}
+
+// TestEpochArchiveGrowsFromArena: the rings an archive outgrows stay in
+// the arena, and another archive over it — a replica in a role no
+// earlier one played — grows through them instead of allocating.
+func TestEpochArchiveGrowsFromArena(t *testing.T) {
+	var arena Arena
+	big, other := arena.archive(), arena.archive()
+	for e := uint64(0); e < 300; e++ {
+		big.record(SyncEpoch{Epoch: e})
+	}
+	if len(big.ring) != 512 || len(arena.rings) != 6 {
+		t.Fatalf("an archive of 300 epochs has a ring of %d and left %d outgrown rings, want 512 and 6 (8 to 256)",
+			len(big.ring), len(arena.rings))
+	}
+	spares := map[*archived]bool{}
+	for _, r := range arena.rings {
+		spares[&r[0]] = true
+	}
+	for e := uint64(0); e < 200; e++ {
+		other.record(SyncEpoch{Epoch: e})
+	}
+	if len(other.ring) != 256 || !spares[&other.ring[0]] || len(arena.rings) != 5 {
+		t.Fatalf("the second archive grew to a ring of %d (an outgrown one: %v), leaving %d in the arena, want 256, true and 5",
+			len(other.ring), spares[&other.ring[0]], len(arena.rings))
+	}
+	if got := other.since(0); len(got) != 200 || got[199].Epoch != 199 {
+		t.Fatalf("since(0) over the reused ring = %d epochs", len(got))
 	}
 }
 

@@ -20,17 +20,19 @@ import (
 // The entries live in a ring indexed by epoch, and the archive owns their
 // interrupt lists: record copies a delivery into a list recycled from a
 // pruned entry, so a coordinator's steady state archives without
-// allocating, and since hands out copies of its own.
+// allocating, and since hands out copies of its own. Idle lists and
+// outgrown rings wait in the arena, where every archive over it can take
+// them.
 type epochArchive struct {
 	// ring holds epoch e at ring[e % len(ring)] for every recorded e in
-	// [oldest, newest]; the span never exceeds len(ring), which doubles
-	// when it would.
+	// [oldest, newest]; the span never exceeds len(ring), which at least
+	// doubles when it would.
 	ring   []archived
 	n      int // entries held
 	oldest uint64
 	newest uint64
 	window uint64
-	free   [][]hypervisor.Interrupt // lists of pruned entries, cleared
+	arena  *Arena
 }
 
 // archived is one ring slot.
@@ -48,13 +50,55 @@ const defaultArchiveWindow = 4096
 // this depth in steady state instead of growing to the window.
 const archiveResyncKeep = 8
 
-// Arena owns the delivery archives of the replicas built over it
-// (NewReplicaIn): Release hands a replica's archive back, emptied but
-// with its ring and free lists, for the next replica the arena serves —
-// a backup with downstream peers never trims, so its ring grows toward
-// the window in every cluster. It has one owner at a time and no lock.
+// Arena owns what the replicas built over it (NewReplicaIn) recycle
+// across clusters, so that a cluster built over a warm arena starts its
+// epoch loop at working size. It has one owner at a time and no lock.
+//   - Delivery archives: Release hands a replica's archive back, emptied
+//     but with its ring — a backup with downstream peers never trims, so
+//     its ring grows toward the window in every cluster. The archives'
+//     interrupt lists and the rings they outgrew are the arena's, so a
+//     replica whose role this arena has not served before grows its
+//     archive from what others left.
+//   - Epoch records, with their interrupt maps, and the maps that index
+//     them: a replica takes a record per epoch it follows and returns it
+//     at the boundary; Release returns those still pending, and the
+//     replica's index.
+//   - The wire frames every replica of the cluster shares: epoch frames,
+//     a transmit process's batches and acknowledgements. A frame goes
+//     back to its pool at its last release; Reclaim takes back, at
+//     teardown, the frames a dropped or unread copy still holds.
 type Arena struct {
 	archives free.List[*epochArchive]
+	rings    [][]archived                      // outgrown archive rings, cleared
+	lists    free.List[[]hypervisor.Interrupt] // archives' idle interrupt lists, cleared
+	records  free.List[*epochRecord]
+	pendings free.List[map[uint64]*epochRecord]
+	frames   netsim.FramePool[epochHead, hypervisor.Interrupt]
+	batches  netsim.FramePool[struct{}, *epochFrame]
+	acks     netsim.FramePool[uint64, struct{}]
+}
+
+// Reclaim returns every frame of the arena's pools, released or not, to
+// its pool. Call only on teardown, after the simulation kernel is down
+// and every replica over the arena is released.
+func (a *Arena) Reclaim() {
+	a.frames.Reclaim()
+	a.batches.Reclaim()
+	a.acks.Reclaim()
+}
+
+// Outstanding returns how many frames of the arena's pools are held by a
+// reference, or lost with one.
+func (a *Arena) Outstanding() int {
+	return a.frames.Outstanding() + a.batches.Outstanding() + a.acks.Outstanding()
+}
+
+// pending returns an empty epoch-record index, recycled when a has one.
+func (a *Arena) pending() map[uint64]*epochRecord {
+	if m, ok := a.pendings.Get(); ok {
+		return m
+	}
+	return map[uint64]*epochRecord{}
 }
 
 // archive returns an empty archive, recycled when a has one.
@@ -62,13 +106,32 @@ func (a *Arena) archive() *epochArchive {
 	if ar, ok := a.archives.Get(); ok {
 		return ar
 	}
-	return &epochArchive{window: defaultArchiveWindow}
+	return &epochArchive{window: defaultArchiveWindow, arena: a}
 }
 
-// release empties the archive — every held list goes to the free lists,
-// cleared, and the ring is zeroed — and hands it to arena. The archive
-// must not be used afterwards.
-func (a *epochArchive) release(arena *Arena) {
+// ring returns a cleared archive ring of at least n slots: the smallest
+// outgrown one that is large enough, or a new one of n.
+func (a *Arena) ring(n uint64) []archived {
+	best := -1
+	for i, r := range a.rings {
+		if uint64(len(r)) >= n && (best < 0 || len(r) < len(a.rings[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]archived, n)
+	}
+	r := a.rings[best]
+	last := len(a.rings) - 1
+	a.rings[best], a.rings[last] = a.rings[last], nil
+	a.rings = a.rings[:last]
+	return r
+}
+
+// release empties the archive — every held list goes back to the arena,
+// cleared, and the ring is zeroed — and hands it to its arena. The
+// archive must not be used afterwards.
+func (a *epochArchive) release() {
 	if a == nil {
 		return
 	}
@@ -79,7 +142,7 @@ func (a *epochArchive) release(arena *Arena) {
 	}
 	clear(a.ring)
 	a.n, a.oldest, a.newest = 0, 0, 0
-	arena.archives.Put(a)
+	a.arena.archives.Put(a)
 }
 
 // slot is epoch e's place in the ring.
@@ -112,10 +175,7 @@ func (a *epochArchive) record(e SyncEpoch) {
 		a.n++
 	}
 	if len(e.Ints) > 0 {
-		var l []hypervisor.Interrupt
-		if n := len(a.free); n > 0 {
-			l, a.free = a.free[n-1], a.free[:n-1]
-		}
+		l, _ := a.arena.lists.Get()
 		e.Ints = append(l, e.Ints...)
 	} else {
 		e.Ints = nil
@@ -123,7 +183,9 @@ func (a *epochArchive) record(e SyncEpoch) {
 	*s = archived{SyncEpoch: e, held: true}
 }
 
-// fit doubles the ring until it holds the span [oldest, newest].
+// fit grows the ring, by doubling, until it holds the span [oldest,
+// newest], taking the new ring from the arena and leaving the old one
+// there.
 func (a *epochArchive) fit() {
 	span := a.newest - a.oldest + 1
 	if span <= uint64(len(a.ring)) {
@@ -134,11 +196,15 @@ func (a *epochArchive) fit() {
 		size *= 2
 	}
 	old := a.ring
-	a.ring = make([]archived, size)
+	a.ring = a.arena.ring(size)
 	for _, s := range old {
 		if s.held {
 			*a.slot(s.Epoch) = s
 		}
+	}
+	if len(old) > 0 {
+		clear(old)
+		a.arena.rings = append(a.arena.rings, old)
 	}
 }
 
@@ -152,11 +218,11 @@ func (a *epochArchive) drop(e uint64) {
 }
 
 // recycle clears a list the archive owned (its records must not pin
-// completion payloads) and keeps it for reuse.
+// completion payloads) and keeps it in the arena for reuse.
 func (a *epochArchive) recycle(l []hypervisor.Interrupt) {
 	if cap(l) > 0 {
 		clear(l)
-		a.free = append(a.free, l[:0])
+		a.arena.lists.Put(l[:0])
 	}
 }
 
@@ -234,7 +300,7 @@ type coordinator struct {
 	released     uint64
 	haveReleased bool
 
-	pool *netsim.FramePool[epochHead, hypervisor.Interrupt]
+	pool *netsim.FramePool[epochHead, hypervisor.Interrupt] // the arena's
 	// progress is broadcast whenever a wait's condition may have changed:
 	// on every acknowledgement and after every transmit.
 	progress *sim.Signal
@@ -256,7 +322,7 @@ type coordinator struct {
 	txSig   *sim.Signal
 	txClose bool
 	tx      fanCursor
-	bpool   *netsim.FramePool[struct{}, *epochFrame]
+	bpool   *netsim.FramePool[struct{}, *epochFrame] // the arena's
 }
 
 type pendingEpoch struct {
@@ -271,7 +337,7 @@ func (r *Replica) newCoordinator() *coordinator {
 		hv: r.HV, s: newSender(r.downs, &r.Stats), stats: &r.Stats,
 		pol:     derivePolicy(r.cfg.Protocol, r.cfg.OutputCommit),
 		stopped: r.Failed, archive: r.archive, rep: r,
-		pool: &netsim.FramePool[epochHead, hypervisor.Interrupt]{},
+		pool: &r.arena.frames,
 	}
 	c.s.peerTimeout = r.cfg.PeerTimeout
 	return c
@@ -321,7 +387,7 @@ func (c *coordinator) install(k *sim.Kernel) {
 	if c.pol.coalesce {
 		// Interrupts ride the epoch frame; a transmit process ships it.
 		c.txSig = k.NewSignal("repl.tx")
-		c.bpool = &netsim.FramePool[struct{}, *epochFrame]{}
+		c.bpool = &c.rep.arena.batches
 		k.Start(fmt.Sprintf("oc-tx%d", c.rep.index), c.transmit)
 	} else {
 		// P1: forward every captured interrupt immediately. The hooks'
@@ -472,15 +538,22 @@ func (c *coordinator) transmit(*sim.Proc) (sim.Time, sim.StepStatus) {
 			// The batch carries one reference per receiver plus the
 			// sender's; each inner frame one per receiver (a receiver
 			// files and releases the inner frames individually, then
-			// releases the batch).
+			// releases the batch). With no receiver left the batch still
+			// goes out at its full size, to be dropped, and its frames
+			// go straight back to the pool.
 			b := c.bpool.Get()
 			b.Size = 8 // batch header
 			n := c.s.receivers()
 			for i, f := range c.txq {
-				f.Retain(n)
-				b.Recs = append(b.Recs, f)
 				b.Size += f.Size
 				c.txq[i] = nil
+				if n == 0 {
+					f.Retain(1)
+					f.Release()
+					continue
+				}
+				f.Retain(n)
+				b.Recs = append(b.Recs, f)
 			}
 			c.txq = c.txq[:0]
 			b.Retain(n + 1)

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/hypervisor"
@@ -77,15 +78,14 @@ type Replica struct {
 	Observer func(obs.Event)
 
 	pending map[uint64]*epochRecord
-	// recFree recycles epoch records: a record freed at one epoch's
-	// boundary serves a later epoch without reallocating its map.
-	recFree []*epochRecord
 	// order is stageOrdered's scratch list of capture indexes.
-	order []uint32
-	// acks recycles the acknowledgements sent upstream.
-	acks    netsim.FramePool[uint64, struct{}]
+	order   []uint32
 	archive *epochArchive
-	arena   *Arena // owns archive
+	// arena owns archive, the epoch records (a record freed at one
+	// epoch's boundary serves a later epoch without reallocating its map)
+	// and the frames the replica sends: acknowledgements upstream, and as
+	// coordinator its epoch frames and batches.
+	arena   *Arena
 	arrival *sim.Signal
 	// completed counts epochs whose boundary processing has finished;
 	// the epoch currently executing (or awaiting its boundary) is
@@ -139,7 +139,8 @@ func NewReplica(hv *hypervisor.Hypervisor, ups, downs []Peer, cfg Config) *Repli
 }
 
 // NewReplicaIn is NewReplica over an arena: the replica's delivery
-// archive comes from a and goes back to it at Release.
+// archive, epoch records and frames come from a, and go back to it at
+// Release (the frames at their last release, or at a's Reclaim).
 func NewReplicaIn(a *Arena, hv *hypervisor.Hypervisor, ups, downs []Peer, cfg Config) *Replica {
 	r := &Replica{
 		HV:      hv,
@@ -147,7 +148,7 @@ func NewReplicaIn(a *Arena, hv *hypervisor.Hypervisor, ups, downs []Peer, cfg Co
 		index:   len(ups),
 		ups:     ups,
 		downs:   downs,
-		pending: map[uint64]*epochRecord{},
+		pending: a.pending(),
 		archive: a.archive(),
 		arena:   a,
 	}
@@ -197,11 +198,20 @@ func (r *Replica) Failstop() {
 	}
 }
 
-// Release hands the replica's delivery archive back to its arena. The
-// session engine calls it on teardown, once no process will run again;
-// the replica must not run or encode its state afterwards.
+// Release hands the replica's delivery archive and its pending epoch
+// records back to its arena. The session engine calls it on teardown,
+// once no process will run again; the replica must not run or encode its
+// state afterwards.
 func (r *Replica) Release() {
-	r.archive.release(r.arena)
+	if r.arena == nil {
+		return // released already
+	}
+	for _, e := range slices.Sorted(maps.Keys(r.pending)) {
+		r.release(e)
+	}
+	r.arena.pendings.Put(r.pending)
+	r.pending = nil
+	r.archive.release()
 	r.archive, r.arena = nil, nil
 	if r.coord != nil {
 		r.coord.archive = nil
@@ -226,10 +236,8 @@ func (r *Replica) effTimeout() sim.Time { return r.cfg.DetectTimeout * sim.Time(
 func (r *Replica) rec(e uint64) *epochRecord {
 	er := r.pending[e]
 	if er == nil {
-		if n := len(r.recFree); n > 0 {
-			er = r.recFree[n-1]
-			r.recFree = r.recFree[:n-1]
-		} else {
+		var ok bool
+		if er, ok = r.arena.records.Get(); !ok {
 			er = &epochRecord{ints: map[uint32]hypervisor.Interrupt{}}
 		}
 		r.pending[e] = er
@@ -237,7 +245,7 @@ func (r *Replica) rec(e uint64) *epochRecord {
 	return er
 }
 
-// release retires epoch e's record to the free list once its boundary
+// release retires epoch e's record to the arena once its boundary
 // processing is complete.
 func (r *Replica) release(e uint64) {
 	er := r.pending[e]
@@ -247,7 +255,7 @@ func (r *Replica) release(e uint64) {
 	delete(r.pending, e)
 	clear(er.ints)
 	*er = epochRecord{ints: er.ints}
-	r.recFree = append(r.recFree, er)
+	r.arena.records.Put(er)
 }
 
 // receiver is the step of the simulation process that serves one
@@ -304,9 +312,9 @@ func (r *Replica) take(u Peer, raw netsim.Message) {
 }
 
 // sendAck acknowledges seq to upstream u (P4) in a message from the
-// replica's pool; the coordinator's intake returns it.
+// arena's pool; the coordinator's intake returns it.
 func (r *Replica) sendAck(u Peer, seq uint64) {
-	a := r.acks.Get()
+	a := r.arena.acks.Get()
 	a.Head = seq
 	a.Retain(1)
 	u.TX.Send(a, 0)

@@ -104,9 +104,9 @@ func (f *fanCursor) next(stopped func() bool) (sim.Time, bool) {
 }
 
 // receivers counts the peers a message sent now would reach: one frame
-// reference each. A link that goes down mid-fanout drops its copy
-// without releasing, the frame leaks to the GC and the pool self-heals
-// (see netsim.FramePool).
+// reference each. A link that goes down mid-fan-out drops its copy
+// without releasing it, and the frame stays out of its pool until the
+// arena reclaims it at teardown (see Arena.Reclaim).
 func (s *sender) receivers() int32 {
 	n := int32(0)
 	for _, ps := range s.peers {

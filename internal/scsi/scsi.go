@@ -86,22 +86,30 @@ type memBackend struct {
 	arena     *Arena
 }
 
-// Arena owns the written blocks of the in-memory disks built over it
-// (NewDiskIn): Release hands a disk's blocks back for the next disk the
-// arena serves, and a recycled block is cleared before use. It has one
+// Arena owns the block-sized buffers of the disks built over it
+// (NewDiskIn): the in-memory backend's written blocks, which Release
+// hands back for the next disk the arena serves, and the write-DMA
+// latches, each held from a write's issue to its completion. It has one
 // owner at a time and no lock.
 type Arena struct {
-	blocks free.List[[]byte]
+	blocks  free.List[[]byte]
+	latches free.List[[]byte]
+}
+
+// buffer returns n bytes off l, recycled when l has a buffer that large;
+// what they hold is unspecified.
+func buffer(l *free.List[[]byte], n uint32) []byte {
+	if buf, ok := l.Get(); ok && uint32(cap(buf)) >= n {
+		return buf[:n]
+	}
+	return make([]byte, n)
 }
 
 // block returns a zeroed block of n bytes, recycled when a has one.
 func (a *Arena) block(n uint32) []byte {
-	if blk, ok := a.blocks.Get(); ok && uint32(cap(blk)) >= n {
-		blk = blk[:n]
-		clear(blk)
-		return blk
-	}
-	return make([]byte, n)
+	blk := buffer(&a.blocks, n)
+	clear(blk)
+	return blk
 }
 
 // zeroBlock is what every never-written block of every in-memory disk
@@ -212,6 +220,11 @@ type Disk struct {
 	busyUntil     sim.Time
 	seq           uint64
 	uncertainNext int // scripted injection: next N ops report uncertain
+
+	arena *Arena
+	// latched holds the write-DMA latches lent by arena to writes not yet
+	// completed: Release hands them back with the written blocks.
+	latched [][]byte
 }
 
 // NewDisk creates the disk owned by kernel k, over a private arena: its
@@ -219,20 +232,27 @@ type Disk struct {
 func NewDisk(k *sim.Kernel, cfg DiskConfig) *Disk { return NewDiskIn(new(Arena), k, cfg) }
 
 // NewDiskIn is NewDisk over an arena: the in-memory backend's written
-// blocks come from a and go back to it at Release.
+// blocks come from a and go back to it at Release, and every write's
+// DMA latch comes from a and goes back at the write's completion (or at
+// Release, if the write never completed).
 func NewDiskIn(a *Arena, k *sim.Kernel, cfg DiskConfig) *Disk {
 	cfg = cfg.withDefaults()
 	be := cfg.Backend
 	if be == nil {
 		be = &memBackend{blockSize: cfg.BlockSize, blocks: cfg.Blocks, data: make(map[uint32][]byte), arena: a}
 	}
-	return &Disk{k: k, cfg: cfg, backend: be}
+	return &Disk{k: k, cfg: cfg, backend: be, arena: a}
 }
 
-// Release hands the in-memory backend's written blocks back to its
-// arena. Call only on teardown, once the simulation kernel is down: the
-// disk must not be used afterwards.
+// Release hands the in-memory backend's written blocks, and the latches
+// of writes still in flight, back to the disk's arena. Call only on
+// teardown, once the simulation kernel is down: the disk must not be
+// used afterwards.
 func (d *Disk) Release() {
+	for _, buf := range d.latched {
+		d.arena.latches.Put(buf)
+	}
+	d.latched = nil
 	mb, ok := d.backend.(*memBackend)
 	if !ok {
 		return
@@ -243,6 +263,19 @@ func (d *Disk) Release() {
 		}
 	}
 	mb.data = nil
+}
+
+// unlatch hands a completed write's latch back to the arena.
+func (d *Disk) unlatch(buf []byte) {
+	for i, l := range d.latched {
+		if &l[:1][0] == &buf[:1][0] {
+			last := len(d.latched) - 1
+			d.latched[i], d.latched[last] = d.latched[last], nil
+			d.latched = d.latched[:last]
+			break
+		}
+	}
+	d.arena.latches.Put(buf)
 }
 
 // random is the fault-injection stream. Most disks never draw from it
@@ -301,7 +334,7 @@ func hash64(p []byte) uint64 {
 // HostMemory is the DMA interface an adapter uses to move data to and
 // from its host's RAM (implemented by *machine.Machine).
 type HostMemory interface {
-	ReadBytes(pa uint32, n int) []byte
+	ReadInto(pa uint32, dst []byte)
 	WriteBytes(pa uint32, data []byte)
 }
 
@@ -430,10 +463,13 @@ func (a *Adapter) issue() {
 	a.OpsIssued++
 
 	cmd, blockNo, addr := a.cmd, a.blockNo, a.addr
-	// For writes, latch the data at issue time (DMA from host memory).
+	// For writes, latch the data at issue time (DMA from host memory)
+	// into a block-sized buffer the arena lends until completion.
 	var buf []byte
 	if cmd == CmdWrite {
-		buf = a.mem.ReadBytes(addr, int(count))
+		buf = buffer(&d.arena.latches, d.cfg.BlockSize)[:count]
+		d.latched = append(d.latched, buf)
+		a.mem.ReadInto(addr, buf)
 	}
 
 	// Serialize on the shared device.
@@ -487,6 +523,7 @@ func (a *Adapter) issue() {
 			if committed {
 				copy(d.block(blockNo), buf)
 			}
+			d.unlatch(buf)
 		}
 		d.Log = append(d.Log, rec)
 		if d.OnOp != nil {

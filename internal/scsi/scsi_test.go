@@ -20,6 +20,10 @@ func (m *fakeMem) ReadBytes(pa uint32, n int) []byte {
 	return out
 }
 
+func (m *fakeMem) ReadInto(pa uint32, dst []byte) {
+	copy(dst, m.data[pa:int(pa)+len(dst)])
+}
+
 func (m *fakeMem) WriteBytes(pa uint32, data []byte) {
 	copy(m.data[pa:int(pa)+len(data)], data)
 }
@@ -501,5 +505,48 @@ func TestRecycledBlock(t *testing.T) {
 	}
 	if got, want := recycled.disk.StateDigest(), fresh.disk.StateDigest(); got != want {
 		t.Errorf("StateDigest over a recycled block = %#x, fresh %#x", got, want)
+	}
+}
+
+// TestWriteLatchRecycled: a write latches its DMA data in a buffer the
+// disk's arena lends from issue to completion, so host memory written
+// after the doorbell does not reach the platter, and the next write
+// latches into the same buffer with nothing of the last one left over.
+// A write still in flight at teardown hands its latch back at Release.
+func TestWriteLatchRecycled(t *testing.T) {
+	var a Arena
+	r := newRigIn(t, &a, DiskConfig{})
+	r.mem.WriteBytes(0x1000, bytes.Repeat([]byte{0xAB}, 8192))
+	r.command(CmdWrite, 1, 0x1000, 8192)
+	r.mem.WriteBytes(0x1000, bytes.Repeat([]byte{0xCD}, 8192)) // after the latch
+	r.k.Run()
+	latch, ok := a.latches.Get()
+	if !ok {
+		t.Fatal("the write's latch did not go back to the arena")
+	}
+	a.latches.Put(latch)
+
+	r.ad.MMIOStore(RegStatus, 4, StatusDone) // write-1-to-clear
+	r.mem.WriteBytes(0x3000, bytes.Repeat([]byte{0x11}, 16))
+	r.command(CmdWrite, 2, 0x3000, 16)
+	r.k.Run()
+	again, _ := a.latches.Get()
+	if &again[:1][0] != &latch[:1][0] {
+		t.Fatal("the second write latched into a new buffer")
+	}
+	a.latches.Put(again)
+	if got := r.disk.ReadBlockDirect(1); !bytes.Equal(got, bytes.Repeat([]byte{0xAB}, 8192)) {
+		t.Errorf("block 1 reads %x…, want the bytes latched at the doorbell", got[:8])
+	}
+	want := append(bytes.Repeat([]byte{0x11}, 16), make([]byte, 8192-16)...)
+	if got := r.disk.ReadBlockDirect(2); !bytes.Equal(got, want) {
+		t.Errorf("block 2 reads %x…, want 16 bytes of 0x11 and zeros", got[:32])
+	}
+
+	r.ad.MMIOStore(RegStatus, 4, StatusDone)
+	r.command(CmdWrite, 3, 0x3000, 16) // never completes
+	r.disk.Release()
+	if back, ok := a.latches.Get(); !ok || &back[:1][0] != &latch[:1][0] {
+		t.Fatal("Release did not hand back the latch of a write in flight")
 	}
 }

@@ -247,7 +247,7 @@ func (e *Engine) AddBackup(cfg AddBackupConfig) (int, error) {
 		linkCfg = e.o.Link
 	}
 	linkCfg.Name = fmt.Sprintf("xfer%d-%d", act, n)
-	xfer := netsim.NewLink(e.k, linkCfg)
+	xfer := netsim.NewLinkIn(&e.arena.platform.Links, e.k, linkCfg)
 	if e.xferLinks == nil {
 		e.xferLinks = map[int][]*netsim.Link{}
 	}

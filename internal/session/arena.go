@@ -4,23 +4,35 @@ import (
 	"repro/internal/free"
 	"repro/internal/platform"
 	"repro/internal/replication"
+	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
 
-// arena owns every buffer whose lifetime is one cluster: the machines'
-// page tables, decoded pages, traces, frame tables, ownership bitmaps,
-// COW frames and decode caches and the disks' written blocks
-// (platform), the replicas' delivery archives (replication), and the
-// writers of the cluster's blobs: Save's and a restore verification's,
-// recycled when the call returns, and AddBackup's transfer blobs, held
-// until Close because the joiner's restored state may alias them. The
-// two kinds wait on separate lists, so a checkpoint does not regrow a
-// writer sized for a transfer, nor a transfer one sized for a
-// checkpoint. An engine borrows an arena from the shelf when Boot builds
-// its cluster and returns it at Close, after every buffer came back;
-// between the two only the engine's goroutine touches it, so a buffer's
-// Get or Put is a plain slice pop or push.
+// arena owns every buffer whose lifetime is one cluster, so that a
+// cluster built over a warm arena starts with every list at its working
+// size:
+//   - the kernel's events and event heap (sim);
+//   - the machines' page tables, decoded pages, traces, frame tables,
+//     ownership bitmaps, COW frames and decode caches, the hypervisors'
+//     delivery and withheld-output buffers, the disks' written blocks
+//     and write-DMA latches, the NIC shadows' frame rings, and the
+//     in-flight rings and inboxes of every link — mesh, transfer and
+//     client (platform);
+//   - the replicas' delivery archives, epoch records, and the epoch
+//     frames, batches and acknowledgements they exchange (replication);
+//   - the writers of the cluster's blobs: Save's and a restore
+//     verification's, recycled when the call returns, and AddBackup's
+//     transfer blobs, held until Close because the joiner's restored
+//     state may alias them. The two kinds wait on separate lists, so a
+//     checkpoint does not regrow a writer sized for a transfer, nor a
+//     transfer one sized for a checkpoint.
+//
+// An engine borrows an arena from the shelf when Boot builds its cluster
+// and returns it at Close, after every buffer came back; between the two
+// only the engine's goroutine touches it, so a buffer's Get or Put is a
+// plain slice pop or push.
 type arena struct {
+	sim         sim.Arena
 	platform    platform.Arena
 	replication replication.Arena
 	writers     free.List[*snapshot.Writer] // Save's and VerifySections'

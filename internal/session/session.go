@@ -30,6 +30,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/clientsim"
@@ -308,14 +309,14 @@ func (e *Engine) Boot() {
 	if o.Bare {
 		n = 1
 	}
-	k := sim.NewKernel(o.Seed)
+	e.arena = borrowArena()
+	k := sim.NewKernelIn(&e.arena.sim, o.Seed)
 	k.SetStallLimit(stallLimit)
 	e.k = k
 	var nicRequests int // the shared NIC serves the client load's request IDs
 	if o.ClientLoad != nil {
 		nicRequests = o.ClientLoad.Requests
 	}
-	e.arena = borrowArena()
 	cluster := platform.NewClusterIn(&e.arena.platform, k, platform.Config{
 		Disk:        o.Disk,
 		ExtraDisks:  o.ExtraDisks,
@@ -473,7 +474,7 @@ func (e *Engine) startClientLoad() {
 	if link.BitsPerSecond == 0 {
 		link = netsim.Ethernet10("clients")
 	}
-	e.clientNet = netsim.NewDuplex(e.k, "clients", link)
+	e.clientNet = netsim.NewDuplexIn(&e.arena.platform.Links, e.k, "clients", link)
 	e.clients = clientsim.New(e.k, *e.o.ClientLoad, e.nic, e.clientNet)
 	e.clients.Start()
 }
@@ -930,15 +931,23 @@ func (e *Engine) Close() {
 	}
 	e.closed = true
 	if e.k != nil {
-		e.k.Shutdown()
+		e.k.Shutdown() // its events go back to the arena
 	}
 	// The kernel is down and no process will run again: hand the
-	// machines' and disks' bulk buffers, the replicas' archives and the
-	// transfer blobs back to the arena, and the arena to the shelf, for
-	// the next cluster. Cached results and Snapshot remain valid — they
-	// read counters, not guest memory.
+	// machines', disks' and links' bulk buffers, the replicas' archives,
+	// epoch records and frames, and the transfer blobs back to the arena,
+	// and the arena to the shelf, for the next cluster. Cached results
+	// and Snapshot remain valid — they read counters, not guest memory.
 	if e.cluster != nil {
 		e.cluster.Release()
+	}
+	for _, src := range slices.Sorted(maps.Keys(e.xferLinks)) {
+		for _, l := range e.xferLinks[src] {
+			l.Release()
+		}
+	}
+	if e.clientNet != nil {
+		e.clientNet.Release()
 	}
 	// Last node first: the arena's lists pop last in, first out, so the
 	// next cluster's node i takes the archive node i had here.
@@ -946,6 +955,7 @@ func (e *Engine) Close() {
 		e.reps[i].Release()
 	}
 	if e.arena != nil {
+		e.arena.replication.Reclaim()
 		for _, w := range e.transfers {
 			e.arena.transfers.Put(w)
 		}

@@ -113,6 +113,7 @@ type Kernel struct {
 	seq     uint64
 	events  []*event // pending callbacks: a binary min-heap on (at, seq)
 	free    []*event // recycled events
+	arena   *Arena   // lent free and the heap's storage until Shutdown
 	wakes   []*Proc  // pending process wakes, latest first: the tail is next
 	seed    int64
 	procs   []*Proc
@@ -141,9 +142,30 @@ type Kernel struct {
 	stalled    bool
 }
 
-// NewKernel returns a kernel whose random streams derive from seed.
-func NewKernel(seed int64) *Kernel {
-	return &Kernel{seed: seed, limit: -1, loud: 1}
+// NewKernel returns a kernel whose random streams derive from seed, over
+// a private arena: its events are allocated plainly.
+func NewKernel(seed int64) *Kernel { return NewKernelIn(new(Arena), seed) }
+
+// Arena owns the event records and the event heap's storage of the
+// kernels built over it (NewKernelIn), one kernel at a time: the kernel
+// schedules from the arena's free events, and Shutdown hands every event
+// back — fired, canceled or still queued, each with its generation
+// bumped, so no Handle of the old kernel can cancel it — for the next
+// kernel the arena serves. It has one owner at a time and no lock.
+type Arena struct {
+	free []*event
+	heap []*event
+}
+
+// NewKernelIn is NewKernel over an arena, which the kernel holds until
+// Shutdown.
+func NewKernelIn(a *Arena, seed int64) *Kernel {
+	k := &Kernel{seed: seed, limit: -1, loud: 1, arena: a, free: a.free, events: a.heap}
+	for _, e := range k.free {
+		e.k = k
+	}
+	a.free, a.heap = nil, nil
+	return k
 }
 
 // Now returns the current virtual time.
@@ -545,8 +567,9 @@ func (k *Kernel) dispatch(p *Proc) {
 	}
 }
 
-// Shutdown finishes every process that has not finished yet. It must be
-// called after Run returns when the kernel will no longer be used; it
+// Shutdown finishes every process that has not finished yet and hands
+// the kernel's events, queued ones included, back to its arena. It must
+// be called after Run returns when the kernel will no longer be used; it
 // unwinds the coroutines of Spawn's processes so they do not leak. Safe
 // to call multiple times.
 func (k *Kernel) Shutdown() {
@@ -558,6 +581,15 @@ func (k *Kernel) Shutdown() {
 		p.retire()
 	}
 	k.procs, k.wakes = nil, nil
+	if a := k.arena; a != nil {
+		for i, e := range k.events {
+			e.index = -1
+			k.recycle(e)
+			k.events[i] = nil
+		}
+		a.free, a.heap = k.free, k.events[:0]
+		k.free, k.events, k.arena = nil, nil, nil
+	}
 }
 
 // LiveProcs returns the number of started processes that have not finished.
@@ -885,6 +917,24 @@ func (r *Ring[T]) Push(v T) {
 	r.n++
 }
 
+// Reuse makes buf the storage of an empty ring: len(buf) is its
+// capacity, and its elements must be zero (as Release leaves them).
+func (r *Ring[T]) Reuse(buf []T) {
+	if r.n != 0 {
+		panic("sim: Ring.Reuse on a ring that holds elements")
+	}
+	r.items, r.head = buf, 0
+}
+
+// Release empties the ring and returns its storage, cleared, for a later
+// Reuse. The ring is the zero value afterwards.
+func (r *Ring[T]) Release() []T {
+	buf := r.items
+	clear(buf)
+	*r = Ring[T]{}
+	return buf
+}
+
 // grow doubles the capacity, unwrapping the live elements.
 func (r *Ring[T]) grow() {
 	ncap := 2 * len(r.items)
@@ -948,6 +998,13 @@ func NewQueue[T any](k *Kernel, name string) *Queue[T] {
 
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return q.ring.Len() }
+
+// Reuse makes buf the storage of an empty queue (see Ring.Reuse).
+func (q *Queue[T]) Reuse(buf []T) { q.ring.Reuse(buf) }
+
+// Release empties the queue and returns its storage, cleared (see
+// Ring.Release).
+func (q *Queue[T]) Release() []T { return q.ring.Release() }
 
 // Put appends v and wakes any receivers.
 func (q *Queue[T]) Put(v T) {

@@ -943,3 +943,83 @@ func TestProcPanicReachesDriver(t *testing.T) {
 		})
 	}
 }
+
+// TestKernelArena: Shutdown hands every event back to the kernel's arena
+// — fired ones and those still queued — each with its generation bumped,
+// and the next kernel over the arena schedules from them: a Handle the
+// old kernel gave out cancels nothing in the new one, and an event of
+// the new one fires as a fresh one would.
+func TestKernelArena(t *testing.T) {
+	var a Arena
+	old := NewKernelIn(&a, 1)
+	old.At(5, func() {})
+	stale := old.At(20, func() { t.Error("an event queued past the run fired") })
+	old.RunUntil(10)
+	old.Shutdown()
+	if len(a.free) != 2 || len(a.heap) != 0 || cap(a.heap) == 0 {
+		t.Fatalf("the arena holds %d free events and a heap of %d/%d, want 2 and 0/≥1",
+			len(a.free), len(a.heap), cap(a.heap))
+	}
+	old.Shutdown() // idempotent: hands nothing back twice
+	if len(a.free) != 2 {
+		t.Fatalf("a second Shutdown left %d free events", len(a.free))
+	}
+
+	k := NewKernelIn(&a, 1)
+	if a.free != nil || a.heap != nil {
+		t.Fatal("the arena kept the events it lent")
+	}
+	var fired []Time
+	for _, at := range []Time{30, 20} {
+		k.At(at, func() { fired = append(fired, k.Now()) })
+	}
+	stale.Cancel()
+	k.Run()
+	if len(fired) != 2 || fired[0] != 20 || fired[1] != 30 {
+		t.Fatalf("recycled events fired at %v, want [20 30]", fired)
+	}
+}
+
+// TestRingReuse: a ring released and reused keeps its storage, starts
+// empty and zeroed, and keeps FIFO order across a wrap of the reused
+// storage and a grow past it.
+func TestRingReuse(t *testing.T) {
+	var r Ring[*int]
+	for i := range 5 {
+		r.Push(&i)
+	}
+	r.Pop()
+	buf := r.Release()
+	if len(buf) != 8 || r.Len() != 0 {
+		t.Fatalf("Release returned %d slots and left %d elements", len(buf), r.Len())
+	}
+	for i, p := range buf {
+		if p != nil {
+			t.Fatalf("released slot %d still pins a value", i)
+		}
+	}
+	var q Ring[int]
+	q.Reuse(make([]int, 4))
+	next, want := 0, 0
+	for round := range 6 {
+		for range 3 + round {
+			q.Push(next)
+			next++
+		}
+		for range 2 {
+			if v, _ := q.Pop(); v != want {
+				t.Fatalf("round %d: popped %d, want %d", round, v, want)
+			}
+			want++
+		}
+	}
+	for q.Len() > 0 {
+		if v, _ := q.Pop(); v != want {
+			t.Fatalf("drain: popped %d, want %d", v, want)
+		}
+		want++
+	}
+	if want != next {
+		t.Fatalf("popped %d items, pushed %d", want, next)
+	}
+}
