@@ -479,13 +479,19 @@ func BenchmarkReplicatedPair(b *testing.B) {
 
 // BenchmarkServicePath measures the service path's steady state: each
 // iteration runs one rung of the service ladder, warmed up to 1000
-// answers, through answers 1000 → 4000 (serviceWindow). allocs/request
-// and B/request are the heap per answered request, RunUntil's own cost
-// excluded: 1.98 and 112 as pinned (12.9 and 588 while requests were
-// closures, payload slices, map entries and frame copies). It fails
-// above maxObjectsPerRequest objects or maxBytesPerRequest bytes.
+// answers, through answers 1000 → 4000 (serviceWindow), over a cluster
+// arena one rung has warmed before the timer starts. allocs/request and
+// B/request are the heap per answered request, RunUntil's own cost
+// excluded: 0.98 and 32 as pinned, the completion records (1.98 and 112
+// while the NIC copied every request frame and the first cluster grew
+// its request table and transcript inside the window; 12.9 and 588
+// while requests were closures, payload slices, map entries and frame
+// copies). It fails above maxObjectsPerRequest objects or
+// maxBytesPerRequest bytes.
 func BenchmarkServicePath(b *testing.B) {
-	const maxBytesPerRequest = 112 + 48 // as pinned, plus slack
+	const maxBytesPerRequest = 32 + 16 // as pinned, plus slack
+	serviceWindow(b)
+	b.ResetTimer()
 	var objects, bytes float64
 	for i := 0; i < b.N; i++ {
 		o, by := serviceWindow(b)

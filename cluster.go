@@ -226,13 +226,16 @@ func (c *Cluster) Result() (Result, error) {
 // request's FIRST transmission to its reply's client-side arrival, so
 // retransmission waits during a failover land in the tail instead of
 // disappearing. The second return is false when the cluster has no
-// client load (or has not booted).
+// client load (or has not booted). After Close it reports what it
+// reported at Close.
 func (c *Cluster) ServiceLatencies() (ServiceLatencies, bool) { return c.eng.ServiceLatencies() }
 
 // ServiceBlackout reports the client-visible service gap around virtual
 // time at — typically a failover instant: the interval from the last
 // reply arriving at or before it to the first reply arriving after it.
-// Zero when the cluster has no client load or no reply follows at.
+// Zero when the cluster has no client load or no reply follows at, and
+// after Close: the per-request reply times go back with the cluster's
+// buffers (ServiceLatencies keeps what it measured at Close).
 func (c *Cluster) ServiceBlackout(at Duration) Duration {
 	cs := c.eng.Clients()
 	if cs == nil {

@@ -33,7 +33,7 @@ package clientsim
 
 import (
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"repro/internal/netsim"
 	"repro/internal/nic"
@@ -113,24 +113,57 @@ type Sim struct {
 	// scheduling one with its request ID allocates nothing.
 	arriveFn, timeoutFn func(uint64)
 	// free holds request frames back from the NIC: a frame is taken when
-	// a request is sent and returned once Ingress has copied it.
-	free []*request
+	// a request is sent and returned once Ingress has copied it. made is
+	// every frame the population owns, idle or on the link.
+	free, made []*request
+	// lat is the scratch Measure sorts latencies in.
+	lat []sim.Time
+	// arena lends st, free, made and lat until Release.
+	arena *Arena
 }
 
 // request is one request frame on the access link, [id, payload...].
 // The population owns it from send until Ingress has copied it.
 type request struct{ words []uint32 }
 
+// Arena owns the buffers of the populations built over it (NewIn): the
+// per-request table, the request frames and their free list, and
+// Measure's scratch. Release hands them back, every frame idle again,
+// and the next population the arena serves starts with them at the size
+// the last one grew them to. A population takes them whole. It has one
+// owner at a time and no lock.
+type Arena struct {
+	st         []reqState
+	free, made []*request
+	lat        []sim.Time
+}
+
 // New wires a client population to the shared NIC over a duplex client
-// access link. net.AtoB carries requests (its OnDeliver hook is taken
-// over); net.BtoA prices the reply direction.
+// access link, over a private arena. net.AtoB carries requests (its
+// OnDeliver hook is taken over); net.BtoA prices the reply direction.
 func New(k *sim.Kernel, cfg Config, n *nic.NIC, net *netsim.Duplex) *Sim {
+	return NewIn(new(Arena), k, cfg, n, net)
+}
+
+// NewIn is New over an arena: the population's per-request table,
+// request frames and scratch come from a and go back to it at Release.
+// The table is cleared and sliced to exactly cfg.Requests.
+func NewIn(a *Arena, k *sim.Kernel, cfg Config, n *nic.NIC, net *netsim.Duplex) *Sim {
 	cfg = cfg.withDefaults()
+	st := a.st
+	if cap(st) < cfg.Requests {
+		st = make([]reqState, cfg.Requests)
+	} else {
+		st = st[:cfg.Requests]
+		clear(st)
+	}
 	s := &Sim{
 		k: k, cfg: cfg, n: n,
 		req: net.AtoB, rep: net.BtoA,
-		st: make([]reqState, cfg.Requests),
+		st: st, free: a.free, made: a.made, lat: a.lat[:0],
+		arena: a,
 	}
+	*a = Arena{}
 	r := k.NewRand("clientsim")
 	s.rng = func() uint64 { return uint64(r.Int63()) }
 	s.arriveFn = func(id uint64) { s.arrive(uint32(id)) }
@@ -154,6 +187,21 @@ func (s *Sim) Config() Config { return s.cfg }
 // Stats returns the population's counters.
 func (s *Sim) Stats() Stats { return s.stat }
 
+// Release hands the population's per-request table, request frames and
+// scratch back to its arena, the frames still on the access link
+// included. Call only on teardown, once the simulation kernel is down:
+// afterwards the population keeps its Stats, and Measure, Blackout and
+// StateDigest see no request.
+func (s *Sim) Release() {
+	a := s.arena
+	if a == nil {
+		return // released already
+	}
+	a.st, a.lat, a.made = s.st[:cap(s.st)], s.lat[:0], s.made
+	a.free = append(s.free[:0], s.made...)
+	s.st, s.lat, s.free, s.made, s.arena = nil, nil, nil, nil, nil
+}
+
 // frame builds request id's frame, [id, payload words...], in a pooled
 // request: each payload word is a pure mix of (kernel seed, id, index).
 func (s *Sim) frame(id uint32) *request {
@@ -162,9 +210,11 @@ func (s *Sim) frame(id uint32) *request {
 		r = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		r = &request{words: make([]uint32, 1+s.cfg.PayloadWords)}
+		r = new(request)
+		s.made = append(s.made, r)
 	}
-	words := r.words
+	words := slices.Grow(r.words[:0], 1+s.cfg.PayloadWords)[:1+s.cfg.PayloadWords]
+	r.words = words
 	words[0] = id
 	x := uint64(s.k.Seed())*0x9E3779B97F4A7C15 + uint64(id)
 	for i := 1; i < len(words); i++ {
@@ -254,13 +304,14 @@ func (s *Sim) reply(words []uint32) {
 // the population's counters (virtual time; no commit quantiles, which
 // are the replication layer's).
 func (s *Sim) Measure() obs.ServiceLatencies {
-	var lat []sim.Time
+	lat := s.lat[:0]
 	for i := range s.st {
 		if s.st[i].replyAt != 0 {
 			lat = append(lat, s.st[i].replyAt-s.st[i].firstAt)
 		}
 	}
-	sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
+	slices.Sort(lat)
+	s.lat = lat
 	m := obs.ServiceLatencies{
 		Requests:    s.stat.Issued,
 		Answered:    s.stat.Answered,

@@ -168,3 +168,42 @@ func TestAnsweredRequestsLeaveNoTimers(t *testing.T) {
 		}
 	})
 }
+
+// TestArenaReuse: a population built over an arena that served a larger
+// one, with longer frames and requests still on the link at its
+// teardown, measures the same load as a fresh population: the same
+// digest, latencies and reply transcript, with its table sized by its
+// own request count.
+func TestArenaReuse(t *testing.T) {
+	run := func(a *Arena, cfg Config, until sim.Time) (*Sim, *nic.NIC, *netsim.Duplex) {
+		k := sim.NewKernel(5)
+		n := nic.New(cfg.Requests)
+		echoServer(n)
+		net := netsim.NewDuplex(k, "clients", netsim.Ethernet10("clients"))
+		cs := NewIn(a, k, cfg, n, net)
+		cs.Start()
+		k.RunUntil(until)
+		return cs, n, net
+	}
+	var a Arena
+	big, _, net := run(&a, Config{Requests: 80, Clients: 8, PayloadWords: 9}, 2*sim.Millisecond)
+	if net.AtoB.Stats.MessagesSent == net.AtoB.Stats.MessagesDelivered {
+		t.Fatal("no request was on the link at teardown: the test must release frames in flight")
+	}
+	big.Measure()
+	net.Release()
+	big.Release()
+	if m := big.Measure(); m.Answered == 0 || m.P50 != 0 || big.Blackout(sim.Millisecond) != 0 {
+		t.Fatalf("a released population measures %+v: it must keep its counters and see no request", m)
+	}
+
+	cfg := Config{Requests: 25, Clients: 4}
+	recycled, rn, _ := run(&a, cfg, sim.Second)
+	fresh, fn, _ := run(new(Arena), cfg, sim.Second)
+	if len(recycled.st) != 25 {
+		t.Fatalf("the recycled table holds %d requests, want 25", len(recycled.st))
+	}
+	if recycled.StateDigest() != fresh.StateDigest() || recycled.Measure() != fresh.Measure() || rn.Replies() != fn.Replies() {
+		t.Fatal("a population over a recycled arena measures differently from a fresh one")
+	}
+}

@@ -42,6 +42,8 @@ package nic
 import (
 	"encoding/binary"
 	"hash/fnv"
+
+	"repro/internal/free"
 )
 
 // Register offsets (word registers within the NIC window).
@@ -130,6 +132,11 @@ type NIC struct {
 	reqs []uint32
 	// replay is the buffer a replayed reply is decoded into.
 	replay []uint32
+	// log holds the words of every accepted request frame, the words
+	// each port's queued frame points into.
+	log requestLog
+	// arena lends tx, reqs, log and every port's queue until Release.
+	arena *Arena
 
 	nextSeq uint32 // RX frame sequence numbers assigned so far
 	ports   []*Port
@@ -146,18 +153,102 @@ type NIC struct {
 // reqSeen is the accepted bit of a request-ID table entry.
 const reqSeen = 1
 
+// Arena owns the buffers of the adapters and shadows built over it
+// (NewIn, NewShadowIn): an adapter's reply transcript, request-ID table,
+// request log and its ports' queues, and a shadow's frame ring. Release
+// hands them back, and the next adapter or shadow the arena serves
+// starts with them at the size the last one grew them to. An adapter
+// takes the arena's adapter buffers whole, so a second adapter built
+// while the first still runs grows its own. It has one owner at a time
+// and no lock.
+type Arena struct {
+	rings  free.List[[]frame] // shadows' frame rings
+	fifos  free.List[[]frame] // ports' pending queues
+	tx     []byte
+	reqs   []uint32
+	chunks [][]uint32 // the request log's chunks
+}
+
 // New returns an idle network adapter serving a client population that
-// numbers its requests 1..requests.
-func New(requests int) *NIC {
-	return &NIC{reqs: make([]uint32, max(requests, 0))}
+// numbers its requests 1..requests, over a private arena.
+func New(requests int) *NIC { return NewIn(new(Arena), requests) }
+
+// NewIn is New over an arena: the adapter's transcript, request-ID
+// table, request log and port queues come from a and go back to it at
+// Release. The table is cleared and sliced to exactly requests, so an
+// arena that served a larger population refuses what this one would.
+func NewIn(a *Arena, requests int) *NIC {
+	requests = max(requests, 0)
+	reqs := a.reqs
+	if cap(reqs) < requests {
+		reqs = make([]uint32, requests)
+	} else {
+		reqs = reqs[:requests]
+		clear(reqs)
+	}
+	n := &NIC{tx: a.tx[:0], reqs: reqs, log: requestLog{chunks: a.chunks}, arena: a}
+	a.tx, a.reqs, a.chunks = nil, nil, nil
+	return n
+}
+
+// Release hands the adapter's transcript, request-ID table, request log
+// and every port's queue back to its arena. Call only on teardown, once
+// no port will be read again: afterwards the adapter keeps its Stats,
+// and Replies is empty.
+func (n *NIC) Release() {
+	a := n.arena
+	if a == nil {
+		return // released already
+	}
+	for _, p := range n.ports {
+		if cap(p.fifo) > 0 {
+			a.fifos.Put(p.fifo[:0])
+		}
+		p.fifo = nil
+	}
+	a.tx, a.reqs, a.chunks = n.tx[:0], n.reqs[:cap(n.reqs)], n.log.chunks
+	n.tx, n.reqs, n.log, n.arena = nil, nil, requestLog{}, nil
 }
 
 // NewPort attaches one processor's endpoint. irq (optional) raises the
 // host's external interrupt line when a frame arrives.
 func (n *NIC) NewPort(irq func()) *Port {
 	p := &Port{n: n, irq: irq}
+	p.fifo, _ = n.arena.fifos.Get()
 	n.ports = append(n.ports, p)
 	return p
+}
+
+// logChunk is the word capacity of one request-log chunk (16 KiB).
+const logChunk = 4096
+
+// requestLog is an append-only log of request words in chunks. A kept
+// frame is a slice of one chunk, and a full chunk is never moved or
+// written again, so every port's queue (and a CloneFrom copy) can hold
+// a frame's words for the cluster's life without a copy of their own.
+type requestLog struct {
+	chunks [][]uint32 // every chunk owned; those before used are full
+	used   int        // chunks in use; the last of them is being filled
+}
+
+// keep appends words to the log and returns the log's copy, capped so
+// that an append to it cannot reach the next frame.
+func (l *requestLog) keep(words []uint32) []uint32 {
+	if l.used == 0 || len(l.chunks[l.used-1])+len(words) > cap(l.chunks[l.used-1]) {
+		if l.used == len(l.chunks) {
+			l.chunks = append(l.chunks, nil)
+		}
+		c := l.chunks[l.used][:0]
+		if cap(c) < len(words) {
+			c = make([]uint32, 0, max(logChunk, len(words)))
+		}
+		l.chunks[l.used] = c
+		l.used++
+	}
+	c := &l.chunks[l.used-1]
+	at := len(*c)
+	*c = append(*c, words...)
+	return (*c)[at:len(*c):len(*c)]
 }
 
 // Ingress delivers one request frame from the client network. words[0]
@@ -167,8 +258,9 @@ func (n *NIC) NewPort(irq func()) *Port {
 // reply for environment-side redelivery, a duplicate of a still-queued
 // request returns nil (the original will be answered). Accepted frames
 // get the next global sequence number and land in every port's pending
-// queue. The caller keeps words; a returned reply is the adapter's
-// buffer, valid until the next Ingress.
+// queue: the adapter copies the words once, into its request log, and
+// every port queues that copy. The caller keeps words; a returned reply
+// is the adapter's buffer, valid until the next Ingress.
 func (n *NIC) Ingress(words []uint32) (reply []uint32, accepted bool) {
 	if len(words) == 0 {
 		return nil, false
@@ -194,7 +286,7 @@ func (n *NIC) Ingress(words []uint32) (reply []uint32, accepted bool) {
 	*e |= reqSeen
 	n.Stats.Requests++
 	n.nextSeq++
-	f := frame{seq: n.nextSeq, words: append([]uint32(nil), words...)}
+	f := frame{seq: n.nextSeq, words: n.log.keep(words)}
 	for _, p := range n.ports {
 		p.push(f)
 	}

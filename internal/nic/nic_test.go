@@ -2,6 +2,7 @@ package nic
 
 import (
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"repro/internal/device"
@@ -520,5 +521,96 @@ func TestShadowArenaReuse(t *testing.T) {
 		if got, want := second.Load(RegRxData), fresh.Load(RegRxData); got != want {
 			t.Fatalf("recycled ring read %#x, fresh %#x", got, want)
 		}
+	}
+}
+
+// TestRequestLogAcrossChunks: a port's queued frames are slices of the
+// adapter's request log, and the log grows by chunks, never by moving
+// one. Frames that straddle a chunk's end, and one longer than a chunk,
+// read back word for word on the first port, on a port cloned from it
+// mid-stream and on one attached later; the log's copy is capped, so an
+// append to it cannot reach the next frame.
+func TestRequestLogAcrossChunks(t *testing.T) {
+	const requests = 3 * logChunk / 7
+	n := New(requests + 2)
+	first := n.NewPort(nil)
+	want := make([][]uint32, 0, requests+2)
+	ingress := func(id uint32, words int) {
+		f := make([]uint32, words)
+		f[0] = id
+		for i := 1; i < words; i++ {
+			f[i] = id<<12 | uint32(i)
+		}
+		if _, ok := n.Ingress(f); !ok {
+			t.Fatalf("request %d refused", id)
+		}
+		want = append(want, slices.Clone(f))
+		clear(f) // the caller keeps its words
+	}
+	for id := uint32(1); id <= requests/2; id++ {
+		ingress(id, 7)
+	}
+	clone := n.NewPort(nil)
+	clone.CloneFrom(first)
+	ingress(requests/2+1, logChunk+3)
+	for id := uint32(requests/2 + 2); id <= requests+2; id++ {
+		ingress(id, 7)
+	}
+	if n.log.used < 3 {
+		t.Fatalf("the log holds %d chunks; the test must cross chunk ends", n.log.used)
+	}
+	if f := first.fifo[0].words; cap(f) != len(f) {
+		t.Fatalf("a queued frame has %d words of room past its end", cap(f)-len(f))
+	}
+	for _, p := range []*Port{first, clone} {
+		for i, w := range want {
+			if got := p.fifo[i].words; !slices.Equal(got, w) {
+				t.Fatalf("frame %d reads %d words %v..., want %d words %v...", i, len(got), got[:2], len(w), w[:2])
+			}
+		}
+	}
+}
+
+// TestNICArenaReuse: an adapter built over an arena that served a larger
+// population serves its own: its table refuses what a fresh adapter's
+// refuses, its ports start empty, and the same traffic leaves the same
+// transcript and digest as on a fresh adapter.
+func TestNICArenaReuse(t *testing.T) {
+	traffic := func(n *NIC) {
+		p := n.NewPort(nil)
+		for id := uint32(1); id <= 4; id++ {
+			n.Ingress([]uint32{id, id * 3})
+		}
+		n.Ingress([]uint32{2, 6}) // queued: dropped
+		for id := uint32(1); id <= 4; id++ {
+			p.MMIOStore(RegTxData, 4, id)
+			p.MMIOStore(RegTxData, 4, id*9)
+			p.MMIOStore(RegTxDoorbell, 4, 2)
+		}
+		n.Ingress([]uint32{3, 9}) // answered: replayed
+		n.Ingress([]uint32{5, 1}) // outside the population
+	}
+	var a Arena
+	big := NewIn(&a, 64)
+	p := big.NewPort(nil)
+	for id := uint32(1); id <= 64; id++ {
+		big.Ingress([]uint32{id, 1, 2, 3})
+		p.MMIOStore(RegTxData, 4, id)
+		p.MMIOStore(RegTxDoorbell, 4, 1)
+	}
+	big.Release()
+	if big.Replies() != "" {
+		t.Fatal("a released adapter still reads its transcript")
+	}
+
+	recycled, fresh := NewIn(&a, 4), New(4)
+	for _, n := range []*NIC{recycled, fresh} {
+		traffic(n)
+	}
+	if recycled.Stats != fresh.Stats || recycled.Stats.Refused != 1 || recycled.Stats.Replayed != 1 {
+		t.Fatalf("over a recycled arena: %+v; fresh: %+v", recycled.Stats, fresh.Stats)
+	}
+	if recycled.Replies() != fresh.Replies() || recycled.StateDigest() != fresh.StateDigest() {
+		t.Fatal("over a recycled arena the transcript or the digest differs from a fresh adapter's")
 	}
 }

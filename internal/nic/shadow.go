@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/device"
-	"repro/internal/free"
 )
 
 // Shadow is the hypervisor-side virtual network adapter: the
@@ -31,14 +30,6 @@ type Shadow struct {
 	rec []byte
 	// arena lends ring's storage until Release.
 	arena *Arena
-}
-
-// Arena owns the frame rings of the shadows built over it
-// (NewShadowIn): Release hands a shadow's ring back, every slot with
-// its word buffer, for the next shadow the arena serves. It has one
-// owner at a time and no lock.
-type Arena struct {
-	rings free.List[[]frame]
 }
 
 // NewShadow returns an empty virtual adapter over a private arena.

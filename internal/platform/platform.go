@@ -112,9 +112,9 @@ type env struct {
 }
 
 // Arena owns the bulk buffers of a cluster's machines, hypervisors,
-// disks, NIC shadows and mesh links: what Release hands back, the next
-// cluster built over the arena reuses. It has one owner at a time and no
-// lock.
+// disks, shared NIC and its shadows, and mesh links: what Release hands
+// back, the next cluster built over the arena reuses. It has one owner at
+// a time and no lock.
 type Arena struct {
 	Machines    machine.Arena
 	Hypervisors hypervisor.Arena
@@ -133,7 +133,7 @@ func newEnv(a *Arena, k *sim.Kernel, cfg Config) *env {
 	}
 	e.console.Schedule(k, cfg.Terminal)
 	if cfg.NICRequests > 0 {
-		e.nic = nic.New(cfg.NICRequests)
+		e.nic = nic.NewIn(&a.NICs, cfg.NICRequests)
 	}
 	return e
 }
@@ -220,7 +220,8 @@ func NewCluster(k *sim.Kernel, cfg Config, n int) *Cluster {
 
 // NewClusterIn is NewCluster over an arena: every machine, hypervisor,
 // disk, NIC shadow and mesh link of the cluster, late joiners' included,
-// takes its bulk buffers from a and hands them back at Release.
+// and the shared NIC take their bulk buffers from a and hand them back at
+// Release.
 func NewClusterIn(a *Arena, k *sim.Kernel, cfg Config, n int) *Cluster {
 	if n < 1 {
 		panic("platform: cluster needs at least 1 node")
@@ -292,10 +293,11 @@ func (c *Cluster) Channel(from, to int) (tx, rx *netsim.Link) {
 	return d.BtoA, d.AtoB
 }
 
-// Release hands every machine's, hypervisor's, disk's, NIC shadow's
-// and mesh link's bulk buffers back to the cluster's arena. Call only on
-// teardown, after the simulation kernel has shut down: the machines must
-// never run again, nor the disks serve, nor the links carry.
+// Release hands every machine's, hypervisor's, disk's, NIC shadow's and
+// mesh link's bulk buffers, and the shared NIC's, back to the cluster's
+// arena. Call only on teardown, after the simulation kernel has shut
+// down: the machines must never run again, nor the disks serve, nor the
+// links carry, nor the NIC's ports be read.
 func (c *Cluster) Release() {
 	for _, n := range c.Nodes {
 		n.M.Release()
@@ -306,6 +308,9 @@ func (c *Cluster) Release() {
 	}
 	for _, d := range c.Disks {
 		d.Release()
+	}
+	if c.NIC != nil {
+		c.NIC.Release()
 	}
 	for _, row := range c.Links {
 		for _, d := range row {

@@ -47,4 +47,10 @@ func TestCoalescedFramesReturn(t *testing.T) {
 	if out := a.Outstanding(); out != 0 {
 		t.Errorf("%d frames out of their pools after Reclaim", out)
 	}
+	// The dead backup acknowledged nothing after its failstop: a
+	// receiver woken by a delivery takes no message once its replica has
+	// failed, so no ack of its own arena went into the severed link.
+	if out, dropped := bak.arena.acks.Outstanding(), bak.ups[0].TX.Stats.MessagesDropped; out != 0 || dropped != 0 {
+		t.Errorf("the failed backup has %d acks out of its pool and %d dropped on its ack link, want none", out, dropped)
+	}
 }

@@ -268,9 +268,14 @@ func (r *Replica) receiver(u Peer) sim.StepFunc {
 	woke := false // the call follows a wait of the receiver's
 	return func(p *sim.Proc) (sim.Time, sim.StepStatus) {
 		// A Put that ended the wait left an item: the receiver is its
-		// inbox's one consumer.
+		// inbox's one consumer. A failed replica takes nothing — its
+		// processor stopped, and the ack would go into a severed link —
+		// but the delivery still wakes its loop, which then sees the
+		// failstop and finishes.
 		if woke && !p.TimedOut() {
-			if raw, ok := inbox.TryRecv(); ok {
+			if r.failed {
+				r.arrival.Broadcast()
+			} else if raw, ok := inbox.TryRecv(); ok {
 				r.take(u, raw)
 			}
 		}

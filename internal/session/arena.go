@@ -1,7 +1,9 @@
 package session
 
 import (
+	"repro/internal/clientsim"
 	"repro/internal/free"
+	"repro/internal/netsim"
 	"repro/internal/platform"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -15,9 +17,16 @@ import (
 //   - the machines' page tables, decoded pages, traces, frame tables,
 //     ownership bitmaps, COW frames and decode caches, the hypervisors'
 //     delivery and withheld-output buffers, the disks' written blocks
-//     and write-DMA latches, the NIC shadows' frame rings, and the
-//     in-flight rings and inboxes of every link — mesh, transfer and
-//     client (platform);
+//     and write-DMA latches, the NIC shadows' frame rings, the shared
+//     NIC's reply transcript, request-ID table, request log (the words
+//     every port's queued frame points into) and port queues, and the
+//     in-flight rings and inboxes of the mesh and transfer links
+//     (platform);
+//   - the client population's per-request table, request frames and
+//     the scratch its latencies are sorted in (clients), the client
+//     access link's rings, on a list of their own so that a retransmit
+//     backlog's ring goes back to the next client link rather than to a
+//     mesh link (clientLinks), and the output-commit latency samples;
 //   - the replicas' delivery archives, epoch records, and the epoch
 //     frames, batches and acknowledgements they exchange (replication);
 //   - the writers of the cluster's blobs: Save's and a restore
@@ -30,13 +39,18 @@ import (
 // An engine borrows an arena from the shelf when Boot builds its cluster
 // and returns it at Close, after every buffer came back; between the two
 // only the engine's goroutine touches it, so a buffer's Get or Put is a
-// plain slice pop or push.
+// plain slice pop or push. Nothing readable after Close aliases it:
+// Result's reply transcript is a copy, and ServiceLatencies keeps what it
+// measured at Close.
 type arena struct {
 	sim         sim.Arena
 	platform    platform.Arena
 	replication replication.Arena
 	writers     free.List[*snapshot.Writer] // Save's and VerifySections'
 	transfers   free.List[*snapshot.Writer] // AddBackup's
+	clients     clientsim.Arena
+	clientLinks netsim.Arena // the client access link's rings
+	commitLats  []sim.Time   // the output-commit latency samples
 }
 
 // arenas is where idle arenas wait between clusters. Its lock is taken

@@ -257,8 +257,13 @@ type Engine struct {
 
 	// commitLats collects per-epoch output-commit latencies (virtual
 	// time from an epoch's first deferred output to its release); only
-	// epochs that actually produced output contribute a sample.
+	// epochs that actually produced output contribute a sample. Its
+	// storage is the arena's; ServiceLatencies sorts it in place.
 	commitLats []sim.Time
+	// latencies is what ServiceLatencies reported at Close, when the
+	// tables it reads went back to the arena. A pointer: held inline it
+	// would move every engine into a larger allocation size class.
+	latencies *obs.ServiceLatencies
 
 	// xferLinks tracks live state-transfer links by source node, so a
 	// failstop severs an in-flight transfer exactly as it severs the
@@ -310,6 +315,7 @@ func (e *Engine) Boot() {
 		n = 1
 	}
 	e.arena = borrowArena()
+	e.commitLats, e.arena.commitLats = e.arena.commitLats[:0], nil
 	k := sim.NewKernelIn(&e.arena.sim, o.Seed)
 	k.SetStallLimit(stallLimit)
 	e.k = k
@@ -474,8 +480,8 @@ func (e *Engine) startClientLoad() {
 	if link.BitsPerSecond == 0 {
 		link = netsim.Ethernet10("clients")
 	}
-	e.clientNet = netsim.NewDuplexIn(&e.arena.platform.Links, e.k, "clients", link)
-	e.clients = clientsim.New(e.k, *e.o.ClientLoad, e.nic, e.clientNet)
+	e.clientNet = netsim.NewDuplexIn(&e.arena.clientLinks, e.k, "clients", link)
+	e.clients = clientsim.NewIn(&e.arena.clients, e.k, *e.o.ClientLoad, e.nic, e.clientNet)
 	e.clients.Start()
 }
 
@@ -904,21 +910,26 @@ func (e *Engine) Disks() []*scsi.Disk {
 func (e *Engine) NIC() *nic.NIC { return e.nic }
 
 // Clients returns the simulated client population (nil unless client
-// load was configured and the session has booted).
+// load was configured and the session has booted). Its per-request table
+// goes back to the arena at Close: afterwards it keeps only its Stats.
 func (e *Engine) Clients() *clientsim.Sim { return e.clients }
 
 // ServiceLatencies is the client population's latency distribution with
 // the output-commit quantiles over every epoch that released output; ok
-// is false without a client population.
+// is false without a client population. After Close it reports what it
+// reported at Close.
 func (e *Engine) ServiceLatencies() (sl obs.ServiceLatencies, ok bool) {
 	if e.clients == nil {
 		return sl, false
 	}
+	if e.closed {
+		return *e.latencies, true
+	}
 	sl = e.clients.Measure()
 	if n := len(e.commitLats); n > 0 {
-		sorted := slices.Clone(e.commitLats)
-		slices.Sort(sorted)
-		sl.CommitP50, sl.CommitP99 = sorted[int(0.50*float64(n-1))], sorted[int(0.99*float64(n-1))]
+		// Nothing else reads the samples' order: sort them where they lie.
+		slices.Sort(e.commitLats)
+		sl.CommitP50, sl.CommitP99 = e.commitLats[int(0.50*float64(n-1))], e.commitLats[int(0.99*float64(n-1))]
 	}
 	return sl, true
 }
@@ -928,6 +939,10 @@ func (e *Engine) ServiceLatencies() (sl obs.ServiceLatencies, ok bool) {
 func (e *Engine) Close() {
 	if e.closed {
 		return
+	}
+	if e.clients != nil {
+		sl, _ := e.ServiceLatencies()
+		e.latencies = &sl
 	}
 	e.closed = true
 	if e.k != nil {
@@ -948,6 +963,7 @@ func (e *Engine) Close() {
 	}
 	if e.clientNet != nil {
 		e.clientNet.Release()
+		e.clients.Release()
 	}
 	// Last node first: the arena's lists pop last in, first out, so the
 	// next cluster's node i takes the archive node i had here.
@@ -955,6 +971,7 @@ func (e *Engine) Close() {
 		e.reps[i].Release()
 	}
 	if e.arena != nil {
+		e.arena.commitLats, e.commitLats = e.commitLats[:0], nil
 		e.arena.replication.Reclaim()
 		for _, w := range e.transfers {
 			e.arena.transfers.Put(w)

@@ -59,10 +59,12 @@ func serviceWindow(tb testing.TB) (objects, bytes float64) {
 	return float64(h.objects) / n, float64(h.bytes) / n
 }
 
-// maxObjectsPerRequest bounds the service path's steady state: the NIC's
-// copy of a request frame, and the completion record that carries it to
-// every replica (one per capture, which drains every frame pending).
-const maxObjectsPerRequest = 2
+// maxObjectsPerRequest bounds the service path's steady state: the
+// completion record that carries a request frame to every replica (one
+// per capture, which drains every frame pending: 0.98 per request). The
+// NIC keeps the frame's words in its request log, whose chunks are the
+// cluster arena's.
+const maxObjectsPerRequest = 1
 
 // TestSteadyStateAllocs pins the replicated run's steady state end to
 // end: once warm, committing an epoch allocates no heap object, and
@@ -85,6 +87,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	t.Run("request", func(t *testing.T) {
+		// The first service cluster of a process grows the arena's request
+		// log and transcript inside the window too: 104 bytes, against 32
+		// over a warm arena.
 		objects, bytes := serviceWindow(t)
 		t.Logf("%.3f heap objects, %.0f bytes per answered request", objects, bytes)
 		if objects > maxObjectsPerRequest {
