@@ -180,12 +180,11 @@ var (
 // always yields the same schedule — campaign reproducibility reduces
 // to seed arithmetic.
 func Generate(rng *rand.Rand) Schedule {
-	shapes := Workloads()
-	shape := shapes[rng.Intn(len(shapes))]
+	shape := canonical[rng.Intn(len(canonical))].name
 
 	s := Schedule{
 		Seed:     1 + rng.Int63n(1<<31),
-		Workload: shape.Name,
+		Workload: shape,
 		Epoch:    genEpochs[rng.Intn(len(genEpochs))],
 		Protocol: hft.ProtocolOld,
 		Link:     genLinks[rng.Intn(len(genLinks))],

@@ -33,6 +33,7 @@ package clientsim
 
 import (
 	"hash/fnv"
+	"math/rand"
 	"slices"
 
 	"repro/internal/netsim"
@@ -105,7 +106,7 @@ type Sim struct {
 	n    *nic.NIC
 	req  *netsim.Link // clients -> NIC (real FIFO serialization)
 	rep  *netsim.Link // NIC -> clients (reply-direction cost model)
-	rng  func() uint64
+	rng  *rand.Rand
 	st   []reqState
 	stat Stats
 
@@ -118,7 +119,7 @@ type Sim struct {
 	free, made []*request
 	// lat is the scratch Measure sorts latencies in.
 	lat []sim.Time
-	// arena lends st, free, made and lat until Release.
+	// arena lends st, free, made, lat and rng until Release.
 	arena *Arena
 }
 
@@ -127,15 +128,16 @@ type Sim struct {
 type request struct{ words []uint32 }
 
 // Arena owns the buffers of the populations built over it (NewIn): the
-// per-request table, the request frames and their free list, and
-// Measure's scratch. Release hands them back, every frame idle again,
-// and the next population the arena serves starts with them at the size
-// the last one grew them to. A population takes them whole. It has one
-// owner at a time and no lock.
+// per-request table, the request frames and their free list, Measure's
+// scratch and the random stream, re-seeded for each population. Release
+// hands them back, every frame idle again, and the next population the
+// arena serves starts with them at the size the last one grew them to. A
+// population takes them whole. It has one owner at a time and no lock.
 type Arena struct {
 	st         []reqState
 	free, made []*request
 	lat        []sim.Time
+	rng        *rand.Rand
 }
 
 // New wires a client population to the shared NIC over a duplex client
@@ -160,12 +162,15 @@ func NewIn(a *Arena, k *sim.Kernel, cfg Config, n *nic.NIC, net *netsim.Duplex) 
 	s := &Sim{
 		k: k, cfg: cfg, n: n,
 		req: net.AtoB, rep: net.BtoA,
-		st: st, free: a.free, made: a.made, lat: a.lat[:0],
+		st: st, free: a.free, made: a.made, lat: a.lat[:0], rng: a.rng,
 		arena: a,
 	}
 	*a = Arena{}
-	r := k.NewRand("clientsim")
-	s.rng = func() uint64 { return uint64(r.Int63()) }
+	if s.rng == nil {
+		s.rng = k.NewRand("clientsim")
+	} else {
+		s.rng.Seed(k.RandSeed("clientsim"))
+	}
 	s.arriveFn = func(id uint64) { s.arrive(uint32(id)) }
 	s.timeoutFn = func(id uint64) { s.timeout(uint32(id)) }
 	s.req.OnDeliver = s.ingress
@@ -197,9 +202,9 @@ func (s *Sim) Release() {
 	if a == nil {
 		return // released already
 	}
-	a.st, a.lat, a.made = s.st[:cap(s.st)], s.lat[:0], s.made
+	a.st, a.lat, a.made, a.rng = s.st[:cap(s.st)], s.lat[:0], s.made, s.rng
 	a.free = append(s.free[:0], s.made...)
-	s.st, s.lat, s.free, s.made, s.arena = nil, nil, nil, nil, nil
+	s.st, s.lat, s.free, s.made, s.rng, s.arena = nil, nil, nil, nil, nil, nil
 }
 
 // frame builds request id's frame, [id, payload words...], in a pooled
@@ -237,7 +242,7 @@ func (s *Sim) arrive(id uint32) {
 	if int(id) < s.cfg.Requests {
 		// Uniform in [MeanGap/2, 3*MeanGap/2): open-loop jitter drawn
 		// from the population's own derived stream.
-		gap := s.cfg.MeanGap/2 + sim.Time(s.rng()%uint64(s.cfg.MeanGap))
+		gap := s.cfg.MeanGap/2 + sim.Time(uint64(s.rng.Int63())%uint64(s.cfg.MeanGap))
 		s.k.AfterArg(gap, s.arriveFn, uint64(id+1))
 	}
 }

@@ -7,30 +7,33 @@ import (
 
 // TestFleetShardAllocs pins what a shard's cluster lifecycle allocates
 // once the process is warm: build, chaos schedule, Save/Restore round
-// trips and close. Every buffer whose lifetime is one cluster belongs to
-// the cluster's arena, and idle arenas wait on one process-wide shelf: a
-// garbage collection does not empty it, and a worker on any P borrows
-// from it, so the reading depends on the code, not on the P a worker
-// happens to run on. Warm means every arena has served the fleet's largest
-// clusters: two 64-shard fleets and one of the measured 16, run by as
-// many workers as the measured one. Measured as the first test of a
-// fresh process, a shard then reads 43,111–43,120 B at one P and
-// 42,812–46,156 B with two workers on two Ps in 58 of 60 processes,
-// since the arena also owns the run loop's kernel events, link rings,
-// epoch records, frames, write latches and hypervisor and NIC buffers;
-// it read 70,828–70,837 B and 71,001–74,808 B while those lists started
+// trips and close. Every struct and buffer whose lifetime is one cluster
+// belongs to the cluster's arena, and idle arenas wait on one
+// process-wide shelf: a garbage collection does not empty it, and a
+// worker on any P borrows from it, so the reading depends on the code,
+// not on the P a worker happens to run on. Warm means every arena has
+// served the fleet's largest clusters: two 64-shard fleets and one of the
+// measured 16, run by as many workers as the measured one. Measured as
+// the first test of a fresh process, a shard then reads 22,942 B at one
+// P, since the arena recycles the machines, hypervisors, links,
+// replicas and processes whole rather than their buffers alone; it read
+// 41,832 B before, 43,111–43,120 B before the NIC's and the client
+// population's tables joined the arena, 70,828–70,837 B while the run
+// loop's lists started
 // empty in every cluster, and the package sync.Pools the arenas replaced
-// read 95,258–103,945 B at one P and 96,513–124,702 B at two, because
-// every GC emptied them and a Put on one P could not serve a Get on
-// another. The bound sits halfway between the last two one-P ranges,
-// and the two-P reading must lie within 10 % of the one-P one. At two
-// Ps the shelf hands arenas to shards in scheduler order, so an arena
-// can meet a cluster larger than any it has served — more nodes, or
-// more long archives at once — and allocate for it once: the other two
-// processes read 48,514 and 49,507 B and failed, as 3 of 40 processes
-// did (84–97 KB) while the lists started empty.
+// read 95,258–103,945 B, because every GC emptied them and a Put on one
+// P could not serve a Get on another. The bound sits halfway between the
+// last two one-P ranges, and the two-P reading must lie within 10 % of
+// the one-P one. At two Ps the shelf hands arenas to shards in scheduler
+// order, so an arena can meet a cluster larger than any it has served —
+// more nodes, more long archives, a larger checkpoint — and allocate for
+// it once: with two workers on two Ps a shard read 22,466–29,439 B and 9
+// of 60 processes failed the rule (8 and 9 of 60 in two earlier series,
+// up to 36,160 B), where the parent of this reading failed 3 of 60 at
+// 41,429–52,515 B. The excess in bytes is what it was; the base it is
+// measured against halved (see the FOUND in CHANGES.md).
 func TestFleetShardAllocs(t *testing.T) {
-	const shards, bound = 16, 57_000
+	const shards, bound = 16, 32_300
 	one := shardAllocs(1, shards)
 	two := shardAllocs(2, shards)
 	t.Logf("%d bytes per shard at one P, %d with two workers on two Ps (bound %d)", one, two, bound)

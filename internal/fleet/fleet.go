@@ -20,7 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	hft "repro"
 	"repro/internal/chaos"
@@ -124,7 +124,7 @@ func aggregate(results []ShardResult) Aggregate {
 		put(uint64(r.Metrics.Blackout))
 	}
 	if len(blackouts) > 0 {
-		sort.Slice(blackouts, func(i, j int) bool { return blackouts[i] < blackouts[j] })
+		slices.Sort(blackouts)
 		agg.BlackoutP50 = blackouts[(len(blackouts)-1)*50/100]
 		agg.BlackoutP99 = blackouts[(len(blackouts)-1)*99/100]
 		agg.BlackoutMax = blackouts[len(blackouts)-1]

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	hft "repro"
+	"repro/internal/chaos"
 )
 
 // The fleet determinism contract: the same spec produces bit-identical
@@ -80,5 +83,26 @@ func TestFleetGolden(t *testing.T) {
 	}
 	if got := Run(Spec{Shards: 64, Seed: 19951203}).Aggregate; got != want {
 		t.Fatalf("fleet aggregate moved:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestLiveNodeIsTheAuthority pins three shards of seed 7 in which no
+// node promoted and a failed node's guest halted beside a live one's, so
+// the result must come from the live node. In shard 2723 (serve, protocol
+// new, three backups, window 1; backup 1, the primary and backup 3
+// failstop at 13 ms, after every guest halted) that is node 2, done at
+// 13.0375 ms; node 3 failed, and its completion instant, 13.1175 ms, is
+// only when its loop was next woken and saw the failstop. Shards 134 and
+// 2089 read 100 µs later from their failed node.
+func TestLiveNodeIsTheAuthority(t *testing.T) {
+	for _, c := range []struct {
+		shard int
+		want  hft.Duration
+	}{{134, 11_438_568}, {2089, 13_043_580}, {2723, 13_037_500}} {
+		var m chaos.Metrics
+		chaos.Execute(chaos.ScheduleAt(7, c.shard), &m)
+		if m.Time != c.want {
+			t.Errorf("shard %d of seed 7 completes at %v, want %v (the live node's time)", c.shard, m.Time, c.want)
+		}
 	}
 }

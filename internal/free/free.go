@@ -1,13 +1,31 @@
-// Package free holds the two free lists that recycle buffers whose
-// lifetime is known. A List has one owner — a cluster's arena, driven
-// by one goroutine at a time — so a Get or a Put is a plain slice pop
-// or push, with no lock, no atomic and no type assertion. A Shelf is
+// Package free holds the two free lists that recycle buffers and structs
+// whose lifetime is known. A List has one owner — a cluster's arena,
+// driven by one goroutine at a time — so a Get or a Put is a plain slice
+// pop or push, with no lock, no atomic and no type assertion. A Shelf is
 // the one process-wide place idle values wait between owners: it takes
 // its lock only when a value is borrowed or returned, and a garbage
-// collection never empties it.
+// collection never empties it. A slice of pointers emptied to its zero
+// length keeps its elements past that length, and Next hands them out
+// again: a table that is refilled in every cluster recycles its records
+// with its storage.
 package free
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
+
+// Next appends a slot to s and returns the grown slice and the record in
+// the slot: the one an earlier owner of s's storage left past its length,
+// to be overwritten whole, or a new one.
+func Next[T any](s []*T) ([]*T, *T) {
+	n := len(s)
+	s = slices.Grow(s, 1)[:n+1]
+	if s[n] == nil {
+		s[n] = new(T)
+	}
+	return s, s[n]
+}
 
 // List is a single-owner free list. The zero value is empty.
 type List[T any] struct {

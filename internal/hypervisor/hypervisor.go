@@ -397,44 +397,46 @@ type Hypervisor struct {
 }
 
 // New wraps a machine. The machine's Bus must already be wired (real
-// devices); the hypervisor intercepts the guest's access to it. Its
-// buffers come from a private arena: they are allocated plainly.
+// devices); the hypervisor intercepts the guest's access to it. It is
+// built over a private arena: its buffers are allocated plainly.
 func New(m *machine.Machine, cfg Config) *Hypervisor { return NewIn(new(Arena), m, cfg) }
 
-// Arena owns the buffers of the hypervisors built over it (NewIn) that
-// grow to a working size in every cluster: the interrupt delivery
-// buffer and the withheld-output buffer. Release hands them back,
-// emptied, for the next hypervisor the arena serves. It has one owner at
-// a time and no lock.
+// Arena owns the hypervisors built over it (NewIn). A released
+// hypervisor waits on the arena whole — with its interrupt delivery
+// buffer, its withheld-output buffer and its device table, shadow-device
+// records included, all emptied — and NewIn rebuilds it in place for the
+// next machine the arena serves. It has one owner at a time and no lock.
 type Arena struct {
-	interrupts free.List[[]Interrupt]
-	outputs    free.List[[]suppressedOutput]
+	hypervisors free.List[*Hypervisor]
 }
 
 // NewIn is New over an arena.
 func NewIn(a *Arena, m *machine.Machine, cfg Config) *Hypervisor {
-	hv := &Hypervisor{M: m, cfg: cfg.withDefaults(), arena: a}
-	hv.buffered, _ = a.interrupts.Get()
-	hv.suppressed, _ = a.outputs.Get()
+	hv, ok := a.hypervisors.Get()
+	if !ok {
+		hv = new(Hypervisor)
+	}
+	*hv = Hypervisor{M: m, cfg: cfg.withDefaults(), arena: a,
+		buffered: hv.buffered[:0], suppressed: hv.suppressed[:0], devs: hv.devs[:0]}
 	return hv
 }
 
-// Release hands the delivery and withheld-output buffers back to the
-// hypervisor's arena, cleared. Call only on teardown, once the
-// simulation kernel is down: the hypervisor must not run afterwards.
+// Release hands the hypervisor back to its arena, its buffers and device
+// table cleared, for the next NewIn; a second call before that does
+// nothing. Call only on teardown, once the simulation kernel is down: the
+// hypervisor must not be used afterwards.
 func (hv *Hypervisor) Release() {
-	if hv.arena == nil {
+	a := hv.arena
+	if a == nil {
 		return // released already
 	}
-	if cap(hv.buffered) > 0 {
-		clear(hv.buffered)
-		hv.arena.interrupts.Put(hv.buffered[:0])
+	clear(hv.buffered)
+	clear(hv.suppressed)
+	for _, d := range hv.devs {
+		*d = shadowDev{} // kept past len(devs) for AttachDevice to reuse
 	}
-	if cap(hv.suppressed) > 0 {
-		clear(hv.suppressed)
-		hv.arena.outputs.Put(hv.suppressed[:0])
-	}
-	hv.buffered, hv.suppressed, hv.arena = nil, nil, nil
+	*hv = Hypervisor{buffered: hv.buffered[:0], suppressed: hv.suppressed[:0], devs: hv.devs[:0]}
+	a.hypervisors.Put(hv)
 }
 
 // AttachDevice registers a shadow device. Devices must be attached
@@ -448,13 +450,14 @@ func (hv *Hypervisor) AttachDevice(win device.Window, sh device.Shadow) {
 				win.ID, win.Base, win.Base+win.Size, d.win.ID, d.win.Base, d.win.Base+d.win.Size))
 		}
 	}
-	nd := &shadowDev{win: win, sh: sh, bus: windowBus{m: hv.M, base: win.Base}}
 	i := len(hv.devs)
+	var nd *shadowDev
+	hv.devs, nd = free.Next(hv.devs) // a recycled table's record, or a new one
+	*nd = shadowDev{win: win, sh: sh, bus: windowBus{m: hv.M, base: win.Base}}
 	for i > 0 && hv.devs[i-1].win.Base > win.Base {
 		i--
 	}
-	hv.devs = append(hv.devs, nil)
-	copy(hv.devs[i+1:], hv.devs[i:])
+	copy(hv.devs[i+1:], hv.devs[i:len(hv.devs)-1])
 	hv.devs[i] = nd
 	hv.lastDev = nil
 }

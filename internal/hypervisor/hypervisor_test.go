@@ -869,18 +869,21 @@ func TestOutstandingAfterCaptureNotDelivered(t *testing.T) {
 	}
 }
 
-// TestHypervisorArena: Release hands a hypervisor's delivery and
-// withheld-output buffers back to its arena cleared — no payload of the
-// old cluster stays pinned — and the next hypervisor over the arena
-// starts with them empty.
+// TestHypervisorArena: Release hands a hypervisor back to its arena with
+// its delivery and withheld-output buffers and its device table cleared —
+// no payload or device of the old cluster stays pinned — and the next
+// hypervisor over the arena is the same struct, rebuilt with them empty
+// and reusing the device records.
 func TestHypervisorArena(t *testing.T) {
 	var a Arena
 	first := NewIn(&a, machine.New(machine.Config{}), Config{})
+	first.AttachDevice(device.Window{ID: "d", Base: 0x1000, Size: 0x100, Line: 1}, nil)
+	first.AttachDevice(device.Window{ID: "c", Base: 0, Size: 0x100, Line: 2}, nil)
 	for i := range 5 {
 		first.BufferInterrupt(Interrupt{Line: uint(i), Completion: device.Completion{Data: []byte{1}}})
 		first.suppressed = append(first.suppressed, suppressedOutput{epoch: uint64(i), val: 7})
 	}
-	ints, outs := first.buffered, first.suppressed
+	ints, outs, devs := first.buffered, first.suppressed, first.devs
 	first.Release()
 	first.Release() // a second Release hands nothing back twice
 	for i := range ints {
@@ -888,14 +891,27 @@ func TestHypervisorArena(t *testing.T) {
 			t.Fatalf("slot %d still holds %+v / %+v after Release", i, ints[i], outs[i])
 		}
 	}
-	second := NewIn(&a, machine.New(machine.Config{}), Config{})
+	for i, d := range devs {
+		if *d != (shadowDev{}) {
+			t.Fatalf("device record %d still holds %+v after Release", i, *d)
+		}
+	}
+	m2 := machine.New(machine.Config{})
+	second := NewIn(&a, m2, Config{EpochLength: 7})
+	if second != first || second.M != m2 || second.cfg.EpochLength != 7 {
+		t.Fatal("the second hypervisor is not the first one's struct, rebuilt")
+	}
 	if len(second.buffered) != 0 || cap(second.buffered) != cap(ints) || &second.buffered[:1][0] != &ints[0] {
 		t.Fatal("the second hypervisor did not take the delivery buffer the first released, empty")
 	}
 	if len(second.suppressed) != 0 || &second.suppressed[:1][0] != &outs[0] {
 		t.Fatal("the second hypervisor did not take the withheld-output buffer the first released, empty")
 	}
-	if _, ok := a.interrupts.Get(); ok {
-		t.Fatal("the arena kept a second delivery buffer")
+	second.AttachDevice(device.Window{ID: "e", Base: 0x2000, Size: 0x100, Line: 3}, nil)
+	if len(second.devs) != 1 || second.devs[0] != devs[0] || second.devs[0].win.ID != "e" {
+		t.Fatal("the second hypervisor did not reuse the first one's device record")
+	}
+	if _, ok := a.hypervisors.Get(); ok {
+		t.Fatal("the arena kept a second hypervisor")
 	}
 }

@@ -1,8 +1,9 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // BusMux routes MMIO accesses within the machine's MMIO window to
@@ -31,7 +32,7 @@ func (b *BusMux) Map(name string, base, size uint32, h MMIOHandler) {
 		}
 	}
 	b.ranges = append(b.ranges, busRange{base: base, size: size, h: h, name: name})
-	sort.Slice(b.ranges, func(i, j int) bool { return b.ranges[i].base < b.ranges[j].base })
+	slices.SortFunc(b.ranges, func(x, y busRange) int { return cmp.Compare(x.base, y.base) })
 }
 
 // find locates the device covering off.

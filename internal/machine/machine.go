@@ -159,7 +159,7 @@ type Machine struct {
 	owned []uint64
 	// img is the shared base image.
 	img *BaseImage
-	// arena owns the bulk buffers (see pool.go).
+	// arena owns the machine and its bulk buffers (see pool.go).
 	arena *Arena
 	// memSize is the physical RAM size in bytes.
 	memSize uint32
@@ -170,6 +170,8 @@ type Machine struct {
 	// Bus receives MMIO accesses; nil means no devices (MMIO access
 	// machine-checks).
 	Bus MMIOHandler
+	// mux is the machine's own multiplexer (BusMux), recycled with it.
+	mux BusMux
 
 	// Stats accumulates instruction counts.
 	Stats Stats
@@ -186,8 +188,8 @@ type Machine struct {
 	// correct). Direct-mapped; collisions just re-decode. Step's path
 	// and cold page fills only — the batched Run path over a shared
 	// image seeds its translation cache from the shared decode and never
-	// touches it — so it is allocated on first use (≈ 64 KB a machine
-	// would otherwise zero at construction) and recycled by Release.
+	// touches it — so it is taken on first use: the arena's, which every
+	// machine over it shares (see Arena.decodeCache).
 	decodeCache *[decodeCacheSize]decodeEntry
 
 	// pages is the translation cache: lazily decoded images of physical
@@ -248,14 +250,24 @@ func (m *Machine) decode(w uint32) (isa.Inst, bool) {
 // private arena: its bulk buffers are allocated plainly.
 func New(cfg Config) *Machine { return NewIn(new(Arena), cfg) }
 
-// NewIn is New over an arena: the machine's bulk buffers come from a and
-// go back to it at Release.
+// NewIn is New over an arena: the machine is one a released to the
+// arena, rebuilt in place with its buffers, when the arena has one, and
+// goes back to it at Release.
 func NewIn(a *Arena, cfg Config) *Machine {
 	cfg = cfg.withDefaults()
+	m, ok := a.machines.Get()
+	if !ok {
+		m = &Machine{TLB: new(TLB)}
+	}
 	var pol ReplacePolicy
 	switch cfg.TLBPolicy {
 	case "lru":
-		pol = NewLRUPolicy(cfg.TLBSize)
+		p := m.TLB.lru // a recycled TLB keeps its LRU policy
+		if p == nil {
+			p = new(LRUPolicy)
+		}
+		*p = LRUPolicy{last: zeroed(p.last, cfg.TLBSize)}
+		pol = p
 	case "roundrobin":
 		pol = NewRoundRobinPolicy()
 	case "random":
@@ -264,10 +276,13 @@ func NewIn(a *Arena, cfg Config) *Machine {
 		panic(fmt.Sprintf("machine: unknown TLB policy %q", cfg.TLBPolicy))
 	}
 	npages := int((cfg.MemBytes + isa.PageSize - 1) >> isa.PageShift)
-	m := &Machine{
+	*m = Machine{
 		cfg:     cfg,
-		TLB:     NewTLB(cfg.TLBSize, pol),
-		pages:   a.pageTable(npages),
+		TLB:     m.TLB.reset(zeroed(m.TLB.slots, cfg.TLBSize), pol),
+		mux:     BusMux{ranges: m.mux.ranges[:0]},
+		frames:  zeroed(m.frames, npages),
+		owned:   zeroed(m.owned, (npages+63)/64),
+		pages:   zeroed(m.pages, npages),
 		memSize: cfg.MemBytes,
 		traceOn: !cfg.NoTraces && !debugNoTraces,
 		img:     cfg.Image,
@@ -279,14 +294,17 @@ func NewIn(a *Arena, cfg Config) *Machine {
 		panic(fmt.Sprintf("machine: base image is %d bytes, config wants %d", m.img.Size(), cfg.MemBytes))
 	}
 	// All frames shared, no ownership bits set.
-	m.frames = a.frameTable(npages)
-	m.owned = a.ownedBits((npages + 63) / 64)
 	for i := range m.frames {
 		m.frames[i] = &m.img.frames[i].data
 	}
 	m.CRs[isa.CRCPUID] = cfg.CPUID
 	return m
 }
+
+// BusMux returns the machine's own MMIO multiplexer, empty after NewIn:
+// map the devices on it and set Bus to it. It is recycled with the
+// machine.
+func (m *Machine) BusMux() *BusMux { return &m.mux }
 
 // MemSize returns the physical RAM size in bytes.
 func (m *Machine) MemSize() uint32 { return m.memSize }

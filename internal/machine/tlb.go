@@ -143,13 +143,19 @@ func NewTLB(n int, policy ReplacePolicy) *TLB {
 	if n <= 0 {
 		panic(fmt.Sprintf("machine: TLB size %d", n))
 	}
+	return new(TLB).reset(make([]TLBEntry, n), policy)
+}
+
+// reset makes t an empty TLB over slots, which must be zero, under policy.
+func (t *TLB) reset(slots []TLBEntry, policy ReplacePolicy) *TLB {
 	lru, _ := policy.(*LRUPolicy)
 	replayable := false
 	switch policy.(type) {
 	case *LRUPolicy, *RoundRobinPolicy, *RandomPolicy:
 		replayable = true
 	}
-	return &TLB{slots: make([]TLBEntry, n), policy: policy, lru: lru, pending: -1, replayable: replayable}
+	*t = TLB{slots: slots, policy: policy, lru: lru, pending: -1, replayable: replayable}
+	return t
 }
 
 // touch applies one recency update, devirtualized for the default LRU.

@@ -146,54 +146,72 @@ type Link struct {
 	// so Send allocates neither a closure nor an event.
 	inflight sim.Ring[Message]
 	deliver  func()
-	arena    *Arena // lent the two rings' storage
+	arena    *Arena // where Release hands the link back
 }
 
-// Arena owns the storage of the in-flight rings and inboxes of the links
-// built over it (NewLinkIn): Release hands a link's two ring buffers
-// back, cleared, and the next link the arena serves starts with them at
-// the size the last one grew them to. It has one owner at a time and no
-// lock.
+// Arena owns the links built over it (NewLinkIn, NewDuplexIn). A
+// released link waits on the arena whole, with its in-flight ring and its
+// inbox, both emptied, and the next link the arena serves is rebuilt in
+// it, its rings at the size the last one grew them to; a duplex waits
+// with its two links. It has one owner at a time and no lock.
 type Arena struct {
-	rings free.List[[]Message]
-}
-
-// ring returns a ring buffer, recycled when a has one (else nil: the
-// ring grows its own).
-func (a *Arena) ring() []Message {
-	buf, _ := a.rings.Get()
-	return buf
+	links    free.List[*Link]
+	duplexes free.List[*Duplex]
 }
 
 // NewLink creates one direction of a channel owned by kernel k, over a
 // private arena: its rings grow plainly.
 func NewLink(k *sim.Kernel, cfg LinkConfig) *Link { return NewLinkIn(new(Arena), k, cfg) }
 
-// NewLinkIn is NewLink over an arena: the link's in-flight ring and
-// inbox take their storage from a and hand it back at Release.
+// NewLinkIn is NewLink over an arena: the link is one released to a,
+// rebuilt with its rings, when a has one, and goes back to it at Release.
 func NewLinkIn(a *Arena, k *sim.Kernel, cfg LinkConfig) *Link {
+	l, _ := a.links.Get()
+	return l.rebuild(a, k, cfg)
+}
+
+// rebuild makes l (a new link when nil) a fresh link of cfg on k, keeping
+// its rings' storage. Its inbox is kept too when it was made under the
+// same name.
+func (l *Link) rebuild(a *Arena, k *sim.Kernel, cfg LinkConfig) *Link {
 	cfg = cfg.withDefaults()
-	l := &Link{
-		k:     k,
-		cfg:   cfg,
-		Inbox: sim.NewQueue[Message](k, cfg.Name+".inbox"),
-		arena: a,
+	if l == nil {
+		l = new(Link)
 	}
-	l.inflight.Reuse(a.ring())
-	l.Inbox.Reuse(a.ring())
-	l.deliver = l.deliverHead
+	inbox := l.Inbox
+	if inbox != nil && l.cfg.Name == cfg.Name {
+		inbox.Reset(k)
+	} else {
+		inbox = sim.NewQueue[Message](k, cfg.Name+".inbox")
+	}
+	*l = Link{k: k, cfg: cfg, Inbox: inbox, inflight: l.inflight, deliver: l.deliver, arena: a}
+	if l.deliver == nil {
+		l.deliver = l.deliverHead
+	}
 	return l
 }
 
-// Release hands the link's ring storage back to its arena, dropping
-// whatever is still in flight or unread. Call only on teardown, once the
-// simulation kernel is down: the link must not be used afterwards.
+// Release hands the link back to its arena, dropping whatever is still
+// in flight or unread; a second call before it is rebuilt does nothing.
+// Call only on teardown, once the simulation kernel is down: the link
+// must not be used afterwards.
 func (l *Link) Release() {
-	for _, buf := range [2][]Message{l.inflight.Release(), l.Inbox.Release()} {
-		if cap(buf) > 0 {
-			l.arena.rings.Put(buf)
-		}
+	if a := l.reset(); a != nil {
+		a.links.Put(l)
 	}
+}
+
+// reset empties the link for its arena, keeping its name, rings, inbox
+// and delivery callback, and returns the arena (nil: reset already).
+func (l *Link) reset() *Arena {
+	a := l.arena
+	if a == nil {
+		return nil
+	}
+	l.inflight.Reuse(l.inflight.Release())
+	l.Inbox.Reset(nil)
+	*l = Link{cfg: LinkConfig{Name: l.cfg.Name}, Inbox: l.Inbox, inflight: l.inflight, deliver: l.deliver}
+	return a
 }
 
 // deliverHead completes delivery of the oldest in-flight message.
@@ -380,18 +398,28 @@ func NewDuplex(k *sim.Kernel, name string, cfg LinkConfig) *Duplex {
 	return NewDuplexIn(new(Arena), k, name, cfg)
 }
 
-// NewDuplexIn is NewDuplex over an arena (see NewLinkIn).
+// NewDuplexIn is NewDuplex over an arena (see NewLinkIn): the duplex is
+// one released to a, with its two links, when a has one.
 func NewDuplexIn(a *Arena, k *sim.Kernel, name string, cfg LinkConfig) *Duplex {
 	ab, ba := cfg, cfg
 	ab.Name = fmt.Sprintf("%s.ab", name)
 	ba.Name = fmt.Sprintf("%s.ba", name)
-	return &Duplex{AtoB: NewLinkIn(a, k, ab), BtoA: NewLinkIn(a, k, ba)}
+	d, ok := a.duplexes.Get()
+	if !ok {
+		d = new(Duplex)
+	}
+	d.AtoB, d.BtoA = d.AtoB.rebuild(a, k, ab), d.BtoA.rebuild(a, k, ba)
+	return d
 }
 
-// Release hands both directions' ring storage back (see Link.Release).
+// Release hands the duplex back to its arena with both directions (see
+// Link.Release).
 func (d *Duplex) Release() {
-	d.AtoB.Release()
-	d.BtoA.Release()
+	a := d.BtoA.reset()
+	d.AtoB.reset()
+	if a != nil {
+		a.duplexes.Put(d)
+	}
 }
 
 // DisconnectAll severs both directions.

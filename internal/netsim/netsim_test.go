@@ -219,13 +219,14 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
-// TestLinkArena: a released link hands both ring buffers back cleared,
-// what it still held in flight or unread dropped, and the next link over
-// the arena takes them and delivers in order as a fresh link does.
+// TestLinkArena: a released link goes back to its arena emptied, what
+// it still held in flight or unread dropped (the rings clear their slots:
+// TestRingReuse), and the next link over the arena is the same struct,
+// inbox included, and delivers in order as a fresh link does.
 func TestLinkArena(t *testing.T) {
 	var a Arena
 	k := sim.NewKernel(1)
-	first := NewLinkIn(&a, k, Ethernet10("first"))
+	first := NewLinkIn(&a, k, Ethernet10("link"))
 	for i := range 20 {
 		first.Send(&i, 100)
 	}
@@ -234,26 +235,22 @@ func TestLinkArena(t *testing.T) {
 		t.Fatalf("inbox %d, in flight %d: the test needs both rings holding messages",
 			first.Inbox.Len(), first.inflight.Len())
 	}
+	inbox := first.Inbox
 	k.Shutdown()
 	first.Release()
-	for range 2 {
-		buf, ok := a.rings.Get()
-		if !ok || len(buf) == 0 {
-			t.Fatal("the arena did not get both ring buffers back")
-		}
-		for i, m := range buf {
-			if m != (Message{}) {
-				t.Fatalf("a released ring's slot %d still holds %+v", i, m)
-			}
-		}
-		a.rings.Put(buf)
+	first.Release() // a second Release hands nothing back twice
+	if first.Inbox.Len() != 0 || first.inflight.Len() != 0 || first.k != nil {
+		t.Fatal("a released link still holds messages or its kernel")
 	}
 
 	k = sim.NewKernel(2)
 	defer k.Shutdown()
-	second := NewLinkIn(&a, k, Ethernet10("second"))
-	if _, ok := a.rings.Get(); ok {
-		t.Fatal("the second link left a ring buffer in the arena")
+	second := NewLinkIn(&a, k, Ethernet10("link"))
+	if second != first || second.Inbox != inbox || second.Stats != (Stats{}) {
+		t.Fatal("the second link is not the first one's struct and inbox, rebuilt")
+	}
+	if _, ok := a.links.Get(); ok {
+		t.Fatal("the arena kept a second link")
 	}
 	var got []int
 	receive(k, second, 5, func(m Message) { got = append(got, m.Payload.(int)) })

@@ -153,20 +153,20 @@ type NIC struct {
 // reqSeen is the accepted bit of a request-ID table entry.
 const reqSeen = 1
 
-// Arena owns the buffers of the adapters and shadows built over it
-// (NewIn, NewShadowIn): an adapter's reply transcript, request-ID table,
-// request log and its ports' queues, and a shadow's frame ring. Release
-// hands them back, and the next adapter or shadow the arena serves
-// starts with them at the size the last one grew them to. An adapter
-// takes the arena's adapter buffers whole, so a second adapter built
-// while the first still runs grows its own. It has one owner at a time
-// and no lock.
+// Arena owns the buffers of the adapters built over it (NewIn) — an
+// adapter's reply transcript, request-ID table, request log and its
+// ports' queues — and the shadows built over it (NewShadowIn), each
+// whole with its frame ring. Release hands them back, and the next
+// adapter or shadow the arena serves starts with them at the size the
+// last one grew them to. An adapter takes the arena's adapter buffers
+// whole, so a second adapter built while the first still runs grows its
+// own. It has one owner at a time and no lock.
 type Arena struct {
-	rings  free.List[[]frame] // shadows' frame rings
-	fifos  free.List[[]frame] // ports' pending queues
-	tx     []byte
-	reqs   []uint32
-	chunks [][]uint32 // the request log's chunks
+	shadows free.List[*Shadow] // released shadows, frame rings attached
+	fifos   free.List[[]frame] // ports' pending queues
+	tx      []byte
+	reqs    []uint32
+	chunks  [][]uint32 // the request log's chunks
 }
 
 // New returns an idle network adapter serving a client population that

@@ -28,29 +28,33 @@ type Shadow struct {
 	head, n, pos int
 	// rec is the buffer Capture and Recover build a record in.
 	rec []byte
-	// arena lends ring's storage until Release.
+	// arena is where Release hands the shadow back.
 	arena *Arena
 }
 
 // NewShadow returns an empty virtual adapter over a private arena.
 func NewShadow() *Shadow { return NewShadowIn(new(Arena)) }
 
-// NewShadowIn returns an empty virtual adapter whose frame ring comes
-// from a and goes back to it at Release.
+// NewShadowIn returns an empty virtual adapter: one released to a, with
+// its frame ring, when a has one. It goes back to a at Release.
 func NewShadowIn(a *Arena) *Shadow {
-	s := &Shadow{arena: a}
-	s.ring, _ = a.rings.Get()
+	s, ok := a.shadows.Get()
+	if !ok {
+		s = new(Shadow)
+	}
+	*s = Shadow{ring: s.ring, rec: s.rec[:0], arena: a}
 	return s
 }
 
-// Release hands the shadow's frame ring back to its arena, dropping the
-// frames still pending. Call only on teardown: the shadow must not be
+// Release hands the shadow back to its arena, with its frame ring,
+// dropping the frames still pending; a second call before the next
+// NewShadowIn does nothing. Call only on teardown: the shadow must not be
 // used afterwards.
 func (s *Shadow) Release() {
-	if s.arena != nil && len(s.ring) > 0 {
-		s.arena.rings.Put(s.ring)
+	if a := s.arena; a != nil {
+		*s = Shadow{ring: s.ring, rec: s.rec[:0]}
+		a.shadows.Put(s)
 	}
-	*s = Shadow{}
 }
 
 var _ device.Shadow = (*Shadow)(nil)

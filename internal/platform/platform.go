@@ -111,8 +111,8 @@ type env struct {
 	nic     *nic.NIC
 }
 
-// Arena owns the bulk buffers of a cluster's machines, hypervisors,
-// disks, shared NIC and its shadows, and mesh links: what Release hands
+// Arena owns a cluster's machines, hypervisors, NIC shadows and mesh
+// links, and the buffers of its disks and shared NIC: what Release hands
 // back, the next cluster built over the arena reuses. It has one owner at
 // a time and no lock.
 type Arena struct {
@@ -155,7 +155,7 @@ func newNode(a *Arena, k *sim.Kernel, cfg Config, host int) *Node {
 // environment's device table: every node is wired identically.
 func finishNode(ar *Arena, cfg Config, n *Node, e *env, host int) {
 	m := n.M
-	mux := machine.NewBusMux()
+	mux := m.BusMux()
 	for i, disk := range e.disks {
 		base, line := DiskWindow(i)
 		a := disk.NewAdapter(host, m, func() { m.RaiseIRQ(line) })
@@ -219,9 +219,9 @@ func NewCluster(k *sim.Kernel, cfg Config, n int) *Cluster {
 }
 
 // NewClusterIn is NewCluster over an arena: every machine, hypervisor,
-// disk, NIC shadow and mesh link of the cluster, late joiners' included,
-// and the shared NIC take their bulk buffers from a and hand them back at
-// Release.
+// NIC shadow and mesh link of the cluster, late joiners' included, is
+// rebuilt from one a holds when it has one, the disks and the shared NIC
+// take their buffers from a, and Release hands all of it back.
 func NewClusterIn(a *Arena, k *sim.Kernel, cfg Config, n int) *Cluster {
 	if n < 1 {
 		panic("platform: cluster needs at least 1 node")
@@ -293,13 +293,16 @@ func (c *Cluster) Channel(from, to int) (tx, rx *netsim.Link) {
 	return d.BtoA, d.AtoB
 }
 
-// Release hands every machine's, hypervisor's, disk's, NIC shadow's and
-// mesh link's bulk buffers, and the shared NIC's, back to the cluster's
-// arena. Call only on teardown, after the simulation kernel has shut
-// down: the machines must never run again, nor the disks serve, nor the
-// links carry, nor the NIC's ports be read.
+// Release hands every machine, hypervisor, NIC shadow and mesh link,
+// and the disks' and shared NIC's buffers, back to the cluster's arena.
+// Call only on teardown, after the simulation kernel has shut down: the
+// machines must never run again, nor the disks serve, nor the links
+// carry, nor the NIC's ports be read. Nodes and links go back last first:
+// the arena's lists pop last in, first out, so the next cluster's node i
+// is rebuilt in node i's structs.
 func (c *Cluster) Release() {
-	for _, n := range c.Nodes {
+	for i := len(c.Nodes) - 1; i >= 0; i-- {
+		n := c.Nodes[i]
 		n.M.Release()
 		n.HV.Release()
 		if n.nicShadow != nil {
@@ -312,9 +315,9 @@ func (c *Cluster) Release() {
 	if c.NIC != nil {
 		c.NIC.Release()
 	}
-	for _, row := range c.Links {
-		for _, d := range row {
-			if d != nil {
+	for i := len(c.Links) - 1; i >= 0; i-- {
+		for j := len(c.Links[i]) - 1; j >= 0; j-- {
+			if d := c.Links[i][j]; d != nil {
 				d.Release()
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hypervisor"
+	"repro/internal/netsim"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -85,9 +86,9 @@ func TestEpochArchiveRecyclesLists(t *testing.T) {
 	}
 }
 
-// TestEpochArchiveRelease: a released archive goes back to its arena
-// empty, its interrupt lists cleared into the arena's, so the next
-// replica's archive — the same one, recycled — starts from nothing.
+// TestEpochArchiveRelease: a released archive is emptied, its interrupt
+// lists cleared into the arena's, so the next replica rebuilt over it
+// (TestReplicaArena) starts its archive from nothing.
 func TestEpochArchiveRelease(t *testing.T) {
 	var arena Arena
 	a := arena.archive()
@@ -101,10 +102,7 @@ func TestEpochArchiveRelease(t *testing.T) {
 			t.Fatalf("a released list still holds %+v", l[0])
 		}
 	}
-	b := arena.archive()
-	if b != a {
-		t.Fatal("the arena built a new archive beside the released one")
-	}
+	b := a
 	if b.len() != 0 || len(b.since(0)) != 0 {
 		t.Fatalf("a new archive holds %d epochs", b.len())
 	}
@@ -114,6 +112,44 @@ func TestEpochArchiveRelease(t *testing.T) {
 	}
 	if lists[39].Ints[0].Line != 40 {
 		t.Fatal("what since handed out changed on release")
+	}
+}
+
+// TestReplicaArena: Release hands a replica back to its arena whole, and
+// the next replica over the arena — in another role — is the same struct
+// rebuilt: its epoch index and archive empty, its coordinator kept as a
+// spare and rebuilt, peer records and all, when it next coordinates.
+func TestReplicaArena(t *testing.T) {
+	var arena Arena
+	k := sim.NewKernel(1)
+	peer := func() Peer {
+		return Peer{TX: netsim.NewLink(k, netsim.Ethernet10("tx")), RX: netsim.NewLink(k, netsim.Ethernet10("rx"))}
+	}
+	downs := []Peer{peer(), peer()}
+	first := NewReplicaIn(&arena, nil, nil, downs, Config{})
+	coord, ps := first.coord, first.coord.s.peers[1]
+	first.archive.record(SyncEpoch{Epoch: 3, Ints: []hypervisor.Interrupt{{Line: 1}}})
+	first.rec(4).tme = 9
+	first.Stats.Epochs = 7
+	first.Release()
+	first.Release() // a second Release hands nothing back twice
+
+	second := NewReplicaIn(&arena, nil, []Peer{peer()}, nil, Config{})
+	if second != first || second.coord != nil || second.spare != coord || second.index != 1 {
+		t.Fatal("the second replica is not the first one's struct, rebuilt as a backup with the coordinator spare")
+	}
+	if len(second.pending) != 0 || second.archive.len() != 0 || second.Stats != (Stats{}) {
+		t.Fatalf("the rebuilt replica holds %d pending records, %d archived epochs, stats %+v",
+			len(second.pending), second.archive.len(), second.Stats)
+	}
+	if _, ok := arena.replicas.Get(); ok {
+		t.Fatal("the arena kept a second replica")
+	}
+	second.downs = []Peer{peer()}
+	c := second.newCoordinator()
+	if c != coord || second.spare != nil || len(c.s.peers) != 1 || c.s.peers[0] != coord.s.peers[0] ||
+		c.s.peers[:2][1] != ps || c.s.seq != 0 || len(c.pend) != 0 {
+		t.Fatal("the coordinator was not rebuilt in the spare one, reusing its peer records")
 	}
 }
 

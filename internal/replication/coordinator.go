@@ -53,26 +53,25 @@ const archiveResyncKeep = 8
 // Arena owns what the replicas built over it (NewReplicaIn) recycle
 // across clusters, so that a cluster built over a warm arena starts its
 // epoch loop at working size. It has one owner at a time and no lock.
-//   - Delivery archives: Release hands a replica's archive back, emptied
-//     but with its ring — a backup with downstream peers never trims, so
-//     its ring grows toward the window in every cluster. The archives'
-//     interrupt lists and the rings they outgrew are the arena's, so a
-//     replica whose role this arena has not served before grows its
-//     archive from what others left.
-//   - Epoch records, with their interrupt maps, and the maps that index
-//     them: a replica takes a record per epoch it follows and returns it
-//     at the boundary; Release returns those still pending, and the
-//     replica's index.
+//   - The replicas: Release hands a replica back whole, with its epoch
+//     index, its coordinator (sender and peer records included) and its
+//     delivery archive, emptied but with its ring — a backup with
+//     downstream peers never trims, so its ring grows toward the window
+//     in every cluster. The archives' interrupt lists and the rings they
+//     outgrew are the arena's, so a replica whose role this arena has not
+//     served before grows its archive from what others left.
+//   - Epoch records, with their interrupt maps: a replica takes a record
+//     per epoch it follows and returns it at the boundary; Release
+//     returns those still pending.
 //   - The wire frames every replica of the cluster shares: epoch frames,
 //     a transmit process's batches and acknowledgements. A frame goes
 //     back to its pool at its last release; Reclaim takes back, at
 //     teardown, the frames a dropped or unread copy still holds.
 type Arena struct {
-	archives free.List[*epochArchive]
+	replicas free.List[*Replica]
 	rings    [][]archived                      // outgrown archive rings, cleared
 	lists    free.List[[]hypervisor.Interrupt] // archives' idle interrupt lists, cleared
 	records  free.List[*epochRecord]
-	pendings free.List[map[uint64]*epochRecord]
 	frames   netsim.FramePool[epochHead, hypervisor.Interrupt]
 	batches  netsim.FramePool[struct{}, *epochFrame]
 	acks     netsim.FramePool[uint64, struct{}]
@@ -93,19 +92,8 @@ func (a *Arena) Outstanding() int {
 	return a.frames.Outstanding() + a.batches.Outstanding() + a.acks.Outstanding()
 }
 
-// pending returns an empty epoch-record index, recycled when a has one.
-func (a *Arena) pending() map[uint64]*epochRecord {
-	if m, ok := a.pendings.Get(); ok {
-		return m
-	}
-	return map[uint64]*epochRecord{}
-}
-
-// archive returns an empty archive, recycled when a has one.
+// archive returns a new, empty archive over a.
 func (a *Arena) archive() *epochArchive {
-	if ar, ok := a.archives.Get(); ok {
-		return ar
-	}
 	return &epochArchive{window: defaultArchiveWindow, arena: a}
 }
 
@@ -128,9 +116,8 @@ func (a *Arena) ring(n uint64) []archived {
 	return r
 }
 
-// release empties the archive — every held list goes back to the arena,
-// cleared, and the ring is zeroed — and hands it to its arena. The
-// archive must not be used afterwards.
+// release empties the archive: every held list goes back to the arena,
+// cleared, and the ring is zeroed, kept for the archive's next cluster.
 func (a *epochArchive) release() {
 	if a == nil {
 		return
@@ -142,7 +129,6 @@ func (a *epochArchive) release() {
 	}
 	clear(a.ring)
 	a.n, a.oldest, a.newest = 0, 0, 0
-	a.arena.archives.Put(a)
 }
 
 // slot is epoch e's place in the ring.
@@ -331,15 +317,31 @@ type pendingEpoch struct {
 
 // newCoordinator builds the coordinator r runs once nobody is upstream of
 // it — at construction on node 0, at promotion elsewhere — over r's
-// downstream channels, counters, archive and observer.
+// downstream channels, counters, archive and observer: in r's spare one,
+// with its sender and lists, when it has one.
 func (r *Replica) newCoordinator() *coordinator {
-	c := &coordinator{
-		hv: r.HV, s: newSender(r.downs, &r.Stats), stats: &r.Stats,
+	c := r.spare
+	if c == nil {
+		c = new(coordinator)
+	}
+	r.spare = nil
+	*c = coordinator{
+		hv: r.HV, s: c.s.rebuild(r.downs, &r.Stats), stats: &r.Stats,
 		pol:     derivePolicy(r.cfg.Protocol, r.cfg.OutputCommit),
 		stopped: r.Failed, archive: r.archive, rep: r,
+		pend: c.pend[:0], txq: c.txq[:0],
 		pool: &r.arena.frames,
 	}
 	c.s.peerTimeout = r.cfg.PeerTimeout
+	return c
+}
+
+// reset clears c for its replica's next cluster, keeping its sender (for
+// its peer records) and lists, and returns it. The frames its transmit
+// queue still holds are the arena's to reclaim.
+func (c *coordinator) reset() *coordinator {
+	clear(c.txq)
+	*c = coordinator{s: c.s, pend: c.pend[:0], txq: c.txq[:0]}
 	return c
 }
 
@@ -470,8 +472,8 @@ func (c *coordinator) wire(ps *peerState) {
 // acknowledged: nothing sent before it existed can be outstanding toward
 // it, so no wait may block on history the joiner never received.
 func (c *coordinator) attachPeer(p Peer) {
-	ps := &peerState{peer: p, acked: c.s.seq}
-	c.s.peers = append(c.s.peers, ps)
+	ps := c.s.attach(p)
+	ps.acked = c.s.seq
 	if c.k != nil {
 		c.wire(ps)
 	}

@@ -81,11 +81,14 @@ type Replica struct {
 	// order is stageOrdered's scratch list of capture indexes.
 	order   []uint32
 	archive *epochArchive
-	// arena owns archive, the epoch records (a record freed at one
-	// epoch's boundary serves a later epoch without reallocating its map)
-	// and the frames the replica sends: acknowledgements upstream, and as
-	// coordinator its epoch frames and batches.
+	// arena owns the replica itself — with pending, order, archive and its
+	// coordinator, kept in spare while it has none — the epoch records (a
+	// record freed at one epoch's boundary serves a later epoch without
+	// reallocating its map) and the frames the replica sends:
+	// acknowledgements upstream, and as coordinator its epoch frames and
+	// batches.
 	arena   *Arena
+	spare   *coordinator
 	arrival *sim.Signal
 	// completed counts epochs whose boundary processing has finished;
 	// the epoch currently executing (or awaiting its boundary) is
@@ -138,19 +141,27 @@ func NewReplica(hv *hypervisor.Hypervisor, ups, downs []Peer, cfg Config) *Repli
 	return NewReplicaIn(new(Arena), hv, ups, downs, cfg)
 }
 
-// NewReplicaIn is NewReplica over an arena: the replica's delivery
-// archive, epoch records and frames come from a, and go back to it at
-// Release (the frames at their last release, or at a's Reclaim).
+// NewReplicaIn is NewReplica over an arena: the replica is one released
+// to a, rebuilt in place with its archive, epoch index and coordinator,
+// when a has one; its epoch records and frames come from a too, and all
+// of it goes back at Release (the frames at their last release, or at
+// a's Reclaim).
 func NewReplicaIn(a *Arena, hv *hypervisor.Hypervisor, ups, downs []Peer, cfg Config) *Replica {
-	r := &Replica{
+	r, ok := a.replicas.Get()
+	if !ok {
+		r = &Replica{pending: map[uint64]*epochRecord{}, archive: a.archive()}
+	}
+	*r = Replica{
 		HV:      hv,
 		cfg:     cfg,
 		index:   len(ups),
 		ups:     ups,
 		downs:   downs,
-		pending: a.pending(),
-		archive: a.archive(),
+		pending: r.pending,
+		order:   r.order[:0],
+		archive: r.archive,
 		arena:   a,
+		spare:   r.spare,
 	}
 	if len(ups) == 0 {
 		// Built now, not in Run, so that a late joiner can be spliced in
@@ -198,24 +209,26 @@ func (r *Replica) Failstop() {
 	}
 }
 
-// Release hands the replica's delivery archive and its pending epoch
-// records back to its arena. The session engine calls it on teardown,
-// once no process will run again; the replica must not run or encode its
-// state afterwards.
+// Release hands the replica back to its arena, its pending epoch records
+// returned, its archive emptied and its coordinator cleared; a second
+// call before the next NewReplicaIn does nothing. The session engine
+// calls it on teardown, once no process will run again; the replica must
+// not be used afterwards.
 func (r *Replica) Release() {
-	if r.arena == nil {
+	a := r.arena
+	if a == nil {
 		return // released already
 	}
 	for _, e := range slices.Sorted(maps.Keys(r.pending)) {
 		r.release(e)
 	}
-	r.arena.pendings.Put(r.pending)
-	r.pending = nil
 	r.archive.release()
-	r.archive, r.arena = nil, nil
+	spare := r.spare
 	if r.coord != nil {
-		r.coord.archive = nil
+		spare = r.coord.reset()
 	}
+	*r = Replica{pending: r.pending, order: r.order[:0], archive: r.archive, spare: spare}
+	a.replicas.Put(r)
 }
 
 // observe hands ev to the Observer, if any.

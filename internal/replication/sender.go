@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"repro/internal/free"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -51,12 +52,25 @@ type peerState struct {
 // excluded reports whether a peer no longer gates progress.
 func (p *peerState) excluded() bool { return p.dead || p.peer.TX.Down() }
 
-func newSender(peers []Peer, stats *Stats) *sender {
-	s := &sender{stats: stats}
+// rebuild makes s (a new sender when nil) a fresh sender to peers,
+// reusing its peer records.
+func (s *sender) rebuild(peers []Peer, stats *Stats) *sender {
+	if s == nil {
+		s = new(sender)
+	}
+	*s = sender{stats: stats, peers: s.peers[:0]}
 	for _, p := range peers {
-		s.peers = append(s.peers, &peerState{peer: p})
+		s.attach(p)
 	}
 	return s
+}
+
+// attach adds a peer, in a recycled peer record when the list has one.
+func (s *sender) attach(p Peer) *peerState {
+	var ps *peerState
+	s.peers, ps = free.Next(s.peers)
+	*ps = peerState{peer: p}
+	return ps
 }
 
 // fanCursor is one fan-out in progress, a peer at a time: it transmits a

@@ -10,25 +10,29 @@ import (
 	"repro/internal/snapshot"
 )
 
-// arena owns every buffer whose lifetime is one cluster, so that a
-// cluster built over a warm arena starts with every list at its working
-// size:
-//   - the kernel's events and event heap (sim);
-//   - the machines' page tables, decoded pages, traces, frame tables,
-//     ownership bitmaps, COW frames and decode caches, the hypervisors'
-//     delivery and withheld-output buffers, the disks' written blocks
-//     and write-DMA latches, the NIC shadows' frame rings, the shared
+// arena owns every struct and buffer whose lifetime is one cluster, so
+// that a cluster built over a warm arena is rebuilt in the last one's
+// structs, every list at its working size:
+//   - the kernel's events, event heap and processes (sim);
+//   - the machines — each whole, with its TLB and replacement policy,
+//     bus multiplexer, frame and page tables, ownership bitmap and
+//     decode cache — and their decoded pages, traces and COW frames; the
+//     hypervisors, each whole with its delivery and withheld-output
+//     buffers and its device table; the NIC shadows with their frame
+//     rings; the disks' written blocks and write-DMA latches, the shared
 //     NIC's reply transcript, request-ID table, request log (the words
-//     every port's queued frame points into) and port queues, and the
-//     in-flight rings and inboxes of the mesh and transfer links
-//     (platform);
-//   - the client population's per-request table, request frames and
-//     the scratch its latencies are sorted in (clients), the client
-//     access link's rings, on a list of their own so that a retransmit
-//     backlog's ring goes back to the next client link rather than to a
-//     mesh link (clientLinks), and the output-commit latency samples;
-//   - the replicas' delivery archives, epoch records, and the epoch
-//     frames, batches and acknowledgements they exchange (replication);
+//     every port's queued frame points into) and port queues; and the
+//     mesh and transfer links, each whole with its in-flight ring and
+//     inbox (platform);
+//   - the client population's per-request table, request frames, the
+//     scratch its latencies are sorted in and its random stream
+//     (clients), the client access link, on a list of its own so that a
+//     retransmit backlog's ring goes back to the next client link rather
+//     than to a mesh link (clientLinks), and the output-commit latency
+//     samples;
+//   - the replicas, each whole with its epoch index, delivery archive
+//     and coordinator, the epoch records, and the epoch frames, batches
+//     and acknowledgements they exchange (replication);
 //   - the writers of the cluster's blobs: Save's and a restore
 //     verification's, recycled when the call returns, and AddBackup's
 //     transfer blobs, held until Close because the joiner's restored
@@ -36,12 +40,19 @@ import (
 //     checkpoint does not regrow a writer sized for a transfer, nor a
 //     transfer one sized for a checkpoint.
 //
+// A struct goes back at Close and is rebuilt in place by the next
+// constructor over the arena (*m = Machine{...}), keeping only its
+// storage. Structs go back last node first: the lists pop last in, first
+// out, so the next cluster's node i is rebuilt in node i's. What stays
+// readable after Close is not recycled — the engine, kernel, NIC, client
+// population, disks and console — and nothing readable after Close
+// aliases the arena: Result's reply transcript is a copy, and Snapshot
+// and ServiceLatencies report what they measured at Close.
+//
 // An engine borrows an arena from the shelf when Boot builds its cluster
-// and returns it at Close, after every buffer came back; between the two
-// only the engine's goroutine touches it, so a buffer's Get or Put is a
-// plain slice pop or push. Nothing readable after Close aliases it:
-// Result's reply transcript is a copy, and ServiceLatencies keeps what it
-// measured at Close.
+// and returns it at Close, after everything came back; between the two
+// only the engine's goroutine touches it, so a Get or Put is a plain
+// slice pop or push.
 type arena struct {
 	sim         sim.Arena
 	platform    platform.Arena

@@ -15,15 +15,18 @@ import (
 // TestArenaReuse: a cluster's buffers outlive it on the shelf. After
 // Close and two garbage collections — which empty a sync.Pool, its
 // victim cache included — the next cluster built on the same goroutine
-// borrows the first one's arena, and its build allocates only the small
-// structures around the recycled buffers: ≈ 12 KB for this replicated
-// pair over the disk-write workload (bound 24 KB, for what the runtime
-// allocates meanwhile), where a cold build allocates ≈ 179 KB (the
-// guest boot's COW frames, the frame and page tables). Its run starts
-// warm too — kernel events, link rings, epoch records, frames and write
-// latches all come from the arena — and allocates ≈ 17 KB, the traces
-// the machines build (bound 24 KB; 28.7 KB while those lists started
-// empty in every cluster). Close takes back every frame, whether or not
+// borrows the first one's arena, and its build allocates only what the
+// arena does not recycle whole — the engine, kernel, platform and disks,
+// the per-node device bindings: ≈ 3.6 KB for this replicated pair over
+// the disk-write workload (bound 12 KB, for what the runtime allocates
+// meanwhile: one run under the race detector at two Ps on a loaded host
+// read 9.5 KB; ≈ 12 KB while the machines, hypervisors, links, replicas
+// and processes were built new around recycled buffers), where a cold
+// build allocates ≈ 179 KB (the guest boot's COW frames, the frame and
+// page tables). Its run starts warm too — kernel events, link rings,
+// epoch records, frames and write latches all come from the arena — and
+// allocates ≈ 17 KB, the traces the machines build (bound 24 KB; 28.7 KB
+// while those lists started empty in every cluster). Close takes back every frame, whether or not
 // its last reference was released.
 func TestArenaReuse(t *testing.T) {
 	o := Options{Seed: 1, Program: WorkloadProgram(guest.DiskWrite(4, 2048)), EpochLength: 1024}
@@ -45,16 +48,19 @@ func TestArenaReuse(t *testing.T) {
 	if second.arena != a {
 		t.Fatal("the second cluster did not borrow the first one's arena")
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 24<<10 {
-		t.Errorf("a build over a recycled arena allocates %d bytes, bound %d", got, 24<<10)
+	build := after.TotalAlloc - before.TotalAlloc
+	if build > 12<<10 {
+		t.Errorf("a build over a recycled arena allocates %d bytes, bound %d", build, 12<<10)
 	}
 	runtime.ReadMemStats(&before)
 	if err := second.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 24<<10 {
-		t.Errorf("a run over a recycled arena allocates %d bytes, bound %d", got, 24<<10)
+	run := after.TotalAlloc - before.TotalAlloc
+	t.Logf("over a recycled arena the build allocates %d bytes, the run %d", build, run)
+	if run > 24<<10 {
+		t.Errorf("a run over a recycled arena allocates %d bytes, bound %d", run, 24<<10)
 	}
 	want, _ := first.Result()
 	if got, _ := second.Result(); got.Time != want.Time || got.Guest != want.Guest || got.Console != want.Console {
@@ -122,13 +128,16 @@ func serviceRun(t *testing.T, o Options) (*Engine, *arena, Result, obs.ServiceLa
 
 // TestServiceArenaReuse: a service cluster's NIC and client population
 // are served from the arena too. The third of three identical service
-// clusters takes the arena the first two ran over and allocates 42–48 KB
-// from New to Close (bound 56 KB): the structures around the recycled
-// buffers, the traces its machines build and the completion records that
-// carry the 400 requests, 32 bytes each. A cluster over a cold arena
-// allocates ≈ 5.4 MB; a warm one allocated ≈ 1.1 MB while the NIC and
-// the population built their tables afresh. (The second cluster reads
-// ≈ 61 KB: its machines still build traces the first did not hand on.)
+// clusters takes the arena the first two ran over and allocates ≈ 31 KB
+// from New to Close (bound 44 KB; up to 36.7 KB when the package's tests
+// run again in one process): what the arena does not recycle whole,
+// the traces its machines build and the completion records that carry
+// the 400 requests, 32 bytes each. It read 42–48 KB while the machines,
+// hypervisors, links, replicas, processes and random stream were built
+// new around recycled buffers. A cluster over a cold arena allocates
+// ≈ 5.4 MB; a warm one allocated ≈ 1.1 MB while the NIC and the
+// population built their tables afresh. (The second cluster reads more:
+// its machines still build traces the first did not hand on.)
 // Its reply transcript and latencies are the first one's.
 func TestServiceArenaReuse(t *testing.T) {
 	o := serveOpts(400)
@@ -153,7 +162,7 @@ func TestServiceArenaReuse(t *testing.T) {
 	gotLat, _ := third.ServiceLatencies()
 	third.Close()
 	runtime.ReadMemStats(&after)
-	const bound = 56 << 10
+	const bound = 44 << 10
 	used := after.TotalAlloc - before.TotalAlloc
 	t.Logf("a service cluster over a recycled arena allocates %d bytes from New to Close", used)
 	if used > bound {
@@ -220,4 +229,68 @@ func TestServiceLatenciesAfterClose(t *testing.T) {
 	if got, ok := e.ServiceLatencies(); !ok || got != want {
 		t.Errorf("after another cluster reused the arena: %+v (ok=%v), before Close: %+v", got, ok, want)
 	}
+}
+
+// TestClosedEngineSurvivesReuse: what a closed engine reports does not
+// move when another cluster — of a different shape — takes its arena and
+// rebuilds its hypervisors, replicas and links: Snapshot, Result,
+// ServiceLatencies, Now, Done and the NIC's and client population's
+// counters read after Close as they did before it.
+func TestClosedEngineSurvivesReuse(t *testing.T) {
+	o := serveOpts(64)
+	o.Backups = 2
+	o.FailPrimaryAt = 20 * sim.Millisecond
+	e := New(o)
+	if err := e.RunToCompletion(nil); err != nil {
+		t.Fatal(err)
+	}
+	type view struct {
+		snap  obs.Snapshot
+		res   Result
+		err   error
+		lat   obs.ServiceLatencies
+		latOK bool
+		now   sim.Time
+		done  bool
+		nic   any
+		cs    any
+	}
+	read := func() view {
+		v := view{snap: e.Snapshot(), now: e.Now(), done: e.Done(), nic: e.NIC().Stats, cs: e.Clients().Stats()}
+		v.res, v.err = e.Result()
+		v.lat, v.latOK = e.ServiceLatencies()
+		return v
+	}
+	check := func(when string, want view) {
+		t.Helper()
+		got := read()
+		if got.snap != want.snap {
+			t.Errorf("%s: Snapshot %+v, before Close %+v", when, got.snap, want.snap)
+		}
+		if got.res != want.res || got.err != want.err {
+			t.Errorf("%s: Result moved (%v)", when, got.err)
+		}
+		if got.snap, got.res = want.snap, want.res; got != want {
+			t.Errorf("%s: latencies, clock or counters %+v, before Close %+v", when, got, want)
+		}
+	}
+	want := read()
+	if !want.snap.Promoted || want.snap.Epochs == 0 || want.err != nil || !want.latOK {
+		t.Fatalf("before Close: %+v", want)
+	}
+	a := e.arena
+	e.Close()
+	check("after Close", want)
+
+	other := New(Options{Seed: 3, Program: WorkloadProgram(guest.DiskWrite(6, 4096)), EpochLength: 512, Backups: 3})
+	other.Boot()
+	if other.arena != a {
+		t.Fatal("the second cluster did not borrow the closed one's arena")
+	}
+	if err := other.RunToCompletion(nil); err != nil {
+		t.Fatal(err)
+	}
+	check("while another cluster runs over its arena", want)
+	other.Close()
+	check("after another cluster ran over its arena and closed", want)
 }

@@ -260,15 +260,22 @@ type Engine struct {
 	// epochs that actually produced output contribute a sample. Its
 	// storage is the arena's; ServiceLatencies sorts it in place.
 	commitLats []sim.Time
-	// latencies is what ServiceLatencies reported at Close, when the
-	// tables it reads went back to the arena. A pointer: held inline it
-	// would move every engine into a larger allocation size class.
-	latencies *obs.ServiceLatencies
+	// closedView is what Snapshot and ServiceLatencies reported at Close,
+	// when the structs they read went back to the arena. A pointer: held
+	// inline it would move every engine into a larger allocation size
+	// class.
+	closedView *closedView
 
 	// xferLinks tracks live state-transfer links by source node, so a
 	// failstop severs an in-flight transfer exactly as it severs the
 	// node's protocol channels.
 	xferLinks map[int][]*netsim.Link
+}
+
+// closedView is an engine's observation as Close found it.
+type closedView struct {
+	snapshot  obs.Snapshot
+	latencies obs.ServiceLatencies
 }
 
 // New prepares an engine for o, whose Program is required. No
@@ -794,7 +801,11 @@ func (e *Engine) actingNode() int {
 }
 
 // Snapshot captures the observable state at the current virtual time.
+// After Close it reports what it reported at Close.
 func (e *Engine) Snapshot() obs.Snapshot {
+	if e.closed {
+		return e.closedView.snapshot
+	}
 	s := obs.Snapshot{Booted: e.booted, Done: e.finished}
 	if !e.booted {
 		return s
@@ -856,11 +867,12 @@ func (e *Engine) halted(i int) bool {
 
 // computeResult assembles the terminal report from the authoritative
 // survivor: node 0 if it never failed, else the last promoted surviving
-// node, else any node whose guest HALTED before its processor was killed
-// (a replica that completed the workload and was failstopped afterwards
-// still produced the deterministic result; a bare session's only node is
-// found here too). A bare session reports zero protocol and hypervisor
-// counters: none of that machinery ran.
+// node, else any node whose guest HALTED, a live one before one whose
+// processor was killed (a replica that completed the workload and was
+// failstopped afterwards still produced the deterministic result, but its
+// completion instant is when its loop noticed the failstop; a bare
+// session's only node is found here too). A bare session reports zero
+// protocol and hypervisor counters: none of that machinery ran.
 func (e *Engine) computeResult() (Result, error) {
 	var res Result
 	for i, r := range e.reps {
@@ -878,9 +890,11 @@ func (e *Engine) computeResult() (Result, error) {
 			authority = i
 		}
 	}
-	for i := len(e.cluster.Nodes) - 1; i >= 0 && authority < 0; i-- {
-		if e.halted(i) {
-			authority = i
+	for _, live := range [2]bool{true, false} {
+		for i := len(e.cluster.Nodes) - 1; i >= 0 && authority < 0; i-- {
+			if e.halted(i) && (!live || i >= len(e.reps) || !e.reps[i].Failed()) {
+				authority = i
+			}
 		}
 	}
 	if authority < 0 {
@@ -923,7 +937,7 @@ func (e *Engine) ServiceLatencies() (sl obs.ServiceLatencies, ok bool) {
 		return sl, false
 	}
 	if e.closed {
-		return *e.latencies, true
+		return e.closedView.latencies, true
 	}
 	sl = e.clients.Measure()
 	if n := len(e.commitLats); n > 0 {
@@ -940,19 +954,20 @@ func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
-	if e.clients != nil {
-		sl, _ := e.ServiceLatencies()
-		e.latencies = &sl
-	}
+	// The hypervisors, replicas and client tables that Snapshot and
+	// ServiceLatencies read go back to the arena below.
+	e.closedView = &closedView{snapshot: e.Snapshot()}
+	e.closedView.latencies, _ = e.ServiceLatencies()
 	e.closed = true
 	if e.k != nil {
 		e.k.Shutdown() // its events go back to the arena
 	}
 	// The kernel is down and no process will run again: hand the
-	// machines', disks' and links' bulk buffers, the replicas' archives,
-	// epoch records and frames, and the transfer blobs back to the arena,
-	// and the arena to the shelf, for the next cluster. Cached results
-	// and Snapshot remain valid — they read counters, not guest memory.
+	// machines, hypervisors, links and replicas with their buffers, the
+	// disks' buffers, the epoch records and frames, and the transfer blobs
+	// back to the arena, and the arena to the shelf, for the next cluster.
+	// Cached results remain valid, and Snapshot reports what it did at
+	// Close.
 	if e.cluster != nil {
 		e.cluster.Release()
 	}
@@ -966,7 +981,7 @@ func (e *Engine) Close() {
 		e.clients.Release()
 	}
 	// Last node first: the arena's lists pop last in, first out, so the
-	// next cluster's node i takes the archive node i had here.
+	// next cluster's node i is rebuilt in the replica node i had here.
 	for i := len(e.reps) - 1; i >= 0; i-- {
 		e.reps[i].Release()
 	}

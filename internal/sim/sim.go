@@ -47,6 +47,8 @@ import (
 	"iter"
 	"math/rand"
 	"slices"
+
+	"repro/internal/free"
 )
 
 // Time is a virtual timestamp or duration in simulated nanoseconds.
@@ -146,25 +148,30 @@ type Kernel struct {
 // a private arena: its events are allocated plainly.
 func NewKernel(seed int64) *Kernel { return NewKernelIn(new(Arena), seed) }
 
-// Arena owns the event records and the event heap's storage of the
-// kernels built over it (NewKernelIn), one kernel at a time: the kernel
-// schedules from the arena's free events, and Shutdown hands every event
-// back — fired, canceled or still queued, each with its generation
-// bumped, so no Handle of the old kernel can cancel it — for the next
-// kernel the arena serves. It has one owner at a time and no lock.
+// Arena owns the event records, the event heap's storage and the
+// processes of the kernels built over it (NewKernelIn), one kernel at a
+// time: the kernel schedules from the arena's free events and starts its
+// processes in the arena's Procs, and Shutdown hands every event back —
+// fired, canceled or still queued, each with its generation bumped, so no
+// Handle of the old kernel can cancel it — and every Proc, zeroed, for
+// the next kernel the arena serves. It has one owner at a time and no
+// lock.
 type Arena struct {
 	free []*event
 	heap []*event
+	// procs is the process list's storage, empty: the Procs past its
+	// length are the released ones, which Start takes in order.
+	procs []*Proc
 }
 
 // NewKernelIn is NewKernel over an arena, which the kernel holds until
 // Shutdown.
 func NewKernelIn(a *Arena, seed int64) *Kernel {
-	k := &Kernel{seed: seed, limit: -1, loud: 1, arena: a, free: a.free, events: a.heap}
+	k := &Kernel{seed: seed, limit: -1, loud: 1, arena: a, free: a.free, events: a.heap, procs: a.procs}
 	for _, e := range k.free {
 		e.k = k
 	}
-	a.free, a.heap = nil, nil
+	a.free, a.heap, a.procs = nil, nil, nil
 	return k
 }
 
@@ -178,9 +185,15 @@ func (k *Kernel) Seed() int64 { return k.seed }
 // seed and the given name. Distinct names give independent streams, so
 // adding a new consumer does not perturb existing ones.
 func (k *Kernel) NewRand(name string) *rand.Rand {
+	return rand.New(rand.NewSource(k.RandSeed(name)))
+}
+
+// RandSeed is the seed of NewRand(name)'s stream: a recycled *rand.Rand
+// reseeded with it (Rand.Seed) replays that stream from its start.
+func (k *Kernel) RandSeed(name string) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d/%s", k.seed, name)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return int64(h.Sum64())
 }
 
 // alloc takes an event from the free list (or allocates one).
@@ -579,7 +592,9 @@ func (k *Kernel) Shutdown() {
 			p.stop() // a parked coroutine unwinds (block), an unstarted one never runs
 		}
 		p.retire()
+		*p = Proc{} // for the arena's next kernel
 	}
+	procs := k.procs[:0]
 	k.procs, k.wakes = nil, nil
 	if a := k.arena; a != nil {
 		for i, e := range k.events {
@@ -587,7 +602,7 @@ func (k *Kernel) Shutdown() {
 			k.recycle(e)
 			k.events[i] = nil
 		}
-		a.free, a.heap = k.free, k.events[:0]
+		a.free, a.heap, a.procs = k.free, k.events[:0], procs
 		k.free, k.events, k.arena = nil, nil, nil
 	}
 }
@@ -689,8 +704,9 @@ type StepFunc func(p *Proc) (d Time, st StepStatus)
 // current virtual time (ordered after already-scheduled events at that
 // time). Start may be called before Run or from inside steps and events.
 func (k *Kernel) Start(name string, step StepFunc) *Proc {
-	p := &Proc{k: k, name: name, step: step}
-	k.procs = append(k.procs, p)
+	var p *Proc
+	k.procs, p = free.Next(k.procs) // a Proc the arena recycled, or a new one
+	*p = Proc{k: k, name: name, step: step}
 	k.nprocs++
 	k.enqueue(p, k.now)
 	return p
@@ -999,12 +1015,15 @@ func NewQueue[T any](k *Kernel, name string) *Queue[T] {
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return q.ring.Len() }
 
-// Reuse makes buf the storage of an empty queue (see Ring.Reuse).
-func (q *Queue[T]) Reuse(buf []T) { q.ring.Reuse(buf) }
-
-// Release empties the queue and returns its storage, cleared (see
-// Ring.Release).
-func (q *Queue[T]) Release() []T { return q.ring.Release() }
+// Reset empties the queue, keeping its storage, drops its waiters and
+// binds it to kernel k: a recycled queue is NewQueue's on k, under the
+// name it was made with.
+func (q *Queue[T]) Reset(k *Kernel) {
+	q.ring.Reuse(q.ring.Release())
+	s := q.avail
+	clear(s.waiters)
+	*s = Signal{k: k, name: s.name, waiters: s.waiters[:0]}
+}
 
 // Put appends v and wakes any receivers.
 func (q *Queue[T]) Put(v T) {
