@@ -713,7 +713,7 @@ func TestSimHotPathAllocs(t *testing.T) {
 			})
 		}},
 		{"WaitTimeout broadcast before it expires", func(k *sim.Kernel) {
-			s := k.NewSignal("s")
+			s := k.NewSignal()
 			k.Spawn("waiter", forever(func(p *sim.Proc) {
 				if !p.WaitTimeout(s, 50) {
 					t.Error("WaitTimeout expired; the broadcaster should have won")

@@ -36,7 +36,7 @@ func TestOpenLoopLoadIsServedAndMeasured(t *testing.T) {
 	k := sim.NewKernel(7)
 	n := nic.New(40)
 	echoServer(n)
-	net := netsim.NewDuplex(k, "clients", netsim.Ethernet10("clients"))
+	net := netsim.NewDuplex(k, netsim.Ethernet10("clients"))
 	cs := New(k, Config{Requests: 40, Clients: 8}, n, net)
 	cs.Start()
 	k.RunUntil(1 * sim.Second)
@@ -78,7 +78,7 @@ func TestRetransmitDuringOutage(t *testing.T) {
 		}
 	}
 	k.At(10*sim.Millisecond, serve)
-	net := netsim.NewDuplex(k, "clients", netsim.Ethernet10("clients"))
+	net := netsim.NewDuplex(k, netsim.Ethernet10("clients"))
 	cs := New(k, Config{Requests: 10, Clients: 4, Timeout: 1 * sim.Millisecond}, n, net)
 	cs.Start()
 	k.RunUntil(1 * sim.Second)
@@ -109,7 +109,7 @@ func TestDeterministicReplay(t *testing.T) {
 		k := sim.NewKernel(99)
 		n := nic.New(25)
 		echoServer(n)
-		net := netsim.NewDuplex(k, "clients", netsim.ATM155("clients"))
+		net := netsim.NewDuplex(k, netsim.ATM155("clients"))
 		cs := New(k, Config{Requests: 25}, n, net)
 		cs.Start()
 		k.RunUntil(1 * sim.Second)
@@ -132,7 +132,7 @@ func TestAnsweredRequestsLeaveNoTimers(t *testing.T) {
 		k := sim.NewKernel(7)
 		n := nic.New(40)
 		echoServer(n)
-		net := netsim.NewDuplex(k, "clients", netsim.Ethernet10("clients"))
+		net := netsim.NewDuplex(k, netsim.Ethernet10("clients"))
 		cs := New(k, Config{Requests: 40, Clients: 8, Timeout: 10 * sim.Second}, n, net)
 		cs.Start()
 		k.RunUntil(1 * sim.Second)
@@ -153,7 +153,7 @@ func TestAnsweredRequestsLeaveNoTimers(t *testing.T) {
 			n.OnIngress = serve
 			serve(0, nil)
 		})
-		net := netsim.NewDuplex(k, "clients", netsim.Ethernet10("clients"))
+		net := netsim.NewDuplex(k, netsim.Ethernet10("clients"))
 		cs := New(k, Config{Requests: 10, Clients: 4, Timeout: 1 * sim.Millisecond}, n, net)
 		cs.Start()
 		k.RunUntil(10*sim.Millisecond + 500*sim.Microsecond)
@@ -179,7 +179,7 @@ func TestArenaReuse(t *testing.T) {
 		k := sim.NewKernel(5)
 		n := nic.New(cfg.Requests)
 		echoServer(n)
-		net := netsim.NewDuplex(k, "clients", netsim.Ethernet10("clients"))
+		net := netsim.NewDuplex(k, netsim.Ethernet10("clients"))
 		cs := NewIn(a, k, cfg, n, net)
 		cs.Start()
 		k.RunUntil(until)

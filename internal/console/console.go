@@ -28,11 +28,11 @@
 package console
 
 import (
-	"fmt"
 	"hash/fnv"
 
 	"repro/internal/device"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // Register offsets (word registers within the console window).
@@ -422,18 +422,6 @@ func (s *Shadow) Recover(bus device.Bus, mem device.Memory, outstanding bool, bu
 	return []device.Completion{c}, 0
 }
 
-// MarshalState implements device.Shadow.
-func (s *Shadow) MarshalState() []byte {
-	b := device.AppendU32(nil, uint32(len(s.rx)))
-	return append(b, s.rx...)
-}
-
-// UnmarshalState implements device.Shadow.
-func (s *Shadow) UnmarshalState(data []byte) error {
-	n, rest, ok := device.ReadU32(data)
-	if !ok || int(n) != len(rest) {
-		return fmt.Errorf("console: shadow state malformed (%d bytes)", len(data))
-	}
-	s.rx = append([]byte(nil), rest...)
-	return nil
-}
+// CodeState implements device.Shadow: the delivered input the guest has
+// not read yet.
+func (s *Shadow) CodeState(c *snapshot.Codec) { c.Bytes(&s.rx) }

@@ -1,6 +1,10 @@
 package console
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/snapshot"
+)
 
 func TestOutputAccumulates(t *testing.T) {
 	c := New()
@@ -182,9 +186,9 @@ func TestShadowRoundTrip(t *testing.T) {
 	}
 	// Marshal/unmarshal round-trips pending shadow input.
 	sh2.rx = []byte("rem")
-	blob := sh2.MarshalState()
+	blob := marshal(sh2)
 	var sh3 Shadow
-	if err := sh3.UnmarshalState(blob); err != nil {
+	if err := unmarshal(&sh3, blob); err != nil {
 		t.Fatal(err)
 	}
 	if string(sh3.rx) != "rem" {
@@ -225,11 +229,11 @@ func TestOnePurityRule(t *testing.T) {
 		if p.MMIOPure(off) != s.PureLoad(off) {
 			t.Fatalf("register %#x: port pure %v, shadow pure %v", off, p.MMIOPure(off), s.PureLoad(off))
 		}
-		port, shadow := p.StateDigest(), string(s.MarshalState())
+		port, shadow := p.StateDigest(), string(marshal(s))
 		v1, err1 := p.MMIOLoad(off, 4)
 		v2, err2 := p.MMIOLoad(off, 4)
 		w1, w2 := s.Load(off), s.Load(off)
-		moved := p.StateDigest() != port || string(s.MarshalState()) != shadow
+		moved := p.StateDigest() != port || string(marshal(s)) != shadow
 		switch {
 		case !p.MMIOPure(off) && !moved:
 			t.Fatalf("register %#x is declared impure and popped nothing", off)
@@ -240,4 +244,20 @@ func TestOnePurityRule(t *testing.T) {
 			t.Fatalf("pure register %#x moved the port's or the shadow's state", off)
 		}
 	}
+}
+
+// marshal is the shadow's state as CodeState writes it.
+func marshal(s *Shadow) []byte {
+	var w snapshot.Writer
+	s.CodeState(w.Codec())
+	return w.Since(0)
+}
+
+// unmarshal decodes b into s as the hypervisor's RestoreState does: a
+// refused read may leave s half decoded.
+func unmarshal(s *Shadow, b []byte) error {
+	var r snapshot.Reader
+	r.Nested(b)
+	s.CodeState(r.Codec())
+	return r.Done()
 }

@@ -31,6 +31,8 @@
 // terminal exactly like the original single adapter.
 package device
 
+import "repro/internal/snapshot"
+
 // NoLine marks a Window without an interrupt line (pure-output devices
 // that never raise completions).
 const NoLine uint = ^uint(0)
@@ -181,26 +183,10 @@ type Shadow interface {
 	// uncertain completions (P7 proper, for protocol statistics).
 	Recover(bus Bus, mem Memory, outstanding bool, buffered []Completion) (recs []Completion, uncertain int)
 
-	// MarshalState serializes the complete shadow register state;
-	// UnmarshalState restores it (state transfer and checkpointing).
-	// The encoding must be deterministic.
-	MarshalState() []byte
-	UnmarshalState(data []byte) error
-}
-
-// Encoding helpers for MarshalState implementations (little-endian,
-// fixed width — the snapshot layer's conventions without importing it).
-
-// AppendU32 appends v little-endian.
-func AppendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-// ReadU32 reads a little-endian uint32, returning the rest.
-func ReadU32(b []byte) (uint32, []byte, bool) {
-	if len(b) < 4 {
-		return 0, nil, false
-	}
-	v := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-	return v, b[4:], true
+	// CodeState writes the complete shadow register state to c or,
+	// reading, replaces it with the state c decodes (state transfer and
+	// checkpointing). The encoding must be deterministic and canonical:
+	// a read accepts only what a write emits. A refused read may leave
+	// the shadow half decoded; the hypervisor puts it back.
+	CodeState(c *snapshot.Codec)
 }

@@ -21,19 +21,3 @@ func TestCompletionWireSize(t *testing.T) {
 		t.Errorf("8 KiB completion wire size = %d", got)
 	}
 }
-
-func TestU32RoundTrip(t *testing.T) {
-	b := AppendU32(nil, 0xDEADBEEF)
-	b = AppendU32(b, 7)
-	v, rest, ok := ReadU32(b)
-	if !ok || v != 0xDEADBEEF {
-		t.Fatalf("first read = %#x ok=%v", v, ok)
-	}
-	v, rest, ok = ReadU32(rest)
-	if !ok || v != 7 || len(rest) != 0 {
-		t.Fatalf("second read = %d ok=%v rest=%d", v, ok, len(rest))
-	}
-	if _, _, ok := ReadU32(rest); ok {
-		t.Error("read past end succeeded")
-	}
-}

@@ -14,13 +14,14 @@ import (
 // not on the P a worker happens to run on. Warm means every arena has
 // served the fleet's largest clusters: two 64-shard fleets and one of the
 // measured 16, run by as many workers as the measured one. Measured as
-// the first test of a fresh process, a shard then reads 22,942 B at one
-// P, since the arena recycles the machines, hypervisors, links,
-// replicas and processes whole rather than their buffers alone; it read
-// 41,832 B before, 43,111–43,120 B before the NIC's and the client
-// population's tables joined the arena, 70,828–70,837 B while the run
-// loop's lists started
-// empty in every cluster, and the package sync.Pools the arenas replaced
+// the first test of a fresh process, a shard then reads 21,190 B at one
+// P, since a hypervisor codes its device shadows into a buffer it keeps
+// and no signal or link is named; it read 22,942 B before, and 41,832 B
+// before the arena recycled the machines, hypervisors, links, replicas
+// and processes whole rather than their buffers alone, 43,111–43,120 B
+// before the NIC's and the client population's tables joined the arena,
+// 70,828–70,837 B while the run loop's lists started empty in every
+// cluster, and the package sync.Pools the arenas replaced
 // read 95,258–103,945 B, because every GC emptied them and a Put on one
 // P could not serve a Get on another. The bound sits halfway between the
 // last two one-P ranges, and the two-P reading must lie within 10 % of

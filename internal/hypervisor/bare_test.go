@@ -120,7 +120,8 @@ func newBareRig(t *testing.T, src, input string) *bareRig {
 // state is what a pause can see of the rig.
 func (r *bareRig) state() ([]byte, string) {
 	w := snapshot.NewWriter(snapshot.TransferMagic)
-	r.m.CaptureState().Encode(w)
+	ms := r.m.CaptureState()
+	ms.Code(w.Codec())
 	return w.Finish(), fmt.Sprintf("now %d cycles %d pc %#x %+v console %q", r.k.Now(), r.m.Cycles(), r.m.PC, r.m.Stats, r.cons.Output())
 }
 

@@ -361,6 +361,12 @@ type Hypervisor struct {
 	// output (backup side); see suppressedOutput.
 	suppressed []suppressedOutput
 
+	// shadowBytes is what the device shadows are coded into: a capture's
+	// Data, and RestoreState's copy of the state it overwrites, which
+	// shadowReader reads back on a refusal as it reads a capture's Data.
+	shadowBytes  snapshot.Writer
+	shadowReader snapshot.Reader
+
 	// arena lends buffered's and suppressed's storage until Release.
 	arena *Arena
 
@@ -403,8 +409,9 @@ func New(m *machine.Machine, cfg Config) *Hypervisor { return NewIn(new(Arena), 
 
 // Arena owns the hypervisors built over it (NewIn). A released
 // hypervisor waits on the arena whole — with its interrupt delivery
-// buffer, its withheld-output buffer and its device table, shadow-device
-// records included, all emptied — and NewIn rebuilds it in place for the
+// buffer, its withheld-output buffer, the buffer its shadows are coded
+// into and its device table, shadow-device records included, all
+// emptied — and NewIn rebuilds it in place for the
 // next machine the arena serves. It has one owner at a time and no lock.
 type Arena struct {
 	hypervisors free.List[*Hypervisor]
@@ -416,7 +423,7 @@ func NewIn(a *Arena, m *machine.Machine, cfg Config) *Hypervisor {
 	if !ok {
 		hv = new(Hypervisor)
 	}
-	*hv = Hypervisor{M: m, cfg: cfg.withDefaults(), arena: a,
+	*hv = Hypervisor{M: m, cfg: cfg.withDefaults(), arena: a, shadowBytes: hv.shadowBytes,
 		buffered: hv.buffered[:0], suppressed: hv.suppressed[:0], devs: hv.devs[:0]}
 	return hv
 }
@@ -435,7 +442,7 @@ func (hv *Hypervisor) Release() {
 	for _, d := range hv.devs {
 		*d = shadowDev{} // kept past len(devs) for AttachDevice to reuse
 	}
-	*hv = Hypervisor{buffered: hv.buffered[:0], suppressed: hv.suppressed[:0], devs: hv.devs[:0]}
+	*hv = Hypervisor{shadowBytes: hv.shadowBytes, buffered: hv.buffered[:0], suppressed: hv.suppressed[:0], devs: hv.devs[:0]}
 	a.hypervisors.Put(hv)
 }
 

@@ -13,12 +13,13 @@ package hypervisor
 // P7 synthesizes uncertain interrupts for at failover), the output
 // ordinal counters, and any suppressed-output buffer.
 //
-// The hypervisor's byte format lives here and nowhere else
-// (State.Encode / DecodeState and the Interrupt pair the replication
-// layer's encoders reuse). State is the validate-then-commit staging
-// value between the bytes and the live hypervisor: a decoded State has
-// touched nothing until RestoreState accepts it, and a State RestoreState
-// refuses has touched nothing either.
+// The hypervisor's byte format lives here and nowhere else: State.Code,
+// and Interrupt.Code, which the replication layer's encoders reuse —
+// each one description of its format that both writes and reads it.
+// State is the validate-then-commit staging value between the bytes and
+// the live hypervisor: a decoded State has touched nothing until
+// RestoreState accepts it, and a State RestoreState refuses has touched
+// nothing either.
 
 import (
 	"fmt"
@@ -48,7 +49,7 @@ type DeviceState struct {
 	// output dedup watermarking).
 	OutCount uint32
 
-	// Data is the shadow's opaque register state (Shadow.MarshalState).
+	// Data is the shadow's opaque register state (Shadow.CodeState).
 	Data []byte
 }
 
@@ -95,8 +96,9 @@ type State struct {
 }
 
 // CaptureState snapshots the hypervisor. Read-only, and a borrow like
-// machine.BorrowState: Buffered aliases the live delivery buffer, so the
-// State is valid only until the hypervisor next runs — every caller
+// machine.BorrowState: Buffered aliases the live delivery buffer and each
+// device's Data the buffer the shadows are coded into, so the State is
+// valid only until the hypervisor next runs or captures — every caller
 // encodes at once.
 func (hv *Hypervisor) CaptureState() State {
 	s := State{
@@ -113,12 +115,16 @@ func (hv *Hypervisor) CaptureState() State {
 		Buffered:        hv.buffered,
 		Stats:           hv.Stats,
 	}
+	w := &hv.shadowBytes
+	w.Truncate(0)
 	for _, d := range hv.devs {
+		mark := w.Len()
+		d.sh.CodeState(w.Codec())
 		s.Devices = append(s.Devices, DeviceState{
 			ID: d.win.ID, Base: d.win.Base, Line: d.win.Line,
 			Outstanding: d.outstanding, IssuedReal: d.issuedReal,
 			OutCount: d.outCount,
-			Data:     d.sh.MarshalState(),
+			Data:     w.Since(mark),
 		})
 	}
 	for _, so := range hv.suppressed {
@@ -161,20 +167,25 @@ func (hv *Hypervisor) RestoreState(s State) error {
 			epoch: so.Epoch, start: so.Start, at: sim.Time(so.At),
 		})
 	}
-	// The shadows decode their own bytes, each all-or-nothing. They are
-	// the one check that writes; if one refuses, those already written
-	// are put back.
-	undo := make([][]byte, 0, len(hv.devs))
+	// The shadows decode their own bytes, in place: the one check that
+	// writes. Each first writes itself out, past whatever a capture's
+	// Data still holds; if one refuses, every shadow decoded so far, the
+	// refusing one too, is put back from those bytes — its own encoding
+	// of a moment ago, which cannot be refused.
+	w, r := &hv.shadowBytes, &hv.shadowReader
+	mark := w.Len()
+	defer w.Truncate(mark)
 	for i, d := range hv.devs {
-		prev := d.sh.MarshalState()
-		if err := d.sh.UnmarshalState(s.Devices[i].Data); err != nil {
-			for j, b := range undo {
-				// A shadow's own encoding of a moment ago: cannot be refused.
-				_ = hv.devs[j].sh.UnmarshalState(b)
+		d.sh.CodeState(w.Codec())
+		r.Nested(s.Devices[i].Data)
+		d.sh.CodeState(r.Codec())
+		if err := r.Done(); err != nil {
+			r.Nested(w.Since(mark))
+			for _, u := range hv.devs[:i+1] {
+				u.sh.CodeState(r.Codec())
 			}
 			return fmt.Errorf("hypervisor: restore: device %q: %v", d.win.ID, err)
 		}
-		undo = append(undo, prev)
 	}
 
 	hv.vCR = s.VCR
@@ -206,176 +217,88 @@ func (hv *Hypervisor) RestoreState(s State) error {
 	return nil
 }
 
-// Encode appends one buffered virtual interrupt to w.
-func (i Interrupt) Encode(w *snapshot.Writer) {
-	w.U32(uint32(i.Line))
-	w.Bool(i.Timer)
-	w.U32(i.Dev)
-	w.U32(i.Status)
-	w.U32(i.Addr)
-	w.Bytes(i.Data)
-	w.U32(i.Seq)
-	w.U32(i.CapturedTOD)
+// Code codes one buffered virtual interrupt; an empty payload reads as
+// nil.
+func (i *Interrupt) Code(c *snapshot.Codec) {
+	c.Uint(&i.Line)
+	c.Bool(&i.Timer)
+	c.U32(&i.Dev)
+	c.U32(&i.Status)
+	c.U32(&i.Addr)
+	c.Bytes(&i.Data)
+	c.U32(&i.Seq)
+	c.U32(&i.CapturedTOD)
 }
 
-// DecodeInterrupt reads one interrupt written by Interrupt.Encode;
-// failures latch on r.
-func DecodeInterrupt(r *snapshot.Reader) Interrupt {
-	var i Interrupt
-	i.Line = uint(r.U32())
-	i.Timer = r.Bool()
-	i.Dev = r.U32()
-	i.Status = r.U32()
-	i.Addr = r.U32()
-	if b := r.Bytes(); len(b) > 0 {
-		i.Data = b
-	}
-	i.Seq = r.U32()
-	i.CapturedTOD = r.U32()
-	return i
-}
-
-// Encoded sizes the decoder bounds its allocations by: an interrupt
-// without bulk data, one suppressed-output entry.
+// Encoded sizes a decode bounds its allocations by: an interrupt
+// without bulk data, a device binding with an empty ID and no shadow
+// state, one suppressed-output entry.
 const (
 	interruptMin    = 4 + 1 + 4 + 4 + 4 + 4 + 4 + 4
+	deviceMin       = 4 + 4 + 4 + 1 + 1 + 4 + 4
 	suppressedBytes = 4 + 4 + 4 + 4 + 8 + 1 + 8
 )
 
-// Encode appends the capture to w.
-func (s State) Encode(w *snapshot.Writer) {
-	for _, v := range s.VCR {
-		w.U32(v)
-	}
-	w.U32(s.VPSW)
-	w.Bool(s.VITMRArmed)
-	w.U32(s.VITMRDeadline)
-	w.U32(s.TODBase)
-	w.U64(s.EpochStartInstr)
-	w.U64(s.GuestInstr)
-	w.U64(s.Epoch)
-	w.Bool(s.Halted)
-	w.Bool(s.IOActive)
-	w.U32(uint32(len(s.Buffered)))
-	for _, i := range s.Buffered {
-		i.Encode(w)
-	}
-	w.U32(uint32(len(s.Devices)))
-	for _, d := range s.Devices {
-		w.String(d.ID)
-		w.U32(d.Base)
-		w.U32(uint32(d.Line))
-		w.Bool(d.Outstanding)
-		w.Bool(d.IssuedReal)
-		w.U32(d.OutCount)
-		w.Bytes(d.Data)
-	}
-	w.U32(uint32(len(s.Suppressed)))
-	for _, so := range s.Suppressed {
-		w.U32(so.Dev)
-		w.U32(so.Off)
-		w.U32(so.Val)
-		w.U32(so.Ordinal)
-		w.U64(so.Epoch)
-		w.Bool(so.Start)
-		w.U64(so.At)
-	}
-	s.Stats.encode(w)
-}
+// maxDevices bounds a decoded device table.
+const maxDevices = 1 << 8
 
-// DecodeState reads a capture written by Encode; failures latch on r.
-// Every allocation is bounded by the bytes that remain, never by a
-// count the blob claims.
-func DecodeState(r *snapshot.Reader) State {
-	var s State
+// Code writes the capture to c or, reading, decodes one into s. Every
+// allocation a decode makes is bounded by the bytes that remain, never
+// by a count the blob claims.
+func (s *State) Code(c *snapshot.Codec) {
 	for i := range s.VCR {
-		s.VCR[i] = r.U32()
+		c.U32(&s.VCR[i])
 	}
-	s.VPSW = r.U32()
-	s.VITMRArmed = r.Bool()
-	s.VITMRDeadline = r.U32()
-	s.TODBase = r.U32()
-	s.EpochStartInstr = r.U64()
-	s.GuestInstr = r.U64()
-	s.Epoch = r.U64()
-	s.Halted = r.Bool()
-	s.IOActive = r.Bool()
-	if n := r.Count(interruptMin); n > 0 {
-		s.Buffered = make([]Interrupt, n)
-		for i := range s.Buffered {
-			s.Buffered[i] = DecodeInterrupt(r)
+	c.U32(&s.VPSW)
+	c.Bool(&s.VITMRArmed)
+	c.U32(&s.VITMRDeadline)
+	c.U32(&s.TODBase)
+	c.U64(&s.EpochStartInstr)
+	c.U64(&s.GuestInstr)
+	c.U64(&s.Epoch)
+	c.Bool(&s.Halted)
+	c.Bool(&s.IOActive)
+	snapshot.Slice(c, &s.Buffered, interruptMin)
+	for i := range s.Buffered {
+		s.Buffered[i].Code(c)
+	}
+	snapshot.Slice(c, &s.Devices, deviceMin)
+	if c.Reading() && len(s.Devices) > maxDevices {
+		c.Fail()
+		return
+	}
+	for i := range s.Devices {
+		d := &s.Devices[i]
+		c.String(&d.ID)
+		c.U32(&d.Base)
+		c.Uint(&d.Line)
+		c.Bool(&d.Outstanding)
+		c.Bool(&d.IssuedReal)
+		c.U32(&d.OutCount)
+		c.Bytes(&d.Data)
+	}
+	snapshot.Slice(c, &s.Suppressed, suppressedBytes)
+	for i := range s.Suppressed {
+		so := &s.Suppressed[i]
+		for _, p := range [...]*uint32{&so.Dev, &so.Off, &so.Val, &so.Ordinal} {
+			c.U32(p)
 		}
+		c.U64(&so.Epoch)
+		c.Bool(&so.Start)
+		c.U64(&so.At)
 	}
-	n := int(r.U32())
-	if r.Err() != nil || n < 0 || n > 1<<8 {
-		r.Fail()
-		return s
-	}
-	for i := 0; i < n; i++ {
-		var d DeviceState
-		d.ID = r.String()
-		d.Base = r.U32()
-		d.Line = uint(r.U32())
-		d.Outstanding = r.Bool()
-		d.IssuedReal = r.Bool()
-		d.OutCount = r.U32()
-		d.Data = r.Bytes()
-		s.Devices = append(s.Devices, d)
-	}
-	n = r.Count(suppressedBytes)
-	for i := 0; i < n; i++ {
-		var so SuppressedOutputState
-		so.Dev = r.U32()
-		so.Off = r.U32()
-		so.Val = r.U32()
-		so.Ordinal = r.U32()
-		so.Epoch = r.U64()
-		so.Start = r.Bool()
-		so.At = r.U64()
-		s.Suppressed = append(s.Suppressed, so)
-	}
-	s.Stats = decodeStats(r)
-	return s
+	s.Stats.code(c)
 }
 
-func (s Stats) encode(w *snapshot.Writer) {
-	w.U64(s.GuestInstructions)
-	w.U64(s.Epochs)
-	w.U64(s.PrivSimulated)
-	w.U64(s.EnvSimulated)
-	w.U64(s.TLBFills)
-	w.U64(s.ReflectedTraps)
-	w.U64(s.VIRQDelivered)
-	w.U64(s.IOIssued)
-	w.U64(s.IOSuppressed)
-	w.U64(s.ConsoleSuppressed)
-	w.U64(s.Captured)
-	w.U64(s.OutputsDeferred)
-	w.U64(s.StartsDeferred)
-	w.U64(s.AdaptiveCuts)
-	w.I64(int64(s.HypervisorTime))
-	w.I64(int64(s.DeliveryDelayTotal))
-	w.U64(s.DeliveryDelayCount)
-}
-
-func decodeStats(r *snapshot.Reader) Stats {
-	var s Stats
-	s.GuestInstructions = r.U64()
-	s.Epochs = r.U64()
-	s.PrivSimulated = r.U64()
-	s.EnvSimulated = r.U64()
-	s.TLBFills = r.U64()
-	s.ReflectedTraps = r.U64()
-	s.VIRQDelivered = r.U64()
-	s.IOIssued = r.U64()
-	s.IOSuppressed = r.U64()
-	s.ConsoleSuppressed = r.U64()
-	s.Captured = r.U64()
-	s.OutputsDeferred = r.U64()
-	s.StartsDeferred = r.U64()
-	s.AdaptiveCuts = r.U64()
-	s.HypervisorTime = sim.Time(r.I64())
-	s.DeliveryDelayTotal = sim.Time(r.I64())
-	s.DeliveryDelayCount = r.U64()
-	return s
+func (s *Stats) code(c *snapshot.Codec) {
+	for _, p := range [...]*uint64{
+		&s.GuestInstructions, &s.Epochs, &s.PrivSimulated, &s.EnvSimulated, &s.TLBFills,
+		&s.ReflectedTraps, &s.VIRQDelivered, &s.IOIssued, &s.IOSuppressed, &s.ConsoleSuppressed,
+		&s.Captured, &s.OutputsDeferred, &s.StartsDeferred, &s.AdaptiveCuts,
+	} {
+		c.U64(p)
+	}
+	c.I64((*int64)(&s.HypervisorTime))
+	c.I64((*int64)(&s.DeliveryDelayTotal))
+	c.U64(&s.DeliveryDelayCount)
 }

@@ -47,7 +47,8 @@ func TestRestoreStateRefusalTouchesNothing(t *testing.T) {
 	dst.runEpochs(t, 1)
 	encode := func() []byte {
 		w := snapshot.NewWriter(snapshot.TransferMagic)
-		dst.hv.CaptureState().Encode(w)
+		hs := dst.hv.CaptureState()
+		hs.Code(w.Codec())
 		return w.Finish()
 	}
 	before := encode()

@@ -45,8 +45,10 @@ func newStormNode(t *testing.T, k *sim.Kernel, cfg Config, delay sim.Time) *stor
 
 func (n *stormNode) encode() []byte {
 	w := snapshot.NewWriter(snapshot.TransferMagic)
-	n.m.CaptureState().Encode(w)
-	n.hv.CaptureState().Encode(w)
+	ms := n.m.CaptureState()
+	ms.Code(w.Codec())
+	hs := n.hv.CaptureState()
+	hs.Code(w.Codec())
 	return w.Finish()
 }
 

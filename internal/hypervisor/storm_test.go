@@ -107,8 +107,10 @@ func wireReplicas(k *sim.Kernel, n int, mc machine.Config, hc hypervisor.Config,
 func (s *stormSet) encode() []byte {
 	w := snapshot.NewWriter(snapshot.TransferMagic)
 	for i, nd := range s.cluster.Nodes {
-		nd.M.CaptureState().Encode(w)
-		nd.HV.CaptureState().Encode(w)
+		ms := nd.M.CaptureState()
+		ms.Code(w.Codec())
+		hs := nd.HV.CaptureState()
+		hs.Code(w.Codec())
 		s.reps[i].EncodeState(w)
 	}
 	return w.Finish()

@@ -641,8 +641,8 @@ func (m *Machine) Digest() uint64 {
 
 // DigestMemory extends Digest with a hash of physical RAM as its
 // canonical sparse page set (sparsePages: ascending, all-zero pages
-// skipped, each page's index mixed in) — what a capture holds and the
-// encoder writes: the word hash, continued from Digest's state. Used by
+// skipped, each page's index mixed in) — what a capture holds and
+// State.Code writes: the word hash, continued from Digest's state. Used by
 // tests comparing machines.
 func (m *Machine) DigestMemory() uint64 {
 	h := m.Digest()

@@ -21,7 +21,7 @@ import (
 // under Config.NoTraces. And it is stamp-exact, where traces are only
 // order-equivalent: a hit leaves the machine as executing the call would
 // have left it — the LRU clock and every stamp included, which is more
-// than CaptureState().Encode() shows (the order of the stamps) — so no
+// than a capture's encoding shows (the order of the stamps) — so no
 // golden, digest or transferred image can tell whether a run hit.
 //
 // What is recorded. Only a call that

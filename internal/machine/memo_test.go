@@ -8,7 +8,7 @@ package machine
 // spec), Run under NoTraces, Run with the memo disabled, Run with it on.
 // All four must agree on the result, Digest, Stats, TLB.Stats and cycle
 // count after every call; the last two on every byte of
-// CaptureState().Encode() and on the LRU clock and stamps behind it
+// the encoded CaptureState() and on the LRU clock and stamps behind it
 // (sameStamps), which is what "stamp-exact" means: not even the clock,
 // which the encoding reduces to an order, can tell a replayed call from
 // an executed one.

@@ -47,13 +47,13 @@ func refPutRAM(w *snapshot.Writer, mem []byte) {
 
 func encodeRAM(s State) []byte {
 	w := snapshot.NewWriter(testMagic)
-	putRAM(w, s.MemBytes, s.Pages)
+	s.codeRAM(w.Codec())
 	return w.Finish()
 }
 
 func encodeMachine(s State) []byte {
 	w := snapshot.NewWriter(testMagic)
-	s.Encode(w)
+	s.Code(w.Codec())
 	return w.Finish()
 }
 
@@ -152,7 +152,8 @@ func TestRAMRestoreReshares(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := DecodeState(r)
+		var st State
+		st.Code(r.Codec())
 		if r.Err() != nil || r.Remaining() != 0 {
 			t.Fatalf("decode: err %v, %d bytes left", r.Err(), r.Remaining())
 		}
@@ -194,7 +195,8 @@ func TestRAMDecodeRejectsNonCanonical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ramPages(r, size)
+		st := State{MemBytes: size}
+		st.codeRAM(r.Codec())
 		if r.Err() == nil && r.Remaining() != 0 {
 			t.Fatalf("decoder left %d bytes", r.Remaining())
 		}
@@ -277,7 +279,8 @@ func FuzzMachineState(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := DecodeState(r)
+		var s State
+		s.Code(r.Codec())
 		if r.Err() != nil || r.Remaining() != 0 {
 			return
 		}
@@ -305,7 +308,7 @@ func FuzzMachineState(f *testing.F) {
 
 func encodeTLB(s TLBState) []byte {
 	w := snapshot.NewWriter(testMagic)
-	s.encode(w)
+	s.code(w.Codec())
 	return w.Finish()
 }
 
@@ -355,7 +358,8 @@ func TestDecodeRecencyCanonical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			DecodeState(r)
+			var d State
+			d.Code(r.Codec())
 			if !c.ok {
 				if !errors.Is(r.Err(), snapshot.ErrCorrupt) {
 					t.Errorf("decoded with %v, want snapshot.ErrCorrupt", r.Err())

@@ -20,10 +20,11 @@ package machine
 // them and they rebuild on demand — restoring into a machine that
 // previously executed different code is safe.
 //
-// The machine's byte format lives here and nowhere else: State.Encode
-// and DecodeState, over the leaf codec in internal/snapshot. State is
-// the validate-then-commit staging value between them and the machine —
-// a decoded State has touched nothing until RestoreState accepts it.
+// The machine's byte format lives here and nowhere else: State.Code,
+// one description of the format that both writes and reads it through
+// the leaf codec in internal/snapshot. State is the validate-then-commit
+// staging value between the bytes and the machine — a decoded State has
+// touched nothing until RestoreState accepts it.
 
 import (
 	"bytes"
@@ -92,7 +93,7 @@ type State struct {
 	// all zero. A capture's pages that are still shared with the base
 	// image alias its immutable interned frames; what else they alias
 	// depends on who produced the State (CaptureState, BorrowState, a
-	// snapshot decoder).
+	// decoding Code).
 	Pages []Page
 	TLB   TLBState
 }
@@ -125,7 +126,7 @@ func (m *Machine) capture(copyOwned bool) State {
 }
 
 // sparsePages walks physical RAM into its canonical sparse page set —
-// the one definition of "RAM contents" that capture, the encoder and
+// the one definition of "RAM contents" that capture, Code and
 // DigestMemory share. Owned pages alias the live frames unless
 // copyOwned.
 func (m *Machine) sparsePages(copyOwned bool) []Page {
@@ -342,163 +343,98 @@ func (t *TLB) restoreState(s TLBState) {
 	}
 }
 
-// Encode appends the capture to w. The RAM encoding is sparse — only
-// pages containing a nonzero byte are written: the guest kernel's
-// footprint is a small fraction of physical RAM, and the blob's length
-// is what the simulated link charges for (an idle-page-free image is
-// what a real state-transfer implementation ships too; VMware FT and
-// Remus both elide untouched pages). It is also canonical — RAM size,
-// page count, then (index, length-prefixed data) per page of s.Pages —
-// so a RAM image has exactly one encoding and DecodeState accepts
-// nothing else, which is what makes "decode, re-encode, compare bytes" a
-// sound verification.
-func (s State) Encode(w *snapshot.Writer) {
-	w.U32(s.MemBytes)
-	for _, v := range s.Regs {
-		w.U32(v)
-	}
-	w.U32(s.PC)
-	w.U32(s.PSW)
-	for _, v := range s.CRs {
-		w.U32(v)
-	}
-	w.Bool(s.Halted)
-	w.U64(s.Cycles)
-	w.U64(s.Stats.Instructions)
-	w.U64(s.Stats.Privileged)
-	w.U64(s.Stats.Environment)
-	w.U64(s.Stats.Loads)
-	w.U64(s.Stats.Stores)
-	w.U64(s.Stats.Branches)
-	w.U64(s.Stats.Traps)
-	putRAM(w, s.MemBytes, s.Pages)
-	s.TLB.encode(w)
-}
-
-// DecodeState reads a capture written by Encode; failures latch on r.
-// Its RAM pages alias the reader's blob, and every allocation is
-// bounded by the bytes that remain, never by a count the blob claims.
-func DecodeState(r *snapshot.Reader) State {
-	var s State
-	s.MemBytes = r.U32()
+// Code writes the capture to c or, reading, decodes one into s. The RAM
+// encoding is sparse — only pages containing a nonzero byte are written:
+// the guest kernel's footprint is a small fraction of physical RAM, and
+// the blob's length is what the simulated link charges for (an
+// idle-page-free image is what a real state-transfer implementation
+// ships too; VMware FT and Remus both elide untouched pages). It is also
+// canonical — RAM size, page count, then (index, length-prefixed data)
+// per page of s.Pages — so a RAM image has exactly one encoding and a
+// decode accepts nothing else, which is what makes "decode, re-encode,
+// compare bytes" a sound verification. Decoded RAM pages alias the
+// reader's blob, and every allocation is bounded by the bytes that
+// remain, never by a count the blob claims.
+func (s *State) Code(c *snapshot.Codec) {
+	c.U32(&s.MemBytes)
 	for i := range s.Regs {
-		s.Regs[i] = r.U32()
+		c.U32(&s.Regs[i])
 	}
-	s.PC = r.U32()
-	s.PSW = r.U32()
+	c.U32(&s.PC)
+	c.U32(&s.PSW)
 	for i := range s.CRs {
-		s.CRs[i] = r.U32()
+		c.U32(&s.CRs[i])
 	}
-	s.Halted = r.Bool()
-	s.Cycles = r.U64()
-	s.Stats = Stats{
-		Instructions: r.U64(),
-		Privileged:   r.U64(),
-		Environment:  r.U64(),
-		Loads:        r.U64(),
-		Stores:       r.U64(),
-		Branches:     r.U64(),
-		Traps:        r.U64(),
+	c.Bool(&s.Halted)
+	c.U64(&s.Cycles)
+	st := &s.Stats
+	for _, p := range [...]*uint64{&st.Instructions, &st.Privileged, &st.Environment, &st.Loads, &st.Stores, &st.Branches, &st.Traps} {
+		c.U64(p)
 	}
-	s.Pages = ramPages(r, s.MemBytes)
-	s.TLB = decodeTLB(r)
-	return s
+	s.codeRAM(c)
+	s.TLB.code(c)
 }
 
 // ramEntryMin is the least a page entry occupies: index + data length.
 const ramEntryMin = 8
 
-// putRAM writes a RAM image from its canonical sparse page set.
-func putRAM(w *snapshot.Writer, size uint32, pages []Page) {
-	w.U32(size)
-	w.U32(uint32(len(pages)))
-	for _, pg := range pages {
-		w.U32(pg.Index)
-		w.Bytes(pg.Data)
-	}
-}
-
-// ramPages reads a RAM image of the given size as its sparse page set:
-// strictly ascending in-range indices, full pages except for the tail
-// of an unaligned RAM, and no all-zero page. Page data aliases the
-// reader's blob; nothing RAM-sized is allocated.
-func ramPages(r *snapshot.Reader, size uint32) []Page {
-	if r.U32() != size {
-		r.Fail()
-		return nil
-	}
-	npages := (uint64(size) + isa.PageSize - 1) >> isa.PageShift
-	n := r.Count(ramEntryMin)
-	if r.Err() != nil || uint64(n) > npages {
-		r.Fail()
-		return nil
-	}
-	pages := make([]Page, 0, n)
-	for i := 0; i < n; i++ {
-		idx := r.U32()
-		data := r.View()
-		if r.Err() != nil {
-			return nil
+// codeRAM codes RAM as its canonical sparse page set. Read, it accepts
+// only that set for a RAM of s.MemBytes: strictly ascending in-range
+// indices, full pages except for the tail of an unaligned RAM, and no
+// all-zero page. Nothing RAM-sized is allocated.
+func (s *State) codeRAM(c *snapshot.Codec) {
+	size, n := s.MemBytes, len(s.Pages)
+	c.U32(&size)
+	c.Count(&n, ramEntryMin)
+	npages := (uint64(s.MemBytes) + isa.PageSize - 1) >> isa.PageShift
+	if c.Reading() {
+		if size != s.MemBytes || uint64(n) > npages {
+			c.Fail()
+			return
 		}
-		want := min(uint64(size)-uint64(idx)<<isa.PageShift, isa.PageSize)
-		if uint64(idx) >= npages || (i > 0 && idx <= pages[i-1].Index) ||
-			uint64(len(data)) != want || bytes.Equal(data, zeroFrame.data[:len(data)]) {
-			r.Fail()
-			return nil
-		}
-		pages = append(pages, Page{Index: idx, Data: data})
+		s.Pages = make([]Page, n)
 	}
-	return pages
-}
-
-func (s TLBState) encode(w *snapshot.Writer) {
-	w.String(s.Policy)
-	w.U64(s.Stamp)
-	w.Int(s.Next)
-	w.Int(s.Pending)
-	w.U64(s.Stats.Hits)
-	w.U64(s.Stats.Misses)
-	w.U64(s.Stats.Inserts)
-	w.U64(s.Stats.Evicts)
-	w.U64(s.Stats.Purges)
-	w.U32(uint32(len(s.Slots)))
-	for _, sl := range s.Slots {
-		w.U32(sl.Entry.VPN)
-		w.U32(sl.Entry.PPN)
-		w.U32(sl.Entry.Flags)
-		w.Bool(sl.Entry.Valid)
-		w.U64(sl.LastUse)
+	for i := range s.Pages {
+		pg := &s.Pages[i]
+		c.U32(&pg.Index)
+		c.View(&pg.Data)
+		if !c.Reading() {
+			continue
+		}
+		idx := uint64(pg.Index)
+		if idx >= npages || (i > 0 && pg.Index <= s.Pages[i-1].Index) ||
+			uint64(len(pg.Data)) != min(uint64(s.MemBytes)-idx<<isa.PageShift, isa.PageSize) ||
+			bytes.Equal(pg.Data, zeroFrame.data[:len(pg.Data)]) {
+			c.Fail()
+			return
+		}
 	}
 }
 
 // tlbSlotBytes is the encoded size of one TLB slot.
 const tlbSlotBytes = 4 + 4 + 4 + 1 + 8
 
-func decodeTLB(r *snapshot.Reader) TLBState {
-	var s TLBState
-	s.Policy = r.String()
-	s.Stamp = r.U64()
-	s.Next = r.Int()
-	s.Pending = r.Int()
-	s.Stats.Hits = r.U64()
-	s.Stats.Misses = r.U64()
-	s.Stats.Inserts = r.U64()
-	s.Stats.Evicts = r.U64()
-	s.Stats.Purges = r.U64()
-	n := r.Count(tlbSlotBytes)
-	if r.Err() != nil {
-		return s
+// code codes the TLB capture; read, it refuses recency no capture writes
+// (checkRecency).
+func (s *TLBState) code(c *snapshot.Codec) {
+	c.String(&s.Policy)
+	c.U64(&s.Stamp)
+	c.Int(&s.Next)
+	c.Int(&s.Pending)
+	st := &s.Stats
+	for _, p := range [...]*uint64{&st.Hits, &st.Misses, &st.Inserts, &st.Evicts, &st.Purges} {
+		c.U64(p)
 	}
-	s.Slots = make([]TLBSlotState, n)
+	snapshot.Slice(c, &s.Slots, tlbSlotBytes)
 	for i := range s.Slots {
-		s.Slots[i].Entry.VPN = r.U32()
-		s.Slots[i].Entry.PPN = r.U32()
-		s.Slots[i].Entry.Flags = r.U32()
-		s.Slots[i].Entry.Valid = r.Bool()
-		s.Slots[i].LastUse = r.U64()
+		sl := &s.Slots[i]
+		c.U32(&sl.Entry.VPN)
+		c.U32(&sl.Entry.PPN)
+		c.U32(&sl.Entry.Flags)
+		c.Bool(&sl.Entry.Valid)
+		c.U64(&sl.LastUse)
 	}
-	if s.checkRecency() != nil {
-		r.Fail()
+	if c.Reading() && s.checkRecency() != nil {
+		c.Fail()
 	}
-	return s
 }

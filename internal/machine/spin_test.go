@@ -8,7 +8,7 @@ package machine
 // debugNoSpin set. After every call the first three must agree as the
 // window seams do (orderEqual: recency as order, stamps zeroed), and Run
 // must agree with the no-spin arm on every byte of
-// CaptureState().Encode() and on the raw LRU clock and stamps behind it
+// the encoded CaptureState() and on the raw LRU clock and stamps behind it
 // (sameStamps) — a fast-forward leaves what the loop would have — and
 // every device must stand where Step left its own.
 

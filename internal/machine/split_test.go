@@ -183,7 +183,8 @@ func runSpan(m *machine.Machine, first, n uint64) {
 
 func encodeState(m *machine.Machine) []byte {
 	w := snapshot.NewWriter("SPLITTST")
-	m.CaptureState().Encode(w)
+	ms := m.CaptureState()
+	ms.Code(w.Codec())
 	return w.Finish()
 }
 

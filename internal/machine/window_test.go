@@ -6,7 +6,7 @@ package machine
 // these scenarios stand on each edge of that condition. Three machines
 // run every scenario in lockstep, chunk by chunk: Step (the spec), Run,
 // and Run under NoTraces. After every chunk all three must agree on
-// every byte of CaptureState().Encode() once recency is reduced to what
+// every byte of the encoded CaptureState() once recency is reduced to what
 // traces promise — the ORDER of last-touch events, not the LRU clock
 // (the memo tests hold the clock itself; see memo.go) — and the orders
 // must agree too (sameRecency).

@@ -13,7 +13,6 @@ package netsim
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 
 	"repro/internal/free"
@@ -36,7 +35,7 @@ type Message struct {
 
 // LinkConfig describes one direction of a link.
 type LinkConfig struct {
-	// Name identifies the link in stats and rand-stream derivation.
+	// Name labels the link model in diagnostics and checkpoints.
 	Name string
 	// BitsPerSecond is the serialization bandwidth.
 	BitsPerSecond int64
@@ -179,10 +178,10 @@ func (l *Link) rebuild(a *Arena, k *sim.Kernel, cfg LinkConfig) *Link {
 		l = new(Link)
 	}
 	inbox := l.Inbox
-	if inbox != nil && l.cfg.Name == cfg.Name {
+	if inbox != nil {
 		inbox.Reset(k)
 	} else {
-		inbox = sim.NewQueue[Message](k, cfg.Name+".inbox")
+		inbox = sim.NewQueue[Message](k)
 	}
 	*l = Link{k: k, cfg: cfg, Inbox: inbox, inflight: l.inflight, deliver: l.deliver, arena: a}
 	if l.deliver == nil {
@@ -201,7 +200,7 @@ func (l *Link) Release() {
 	}
 }
 
-// reset empties the link for its arena, keeping its name, rings, inbox
+// reset empties the link for its arena, keeping its rings, inbox
 // and delivery callback, and returns the arena (nil: reset already).
 func (l *Link) reset() *Arena {
 	a := l.arena
@@ -210,7 +209,7 @@ func (l *Link) reset() *Arena {
 	}
 	l.inflight.Reuse(l.inflight.Release())
 	l.Inbox.Reset(nil)
-	*l = Link{cfg: LinkConfig{Name: l.cfg.Name}, Inbox: l.Inbox, inflight: l.inflight, deliver: l.deliver}
+	*l = Link{Inbox: l.Inbox, inflight: l.inflight, deliver: l.deliver}
 	return a
 }
 
@@ -392,23 +391,20 @@ type Duplex struct {
 	BtoA *Link
 }
 
-// NewDuplex builds both directions with the same configuration (named
-// name.ab / name.ba), over a private arena.
-func NewDuplex(k *sim.Kernel, name string, cfg LinkConfig) *Duplex {
-	return NewDuplexIn(new(Arena), k, name, cfg)
+// NewDuplex builds both directions with the same configuration, over a
+// private arena.
+func NewDuplex(k *sim.Kernel, cfg LinkConfig) *Duplex {
+	return NewDuplexIn(new(Arena), k, cfg)
 }
 
 // NewDuplexIn is NewDuplex over an arena (see NewLinkIn): the duplex is
 // one released to a, with its two links, when a has one.
-func NewDuplexIn(a *Arena, k *sim.Kernel, name string, cfg LinkConfig) *Duplex {
-	ab, ba := cfg, cfg
-	ab.Name = fmt.Sprintf("%s.ab", name)
-	ba.Name = fmt.Sprintf("%s.ba", name)
+func NewDuplexIn(a *Arena, k *sim.Kernel, cfg LinkConfig) *Duplex {
 	d, ok := a.duplexes.Get()
 	if !ok {
 		d = new(Duplex)
 	}
-	d.AtoB, d.BtoA = d.AtoB.rebuild(a, k, ab), d.BtoA.rebuild(a, k, ba)
+	d.AtoB, d.BtoA = d.AtoB.rebuild(a, k, cfg), d.BtoA.rebuild(a, k, cfg)
 	return d
 }
 

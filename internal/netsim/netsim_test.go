@@ -143,7 +143,7 @@ func TestDropNext(t *testing.T) {
 func TestDuplex(t *testing.T) {
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
-	d := NewDuplex(k, "pair", Ethernet10(""))
+	d := NewDuplex(k, Ethernet10(""))
 	d.AtoB.Send("to-b", 10)
 	d.BtoA.Send("to-a", 10)
 	k.Run()

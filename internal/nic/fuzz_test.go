@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"encoding/binary"
 	"slices"
 	"testing"
 	"unsafe"
@@ -12,10 +13,10 @@ import (
 func recordOf(frames []frame) []byte {
 	var b []byte
 	for _, f := range frames {
-		b = device.AppendU32(b, f.seq)
-		b = device.AppendU32(b, uint32(len(f.words)))
+		b = binary.LittleEndian.AppendUint32(b, f.seq)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(f.words)))
 		for _, w := range f.words {
-			b = device.AppendU32(b, w)
+			b = binary.LittleEndian.AppendUint32(b, w)
 		}
 	}
 	return b
@@ -60,7 +61,7 @@ func requestsOf(data []byte) [][]uint32 {
 // shadow — to Apply and, as the record a failover finds buffered, to
 // Recover. Neither may panic; Apply may allocate only in proportion to
 // the record's bytes, whatever word and frame counts it claims; what
-// Apply delivered survives MarshalState → UnmarshalState. The same bytes,
+// Apply delivered survives a CodeState write and read. The same bytes,
 // cut into request frames, must come back out of a Capture → Apply
 // round trip unchanged, frame for frame.
 func FuzzNICRecord(f *testing.F) {
@@ -89,7 +90,7 @@ func FuzzNICRecord(f *testing.F) {
 			t.Fatalf("Apply of %d bytes holds %d bytes (limit %d)", len(data), footprint, limit)
 		}
 		var back Shadow
-		if err := back.UnmarshalState(sh.MarshalState()); err != nil {
+		if err := unmarshal(&back, marshal(sh)); err != nil {
 			t.Fatalf("state of an applied record does not decode: %v", err)
 		}
 		got := pending(t, sh)

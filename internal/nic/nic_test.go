@@ -1,11 +1,13 @@
 package nic
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 	"slices"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/snapshot"
 )
 
 // memStub satisfies device.Memory (the NIC never touches guest memory).
@@ -166,7 +168,7 @@ func TestShadowMarshalRoundTrip(t *testing.T) {
 	sh.Load(RegRxData) // partially consumed head frame
 
 	var back Shadow
-	if err := back.UnmarshalState(sh.MarshalState()); err != nil {
+	if err := unmarshal(&back, marshal(sh)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := back.Load(RegRxLen), sh.Load(RegRxLen); got != want {
@@ -176,17 +178,20 @@ func TestShadowMarshalRoundTrip(t *testing.T) {
 	// Counts come from outside the process (a state-transfer blob, a
 	// forwarded record): one the bytes after it cannot hold is an error,
 	// not an allocation. The first blob used to kill the process with
-	// "fatal error: runtime: out of memory".
+	// "fatal error: runtime: out of memory". A refused read may leave the
+	// shadow half decoded: the hypervisor puts it back from the bytes the
+	// shadow wrote of itself just before (hypervisor.RestoreState).
+	keep := marshal(&back)
 	for name, blob := range map[string][]byte{
 		"frame count": {0xff, 0xff, 0xff, 0x7f},
 		"word count":  {1, 0, 0, 0 /* seq */, 7, 0, 0, 0 /* words */, 0xff, 0xff, 0xff, 0x7f},
 	} {
-		if err := back.UnmarshalState(blob); err == nil {
-			t.Errorf("hostile %s: UnmarshalState accepted it", name)
+		if err := unmarshal(&back, blob); err == nil {
+			t.Errorf("hostile %s: CodeState accepted it", name)
 		}
 	}
-	if back.Load(RegRxLen) != sh.Load(RegRxLen) {
-		t.Error("a refused blob changed the shadow")
+	if err := unmarshal(&back, keep); err != nil || back.Load(RegRxLen) != sh.Load(RegRxLen) {
+		t.Errorf("a refused shadow does not come back from its own bytes (%v)", err)
 	}
 	var fresh Shadow
 	fresh.Apply(device.Completion{Data: []byte{7, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}}, memStub{}, portBus{p})
@@ -240,12 +245,12 @@ func (s *oldShadow) loadRxData() uint32 {
 }
 
 func (s *oldShadow) marshalState() []byte {
-	b := device.AppendU32(nil, uint32(len(s.rx)))
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(s.rx)))
 	for _, f := range s.rx {
-		b = device.AppendU32(b, f.seq)
-		b = device.AppendU32(b, uint32(len(f.words)))
+		b = binary.LittleEndian.AppendUint32(b, f.seq)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(f.words)))
 		for _, w := range f.words {
-			b = device.AppendU32(b, w)
+			b = binary.LittleEndian.AppendUint32(b, w)
 		}
 	}
 	return b
@@ -255,7 +260,7 @@ func (s *oldShadow) marshalState() []byte {
 // frames arriving on the way so that the ring wraps and grows while it is
 // read, and compares the encoded state after every pop and every arrival
 // with the old rule's — which paid a typedslicecopy of the whole backlog
-// per frame near a rate ladder's knee. MarshalState must not be able to
+// per frame near a rate ladder's knee. CodeState must not be able to
 // tell a ring from a slice; a drained shadow keeps its array; and a
 // decoded state carries on.
 func TestShadowDrainBacklog(t *testing.T) {
@@ -264,10 +269,10 @@ func TestShadowDrainBacklog(t *testing.T) {
 		var data []byte
 		for i := from; i < to; i++ {
 			n := 1 + i%3
-			data = device.AppendU32(data, i)
-			data = device.AppendU32(data, n)
+			data = binary.LittleEndian.AppendUint32(data, i)
+			data = binary.LittleEndian.AppendUint32(data, n)
 			for j := uint32(0); j < n; j++ {
-				data = device.AppendU32(data, i<<8|j)
+				data = binary.LittleEndian.AppendUint32(data, i<<8|j)
 			}
 		}
 		return data
@@ -283,7 +288,7 @@ func TestShadowDrainBacklog(t *testing.T) {
 	}
 	same := func(what string, i int) {
 		t.Helper()
-		if a, b := sh.MarshalState(), old.marshalState(); string(a) != string(b) {
+		if a, b := marshal(sh), old.marshalState(); string(a) != string(b) {
 			t.Fatalf("%s %d: encoded state differs from the old rule's (%d against %d bytes)", what, i, len(a), len(b))
 		}
 	}
@@ -303,7 +308,7 @@ func TestShadowDrainBacklog(t *testing.T) {
 		if pops == 1500 {
 			// A decoded state is a full ring with its head at zero.
 			back := NewShadow()
-			if err := back.UnmarshalState(sh.MarshalState()); err != nil {
+			if err := unmarshal(back, marshal(sh)); err != nil {
 				t.Fatal(err)
 			}
 			sh = back
@@ -347,11 +352,11 @@ func TestOnePurityRule(t *testing.T) {
 		if p.MMIOPure(off) != s.PureLoad(off) {
 			t.Fatalf("register %#x: port pure %v, shadow pure %v", off, p.MMIOPure(off), s.PureLoad(off))
 		}
-		port, shadow := p.StateDigest(), string(s.MarshalState())
+		port, shadow := p.StateDigest(), string(marshal(s))
 		v1, err1 := p.MMIOLoad(off, 4)
 		v2, err2 := p.MMIOLoad(off, 4)
 		w1, w2 := s.Load(off), s.Load(off)
-		moved := p.StateDigest() != port || string(s.MarshalState()) != shadow
+		moved := p.StateDigest() != port || string(marshal(s)) != shadow
 		switch {
 		case !p.MMIOPure(off) && !moved:
 			t.Fatalf("register %#x is declared impure and popped nothing", off)
@@ -489,10 +494,10 @@ func TestShadowArenaReuse(t *testing.T) {
 	record := func(from, to uint32) []byte {
 		var data []byte
 		for i := from; i < to; i++ {
-			data = device.AppendU32(data, i)
-			data = device.AppendU32(data, 2)
-			data = device.AppendU32(data, i<<8)
-			data = device.AppendU32(data, i<<8|1)
+			data = binary.LittleEndian.AppendUint32(data, i)
+			data = binary.LittleEndian.AppendUint32(data, 2)
+			data = binary.LittleEndian.AppendUint32(data, i<<8)
+			data = binary.LittleEndian.AppendUint32(data, i<<8|1)
 		}
 		return data
 	}
@@ -514,7 +519,7 @@ func TestShadowArenaReuse(t *testing.T) {
 	for _, sh := range []*Shadow{second, fresh} {
 		sh.Apply(device.Completion{Data: record(30, 33)}, memStub{}, portBus{New(64).NewPort(nil)})
 	}
-	if got, want := second.MarshalState(), fresh.MarshalState(); string(got) != string(want) {
+	if got, want := marshal(second), marshal(fresh); string(got) != string(want) {
 		t.Fatalf("a shadow over a recycled ring encodes %d bytes, a fresh one %d", len(got), len(want))
 	}
 	for second.Load(RegStatus)&StatusRxAvail != 0 {
@@ -613,4 +618,20 @@ func TestNICArenaReuse(t *testing.T) {
 	if recycled.Replies() != fresh.Replies() || recycled.StateDigest() != fresh.StateDigest() {
 		t.Fatal("over a recycled arena the transcript or the digest differs from a fresh adapter's")
 	}
+}
+
+// marshal is the shadow's state as CodeState writes it.
+func marshal(s *Shadow) []byte {
+	var w snapshot.Writer
+	s.CodeState(w.Codec())
+	return w.Since(0)
+}
+
+// unmarshal decodes b into s as the hypervisor's RestoreState does: a
+// refused read may leave s half decoded.
+func unmarshal(s *Shadow, b []byte) error {
+	var r snapshot.Reader
+	r.Nested(b)
+	s.CodeState(r.Codec())
+	return r.Done()
 }

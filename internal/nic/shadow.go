@@ -2,10 +2,10 @@ package nic
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"repro/internal/device"
+	"repro/internal/snapshot"
 )
 
 // Shadow is the hypervisor-side virtual network adapter: the
@@ -169,10 +169,10 @@ func (s *Shadow) drain(bus device.Bus, covered uint32) device.Completion {
 			}
 			continue
 		}
-		b = device.AppendU32(b, seq)
-		b = device.AppendU32(b, n)
+		b = binary.LittleEndian.AppendUint32(b, seq)
+		b = binary.LittleEndian.AppendUint32(b, n)
 		for j := uint32(0); j < n; j++ {
-			b = device.AppendU32(b, bus.Load(RegRxData))
+			b = binary.LittleEndian.AppendUint32(b, bus.Load(RegRxData))
 		}
 		c.Seq = seq
 	}
@@ -202,19 +202,17 @@ func (s *Shadow) Apply(c device.Completion, mem device.Memory, bus device.Bus) {
 
 // readFrame decodes one [seq, nwords, words...] frame into f, reusing
 // f's word buffer, and returns the bytes after it. The word count comes
-// from outside (a forwarded record, a state-transfer blob): zero, or
-// more than the remaining bytes hold, is malformed and refused before
-// the buffer grows for it.
+// from outside (a forwarded record): zero, or more than the remaining
+// bytes hold, is malformed and refused before the buffer grows for it.
 func readFrame(data []byte, f *frame) ([]byte, bool) {
-	seq, rest, ok := device.ReadU32(data)
-	if !ok {
+	if len(data) < 8 {
 		return nil, false
 	}
-	n, rest, ok := device.ReadU32(rest)
-	if !ok || n == 0 || uint64(n) > uint64(len(rest)/4) {
+	n, rest := binary.LittleEndian.Uint32(data[4:]), data[8:]
+	if n == 0 || uint64(n) > uint64(len(rest)/4) {
 		return nil, false
 	}
-	f.seq = seq
+	f.seq = binary.LittleEndian.Uint32(data)
 	f.words = slices.Grow(f.words[:0], int(n))[:n]
 	for j := range f.words {
 		f.words[j] = binary.LittleEndian.Uint32(rest[4*j:])
@@ -243,41 +241,36 @@ func (s *Shadow) Recover(bus device.Bus, mem device.Memory, outstanding bool, bu
 	return []device.Completion{c}, 0
 }
 
-// MarshalState implements device.Shadow.
-func (s *Shadow) MarshalState() []byte {
-	b := device.AppendU32(nil, uint32(s.n))
-	for i := 0; i < s.n; i++ {
+// CodeState implements device.Shadow: the pending frames as a frame
+// count and then [seq, nwords, words...] each, the head frame from the
+// guest's read position. A read refuses a frame or word count the bytes
+// after it cannot hold, before it sizes anything, and an empty frame; a
+// decoded ring is full, its head at zero.
+func (s *Shadow) CodeState(c *snapshot.Codec) {
+	n := s.n
+	c.Count(&n, 8) // a frame is at least its seq and word count
+	if c.Reading() {
+		s.ring, s.head, s.n, s.pos = make([]frame, n), 0, n, 0
+	}
+	for i := 0; i < n; i++ {
 		f := &s.ring[s.slot(i)]
 		words := f.words
 		if i == 0 {
 			words = words[s.pos:]
 		}
-		b = device.AppendU32(b, f.seq)
-		b = device.AppendU32(b, uint32(len(words)))
-		for _, w := range words {
-			b = device.AppendU32(b, w)
+		c.U32(&f.seq)
+		nw := len(words)
+		c.Count(&nw, 4)
+		if c.Reading() {
+			if nw == 0 {
+				c.Fail()
+				return
+			}
+			f.words = make([]uint32, nw)
+			words = f.words
+		}
+		for j := range words {
+			c.U32(&words[j])
 		}
 	}
-	return b
-}
-
-// UnmarshalState implements device.Shadow.
-func (s *Shadow) UnmarshalState(data []byte) error {
-	n, rest, ok := device.ReadU32(data)
-	// A frame is at least its seq and word count: a frame count the
-	// remaining bytes cannot hold is refused before it sizes anything.
-	if !ok || uint64(n) > uint64(len(rest)/8) {
-		return fmt.Errorf("nic: shadow state malformed (%d bytes)", len(data))
-	}
-	rx := make([]frame, n)
-	for j := range rx {
-		if rest, ok = readFrame(rest, &rx[j]); !ok {
-			return fmt.Errorf("nic: shadow state truncated (frame %d of %d)", j, n)
-		}
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("nic: shadow state has %d trailing bytes", len(rest))
-	}
-	s.ring, s.head, s.n, s.pos = rx, 0, len(rx), 0 // filled to its capacity
-	return nil
 }

@@ -244,7 +244,7 @@ func NewClusterIn(a *Arena, k *sim.Kernel, cfg Config, n int) *Cluster {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			c.Links[i][j] = netsim.NewDuplexIn(&a.Links, k, fmt.Sprintf("link%d-%d", i, j), link)
+			c.Links[i][j] = netsim.NewDuplexIn(&a.Links, k, link)
 		}
 	}
 	return c
@@ -274,7 +274,7 @@ func (c *Cluster) AddNode(link netsim.LinkConfig) *Node {
 	}
 	c.Links = append(c.Links, make([]*netsim.Duplex, n+1))
 	for i := 0; i < n; i++ {
-		c.Links[i][n] = netsim.NewDuplexIn(&c.arena.Links, c.K, fmt.Sprintf("link%d-%d", i, n), link)
+		c.Links[i][n] = netsim.NewDuplexIn(&c.arena.Links, c.K, link)
 	}
 	return node
 }

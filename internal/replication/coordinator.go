@@ -381,14 +381,14 @@ func (c *coordinator) until(ph phase) bool {
 func (c *coordinator) install(k *sim.Kernel) {
 	hv := c.hv
 	c.k = k
-	c.progress = k.NewSignal("repl.progress")
+	c.progress = k.NewSignal()
 	for _, ps := range c.s.peers {
 		c.wire(ps)
 	}
 	hv.OnCapture, hv.OnBeforeIO = nil, nil
 	if c.pol.coalesce {
 		// Interrupts ride the epoch frame; a transmit process ships it.
-		c.txSig = k.NewSignal("repl.tx")
+		c.txSig = k.NewSignal()
 		c.bpool = &c.rep.arena.batches
 		k.Start(fmt.Sprintf("oc-tx%d", c.rep.index), c.transmit)
 	} else {

@@ -46,7 +46,7 @@ func TestReceiverEquivalence(t *testing.T) {
 		pair.Nodes[1].HV.Boot(prog.Origin, prog.Words, prog.Origin)
 		// A downstream peer switches the backup's delivery archive on:
 		// that is where the boundary's delivery is observable.
-		down := netsim.NewDuplex(k, "down", netsim.Ethernet10("down"))
+		down := netsim.NewDuplex(k, netsim.Ethernet10("down"))
 		bk := NewReplica(pair.Nodes[1].HV,
 			[]Peer{{TX: rx, RX: tx}},
 			[]Peer{{TX: down.AtoB, RX: down.BtoA}}, Config{DetectTimeout: 10 * sim.Second})

@@ -454,7 +454,7 @@ func (r *Replica) StartReceivers(k *sim.Kernel) {
 		return
 	}
 	r.rxStarted = true
-	r.arrival = k.NewSignal(fmt.Sprintf("backup%d.arrival", r.index))
+	r.arrival = k.NewSignal()
 	for i, u := range r.ups {
 		k.Start(fmt.Sprintf("backup%d-rx%d", r.index, i), r.receiver(u))
 	}

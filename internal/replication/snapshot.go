@@ -47,7 +47,8 @@ func (r *Replica) EncodeState(w *snapshot.Writer) {
 		w.U32(uint32(len(er.ints)))
 		for _, k := range slices.Sorted(maps.Keys(er.ints)) {
 			w.U32(k)
-			er.ints[k].Encode(w)
+			i := er.ints[k]
+			i.Code(w.Codec())
 		}
 		w.Bool(er.hasTme)
 		w.U32(er.tme)
@@ -111,8 +112,8 @@ func (e *SyncEpoch) encode(w *snapshot.Writer) {
 	w.U64(e.Digest)
 	w.Bool(e.Halted)
 	w.U32(uint32(len(e.Ints)))
-	for _, i := range e.Ints {
-		i.Encode(w)
+	for k := range e.Ints {
+		e.Ints[k].Code(w.Codec())
 	}
 }
 

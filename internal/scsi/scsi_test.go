@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // fakeMem is a simple HostMemory for tests.
@@ -379,14 +380,14 @@ func TestOnePurityRule(t *testing.T) {
 		if !r.ad.MMIOPure(off) {
 			t.Fatalf("register %#x is declared impure: the adapter has no read-to-pop register", off)
 		}
-		adapter, shadow := regs(), string(s.MarshalState())
+		adapter, shadow := regs(), string(marshal(s))
 		v1, err1 := r.ad.MMIOLoad(off, 4)
 		v2, err2 := r.ad.MMIOLoad(off, 4)
 		w1, w2 := s.Load(off), s.Load(off)
 		if v1 != v2 || (err1 == nil) != (err2 == nil) || w1 != w2 {
 			t.Fatalf("pure register %#x read %#x then %#x (adapter), %#x then %#x (shadow)", off, v1, v2, w1, w2)
 		}
-		if regs() != adapter || string(s.MarshalState()) != shadow {
+		if regs() != adapter || string(marshal(s)) != shadow {
 			t.Fatalf("pure register %#x moved the adapter's or the shadow's registers", off)
 		}
 	}
@@ -549,4 +550,11 @@ func TestWriteLatchRecycled(t *testing.T) {
 	if back, ok := a.latches.Get(); !ok || &back[:1][0] != &latch[:1][0] {
 		t.Fatal("Release did not hand back the latch of a write in flight")
 	}
+}
+
+// marshal is the shadow's state as CodeState writes it.
+func marshal(s *Shadow) []byte {
+	var w snapshot.Writer
+	s.CodeState(w.Codec())
+	return w.Since(0)
 }

@@ -1,9 +1,8 @@
 package scsi
 
 import (
-	"fmt"
-
 	"repro/internal/device"
+	"repro/internal/snapshot"
 )
 
 // Shadow is the hypervisor-side virtual adapter: the register bank the
@@ -123,30 +122,9 @@ func (s *Shadow) Recover(bus device.Bus, mem device.Memory, outstanding bool, bu
 	return []device.Completion{{Status: StatusUncertain}}, 1
 }
 
-// MarshalState implements device.Shadow.
-func (s *Shadow) MarshalState() []byte {
-	b := make([]byte, 0, 24)
-	for _, v := range [...]uint32{s.cmd, s.block, s.addr, s.count, s.status, s.info} {
-		b = device.AppendU32(b, v)
+// CodeState implements device.Shadow: the six registers.
+func (s *Shadow) CodeState(c *snapshot.Codec) {
+	for _, p := range [...]*uint32{&s.cmd, &s.block, &s.addr, &s.count, &s.status, &s.info} {
+		c.U32(p)
 	}
-	return b
-}
-
-// UnmarshalState implements device.Shadow.
-func (s *Shadow) UnmarshalState(data []byte) error {
-	vals := [6]uint32{}
-	rest := data
-	for i := range vals {
-		v, r, ok := device.ReadU32(rest)
-		if !ok {
-			return fmt.Errorf("scsi: shadow state truncated at field %d", i)
-		}
-		vals[i], rest = v, r
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("scsi: shadow state has %d trailing bytes", len(rest))
-	}
-	s.cmd, s.block, s.addr, s.count, s.status, s.info =
-		vals[0], vals[1], vals[2], vals[3], vals[4], vals[5]
-	return nil
 }

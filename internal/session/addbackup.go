@@ -89,42 +89,14 @@ type transfer struct {
 	Epoch uint64
 }
 
-// encode serializes a state transfer into w, a writer started with
-// snapshot.TransferMagic. The returned blob's length is the wire size
-// charged to the simulated link.
-func (t transfer) encode(w *snapshot.Writer) []byte {
-	// Size the buffer once (a recycled one has usually grown already).
-	// RAM is all but a few KB of it.
-	n := 4096
-	for _, pg := range t.Machine.Pages {
-		n += 8 + len(pg.Data) // index, length prefix, data
-	}
-	w.Grow(n)
-	t.Machine.Encode(w)
-	t.Hypervisor.Encode(w)
-	w.U32(t.Tme)
-	w.U64(t.Epoch)
-	return w.Finish()
-}
-
-// decodeTransfer parses a state transfer blob.
-func decodeTransfer(blob []byte) (transfer, error) {
-	r, err := snapshot.NewReader(blob, snapshot.TransferMagic)
-	if err != nil {
-		return transfer{}, err
-	}
-	var t transfer
-	t.Machine = machine.DecodeState(r)
-	t.Hypervisor = hypervisor.DecodeState(r)
-	t.Tme = r.U32()
-	t.Epoch = r.U64()
-	if err := r.Err(); err != nil {
-		return transfer{}, err
-	}
-	if r.Remaining() != 0 {
-		return transfer{}, fmt.Errorf("%w: %d trailing bytes", snapshot.ErrCorrupt, r.Remaining())
-	}
-	return t, nil
+// code codes the transfer, each half in its own layer's format, then
+// the boundary. The blob's length is the wire size charged to the
+// simulated link.
+func (t *transfer) code(c *snapshot.Codec) {
+	t.Machine.Code(c)
+	t.Hypervisor.Code(c)
+	c.U32(&t.Tme)
+	c.U64(&t.Epoch)
 }
 
 // encodeTransfer serializes node act's transfer (captureTransfer). The
@@ -132,7 +104,16 @@ func decodeTransfer(blob []byte) (transfer, error) {
 // it lives as long as the cluster: its writer comes from the arena and
 // goes back to it at Close.
 func (e *Engine) encodeTransfer(act int) []byte {
-	return e.captureTransfer(act).encode(e.transferWriter())
+	t, w := e.captureTransfer(act), e.transferWriter()
+	// Size the buffer once (a recycled one has usually grown already).
+	// RAM is all but a few KB of it.
+	n := 4096
+	for _, pg := range t.Machine.Pages {
+		n += 8 + len(pg.Data) // index, length prefix, data
+	}
+	w.Grow(n)
+	t.code(w.Codec())
+	return w.Finish()
 }
 
 // transferWriter takes a writer for a transfer blob from the arena (the
@@ -246,7 +227,6 @@ func (e *Engine) AddBackup(cfg AddBackupConfig) (int, error) {
 	if linkCfg.BitsPerSecond == 0 {
 		linkCfg = e.o.Link
 	}
-	linkCfg.Name = fmt.Sprintf("xfer%d-%d", act, n)
 	xfer := netsim.NewLinkIn(&e.arena.platform.Links, e.k, linkCfg)
 	if e.xferLinks == nil {
 		e.xferLinks = map[int][]*netsim.Link{}
@@ -304,7 +284,14 @@ func (e *Engine) joiner(bak *replication.Replica, node *platform.Node, xfer *net
 // come from the image it actually received, not from whatever the
 // splice-time engine remembered.
 func (e *Engine) install(bak *replication.Replica, node *platform.Node, blob []byte) {
-	t, err := decodeTransfer(blob)
+	// The blob is what this engine's own transfer.code wrote, over an
+	// in-process link: a refusal below is a broken invariant, not input.
+	var t transfer
+	r, err := snapshot.NewReader(blob, snapshot.TransferMagic)
+	if err == nil {
+		t.code(r.Codec())
+		err = r.Done()
+	}
 	if err == nil {
 		err = node.M.RestoreState(t.Machine)
 	}

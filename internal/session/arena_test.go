@@ -91,7 +91,7 @@ func TestTransferRecycledWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := e.captureTransfer(e.lastNode)
-	fresh := tr.encode(snapshot.NewWriter(snapshot.TransferMagic))
+	fresh := sealTransfer(tr, snapshot.NewWriter(snapshot.TransferMagic))
 
 	dirty := snapshot.NewWriter(snapshot.TransferMagic)
 	for range 2 * len(fresh) {
@@ -102,7 +102,7 @@ func TestTransferRecycledWriter(t *testing.T) {
 	if w != dirty {
 		t.Fatal("the arena did not hand back the transfer writer it holds")
 	}
-	if got := tr.encode(w); !bytes.Equal(got, fresh) {
+	if got := sealTransfer(tr, w); !bytes.Equal(got, fresh) {
 		t.Errorf("a transfer encoded into a recycled writer (%d bytes) differs from a fresh one (%d bytes)", len(got), len(fresh))
 	}
 }

@@ -89,7 +89,8 @@ func foldBare(h hash.Hash64, e *Engine) {
 	m := e.bare.M
 	fmt.Fprintf(h, "%d %d %#x %+v|", e.Now(), m.Cycles(), m.PC, m.Stats)
 	w := snapshot.NewWriter(snapshot.TransferMagic)
-	m.CaptureState().Encode(w)
+	ms := m.CaptureState()
+	ms.Code(w.Codec())
 	b := w.Finish()
 	h.Write(b[len(snapshot.TransferMagic)+4 : len(b)-8])
 }

@@ -106,10 +106,12 @@ func (e *Engine) sections() []section {
 
 	for i, node := range e.cluster.Nodes {
 		add(fmt.Sprintf("node%d.machine", i), func(w *snapshot.Writer) {
-			node.M.BorrowState().Encode(w)
+			s := node.M.BorrowState()
+			s.Code(w.Codec())
 		})
 		add(fmt.Sprintf("node%d.hypervisor", i), func(w *snapshot.Writer) {
-			node.HV.CaptureState().Encode(w)
+			s := node.HV.CaptureState()
+			s.Code(w.Codec())
 		})
 		add(fmt.Sprintf("node%d.devices", i), func(w *snapshot.Writer) {
 			for _, a := range node.Adapters {

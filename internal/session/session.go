@@ -487,7 +487,7 @@ func (e *Engine) startClientLoad() {
 	if link.BitsPerSecond == 0 {
 		link = netsim.Ethernet10("clients")
 	}
-	e.clientNet = netsim.NewDuplexIn(&e.arena.clientLinks, e.k, "clients", link)
+	e.clientNet = netsim.NewDuplexIn(&e.arena.clientLinks, e.k, link)
 	e.clients = clientsim.NewIn(&e.arena.clients, e.k, *e.o.ClientLoad, e.nic, e.clientNet)
 	e.clients.Start()
 }

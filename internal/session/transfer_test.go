@@ -6,6 +6,7 @@ package session
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/device"
@@ -42,7 +43,7 @@ func sampleNode(t testing.TB, memBytes uint32) *platform.Node {
 	m.PC = 0x1000
 	m.TLB.Insert(machine.TLBEntry{VPN: 3, PPN: 7, Flags: 0xF})
 
-	frame := device.AppendU32(device.AppendU32(device.AppendU32(nil, 1), 1), 0xAB) // [seq, nwords, word]
+	frame := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, 1), 1), 0xAB) // [seq, nwords, word]
 	hv.BufferInterrupt(hypervisor.Interrupt{
 		Line: platform.NICIRQLine, Dev: platform.NICBase,
 		Completion: device.Completion{Data: frame, Seq: 1},
@@ -59,6 +60,24 @@ func transferOf(n *platform.Node) transfer {
 	return transfer{Machine: n.M.BorrowState(), Hypervisor: n.HV.CaptureState(), Tme: 777, Epoch: 42}
 }
 
+// sealTransfer encodes t into w, a writer started with
+// snapshot.TransferMagic, and returns the blob.
+func sealTransfer(t transfer, w *snapshot.Writer) []byte {
+	t.code(w.Codec())
+	return w.Finish()
+}
+
+// openTransfer decodes a transfer blob as the joiner's install does.
+func openTransfer(blob []byte) (transfer, error) {
+	var t transfer
+	r, err := snapshot.NewReader(blob, snapshot.TransferMagic)
+	if err != nil {
+		return t, err
+	}
+	t.code(r.Codec())
+	return t, r.Done()
+}
+
 // TestTransferRoundTrip pins the state-transfer blob: a full machine +
 // hypervisor capture survives encode/decode bit-for-bit, including
 // sparse RAM, TLB recency, buffered interrupts with DMA payloads and
@@ -66,15 +85,15 @@ func transferOf(n *platform.Node) transfer {
 func TestTransferRoundTrip(t *testing.T) {
 	const memBytes = 1 << 20
 	src := sampleNode(t, memBytes)
-	blob := transferOf(src).encode(snapshot.NewWriter(snapshot.TransferMagic))
-	out, err := decodeTransfer(blob)
+	blob := sealTransfer(transferOf(src), snapshot.NewWriter(snapshot.TransferMagic))
+	out, err := openTransfer(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Re-encoding the decoded transfer must reproduce the blob exactly
 	// (deterministic encoding is what the wire-size charge and the
 	// restore verification rely on).
-	if !bytes.Equal(out.encode(snapshot.NewWriter(snapshot.TransferMagic)), blob) {
+	if !bytes.Equal(sealTransfer(out, snapshot.NewWriter(snapshot.TransferMagic)), blob) {
 		t.Fatal("transfer re-encoding differs")
 	}
 	if out.Tme != 777 || out.Epoch != 42 {
@@ -97,27 +116,27 @@ func TestTransferRoundTrip(t *testing.T) {
 // a decoder that over-allocates, panics or accepts a second spelling of
 // some state fails the target. What decodes is then restored into a
 // node the way the AddBackup joiner does, which is where the shadow
-// devices' own decoders run (hv.RestoreState → Shadow.UnmarshalState):
+// devices' own decoders run (hv.RestoreState → Shadow.CodeState):
 // restore accepts or refuses, never panics, and an accepted hypervisor
 // state re-captures to the bytes it came from. The fuzzed input is the
 // blob's BODY: the target adds the header and a valid checksum itself,
 // so mutations reach the decoders instead of dying at the checksum gate.
 func FuzzDecodeTransfer(f *testing.F) {
 	body := func(blob []byte) []byte { return blob[8+4 : len(blob)-8] }
-	f.Add(body(transferOf(sampleNode(f, 3<<12)).encode(snapshot.NewWriter(snapshot.TransferMagic))))
-	f.Add(body(transferOf(sampleNode(f, 2<<12+100)).encode(snapshot.NewWriter(snapshot.TransferMagic))))
-	f.Add(body(transfer{}.encode(snapshot.NewWriter(snapshot.TransferMagic))))
+	f.Add(body(sealTransfer(transferOf(sampleNode(f, 3<<12)), snapshot.NewWriter(snapshot.TransferMagic))))
+	f.Add(body(sealTransfer(transferOf(sampleNode(f, 2<<12+100)), snapshot.NewWriter(snapshot.TransferMagic))))
+	f.Add(body(sealTransfer(transfer{}, snapshot.NewWriter(snapshot.TransferMagic))))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		w := snapshot.NewWriter(snapshot.TransferMagic)
 		for _, b := range in {
 			w.U8(b)
 		}
 		blob := w.Finish()
-		tr, err := decodeTransfer(blob)
+		tr, err := openTransfer(blob)
 		if err != nil {
 			return
 		}
-		if again := tr.encode(snapshot.NewWriter(snapshot.TransferMagic)); !bytes.Equal(again, blob) {
+		if again := sealTransfer(tr, snapshot.NewWriter(snapshot.TransferMagic)); !bytes.Equal(again, blob) {
 			t.Fatalf("decoded transfer re-encodes to %d bytes, input was %d", len(again), len(blob))
 		}
 		ms := tr.Machine
@@ -129,8 +148,9 @@ func FuzzDecodeTransfer(f *testing.F) {
 			return
 		}
 		want, got := snapshot.NewWriter(SectionMagic), snapshot.NewWriter(SectionMagic)
-		tr.Hypervisor.Encode(want)
-		node.HV.CaptureState().Encode(got)
+		tr.Hypervisor.Code(want.Codec())
+		hs := node.HV.CaptureState()
+		hs.Code(got.Codec())
 		if !bytes.Equal(got.Finish(), want.Finish()) {
 			t.Fatal("restored hypervisor re-captures differently from the state it restored")
 		}

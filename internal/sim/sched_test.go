@@ -68,8 +68,8 @@ func schedTrace(seed int64, parked int, mode schedMode) []string {
 	log := func(who, what string) {
 		trace = append(trace, fmt.Sprintf("%d %s %s [%d/%d]", k.Now(), who, what, begun, done))
 	}
-	sigs := []*Signal{k.NewSignal("s0"), k.NewSignal("s1"), k.NewSignal("s2")}
-	queues := []*Queue[int]{NewQueue[int](k, "q0"), NewQueue[int](k, "q1")}
+	sigs := []*Signal{k.NewSignal(), k.NewSignal(), k.NewSignal()}
+	queues := []*Queue[int]{NewQueue[int](k), NewQueue[int](k)}
 	var handles []Handle
 	durations := []Time{-3, 0, 0, 1, 5, 5, 10, 10, 10, 25, 100, 1000}
 
@@ -418,15 +418,15 @@ func TestShutdownLifecycle(t *testing.T) {
 			k.RunUntil(Millisecond)
 		}},
 		{"parked in Wait, WaitTimeout, Recv", 3, func(k *Kernel) {
-			s := k.NewSignal("never")
-			q := NewQueue[int](k, "empty")
+			s := k.NewSignal()
+			q := NewQueue[int](k)
 			k.Spawn("wait", func(p *Proc) { p.WaitTimeout(s, Forever) })
 			k.Spawn("waittimeout", func(p *Proc) { p.WaitTimeout(s, Second) })
 			k.Start("recv", func(*Proc) (Time, StepStatus) { return q.Await(Forever) })
 			k.RunUntil(Millisecond)
 		}},
 		{"step processes, one sleeping and one waiting", 2, func(k *Kernel) {
-			s := k.NewSignal("never")
+			s := k.NewSignal()
 			k.Start("sleeper", func(*Proc) (Time, StepStatus) { return 2, StepMore })
 			k.Start("waiter", func(*Proc) (Time, StepStatus) { return s.Await(Second) })
 			k.RunUntil(Millisecond)
@@ -438,7 +438,7 @@ func TestShutdownLifecycle(t *testing.T) {
 			k.Run()
 		}},
 		{"a mix, one spawned by another", 3, func(k *Kernel) {
-			s := k.NewSignal("never")
+			s := k.NewSignal()
 			k.Spawn("done", func(p *Proc) { p.Sleep(10) })
 			k.Spawn("parent", func(p *Proc) {
 				k.Spawn("child", func(c *Proc) { c.WaitTimeout(s, Forever) })

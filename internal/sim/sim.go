@@ -861,13 +861,12 @@ func (p *Proc) PromiseQuiet(until, a, b Time) (loud Time, clear bool) {
 // Broadcast in deterministic (wait-arrival) order.
 type Signal struct {
 	k       *Kernel
-	name    string
 	waiters []*Proc
 }
 
 // NewSignal creates a Signal on kernel k.
-func (k *Kernel) NewSignal(name string) *Signal {
-	return &Signal{k: k, name: name}
+func (k *Kernel) NewSignal() *Signal {
+	return &Signal{k: k}
 }
 
 // Broadcast wakes every process currently waiting on s. Each waiter's
@@ -1008,21 +1007,20 @@ type Queue[T any] struct {
 }
 
 // NewQueue creates a queue on kernel k.
-func NewQueue[T any](k *Kernel, name string) *Queue[T] {
-	return &Queue[T]{avail: k.NewSignal(name + ".avail")}
+func NewQueue[T any](k *Kernel) *Queue[T] {
+	return &Queue[T]{avail: k.NewSignal()}
 }
 
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return q.ring.Len() }
 
 // Reset empties the queue, keeping its storage, drops its waiters and
-// binds it to kernel k: a recycled queue is NewQueue's on k, under the
-// name it was made with.
+// binds it to kernel k: a recycled queue is NewQueue's on k.
 func (q *Queue[T]) Reset(k *Kernel) {
 	q.ring.Reuse(q.ring.Release())
 	s := q.avail
 	clear(s.waiters)
-	*s = Signal{k: k, name: s.name, waiters: s.waiters[:0]}
+	*s = Signal{k: k, waiters: s.waiters[:0]}
 }
 
 // Put appends v and wakes any receivers.

@@ -201,7 +201,7 @@ func TestProcInterleaving(t *testing.T) {
 
 func TestSignalBroadcast(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal("s")
+	s := k.NewSignal()
 	var woken []string
 	for _, name := range []string{"p1", "p2", "p3"} {
 		name := name
@@ -226,7 +226,7 @@ func TestSignalBroadcast(t *testing.T) {
 
 func TestWaitTimeout(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal("s")
+	s := k.NewSignal()
 	var got bool
 	var at Time
 	k.Spawn("waiter", func(p *Proc) {
@@ -245,7 +245,7 @@ func TestWaitTimeout(t *testing.T) {
 
 func TestWaitTimeoutSignaledFirst(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal("s")
+	s := k.NewSignal()
 	var got bool
 	k.Spawn("waiter", func(p *Proc) {
 		got = p.WaitTimeout(s, 1000)
@@ -263,7 +263,7 @@ func TestWaitTimeoutSignaledFirst(t *testing.T) {
 
 func TestBroadcastAfterTimeoutDoesNotWakeTimedOutWaiter(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal("s")
+	s := k.NewSignal()
 	wakeups := 0
 	k.Spawn("waiter", func(p *Proc) {
 		p.WaitTimeout(s, 10)
@@ -284,7 +284,7 @@ func TestBroadcastAfterTimeoutDoesNotWakeTimedOutWaiter(t *testing.T) {
 
 func TestQueueFIFO(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQueue[int](k, "q")
+	q := NewQueue[int](k)
 	var got []int
 	k.Start("consumer", func(*Proc) (Time, StepStatus) {
 		for {
@@ -329,7 +329,7 @@ func awaitOne(k *Kernel, q *Queue[string], d Time, v *string, ok *bool, at *Time
 
 func TestQueueRecvTimeout(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQueue[string](k, "q")
+	q := NewQueue[string](k)
 	var v string
 	var ok bool
 	var at Time
@@ -346,7 +346,7 @@ func TestQueueRecvTimeout(t *testing.T) {
 
 func TestQueueRecvTimeoutDelivered(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQueue[string](k, "q")
+	q := NewQueue[string](k)
 	var ok bool
 	var v string
 	var at Time
@@ -364,7 +364,7 @@ func TestQueueRecvTimeoutDelivered(t *testing.T) {
 
 func TestQueueTryRecvAndDrain(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQueue[int](k, "q")
+	q := NewQueue[int](k)
 	if _, ok := q.TryRecv(); ok {
 		t.Error("TryRecv on empty queue returned ok")
 	}
@@ -388,8 +388,8 @@ func TestQueueTryRecvAndDrain(t *testing.T) {
 
 func TestShutdownUnblocksProcs(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal("never")
-	q := NewQueue[int](k, "empty")
+	s := k.NewSignal()
+	q := NewQueue[int](k)
 	k.Spawn("stuck1", func(p *Proc) { p.WaitTimeout(s, Forever) })
 	k.Start("stuck2", func(*Proc) (Time, StepStatus) { return q.Await(Forever) })
 	k.Run()
@@ -405,7 +405,7 @@ func TestShutdownUnblocksProcs(t *testing.T) {
 func TestOnIdleHook(t *testing.T) {
 	k := NewKernel(1)
 	calls := 0
-	s := k.NewSignal("s")
+	s := k.NewSignal()
 	k.Spawn("waiter", func(p *Proc) { p.WaitTimeout(s, Forever) })
 	k.OnIdle(func() bool {
 		calls++
@@ -448,8 +448,8 @@ func TestDeterminism(t *testing.T) {
 		var log []string
 		k := NewKernel(7)
 		defer k.Shutdown()
-		q := NewQueue[int](k, "q")
-		s := k.NewSignal("s")
+		q := NewQueue[int](k)
+		s := k.NewSignal()
 		rng := k.NewRand("jitter")
 		for i := 0; i < 4; i++ {
 			i := i
@@ -593,7 +593,7 @@ func TestYield(t *testing.T) {
 // (q.items = q.items[1:]); the ring zeroes each consumed slot.
 func TestQueueReleasesConsumedItems(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQueue[*int](k, "q")
+	q := NewQueue[*int](k)
 	for i := 0; i < 4; i++ {
 		v := i
 		q.Put(&v)
@@ -617,7 +617,7 @@ func TestQueueReleasesConsumedItems(t *testing.T) {
 // The ring must preserve FIFO order across many wraparounds and grows.
 func TestQueueRingWraparound(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQueue[int](k, "q")
+	q := NewQueue[int](k)
 	next, want := 0, 0
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 3+round%5; i++ {
@@ -648,7 +648,7 @@ func TestQueueRingWraparound(t *testing.T) {
 // internal storage (later Puts must not mutate the drained snapshot).
 func TestQueueDrainReturnsCopy(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQueue[int](k, "q")
+	q := NewQueue[int](k)
 	q.Put(1)
 	q.Put(2)
 	got := q.Drain()

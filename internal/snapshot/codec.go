@@ -1,10 +1,11 @@
 // Package snapshot is the leaf codec under the session checkpoint and
 // backup-reintegration subsystems: a deterministic, versioned binary
-// Writer/Reader pair and nothing else. It imports no other package of
-// this module, so every layer can use it, and it knows no layer's
-// layout: a layer's byte format lives in that layer's snapshot.go
-// (machine, hypervisor, replication) and the two composite blobs — the
-// checkpoint's section list and the AddBackup transfer — in session.
+// Writer/Reader pair, and the Codec that drives either one from a single
+// description of a format. It imports no other package of this module,
+// so every layer can use it, and it knows no layer's layout: a layer's
+// byte format lives in that layer's snapshot.go (machine, hypervisor,
+// replication) and the two composite blobs — the checkpoint's section
+// list and the AddBackup transfer — in session.
 //
 // Determinism is a hard requirement, not a nicety: a state-transfer
 // blob's byte length is charged to the simulated link (so its size must
@@ -114,6 +115,7 @@ var ErrCorrupt = errors.New("snapshot: corrupt or truncated data")
 // Writer accumulates a deterministic binary encoding.
 type Writer struct {
 	buf []byte
+	c   Codec // Codec's, pointing back at the writer
 }
 
 // NewWriter starts a blob with the given 8-byte magic and the current
@@ -140,6 +142,15 @@ func (w *Writer) header(magic string) {
 	w.buf = append(w.buf, magic...)
 	w.U32(versionOf(magic))
 }
+
+// Truncate drops everything written after the first n bytes (a Len).
+// Truncate(0) leaves no header: the writer then holds an unframed body,
+// bytes a layer nests inside its own format.
+func (w *Writer) Truncate(n int) { w.buf = w.buf[:n] }
+
+// Since returns the bytes written after mark (a Len). The result aliases
+// the writer's buffer: valid until the next Truncate or Reset.
+func (w *Writer) Since(mark int) []byte { return w.buf[mark:len(w.buf):len(w.buf)] }
 
 // Grow ensures room for n more bytes without reallocation.
 func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
@@ -227,6 +238,7 @@ type Reader struct {
 	off int
 	err error
 	own []byte // ReadBlob's buffer, which b views, kept for the next blob
+	c   Codec  // Codec's, pointing back at the reader
 }
 
 // NewReader validates the blob's magic, version and checksum, in that
@@ -294,9 +306,13 @@ func (r *Reader) ReadBlob(src io.Reader, magic string) error {
 	return r.open(buf, magic)
 }
 
+// Nested positions r at the start of b, an unframed body nested inside
+// another blob's format: no magic, version or checksum of its own.
+func (r *Reader) Nested(b []byte) { r.b, r.off, r.err = b, 0, nil }
+
 // Fail latches the first error: the bytes at the current offset cannot
-// be what the decoder expects. A layer's decoder calls it for a value
-// that read cleanly but is structurally invalid.
+// be what the decoder expects. A code method calls it (Codec.Fail) for
+// a value that read cleanly but is structurally invalid.
 func (r *Reader) Fail() {
 	if r.err == nil {
 		r.err = fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, r.off)
@@ -308,6 +324,15 @@ func (r *Reader) Err() error { return r.err }
 
 // Remaining reports how many body bytes are left.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
+
+// Done ends a decode that should have consumed the whole body: the
+// sticky error, else ErrCorrupt if bytes are left over.
+func (r *Reader) Done() error {
+	if r.err == nil && r.Remaining() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Remaining())
+	}
+	return r.err
+}
 
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
@@ -354,11 +379,6 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 // Int reads an int encoded by Writer.Int.
 func (r *Reader) Int() int { return int(r.I64()) }
 
-// Bytes reads a length-prefixed byte slice (a copy).
-func (r *Reader) Bytes() []byte {
-	return bytes.Clone(r.View())
-}
-
 // View reads a length-prefixed byte slice without copying: the result
 // aliases the blob the reader was opened on.
 func (r *Reader) View() []byte {
@@ -385,13 +405,164 @@ func (r *Reader) Count(elemMin int) int {
 }
 
 // String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := int(r.U32())
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.Fail()
-		return ""
+func (r *Reader) String() string { return string(r.View()) }
+
+// Codec is one byte format in both directions. A layer writes its format
+// once, as a code method that hands every field to the codec in order —
+// c.U32(&s.PC), c.Count(&n, elemMin), c.Bytes(&d.Data) — and the same
+// method encodes (each field is appended to the codec's Writer) or
+// decodes (each field is overwritten with the next value its Reader
+// yields), so no encoder and decoder can drift apart. It is a concrete
+// type with a mode, not an interface: a checkpoint pays a branch per
+// field, not a dynamic call. Writer.Codec and Reader.Codec hand one out.
+//
+// Decoding goes into a staging value that its owner vets before it
+// commits (or, for a device shadow, into live state the hypervisor puts
+// back on a refusal), and a code method checks what it reads where it
+// reads it (Reading, Fail). Every failure latches on the Reader, whose
+// accessors then yield zeros, so a code method runs to its end on any
+// input and its caller asks Reader.Err or Reader.Done once.
+type Codec struct {
+	w *Writer // write mode
+	r *Reader // read mode
+}
+
+// Codec returns the codec that writes to w. It lives in w: taking it
+// allocates nothing, whatever the code methods it is passed to.
+func (w *Writer) Codec() *Codec {
+	w.c = Codec{w: w}
+	return &w.c
+}
+
+// Codec returns the codec that reads from r, living in r as Writer.Codec
+// lives in its writer.
+func (r *Reader) Codec() *Codec {
+	r.c = Codec{r: r}
+	return &r.c
+}
+
+// Reading reports whether c decodes.
+func (c *Codec) Reading() bool { return c.r != nil }
+
+// Fail latches a decode failure (Reader.Fail): the value just read is
+// structurally invalid. Call it only while Reading.
+func (c *Codec) Fail() { c.r.Fail() }
+
+// U8 codes one byte.
+func (c *Codec) U8(p *uint8) {
+	if c.r != nil {
+		*p = c.r.U8()
+	} else {
+		c.w.U8(*p)
 	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
+}
+
+// Bool codes a boolean as one byte, 0 or 1 (Reader.Bool).
+func (c *Codec) Bool(p *bool) {
+	if c.r != nil {
+		*p = c.r.Bool()
+	} else {
+		c.w.Bool(*p)
+	}
+}
+
+// U32 codes a little-endian uint32.
+func (c *Codec) U32(p *uint32) {
+	if c.r != nil {
+		*p = c.r.U32()
+	} else {
+		c.w.U32(*p)
+	}
+}
+
+// Uint codes a uint as a uint32 (an interrupt line, a device's line).
+func (c *Codec) Uint(p *uint) {
+	v := uint32(*p)
+	c.U32(&v)
+	if c.r != nil {
+		*p = uint(v)
+	}
+}
+
+// U64 codes a little-endian uint64.
+func (c *Codec) U64(p *uint64) {
+	if c.r != nil {
+		*p = c.r.U64()
+	} else {
+		c.w.U64(*p)
+	}
+}
+
+// I64 codes a little-endian int64.
+func (c *Codec) I64(p *int64) {
+	if c.r != nil {
+		*p = c.r.I64()
+	} else {
+		c.w.I64(*p)
+	}
+}
+
+// Int codes an int as a 64-bit value.
+func (c *Codec) Int(p *int) {
+	if c.r != nil {
+		*p = c.r.Int()
+	} else {
+		c.w.Int(*p)
+	}
+}
+
+// String codes a length-prefixed string.
+func (c *Codec) String(p *string) {
+	if c.r != nil {
+		*p = c.r.String()
+	} else {
+		c.w.String(*p)
+	}
+}
+
+// Bytes codes a length-prefixed byte slice. Read, it is a copy, and an
+// empty one is nil.
+func (c *Codec) Bytes(p *[]byte) {
+	if c.r == nil {
+		c.w.Bytes(*p)
+	} else if v := c.r.View(); len(v) > 0 {
+		*p = bytes.Clone(v)
+	} else {
+		*p = nil
+	}
+}
+
+// View is Bytes without the copy: read, the slice aliases the blob the
+// reader was opened on (Reader.View).
+func (c *Codec) View(p *[]byte) {
+	if c.r != nil {
+		*p = c.r.View()
+	} else {
+		c.w.Bytes(*p)
+	}
+}
+
+// Count codes an element count. Read, it fails unless that many elements
+// of at least elemMin encoded bytes each can still follow (Reader.Count),
+// so *n can size an allocation without being trusted.
+func (c *Codec) Count(n *int, elemMin int) {
+	if c.r != nil {
+		*n = c.r.Count(elemMin)
+	} else {
+		c.w.U32(uint32(*n))
+	}
+}
+
+// Slice codes a slice's length as Count does. Read, *s becomes a fresh
+// slice of that many zero elements (nil for none) for the caller to code
+// element by element.
+func Slice[T any](c *Codec, s *[]T, elemMin int) {
+	n := len(*s)
+	c.Count(&n, elemMin)
+	if c.r != nil {
+		*s = nil
+		if n > 0 {
+			*s = make([]T, n)
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -46,14 +47,124 @@ func TestCodecRoundTrip(t *testing.T) {
 	if v := r.Int(); v != -7 {
 		t.Fatalf("Int = %d", v)
 	}
-	if b := r.Bytes(); string(b) != "\x01\x02\x03" {
-		t.Fatalf("Bytes = %v", b)
+	if b := r.View(); string(b) != "\x01\x02\x03" {
+		t.Fatalf("View = %v", b)
 	}
 	if s := r.String(); s != "hello" {
 		t.Fatalf("String = %q", s)
 	}
 	if r.Remaining() != 0 || r.Err() != nil {
 		t.Fatalf("remaining %d, err %v", r.Remaining(), r.Err())
+	}
+}
+
+// codecCase is one Codec primitive's round trip: v written through code,
+// then read back through the same code into a zero value.
+type codecCase struct {
+	name string
+	run  func(t *testing.T)
+}
+
+func codecPrimitive[T any](name string, v T, code func(*Codec, *T)) codecCase {
+	return codecCase{name, func(t *testing.T) {
+		w := NewWriter(testMagic)
+		in := v
+		code(w.Codec(), &in)
+		r, err := NewReader(w.Finish(), testMagic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out T
+		code(r.Codec(), &out)
+		if err := r.Done(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out, v) || !reflect.DeepEqual(in, v) {
+			t.Errorf("wrote %v, read back %v (written value now %v)", v, out, in)
+		}
+	}}
+}
+
+// TestCodecPrimitives: every Codec primitive writes a value and reads the
+// same value back, through one code function used in both modes.
+func TestCodecPrimitives(t *testing.T) {
+	for _, c := range []codecCase{
+		codecPrimitive("U8", uint8(0xA5), (*Codec).U8),
+		codecPrimitive("Bool", true, (*Codec).Bool),
+		codecPrimitive("U32", uint32(0xDEADBEEF), (*Codec).U32),
+		codecPrimitive("Uint", uint(0xFEEDF00D), (*Codec).Uint),
+		codecPrimitive("U64", uint64(1<<63|12345), (*Codec).U64),
+		codecPrimitive("I64", int64(-42), (*Codec).I64),
+		codecPrimitive("Int", -7, (*Codec).Int),
+		codecPrimitive("String", "hello", (*Codec).String),
+		codecPrimitive("Bytes", []byte{1, 2, 3}, (*Codec).Bytes),
+		codecPrimitive("Bytes/nil", []byte(nil), (*Codec).Bytes),
+		codecPrimitive("View", []byte{4, 5}, (*Codec).View),
+		codecPrimitive("Count+Slice", []uint32{9, 8, 7}, func(c *Codec, s *[]uint32) {
+			Slice(c, s, 4)
+			for i := range *s {
+				c.U32(&(*s)[i])
+			}
+		}),
+		codecPrimitive("Slice/empty", []uint32(nil), func(c *Codec, s *[]uint32) { Slice(c, s, 4) }),
+	} {
+		t.Run(c.name, c.run)
+	}
+
+	// An empty slice reads back as nil, and Bytes copies where View aliases.
+	w := NewWriter(testMagic)
+	empty, data := []byte{}, []byte{6, 7}
+	w.Codec().Bytes(&empty)
+	w.Codec().Bytes(&data)
+	w.Codec().View(&data)
+	blob := w.Finish()
+	r, _ := NewReader(blob, testMagic)
+	var gotEmpty, copied, viewed []byte
+	r.Codec().Bytes(&gotEmpty)
+	r.Codec().Bytes(&copied)
+	r.Codec().View(&viewed)
+	if gotEmpty != nil || r.Done() != nil {
+		t.Errorf("empty Bytes read back as %#v (%v)", gotEmpty, r.Done())
+	}
+	blob[len(blob)-8-1] = 0xFF // the viewed slice's last byte, under the checksum
+	if copied[1] != 7 || viewed[1] != 0xFF {
+		t.Errorf("Bytes %v must be a copy and View %v an alias of the blob", copied, viewed)
+	}
+}
+
+// TestCodecCountAndLatch: read, Count refuses a count the remaining
+// bytes cannot hold, and the first failure latches: every later read
+// yields zeros and the error stays the first one.
+func TestCodecCountAndLatch(t *testing.T) {
+	w := NewWriter(testMagic)
+	w.U32(1) // one 8-byte element, which follows
+	w.U64(5)
+	w.U32(3) // three 8-byte elements: 24 bytes, of which 12 follow
+	w.U32(7)
+	w.U64(9)
+	r, _ := NewReader(w.Finish(), testMagic)
+	c := r.Codec()
+	n := -1
+	if c.Count(&n, 8); n != 1 || r.Err() != nil {
+		t.Fatalf("a count the bytes hold: %d, %v", n, r.Err())
+	}
+	var v uint64
+	c.U64(&v)
+	if c.Count(&n, 8); n != 0 || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("a count the bytes cannot hold: %d, %v", n, r.Err())
+	}
+	first := r.Err()
+	u32, u64, s, b, ok := uint32(1), uint64(1), "x", []byte{1}, true
+	c.U32(&u32)
+	c.U64(&u64)
+	c.String(&s)
+	c.Bytes(&b)
+	c.Bool(&ok)
+	if u32 != 0 || u64 != 0 || s != "" || b != nil || ok {
+		t.Errorf("reads after a failure yielded %d %d %q %v %v, want zeros", u32, u64, s, b, ok)
+	}
+	if r.Err() != first || r.Done() != first {
+		t.Errorf("error moved from %v to %v", first, r.Err())
 	}
 }
 

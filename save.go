@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/clientsim"
 	"repro/internal/free"
 	"repro/internal/netsim"
 	"repro/internal/session"
@@ -123,186 +124,215 @@ func (c *Cluster) Save(w io.Writer) error {
 	// straight from the machines' page frames.
 	sw := c.eng.Writer(saveMagic)
 	defer c.eng.Recycle(sw)
-	c.putConfig(sw)
-	sw.U32(uint32(len(c.journal)))
-	for _, e := range c.journal {
-		putPause(sw, e.pause)
-		sw.U8(uint8(e.action))
-		sw.Int(e.backup)
-		sw.I64(e.quality.BitsPerSecond)
-		sw.I64(int64(e.quality.Latency))
-		sw.Int(e.quality.MTU)
-		sw.Int(e.quality.DropNext)
-		putLinkParams(sw, e.link)
-	}
-	putPause(sw, c.pause)
-
+	cp := checkpoint{config: *c.opts, journal: c.journal, pause: c.pause}
+	cp.head(sw.Codec())
 	c.eng.EncodeSections(sw)
 
 	_, err := w.Write(sw.Finish())
 	return err
 }
 
-// putConfig serializes the resolved cluster options.
-func (c *Cluster) putConfig(w *snapshot.Writer) {
-	o := c.opts
-	w.I64(o.Seed)
-	wl := o.workload
-	w.U32(wl.Kind)
-	w.U32(wl.Iters)
-	w.U32(wl.Ops)
-	w.U32(wl.Seed)
-	w.U32(wl.BlockMask)
-	w.U32(wl.BlockBase)
-	w.U32(wl.Count)
-	w.U32(wl.PreOp)
-	w.U32(wl.PrivOps)
-	w.U64(o.EpochLength)
-	w.U8(uint8(o.Protocol))
-	putLinkParams(w, LinkParams(o.Link))
-	w.I64(int64(o.DetectTimeout))
-	w.Int(o.Backups)
-	w.I64(int64(o.FailPrimaryAt))
+// checkpoint is a checkpoint blob's contents: the configuration, the
+// perturbation journal, the pause position, then the capture's sections.
+// Save codes the first three from the cluster (head) and has the engine
+// encode the sections in place; Restore decodes all four into this
+// staging value before it builds or replays anything.
+type checkpoint struct {
+	config   clusterOptions
+	journal  []journalEntry
+	pause    pausePoint
+	sections []session.Section
+}
+
+// Encoded sizes a decode bounds its allocations by.
+const (
+	linkParamsMin   = 4 + 6*8
+	journalEntryMin = 17 + 1 + 8 + 4*8 + linkParamsMin
+	sectionMin      = 4 + 4
+)
+
+// code codes the whole checkpoint: head, then the section list.
+func (cp *checkpoint) code(c *snapshot.Codec) {
+	cp.head(c)
+	snapshot.Slice(c, &cp.sections, sectionMin)
+	for i := range cp.sections {
+		c.String(&cp.sections[i].Name)
+		c.View(&cp.sections[i].Data)
+	}
+}
+
+// head codes everything before the sections.
+func (cp *checkpoint) head(c *snapshot.Codec) {
+	cp.config.code(c)
+	snapshot.Slice(c, &cp.journal, journalEntryMin)
+	for i := range cp.journal {
+		cp.journal[i].code(c)
+	}
+	cp.pause.code(c)
+}
+
+// code codes the resolved cluster options. Read, o is a staging value
+// that options turns back into the options that built it, so every
+// decoded field passes NewCluster's own validation (buildOptions). A
+// read also refuses what Save never writes, so that a checkpoint which
+// restores saves again to its own bytes.
+func (o *clusterOptions) code(c *snapshot.Codec) {
+	c.I64(&o.Seed)
+	wl := &o.workload
+	for _, p := range [...]*uint32{&wl.Kind, &wl.Iters, &wl.Ops, &wl.Seed, &wl.BlockMask, &wl.BlockBase, &wl.Count, &wl.PreOp, &wl.PrivOps} {
+		c.U32(p)
+	}
+	c.U64(&o.EpochLength)
+	proto := uint8(o.Protocol)
+	c.U8(&proto)
+	o.Protocol = Protocol(proto)
+	(*LinkParams)(&o.Link).code(c)
+	c.I64((*int64)(&o.DetectTimeout))
+	c.Int(&o.Backups)
+	c.I64((*int64)(&o.FailPrimaryAt))
+	o.codeFailBackups(c)
+	c.I64((*int64)(&o.Disk.ReadLatency))
+	c.I64((*int64)(&o.Disk.WriteLatency))
+	snapshot.Slice(c, &o.ExtraDisks, 2*8)
+	for i := range o.ExtraDisks {
+		c.I64((*int64)(&o.ExtraDisks[i].ReadLatency))
+		c.I64((*int64)(&o.ExtraDisks[i].WriteLatency))
+	}
+	snapshot.Slice(c, &o.Terminal, 8+4)
+	for i := range o.Terminal {
+		c.I64((*int64)(&o.Terminal[i].At))
+		c.Bytes(&o.Terminal[i].Data)
+	}
+	// The NIC flag, written twice: the adapter is attached exactly when
+	// client load is.
+	nic, load := o.ClientLoad != nil, o.ClientLoad != nil
+	c.Bool(&nic)
+	c.Bool(&load)
+	if c.Reading() && load {
+		o.ClientLoad = new(clientsim.Config)
+	}
+	if cl := o.ClientLoad; load {
+		c.Int(&cl.Clients)
+		c.Int(&cl.PayloadWords)
+		c.I64((*int64)(&cl.Start))
+		c.I64((*int64)(&cl.MeanGap))
+		c.I64((*int64)(&cl.Timeout))
+	}
+	oc := &o.OutputCommit
+	c.Bool(&oc.Enabled)
+	if oc.Enabled {
+		c.Int(&oc.Window)
+		c.Bool(&oc.Adaptive)
+	}
+	// WithOutputCommit resolves a zero window to one.
+	if c.Reading() && (nic != load || oc.Enabled && oc.Window == 0) {
+		c.Fail()
+	}
+}
+
+// codeFailBackups codes the backup failure schedule: the number of
+// backups scheduled to fail, then (index, time) for each, ascending by
+// index.
+func (o *clusterOptions) codeFailBackups(c *snapshot.Codec) {
 	n := 0
 	for _, at := range o.FailBackupAt {
 		if at > 0 {
 			n++
 		}
 	}
-	w.U32(uint32(n))
-	for i, at := range o.FailBackupAt {
-		if at > 0 {
-			w.Int(i + 1)
-			w.I64(int64(at))
+	c.Count(&n, 2*8)
+	if c.Reading() {
+		o.FailBackupAt = nil
+	}
+	for k, prev := 0, 0; k < n; k++ {
+		i, at := prev+1, Duration(0)
+		if !c.Reading() {
+			for o.FailBackupAt[i-1] <= 0 {
+				i++
+			}
+			at = o.FailBackupAt[i-1]
 		}
-	}
-	w.I64(int64(o.Disk.ReadLatency))
-	w.I64(int64(o.Disk.WriteLatency))
-	w.U32(uint32(len(o.ExtraDisks)))
-	for _, d := range o.ExtraDisks {
-		w.I64(int64(d.ReadLatency))
-		w.I64(int64(d.WriteLatency))
-	}
-	w.U32(uint32(len(o.Terminal)))
-	for _, ev := range o.Terminal {
-		w.I64(int64(ev.At))
-		w.String(string(ev.Data))
-	}
-	// The NIC flag: the adapter is attached exactly when client load is.
-	w.Bool(o.ClientLoad != nil)
-	w.Bool(o.ClientLoad != nil)
-	if cl := o.ClientLoad; cl != nil {
-		w.Int(cl.Clients)
-		w.Int(cl.PayloadWords)
-		w.I64(int64(cl.Start))
-		w.I64(int64(cl.MeanGap))
-		w.I64(int64(cl.Timeout))
-	}
-	w.Bool(o.OutputCommit.Enabled)
-	if o.OutputCommit.Enabled {
-		w.Int(o.OutputCommit.Window)
-		w.Bool(o.OutputCommit.Adaptive)
+		c.Int(&i)
+		c.I64((*int64)(&at))
+		if c.Reading() {
+			// The bound comes first: the index sizes the schedule.
+			if i <= prev || i > maxBackups || at <= 0 {
+				c.Fail()
+				return
+			}
+			o.FailBackupAt = append(o.FailBackupAt, make([]Duration, i-len(o.FailBackupAt))...)
+			o.FailBackupAt[i-1] = at
+		}
+		prev = i
 	}
 }
 
-// configFrom decodes a snapshot's configuration into the options that
+// options turns a decoded configuration back into the options that
 // built the cluster, for buildOptions to validate and resolve exactly as
 // NewCluster does.
-func configFrom(r *snapshot.Reader) []Option {
-	opts := []Option{WithSeed(r.I64())}
-	var wl Workload
-	wl.Kind = r.U32()
-	wl.Iters = r.U32()
-	wl.Ops = r.U32()
-	wl.Seed = r.U32()
-	wl.BlockMask = r.U32()
-	wl.BlockBase = r.U32()
-	wl.Count = r.U32()
-	wl.PreOp = r.U32()
-	wl.PrivOps = r.U32()
-	opts = append(opts, WithWorkload(wl), WithEpochLength(r.U64()), WithProtocol(Protocol(r.U8())), WithLink(linkParams(r)))
+func (o *clusterOptions) options() []Option {
+	opts := []Option{WithSeed(o.Seed), WithWorkload(o.workload), WithEpochLength(o.EpochLength),
+		WithProtocol(o.Protocol), WithLink(LinkParams(o.Link))}
 	// Zero durations are the unset defaults, which the options reject.
-	if d := Duration(r.I64()); d != 0 {
-		opts = append(opts, WithDetectTimeout(d))
+	if o.DetectTimeout != 0 {
+		opts = append(opts, WithDetectTimeout(o.DetectTimeout))
 	}
-	opts = append(opts, WithBackups(r.Int()))
-	if t := Duration(r.I64()); t != 0 {
-		opts = append(opts, WithFailPrimaryAt(t))
+	opts = append(opts, WithBackups(o.Backups))
+	if o.FailPrimaryAt != 0 {
+		opts = append(opts, WithFailPrimaryAt(o.FailPrimaryAt))
 	}
-	n := int(r.U32())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		idx := r.Int()
-		opts = append(opts, WithFailBackupAt(idx, Duration(r.I64())))
+	for i, at := range o.FailBackupAt {
+		if at != 0 {
+			opts = append(opts, WithFailBackupAt(i+1, at))
+		}
 	}
-	read := Duration(r.I64())
-	opts = append(opts, WithDiskLatency(read, Duration(r.I64())))
-	n = int(r.U32())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		read := Duration(r.I64())
-		opts = append(opts, WithDisk(DiskSpec{ReadLatency: read, WriteLatency: Duration(r.I64())}))
+	opts = append(opts, WithDiskLatency(o.Disk.ReadLatency, o.Disk.WriteLatency))
+	for _, d := range o.ExtraDisks {
+		opts = append(opts, WithDisk(DiskSpec{ReadLatency: d.ReadLatency, WriteLatency: d.WriteLatency}))
 	}
-	var script []TerminalInput
-	n = int(r.U32())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		at := Duration(r.I64())
-		script = append(script, TerminalInput{At: at, Data: r.String()})
-	}
-	if len(script) > 0 {
+	if len(o.Terminal) > 0 {
+		script := make([]TerminalInput, len(o.Terminal))
+		for i, ev := range o.Terminal {
+			script[i] = TerminalInput{At: ev.At, Data: string(ev.Data)}
+		}
 		opts = append(opts, WithTerminal(script...))
 	}
-	r.Bool() // the NIC flag, implied by client load
-	if r.Bool() {
-		var cl ClientLoad
-		cl.Clients = r.Int()
-		cl.PayloadWords = r.Int()
-		cl.Start = Duration(r.I64())
-		cl.MeanGap = Duration(r.I64())
-		cl.Timeout = Duration(r.I64())
-		opts = append(opts, WithClientLoad(cl))
+	if cl := o.ClientLoad; cl != nil {
+		opts = append(opts, WithClientLoad(ClientLoad{Clients: cl.Clients, PayloadWords: cl.PayloadWords,
+			Start: cl.Start, MeanGap: cl.MeanGap, Timeout: cl.Timeout}))
 	}
-	if r.Bool() {
-		var oc OutputCommit
-		oc.Window = r.Int()
-		oc.Adaptive = r.Bool()
-		opts = append(opts, WithOutputCommit(oc))
+	if oc := o.OutputCommit; oc.Enabled {
+		opts = append(opts, WithOutputCommit(OutputCommit{Window: oc.Window, Adaptive: oc.Adaptive}))
 	}
 	return opts
 }
 
-func putLinkParams(w *snapshot.Writer, p LinkParams) {
-	w.String(p.Name)
-	w.I64(p.BitsPerSecond)
-	w.I64(int64(p.Latency))
-	w.Int(p.MTU)
-	w.Int(p.FrameOverhead)
-	w.Int(p.PerMessageFrames)
-	w.I64(int64(p.SetupTime))
+func (p *LinkParams) code(c *snapshot.Codec) {
+	c.String(&p.Name)
+	c.I64(&p.BitsPerSecond)
+	c.I64((*int64)(&p.Latency))
+	c.Int(&p.MTU)
+	c.Int(&p.FrameOverhead)
+	c.Int(&p.PerMessageFrames)
+	c.I64((*int64)(&p.SetupTime))
 }
 
-func linkParams(r *snapshot.Reader) LinkParams {
-	return LinkParams{
-		Name:             r.String(),
-		BitsPerSecond:    r.I64(),
-		Latency:          Duration(r.I64()),
-		MTU:              r.Int(),
-		FrameOverhead:    r.Int(),
-		PerMessageFrames: r.Int(),
-		SetupTime:        Duration(r.I64()),
-	}
+func (p *pausePoint) code(c *snapshot.Codec) {
+	c.U8((*uint8)(&p.kind))
+	c.I64((*int64)(&p.time))
+	c.U64(&p.commits)
 }
 
-func putPause(w *snapshot.Writer, p pausePoint) {
-	w.U8(uint8(p.kind))
-	w.I64(int64(p.time))
-	w.U64(p.commits)
-}
-
-func pause(r *snapshot.Reader) pausePoint {
-	return pausePoint{
-		kind:    pauseKind(r.U8()),
-		time:    Duration(r.I64()),
-		commits: r.U64(),
-	}
+func (e *journalEntry) code(c *snapshot.Codec) {
+	e.pause.code(c)
+	c.U8((*uint8)(&e.action))
+	c.Int(&e.backup)
+	q := &e.quality
+	c.I64(&q.BitsPerSecond)
+	c.I64((*int64)(&q.Latency))
+	c.Int(&q.MTU)
+	c.Int(&q.DropNext)
+	e.link.code(c)
 }
 
 // restoreReaders holds the readers idle Restore calls read their blobs
@@ -324,7 +354,7 @@ var restoreReaders free.Shelf[*snapshot.Reader]
 // wrapping ErrSnapshotCorrupt. The returned cluster is live: it can be
 // advanced, perturbed, observed and saved again.
 func Restore(r io.Reader) (*Cluster, error) {
-	// The blob is dead once Restore returns: want's sections are only
+	// The blob is dead once Restore returns: its sections are only
 	// compared and every decoded string is a copy, so it is read into a
 	// reader borrowed for the call. It is read before the cluster exists,
 	// so no cluster's arena can own it.
@@ -337,38 +367,19 @@ func Restore(r io.Reader) (*Cluster, error) {
 		return nil, fmt.Errorf("hft: Restore: %w", err)
 	}
 
-	opts := configFrom(sr)
-	nj := int(sr.U32())
-	var journal []journalEntry
-	for i := 0; i < nj && sr.Err() == nil; i++ {
-		var e journalEntry
-		e.pause = pause(sr)
-		e.action = actionKind(sr.U8())
-		e.backup = sr.Int()
-		e.quality.BitsPerSecond = sr.I64()
-		e.quality.Latency = Duration(sr.I64())
-		e.quality.MTU = sr.Int()
-		e.quality.DropNext = sr.Int()
-		e.link = linkParams(sr)
-		journal = append(journal, e)
-	}
-	final := pause(sr)
-	ns := int(sr.U32())
-	var want []session.Section
-	for i := 0; i < ns && sr.Err() == nil; i++ {
-		want = append(want, session.Section{Name: sr.String(), Data: sr.View()})
-	}
-	if err := sr.Err(); err != nil {
+	var cp checkpoint
+	cp.code(sr.Codec())
+	if err := sr.Done(); err != nil {
 		return nil, fmt.Errorf("hft: Restore: %w", err)
 	}
-	o, err := buildOptions(opts)
+	o, err := buildOptions(cp.config.options())
 	if err != nil {
 		return nil, fmt.Errorf("hft: Restore: %w: %w", ErrSnapshotCorrupt, err)
 	}
 
 	c := newCluster(o)
-	c.journal = journal
-	for i, e := range journal {
+	c.journal = cp.journal
+	for i, e := range cp.journal {
 		if err := c.replayTo(e.pause); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("hft: Restore: replaying journal entry %d: %w", i, err)
@@ -378,13 +389,13 @@ func Restore(r io.Reader) (*Cluster, error) {
 			return nil, fmt.Errorf("hft: Restore: replaying journal entry %d: %w", i, err)
 		}
 	}
-	if err := c.replayTo(final); err != nil {
+	if err := c.replayTo(cp.pause); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("hft: Restore: %w", err)
 	}
-	c.pause = final
+	c.pause = cp.pause
 
-	if err := c.eng.VerifySections(want); err != nil {
+	if err := c.eng.VerifySections(cp.sections); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("hft: Restore: replayed state diverges from snapshot: %w", err)
 	}

@@ -16,9 +16,13 @@ package hft
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"runtime"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 // stateGolden is one pinned Save output: length + SHA-256.
@@ -39,7 +43,7 @@ var saveGoldens = [2]stateGolden{
 	{83086, "eaa6146fa61d4eef55464888ba0204cec1920877999c39028c7bb8cdd1da4cbe"},
 }
 
-func saveGoldenScenario(t *testing.T) [2][]byte {
+func saveGoldenScenario(t testing.TB) [2][]byte {
 	t.Helper()
 	c, err := NewCluster(
 		WithSeed(7),
@@ -95,6 +99,146 @@ func TestSaveBytesGolden(t *testing.T) {
 		restored.Close()
 		if err != nil || !bytes.Equal(b, again.Bytes()) {
 			t.Errorf("save %d: restore + re-save is not byte-identical (err %v)", i, err)
+		}
+	}
+}
+
+// FuzzRestoreHeader holds what Restore decodes before it builds or
+// replays anything — the configuration, the journal, the final pause and
+// the section list — to one property: the decode fails, or buildOptions
+// refuses the configuration, or the checkpoint re-encodes to exactly the
+// input with the configuration as buildOptions resolved it (what Save
+// would write). It never panics. The fuzzed input is the blob's BODY: the
+// target adds the header and a valid checksum itself, so mutations reach
+// the decoder instead of dying at the checksum gate.
+func FuzzRestoreHeader(f *testing.F) {
+	body := func(cp checkpoint) []byte {
+		w := snapshot.NewWriter(saveMagic)
+		cp.code(w.Codec())
+		b := w.Finish()
+		return b[len(saveMagic)+4 : len(b)-8]
+	}
+	for _, b := range saveGoldenScenario(f) {
+		f.Add(b[len(saveMagic)+4 : len(b)-8])
+		// The same header without its sections, so that mutations land
+		// in the header rather than in section bytes nothing decodes.
+		r, err := snapshot.NewReader(b, saveMagic)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var cp checkpoint
+		cp.code(r.Codec())
+		cp.sections = nil
+		f.Add(body(cp))
+	}
+	// A header with every optional part of the configuration and every
+	// journal action.
+	o, err := buildOptions([]Option{
+		WithWorkload(ServeRequests(40, 3)), WithClientLoad(ClientLoad{Clients: 3, Timeout: Millisecond}),
+		WithOutputCommit(OutputCommit{Window: 2, Adaptive: true}), WithBackups(3), WithDetectTimeout(Millisecond),
+		WithFailPrimaryAt(9 * Millisecond), WithFailBackupAt(3, 7*Millisecond), WithFailBackupAt(1, 5*Millisecond),
+		WithDisk(DiskSpec{ReadLatency: Millisecond}), WithTerminal(TerminalInput{At: Millisecond, Data: "ab"}),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := buildOptions(o.options()); err != nil {
+		f.Fatalf("the full configuration does not resolve again: %v", err)
+	}
+	link := LinkParams(o.Link)
+	f.Add(body(checkpoint{config: *o, pause: pausePoint{pauseAtCommit, 0, 12}, journal: []journalEntry{
+		{pause: pausePoint{pauseAtTime, Millisecond, 0}, action: actFailPrimary},
+		{pause: pausePoint{pauseAtCommit, 0, 3}, action: actFailBackup, backup: 2},
+		{pause: pausePoint{pauseAtTime, 2 * Millisecond, 0}, action: actSetLink, quality: LinkQuality{MTU: 512, DropNext: 1}},
+		{pause: pausePoint{pauseAtTime, 3 * Millisecond, 0}, action: actAddBackup, link: link},
+	}}))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		blob := sealSave(in)
+		r, err := snapshot.NewReader(blob, saveMagic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cp checkpoint
+		cp.code(r.Codec())
+		if r.Done() != nil {
+			return
+		}
+		o, err := buildOptions(cp.config.options())
+		if err != nil {
+			return
+		}
+		cp.config = *o
+		w := snapshot.NewWriter(saveMagic)
+		cp.code(w.Codec())
+		if again := w.Finish(); !bytes.Equal(again, blob) {
+			t.Fatalf("restorable header re-encodes to %d bytes, input was %d", len(again), len(blob))
+		}
+	})
+}
+
+// sealSave wraps a checkpoint body in its header and checksum trailer.
+func sealSave(body []byte) []byte {
+	blob := binary.LittleEndian.AppendUint32([]byte(saveMagic), snapshot.FormatVersion)
+	return reseal(append(append(blob, body...), make([]byte, 8)...))
+}
+
+// TestRestoreHeaderCanonical: Restore's header decoder refuses the
+// spellings of a configuration that Save never writes — each would
+// restore and then save to other bytes — and accepts the one it does.
+func TestRestoreHeaderCanonical(t *testing.T) {
+	const t1, t2 = 0x1111111, 0x2222222 // failure times, findable in the bytes
+	opts := []Option{WithWorkload(ServeRequests(40, 3)), WithClientLoad(ClientLoad{}), WithBackups(2),
+		WithFailBackupAt(1, t1), WithFailBackupAt(2, t2), WithOutputCommit(OutputCommit{Window: 2})}
+	o, err := buildOptions(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(o clusterOptions) []byte {
+		w := snapshot.NewWriter(saveMagic)
+		cp := checkpoint{config: o}
+		cp.code(w.Codec())
+		b := w.Finish()
+		return b[len(saveMagic)+4 : len(b)-8]
+	}
+	restorable := func(body []byte) error {
+		r, err := snapshot.NewReader(sealSave(body), saveMagic)
+		if err != nil {
+			return err
+		}
+		var cp checkpoint
+		cp.code(r.Codec())
+		if err := r.Done(); err != nil {
+			return err
+		}
+		_, err = buildOptions(cp.config.options())
+		return err
+	}
+	good := body(*o)
+	if err := restorable(good); err != nil {
+		t.Fatalf("Save's own header refused: %v", err)
+	}
+
+	// The NIC flag's two copies differ: the first one off.
+	noLoad := *o
+	noLoad.ClientLoad = nil
+	flags := bytes.Clone(good)
+	i := 0
+	for noNIC := body(noLoad); flags[i] == noNIC[i]; i++ {
+	}
+	flags[i] = 0
+	// The failure schedule out of index order: backup 2's entry first.
+	swapped := bytes.Clone(good)
+	at := bytes.Index(swapped, binary.LittleEndian.AppendUint64(nil, t1)) - 8
+	first := bytes.Clone(swapped[at : at+16])
+	copy(swapped[at:], swapped[at+16:at+32])
+	copy(swapped[at+16:], first)
+	// Output commit on with a zero window, which resolves to one.
+	zero := *o
+	zero.OutputCommit.Window = 0
+
+	for name, b := range map[string][]byte{"NIC flags differ": flags, "schedule out of order": swapped, "zero window": body(zero)} {
+		if err := restorable(b); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: decoded with %v, want snapshot.ErrCorrupt", name, err)
 		}
 	}
 }
