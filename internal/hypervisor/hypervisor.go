@@ -366,6 +366,9 @@ type Hypervisor struct {
 	// shadowReader reads back on a refusal as it reads a capture's Data.
 	shadowBytes  snapshot.Writer
 	shadowReader snapshot.Reader
+	// captured is CaptureState's storage: the device records and
+	// withheld outputs of the last capture, reused by the next.
+	captured captured
 
 	// arena lends buffered's and suppressed's storage until Release.
 	arena *Arena
@@ -402,6 +405,12 @@ type Hypervisor struct {
 	stormStats StormStats
 }
 
+// captured is the storage a captured State's lists alias.
+type captured struct {
+	devices    []DeviceState
+	suppressed []SuppressedOutputState
+}
+
 // New wraps a machine. The machine's Bus must already be wired (real
 // devices); the hypervisor intercepts the guest's access to it. It is
 // built over a private arena: its buffers are allocated plainly.
@@ -410,8 +419,8 @@ func New(m *machine.Machine, cfg Config) *Hypervisor { return NewIn(new(Arena), 
 // Arena owns the hypervisors built over it (NewIn). A released
 // hypervisor waits on the arena whole — with its interrupt delivery
 // buffer, its withheld-output buffer, the buffer its shadows are coded
-// into and its device table, shadow-device records included, all
-// emptied — and NewIn rebuilds it in place for the
+// into, its capture storage and its device table, shadow-device records
+// included, all emptied — and NewIn rebuilds it in place for the
 // next machine the arena serves. It has one owner at a time and no lock.
 type Arena struct {
 	hypervisors free.List[*Hypervisor]
@@ -423,7 +432,7 @@ func NewIn(a *Arena, m *machine.Machine, cfg Config) *Hypervisor {
 	if !ok {
 		hv = new(Hypervisor)
 	}
-	*hv = Hypervisor{M: m, cfg: cfg.withDefaults(), arena: a, shadowBytes: hv.shadowBytes,
+	*hv = Hypervisor{M: m, cfg: cfg.withDefaults(), arena: a, shadowBytes: hv.shadowBytes, captured: hv.captured,
 		buffered: hv.buffered[:0], suppressed: hv.suppressed[:0], devs: hv.devs[:0]}
 	return hv
 }
@@ -442,7 +451,8 @@ func (hv *Hypervisor) Release() {
 	for _, d := range hv.devs {
 		*d = shadowDev{} // kept past len(devs) for AttachDevice to reuse
 	}
-	*hv = Hypervisor{shadowBytes: hv.shadowBytes, buffered: hv.buffered[:0], suppressed: hv.suppressed[:0], devs: hv.devs[:0]}
+	*hv = Hypervisor{shadowBytes: hv.shadowBytes, captured: hv.captured,
+		buffered: hv.buffered[:0], suppressed: hv.suppressed[:0], devs: hv.devs[:0]}
 	a.hypervisors.Put(hv)
 }
 

@@ -96,10 +96,12 @@ type State struct {
 }
 
 // CaptureState snapshots the hypervisor. Read-only, and a borrow like
-// machine.BorrowState: Buffered aliases the live delivery buffer and each
-// device's Data the buffer the shadows are coded into, so the State is
-// valid only until the hypervisor next runs or captures — every caller
-// encodes at once.
+// machine.BorrowState: Buffered aliases the live delivery buffer, each
+// device's Data the buffer the shadows are coded into, and Devices and
+// Suppressed are storage the hypervisor keeps, reused by its next capture
+// (and across recycling, so a warm capture allocates nothing). The State
+// is valid only until the hypervisor next runs or captures — every
+// caller encodes at once.
 func (hv *Hypervisor) CaptureState() State {
 	s := State{
 		VCR:             hv.vCR,
@@ -113,6 +115,8 @@ func (hv *Hypervisor) CaptureState() State {
 		Halted:          hv.halted,
 		IOActive:        hv.ioActive,
 		Buffered:        hv.buffered,
+		Devices:         hv.captured.devices[:0],
+		Suppressed:      hv.captured.suppressed[:0],
 		Stats:           hv.Stats,
 	}
 	w := &hv.shadowBytes
@@ -133,6 +137,7 @@ func (hv *Hypervisor) CaptureState() State {
 			Epoch: so.epoch, Start: so.start, At: uint64(so.at),
 		})
 	}
+	hv.captured = captured{s.Devices, s.Suppressed}
 	return s
 }
 

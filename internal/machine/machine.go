@@ -208,6 +208,17 @@ type Machine struct {
 	// marked or built, which is what picks Run's path through the code.
 	memo   runMemo
 	runGen uint64
+
+	// borrowed is BorrowState's storage: the page list and TLB slots of
+	// the last borrowed State, reused by the next borrow and kept across
+	// recycling like frames and pages.
+	borrowed borrowed
+}
+
+// borrowed is the storage a borrowed State's lists alias.
+type borrowed struct {
+	pages []Page
+	slots []TLBSlotState
 }
 
 const (
@@ -277,16 +288,17 @@ func NewIn(a *Arena, cfg Config) *Machine {
 	}
 	npages := int((cfg.MemBytes + isa.PageSize - 1) >> isa.PageShift)
 	*m = Machine{
-		cfg:     cfg,
-		TLB:     m.TLB.reset(zeroed(m.TLB.slots, cfg.TLBSize), pol),
-		mux:     BusMux{ranges: m.mux.ranges[:0]},
-		frames:  zeroed(m.frames, npages),
-		owned:   zeroed(m.owned, (npages+63)/64),
-		pages:   zeroed(m.pages, npages),
-		memSize: cfg.MemBytes,
-		traceOn: !cfg.NoTraces && !debugNoTraces,
-		img:     cfg.Image,
-		arena:   a,
+		cfg:      cfg,
+		TLB:      m.TLB.reset(zeroed(m.TLB.slots, cfg.TLBSize), pol),
+		mux:      BusMux{ranges: m.mux.ranges[:0]},
+		frames:   zeroed(m.frames, npages),
+		owned:    zeroed(m.owned, (npages+63)/64),
+		pages:    zeroed(m.pages, npages),
+		memSize:  cfg.MemBytes,
+		traceOn:  !cfg.NoTraces && !debugNoTraces,
+		img:      cfg.Image,
+		arena:    a,
+		borrowed: m.borrowed,
 	}
 	if m.img == nil {
 		m.img = ProgramImage(0, nil, cfg.MemBytes)
@@ -646,7 +658,7 @@ func (m *Machine) Digest() uint64 {
 // tests comparing machines.
 func (m *Machine) DigestMemory() uint64 {
 	h := m.Digest()
-	for _, pg := range m.sparsePages(false) {
+	for _, pg := range m.sparsePages(nil, false) {
 		h = snapshot.MixBytes(snapshot.Mix(h, uint64(pg.Index)), pg.Data)
 	}
 	return h

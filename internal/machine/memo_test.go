@@ -204,7 +204,7 @@ func (r *pollRig) callRCTR(rctr uint32, limit uint64, value uint32) RunResult {
 	off, on := r.arms[2].m, r.arms[3].m
 	if !bytes.Equal(encodeMachine(off.CaptureState()), encodeMachine(on.CaptureState())) || !sameStamps(off, on) {
 		r.t.Fatalf("call %d (%+v): state with the memo differs from without:\nTLB off %+v %v\nTLB on  %+v %v",
-			r.calls, rrs[3], off.TLB.captureState(), off.TLB.lru, on.TLB.captureState(), on.TLB.lru)
+			r.calls, rrs[3], off.TLB.captureState(nil), off.TLB.lru, on.TLB.captureState(nil), on.TLB.lru)
 	}
 	r.calls++
 	return rrs[0]
@@ -699,7 +699,7 @@ func TestReplayHits(t *testing.T) {
 					emulate(all, last.Inst.Rd)
 					if a, b := encodeMachine(one.CaptureState()), encodeMachine(all.CaptureState()); !bytes.Equal(a, b) || !sameStamps(one, all) {
 						t.Fatalf("j=%d: ReplayHits left other bytes than %d hits:\nTLB one %+v\nTLB all %+v\nCRs one %v\nCRs all %v",
-							j, j, one.TLB.captureState(), all.TLB.captureState(), one.CRs, all.CRs)
+							j, j, one.TLB.captureState(nil), all.TLB.captureState(nil), one.CRs, all.CRs)
 					}
 					if one.MemoStats() != all.MemoStats() || one.Stats != all.Stats || one.TLB.Stats != all.TLB.Stats || one.Cycles() != all.Cycles() {
 						t.Fatalf("j=%d: counters differ:\n one %+v %+v %+v\n all %+v %+v %+v", j,

@@ -20,11 +20,11 @@ import "repro/internal/free"
 
 // Arena owns the machines built over it and their bulk buffers. A
 // released machine waits on the arena whole — its TLB and replacement
-// policy, its bus multiplexer, its frame and page tables and ownership
-// bitmap — and NewIn rebuilds it in place; the decoded pages, traces and
-// COW frames, whose number varies from machine to machine, wait on lists
-// of their own, and every machine over the arena shares one word-decode
-// memo. It has one owner at a time and no lock: machines sharing an arena
+// policy, its bus multiplexer, its frame and page tables, ownership
+// bitmap and borrow storage — and NewIn rebuilds it in place; the decoded
+// pages, traces and COW frames, whose number varies from machine to
+// machine, wait on lists of their own, and every machine over the arena
+// shares one word-decode memo. It has one owner at a time and no lock: machines sharing an arena
 // must not run concurrently (a cluster's machines all run on its driving
 // goroutine).
 type Arena struct {
@@ -77,17 +77,12 @@ func (a *Arena) page() *decodedPage {
 	pg.valid = [instsPerPage / 64]uint64{}
 	clear(pg.traceAt[:])
 	pg.cover = [instsPerPage / 64]uint64{}
-	for _, tr := range pg.traces {
-		a.traces.Put(tr)
-	}
-	clear(pg.traces)
-	pg.traces = pg.traces[:0]
 	pg.gen = 0
 	return pg
 }
 
-// reclaim takes back the decoded pages and private frames of m, a
-// machine built over a.
+// reclaim takes back the decoded pages, their traces and the private
+// frames of m, a machine built over a.
 func (a *Arena) reclaim(m *Machine) {
 	// Recycle only the frames faulted private; shared frames belong to
 	// the (immutable, interned) base image.
@@ -99,6 +94,12 @@ func (a *Arena) reclaim(m *Machine) {
 	for i, pg := range m.pages {
 		if pg != nil {
 			m.pages[i] = nil
+			// The list keeps its stale pointers: they point at records
+			// the arena holds anyway.
+			for _, tr := range pg.traces {
+				a.traces.Put(tr)
+			}
+			pg.traces = pg.traces[:0]
 			a.pages.Put(pg)
 		}
 	}
@@ -117,7 +118,7 @@ func (m *Machine) Release() {
 	a.reclaim(m)
 	clear(m.mux.ranges) // the devices stay with their cluster
 	*m = Machine{TLB: m.TLB, mux: BusMux{ranges: m.mux.ranges[:0]},
-		frames: m.frames, owned: m.owned, pages: m.pages}
+		frames: m.frames, owned: m.owned, pages: m.pages, borrowed: m.borrowed}
 	a.machines.Put(m)
 }
 

@@ -383,3 +383,64 @@ func TestDecodeRecencyCanonical(t *testing.T) {
 		})
 	}
 }
+
+// TestBorrowStateAllocs: a warm borrow allocates nothing — its page list
+// and TLB slots are storage the machine keeps.
+func TestBorrowStateAllocs(t *testing.T) {
+	m := ramScenario(true)
+	for vpn := range uint32(5) {
+		m.TLB.Insert(TLBEntry{VPN: vpn, PPN: vpn, Valid: true})
+	}
+	m.BorrowState()
+	var pages int
+	if n := testing.AllocsPerRun(100, func() { pages = len(m.BorrowState().Pages) }); n != 0 {
+		t.Fatalf("a warm BorrowState allocates %v objects, want none", n)
+	}
+	if pages != 4 {
+		t.Fatalf("%d pages borrowed, want 4", pages)
+	}
+}
+
+// TestBorrowRecycledMachine: a machine recycled from one that dirtied
+// more pages and stamped more TLB slots, then driven into ramScenario's
+// state, encodes byte for byte as a new machine in that state — no page
+// or slot recency of the last borrow survives in the reused storage.
+func TestBorrowRecycledMachine(t *testing.T) {
+	cfg := Config{MemBytes: ramScenarioSize, TLBSize: 8}
+	drive := func(m *Machine) {
+		m.LoadProgram(0, ramScenarioWords(), 0)
+		m.StorePhys32(0x7FFC, 0x0BAD_CAFE)
+		m.StorePhys32(ramScenarioSize-4, 0x7A11)
+		for vpn := range uint32(2) {
+			m.TLB.Insert(TLBEntry{VPN: vpn, PPN: vpn + 1, Valid: true})
+		}
+	}
+	a := new(Arena)
+	old := NewIn(a, cfg)
+	for pa := uint32(0); pa < ramScenarioSize-4; pa += isa.PageSize {
+		old.StorePhys32(pa, pa|1)
+	}
+	for vpn := range uint32(8) {
+		old.TLB.Insert(TLBEntry{VPN: 100 + vpn, PPN: vpn, Flags: 3, Valid: true})
+	}
+	if n := len(old.BorrowState().Pages); n != 17 {
+		t.Fatalf("the first machine borrows %d pages, want 17", n)
+	}
+	old.Release()
+
+	reused := NewIn(a, cfg)
+	if reused != old || cap(reused.borrowed.pages) < 17 {
+		t.Fatal("the arena did not hand back the released machine with its borrow storage")
+	}
+	fresh := New(cfg)
+	drive(reused)
+	drive(fresh)
+	want := encodeMachine(fresh.CaptureState())
+	if got := encodeMachine(reused.BorrowState()); !bytes.Equal(got, want) {
+		t.Fatalf("the recycled machine encodes to %d bytes, a new one to %d (first difference at %d)",
+			len(got), len(want), firstDiff(got, want))
+	}
+	if got := encodeMachine(fresh.BorrowState()); !bytes.Equal(got, want) {
+		t.Fatal("a new machine's borrow encodes differently from its capture")
+	}
+}

@@ -102,15 +102,27 @@ type State struct {
 // on subsequent execution, and the State is immune to it — privately
 // owned pages are deep copies (shared frames are immutable), so the
 // capture costs the machine's dirty pages, not its RAM size.
-func (m *Machine) CaptureState() State { return m.capture(true) }
+func (m *Machine) CaptureState() State {
+	// 16 pages: a booted guest's nonzero pages, typically.
+	return m.capture(make([]Page, 0, 16), make([]TLBSlotState, 0, len(m.TLB.slots)), true)
+}
 
 // BorrowState is CaptureState without the copies: owned pages alias
-// the machine's live frames. The view is valid only until the machine
-// next executes, stores or restores; it is for consumers that encode
-// or compare immediately (session capture, state transfer).
-func (m *Machine) BorrowState() State { return m.capture(false) }
+// the machine's live frames, and the page list and TLB slots are storage
+// the machine keeps, reused by its next BorrowState (and across
+// recycling, so a warm borrow allocates nothing). The view is valid only
+// until the machine next executes, stores, restores or is borrowed
+// again; it is for consumers that encode or compare immediately (session
+// capture, state transfer).
+func (m *Machine) BorrowState() State {
+	s := m.capture(m.borrowed.pages, m.borrowed.slots, false)
+	m.borrowed.pages, m.borrowed.slots = s.Pages, s.TLB.Slots
+	return s
+}
 
-func (m *Machine) capture(copyOwned bool) State {
+// capture fills a State, its page list appended to pages[:0] and its TLB
+// slots to slots[:0].
+func (m *Machine) capture(pages []Page, slots []TLBSlotState, copyOwned bool) State {
 	return State{
 		MemBytes: m.cfg.MemBytes,
 		Regs:     m.Regs,
@@ -120,17 +132,16 @@ func (m *Machine) capture(copyOwned bool) State {
 		Halted:   m.halted,
 		Cycles:   m.cycles,
 		Stats:    m.Stats,
-		Pages:    m.sparsePages(copyOwned),
-		TLB:      m.TLB.captureState(),
+		Pages:    m.sparsePages(pages[:0], copyOwned),
+		TLB:      m.TLB.captureState(slots),
 	}
 }
 
-// sparsePages walks physical RAM into its canonical sparse page set —
-// the one definition of "RAM contents" that capture, Code and
+// sparsePages appends physical RAM to pages as its canonical sparse page
+// set — the one definition of "RAM contents" that capture, Code and
 // DigestMemory share. Owned pages alias the live frames unless
 // copyOwned.
-func (m *Machine) sparsePages(copyOwned bool) []Page {
-	pages := make([]Page, 0, 16) // a booted guest's nonzero pages, typically
+func (m *Machine) sparsePages(pages []Page, copyOwned bool) []Page {
 	for i, fr := range m.frames {
 		idx := uint32(i)
 		owned := m.ownedPage(idx)
@@ -227,16 +238,17 @@ func (m *Machine) RestoreState(s State) error {
 	return nil
 }
 
-// captureState snapshots the TLB including policy recency state.
-func (t *TLB) captureState() TLBState {
+// captureState snapshots the TLB including policy recency state, its
+// slots appended to slots[:0].
+func (t *TLB) captureState(slots []TLBSlotState) TLBState {
 	s := TLBState{
 		Policy:  t.policy.Name(),
-		Slots:   make([]TLBSlotState, len(t.slots)),
+		Slots:   slots[:0],
 		Pending: t.pending,
 		Stats:   t.Stats,
 	}
-	for i, e := range t.slots {
-		s.Slots[i].Entry = e
+	for _, e := range t.slots {
+		s.Slots = append(s.Slots, TLBSlotState{Entry: e})
 	}
 	switch p := t.policy.(type) {
 	case *LRUPolicy:

@@ -139,7 +139,7 @@ func (r *spinRig) call(limit uint64, rctr, itmr uint32) {
 	enc := encodeMachine(r.m[1].CaptureState())
 	if ref := encodeMachine(r.m[3].CaptureState()); !bytes.Equal(enc, ref) || !sameStamps(r.m[1], r.m[3]) {
 		r.t.Fatalf("%s: encoded state differs from the no-spin arm's:\nTLB %+v\nvs  %+v",
-			when, r.m[1].TLB.captureState(), r.m[3].TLB.captureState())
+			when, r.m[1].TLB.captureState(nil), r.m[3].TLB.captureState(nil))
 	}
 	r.h.Write(enc)
 	if r.c.dev != nil {

@@ -195,8 +195,10 @@ func (pg *decodedPage) dropTraces() {
 	clear(pg.traceAt[:])
 	// The dropped records are NOT recycled here: a drop can happen under
 	// a running trace (a store from inside it), whose executor goes on
-	// reading the record until it sees gen move. Recycling happens only
-	// at machine death (Release), when no reader can remain.
+	// reading the record until it sees gen move. They are left to the
+	// collector; only the traces a page still holds when its machine dies
+	// go back to the arena (reclaim, at Release), when no reader can
+	// remain.
 	pg.traces = nil
 	pg.cover = [instsPerPage / 64]uint64{}
 }

@@ -1,8 +1,8 @@
 package replication
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/hypervisor"
@@ -78,13 +78,15 @@ type Replica struct {
 	Observer func(obs.Event)
 
 	pending map[uint64]*epochRecord
-	// order is stageOrdered's scratch list of capture indexes.
+	// order and epochs are scratch lists that capture indexes and pending
+	// epochs are sorted in.
 	order   []uint32
+	epochs  []uint64
 	archive *epochArchive
-	// arena owns the replica itself — with pending, order, archive and its
-	// coordinator, kept in spare while it has none — the epoch records (a
-	// record freed at one epoch's boundary serves a later epoch without
-	// reallocating its map) and the frames the replica sends:
+	// arena owns the replica itself — with pending, its scratch lists,
+	// archive and its coordinator, kept in spare while it has none — the
+	// epoch records (a record freed at one epoch's boundary serves a later
+	// epoch without reallocating its map) and the frames the replica sends:
 	// acknowledgements upstream, and as coordinator its epoch frames and
 	// batches.
 	arena   *Arena
@@ -159,6 +161,7 @@ func NewReplicaIn(a *Arena, hv *hypervisor.Hypervisor, ups, downs []Peer, cfg Co
 		downs:   downs,
 		pending: r.pending,
 		order:   r.order[:0],
+		epochs:  r.epochs[:0],
 		archive: r.archive,
 		arena:   a,
 		spare:   r.spare,
@@ -219,7 +222,8 @@ func (r *Replica) Release() {
 	if a == nil {
 		return // released already
 	}
-	for _, e := range slices.Sorted(maps.Keys(r.pending)) {
+	r.epochs = sortedKeys(r.pending, r.epochs)
+	for _, e := range r.epochs {
 		r.release(e)
 	}
 	r.archive.release()
@@ -227,7 +231,7 @@ func (r *Replica) Release() {
 	if r.coord != nil {
 		spare = r.coord.reset()
 	}
-	*r = Replica{pending: r.pending, order: r.order[:0], archive: r.archive, spare: spare}
+	*r = Replica{pending: r.pending, order: r.order[:0], epochs: r.epochs[:0], archive: r.archive, spare: spare}
 	a.replicas.Put(r)
 }
 
@@ -385,14 +389,20 @@ func (r *Replica) applySync(entries []SyncEpoch) {
 // stageOrdered buffers epoch e's received interrupts in capture order.
 func (r *Replica) stageOrdered(e uint64) {
 	er := r.rec(e)
-	r.order = r.order[:0]
-	for k := range er.ints {
-		r.order = append(r.order, k)
-	}
-	slices.Sort(r.order)
+	r.order = sortedKeys(er.ints, r.order)
 	for _, k := range r.order {
 		r.HV.BufferInterrupt(er.ints[k])
 	}
+}
+
+// sortedKeys returns m's keys in ascending order, in buf's storage.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V, buf []K) []K {
+	buf = buf[:0]
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
 }
 
 // agrees verifies one of our boundary coordinates against the

@@ -17,12 +17,7 @@ package replication
 // encode equal and every encoded field moves the bytes
 // (TestCoordinatorBackupStateCodec).
 
-import (
-	"maps"
-	"slices"
-
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // EncodeState appends the replica's protocol state to w. A replica that
 // never followed (node 0) encodes only its coordinator; any other encodes
@@ -41,11 +36,13 @@ func (r *Replica) EncodeState(w *snapshot.Writer) {
 	w.Bool(r.halted)
 	w.U32(r.BootTOD)
 	w.U32(uint32(len(r.pending)))
-	for _, e := range slices.Sorted(maps.Keys(r.pending)) {
+	r.epochs = sortedKeys(r.pending, r.epochs)
+	for _, e := range r.epochs {
 		er := r.pending[e]
 		w.U64(e)
 		w.U32(uint32(len(er.ints)))
-		for _, k := range slices.Sorted(maps.Keys(er.ints)) {
+		r.order = sortedKeys(er.ints, r.order)
+		for _, k := range r.order {
 			w.U32(k)
 			i := er.ints[k]
 			i.Code(w.Codec())

@@ -15,10 +15,10 @@ import (
 // structs, every list at its working size:
 //   - the kernel's events, event heap and processes (sim);
 //   - the machines — each whole, with its TLB and replacement policy,
-//     bus multiplexer, frame and page tables, ownership bitmap and
-//     decode cache — and their decoded pages, traces and COW frames; the
-//     hypervisors, each whole with its delivery and withheld-output
-//     buffers and its device table; the NIC shadows with their frame
+//     bus multiplexer, frame and page tables, ownership bitmap, decode
+//     cache and borrow storage — and their decoded pages, traces and COW
+//     frames; the hypervisors, each whole with its delivery and
+//     withheld-output buffers, capture storage and device table; the NIC shadows with their frame
 //     rings; the disks' written blocks and write-DMA latches, the shared
 //     NIC's reply transcript, request-ID table, request log (the words
 //     every port's queued frame points into) and port queues; and the

@@ -25,8 +25,9 @@ import (
 // build allocates ≈ 179 KB (the guest boot's COW frames, the frame and
 // page tables). Its run starts warm too — kernel events, link rings,
 // epoch records, frames and write latches all come from the arena — and
-// allocates ≈ 17 KB, the traces the machines build (bound 24 KB; 28.7 KB
-// while those lists started empty in every cluster). Close takes back every frame, whether or not
+// allocates ≈ 13.5 KB, mostly the traces the machines build (bound 24 KB;
+// ≈ 17 KB before a dead machine's trace records went back to the arena,
+// 28.7 KB while those lists started empty in every cluster). Close takes back every frame, whether or not
 // its last reference was released.
 func TestArenaReuse(t *testing.T) {
 	o := Options{Seed: 1, Program: WorkloadProgram(guest.DiskWrite(4, 2048)), EpochLength: 1024}

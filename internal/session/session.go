@@ -30,7 +30,6 @@ package session
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/clientsim"
@@ -971,7 +970,7 @@ func (e *Engine) Close() {
 	if e.cluster != nil {
 		e.cluster.Release()
 	}
-	for _, src := range slices.Sorted(maps.Keys(e.xferLinks)) {
+	for src := range e.reps { // the transfer links' sources, ascending
 		for _, l := range e.xferLinks[src] {
 			l.Release()
 		}
