@@ -28,7 +28,10 @@
 // model and randomized fault schedule — on shared copy-on-write guest
 // images and the work-stealing scheduler, and prints the fleet's
 // deterministic report (commits, failovers, blackout percentiles, a
-// digest over every shard). See docs/FLEET.md. Everything measured in
+// digest over every shard). The fleet is a chaos campaign of N runs
+// (chaos.RunCampaign) printed as its fleet rollup, so each violating
+// shard's shrunk scenario script goes to stderr, ready for hftsim
+// -scenario. See docs/FLEET.md. Everything measured in
 // host time — and the replicated-service and output-commit latency
 // numbers — belongs to the benchmark in bench/, not to this command.
 //
@@ -48,6 +51,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"repro/internal/chaos"
 	"repro/internal/fleet"
 	"repro/internal/sched"
 )
@@ -219,12 +223,16 @@ func run(args []string, w io.Writer) int {
 		}
 	}
 	if *fleetN > 0 {
-		rep := fleet.Run(fleet.Spec{Shards: *fleetN, Seed: *fleetSd, Workers: workers})
+		// No error: the run count is positive and no artifact is written.
+		rep, _ := chaos.RunCampaign(chaos.CampaignOptions{Runs: *fleetN, Seed: *fleetSd, Workers: workers})
+		for _, v := range rep.Violations {
+			fmt.Fprintf(os.Stderr, "%s\n", v.Scenario)
+		}
+		a := rep.Aggregate
 		if *jsonOut {
-			out.Fleet = &rep
+			out.Fleet = &fleet.Report{Spec: fleet.Spec{Shards: *fleetN, Seed: *fleetSd}, Aggregate: a}
 		} else {
-			a := rep.Aggregate
-			fmt.Fprintf(w, "Fleet: %d shards, seed %d\n", rep.Spec.Shards, rep.Spec.Seed)
+			fmt.Fprintf(w, "Fleet: %d shards, seed %d\n", *fleetN, *fleetSd)
 			fmt.Fprintf(w, "  commits %d  guest instructions %d  virtual time %v\n",
 				a.Commits, a.Instructions, a.VirtualTime)
 			fmt.Fprintf(w, "  failovers %d  blackout p50 %v  p99 %v  max %v\n",

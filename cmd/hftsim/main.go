@@ -71,7 +71,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		campaign     = fs.Int("campaign", 0, "run a chaos campaign of N random schedules (0 = off)")
 		campaignSeed = fs.Int64("campaign-seed", 1, "campaign master seed (run i replays independently)")
 		campaignDir  = fs.String("campaign-dir", "", "write shrunk scenario artifacts here")
-		parallel     = fs.Int("parallel", 0, "campaign worker count (0 = all cores, 1 = serial)")
+		parallel     = fs.Int("parallel", 0, "campaign worker count (< 1 = all cores, 1 = serial)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -85,25 +85,21 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if *campaign > 0 {
-		workers := *parallel
-		if workers < 1 {
-			workers = -1 // fleet scheduler: all cores
-		}
 		rep, err := chaos.RunCampaign(chaos.CampaignOptions{
 			Runs:    *campaign,
 			Seed:    *campaignSeed,
 			Dir:     *campaignDir,
 			Log:     stdout,
-			Workers: workers,
+			Workers: *parallel,
 		})
 		if err != nil {
 			return fail(1, "campaign: %v", err)
 		}
 		if rep.Failed() {
-			fmt.Fprintf(stdout, "campaign FAILED: %d of %d runs violated invariants, digest %s\n", len(rep.Violations), rep.Runs, rep.Digest)
+			fmt.Fprintf(stdout, "campaign FAILED: %d of %d runs violated invariants, digest %s\n", len(rep.Violations), len(rep.Results), rep.Digest)
 			return 1
 		}
-		fmt.Fprintf(stdout, "campaign passed: %d runs, all invariants held, digest %s\n", rep.Runs, rep.Digest)
+		fmt.Fprintf(stdout, "campaign passed: %d runs, all invariants held, digest %s\n", len(rep.Results), rep.Digest)
 		return 0
 	}
 

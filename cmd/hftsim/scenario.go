@@ -12,8 +12,7 @@ import (
 // was skipped, failed or never reached), the result, and the verdict.
 // It returns the exit status: 1 on a violation, 0 otherwise.
 func runScenario(s chaos.Schedule, w io.Writer) int {
-	var m chaos.Metrics
-	rep := chaos.Execute(s, &m)
+	rep := chaos.Execute(s)
 	for i, st := range s.Steps {
 		a := rep.AppliedAt[i]
 		switch {
@@ -29,8 +28,8 @@ func runScenario(s chaos.Schedule, w io.Writer) int {
 	}
 	if res := rep.Result; res.Time > 0 {
 		fmt.Fprintf(w, "completed at %v after %d commits: checksum=%#x promoted=%v console=%q\n",
-			res.Time, m.Commits, res.Checksum, res.Promoted, res.Console)
-		if m.Failovers > 0 {
+			res.Time, rep.Metrics.Commits, res.Checksum, res.Promoted, res.Console)
+		if m := rep.Metrics; m.Failovers > 0 {
 			fmt.Fprintf(w, "failovers: %d, longest blackout %v\n", m.Failovers, m.Blackout)
 		}
 	}

@@ -3,12 +3,15 @@ package chaos
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 
+	hft "repro"
 	"repro/internal/free"
 	"repro/internal/sched"
 )
@@ -27,15 +30,49 @@ type CampaignOptions struct {
 	// Log, when set, receives one-line progress (violations as found,
 	// shrink results).
 	Log io.Writer
-	// Workers is the fan-out width on the fleet work-stealing scheduler
-	// (internal/sched): < 0 selects all cores, 0 means 1 (serial).
+	// Workers is the fan-out width on the work-stealing scheduler
+	// (internal/sched): below 1 selects all cores. The report is
+	// bit-identical at any width.
 	Workers int
+}
+
+// RunResult is what a campaign keeps of every run: small, and
+// deterministic at any worker count and on any host.
+type RunResult struct {
+	Shard int `json:"shard"`
+	// Violation is the invariant violation, "" for a clean run.
+	Violation string `json:"violation,omitempty"`
+	// Metrics summarizes the run (virtual-time quantities only).
+	Metrics Metrics `json:"metrics"`
+}
+
+// Aggregate is the fleet rollup of a campaign: what `hftbench -fleet`
+// prints.
+type Aggregate struct {
+	Shards     int `json:"shards"`
+	Violations int `json:"violations"`
+	// Failovers counts backup promotions across the runs.
+	Failovers int `json:"failovers"`
+	// Commits / Instructions sum the per-run counters.
+	Commits      uint64 `json:"commits"`
+	Instructions uint64 `json:"instructions"`
+	// VirtualTime sums per-run completion times — the denominator for
+	// virtual epoch-commit throughput.
+	VirtualTime hft.Duration `json:"virtual_time"`
+	// BlackoutP50/P99/Max are nearest-rank percentiles of the failover
+	// blackout across runs that failed over (zero if none did).
+	BlackoutP50 hft.Duration `json:"blackout_p50"`
+	BlackoutP99 hft.Duration `json:"blackout_p99"`
+	BlackoutMax hft.Duration `json:"blackout_max"`
+	// Digest fingerprints every run's result, its index and violation
+	// included, so one committed value pins the whole fleet's outcome.
+	Digest string `json:"digest"`
 }
 
 // ViolationReport is one failing run, possibly with its shrunk
 // reproduction.
 type ViolationReport struct {
-	// Run is the campaign run index (replays as Schedule(seed, Run)).
+	// Run is the campaign run index (replays as ScheduleAt(seed, Run)).
 	Run int
 	// Schedule/Report are the original failing run.
 	Schedule Schedule
@@ -50,15 +87,18 @@ type ViolationReport struct {
 	Artifact string
 }
 
-// CampaignReport summarizes a campaign.
+// CampaignReport is a campaign's outcome and its two rollups.
 type CampaignReport struct {
-	Runs       int
+	// Results holds every run's result, slotted by run index.
+	Results    []RunResult
 	Violations []ViolationReport
 	// Digest fingerprints what the runs did, not only that they held the
 	// invariants: every run's completion time and Metrics (commits,
 	// instructions, failovers, blackout), folded in run order. Two builds
 	// that print the same digest for one seed ran the same campaign.
 	Digest string
+	// Aggregate is the fleet rollup of the same runs.
+	Aggregate Aggregate
 }
 
 // Failed reports whether any run violated an invariant.
@@ -93,21 +133,44 @@ func ScheduleAt(seed int64, i int) Schedule {
 // would.
 var rngs free.Shelf[*rand.Rand]
 
-// campaignDigest folds every run's outcome, in run order, into one value.
-func campaignDigest(reports []Report, metrics []Metrics) string {
-	h := fnv.New64a()
+// rollup folds every run's result, in run order, into the campaign
+// digest and the fleet aggregate.
+func rollup(results []RunResult) (string, Aggregate) {
+	campaign, fleet := fnv.New64a(), fnv.New64a()
 	var buf [8]byte
-	for i := range reports {
-		m := &metrics[i]
-		for _, v := range [...]uint64{
-			uint64(reports[i].Result.Time), m.Commits, m.Instructions,
-			uint64(m.Failovers), uint64(m.Blackout),
-		} {
+	put := func(h hash.Hash64, vs ...uint64) {
+		for _, v := range vs {
 			binary.LittleEndian.PutUint64(buf[:], v)
 			h.Write(buf[:])
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	agg := Aggregate{Shards: len(results)}
+	var blackouts []hft.Duration
+	for i := range results {
+		r, m := &results[i], &results[i].Metrics
+		if r.Violation != "" {
+			agg.Violations++
+		}
+		agg.Failovers += m.Failovers
+		agg.Commits += m.Commits
+		agg.Instructions += m.Instructions
+		agg.VirtualTime += m.Time
+		if m.Failovers > 0 {
+			blackouts = append(blackouts, m.Blackout)
+		}
+		put(campaign, uint64(m.Time), m.Commits, m.Instructions, uint64(m.Failovers), uint64(m.Blackout))
+		put(fleet, uint64(r.Shard))
+		fleet.Write([]byte(r.Violation))
+		put(fleet, m.Commits, m.Instructions, uint64(m.Time), uint64(m.Failovers), uint64(m.Blackout))
+	}
+	if len(blackouts) > 0 {
+		slices.Sort(blackouts)
+		agg.BlackoutP50 = blackouts[(len(blackouts)-1)*50/100]
+		agg.BlackoutP99 = blackouts[(len(blackouts)-1)*99/100]
+		agg.BlackoutMax = blackouts[len(blackouts)-1]
+	}
+	agg.Digest = fmt.Sprintf("%016x", fleet.Sum64())
+	return fmt.Sprintf("%016x", campaign.Sum64()), agg
 }
 
 // maxShrink bounds how many violations a campaign shrinks (shrinking
@@ -115,9 +178,12 @@ func campaignDigest(reports []Report, metrics []Metrics) string {
 const maxShrink = 3
 
 // RunCampaign generates and executes o.Runs schedules across the
-// fleet scheduler's workers, then shrinks and emits artifacts for the first
-// maxShrink violations (in run order — deterministic regardless of
-// worker interleaving).
+// scheduler's workers, keeping a RunResult of each, then shrinks and
+// emits artifacts for the first maxShrink violations (in run order —
+// deterministic regardless of worker interleaving). It is the one chaos
+// runner:
+// `hftsim -campaign` prints its digest, `hftbench -fleet` its
+// aggregate.
 func RunCampaign(o CampaignOptions) (CampaignReport, error) {
 	if o.Runs <= 0 {
 		return CampaignReport{}, fmt.Errorf("chaos: campaign needs a positive run count (got %d)", o.Runs)
@@ -128,33 +194,35 @@ func RunCampaign(o CampaignOptions) (CampaignReport, error) {
 		}
 	}
 
-	// Execute the whole batch on the fleet scheduler. Reports land in
-	// run-index slots, so everything downstream is deterministic.
-	reports := make([]Report, o.Runs)
-	metrics := make([]Metrics, o.Runs)
-	workers := o.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	sched.ForEach(workers, o.Runs, func(i int) {
-		reports[i] = Execute(ScheduleAt(o.Seed, i), &metrics[i])
+	// Results land in run-index slots, so everything downstream is
+	// deterministic.
+	results := make([]RunResult, o.Runs)
+	sched.ForEach(o.Workers, o.Runs, func(i int) {
+		rep := Execute(ScheduleAt(o.Seed, i))
+		results[i] = RunResult{Shard: i, Metrics: rep.Metrics}
+		if rep.Failed() {
+			results[i].Violation = rep.Violation.String()
+		}
 	})
 
-	rep := CampaignReport{Runs: o.Runs, Digest: campaignDigest(reports, metrics)}
-	for i := range reports {
-		if !reports[i].Failed() {
+	rep := CampaignReport{Results: results}
+	rep.Digest, rep.Aggregate = rollup(results)
+	// Clean runs keep no Report. A violating one is executed again for
+	// its Report: a run is a pure function of its schedule, on a warm
+	// arena too.
+	for i := range results {
+		if results[i].Violation == "" {
 			continue
 		}
-		logf("run %d FAILED (%v): %v", i, reports[i].Violation, reports[i].Schedule)
-		rep.Violations = append(rep.Violations, ViolationReport{
-			Run: i, Schedule: reports[i].Schedule, Report: reports[i],
-		})
+		s := ScheduleAt(o.Seed, i)
+		v := ViolationReport{Run: i, Schedule: s, Report: Execute(s)}
+		logf("run %d FAILED (%v): %v", i, v.Report.Violation, s)
+		rep.Violations = append(rep.Violations, v)
 	}
 	if !rep.Failed() {
 		logf("campaign clean: %d runs, all invariants held", o.Runs)
 		return rep, nil
 	}
-
 	if o.Dir != "" {
 		if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 			return rep, fmt.Errorf("chaos: artifact dir: %w", err)

@@ -73,7 +73,7 @@ func TestExecuteClean(t *testing.T) {
 		rep := Execute(Schedule{
 			Seed: 1, Workload: w.Name, Epoch: 4096,
 			Protocol: hft.ProtocolOld, Link: "ethernet", Backups: 1,
-		}, nil)
+		})
 		if rep.Failed() {
 			t.Errorf("%s: clean run violated: %v", w.Name, rep.Violation)
 		}
@@ -123,7 +123,7 @@ func TestCampaignFull(t *testing.T) {
 	// Coverage proof: the sweep must actually exercise the whole
 	// envelope, not degenerate into one corner.
 	protos, links, shapes := map[hft.Protocol]int{}, map[string]int{}, map[string]int{}
-	for i := 0; i < rep.Runs; i++ {
+	for i := range rep.Results {
 		s := ScheduleAt(19951203, i)
 		protos[s.Protocol]++
 		links[s.Link]++
@@ -167,7 +167,7 @@ func TestInjectedBugCaughtAndShrunk(t *testing.T) {
 					{At: Coord{Time: 10 * hft.Millisecond}, Op: OpLink, Bandwidth: 10_000_000, Latency: 50 * hft.Microsecond},
 				},
 			}
-			rep := Execute(s, nil)
+			rep := Execute(s)
 			if rep.Failed() && rep.Violation.Kind == VOutput {
 				failing = &rep
 				break
@@ -190,7 +190,7 @@ func TestInjectedBugCaughtAndShrunk(t *testing.T) {
 
 	// The minimal schedule must reproduce deterministically.
 	for i := 0; i < 2; i++ {
-		rep := Execute(sh.Schedule, nil)
+		rep := Execute(sh.Schedule)
 		if !rep.Failed() || rep.Violation.Kind != VOutput {
 			t.Fatalf("shrunk schedule did not reproduce on replay %d: %+v", i, rep.Violation)
 		}
@@ -203,6 +203,45 @@ func TestInjectedBugCaughtAndShrunk(t *testing.T) {
 		}
 	}
 	t.Logf("shrunk scenario:\n%s", sc)
+}
+
+// TestFleetViolationShrinks: a fleet is a campaign's rollup, so what a
+// fleet's runs violate is shrunk like any campaign violation. With the
+// console's output dedup disabled, run 7 of the default fleet seed
+// emits output twice; it must come back counted in the fleet aggregate
+// and as a VOutput violation whose shrunk scenario has at most 5
+// commands and, parsed back from its text, replays to the same kind.
+func TestFleetViolationShrinks(t *testing.T) {
+	console.DisableOutputDedup = true
+	defer func() { console.DisableOutputDedup = false }()
+
+	rep, err := RunCampaign(CampaignOptions{Runs: 8, Seed: 19951203, Log: testWriter{t}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Aggregate.Violations != len(rep.Violations) {
+		t.Errorf("fleet aggregate counts %d violations, the campaign reports %d", rep.Aggregate.Violations, len(rep.Violations))
+	}
+	var v *ViolationReport
+	for i := range rep.Violations {
+		if rep.Violations[i].Run == 7 {
+			v = &rep.Violations[i]
+		}
+	}
+	if v == nil || v.Report.Violation.Kind != VOutput || !strings.HasPrefix(rep.Results[7].Violation, "output: ") {
+		t.Fatalf("run 7 does not come back as an output violation: %q", rep.Results[7].Violation)
+	}
+	if n := CommandCount(v.Shrunk.Schedule); n == 0 || n > 5 {
+		t.Fatalf("run 7 shrunk to %d scenario commands (want 1 to 5):\n%s", n, v.Scenario)
+	}
+	replay := v.Schedule
+	if replay.Steps, err = ParseScenario(v.Scenario); err != nil {
+		t.Fatal(err)
+	}
+	if got := Execute(replay); !got.Failed() || got.Violation.Kind != VOutput {
+		t.Fatalf("the shrunk scenario replays to %v, want an output violation:\n%s", got.Violation, v.Scenario)
+	}
+	t.Logf("run 7 shrunk in %d executions:\n%s", v.Shrunk.Executions, v.Scenario)
 }
 
 // TestShrinkRemovesJunk pins the shrinker on a synthetic oracle — no

@@ -87,6 +87,9 @@ type Report struct {
 	// Result is the completed run's result (zero if the run never
 	// completed).
 	Result hft.Result
+	// Metrics are the run's aggregates (for a violating run, whatever
+	// was collected up to the violation).
+	Metrics Metrics
 }
 
 // Failed reports whether the run violated an invariant.
@@ -108,10 +111,8 @@ const (
 // Execute runs one schedule to completion and checks all five
 // invariants. It never panics: simulation panics (divergence
 // tripwires) are converted to VPanic violations, which is exactly what
-// a campaign wants from a run that found a bug. m, when non-nil,
-// receives the run's aggregates when Execute returns (for violating
-// runs, whatever was collected up to the violation).
-func Execute(s Schedule, m *Metrics) (rep Report) {
+// a campaign wants from a run that found a bug.
+func Execute(s Schedule) (rep Report) {
 	rep.Schedule = s
 	rep.AppliedAt = make([]Applied, len(s.Steps))
 
@@ -133,11 +134,8 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 	}
 	limit := max(maxVirtual, wedgeFactor*bare.Time)
 
-	var col *evCollector
-	if m != nil {
-		col = &evCollector{}
-		defer col.finish(m)
-	}
+	col := &evCollector{}
+	defer col.finish(&rep.Metrics)
 
 	c, err := hft.NewCluster(s.ClusterOptions(shape)...)
 	if err != nil {
@@ -145,9 +143,7 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 		return rep
 	}
 	defer func() { c.Close() }()
-	if col != nil {
-		c.Observe(col.observe)
-	}
+	c.Observe(col.observe)
 
 	for i, st := range s.Steps {
 		snap, err := advanceTo(c, st.At, limit)
@@ -200,9 +196,7 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 			}
 			c.Close()
 			c = restored
-			if col != nil {
-				c.Observe(col.observe)
-			}
+			c.Observe(col.observe)
 		}
 		if err != nil {
 			// Perturbations racing completion lose gracefully
@@ -229,11 +223,9 @@ func Execute(s Schedule, m *Metrics) (rep Report) {
 		return rep
 	}
 	rep.Result = res
-	if m != nil {
-		m.Commits = snap.Commits
-		m.Instructions = snap.GuestInstructions
-		m.Time = res.Time
-	}
+	rep.Metrics.Commits = snap.Commits
+	rep.Metrics.Instructions = snap.GuestInstructions
+	rep.Metrics.Time = res.Time
 
 	lat, _ := c.ServiceLatencies()
 	rep.Violation = Check(shape, bare, res, lat)

@@ -2,10 +2,10 @@ package chaos
 
 import hft "repro"
 
-// Metrics are per-run aggregates a fleet collects from one executed
-// schedule. Every field is a virtual-time or guest-visible quantity,
-// so metrics are bit-identical across worker counts and hosts — they
-// feed fleet-wide aggregate goldens.
+// Metrics are the aggregates Execute collects from one schedule. Every
+// field is a virtual-time or guest-visible quantity, so metrics are
+// bit-identical across worker counts and hosts — they feed both of a
+// campaign's rollups.
 type Metrics struct {
 	// Commits counts epochs committed by acting coordinators over the
 	// whole run (zero if the run violated an invariant before its

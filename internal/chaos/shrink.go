@@ -62,7 +62,7 @@ func (sh *shrinker) try(cand Schedule) bool {
 		return false
 	}
 	sh.execs++
-	rep := Execute(cand, nil)
+	rep := Execute(cand)
 	if rep.Failed() && rep.Violation.Kind == sh.kind {
 		sh.best, sh.bestRep = cand, rep
 		return true

@@ -99,8 +99,7 @@ func TestLiveNodeIsTheAuthority(t *testing.T) {
 		shard int
 		want  hft.Duration
 	}{{134, 11_438_568}, {2089, 13_043_580}, {2723, 13_037_500}} {
-		var m chaos.Metrics
-		chaos.Execute(chaos.ScheduleAt(7, c.shard), &m)
+		m := chaos.Execute(chaos.ScheduleAt(7, c.shard)).Metrics
 		if m.Time != c.want {
 			t.Errorf("shard %d of seed 7 completes at %v, want %v (the live node's time)", c.shard, m.Time, c.want)
 		}

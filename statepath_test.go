@@ -153,28 +153,223 @@ func FuzzRestoreHeader(f *testing.F) {
 		{pause: pausePoint{pauseAtTime, 2 * Millisecond, 0}, action: actSetLink, quality: LinkQuality{MTU: 512, DropNext: 1}},
 		{pause: pausePoint{pauseAtTime, 3 * Millisecond, 0}, action: actAddBackup, link: link},
 	}}))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		blob := sealSave(in)
-		r, err := snapshot.NewReader(blob, saveMagic)
+	f.Fuzz(func(t *testing.T, in []byte) { checkHeader(t, sealSave(in)) })
+}
+
+// checkHeader is the header fuzzers' property: blob does not decode, or
+// buildOptions refuses its configuration, or it re-encodes, with the
+// configuration as buildOptions resolved it, to exactly blob. It reports
+// whether blob decoded and resolved.
+func checkHeader(t testing.TB, blob []byte) bool {
+	r, err := snapshot.NewReader(blob, saveMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp checkpoint
+	cp.code(r.Codec())
+	if r.Done() != nil {
+		return false
+	}
+	o, err := buildOptions(cp.config.options())
+	if err != nil {
+		return false
+	}
+	cp.config = *o
+	w := snapshot.NewWriter(saveMagic)
+	cp.code(w.Codec())
+	if again := w.Finish(); !bytes.Equal(again, blob) {
+		t.Fatalf("restorable header re-encodes to %d bytes, input was %d", len(again), len(blob))
+	}
+	return true
+}
+
+// FuzzRestoreConfig is FuzzRestoreHeader's property over headers whose
+// configuration fields are typed fuzz arguments, written field by field
+// (rawConfig), so that a mutation changes one field rather than one byte
+// in several hundred: it reaches the refusals of a single field's value,
+// such as the NIC flag's two copies differing, which byte mutation
+// rarely does. The header carries no journal entries, a zero pause and
+// no sections.
+func FuzzRestoreConfig(f *testing.F) {
+	for _, opts := range [][]Option{
+		{WithWorkload(CPUIntensive(1000))},
+		{WithWorkload(ServeRequests(40, 3)), WithClientLoad(ClientLoad{Clients: 3, Timeout: Millisecond}),
+			WithOutputCommit(OutputCommit{Window: 2, Adaptive: true}), WithBackups(3), WithDetectTimeout(Millisecond),
+			WithFailPrimaryAt(9 * Millisecond), WithFailBackupAt(3, 7*Millisecond), WithFailBackupAt(1, 5*Millisecond),
+			WithDisk(DiskSpec{ReadLatency: Millisecond}), WithTerminal(TerminalInput{At: Millisecond, Data: "ab"})},
+		{WithWorkload(TwoDiskCopy(4, 2)), WithDisk(DiskSpec{}), WithProtocol(ProtocolNew), WithLink(ATM155()), WithBackups(2)},
+	} {
+		o, err := buildOptions(opts)
 		if err != nil {
-			t.Fatal(err)
+			f.Fatal(err)
 		}
-		var cp checkpoint
-		cp.code(r.Codec())
-		if r.Done() != nil {
-			return
-		}
-		o, err := buildOptions(cp.config.options())
-		if err != nil {
-			return
-		}
-		cp.config = *o
+		rc := rawConfigOf(o)
+		// The target writes what Save writes, and Save's header restores.
 		w := snapshot.NewWriter(saveMagic)
-		cp.code(w.Codec())
-		if again := w.Finish(); !bytes.Equal(again, blob) {
-			t.Fatalf("restorable header re-encodes to %d bytes, input was %d", len(again), len(blob))
+		(&checkpoint{config: *o}).code(w.Codec())
+		if blob := w.Finish(); !bytes.Equal(rc.blob(), blob) || !checkHeader(f, blob) {
+			f.Fatalf("seed %+v: the target's header differs from Save's, or does not restore", rc)
 		}
+		f.Add(rc.Seed, rc.Kind, rc.Iters, rc.Ops, rc.WSeed, rc.BlockMask, rc.BlockBase, rc.Count, rc.PreOp, rc.PrivOps,
+			rc.Epoch, rc.Protocol, rc.LinkName, rc.Bandwidth, rc.Latency, rc.MTU, rc.FrameOverhead, rc.PerMessageFrames,
+			rc.SetupTime, rc.DetectTimeout, rc.Backups, rc.FailPrimaryAt, rc.Fails, rc.Fail1, rc.At1, rc.Fail2, rc.At2,
+			rc.ReadLatency, rc.WriteLatency, rc.ExtraDisk, rc.ExtraRead, rc.ExtraWrite, rc.Terminal, rc.TerminalAt,
+			rc.TerminalData, rc.NIC, rc.Load, rc.Clients, rc.PayloadWords, rc.Start, rc.MeanGap, rc.Timeout,
+			rc.OutputCommit, rc.Window, rc.Adaptive)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, kind, iters, ops, wseed, mask, base, count, preOp, privOps uint32,
+		epoch uint64, proto uint8, link string, bps, lat int64, mtu, overhead, perMsg int, setup, detect int64,
+		backups int, failPrimary int64, fails uint8, fail1 int, at1 int64, fail2 int, at2 int64, readLat, writeLat int64,
+		extraDisk bool, extraRead, extraWrite int64, term bool, termAt int64, termData []byte,
+		nic, load bool, clients, payload int, start, gap, timeout int64, commit bool, window int, adaptive bool) {
+		rc := rawConfig{seed, kind, iters, ops, wseed, mask, base, count, preOp, privOps,
+			epoch, proto, link, bps, lat, mtu, overhead, perMsg, setup, detect,
+			backups, failPrimary, fails, fail1, at1, fail2, at2, readLat, writeLat,
+			extraDisk, extraRead, extraWrite, term, termAt, termData,
+			nic, load, clients, payload, start, gap, timeout, commit, window, adaptive}
+		checkHeader(t, rc.blob())
 	})
+}
+
+// rawConfig is a checkpoint's configuration as FuzzRestoreConfig types
+// it: every field clusterOptions.code reads, in the order it reads them,
+// with the NIC flag's two copies apart. Fails%3 backup failures are
+// written (Fail1/At1, then Fail2/At2), one extra disk if ExtraDisk, one
+// terminal input if Terminal; the client load fields go in if Load, the
+// window and the adaptive flag if OutputCommit, as the decoder reads them.
+type rawConfig struct {
+	Seed                                                                 int64
+	Kind, Iters, Ops, WSeed, BlockMask, BlockBase, Count, PreOp, PrivOps uint32
+	Epoch                                                                uint64
+	Protocol                                                             uint8
+	LinkName                                                             string
+	Bandwidth, Latency                                                   int64
+	MTU, FrameOverhead, PerMessageFrames                                 int
+	SetupTime, DetectTimeout                                             int64
+	Backups                                                              int
+	FailPrimaryAt                                                        int64
+	Fails                                                                uint8
+	Fail1                                                                int
+	At1                                                                  int64
+	Fail2                                                                int
+	At2                                                                  int64
+	ReadLatency, WriteLatency                                            int64
+	ExtraDisk                                                            bool
+	ExtraRead, ExtraWrite                                                int64
+	Terminal                                                             bool
+	TerminalAt                                                           int64
+	TerminalData                                                         []byte
+	NIC, Load                                                            bool
+	Clients, PayloadWords                                                int
+	Start, MeanGap, Timeout                                              int64
+	OutputCommit                                                         bool
+	Window                                                               int
+	Adaptive                                                             bool
+}
+
+// rawConfigOf types a resolved configuration with at most two backup
+// failures, one extra disk and one terminal input.
+func rawConfigOf(o *clusterOptions) rawConfig {
+	wl, l := o.workload, o.Link
+	rc := rawConfig{Seed: o.Seed, Kind: wl.Kind, Iters: wl.Iters, Ops: wl.Ops, WSeed: wl.Seed,
+		BlockMask: wl.BlockMask, BlockBase: wl.BlockBase, Count: wl.Count, PreOp: wl.PreOp, PrivOps: wl.PrivOps,
+		Epoch: o.EpochLength, Protocol: uint8(o.Protocol), LinkName: l.Name, Bandwidth: l.BitsPerSecond,
+		Latency: int64(l.Latency), MTU: l.MTU, FrameOverhead: l.FrameOverhead, PerMessageFrames: l.PerMessageFrames,
+		SetupTime: int64(l.SetupTime), DetectTimeout: int64(o.DetectTimeout), Backups: o.Backups,
+		FailPrimaryAt: int64(o.FailPrimaryAt), ReadLatency: int64(o.Disk.ReadLatency),
+		WriteLatency: int64(o.Disk.WriteLatency), NIC: o.ClientLoad != nil, Load: o.ClientLoad != nil,
+		OutputCommit: o.OutputCommit.Enabled, Window: o.OutputCommit.Window, Adaptive: o.OutputCommit.Adaptive}
+	for i, at := range o.FailBackupAt {
+		if at > 0 {
+			if rc.Fails == 0 {
+				rc.Fail1, rc.At1 = i+1, int64(at)
+			} else {
+				rc.Fail2, rc.At2 = i+1, int64(at)
+			}
+			rc.Fails++
+		}
+	}
+	if len(o.ExtraDisks) > 0 {
+		d := o.ExtraDisks[0]
+		rc.ExtraDisk, rc.ExtraRead, rc.ExtraWrite = true, int64(d.ReadLatency), int64(d.WriteLatency)
+	}
+	if len(o.Terminal) > 0 {
+		rc.Terminal, rc.TerminalAt, rc.TerminalData = true, int64(o.Terminal[0].At), o.Terminal[0].Data
+	}
+	if cl := o.ClientLoad; cl != nil {
+		rc.Clients, rc.PayloadWords = cl.Clients, cl.PayloadWords
+		rc.Start, rc.MeanGap, rc.Timeout = int64(cl.Start), int64(cl.MeanGap), int64(cl.Timeout)
+	}
+	return rc
+}
+
+// blob writes rc field by field as a checkpoint header with no journal
+// entries, a zero pause and no sections, sealed.
+func (rc *rawConfig) blob() []byte {
+	w := snapshot.NewWriter(saveMagic)
+	w.I64(rc.Seed)
+	for _, v := range [...]uint32{rc.Kind, rc.Iters, rc.Ops, rc.WSeed, rc.BlockMask, rc.BlockBase, rc.Count, rc.PreOp, rc.PrivOps} {
+		w.U32(v)
+	}
+	w.U64(rc.Epoch)
+	w.U8(rc.Protocol)
+	w.String(rc.LinkName)
+	w.I64(rc.Bandwidth)
+	w.I64(rc.Latency)
+	w.Int(rc.MTU)
+	w.Int(rc.FrameOverhead)
+	w.Int(rc.PerMessageFrames)
+	w.I64(rc.SetupTime)
+	w.I64(rc.DetectTimeout)
+	w.Int(rc.Backups)
+	w.I64(rc.FailPrimaryAt)
+	fails := []struct {
+		i  int
+		at int64
+	}{{rc.Fail1, rc.At1}, {rc.Fail2, rc.At2}}[:rc.Fails%3]
+	w.U32(uint32(len(fails)))
+	for _, e := range fails {
+		w.Int(e.i)
+		w.I64(e.at)
+	}
+	w.I64(rc.ReadLatency)
+	w.I64(rc.WriteLatency)
+	count := func(present bool) uint32 {
+		if present {
+			return 1
+		}
+		return 0
+	}
+	w.U32(count(rc.ExtraDisk))
+	if rc.ExtraDisk {
+		w.I64(rc.ExtraRead)
+		w.I64(rc.ExtraWrite)
+	}
+	w.U32(count(rc.Terminal))
+	if rc.Terminal {
+		w.I64(rc.TerminalAt)
+		w.Bytes(rc.TerminalData)
+	}
+	w.Bool(rc.NIC)
+	w.Bool(rc.Load)
+	if rc.Load {
+		w.Int(rc.Clients)
+		w.Int(rc.PayloadWords)
+		w.I64(rc.Start)
+		w.I64(rc.MeanGap)
+		w.I64(rc.Timeout)
+	}
+	w.Bool(rc.OutputCommit)
+	if rc.OutputCommit {
+		w.Int(rc.Window)
+		w.Bool(rc.Adaptive)
+	}
+	w.U32(0) // journal entries
+	w.U8(0)  // pause: kind, time, commits
+	w.I64(0)
+	w.U64(0)
+	w.U32(0) // sections
+	return w.Finish()
 }
 
 // sealSave wraps a checkpoint body in its header and checksum trailer.
