@@ -88,11 +88,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		rep, err := chaos.RunCampaign(chaos.CampaignOptions{
 			Runs:    *campaign,
 			Seed:    *campaignSeed,
-			Dir:     *campaignDir,
 			Log:     stdout,
 			Workers: *parallel,
 		})
 		if err != nil {
+			return fail(1, "campaign: %v", err)
+		}
+		if err := saveScenarios(*campaignDir, rep.Violations, stdout); err != nil {
 			return fail(1, "campaign: %v", err)
 		}
 		if rep.Failed() {

@@ -3,6 +3,8 @@ package main
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 
 	"repro/internal/chaos"
 )
@@ -39,4 +41,24 @@ func runScenario(s chaos.Schedule, w io.Writer) int {
 	}
 	fmt.Fprintln(w, "check passed: the run matches the bare run")
 	return 0
+}
+
+// saveScenarios writes each violation's scenario script to
+// dir/chaos_run<i>.hfts, creating dir if missing, and logs each path to
+// w. An empty dir writes nothing.
+func saveScenarios(dir string, vs []chaos.ViolationReport, w io.Writer) error {
+	if dir == "" || len(vs) == 0 {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("artifact dir: %w", err)
+	}
+	for _, v := range vs {
+		path := filepath.Join(dir, fmt.Sprintf("chaos_run%d.hfts", v.Run))
+		if err := os.WriteFile(path, []byte(v.Scenario), 0o644); err != nil {
+			return fmt.Errorf("artifact: %w", err)
+		}
+		fmt.Fprintf(w, "run %d artifact: %s\n", v.Run, path)
+	}
+	return nil
 }

@@ -7,8 +7,6 @@ import (
 	"hash/fnv"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 
 	hft "repro"
@@ -24,9 +22,6 @@ type CampaignOptions struct {
 	// by mix(Seed, i), so any single run replays independently of
 	// worker scheduling and of Runs.
 	Seed int64
-	// Dir, when non-empty, receives one scenario artifact per shrunk
-	// violation (chaos_run<i>.hfts). Created if missing.
-	Dir string
 	// Log, when set, receives one-line progress (violations as found,
 	// shrink results).
 	Log io.Writer
@@ -83,8 +78,6 @@ type ViolationReport struct {
 	// Scenario is the emitted hftsim script for the smallest known
 	// reproduction.
 	Scenario string
-	// Artifact is the scenario's path on disk ("" if Dir was unset).
-	Artifact string
 }
 
 // CampaignReport is a campaign's outcome and its two rollups.
@@ -178,11 +171,11 @@ func rollup(results []RunResult) (string, Aggregate) {
 const maxShrink = 3
 
 // RunCampaign generates and executes o.Runs schedules across the
-// scheduler's workers, keeping a RunResult of each, then shrinks and
-// emits artifacts for the first maxShrink violations (in run order —
-// deterministic regardless of worker interleaving). It is the one chaos
-// runner:
-// `hftsim -campaign` prints its digest, `hftbench -fleet` its
+// scheduler's workers, keeping a RunResult of each, then shrinks the
+// first maxShrink violations (in run order — deterministic regardless
+// of worker interleaving) and renders every violation's scenario. It is
+// the one chaos runner and writes no file: `hftsim -campaign` prints
+// its digest and saves the scenarios, `hftbench -fleet` prints its
 // aggregate.
 func RunCampaign(o CampaignOptions) (CampaignReport, error) {
 	if o.Runs <= 0 {
@@ -223,11 +216,6 @@ func RunCampaign(o CampaignOptions) (CampaignReport, error) {
 		logf("campaign clean: %d runs, all invariants held", o.Runs)
 		return rep, nil
 	}
-	if o.Dir != "" {
-		if err := os.MkdirAll(o.Dir, 0o755); err != nil {
-			return rep, fmt.Errorf("chaos: artifact dir: %w", err)
-		}
-	}
 	for vi := range rep.Violations {
 		v := &rep.Violations[vi]
 		minimal := v.Schedule
@@ -240,14 +228,6 @@ func RunCampaign(o CampaignOptions) (CampaignReport, error) {
 		}
 		note := fmt.Sprintf("campaign seed %d, run %d", o.Seed, v.Run)
 		v.Scenario = Scenario(minimal, report.Violation, note)
-		if o.Dir != "" {
-			path := filepath.Join(o.Dir, fmt.Sprintf("chaos_run%d.hfts", v.Run))
-			if err := os.WriteFile(path, []byte(v.Scenario), 0o644); err != nil {
-				return rep, fmt.Errorf("chaos: artifact: %w", err)
-			}
-			v.Artifact = path
-			logf("run %d artifact: %s", v.Run, path)
-		}
 	}
 	return rep, nil
 }
