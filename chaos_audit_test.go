@@ -24,9 +24,11 @@ func runToCompletion(t *testing.T, c *Cluster) Result {
 
 // TestPerturbationsAfterDone pins the public contract: once Done
 // reports true, FailBackup, SetLinkQuality and AddBackup return
-// ErrCompleted, and FailPrimary and RunFor are no-ops that are NOT
-// journaled (a subsequent Save must replay without any phantom
-// perturbation or pause), whether Wait or RunUntil completed the run.
+// ErrCompleted (FailBackup of no backup is an index error before Done,
+// and FailBackup(0) after it too), and FailPrimary and RunFor are
+// no-ops that are NOT journaled (a subsequent Save must replay without
+// any phantom perturbation or pause), whether Wait or RunUntil
+// completed the run.
 func TestPerturbationsAfterDone(t *testing.T) {
 	for _, complete := range []struct {
 		name string
@@ -43,6 +45,11 @@ func TestPerturbationsAfterDone(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
+		for _, i := range []int{0, 2} { // one backup: neither index names one
+			if err := c.FailBackup(i); err == nil || errors.Is(err, ErrCompleted) {
+				t.Errorf("FailBackup(%d) before Done: %v, want an index error", i, err)
+			}
+		}
 		if err := complete.run(c); err != nil {
 			t.Fatal(err)
 		}
@@ -53,6 +60,9 @@ func TestPerturbationsAfterDone(t *testing.T) {
 
 		if err := c.FailBackup(1); !errors.Is(err, ErrCompleted) {
 			t.Errorf("FailBackup after Done: %v, want ErrCompleted", err)
+		}
+		if err := c.FailBackup(0); err == nil || errors.Is(err, ErrCompleted) {
+			t.Errorf("FailBackup(0) after Done: %v, want an index error", err)
 		}
 		if err := c.SetLinkQuality(LinkQuality{BitsPerSecond: 1_000_000}); !errors.Is(err, ErrCompleted) {
 			t.Errorf("SetLinkQuality after Done: %v, want ErrCompleted", err)

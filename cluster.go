@@ -47,8 +47,8 @@ type Cluster struct {
 
 // NewCluster assembles a session from functional options. The
 // configuration is validated eagerly — an unknown link, a negative
-// backup count, a failure schedule that exceeds the replica set, or a
-// zero seed fail here, not inside a later run. The simulation itself
+// backup count, a client load without a server workload, or a zero
+// seed fail here, not inside a later run. The simulation itself
 // is constructed lazily, on the first advancement.
 func NewCluster(opts ...Option) (*Cluster, error) {
 	o, err := buildOptions(opts)
@@ -249,10 +249,11 @@ func (c *Cluster) ServiceBlackout(at Duration) Duration {
 type ServiceLatencies = obs.ServiceLatencies
 
 // FailPrimary failstops the primary's processor at the current virtual
-// time: execution ceases and all its communication is severed, exactly
-// as WithFailPrimaryAt would have done on a schedule. The backup
-// detects the silence, finishes the failover epoch, synthesizes
-// uncertain interrupts for outstanding I/O (rule P7) and takes over.
+// time: execution ceases and all its communication is severed. It is
+// the one way a primary fails; to fail it at virtual time t, call
+// RunFor(t - Now()) first. The backup detects the silence, finishes the
+// failover epoch, synthesizes uncertain interrupts for outstanding I/O
+// (rule P7) and takes over.
 //
 // After the workload completes (Done reports true), or if the primary
 // already failed, FailPrimary is a no-op and is NOT journaled — a

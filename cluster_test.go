@@ -12,9 +12,9 @@ import (
 	"repro/internal/sim"
 )
 
-// TestClusterLiveFailover drives a session through a live (unscheduled)
-// primary failstop and asserts the backup finishes the workload with
-// the bare machine's result.
+// TestClusterLiveFailover drives a session through a live primary
+// failstop and asserts the backup finishes the workload with the bare
+// machine's result.
 func TestClusterLiveFailover(t *testing.T) {
 	w := DiskWrite(3, 4096)
 	opts := []Option{WithWorkload(w), WithEpochLength(4096), WithDiskLatency(500*Microsecond, 600*Microsecond)}
@@ -494,9 +494,6 @@ func TestNewClusterValidation(t *testing.T) {
 		{"negative backups", []Option{work, WithBackups(-1)}, "backups must be >= 1"},
 		{"zero backups", []Option{work, WithBackups(0)}, "backups must be >= 1"},
 		{"too many backups", []Option{work, WithBackups(maxBackups + 1)}, "backups must be >= 1 and <= 64"},
-		{"backup index beyond any replica set", []Option{work, WithFailBackupAt(1<<40, Millisecond)}, "at most 64"},
-		{"failure beyond replica set", []Option{work, WithBackups(1), WithFailBackupAt(2, Millisecond)}, "exceeds the replica set"},
-		{"bad backup index", []Option{work, WithFailBackupAt(0, Millisecond)}, "numbered from 1"},
 		{"nil link", []Option{work, WithLink(nil)}, "nil LinkModel"},
 		{"bad link bandwidth", []Option{work, WithLink(LinkParams{Name: "dead"})}, "non-positive bandwidth"},
 		{"negative detect timeout", []Option{work, WithDetectTimeout(-1)}, "non-positive detect timeout"},
@@ -520,12 +517,13 @@ func TestNewClusterValidation(t *testing.T) {
 // — and the documented default seed.
 func TestConfigValidationEager(t *testing.T) {
 	work := WithWorkload(CPUIntensive(100))
-	// The schedule precedes the option that would have made room for it.
-	if _, err := NewCluster(work, WithFailBackupAt(3, Millisecond), WithBackups(2)); err == nil || !strings.Contains(err.Error(), "exceeds the replica set") {
-		t.Errorf("oversubscribed failure schedule accepted: %v", err)
+	// The client load precedes the workload that decides whether it fits.
+	load := WithClientLoad(ClientLoad{})
+	if _, err := NewCluster(load, work); err == nil || !strings.Contains(err.Error(), "requires the ServeRequests workload") {
+		t.Errorf("client load on a CPU workload accepted: %v", err)
 	}
-	if _, err := NewCluster(work, WithFailBackupAt(2, Millisecond), WithBackups(2)); err != nil {
-		t.Errorf("in-range failure schedule rejected: %v", err)
+	if _, err := NewCluster(load, WithWorkload(ServeRequests(4, 1))); err != nil {
+		t.Errorf("client load before its ServeRequests workload rejected: %v", err)
 	}
 	// No WithSeed means seed 1.
 	unset, _ := runScenario(t, work, WithEpochLength(1024))

@@ -1,18 +1,18 @@
 // Command hftsim runs one configured simulation of the fault-tolerant
-// prototype and reports timing, protocol statistics and (optionally)
-// failover behaviour. With -scenario it instead runs a scenario script
-// — a chaos schedule's text form (chaos.ParseScenario lists the
-// commands): advance virtual time, failstop processors, degrade the
-// link, take checkpoints — from a file or stdin. With -campaign it runs
-// the chaos engine: N seeded random perturbation schedules, every run
-// checked against the replication invariants, violations automatically
-// shrunk to minimal replayable scenario scripts.
+// prototype and reports timing and protocol statistics. With -scenario
+// it instead runs a scenario script — a chaos schedule's text form
+// (chaos.ParseScenario lists the commands): advance virtual time,
+// failstop processors, degrade the link, take checkpoints — from a file
+// or stdin. With -campaign it runs the chaos engine: N seeded random
+// perturbation schedules, every run checked against the replication
+// invariants, violations automatically shrunk to minimal replayable
+// scenario scripts.
 //
 // Usage:
 //
 //	hftsim -workload cpu|write|read|copy|echo|serve [-iters N] [-ops N]
 //	       [-count N] [-epoch N] [-protocol old|new]
-//	       [-link ethernet|atm] [-fail-at-ms T] [-bare] [-seed N]
+//	       [-link ethernet|atm] [-bare] [-seed N]
 //	       [-backups N] [-window N] [-adaptive] [-scenario FILE|-]
 //	       [-campaign N] [-campaign-seed N] [-campaign-dir DIR]
 //	       [-parallel N]
@@ -64,7 +64,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	schedule := chaos.ScheduleFlags(fs)
 	var (
-		failAt   = fs.Float64("fail-at-ms", 0, "failstop the primary at this time (ms); 0 = no failure")
 		bare     = fs.Bool("bare", false, "run on bare hardware only (the baseline)")
 		scenario = fs.String("scenario", "", "drive a live cluster from this command script (- = stdin)")
 
@@ -139,11 +138,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := s.ClusterOptions(shape)
-	if *failAt > 0 {
-		opts = append(opts, hft.WithFailPrimaryAt(hft.Duration(*failAt*float64(hft.Millisecond))))
-	}
-	c, err := hft.NewCluster(opts...)
+	c, err := hft.NewCluster(s.ClusterOptions(shape)...)
 	if err != nil {
 		return fail(1, "%v", err)
 	}
@@ -157,10 +152,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "normalized perf: %.3f\n", float64(repl.Time)/float64(bareRes.Time))
 	fmt.Fprintf(stdout, "protocol:        %s, epoch %d, link %s\n", s.Protocol, s.Epoch, s.Link)
 	fmt.Fprintf(stdout, "messages sent:   %d\n", repl.MessagesSent)
-	if repl.Promoted {
-		fmt.Fprintf(stdout, "FAILOVER:        backup promoted; %d uncertain interrupt(s) synthesized (P7)\n",
-			repl.UncertainSynthesized)
-	}
 	lat, _ := c.ServiceLatencies()
 	if v := chaos.Check(shape, bareRes, repl, lat); v != nil {
 		fmt.Fprintf(stdout, "ERROR:           %v\n", v)

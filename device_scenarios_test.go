@@ -12,6 +12,7 @@ package hft
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -43,11 +44,43 @@ func echoScript(n int, step Duration) []TerminalInput {
 // runScenario drives a cluster built from opts to completion.
 func runScenario(t *testing.T, opts ...Option) (Result, *Cluster) {
 	t.Helper()
+	return runFailing(t, nil, opts...)
+}
+
+// failure is one failstop a test injects: node 0 is the primary, node i
+// backup i.
+type failure struct {
+	node int
+	at   Duration
+}
+
+// inject failstops f's node of c at the current instant. A backup that
+// can no longer fail because the workload completed is no error.
+func (f failure) inject(t *testing.T, c *Cluster) {
+	t.Helper()
+	if f.node == 0 {
+		c.FailPrimary()
+	} else if err := c.FailBackup(f.node); err != nil && !errors.Is(err, ErrCompleted) {
+		t.Fatal(err)
+	}
+}
+
+// runFailing is runScenario with failstops injected live, in the order
+// given (ascending at): RunFor up to each instant, then FailPrimary or
+// FailBackup. One that lands after the workload completed does nothing.
+func runFailing(t *testing.T, fails []failure, opts ...Option) (Result, *Cluster) {
+	t.Helper()
 	c, err := NewCluster(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
+	for _, f := range fails {
+		if _, err := c.RunFor(f.at - c.Now()); err != nil {
+			t.Fatal(err)
+		}
+		f.inject(t, c)
+	}
 	res, err := c.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -97,9 +130,7 @@ func TestTwoDiskCopyFailoverDifferential(t *testing.T) {
 	base := append([]Option{WithWorkload(w)}, fastDiskOpts()...)
 
 	bare, cb := runScenario(t, append(base, Bare())...)
-	repl, cr := runScenario(t, append(base,
-		WithFailPrimaryAt(2*Millisecond),
-		WithDetectTimeout(3*Millisecond))...)
+	repl, cr := runFailing(t, []failure{{0, 2 * Millisecond}}, append(base, WithDetectTimeout(3*Millisecond))...)
 	if !repl.Promoted {
 		t.Fatal("primary failstop did not promote the backup")
 	}
@@ -154,9 +185,8 @@ func TestTerminalEchoFailoverDifferential(t *testing.T) {
 	bare, _ := runScenario(t, append(base, Bare())...)
 	for _, proto := range []Protocol{ProtocolOld, ProtocolNew} {
 		for _, failAt := range []Duration{5 * Millisecond, 11 * Millisecond, 21 * Millisecond} {
-			repl, _ := runScenario(t, append(base,
+			repl, _ := runFailing(t, []failure{{0, failAt}}, append(base,
 				WithProtocol(proto),
-				WithFailPrimaryAt(failAt),
 				WithDetectTimeout(3*Millisecond))...)
 			if !repl.Promoted {
 				t.Fatalf("proto=%v failAt=%v: no promotion", proto, failAt)

@@ -232,7 +232,7 @@ func TestObserveGolden(t *testing.T) {
 // sees exactly what an Events() subscription opened at the same point
 // carries — the events after the checkpoint's pause, none of the replay.
 func TestObserveAfterRestore(t *testing.T) {
-	c, err := NewCluster(WithWorkload(CPUIntensive(20000)), WithFailPrimaryAt(5*Millisecond))
+	c, err := NewCluster(WithWorkload(CPUIntensive(20000)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,12 +251,20 @@ func TestObserveAfterRestore(t *testing.T) {
 	var observed []Event
 	r.Observe(func(ev Event) { observed = append(observed, ev) })
 	subscribed := collectEvents(r, func() {
+		if _, err := r.RunFor(3 * Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		r.FailPrimary()
 		if _, err := r.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if len(observed) == 0 || observed[0].Time < 2*Millisecond || observed[len(observed)-1].Kind != EventCompleted {
 		t.Fatalf("observed %d events, want the run from 2 ms to completion", len(observed))
+	}
+	failstop := slices.IndexFunc(observed, func(ev Event) bool { return ev.Kind == EventFailstop })
+	if failstop < 0 || observed[failstop].Time != 5*Millisecond {
+		t.Fatal("observed no failstop of the restored cluster's primary at 5 ms")
 	}
 	if !slices.Equal(observed, subscribed) {
 		t.Fatalf("observer saw %d events, subscription %d, or they differ", len(observed), len(subscribed))

@@ -199,17 +199,18 @@ func ExampleCluster_Save() {
 // The Events stream delivers protocol milestones as first-class
 // values; each subscription is independent and unbounded, so a slow
 // consumer never stalls the simulation. Here the stream observes a
-// scheduled failstop and the resulting promotion.
+// failstop at 5 ms and the resulting promotion.
 func ExampleCluster_Events() {
-	c, err := hft.NewCluster(
-		hft.WithWorkload(hft.CPUIntensive(20000)),
-		hft.WithFailPrimaryAt(5*hft.Millisecond),
-	)
+	c, err := hft.NewCluster(hft.WithWorkload(hft.CPUIntensive(20000)))
 	if err != nil {
 		panic(err)
 	}
 
 	events := c.Events()
+	if _, err := c.RunFor(5 * hft.Millisecond); err != nil {
+		panic(err)
+	}
+	c.FailPrimary()
 	if _, err := c.Wait(context.Background()); err != nil {
 		panic(err)
 	}
@@ -230,13 +231,10 @@ func ExampleCluster_Events() {
 // An observer receives every event synchronously, in order, on the
 // goroutine driving the cluster: no channel and no goroutine, so its
 // state is complete the moment the run returns. Here it measures the
-// commit gap a scheduled failstop causes: from the primary's last epoch
+// commit gap a failstop at 5 ms causes: from the primary's last epoch
 // commit to the promoted backup's first, failure detection included.
 func ExampleCluster_Observe() {
-	c, err := hft.NewCluster(
-		hft.WithWorkload(hft.CPUIntensive(20000)),
-		hft.WithFailPrimaryAt(5*hft.Millisecond),
-	)
+	c, err := hft.NewCluster(hft.WithWorkload(hft.CPUIntensive(20000)))
 	if err != nil {
 		panic(err)
 	}
@@ -255,6 +253,10 @@ func ExampleCluster_Observe() {
 			lastCommit = ev.Time
 		}
 	})
+	if _, err := c.RunFor(5 * hft.Millisecond); err != nil {
+		panic(err)
+	}
+	c.FailPrimary()
 	if _, err := c.Wait(context.Background()); err != nil {
 		panic(err)
 	}
@@ -274,7 +276,6 @@ func ExampleNewCluster_service() {
 	opts := []hft.Option{
 		hft.WithWorkload(hft.ServeRequests(24, 50)),
 		hft.WithClientLoad(hft.ClientLoad{Clients: 8, MeanGap: 500 * hft.Microsecond, Timeout: 50 * hft.Millisecond}),
-		hft.WithFailPrimaryAt(failAt), // a bare session has no primary to fail
 		hft.WithDetectTimeout(3 * hft.Millisecond),
 	}
 
@@ -294,6 +295,10 @@ func ExampleNewCluster_service() {
 	}
 	defer c.Close()
 
+	if _, err := c.RunFor(failAt); err != nil {
+		panic(err)
+	}
+	c.FailPrimary()
 	res, err := c.Wait(context.Background())
 	if err != nil {
 		panic(err)
@@ -375,10 +380,6 @@ func ExampleWithBackups() {
 		hft.WithEpochLength(4096),
 		hft.WithBackups(2),
 		hft.WithDiskLatency(2*hft.Millisecond, 3*hft.Millisecond),
-		// The primary fails early; backup 1, promoted in its place,
-		// fails mid-run. Backup 2 must finish alone.
-		hft.WithFailPrimaryAt(2 * hft.Millisecond),
-		hft.WithFailBackupAt(1, 120*hft.Millisecond),
 	}
 	bc, err := hft.NewCluster(append(opts, hft.Bare())...)
 	if err != nil {
@@ -395,6 +396,18 @@ func ExampleWithBackups() {
 		panic(err)
 	}
 	defer c.Close()
+	// The primary fails at 2 ms; backup 1, promoted in its place, fails
+	// at 120 ms. Backup 2 must finish alone.
+	if _, err := c.RunFor(2 * hft.Millisecond); err != nil {
+		panic(err)
+	}
+	c.FailPrimary()
+	if _, err := c.RunFor(118 * hft.Millisecond); err != nil {
+		panic(err)
+	}
+	if err := c.FailBackup(1); err != nil {
+		panic(err)
+	}
 	res, err := c.Wait(context.Background())
 	if err != nil {
 		panic(err)

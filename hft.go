@@ -28,15 +28,16 @@
 //
 // # Recovery and reintegration
 //
-// Failures are injected live (Cluster.FailPrimary, Cluster.FailBackup)
-// or on a schedule (WithFailPrimaryAt); the backup detects the
-// failstop, finishes the failover epoch, synthesizes uncertain
-// interrupts for outstanding I/O (rule P7) and takes over without the
-// environment noticing anything but a device retry. After a failover
-// the cluster runs unprotected until Cluster.AddBackup reintegrates a
-// new backup by live state transfer over the simulated link — the
-// repair half of the paper's §5 story. Sessions checkpoint with
-// Cluster.Save and resume bit-identically with Restore.
+// Failures are injected live: Cluster.FailPrimary and
+// Cluster.FailBackup failstop a processor at the current virtual time,
+// so a failure at time t is RunFor(t) followed by FailPrimary. The
+// backup detects the failstop, finishes the failover epoch, synthesizes
+// uncertain interrupts for outstanding I/O (rule P7) and takes over
+// without the environment noticing anything but a device retry. After
+// a failover the cluster runs unprotected until Cluster.AddBackup
+// reintegrates a new backup by live state transfer over the simulated
+// link — the repair half of the paper's §5 story. Sessions checkpoint
+// with Cluster.Save and resume bit-identically with Restore.
 //
 // # The bare baseline
 //

@@ -56,12 +56,10 @@ func TestFailoverThroughPublicAPI(t *testing.T) {
 	opts := []Option{
 		WithWorkload(DiskWrite(3, 4096)),
 		WithEpochLength(4096),
-		WithFailPrimaryAt(5 * Millisecond),
 		WithDiskLatency(500*Microsecond, 600*Microsecond),
 	}
-	// The bare session ignores the failure schedule: it has no replica set.
 	bare, _ := runScenario(t, append(opts, Bare())...)
-	repl, _ := runScenario(t, opts...)
+	repl, _ := runFailing(t, []failure{{0, 5 * Millisecond}}, opts...)
 	if !repl.Promoted {
 		t.Fatal("backup did not promote")
 	}
@@ -120,11 +118,9 @@ func TestTwoFaultToleranceThroughPublicAPI(t *testing.T) {
 		WithEpochLength(4096),
 		WithBackups(2),
 		WithDiskLatency(400*Microsecond, 500*Microsecond),
-		WithFailPrimaryAt(2 * Millisecond),
-		WithFailBackupAt(1, 120*Millisecond),
 	}
 	bare, _ := runScenario(t, append(opts, Bare())...)
-	repl, _ := runScenario(t, opts...)
+	repl, _ := runFailing(t, []failure{{0, 2 * Millisecond}, {1, 120 * Millisecond}}, opts...)
 	if !repl.Promoted {
 		t.Fatal("no promotion under double failure")
 	}
@@ -138,12 +134,10 @@ func TestTwoFaultToleranceThroughPublicAPI(t *testing.T) {
 // primary and backup 1 fail, and the uncertain interrupt it synthesizes
 // is in the Result too.
 func TestResultCountsEveryReplica(t *testing.T) {
-	res, c := runScenario(t,
+	res, c := runFailing(t, []failure{{0, 2 * Millisecond}, {1, 80 * Millisecond}},
 		WithWorkload(DiskWrite(6, 2048)),
 		WithBackups(2),
 		WithDiskLatency(400*Microsecond, 500*Microsecond),
-		WithFailPrimaryAt(2*Millisecond),
-		WithFailBackupAt(1, 80*Millisecond),
 	)
 	s := c.Snapshot()
 	if s.Acting != 2 || s.UncertainSynthesized == 0 {
@@ -206,7 +200,7 @@ func TestFailPrimaryAtAnyInstant(t *testing.T) {
 			bare, _ := runScenario(t, append(c.opts, Bare())...)
 			promotions := 0
 			for _, at := range c.at {
-				repl, _ := runScenario(t, append(c.opts, WithFailPrimaryAt(at))...)
+				repl, _ := runFailing(t, []failure{{0, at}}, c.opts...)
 				if repl.Checksum != bare.Checksum {
 					t.Errorf("fail at %v: checksum %#x != bare %#x", at, repl.Checksum, bare.Checksum)
 				}

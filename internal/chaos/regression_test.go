@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"testing"
 
 	hft "repro"
@@ -101,5 +102,46 @@ func TestRegressionCampaignFinds(t *testing.T) {
 				t.Errorf("schedule %v violated %v", tc.s, rep.Violation)
 			}
 		})
+	}
+}
+
+// TestUnansweredRequestEndsWithTheRun replays the shrunk scenario of
+// shard 2723 of fleet seed 7, which loses the console output: one
+// request is never answered, and its client retransmits every 2 ms for
+// as long as the simulation runs. The run must end when the cluster's
+// last process retires, not at the session's 20,000 s bound, which took
+// ten million retransmissions and over a second of host time.
+func TestUnansweredRequestEndsWithTheRun(t *testing.T) {
+	s := ScheduleAt(7, 2723)
+	var err error
+	if s.Steps, err = ParseScenario("run-to 13000000ns\nfail backup 1\nuntil-commit 20\nfail primary\n"); err != nil {
+		t.Fatal(err)
+	}
+	shape, err := s.Shape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := hft.NewCluster(s.ClusterOptions(shape)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, st := range s.Steps {
+		if _, err := advanceTo(c, st.At, maxVirtual); err != nil {
+			t.Fatal(err)
+		}
+		if st.Op == OpFailPrimary {
+			c.FailPrimary()
+		} else if err := c.FailBackup(st.Backup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	lat, _ := c.ServiceLatencies()
+	if lat.Answered == lat.Requests || lat.Retransmits >= 1000 {
+		t.Fatalf("%d of %d requests answered with %d retransmissions; want one unanswered, under 1,000 retransmissions",
+			lat.Answered, lat.Requests, lat.Retransmits)
 	}
 }

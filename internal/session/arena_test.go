@@ -240,8 +240,8 @@ func TestServiceLatenciesAfterClose(t *testing.T) {
 func TestClosedEngineSurvivesReuse(t *testing.T) {
 	o := serveOpts(64)
 	o.Backups = 2
-	o.FailPrimaryAt = 20 * sim.Millisecond
 	e := New(o)
+	failNodeAt(t, e, 0, 20*sim.Millisecond)
 	if err := e.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
 	}

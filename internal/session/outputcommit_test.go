@@ -48,7 +48,6 @@ func TestOutputCommitServiceMatchesBare(t *testing.T) {
 		for _, failAt := range []sim.Time{0, 2 * sim.Millisecond} {
 			o := ocServeOpts(16, tc.window, tc.adaptive)
 			o.Protocol = tc.proto
-			o.FailPrimaryAt = failAt
 			o.DetectTimeout = 2 * sim.Millisecond
 			var commits int
 			o.Observer = func(ev obs.Event) {
@@ -57,6 +56,9 @@ func TestOutputCommitServiceMatchesBare(t *testing.T) {
 				}
 			}
 			e := New(o)
+			if failAt > 0 {
+				failNodeAt(t, e, 0, failAt)
+			}
 			if err := e.RunToCompletion(nil); err != nil {
 				e.Close()
 				t.Fatalf("%s failAt=%v: %v", tc.name, failAt, err)
@@ -158,7 +160,6 @@ func TestOutputCommitWindowFailstop(t *testing.T) {
 	link := netsim.Ethernet10("")
 	link.Latency = 250 * sim.Microsecond
 	o.Link = link
-	o.FailPrimaryAt = 2 * sim.Millisecond
 	o.DetectTimeout = 2 * sim.Millisecond
 	maxOcc := 0
 	o.Observer = func(ev obs.Event) {
@@ -168,6 +169,7 @@ func TestOutputCommitWindowFailstop(t *testing.T) {
 	}
 	e := New(o)
 	defer e.Close()
+	failNodeAt(t, e, 0, 2*sim.Millisecond)
 	if err := e.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
 	}

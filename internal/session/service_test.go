@@ -68,12 +68,14 @@ func TestServeReplicatedMatchesBare(t *testing.T) {
 
 	for _, failAt := range []sim.Time{0, 2 * sim.Millisecond} {
 		o := serveOpts(16)
-		o.FailPrimaryAt = failAt
 		o.DetectTimeout = 2 * sim.Millisecond
 		e := New(o)
 		res, err := e.Result()
 		if err == nil {
 			t.Fatal("Result before completion should error")
+		}
+		if failAt > 0 {
+			failNodeAt(t, e, 0, failAt)
 		}
 		if err := e.RunToCompletion(nil); err != nil {
 			e.Close()

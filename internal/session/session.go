@@ -10,9 +10,9 @@
 // Determinism contract: an Engine driven to completion produces the
 // same results bit for bit regardless of how the run is sliced.
 // Construction order (kernel, platform, guest boot per node, replicas in
-// node order, scheduled failures, process spawns) is therefore fixed —
-// random-stream derivation and event scheduling order follow from it —
-// and observation hooks never spend virtual time.
+// node order, process spawns) is therefore fixed — random-stream
+// derivation and event scheduling order follow from it — and
+// observation hooks never spend virtual time.
 //
 // There is one topology and one Boot: a platform.Cluster, with one
 // replication.Replica per node in Engine.reps, indexed by node — a
@@ -165,10 +165,8 @@ type Options struct {
 	// every replica, including late joiners.
 	OutputCommit replication.OutputCommit
 
-	FailPrimaryAt sim.Time
 	DetectTimeout sim.Time
 	Backups       int
-	FailBackupAt  []sim.Time
 
 	Machine       machine.Config
 	NoTLBTakeover bool
@@ -231,7 +229,7 @@ type Engine struct {
 
 	done     []sim.Time // per-node completion times
 	finished bool
-	endTime  sim.Time // virtual time the last process exited
+	endTime  sim.Time // virtual time the last node's process exited
 	result   Result
 	runErr   error
 
@@ -293,17 +291,17 @@ func (e *Engine) emit(ev obs.Event) {
 	e.o.Observer(ev)
 }
 
-// Boot constructs the kernel, platform, replicas and scheduled failures,
-// and spawns the simulation processes. Idempotent; called implicitly by
-// every advancement method.
+// Boot constructs the kernel, platform and replicas, and spawns the
+// simulation processes. Idempotent; called implicitly by every
+// advancement method.
 //
 // The construction order below is the determinism contract: kernel,
 // platform, guest boot per node, the replicas in node order (each with
-// its upstream/downstream channels), the scheduled failstops, then the
-// process spawns — in exactly this sequence, because random-stream
-// derivation and event scheduling order follow from it. A bare session
-// is the same sequence over a cluster of one with the bare runner on
-// node 0 in place of a replica.
+// its upstream/downstream channels), then the process spawns — in
+// exactly this sequence, because random-stream derivation and event
+// scheduling order follow from it. A bare session is the same sequence
+// over a cluster of one with the bare runner on node 0 in place of a
+// replica.
 func (e *Engine) Boot() {
 	if e.booted || e.closed {
 		return
@@ -370,12 +368,6 @@ func (e *Engine) Boot() {
 	// Environment observation hooks (no virtual-time cost; order-neutral).
 	e.installHooks()
 	e.startClientLoad()
-
-	for i, at := range append([]sim.Time{o.FailPrimaryAt}, o.FailBackupAt...) {
-		if at > 0 && i < len(e.reps) {
-			k.At(at, func() { e.failNow(i) })
-		}
-	}
 
 	if o.Bare {
 		e.spawn(0, "bare", e.bare.Run)
@@ -570,8 +562,9 @@ func (e *Engine) severTransfers(node int) {
 }
 
 // Now returns the current virtual time (zero before boot). After
-// completion it reports the instant the last process exited — the
-// kernel clock may sit at a run bound beyond any activity.
+// completion it reports the instant the last node's process exited; the
+// kernel clock stops later, where the last process of any kind (a link
+// receiver, say) retired.
 func (e *Engine) Now() sim.Time {
 	if e.k == nil {
 		return 0
@@ -728,12 +721,12 @@ func (e *Engine) RunToCompletion(cancelled func() bool) error {
 var ErrCompleted = errors.New("session: workload already complete")
 
 // FailNode failstops node i's processor immediately (between advancement
-// slices) — the live counterpart of Options.FailPrimaryAt and
-// FailBackupAt. applied reports whether a live processor was stopped:
-// failstopping one that already failed is an error-free no-op (the
-// paper's failstop model: a dead processor cannot die again), and so is
-// failstopping the one node of a bare session, which has no replica set
-// to survive it. After completion it returns ErrCompleted.
+// slices): the one way a failstop enters a session, so a failure at
+// virtual time t is RunFor up to t, then FailNode. applied reports
+// whether a live processor was stopped: failstopping one that already
+// failed is an error-free no-op (the paper's failstop model: a dead
+// processor cannot die again), and so is failstopping the one node of a
+// bare session, which has no replica set to survive it. After completion it returns ErrCompleted.
 func (e *Engine) FailNode(i int) (applied bool, err error) {
 	e.Boot()
 	switch {

@@ -20,6 +20,17 @@ func cpuOpts(iters uint32) Options {
 // TestSlicedRunMatchesOneShot is the engine's core invariant: the same
 // session advanced in arbitrary bounded slices produces a terminal
 // result bit-identical to one driven to completion in a single call.
+// failNodeAt runs e up to virtual time at and failstops node i there.
+func failNodeAt(t *testing.T, e *Engine, i int, at sim.Time) {
+	t.Helper()
+	if err := e.RunFor(at - e.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.FailNode(i); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSlicedRunMatchesOneShot(t *testing.T) {
 	one := New(cpuOpts(5000))
 	defer one.Close()
@@ -123,14 +134,14 @@ func TestRunUntilEpochPredicate(t *testing.T) {
 func TestEventStreamOrdering(t *testing.T) {
 	var evs []obs.Event
 	o := Options{
-		Seed:          1,
-		Program:       WorkloadProgram(guest.CPUIntensive(4000)),
-		EpochLength:   1024,
-		FailPrimaryAt: 4 * sim.Millisecond,
-		Observer:      func(ev obs.Event) { evs = append(evs, ev) },
+		Seed:        1,
+		Program:     WorkloadProgram(guest.CPUIntensive(4000)),
+		EpochLength: 1024,
+		Observer:    func(ev obs.Event) { evs = append(evs, ev) },
 	}
 	e := New(o)
 	defer e.Close()
+	failNodeAt(t, e, 0, 4*sim.Millisecond)
 	if err := e.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
 	}

@@ -420,7 +420,8 @@ func (k *Kernel) Run() Time {
 
 // RunUntil executes events with timestamps <= t, then returns. The clock
 // is left at min(t, time of last event) or advanced to t if events remain
-// beyond it.
+// beyond it. A run in which the last started process retires returns at
+// that instant, stopped (see Stop), whatever is still pending.
 func (k *Kernel) RunUntil(t Time) Time {
 	k.limit = t
 	defer func() { k.limit = -1 }()
@@ -745,11 +746,15 @@ func (p *Proc) resumeStep() (Time, StepStatus) {
 	return 0, StepDone
 }
 
-// retire marks p finished.
+// retire marks p finished. The last process to retire ends a bounded
+// run (RunUntil) there: a timer that keeps re-arming itself would
+// otherwise dispatch, with nobody left to act on it, up to the bound.
 func (p *Proc) retire() {
-	if !p.done {
+	if k := p.k; !p.done {
 		p.done = true
-		p.k.nprocs--
+		if k.nprocs--; k.nprocs == 0 && k.limit >= 0 {
+			k.stopped = true
+		}
 	}
 }
 

@@ -131,6 +131,34 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestRunUntilEndsAtLastRetire: a bounded run returns at the instant its
+// last process retires, although a timer that re-arms itself would keep
+// it dispatching up to the bound; resumed, it runs the timer on.
+func TestRunUntilEndsAtLastRetire(t *testing.T) {
+	k := NewKernel(1)
+	fires := 0
+	var rearm func()
+	rearm = func() { fires++; k.After(2*Millisecond, rearm) }
+	k.After(2*Millisecond, rearm)
+	steps := 0
+	k.Start("worker", func(p *Proc) (Time, StepStatus) {
+		if steps++; steps > 3 {
+			return 0, StepDone
+		}
+		return 5 * Millisecond, StepMore
+	})
+	if now := k.RunUntil(Second); now != 15*Millisecond || !k.Stopped() || k.LiveProcs() != 0 {
+		t.Fatalf("run returned at %v (stopped %v, %d live), want 15ms, stopped, none live", now, k.Stopped(), k.LiveProcs())
+	}
+	if fires != 7 {
+		t.Fatalf("timer fired %d times before the retire, want 7", fires)
+	}
+	k.ClearStop()
+	if now := k.RunUntil(20 * Millisecond); now != 20*Millisecond || fires != 10 {
+		t.Fatalf("resumed run: now %v, %d fires; want 20ms, 10", now, fires)
+	}
+}
+
 func TestStop(t *testing.T) {
 	k := NewKernel(1)
 	count := 0

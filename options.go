@@ -27,9 +27,10 @@ type clusterOptions struct {
 	program  Program  // nil unless WithProgram
 }
 
-// maxBackups bounds t. The failure schedule is indexed by backup, so
-// the bound keeps an absurd index (from a caller or a checkpoint) an
-// error rather than an allocation.
+// maxBackups bounds t. Every backup boots a machine and a hypervisor
+// and adds a link to every other node, so the bound keeps an absurd
+// count (from a caller or a checkpoint) an error rather than an
+// allocation.
 const maxBackups = 64
 
 // buildOptions applies opts over the defaults and cross-validates.
@@ -54,9 +55,6 @@ func buildOptions(opts []Option) (*clusterOptions, error) {
 	}
 	if haveWork && o.program != nil {
 		return nil, errors.New("hft: WithWorkload and WithProgram are mutually exclusive")
-	}
-	if i := len(o.FailBackupAt); i > o.Backups {
-		return nil, fmt.Errorf("hft: WithFailBackupAt(%d, ...) exceeds the replica set (%d backups)", i, o.Backups)
 	}
 	if o.ClientLoad != nil {
 		if o.workload.Kind != guest.WorkloadServe {
@@ -208,37 +206,6 @@ func WithDetectTimeout(d Duration) Option {
 			return fmt.Errorf("hft: non-positive detect timeout %v", sim.Time(d))
 		}
 		o.DetectTimeout = d
-		return nil
-	}
-}
-
-// WithFailPrimaryAt schedules a primary failstop at virtual time t
-// (the scheduled counterpart of Cluster.FailPrimary).
-func WithFailPrimaryAt(t Duration) Option {
-	return func(o *clusterOptions) error {
-		if t <= 0 {
-			return fmt.Errorf("hft: non-positive failure time %v", sim.Time(t))
-		}
-		o.FailPrimaryAt = t
-		return nil
-	}
-}
-
-// WithFailBackupAt schedules a failstop of backup i (1-based priority
-// index) at virtual time t. The index is checked against the replica
-// set when NewCluster assembles the configuration.
-func WithFailBackupAt(i int, t Duration) Option {
-	return func(o *clusterOptions) error {
-		if i < 1 || i > maxBackups {
-			return fmt.Errorf("hft: backup index %d (backups are numbered from 1 to at most %d)", i, maxBackups)
-		}
-		if t <= 0 {
-			return fmt.Errorf("hft: non-positive failure time %v", sim.Time(t))
-		}
-		for len(o.FailBackupAt) < i {
-			o.FailBackupAt = append(o.FailBackupAt, 0)
-		}
-		o.FailBackupAt[i-1] = t
 		return nil
 	}
 }

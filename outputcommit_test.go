@@ -86,12 +86,13 @@ func TestOutputCommitSaveRestoreMidWindow(t *testing.T) {
 // events stream with sane payloads, and the client-side latency report
 // carries the commit quantiles.
 func TestOutputCommitObservation(t *testing.T) {
-	c := ocCluster(t, OutputCommit{Window: 4, Adaptive: true},
-		WithFailPrimaryAt(2*Millisecond),
-		WithDetectTimeout(2*Millisecond),
-	)
+	c := ocCluster(t, OutputCommit{Window: 4, Adaptive: true}, WithDetectTimeout(2*Millisecond))
 	defer c.Close()
 	events := c.Events()
+	if _, err := c.RunFor(2 * Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	c.FailPrimary()
 	res, err := c.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)

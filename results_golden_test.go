@@ -43,7 +43,8 @@ type goldenCase struct {
 }
 
 // options builds the case's replicated configuration; append Bare()
-// for its baseline.
+// for its baseline. The failure times are not options: failures()
+// lists them for the run to inject live.
 func (g goldenCase) options() []Option {
 	var w Workload
 	switch g.Workload {
@@ -72,16 +73,23 @@ func (g goldenCase) options() []Option {
 	if g.Seed != 0 {
 		opts = append(opts, WithSeed(g.Seed))
 	}
-	if g.FailAtNS != 0 {
-		opts = append(opts, WithFailPrimaryAt(Duration(g.FailAtNS)))
-	}
 	if g.Backups != 0 {
 		opts = append(opts, WithBackups(g.Backups))
 	}
-	for i, ns := range g.FailBkNS {
-		opts = append(opts, WithFailBackupAt(i+1, Duration(ns)))
-	}
 	return opts
+}
+
+// failures lists the case's failstops: the primary's, then the
+// backups'. Every frozen case fails them in that order in time.
+func (g goldenCase) failures() []failure {
+	var fs []failure
+	if g.FailAtNS != 0 {
+		fs = append(fs, failure{0, Duration(g.FailAtNS)})
+	}
+	for i, ns := range g.FailBkNS {
+		fs = append(fs, failure{i + 1, Duration(ns)})
+	}
+	return fs
 }
 
 func loadGoldens(t *testing.T) []goldenCase {
@@ -114,7 +122,7 @@ func TestBackCompatDifferential(t *testing.T) {
 				t.Errorf("bare drifted: time %d/%d checksum %#x/%#x console %q/%q",
 					bare.Time, g.BareTimeNS, bare.Checksum, g.BareChecksum, bare.Console, g.BareConsole)
 			}
-			repl, _ := runScenario(t, g.options()...)
+			repl, _ := runFailing(t, g.failures(), g.options()...)
 			if int64(repl.Time) != g.ReplTimeNS {
 				t.Errorf("replicated time drifted: %d != golden %d", repl.Time, g.ReplTimeNS)
 			}
@@ -147,9 +155,19 @@ func TestGoldenSlicedSessionDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
+			fails := g.failures()
 			for !c.Done() {
-				if _, err := c.RunFor(3 * Millisecond); err != nil {
+				// Slices end at each failure instant too.
+				step := 3 * Millisecond
+				if len(fails) > 0 {
+					step = min(step, fails[0].at-c.Now())
+				}
+				if _, err := c.RunFor(step); err != nil {
 					t.Fatal(err)
+				}
+				if len(fails) > 0 && c.Now() == fails[0].at {
+					fails[0].inject(t, c)
+					fails = fails[1:]
 				}
 				if c.Now() > 100*Second {
 					t.Fatal("sliced run did not finish")

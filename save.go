@@ -189,8 +189,16 @@ func (o *clusterOptions) code(c *snapshot.Codec) {
 	(*LinkParams)(&o.Link).code(c)
 	c.I64((*int64)(&o.DetectTimeout))
 	c.Int(&o.Backups)
-	c.I64((*int64)(&o.FailPrimaryAt))
-	o.codeFailBackups(c)
+	// Two reserved zeros, an I64 and a Count: the format's place for a
+	// failure schedule. Failstops are injected live and journaled, so
+	// nothing else is ever written there.
+	var reservedAt int64
+	reservedN := 0
+	c.I64(&reservedAt)
+	c.Count(&reservedN, 1)
+	if c.Reading() && (reservedAt != 0 || reservedN != 0) {
+		c.Fail()
+	}
 	c.I64((*int64)(&o.Disk.ReadLatency))
 	c.I64((*int64)(&o.Disk.WriteLatency))
 	snapshot.Slice(c, &o.ExtraDisks, 2*8)
@@ -230,43 +238,6 @@ func (o *clusterOptions) code(c *snapshot.Codec) {
 	}
 }
 
-// codeFailBackups codes the backup failure schedule: the number of
-// backups scheduled to fail, then (index, time) for each, ascending by
-// index.
-func (o *clusterOptions) codeFailBackups(c *snapshot.Codec) {
-	n := 0
-	for _, at := range o.FailBackupAt {
-		if at > 0 {
-			n++
-		}
-	}
-	c.Count(&n, 2*8)
-	if c.Reading() {
-		o.FailBackupAt = nil
-	}
-	for k, prev := 0, 0; k < n; k++ {
-		i, at := prev+1, Duration(0)
-		if !c.Reading() {
-			for o.FailBackupAt[i-1] <= 0 {
-				i++
-			}
-			at = o.FailBackupAt[i-1]
-		}
-		c.Int(&i)
-		c.I64((*int64)(&at))
-		if c.Reading() {
-			// The bound comes first: the index sizes the schedule.
-			if i <= prev || i > maxBackups || at <= 0 {
-				c.Fail()
-				return
-			}
-			o.FailBackupAt = append(o.FailBackupAt, make([]Duration, i-len(o.FailBackupAt))...)
-			o.FailBackupAt[i-1] = at
-		}
-		prev = i
-	}
-}
-
 // options turns a decoded configuration back into the options that
 // built the cluster, for buildOptions to validate and resolve exactly as
 // NewCluster does.
@@ -278,14 +249,6 @@ func (o *clusterOptions) options() []Option {
 		opts = append(opts, WithDetectTimeout(o.DetectTimeout))
 	}
 	opts = append(opts, WithBackups(o.Backups))
-	if o.FailPrimaryAt != 0 {
-		opts = append(opts, WithFailPrimaryAt(o.FailPrimaryAt))
-	}
-	for i, at := range o.FailBackupAt {
-		if at != 0 {
-			opts = append(opts, WithFailBackupAt(i+1, at))
-		}
-	}
 	opts = append(opts, WithDiskLatency(o.Disk.ReadLatency, o.Disk.WriteLatency))
 	for _, d := range o.ExtraDisks {
 		opts = append(opts, WithDisk(DiskSpec{ReadLatency: d.ReadLatency, WriteLatency: d.WriteLatency}))

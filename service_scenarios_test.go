@@ -77,9 +77,8 @@ func TestServiceFailoverDifferential(t *testing.T) {
 
 	for _, proto := range []Protocol{ProtocolOld, ProtocolNew} {
 		for _, failAt := range []Duration{3 * Millisecond, 6 * Millisecond, 10 * Millisecond} {
-			repl, c := runScenario(t, append(base,
+			repl, c := runFailing(t, []failure{{0, failAt}}, append(base,
 				WithProtocol(proto),
-				WithFailPrimaryAt(failAt),
 				WithDetectTimeout(3*Millisecond))...)
 			if !repl.Promoted {
 				t.Fatalf("proto=%v failAt=%v: no promotion", proto, failAt)
@@ -295,11 +294,13 @@ func TestServiceGridGolden(t *testing.T) {
 	us := func(d Duration) float64 { return float64(d) / float64(Microsecond) }
 
 	// run executes config — "bare" (which takes no replica options:
-	// extra is dropped) or "<protocol>/<link>" — and requires the bare
-	// run's reply transcript of it.
-	run := func(t *testing.T, config string, extra ...Option) (Result, *Cluster, ServiceLatencies) {
+	// fails and extra are dropped) or "<protocol>/<link>" — and requires
+	// the bare run's reply transcript of it.
+	run := func(t *testing.T, config string, fails []failure, extra ...Option) (Result, *Cluster, ServiceLatencies) {
 		opts := append(base, Bare())
-		if config != "bare" {
+		if config == "bare" {
+			fails = nil
+		} else {
 			opts = append(base, extra...)
 			if strings.HasPrefix(config, "new/") {
 				opts = append(opts, WithProtocol(ProtocolNew))
@@ -308,7 +309,7 @@ func TestServiceGridGolden(t *testing.T) {
 				opts = append(opts, WithLink(ATM155()))
 			}
 		}
-		res, c := runScenario(t, opts...)
+		res, c := runFailing(t, fails, opts...)
 		if res.NetReplies != bare.NetReplies || res.Checksum != bare.Checksum {
 			t.Fatalf("reply stream diverged from bare (%d vs %d bytes, checksum %#x vs %#x)",
 				len(res.NetReplies), len(bare.NetReplies), res.Checksum, bare.Checksum)
@@ -326,11 +327,11 @@ func TestServiceGridGolden(t *testing.T) {
 	for _, want := range readGrid(t, "testdata/service.golden.json", "service", 9) {
 		t.Run("service/"+want.Config, func(t *testing.T) {
 			config, oc := strings.CutSuffix(want.Config, "+oc")
-			extra := []Option{WithEpochLength(1024), WithFailPrimaryAt(failAt), WithDetectTimeout(3 * Millisecond)}
+			extra := []Option{WithEpochLength(1024), WithDetectTimeout(3 * Millisecond)}
 			if oc {
 				extra = append(extra, WithEpochLength(256), WithOutputCommit(OutputCommit{Window: 16, Adaptive: true}))
 			}
-			res, c, m := run(t, config, extra...)
+			res, c, m := run(t, config, []failure{{0, failAt}}, extra...)
 			got := gridRow{
 				Config: want.Config, Requests: m.Requests, Answered: m.Answered, Retransmits: m.Retransmits,
 				P50: us(m.P50), P99: us(m.P99), P999: us(m.P999), Max: us(m.Max),
@@ -358,7 +359,7 @@ func TestServiceGridGolden(t *testing.T) {
 			if want.Window > 0 {
 				extra = append(extra, WithOutputCommit(OutputCommit{Window: want.Window, Adaptive: want.Adaptive}))
 			}
-			_, _, m := run(t, want.Config, extra...)
+			_, _, m := run(t, want.Config, nil, extra...)
 			got := gridRow{
 				Config: want.Config, Epoch: want.Epoch, Window: want.Window, Adaptive: want.Adaptive,
 				P50: us(m.P50), P99: us(m.P99), CommitP50: us(m.CommitP50), Overhead: us(m.P50) / us(bareLat.P50),

@@ -359,7 +359,6 @@ func TestRestoreRejectsInvalidConfig(t *testing.T) {
 		{"backups 0", WithBackups(2), WithBackups(3), 8, 0},
 		{"protocol 9", WithProtocol(ProtocolOld), WithProtocol(ProtocolNew), 1, 9},
 		{"link bandwidth 0", WithLink(eth), WithLink(faster), 8, 0},
-		{"fail-backup index beyond backups", WithFailBackupAt(1, 10*Second), WithFailBackupAt(2, 10*Second), 8, 3},
 		{"output-commit window 65", WithOutputCommit(OutputCommit{Window: 2}), WithOutputCommit(OutputCommit{Window: 3}), 8, 65},
 	}
 	for _, tc := range cases {

@@ -137,7 +137,6 @@ func FuzzRestoreHeader(f *testing.F) {
 	o, err := buildOptions([]Option{
 		WithWorkload(ServeRequests(40, 3)), WithClientLoad(ClientLoad{Clients: 3, Timeout: Millisecond}),
 		WithOutputCommit(OutputCommit{Window: 2, Adaptive: true}), WithBackups(3), WithDetectTimeout(Millisecond),
-		WithFailPrimaryAt(9 * Millisecond), WithFailBackupAt(3, 7*Millisecond), WithFailBackupAt(1, 5*Millisecond),
 		WithDisk(DiskSpec{ReadLatency: Millisecond}), WithTerminal(TerminalInput{At: Millisecond, Data: "ab"}),
 	})
 	if err != nil {
@@ -195,7 +194,6 @@ func FuzzRestoreConfig(f *testing.F) {
 		{WithWorkload(CPUIntensive(1000))},
 		{WithWorkload(ServeRequests(40, 3)), WithClientLoad(ClientLoad{Clients: 3, Timeout: Millisecond}),
 			WithOutputCommit(OutputCommit{Window: 2, Adaptive: true}), WithBackups(3), WithDetectTimeout(Millisecond),
-			WithFailPrimaryAt(9 * Millisecond), WithFailBackupAt(3, 7*Millisecond), WithFailBackupAt(1, 5*Millisecond),
 			WithDisk(DiskSpec{ReadLatency: Millisecond}), WithTerminal(TerminalInput{At: Millisecond, Data: "ab"})},
 		{WithWorkload(TwoDiskCopy(4, 2)), WithDisk(DiskSpec{}), WithProtocol(ProtocolNew), WithLink(ATM155()), WithBackups(2)},
 	} {
@@ -212,20 +210,17 @@ func FuzzRestoreConfig(f *testing.F) {
 		}
 		f.Add(rc.Seed, rc.Kind, rc.Iters, rc.Ops, rc.WSeed, rc.BlockMask, rc.BlockBase, rc.Count, rc.PreOp, rc.PrivOps,
 			rc.Epoch, rc.Protocol, rc.LinkName, rc.Bandwidth, rc.Latency, rc.MTU, rc.FrameOverhead, rc.PerMessageFrames,
-			rc.SetupTime, rc.DetectTimeout, rc.Backups, rc.FailPrimaryAt, rc.Fails, rc.Fail1, rc.At1, rc.Fail2, rc.At2,
-			rc.ReadLatency, rc.WriteLatency, rc.ExtraDisk, rc.ExtraRead, rc.ExtraWrite, rc.Terminal, rc.TerminalAt,
-			rc.TerminalData, rc.NIC, rc.Load, rc.Clients, rc.PayloadWords, rc.Start, rc.MeanGap, rc.Timeout,
+			rc.SetupTime, rc.DetectTimeout, rc.Backups, rc.ReadLatency, rc.WriteLatency,
+			rc.ExtraDisk, rc.ExtraRead, rc.ExtraWrite, rc.Terminal, rc.TerminalAt, rc.TerminalData, rc.NIC, rc.Load, rc.Clients, rc.PayloadWords, rc.Start, rc.MeanGap, rc.Timeout,
 			rc.OutputCommit, rc.Window, rc.Adaptive)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, kind, iters, ops, wseed, mask, base, count, preOp, privOps uint32,
 		epoch uint64, proto uint8, link string, bps, lat int64, mtu, overhead, perMsg int, setup, detect int64,
-		backups int, failPrimary int64, fails uint8, fail1 int, at1 int64, fail2 int, at2 int64, readLat, writeLat int64,
-		extraDisk bool, extraRead, extraWrite int64, term bool, termAt int64, termData []byte,
+		backups int, readLat, writeLat int64, extraDisk bool, extraRead, extraWrite int64, term bool, termAt int64, termData []byte,
 		nic, load bool, clients, payload int, start, gap, timeout int64, commit bool, window int, adaptive bool) {
 		rc := rawConfig{seed, kind, iters, ops, wseed, mask, base, count, preOp, privOps,
 			epoch, proto, link, bps, lat, mtu, overhead, perMsg, setup, detect,
-			backups, failPrimary, fails, fail1, at1, fail2, at2, readLat, writeLat,
-			extraDisk, extraRead, extraWrite, term, termAt, termData,
+			backups, readLat, writeLat, extraDisk, extraRead, extraWrite, term, termAt, termData,
 			nic, load, clients, payload, start, gap, timeout, commit, window, adaptive}
 		checkHeader(t, rc.blob())
 	})
@@ -233,9 +228,9 @@ func FuzzRestoreConfig(f *testing.F) {
 
 // rawConfig is a checkpoint's configuration as FuzzRestoreConfig types
 // it: every field clusterOptions.code reads, in the order it reads them,
-// with the NIC flag's two copies apart. Fails%3 backup failures are
-// written (Fail1/At1, then Fail2/At2), one extra disk if ExtraDisk, one
-// terminal input if Terminal; the client load fields go in if Load, the
+// with the NIC flag's two copies apart and the two reserved fields left
+// out (blob writes them as Save does). One extra disk is written if
+// ExtraDisk, one terminal input if Terminal; the client load fields go in if Load, the
 // window and the adaptive flag if OutputCommit, as the decoder reads them.
 type rawConfig struct {
 	Seed                                                                 int64
@@ -247,12 +242,6 @@ type rawConfig struct {
 	MTU, FrameOverhead, PerMessageFrames                                 int
 	SetupTime, DetectTimeout                                             int64
 	Backups                                                              int
-	FailPrimaryAt                                                        int64
-	Fails                                                                uint8
-	Fail1                                                                int
-	At1                                                                  int64
-	Fail2                                                                int
-	At2                                                                  int64
 	ReadLatency, WriteLatency                                            int64
 	ExtraDisk                                                            bool
 	ExtraRead, ExtraWrite                                                int64
@@ -267,8 +256,8 @@ type rawConfig struct {
 	Adaptive                                                             bool
 }
 
-// rawConfigOf types a resolved configuration with at most two backup
-// failures, one extra disk and one terminal input.
+// rawConfigOf types a resolved configuration with at most one extra disk
+// and one terminal input.
 func rawConfigOf(o *clusterOptions) rawConfig {
 	wl, l := o.workload, o.Link
 	rc := rawConfig{Seed: o.Seed, Kind: wl.Kind, Iters: wl.Iters, Ops: wl.Ops, WSeed: wl.Seed,
@@ -276,19 +265,9 @@ func rawConfigOf(o *clusterOptions) rawConfig {
 		Epoch: o.EpochLength, Protocol: uint8(o.Protocol), LinkName: l.Name, Bandwidth: l.BitsPerSecond,
 		Latency: int64(l.Latency), MTU: l.MTU, FrameOverhead: l.FrameOverhead, PerMessageFrames: l.PerMessageFrames,
 		SetupTime: int64(l.SetupTime), DetectTimeout: int64(o.DetectTimeout), Backups: o.Backups,
-		FailPrimaryAt: int64(o.FailPrimaryAt), ReadLatency: int64(o.Disk.ReadLatency),
+		ReadLatency:  int64(o.Disk.ReadLatency),
 		WriteLatency: int64(o.Disk.WriteLatency), NIC: o.ClientLoad != nil, Load: o.ClientLoad != nil,
 		OutputCommit: o.OutputCommit.Enabled, Window: o.OutputCommit.Window, Adaptive: o.OutputCommit.Adaptive}
-	for i, at := range o.FailBackupAt {
-		if at > 0 {
-			if rc.Fails == 0 {
-				rc.Fail1, rc.At1 = i+1, int64(at)
-			} else {
-				rc.Fail2, rc.At2 = i+1, int64(at)
-			}
-			rc.Fails++
-		}
-	}
 	if len(o.ExtraDisks) > 0 {
 		d := o.ExtraDisks[0]
 		rc.ExtraDisk, rc.ExtraRead, rc.ExtraWrite = true, int64(d.ReadLatency), int64(d.WriteLatency)
@@ -322,16 +301,8 @@ func (rc *rawConfig) blob() []byte {
 	w.I64(rc.SetupTime)
 	w.I64(rc.DetectTimeout)
 	w.Int(rc.Backups)
-	w.I64(rc.FailPrimaryAt)
-	fails := []struct {
-		i  int
-		at int64
-	}{{rc.Fail1, rc.At1}, {rc.Fail2, rc.At2}}[:rc.Fails%3]
-	w.U32(uint32(len(fails)))
-	for _, e := range fails {
-		w.Int(e.i)
-		w.I64(e.at)
-	}
+	w.I64(0) // reserved
+	w.U32(0)
 	w.I64(rc.ReadLatency)
 	w.I64(rc.WriteLatency)
 	count := func(present bool) uint32 {
@@ -382,9 +353,9 @@ func sealSave(body []byte) []byte {
 // spellings of a configuration that Save never writes — each would
 // restore and then save to other bytes — and accepts the one it does.
 func TestRestoreHeaderCanonical(t *testing.T) {
-	const t1, t2 = 0x1111111, 0x2222222 // failure times, findable in the bytes
+	const detect = 0x1111111 // findable in the bytes
 	opts := []Option{WithWorkload(ServeRequests(40, 3)), WithClientLoad(ClientLoad{}), WithBackups(2),
-		WithFailBackupAt(1, t1), WithFailBackupAt(2, t2), WithOutputCommit(OutputCommit{Window: 2})}
+		WithDetectTimeout(detect), WithOutputCommit(OutputCommit{Window: 2})}
 	o, err := buildOptions(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -422,17 +393,18 @@ func TestRestoreHeaderCanonical(t *testing.T) {
 	for noNIC := body(noLoad); flags[i] == noNIC[i]; i++ {
 	}
 	flags[i] = 0
-	// The failure schedule out of index order: backup 2's entry first.
-	swapped := bytes.Clone(good)
-	at := bytes.Index(swapped, binary.LittleEndian.AppendUint64(nil, t1)) - 8
-	first := bytes.Clone(swapped[at : at+16])
-	copy(swapped[at:], swapped[at+16:at+32])
-	copy(swapped[at+16:], first)
+	// The reserved I64 and Count after the detect timeout and the
+	// backup count, each nonzero.
+	reserved := bytes.Index(good, binary.LittleEndian.AppendUint64(nil, detect)) + 16
+	at, count := bytes.Clone(good), bytes.Clone(good)
+	at[reserved] = 1
+	count[reserved+8] = 1
 	// Output commit on with a zero window, which resolves to one.
 	zero := *o
 	zero.OutputCommit.Window = 0
 
-	for name, b := range map[string][]byte{"NIC flags differ": flags, "schedule out of order": swapped, "zero window": body(zero)} {
+	for name, b := range map[string][]byte{"NIC flags differ": flags, "reserved time set": at, "reserved count set": count,
+		"zero window": body(zero)} {
 		if err := restorable(b); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Errorf("%s: decoded with %v, want snapshot.ErrCorrupt", name, err)
 		}
