@@ -399,7 +399,8 @@ func BenchmarkBareSpin(b *testing.B) {
 			var spun, instr, calls uint64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cl, m := bareProbe(b, append(c.opts, Bare())...)
+				cl, ms := probe(b, append(c.opts, Bare())...)
+				m := ms[0]
 				if _, err := cl.Wait(context.Background()); err != nil {
 					b.Fatal(err)
 				}
@@ -424,10 +425,10 @@ func BenchmarkBareSpin(b *testing.B) {
 	}
 }
 
-// bareProbe builds the Cluster opts describe around a probe: the Cluster
-// API hands out no machine, so the resolved program is wrapped in one
-// whose Setup keeps the machine it configures.
-func bareProbe(tb testing.TB, opts ...Option) (*Cluster, *machine.Machine) {
+// probe builds and boots the Cluster opts describe around a probe: the
+// Cluster API hands out no machine, so the resolved program is wrapped in
+// one whose Setup keeps the machines it configures, node by node.
+func probe(tb testing.TB, opts ...Option) (*Cluster, []*machine.Machine) {
 	tb.Helper()
 	o, err := buildOptions(opts)
 	if err != nil {
@@ -436,21 +437,21 @@ func bareProbe(tb testing.TB, opts ...Option) (*Cluster, *machine.Machine) {
 	p := &probeProgram{Program: o.Program}
 	o.Program = p
 	cl := newCluster(o)
-	if _, err := cl.RunFor(0); err != nil || p.m == nil {
+	if _, err := cl.RunFor(0); err != nil || p.ms == nil {
 		tb.Fatalf("boot: %v", err)
 	}
-	return cl, p.m
+	return cl, p.ms
 }
 
-// probeProgram is a session program that remembers the machine it set
+// probeProgram is a session program that remembers the machines it set
 // up.
 type probeProgram struct {
 	session.Program
-	m *machine.Machine
+	ms []*machine.Machine
 }
 
 func (p *probeProgram) Setup(m *machine.Machine) {
-	p.m = m
+	p.ms = append(p.ms, m)
 	p.Program.Setup(m)
 }
 
@@ -474,6 +475,32 @@ func BenchmarkReplicatedPair(b *testing.B) {
 	b.ReportMetric(per, "switches/epoch")
 	if switches != 0 {
 		b.Fatalf("%.2f switches into coroutines per epoch, want none", per)
+	}
+}
+
+// BenchmarkBusyPair is BenchmarkReplicatedPair's pair at EL 32768, the
+// cpu_el32k configuration, where the guest is busy for whole epochs.
+// instr-per-run is the guest instructions per machine.Run call over both
+// machines: a busy guest's chunks run as one Run up to the next outside
+// input (hypervisor/busy.go; 248 while every chunk was a Run of its own).
+// It fails at one chunk (256) or less.
+func BenchmarkBusyPair(b *testing.B) {
+	b.ReportAllocs()
+	var instr, calls uint64
+	for i := 0; i < b.N; i++ {
+		c, ms := probe(b, WithWorkload(CPUIntensive(20_000)), WithEpochLength(32768), WithProtocol(ProtocolOld), WithLink(Ethernet10()))
+		if _, err := c.Wait(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range ms {
+			instr += m.Stats.Instructions
+			calls += m.MemoStats().Calls
+		}
+		c.Close()
+	}
+	b.ReportMetric(float64(instr)/float64(calls), "instr-per-run")
+	if instr <= 256*calls {
+		b.Fatalf("%d instructions in %d Run calls: no chunk ran ahead", instr, calls)
 	}
 }
 
@@ -765,3 +792,37 @@ func TestSimHotPathAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestBusyGuestRunCalls pins the host work of bench/'s cpu_el32k shape
+// (CPUIntensive(1,000,000 + seed mod 997) at EL 32768, the original
+// protocol over Ethernet, seed 19951203, booted to its first commit and
+// then waited out, as the benchmark runs it): the machine.Run calls of
+// both machines, MemoStats().Calls. Between outside inputs a busy guest's
+// chunks run as one Run (hypervisor/busy.go); run chunk by chunk, the
+// shape made 278,316 calls for its 1,055 epochs.
+func TestBusyGuestRunCalls(t *testing.T) {
+	const seed = 19951203
+	c, ms := probe(t, WithWorkload(CPUIntensive(1_000_000+seed%997)), WithSeed(seed),
+		WithEpochLength(32768), WithProtocol(ProtocolOld), WithLink(Ethernet10()))
+	defer c.Close()
+	if _, err := c.RunUntil(func(s Snapshot) bool { return s.Commits >= 1 }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var calls uint64
+	for _, m := range ms {
+		calls += m.MemoStats().Calls
+	}
+	want := uint64(17_132)
+	if referenceArm {
+		want = 278_316
+	}
+	if calls != want {
+		t.Errorf("%d Run calls for %d epochs, pinned %d", calls, c.Snapshot().Epochs, want)
+	}
+}
+
+// referenceArm is set in a -tags spec build (spec_test.go).
+var referenceArm bool

@@ -40,8 +40,9 @@ import (
 // is what Run promises, TLB recency as order: the first data access of
 // each call re-touches its slot, so the LRU clock also counts calls. The
 // count is capped so that cycles cross bareMaxInstructions on the chunk
-// they always did. debugNoStorm keeps the loop chunk by chunk: the
-// reference arm.
+// they always did. A replicated busy guest runs ahead the same way
+// (busy.go), to the next callback rather than the next loud instant.
+// debugNoStorm keeps the loop chunk by chunk: the reference arm.
 type Bare struct {
 	// M is the machine (with Bus wired to real devices).
 	M *machine.Machine

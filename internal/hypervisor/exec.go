@@ -81,6 +81,13 @@ type epochRun struct {
 	// quiet: the poll in flight is one the standing promise covers, so
 	// its charges are returned with sim.StepQuiet.
 	quiet bool
+	// pending: a Run has executed chunks ahead of their dispatches
+	// (busy.go); phaseAhead hands them out one at a time, ahead being the
+	// instructions still to hand out (RCTR's 32 bits bound them). Until
+	// the last, each is whole and ends on no trap; res holds how that Run
+	// ended.
+	pending bool
+	ahead   uint32
 }
 
 // heldIO is an environment operation an MMIO store raised for real
@@ -119,6 +126,13 @@ const (
 	// phaseIO: forward the held operation — past the §4.3 gate, if
 	// OnBeforeIO handed one back — and retire the store that raised it.
 	phaseIO
+	// phaseAhead: the last chunk ended whole and on no trap; run the next
+	// ones ahead, or hand out the next one run ahead, and charge its
+	// instruction time (busy.go).
+	phaseAhead
+	// phaseAheadPoll: a chunk run ahead has had its time; poll the
+	// devices, then hand out the next.
+	phaseAheadPoll
 )
 
 // EpochStep is the epoch loop as a resumable step (sim.StepFunc): run a
@@ -203,6 +217,8 @@ func (hv *Hypervisor) EpochStep(p *sim.Proc) (sim.Time, sim.StepStatus) {
 				return hv.trapCharges(), r.more()
 			case r.res.Halted:
 				hv.halted = true
+			default:
+				r.phase = phaseAhead // a busy guest
 			}
 
 		case phaseWalk:
@@ -218,6 +234,28 @@ func (hv *Hypervisor) EpochStep(p *sim.Proc) (sim.Time, sim.StepStatus) {
 			r.phase = phaseRun
 			hv.forward(r.io)
 			r.io = heldIO{}
+
+		case phaseAhead:
+			// RCTR already counts the chunks pending; nothing can end the
+			// epoch or stop the processor before the last is handed out.
+			r.phase = phaseRun
+			if !r.pending && !hv.runAhead(p) {
+				continue // the end conditions, then a chunk
+			}
+			n := hv.handOut()
+			hv.guestInstr += n
+			hv.Stats.GuestInstructions += n
+			if r.phase = phaseAheadPoll; !r.pending {
+				r.phase = phasePoll // how the run ended
+			}
+			if n > 0 {
+				return sim.Time(n) * instructionTime, r.more()
+			}
+
+		case phaseAheadPoll:
+			if hv.pollDevices() {
+				r.phase = phaseAhead
+			}
 		}
 	}
 }

@@ -114,8 +114,11 @@ type Config struct {
 const PTEValid uint32 = 1 << 5
 
 const (
-	// chunkSize bounds how many instructions execute between
-	// simulated-time syncs and interrupt polls.
+	// chunkSize is the virtual poll cadence: how many instructions
+	// execute between simulated-time syncs and interrupt polls. It does
+	// not fix the number of host Run calls: a busy guest's chunks run as
+	// one Run up to the next outside input (busy.go), an idle guest's
+	// polls retire many to a sleep (storm.go).
 	chunkSize = 256
 	// cutSlack is the adaptive boundary's countdown: how many further
 	// instructions may retire after an environment output before the
@@ -400,9 +403,11 @@ type Hypervisor struct {
 	Stop func() bool
 
 	Stats Stats
-	// stormStats counts polls retired ahead (storm.go); beside Stats, not
-	// in it: nothing encoded may depend on it.
+	// stormStats counts polls retired ahead (storm.go), aheadStats chunks
+	// run ahead (busy.go); beside Stats, not in it: nothing encoded may
+	// depend on them.
 	stormStats StormStats
+	aheadStats AheadStats
 }
 
 // captured is the storage a captured State's lists alias.

@@ -48,15 +48,19 @@ import (
 // Refusals, none of which is an error: the loud bound (j = 0 — something
 // loud is due within one poll, typically the other replica before it has
 // promised); a lattice collision (two replicas in phase — a batch that
-// cannot be collapsed exactly is not made, there is no train of no-op
-// wakes instead); the budget (Poll refuses: the epoch ends before the
-// poll's trap, and the poll is executed up to the boundary). There is no
-// switch but the reference arm's debugNoStorm.
+// cannot be collapsed exactly is not made: the polls then run one by one,
+// each with its own wake); the budget (Poll refuses: the epoch ends before
+// the poll's trap, and the poll is executed up to the boundary). A busy
+// guest's chunks are the other case where the wakes stay one per chunk:
+// they run ahead as one Run (busy.go), but between two busy replicas each
+// one's next wake is loud to the other, so their train is not collapsed.
+// There is no switch but the reference arm's debugNoStorm.
 
 // debugNoStorm, when set (tests; spec.go), keeps the hypervisor side from
-// retiring any wait ahead: no storm is promised or batched, and a bare
-// guest's wait runs chunk by chunk (bare.go). It is the reference arm
-// every storm and bare-wait test compares against, byte for byte.
+// running or retiring anything ahead: no storm is promised or batched, a
+// busy guest's chunks run one Run each (busy.go), and a bare guest's wait
+// runs chunk by chunk (bare.go). It is the reference arm every storm,
+// run-ahead and bare-wait test compares against, byte for byte.
 var debugNoStorm bool
 
 // StormStats counts poll-storm activity: how often a recalled pure poll

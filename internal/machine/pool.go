@@ -1,6 +1,10 @@
 package machine
 
-import "repro/internal/free"
+import (
+	"slices"
+
+	"repro/internal/free"
+)
 
 // Machine construction dominates short-lived simulation sessions: every
 // hftbench figure point (and every benchmark iteration) builds a fresh
@@ -30,9 +34,15 @@ import "repro/internal/free"
 type Arena struct {
 	machines free.List[*Machine]     // released machines, buffers attached
 	pages    free.List[*decodedPage] // decoded-page images
-	traces   free.List[*trace]       // superblock records (see trace.go)
 	frames   free.List[*ramPage]     // COW-faulted private frames
 	decode   *[decodeCacheSize]decodeEntry
+	// code and ops are the scratch buildTrace builds a trace in before it
+	// knows the trace's length.
+	code []uint64
+	ops  []traceOp
+	// traces are the idle superblock records (see trace.go), by room
+	// (see Arena.trace).
+	traces [traceMaxInstrs + 1]free.List[*trace]
 }
 
 // decodeCache returns the word-decode memo of every machine over a,
@@ -46,14 +56,20 @@ func (a *Arena) decodeCache() *[decodeCacheSize]decodeEntry {
 	return a.decode
 }
 
-// trace returns an empty trace record, reusing a recycled one's code and
-// ops capacity when available.
-func (a *Arena) trace() *trace {
-	if tr, ok := a.traces.Get(); ok {
-		tr.code, tr.ops = tr.code[:0], tr.ops[:0]
-		return tr
+// trace returns a trace record holding a copy of code and ops: the
+// smallest idle record they fit in, or a new one of their size. A record
+// is never regrown, so a long trace never takes a record a short one had.
+// Idle records wait by room — how many ops a record holds without
+// growing: traces[c] holds those of room c, the last list every larger one
+// too, since no trace has more ops than instructions.
+func (a *Arena) trace(code []uint64, ops []traceOp) *trace {
+	for c := len(ops); c <= traceMaxInstrs; c++ {
+		if tr, ok := a.traces[c].Get(); ok {
+			tr.code, tr.ops = append(tr.code[:0], code...), append(tr.ops[:0], ops...)
+			return tr
+		}
 	}
-	return &trace{code: make([]uint64, 0, 16), ops: make([]traceOp, 0, 16)}
+	return &trace{code: slices.Clone(code), ops: slices.Clone(ops)}
 }
 
 // frame returns a frame for a COW fault. No zeroing: the fault copies
@@ -97,7 +113,7 @@ func (a *Arena) reclaim(m *Machine) {
 			// The list keeps its stale pointers: they point at records
 			// the arena holds anyway.
 			for _, tr := range pg.traces {
-				a.traces.Put(tr)
+				a.traces[min(cap(tr.code), cap(tr.ops), traceMaxInstrs)].Put(tr) // by room
 			}
 			pg.traces = pg.traces[:0]
 			a.pages.Put(pg)

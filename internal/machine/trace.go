@@ -314,8 +314,7 @@ func fusedKind(alu, br isa.Op) uint8 {
 // returns nil when the first instruction cannot be lowered.
 func (m *Machine) buildTrace(pg *decodedPage, base, entry uint32) *trace {
 	m.runGen++
-	tr := m.arena.trace()
-	code, ops := tr.code, tr.ops
+	code, ops := m.arena.code[:0], m.arena.ops[:0]
 	var ld, st, br uint8
 	pos := uint8(0)
 	slot := entry
@@ -434,12 +433,13 @@ func (m *Machine) buildTrace(pg *decodedPage, base, entry uint32) *trace {
 		pos += width
 		slot += uint32(width)
 	}
+	m.arena.code, m.arena.ops = code, ops
 	if len(ops) == 0 {
 		pg.traceAt[entry] = traceIneligible
-		m.arena.traces.Put(tr)
 		return nil
 	}
-	tr.code, tr.ops, tr.ilen, tr.spin = code, ops, uint32(pos), spinPrefix(ops)
+	tr := m.arena.trace(code, ops)
+	tr.ilen, tr.spin = uint32(pos), spinPrefix(ops)
 	tr.loads, tr.stores, tr.branches = uint32(ld), uint32(st), uint32(br)
 	pg.traces = append(pg.traces, tr)
 	pg.traceAt[entry] = uint16(len(pg.traces))

@@ -667,6 +667,7 @@ func (e *Engine) RunUntil(pred func() bool) error {
 	e.stopCheck = pred
 	defer func() { e.stopCheck = nil }()
 	e.k.ClearStop()
+	e.k.MayStop(true) // no hypervisor runs its guest ahead of a commit pause
 	e.k.RunUntil(maxRunTime)
 	e.checkFinished()
 	if err := e.stallErr(); err != nil {
@@ -696,6 +697,7 @@ func (e *Engine) RunToCompletion(cancelled func() bool) error {
 		}
 		e.stopCheck = cancelled
 		e.k.ClearStop()
+		e.k.MayStop(cancelled != nil)
 		e.k.RunUntil(maxRunTime)
 		e.stopCheck = nil
 		e.checkFinished()

@@ -120,6 +120,7 @@ type Kernel struct {
 	seed    int64
 	procs   []*Proc
 	stopped bool
+	mayStop bool        // the run carries a stop check (MayStop)
 	limit   Time        // RunUntil bound, or <0 for none
 	nprocs  int         // live (not yet finished) processes
 	idleFn  func() bool // optional hook when nothing is pending
@@ -386,13 +387,7 @@ func (k *Kernel) NextLoud() Time {
 	if k.stopped {
 		return k.now
 	}
-	t := Forever
-	if k.limit >= 0 {
-		t = k.limit + 1
-	}
-	if len(k.events) > 0 && k.events[0].at < t {
-		t = k.events[0].at
-	}
+	t := k.nextCallback()
 	// Wakes are sorted and a promise never makes its process loud before
 	// its wake, so the scan ends at the first wake at or past the bound.
 	for i := len(k.wakes) - 1; i >= 0 && k.wakes[i].wakeAt < t; i-- {
@@ -404,6 +399,37 @@ func (k *Kernel) NextLoud() Time {
 	}
 	return t
 }
+
+// NextCallback reports the earliest instant at which a callback can be
+// dispatched, as far as the heap tells: its head, or the instant after a
+// RunUntil bound if that comes first (Forever if neither is set). It is
+// now once Stop has been called, and in a run that carries a stop check
+// (MayStop): a run that may stop at any dispatch has no callback-free
+// future to take ahead. Process wakes do not count.
+func (k *Kernel) NextCallback() Time {
+	if k.stopped || k.mayStop {
+		return k.now
+	}
+	return k.nextCallback()
+}
+
+// nextCallback is NextCallback with no stop in view.
+func (k *Kernel) nextCallback() Time {
+	t := Forever
+	if k.limit >= 0 {
+		t = k.limit + 1
+	}
+	if len(k.events) > 0 && k.events[0].at < t {
+		t = k.events[0].at
+	}
+	return t
+}
+
+// MayStop says whether the next RunUntil carries a stop check: a
+// predicate that a step or callback consults and may answer with Stop, at
+// an instant no pending occurrence foretells (NextCallback). The mark ends
+// when that run returns.
+func (k *Kernel) MayStop(on bool) { k.mayStop = on }
 
 // OnIdle registers a hook called when nothing is pending while
 // processes are still blocked. If the hook returns true the kernel
@@ -424,7 +450,7 @@ func (k *Kernel) Run() Time {
 // that instant, stopped (see Stop), whatever is still pending.
 func (k *Kernel) RunUntil(t Time) Time {
 	k.limit = t
-	defer func() { k.limit = -1 }()
+	defer func() { k.limit, k.mayStop = -1, false }()
 	k.loop()
 	if !k.stopped && k.now < t {
 		k.now = t

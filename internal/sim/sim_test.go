@@ -159,6 +159,33 @@ func TestRunUntilEndsAtLastRetire(t *testing.T) {
 	}
 }
 
+// TestNextCallback: what a step sees of the kernel's next callback — the
+// heap's head, or the instant after the RunUntil bound if sooner, a
+// process wake never; now in a run that carries a stop check, and the
+// mark ends with that run.
+func TestNextCallback(t *testing.T) {
+	k := NewKernel(1)
+	k.At(50, func() {})
+	var seen []Time
+	k.Start("p", func(p *Proc) (Time, StepStatus) {
+		seen = append(seen, p.Kernel().NextCallback())
+		return 10, StepMore
+	})
+	k.Start("q", func(p *Proc) (Time, StepStatus) { return 3, StepMore })
+	k.RunUntil(20)
+	k.MayStop(true)
+	k.RunUntil(30)
+	k.RunUntil(60)
+	// At 50 the callback, scheduled first, has fired before p's wake.
+	want := []Time{21, 21, 21, 30, 50, 61, 61}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("NextCallback at p's wakes: %v, want %v", seen, want)
+	}
+	if got := k.NextCallback(); got != Forever {
+		t.Fatalf("no run, an empty heap: %v, want Forever", got)
+	}
+}
+
 func TestStop(t *testing.T) {
 	k := NewKernel(1)
 	count := 0
