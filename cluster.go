@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/netsim"
@@ -420,12 +419,17 @@ func (c *Cluster) Observe(f func(Event)) {
 // Events returns a subscription to the cluster's event stream: the
 // events Observe would deliver, as a channel. Each call returns an
 // independent channel carrying every event from the subscription on, in
-// order, through an unbounded queue (a slow consumer cannot stall the
-// simulation). The channel closes when the cluster is closed; a
-// consumer that stops reading forfeits whatever backlog remains at
-// Close. Safe to consume from any goroutine.
+// order, through an unbounded backlog (a slow consumer cannot stall the
+// simulation). Events move into the channel on the driving goroutine as
+// the cluster publishes, and no goroutine runs for the subscription
+// before Close: an event that finds the channel full waits in the
+// backlog until the next event is published or the cluster is closed.
+// Close closes the channel at once if the backlog fits into it, and
+// otherwise drains the rest from one goroutine; a consumer that stops
+// reading forfeits whatever backlog remains at Close. Safe to consume
+// from any goroutine.
 func (c *Cluster) Events() <-chan Event {
-	s := newSubscriber()
+	s := &subscriber{ch: make(chan Event, subscriberBuffer)}
 	if c.closed {
 		s.close()
 		return s.ch
@@ -468,112 +472,82 @@ const (
 	EventOutputCommitted    = obs.EventOutputCommitted
 )
 
-// subscriber is one Events channel: an observer that queues every event
-// for a pump goroutine, which moves it into the channel, so the
-// simulation never blocks on a slow consumer and the queue keeps the
-// stream in order.
+// subscriber is one Events channel: an observer that pushes every event
+// onto its backlog and moves what fits into the channel, in order, so the
+// simulation never blocks on a slow consumer. No goroutine runs beside
+// it: only the driving goroutine touches the backlog, until Close hands
+// what is left of it to one drain goroutine.
 type subscriber struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  sim.Ring[Event] // ring: consumed slots are released, not pinned
-	closed bool
-	quit   chan struct{} // closed by close(); unblocks an in-flight send
-	ch     chan Event
+	backlog sim.Ring[Event] // ring: consumed slots are released, not pinned
+	ch      chan Event
 }
 
-// subscriberBuffer is the capacity of an Events channel and the backlog
-// (queue plus channel) at which publish yields the processor. They are
-// one number: below it the pump can move the whole backlog into the
-// channel, at it the channel is full and only a reading consumer makes
-// room, which on one P it can do only once the publisher yields. 64
-// events (≈ 9.7 KB of channel per subscription) let the consumer and the
-// pump work in batches, so on one P the publisher yields about once per
-// 64 events rather than once per event, and the queue behind a reading
+// subscriberBuffer is the capacity of an Events channel. 64 events
+// (≈ 9.7 KB of channel per subscription) let a reading consumer take
+// them in batches, so on one P the publisher yields about once per 64
+// events rather than once per event, and the backlog behind a reading
 // consumer stays within a few channels' worth
 // (TestSubscriberBacklogBounded).
 const subscriberBuffer = 64
 
-func newSubscriber() *subscriber {
-	s := &subscriber{ch: make(chan Event, subscriberBuffer), quit: make(chan struct{})}
-	s.cond = sync.NewCond(&s.mu)
-	go s.pump()
-	return s
+// subscriberGrace is how long each send after Close waits for the
+// consumer before the rest of the backlog is forfeited.
+const subscriberGrace = 100 * time.Millisecond
+
+// publish pushes ev onto the backlog and moves what fits into the
+// channel; it never blocks.
+//
+// When the channel is full publish yields the processor, then moves what
+// the consumer made room for: the simulation never enters the Go
+// scheduler (its processes are steps called on the running goroutine),
+// so on one P this is a reading consumer's only chance to run before
+// sysmon preempts, and without it the backlog keeps doubling. An event
+// that still finds the channel full waits in the backlog for the next
+// event or for Close. A consumer that is not reading leaves the channel
+// full, and the yield returns at once.
+func (s *subscriber) publish(ev Event) {
+	s.backlog.Push(ev)
+	if !s.flush() {
+		runtime.Gosched()
+		s.flush()
+	}
 }
 
-// publish queues ev for the pump and never blocks.
-//
-// Once the backlog (queue plus channel) has reached the channel's
-// capacity publish yields the processor: the simulation never enters the
-// Go scheduler (its processes are steps called on the running
-// goroutine), so on one P this is a reading consumer's and the pump's
-// only chance to run before sysmon preempts, and without it the queue
-// keeps doubling. A consumer that is not reading leaves the pump
-// blocked, and the yield returns at once.
-func (s *subscriber) publish(ev Event) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+// flush moves the backlog into the channel until the backlog is empty
+// (true) or the channel is full (false).
+func (s *subscriber) flush() bool {
+	for s.backlog.Len() > 0 {
+		select {
+		case s.ch <- s.backlog.At(0):
+			s.backlog.Pop()
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// close closes the channel at once if the backlog fits into it.
+// Otherwise one drain goroutine delivers the rest to a consumer that
+// keeps reading, then closes the channel. A consumer that has stopped
+// reading forfeits what is left: each send waits at most subscriberGrace,
+// so an abandoned subscription cannot leak the goroutine past teardown.
+func (s *subscriber) close() {
+	if s.flush() {
+		close(s.ch)
 		return
 	}
-	s.queue.Push(ev)
-	backlog := s.queue.Len() + len(s.ch)
-	s.mu.Unlock()
-	s.cond.Signal()
-	if backlog >= cap(s.ch) {
-		runtime.Gosched()
-	}
-}
-
-func (s *subscriber) close() {
-	s.mu.Lock()
-	already := s.closed
-	s.closed = true
-	s.mu.Unlock()
-	if !already {
-		close(s.quit)
-	}
-	s.cond.Signal()
-}
-
-// pump drains the queue into the channel; after close it delivers the
-// backlog to a consumer that keeps reading, then closes the channel. A
-// consumer that has stopped reading forfeits the remaining backlog: each
-// post-close send waits only a short grace period, so an abandoned
-// subscription cannot leak its goroutine past teardown.
-func (s *subscriber) pump() {
-	var grace *time.Timer // one timer for the whole post-close drain
-	for {
-		s.mu.Lock()
-		for s.queue.Len() == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		ev, ok := s.queue.Pop()
-		closed := s.closed
-		s.mu.Unlock()
-		if !ok {
-			close(s.ch)
-			return
-		}
-		if !closed {
+	go func() {
+		defer close(s.ch)
+		grace := time.NewTimer(subscriberGrace)
+		defer grace.Stop()
+		for ev, ok := s.backlog.Pop(); ok; ev, ok = s.backlog.Pop() {
 			select {
 			case s.ch <- ev:
-				continue
-			case <-s.quit:
-				// Closed while blocked on an unread channel: fall
-				// through to the post-close grace for this event.
+				grace.Reset(subscriberGrace)
+			case <-grace.C:
+				return
 			}
 		}
-		if grace == nil {
-			grace = time.NewTimer(100 * time.Millisecond)
-			defer grace.Stop()
-		} else {
-			grace.Reset(100 * time.Millisecond)
-		}
-		select {
-		case s.ch <- ev:
-		case <-grace.C:
-			close(s.ch)
-			return
-		}
-	}
+	}()
 }

@@ -214,7 +214,7 @@ func TestClusterEvents(t *testing.T) {
 }
 
 // TestClusterAbandonedSubscriber verifies an Events channel that is
-// never read does not leak its pump goroutine past Close: the backlog
+// never read does not leak its drain goroutine past Close: the backlog
 // (well over the channel buffer) is forfeited within the teardown
 // grace period.
 func TestClusterAbandonedSubscriber(t *testing.T) {
@@ -248,13 +248,14 @@ func TestClusterAbandonedSubscriber(t *testing.T) {
 // TestSubscriberBacklogBounded: every simulated process is a step called
 // on the driving goroutine, which never enters the Go scheduler, so on
 // one P it alone would run until sysmon preempts it while the Events
-// queue grows by thousands. publish queues every event for the pump,
-// which alone moves events into the channel, and yields once the
-// backlog (queue plus channel) reaches the channel's capacity, which
-// keeps the queue of a consumer that is reading within a small multiple
-// of it (the ring's capacity is at most twice the largest backlog: it
-// doubles only when full); a consumer that never reads is not waited
-// for.
+// backlog grows by thousands. publish moves what fits of the backlog
+// into the channel and yields once the channel is full, which keeps the
+// backlog of a consumer that is reading within a small multiple of the
+// channel's capacity (the ring's capacity is at most twice the largest
+// backlog: it doubles only when full); a consumer that never reads is
+// not waited for, and its channel is closed once Close's grace has
+// passed. The backlog is sampled where it lives, on the driving
+// goroutine.
 func TestSubscriberBacklogBounded(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	newRun := func(t *testing.T) (*Cluster, *subscriber) {
@@ -269,16 +270,14 @@ func TestSubscriberBacklogBounded(t *testing.T) {
 	// commit from the driving goroutine.
 	run := func(t *testing.T, c *Cluster, s *subscriber) (epochs uint64, maxBacklog int) {
 		snap, err := c.RunUntil(func(Snapshot) bool {
-			s.mu.Lock()
-			maxBacklog = max(maxBacklog, s.queue.Len())
-			s.mu.Unlock()
+			maxBacklog = max(maxBacklog, s.backlog.Len())
 			return false
 		})
 		if err != nil || !snap.Done {
 			t.Fatalf("run did not complete: done=%v err=%v", snap.Done, err)
 		}
 		if snap.Epochs < 2000 {
-			t.Fatalf("only %d epochs: too short to outrun a starved pump", snap.Epochs)
+			t.Fatalf("only %d epochs: too short to outrun a starved consumer", snap.Epochs)
 		}
 		return snap.Epochs, maxBacklog
 	}
@@ -314,10 +313,123 @@ func TestSubscriberBacklogBounded(t *testing.T) {
 		if d := time.Since(start); d > 2*time.Second {
 			t.Errorf("Close took %v with an unread subscription, want about the 100 ms grace", d)
 		}
+		// Once the drain has given up, the channel holds what it held at
+		// Close and is closed.
+		if !waitClusterGoroutines(0, 2*time.Second) {
+			t.Fatal("the drain goroutine outlived its grace")
+		}
+		for range cap(s.ch) {
+			if _, ok := <-s.ch; !ok {
+				t.Fatal("the unread channel lost its buffered events")
+			}
+		}
 		select {
-		case <-s.quit:
+		case _, ok := <-s.ch:
+			if ok {
+				t.Error("an event was delivered to the unread channel after Close")
+			}
 		default:
-			t.Error("subscriber not closed by Close")
+			t.Error("the unread channel is still open after the grace")
+		}
+	})
+}
+
+// clusterGoroutines counts the live goroutines that the package's own
+// code started (not a test's): an Events subscription's, if any.
+func clusterGoroutines() int {
+	buf := make([]byte, 1<<20)
+	lines := strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n")
+	n := 0
+	for i, l := range lines[:len(lines)-1] {
+		if strings.HasPrefix(l, "created by repro.") && !strings.Contains(lines[i+1], "_test.go:") {
+			n++
+		}
+	}
+	return n
+}
+
+// waitClusterGoroutines waits up to d for clusterGoroutines to fall to
+// want and reports whether it did.
+func waitClusterGoroutines(want int, d time.Duration) bool {
+	for deadline := time.Now().Add(d); clusterGoroutines() > want; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSubscriberGoroutines: an Events subscription runs no goroutine
+// while the cluster runs. Events, and a whole run that overfills the
+// unread channel, publish from the driving goroutine alone; Close closes
+// a channel whose backlog fits into it before it returns, and starts one
+// drain goroutine only for a backlog that does not fit, which gives up
+// after its grace when nobody reads.
+func TestSubscriberGoroutines(t *testing.T) {
+	if !waitClusterGoroutines(0, 2*time.Second) {
+		t.Fatal("an earlier test's drain goroutine outlived its grace")
+	}
+	newCluster := func(t *testing.T) (*Cluster, <-chan Event) {
+		c, err := NewCluster(WithWorkload(CPUIntensive(8000)), WithEpochLength(1024))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		ch := c.Events()
+		if n := clusterGoroutines(); n != 0 {
+			t.Fatalf("Events started %d goroutines", n)
+		}
+		return c, ch
+	}
+
+	t.Run("backlog fits", func(t *testing.T) {
+		c, ch := newCluster(t)
+		if _, err := c.RunFor(Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(ch); n == 0 || n == cap(ch) {
+			t.Fatalf("the run left %d of %d events in the channel, want it partly filled", n, cap(ch))
+		}
+		buffered := len(ch)
+		c.Close()
+		if n := clusterGoroutines(); n != 0 {
+			t.Errorf("Close with an empty backlog started %d goroutines", n)
+		}
+		for range buffered {
+			<-ch
+		}
+		select {
+		case _, ok := <-ch:
+			if ok {
+				t.Error("the channel carried more events than it held at Close")
+			}
+		default:
+			t.Error("Close returned before closing the channel")
+		}
+	})
+
+	t.Run("backlog overflows", func(t *testing.T) {
+		c, ch := newCluster(t)
+		snap, err := c.RunFor(Second)
+		if err != nil || !snap.Done {
+			t.Fatalf("run did not complete: done=%v err=%v", snap.Done, err)
+		}
+		if n := clusterGoroutines(); n != 0 {
+			t.Fatalf("a run with an unread subscription started %d goroutines", n)
+		}
+		if len(ch) != cap(ch) || c.subs[0].backlog.Len() == 0 {
+			t.Fatalf("channel %d of %d, backlog %d: the run did not overfill the subscription", len(ch), cap(ch), c.subs[0].backlog.Len())
+		}
+		start := time.Now()
+		c.Close()
+		if n := clusterGoroutines(); n != 1 {
+			t.Errorf("Close with a backlog started %d goroutines, want one drain", n)
+		}
+		if !waitClusterGoroutines(0, 2*time.Second) {
+			t.Fatal("the drain goroutine outlived its grace")
+		}
+		if d := time.Since(start); d < subscriberGrace {
+			t.Errorf("the drain gave up after %v, before its %v grace", d, subscriberGrace)
 		}
 	})
 }

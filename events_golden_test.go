@@ -329,8 +329,8 @@ func TestEventsNoSubscriberAllocs(t *testing.T) {
 	}
 }
 
-// TestSubscriberHandoffOrder: publish queues every event and the pump
-// alone moves the queue into the channel, in order, so every
+// TestSubscriberHandoffOrder: publish pushes every event onto the
+// backlog and moves the backlog into the channel from its head, so every
 // subscription carries the stream exactly once and in order however its
 // consumer keeps up. Two consumers read the golden's service scenario at
 // one and two Ps, after two channels' worth of marker events published
@@ -339,8 +339,8 @@ func TestEventsNoSubscriberAllocs(t *testing.T) {
 // reads one channel's worth in bursts with sleeps between them while
 // the run publishes behind its backlog, then stops until the run is
 // over: its channel is full and the rest of the stream waits in the
-// ring when Close comes, and it reads on in bursts while Close's pump
-// drains that backlog.
+// backlog when Close comes, and it reads on in bursts while Close's
+// drain goroutine delivers that backlog.
 func TestSubscriberHandoffOrder(t *testing.T) {
 	golden, err := os.ReadFile("testdata/events.golden.txt")
 	if err != nil {
@@ -385,11 +385,7 @@ func TestSubscriberHandoffOrder(t *testing.T) {
 				c.publish(ev)
 			}
 			drive()
-			s := c.subs[1]
-			s.mu.Lock()
-			backlog := s.queue.Len()
-			s.mu.Unlock()
-			if backlog == 0 {
+			if c.subs[1].backlog.Len() == 0 {
 				t.Fatal("the paused subscription has no backlog in its ring at Close")
 			}
 			close(closing)

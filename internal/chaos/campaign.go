@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"slices"
+	"strings"
 
 	hft "repro"
 	"repro/internal/free"
@@ -218,16 +219,27 @@ func RunCampaign(o CampaignOptions) (CampaignReport, error) {
 	}
 	for vi := range rep.Violations {
 		v := &rep.Violations[vi]
-		minimal := v.Schedule
-		report := v.Report
 		if vi < maxShrink {
 			v.Shrunk = Shrink(v.Schedule, v.Report)
-			minimal, report = v.Shrunk.Schedule, v.Shrunk.Report
 			logf("run %d shrunk: %d -> %d steps in %d executions (1-minimal: %v)",
-				v.Run, len(v.Schedule.Steps), len(minimal.Steps), v.Shrunk.Executions, v.Shrunk.Minimal)
+				v.Run, len(v.Schedule.Steps), len(v.Shrunk.Schedule.Steps), v.Shrunk.Executions, v.Shrunk.Minimal)
 		}
-		note := fmt.Sprintf("campaign seed %d, run %d", o.Seed, v.Run)
-		v.Scenario = Scenario(minimal, report.Violation, note)
+		v.Scenario = v.scenario(o.Seed)
 	}
 	return rep, nil
+}
+
+// scenario renders v's reproduction: the shrunk schedule if Shrink ran
+// on it (executed anything), else the original. When Shrink's budget ran
+// out before the schedule was 1-minimal, the header says so.
+func (v *ViolationReport) scenario(seed int64) string {
+	s, rep, sh := v.Schedule, v.Report, v.Shrunk
+	if sh.Executions > 0 {
+		s, rep = sh.Schedule, sh.Report
+	}
+	title, rest, _ := strings.Cut(Scenario(s, rep.Violation, fmt.Sprintf("campaign seed %d, run %d", seed, v.Run)), "\n")
+	if sh.Executions > 0 && !sh.Minimal {
+		title += fmt.Sprintf("\n# not 1-minimal: shrink budget (%d executions) ran out", shrinkBudget)
+	}
+	return title + "\n" + rest
 }

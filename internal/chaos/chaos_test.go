@@ -234,6 +234,9 @@ func TestFleetViolationShrinks(t *testing.T) {
 	if n := CommandCount(v.Shrunk.Schedule); n == 0 || n > 5 {
 		t.Fatalf("run 7 shrunk to %d scenario commands (want 1 to 5):\n%s", n, v.Scenario)
 	}
+	if says := strings.Contains(v.Scenario, "# not 1-minimal"); says == v.Shrunk.Minimal {
+		t.Errorf("1-minimal %v, but the scenario's header says not 1-minimal: %v:\n%s", v.Shrunk.Minimal, says, v.Scenario)
+	}
 	replay := v.Schedule
 	if replay.Steps, err = ParseScenario(v.Scenario); err != nil {
 		t.Fatal(err)

@@ -133,3 +133,60 @@ func FuzzScenario(f *testing.F) {
 		}
 	})
 }
+
+// TestScenarioSaysNotMinimal: when Shrink's budget runs out before the
+// schedule is 1-minimal, the scenario a campaign renders says so on the
+// line after its title; a 1-minimal shrink and an unshrunk violation
+// render no such line. The line is a comment, so the script still parses
+// to the schedule it reproduces. The shrink results are made up: run
+// 894's schedule stands in for any violating one.
+func TestScenarioSaysNotMinimal(t *testing.T) {
+	orig := ScheduleAt(11, 894)
+	if len(orig.Steps) < 3 {
+		t.Fatalf("run 894 has %d steps, want a schedule the test can cut", len(orig.Steps))
+	}
+	small := orig
+	small.Steps = orig.Steps[:2]
+	vio := &Violation{Kind: VPanic, Detail: "replication: divergence at epoch 385"}
+	v := ViolationReport{
+		Run: 894, Schedule: orig, Report: Report{Violation: vio},
+		Shrunk: ShrinkResult{Schedule: small, Report: Report{Violation: vio}},
+	}
+	const title = "# chaos reproduction (campaign seed 11, run 894)"
+	const note = "# not 1-minimal: shrink budget (64 executions) ran out"
+	for _, tc := range []struct {
+		name       string
+		executions int
+		minimal    bool
+		want       []Step
+		says       bool
+	}{
+		{"budget ran out", shrinkBudget, false, small.Steps, true},
+		{"1-minimal", 13, true, small.Steps, false},
+		{"not shrunk", 0, false, orig.Steps, false},
+	} {
+		v.Shrunk.Executions, v.Shrunk.Minimal = tc.executions, tc.minimal
+		sc := v.scenario(11)
+		lines := strings.Split(sc, "\n")
+		if lines[0] != title {
+			t.Errorf("%s: title %q, want %q", tc.name, lines[0], title)
+		}
+		if says := lines[1] == note; says != tc.says || strings.Count(sc, "not 1-minimal") != btoi(tc.says) {
+			t.Errorf("%s: the header says not 1-minimal: %v, want %v:\n%s", tc.name, says, tc.says, sc)
+		}
+		steps, err := ParseScenario(sc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(steps, tc.want) {
+			t.Errorf("%s: the scenario parses as %v, want %v", tc.name, steps, tc.want)
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

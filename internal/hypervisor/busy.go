@@ -39,13 +39,24 @@ import (
 //     another process's dispatch, which no callback foretells, and a pause
 //     there would find the machine ahead of its accounted chunks.
 //   - No run ahead while a deferred device start is withheld (output
-//     commit): an acknowledgement releases it at an instant no pending
-//     callback foretells, and the started device reads or writes guest
-//     memory (a write's data latch, a read's completion DMA).
+//     commit): the acknowledgement that releases it is a callback, and the
+//     started device reads or writes guest memory (a write's data latch,
+//     a read's completion DMA). Every acknowledgement is scheduled when a
+//     frame's delivery, itself a pending callback, reaches a backup, so no
+//     rig has yet told this rule apart (TestRunAheadWithheldStartRig); it
+//     stays, because it is what keeps the latch exact should a release
+//     ever come unforetold.
+//   - No run ahead while a raised line waits for its capture: a line that
+//     rose while a capture's forwarding slept, after the poll had passed
+//     its device. Its own capture forwards and sleeps at the next poll; if
+//     that is the poll after a run ahead that ended on a trap at a chunk's
+//     edge, the machine has taken the trap before that sleep, where the
+//     chunked loop takes it after, and a pause inside the sleep sees the
+//     difference (TestRunAheadEdgeRig). With no line waiting and none
+//     raised before the bound, the poll after the last chunk captures
+//     nothing, so a trap on its edge follows it in the same dispatch.
 //   - RCTR is not rewritten while chunks are pending: it already counts
-//     them. A trap on a chunk's edge is handed out after the full chunk,
-//     as a chunk that retired nothing, as the chunked loop's next Run
-//     would have returned it.
+//     them.
 //   - debugNoStorm turns it off: the reference arm runs chunk by chunk.
 //
 // The wakes are not collapsed (Proc.PromiseQuiet): between two busy
@@ -67,7 +78,7 @@ func (hv *Hypervisor) AheadStats() AheadStats { return hv.aheadStats }
 // it leaves them pending for handOut and reports whether it did.
 func (hv *Hypervisor) runAhead(p *sim.Proc) bool {
 	now, bound := p.Now(), p.Kernel().NextCallback()
-	if debugNoStorm || bound <= now {
+	if debugNoStorm || bound <= now || hv.M.CRs[isa.CREIRR] != 0 {
 		return false
 	}
 	eff := hv.epochEnd()
@@ -100,9 +111,7 @@ func (hv *Hypervisor) handOut() uint64 {
 	r := &hv.run
 	n := min(r.ahead, chunkSize)
 	r.ahead -= n
-	if r.ahead == 0 && (n < chunkSize || r.res.Trap == isa.TrapNone && !r.res.Halted) {
-		r.pending = false
-	}
+	r.pending = r.ahead > 0
 	hv.aheadStats.Chunks++
 	return uint64(n)
 }
