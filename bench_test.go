@@ -121,7 +121,7 @@ func BenchmarkFigure3(b *testing.B) {
 func BenchmarkFigure4(b *testing.B) {
 	for _, link := range []struct {
 		name  string
-		model LinkModel
+		model LinkParams
 	}{{"ethernet", Ethernet10()}, {"atm", ATM155()}} {
 		for _, el := range []uint64{4096, 8192} {
 			b.Run(fmt.Sprintf("%s/EL=%d", link.name, el), func(b *testing.B) {

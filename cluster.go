@@ -361,15 +361,14 @@ type addBackupOptions struct {
 	link LinkParams
 }
 
-// AddBackupLink sets the channel model for the new node's links to
-// every existing node — the state transfer itself and all subsequent
-// protocol traffic to the joiner travel over it. Default: the
-// cluster's configured link model.
-func AddBackupLink(m LinkModel) AddBackupOption {
+// AddBackupLink sets the channel for the new node's links to every
+// existing node — the state transfer itself and all subsequent protocol
+// traffic to the joiner travel over it. Default: the cluster's
+// configured link.
+func AddBackupLink(p LinkParams) AddBackupOption {
 	return func(o *addBackupOptions) error {
-		p, err := checkLink(m)
 		o.link = p
-		return err
+		return checkLink(p)
 	}
 }
 

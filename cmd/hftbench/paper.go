@@ -180,7 +180,7 @@ type FigurePoint struct {
 // beside the model's prediction.
 type curve struct {
 	workload string
-	link     hft.LinkModel
+	link     hft.LinkParams
 	predict  func(el float64) float64
 }
 

@@ -258,7 +258,7 @@ func TestMultiDeviceSnapshotRoundTrip(t *testing.T) {
 	cases := []struct {
 		name  string
 		proto Protocol
-		link  LinkModel
+		link  LinkParams
 	}{
 		{"old-ethernet", ProtocolOld, Ethernet10()},
 		{"new-ethernet", ProtocolNew, Ethernet10()},

@@ -423,7 +423,7 @@ func ExampleWithBackups() {
 	// result matches bare machine: true
 }
 
-// Any LinkParams literal is a complete LinkModel: here a 1 Gbps
+// Any LinkParams literal is a complete link: here a 1 Gbps
 // low-latency interconnect replaces the paper's two built-ins. The
 // same mechanism models degraded serial links, jumbo frames, or
 // per-message setup costs.
@@ -449,48 +449,4 @@ func ExampleLinkParams() {
 	fmt.Println("completed cleanly:", res.GuestPanic == 0)
 	// Output:
 	// completed cleanly: true
-}
-
-// patternBackend supplies deterministic synthetic content for every
-// disk block — a custom DiskBackend in a dozen lines.
-type patternBackend struct {
-	blocks map[uint32][]byte
-}
-
-func (p *patternBackend) Block(b uint32) []byte {
-	if p.blocks == nil {
-		p.blocks = map[uint32][]byte{}
-	}
-	blk := p.blocks[b]
-	if blk == nil {
-		blk = make([]byte, 8192)
-		for i := range blk {
-			blk[i] = byte(b) ^ byte(i)
-		}
-		p.blocks[b] = blk
-	}
-	return blk
-}
-
-// DiskBackend plugs custom storage behind the shared disk: the guest's
-// reads see the backend's bytes, identically on every replica.
-func ExampleDiskBackend() {
-	c, err := hft.NewCluster(
-		hft.WithWorkload(hft.DiskRead(3, 8192)),
-		hft.WithDiskBackend(&patternBackend{}),
-		hft.WithDiskLatency(500*hft.Microsecond, 600*hft.Microsecond),
-	)
-	if err != nil {
-		panic(err)
-	}
-	defer c.Close()
-	res, err := c.Wait(context.Background())
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("completed cleanly:", res.GuestPanic == 0)
-	fmt.Println("read checksum nonzero:", res.Checksum != 0)
-	// Output:
-	// completed cleanly: true
-	// read checksum nonzero: true
 }

@@ -22,9 +22,10 @@
 //	c.FailPrimary()                       // failstop, live
 //	res, _ := c.Wait(context.Background()) // backup finishes the workload
 //
-// The extension points are interfaces: LinkModel (Ethernet10 and
-// ATM155 are the built-ins), DiskBackend, and Program for guest
-// workloads beyond the paper's three benchmarks.
+// A caller supplies two things beyond the built-in choices: the link,
+// a LinkParams value (Ethernet10 and ATM155 are the paper's two), and a
+// Program, the one interface, for guest workloads beyond the paper's
+// three benchmarks.
 //
 // # Recovery and reintegration
 //

@@ -76,8 +76,8 @@ func TestConfigValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "385,000") {
 		t.Errorf("oversized epoch accepted: %v", err)
 	}
-	_, err = NewCluster(work, Bare(), WithLink(nil))
-	if err == nil || !strings.Contains(err.Error(), "nil LinkModel") {
+	_, err = NewCluster(work, Bare(), WithLink(LinkParams{Name: "dead"}))
+	if err == nil || !strings.Contains(err.Error(), "non-positive bandwidth") {
 		t.Errorf("bad link accepted: %v", err)
 	}
 }

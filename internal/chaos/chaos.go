@@ -159,7 +159,7 @@ func (s Schedule) ClusterOptions(w Workload) []hft.Option {
 		hft.WithSeed(s.Seed),
 		hft.WithEpochLength(s.Epoch),
 		hft.WithProtocol(s.Protocol),
-		hft.WithLink(s.LinkModel()),
+		hft.WithLink(s.LinkParams()),
 		hft.WithBackups(s.Backups),
 	}
 	for i := 0; i < w.ExtraDisks; i++ {

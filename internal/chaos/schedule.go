@@ -129,8 +129,8 @@ func (s Schedule) Shape() (Workload, error) {
 	return Shape(s.Workload, s.Iters, s.Ops, s.Count)
 }
 
-// LinkModel resolves the schedule's link name.
-func (s Schedule) LinkModel() hft.LinkModel {
+// LinkParams resolves the schedule's link name.
+func (s Schedule) LinkParams() hft.LinkParams {
 	if s.Link == "atm" {
 		return hft.ATM155()
 	}
@@ -208,7 +208,7 @@ func Generate(rng *rand.Rand) Schedule {
 		s.Adaptive = rng.Intn(2) == 1
 	}
 
-	restore := s.LinkModel().LinkParams()
+	restore := s.LinkParams()
 	failBudget := s.Backups // total failstops (primary + backups)
 	adds, saves := 0, 0
 	n := rng.Intn(genMaxSteps + 1)

@@ -240,7 +240,6 @@ func TestTLBTakeoverInvisible(t *testing.T) {
 
 func TestDeviceTransientRetriedByDriver(t *testing.T) {
 	cfg := platform.Config{Disk: fastDisk()}
-	cfg.Disk.Seed = 3
 	k := sim.NewKernel(1)
 	defer k.Shutdown()
 	s := newSingle(k, cfg)

@@ -112,7 +112,10 @@ func (b *Bare) Run(p *sim.Proc) (sim.Time, sim.StepStatus) {
 			}
 			next, ok := k.NextEventTime()
 			if !ok {
-				panic("bare: WFI with no pending events (guest would hang)")
+				// Nothing pending can raise a line: the guest is wedged
+				// for good. The process ends without halting, and the
+				// session reports the run incomplete.
+				return 0, sim.StepDone
 			}
 			b.phase = bareYield
 			return max(next-k.Now(), 0), sim.StepMore

@@ -28,7 +28,7 @@ func runAheadShapes() (names []string, shapes [][]hft.Option) {
 	}
 	links := []struct {
 		name string
-		m    hft.LinkModel
+		m    hft.LinkParams
 	}{{"ether", hft.Ethernet10()}, {"atm", hft.ATM155()}}
 	for _, g := range guests {
 		for _, el := range []uint64{1024, 32768} {

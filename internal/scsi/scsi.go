@@ -65,120 +65,59 @@ const (
 // loads) and Shadow.PureLoad (a hypervisor's) both answer from it.
 func popsOnRead(off uint32) bool { return false }
 
-// Backend supplies the storage behind the disk's blocks. Block returns
-// the backing bytes for block b (length >= the configured BlockSize),
-// faulting it in as needed; the device reads and writes the returned
-// slice in place. Implementations must be deterministic — the disk is
-// part of the replicated environment.
-type Backend interface {
-	Block(b uint32) []byte
-}
-
-// memBackend is the default backend: lazily allocated zeroed blocks,
-// held sparsely — a disk costs what its touched blocks cost, not a
-// Blocks-sized table up front. A block that has only been read maps to
-// the shared zeroBlock; the first write gives it storage of its own,
-// from the disk's arena.
-type memBackend struct {
-	blockSize uint32
-	blocks    uint32
-	data      map[uint32][]byte
-	arena     *Arena
-}
-
 // Arena owns the block-sized buffers of the disks built over it
-// (NewDiskIn): the in-memory backend's written blocks, which Release
-// hands back for the next disk the arena serves, and the write-DMA
-// latches, each held from a write's issue to its completion. It has one
-// owner at a time and no lock.
+// (NewDiskIn): their written blocks, which Release hands back for the
+// next disk the arena serves, and the write-DMA latches, each held from
+// a write's issue to its completion. It has one owner at a time and no
+// lock.
 type Arena struct {
 	blocks  free.List[[]byte]
 	latches free.List[[]byte]
 }
 
-// buffer returns n bytes off l, recycled when l has a buffer that large;
-// what they hold is unspecified.
-func buffer(l *free.List[[]byte], n uint32) []byte {
-	if buf, ok := l.Get(); ok && uint32(cap(buf)) >= n {
-		return buf[:n]
+// buffer returns a block's worth of bytes off l, recycled when l has
+// one; what they hold is unspecified.
+func buffer(l *free.List[[]byte]) []byte {
+	if buf, ok := l.Get(); ok {
+		return buf[:BlockSize]
 	}
-	return make([]byte, n)
+	return make([]byte, BlockSize)
 }
 
-// block returns a zeroed block of n bytes, recycled when a has one.
-func (a *Arena) block(n uint32) []byte {
-	blk := buffer(&a.blocks, n)
+// block returns a zeroed block, recycled when a has one.
+func (a *Arena) block() []byte {
+	blk := buffer(&a.blocks)
 	clear(blk)
 	return blk
 }
 
-// zeroBlock is what every never-written block of every in-memory disk
-// reads as, shared process-wide and never written: the write path
-// (Block) replaces it before handing a block out.
-var zeroBlock [8192]byte
+// The disk's geometry.
+const (
+	// Blocks is the number of blocks on a disk.
+	Blocks = 4096
+	// BlockSize is bytes per block: 8 KiB, the paper's unit.
+	BlockSize = 8192
+)
+
+// zeroBlock is what every never-written block of every disk reads as,
+// shared process-wide and never written: the write path (Disk.block)
+// replaces it before handing a block out.
+var zeroBlock [BlockSize]byte
 
 // shared reports whether blk is zeroBlock.
 func shared(blk []byte) bool { return len(blk) > 0 && &blk[0] == &zeroBlock[0] }
 
-// Block is the write path: b's own storage, faulted in zeroed.
-func (m *memBackend) Block(b uint32) []byte {
-	blk := m.view(b)
-	if shared(blk) {
-		blk = m.arena.block(m.blockSize)
-		m.data[b] = blk
-	}
-	return blk
-}
-
-// view is the read path: b's bytes, which must not be written. A block
-// never written is the shared zero block, entered in data all the same
-// — StateDigest hashes the set of blocks a disk has touched.
-func (m *memBackend) view(b uint32) []byte {
-	if b >= m.blocks {
-		panic(fmt.Sprintf("scsi: block %d of a %d-block disk", b, m.blocks))
-	}
-	blk := m.data[b]
-	if blk == nil {
-		if m.blockSize <= uint32(len(zeroBlock)) {
-			blk = zeroBlock[:m.blockSize:m.blockSize]
-		} else {
-			blk = make([]byte, m.blockSize)
-		}
-		m.data[b] = blk
-	}
-	return blk
-}
-
 // DiskConfig describes the shared disk.
 type DiskConfig struct {
-	// Blocks is the number of blocks (default 4096).
-	Blocks uint32
-	// BlockSize is bytes per block (default 8 KiB, the paper's unit).
-	BlockSize uint32
 	// ReadLatency is the device service time for a block read. The
 	// paper's bare-hardware measurement: 24.2 ms for an 8 KiB read.
 	ReadLatency sim.Time
 	// WriteLatency is the device service time for a block write. The
 	// paper: 26 ms.
 	WriteLatency sim.Time
-	// UncertainRate injects CHECK_CONDITION with this probability per
-	// operation (deterministic via the seeded stream). Zero disables.
-	UncertainRate float64
-	// Seed seeds the fault-injection stream.
-	Seed int64
-	// Backend overrides the block storage (default: in-memory, lazily
-	// allocated). Custom backends plug in synthetic content, golden
-	// images, or instrumented stores.
-	Backend Backend
 }
 
 func (c DiskConfig) withDefaults() DiskConfig {
-	if c.Blocks == 0 {
-		c.Blocks = 4096
-	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 8192
-	}
 	if c.ReadLatency == 0 {
 		c.ReadLatency = sim.Time(24.2 * float64(sim.Millisecond))
 	}
@@ -204,10 +143,15 @@ type OpRecord struct {
 
 // Disk is the shared dual-ported device.
 type Disk struct {
-	k       *sim.Kernel
-	cfg     DiskConfig
-	backend Backend
-	rng     *rand.Rand // the fault-injection stream, built at its first draw (random)
+	k   *sim.Kernel
+	cfg DiskConfig
+	rng *rand.Rand // the uncertain-completion coin, built at its first toss (random)
+
+	// blocks holds the touched blocks sparsely: a disk costs what its
+	// touched blocks cost, not a Blocks-sized table up front. A block
+	// that has only been read maps to the shared zeroBlock; the first
+	// write gives it storage of its own, from the disk's arena.
+	blocks map[uint32][]byte
 
 	// Log records every operation the device performed or reported
 	// uncertain, in service order.
@@ -231,38 +175,28 @@ type Disk struct {
 // written blocks are allocated plainly.
 func NewDisk(k *sim.Kernel, cfg DiskConfig) *Disk { return NewDiskIn(new(Arena), k, cfg) }
 
-// NewDiskIn is NewDisk over an arena: the in-memory backend's written
-// blocks come from a and go back to it at Release, and every write's
-// DMA latch comes from a and goes back at the write's completion (or at
-// Release, if the write never completed).
+// NewDiskIn is NewDisk over an arena: the disk's written blocks come
+// from a and go back to it at Release, and every write's DMA latch
+// comes from a and goes back at the write's completion (or at Release,
+// if the write never completed).
 func NewDiskIn(a *Arena, k *sim.Kernel, cfg DiskConfig) *Disk {
-	cfg = cfg.withDefaults()
-	be := cfg.Backend
-	if be == nil {
-		be = &memBackend{blockSize: cfg.BlockSize, blocks: cfg.Blocks, data: make(map[uint32][]byte), arena: a}
-	}
-	return &Disk{k: k, cfg: cfg, backend: be, arena: a}
+	return &Disk{k: k, cfg: cfg.withDefaults(), blocks: make(map[uint32][]byte), arena: a}
 }
 
-// Release hands the in-memory backend's written blocks, and the latches
-// of writes still in flight, back to the disk's arena. Call only on
-// teardown, once the simulation kernel is down: the disk must not be
-// used afterwards.
+// Release hands the disk's written blocks, and the latches of writes
+// still in flight, back to its arena. Call only on teardown, once the
+// simulation kernel is down: the disk must not be used afterwards.
 func (d *Disk) Release() {
 	for _, buf := range d.latched {
 		d.arena.latches.Put(buf)
 	}
 	d.latched = nil
-	mb, ok := d.backend.(*memBackend)
-	if !ok {
-		return
-	}
-	for _, blk := range mb.data {
+	for _, blk := range d.blocks {
 		if !shared(blk) {
-			mb.arena.blocks.Put(blk)
+			d.arena.blocks.Put(blk)
 		}
 	}
-	mb.data = nil
+	d.blocks = nil
 }
 
 // unlatch hands a completed write's latch back to the arena.
@@ -278,13 +212,13 @@ func (d *Disk) unlatch(buf []byte) {
 	d.arena.latches.Put(buf)
 }
 
-// random is the fault-injection stream. Most disks never draw from it
-// (no UncertainRate, no uncertain completion), so its source is built
-// at the first draw — from the same seed, so it draws what one built
+// random is the coin an uncertain completion tosses to decide whether
+// a write committed. Most disks never toss it, so its source is built
+// at the first toss — from the same seed, so it draws what one built
 // with the disk would.
 func (d *Disk) random() *rand.Rand {
 	if d.rng == nil {
-		d.rng = rand.New(rand.NewSource(d.cfg.Seed ^ 0x5C51))
+		d.rng = rand.New(rand.NewSource(0x5C51))
 	}
 	return d.rng
 }
@@ -296,27 +230,35 @@ func (d *Disk) Config() DiskConfig { return d.cfg }
 // CHECK_CONDITION (each op independently decides whether it committed).
 func (d *Disk) InjectUncertainNext(n int) { d.uncertainNext += n }
 
-// block returns the backing store for a block via the backend: the
-// write path.
+// block is the write path: b's own storage, faulted in zeroed.
 func (d *Disk) block(b uint32) []byte {
-	return d.backend.Block(b)[:d.cfg.BlockSize]
+	blk := d.view(b)
+	if shared(blk) {
+		blk = d.arena.block()
+		d.blocks[b] = blk
+	}
+	return blk
 }
 
-// view returns a block's bytes for reading only: the in-memory
-// backend's never-written blocks are its shared zero block.
+// view is the read path: b's bytes, which must not be written. A block
+// never written is the shared zero block, entered in blocks all the
+// same — StateDigest hashes the set of blocks a disk has touched.
 func (d *Disk) view(b uint32) []byte {
-	if mb, ok := d.backend.(*memBackend); ok {
-		return mb.view(b)[:d.cfg.BlockSize]
+	if b >= Blocks {
+		panic(fmt.Sprintf("scsi: block %d of a %d-block disk", b, Blocks))
 	}
-	return d.block(b)
+	blk := d.blocks[b]
+	if blk == nil {
+		blk = zeroBlock[:]
+		d.blocks[b] = blk
+	}
+	return blk
 }
 
 // ReadBlockDirect copies a block's contents (test/verification backdoor,
 // not part of the simulated environment).
 func (d *Disk) ReadBlockDirect(b uint32) []byte {
-	out := make([]byte, d.cfg.BlockSize)
-	copy(out, d.view(b))
-	return out
+	return slices.Clone(d.view(b))
 }
 
 // WriteBlockDirect sets a block's contents directly (test setup).
@@ -438,8 +380,8 @@ func (a *Adapter) issue() {
 	}
 	d := a.disk
 	count := a.count
-	if count == 0 || count > d.cfg.BlockSize {
-		count = d.cfg.BlockSize
+	if count == 0 || count > BlockSize {
+		count = BlockSize
 	}
 	switch a.cmd {
 	case CmdInquiry:
@@ -451,7 +393,7 @@ func (a *Adapter) issue() {
 		})
 		return
 	case CmdRead, CmdWrite:
-		if a.blockNo >= d.cfg.Blocks {
+		if a.blockNo >= Blocks {
 			a.status |= StatusError
 			return
 		}
@@ -467,7 +409,7 @@ func (a *Adapter) issue() {
 	// into a block-sized buffer the arena lends until completion.
 	var buf []byte
 	if cmd == CmdWrite {
-		buf = buffer(&d.arena.latches, d.cfg.BlockSize)[:count]
+		buf = buffer(&d.arena.latches)[:count]
 		d.latched = append(d.latched, buf)
 		a.mem.ReadInto(addr, buf)
 	}
@@ -487,22 +429,13 @@ func (a *Adapter) issue() {
 	d.busyUntil = done
 
 	d.k.At(done, func() {
-		// Decide certainty: scripted injections first, then random.
-		uncertain := false
-		if d.uncertainNext > 0 {
-			d.uncertainNext--
-			uncertain = true
-		} else if d.cfg.UncertainRate > 0 && d.random().Float64() < d.cfg.UncertainRate {
-			uncertain = true
-		}
-		committed := true
+		// Certainty is scripted (InjectUncertainNext). IO2: an uncertain
+		// operation may or may not have been performed, which the coin
+		// decides; a read transfers data only on certain completion.
+		uncertain, committed := d.uncertainNext > 0, true
 		if uncertain {
-			// IO2: the operation may or may not have been performed.
-			committed = d.random().Intn(2) == 0
-		}
-		if cmd == CmdRead {
-			// Reads transfer data only on certain completion.
-			committed = !uncertain
+			d.uncertainNext--
+			committed = d.random().Intn(2) == 0 && cmd == CmdWrite
 		}
 		rec := OpRecord{
 			Seq: d.seq, Host: a.host, Cmd: cmd, Block: blockNo,
@@ -565,10 +498,8 @@ func digestPut(h hash.Hash64, vs ...uint64) {
 
 // StateDigest returns a deterministic hash of the disk's dynamic state:
 // service-queue watermarks, the operation log, pending fault
-// injections, and the contents of every materialized block (in-memory
-// backend only; blocks behind a custom Backend are the caller's to
-// verify). Snapshot verification compares it between an original and a
-// replayed run.
+// injections, and the contents of every touched block. Snapshot
+// verification compares it between an original and a replayed run.
 func (d *Disk) StateDigest() uint64 {
 	h := fnv.New64a()
 	put := func(vs ...uint64) { digestPut(h, vs...) }
@@ -583,16 +514,14 @@ func (d *Disk) StateDigest() uint64 {
 		}
 		put(r.Seq, uint64(r.Host), uint64(r.Cmd), uint64(r.Block), flags, r.DataHash, uint64(r.At))
 	}
-	if mb, ok := d.backend.(*memBackend); ok {
-		// Materialized blocks, in ascending block order.
-		idx := make([]uint32, 0, len(mb.data))
-		for i := range mb.data {
-			idx = append(idx, i)
-		}
-		slices.Sort(idx)
-		for _, i := range idx {
-			put(uint64(i), hash64(mb.data[i]))
-		}
+	// Touched blocks, in ascending block order.
+	idx := make([]uint32, 0, len(d.blocks))
+	for i := range d.blocks {
+		idx = append(idx, i)
+	}
+	slices.Sort(idx)
+	for _, i := range idx {
+		put(uint64(i), hash64(d.blocks[i]))
 	}
 	return h.Sum64()
 }

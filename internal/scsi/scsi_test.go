@@ -183,37 +183,6 @@ func TestUncertainInjectionIO2(t *testing.T) {
 	}
 }
 
-func TestUncertainRateDeterministic(t *testing.T) {
-	count := func(seed int64) int {
-		k := sim.NewKernel(1)
-		defer k.Shutdown()
-		d := NewDisk(k, DiskConfig{UncertainRate: 0.3, Seed: seed})
-		mem := newFakeMem(1 << 16)
-		a := d.NewAdapter(0, mem, nil)
-		n := 0
-		for i := 0; i < 40; i++ {
-			a.MMIOStore(RegCmd, 4, CmdWrite)
-			a.MMIOStore(RegBlock, 4, uint32(i))
-			a.MMIOStore(RegAddr, 4, 0)
-			a.MMIOStore(RegCount, 4, 512)
-			a.MMIOStore(RegDoorbell, 4, 1)
-			k.Run()
-			if a.Status()&StatusUncertain != 0 {
-				n++
-			}
-			a.MMIOStore(RegStatus, 4, 0xFFFFFFFF)
-		}
-		return n
-	}
-	a, b := count(5), count(5)
-	if a != b {
-		t.Errorf("same seed gave different injection counts %d vs %d", a, b)
-	}
-	if a == 0 || a == 40 {
-		t.Errorf("rate 0.3 gave %d/40 uncertain", a)
-	}
-}
-
 func TestInquiry(t *testing.T) {
 	r := newRig(t, DiskConfig{})
 	r.command(CmdInquiry, 0, 0, 0)
@@ -415,10 +384,9 @@ func unwrittenSequence(t *testing.T) uint64 {
 	return r.disk.StateDigest()
 }
 
-// TestUnwrittenBlockReads: every never-written block of the in-memory
-// backend reads as one shared zero block, entered in the block set all
-// the same, and the write path gives a block storage of its own before
-// writing it.
+// TestUnwrittenBlockReads: every never-written block of a disk reads as
+// one shared zero block, entered in the block set all the same, and the
+// write path gives a block storage of its own before writing it.
 func TestUnwrittenBlockReads(t *testing.T) {
 	r := newRig(t, DiskConfig{})
 	d := r.disk
@@ -426,7 +394,7 @@ func TestUnwrittenBlockReads(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for b := uint32(0); b < n; b++ {
-		if v := d.view(b); !shared(v) || len(v) != int(d.cfg.BlockSize) {
+		if v := d.view(b); !shared(v) || len(v) != BlockSize {
 			t.Fatalf("unwritten block %d reads as its own %d bytes, not the shared zero block", b, len(v))
 		}
 	}

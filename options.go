@@ -146,30 +146,25 @@ func WithProtocol(p Protocol) Option {
 	}
 }
 
-// WithLink plugs in the hypervisor-to-hypervisor channel model
-// (default Ethernet10).
-func WithLink(m LinkModel) Option {
+// WithLink sets the hypervisor-to-hypervisor channel (default
+// Ethernet10).
+func WithLink(p LinkParams) Option {
 	return func(o *clusterOptions) error {
-		p, err := checkLink(m)
 		o.Link = netsim.LinkConfig(p)
-		return err
+		return checkLink(p)
 	}
 }
 
-// checkLink resolves a channel model, rejecting one no link can run
-// (WithLink and AddBackupLink share it).
-func checkLink(m LinkModel) (LinkParams, error) {
-	if m == nil {
-		return LinkParams{}, errors.New("hft: nil LinkModel")
-	}
-	p := m.LinkParams()
+// checkLink rejects a channel no link can run (WithLink, AddBackupLink
+// and Restore's journal share it).
+func checkLink(p LinkParams) error {
 	if p.BitsPerSecond <= 0 {
-		return p, fmt.Errorf("hft: link %q has non-positive bandwidth %d", p.Name, p.BitsPerSecond)
+		return fmt.Errorf("hft: link %q has non-positive bandwidth %d", p.Name, p.BitsPerSecond)
 	}
-	if p.Latency < 0 || p.SetupTime < 0 || p.MTU < 0 {
-		return p, fmt.Errorf("hft: link %q has negative parameters", p.Name)
+	if p.Latency < 0 || p.SetupTime < 0 || p.MTU < 0 || p.FrameOverhead < 0 || p.PerMessageFrames < 0 {
+		return fmt.Errorf("hft: link %q has negative parameters", p.Name)
 	}
-	return p, nil
+	return nil
 }
 
 // WithSeed sets the simulation seed (default 1). Zero is rejected: it
@@ -222,37 +217,22 @@ func WithDiskLatency(read, write Duration) Option {
 	}
 }
 
-// WithDiskBackend plugs in the storage behind shared disk 0's blocks
-// (default: in-memory, lazily allocated, zero-filled).
-func WithDiskBackend(b DiskBackend) Option {
-	return func(o *clusterOptions) error {
-		if b == nil {
-			return errors.New("hft: nil DiskBackend")
-		}
-		o.Disk.Backend = b
-		return nil
-	}
-}
-
 // DiskSpec describes one additional shared disk for WithDisk. Zero
-// latencies take the paper's defaults (24.2 ms reads / 26 ms writes);
-// a nil Backend means in-memory, lazily allocated, zero-filled.
+// latencies take the paper's defaults (24.2 ms reads / 26 ms writes).
+// Every disk holds 4096 blocks of 8 KiB, zero-filled until written.
 type DiskSpec struct {
 	// ReadLatency is the device service time for a block read.
 	ReadLatency Duration
 	// WriteLatency is the device service time for a block write.
 	WriteLatency Duration
-	// Backend optionally plugs in the storage behind the blocks.
-	Backend DiskBackend
 }
 
 // WithDisk adds one more shared disk to the cluster — repeatable, each
 // call appends a disk. Disk 0 is the boot disk every configuration
-// carries (WithDiskLatency/WithDiskBackend configure it); WithDisk
-// disks become disks 1, 2, ... on the platform's device table, visible
-// to the guest at consecutive MMIO windows and dual-ported to every
-// replica exactly like disk 0 (the I/O Device Accessibility
-// Assumption). The built-in TwoDiskCopy workload drives disks 0 and 1.
+// carries (WithDiskLatency configures it); WithDisk disks become disks
+// 1, 2, ... on the platform's device table, visible to the guest at
+// consecutive MMIO windows and dual-ported to every replica exactly
+// like disk 0 (the I/O Device Accessibility Assumption). The built-in TwoDiskCopy workload drives disks 0 and 1.
 func WithDisk(spec DiskSpec) Option {
 	return func(o *clusterOptions) error {
 		if spec.ReadLatency < 0 || spec.WriteLatency < 0 {
@@ -261,7 +241,6 @@ func WithDisk(spec DiskSpec) Option {
 		o.ExtraDisks = append(o.ExtraDisks, scsi.DiskConfig{
 			ReadLatency:  spec.ReadLatency,
 			WriteLatency: spec.WriteLatency,
-			Backend:      spec.Backend,
 		})
 		return nil
 	}

@@ -6,25 +6,16 @@ import (
 	"repro/internal/netsim"
 )
 
-// This file holds the Cluster API's extension points: the interfaces a
-// caller implements to plug in custom channel models (LinkModel), disk
-// storage (DiskBackend) and guest workloads (Program) — replacing what
-// used to be closed enums and fixed benchmarks.
+// This file holds what a caller supplies to the Cluster API beyond the
+// built-in choices: a channel cost model (LinkParams, a plain value) and
+// a guest workload (Program, the one interface).
 
-// LinkModel describes the hypervisor-to-hypervisor channel technology.
-// The paper's two links — the prototype's 10 Mbps Ethernet and §4.3's
-// 155 Mbps ATM — are the built-in implementations (Ethernet10, ATM155);
-// custom latency/bandwidth/segmentation models plug in by returning
-// their own LinkParams.
-type LinkModel interface {
-	// LinkParams returns the channel's cost-model parameters.
-	LinkParams() LinkParams
-}
-
-// LinkParams is a concrete channel cost model. It implements LinkModel
-// itself, so a custom link can be a plain literal. Zero fields take the
-// simulator's messaging-layer defaults (1 KiB MTU, one control frame
-// per message, 100 µs controller set-up).
+// LinkParams is the hypervisor-to-hypervisor channel's cost model. The
+// paper's two links — the prototype's 10 Mbps Ethernet and §4.3's
+// 155 Mbps ATM — are Ethernet10 and ATM155; any other link is a
+// literal. Zero fields take the simulator's messaging-layer defaults
+// (1 KiB MTU, one control frame per message, 100 µs controller
+// set-up).
 //
 // It mirrors netsim.LinkConfig field for field and crosses the API
 // boundary by struct conversion, so a field added on one side only is a
@@ -50,14 +41,11 @@ type LinkParams struct {
 	SetupTime Duration
 }
 
-// LinkParams implements LinkModel.
-func (p LinkParams) LinkParams() LinkParams { return p }
+// Ethernet10 returns the prototype's 10 Mbps Ethernet link.
+func Ethernet10() LinkParams { return LinkParams(netsim.Ethernet10("ethernet10")) }
 
-// Ethernet10 returns the prototype's 10 Mbps Ethernet link model.
-func Ethernet10() LinkModel { return LinkParams(netsim.Ethernet10("ethernet10")) }
-
-// ATM155 returns §4.3's 155 Mbps ATM link model.
-func ATM155() LinkModel { return LinkParams(netsim.ATM155("atm155")) }
+// ATM155 returns §4.3's 155 Mbps ATM link.
+func ATM155() LinkParams { return LinkParams(netsim.ATM155("atm155")) }
 
 // LinkQuality is a live adjustment to the cluster's links — mid-run
 // degradation (or repair). Zero fields leave the corresponding
@@ -72,16 +60,6 @@ type LinkQuality struct {
 	MTU int
 	// DropNext marks the next N sends on each link direction for loss.
 	DropNext int
-}
-
-// DiskBackend supplies the storage behind the shared disk's blocks:
-// Block returns the backing bytes for block b (length >= the disk's
-// block size), faulting it in as needed; the device reads and writes
-// the returned slice in place. The default backend is in-memory,
-// lazily allocated and zero-filled. Implementations must be
-// deterministic — the disk is part of the replicated environment.
-type DiskBackend interface {
-	Block(b uint32) []byte
 }
 
 // GuestMemory is a Program's window onto guest physical memory.

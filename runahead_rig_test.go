@@ -146,17 +146,6 @@ func TestRunAheadEdgeRig(t *testing.T) {
 	}
 }
 
-// blockStore is a disk backend that keeps the blocks written, for the
-// test to read.
-type blockStore map[uint32][]byte
-
-func (s blockStore) Block(b uint32) []byte {
-	if s[b] == nil {
-		s[b] = make([]byte, 8192)
-	}
-	return s[b]
-}
-
 // rewriter writes block 9 of disk 0 from a buffer whose first word it
 // then keeps rewriting with a count falling from 40,000, without a trap,
 // and polls the adapter until the write is done.
@@ -195,10 +184,9 @@ wait:
 // the same.
 func TestRunAheadWithheldStartRig(t *testing.T) {
 	g := newAsmGuest(t, "rewriter.s", rewriter)
-	disk := blockStore{}
 	c, err := NewCluster(WithProgram(g), WithEpochLength(32768), WithBackups(2), WithLink(ATM155()),
 		WithProtocol(ProtocolNew), WithOutputCommit(OutputCommit{Window: 2}),
-		WithDiskLatency(200*Microsecond, 200*Microsecond), WithDiskBackend(disk))
+		WithDiskLatency(200*Microsecond, 200*Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +196,7 @@ func TestRunAheadWithheldStartRig(t *testing.T) {
 		t.Fatal(err)
 	}
 	const atIssue, atRelease = 40000, 23623
-	if got := binary.LittleEndian.Uint32(disk.Block(9)); got != atRelease || got == atIssue {
+	if got := binary.LittleEndian.Uint32(c.eng.Disks()[0].ReadBlockDirect(9)); got != atRelease || got == atIssue {
 		t.Errorf("the write carried %d, pinned %d (%d was in the buffer at issue)", got, atRelease, atIssue)
 	}
 	if want := Duration(2_838_636); res.Time != want {

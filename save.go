@@ -96,24 +96,16 @@ type journalEntry struct {
 // capture. The session itself is unaffected (capturing is read-only)
 // and remains usable.
 //
-// Save requires a serializable configuration: sessions using a custom
-// Program or DiskBackend cannot be checkpointed (an interface
-// implementation cannot travel through a file); any LinkModel is fine —
-// its resolved LinkParams are the complete channel behavior.
+// Save requires a serializable configuration: a session running a
+// custom Program cannot be checkpointed (an interface implementation
+// cannot travel through a file); any LinkParams is fine — it is the
+// complete channel behavior.
 func (c *Cluster) Save(w io.Writer) error {
 	if c.closed {
 		return ErrClosed
 	}
 	if c.opts.program != nil {
 		return errors.New("hft: Save: sessions with a custom Program are not serializable")
-	}
-	if c.opts.Disk.Backend != nil {
-		return errors.New("hft: Save: sessions with a custom DiskBackend are not serializable")
-	}
-	for i, d := range c.opts.ExtraDisks {
-		if d.Backend != nil {
-			return fmt.Errorf("hft: Save: disk %d has a custom DiskBackend; not serializable", i+1)
-		}
 	}
 	if c.opts.Bare {
 		return errors.New("hft: Save: bare baseline sessions are not checkpointable")
@@ -391,7 +383,7 @@ func (c *Cluster) replayAction(e journalEntry) error {
 	case actSetLink:
 		return c.eng.SetLinkQuality(netsim.Quality(e.quality))
 	case actAddBackup:
-		if _, err := checkLink(e.link); err != nil {
+		if err := checkLink(e.link); err != nil {
 			return fmt.Errorf("%w: %w", ErrSnapshotCorrupt, err)
 		}
 		_, err := c.eng.AddBackup(session.AddBackupConfig{Link: netsim.LinkConfig(e.link)})

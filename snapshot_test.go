@@ -46,7 +46,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	cases := []struct {
 		name  string
 		proto Protocol
-		link  LinkModel
+		link  LinkParams
 	}{
 		{"old-ethernet", ProtocolOld, Ethernet10()},
 		{"new-ethernet", ProtocolNew, Ethernet10()},
@@ -345,7 +345,7 @@ func TestRestoreRecyclesBlob(t *testing.T) {
 // the field's low byte) and writes a bad value there.
 func TestRestoreRejectsInvalidConfig(t *testing.T) {
 	base := []Option{WithWorkload(DiskWrite(4, 2048)), WithBackups(2), WithOutputCommit(OutputCommit{Window: 2})}
-	eth := Ethernet10().LinkParams()
+	eth := Ethernet10()
 	faster := eth
 	faster.BitsPerSecond++
 	cases := []struct {
@@ -373,7 +373,7 @@ func TestRestoreRejectsInvalidConfig(t *testing.T) {
 // passes AddBackupLink's check on restore, as the configured link
 // passes WithLink's.
 func TestRestoreRejectsInvalidJournalLink(t *testing.T) {
-	eth := Ethernet10().LinkParams()
+	eth := Ethernet10()
 	save := func(bps int64) []byte {
 		link := eth
 		link.BitsPerSecond = bps
@@ -597,7 +597,7 @@ func TestAddBackupRepairChain(t *testing.T) {
 // duration, so the session over a 100x slower transfer link completes
 // (all replicas done) measurably later.
 func TestAddBackupTransferCharged(t *testing.T) {
-	run := func(link LinkModel) Duration {
+	run := func(opts ...AddBackupOption) Duration {
 		c, err := NewCluster(
 			WithWorkload(CPUIntensive(60000)),
 			WithProtocol(ProtocolOld),
@@ -609,10 +609,6 @@ func TestAddBackupTransferCharged(t *testing.T) {
 		if _, err := c.RunFor(4 * Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		var opts []AddBackupOption
-		if link != nil {
-			opts = append(opts, AddBackupLink(link))
-		}
 		if _, err := c.AddBackup(opts...); err != nil {
 			t.Fatal(err)
 		}
@@ -622,8 +618,8 @@ func TestAddBackupTransferCharged(t *testing.T) {
 		return c.Snapshot().Now
 	}
 
-	fast := run(nil) // cluster default: 10 Mbps Ethernet
-	slow := run(LinkParams{Name: "serial", BitsPerSecond: 100_000})
+	fast := run() // cluster default: 10 Mbps Ethernet
+	slow := run(AddBackupLink(LinkParams{Name: "serial", BitsPerSecond: 100_000}))
 	if slow <= fast {
 		t.Fatalf("slow transfer link finished at %v, fast at %v — transfer time not charged", slow, fast)
 	}
@@ -672,23 +668,19 @@ func TestAddBackupLossyLink(t *testing.T) {
 	}
 }
 
-// TestSaveRejectsCustomPlugins pins that non-serializable sessions are
-// refused up front.
+// TestSaveRejectsCustomPlugins pins that a session running a custom
+// Program, the one plug point, is refused up front: its guest cannot
+// travel through a file.
 func TestSaveRejectsCustomPlugins(t *testing.T) {
-	c, err := NewCluster(WithWorkload(CPUIntensive(1000)), WithDiskBackend(zeroBackend{}))
+	c, err := NewCluster(WithProgram(abiProgram{iters: 1000}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Save(&bytes.Buffer{}); err == nil {
-		t.Fatal("Save accepted a session with a custom DiskBackend")
+	if err := c.Save(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "custom Program") {
+		t.Fatalf("Save of a session with a custom Program: got %v, want a refusal", err)
 	}
 }
-
-// zeroBackend is a trivial custom DiskBackend for the rejection test.
-type zeroBackend struct{}
-
-func (zeroBackend) Block(b uint32) []byte { return make([]byte, 8192) }
 
 // TestRunUntilBoundarySampling pins the RunUntil observation contract:
 // a predicate that is true only within a window narrower than one

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/snapshot"
@@ -408,6 +409,13 @@ func TestRestoreHeaderCanonical(t *testing.T) {
 		if err := restorable(b); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Errorf("%s: decoded with %v, want snapshot.ErrCorrupt", name, err)
 		}
+	}
+
+	// A link WithLink refuses is refused on the way back in too.
+	negFrame := *o
+	negFrame.Link.FrameOverhead = -1
+	if err := restorable(body(negFrame)); err == nil || !strings.Contains(err.Error(), "negative parameters") {
+		t.Errorf("negative frame overhead: restored with %v, want a refusal", err)
 	}
 }
 
